@@ -28,9 +28,12 @@
 //! transport** (ARCHITECTURE invariant 21): a loopback Unix-domain
 //! mesh must be report-identical to `Lossless`, a same-seed
 //! fault-injected socket mesh must be report- and incident-identical
-//! to `Chaotic`, and a B9 micro-bench reports bytes/iteration and p50
-//! tick latency for in-process vs UDS vs TCP (latency is SKIPped on
-//! degraded single-core hosts, where wall-clock numbers are noise).
+//! to `Chaotic`, the lossless UDS run must stay inside the
+//! demand-driven I/O budget of `2·R·(R−1)` syscalls per tick (counted
+//! by `SocketTransport::io_stats`), and a B9 micro-bench reports
+//! bytes/iteration, syscalls/tick and p50 tick latency for in-process
+//! vs UDS vs TCP (latency is SKIPped on degraded single-core hosts,
+//! where wall-clock numbers are noise).
 //!
 //! Usage: `mesh_smoke [--smoke] [--socket]` (`--smoke` is the CI-sized
 //! run; the default doubles the settle budget).
@@ -39,7 +42,8 @@
 use spn_bench::small_instance;
 use spn_core::{GradientAlgorithm, GradientConfig};
 use spn_mesh::{
-    MeshConfig, MeshFaultConfig, MeshRuntime, PartitionSpec, SocketKind, SocketOptions, Transport,
+    MeshConfig, MeshFaultConfig, MeshRuntime, PartitionSpec, SocketKind, SocketOptions,
+    SocketTransport, Transport,
 };
 use spn_transform::ExtendedNetwork;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -154,6 +158,21 @@ fn bench_transport<T: Transport>(mesh: &mut MeshRuntime<T>, iters: usize) -> (f6
     (bytes_per_iter, p50_tick)
 }
 
+/// `read(2)` + `write(2)` calls a socket mesh has issued so far.
+fn syscalls(mesh: &MeshRuntime<SocketTransport>) -> u64 {
+    let io = mesh.transport().io_stats();
+    io.reads + io.writes
+}
+
+/// [`bench_transport`] on a socket mesh, plus its syscalls per tick
+/// over the same window.
+fn bench_socket(mesh: &mut MeshRuntime<SocketTransport>, iters: usize) -> (f64, f64, f64) {
+    let before = syscalls(mesh);
+    let (bytes, p50) = bench_transport(mesh, iters);
+    let per_tick = (syscalls(mesh) - before) as f64 / (3 * iters) as f64;
+    (bytes, p50, per_tick)
+}
+
 /// `--socket` mode: the invariant-21 legs plus the B9 transport bench.
 /// Returns whether any leg failed.
 fn socket_smoke(smoke: bool) -> bool {
@@ -178,11 +197,20 @@ fn socket_smoke(smoke: bool) -> bool {
         MeshRuntime::lossless(ext.clone(), config.clone()).expect("valid mesh config");
     let socket_report = socket.run(iterations);
     let lossless_report = lossless.run(iterations);
+    let per_tick = syscalls(&socket) as f64 / (3 * iterations) as f64;
+    let budget = (2 * config.regions * (config.regions - 1)) as f64;
     println!(
-        "mesh_smoke\tsocket-lossless\tuds\t{:.6}\t{}",
+        "mesh_smoke\tsocket-lossless\tuds\t{:.6}\t{}\t{per_tick:.2} syscalls/tick",
         socket_report.utility,
         socket.incidents().len()
     );
+    if per_tick > budget {
+        eprintln!(
+            "FAIL: healthy UDS loopback issued {per_tick:.2} syscalls/tick; the demand-driven \
+             schedule allows 2·R·(R−1) = {budget}"
+        );
+        failed = true;
+    }
     if socket_report != lossless_report {
         eprintln!(
             "FAIL: UDS socket mesh diverged from Lossless: {socket_report:?} \
@@ -255,24 +283,28 @@ fn socket_smoke(smoke: bool) -> bool {
     let (ip_bytes, ip_p50) = bench_transport(&mut in_process, bench_iters);
     let mut uds_mesh = MeshRuntime::socket(ext.clone(), config.clone(), &uds).expect("mesh");
     uds_mesh.run(warmup);
-    let (uds_bytes, uds_p50) = bench_transport(&mut uds_mesh, bench_iters);
+    let (uds_bytes, uds_p50, uds_syscalls) = bench_socket(&mut uds_mesh, bench_iters);
     let tcp = SocketOptions {
         kind: SocketKind::Tcp,
         ..SocketOptions::default()
     };
     let mut tcp_mesh = MeshRuntime::socket(ext, config, &tcp).expect("mesh");
     tcp_mesh.run(warmup);
-    let (tcp_bytes, tcp_p50) = bench_transport(&mut tcp_mesh, bench_iters);
-    for (label, bytes, p50) in [
-        ("in-process", ip_bytes, ip_p50),
-        ("uds", uds_bytes, uds_p50),
-        ("tcp", tcp_bytes, tcp_p50),
+    let (tcp_bytes, tcp_p50, tcp_syscalls) = bench_socket(&mut tcp_mesh, bench_iters);
+    for (label, bytes, p50, syscalls) in [
+        ("in-process", ip_bytes, ip_p50, 0.0),
+        ("uds", uds_bytes, uds_p50, uds_syscalls),
+        ("tcp", tcp_bytes, tcp_p50, tcp_syscalls),
     ] {
-        if degraded_host() {
-            println!("mesh_smoke\tsocket-bench\t{label}\t{bytes:.1} B/it\tp50 SKIP (1-core host)");
+        let latency = if degraded_host() {
+            "SKIP (1-core host)".to_string()
         } else {
-            println!("mesh_smoke\tsocket-bench\t{label}\t{bytes:.1} B/it\tp50 {p50:.1} us/tick");
-        }
+            format!("{p50:.1} us/tick")
+        };
+        println!(
+            "mesh_smoke\tsocket-bench\t{label}\t{bytes:.1} B/it\t{syscalls:.2} syscalls/tick\t\
+             p50 {latency}"
+        );
     }
     // the wire ships the same bytes whatever carries them
     if (uds_bytes - ip_bytes).abs() > 1e-9 || (tcp_bytes - ip_bytes).abs() > 1e-9 {

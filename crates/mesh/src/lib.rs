@@ -62,7 +62,7 @@ pub mod worker;
 pub use fault::{MeshFaultConfig, MeshFaultPlan, PartitionSpec};
 pub use incident::MeshIncident;
 pub use runtime::{MeshConfig, MeshError, MeshReport, MeshRuntime};
-pub use socket::{FaultyStream, SocketKind, SocketOptions, SocketTransport};
+pub use socket::{FaultyStream, SocketIoStats, SocketKind, SocketOptions, SocketTransport};
 pub use transport::{Chaotic, Inbox, Lossless, Transport};
 pub use wire::{
     frame_len, BatchReader, Frame, FrameAssembler, FrameBuf, FrameKind, Payload, SubFrame, SubView,

@@ -493,6 +493,13 @@ impl<T: Transport> MeshRuntime<T> {
         &self.incidents
     }
 
+    /// The transport the mesh runs over (read-only: its telemetry,
+    /// e.g. [`SocketTransport::io_stats`]).
+    #[must_use]
+    pub fn transport(&self) -> &T {
+        &self.transport
+    }
+
     /// Worker `region`'s state (oracle/inspection hook).
     #[must_use]
     pub fn worker(&self, region: usize) -> &RegionWorker {

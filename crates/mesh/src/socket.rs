@@ -30,24 +30,26 @@
 //! `(deliver_tick, sender, per-sender seq)` instead; the merge logic is
 //! unchanged.
 //!
-//! **Readiness without a barrier.** A batch is only sent when a worker
-//! has something to say, so "nothing arrived from peer `p`" is
-//! ambiguous — not sent, or not *yet* arrived? Each `begin_tick(T)`
-//! therefore writes a marker meaning "everything I will ever send at
-//! ticks ≤ T − 1 is already in this stream". Once a receiver holds
-//! marker `T − 1` from a peer, every record from that peer with
-//! `deliver_tick ≤ T` is provably in hand (records are written at send
-//! time and streams are FIFO). [`Transport::ready`] reports exactly
-//! that condition; the runtime's deadline driver polls it and advances
-//! anyway — degrading to last-known peer state — when the phase
-//! deadline expires.
+//! **Readiness without a barrier — the marker gates the I/O.** A batch
+//! is only sent when a worker has something to say, so "nothing arrived
+//! from peer `p`" is ambiguous — not sent, or not *yet* arrived? Nothing
+//! sent at tick `T − 1` is deliverable before `T`, so a send only
+//! appends to its link's backlog; `begin_tick(T)` appends marker `T − 1`
+//! ("all my sends at ticks ≤ T − 1 precede this") and issues the link's
+//! single `write(2)`. Streams are FIFO, so a receiver holding a peer's
+//! marker `T − 1` holds every record from it with `deliver_tick ≤ T` and
+//! needs no further I/O on that link this tick: [`Transport::ready`]
+//! reads only `to`'s inbound links whose watermark is still short, each
+//! until a short read (fewer bytes than asked = drained), and
+//! `deliver_into` reads only if the runtime's phase deadline expired
+//! first, collecting what the lagging links have. A healthy loopback
+//! pays `2·R·(R−1)` syscalls per tick ([`SocketTransport::io_stats`]).
 //!
 //! **Never-blocking sends.** Every socket is nonblocking; bytes the
-//! kernel will not take sit in a per-link userland backlog that is
-//! flushed on every pump. The single-threaded loopback driver can
-//! therefore never deadlock on a full socket buffer: delivering for any
-//! region first flushes *every* link's backlog, which frees the very
-//! buffer a write was waiting for.
+//! kernel refuses stay in the backlog and mark the link *stalled*. Every
+//! `ready`/`deliver_into` first re-flushes exactly the stalled links, so
+//! the single-threaded loopback driver cannot deadlock on a full socket
+//! buffer: each poll drains the receive side, the next refills it.
 //!
 //! [`FaultyStream`] is the netem-style shim: each directed link applies
 //! the same seeded [`MeshFaultPlan`] draws `Chaotic` uses — loss,
@@ -121,6 +123,20 @@ impl Default for SocketOptions {
     }
 }
 
+/// Kernel I/O counters, summed over every link of one
+/// [`SocketTransport`] (see [`SocketTransport::io_stats`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SocketIoStats {
+    /// `read(2)` calls issued.
+    pub reads: u64,
+    /// `write(2)` calls issued.
+    pub writes: u64,
+    /// Calls of either kind the kernel refused with `EAGAIN`.
+    pub would_block: u64,
+    /// Bytes the kernel accepted.
+    pub bytes_written: u64,
+}
+
 /// One nonblocking duplex kernel stream.
 #[derive(Debug)]
 enum Stream {
@@ -148,8 +164,9 @@ impl Stream {
 /// the shared seeded [`MeshFaultPlan`] to every frame record before its
 /// bytes reach the kernel (loss, duplication, bounded delay, partition
 /// windows — the same draws, salts, and incident schema as `Chaotic`),
-/// keeps a userland send backlog so writes never block, and caps reads
-/// at seeded chunk sizes when split exercising is on.
+/// coalesces each tick's records in a userland send backlog (one write
+/// per tick, never blocking), and caps reads at seeded chunk sizes when
+/// split exercising is on.
 ///
 /// Tick markers pass through unfaulted: the clock always advances.
 #[derive(Debug)]
@@ -160,8 +177,10 @@ pub struct FaultyStream {
     /// Userland send backlog: bytes the kernel has not yet taken.
     tx: Vec<u8>,
     tx_at: usize,
-    /// Monotone read-call counter keying the seeded chunk-cap draws.
-    reads: u64,
+    /// The last flush hit `WouldBlock`; re-flushed at the next poll.
+    stalled: bool,
+    /// This link's counters; `reads` also keys the chunk-cap draws.
+    stats: SocketIoStats,
 }
 
 impl FaultyStream {
@@ -172,15 +191,16 @@ impl FaultyStream {
             split_seed,
             tx: Vec::new(),
             tx_at: 0,
-            reads: 0,
+            stalled: false,
+            stats: SocketIoStats::default(),
         }
     }
 
-    /// Applies the plan's draws for `(tick, from, to)` and writes the
-    /// surviving record(s). `order` is the transport's shared monotone
-    /// insertion counter; a duplicate consumes its slot *before* the
-    /// original, exactly like `Chaotic::send`, so same-seed delivery
-    /// order is identical.
+    /// Applies the plan's draws for `(tick, from, to)` and queues the
+    /// surviving record(s) behind the next marker. `order` is the
+    /// transport's shared monotone insertion counter; a duplicate
+    /// consumes its slot *before* the original, exactly like
+    /// `Chaotic::send`, so same-seed delivery order is identical.
     fn send_frame(
         &mut self,
         tick: u64,
@@ -227,7 +247,6 @@ impl FaultyStream {
         }
         self.push_record(deliver_tick, *order, frame);
         *order += 1;
-        self.flush();
     }
 
     /// Appends one frame record to the send backlog.
@@ -238,8 +257,8 @@ impl FaultyStream {
         self.tx.extend_from_slice(frame);
     }
 
-    /// Appends a tick marker ("all my sends through `tick` are in this
-    /// stream") and pushes bytes toward the kernel.
+    /// Appends a tick marker ("all my sends through `tick` precede
+    /// this") and hands the tick's whole backlog to the kernel.
     fn push_marker(&mut self, tick: u64) {
         self.tx.push(REC_MARKER);
         self.tx.extend_from_slice(&tick.to_le_bytes());
@@ -247,9 +266,11 @@ impl FaultyStream {
     }
 
     /// Writes as much backlog as the kernel will take right now.
-    /// Never blocks; leftover bytes stay queued for the next pump.
+    /// Never blocks; leftover bytes stay queued and stall the link.
     fn flush(&mut self) {
+        let from = self.tx_at;
         while self.tx_at < self.tx.len() {
+            self.stats.writes += 1;
             match self.io.write(&self.tx[self.tx_at..]) {
                 Ok(0) => panic!("mesh socket peer closed mid-write"),
                 Ok(n) => self.tx_at += n,
@@ -258,44 +279,41 @@ impl FaultyStream {
                 Err(e) => panic!("mesh socket write failed: {e}"),
             }
         }
-        if self.tx_at == self.tx.len() {
+        self.stats.bytes_written += (self.tx_at - from) as u64;
+        // bytes are only ever left behind by the `WouldBlock` break
+        self.stalled = self.tx_at < self.tx.len();
+        self.stats.would_block += u64::from(self.stalled);
+        if !self.stalled {
             self.tx.clear();
             self.tx_at = 0;
         }
     }
 
-    /// Reads one chunk into the end of `rx`. Returns `false` once the
-    /// stream has nothing more right now (or has closed).
-    fn read_chunk(&mut self, rx: &mut Vec<u8>, owner: usize, peer: usize) -> bool {
+    /// Reads one chunk into `rx` at the fill cursor `end` (`rx` keeps
+    /// its high-water length: a warm read zero-fills nothing). Returns
+    /// `false` once drained — a read short of its cap left nothing.
+    fn read_chunk(&mut self, rx: &mut Vec<u8>, end: &mut usize, owner: usize, peer: usize) -> bool {
         let cap = match self.split_seed {
             // seeded tiny reads: force the reframer through every
             // mid-record state on real traffic
             Some(seed) => {
-                1 + (unit_hash(seed ^ salts::SALT_SPLIT, self.reads as usize, owner, peer) * 31.0)
-                    as usize
+                let key = self.stats.reads as usize;
+                1 + (unit_hash(seed ^ salts::SALT_SPLIT, key, owner, peer) * 31.0) as usize
             }
             None => READ_CHUNK,
         };
-        self.reads += 1;
-        let start = rx.len();
-        rx.resize(start + cap, 0);
-        match self.io.read(&mut rx[start..]) {
-            Ok(0) => {
-                rx.truncate(start);
-                false
-            }
+        rx.resize(rx.len().max(*end + cap), 0);
+        self.stats.reads += 1;
+        match self.io.read(&mut rx[*end..*end + cap]) {
             Ok(n) => {
-                rx.truncate(start + n);
-                true
+                *end += n;
+                n == cap
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                rx.truncate(start);
+                self.stats.would_block += 1;
                 false
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                rx.truncate(start);
-                true
-            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => true,
             Err(e) => panic!("mesh socket read failed: {e}"),
         }
     }
@@ -309,9 +327,10 @@ struct Endpoint {
     link: FaultyStream,
     owner: usize,
     peer: usize,
-    /// Inbound bytes not yet parsed into records.
+    /// Inbound buffer, kept at its high-water length; `rx[..rx_end]`
+    /// is the partial record (if any) the last pump left unparsed.
     rx: Vec<u8>,
-    rx_at: usize,
+    rx_end: usize,
     /// Highest "sends complete through tick" marker received.
     marker: Option<u64>,
 }
@@ -323,20 +342,21 @@ impl Endpoint {
             owner,
             peer,
             rx: Vec::new(),
-            rx_at: 0,
+            rx_end: 0,
             marker: None,
         }
     }
 
-    /// Flushes the send backlog, drains the kernel receive buffer, and
-    /// parses complete records: markers update the watermark, frame
-    /// records land in `pending` sorted by `(deliver_tick, order)` —
-    /// the same order `Chaotic` enqueues in.
+    /// Drains the kernel receive buffer and parses complete records:
+    /// markers update the watermark, frame records land in `pending`
+    /// sorted by `(deliver_tick, order)` — the same order `Chaotic`
+    /// enqueues in.
     fn pump(&mut self, pending: &mut Vec<(u64, u64, Vec<u8>)>, spare: &mut Vec<Vec<u8>>) {
-        self.link.flush();
-        while self.link.read_chunk(&mut self.rx, self.owner, self.peer) {}
+        let link = &mut self.link;
+        while link.read_chunk(&mut self.rx, &mut self.rx_end, self.owner, self.peer) {}
+        let mut at = 0;
         loop {
-            let buf = &self.rx[self.rx_at..];
+            let buf = &self.rx[at..self.rx_end];
             if buf.is_empty() {
                 break;
             }
@@ -347,7 +367,7 @@ impl Endpoint {
                     }
                     let tick = u64::from_le_bytes(buf[1..MARKER_LEN].try_into().expect("8 bytes"));
                     self.marker = Some(self.marker.map_or(tick, |m| m.max(tick)));
-                    self.rx_at += MARKER_LEN;
+                    at += MARKER_LEN;
                 }
                 REC_FRAME => {
                     if buf.len() < FRAME_ENVELOPE {
@@ -368,17 +388,16 @@ impl Endpoint {
                     let mut owned = spare.pop().unwrap_or_default();
                     owned.clear();
                     owned.extend_from_slice(&buf[FRAME_ENVELOPE..FRAME_ENVELOPE + total]);
-                    let at = pending.partition_point(|&(dt, o, _)| (dt, o) <= (deliver, order));
-                    pending.insert(at, (deliver, order, owned));
-                    self.rx_at += FRAME_ENVELOPE + total;
+                    let slot = pending.partition_point(|&(dt, o, _)| (dt, o) <= (deliver, order));
+                    pending.insert(slot, (deliver, order, owned));
+                    at += FRAME_ENVELOPE + total;
                 }
                 other => panic!("desynced mesh socket stream: unknown record tag {other}"),
             }
         }
-        if self.rx_at == self.rx.len() {
-            self.rx.clear();
-            self.rx_at = 0;
-        }
+        // a trailing partial record moves to the front
+        self.rx.copy_within(at..self.rx_end, 0);
+        self.rx_end -= at;
     }
 }
 
@@ -463,17 +482,39 @@ impl SocketTransport {
         })
     }
 
-    /// Flushes every link's backlog and parses everything the kernel
-    /// has. Loopback holds both ends in this one object, so pumping
-    /// everywhere is also what makes never-blocking sends deadlock-free.
-    fn pump_all(&mut self) {
-        for owner in 0..self.regions {
-            for peer in 0..self.regions {
-                if let Some(ep) = self.endpoints[owner * self.regions + peer].as_mut() {
-                    ep.pump(&mut self.pending[owner], &mut self.spare);
-                }
+    /// Kernel I/O counters summed over every link.
+    #[must_use]
+    pub fn io_stats(&self) -> SocketIoStats {
+        let mut total = SocketIoStats::default();
+        for ep in self.endpoints.iter().flatten() {
+            total.reads += ep.link.stats.reads;
+            total.writes += ep.link.stats.writes;
+            total.would_block += ep.link.stats.would_block;
+            total.bytes_written += ep.link.stats.bytes_written;
+        }
+        total
+    }
+
+    /// Re-flushes the stalled links (loopback holds both ends: this is
+    /// what keeps never-blocking sends deadlock-free), then reads `to`'s
+    /// inbound links still short of marker `tick - 1`; `true` = none is.
+    fn pump_inbound(&mut self, tick: u64, to: usize) -> bool {
+        for ep in self.endpoints.iter_mut().flatten() {
+            if ep.link.stalled {
+                ep.link.flush();
             }
         }
+        // `None` at tick 0: nothing can be due, every link is ready
+        let need = tick.checked_sub(1);
+        let mut ready = true;
+        let row = to * self.regions;
+        for ep in self.endpoints[row..row + self.regions].iter_mut().flatten() {
+            if ep.marker < need {
+                ep.pump(&mut self.pending[to], &mut self.spare);
+                ready &= ep.marker >= need;
+            }
+        }
+        ready
     }
 }
 
@@ -506,26 +547,17 @@ impl Transport for SocketTransport {
             }
         }
         // entering tick T, every send of T-1 has been issued: publish
-        // the watermark on every directed link (markers are never
-        // faulted — the clock always advances)
+        // the watermark, and the batch queued behind it, on every link
+        // (markers are never faulted — the clock always advances)
         if tick > 0 {
             for ep in self.endpoints.iter_mut().flatten() {
                 ep.link.push_marker(tick - 1);
             }
         }
-        self.pump_all();
     }
 
     fn ready(&mut self, tick: u64, to: usize) -> bool {
-        self.pump_all();
-        if tick == 0 {
-            return true;
-        }
-        (0..self.regions).filter(|&p| p != to).all(|p| {
-            self.endpoints[to * self.regions + p]
-                .as_ref()
-                .is_some_and(|ep| ep.marker.is_some_and(|m| m >= tick - 1))
-        })
+        self.pump_inbound(tick, to)
     }
 
     fn send(
@@ -551,7 +583,8 @@ impl Transport for SocketTransport {
         log: &mut Vec<MeshIncident>,
     ) {
         inbox.clear();
-        self.pump_all();
+        // reads only past an expired deadline: markers in hand ⇒ no I/O
+        self.pump_inbound(tick, to);
         let queue = &mut self.pending[to];
         let due = queue.partition_point(|&(dt, _, _)| dt <= tick);
         for (_, _, bytes) in queue.drain(..due) {
@@ -582,12 +615,15 @@ mod tests {
     /// A delivered heartbeat: `(tick, to, from, round)`.
     type Delivery = (u64, usize, u16, u64);
 
-    /// Drives `ticks` of an all-pairs heartbeat schedule and returns
+    /// Drives `ticks` of an all-pairs schedule — every region in order
+    /// awaits readiness, takes its deliveries, then sends each peer the
+    /// frames `frames(tick, from, to)` returns — and returns
     /// `(incidents, deliveries)` in delivery order.
-    fn drive(
+    fn drive_with(
         t: &mut impl Transport,
         regions: usize,
         ticks: u64,
+        frames: impl Fn(u64, usize, usize) -> Vec<Vec<u8>>,
     ) -> (Vec<MeshIncident>, Vec<Delivery>) {
         let mut log = Vec::new();
         let mut seen = Vec::new();
@@ -595,7 +631,8 @@ mod tests {
         for tick in 0..ticks {
             t.begin_tick(tick, &mut log);
             for to in 0..regions {
-                // TCP loopback delivery is not synchronous with write;
+                // TCP loopback delivery is not synchronous with write,
+                // and a stalled link drains one socket buffer per poll;
                 // spin briefly instead of asserting instant readiness
                 let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
                 while !t.ready(tick, to) {
@@ -610,14 +647,25 @@ mod tests {
                     let f = Frame::decode(bytes).expect("well-formed");
                     seen.push((tick, to, f.from, f.round));
                 }
-                for peer in 0..regions {
-                    if peer != to {
-                        t.send(tick, to, peer, &hb(to as u16, peer as u16, tick), &mut log);
+                for peer in (0..regions).filter(|&p| p != to) {
+                    for frame in frames(tick, to, peer) {
+                        t.send(tick, to, peer, &frame, &mut log);
                     }
                 }
             }
         }
         (log, seen)
+    }
+
+    /// [`drive_with`] one heartbeat per link per tick.
+    fn drive(
+        t: &mut impl Transport,
+        regions: usize,
+        ticks: u64,
+    ) -> (Vec<MeshIncident>, Vec<Delivery>) {
+        drive_with(t, regions, ticks, |tick, from, to| {
+            vec![hb(from as u16, to as u16, tick)]
+        })
     }
 
     #[test]
@@ -700,5 +748,92 @@ mod tests {
             assert!(inbox.is_empty());
         }
         assert!(log.is_empty());
+    }
+
+    /// The demand-driven schedule: on a healthy loopback every directed
+    /// link costs one `write(2)` (the tick's batch plus its marker) and
+    /// one `read(2)` (short, so no trailing `EAGAIN`) per tick. Each
+    /// tick after 0 needs at least that much to move its markers, so an
+    /// exact total pins every tick at `2·R·(R−1)`.
+    #[test]
+    fn healthy_loopback_pays_two_syscalls_per_link_per_tick() {
+        const REGIONS: usize = 4;
+        const LINKS: u64 = (REGIONS * (REGIONS - 1)) as u64;
+        let connect =
+            || SocketTransport::connect(REGIONS, &SocketOptions::default()).expect("sockets");
+        // tick 0: nothing is deliverable, and its sends only queue
+        let mut t = connect();
+        drive(&mut t, REGIONS, 1);
+        assert_eq!(t.io_stats(), SocketIoStats::default());
+        let mut t = connect();
+        let (log, seen) = drive(&mut t, REGIONS, 12);
+        assert!(log.is_empty());
+        assert_eq!(seen.len() as u64, 11 * LINKS);
+        let record = (FRAME_ENVELOPE + hb(0, 1, 0).len() + MARKER_LEN) as u64;
+        assert_eq!(
+            t.io_stats(),
+            SocketIoStats {
+                reads: 11 * LINKS,
+                writes: 11 * LINKS,
+                would_block: 0,
+                bytes_written: 11 * LINKS * record,
+            }
+        );
+    }
+
+    /// Back-pressure on the coalesced path: one tick queues several MiB
+    /// on a single directed link — far past the UDS send buffer — so the
+    /// marker's flush hits `WouldBlock`. The stalled link must drain
+    /// through the following `ready` polls (no deadlock: the driver's
+    /// readiness spin would time out) and deliver in exactly `Lossless`
+    /// order, with and without seeded read chunking.
+    #[test]
+    fn stalled_link_drains_without_deadlock_in_lossless_order() {
+        const FLOOD: u64 = 96;
+        let big = Payload::Marginals {
+            base: 0,
+            entries: (0..2048)
+                .map(|v| crate::wire::MarginalEntry {
+                    j: 0,
+                    v,
+                    d: f64::from(v),
+                })
+                .collect(),
+        };
+        // tick 0 floods link 0→1 with FLOOD distinct ~32 KiB frames;
+        // every other (tick, link) carries one heartbeat
+        let schedule = |tick: u64, from: usize, to: usize| -> Vec<Vec<u8>> {
+            if (tick, from, to) != (0, 0, 1) {
+                return vec![hb(from as u16, to as u16, tick)];
+            }
+            (0..FLOOD)
+                .map(|round| {
+                    Frame {
+                        from: 0,
+                        to: 1,
+                        seq: 0,
+                        round,
+                        payload: big.clone(),
+                    }
+                    .encode()
+                })
+                .collect()
+        };
+        let expected = drive_with(&mut Lossless::new(3), 3, 4, schedule);
+        assert_eq!(expected.1.len(), FLOOD as usize - 1 + 3 * 6);
+        for split_seed in [None, Some(5)] {
+            let options = SocketOptions {
+                split_seed,
+                ..SocketOptions::default()
+            };
+            let mut socket = SocketTransport::connect(3, &options).expect("sockets");
+            let got = drive_with(&mut socket, 3, 4, schedule);
+            assert_eq!(got, expected, "split_seed {split_seed:?}");
+            let stats = socket.io_stats();
+            assert!(stats.would_block > 0, "the flood never stalled the link");
+            assert!(stats.bytes_written > FLOOD * 32 * 1024);
+            let stalled = socket.endpoints.iter().flatten().any(|ep| ep.link.stalled);
+            assert!(!stalled, "a link is still stalled after the drain");
+        }
     }
 }

@@ -38,9 +38,11 @@
 #    invariant 21) — a 2-region loopback Unix-domain mesh must be
 #    report-identical to Lossless with zero incidents, a same-seed
 #    fault-injected socket mesh must be report- and incident-identical
-#    to Chaotic (reads chopped into seeded 1..=31-byte chunks), and the
-#    B9 bench must ship identical bytes/iteration on in-process, UDS,
-#    and TCP; wall-clock p50 tick latency prints SKIP on a degraded
+#    to Chaotic (reads chopped into seeded 1..=31-byte chunks), the
+#    lossless UDS run must stay within 2·R·(R−1) syscalls per tick
+#    (SocketTransport::io_stats — the demand-driven I/O schedule), and
+#    the B9 bench must ship identical bytes/iteration on in-process,
+#    UDS, and TCP (syscalls/tick printed per leg); wall-clock p50 tick latency prints SKIP on a degraded
 #    single-core host instead of a misleading number. Bounded: the
 #    smoke run is a few hundred fixed iterations, no settle loops.
 # On a single-core host the soak bins trim themselves to fit the smoke

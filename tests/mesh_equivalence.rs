@@ -26,12 +26,13 @@
 //! algorithm), and a fault-injected socket mesh is report- and
 //! incident-identical to `Chaotic` under the same seed — partition,
 //! recovery handshake, and all — even with reads chopped into seeded
-//! 1..=31-byte chunks.
+//! 1..=31-byte chunks. The degraded path the socket runtime advertises
+//! — a phase deadline expiring — is driven here too.
 
 use spn::core::{GradientAlgorithm, GradientConfig};
 use spn::mesh::{
-    Lossless, MeshConfig, MeshError, MeshFaultConfig, MeshIncident, MeshRuntime, PartitionSpec,
-    SocketKind, SocketOptions,
+    Inbox, Lossless, MeshConfig, MeshError, MeshFaultConfig, MeshIncident, MeshRuntime,
+    PartitionSpec, SocketKind, SocketOptions, SocketTransport, Transport,
 };
 use spn::model::random::RandomInstance;
 use spn::transform::ExtendedNetwork;
@@ -431,6 +432,91 @@ fn faulty_socket_mesh_matches_chaotic_incident_for_incident() {
     assert!(log_a
         .iter()
         .any(|i| matches!(i, MeshIncident::RecoveryCompleted { .. })));
+}
+
+/// A socket transport that reports one `(tick, region)` as never ready
+/// — without touching the sockets, so no marker is read for it — and
+/// records how many frames `deliver_into` still handed over there.
+struct Withhold {
+    inner: SocketTransport,
+    at: (u64, usize),
+    delivered: Option<usize>,
+}
+
+impl Transport for Withhold {
+    fn begin_tick(&mut self, tick: u64, log: &mut Vec<MeshIncident>) {
+        self.inner.begin_tick(tick, log);
+    }
+
+    fn ready(&mut self, tick: u64, to: usize) -> bool {
+        (tick, to) != self.at && self.inner.ready(tick, to)
+    }
+
+    fn send(
+        &mut self,
+        tick: u64,
+        from: usize,
+        to: usize,
+        bytes: &[u8],
+        log: &mut Vec<MeshIncident>,
+    ) {
+        self.inner.send(tick, from, to, bytes, log);
+    }
+
+    fn deliver_into(
+        &mut self,
+        tick: u64,
+        to: usize,
+        inbox: &mut Inbox,
+        log: &mut Vec<MeshIncident>,
+    ) {
+        self.inner.deliver_into(tick, to, inbox, log);
+        if (tick, to) == self.at {
+            self.delivered = Some(inbox.len());
+        }
+    }
+}
+
+/// The deadline path: when `ready` stays false past
+/// `MeshConfig::phase_deadline` the runtime logs exactly one
+/// `PhaseDeadlineExpired` for that `(tick, region)` and advances.
+/// `deliver_into` then reads the lagging links itself, so every frame
+/// the peers had already written is still handed over — here that is
+/// all of them, and the run stays bit-identical to `Lossless`.
+#[test]
+fn expired_phase_deadline_is_logged_and_delivery_reads_what_is_in_hand() {
+    const REGIONS: usize = 3;
+    const AT: (u64, usize) = (7, 1);
+    let p = problem(20, 3, 9);
+    let ext = ExtendedNetwork::build(&p);
+    let config = MeshConfig {
+        phase_deadline: std::time::Duration::from_millis(3),
+        ..mesh_config(REGIONS)
+    };
+    let transport = Withhold {
+        inner: SocketTransport::connect(REGIONS, &SocketOptions::default()).unwrap(),
+        at: AT,
+        delivered: None,
+    };
+    let mut mesh = MeshRuntime::with_transport(ext.clone(), config, transport).unwrap();
+    let mut lossless = MeshRuntime::lossless(ext, mesh_config(REGIONS)).unwrap();
+    let report = mesh.run(20);
+    assert_eq!(
+        mesh.incidents(),
+        [MeshIncident::PhaseDeadlineExpired {
+            tick: AT.0,
+            region: AT.1
+        }]
+    );
+    // the tick-6 marginal batches of both peers, collected by the
+    // not-ready fallback read alone
+    assert_eq!(mesh.transport().delivered, Some(REGIONS - 1));
+    assert!(report.utility.is_finite());
+    assert_eq!(
+        report,
+        lossless.run(20),
+        "frames in hand at the expired deadline were not all delivered"
+    );
 }
 
 /// Config validation: annealing is refused (it would silently diverge
