@@ -1,7 +1,7 @@
 //! **Mesh runtime smoke** — the region-sharded mesh on a seeded
 //! instance, both transports, wired into CI.
 //!
-//! Five claims, each checked with a hard exit code:
+//! Six claims, each checked with a hard exit code:
 //!
 //! * under `Lossless` a 4-region mesh is **bit-identical** to the
 //!   monolithic `GradientAlgorithm` (utility bits compared at every
@@ -22,7 +22,14 @@
 //! * the converged send/receive path is **allocation-free**: stepping
 //!   the warm mesh through full refresh cycles performs zero heap
 //!   allocations under a counting global allocator (the
-//!   `tests/zero_alloc.rs` pattern).
+//!   `tests/zero_alloc.rs` pattern);
+//! * the mirror is **swept by membership, not densely**: on the
+//!   160-node / 16-commodity case one in-process 4-region iteration
+//!   costs at most 2 × regions × one monolithic sparse step timed in
+//!   the same process over the same iterations (≈ 1.3× with the
+//!   live-arc sweeps, ≈ 6× with dense full-mirror sweeps). A ratio on
+//!   one host, so valid on any core count; SKIPped on a degraded host
+//!   like every wall-clock gate.
 //!
 //! With `--socket` the binary instead smokes the **real-socket
 //! transport** (ARCHITECTURE invariant 21): a loopback Unix-domain
@@ -141,21 +148,65 @@ fn degraded_host() -> bool {
     std::thread::available_parallelism().map_or(1, |n| n.get()) <= 1
 }
 
+/// Wall time of one call of `step`, in µs.
+fn timed_us(step: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    step();
+    t0.elapsed().as_secs_f64() * 1e6
+}
+
+/// Median of `us` (sorts it).
+fn median(us: &mut [f64]) -> f64 {
+    us.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    us[us.len() / 2]
+}
+
+/// Median wall time of `step`, in µs, over `iters` calls.
+fn p50_step_us(iters: usize, mut step: impl FnMut()) -> f64 {
+    let mut us: Vec<f64> = (0..iters).map(|_| timed_us(&mut step)).collect();
+    median(&mut us)
+}
+
 /// B9 probe: steps a warm mesh `iters` more iterations and reports
 /// `(bytes per iteration, p50 tick latency in µs)` — the tick latency
 /// is the median per-step wall time over thirds (3 ticks per step).
 fn bench_transport<T: Transport>(mesh: &mut MeshRuntime<T>, iters: usize) -> (f64, f64) {
     let before = mesh.wire_stats().bytes;
-    let mut step_us: Vec<f64> = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t0 = Instant::now();
+    let p50_step = p50_step_us(iters, || {
         mesh.step();
-        step_us.push(t0.elapsed().as_secs_f64() * 1e6);
-    }
+    });
     let bytes_per_iter = (mesh.wire_stats().bytes - before) as f64 / iters as f64;
-    step_us.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let p50_tick = step_us[iters / 2] / 3.0;
-    (bytes_per_iter, p50_tick)
+    (bytes_per_iter, p50_step / 3.0)
+}
+
+/// Density gate: `(mesh p50 µs, monolithic sparse p50 µs)` per
+/// iteration on the 160/16 case, both timed over iterations 50..250 of
+/// the same trajectory (the lossless mesh is bit-identical to the
+/// monolithic run, so both do the same protocol work per step). The two
+/// are stepped alternately, one iteration each, so a host whose speed
+/// drifts over the ~60 ms probe slows both medians alike and the ratio
+/// holds still.
+fn density_probe() -> (f64, f64) {
+    let problem = small_instance(1, 160, 16);
+    let mut alg = GradientAlgorithm::new(&problem, gradient()).expect("valid config");
+    let mut mesh = MeshRuntime::lossless(ExtendedNetwork::build(&problem), mesh_config())
+        .expect("valid mesh config");
+    for _ in 0..50 {
+        alg.step();
+    }
+    mesh.run(50);
+    let (mut core_us, mut mesh_us): (Vec<f64>, Vec<f64>) = (0..200)
+        .map(|_| {
+            let core = timed_us(|| {
+                alg.step();
+            });
+            let mesh = timed_us(|| {
+                mesh.step();
+            });
+            (core, mesh)
+        })
+        .unzip();
+    (median(&mut mesh_us), median(&mut core_us))
 }
 
 /// `read(2)` + `write(2)` calls a socket mesh has issued so far.
@@ -483,6 +534,32 @@ fn main() {
              the steady-state wire path must be allocation-free"
         );
         failed = true;
+    }
+
+    // Leg 5: density. Each of the R workers sweeps a full mirror, so an
+    // iteration is worth about R monolithic steps when the sweeps walk
+    // live arcs; dense full-mirror sweeps cost several times that.
+    if degraded_host() {
+        eprintln!(
+            "mesh_smoke --smoke: SKIP density gate — single-core host (degraded); \
+             a timing ratio would gate on scheduler noise"
+        );
+    } else {
+        let regions = mesh_config().regions as f64;
+        let (mesh_us, core_us) = density_probe();
+        let ratio = mesh_us / (regions * core_us);
+        println!(
+            "mesh_smoke\tdensity\t160/16\t{mesh_us:.1} us/it vs {core_us:.1} us/step\t\
+             {ratio:.2}x regions"
+        );
+        if ratio > 2.0 {
+            eprintln!(
+                "FAIL: a 4-region mesh iteration costs {ratio:.2}x regions x one monolithic \
+                 sparse step on the 160/16 case (ceiling 2.0) — a worker phase is sweeping \
+                 the dense mirror again"
+            );
+            failed = true;
+        }
     }
 
     if failed {

@@ -20,8 +20,18 @@
 //!
 //! All buffers are sized once in [`ActiveSet::ensure`]; maintenance
 //! afterwards is allocation-free (ARCHITECTURE invariant 15).
+//!
+//! [`LiveArcSweeps`] is the public, skip-free face of the same live-arc
+//! table: the three sweeps as separately callable phases for callers
+//! (the region mesh) whose iteration is split across transport ticks.
 
-use crate::workspace::GAMMA_CHUNK;
+use crate::blocked::{tag_sweep_active, BlockedTags};
+use crate::cost::CostModel;
+use crate::flows::{flow_sweep_active, FlowState};
+use crate::marginals::{marginal_sweep_active, Marginals};
+use crate::routing::RoutingTable;
+use crate::step::{clear_tags_scoped, reduce_usage_totals_scoped, zero_flow_rows_scoped};
+use crate::workspace::{IterationWorkspace, GAMMA_CHUNK};
 use spn_graph::EdgeId;
 use spn_model::CommodityId;
 use spn_transform::ExtendedNetwork;
@@ -60,6 +70,31 @@ pub(crate) struct ActiveArcs {
 }
 
 impl ActiveArcs {
+    /// Sizes the table for `ext`'s shape (uniform strides = the maxima
+    /// over commodities) and marks every row stale.
+    pub(crate) fn resize(&mut self, ext: &ExtendedNetwork) {
+        let j_count = ext.num_commodities();
+        self.router_stride = ext
+            .commodity_ids()
+            .map(|j| ext.commodity_routers_topo(j).len())
+            .max()
+            .unwrap_or(0);
+        self.arc_stride = ext
+            .commodity_ids()
+            .map(|j| ext.commodity_router_arc_total(j))
+            .max()
+            .unwrap_or(0);
+        self.arc_len.clear();
+        self.arc_len.resize(j_count * self.router_stride, 0);
+        self.arcs.clear();
+        self.arcs
+            .resize(j_count * self.arc_stride, EdgeId::from_index(0));
+        self.live.clear();
+        self.live.resize(j_count, 0);
+        self.stale.clear();
+        self.stale.resize(j_count, true);
+    }
+
     /// The live-arc row of commodity `ji`: `(arc_len row, arcs row,
     /// live total)`.
     pub(crate) fn row(&self, ji: usize) -> (&[u32], &[EdgeId], usize) {
@@ -101,6 +136,233 @@ pub(crate) fn rebuild_active_row(
         arc_len[r] = (idx - start) as u32;
     }
     idx
+}
+
+/// The three per-iteration sweeps of eqs. (3)–(5), (9) and (18) —
+/// marginal wave, blocking tags, flow forecast — run over per-commodity
+/// *live-arc* lists (arcs with `φ ≠ 0`) instead of the full topological
+/// order, for callers that drive the phases themselves (the region mesh
+/// runs one per transport tick). Every commodity runs every call: this
+/// is the sparse engine's kernels without its skip algebra, so each
+/// method is bit-identical to its dense counterpart
+/// ([`compute_marginals_into`], [`compute_tags_into`],
+/// [`compute_flows_into`]) at `O(Σ_j members_j)` instead of
+/// `O(J·(V + L))` per call.
+///
+/// **Staleness contract.** The live-arc table is derived from the
+/// routing table. Whoever writes a fraction of commodity `j` outside
+/// this type must call [`mark_stale`](Self::mark_stale) (or
+/// [`mark_all_stale`](Self::mark_all_stale)) before the next sweep;
+/// every sweep rebuilds stale rows first and debug-asserts the table
+/// against the routing it was handed.
+///
+/// **Zero-entry contract.** The sweeps write member entries only, so
+/// the output buffers must hold what the dense sweeps leave outside a
+/// commodity's subgraph — `0.0` / `false` — which is true of buffers
+/// produced by the dense functions, by this type, or by the
+/// constructors (`zeros`, `none`), and of copies of such buffers.
+///
+/// [`compute_marginals_into`]: crate::marginals::compute_marginals_into
+/// [`compute_tags_into`]: crate::blocked::compute_tags_into
+/// [`compute_flows_into`]: crate::flows::compute_flows_into
+#[derive(Clone, Debug, Default)]
+pub struct LiveArcSweeps {
+    arcs: ActiveArcs,
+    sized_for: Option<(usize, usize, usize)>,
+}
+
+impl LiveArcSweeps {
+    /// A sweep set sized for `ext`, every live-arc row stale.
+    #[must_use]
+    pub fn new(ext: &ExtendedNetwork) -> Self {
+        let mut sweeps = LiveArcSweeps::default();
+        sweeps.ensure(ext);
+        sweeps
+    }
+
+    /// Commodity `j`'s routing row was written: rebuild its live arcs
+    /// before the next sweep.
+    pub fn mark_stale(&mut self, j: CommodityId) {
+        self.arcs.stale[j.index()] = true;
+    }
+
+    /// The whole routing table was replaced (a checkpoint restore).
+    pub fn mark_all_stale(&mut self) {
+        self.arcs.stale.fill(true);
+    }
+
+    /// Whether every non-stale live-arc row equals the `φ ≠ 0` filter of
+    /// its routing row — the invariant each sweep relies on after its
+    /// rebuild (test and debug-assert hook).
+    #[must_use]
+    pub fn is_consistent(&self, ext: &ExtendedNetwork, routing: &RoutingTable) -> bool {
+        ext.commodity_ids().all(|j| {
+            if self.arcs.stale[j.index()] {
+                return true;
+            }
+            let (lens, arcs, live) = self.arcs.row(j.index());
+            let phi = routing.row(j);
+            let mut idx = 0usize;
+            for (r, &v) in ext.commodity_routers_topo(j).iter().enumerate() {
+                let expect = ext
+                    .commodity_out_slice(j, v)
+                    .iter()
+                    .filter(|l| phi[l.index()] != 0.0);
+                let n = lens[r] as usize;
+                if idx + n > live || !expect.eq(&arcs[idx..idx + n]) {
+                    return false;
+                }
+                idx += n;
+            }
+            idx == live
+        })
+    }
+
+    /// Re-sizes on a shape change, leaving every row stale.
+    fn ensure(&mut self, ext: &ExtendedNetwork) {
+        let shape = (
+            ext.num_commodities(),
+            ext.graph().node_count(),
+            ext.graph().edge_count(),
+        );
+        if self.sized_for != Some(shape) {
+            self.arcs.resize(ext);
+            self.sized_for = Some(shape);
+        }
+    }
+
+    /// Rebuilds every stale row from `routing`.
+    fn refresh(&mut self, ext: &ExtendedNetwork, routing: &RoutingTable) {
+        self.ensure(ext);
+        for j in ext.commodity_ids() {
+            if self.arcs.stale[j.index()] {
+                self.arcs.rebuild(ext, j, routing.row(j));
+            }
+        }
+        debug_assert!(
+            self.is_consistent(ext, routing),
+            "live-arc table out of date: a routing write skipped mark_stale"
+        );
+    }
+
+    /// The marginal-cost wave (eq. (9)) for every commodity;
+    /// bit-identical to [`compute_marginals_into`] with `pool: None`.
+    ///
+    /// [`compute_marginals_into`]: crate::marginals::compute_marginals_into
+    pub fn marginals_into(
+        &mut self,
+        ext: &ExtendedNetwork,
+        cost: &CostModel,
+        routing: &RoutingTable,
+        state: &FlowState,
+        out: &mut Marginals,
+    ) {
+        self.refresh(ext, routing);
+        let v_count = ext.graph().node_count();
+        if out.d.len() != ext.num_commodities() * v_count {
+            out.reset(ext);
+        }
+        for (ji, d) in out.d.chunks_mut(v_count.max(1)).enumerate() {
+            let j = CommodityId::from_index(ji);
+            let (lens, arcs, live) = self.arcs.row(ji);
+            marginal_sweep_active(
+                ext,
+                cost,
+                routing.row(j),
+                state.usage_view(),
+                j,
+                d,
+                lens,
+                arcs,
+                live,
+            );
+        }
+    }
+
+    /// The blocking tags (eq. (18)) for every commodity; bit-identical
+    /// to [`compute_tags_into`] with `pool: None`.
+    ///
+    /// [`compute_tags_into`]: crate::blocked::compute_tags_into
+    #[allow(clippy::too_many_arguments)] // mirrors the protocol's inputs
+    pub fn tags_into(
+        &mut self,
+        ext: &ExtendedNetwork,
+        cost: &CostModel,
+        routing: &RoutingTable,
+        state: &FlowState,
+        marginals: &Marginals,
+        eta: f64,
+        traffic_floor: f64,
+        out: &mut BlockedTags,
+    ) {
+        self.refresh(ext, routing);
+        let v_count = ext.graph().node_count();
+        if out.tagged.len() != ext.num_commodities() * v_count {
+            out.reset(ext);
+        }
+        for (ji, row) in out.tagged.chunks_mut(v_count.max(1)).enumerate() {
+            let j = CommodityId::from_index(ji);
+            let (lens, arcs, live) = self.arcs.row(ji);
+            clear_tags_scoped(ext, j, row);
+            tag_sweep_active(
+                ext,
+                cost,
+                routing.row(j),
+                state.t_row(j),
+                state.usage_view(),
+                marginals.row(j),
+                eta,
+                traffic_floor,
+                j,
+                row,
+                lens,
+                arcs,
+                live,
+            );
+        }
+    }
+
+    /// The flow forecast (eqs. (3)–(5)) for every commodity;
+    /// bit-identical to [`compute_flows_into`] with `pool: None`.
+    ///
+    /// [`compute_flows_into`]: crate::flows::compute_flows_into
+    pub fn flows_into(
+        &mut self,
+        ext: &ExtendedNetwork,
+        routing: &RoutingTable,
+        state: &mut FlowState,
+        ws: &mut IterationWorkspace,
+    ) {
+        self.refresh(ext, routing);
+        let v_count = ext.graph().node_count();
+        let l_count = ext.graph().edge_count();
+        let j_count = ext.num_commodities();
+        if state.t.len() != j_count * v_count || state.x.len() != j_count * l_count {
+            state.reset(ext);
+        }
+        ws.ensure(ext);
+        let t_rows = state.t.chunks_mut(v_count.max(1));
+        let x_rows = state.x.chunks_mut(l_count.max(1));
+        let fe_rows = ws.f_edge_part.chunks_mut(l_count.max(1));
+        let fn_rows = ws.f_node_part.chunks_mut(v_count.max(1));
+        for (ji, ((t, x), (fe, fnode))) in t_rows.zip(x_rows).zip(fe_rows.zip(fn_rows)).enumerate()
+        {
+            let j = CommodityId::from_index(ji);
+            let (lens, arcs, _live) = self.arcs.row(ji);
+            zero_flow_rows_scoped(ext, j, t, x, fe, fnode);
+            flow_sweep_active(ext, routing.row(j), j, t, x, fe, fnode, lens, arcs);
+        }
+        reduce_usage_totals_scoped(
+            ext,
+            &mut state.f_edge,
+            &mut state.f_node,
+            &ws.f_edge_part,
+            &ws.f_node_part,
+            l_count,
+            v_count,
+            j_count,
+        );
+    }
 }
 
 /// The activity tracker: dirty flags carried across iterations, change
@@ -162,16 +424,6 @@ impl ActiveSet {
         if self.sized_for == Some(shape) {
             return;
         }
-        let router_stride = ext
-            .commodity_ids()
-            .map(|j| ext.commodity_routers_topo(j).len())
-            .max()
-            .unwrap_or(0);
-        let arc_stride = ext
-            .commodity_ids()
-            .map(|j| ext.commodity_router_arc_total(j))
-            .max()
-            .unwrap_or(0);
         let total_chunks: usize = ext
             .commodity_ids()
             .map(|j| ext.commodity_routers(j).len().div_ceil(GAMMA_CHUNK))
@@ -193,14 +445,7 @@ impl ActiveSet {
         self.heads.reserve(l_count);
         self.heads
             .extend((0..l_count).map(|l| ext.graph().target(EdgeId::from_index(l)).index() as u32));
-        self.arcs.router_stride = router_stride;
-        self.arcs.arc_stride = arc_stride;
-        self.arcs.arc_len.resize(j_count * router_stride, 0);
-        self.arcs
-            .arcs
-            .resize(j_count * arc_stride, EdgeId::from_index(0));
-        self.arcs.live.resize(j_count, 0);
-        self.arcs.stale.resize(j_count, true);
+        self.arcs.resize(ext);
         self.sized_for = Some(shape);
         self.invalidate();
     }
@@ -250,6 +495,114 @@ mod tests {
         active.ensure(&ext);
         assert!(!active.chain_dirty[0]);
         assert!(!active.force_totals);
+    }
+
+    /// The phase-split sweeps against the dense free functions over a
+    /// hand-driven trajectory (sweeps → Γ → flows, as the mesh splits
+    /// it): every buffer bit-equal, whole arrays, every iteration.
+    #[test]
+    fn live_arc_sweeps_match_the_dense_functions() {
+        use crate::blocked::compute_tags_into;
+        use crate::flows::compute_flows_into;
+        use crate::gamma::apply_gamma;
+        use crate::marginals::compute_marginals_into;
+        use spn_model::random::RandomInstance;
+
+        let instance = RandomInstance::builder()
+            .nodes(24)
+            .commodities(3)
+            .seed(7)
+            .build()
+            .unwrap();
+        let ext = ExtendedNetwork::build(&instance.problem);
+        let cost = CostModel::new(spn_model::Penalty::default(), 0.2);
+        let (eta, floor) = (0.1, 1e-9);
+
+        let mut routing = RoutingTable::initial(&ext);
+        let (mut dense_ws, mut live_ws) =
+            (IterationWorkspace::new(&ext), IterationWorkspace::new(&ext));
+        let (mut dense_flows, mut live_flows) = (FlowState::zeros(&ext), FlowState::zeros(&ext));
+        let (mut dense_d, mut live_d) = (Marginals::zeros(&ext), Marginals::zeros(&ext));
+        let (mut dense_tags, mut live_tags) = (BlockedTags::none(&ext), BlockedTags::none(&ext));
+        let mut sweeps = LiveArcSweeps::new(&ext);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for it in 0..60 {
+            compute_flows_into(&ext, &routing, &mut dense_flows, &mut dense_ws, None);
+            sweeps.flows_into(&ext, &routing, &mut live_flows, &mut live_ws);
+            assert_eq!(bits(&dense_flows.t), bits(&live_flows.t), "t at {it}");
+            assert_eq!(bits(&dense_flows.x), bits(&live_flows.x), "x at {it}");
+            assert_eq!(bits(&dense_flows.f_edge), bits(&live_flows.f_edge));
+            assert_eq!(bits(&dense_flows.f_node), bits(&live_flows.f_node));
+
+            compute_marginals_into(&ext, &cost, &routing, &dense_flows, &mut dense_d, None);
+            sweeps.marginals_into(&ext, &cost, &routing, &live_flows, &mut live_d);
+            assert_eq!(bits(&dense_d.d), bits(&live_d.d), "marginals at {it}");
+
+            compute_tags_into(
+                &ext,
+                &cost,
+                &routing,
+                &dense_flows,
+                &dense_d,
+                eta,
+                floor,
+                &mut dense_tags,
+                None,
+            );
+            sweeps.tags_into(
+                &ext,
+                &cost,
+                &routing,
+                &live_flows,
+                &live_d,
+                eta,
+                floor,
+                &mut live_tags,
+            );
+            assert_eq!(dense_tags, live_tags, "tags at {it}");
+
+            apply_gamma(
+                &ext,
+                &cost,
+                &mut routing,
+                &dense_flows,
+                &dense_d,
+                &dense_tags,
+                eta,
+                floor,
+                0.05,
+                0.02,
+            );
+            sweeps.mark_all_stale();
+            assert!(sweeps.is_consistent(&ext, &routing));
+        }
+        assert!(
+            dense_flows.admitted(&ext, CommodityId::from_index(0)) > 0.0,
+            "the trajectory never left the all-reject start"
+        );
+    }
+
+    /// A routing write without a stale mark is what `is_consistent`
+    /// (and the sweeps' debug assert) exists to catch.
+    #[test]
+    fn an_unmarked_routing_write_is_inconsistent() {
+        let ext = ext();
+        let j = CommodityId::from_index(0);
+        let mut routing = RoutingTable::initial(&ext);
+        let mut sweeps = LiveArcSweeps::new(&ext);
+        let mut flows = FlowState::zeros(&ext);
+        let mut ws = IterationWorkspace::new(&ext);
+        sweeps.flows_into(&ext, &routing, &mut flows, &mut ws);
+        assert!(sweeps.is_consistent(&ext, &routing));
+        // admit everything: the support moves off the difference link
+        routing.set_fraction(j, ext.input_edge(j), 1.0);
+        routing.set_fraction(j, ext.difference_edge(j), 0.0);
+        assert!(!sweeps.is_consistent(&ext, &routing));
+        sweeps.mark_stale(j);
+        assert!(sweeps.is_consistent(&ext, &routing));
+        sweeps.flows_into(&ext, &routing, &mut flows, &mut ws);
+        assert!(sweeps.is_consistent(&ext, &routing));
+        assert_eq!(flows.rejected(&ext, j), 0.0);
     }
 
     #[test]

@@ -56,6 +56,7 @@ pub mod simd;
 mod step;
 pub mod workspace;
 
+pub use active::LiveArcSweeps;
 pub use algorithm::{
     ConfigError, GradientAlgorithm, GradientConfig, Report, StableOutcome, StepStats,
 };

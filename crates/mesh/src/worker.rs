@@ -6,9 +6,20 @@
 //! state but *owns* only its node range: Γ updates for owned routers
 //! are computed locally and broadcast as serialized rows; peer rows
 //! arrive over the wire and are merged in. Under a lossless transport
-//! each worker's redundant full-mirror sweeps are bit-identical to
-//! every peer's, so the merged trajectory is bit-identical to the
-//! monolithic `GradientAlgorithm` (ARCHITECTURE invariant 19).
+//! each worker's redundant mirror sweeps are bit-identical to every
+//! peer's, so the merged trajectory is bit-identical to the monolithic
+//! `GradientAlgorithm` (ARCHITECTURE invariant 19).
+//!
+//! The three sweeps walk each commodity's **live arcs** (`φ ≠ 0`)
+//! through [`LiveArcSweeps`] — the sparse engine's scalar kernels with
+//! every commodity run every iteration — so a region's work scales with
+//! commodity membership, not with `J·(V + L)`. The live-arc table is
+//! derived from the routing mirror: every write to a routing row (own
+//! Γ, an applied peer Γ row, a recovery restore) marks that commodity
+//! stale and the next sweep rebuilds it. Entries outside a commodity's
+//! subgraph are structurally zero and no sweep rewrites them, which is
+//! why every index a frame carries is validated against the subgraph
+//! and the sender's ownership before anything is written.
 //!
 //! The send path is **delta-encoded, coalesced, and pooled**
 //! (ARCHITECTURE invariant 20): per link, the worker fingerprints the
@@ -48,20 +59,22 @@ use crate::recovery::{payload_to_snapshot, snapshot_to_payload, state_digest};
 use crate::transport::Inbox;
 use crate::wire::{
     parse_ack, parse_recovery_request, parse_recovery_state, parse_resend, walk_forecast,
-    walk_gamma_rows, walk_marginals, BatchReader, FrameBuf, FrameKind, Payload, SubView,
+    walk_gamma_rows, walk_marginals, BatchReader, FrameBuf, FrameKind, Payload, SubView, WireError,
     RESEND_FORECAST, RESEND_MARGINALS,
 };
-use spn_core::blocked::{compute_tags_into, BlockedTags};
+use spn_core::blocked::BlockedTags;
 use spn_core::flows::compute_flows_into;
 use spn_core::gamma::{apply_gamma_selective_scratch, GammaScratch, GammaStats};
 use spn_core::marginals::compute_marginals_into;
 use spn_core::{
-    Checkpoint, CostModel, FlowState, GradientConfig, IterationWorkspace, Marginals, RoutingTable,
+    Checkpoint, CostModel, FlowState, GradientConfig, IterationWorkspace, LiveArcSweeps, Marginals,
+    RoutingTable,
 };
 use spn_graph::{EdgeId, NodeId};
 use spn_model::CommodityId;
 use spn_transform::ExtendedNetwork;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 /// Which region owns extended node `v` of `v_count`, splitting the node
 /// index space into `regions` contiguous ranges.
@@ -69,6 +82,17 @@ use std::collections::{BTreeMap, VecDeque};
 pub fn owner_of(v_index: usize, v_count: usize, regions: usize) -> usize {
     debug_assert!(regions >= 1 && v_index < v_count);
     (v_index * regions / v_count).min(regions - 1)
+}
+
+/// Commodity `j`'s routers inside its precomputed sub-range of
+/// `commodity_routers(j)` (a free function so callers can hold link
+/// and outbox borrows across it).
+fn routers_in<'e>(
+    ext: &'e ExtendedNetwork,
+    spans: &[Range<usize>],
+    j: CommodityId,
+) -> &'e [NodeId] {
+    &ext.commodity_routers(j)[spans[j.index()].clone()]
 }
 
 /// Ticks after a send before the first retransmit check may fire: the
@@ -229,10 +253,13 @@ pub struct RegionWorker {
     regions: usize,
     v_count: usize,
     edge_count: usize,
-    /// Owned node range `[owned_lo, owned_hi)` (ownership is
-    /// contiguous by construction of [`owner_of`]).
-    owned_lo: usize,
-    owned_hi: usize,
+    /// Region `r` owns nodes `region_lo[r]..region_lo[r + 1]`
+    /// (ownership is contiguous by construction of [`owner_of`]).
+    region_lo: Vec<usize>,
+    /// Per commodity, the sub-range of `commodity_routers(j)` (ascending
+    /// node order) this worker owns — what the Γ and marginal delta
+    /// scans and the round-guard bump walk.
+    owned_routers: Vec<Range<usize>>,
     /// Full-refresh cadence in rounds (re-anchors every delta chain).
     refresh_every: u64,
     /// Mirror of the full trajectory state.
@@ -241,6 +268,9 @@ pub struct RegionWorker {
     marginals: Marginals,
     workspace: IterationWorkspace,
     tags: BlockedTags,
+    /// The live-arc sweeps over the mirror; stale-marked on every
+    /// routing write.
+    sweeps: LiveArcSweeps,
     /// Iteration counter (advances after the flow phase).
     round: u64,
     /// Commodity-set epoch (the checkpoint fence; constant here — the
@@ -299,27 +329,37 @@ impl RegionWorker {
         let mut marginals = Marginals::zeros(ext);
         compute_marginals_into(ext, cost, &routing, &state, &mut marginals, None);
         let tags = BlockedTags::none(ext);
-        let owned_lo = (0..v_count)
-            .find(|&v| owner_of(v, v_count, regions) == region)
-            .expect("every region owns at least one node");
-        let owned_hi = (owned_lo..v_count)
-            .take_while(|&v| owner_of(v, v_count, regions) == region)
-            .last()
-            .expect("range starts owned")
-            + 1;
+        let mut region_lo: Vec<usize> = (0..regions)
+            .map(|r| {
+                (0..v_count)
+                    .find(|&v| owner_of(v, v_count, regions) == r)
+                    .expect("every region owns at least one node")
+            })
+            .collect();
+        region_lo.push(v_count);
+        let owned = region_lo[region]..region_lo[region + 1];
+        let owned_routers = ext
+            .commodity_ids()
+            .map(|j| {
+                let routers = ext.commodity_routers(j);
+                routers.partition_point(|v| v.index() < owned.start)
+                    ..routers.partition_point(|v| v.index() < owned.end)
+            })
+            .collect();
         RegionWorker {
             region,
             regions,
             v_count,
             edge_count,
-            owned_lo,
-            owned_hi,
+            region_lo,
+            owned_routers,
             refresh_every: refresh_every.max(1),
             routing,
             state,
             marginals,
             workspace,
             tags,
+            sweeps: LiveArcSweeps::new(ext),
             round: 0,
             epoch: 0,
             epsilon: cost.epsilon,
@@ -350,7 +390,12 @@ impl RegionWorker {
     /// Does this worker own extended node `v_index`?
     #[must_use]
     pub fn owns_node(&self, v_index: usize) -> bool {
-        (self.owned_lo..self.owned_hi).contains(&v_index)
+        self.owned_nodes(self.region).contains(&v_index)
+    }
+
+    /// The node range region `r` owns.
+    fn owned_nodes(&self, r: usize) -> Range<usize> {
+        self.region_lo[r]..self.region_lo[r + 1]
     }
 
     /// Does this worker own commodity `j` (i.e. its dummy source)?
@@ -507,7 +552,7 @@ impl RegionWorker {
                 self.outbox[peer].begin(region, peer as u16, round);
             }
         }
-        self.process_inbox(tick, inbox, log);
+        self.process_inbox(ext, tick, inbox, log);
         self.flush_control();
         match tick % 3 {
             0 => self.phase_marginals(ext, cost),
@@ -557,23 +602,21 @@ impl RegionWorker {
         }
     }
 
-    /// Phase 0: refresh the full-mirror marginal sweep and ship each
-    /// peer the owned entries whose bits changed since last shipped on
-    /// that link (all owned entries on a refresh or forced-full round).
+    /// Phase 0: the live-arc marginal sweep over the mirror, then ship
+    /// each peer the owned *router* entries whose bits changed since
+    /// last shipped on that link (all of them on a refresh or
+    /// forced-full round). Non-router marginals are structurally `0.0`
+    /// on every mirror and never travel.
     fn phase_marginals(&mut self, ext: &ExtendedNetwork, cost: &CostModel) {
-        compute_marginals_into(
-            ext,
-            cost,
-            &self.routing,
-            &self.state,
-            &mut self.marginals,
-            None,
-        );
+        self.sweeps
+            .marginals_into(ext, cost, &self.routing, &self.state, &mut self.marginals);
+        #[cfg(test)]
+        self.assert_marginals_match_dense(ext, cost);
         if self.regions == 1 {
             return;
         }
         let refresh = self.round.is_multiple_of(self.refresh_every);
-        let (lo, hi, v_count, round) = (self.owned_lo, self.owned_hi, self.v_count, self.round);
+        let (v_count, round) = (self.v_count, self.round);
         for peer in 0..self.regions {
             if peer == self.region {
                 continue;
@@ -586,10 +629,10 @@ impl RegionWorker {
             let mut n = 0u32;
             let mut suppressed = 0u64;
             for j in ext.commodity_ids() {
-                for v in lo..hi {
-                    let d = self.marginals.node(j, NodeId::from_index(v));
+                for &v in routers_in(ext, &self.owned_routers, j) {
+                    let d = self.marginals.node(j, v);
                     let bits = d.to_bits();
-                    let idx = j.index() * v_count + v;
+                    let idx = j.index() * v_count + v.index();
                     if full || link.marg_sent[idx] != bits {
                         link.marg_sent[idx] = bits;
                         if !opened {
@@ -599,7 +642,7 @@ impl RegionWorker {
                             opened = true;
                         }
                         batch.put_u32(j.index() as u32);
-                        batch.put_u32(v as u32);
+                        batch.put_u32(v.index() as u32);
                         batch.put_f64(d);
                         n += 1;
                     } else {
@@ -618,8 +661,9 @@ impl RegionWorker {
         }
     }
 
-    /// Phase 1: blocking tags plus the Γ update restricted to owned
-    /// routers; ship each peer the owned rows whose fraction bits
+    /// Phase 1: the live-arc blocking-tag sweep plus the Γ update
+    /// restricted to owned routers (which stale-marks every commodity it
+    /// wrote); ship each peer the owned rows whose fraction bits
     /// changed, on the reliable stream (all owned rows on a refresh
     /// round — the backstop that bounds post-recovery divergence).
     fn phase_gamma(
@@ -629,8 +673,10 @@ impl RegionWorker {
         gradient: &GradientConfig,
         tick: u64,
     ) {
+        #[cfg(test)]
+        let routing_before = self.routing.clone();
         if gradient.use_blocked_sets {
-            compute_tags_into(
+            self.sweeps.tags_into(
                 ext,
                 cost,
                 &self.routing,
@@ -639,12 +685,11 @@ impl RegionWorker {
                 gradient.eta,
                 gradient.traffic_floor,
                 &mut self.tags,
-                None,
             );
         } else {
             self.tags.reset(ext);
         }
-        let (region, v_count, regions) = (self.region, self.v_count, self.regions);
+        let owned = self.owned_nodes(self.region);
         self.last_gamma = apply_gamma_selective_scratch(
             ext,
             cost,
@@ -656,19 +701,23 @@ impl RegionWorker {
             gradient.traffic_floor,
             gradient.opening_fraction,
             gradient.shift_cap,
-            |_, v| owner_of(v.index(), v_count, regions) == region,
+            |_, v| owned.contains(&v.index()),
             &mut self.gamma_scratch,
         );
-        let (lo, hi, edge_count, round) =
-            (self.owned_lo, self.owned_hi, self.edge_count, self.round);
-        // own rows advance their round guard locally
+        let (v_count, edge_count, round) = (self.v_count, self.edge_count, self.round);
+        // own rows advance their round guard locally, and their
+        // commodities' live arcs are out of date
         for j in ext.commodity_ids() {
-            for &v in ext.commodity_routers(j) {
-                if (lo..hi).contains(&v.index()) {
-                    self.row_round[j.index() * v_count + v.index()] = round + 1;
-                }
+            let mine = routers_in(ext, &self.owned_routers, j);
+            for &v in mine {
+                self.row_round[j.index() * v_count + v.index()] = round + 1;
+            }
+            if !mine.is_empty() {
+                self.sweeps.mark_stale(j);
             }
         }
+        #[cfg(test)]
+        self.assert_gamma_matches_dense(ext, cost, gradient, routing_before);
         if self.regions == 1 {
             return;
         }
@@ -685,10 +734,7 @@ impl RegionWorker {
             let mut suppressed = 0u64;
             let mut seq = 0u64;
             for j in ext.commodity_ids() {
-                for &v in ext.commodity_routers(j) {
-                    if !(lo..hi).contains(&v.index()) {
-                        continue;
-                    }
+                for &v in routers_in(ext, &self.owned_routers, j) {
                     let out = ext.commodity_out_slice(j, v);
                     let changed = refresh
                         || out.iter().any(|&l| {
@@ -739,18 +785,17 @@ impl RegionWorker {
         }
     }
 
-    /// Phase 2: forecast flows for the merged routing decision; owners
-    /// ship their commodities' changed forecasts; everyone heartbeats
-    /// (the heartbeat keeps every phase-2 batch non-empty, so liveness
-    /// never depends on data changing).
+    /// Phase 2: the live-arc flow forecast for the merged routing
+    /// decision (rebuilding the live arcs of every commodity phase 1
+    /// and the inbox wrote); owners ship their commodities' changed
+    /// forecasts; everyone heartbeats (the heartbeat keeps every
+    /// phase-2 batch non-empty, so liveness never depends on data
+    /// changing).
     fn phase_flows(&mut self, ext: &ExtendedNetwork) {
-        compute_flows_into(
-            ext,
-            &self.routing,
-            &mut self.state,
-            &mut self.workspace,
-            None,
-        );
+        self.sweeps
+            .flows_into(ext, &self.routing, &mut self.state, &mut self.workspace);
+        #[cfg(test)]
+        self.assert_flows_match_dense(ext);
         self.fc_scratch.clear();
         for j in ext.commodity_ids() {
             if self.owns_commodity(ext, j) {
@@ -808,7 +853,67 @@ impl RegionWorker {
         }
     }
 
-    fn process_inbox(&mut self, tick: u64, inbox: &Inbox, log: &mut Vec<MeshIncident>) {
+    /// The discard incident for a frame or sub-frame this worker
+    /// refuses to apply.
+    fn malformed(&self, tick: u64, error: impl std::fmt::Display) -> MeshIncident {
+        MeshIncident::MalformedFrameDiscarded {
+            tick,
+            region: self.region,
+            error: error.to_string(),
+        }
+    }
+
+    /// A control payload's parse result, or `None` after logging the
+    /// discard.
+    fn parsed<T>(
+        &self,
+        tick: u64,
+        parsed: Result<T, WireError>,
+        log: &mut Vec<MeshIncident>,
+    ) -> Option<T> {
+        parsed.map_err(|e| log.push(self.malformed(tick, e))).ok()
+    }
+
+    /// Verdict of a validation walk over a row payload of `round`: it
+    /// must have decoded, every index must have checked out (`valid`),
+    /// and its `base` must name a predecessor round. Logs the discard
+    /// and answers `false` otherwise.
+    fn accepted(
+        &self,
+        tick: u64,
+        round: u64,
+        walked: Result<u64, WireError>,
+        valid: bool,
+        log: &mut Vec<MeshIncident>,
+    ) -> bool {
+        match walked {
+            Ok(base) if valid && base <= round => return true,
+            Ok(_) => log.push(self.malformed(tick, "row index or base round out of range")),
+            Err(e) => log.push(self.malformed(tick, e)),
+        }
+        false
+    }
+
+    /// Is wire pair `(j, v)` a routing row of region `from` — `v` a
+    /// router of commodity `j` inside `from`'s node range? Anything
+    /// else would write outside the subgraph the live-arc sweeps
+    /// maintain (or outside the buffers altogether).
+    fn is_router_of(&self, ext: &ExtendedNetwork, from: usize, j: u32, v: u32) -> bool {
+        let (ji, vi) = (j as usize, v as usize);
+        if ji >= ext.num_commodities() || !self.owned_nodes(from).contains(&vi) {
+            return false;
+        }
+        let (j, v) = (CommodityId::from_index(ji), NodeId::from_index(vi));
+        v != ext.commodity(j).sink() && !ext.commodity_out_slice(j, v).is_empty()
+    }
+
+    fn process_inbox(
+        &mut self,
+        ext: &ExtendedNetwork,
+        tick: u64,
+        inbox: &Inbox,
+        log: &mut Vec<MeshIncident>,
+    ) {
         for bytes in inbox.iter() {
             // frames normally originate from sibling workers, but over a
             // real socket a desync or corruption must not take the node
@@ -818,15 +923,15 @@ impl RegionWorker {
             let mut reader = match BatchReader::parse(bytes) {
                 Ok(reader) => reader,
                 Err(e) => {
-                    log.push(MeshIncident::MalformedFrameDiscarded {
-                        tick,
-                        region: self.region,
-                        error: e.to_string(),
-                    });
+                    log.push(self.malformed(tick, e));
                     continue;
                 }
             };
             let from = reader.from() as usize;
+            if from >= self.regions || from == self.region {
+                log.push(self.malformed(tick, format_args!("frame from region {from}")));
+                continue;
+            }
             {
                 let s = &mut self.links[from].stats;
                 s.frames_received += 1;
@@ -837,18 +942,17 @@ impl RegionWorker {
                 let sub = match sub {
                     Ok(sub) => sub,
                     Err(e) => {
-                        log.push(MeshIncident::MalformedFrameDiscarded {
-                            tick,
-                            region: self.region,
-                            error: e.to_string(),
-                        });
+                        log.push(self.malformed(tick, e));
                         break;
                     }
                 };
-                if sub.kind.is_reliable() {
-                    self.receive_reliable(tick, from, &sub, log);
+                if sub.round == u64::MAX {
+                    // every guard stores `round + 1`
+                    log.push(self.malformed(tick, "sub-frame round out of range"));
+                } else if sub.kind.is_reliable() {
+                    self.receive_reliable(ext, tick, from, &sub, log);
                 } else {
-                    self.receive_unreliable(tick, from, &sub, log);
+                    self.receive_unreliable(ext, tick, from, &sub, log);
                 }
             }
         }
@@ -883,6 +987,7 @@ impl RegionWorker {
 
     fn receive_reliable(
         &mut self,
+        ext: &ExtendedNetwork,
         tick: u64,
         from: usize,
         sub: &SubView<'_>,
@@ -899,7 +1004,7 @@ impl RegionWorker {
             });
         } else if sub.seq == link.recv_next {
             link.recv_next += 1;
-            self.apply_reliable(tick, from, sub.kind, sub.round, sub.payload, log);
+            self.apply_reliable(ext, tick, from, sub.kind, sub.round, sub.payload, log);
             loop {
                 let link = &mut self.links[from];
                 let next_seq = link.recv_next;
@@ -907,7 +1012,7 @@ impl RegionWorker {
                     break;
                 };
                 link.recv_next += 1;
-                self.apply_reliable(tick, from, next.kind, next.round, &next.payload, log);
+                self.apply_reliable(ext, tick, from, next.kind, next.round, &next.payload, log);
             }
         } else if link
             .ahead
@@ -930,8 +1035,10 @@ impl RegionWorker {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn apply_reliable(
         &mut self,
+        ext: &ExtendedNetwork,
         tick: u64,
         from: usize,
         kind: FrameKind,
@@ -941,9 +1048,34 @@ impl RegionWorker {
     ) {
         match kind {
             FrameKind::GammaRows => {
+                // validation pass, no writes: every row must be one of
+                // `from`'s routers and every edge one of that row's
+                // out-edges (edges of a refused row are not looked at)
+                // carrying a non-negative fraction — a live arc is one
+                // with `φ > 0`
+                let (mut rows_ok, mut edges_ok) = (true, true);
+                let walked = walk_gamma_rows(
+                    payload,
+                    |j, v| {
+                        let ok = self.is_router_of(ext, from, j, v);
+                        rows_ok &= ok;
+                        ok
+                    },
+                    |j, v, l, phi| {
+                        let out = ext.commodity_out_slice(
+                            CommodityId::from_index(j as usize),
+                            NodeId::from_index(v as usize),
+                        );
+                        edges_ok &= phi >= 0.0 && out.iter().any(|e| e.index() == l as usize);
+                    },
+                );
+                if !self.accepted(tick, round, walked, rows_ok && edges_ok, log) {
+                    return;
+                }
                 let v_count = self.v_count;
                 let row_round = &mut self.row_round;
                 let routing = &mut self.routing;
+                let sweeps = &mut self.sweeps;
                 let mut stale = 0u64;
                 walk_gamma_rows(
                     payload,
@@ -952,6 +1084,7 @@ impl RegionWorker {
                         // per-row guard: only strictly newer rounds apply
                         if round + 1 > row_round[idx] {
                             row_round[idx] = round + 1;
+                            sweeps.mark_stale(CommodityId::from_index(j as usize));
                             true
                         } else {
                             stale += 1;
@@ -966,7 +1099,7 @@ impl RegionWorker {
                         );
                     },
                 )
-                .expect("well-formed gamma payload");
+                .expect("payload walked cleanly in the validation pass");
                 for _ in 0..stale {
                     log.push(MeshIncident::StaleFrameDiscarded {
                         tick,
@@ -978,7 +1111,9 @@ impl RegionWorker {
                 }
             }
             FrameKind::RecoveryRequest => {
-                let token = parse_recovery_request(payload).expect("well-formed recovery request");
+                let Some(token) = self.parsed(tick, parse_recovery_request(payload), log) else {
+                    return;
+                };
                 self.capture_scratch();
                 let digest = state_digest(self.scratch.phi());
                 let snapshot = snapshot_to_payload(&self.scratch, token);
@@ -992,7 +1127,9 @@ impl RegionWorker {
                 self.send_reliable_control(tick, from, &Payload::RecoveryState(Box::new(snapshot)));
             }
             FrameKind::RecoveryState => {
-                let payload = parse_recovery_state(payload).expect("well-formed recovery state");
+                let Some(payload) = self.parsed(tick, parse_recovery_state(payload), log) else {
+                    return;
+                };
                 if self.recovering != Some(payload.token) {
                     log.push(MeshIncident::StaleFrameDiscarded {
                         tick,
@@ -1015,6 +1152,7 @@ impl RegionWorker {
                         // snapshot round; strictly newer rounds re-apply
                         self.row_round.fill(round + 1);
                         self.recovering = None;
+                        self.sweeps.mark_all_stale();
                         // the restored mirror invalidates every delta
                         // chain this worker maintains as a *sender*:
                         // ship full frames next time on every link
@@ -1047,6 +1185,7 @@ impl RegionWorker {
 
     fn receive_unreliable(
         &mut self,
+        ext: &ExtendedNetwork,
         tick: u64,
         from: usize,
         sub: &SubView<'_>,
@@ -1055,7 +1194,9 @@ impl RegionWorker {
         match sub.kind {
             FrameKind::Heartbeat => {}
             FrameKind::Ack => {
-                let cum = parse_ack(sub.payload).expect("well-formed ack");
+                let Some(cum) = self.parsed(tick, parse_ack(sub.payload), log) else {
+                    return;
+                };
                 let link = &mut self.links[from];
                 while matches!(link.in_flight.front(), Some(f) if f.seq <= cum) {
                     let flight = link.in_flight.pop_front().expect("front checked");
@@ -1063,7 +1204,9 @@ impl RegionWorker {
                 }
             }
             FrameKind::Resend => {
-                let kinds = parse_resend(sub.payload).expect("well-formed resend");
+                let Some(kinds) = self.parsed(tick, parse_resend(sub.payload), log) else {
+                    return;
+                };
                 let link = &mut self.links[from];
                 if kinds & RESEND_MARGINALS != 0 {
                     link.force_marginals = true;
@@ -1075,6 +1218,15 @@ impl RegionWorker {
             FrameKind::Marginals => {
                 let wm = self.links[from].wm_marginals;
                 if sub.round >= wm {
+                    // validation pass, no writes: only `from`'s router
+                    // entries are ever nonzero, or shipped
+                    let mut valid = true;
+                    let walked = walk_marginals(sub.payload, |e| {
+                        valid &= self.is_router_of(ext, from, e.j, e.v);
+                    });
+                    if !self.accepted(tick, sub.round, walked, valid, log) {
+                        return;
+                    }
                     let marginals = &mut self.marginals;
                     let base = walk_marginals(sub.payload, |e| {
                         marginals.set_node(
@@ -1083,7 +1235,7 @@ impl RegionWorker {
                             e.d,
                         );
                     })
-                    .expect("well-formed marginals payload");
+                    .expect("payload walked cleanly in the validation pass");
                     let link = &mut self.links[from];
                     link.wm_marginals = sub.round + 1;
                     if base != sub.round && base + 1 != wm {
@@ -1112,13 +1264,26 @@ impl RegionWorker {
             FrameKind::FlowForecast => {
                 let wm = self.links[from].wm_forecast;
                 if sub.round >= wm {
+                    // validation pass, no writes: a forecast comes from
+                    // the commodity's owner (its dummy source's region)
+                    let theirs = self.owned_nodes(from);
+                    let mut valid = true;
+                    let walked = walk_forecast(sub.payload, |e| {
+                        let ji = e.j as usize;
+                        valid &= ji < ext.num_commodities()
+                            && theirs
+                                .contains(&ext.dummy_source(CommodityId::from_index(ji)).index());
+                    });
+                    if !self.accepted(tick, sub.round, walked, valid, log) {
+                        return;
+                    }
                     let admitted_view = &mut self.admitted_view;
                     let utility_view = &mut self.utility_view;
                     let base = walk_forecast(sub.payload, |e| {
                         admitted_view[e.j as usize] = e.admitted;
                         utility_view[e.j as usize] = e.utility;
                     })
-                    .expect("well-formed forecast payload");
+                    .expect("payload walked cleanly in the validation pass");
                     let link = &mut self.links[from];
                     link.wm_forecast = sub.round + 1;
                     if base != sub.round && base + 1 != wm {
@@ -1224,9 +1389,346 @@ impl RegionWorker {
     }
 }
 
+/// The mirror oracle: in this crate's unit tests every phase of every
+/// worker re-derives its output with the dense full-mirror functions
+/// and compares the *whole* arrays bit for bit, entries outside every
+/// commodity's subgraph included — so any mesh unit test, lossless or
+/// chaotic, also pins the live-arc sweeps to the dense reference.
+#[cfg(test)]
+impl RegionWorker {
+    fn assert_marginals_match_dense(&self, ext: &ExtendedNetwork, cost: &CostModel) {
+        let mut dense = Marginals::zeros(ext);
+        compute_marginals_into(ext, cost, &self.routing, &self.state, &mut dense, None);
+        for j in ext.commodity_ids() {
+            for v in ext.graph().nodes() {
+                assert_eq!(
+                    dense.node(j, v).to_bits(),
+                    self.marginals.node(j, v).to_bits(),
+                    "region {} round {}: marginal ({j}, {v}) left the dense reference",
+                    self.region,
+                    self.round
+                );
+            }
+        }
+    }
+
+    /// Dense tags over the pre-Γ mirror must equal the live-arc tags,
+    /// and the selective Γ they feed must reproduce the routing mirror.
+    fn assert_gamma_matches_dense(
+        &self,
+        ext: &ExtendedNetwork,
+        cost: &CostModel,
+        gradient: &GradientConfig,
+        mut routing: RoutingTable,
+    ) {
+        let mut dense = BlockedTags::none(ext);
+        if gradient.use_blocked_sets {
+            spn_core::blocked::compute_tags_into(
+                ext,
+                cost,
+                &routing,
+                &self.state,
+                &self.marginals,
+                gradient.eta,
+                gradient.traffic_floor,
+                &mut dense,
+                None,
+            );
+        }
+        for j in ext.commodity_ids() {
+            for v in ext.graph().nodes() {
+                assert_eq!(
+                    dense.is_tagged(j, v),
+                    self.tags.is_tagged(j, v),
+                    "region {} round {}: tag ({j}, {v}) left the dense reference",
+                    self.region,
+                    self.round
+                );
+            }
+        }
+        let owned = self.owned_nodes(self.region);
+        apply_gamma_selective_scratch(
+            ext,
+            cost,
+            &mut routing,
+            &self.state,
+            &self.marginals,
+            &dense,
+            gradient.eta,
+            gradient.traffic_floor,
+            gradient.opening_fraction,
+            gradient.shift_cap,
+            |_, v| owned.contains(&v.index()),
+            &mut GammaScratch::default(),
+        );
+        for j in ext.commodity_ids() {
+            for l in ext.graph().edges() {
+                assert_eq!(
+                    routing.fraction(j, l).to_bits(),
+                    self.routing.fraction(j, l).to_bits(),
+                    "region {} round {}: fraction ({j}, {l}) left the dense reference",
+                    self.region,
+                    self.round
+                );
+            }
+        }
+    }
+
+    fn assert_flows_match_dense(&self, ext: &ExtendedNetwork) {
+        let mut dense = FlowState::zeros(ext);
+        let mut ws = IterationWorkspace::new(ext);
+        compute_flows_into(ext, &self.routing, &mut dense, &mut ws, None);
+        let ctx = format!("region {} round {}", self.region, self.round);
+        for j in ext.commodity_ids() {
+            for v in ext.graph().nodes() {
+                assert_eq!(
+                    dense.traffic(j, v).to_bits(),
+                    self.state.traffic(j, v).to_bits(),
+                    "{ctx}: traffic ({j}, {v}) left the dense reference"
+                );
+            }
+            for l in ext.graph().edges() {
+                assert_eq!(
+                    dense.edge_flow(j, l).to_bits(),
+                    self.state.edge_flow(j, l).to_bits(),
+                    "{ctx}: edge flow ({j}, {l}) left the dense reference"
+                );
+            }
+        }
+        for l in ext.graph().edges() {
+            assert_eq!(
+                dense.edge_usage(l).to_bits(),
+                self.state.edge_usage(l).to_bits(),
+                "{ctx}: usage of edge {l} left the dense reference"
+            );
+        }
+        for v in ext.graph().nodes() {
+            assert_eq!(
+                dense.node_usage(v).to_bits(),
+                self.state.node_usage(v).to_bits(),
+                "{ctx}: usage of node {v} left the dense reference"
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{MeshFaultConfig, PartitionSpec};
+    use crate::runtime::{MeshConfig, MeshRuntime};
+    use proptest::prelude::*;
+    use spn_model::random::RandomInstance;
+    use spn_sim::draws::unit_hash;
+
+    fn instance(nodes: usize, commodities: usize, seed: u64) -> ExtendedNetwork {
+        let instance = RandomInstance::builder()
+            .nodes(nodes)
+            .commodities(commodities)
+            .seed(seed)
+            .build()
+            .expect("valid instance");
+        ExtendedNetwork::build(&instance.problem)
+    }
+
+    fn serial() -> GradientConfig {
+        GradientConfig {
+            threads: 1,
+            ..GradientConfig::default()
+        }
+    }
+
+    fn cost_of(gradient: &GradientConfig) -> CostModel {
+        CostModel {
+            penalty: gradient.penalty,
+            epsilon: gradient.epsilon,
+            wall_threshold: gradient.wall_threshold,
+            wall_strength: gradient.wall_strength,
+        }
+    }
+
+    /// The mirror oracle over a grid: every phase of every worker is
+    /// checked against the dense reference (the `#[cfg(test)]` asserts
+    /// inside the phases), lossless and under three chaotic seeds with
+    /// a partition deep enough to drive the recovery restore.
+    #[test]
+    fn live_arc_phases_match_the_dense_mirror_sweeps() {
+        for &(nodes, commodities, seed) in &[(16usize, 2usize, 4u64), (24, 3, 7), (30, 4, 11)] {
+            for regions in [1usize, 2, 4] {
+                let config = MeshConfig {
+                    regions,
+                    gradient: serial(),
+                    ..MeshConfig::default()
+                };
+                let ext = instance(nodes, commodities, seed);
+                let mut lossless =
+                    MeshRuntime::lossless(ext.clone(), config.clone()).expect("valid config");
+                lossless.run(60);
+                assert!(lossless.incidents().is_empty());
+                for fault_seed in [0x4D45_5348u64, 0xFEED, 77] {
+                    let faults = MeshFaultConfig {
+                        seed: fault_seed,
+                        loss: 0.05,
+                        duplicate: 0.03,
+                        delay_prob: 0.1,
+                        max_delay: 2,
+                        partitions: vec![PartitionSpec {
+                            region: regions - 1,
+                            at: 30,
+                            duration: 45,
+                            heal_stagger: 4,
+                        }],
+                    };
+                    let mut chaotic = MeshRuntime::chaotic(ext.clone(), config.clone(), &faults)
+                        .expect("valid config");
+                    chaotic.run(60);
+                    assert!(regions == 1 || !chaotic.incidents().is_empty());
+                }
+            }
+        }
+    }
+
+    /// A region-1 → region-0 batch holding one reliable sub-frame.
+    fn reliable_frame(
+        kind: FrameKind,
+        seq: u64,
+        round: u64,
+        body: impl FnOnce(&mut FrameBuf),
+    ) -> Vec<u8> {
+        let mut buf = FrameBuf::new();
+        buf.begin(1, 0, round);
+        buf.begin_sub(kind, seq, round);
+        body(&mut buf);
+        buf.end_sub();
+        assert!(buf.finish());
+        buf.bytes().expect("finished").to_vec()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Staleness: whatever a tick's inbox holds — nothing, fresh
+        /// peer Γ rows (support-changing), the same frame again, rows of
+        /// an old round, rows outside the sender's routers, a recovery
+        /// snapshot — every non-stale live-arc row is the `φ ≠ 0`
+        /// filter of its routing row afterwards, and the sweeps that
+        /// follow (each rebuilds, debug-asserts, and is compared with
+        /// the dense reference) see an exact table.
+        #[test]
+        fn live_arcs_track_every_routing_write(
+            ops in proptest::collection::vec(0u8..6, 6..40),
+            seed in 0u64..1_000,
+        ) {
+            let ext = instance(20, 3, 9);
+            let gradient = serial();
+            let cost = cost_of(&gradient);
+            let mut a = RegionWorker::new(&ext, &cost, &gradient, 0, 2, 16);
+            // the snapshot donor: region 1 a few lonely iterations in
+            let mut b = RegionWorker::new(&ext, &cost, &gradient, 1, 2, 16);
+            let mut log = Vec::new();
+            let empty = Inbox::new();
+            for tick in 0..9 {
+                b.run_phase(&ext, &cost, &gradient, 9, 32, tick, &empty, &mut log);
+            }
+            let theirs: Vec<(CommodityId, NodeId)> = ext
+                .commodity_ids()
+                .flat_map(|j| {
+                    ext.commodity_routers(j)
+                        .iter()
+                        .filter(|v| b.owns_node(v.index()))
+                        .map(move |&v| (j, v))
+                })
+                .collect();
+            prop_assume!(!theirs.is_empty());
+            let mut seq = 1u64;
+            let mut last: Option<Vec<u8>> = None;
+            for (tick, &op) in ops.iter().enumerate() {
+                let round = a.round;
+                let mut inbox = Inbox::new();
+                // seeded rows over region 1's routers: all mass on one
+                // out-edge, so supports really move
+                let rows = |buf: &mut FrameBuf, base: u64, shift: usize| {
+                    buf.put_u64(base);
+                    let picks: Vec<_> = theirs
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| unit_hash(seed, tick, i, 0) < 0.5)
+                        .map(|(_, &row)| row)
+                        .collect();
+                    buf.put_u32(picks.len() as u32);
+                    for (j, v) in picks {
+                        let out = ext.commodity_out_slice(j, v);
+                        let hot = (unit_hash(seed, tick, v.index(), 1) * out.len() as f64) as usize;
+                        buf.put_u32(j.index() as u32);
+                        buf.put_u32((v.index() + shift) as u32);
+                        buf.put_u32(out.len() as u32);
+                        for (k, &l) in out.iter().enumerate() {
+                            buf.put_u32(l.index() as u32);
+                            buf.put_f64(if k == hot.min(out.len() - 1) { 1.0 } else { 0.0 });
+                        }
+                    }
+                };
+                let before = a.routing.clone();
+                let mut must_not_write = false;
+                match op {
+                    // fresh peer rows
+                    1 => {
+                        let frame = reliable_frame(FrameKind::GammaRows, seq, round, |b| rows(b, round, 0));
+                        seq += 1;
+                        prop_assert!(inbox.push(&frame));
+                        last = Some(frame);
+                    }
+                    // the same frame again (duplicate seq)
+                    2 => {
+                        if let Some(frame) = &last {
+                            prop_assert!(inbox.push(frame));
+                        }
+                    }
+                    // a new frame whose rows are of an already-applied round
+                    3 if round > 0 => {
+                        let frame = reliable_frame(FrameKind::GammaRows, seq, 0, |b| rows(b, 0, 0));
+                        seq += 1;
+                        prop_assert!(inbox.push(&frame));
+                    }
+                    // rows shifted out of the sender's routers
+                    4 => {
+                        let frame = reliable_frame(FrameKind::GammaRows, seq, round, |b| {
+                            rows(b, round, ext.graph().node_count());
+                        });
+                        seq += 1;
+                        prop_assert!(inbox.push(&frame));
+                        must_not_write = tick % 3 != 1;
+                    }
+                    // a recovery snapshot of the donor's mirror
+                    5 => {
+                        let token = 1_000 + tick as u64;
+                        a.recovering = Some(token);
+                        b.capture_scratch();
+                        let snapshot = snapshot_to_payload(&b.scratch, token);
+                        let frame = reliable_frame(FrameKind::RecoveryState, seq, round, |b| {
+                            b.put_payload(&Payload::RecoveryState(Box::new(snapshot)));
+                        });
+                        seq += 1;
+                        prop_assert!(inbox.push(&frame));
+                    }
+                    // nothing: the tick's own phase only
+                    _ => {}
+                }
+                a.run_phase(&ext, &cost, &gradient, 9, 32, tick as u64, &inbox, &mut log);
+                prop_assert!(
+                    a.sweeps.is_consistent(&ext, &a.routing),
+                    "op {op} at tick {tick} left a live-arc row out of date"
+                );
+                if must_not_write {
+                    prop_assert!(before == a.routing, "refused rows reached the routing mirror");
+                }
+            }
+            prop_assert!(log
+                .iter()
+                .any(|i| matches!(i, MeshIncident::MalformedFrameDiscarded { .. }))
+                || !ops.contains(&4));
+        }
+    }
 
     #[test]
     fn owner_ranges_are_contiguous_and_cover() {

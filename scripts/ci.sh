@@ -32,8 +32,11 @@
 #    identical incident logs and reports across same-seed Chaotic runs,
 #    reach the lossless convergence verdict under the fault plan, ship
 #    ≤0.5× the full-broadcast bytes/iteration once past the bitwise
-#    fixed point (delta wire gate), and perform zero allocations per
-#    converged steady-state step (counting-allocator gate);
+#    fixed point (delta wire gate), perform zero allocations per
+#    converged steady-state step (counting-allocator gate), and on the
+#    160-node/16-commodity case cost at most 2 × regions × one
+#    monolithic sparse step per iteration (density gate: the workers
+#    sweep live arcs, not the dense mirror; SKIP on a 1-core host);
 #  * mesh_smoke --socket --smoke is the real-socket gate (ARCHITECTURE
 #    invariant 21) — a 2-region loopback Unix-domain mesh must be
 #    report-identical to Lossless with zero incidents, a same-seed
@@ -45,6 +48,11 @@
 #    UDS, and TCP (syscalls/tick printed per leg); wall-clock p50 tick latency prints SKIP on a degraded
 #    single-core host instead of a misleading number. Bounded: the
 #    smoke run is a few hundred fixed iterations, no settle loops.
+#  * benchmark/run.sh --smoke builds and runs the repository benchmark
+#    (its own cargo workspace, so neither clippy nor `cargo test` above
+#    compiles it): a PR that breaks the public surface it drives — the
+#    dense compute_{tags,flows,marginals}_into replay leg, the mesh
+#    runtime, the transports — fails here instead of at the driver.
 # On a single-core host the soak bins trim themselves to fit the smoke
 # budget (chaos_recovery halves its iteration budget, churn_soak skips
 # the ungated post-churn settle leg) and print visible SKIP lines.
@@ -70,6 +78,7 @@ cargo run --release -q -p spn-bench --bin churn_soak -- --smoke
 cargo run --release -q -p spn-bench --bin scale_smoke -- --smoke
 cargo run --release -q -p spn-bench --bin mesh_smoke -- --smoke
 cargo run --release -q -p spn-bench --bin mesh_smoke -- --socket --smoke
+bash benchmark/run.sh --smoke
 # --- simd feature leg ---
 cargo clippy --workspace --all-targets --features simd -- -D warnings
 cargo test -q -p spn -p spn-core --features simd

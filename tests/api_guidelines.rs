@@ -38,6 +38,7 @@ fn mesh_wire_types_are_send_sync_debug() {
     assert_send_sync::<spn::mesh::LinkWireStats>();
     assert_send_sync::<spn::mesh::MeshWireStats>();
     assert_send_sync::<spn::core::gamma::GammaScratch>();
+    assert_send_sync::<spn::core::LiveArcSweeps>();
 
     assert_debug::<spn::mesh::MeshReport>();
     assert_debug::<spn::mesh::MeshIncident>();
@@ -46,6 +47,7 @@ fn mesh_wire_types_are_send_sync_debug() {
     assert_debug::<spn::mesh::LinkWireStats>();
     assert_debug::<spn::mesh::MeshWireStats>();
     assert_debug::<spn::core::gamma::GammaScratch>();
+    assert_debug::<spn::core::LiveArcSweeps>();
 
     assert_error::<spn::mesh::WireError>();
     assert_send_sync::<spn::mesh::WireError>();

@@ -27,12 +27,15 @@
 //! incident-identical to `Chaotic` under the same seed — partition,
 //! recovery handshake, and all — even with reads chopped into seeded
 //! 1..=31-byte chunks. The degraded path the socket runtime advertises
-//! — a phase deadline expiring — is driven here too.
+//! — a phase deadline expiring — is driven here too, as is the frame
+//! boundary: a structurally valid frame whose indices point outside the
+//! sender's rows (or outside the buffers) is discarded as one logged
+//! incident without a single write.
 
 use spn::core::{GradientAlgorithm, GradientConfig};
 use spn::mesh::{
-    Inbox, Lossless, MeshConfig, MeshError, MeshFaultConfig, MeshIncident, MeshRuntime,
-    PartitionSpec, SocketKind, SocketOptions, SocketTransport, Transport,
+    FrameBuf, FrameKind, Inbox, Lossless, MeshConfig, MeshError, MeshFaultConfig, MeshIncident,
+    MeshRuntime, PartitionSpec, SocketKind, SocketOptions, SocketTransport, Transport,
 };
 use spn::model::random::RandomInstance;
 use spn::transform::ExtendedNetwork;
@@ -517,6 +520,138 @@ fn expired_phase_deadline_is_logged_and_delivery_reads_what_is_in_hand() {
         lossless.run(20),
         "frames in hand at the expired deadline were not all delivered"
     );
+}
+
+/// A lossless transport that slips one extra frame into a chosen
+/// `(tick, region)` delivery, ahead of the genuine frames.
+struct Inject {
+    inner: Lossless,
+    at: (u64, usize),
+    frame: Vec<u8>,
+}
+
+impl Transport for Inject {
+    fn begin_tick(&mut self, tick: u64, log: &mut Vec<MeshIncident>) {
+        self.inner.begin_tick(tick, log);
+    }
+
+    fn send(
+        &mut self,
+        tick: u64,
+        from: usize,
+        to: usize,
+        bytes: &[u8],
+        log: &mut Vec<MeshIncident>,
+    ) {
+        self.inner.send(tick, from, to, bytes, log);
+    }
+
+    fn deliver_into(
+        &mut self,
+        tick: u64,
+        to: usize,
+        inbox: &mut Inbox,
+        log: &mut Vec<MeshIncident>,
+    ) {
+        self.inner.deliver_into(tick, to, inbox, log);
+        if (tick, to) == self.at {
+            // re-deliver with the injected frame first
+            let genuine: Vec<Vec<u8>> = inbox.iter().map(<[u8]>::to_vec).collect();
+            inbox.clear();
+            assert!(inbox.push(&self.frame));
+            for frame in &genuine {
+                assert!(inbox.push(frame));
+            }
+        }
+    }
+}
+
+/// A `from → 0` batch holding a one-entry `Marginals` sub-frame for
+/// `(j, v)` at `round`.
+fn one_marginal(from: u16, round: u64, j: u32, v: u32) -> Vec<u8> {
+    let mut buf = FrameBuf::new();
+    buf.begin(from, 0, round);
+    buf.begin_sub(FrameKind::Marginals, 0, round);
+    buf.put_u64(round); // base == round: a full frame
+    buf.put_u32(1);
+    buf.put_u32(j);
+    buf.put_u32(v);
+    buf.put_f64(123.456);
+    buf.end_sub();
+    assert!(buf.finish());
+    buf.bytes().unwrap().to_vec()
+}
+
+/// Frame-boundary robustness: frames that decode cleanly but index
+/// outside the sender's rows used to panic the worker (`j = 9999`,
+/// `v = 100000`, `from = 7` on a 2-region mesh) or silently land in
+/// another commodity's row (`v = v_count + 3`). Each is now exactly one
+/// `MalformedFrameDiscarded`, no state change — the run stays
+/// bit-identical to the monolithic algorithm (and, for the marginal
+/// mirror, to an undisturbed mesh) before and after.
+#[test]
+fn frames_with_out_of_range_indices_are_discarded_without_a_write() {
+    const REGIONS: usize = 2;
+    const ROUND: u64 = 5;
+    let p = problem(20, 3, 9);
+    let ext = ExtendedNetwork::build(&p);
+    let v_count = ext.graph().node_count() as u32;
+    let cases = [
+        ("commodity out of range", one_marginal(1, ROUND, 9999, 0)),
+        ("node out of range", one_marginal(1, ROUND, 0, 100_000)),
+        (
+            "node past the row end (lands in commodity 1)",
+            one_marginal(1, ROUND, 0, v_count + 3),
+        ),
+        ("sender region out of range", one_marginal(7, ROUND, 0, 0)),
+    ];
+    for (what, frame) in cases {
+        let transport = Inject {
+            inner: Lossless::new(REGIONS),
+            // phase 1 of iteration ROUND: marginals are about to feed Γ
+            at: (3 * ROUND + 1, 0),
+            frame,
+        };
+        let mut mesh =
+            MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
+        let mut alg = GradientAlgorithm::new(&p, reference_config()).unwrap();
+        let mut clean = MeshRuntime::lossless(ext.clone(), mesh_config(REGIONS)).unwrap();
+        for it in 0..40 {
+            alg.step();
+            clean.step();
+            mesh.step();
+            for r in 0..REGIONS {
+                assert_eq!(
+                    alg.routing(),
+                    mesh.worker(r).routing(),
+                    "{what}: region {r} routing diverged at iteration {it}"
+                );
+                assert_eq!(
+                    alg.flows(),
+                    mesh.worker(r).flows(),
+                    "{what}: region {r} flows diverged at iteration {it}"
+                );
+                assert_eq!(
+                    clean.worker(r).marginals(),
+                    mesh.worker(r).marginals(),
+                    "{what}: region {r} marginals diverged at iteration {it}"
+                );
+            }
+        }
+        assert!(
+            matches!(
+                mesh.incidents(),
+                [MeshIncident::MalformedFrameDiscarded {
+                    tick: 16,
+                    region: 0,
+                    ..
+                }]
+            ),
+            "{what}: expected exactly one discard incident, got {:?}",
+            mesh.incidents()
+        );
+        assert_eq!(alg.utility().to_bits(), mesh.utility().to_bits(), "{what}");
+    }
 }
 
 /// Config validation: annealing is refused (it would silently diverge
