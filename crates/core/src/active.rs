@@ -19,7 +19,14 @@
 //! [`ActiveSet::invalidate`], which forces one fully dense iteration.
 //!
 //! All buffers are sized once in [`ActiveSet::ensure`]; maintenance
-//! afterwards is allocation-free (ARCHITECTURE invariant 15).
+//! afterwards is allocation-free (ARCHITECTURE invariant 15). "Once"
+//! means once per commodity *structure*: the sizing key is
+//! [`ExtendedNetwork::structure_version`], because an evict followed by
+//! an admit can restore the commodity, node and edge counts while
+//! widening the strides. The saved usage totals the changed-totals test
+//! compares against are kept per edge and per *router-union position*
+//! ([`ExtendedNetwork::router_union`]) — idle nodes are never copied,
+//! zeroed or compared (see `reduce_usage_totals_tracked` in `step.rs`).
 //!
 //! [`LiveArcSweeps`] is the public, skip-free face of the same live-arc
 //! table: the three sweeps as separately callable phases for callers
@@ -30,7 +37,7 @@ use crate::cost::CostModel;
 use crate::flows::{flow_sweep_active, FlowState};
 use crate::marginals::{marginal_sweep_active, Marginals};
 use crate::routing::RoutingTable;
-use crate::step::{clear_tags_scoped, reduce_usage_totals_scoped, zero_flow_rows_scoped};
+use crate::step::{accumulate_usage_totals_scoped, clear_tags_scoped, zero_flow_rows_scoped};
 use crate::workspace::{IterationWorkspace, GAMMA_CHUNK};
 use spn_graph::EdgeId;
 use spn_model::CommodityId;
@@ -44,6 +51,22 @@ pub(crate) const SCRATCH_MARG_LEN: usize = 0;
 /// iteration.
 pub(crate) const SCRATCH_TOTALS_EFFECTIVE: usize = 1;
 pub(crate) const SCRATCH_SLOTS: usize = 2;
+
+/// What every buffer in this module is sized by. The version is the
+/// key: an evict followed by an admit restores all three counts while
+/// changing the per-commodity extents the strides are maxima of. The
+/// counts only tell apart two networks that share a version (a sweep
+/// set handed a different network than it was built for).
+type SizingKey = (u64, usize, usize, usize);
+
+fn sizing_key(ext: &ExtendedNetwork) -> SizingKey {
+    (
+        ext.structure_version(),
+        ext.num_commodities(),
+        ext.graph().node_count(),
+        ext.graph().edge_count(),
+    )
+}
 
 /// Per-commodity live-arc sub-lists in CSR form over
 /// [`ExtendedNetwork::commodity_routers_topo`].
@@ -168,7 +191,7 @@ pub(crate) fn rebuild_active_row(
 #[derive(Clone, Debug, Default)]
 pub struct LiveArcSweeps {
     arcs: ActiveArcs,
-    sized_for: Option<(usize, usize, usize)>,
+    sized_for: Option<SizingKey>,
 }
 
 impl LiveArcSweeps {
@@ -218,16 +241,12 @@ impl LiveArcSweeps {
         })
     }
 
-    /// Re-sizes on a shape change, leaving every row stale.
+    /// Re-sizes on a structure change, leaving every row stale.
     fn ensure(&mut self, ext: &ExtendedNetwork) {
-        let shape = (
-            ext.num_commodities(),
-            ext.graph().node_count(),
-            ext.graph().edge_count(),
-        );
-        if self.sized_for != Some(shape) {
+        let key = sizing_key(ext);
+        if self.sized_for != Some(key) {
             self.arcs.resize(ext);
-            self.sized_for = Some(shape);
+            self.sized_for = Some(key);
         }
     }
 
@@ -352,7 +371,11 @@ impl LiveArcSweeps {
             zero_flow_rows_scoped(ext, j, t, x, fe, fnode);
             flow_sweep_active(ext, routing.row(j), j, t, x, fe, fnode, lens, arcs);
         }
-        reduce_usage_totals_scoped(
+        // Skip-free: no saved copy to compare against, so zero both
+        // totals full-width and accumulate.
+        state.f_edge.fill(0.0);
+        state.f_node.fill(0.0);
+        accumulate_usage_totals_scoped(
             ext,
             &mut state.f_edge,
             &mut state.f_node,
@@ -386,9 +409,11 @@ pub(crate) struct ActiveSet {
     /// workspace's chunked Γ stats.
     pub(crate) chunk_flags: Vec<(bool, bool)>,
     /// Usage totals of the previous iteration, for the bitwise
-    /// changed-totals test.
+    /// changed-totals test: every edge, and the nodes of
+    /// [`ExtendedNetwork::router_union`] by union position (the only
+    /// nodes the tracked reduction rewrites).
     pub(crate) prev_f_edge: Vec<f64>,
-    pub(crate) prev_f_node: Vec<f64>,
+    pub(crate) prev_f_union: Vec<f64>,
     /// Treat totals as changed this iteration regardless of the
     /// comparison (set by invalidation).
     pub(crate) force_totals: bool,
@@ -408,22 +433,21 @@ pub(crate) struct ActiveSet {
     /// the buffers here), read only by non-scalar backends.
     pub(crate) heads: Vec<u32>,
     pub(crate) arcs: ActiveArcs,
-    sized_for: Option<(usize, usize, usize)>,
+    sized_for: Option<SizingKey>,
 }
 
 impl ActiveSet {
-    /// Sizes every buffer for `ext`'s shape; re-entry with the same
-    /// shape is a cheap no-op that preserves all tracking state. Any
-    /// resize invalidates (the first iteration after construction or a
-    /// shape change is fully dense).
+    /// Sizes every buffer for `ext`'s commodity structure; re-entry
+    /// with the same structure is a cheap no-op that preserves all
+    /// tracking state. Any resize invalidates (the first iteration after
+    /// construction or a reshape is fully dense).
     pub(crate) fn ensure(&mut self, ext: &ExtendedNetwork) {
-        let j_count = ext.num_commodities();
-        let v_count = ext.graph().node_count();
-        let l_count = ext.graph().edge_count();
-        let shape = (j_count, v_count, l_count);
-        if self.sized_for == Some(shape) {
+        let key = sizing_key(ext);
+        if self.sized_for == Some(key) {
             return;
         }
+        let j_count = ext.num_commodities();
+        let l_count = ext.graph().edge_count();
         let total_chunks: usize = ext
             .commodity_ids()
             .map(|j| ext.commodity_routers(j).len().div_ceil(GAMMA_CHUNK))
@@ -434,7 +458,7 @@ impl ActiveSet {
         self.flow_ran.resize(j_count, false);
         self.chunk_flags.resize(total_chunks, (false, false));
         self.prev_f_edge.resize(l_count, 0.0);
-        self.prev_f_node.resize(v_count, 0.0);
+        self.prev_f_union.resize(ext.router_union().len(), 0.0);
         self.dirty_list.clear();
         self.dirty_list.reserve(j_count);
         self.chunk_list.clear();
@@ -446,7 +470,7 @@ impl ActiveSet {
         self.heads
             .extend((0..l_count).map(|l| ext.graph().target(EdgeId::from_index(l)).index() as u32));
         self.arcs.resize(ext);
-        self.sized_for = Some(shape);
+        self.sized_for = Some(key);
         self.invalidate();
     }
 

@@ -305,7 +305,7 @@ pub struct GradientAlgorithm {
     /// so checkpoints taken against a different commodity set are
     /// rejected structurally on restore.
     epoch: u64,
-    /// Incremental per-node penalty/wall values for the `cost_before`
+    /// Incremental per-router penalty/wall values for the `cost_before`
     /// probe (bit-identical to the naive scan; see [`TotalCostCache`]).
     cost_cache: TotalCostCache,
 }
@@ -419,14 +419,9 @@ impl GradientAlgorithm {
     /// usage totals in fixed commodity order, and sweeps the marginals
     /// (both properties are pinned by tests).
     pub fn step(&mut self) -> StepStats {
-        let backend = crate::simd::resolve(self.config.simd);
-        let cost_before = self.cost.total_cost_cached(
-            &self.ext,
-            &self.state,
-            &mut self.cost_cache,
-            |usages, bits, changed| crate::simd::scan_changed(backend, usages, bits, changed),
-            |xs| crate::simd::sum_row(backend, xs),
-        );
+        let cost_before = self
+            .cost
+            .total_cost_cached(&self.ext, &self.state, &mut self.cost_cache);
         // ε-annealing schedule (no-op when epsilon_factor == 1.0),
         // decided up front so the fused path can split its dispatch
         // around the epsilon mutation.
@@ -732,8 +727,11 @@ impl GradientAlgorithm {
         self.cost.epsilon = ck.epsilon;
         self.config.eta = ck.eta;
         // The restored state has nothing to do with what the active-set
-        // tracker observed last step; force one dense iteration.
+        // tracker and the cost cache observed last step (a raw
+        // checkpoint may even carry usage on idle nodes); force one
+        // dense iteration and one full-width cost rebuild.
         self.active.invalidate();
+        self.cost_cache.invalidate();
         Ok(())
     }
 
@@ -825,6 +823,7 @@ impl GradientAlgorithm {
     #[doc(hidden)]
     pub fn flows_mut(&mut self) -> &mut FlowState {
         self.active.invalidate();
+        self.cost_cache.invalidate();
         &mut self.state
     }
 

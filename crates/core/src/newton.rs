@@ -33,9 +33,10 @@ use crate::flows::{compute_flows, flow_sweep_active, FlowState};
 use crate::marginals::{compute_marginals, marginal_sweep_active, Marginals};
 use crate::pool::PhiRow;
 use crate::routing::{apply_row_tracked, RoutingTable};
+use crate::simd::SimdBackend;
 use crate::step::{
-    bits_differ, clear_tags_scoped, reduce_usage_totals_scoped, sparse_carry_forward,
-    sparse_prepare, zero_flow_rows_scoped,
+    clear_tags_scoped, reduce_usage_totals_tracked, sparse_carry_forward, sparse_prepare,
+    zero_flow_rows_scoped,
 };
 use crate::workspace::IterationWorkspace;
 use crate::{ConfigError, GradientConfig};
@@ -500,23 +501,18 @@ impl NewtonGradient {
             .dirty_list
             .iter()
             .any(|&ji| active.flow_ran[ji as usize]);
-        let mut totals_changed = false;
-        if any_flows {
-            active.prev_f_edge.copy_from_slice(&state.f_edge);
-            active.prev_f_node.copy_from_slice(&state.f_node);
-            reduce_usage_totals_scoped(
+        let totals_changed = any_flows
+            && reduce_usage_totals_tracked(
+                SimdBackend::Scalar,
                 ext,
                 &mut state.f_edge,
                 &mut state.f_node,
                 &ws.f_edge_part,
                 &ws.f_node_part,
-                l_count,
-                v_count,
-                j_count,
+                &mut active.prev_f_edge,
+                &mut active.prev_f_union,
+                active.force_totals,
             );
-            totals_changed = bits_differ(&active.prev_f_edge, &state.f_edge)
-                || bits_differ(&active.prev_f_node, &state.f_node);
-        }
         let effective = totals_changed || active.force_totals;
 
         // Phase B: refresh marginal rows for the next iteration — the
@@ -580,6 +576,7 @@ impl NewtonGradient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::step::bits_differ;
     use spn_model::random::RandomInstance;
 
     fn instance() -> Problem {

@@ -268,13 +268,13 @@ pub(crate) fn flow_sweep_active(
     }
 }
 
-/// [`crate::step::reduce_usage_totals_scoped`] dispatched by backend.
-/// The AVX2 lane gathers accumulator/partial pairs four at a time and
-/// stores scalar (indices within one commodity are distinct), keeping
-/// the per-accumulator addition sequence — and therefore the totals —
-/// **bit-identical** to the scalar reduction.
+/// [`crate::step::accumulate_usage_totals_scoped`] dispatched by
+/// backend. The AVX2 lane gathers accumulator/partial pairs four at a
+/// time and stores scalar (indices within one commodity are distinct),
+/// keeping the per-accumulator addition sequence — and therefore the
+/// totals — **bit-identical** to the scalar accumulation.
 #[allow(clippy::too_many_arguments)] // a commodity's full sweep context
-pub(crate) fn reduce_usage_totals_scoped(
+pub(crate) fn accumulate_usage_totals_scoped(
     backend: SimdBackend,
     ext: &ExtendedNetwork,
     fe_tot: &mut [f64],
@@ -289,12 +289,12 @@ pub(crate) fn reduce_usage_totals_scoped(
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         SimdBackend::Avx2Fma => unsafe {
             // SAFETY: AVX2 is guaranteed by the resolved backend.
-            x86::reduce_scoped_avx2(
+            x86::accumulate_scoped_avx2(
                 ext, fe_tot, fn_tot, fe_part, fn_part, l_count, v_count, j_count,
             );
         },
         _ => {
-            crate::step::reduce_usage_totals_scoped(
+            crate::step::accumulate_usage_totals_scoped(
                 ext, fe_tot, fn_tot, fe_part, fn_part, l_count, v_count, j_count,
             );
         }
@@ -345,53 +345,6 @@ pub(crate) fn fill_edge_marginals(
     }
 }
 
-/// Appends every index `i` with `usages[i].to_bits() != bits[i]` to
-/// `changed`, in index order — the staleness scan of the incremental
-/// total-cost cache. Pure integer comparisons: the AVX2 lane skips
-/// four-wide all-equal quads and resolves any mismatching quad with
-/// the scalar test, so every backend produces the identical index set
-/// (**bit-exact** tier).
-pub(crate) fn scan_changed(
-    backend: SimdBackend,
-    usages: &[f64],
-    bits: &[u64],
-    changed: &mut Vec<u32>,
-) {
-    debug_assert_eq!(usages.len(), bits.len());
-    match backend {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        SimdBackend::Avx2Fma => unsafe {
-            // SAFETY: AVX2 is guaranteed by the resolved backend.
-            x86::scan_changed_avx2(usages, bits, changed);
-        },
-        _ => {
-            for (i, (&z, &b)) in usages.iter().zip(bits).enumerate() {
-                if z.to_bits() != b {
-                    changed.push(i as u32);
-                }
-            }
-        }
-    }
-}
-
-/// Sums a contiguous row of `f64`s — the fold the incremental
-/// total-cost cache re-sums its per-node value arrays with. The
-/// scalar (and SSE2) backend folds left-to-right in index order,
-/// exactly `xs.iter().sum()`, which keeps the cached total
-/// **bit-identical** to the naive scan; the AVX2 lane uses four
-/// independent vector accumulators with a reassociated horizontal
-/// reduction (tolerance tier).
-pub(crate) fn sum_row(backend: SimdBackend, xs: &[f64]) -> f64 {
-    match backend {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        SimdBackend::Avx2Fma => unsafe {
-            // SAFETY: AVX2 is guaranteed by the resolved backend.
-            x86::sum_row_avx2(xs)
-        },
-        _ => xs.iter().sum(),
-    }
-}
-
 /// The `std::arch` kernels. Every `#[target_feature]` function's
 /// safety contract is "the named CPU features are present", discharged
 /// by runtime detection in [`resolve`]; gathered indices are live-arc
@@ -404,13 +357,11 @@ mod x86 {
     use spn_model::CommodityId;
     use spn_transform::ExtendedNetwork;
     use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_pd, _mm256_and_pd, _mm256_castpd256_pd128,
-        _mm256_castsi256_pd, _mm256_cmp_pd, _mm256_cmpeq_epi64, _mm256_div_pd,
-        _mm256_extractf128_pd, _mm256_fmadd_pd, _mm256_i32gather_pd, _mm256_loadu_pd,
-        _mm256_loadu_si256, _mm256_movemask_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
-        _mm256_storeu_pd, _mm256_sub_pd, _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64,
-        _mm_i32gather_epi32, _mm_loadu_si128, _mm_mul_pd, _mm_set_pd, _mm_setzero_pd,
-        _mm_unpackhi_pd, _CMP_GE_OQ, _CMP_LE_OQ,
+        __m128i, _mm256_add_pd, _mm256_and_pd, _mm256_castpd256_pd128, _mm256_cmp_pd,
+        _mm256_div_pd, _mm256_extractf128_pd, _mm256_fmadd_pd, _mm256_i32gather_pd,
+        _mm256_movemask_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd,
+        _mm256_sub_pd, _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_i32gather_epi32, _mm_loadu_si128,
+        _mm_mul_pd, _mm_set_pd, _mm_setzero_pd, _mm_unpackhi_pd, _CMP_GE_OQ, _CMP_LE_OQ,
     };
 
     /// Horizontal sum of a 4-lane accumulator (pairwise: (0+2)+(1+3)).
@@ -876,15 +827,15 @@ mod x86 {
         }
     }
 
-    /// AVX2 scoped usage-totals reduction — **bit-identical** to
-    /// [`crate::step::reduce_usage_totals_scoped`]: accumulator and
+    /// AVX2 scoped usage-totals accumulation — **bit-identical** to
+    /// [`crate::step::accumulate_usage_totals_scoped`]: accumulator and
     /// partial values are gathered four at a time, added lane-wise (one
     /// IEEE add per element, as in the scalar loop), and stored scalar.
     /// Sound because each member edge/router appears exactly once per
     /// commodity, so the four indices of a quad are distinct.
     #[allow(clippy::too_many_arguments)] // a commodity's full sweep context
     #[target_feature(enable = "avx2")]
-    pub(super) fn reduce_scoped_avx2(
+    pub(super) fn accumulate_scoped_avx2(
         ext: &ExtendedNetwork,
         fe_tot: &mut [f64],
         fn_tot: &mut [f64],
@@ -894,8 +845,6 @@ mod x86 {
         v_count: usize,
         j_count: usize,
     ) {
-        fe_tot.fill(0.0);
-        fn_tot.fill(0.0);
         for ji in 0..j_count {
             let j = CommodityId::from_index(ji);
             let fe = &fe_part[ji * l_count..(ji + 1) * l_count];
@@ -908,74 +857,6 @@ mod x86 {
             };
             gather_add_scatter(fn_tot, fnode, routers);
         }
-    }
-
-    /// Changed-index scan (bit-exact tier): compares usage bits against
-    /// the cache four 64-bit lanes at a time and falls back to the
-    /// scalar per-lane test only inside a quad with a mismatch, so the
-    /// appended index set equals the scalar scan's exactly.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn scan_changed_avx2(usages: &[f64], bits: &[u64], changed: &mut Vec<u32>) {
-        let n = usages.len();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` keeps both unaligned loads in
-            // bounds; comparing f64 bit patterns as i64 lanes is exact.
-            let eq = unsafe {
-                let u = _mm256_loadu_si256(usages.as_ptr().add(i).cast::<__m256i>());
-                let b = _mm256_loadu_si256(bits.as_ptr().add(i).cast::<__m256i>());
-                _mm256_cmpeq_epi64(u, b)
-            };
-            if _mm256_movemask_pd(_mm256_castsi256_pd(eq)) != 0xF {
-                for k in i..i + 4 {
-                    if usages[k].to_bits() != bits[k] {
-                        changed.push(k as u32);
-                    }
-                }
-            }
-            i += 4;
-        }
-        while i < n {
-            if usages[i].to_bits() != bits[i] {
-                changed.push(i as u32);
-            }
-            i += 1;
-        }
-    }
-
-    /// Reassociated contiguous row sum (tolerance tier): four
-    /// independent 4-lane accumulators hide the add latency, pairwise
-    /// reduction at the end, scalar tail in index order.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn sum_row_avx2(xs: &[f64]) -> f64 {
-        let n = xs.len();
-        let p = xs.as_ptr();
-        let mut a0 = _mm256_setzero_pd();
-        let mut a1 = _mm256_setzero_pd();
-        let mut a2 = _mm256_setzero_pd();
-        let mut a3 = _mm256_setzero_pd();
-        let mut i = 0usize;
-        while i + 16 <= n {
-            // SAFETY: `i + 16 <= n` keeps every unaligned load in bounds.
-            unsafe {
-                a0 = _mm256_add_pd(a0, _mm256_loadu_pd(p.add(i)));
-                a1 = _mm256_add_pd(a1, _mm256_loadu_pd(p.add(i + 4)));
-                a2 = _mm256_add_pd(a2, _mm256_loadu_pd(p.add(i + 8)));
-                a3 = _mm256_add_pd(a3, _mm256_loadu_pd(p.add(i + 12)));
-            }
-            i += 16;
-        }
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` keeps the unaligned load in bounds.
-            unsafe { a0 = _mm256_add_pd(a0, _mm256_loadu_pd(p.add(i))) };
-            i += 4;
-        }
-        let mut sum = hsum4(_mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3)));
-        while i < n {
-            sum += xs[i];
-            i += 1;
-        }
-        sum
     }
 
     /// `tot[i] += part[i]` for each index in `ids` (distinct within one
@@ -1016,8 +897,8 @@ mod x86 {
 /// backend — over identical cloned state, measuring per-pass wall time
 /// and verifying the equivalence tier it claims: the tag, flow, and
 /// totals-reduction kernels must match **bit-for-bit**, while the
-/// marginal sweep, the Γ fill, and the total-cost row sum report
-/// their maximum relative deviation (tolerance tier).
+/// marginal sweep and the Γ fill report their maximum relative
+/// deviation (tolerance tier).
 #[cfg(feature = "simd")]
 pub mod kernel_bench {
     use super::{detect, detected_kernel, SimdBackend};
@@ -1033,7 +914,7 @@ pub mod kernel_bench {
     #[derive(Clone, Copy, Debug)]
     pub struct KernelReport {
         /// Kernel name (`"tag"`, `"flow"`, `"reduce"`, `"marginal"`,
-        /// `"gamma_fill"`, `"cost_sum"`).
+        /// `"gamma_fill"`).
         pub kernel: &'static str,
         /// Nanoseconds per full all-commodity pass, scalar reference.
         pub scalar_ns: f64,
@@ -1084,7 +965,7 @@ pub mod kernel_bench {
     /// timings; on a host without SIMD support the "simd" lane is the
     /// scalar kernel again (speedup ≈ 1).
     #[must_use]
-    #[allow(clippy::too_many_lines)] // six kernels, one harness each
+    #[allow(clippy::too_many_lines)] // five kernels, one harness each
     pub fn run(alg: &GradientAlgorithm, repeats: usize, inner: usize) -> Vec<KernelReport> {
         let backend = detect();
         let ext = alg.extended();
@@ -1297,7 +1178,9 @@ pub mod kernel_bench {
             // Totals reduction (bit-identical tier) over the scalar
             // flow partials.
             let run_reduce = |bk: SimdBackend, fe_tot: &mut [f64], fn_tot: &mut [f64]| {
-                super::reduce_usage_totals_scoped(
+                fe_tot.fill(0.0);
+                fn_tot.fill(0.0);
+                super::accumulate_usage_totals_scoped(
                     bk, ext, fe_tot, fn_tot, &fe_s, &fn_s, l_count, v_count, j_count,
                 );
             };
@@ -1401,39 +1284,6 @@ pub mod kernel_bench {
             let simd_ns = time_ns(repeats, inner, &mut vector_pass);
             out.push(KernelReport {
                 kernel: "gamma_fill",
-                scalar_ns,
-                simd_ns,
-                speedup: scalar_ns / simd_ns,
-                bit_identical: bits,
-                max_rel_dev: dev,
-            });
-        }
-
-        // Total-cost row sum (tolerance tier): the fold the
-        // incremental `cost_before` cache reduces its per-node
-        // penalty/wall value arrays with.
-        {
-            let vals: Vec<f64> = (0..v_count)
-                .map(|v| {
-                    let node = spn_graph::NodeId::from_index(v);
-                    cost.penalty
-                        .value(ext.capacity(node), state.node_usage(node))
-                })
-                .collect();
-            let scalar: f64 = vals.iter().sum();
-            let vector = super::sum_row(backend, &vals);
-            let bits = scalar.to_bits() == vector.to_bits();
-            let dev = (scalar - vector).abs() / scalar.abs().max(vector.abs()).max(1.0);
-            let mut sink = 0.0f64;
-            let scalar_ns = time_ns(repeats, inner, || {
-                sink += vals.iter().sum::<f64>();
-            });
-            let simd_ns = time_ns(repeats, inner, || {
-                sink += super::sum_row(backend, &vals);
-            });
-            std::hint::black_box(sink);
-            out.push(KernelReport {
-                kernel: "cost_sum",
                 scalar_ns,
                 simd_ns,
                 speedup: scalar_ns / simd_ns,

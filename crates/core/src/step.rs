@@ -46,6 +46,20 @@
 //! task), with the reduction done by the caller between them — the same
 //! helper, hence the same float-addition order, as participant 0 uses
 //! in the single-dispatch case.
+//!
+//! ## Per-step cost
+//!
+//! The active-set drivers have no `O(V)` lane. Per-commodity work walks
+//! member lists (`zero_flow_rows_scoped`, `clear_tags_scoped`, the
+//! live-arc sweeps), and the one cross-commodity lane — the totals
+//! reduction with its bitwise changed-totals test,
+//! [`reduce_usage_totals_tracked`], shared by the serial, pooled,
+//! annealing and Newton steps — touches every edge and the nodes of
+//! [`ExtendedNetwork::router_union`] only:
+//! `O(Σ_j members_j + |router union| + L)` per step. Only an
+//! invalidated step (restore, raw state access, reshape, capacity edit)
+//! goes full-width over the nodes, once, so externally written totals
+//! heal.
 
 #![allow(unsafe_code)] // phase-protocol row ownership; contracts documented inline
 
@@ -105,19 +119,20 @@ pub(crate) fn reduce_usage_totals(
     }
 }
 
-/// [`reduce_usage_totals`] restricted to each commodity's member edge
-/// and router lists — `O(Σ_j members_j)` instead of `O(J·(V + L))`,
-/// the sparse paths' totals reduction. Bit-identical to the dense
-/// reduction: the skipped partial entries are exactly `+0.0` (zeroed
-/// at reset and never written by any sweep), adding `+0.0` leaves an
-/// accumulator's bits unchanged unless it is `-0.0`, and no
-/// accumulator here can be `-0.0` (every partial is a product/sum of
-/// non-negative values). Within one commodity every member edge and
-/// router appears exactly once and targets a distinct accumulator, so
-/// only the cross-commodity order — ascending, as in the dense
-/// reduction — affects the float-addition order.
+/// Adds every commodity's usage partials into the totals over its
+/// member edge and router lists only, in ascending commodity order —
+/// [`reduce_usage_totals`] minus its zero-fill, at `O(Σ_j members_j)`
+/// instead of `O(J·(V + L))`. On zeroed accumulators it is
+/// bit-identical to the dense reduction: the skipped partial entries
+/// are exactly `+0.0` (zeroed at reset and never written by any sweep),
+/// adding `+0.0` leaves an accumulator's bits unchanged unless it is
+/// `-0.0`, and no accumulator here can be `-0.0` (every partial is a
+/// product/sum of non-negative values). Within one commodity every
+/// member edge and router appears exactly once and targets a distinct
+/// accumulator, so only the cross-commodity order — ascending, as in
+/// the dense reduction — affects the float-addition order.
 #[allow(clippy::too_many_arguments)] // a commodity's full sweep context
-pub(crate) fn reduce_usage_totals_scoped(
+pub(crate) fn accumulate_usage_totals_scoped(
     ext: &ExtendedNetwork,
     fe_tot: &mut [f64],
     fn_tot: &mut [f64],
@@ -127,8 +142,6 @@ pub(crate) fn reduce_usage_totals_scoped(
     v_count: usize,
     j_count: usize,
 ) {
-    fe_tot.fill(0.0);
-    fn_tot.fill(0.0);
     for ji in 0..j_count {
         let j = CommodityId::from_index(ji);
         let fe = &fe_part[ji * l_count..(ji + 1) * l_count];
@@ -140,6 +153,77 @@ pub(crate) fn reduce_usage_totals_scoped(
             fn_tot[v.index()] += fnode[v.index()];
         }
     }
+}
+
+/// The active-set engines' totals step — the one save → zero →
+/// accumulate → compare in the crate: re-reduces the usage totals from
+/// the persistent per-commodity partials and returns whether any bit of
+/// them moved (`bits_differ(old, new)` over both whole arrays).
+///
+/// Edges run `L`-wide (every extended edge belongs to some commodity on
+/// every generator family, so there is no narrower set to walk). Nodes
+/// run over [`ExtendedNetwork::router_union`] only: `prev_fn` holds the
+/// previous totals *per union position*, and only union entries of
+/// `fn_tot` are saved, zeroed, accumulated into and compared.
+///
+/// Leaving the idle nodes alone is bit-identical to the full-width
+/// reduction because they hold `+0.0` before (the invariant this
+/// function maintains) and the full-width reduction gives them `+0.0`
+/// again (`+0.0` plus all-`+0.0` partials — no sweep writes a partial
+/// outside its commodity's routers), so they contribute equal bits to
+/// both sides of the comparison. Anything that may have written the
+/// totals from outside — restore, raw state access, a reshape — sets
+/// `full_width` (`ActiveSet::force_totals`): idle entries are then
+/// compared against `+0.0` and zeroed too, which is where a poisoned
+/// idle value heals, exactly as the full-width reduction healed it.
+#[allow(clippy::too_many_arguments)] // the totals, the partials, the saved copy
+pub(crate) fn reduce_usage_totals_tracked(
+    backend: SimdBackend,
+    ext: &ExtendedNetwork,
+    fe_tot: &mut [f64],
+    fn_tot: &mut [f64],
+    fe_part: &[f64],
+    fn_part: &[f64],
+    prev_fe: &mut [f64],
+    prev_fn: &mut [f64],
+    full_width: bool,
+) -> bool {
+    let union = ext.router_union();
+    let (l_count, v_count) = (fe_tot.len(), fn_tot.len());
+    // The zips below truncate silently: a short `prev_fn` would leave
+    // union entries un-zeroed and corrupt the totals.
+    assert_eq!(prev_fn.len(), union.len(), "prev_fn not sized to the union");
+    prev_fe.copy_from_slice(fe_tot);
+    fe_tot.fill(0.0);
+    for (prev, &v) in prev_fn.iter_mut().zip(union) {
+        *prev = std::mem::replace(&mut fn_tot[v.index()], 0.0);
+    }
+    // With the union zeroed, any set bit left is on an idle node.
+    debug_assert!(
+        full_width || fn_tot.iter().all(|z| z.to_bits() == 0),
+        "an idle node carries usage but nothing invalidated the tracker"
+    );
+    let idle_moved = full_width && fn_tot.iter().any(|z| z.to_bits() != 0);
+    if idle_moved {
+        fn_tot.fill(0.0);
+    }
+    simd::accumulate_usage_totals_scoped(
+        backend,
+        ext,
+        fe_tot,
+        fn_tot,
+        fe_part,
+        fn_part,
+        l_count,
+        v_count,
+        ext.num_commodities(),
+    );
+    idle_moved
+        || bits_differ(prev_fe, fe_tot)
+        || prev_fn
+            .iter()
+            .zip(union)
+            .any(|(prev, &v)| prev.to_bits() != fn_tot[v.index()].to_bits())
 }
 
 /// Zeroes one commodity's traffic/edge-flow rows and usage partials
@@ -739,26 +823,18 @@ impl FusedViews<'_> {
             for &ji in sp.dirty_list {
                 any_flows |= *sp.flow_ran.slot_mut(ji as usize);
             }
-            let mut totals_changed = false;
-            if any_flows {
-                let l_count = self.fe_tot.row_len();
-                let v_count = self.fn_tot.row_len();
-                sp.prev_fe.row_mut(0).copy_from_slice(self.fe_tot.row(0));
-                sp.prev_fn.row_mut(0).copy_from_slice(self.fn_tot.row(0));
-                simd::reduce_usage_totals_scoped(
+            let totals_changed = any_flows
+                && reduce_usage_totals_tracked(
                     self.backend,
                     self.ext,
                     self.fe_tot.row_mut(0),
                     self.fn_tot.row_mut(0),
                     self.fe_part.as_slice(),
                     self.fn_part.as_slice(),
-                    l_count,
-                    v_count,
-                    self.j_count,
+                    sp.prev_fe.row_mut(0),
+                    sp.prev_fn.row_mut(0),
+                    sp.force_totals,
                 );
-                totals_changed = bits_differ(sp.prev_fe.row(0), self.fe_tot.row(0))
-                    || bits_differ(sp.prev_fn.row(0), self.fn_tot.row(0));
-            }
             let effective = totals_changed || sp.force_totals;
             let mut n = 0usize;
             for ji in 0..self.j_count {
@@ -942,7 +1018,7 @@ pub(crate) fn fused_step_sparse(
             marg_list: SlotTable::new(&mut active.marg_list),
             scratch: SlotTable::new(&mut active.scratch),
             prev_fe: RowTable::new(&mut active.prev_f_edge, l_count.max(1)),
-            prev_fn: RowTable::new(&mut active.prev_f_node, v_count.max(1)),
+            prev_fn: RowTable::new(&mut active.prev_f_union, ext.router_union().len().max(1)),
             arc_len: RowTable::new(&mut active.arcs.arc_len, active.arcs.router_stride.max(1)),
             arcs: RowTable::new(&mut active.arcs.arcs, active.arcs.arc_stride.max(1)),
             live: SlotTable::new(&mut active.arcs.live),
@@ -1001,24 +1077,18 @@ pub(crate) fn fused_step_sparse(
         .dirty_list
         .iter()
         .any(|&ji| active.flow_ran[ji as usize]);
-    let mut totals_changed = false;
-    if any_flows {
-        active.prev_f_edge.copy_from_slice(&state.f_edge);
-        active.prev_f_node.copy_from_slice(&state.f_node);
-        simd::reduce_usage_totals_scoped(
+    let totals_changed = any_flows
+        && reduce_usage_totals_tracked(
             backend,
             ext,
             &mut state.f_edge,
             &mut state.f_node,
             &ws.f_edge_part,
             &ws.f_node_part,
-            l_count,
-            v_count,
-            j_count,
+            &mut active.prev_f_edge,
+            &mut active.prev_f_union,
+            force_totals,
         );
-        totals_changed = bits_differ(&active.prev_f_edge, &state.f_edge)
-            || bits_differ(&active.prev_f_node, &state.f_node);
-    }
     let effective = totals_changed || force_totals;
     let stats = reduce_gamma_stats(ws, j_count);
     if let Some(eps) = anneal_to {
@@ -1175,24 +1245,18 @@ pub(crate) fn sparse_step_serial(
         .dirty_list
         .iter()
         .any(|&ji| active.flow_ran[ji as usize]);
-    let mut totals_changed = false;
-    if any_flows {
-        active.prev_f_edge.copy_from_slice(&state.f_edge);
-        active.prev_f_node.copy_from_slice(&state.f_node);
-        simd::reduce_usage_totals_scoped(
+    let totals_changed = any_flows
+        && reduce_usage_totals_tracked(
             backend,
             ext,
             &mut state.f_edge,
             &mut state.f_node,
             &ws.f_edge_part,
             &ws.f_node_part,
-            l_count,
-            v_count,
-            j_count,
+            &mut active.prev_f_edge,
+            &mut active.prev_f_union,
+            active.force_totals,
         );
-        totals_changed = bits_differ(&active.prev_f_edge, &state.f_edge)
-            || bits_differ(&active.prev_f_node, &state.f_node);
-    }
     let effective = totals_changed || active.force_totals;
     let annealed = anneal_to.is_some();
     if let Some(eps) = anneal_to {
@@ -1225,4 +1289,130 @@ pub(crate) fn sparse_step_serial(
 
     sparse_carry_forward(active, effective, annealed);
     reduce_gamma_stats(ws, j_count)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flows::compute_flows_into;
+    use spn_graph::NodeId;
+    use spn_model::random::RandomInstance;
+
+    /// The dense reduction's `(edge totals, node totals, changed)` from
+    /// the given old totals — the oracle for the tracked one.
+    fn dense_oracle(
+        ext: &ExtendedNetwork,
+        old: (&[f64], &[f64]),
+        ws: &IterationWorkspace,
+    ) -> (Vec<f64>, Vec<f64>, bool) {
+        let (mut fe, mut fnode) = (old.0.to_vec(), old.1.to_vec());
+        reduce_usage_totals(
+            &mut fe,
+            &mut fnode,
+            &ws.f_edge_part,
+            &ws.f_node_part,
+            old.0.len(),
+            old.1.len(),
+            ext.num_commodities(),
+        );
+        let changed = bits_differ(old.0, &fe) || bits_differ(old.1, &fnode);
+        (fe, fnode, changed)
+    }
+
+    /// `reduce_usage_totals_tracked` against the dense
+    /// `reduce_usage_totals` on whole arrays: equal totals, and a return
+    /// value that is exactly `bits_differ(old, new)` — through moving
+    /// and repeated partials, and through the forced full-width pass
+    /// with a poisoned value (`7.5`, then `-0.0`) on an idle node.
+    #[test]
+    fn tracked_reduction_equals_the_dense_one_and_reports_bits_differ() {
+        let problem = RandomInstance::builder()
+            .nodes(24)
+            .commodities(3)
+            .seed(7)
+            .build()
+            .unwrap()
+            .problem;
+        let ext = ExtendedNetwork::build(&problem);
+        let union = ext.router_union();
+        let idle = ext
+            .graph()
+            .nodes()
+            .find(|v| union.binary_search(v).is_err())
+            .expect("the random family leaves idle nodes");
+
+        // Two routing decisions → two sets of per-commodity partials.
+        let rejecting = RoutingTable::initial(&ext);
+        let mut admitting = rejecting.clone();
+        for j in ext.commodity_ids() {
+            admitting.set_row(
+                &ext,
+                j,
+                ext.dummy_source(j),
+                &[(ext.input_edge(j), 0.25), (ext.difference_edge(j), 0.75)],
+            );
+        }
+        let partials = |routing: &RoutingTable| {
+            let mut ws = IterationWorkspace::new(&ext);
+            compute_flows_into(&ext, routing, &mut FlowState::zeros(&ext), &mut ws, None);
+            ws
+        };
+        let (ws_a, ws_b) = (partials(&rejecting), partials(&admitting));
+
+        let mut state = FlowState::zeros(&ext);
+        let mut prev_fe = vec![0.0; state.f_edge.len()];
+        let mut prev_fn = vec![0.0; union.len()];
+        let mut check = |state: &mut FlowState,
+                         ws: &IterationWorkspace,
+                         poison: Option<(NodeId, f64)>,
+                         full_width: bool,
+                         what: &str| {
+            if let Some((v, z)) = poison {
+                state.f_node[v.index()] = z;
+            }
+            let (fe, fnode, changed) = dense_oracle(&ext, (&state.f_edge, &state.f_node), ws);
+            let tracked = reduce_usage_totals_tracked(
+                SimdBackend::Scalar,
+                &ext,
+                &mut state.f_edge,
+                &mut state.f_node,
+                &ws.f_edge_part,
+                &ws.f_node_part,
+                &mut prev_fe,
+                &mut prev_fn,
+                full_width,
+            );
+            assert!(!bits_differ(&fe, &state.f_edge), "edge totals: {what}");
+            assert!(!bits_differ(&fnode, &state.f_node), "node totals: {what}");
+            assert_eq!(tracked, changed, "changed flag: {what}");
+            changed
+        };
+
+        assert!(check(&mut state, &ws_b, None, false, "first load"));
+        assert!(!check(&mut state, &ws_b, None, false, "same partials"));
+        assert!(check(&mut state, &ws_a, None, false, "back to rejecting"));
+        assert!(!check(&mut state, &ws_a, None, true, "forced, clean"));
+        assert!(check(
+            &mut state,
+            &ws_a,
+            Some((idle, 7.5)),
+            true,
+            "forced, poisoned"
+        ));
+        assert_eq!(state.f_node[idle.index()].to_bits(), 0);
+        assert!(check(
+            &mut state,
+            &ws_a,
+            Some((idle, -0.0)),
+            true,
+            "forced, -0.0"
+        ));
+        assert!(check(
+            &mut state,
+            &ws_b,
+            Some((idle, 1.0)),
+            true,
+            "forced, both moved"
+        ));
+    }
 }

@@ -215,6 +215,10 @@ struct AdjacencyArena {
     /// Per-commodity largest node out-degree, cached so the per-step
     /// workspace shape check is O(1) instead of an offset-row rescan.
     max_out_deg: Vec<u32>,
+    /// Ascending, de-duplicated union of every commodity's router list —
+    /// the only nodes whose usage total can ever be nonzero. Derived
+    /// from `routers` by [`AdjacencyArena::rebuild_router_union`].
+    router_union: Vec<NodeId>,
 }
 
 impl AdjacencyArena {
@@ -242,6 +246,24 @@ impl AdjacencyArena {
         self.member_base.push(self.member_nodes.len() as u32);
         self.router_arc_total.push(adj.router_arc_total as u32);
         self.max_out_deg.push(adj.max_out_degree as u32);
+    }
+
+    /// Re-derives `router_union` from the packed router lists with one
+    /// marker pass over the `v_count` nodes — `O(V + Σ_j routers_j)`,
+    /// called once per build / add / remove (each already `O(J·V)`).
+    fn rebuild_router_union(&mut self, v_count: usize) {
+        let mut is_router = vec![false; v_count];
+        for v in &self.routers {
+            is_router[v.index()] = true;
+        }
+        self.router_union.clear();
+        self.router_union.extend(
+            is_router
+                .iter()
+                .enumerate()
+                .filter(|&(_, &r)| r)
+                .map(|(v, _)| NodeId::from_index(v)),
+        );
     }
 }
 
@@ -288,6 +310,10 @@ pub struct ExtendedNetwork {
     /// keyed on per-node capacities detect mutation in O(1) instead of
     /// re-reading the capacity table.
     capacity_version: u64,
+    /// Bumped by every [`Self::add_commodity`] / [`Self::remove_commodity`]
+    /// — the O(1) staleness key for anything sized or derived from the
+    /// commodity structure (strides, router lists, the router union).
+    structure_version: u64,
 }
 
 impl ExtendedNetwork {
@@ -400,6 +426,7 @@ impl ExtendedNetwork {
                 &topo[ji * v_count..(ji + 1) * v_count],
             ));
         }
+        adjacency.rebuild_router_union(v_count);
 
         ExtendedNetwork {
             graph,
@@ -418,6 +445,7 @@ impl ExtendedNetwork {
             physical_nodes: n,
             physical_edges: m,
             capacity_version: 0,
+            structure_version: 0,
         }
     }
 
@@ -596,6 +624,18 @@ impl ExtendedNetwork {
         self.adjacency.router_arc_total[j.index()] as usize
     }
 
+    /// The ascending, de-duplicated union of every commodity's
+    /// [`Self::commodity_routers`] — exactly the nodes whose usage total
+    /// `f_i` can be nonzero (a flow sweep only ever charges the tail of a
+    /// member edge, and every such tail is a router of that commodity).
+    /// The iteration core's per-step node lanes (cost probe, totals
+    /// reduction) walk this instead of all `V` nodes. Non-empty whenever
+    /// there is a commodity: every dummy source is a router.
+    #[must_use]
+    pub fn router_union(&self) -> &[NodeId] {
+        &self.adjacency.router_union
+    }
+
     /// Largest commodity-`j` out-degree over all nodes (sizing hint for
     /// per-row scratch buffers).
     #[must_use]
@@ -696,6 +736,16 @@ impl ExtendedNetwork {
     #[must_use]
     pub fn capacity_version(&self) -> u64 {
         self.capacity_version
+    }
+
+    /// Monotone counter bumped by every [`Self::add_commodity`] and
+    /// [`Self::remove_commodity`] — an O(1) staleness key for caches and
+    /// buffers derived from the commodity structure. The node/edge/
+    /// commodity counts alone are not one: an evict followed by an admit
+    /// restores all three while changing every per-commodity extent.
+    #[must_use]
+    pub fn structure_version(&self) -> u64 {
+        self.structure_version
     }
 
     /// Recovers the standalone definition of commodity `j` — enough to
@@ -860,6 +910,8 @@ impl ExtendedNetwork {
         self.beta.extend_from_slice(&beta);
         self.topo.extend_from_slice(&topo);
         self.adjacency.push(adj);
+        self.adjacency.rebuild_router_union(self.graph.node_count());
+        self.structure_version += 1;
         self.commodities.push(Commodity::new(
             def.source,
             def.sink,
@@ -1057,6 +1109,8 @@ impl ExtendedNetwork {
         }
         a.router_arc_total.remove(jr);
         a.max_out_deg.remove(jr);
+        a.rebuild_router_union(self.graph.node_count());
+        self.structure_version += 1;
     }
 }
 
@@ -1333,6 +1387,11 @@ mod tests {
         assert_eq!(x.member_base, y.member_base, "member_base");
         assert_eq!(x.router_arc_total, y.router_arc_total, "router arc totals");
         assert_eq!(x.max_out_deg, y.max_out_deg, "max out-degrees");
+        assert_eq!(x.router_union, y.router_union, "router union");
+        let mut expect = x.routers.clone();
+        expect.sort_unstable();
+        expect.dedup();
+        assert_eq!(x.router_union, expect, "router union vs sort + dedup");
         assert_eq!(a.physical_nodes, b.physical_nodes);
         assert_eq!(a.physical_edges, b.physical_edges);
     }
@@ -1400,6 +1459,24 @@ mod tests {
         // fresh build with the parked commodity re-admitted last
         let fresh = ExtendedNetwork::build(&subset_problem(&full, &[0, 2, 3, 1]));
         assert_same_network(&ext, &fresh);
+    }
+
+    /// An evict + admit pair restores `(J, V, L)` but not the
+    /// per-commodity extents — the version is what tells them apart.
+    #[test]
+    fn structure_version_counts_reshapes_not_capacity_edits() {
+        let full = four_commodity_problem();
+        let mut ext = ExtendedNetwork::build(&full);
+        assert_eq!(ext.structure_version(), 0);
+        ext.set_capacity(NodeId::from_index(0), Capacity::finite(3.0).unwrap());
+        ext.set_max_rate(CommodityId::from_index(0), 2.0);
+        assert_eq!(ext.structure_version(), 0);
+        let parked = ext.commodity_def(CommodityId::from_index(0));
+        ext.remove_commodity(CommodityId::from_index(0));
+        assert_eq!(ext.structure_version(), 1);
+        ext.add_commodity(parked);
+        assert_eq!(ext.structure_version(), 2);
+        assert_eq!(ext.clone().structure_version(), 2);
     }
 
     #[test]

@@ -21,11 +21,14 @@
 #    path: incremental admit at 400 nodes must reach 99% of settled
 #    utility at least 1.2x faster than a from-scratch rebuild;
 #  * scale_smoke --smoke is the scale-tier gate — the sparse-by-default
-#    engine on a seeded 10,000-node hierarchical instance must keep the
-#    steady-state p50 per-iteration time under an explicit ceiling and
-#    perform zero heap allocations per steady-state iteration (counting
-#    allocator), catching re-densified sweeps and per-step allocation
-#    storms;
+#    engine on a seeded 10,000-node hierarchical instance, stepped
+#    alternately with the same instance padded by 40,000 isolated
+#    servers: the two trajectories must be bit-equal (idle nodes change
+#    nothing), the padded median step must stay within 1.25x the
+#    unpadded one (2.8x when the cost probe and the totals reduction
+#    walked all V nodes; SKIP on a 1-core host), and neither may
+#    allocate in steady state (counting allocator) — catching an O(V)
+#    lane creeping back into the step and per-step allocation storms;
 #  * mesh_smoke --smoke is the region-sharded mesh gate — a 4-region
 #    mesh over the in-process transport must stay bit-identical to the
 #    monolithic algorithm with zero incidents under Lossless, produce

@@ -147,6 +147,85 @@ fn zero_step_evict_readmit_round_trip_is_identity() {
     assert_identical(&churned, &plain, "100 steps after the round trip");
 }
 
+/// An evict immediately followed by the admission of a *bigger*
+/// commodity restores the commodity, node and edge counts exactly while
+/// growing the per-commodity router and arc extents — so every buffer
+/// sized from those extents has to be keyed on
+/// `ExtendedNetwork::structure_version`, not on the counts. (Keyed on
+/// the counts, the sparse engine kept the old live-arc strides and the
+/// next step indexed past its row: `the len is 45 but the index is 45`.)
+#[test]
+fn evict_then_admit_bigger_with_no_step_between_resizes_the_tracker() {
+    let full = RandomInstance::builder()
+        .nodes(30)
+        .commodities(5)
+        .seed(1)
+        .build()
+        .unwrap()
+        .problem;
+    let routers = |ext: &ExtendedNetwork| -> Vec<usize> {
+        ext.commodity_ids()
+            .map(|j| ext.commodity_routers(j).len())
+            .collect()
+    };
+    let biggest = {
+        let counts = routers(&ExtendedNetwork::build(&full));
+        (0..counts.len()).max_by_key(|&i| counts[i]).unwrap()
+    };
+    let smaller: Vec<usize> = (0..5).filter(|&i| i != biggest).collect();
+    let def = CommodityDef::from_problem(&full, CommodityId::from_index(biggest));
+
+    let mut engines: Vec<_> = [(false, 1), (true, 1), (true, 2)]
+        .into_iter()
+        .map(|(sparsity, threads)| {
+            GradientAlgorithm::new(&subset(&full, &smaller), config(sparsity, threads)).unwrap()
+        })
+        .collect();
+    for alg in &mut engines {
+        alg.run(50);
+        let before = alg.extended();
+        let shape = (
+            before.num_commodities(),
+            before.graph().node_count(),
+            before.graph().edge_count(),
+        );
+        let widest = *routers(before).iter().max().unwrap();
+        alg.evict_commodity(CommodityId::from_index(0));
+        alg.admit_commodity(def.clone());
+        let after = alg.extended();
+        assert_eq!(
+            shape,
+            (
+                after.num_commodities(),
+                after.graph().node_count(),
+                after.graph().edge_count()
+            ),
+            "the repro needs the counts to line up again"
+        );
+        assert!(
+            *routers(after).iter().max().unwrap() > widest,
+            "the repro needs the newcomer to widen the router stride"
+        );
+    }
+    for it in 0..80 {
+        for alg in &mut engines {
+            alg.step();
+        }
+        let (dense, sparse) = engines.split_first().unwrap();
+        for (k, alg) in sparse.iter().enumerate() {
+            assert_eq!(
+                dense.routing(),
+                alg.routing(),
+                "sparse engine {k} left the dense routing at iteration {it}"
+            );
+        }
+    }
+    let (dense, sparse) = engines.split_first().unwrap();
+    for alg in sparse {
+        assert_identical(dense, alg, "80 steps after evict + admit-bigger");
+    }
+}
+
 /// A warm admit must not move a single bit of any survivor: routing
 /// fractions, traffic, and marginals are compared over the old ids
 /// before and after the newcomer joins.
@@ -239,6 +318,14 @@ fn incremental_extended_network_matches_a_fresh_build() {
             );
         }
         assert_eq!(a.num_commodities(), b.num_commodities(), "{what}");
+        let mut union: Vec<_> = a
+            .commodity_ids()
+            .flat_map(|j| a.commodity_routers(j).iter().copied())
+            .collect();
+        union.sort_unstable();
+        union.dedup();
+        assert_eq!(a.router_union(), union, "router union drifted: {what}");
+        assert_eq!(a.router_union(), b.router_union(), "router union: {what}");
         for j in a.commodity_ids() {
             assert_eq!(a.dummy_source(j), b.dummy_source(j), "{what}");
             assert_eq!(a.input_edge(j), b.input_edge(j), "{what}");
