@@ -27,14 +27,6 @@
 //! by parallelism — so the converged, scale, and admission suites run
 //! in full either way.
 //!
-//! When built with `--features simd` the scale curve grows a third
-//! engine column (`simd_*`: the active-set engine under
-//! `SimdPolicy::Auto`) and the JSON gains a `"kernels"` section from
-//! `spn_core::simd::kernel_bench` — per-kernel scalar vs vector timings
-//! with the two-tier equivalence check (tag/flow/reduce bit-identical,
-//! marginal/Γ-fill within ulps) run on this host's detected backend.
-//! The top-level `"simd_backend"` key records that backend either way.
-//!
 //! The mesh-wire suite measures bytes on the wire per mesh iteration —
 //! the delta-encoded coalesced wire (`refresh_every = 16`) against the
 //! full-broadcast baseline (`refresh_every = 1`, the pre-delta wire) —
@@ -63,7 +55,7 @@
 //! Run via `scripts/bench.sh` (release build) from the repository root.
 
 use spn_bench::small_instance;
-use spn_core::{CommodityDef, GradientAlgorithm, GradientConfig, SimdPolicy};
+use spn_core::{CommodityDef, GradientAlgorithm, GradientConfig};
 use spn_mesh::{MeshConfig, MeshRuntime};
 use spn_model::hierarchy::HierarchicalInstance;
 use spn_model::spec::ProblemSpec;
@@ -182,14 +174,12 @@ fn measure_converged(
     nodes: usize,
     commodities: usize,
     sparsity: bool,
-    simd: SimdPolicy,
     timing: &Timing,
 ) -> Measurement {
     let problem = small_instance(1, nodes, commodities).scale_demand(CONVERGED_SCALE);
     let cfg = GradientConfig {
         threads: 1,
         sparsity,
-        simd,
         ..GradientConfig::default()
     };
     let mut alg = GradientAlgorithm::new(&problem, cfg).expect("valid config");
@@ -264,7 +254,6 @@ impl InstanceShape {
 fn measure_scale(
     case: (usize, usize, usize, usize),
     sparsity: bool,
-    simd: SimdPolicy,
     timing: &Timing,
 ) -> (InstanceShape, Measurement) {
     let (regions, racks, servers, commodities) = case;
@@ -281,7 +270,6 @@ fn measure_scale(
     let cfg = GradientConfig {
         threads: 1,
         sparsity,
-        simd,
         ..GradientConfig::default()
     };
     let mut alg = GradientAlgorithm::new(&problem, cfg).expect("valid config");
@@ -462,56 +450,6 @@ fn measure_admission(prep_iters: usize, cap: usize, repeats: usize) -> Admission
     }
 }
 
-/// Kernel micro-bench section for the JSON (feature builds only):
-/// per-kernel scalar vs vector timings on the converged 160-node case,
-/// with the two-tier equivalence check run inline — tag/flow/reduce
-/// must come back bit-identical, marginal/Γ-fill within ulps.
-#[cfg(feature = "simd")]
-fn kernel_section() -> String {
-    use spn_core::simd::kernel_bench;
-    let (nodes, commodities) = (160, 16);
-    let problem = small_instance(1, nodes, commodities).scale_demand(CONVERGED_SCALE);
-    let cfg = GradientConfig {
-        threads: 1,
-        sparsity: true,
-        simd: SimdPolicy::Auto,
-        ..GradientConfig::default()
-    };
-    let mut alg = GradientAlgorithm::new(&problem, cfg).expect("valid config");
-    alg.run(CONVERGED_WARMUP);
-    let reports = kernel_bench::run(&alg, 5, 8);
-    let backend = kernel_bench::backend_name();
-    println!("# kernels ({nodes} nodes / {commodities} commodities, converged, backend {backend})");
-    println!("# kernel\tscalar_ns\tsimd_ns\tspeedup\tbit_identical\tmax_rel_dev");
-    let mut out = String::new();
-    let _ = writeln!(out, "  \"kernel_backend\": \"{backend}\",");
-    out.push_str("  \"kernels\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        println!(
-            "kernel_{}\t{:.0}\t{:.0}\t{:.2}\t{}\t{:.3e}",
-            r.kernel, r.scalar_ns, r.simd_ns, r.speedup, r.bit_identical, r.max_rel_dev
-        );
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"kernel\": \"{}\",", r.kernel);
-        let _ = writeln!(out, "      \"scalar_ns\": {:.1},", r.scalar_ns);
-        let _ = writeln!(out, "      \"simd_ns\": {:.1},", r.simd_ns);
-        let _ = writeln!(out, "      \"speedup\": {:.3},", r.speedup);
-        let _ = writeln!(out, "      \"bit_identical\": {},", r.bit_identical);
-        let _ = writeln!(out, "      \"max_rel_dev\": {:e}", r.max_rel_dev);
-        let comma = if i + 1 < reports.len() { "," } else { "" };
-        let _ = writeln!(out, "    }}{comma}");
-    }
-    out.push_str("  ],\n");
-    out
-}
-
-/// Without the `simd` feature there is nothing to report — the section
-/// is absent rather than filled with scalar-vs-scalar noise.
-#[cfg(not(feature = "simd"))]
-fn kernel_section() -> String {
-    String::new()
-}
-
 /// What `threads = 0` resolves to for a given case (capped at the
 /// commodity count, floor 1).
 fn auto_threads(nodes: usize, commodities: usize) -> usize {
@@ -556,10 +494,8 @@ fn smoke(parallelism: usize) {
     // must at least match the dense engine. Valid on any core count —
     // the sparse engine wins by skipping work, not by parallelism.
     let (nodes, commodities) = (160, 16);
-    let dense =
-        measure_converged(nodes, commodities, false, SimdPolicy::Scalar, &SMOKE).iters_per_sec;
-    let sparse =
-        measure_converged(nodes, commodities, true, SimdPolicy::Scalar, &SMOKE).iters_per_sec;
+    let dense = measure_converged(nodes, commodities, false, &SMOKE).iters_per_sec;
+    let sparse = measure_converged(nodes, commodities, true, &SMOKE).iters_per_sec;
     let ratio = sparse / dense;
     println!("# smoke-converged\tnodes\tcommodities\tdense\tsparse\tsparse/dense");
     println!("smoke-converged\t{nodes}\t{commodities}\t{dense:.1}\t{sparse:.1}\t{ratio:.2}");
@@ -570,35 +506,6 @@ fn smoke(parallelism: usize) {
             ratio * 100.0
         );
         failed = true;
-    }
-    // SIMD gate (feature builds only): on the same converged case the
-    // vector lanes must not fall below the scalar sparse engine. On a
-    // single-core host the timing is too noisy to gate on — skip
-    // loudly rather than flake.
-    if cfg!(feature = "simd") {
-        if degraded {
-            eprintln!(
-                "bench_core --smoke: SKIP simd-vs-scalar gate — single-core host \
-                 (degraded); rates would gate on scheduler noise"
-            );
-        } else {
-            let simd =
-                measure_converged(nodes, commodities, true, SimdPolicy::Auto, &SMOKE).iters_per_sec;
-            let ratio = simd / sparse;
-            println!("# smoke-simd\tnodes\tcommodities\tscalar\tsimd\tsimd/scalar\tbackend");
-            println!(
-                "smoke-simd\t{nodes}\t{commodities}\t{sparse:.1}\t{simd:.1}\t{ratio:.2}\t{}",
-                spn_core::simd::detected_kernel()
-            );
-            if ratio < 1.0 {
-                eprintln!(
-                    "FAIL: simd engine is {:.0}% of the scalar sparse engine on the \
-                     converged {nodes}-node case (floor is 100%)",
-                    ratio * 100.0
-                );
-                failed = true;
-            }
-        }
     }
     // Online-admission gate: admitting the 32nd commodity into a
     // converged 400-node run must beat rebuilding the extended network
@@ -660,12 +567,6 @@ fn main() {
         json,
         "  \"suite_degraded\": {{ \"cases\": {degraded}, \"converged_cases\": false, \
          \"scale_curve\": false, \"mesh_wire\": false, \"admission\": false }},"
-    );
-    let _ = writeln!(json, "  \"simd_feature\": {},", cfg!(feature = "simd"));
-    let _ = writeln!(
-        json,
-        "  \"simd_backend\": \"{}\",",
-        spn_core::simd::detected_kernel()
     );
     if degraded {
         // Carry the degradation into a human-readable top-level line so
@@ -779,8 +680,8 @@ fn main() {
     println!("# converged (demand x{CONVERGED_SCALE}, warmup {CONVERGED_WARMUP}, threads=1)");
     println!("# nodes\tcommodities\tengine\titers_per_sec\tp50_us\tp95_us\tsparse/dense");
     for (ci, &(nodes, commodities, _)) in CASES.iter().enumerate() {
-        let dense = measure_converged(nodes, commodities, false, SimdPolicy::Scalar, &FULL);
-        let sparse = measure_converged(nodes, commodities, true, SimdPolicy::Scalar, &FULL);
+        let dense = measure_converged(nodes, commodities, false, &FULL);
+        let sparse = measure_converged(nodes, commodities, true, &FULL);
         let ratio = sparse.iters_per_sec / dense.iters_per_sec;
         println!(
             "{nodes}\t{commodities}\tdense\t{:.1}\t{:.2}\t{:.2}\t-",
@@ -845,15 +746,8 @@ fn main() {
     );
     println!("# nodes\tcommodities\tengine\titers_per_sec\tp50_us\tp95_us\tsparse/dense_p50");
     for (ci, &case) in SCALE_CASES.iter().enumerate() {
-        let (shape, dense) = measure_scale(case, false, SimdPolicy::Scalar, &FULL);
-        let (_, sparse) = measure_scale(case, true, SimdPolicy::Scalar, &FULL);
-        // Feature builds add a third engine: the active-set engine with
-        // the vector kernels opted in. Same instance, same warmup.
-        let simd_m = if cfg!(feature = "simd") {
-            Some(measure_scale(case, true, SimdPolicy::Auto, &FULL).1)
-        } else {
-            None
-        };
+        let (shape, dense) = measure_scale(case, false, &FULL);
+        let (_, sparse) = measure_scale(case, true, &FULL);
         // Per-iteration p50 ratio: < 1.0 means sparse iterations are
         // faster. (Throughput ratios are reported too, but p50 is the
         // curve the scale tier is judged on.)
@@ -874,17 +768,6 @@ fn main() {
             sparse.p50_iter_us,
             sparse.p95_iter_us
         );
-        if let Some(simd) = &simd_m {
-            println!(
-                "{}\t{}\tsimd\t{:.1}\t{:.2}\t{:.2}\t{:.3}",
-                shape.nodes,
-                shape.commodities,
-                simd.iters_per_sec,
-                simd.p50_iter_us,
-                simd.p95_iter_us,
-                simd.p50_iter_us / sparse.p50_iter_us
-            );
-        }
         let _ = writeln!(json, "    {{");
         shape.write_json(&mut json, "      ");
         let _ = writeln!(
@@ -918,27 +801,6 @@ fn main() {
             sparse.p95_iter_us
         );
         let _ = writeln!(json, "      \"sparse_over_dense_p50\": {p50_ratio:.4},");
-        if let Some(simd) = &simd_m {
-            let _ = writeln!(
-                json,
-                "      \"simd_iters_per_sec\": {:.1},",
-                simd.iters_per_sec
-            );
-            let _ = writeln!(json, "      \"simd_p50_iter_us\": {:.2},", simd.p50_iter_us);
-            let _ = writeln!(json, "      \"simd_p95_iter_us\": {:.2},", simd.p95_iter_us);
-            // < 1.0 means the vector kernels beat the scalar sparse
-            // engine on per-iteration p50 — the acceptance curve.
-            let _ = writeln!(
-                json,
-                "      \"simd_over_scalar_p50\": {:.4},",
-                simd.p50_iter_us / sparse.p50_iter_us
-            );
-            let _ = writeln!(
-                json,
-                "      \"simd_speedup\": {:.3},",
-                simd.iters_per_sec / sparse.iters_per_sec
-            );
-        }
         let _ = writeln!(
             json,
             "      \"sparse_speedup\": {:.3}",
@@ -948,7 +810,6 @@ fn main() {
         let _ = writeln!(json, "    }}{comma}");
     }
     json.push_str("  ],\n");
-    json.push_str(&kernel_section());
 
     // Mesh-wire suite: bytes on the wire per iteration, delta wire
     // (refresh_every = 16) vs the full-broadcast baseline

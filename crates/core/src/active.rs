@@ -427,11 +427,6 @@ pub(crate) struct ActiveSet {
     pub(crate) marg_list: Vec<u32>,
     /// Cross-barrier scalars (see `SCRATCH_*`), written via a slot view.
     pub(crate) scratch: Vec<u64>,
-    /// `heads[l]` — edge `l`'s target-node index, the gather-index form
-    /// the vectorized sweeps ([`crate::simd`]) load head marginals
-    /// through. Always maintained (it is shape-derived and rebuilt with
-    /// the buffers here), read only by non-scalar backends.
-    pub(crate) heads: Vec<u32>,
     pub(crate) arcs: ActiveArcs,
     sized_for: Option<SizingKey>,
 }
@@ -465,10 +460,6 @@ impl ActiveSet {
         self.chunk_list.reserve(total_chunks);
         self.marg_list.resize(j_count, 0);
         self.scratch.resize(SCRATCH_SLOTS, 0);
-        self.heads.clear();
-        self.heads.reserve(l_count);
-        self.heads
-            .extend((0..l_count).map(|l| ext.graph().target(EdgeId::from_index(l)).index() as u32));
         self.arcs.resize(ext);
         self.sized_for = Some(key);
         self.invalidate();

@@ -29,7 +29,6 @@ use crate::health::CoreError;
 use crate::marginals::{compute_marginals_into, Marginals};
 use crate::pool::WorkerPool;
 use crate::routing::RoutingTable;
-use crate::simd::SimdPolicy;
 use crate::step::{fused_step, fused_step_sparse, sparse_step_serial};
 use crate::workspace::IterationWorkspace;
 use spn_graph::NodeId;
@@ -110,18 +109,6 @@ pub struct GradientConfig {
     /// (the explicit escape hatch, and the baseline the equivalence
     /// tests pin the engine against).
     pub sparsity: bool,
-    /// Kernel policy for the sparse-engine sweeps (see [`crate::simd`]).
-    /// The default, [`SimdPolicy::Scalar`], always runs the bit-exact
-    /// scalar reference kernels — even when the crate is built with
-    /// `--features simd` — so reproducibility is opt-out per run, never
-    /// silently lost at build time. [`SimdPolicy::Auto`] selects the
-    /// fastest vectorized kernels the CPU supports (a no-op without the
-    /// `simd` feature); the tag/flow/totals kernels stay bit-identical
-    /// under it, while the marginal and Γ-fill kernels agree with the
-    /// scalar reference only within tolerance (ARCHITECTURE invariant
-    /// 18). Forcing `Scalar` on a simd build is the supported A/B
-    /// lever and is pinned bit-identical to the default build.
-    pub simd: SimdPolicy,
 }
 
 impl Default for GradientConfig {
@@ -152,7 +139,6 @@ impl Default for GradientConfig {
             epsilon_min: 2e-5,
             threads: 0,
             sparsity: true,
-            simd: SimdPolicy::Scalar,
         }
     }
 }
@@ -264,16 +250,26 @@ impl Report {
 }
 
 /// Resolves a requested thread count: `0` means "auto" — the machine's
-/// available parallelism, capped at the commodity count (the fused
-/// step's phases are per-commodity, so extra workers would only park).
-/// Explicit requests are honored as given (the Γ phase can still split
-/// a commodity across workers by router chunk).
-fn resolve_threads(requested: usize, available: usize, commodities: usize) -> usize {
+/// available parallelism, capped at the commodity count (see
+/// [`auto_threads`]). Explicit requests are honored as given (the Γ
+/// phase can still split a commodity across workers by router chunk).
+/// The OS is asked for the core count only in auto mode: on Linux the
+/// query walks cgroup files (tens of µs), and this runs on every
+/// construction and commodity-set reshape.
+fn resolve_threads(requested: usize, commodities: usize) -> usize {
     if requested == 0 {
-        available.min(commodities.max(1)).max(1)
+        let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        auto_threads(available, commodities)
     } else {
-        requested.max(1)
+        requested
     }
+}
+
+/// The auto-mode worker count: `available` capped at the commodity
+/// count (the fused step's phases are per-commodity, so extra workers
+/// would only park), never below one.
+fn auto_threads(available: usize, commodities: usize) -> usize {
+    available.min(commodities.max(1)).max(1)
 }
 
 /// The distributed gradient-based algorithm over an extended network.
@@ -380,8 +376,7 @@ impl GradientAlgorithm {
             wall_threshold: config.wall_threshold,
             wall_strength: config.wall_strength,
         };
-        let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let threads = resolve_threads(config.threads, available, ext.num_commodities());
+        let threads = resolve_threads(config.threads, ext.num_commodities());
         let pool = (threads > 1).then(|| WorkerPool::new(threads));
         let routing = RoutingTable::initial(&ext);
         let mut workspace = IterationWorkspace::new(&ext);
@@ -865,8 +860,7 @@ impl GradientAlgorithm {
     /// (ARCHITECTURE invariant 9).
     pub fn set_threads(&mut self, threads: usize) {
         self.config.threads = threads;
-        let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let resolved = resolve_threads(threads, available, self.ext.num_commodities());
+        let resolved = resolve_threads(threads, self.ext.num_commodities());
         if resolved == self.threads {
             return;
         }
@@ -984,8 +978,7 @@ impl GradientAlgorithm {
     /// commodity order as always), clears blocking tags, forces one
     /// dense iteration, and bumps the epoch.
     fn reshape_state(&mut self) {
-        let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let resolved = resolve_threads(self.config.threads, available, self.ext.num_commodities());
+        let resolved = resolve_threads(self.config.threads, self.ext.num_commodities());
         if resolved != self.threads {
             self.threads = resolved;
             self.pool = (resolved > 1).then(|| WorkerPool::new(resolved));
@@ -1250,13 +1243,15 @@ mod tests {
     #[test]
     fn thread_resolution_caps_auto_at_commodities() {
         // auto: capped by both available parallelism and commodities
-        assert_eq!(resolve_threads(0, 8, 3), 3);
-        assert_eq!(resolve_threads(0, 2, 5), 2);
-        assert_eq!(resolve_threads(0, 8, 0), 1);
-        assert_eq!(resolve_threads(0, 1, 5), 1);
+        assert_eq!(auto_threads(8, 3), 3);
+        assert_eq!(auto_threads(2, 5), 2);
+        assert_eq!(auto_threads(8, 0), 1);
+        assert_eq!(auto_threads(1, 5), 1);
+        let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(resolve_threads(0, 3), auto_threads(available, 3));
         // explicit requests are honored (Γ still splits by chunk)
-        assert_eq!(resolve_threads(4, 1, 1), 4);
-        assert_eq!(resolve_threads(1, 8, 5), 1);
+        assert_eq!(resolve_threads(4, 1), 4);
+        assert_eq!(resolve_threads(1, 5), 1);
     }
 
     #[test]

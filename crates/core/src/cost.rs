@@ -132,8 +132,7 @@ impl CostModel {
     /// changed since the previous call, and folds the cached value
     /// arrays in ascending node order.
     ///
-    /// **Bit-identical** to the naive scan under every
-    /// [`SimdPolicy`](crate::SimdPolicy) — the proof, and the
+    /// **Bit-identical** to the naive scan — the proof, and the
     /// precondition it needs, are on [`TotalCostCache`]. Where the
     /// precondition does not hold (checked on every rebuild) this *is*
     /// the naive scan. The association of the three terms matches

@@ -34,7 +34,7 @@
 //! only on the instance, so [`GammaStats`] is bit-identical no matter
 //! how the chunks were scheduled.
 
-#![allow(unsafe_code)] // disjoint per-worker lanes and per-chunk stat slots
+#![allow(unsafe_code)] // disjoint per-worker lanes and per-chunk stat slots over the worker pool
 
 use crate::blocked::BlockedTags;
 use crate::cost::CostModel;
@@ -42,7 +42,6 @@ use crate::flows::{FlowState, UsageView};
 use crate::marginals::Marginals;
 use crate::pool::{PhiRow, PhiTable, SlotTable, WorkerPool};
 use crate::routing::{apply_row, apply_row_tracked, RoutingTable};
-use crate::simd::{self, SimdBackend};
 use crate::workspace::{GammaLane, IterationWorkspace, GAMMA_CHUNK};
 use spn_graph::{EdgeId, NodeId};
 use spn_model::CommodityId;
@@ -79,12 +78,6 @@ pub(crate) struct GammaCtx<'a> {
     pub(crate) opening_floor: f64,
     pub(crate) shift_cap: f64,
     pub(crate) j: CommodityId,
-    /// Kernel set for the row's marginal fill ([`crate::simd`]);
-    /// `Scalar` keeps the reference path byte-for-byte.
-    pub(crate) backend: SimdBackend,
-    /// Per-edge head (target-node) indices for vectorized gathers;
-    /// empty (and never read) under the scalar backend.
-    pub(crate) heads: &'a [u32],
 }
 
 /// Computes the new routing row for router `i` into `lane.row`
@@ -124,30 +117,14 @@ fn gamma_row_into(ctx: &GammaCtx<'_>, i: NodeId, lane: &mut GammaLane) -> (f64, 
         // resource partial — hoist it so the per-edge body is a single
         // mul + mul-add over contiguous lanes. The expression must stay
         // exactly `partial * cost + beta * d` (no mul_add) to remain
-        // bit-identical to `edge_marginal_view`; the vectorized fill
-        // (opt-in, tolerance tier) uses FMA and is allowed to differ in
-        // the last bits.
+        // bit-identical to `edge_marginal_view`.
         let tail_partial = ctx.cost.node_partial_view(ctx.ext, ctx.usage, i);
-        if !simd::fill_edge_marginals(
-            ctx.backend,
-            ctx.ext.cost_row(ctx.j),
-            ctx.ext.beta_row(ctx.j),
-            ctx.d_row,
-            edges,
-            tail_partial,
-            ctx.heads,
-            &mut lane.m,
-        ) {
-            for &l in edges {
-                let head = ctx.ext.graph().target(l);
-                lane.m.push(
-                    tail_partial * ctx.ext.cost(ctx.j, l)
-                        + ctx.ext.beta(ctx.j, l) * ctx.d_row[head.index()],
-                );
-            }
-        }
         for &l in edges {
             let head = ctx.ext.graph().target(l);
+            lane.m.push(
+                tail_partial * ctx.ext.cost(ctx.j, l)
+                    + ctx.ext.beta(ctx.j, l) * ctx.d_row[head.index()],
+            );
             lane.blocked
                 .push(ctx.phi.get(l.index()) == 0.0 && ctx.tag_row[head.index()]);
         }
@@ -290,8 +267,6 @@ pub fn gamma_row(
         opening_floor,
         shift_cap,
         j,
-        backend: SimdBackend::Scalar,
-        heads: &[],
     };
     let (max_shift, total) = gamma_row_into(&ctx, i, &mut lane);
     (lane.row, max_shift, total)
@@ -342,8 +317,6 @@ pub fn apply_gamma_ws(
                 opening_floor: opening_fraction * ext.commodity(j).max_rate,
                 shift_cap,
                 j,
-                backend: SimdBackend::Scalar,
-                heads: &[],
             }
         }};
     }
@@ -522,8 +495,6 @@ where
             opening_floor: opening_fraction * ext.commodity(j).max_rate,
             shift_cap,
             j,
-            backend: SimdBackend::Scalar,
-            heads: &[],
         };
         // Accumulate per GAMMA_CHUNK-sized router chunk and fold chunk
         // totals ascending — the same association as the workspace path

@@ -52,7 +52,6 @@ pub mod metrics;
 pub mod newton;
 pub mod pool;
 pub mod routing;
-pub mod simd;
 mod step;
 pub mod workspace;
 
@@ -70,6 +69,5 @@ pub use marginals::Marginals;
 pub use newton::NewtonGradient;
 pub use pool::WorkerPool;
 pub use routing::RoutingTable;
-pub use simd::SimdPolicy;
 pub use spn_transform::CommodityDef;
 pub use workspace::IterationWorkspace;

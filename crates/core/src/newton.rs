@@ -33,7 +33,6 @@ use crate::flows::{compute_flows, flow_sweep_active, FlowState};
 use crate::marginals::{compute_marginals, marginal_sweep_active, Marginals};
 use crate::pool::PhiRow;
 use crate::routing::{apply_row_tracked, RoutingTable};
-use crate::simd::SimdBackend;
 use crate::step::{
     clear_tags_scoped, reduce_usage_totals_tracked, sparse_carry_forward, sparse_prepare,
     zero_flow_rows_scoped,
@@ -503,7 +502,6 @@ impl NewtonGradient {
             .any(|&ji| active.flow_ran[ji as usize]);
         let totals_changed = any_flows
             && reduce_usage_totals_tracked(
-                SimdBackend::Scalar,
                 ext,
                 &mut state.f_edge,
                 &mut state.f_node,

@@ -61,17 +61,16 @@
 //! goes full-width over the nodes, once, so externally written totals
 //! heal.
 
-#![allow(unsafe_code)] // phase-protocol row ownership; contracts documented inline
+#![allow(unsafe_code)] // phase-protocol row ownership over the worker pool; contracts inline
 
 use crate::active::{rebuild_active_row, ActiveSet, SCRATCH_MARG_LEN, SCRATCH_TOTALS_EFFECTIVE};
-use crate::blocked::{tag_sweep, BlockedTags};
+use crate::blocked::{tag_sweep, tag_sweep_active, BlockedTags};
 use crate::cost::CostModel;
-use crate::flows::{flow_sweep, FlowState, UsageView};
+use crate::flows::{flow_sweep, flow_sweep_active, FlowState, UsageView};
 use crate::gamma::{gamma_chunk, gamma_chunk_tracked, reduce_gamma_stats, GammaCtx, GammaStats};
-use crate::marginals::{marginal_sweep, Marginals};
+use crate::marginals::{marginal_sweep, marginal_sweep_active, Marginals};
 use crate::pool::{PhiRow, PhiTable, RowTable, SlotTable, WorkerPool};
 use crate::routing::RoutingTable;
-use crate::simd::{self, SimdBackend};
 use crate::workspace::{GammaLane, IterationWorkspace, GAMMA_CHUNK};
 use crate::GradientConfig;
 use spn_graph::EdgeId;
@@ -178,7 +177,6 @@ pub(crate) fn accumulate_usage_totals_scoped(
 /// idle value heals, exactly as the full-width reduction healed it.
 #[allow(clippy::too_many_arguments)] // the totals, the partials, the saved copy
 pub(crate) fn reduce_usage_totals_tracked(
-    backend: SimdBackend,
     ext: &ExtendedNetwork,
     fe_tot: &mut [f64],
     fn_tot: &mut [f64],
@@ -207,8 +205,7 @@ pub(crate) fn reduce_usage_totals_tracked(
     if idle_moved {
         fn_tot.fill(0.0);
     }
-    simd::accumulate_usage_totals_scoped(
-        backend,
+    accumulate_usage_totals_scoped(
         ext,
         fe_tot,
         fn_tot,
@@ -287,12 +284,6 @@ struct FusedViews<'a> {
     opening_fraction: f64,
     shift_cap: f64,
     use_blocked_sets: bool,
-    /// Kernel set the sparse sweeps run with ([`crate::simd`]); always
-    /// `Scalar` on the dense paths, which are the bit-exact reference.
-    backend: SimdBackend,
-    /// Per-edge head (target-node) gather indices for the vectorized
-    /// sweeps; empty (and never read) under the scalar backend.
-    heads: &'a [u32],
     /// Split phase A into tag / Γ-chunk / flow sub-phases (used when
     /// commodities alone cannot occupy every participant).
     split: bool,
@@ -366,8 +357,6 @@ impl FusedViews<'_> {
                 opening_floor: self.opening_fraction * self.ext.commodity(j).max_rate,
                 shift_cap: self.shift_cap,
                 j,
-                backend: self.backend,
-                heads: self.heads,
             }
         }
     }
@@ -557,8 +546,6 @@ pub(crate) fn fused_step(
             opening_fraction: config.opening_fraction,
             shift_cap: config.shift_cap,
             use_blocked_sets: config.use_blocked_sets,
-            backend: SimdBackend::Scalar,
-            heads: &[],
             split,
             c_a: AtomicUsize::new(0),
             c_gamma: AtomicUsize::new(0),
@@ -658,8 +645,7 @@ impl FusedViews<'_> {
         // live-arc rows are not written during this phase (Γ, rebuild,
         // and flows for `ji` run strictly after its tag task).
         unsafe {
-            simd::tag_sweep_active(
-                self.backend,
+            tag_sweep_active(
                 self.ext,
                 self.cost,
                 self.phi.row_slice(ji),
@@ -673,7 +659,6 @@ impl FusedViews<'_> {
                 sp.arc_len.row(ji),
                 sp.arcs.row(ji),
                 *sp.live.slot_mut(ji),
-                self.heads,
             );
         }
     }
@@ -725,8 +710,7 @@ impl FusedViews<'_> {
             let fe = self.fe_part.row_mut(ji);
             let fnode = self.fn_part.row_mut(ji);
             zero_flow_rows_scoped(self.ext, j, t, x, fe, fnode);
-            simd::flow_sweep_active(
-                self.backend,
+            flow_sweep_active(
                 self.ext,
                 self.phi.row_slice(ji),
                 j,
@@ -736,7 +720,6 @@ impl FusedViews<'_> {
                 fnode,
                 sp.arc_len.row(ji),
                 sp.arcs.row(ji),
-                self.heads,
             );
         }
     }
@@ -825,7 +808,6 @@ impl FusedViews<'_> {
             }
             let totals_changed = any_flows
                 && reduce_usage_totals_tracked(
-                    self.backend,
                     self.ext,
                     self.fe_tot.row_mut(0),
                     self.fn_tot.row_mut(0),
@@ -860,8 +842,7 @@ impl FusedViews<'_> {
             unsafe {
                 let ji = *sp.marg_list.slot_mut(mi) as usize;
                 let j = CommodityId::from_index(ji);
-                simd::marginal_sweep_active(
-                    self.backend,
+                marginal_sweep_active(
                     self.ext,
                     self.cost,
                     self.phi.row_slice(ji),
@@ -871,7 +852,6 @@ impl FusedViews<'_> {
                     sp.arc_len.row(ji),
                     sp.arcs.row(ji),
                     *sp.live.slot_mut(ji),
-                    self.heads,
                 );
             }
         });
@@ -966,7 +946,6 @@ pub(crate) fn fused_step_sparse(
     let split = j_count < pool.participants();
     sparse_prepare(active, ext, routing, &ws.chunk_base, split);
 
-    let backend = simd::resolve(config.simd);
     let force_totals = active.force_totals;
     let annealed = anneal_to.is_some();
 
@@ -1000,8 +979,6 @@ pub(crate) fn fused_step_sparse(
             opening_fraction: config.opening_fraction,
             shift_cap: config.shift_cap,
             use_blocked_sets: config.use_blocked_sets,
-            backend,
-            heads: &active.heads,
             split,
             c_a: AtomicUsize::new(0),
             c_gamma: AtomicUsize::new(0),
@@ -1079,7 +1056,6 @@ pub(crate) fn fused_step_sparse(
         .any(|&ji| active.flow_ran[ji as usize]);
     let totals_changed = any_flows
         && reduce_usage_totals_tracked(
-            backend,
             ext,
             &mut state.f_edge,
             &mut state.f_node,
@@ -1151,7 +1127,6 @@ pub(crate) fn sparse_step_serial(
     ws.ensure_workers(ext, 1);
     active.ensure(ext);
     sparse_prepare(active, ext, routing, &ws.chunk_base, false);
-    let backend = simd::resolve(config.simd);
 
     // Phase A: tag → Γ → flow chains for the dirty commodities only.
     for di in 0..active.dirty_list.len() {
@@ -1161,8 +1136,7 @@ pub(crate) fn sparse_step_serial(
         clear_tags_scoped(ext, j, tag_row);
         if config.use_blocked_sets {
             let (lens, arcs, live) = active.arcs.row(ji);
-            simd::tag_sweep_active(
-                backend,
+            tag_sweep_active(
                 ext,
                 cost,
                 routing.row(j),
@@ -1176,7 +1150,6 @@ pub(crate) fn sparse_step_serial(
                 lens,
                 arcs,
                 live,
-                &active.heads,
             );
         }
         let mut value = false;
@@ -1195,8 +1168,6 @@ pub(crate) fn sparse_step_serial(
                 opening_floor: config.opening_fraction * ext.commodity(j).max_rate,
                 shift_cap: config.shift_cap,
                 j,
-                backend,
-                heads: &active.heads,
             };
             let routers = ext.commodity_routers(j);
             for (c, chunk) in routers.chunks(GAMMA_CHUNK).enumerate() {
@@ -1223,19 +1194,7 @@ pub(crate) fn sparse_step_serial(
             let fnode = &mut ws.f_node_part[ji * v_count..(ji + 1) * v_count];
             zero_flow_rows_scoped(ext, j, t, x, fe, fnode);
             let (lens, arcs, _live) = active.arcs.row(ji);
-            simd::flow_sweep_active(
-                backend,
-                ext,
-                routing.row(j),
-                j,
-                t,
-                x,
-                fe,
-                fnode,
-                lens,
-                arcs,
-                &active.heads,
-            );
+            flow_sweep_active(ext, routing.row(j), j, t, x, fe, fnode, lens, arcs);
             active.flow_ran[ji] = true;
         }
     }
@@ -1247,7 +1206,6 @@ pub(crate) fn sparse_step_serial(
         .any(|&ji| active.flow_ran[ji as usize]);
     let totals_changed = any_flows
         && reduce_usage_totals_tracked(
-            backend,
             ext,
             &mut state.f_edge,
             &mut state.f_node,
@@ -1272,8 +1230,7 @@ pub(crate) fn sparse_step_serial(
         let j = CommodityId::from_index(ji);
         let d = &mut marginals.d[ji * v_count..(ji + 1) * v_count];
         let (lens, arcs, live) = active.arcs.row(ji);
-        simd::marginal_sweep_active(
-            backend,
+        marginal_sweep_active(
             ext,
             cost,
             routing.row(j),
@@ -1283,7 +1240,6 @@ pub(crate) fn sparse_step_serial(
             lens,
             arcs,
             live,
-            &active.heads,
         );
     }
 
@@ -1372,7 +1328,6 @@ mod tests {
             }
             let (fe, fnode, changed) = dense_oracle(&ext, (&state.f_edge, &state.f_node), ws);
             let tracked = reduce_usage_totals_tracked(
-                SimdBackend::Scalar,
                 &ext,
                 &mut state.f_edge,
                 &mut state.f_node,

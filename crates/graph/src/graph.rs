@@ -13,10 +13,6 @@ use std::fmt;
 /// let n = g.add_node();
 /// assert_eq!(n.index(), 0);
 /// ```
-///
-/// The `repr(transparent)` layout (one `u32`) is a guarantee: id slices
-/// may be reinterpreted as raw `u32` index slices (vectorized sweeps
-/// load gather indices straight from live-arc lists).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(transparent)]
 pub struct NodeId(pub(crate) u32);
@@ -24,8 +20,7 @@ pub struct NodeId(pub(crate) u32);
 /// Dense identifier of a directed edge in a [`DiGraph`].
 ///
 /// Like [`NodeId`], edge ids are consecutive from zero and double as
-/// indices into caller-side per-edge attribute arrays, with the same
-/// `repr(transparent)` single-`u32` layout guarantee.
+/// indices into caller-side per-edge attribute arrays.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(transparent)]
 pub struct EdgeId(pub(crate) u32);

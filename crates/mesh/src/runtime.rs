@@ -35,8 +35,8 @@ use std::time::{Duration, Instant};
 
 /// Mesh tunables on top of the gradient config.
 ///
-/// The gradient's `threads`, `simd`, and `sparsity` knobs are ignored:
-/// every worker runs the serial scalar live-arc sweeps
+/// The gradient's `threads` and `sparsity` knobs are ignored:
+/// every worker runs the serial live-arc sweeps
 /// (`spn_core::LiveArcSweeps`) over its mirror, every commodity every
 /// iteration (bit-identical to any engine by ARCHITECTURE invariants
 /// 9/13/15, so nothing is lost). ε-annealing is *rejected* — see

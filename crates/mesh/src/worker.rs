@@ -11,7 +11,7 @@
 //! `GradientAlgorithm` (ARCHITECTURE invariant 19).
 //!
 //! The three sweeps walk each commodity's **live arcs** (`φ ≠ 0`)
-//! through [`LiveArcSweeps`] — the sparse engine's scalar kernels with
+//! through [`LiveArcSweeps`] — the sparse engine's kernels with
 //! every commodity run every iteration — so a region's work scales with
 //! commodity membership, not with `J·(V + L)`. The live-arc table is
 //! derived from the routing mirror: every write to a routing row (own
@@ -930,6 +930,11 @@ impl RegionWorker {
             let from = reader.from() as usize;
             if from >= self.regions || from == self.region {
                 log.push(self.malformed(tick, format_args!("frame from region {from}")));
+                continue;
+            }
+            let to = reader.to() as usize;
+            if to != self.region {
+                log.push(self.malformed(tick, format_args!("frame addressed to region {to}")));
                 continue;
             }
             {

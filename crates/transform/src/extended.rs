@@ -536,23 +536,6 @@ impl ExtendedNetwork {
         self.beta[j.index() * self.graph.edge_count() + l.index()]
     }
 
-    /// Commodity `j`'s full per-edge cost row (`cost_row[l] ==
-    /// cost(j, l)`), as one contiguous slice — the form the vectorized
-    /// sweeps gather from by raw edge index.
-    #[must_use]
-    pub fn cost_row(&self, j: CommodityId) -> &[f64] {
-        let l_count = self.graph.edge_count();
-        &self.cost[j.index() * l_count..(j.index() + 1) * l_count]
-    }
-
-    /// Commodity `j`'s full per-edge transfer-rate row (`beta_row[l] ==
-    /// beta(j, l)`), as one contiguous slice (see [`Self::cost_row`]).
-    #[must_use]
-    pub fn beta_row(&self, j: CommodityId) -> &[f64] {
-        let l_count = self.graph.edge_count();
-        &self.beta[j.index() * l_count..(j.index() + 1) * l_count]
-    }
-
     /// Stride of the arena offset rows: one slot per node plus the
     /// terminating total.
     fn start_stride(&self) -> usize {

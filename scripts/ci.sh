@@ -59,17 +59,13 @@
 # On a single-core host the soak bins trim themselves to fit the smoke
 # budget (chaos_recovery halves its iteration budget, churn_soak skips
 # the ungated post-churn settle leg) and print visible SKIP lines.
-# The simd feature gets its own leg: clippy as errors, the simd test
-# suites (the forced-scalar bitwise grid + the trajectory-tolerance
-# grid + kernel self-checks), check_asm.sh proving the build emits
-# vector instructions, and bench_core --smoke rebuilt with the feature
-# so its simd-vs-scalar gate runs (Auto must not lose to Scalar on the
-# converged 160/16 case; on a single-core host that gate prints a
-# visible SKIP line instead of a misleading measurement).
 # Run from anywhere; always operates on the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
+# `unsafe` may not spread before the pool PR removes the rest: only the
+# pool-sharing core modules and the two counting-allocator bins allow it.
+diff <(grep -rl 'allow(unsafe_code)' crates/*/src | LC_ALL=C sort) <(printf '%s\n' crates/bench/src/bin/{mesh_smoke,scale_smoke}.rs crates/core/src/{blocked,flows,gamma,marginals,pool,step}.rs)
 cargo clippy --workspace --all-targets -- -D warnings
 # Dev profile = debug-assertions on: this pass exercises the watchdog /
 # checkpoint / chaos invariant checks (including the debug-only internal
@@ -82,8 +78,3 @@ cargo run --release -q -p spn-bench --bin scale_smoke -- --smoke
 cargo run --release -q -p spn-bench --bin mesh_smoke -- --smoke
 cargo run --release -q -p spn-bench --bin mesh_smoke -- --socket --smoke
 bash benchmark/run.sh --smoke
-# --- simd feature leg ---
-cargo clippy --workspace --all-targets --features simd -- -D warnings
-cargo test -q -p spn -p spn-core --features simd
-scripts/check_asm.sh
-cargo run --release -q -p spn-bench --features simd --bin bench_core -- --smoke

@@ -566,11 +566,11 @@ impl Transport for Inject {
     }
 }
 
-/// A `from → 0` batch holding a one-entry `Marginals` sub-frame for
+/// A `from → to` batch holding a one-entry `Marginals` sub-frame for
 /// `(j, v)` at `round`.
-fn one_marginal(from: u16, round: u64, j: u32, v: u32) -> Vec<u8> {
+fn one_marginal(from: u16, to: u16, round: u64, j: u32, v: u32) -> Vec<u8> {
     let mut buf = FrameBuf::new();
-    buf.begin(from, 0, round);
+    buf.begin(from, to, round);
     buf.begin_sub(FrameKind::Marginals, 0, round);
     buf.put_u64(round); // base == round: a full frame
     buf.put_u32(1);
@@ -597,13 +597,16 @@ fn frames_with_out_of_range_indices_are_discarded_without_a_write() {
     let ext = ExtendedNetwork::build(&p);
     let v_count = ext.graph().node_count() as u32;
     let cases = [
-        ("commodity out of range", one_marginal(1, ROUND, 9999, 0)),
-        ("node out of range", one_marginal(1, ROUND, 0, 100_000)),
+        ("commodity out of range", one_marginal(1, 0, ROUND, 9999, 0)),
+        ("node out of range", one_marginal(1, 0, ROUND, 0, 100_000)),
         (
             "node past the row end (lands in commodity 1)",
-            one_marginal(1, ROUND, 0, v_count + 3),
+            one_marginal(1, 0, ROUND, 0, v_count + 3),
         ),
-        ("sender region out of range", one_marginal(7, ROUND, 0, 0)),
+        (
+            "sender region out of range",
+            one_marginal(7, 0, ROUND, 0, 0),
+        ),
     ];
     for (what, frame) in cases {
         let transport = Inject {
@@ -652,6 +655,56 @@ fn frames_with_out_of_range_indices_are_discarded_without_a_write() {
         );
         assert_eq!(alg.utility().to_bits(), mesh.utility().to_bits(), "{what}");
     }
+}
+
+/// Misrouted frames: a well-formed `1 → 2` batch (a real entry of region
+/// 1's own rows) that the transport hands to region 0 is one
+/// `MalformedFrameDiscarded` and nothing else — not counted on the
+/// `0 ← 1` link, not proof that region 1 is alive, not applied: report,
+/// routing and per-link `frames_received` equal the uninjected run's.
+#[test]
+fn misrouted_frame_is_discarded_before_it_is_counted_or_applied() {
+    const REGIONS: usize = 3;
+    const ROUND: u64 = 5;
+    let p = problem(20, 3, 9);
+    let ext = ExtendedNetwork::build(&p);
+    // first node of region 1's contiguous range
+    let v = (ext.graph().node_count() as u32).div_ceil(REGIONS as u32);
+    let transport = Inject {
+        inner: Lossless::new(REGIONS),
+        at: (3 * ROUND + 1, 0),
+        frame: one_marginal(1, 2, ROUND, 0, v),
+    };
+    let mut mesh =
+        MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
+    let mut clean = MeshRuntime::lossless(ext, mesh_config(REGIONS)).unwrap();
+    assert_eq!(clean.run(40), mesh.run(40));
+    for r in 0..REGIONS {
+        assert_eq!(
+            clean.worker(r).routing(),
+            mesh.worker(r).routing(),
+            "region {r} routing"
+        );
+        for peer in 0..REGIONS {
+            assert_eq!(
+                clean.worker(r).link_wire_stats(peer).frames_received,
+                mesh.worker(r).link_wire_stats(peer).frames_received,
+                "frames received on link {r} <- {peer}"
+            );
+        }
+    }
+    assert!(
+        matches!(
+            mesh.incidents(),
+            [MeshIncident::MalformedFrameDiscarded {
+                tick: 16,
+                region: 0,
+                ..
+            }]
+        ),
+        "expected exactly one discard incident, got {:?}",
+        mesh.incidents()
+    );
 }
 
 /// Config validation: annealing is refused (it would silently diverge
