@@ -6,9 +6,8 @@
 //!
 //! Each algorithm instance is constructed (and warmed to steady state)
 //! **once, outside the bench closure**, then reused across every
-//! Criterion sample: construction builds the persistent worker pool and
-//! spawns its threads, and rebuilding per sample would fold that setup
-//! cost — and the cold-start workspace growth — into the measured
+//! Criterion sample: rebuilding per sample would fold the extended-
+//! network build and the cold-start workspace growth into the measured
 //! steady-state iteration time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -22,20 +21,15 @@ fn bench_iterations(c: &mut Criterion) {
     for &commodities in &[3usize, 8, 16] {
         let problem = small_instance(1, 40, commodities);
 
-        for threads in [1usize, 2] {
-            let cfg = GradientConfig {
-                threads,
-                ..GradientConfig::default()
-            };
-            // One algorithm (and one pool) for the whole benchmark:
-            // steady-state iteration cost, not setup.
-            let mut alg = GradientAlgorithm::new(&problem, cfg).unwrap();
-            alg.run(50); // steady state
-            let name = format!("gradient_t{threads}");
-            group.bench_with_input(BenchmarkId::new(name, commodities), &problem, |b, _p| {
-                b.iter(|| black_box(alg.step()))
-            });
-        }
+        // One algorithm for the whole benchmark: steady-state
+        // iteration cost, not setup.
+        let mut alg = GradientAlgorithm::new(&problem, GradientConfig::default()).unwrap();
+        alg.run(50); // steady state
+        group.bench_with_input(
+            BenchmarkId::new("gradient", commodities),
+            &problem,
+            |b, _p| b.iter(|| black_box(alg.step())),
+        );
 
         let mut bp = BackPressure::new(&problem, BackPressureConfig::default());
         bp.run(50);

@@ -1,31 +1,24 @@
 //! Core iteration-throughput baseline: measures steady-state
 //! `GradientAlgorithm::step()` rates (iterations/second) on the paper
-//! instance and scaled instances across a thread sweep
-//! (`threads ∈ {1, 2, 4, auto}`), plus a *converged-regime* suite
+//! instance and scaled instances, plus a *converged-regime* suite
 //! (demand scaled to 0.2, long warmup) comparing the dense engine to
 //! the sparsity-aware active-set engine (`GradientConfig::sparsity`),
-//! and writes the results (with the pre-refactor serial baseline
-//! embedded for the speedup column) to `BENCH_core.json` in the current
-//! directory. A scale-tier curve (hierarchical 1k/10k/50k/100k-node
-//! instances from `spn_model::hierarchy`, converged regime, serial)
-//! records the p50 per-iteration time of the dense and active-set
-//! engines at each size; every JSON case carries its instance shape
-//! (nodes, commodities, physical/extended edge counts, seed) so rows
-//! are reproducible instances, not anonymous points.
+//! and writes the results (with the pre-refactor baseline embedded for
+//! the speedup column) to `BENCH_core.json` in the current directory. A
+//! scale-tier curve (hierarchical 1k/10k/50k/100k-node instances from
+//! `spn_model::hierarchy`, converged regime) records the p50
+//! per-iteration time of the dense and active-set engines at each size;
+//! every JSON case carries its instance shape (nodes, commodities,
+//! physical/extended edge counts, seed) so rows are reproducible
+//! instances, not anonymous points.
 //!
 //! Every measurement also records the p50/p95 per-iteration time spread
 //! (from per-batch samples across all measurement windows) so the JSON
 //! captures jitter, not just the best-window average.
 //!
-//! On a host where `available_parallelism() == 1` the parallel columns
-//! would measure pool overhead, not speedup; the run warns to stderr,
-//! tags the JSON with `"degraded": true` (top-level and per suite, via
-//! `"suite_degraded"`) plus a top-level `"warning"` line, and *refuses
-//! to emit the t2/t4/auto columns at all* — a misleading number is
-//! worse than a missing one. The dense-vs-sparse comparison stays valid
-//! on one core — the active-set engine wins by *doing less work*, not
-//! by parallelism — so the converged, scale, and admission suites run
-//! in full either way.
+//! The step has one schedule, so nothing here depends on the host's
+//! core count: the dense-vs-sparse comparison measures work skipped,
+//! not parallelism.
 //!
 //! The mesh-wire suite measures bytes on the wire per mesh iteration —
 //! the delta-encoded coalesced wire (`refresh_every = 16`) against the
@@ -33,7 +26,7 @@
 //! at 2 and 4 regions, in the warm regime (first 100 iterations) and
 //! the converged regime (past the instance's bitwise routing fixed
 //! point). Byte counts are deterministic, so this suite is valid on
-//! any host and never tagged degraded.
+//! any host.
 //!
 //! The online-admission suite times the two ways of reaching the
 //! converged 32-commodity solution on the 400-node case when a
@@ -44,13 +37,11 @@
 //! 99% of the settled full-set utility.
 //!
 //! `bench_core --smoke` runs a fast subset (short measurement windows,
-//! no JSON write) and exits non-zero if the `threads = 2` pooled path
-//! falls more than 10% below serial on a multi-core host, if the
-//! active-set engine falls below the dense engine on the converged
-//! 160-node case, or if incremental admission is not at least 1.2x
-//! faster than the rebuild path — the CI guards against per-step
-//! thread churn, against regressing the sparse hot path, and against
-//! the incremental reshape degrading into a hidden rebuild.
+//! no JSON write) and exits non-zero if the active-set engine falls
+//! below the dense engine on the converged 160-node case, or if
+//! incremental admission is not at least 1.2x faster than the rebuild
+//! path — the CI guards against regressing the sparse hot path and
+//! against the incremental reshape degrading into a hidden rebuild.
 //!
 //! Run via `scripts/bench.sh` (release build) from the repository root.
 
@@ -64,7 +55,7 @@ use spn_transform::ExtendedNetwork;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// `(nodes, commodities, seed-serial iterations/sec)` — the baseline
+/// `(nodes, commodities, seed iterations/sec)` — the baseline
 /// column was measured on the pre-workspace code (per-step Vec
 /// allocation, filter-scan adjacency) on this container, release build.
 const CASES: &[(usize, usize, f64)] = &[
@@ -73,10 +64,6 @@ const CASES: &[(usize, usize, f64)] = &[
     (160, 16, 5_588.9),
     (400, 32, 1_242.9),
 ];
-
-/// Explicit thread counts swept per case; `auto` (`threads = 0`) is
-/// measured separately because its resolution is case-dependent.
-const THREAD_SWEEP: &[usize] = &[1, 2, 4];
 
 /// Demand scale of the converged-regime suite: at ×0.2 every commodity
 /// is fully admitted and the routing settles, which is the regime the
@@ -154,13 +141,10 @@ fn measure_warm(alg: &mut GradientAlgorithm, timing: &Timing) -> Measurement {
     }
 }
 
-fn measure_case(nodes: usize, commodities: usize, threads: usize, timing: &Timing) -> Measurement {
+fn measure_case(nodes: usize, commodities: usize, timing: &Timing) -> Measurement {
     let problem = small_instance(1, nodes, commodities);
-    let cfg = GradientConfig {
-        threads,
-        ..GradientConfig::default()
-    };
-    let mut alg = GradientAlgorithm::new(&problem, cfg).expect("valid config");
+    let mut alg =
+        GradientAlgorithm::new(&problem, GradientConfig::default()).expect("valid config");
     for _ in 0..timing.warmup_iters {
         alg.step();
     }
@@ -168,8 +152,7 @@ fn measure_case(nodes: usize, commodities: usize, threads: usize, timing: &Timin
 }
 
 /// Converged-regime measurement: low demand, long warmup, dense or
-/// active-set engine. Serial (`threads = 1`) so the comparison isolates
-/// work reduction from parallelism.
+/// active-set engine.
 fn measure_converged(
     nodes: usize,
     commodities: usize,
@@ -178,7 +161,6 @@ fn measure_converged(
 ) -> Measurement {
     let problem = small_instance(1, nodes, commodities).scale_demand(CONVERGED_SCALE);
     let cfg = GradientConfig {
-        threads: 1,
         sparsity,
         ..GradientConfig::default()
     };
@@ -249,8 +231,8 @@ impl InstanceShape {
     }
 }
 
-/// One scale-curve measurement: converged-regime demand, serial, dense
-/// vs active-set engine on the same generated instance.
+/// One scale-curve measurement: converged-regime demand, dense vs
+/// active-set engine on the same generated instance.
 fn measure_scale(
     case: (usize, usize, usize, usize),
     sparsity: bool,
@@ -268,7 +250,6 @@ fn measure_scale(
     let shape = InstanceShape::of(&inst.problem, SCALE_SEED);
     let problem = inst.problem.scale_demand(CONVERGED_SCALE);
     let cfg = GradientConfig {
-        threads: 1,
         sparsity,
         ..GradientConfig::default()
     };
@@ -325,10 +306,6 @@ fn measure_mesh_wire(regions: usize, refresh_every: u64) -> WireMeasurement {
     let problem = small_instance(1, nodes, commodities);
     let config = MeshConfig {
         regions,
-        gradient: GradientConfig {
-            threads: 1,
-            ..GradientConfig::default()
-        },
         refresh_every,
         ..MeshConfig::default()
     };
@@ -407,10 +384,7 @@ fn measure_admission(prep_iters: usize, cap: usize, repeats: usize) -> Admission
     let mut spec = ProblemSpec::from(&full);
     spec.commodities.pop();
     let minus = spec.into_problem().expect("subset instance is valid");
-    let cfg = GradientConfig {
-        threads: 1,
-        ..GradientConfig::default()
-    };
+    let cfg = GradientConfig::default();
     let mut reference = GradientAlgorithm::new(&full, cfg).expect("valid config");
     reference.run(prep_iters);
     let reference_utility = reference.utility();
@@ -450,49 +424,10 @@ fn measure_admission(prep_iters: usize, cap: usize, repeats: usize) -> Admission
     }
 }
 
-/// What `threads = 0` resolves to for a given case (capped at the
-/// commodity count, floor 1).
-fn auto_threads(nodes: usize, commodities: usize) -> usize {
-    let problem = small_instance(1, nodes, commodities);
-    GradientAlgorithm::new(&problem, GradientConfig::default())
-        .expect("valid config")
-        .resolved_threads()
-}
-
-fn smoke(parallelism: usize) {
-    let degraded = parallelism <= 1;
-    if degraded {
-        eprintln!(
-            "bench_core --smoke: SKIP t2-vs-t1 gate — available_parallelism is 1, \
-             a t2 column would measure pool overhead, not speedup"
-        );
-    }
+fn smoke() {
     let mut failed = false;
-    // The two smallest cases: the per-iteration work is tiniest there,
-    // so pool-overhead regressions show up loudest. On a single-core
-    // host the t2 column is refused outright rather than reported.
-    println!("# smoke\tnodes\tcommodities\tt1\tt2\tt2/t1");
-    for &(nodes, commodities, _) in &CASES[..2] {
-        let t1 = measure_case(nodes, commodities, 1, &SMOKE).iters_per_sec;
-        if degraded {
-            println!("smoke\t{nodes}\t{commodities}\t{t1:.1}\t-\t- (skipped: 1 core)");
-            continue;
-        }
-        let t2 = measure_case(nodes, commodities, 2, &SMOKE).iters_per_sec;
-        let ratio = t2 / t1;
-        println!("smoke\t{nodes}\t{commodities}\t{t1:.1}\t{t2:.1}\t{ratio:.2}");
-        if ratio < 0.9 {
-            eprintln!(
-                "FAIL: threads=2 is {:.0}% of serial at {nodes} nodes / \
-                 {commodities} commodities (floor is 90%)",
-                ratio * 100.0
-            );
-            failed = true;
-        }
-    }
     // Converged-regime gate: on the 160-node case the active-set engine
-    // must at least match the dense engine. Valid on any core count —
-    // the sparse engine wins by skipping work, not by parallelism.
+    // must at least match the dense engine — it wins by skipping work.
     let (nodes, commodities) = (160, 16);
     let dense = measure_converged(nodes, commodities, false, &SMOKE).iters_per_sec;
     let sparse = measure_converged(nodes, commodities, true, &SMOKE).iters_per_sec;
@@ -510,8 +445,8 @@ fn smoke(parallelism: usize) {
     // Online-admission gate: admitting the 32nd commodity into a
     // converged 400-node run must beat rebuilding the extended network
     // and re-converging from scratch, measured as time to 99% of the
-    // settled full-set utility. Serial, so the margin reflects the
-    // warm-started survivors, not parallelism.
+    // settled full-set utility: the margin is the warm-started
+    // survivors.
     let adm = measure_admission(2500, 6000, 1);
     let ratio = adm.rebuild_secs / adm.incremental_secs;
     println!(
@@ -542,37 +477,14 @@ fn smoke(parallelism: usize) {
 }
 
 fn main() {
-    let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if std::env::args().any(|a| a == "--smoke") {
-        smoke(parallelism);
+        smoke();
         return;
-    }
-
-    let degraded = parallelism <= 1;
-    let warning = "available_parallelism is 1 — the t2/t4/auto columns would measure \
-                   pool overhead on a single core, not parallel speedup, and are omitted";
-    if degraded {
-        eprintln!("warning: {warning}; BENCH_core.json will carry \"degraded\": true");
     }
 
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"core_iteration_throughput\",");
-    let _ = writeln!(json, "  \"available_parallelism\": {parallelism},");
-    let _ = writeln!(json, "  \"degraded\": {degraded},");
-    // Which suites the single-core degradation actually taints: only
-    // the thread sweep. The converged, scale, and admission suites are
-    // serial by design and stay valid on any core count.
-    let _ = writeln!(
-        json,
-        "  \"suite_degraded\": {{ \"cases\": {degraded}, \"converged_cases\": false, \
-         \"scale_curve\": false, \"mesh_wire\": false, \"admission\": false }},"
-    );
-    if degraded {
-        // Carry the degradation into a human-readable top-level line so
-        // downstream readers of the JSON can't miss it.
-        let _ = writeln!(json, "  \"warning\": \"{warning}\",");
-    }
     let _ = writeln!(json, "  \"warmup_iterations\": {},", FULL.warmup_iters);
     let _ = writeln!(
         json,
@@ -582,102 +494,36 @@ fn main() {
     let _ = writeln!(json, "  \"repeats_best_of\": {},", FULL.repeats);
     json.push_str("  \"cases\": [\n");
 
-    println!(
-        "# nodes\tcommodities\tthreads\titers_per_sec\tp50_us\tp95_us\tseed_serial\tspeedup_vs_seed"
-    );
-    if degraded {
-        println!("# warning: {warning}");
-    }
-    // On a degraded host only the serial column is measured — the
-    // parallel columns are refused, not estimated.
-    let sweep: &[usize] = if degraded {
-        &THREAD_SWEEP[..1]
-    } else {
-        THREAD_SWEEP
-    };
+    println!("# nodes\tcommodities\titers_per_sec\tp50_us\tp95_us\tseed\tspeedup_vs_seed");
     for (ci, &(nodes, commodities, seed_rate)) in CASES.iter().enumerate() {
-        let auto = auto_threads(nodes, commodities);
-        let mut thread_results = Vec::new();
-        for &threads in sweep {
-            let m = measure_case(nodes, commodities, threads, &FULL);
-            println!(
-                "{nodes}\t{commodities}\t{threads}\t{:.1}\t{:.2}\t{:.2}\t{seed_rate:.1}\t{:.2}",
-                m.iters_per_sec,
-                m.p50_iter_us,
-                m.p95_iter_us,
-                m.iters_per_sec / seed_rate
-            );
-            thread_results.push((threads, m));
-        }
-        // auto (`threads = 0`): reuse the sweep measurement when it
-        // resolved to a swept count, otherwise measure it.
-        let auto_m = thread_results
-            .iter()
-            .position(|&(t, _)| t == auto)
-            .map_or_else(
-                || measure_case(nodes, commodities, 0, &FULL),
-                |i| Measurement {
-                    iters_per_sec: thread_results[i].1.iters_per_sec,
-                    p50_iter_us: thread_results[i].1.p50_iter_us,
-                    p95_iter_us: thread_results[i].1.p95_iter_us,
-                },
-            );
+        let m = measure_case(nodes, commodities, &FULL);
+        let speedup = m.iters_per_sec / seed_rate;
         println!(
-            "{nodes}\t{commodities}\tauto({auto})\t{:.1}\t{:.2}\t{:.2}\t{seed_rate:.1}\t{:.2}",
-            auto_m.iters_per_sec,
-            auto_m.p50_iter_us,
-            auto_m.p95_iter_us,
-            auto_m.iters_per_sec / seed_rate
+            "{nodes}\t{commodities}\t{:.1}\t{:.2}\t{:.2}\t{seed_rate:.1}\t{speedup:.2}",
+            m.iters_per_sec, m.p50_iter_us, m.p95_iter_us
         );
-
         let shape = InstanceShape::of(&small_instance(1, nodes, commodities), 1);
         let _ = writeln!(json, "    {{");
         shape.write_json(&mut json, "      ");
-        let _ = writeln!(json, "      \"degraded\": {degraded},");
-        let _ = writeln!(json, "      \"seed_serial_iters_per_sec\": {seed_rate:.1},");
-        for (threads, m) in &thread_results {
-            let _ = writeln!(
-                json,
-                "      \"iters_per_sec_t{threads}\": {:.1},",
-                m.iters_per_sec
-            );
-            let _ = writeln!(
-                json,
-                "      \"p50_iter_us_t{threads}\": {:.2},",
-                m.p50_iter_us
-            );
-            let _ = writeln!(
-                json,
-                "      \"p95_iter_us_t{threads}\": {:.2},",
-                m.p95_iter_us
-            );
-        }
-        let _ = writeln!(
-            json,
-            "      \"iters_per_sec_auto\": {:.1},",
-            auto_m.iters_per_sec
-        );
-        let _ = writeln!(json, "      \"auto_threads\": {auto},");
-        let serial_rate = thread_results[0].1.iters_per_sec;
-        let _ = writeln!(
-            json,
-            "      \"speedup_vs_seed\": {:.3}",
-            serial_rate / seed_rate
-        );
+        let _ = writeln!(json, "      \"seed_iters_per_sec\": {seed_rate:.1},");
+        let _ = writeln!(json, "      \"iters_per_sec\": {:.1},", m.iters_per_sec);
+        let _ = writeln!(json, "      \"p50_iter_us\": {:.2},", m.p50_iter_us);
+        let _ = writeln!(json, "      \"p95_iter_us\": {:.2},", m.p95_iter_us);
+        let _ = writeln!(json, "      \"speedup_vs_seed\": {speedup:.3}");
         let comma = if ci + 1 < CASES.len() { "," } else { "" };
         let _ = writeln!(json, "    }}{comma}");
     }
     json.push_str("  ],\n");
 
-    // Converged-regime suite: dense vs active-set engine, serial, after
-    // a long settling run at low demand.
+    // Converged-regime suite: dense vs active-set engine after a long
+    // settling run at low demand.
     let _ = writeln!(json, "  \"converged_demand_scale\": {CONVERGED_SCALE},");
     let _ = writeln!(
         json,
         "  \"converged_warmup_iterations\": {CONVERGED_WARMUP},"
     );
     json.push_str("  \"converged_cases\": [\n");
-    println!("# converged (demand x{CONVERGED_SCALE}, warmup {CONVERGED_WARMUP}, threads=1)");
+    println!("# converged (demand x{CONVERGED_SCALE}, warmup {CONVERGED_WARMUP})");
     println!("# nodes\tcommodities\tengine\titers_per_sec\tp50_us\tp95_us\tsparse/dense");
     for (ci, &(nodes, commodities, _)) in CASES.iter().enumerate() {
         let dense = measure_converged(nodes, commodities, false, &FULL);
@@ -731,8 +577,7 @@ fn main() {
     json.push_str("  ],\n");
 
     // Scale-tier curve: hierarchical 1k–100k-node instances, converged
-    // regime, serial; p50 per-iteration time dense vs active-set
-    // engine. This is the memory-layout overhaul's report card — the
+    // regime; p50 per-iteration time dense vs active-set engine. This is the memory-layout overhaul's report card — the
     // sparse engine must win (or tie) at every size.
     let _ = writeln!(json, "  \"scale_seed\": {SCALE_SEED},");
     let _ = writeln!(
@@ -741,9 +586,7 @@ fn main() {
          \"sparse\": {SCALE_WARMUP_SPARSE} }},"
     );
     json.push_str("  \"scale_curve\": [\n");
-    println!(
-        "# scale curve (hierarchical, demand x{CONVERGED_SCALE}, threads=1, seed {SCALE_SEED})"
-    );
+    println!("# scale curve (hierarchical, demand x{CONVERGED_SCALE}, seed {SCALE_SEED})");
     println!("# nodes\tcommodities\tengine\titers_per_sec\tp50_us\tp95_us\tsparse/dense_p50");
     for (ci, &case) in SCALE_CASES.iter().enumerate() {
         let (shape, dense) = measure_scale(case, false, &FULL);
@@ -814,7 +657,7 @@ fn main() {
     // Mesh-wire suite: bytes on the wire per iteration, delta wire
     // (refresh_every = 16) vs the full-broadcast baseline
     // (refresh_every = 1), warm vs converged regime. Byte counts are
-    // deterministic — this suite is never degraded by core count.
+    // deterministic.
     let (mw_nodes, mw_commodities) = MESH_WIRE_CASE;
     let _ = writeln!(
         json,
@@ -904,7 +747,7 @@ fn main() {
     let adm = measure_admission(5000, 20_000, 2);
     let adm_ratio = adm.rebuild_secs / adm.incremental_secs;
     println!(
-        "# admission (nodes {}, commodities {}, serial, target {}% of settled utility)",
+        "# admission (nodes {}, commodities {}, target {}% of settled utility)",
         ADMISSION_CASE.0,
         ADMISSION_CASE.1,
         ADMISSION_TARGET * 100.0

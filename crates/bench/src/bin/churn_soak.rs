@@ -38,7 +38,6 @@ const CHECK_EVERY: usize = 100;
 fn process(sparsity: bool) -> ChurnProcess {
     let problem = small_instance(1, 40, 6);
     let cfg = GradientConfig {
-        threads: 1,
         sparsity,
         ..GradientConfig::default()
     };

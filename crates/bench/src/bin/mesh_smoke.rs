@@ -107,17 +107,10 @@ fn allocations_in(label: &str, mut body: impl FnMut()) -> u64 {
 /// Convergence gate shared by every leg.
 const SHIFT_TOLERANCE: f64 = 1e-4;
 
-fn gradient() -> GradientConfig {
-    GradientConfig {
-        threads: 1,
-        ..GradientConfig::default()
-    }
-}
-
 fn mesh_config() -> MeshConfig {
     MeshConfig {
         regions: 4,
-        gradient: gradient(),
+        gradient: GradientConfig::default(),
         ..MeshConfig::default()
     }
 }
@@ -188,7 +181,8 @@ fn bench_transport<T: Transport>(mesh: &mut MeshRuntime<T>, iters: usize) -> (f6
 /// holds still.
 fn density_probe() -> (f64, f64) {
     let problem = small_instance(1, 160, 16);
-    let mut alg = GradientAlgorithm::new(&problem, gradient()).expect("valid config");
+    let mut alg =
+        GradientAlgorithm::new(&problem, GradientConfig::default()).expect("valid config");
     let mut mesh = MeshRuntime::lossless(ExtendedNetwork::build(&problem), mesh_config())
         .expect("valid mesh config");
     for _ in 0..50 {
@@ -232,7 +226,7 @@ fn socket_smoke(smoke: bool) -> bool {
     let ext = ExtendedNetwork::build(&problem);
     let config = MeshConfig {
         regions: 2,
-        gradient: gradient(),
+        gradient: GradientConfig::default(),
         ..MeshConfig::default()
     };
     let mut failed = false;
@@ -392,7 +386,8 @@ fn main() {
     // Leg 1: lossless bit-identity + zero incidents. The monolithic
     // algorithm and the mesh step in lockstep; utility bits must agree
     // at every checkpoint.
-    let mut alg = GradientAlgorithm::new(&problem, gradient()).expect("valid config");
+    let mut alg =
+        GradientAlgorithm::new(&problem, GradientConfig::default()).expect("valid config");
     let mut mesh = MeshRuntime::lossless(ExtendedNetwork::build(&problem), mesh_config())
         .expect("valid mesh config");
     println!("# mesh_smoke\tleg\titeration\tutility\tincidents");

@@ -114,10 +114,7 @@ fn main() {
             .extend(std::iter::repeat_n(10.0, PADDING));
         spec.into_problem().expect("isolated servers are valid")
     };
-    let cfg = GradientConfig {
-        threads: 1,
-        ..GradientConfig::default() // sparsity defaults on
-    };
+    let cfg = GradientConfig::default(); // sparsity defaults on
     let mut plain = GradientAlgorithm::new(&problem, cfg).expect("valid config");
     let mut padded = GradientAlgorithm::new(&padded_problem, cfg).expect("valid config");
     let build_secs = build_start.elapsed().as_secs_f64();

@@ -15,7 +15,7 @@
 //! *and* its previous run made no change (Γ is a `φ → φ'` map, so "no
 //! change" is part of the input-unchanged condition). Anything that
 //! mutates algorithm state behind the tracker's back — checkpoints
-//! restored, capacities edited, η/thread changes — calls
+//! restored, capacities edited, η changes — calls
 //! [`ActiveSet::invalidate`], which forces one fully dense iteration.
 //!
 //! All buffers are sized once in [`ActiveSet::ensure`]; maintenance
@@ -38,19 +38,10 @@ use crate::flows::{flow_sweep_active, FlowState};
 use crate::marginals::{marginal_sweep_active, Marginals};
 use crate::routing::RoutingTable;
 use crate::step::{accumulate_usage_totals_scoped, clear_tags_scoped, zero_flow_rows_scoped};
-use crate::workspace::{IterationWorkspace, GAMMA_CHUNK};
+use crate::workspace::IterationWorkspace;
 use spn_graph::EdgeId;
 use spn_model::CommodityId;
 use spn_transform::ExtendedNetwork;
-
-/// Scratch slot written by participant 0 between the fused barriers:
-/// number of entries of `marg_list` that phase B must run.
-pub(crate) const SCRATCH_MARG_LEN: usize = 0;
-/// Scratch slot: 1 when this iteration's usage totals changed (or were
-/// force-invalidated), i.e. every commodity's chain is dirty next
-/// iteration.
-pub(crate) const SCRATCH_TOTALS_EFFECTIVE: usize = 1;
-pub(crate) const SCRATCH_SLOTS: usize = 2;
 
 /// What every buffer in this module is sized by. The version is the
 /// key: an evict followed by an admit restores all three counts while
@@ -72,9 +63,7 @@ fn sizing_key(ext: &ExtendedNetwork) -> SizingKey {
 /// [`ExtendedNetwork::commodity_routers_topo`].
 ///
 /// Rows use uniform strides (`router_stride`, `arc_stride` — the maxima
-/// over commodities) so the fused step can hand concurrent tasks
-/// disjoint per-commodity rows through the same unsafe row-table views
-/// it already uses for flows and marginals.
+/// over commodities), like every other per-commodity table.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ActiveArcs {
     pub(crate) router_stride: usize,
@@ -126,39 +115,26 @@ impl ActiveArcs {
         (lens, arcs, self.live[ji])
     }
 
-    /// Rebuilds commodity `j`'s live-arc row from its fraction row.
+    /// Rebuilds commodity `j`'s live-arc row from its fraction row: the
+    /// `phi != 0` arcs of each topo router, CSR sub-order.
     pub(crate) fn rebuild(&mut self, ext: &ExtendedNetwork, j: CommodityId, phi: &[f64]) {
         let ji = j.index();
         let lens = &mut self.arc_len[ji * self.router_stride..(ji + 1) * self.router_stride];
         let arcs = &mut self.arcs[ji * self.arc_stride..(ji + 1) * self.arc_stride];
-        self.live[ji] = rebuild_active_row(ext, j, phi, lens, arcs);
+        let mut idx = 0usize;
+        for (r, &v) in ext.commodity_routers_topo(j).iter().enumerate() {
+            let start = idx;
+            for &l in ext.commodity_out_slice(j, v) {
+                if phi[l.index()] != 0.0 {
+                    arcs[idx] = l;
+                    idx += 1;
+                }
+            }
+            lens[r] = (idx - start) as u32;
+        }
+        self.live[ji] = idx;
         self.stale[ji] = false;
     }
-}
-
-/// Fills one commodity's live-arc row (`phi != 0` arcs of each topo
-/// router, CSR sub-order) and returns the live total. Row-slice form so
-/// the fused step can run rebuilds for different commodities
-/// concurrently over disjoint row views.
-pub(crate) fn rebuild_active_row(
-    ext: &ExtendedNetwork,
-    j: CommodityId,
-    phi: &[f64],
-    arc_len: &mut [u32],
-    arcs: &mut [EdgeId],
-) -> usize {
-    let mut idx = 0usize;
-    for (r, &v) in ext.commodity_routers_topo(j).iter().enumerate() {
-        let start = idx;
-        for &l in ext.commodity_out_slice(j, v) {
-            if phi[l.index()] != 0.0 {
-                arcs[idx] = l;
-                idx += 1;
-            }
-        }
-        arc_len[r] = (idx - start) as u32;
-    }
-    idx
 }
 
 /// The three per-iteration sweeps of eqs. (3)–(5), (9) and (18) —
@@ -265,7 +241,7 @@ impl LiveArcSweeps {
     }
 
     /// The marginal-cost wave (eq. (9)) for every commodity;
-    /// bit-identical to [`compute_marginals_into`] with `pool: None`.
+    /// bit-identical to [`compute_marginals_into`].
     ///
     /// [`compute_marginals_into`]: crate::marginals::compute_marginals_into
     pub fn marginals_into(
@@ -299,7 +275,7 @@ impl LiveArcSweeps {
     }
 
     /// The blocking tags (eq. (18)) for every commodity; bit-identical
-    /// to [`compute_tags_into`] with `pool: None`.
+    /// to [`compute_tags_into`].
     ///
     /// [`compute_tags_into`]: crate::blocked::compute_tags_into
     #[allow(clippy::too_many_arguments)] // mirrors the protocol's inputs
@@ -342,7 +318,7 @@ impl LiveArcSweeps {
     }
 
     /// The flow forecast (eqs. (3)–(5)) for every commodity;
-    /// bit-identical to [`compute_flows_into`] with `pool: None`.
+    /// bit-identical to [`compute_flows_into`].
     ///
     /// [`compute_flows_into`]: crate::flows::compute_flows_into
     pub fn flows_into(
@@ -391,7 +367,7 @@ impl LiveArcSweeps {
 /// The activity tracker: dirty flags carried across iterations, change
 /// flags produced within one, the previous usage totals for the exact
 /// bitwise changed-totals test, the live-arc sub-lists, and the
-/// preallocated work lists the fused step's claiming loops iterate.
+/// preallocated dirty list the step iterates.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ActiveSet {
     /// Commodity must run tags + Γ this iteration (its φ moved last
@@ -405,9 +381,6 @@ pub(crate) struct ActiveSet {
     pub(crate) phi_changed: Vec<bool>,
     /// This iteration ran the commodity's flow pass.
     pub(crate) flow_ran: Vec<bool>,
-    /// Per-Γ-chunk `(value_changed, support_changed)`, laid out like the
-    /// workspace's chunked Γ stats.
-    pub(crate) chunk_flags: Vec<(bool, bool)>,
     /// Usage totals of the previous iteration, for the bitwise
     /// changed-totals test: every edge, and the nodes of
     /// [`ExtendedNetwork::router_union`] by union position (the only
@@ -418,15 +391,8 @@ pub(crate) struct ActiveSet {
     /// comparison (set by invalidation).
     pub(crate) force_totals: bool,
     /// Commodities whose chain runs this iteration (compacted from
-    /// `chain_dirty` — the claiming loops split *this*, not `0..J`).
+    /// `chain_dirty` — phase A walks *this*, not `0..J`).
     pub(crate) dirty_list: Vec<u32>,
-    /// Global Γ-chunk ids of the dirty commodities (split-mode fan-out).
-    pub(crate) chunk_list: Vec<u32>,
-    /// Commodities whose marginal sweep runs (filled by participant 0
-    /// between the fused barriers; length in `scratch`).
-    pub(crate) marg_list: Vec<u32>,
-    /// Cross-barrier scalars (see `SCRATCH_*`), written via a slot view.
-    pub(crate) scratch: Vec<u64>,
     pub(crate) arcs: ActiveArcs,
     sized_for: Option<SizingKey>,
 }
@@ -443,23 +409,14 @@ impl ActiveSet {
         }
         let j_count = ext.num_commodities();
         let l_count = ext.graph().edge_count();
-        let total_chunks: usize = ext
-            .commodity_ids()
-            .map(|j| ext.commodity_routers(j).len().div_ceil(GAMMA_CHUNK))
-            .sum();
         self.chain_dirty.resize(j_count, false);
         self.flow_dirty.resize(j_count, false);
         self.phi_changed.resize(j_count, false);
         self.flow_ran.resize(j_count, false);
-        self.chunk_flags.resize(total_chunks, (false, false));
         self.prev_f_edge.resize(l_count, 0.0);
         self.prev_f_union.resize(ext.router_union().len(), 0.0);
         self.dirty_list.clear();
         self.dirty_list.reserve(j_count);
-        self.chunk_list.clear();
-        self.chunk_list.reserve(total_chunks);
-        self.marg_list.resize(j_count, 0);
-        self.scratch.resize(SCRATCH_SLOTS, 0);
         self.arcs.resize(ext);
         self.sized_for = Some(key);
         self.invalidate();
@@ -468,7 +425,7 @@ impl ActiveSet {
     /// Forces the next iteration to run fully dense: every chain and
     /// flow pass dirty, every live-arc row stale, totals treated as
     /// changed. Called whenever algorithm state is mutated outside the
-    /// step loop (restore, capacity edits, η/thread changes, raw state
+    /// step loop (restore, capacity edits, η changes, raw state
     /// access).
     pub(crate) fn invalidate(&mut self) {
         self.chain_dirty.iter_mut().for_each(|d| *d = true);

@@ -27,9 +27,8 @@ use crate::flows::{compute_flows_into, FlowState};
 use crate::gamma::{apply_gamma_ws, GammaStats};
 use crate::health::CoreError;
 use crate::marginals::{compute_marginals_into, Marginals};
-use crate::pool::WorkerPool;
 use crate::routing::RoutingTable;
-use crate::step::{fused_step, fused_step_sparse, sparse_step_serial};
+use crate::step::sparse_step_serial;
 use crate::workspace::IterationWorkspace;
 use spn_graph::NodeId;
 use spn_model::{CommodityId, Penalty, Problem};
@@ -86,16 +85,10 @@ pub struct GradientConfig {
     pub epsilon_interval: usize,
     /// Annealing floor: ε never drops below this.
     pub epsilon_min: f64,
-    /// Worker threads for the fused per-step passes (tags, Γ, flows,
-    /// marginals). `0` resolves to
-    /// [`std::thread::available_parallelism`] capped at the commodity
-    /// count (extra workers would idle in the per-commodity phases);
-    /// `1` forces the serial (zero-allocation, pool-free) path. Any
-    /// value > 1 runs over a persistent [`WorkerPool`] owned by the
-    /// algorithm — threads are spawned once at construction, parked
-    /// between steps, and joined on drop. Results are bit-identical for
-    /// every value (ARCHITECTURE invariant 9): each commodity owns its
-    /// rows and all cross-commodity reductions run in fixed order.
+    /// Inert shim: accepted and ignored — the step has one schedule and
+    /// no worker pool. Kept only so the frozen `benchmark/` surface
+    /// compiles; the next `[benchmark]` PR removes it.
+    #[deprecated(note = "ignored: the step has one schedule; the next benchmark PR removes it")]
     pub threads: usize,
     /// Selects the sparsity-aware active-set iteration engine. The
     /// engine skips the tag/Γ/flow chain of commodities whose inputs are
@@ -103,11 +96,11 @@ pub struct GradientConfig {
     /// the per-commodity *live arcs* (nonzero routing fraction) in
     /// topological router order, and re-runs marginal sweeps only when
     /// a commodity's φ row or the shared usage totals moved. Results are
-    /// bit-identical to the dense engine for every thread count
-    /// (ARCHITECTURE invariant 14). Defaults to `true` — the active-set
-    /// engine *is* the engine; `false` selects the dense reference path
-    /// (the explicit escape hatch, and the baseline the equivalence
-    /// tests pin the engine against).
+    /// bit-identical to the dense engine (ARCHITECTURE invariant 14).
+    /// Defaults to `true` — the active-set engine *is* the engine;
+    /// `false` selects the dense reference path (the explicit escape
+    /// hatch, and the baseline the equivalence tests pin the engine
+    /// against).
     pub sparsity: bool,
 }
 
@@ -122,6 +115,7 @@ impl Default for GradientConfig {
     /// reproducible by overriding `epsilon`, `penalty`, `wall_strength`,
     /// `shift_cap` and `opening_fraction`; the E2 experiment measures
     /// what each stabilizer contributes.
+    #[allow(deprecated)] // the `threads` shim's definition site
     fn default() -> Self {
         GradientConfig {
             eta: 0.04,
@@ -249,31 +243,8 @@ impl Report {
     }
 }
 
-/// Resolves a requested thread count: `0` means "auto" — the machine's
-/// available parallelism, capped at the commodity count (see
-/// [`auto_threads`]). Explicit requests are honored as given (the Γ
-/// phase can still split a commodity across workers by router chunk).
-/// The OS is asked for the core count only in auto mode: on Linux the
-/// query walks cgroup files (tens of µs), and this runs on every
-/// construction and commodity-set reshape.
-fn resolve_threads(requested: usize, commodities: usize) -> usize {
-    if requested == 0 {
-        let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        auto_threads(available, commodities)
-    } else {
-        requested
-    }
-}
-
-/// The auto-mode worker count: `available` capped at the commodity
-/// count (the fused step's phases are per-commodity, so extra workers
-/// would only park), never below one.
-fn auto_threads(available: usize, commodities: usize) -> usize {
-    available.min(commodities.max(1)).max(1)
-}
-
 /// The distributed gradient-based algorithm over an extended network.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct GradientAlgorithm {
     ext: ExtendedNetwork,
     cost: CostModel,
@@ -282,9 +253,7 @@ pub struct GradientAlgorithm {
     state: FlowState,
     marginals: Marginals,
     iterations: usize,
-    /// Resolved worker count (see [`resolve_threads`]).
-    threads: usize,
-    /// Reusable scratch: per-commodity usage partials and Γ lanes.
+    /// Reusable scratch: per-commodity usage partials and the Γ lane.
     workspace: IterationWorkspace,
     /// Reusable blocking-tag buffer (eq. (18)).
     tags: BlockedTags,
@@ -292,9 +261,6 @@ pub struct GradientAlgorithm {
     /// engine ([`GradientConfig::sparsity`]); dormant (never sized)
     /// while the dense engine runs.
     active: ActiveSet,
-    /// Persistent worker pool (`Some` iff the resolved thread count is
-    /// above 1): spawned once, parked between steps, joined on drop.
-    pool: Option<WorkerPool>,
     /// Commodity-set epoch: bumped by every
     /// [`admit_commodity`](GradientAlgorithm::admit_commodity) /
     /// [`evict_commodity`](GradientAlgorithm::evict_commodity) reshape
@@ -304,32 +270,6 @@ pub struct GradientAlgorithm {
     /// Incremental per-router penalty/wall values for the `cost_before`
     /// probe (bit-identical to the naive scan; see [`TotalCostCache`]).
     cost_cache: TotalCostCache,
-}
-
-impl Clone for GradientAlgorithm {
-    /// Clones the full algorithm state; the clone gets its own fresh
-    /// worker pool of the same size (threads are not shareable).
-    fn clone(&self) -> Self {
-        GradientAlgorithm {
-            ext: self.ext.clone(),
-            cost: self.cost,
-            config: self.config,
-            routing: self.routing.clone(),
-            state: self.state.clone(),
-            marginals: self.marginals.clone(),
-            iterations: self.iterations,
-            threads: self.threads,
-            workspace: self.workspace.clone(),
-            tags: self.tags.clone(),
-            active: self.active.clone(),
-            pool: self
-                .pool
-                .as_ref()
-                .map(|p| WorkerPool::new(p.participants())),
-            epoch: self.epoch,
-            cost_cache: self.cost_cache.clone(),
-        }
-    }
 }
 
 impl GradientAlgorithm {
@@ -376,15 +316,12 @@ impl GradientAlgorithm {
             wall_threshold: config.wall_threshold,
             wall_strength: config.wall_strength,
         };
-        let threads = resolve_threads(config.threads, ext.num_commodities());
-        let pool = (threads > 1).then(|| WorkerPool::new(threads));
         let routing = RoutingTable::initial(&ext);
         let mut workspace = IterationWorkspace::new(&ext);
-        workspace.ensure_workers(&ext, threads);
         let mut state = FlowState::zeros(&ext);
-        compute_flows_into(&ext, &routing, &mut state, &mut workspace, pool.as_ref());
+        compute_flows_into(&ext, &routing, &mut state, &mut workspace, None);
         let mut marginals = Marginals::zeros(&ext);
-        compute_marginals_into(&ext, &cost, &routing, &state, &mut marginals, pool.as_ref());
+        compute_marginals_into(&ext, &cost, &routing, &state, &mut marginals, None);
         let tags = BlockedTags::none(&ext);
         Ok(GradientAlgorithm {
             ext,
@@ -394,11 +331,9 @@ impl GradientAlgorithm {
             state,
             marginals,
             iterations: 0,
-            threads,
             workspace,
             tags,
             active: ActiveSet::default(),
-            pool,
             epoch: 0,
             cost_cache: TotalCostCache::default(),
         })
@@ -406,55 +341,23 @@ impl GradientAlgorithm {
 
     /// Performs one full protocol iteration; returns its statistics.
     ///
-    /// Heap-allocation-free in steady state for every resolved thread
-    /// count: the serial path reads and writes the preallocated buffers
-    /// owned by `self`, and the pooled path additionally performs zero
-    /// thread spawns — one fused dispatch wakes the persistent workers,
-    /// carries each commodity through tags → Γ → flows, reduces the
-    /// usage totals in fixed commodity order, and sweeps the marginals
-    /// (both properties are pinned by tests).
+    /// Heap-allocation-free in steady state: the step reads and writes
+    /// the preallocated buffers owned by `self` — each commodity carried
+    /// through tags → Γ → flows, the usage totals reduced in fixed
+    /// commodity order, then the marginals swept (pinned by tests).
     pub fn step(&mut self) -> StepStats {
         let cost_before = self
             .cost
             .total_cost_cached(&self.ext, &self.state, &mut self.cost_cache);
         // ε-annealing schedule (no-op when epsilon_factor == 1.0),
-        // decided up front so the fused path can split its dispatch
-        // around the epsilon mutation.
+        // decided up front: the epsilon mutation lands between the flow
+        // and marginal phases.
         let will_anneal = self.config.epsilon_factor < 1.0
             && (self.iterations + 1).is_multiple_of(self.config.epsilon_interval)
             && self.cost.epsilon > self.config.epsilon_min;
         let anneal_to = will_anneal
             .then(|| (self.cost.epsilon * self.config.epsilon_factor).max(self.config.epsilon_min));
-        let gamma = if let Some(pool) = &self.pool {
-            if self.config.sparsity {
-                fused_step_sparse(
-                    &self.ext,
-                    &mut self.cost,
-                    &self.config,
-                    pool,
-                    &mut self.routing,
-                    &mut self.state,
-                    &mut self.marginals,
-                    &mut self.tags,
-                    &mut self.workspace,
-                    &mut self.active,
-                    anneal_to,
-                )
-            } else {
-                fused_step(
-                    &self.ext,
-                    &mut self.cost,
-                    &self.config,
-                    pool,
-                    &mut self.routing,
-                    &mut self.state,
-                    &mut self.marginals,
-                    &mut self.tags,
-                    &mut self.workspace,
-                    anneal_to,
-                )
-            }
-        } else if self.config.sparsity {
+        let gamma = if self.config.sparsity {
             sparse_step_serial(
                 &self.ext,
                 &mut self.cost,
@@ -468,6 +371,7 @@ impl GradientAlgorithm {
                 anneal_to,
             )
         } else {
+            // The dense reference path: the dense ≡ sparse oracle.
             if self.config.use_blocked_sets {
                 compute_tags_into(
                     &self.ext,
@@ -846,28 +750,19 @@ impl GradientAlgorithm {
         self.iterations
     }
 
-    /// The resolved worker count in effect (≥ 1; `1` means the serial,
-    /// pool-free path).
+    /// Inert shim: always `1` — the step has one schedule. Kept only so
+    /// the frozen `benchmark/` surface compiles; the next `[benchmark]`
+    /// PR removes it.
+    #[deprecated(note = "always 1; the next benchmark PR removes it")]
     #[must_use]
     pub fn resolved_threads(&self) -> usize {
-        self.threads
+        1
     }
 
-    /// Reconfigures the worker count mid-run: re-resolves `threads`
-    /// (`0` = auto, capped at the commodity count) and rebuilds or
-    /// drops the persistent pool accordingly. The trajectory is
-    /// unaffected — results are bit-identical for every thread count
-    /// (ARCHITECTURE invariant 9).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.config.threads = threads;
-        let resolved = resolve_threads(threads, self.ext.num_commodities());
-        if resolved == self.threads {
-            return;
-        }
-        self.threads = resolved;
-        self.pool = (resolved > 1).then(|| WorkerPool::new(resolved));
-        self.workspace.ensure_workers(&self.ext, resolved);
-    }
+    /// Inert shim: does nothing. Kept only so the frozen `benchmark/`
+    /// surface compiles; the next `[benchmark]` PR removes it.
+    #[deprecated(note = "no-op; the next benchmark PR removes it")]
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     /// Overwrites the routing decision (used by failure-injection
     /// experiments to apply local repairs) and recomputes flows and
@@ -887,7 +782,7 @@ impl GradientAlgorithm {
             &self.routing,
             &mut self.state,
             &mut self.workspace,
-            self.pool.as_ref(),
+            None,
         );
         compute_marginals_into(
             &self.ext,
@@ -895,7 +790,7 @@ impl GradientAlgorithm {
             &self.routing,
             &self.state,
             &mut self.marginals,
-            self.pool.as_ref(),
+            None,
         );
     }
 
@@ -939,7 +834,7 @@ impl GradientAlgorithm {
             &self.routing,
             &self.state,
             &mut self.marginals,
-            self.pool.as_ref(),
+            None,
         );
         j
     }
@@ -971,25 +866,18 @@ impl GradientAlgorithm {
         self.reshape_state();
     }
 
-    /// Shared tail of a commodity-set reshape: re-resolves the worker
-    /// count (auto mode caps at the commodity count), resizes the
-    /// workspace, recomputes flows for the new commodity set (survivor
-    /// rows reproduce bit-for-bit; the totals reduce in ascending
-    /// commodity order as always), clears blocking tags, forces one
-    /// dense iteration, and bumps the epoch.
+    /// Shared tail of a commodity-set reshape: recomputes flows for the
+    /// new commodity set, resizing the workspace (survivor rows
+    /// reproduce bit-for-bit; the totals reduce in ascending commodity
+    /// order as always), clears blocking tags, forces one dense
+    /// iteration, and bumps the epoch.
     fn reshape_state(&mut self) {
-        let resolved = resolve_threads(self.config.threads, self.ext.num_commodities());
-        if resolved != self.threads {
-            self.threads = resolved;
-            self.pool = (resolved > 1).then(|| WorkerPool::new(resolved));
-        }
-        self.workspace.ensure_workers(&self.ext, self.threads);
         compute_flows_into(
             &self.ext,
             &self.routing,
             &mut self.state,
             &mut self.workspace,
-            self.pool.as_ref(),
+            None,
         );
         self.tags.reset(&self.ext);
         self.active.invalidate();
@@ -1238,58 +1126,6 @@ mod tests {
             ra.utility,
             rb.utility
         );
-    }
-
-    #[test]
-    fn thread_resolution_caps_auto_at_commodities() {
-        // auto: capped by both available parallelism and commodities
-        assert_eq!(auto_threads(8, 3), 3);
-        assert_eq!(auto_threads(2, 5), 2);
-        assert_eq!(auto_threads(8, 0), 1);
-        assert_eq!(auto_threads(1, 5), 1);
-        let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        assert_eq!(resolve_threads(0, 3), auto_threads(available, 3));
-        // explicit requests are honored (Γ still splits by chunk)
-        assert_eq!(resolve_threads(4, 1), 4);
-        assert_eq!(resolve_threads(1, 5), 1);
-    }
-
-    #[test]
-    fn set_threads_rebuilds_or_drops_the_pool() {
-        let p = bottleneck_problem();
-        let cfg = GradientConfig {
-            threads: 3,
-            ..GradientConfig::default()
-        };
-        let mut alg = GradientAlgorithm::new(&p, cfg).unwrap();
-        assert_eq!(alg.resolved_threads(), 3);
-        alg.step();
-        alg.set_threads(1);
-        assert_eq!(alg.resolved_threads(), 1);
-        alg.step();
-        alg.set_threads(2);
-        assert_eq!(alg.resolved_threads(), 2);
-        alg.step();
-        // auto on this problem: capped at 1 commodity ⇒ serial
-        alg.set_threads(0);
-        assert_eq!(alg.resolved_threads(), 1);
-        alg.step();
-    }
-
-    #[test]
-    fn clone_gets_its_own_pool_and_identical_trajectory() {
-        let p = bottleneck_problem();
-        let cfg = GradientConfig {
-            threads: 2,
-            ..GradientConfig::default()
-        };
-        let mut a = GradientAlgorithm::new(&p, cfg).unwrap();
-        a.run(10);
-        let mut b = a.clone();
-        let ra = a.run(25);
-        let rb = b.run(25);
-        assert_eq!(ra.utility.to_bits(), rb.utility.to_bits());
-        assert_eq!(a.routing(), b.routing());
     }
 
     #[test]

@@ -19,21 +19,17 @@
 //! code compares both).
 //!
 //! [`compute_tags_into`] reuses the caller's tag buffer (no heap
-//! allocation once warm) and can fan the independent per-commodity
-//! sweeps out over the persistent [`WorkerPool`](crate::pool::WorkerPool);
-//! [`compute_tags`] is the allocating wrapper. Rows are disjoint, so
-//! results are bit-identical for any thread count.
-
-#![allow(unsafe_code)] // disjoint-row fan-out over the worker pool
+//! allocation once warm); [`compute_tags`] is the allocating wrapper.
+//! Each commodity writes only its own row.
 
 use crate::cost::CostModel;
 use crate::flows::{FlowState, UsageView};
 use crate::marginals::Marginals;
-use crate::pool::{RowTable, WorkerPool};
 use crate::routing::RoutingTable;
 use spn_graph::{EdgeId, NodeId};
 use spn_model::CommodityId;
 use spn_transform::ExtendedNetwork;
+use std::convert::Infallible;
 
 /// Per-commodity tag vectors, stored flat (`tagged[j·V + v]`): node
 /// `v`'s broadcast for destination `j` carried the blocking tag.
@@ -112,8 +108,7 @@ impl BlockedTags {
 /// One commodity's reverse tag sweep (caller-cleared row). `phi` is the
 /// commodity's fraction row, `t_row`/`d_row` its traffic and marginal
 /// rows, and `usage` the shared usage totals — the only cross-commodity
-/// data the sweep reads, which is what lets the fused pooled step run
-/// it concurrently with other commodities' sweeps.
+/// data the sweep reads.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's inputs
 pub(crate) fn tag_sweep(
     ext: &ExtendedNetwork,
@@ -217,8 +212,11 @@ pub(crate) fn tag_sweep_active(
 
 /// Computes the blocking tags for every commodity into a caller-owned
 /// tag set (one reverse sweep per commodity, mirroring the §5 broadcast
-/// protocol). `pool: None` is the serial path; `Some` fans the sweeps
-/// out over the persistent worker pool. Allocation-free once warm.
+/// protocol) — the dense reference sweep, allocation-free once warm.
+///
+/// `_pool` is an inert shim: `None` is its only value. It exists so the
+/// frozen `benchmark/` surface compiles; the next `[benchmark]` PR
+/// removes it.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's inputs
 pub fn compute_tags_into(
     ext: &ExtendedNetwork,
@@ -229,50 +227,24 @@ pub fn compute_tags_into(
     eta: f64,
     traffic_floor: f64,
     out: &mut BlockedTags,
-    pool: Option<&WorkerPool>,
+    _pool: Option<Infallible>,
 ) {
     out.reset(ext);
     let v_count = out.v_count;
-    let j_count = ext.num_commodities();
-    match pool {
-        Some(pool) if pool.participants() > 1 && j_count > 1 => {
-            let tag_tab = RowTable::new(&mut out.tagged, v_count.max(1));
-            let usage = state.usage_view();
-            pool.run_tasks(j_count, |ji, _worker| {
-                let j = CommodityId::from_index(ji);
-                // SAFETY: task `ji` is the sole accessor of row `ji`.
-                let row = unsafe { tag_tab.row_mut(ji) };
-                tag_sweep(
-                    ext,
-                    cost,
-                    routing.row(j),
-                    state.t_row(j),
-                    usage,
-                    marginals.row(j),
-                    eta,
-                    traffic_floor,
-                    j,
-                    row,
-                );
-            });
-        }
-        _ => {
-            for (ji, row) in out.tagged.chunks_mut(v_count.max(1)).enumerate() {
-                let j = CommodityId::from_index(ji);
-                tag_sweep(
-                    ext,
-                    cost,
-                    routing.row(j),
-                    state.t_row(j),
-                    state.usage_view(),
-                    marginals.row(j),
-                    eta,
-                    traffic_floor,
-                    j,
-                    row,
-                );
-            }
-        }
+    for (ji, row) in out.tagged.chunks_mut(v_count.max(1)).enumerate() {
+        let j = CommodityId::from_index(ji);
+        tag_sweep(
+            ext,
+            cost,
+            routing.row(j),
+            state.t_row(j),
+            state.usage_view(),
+            marginals.row(j),
+            eta,
+            traffic_floor,
+            j,
+            row,
+        );
     }
 }
 
@@ -431,7 +403,7 @@ mod tests {
     }
 
     #[test]
-    fn into_variant_matches_fresh_for_any_thread_count() {
+    fn into_variant_matches_fresh_on_a_reused_buffer() {
         let ext = diamond();
         let j = CommodityId::from_index(0);
         let mut rt = RoutingTable::initial(&ext);
@@ -445,9 +417,8 @@ mod tests {
         let m = compute_marginals(&ext, &cm(), &rt, &fs);
         let reference = compute_tags(&ext, &cm(), &rt, &fs, &m, 1e-12, 1e-12);
         let mut reused = BlockedTags::none(&ext);
-        let pool = crate::pool::WorkerPool::new(4);
-        for pool in [None, Some(&pool)] {
-            compute_tags_into(&ext, &cm(), &rt, &fs, &m, 1e-12, 1e-12, &mut reused, pool);
+        for _ in 0..2 {
+            compute_tags_into(&ext, &cm(), &rt, &fs, &m, 1e-12, 1e-12, &mut reused, None);
             assert_eq!(reused, reference);
         }
     }

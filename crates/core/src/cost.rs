@@ -192,9 +192,8 @@ impl CostModel {
     }
 
     /// [`CostModel::edge_partial`] over a raw [`UsageView`] of the
-    /// usage totals — the form the pooled sweeps use, since a sweep
-    /// only ever reads its own commodity's rows plus these shared
-    /// totals (stable between the fused step's reduction barriers).
+    /// usage totals — the form the sweeps use, since a sweep only ever
+    /// reads its own commodity's rows plus these shared totals.
     pub(crate) fn edge_partial_view(
         &self,
         ext: &ExtendedNetwork,

@@ -22,27 +22,22 @@
 //! Two entry points evaluate the equations: [`compute_flows`] allocates
 //! a fresh [`FlowState`], while [`compute_flows_into`] reuses the
 //! caller's state and an [`IterationWorkspace`] so the steady-state
-//! iteration performs no heap allocation, and can fan the independent
-//! per-commodity sweeps out over a persistent
-//! [`WorkerPool`](crate::pool::WorkerPool). Both produce bit-identical
-//! results for any thread count: each commodity accumulates its own
-//! `f_edge`/`f_node` partial rows, and the partials are reduced in
-//! ascending commodity order on the calling thread.
+//! iteration performs no heap allocation. Both produce bit-identical
+//! results: each commodity accumulates its own `f_edge`/`f_node`
+//! partial rows, and the partials are reduced in ascending commodity
+//! order.
 
-#![allow(unsafe_code)] // disjoint-row fan-out over the worker pool
-
-use crate::pool::{RowTable, WorkerPool};
 use crate::routing::RoutingTable;
 use crate::workspace::IterationWorkspace;
 use spn_graph::{EdgeId, NodeId};
 use spn_model::CommodityId;
 use spn_transform::ExtendedNetwork;
+use std::convert::Infallible;
 
 /// Traffic and resource-usage rates induced by a routing decision.
 ///
 /// Buffers are flat and row-major (`[commodity][node-or-edge]`) so the
-/// per-commodity sweeps read and write contiguous memory and the
-/// iteration core can hand disjoint rows to worker threads.
+/// per-commodity sweeps read and write contiguous memory.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FlowState {
     /// `t[j·V + v]` — commodity-`j` traffic rate at extended node `v`
@@ -61,10 +56,9 @@ pub struct FlowState {
 }
 
 /// Borrowed view of the cross-commodity usage totals `f_edge`/`f_node` —
-/// the only [`FlowState`] data the per-commodity sweeps share. The
-/// fused pooled step keeps these stable between its reduction barriers,
-/// so sweeps can hold this view while other commodities' rows are being
-/// written.
+/// the only [`FlowState`] data the per-commodity sweeps share. The step
+/// rewrites the totals only between its flow and marginal phases, so a
+/// sweep can hold this view while its commodity's own rows are written.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct UsageView<'a> {
     /// Total resource usage per extended edge, eq. (4).
@@ -217,8 +211,7 @@ impl FlowState {
 /// `t`, the edge-flow row `x`, and the commodity's *partial* resource
 /// usage rows. `phi` is the commodity's fraction row (indexed once per
 /// edge — the routing table's nested lookup is too hot here). All rows
-/// are caller-zeroed and disjoint per commodity, so the sweeps for
-/// different commodities can run on different threads.
+/// are caller-zeroed and disjoint per commodity.
 pub(crate) fn flow_sweep(
     ext: &ExtendedNetwork,
     phi: &[f64],
@@ -292,21 +285,47 @@ pub(crate) fn flow_sweep_active(
     }
 }
 
-/// Evaluates eqs. (3)–(5) into caller-owned buffers.
+/// Adds the per-commodity usage partials into the (caller-zeroed)
+/// totals, in ascending commodity order (edge partial then node partial
+/// per commodity) — the one float-addition order every path shares, so
+/// totals are bit-identical however the partials were produced.
+pub(crate) fn accumulate_usage_totals(
+    fe_tot: &mut [f64],
+    fn_tot: &mut [f64],
+    fe_part: &[f64],
+    fn_part: &[f64],
+    l_count: usize,
+    v_count: usize,
+    j_count: usize,
+) {
+    for ji in 0..j_count {
+        let fe = &fe_part[ji * l_count..(ji + 1) * l_count];
+        for (acc, &p) in fe_tot.iter_mut().zip(fe) {
+            *acc += p;
+        }
+        let fnode = &fn_part[ji * v_count..(ji + 1) * v_count];
+        for (acc, &p) in fn_tot.iter_mut().zip(fnode) {
+            *acc += p;
+        }
+    }
+}
+
+/// Evaluates eqs. (3)–(5) into caller-owned buffers — the dense
+/// reference sweep, allocation-free in steady state. Every commodity
+/// writes its own rows, and the per-commodity `f_edge`/`f_node` partials
+/// are reduced in ascending commodity order (each partial entry is a
+/// complete per-commodity sum, so the reduction order is the only order
+/// there is).
 ///
-/// `pool: None` runs the per-commodity sweeps serially; `Some` fans
-/// them out over the persistent worker pool. Both are allocation-free
-/// in steady state and bit-identical: every commodity writes its own
-/// rows, and the per-commodity `f_edge`/`f_node` partials are reduced
-/// in ascending commodity order on the calling thread (each partial
-/// entry is a complete per-commodity sum, so the reduction order is the
-/// only order there is).
+/// `_pool` is an inert shim: `None` is its only value. It exists so the
+/// frozen `benchmark/` surface compiles; the next `[benchmark]` PR
+/// removes it.
 pub fn compute_flows_into(
     ext: &ExtendedNetwork,
     routing: &RoutingTable,
     state: &mut FlowState,
     ws: &mut IterationWorkspace,
-    pool: Option<&WorkerPool>,
+    _pool: Option<Infallible>,
 ) {
     state.reset(ext);
     ws.ensure(ext);
@@ -316,53 +335,24 @@ pub fn compute_flows_into(
     ws.f_edge_part.fill(0.0);
     ws.f_node_part.fill(0.0);
 
-    match pool {
-        Some(pool) if pool.participants() > 1 && j_count > 1 => {
-            let t_tab = RowTable::new(&mut state.t, v_count.max(1));
-            let x_tab = RowTable::new(&mut state.x, l_count.max(1));
-            let fe_tab = RowTable::new(&mut ws.f_edge_part, l_count.max(1));
-            let fn_tab = RowTable::new(&mut ws.f_node_part, v_count.max(1));
-            pool.run_tasks(j_count, |ji, _worker| {
-                let j = CommodityId::from_index(ji);
-                // SAFETY: task `ji` is claimed exactly once and is the
-                // sole accessor of row `ji` of each table.
-                unsafe {
-                    flow_sweep(
-                        ext,
-                        routing.row(j),
-                        j,
-                        t_tab.row_mut(ji),
-                        x_tab.row_mut(ji),
-                        fe_tab.row_mut(ji),
-                        fn_tab.row_mut(ji),
-                    );
-                }
-            });
-        }
-        _ => {
-            let t_rows = state.t.chunks_mut(v_count.max(1));
-            let x_rows = state.x.chunks_mut(l_count.max(1));
-            let fe_rows = ws.f_edge_part.chunks_mut(l_count.max(1));
-            let fn_rows = ws.f_node_part.chunks_mut(v_count.max(1));
-            for (ji, ((t, x), (fe, fnode))) in
-                t_rows.zip(x_rows).zip(fe_rows.zip(fn_rows)).enumerate()
-            {
-                let j = CommodityId::from_index(ji);
-                flow_sweep(ext, routing.row(j), j, t, x, fe, fnode);
-            }
-        }
+    let t_rows = state.t.chunks_mut(v_count.max(1));
+    let x_rows = state.x.chunks_mut(l_count.max(1));
+    let fe_rows = ws.f_edge_part.chunks_mut(l_count.max(1));
+    let fn_rows = ws.f_node_part.chunks_mut(v_count.max(1));
+    for (ji, ((t, x), (fe, fnode))) in t_rows.zip(x_rows).zip(fe_rows.zip(fn_rows)).enumerate() {
+        let j = CommodityId::from_index(ji);
+        flow_sweep(ext, routing.row(j), j, t, x, fe, fnode);
     }
 
-    for ji in 0..j_count {
-        let fe = &ws.f_edge_part[ji * l_count..(ji + 1) * l_count];
-        for (acc, &p) in state.f_edge.iter_mut().zip(fe) {
-            *acc += p;
-        }
-        let fnode = &ws.f_node_part[ji * v_count..(ji + 1) * v_count];
-        for (acc, &p) in state.f_node.iter_mut().zip(fnode) {
-            *acc += p;
-        }
-    }
+    accumulate_usage_totals(
+        &mut state.f_edge,
+        &mut state.f_node,
+        &ws.f_edge_part,
+        &ws.f_node_part,
+        l_count,
+        v_count,
+        j_count,
+    );
 }
 
 /// Evaluates eqs. (3)–(5) for the given routing decision.
@@ -552,10 +542,6 @@ mod tests {
             compute_flows_into(&ext, &rt, &mut state, &mut ws, None);
             assert_eq!(state, reference);
         }
-        // a pooled pass over the same buffers matches exactly
-        let pool = WorkerPool::new(4);
-        compute_flows_into(&ext, &rt, &mut state, &mut ws, Some(&pool));
-        assert_eq!(state, reference);
     }
 
     #[test]

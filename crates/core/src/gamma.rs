@@ -15,37 +15,33 @@
 //! (following Gallager's convention) the node routes everything to the
 //! current best link.
 //!
-//! All entry points share one row computation ([`gamma_row_into`],
+//! All entry points share one row computation (`gamma_row_into`,
 //! private) so their numerics are identical: [`apply_gamma_ws`] is the
-//! zero-allocation, optionally-pooled path driven by
+//! zero-allocation path of the dense reference step in
 //! [`GradientAlgorithm`](crate::GradientAlgorithm);
-//! [`apply_gamma_selective`] is the serial path the message-level
-//! simulator schedules partial updates through; [`gamma_row`] exposes a
-//! single row for inspection. A commodity only ever reads and writes
-//! its own fraction row — and distinct routers touch disjoint sets of
-//! that row's entries (each edge has exactly one source) — so Γ work
-//! can be carved per commodity *or* per router chunk within a
-//! commodity, and `apply_gamma_ws` produces bit-identical tables for
-//! every thread count.
+//! [`apply_gamma_selective`] is the path the message-level simulator
+//! schedules partial updates through; [`gamma_row`] exposes a single row
+//! for inspection. A commodity only ever reads and writes its own
+//! fraction row, and distinct routers touch disjoint sets of that row's
+//! entries (each edge has exactly one source).
 //!
 //! Γ statistics are accumulated per fixed-size router chunk
-//! ([`GAMMA_CHUNK`] routers) on every path, serial included, and
-//! reduced in ascending global chunk order: chunk boundaries depend
-//! only on the instance, so [`GammaStats`] is bit-identical no matter
-//! how the chunks were scheduled.
-
-#![allow(unsafe_code)] // disjoint per-worker lanes and per-chunk stat slots over the worker pool
+//! (`GAMMA_CHUNK` routers) on every path and reduced in ascending
+//! global chunk order: chunk boundaries depend only on the instance, so
+//! the float order of [`GammaStats::total_shift`] is the same for the
+//! dense step, the active-set step and the selective path.
 
 use crate::blocked::BlockedTags;
 use crate::cost::CostModel;
 use crate::flows::{FlowState, UsageView};
 use crate::marginals::Marginals;
-use crate::pool::{PhiRow, PhiTable, SlotTable, WorkerPool};
 use crate::routing::{apply_row, apply_row_tracked, RoutingTable};
 use crate::workspace::{GammaLane, IterationWorkspace, GAMMA_CHUNK};
 use spn_graph::{EdgeId, NodeId};
 use spn_model::CommodityId;
 use spn_transform::ExtendedNetwork;
+use std::cell::Cell;
+use std::convert::Infallible;
 
 /// Outcome statistics of one Γ application.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -66,9 +62,9 @@ pub struct GammaStats {
 pub(crate) struct GammaCtx<'a> {
     pub(crate) ext: &'a ExtendedNetwork,
     pub(crate) cost: &'a CostModel,
-    /// The commodity's fraction row (read and written; disjoint
-    /// per-router element sets keep concurrent chunk tasks sound).
-    pub(crate) phi: PhiRow<'a>,
+    /// The commodity's fraction row, read by the row computation and
+    /// written by the row application through the same context.
+    pub(crate) phi: &'a [Cell<f64>],
     pub(crate) t_row: &'a [f64],
     pub(crate) usage: UsageView<'a>,
     pub(crate) d_row: &'a [f64],
@@ -110,7 +106,7 @@ fn gamma_row_into(ctx: &GammaCtx<'_>, i: NodeId, lane: &mut GammaLane) -> (f64, 
             // eq. (14): blocked ⇔ φ = 0 and the head's broadcast was
             // tagged
             lane.blocked
-                .push(ctx.phi.get(l.index()) == 0.0 && ctx.tag_row[head.index()]);
+                .push(ctx.phi[l.index()].get() == 0.0 && ctx.tag_row[head.index()]);
         }
     } else {
         // Every out-edge of an ordinary router shares the tail node's
@@ -126,7 +122,7 @@ fn gamma_row_into(ctx: &GammaCtx<'_>, i: NodeId, lane: &mut GammaLane) -> (f64, 
                     + ctx.ext.beta(ctx.j, l) * ctx.d_row[head.index()],
             );
             lane.blocked
-                .push(ctx.phi.get(l.index()) == 0.0 && ctx.tag_row[head.index()]);
+                .push(ctx.phi[l.index()].get() == 0.0 && ctx.tag_row[head.index()]);
         }
     }
 
@@ -151,7 +147,7 @@ fn gamma_row_into(ctx: &GammaCtx<'_>, i: NodeId, lane: &mut GammaLane) -> (f64, 
     let t_i = t_raw.max(ctx.opening_floor);
     if t_i <= ctx.traffic_floor {
         // No traffic and no floor: route everything to the best link.
-        let old_best = ctx.phi.get(edges[best].index());
+        let old_best = ctx.phi[edges[best].index()].get();
         let shift = 1.0 - old_best;
         for (idx, &l) in edges.iter().enumerate() {
             lane.row.push((l, if idx == best { 1.0 } else { 0.0 }));
@@ -170,7 +166,7 @@ fn gamma_row_into(ctx: &GammaCtx<'_>, i: NodeId, lane: &mut GammaLane) -> (f64, 
             lane.row.push((l, 0.0)); // eq. (14)
             continue;
         }
-        let f = ctx.phi.get(l.index());
+        let f = ctx.phi[l.index()].get();
         let a = (lane.m[idx] - m_min).max(0.0);
         // eq. (16), with the per-iteration movement additionally capped
         // at `shift_cap`: near a barrier the marginal excess `a` is
@@ -182,16 +178,15 @@ fn gamma_row_into(ctx: &GammaCtx<'_>, i: NodeId, lane: &mut GammaLane) -> (f64, 
         lane.row.push((l, f - delta)); // eq. (17), k ≠ k(i,j)
     }
     lane.row
-        .push((edges[best], ctx.phi.get(edges[best].index()) + collected));
+        .push((edges[best], ctx.phi[edges[best].index()].get() + collected));
     (max_shift, collected)
 }
 
 /// Runs Γ over one chunk of routers — computing and applying each row,
 /// and accumulating the chunk's statistics into `stat` (cleared here).
-/// All rows of a chunk belong to one commodity; concurrent chunk tasks
-/// of the same commodity are sound because each router's computation
-/// reads and writes only its own out-edge entries of the shared
-/// [`PhiRow`].
+/// All rows of a chunk belong to one commodity; each router's
+/// computation reads and writes only its own out-edge entries of the
+/// fraction row.
 pub(crate) fn gamma_chunk(
     ctx: &GammaCtx<'_>,
     routers: &[NodeId],
@@ -257,7 +252,7 @@ pub fn gamma_row(
     let ctx = GammaCtx {
         ext,
         cost,
-        phi: PhiRow::from_mut(&mut row_copy),
+        phi: Cell::from_mut(&mut row_copy[..]).as_slice_of_cells(),
         t_row: state.t_row(j),
         usage: state.usage_view(),
         d_row: marginals.row(j),
@@ -273,11 +268,13 @@ pub fn gamma_row(
 }
 
 /// Applies Γ to every `(commodity, router)` pair through the reusable
-/// workspace: allocation-free in steady state, per-commodity fan-out
-/// over the persistent pool with `pool: Some`, bit-identical routing
-/// tables and statistics either way. All rows are computed against the
-/// *pre-update* marginals and flows, matching the synchronous protocol
-/// of §5.
+/// workspace: allocation-free in steady state. All rows are computed
+/// against the *pre-update* marginals and flows, matching the
+/// synchronous protocol of §5.
+///
+/// `_pool` is an inert shim: `None` is its only value. It exists so the
+/// frozen `benchmark/` surface compiles; the next `[benchmark]` PR
+/// removes it.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's inputs
 pub fn apply_gamma_ws(
     ext: &ExtendedNetwork,
@@ -291,76 +288,37 @@ pub fn apply_gamma_ws(
     opening_fraction: f64,
     shift_cap: f64,
     ws: &mut IterationWorkspace,
-    pool: Option<&WorkerPool>,
+    _pool: Option<Infallible>,
 ) -> GammaStats {
-    match pool {
-        Some(pool) => ws.ensure_workers(ext, pool.participants()),
-        None => ws.ensure(ext),
-    }
+    ws.ensure(ext);
     let j_count = ext.num_commodities();
-    // One ctx per commodity; written out in both branches because the
-    // fraction row's lifetime differs (shared cell view vs. exclusive
-    // borrow), which a shared closure cannot express.
-    macro_rules! make_ctx {
-        ($ji:expr, $phi:expr) => {{
-            let j = CommodityId::from_index($ji);
-            GammaCtx {
-                ext,
-                cost,
-                phi: $phi,
-                t_row: state.t_row(j),
-                usage: state.usage_view(),
-                d_row: marginals.row(j),
-                tag_row: tags.row(j),
-                eta,
-                traffic_floor,
-                opening_floor: opening_fraction * ext.commodity(j).max_rate,
-                shift_cap,
-                j,
-            }
-        }};
-    }
-    {
-        let parts = ws.parts();
-        match pool {
-            Some(pool) if pool.participants() > 1 && j_count > 1 => {
-                let l_count = routing.l_count();
-                let phi_tab = PhiTable::new(routing.flat_mut(), l_count);
-                let lanes = SlotTable::new(parts.lanes);
-                let stats = SlotTable::new(parts.stats);
-                let chunk_base = parts.chunk_base;
-                pool.run_tasks(j_count, |ji, worker| {
-                    let ctx = make_ctx!(ji, phi_tab.row(ji));
-                    // SAFETY: lane `worker` is exclusive to this
-                    // participant; the stat slots of commodity `ji` are
-                    // exclusive to this task.
-                    let lane = unsafe { lanes.slot_mut(worker) };
-                    let routers = ext.commodity_routers(ctx.j);
-                    for (c, chunk) in routers.chunks(GAMMA_CHUNK).enumerate() {
-                        let stat = unsafe { stats.slot_mut(chunk_base[ji] + c) };
-                        gamma_chunk(&ctx, chunk, lane, stat);
-                    }
-                });
-            }
-            _ => {
-                for ji in 0..j_count {
-                    let j = CommodityId::from_index(ji);
-                    let ctx = make_ctx!(ji, PhiRow::from_mut(routing.row_mut(j)));
-                    let routers = ext.commodity_routers(j);
-                    for (c, chunk) in routers.chunks(GAMMA_CHUNK).enumerate() {
-                        let stat = &mut parts.stats[parts.chunk_base[ji] + c];
-                        gamma_chunk(&ctx, chunk, &mut parts.lanes[0], stat);
-                    }
-                }
-            }
+    for ji in 0..j_count {
+        let j = CommodityId::from_index(ji);
+        let ctx = GammaCtx {
+            ext,
+            cost,
+            phi: routing.row_cells(j),
+            t_row: state.t_row(j),
+            usage: state.usage_view(),
+            d_row: marginals.row(j),
+            tag_row: tags.row(j),
+            eta,
+            traffic_floor,
+            opening_floor: opening_fraction * ext.commodity(j).max_rate,
+            shift_cap,
+            j,
+        };
+        for (c, chunk) in ext.commodity_routers(j).chunks(GAMMA_CHUNK).enumerate() {
+            let slot = ws.chunk_base[ji] + c;
+            gamma_chunk(&ctx, chunk, &mut ws.lane, &mut ws.stats[slot]);
         }
     }
     reduce_gamma_stats(ws, j_count)
 }
 
 /// Reduces the per-chunk Γ statistics in ascending global chunk order —
-/// the fixed order that makes [`GammaStats`] bit-identical across
-/// serial, per-commodity, and split-commodity schedules.
+/// the fixed order that makes [`GammaStats`] bit-identical across the
+/// dense, active-set and selective paths.
 pub(crate) fn reduce_gamma_stats(ws: &IterationWorkspace, j_count: usize) -> GammaStats {
     let total_chunks = ws.chunk_base[j_count];
     let mut stats = GammaStats::default();
@@ -485,7 +443,7 @@ where
         let ctx = GammaCtx {
             ext,
             cost,
-            phi: PhiRow::from_mut(routing.row_mut(j)),
+            phi: routing.row_cells(j),
             t_row: state.t_row(j),
             usage: state.usage_view(),
             d_row: marginals.row(j),
@@ -499,7 +457,7 @@ where
         // Accumulate per GAMMA_CHUNK-sized router chunk and fold chunk
         // totals ascending — the same association as the workspace path
         // (`reduce_gamma_stats`), so full participation reproduces the
-        // pooled/serial ws stats bit-for-bit.
+        // ws stats bit-for-bit.
         for chunk in ext.commodity_routers(j).chunks(GAMMA_CHUNK) {
             let mut local = (0.0f64, 0.0f64, 0usize);
             for &i in chunk {
@@ -712,35 +670,27 @@ mod tests {
             0.02,
         );
         let mut ws = IterationWorkspace::new(&ext);
-        let pool = WorkerPool::new(4);
-        for pool in [None, Some(&pool)] {
-            let mut rt = fs_rt.clone();
-            let stats = apply_gamma_ws(
-                &ext,
-                &cm(),
-                &mut rt,
-                &fs,
-                &m,
-                &tags,
-                0.5,
-                1e-12,
-                0.05,
-                0.02,
-                &mut ws,
-                pool,
-            );
-            assert_eq!(
-                rt,
-                reference,
-                "ws path diverged (pooled: {})",
-                pool.is_some()
-            );
-            // Both paths fold stats per router chunk ascending, so the
-            // full-participation selective stats must match bit-for-bit.
-            assert_eq!(stats.max_shift.to_bits(), ref_stats.max_shift.to_bits());
-            assert_eq!(stats.total_shift.to_bits(), ref_stats.total_shift.to_bits());
-            assert_eq!(stats.rows, ref_stats.rows);
-        }
+        let mut rt = fs_rt.clone();
+        let stats = apply_gamma_ws(
+            &ext,
+            &cm(),
+            &mut rt,
+            &fs,
+            &m,
+            &tags,
+            0.5,
+            1e-12,
+            0.05,
+            0.02,
+            &mut ws,
+            None,
+        );
+        assert_eq!(rt, reference, "ws path diverged");
+        // Both paths fold stats per router chunk ascending, so the
+        // full-participation selective stats must match bit-for-bit.
+        assert_eq!(stats.max_shift.to_bits(), ref_stats.max_shift.to_bits());
+        assert_eq!(stats.total_shift.to_bits(), ref_stats.total_shift.to_bits());
+        assert_eq!(stats.rows, ref_stats.rows);
     }
 
     /// Filtered-update semantics of [`apply_gamma_selective`]: rejected

@@ -39,6 +39,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod active;
 pub mod algorithm;
 pub mod blocked;
@@ -50,7 +52,6 @@ pub mod health;
 pub mod marginals;
 pub mod metrics;
 pub mod newton;
-pub mod pool;
 pub mod routing;
 mod step;
 pub mod workspace;
@@ -67,7 +68,6 @@ pub use health::{
 };
 pub use marginals::Marginals;
 pub use newton::NewtonGradient;
-pub use pool::WorkerPool;
 pub use routing::RoutingTable;
 pub use spn_transform::CommodityDef;
 pub use workspace::IterationWorkspace;

@@ -13,21 +13,16 @@
 //! message-level version of the same computation lives in `spn-sim`.
 //!
 //! [`compute_marginals_into`] reuses the caller's buffer (no heap
-//! allocation once warm) and can fan the independent per-commodity
-//! sweeps out over the persistent [`WorkerPool`](crate::pool::WorkerPool);
-//! [`compute_marginals`] is the allocating convenience wrapper. Each
-//! commodity writes only its own row, so the result is bit-identical
-//! for any thread count.
-
-#![allow(unsafe_code)] // disjoint-row fan-out over the worker pool
+//! allocation once warm); [`compute_marginals`] is the allocating
+//! convenience wrapper. Each commodity writes only its own row.
 
 use crate::cost::CostModel;
 use crate::flows::{FlowState, UsageView};
-use crate::pool::{RowTable, WorkerPool};
 use crate::routing::RoutingTable;
 use spn_graph::{EdgeId, NodeId};
 use spn_model::CommodityId;
 use spn_transform::ExtendedNetwork;
+use std::convert::Infallible;
 
 /// Per-commodity, per-node marginal costs `∂A/∂r_i(j)`, stored as one
 /// flat row-major buffer (`d[j·V + v]`).
@@ -148,8 +143,7 @@ impl Marginals {
 /// (every non-sink reachable node is overwritten; the sink entry must
 /// arrive 0 and stays 0 by convention). `phi` is the commodity's
 /// fraction row and `usage` the shared usage totals — the only
-/// cross-commodity data the sweep reads, which is what lets the fused
-/// pooled step run it concurrently with other commodities' sweeps.
+/// cross-commodity data the sweep reads.
 pub(crate) fn marginal_sweep(
     ext: &ExtendedNetwork,
     cost: &CostModel,
@@ -226,38 +220,24 @@ pub(crate) fn marginal_sweep_active(
 }
 
 /// Runs the marginal-cost wave for every commodity into a caller-owned
-/// buffer. `pool: None` is the serial path; `Some` fans the
-/// per-commodity sweeps out over the persistent worker pool (rows are
-/// disjoint, so results are bit-identical either way). Allocation-free
-/// once warm.
+/// buffer — the dense reference sweep, allocation-free once warm.
+///
+/// `_pool` is an inert shim: `None` is its only value. It exists so the
+/// frozen `benchmark/` surface compiles; the next `[benchmark]` PR
+/// removes it.
 pub fn compute_marginals_into(
     ext: &ExtendedNetwork,
     cost: &CostModel,
     routing: &RoutingTable,
     state: &FlowState,
     out: &mut Marginals,
-    pool: Option<&WorkerPool>,
+    _pool: Option<Infallible>,
 ) {
     out.reset(ext);
     let v_count = out.v_count;
-    let j_count = ext.num_commodities();
-    match pool {
-        Some(pool) if pool.participants() > 1 && j_count > 1 => {
-            let d_tab = RowTable::new(&mut out.d, v_count.max(1));
-            let usage = state.usage_view();
-            pool.run_tasks(j_count, |ji, _worker| {
-                let j = CommodityId::from_index(ji);
-                // SAFETY: task `ji` is the sole accessor of row `ji`.
-                let d = unsafe { d_tab.row_mut(ji) };
-                marginal_sweep(ext, cost, routing.row(j), usage, j, d);
-            });
-        }
-        _ => {
-            for (ji, d) in out.d.chunks_mut(v_count.max(1)).enumerate() {
-                let j = CommodityId::from_index(ji);
-                marginal_sweep(ext, cost, routing.row(j), state.usage_view(), j, d);
-            }
-        }
+    for (ji, d) in out.d.chunks_mut(v_count.max(1)).enumerate() {
+        let j = CommodityId::from_index(ji);
+        marginal_sweep(ext, cost, routing.row(j), state.usage_view(), j, d);
     }
 }
 
@@ -467,16 +447,15 @@ mod tests {
     }
 
     #[test]
-    fn into_variant_matches_fresh_for_any_thread_count() {
+    fn into_variant_matches_fresh_on_a_reused_buffer() {
         let ext = diamond();
         let rt = admitting_split(&ext);
         let fs = compute_flows(&ext, &rt);
         let cost = cm();
         let reference = compute_marginals(&ext, &cost, &rt, &fs);
         let mut reused = Marginals::zeros(&ext);
-        let pool = crate::pool::WorkerPool::new(4);
-        for pool in [None, Some(&pool)] {
-            compute_marginals_into(&ext, &cost, &rt, &fs, &mut reused, pool);
+        for _ in 0..2 {
+            compute_marginals_into(&ext, &cost, &rt, &fs, &mut reused, None);
             assert_eq!(reused, reference);
         }
     }

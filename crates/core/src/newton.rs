@@ -19,7 +19,7 @@
 //! the `newton_ablation` experiment compares the two.
 //!
 //! With `GradientConfig::sparsity` (the default) the driver runs on the
-//! active-set engine of [`crate::active`]: curvatures propagate over the
+//! active-set engine of `crate::active`: curvatures propagate over the
 //! live-arc sub-lists, the tag → Newton-row → flow chain runs only for
 //! commodities whose inputs moved, and the flow/marginal state carries
 //! forward bit-identically instead of being re-densified every sweep
@@ -31,7 +31,6 @@ use crate::blocked::{compute_tags, tag_sweep_active, BlockedTags};
 use crate::cost::CostModel;
 use crate::flows::{compute_flows, flow_sweep_active, FlowState};
 use crate::marginals::{compute_marginals, marginal_sweep_active, Marginals};
-use crate::pool::PhiRow;
 use crate::routing::{apply_row_tracked, RoutingTable};
 use crate::step::{
     clear_tags_scoped, reduce_usage_totals_tracked, sparse_carry_forward, sparse_prepare,
@@ -403,12 +402,11 @@ impl NewtonGradient {
         let v_count = ext.graph().node_count();
         let l_count = ext.graph().edge_count();
         let j_count = ext.num_commodities();
-        if !ws.sized_for_workers(ext, 1) {
+        if ws.ensure(ext) {
             active.invalidate();
         }
-        ws.ensure_workers(ext, 1);
         active.ensure(ext);
-        sparse_prepare(active, ext, routing, &ws.chunk_base, false);
+        sparse_prepare(active, ext, routing);
 
         // Phase A: tag → curvature → Newton rows → flow for the dirty
         // commodities only.
@@ -474,8 +472,7 @@ impl NewtonGradient {
                     blocked_buf,
                     row_buf,
                 );
-                let (vc, sc) =
-                    apply_row_tracked(PhiRow::from_mut(routing.row_mut(j)), ext, j, i, row_buf);
+                let (vc, sc) = apply_row_tracked(routing.row_cells(j), ext, j, i, row_buf);
                 value |= vc;
                 support |= sc;
             }

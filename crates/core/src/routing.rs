@@ -8,21 +8,19 @@
 //! source, the fraction on the dummy input link is the admitted share of
 //! `λ_j` and the fraction on the difference link is the rejected share.
 
-use crate::pool::PhiRow;
 use spn_graph::paths::hops_to;
 use spn_graph::{EdgeId, NodeId};
 use spn_model::CommodityId;
 use spn_transform::ExtendedNetwork;
+use std::cell::Cell;
 
 /// Tolerance for `Σ_k φ_ik(j) = 1` checks.
 pub const FRACTION_TOLERANCE: f64 = 1e-7;
 
 /// The routing decision `φ = {φ_ik(j)}` over an extended network.
 ///
-/// Stored as one flat row-major buffer (`phi[j·L + l]`) so the pooled
-/// iteration can view it as disjoint per-commodity rows — and, when a
-/// commodity is split across workers, as disjoint per-router elements —
-/// without allocating or juggling nested borrows.
+/// Stored as one flat row-major buffer (`phi[j·L + l]`): a commodity's
+/// fractions are one contiguous row.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RoutingTable {
     /// `phi[j·L + l]` — fraction for commodity `j` on extended edge `l`.
@@ -132,7 +130,7 @@ impl RoutingTable {
         v: NodeId,
         row: &[(EdgeId, f64)],
     ) {
-        apply_row(PhiRow::from_mut(self.row_mut(j)), ext, j, v, row);
+        apply_row(self.row_cells(j), ext, j, v, row);
     }
 
     /// Nodes that must carry a full unit of routing mass for commodity
@@ -152,9 +150,12 @@ impl RoutingTable {
         &self.phi[j.index() * self.l_count..(j.index() + 1) * self.l_count]
     }
 
-    /// Exclusive access to the commodity-`j` fraction row.
-    pub(crate) fn row_mut(&mut self, j: CommodityId) -> &mut [f64] {
-        &mut self.phi[j.index() * self.l_count..(j.index() + 1) * self.l_count]
+    /// The commodity-`j` fraction row as shared cells — the view the Γ
+    /// update reads a row through and applies it through (std's safe
+    /// `Cell::from_mut(..).as_slice_of_cells()`; plain loads and stores).
+    pub(crate) fn row_cells(&mut self, j: CommodityId) -> &[Cell<f64>] {
+        let row = &mut self.phi[j.index() * self.l_count..(j.index() + 1) * self.l_count];
+        Cell::from_mut(row).as_slice_of_cells()
     }
 
     /// The whole flat row-major buffer, read-only — checkpointing and
@@ -163,15 +164,10 @@ impl RoutingTable {
         &self.phi
     }
 
-    /// The whole flat row-major buffer, for the pooled paths' disjoint
-    /// row/element views.
+    /// The whole flat row-major buffer, for a checkpoint restore's
+    /// straight copy.
     pub(crate) fn flat_mut(&mut self) -> &mut [f64] {
         &mut self.phi
-    }
-
-    /// The row stride (extended edge count `L`).
-    pub(crate) fn l_count(&self) -> usize {
-        self.l_count
     }
 
     /// Checks structural validity: fractions within `[0, 1]`, zero off
@@ -253,17 +249,17 @@ fn seed_initial_row(row: &mut [f64], ext: &ExtendedNetwork, j: CommodityId) {
 /// Row-view form of [`RoutingTable::set_row`]: normalizes `row` to sum
 /// to one (clamping tiny negatives) and writes it over node `v`'s
 /// commodity-`j` out-edges in `phi`, zeroing the rest of that node's
-/// out-edges first. Shared with the Γ update, whose pooled path updates
-/// disjoint routers of one commodity row concurrently — every index
-/// touched here belongs to `v`'s out-edge set, which no other router's
-/// update overlaps (each edge has exactly one source), satisfying the
-/// [`PhiRow`] disjointness contract. Allocation-free.
+/// out-edges first. Shared with the Γ update, which reads the row and
+/// applies it through one shared cell view of the commodity's
+/// fractions. Every index touched here belongs to `v`'s out-edge set,
+/// which no other router's update overlaps (each edge has exactly one
+/// source). Allocation-free.
 ///
 /// # Panics
 ///
 /// Panics if the total mass is not positive.
 pub(crate) fn apply_row(
-    phi: PhiRow<'_>,
+    phi: &[Cell<f64>],
     ext: &ExtendedNetwork,
     j: CommodityId,
     v: NodeId,
@@ -282,10 +278,10 @@ pub(crate) fn apply_row(
         "router {v} for {j} must keep positive total mass"
     );
     for &l in ext.commodity_out_slice(j, v) {
-        phi.set(l.index(), 0.0);
+        phi[l.index()].set(0.0);
     }
     for &(l, f) in row {
-        phi.set(l.index(), f.max(0.0) / total);
+        phi[l.index()].set(f.max(0.0) / total);
     }
 }
 
@@ -302,7 +298,7 @@ pub(crate) fn apply_row(
 ///
 /// Panics if the total mass is not positive.
 pub(crate) fn apply_row_tracked(
-    phi: PhiRow<'_>,
+    phi: &[Cell<f64>],
     ext: &ExtendedNetwork,
     j: CommodityId,
     v: NodeId,
@@ -329,11 +325,11 @@ pub(crate) fn apply_row_tracked(
     let mut support_changed = false;
     for &(l, f) in row {
         let new = f.max(0.0) / total;
-        let old = phi.get(l.index());
+        let old = phi[l.index()].get();
         if old.to_bits() != new.to_bits() {
             value_changed = true;
             support_changed |= (old != 0.0) != (new != 0.0);
-            phi.set(l.index(), new);
+            phi[l.index()].set(new);
         }
     }
     (value_changed, support_changed)

@@ -1,36 +1,31 @@
 //! Reusable scratch buffers for the zero-allocation iteration core.
 //!
 //! [`GradientAlgorithm`](crate::GradientAlgorithm) owns one
-//! [`IterationWorkspace`] and threads it through
+//! [`IterationWorkspace`] and passes it through
 //! [`compute_flows_into`](crate::flows::compute_flows_into) and
 //! [`apply_gamma_ws`](crate::gamma::apply_gamma_ws) every step, so the
 //! steady-state iteration performs no heap allocation: all
-//! per-commodity partial rows and Γ scratch lanes live here and are
+//! per-commodity partial rows and the Γ scratch lane live here and are
 //! resized (a no-op once warm) rather than rebuilt.
 //!
-//! The same buffers carve the work into disjoint per-commodity rows,
-//! which is what lets the flow/marginal/tag/Γ passes fan out over the
-//! persistent [`WorkerPool`](crate::pool::WorkerPool) without locks —
-//! each task owns its commodity's rows outright, and all
-//! cross-commodity reductions happen afterwards in fixed commodity
-//! order, keeping results bit-identical for every thread count
-//! (ARCHITECTURE invariant 9).
+//! The buffers are carved into disjoint per-commodity rows: each
+//! commodity's sweep owns its rows outright, and all cross-commodity
+//! reductions happen afterwards in fixed commodity order.
 //!
 //! Γ statistics are accumulated per fixed-size *router chunk*
-//! ([`GAMMA_CHUNK`] routers per slot) rather than per commodity, on the
-//! serial path too: chunk boundaries depend only on the instance, so
-//! the ordered chunk reduction yields bit-identical
-//! [`GammaStats`](crate::gamma::GammaStats) whether a commodity was
-//! swept by one task or split across many.
+//! (`GAMMA_CHUNK` routers per slot) rather than per commodity: chunk
+//! boundaries depend only on the instance, and the ascending chunk
+//! fold fixes the float order of
+//! [`GammaStats::total_shift`](crate::gamma::GammaStats::total_shift)
+//! on every path (the workspace path and `apply_gamma_selective`).
 
 use spn_graph::EdgeId;
 use spn_transform::ExtendedNetwork;
 
-/// Number of routers whose Γ updates share one statistics slot (and one
-/// unit of splittable work when a commodity is divided across workers).
+/// Number of routers whose Γ updates share one statistics slot.
 pub(crate) const GAMMA_CHUNK: usize = 64;
 
-/// Per-task scratch for one Γ row computation (eqs. (14)–(17)): the
+/// Scratch for one Γ row computation (eqs. (14)–(17)): the
 /// per-out-edge marginals, blocked flags, and the staged new row.
 /// Capacities are reserved for the instance-maximum out-degree by
 /// [`IterationWorkspace::ensure`], so pushes never allocate in steady
@@ -56,21 +51,6 @@ impl GammaLane {
     }
 }
 
-/// Mutable split-borrow of the workspace pieces the Γ pass and the
-/// fused step need simultaneously.
-pub(crate) struct WsParts<'a> {
-    /// `[j·L + l]` per-commodity edge-usage partials.
-    pub(crate) f_edge_part: &'a mut [f64],
-    /// `[j·V + v]` per-commodity node-usage partials.
-    pub(crate) f_node_part: &'a mut [f64],
-    /// One Γ scratch lane per pool participant.
-    pub(crate) lanes: &'a mut [GammaLane],
-    /// One Γ statistics slot per router chunk.
-    pub(crate) stats: &'a mut [(f64, f64, usize)],
-    /// Cumulative chunk counts per commodity (`len == j_count + 1`).
-    pub(crate) chunk_base: &'a [usize],
-}
-
 /// Preallocated scratch buffers reused across iterations.
 ///
 /// Sized by [`IterationWorkspace::ensure`] for a particular
@@ -79,7 +59,7 @@ pub(crate) struct WsParts<'a> {
 /// problems without ever observing stale data. Re-`ensure`-ing for the
 /// *same* shape is a cheap near-no-op — every pass that uses a buffer
 /// resets it at the point of use (the flow pass zero-fills its partial
-/// rows, the Γ pass clears each lane and stat slot before writing), so
+/// rows, the Γ pass clears the lane and each stat slot before writing), so
 /// `ensure` never touches warm buffers.
 #[derive(Clone, Debug, Default)]
 pub struct IterationWorkspace {
@@ -87,20 +67,17 @@ pub struct IterationWorkspace {
     pub(crate) f_edge_part: Vec<f64>,
     /// `[j·V + v]` — commodity-`j` partial of the node usage `f_i`.
     pub(crate) f_node_part: Vec<f64>,
-    /// One Γ scratch lane per pool participant (serial paths use lane
-    /// 0; there is always at least one).
-    pub(crate) lanes: Vec<GammaLane>,
+    /// The Γ row scratch.
+    pub(crate) lane: GammaLane,
     /// Per-router-chunk Γ statistics `(max_shift, total_shift, rows)`,
     /// reduced in ascending global chunk order after each Γ pass.
     pub(crate) stats: Vec<(f64, f64, usize)>,
     /// `chunk_base[ji]` is the global index of commodity `ji`'s first
     /// router chunk; `chunk_base[j_count]` is the total chunk count.
     pub(crate) chunk_base: Vec<usize>,
-    /// Pool participants the lanes are sized for (≥ 1 once ensured).
-    workers: usize,
-    /// Shape `(j_count, v_count, l_count, max_degree, workers)` the
-    /// buffers are currently sized for — the fast-path key of `ensure`.
-    sized_for: Option<(usize, usize, usize, usize, usize)>,
+    /// Shape `(j_count, v_count, l_count, max_degree)` the buffers are
+    /// currently sized for — the fast-path key of `ensure`.
+    sized_for: Option<(usize, usize, usize, usize)>,
 }
 
 impl IterationWorkspace {
@@ -112,44 +89,16 @@ impl IterationWorkspace {
         ws
     }
 
-    /// Resizes and clears every buffer for `ext`, preserving the
-    /// participant count of the previous [`ensure_workers`] call.
-    /// Allocation-free once the workspace has seen a network at least
-    /// this large (steady state calls this twice per iteration).
-    ///
-    /// [`ensure_workers`]: IterationWorkspace::ensure_workers
-    pub fn ensure(&mut self, ext: &ExtendedNetwork) {
-        self.ensure_workers(ext, self.workers.max(1));
-    }
-
-    /// Whether the buffers are already sized for `ext` with `workers`
-    /// participants — i.e. whether [`ensure_workers`] would take its
-    /// fast path and leave the persistent usage partials untouched. The
-    /// active-set engine checks this before a step: a miss (first use,
-    /// network resize, worker-count change) re-zeroes the partial rows,
-    /// so every skip that relies on them must be invalidated.
-    ///
-    /// [`ensure_workers`]: IterationWorkspace::ensure_workers
-    pub(crate) fn sized_for_workers(&self, ext: &ExtendedNetwork, workers: usize) -> bool {
+    /// Sizes every buffer for `ext`; returns whether it had to re-size
+    /// (and so re-zeroed the persistent usage partials — first use or a
+    /// network resize; the active-set engine then invalidates every
+    /// skip that relied on them). Same shape is a cheap near-no-op
+    /// returning `false`. Allocation-free once the workspace has seen a
+    /// network at least this large.
+    pub fn ensure(&mut self, ext: &ExtendedNetwork) -> bool {
         let v_count = ext.graph().node_count();
         let l_count = ext.graph().edge_count();
         let j_count = ext.num_commodities();
-        let workers = workers.max(1);
-        let max_degree = ext
-            .commodity_ids()
-            .map(|j| ext.max_out_degree(j))
-            .max()
-            .unwrap_or(0);
-        self.sized_for == Some((j_count, v_count, l_count, max_degree, workers))
-    }
-
-    /// As [`ensure`](IterationWorkspace::ensure), but also sizes the Γ
-    /// lanes for `workers` pool participants.
-    pub(crate) fn ensure_workers(&mut self, ext: &ExtendedNetwork, workers: usize) {
-        let v_count = ext.graph().node_count();
-        let l_count = ext.graph().edge_count();
-        let j_count = ext.num_commodities();
-        let workers = workers.max(1);
         let max_degree = ext
             .commodity_ids()
             .map(|j| ext.max_out_degree(j))
@@ -170,35 +119,17 @@ impl IterationWorkspace {
             self.stats.clear();
             self.stats.resize(total_chunks, (0.0, 0.0, 0));
         }
-        let shape = (j_count, v_count, l_count, max_degree, workers);
+        let shape = (j_count, v_count, l_count, max_degree);
         if self.sized_for == Some(shape) {
-            return;
+            return false;
         }
         self.f_edge_part.clear();
         self.f_edge_part.resize(j_count * l_count, 0.0);
         self.f_node_part.clear();
         self.f_node_part.resize(j_count * v_count, 0.0);
-        if self.lanes.len() != workers {
-            self.lanes.resize_with(workers, GammaLane::default);
-        }
-        for lane in &mut self.lanes {
-            lane.reserve(max_degree);
-        }
-        self.workers = workers;
+        self.lane.reserve(max_degree);
         self.sized_for = Some(shape);
-    }
-
-    /// Splits the workspace into the disjoint pieces a Γ pass (or the
-    /// fused step) borrows simultaneously. Call after
-    /// [`ensure`](IterationWorkspace::ensure).
-    pub(crate) fn parts(&mut self) -> WsParts<'_> {
-        WsParts {
-            f_edge_part: &mut self.f_edge_part,
-            f_node_part: &mut self.f_node_part,
-            lanes: &mut self.lanes,
-            stats: &mut self.stats,
-            chunk_base: &self.chunk_base,
-        }
+        true
     }
 }
 
@@ -261,26 +192,6 @@ mod tests {
             ws.f_edge_part.iter().all(|&x| x == 7.0),
             "fast path rewrote a warm buffer"
         );
-    }
-
-    #[test]
-    fn lanes_track_worker_count_not_commodities() {
-        let ext = ExtendedNetwork::build(
-            &RandomInstance::builder()
-                .nodes(30)
-                .commodities(4)
-                .seed(3)
-                .build()
-                .unwrap()
-                .problem,
-        );
-        let mut ws = IterationWorkspace::new(&ext);
-        assert_eq!(ws.lanes.len(), 1, "default workspace is single-lane");
-        ws.ensure_workers(&ext, 3);
-        assert_eq!(ws.lanes.len(), 3);
-        // plain ensure preserves the participant count
-        ws.ensure(&ext);
-        assert_eq!(ws.lanes.len(), 3);
     }
 
     #[test]

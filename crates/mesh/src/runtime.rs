@@ -35,11 +35,10 @@ use std::time::{Duration, Instant};
 
 /// Mesh tunables on top of the gradient config.
 ///
-/// The gradient's `threads` and `sparsity` knobs are ignored:
-/// every worker runs the serial live-arc sweeps
-/// (`spn_core::LiveArcSweeps`) over its mirror, every commodity every
-/// iteration (bit-identical to any engine by ARCHITECTURE invariants
-/// 9/13/15, so nothing is lost). ε-annealing is *rejected* — see
+/// The gradient's `sparsity` knob is ignored: every worker runs the
+/// live-arc sweeps (`spn_core::LiveArcSweeps`) over its mirror, every
+/// commodity every iteration (bit-identical to either engine by
+/// ARCHITECTURE invariants 13/15, so nothing is lost). ε-annealing is *rejected* — see
 /// [`MeshError::AnnealingUnsupported`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct MeshConfig {
@@ -285,11 +284,11 @@ impl<T: Transport> MeshRuntime<T> {
                 budget: config.inbox_budget,
             });
         }
-        // reuse the algorithm's own tunable validation (serial probe;
-        // no worker pool spawned)
-        let mut probe = config.gradient;
-        probe.threads = 1;
-        drop(GradientAlgorithm::from_extended(ext.clone(), probe)?);
+        // reuse the algorithm's own tunable validation
+        drop(GradientAlgorithm::from_extended(
+            ext.clone(),
+            config.gradient,
+        )?);
         let cost = CostModel {
             penalty: config.gradient.penalty,
             epsilon: config.gradient.epsilon,

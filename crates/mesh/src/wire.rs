@@ -1289,8 +1289,9 @@ pub fn walk_marginals(payload: &[u8], mut f: impl FnMut(MarginalEntry)) -> Resul
 }
 
 /// Walks a [`FrameKind::GammaRows`] payload in place and returns the
-/// frame's `base` round. Per row, `row(j, v)` decides whether the row
-/// applies; `edge(j, v, l, phi)` fires for each edge of an applied row.
+/// frame's `base` round. Per row, `row(j, v, e)` — `e` the row's edge
+/// count — decides whether the row applies; `edge(j, v, l, phi)` fires
+/// for each edge of an applied row, in wire order.
 /// Skipped rows are still fully validated (including finiteness).
 ///
 /// # Errors
@@ -1298,7 +1299,7 @@ pub fn walk_marginals(payload: &[u8], mut f: impl FnMut(MarginalEntry)) -> Resul
 /// Any [`WireError`] the payload bytes trigger.
 pub fn walk_gamma_rows(
     payload: &[u8],
-    mut row: impl FnMut(u32, u32) -> bool,
+    mut row: impl FnMut(u32, u32, usize) -> bool,
     mut edge: impl FnMut(u32, u32, u32, f64),
 ) -> Result<u64, WireError> {
     let mut r = Reader {
@@ -1312,7 +1313,7 @@ pub fn walk_gamma_rows(
         let j = r.u32()?;
         let v = r.u32()?;
         let e = r.u32()? as usize;
-        let apply = row(j, v);
+        let apply = row(j, v, e);
         for _ in 0..e {
             let l = r.u32()?;
             let phi = r.finite_f64("gamma-rows", floats)?;
@@ -1861,8 +1862,8 @@ mod tests {
         let mut edges = Vec::new();
         let base = walk_gamma_rows(
             sub.payload,
-            |j, v| {
-                assert_eq!((j, v), (0, 3));
+            |j, v, e| {
+                assert_eq!((j, v, e), (0, 3, 1));
                 true
             },
             |_, _, l, phi| edges.push((l, phi)),
@@ -1903,14 +1904,14 @@ mod tests {
         let bytes = payload_frame.encode();
         let payload = &bytes[HEADER_LEN..];
         let mut fired = false;
-        walk_gamma_rows(payload, |_, _| false, |_, _, _, _| fired = true).unwrap();
+        walk_gamma_rows(payload, |_, _, _| false, |_, _, _, _| fired = true).unwrap();
         assert!(!fired);
         // same payload with a NaN fraction: refused even when skipped
         let mut corrupt = payload.to_vec();
         let float_at = corrupt.len() - 8;
         corrupt[float_at..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
         assert!(matches!(
-            walk_gamma_rows(&corrupt, |_, _| false, |_, _, _, _| ()),
+            walk_gamma_rows(&corrupt, |_, _, _| false, |_, _, _, _| ()),
             Err(WireError::NonFinite { .. })
         ));
     }

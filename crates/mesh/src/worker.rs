@@ -66,6 +66,7 @@ use spn_core::blocked::BlockedTags;
 use spn_core::flows::compute_flows_into;
 use spn_core::gamma::{apply_gamma_selective_scratch, GammaScratch, GammaStats};
 use spn_core::marginals::compute_marginals_into;
+use spn_core::routing::FRACTION_TOLERANCE;
 use spn_core::{
     Checkpoint, CostModel, FlowState, GradientConfig, IterationWorkspace, LiveArcSweeps, Marginals,
     RoutingTable,
@@ -73,6 +74,7 @@ use spn_core::{
 use spn_graph::{EdgeId, NodeId};
 use spn_model::CommodityId;
 use spn_transform::ExtendedNetwork;
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 
@@ -1054,24 +1056,39 @@ impl RegionWorker {
         match kind {
             FrameKind::GammaRows => {
                 // validation pass, no writes: every row must be one of
-                // `from`'s routers and every edge one of that row's
-                // out-edges (edges of a refused row are not looked at)
-                // carrying a non-negative fraction — a live arc is one
-                // with `φ > 0`
+                // `from`'s routers and must be the *whole* row as the
+                // sender ships it — every out-edge once, in
+                // `commodity_out_slice` order, non-negative fractions
+                // summing to one (edges of a refused row are not
+                // looked at). Anything else would break the φ-simplex
+                // in the mirror until the next refresh.
                 let (mut rows_ok, mut edges_ok) = (true, true);
+                // the accepted row being walked: its out-edges, the
+                // position in it and the mass so far
+                let out = Cell::new(&[][..]);
+                let (mut k, mut sum) = (0usize, 0.0f64);
                 let walked = walk_gamma_rows(
                     payload,
-                    |j, v| {
-                        let ok = self.is_router_of(ext, from, j, v);
+                    |j, v, e| {
+                        let ok = self.is_router_of(ext, from, j, v) && {
+                            out.set(ext.commodity_out_slice(
+                                CommodityId::from_index(j as usize),
+                                NodeId::from_index(v as usize),
+                            ));
+                            out.get().len() == e
+                        };
                         rows_ok &= ok;
                         ok
                     },
-                    |j, v, l, phi| {
-                        let out = ext.commodity_out_slice(
-                            CommodityId::from_index(j as usize),
-                            NodeId::from_index(v as usize),
-                        );
-                        edges_ok &= phi >= 0.0 && out.iter().any(|e| e.index() == l as usize);
+                    |_, _, l, phi| {
+                        let out = out.get();
+                        edges_ok &= phi >= 0.0 && out[k].index() == l as usize;
+                        sum += phi;
+                        k += 1;
+                        if k == out.len() {
+                            edges_ok &= (sum - 1.0).abs() <= FRACTION_TOLERANCE;
+                            (k, sum) = (0, 0.0);
+                        }
                     },
                 );
                 if !self.accepted(tick, round, walked, rows_ok && edges_ok, log) {
@@ -1084,7 +1101,7 @@ impl RegionWorker {
                 let mut stale = 0u64;
                 walk_gamma_rows(
                     payload,
-                    |j, v| {
+                    |j, v, _| {
                         let idx = j as usize * v_count + v as usize;
                         // per-row guard: only strictly newer rounds apply
                         if round + 1 > row_round[idx] {
@@ -1536,13 +1553,6 @@ mod tests {
         ExtendedNetwork::build(&instance.problem)
     }
 
-    fn serial() -> GradientConfig {
-        GradientConfig {
-            threads: 1,
-            ..GradientConfig::default()
-        }
-    }
-
     fn cost_of(gradient: &GradientConfig) -> CostModel {
         CostModel {
             penalty: gradient.penalty,
@@ -1562,7 +1572,7 @@ mod tests {
             for regions in [1usize, 2, 4] {
                 let config = MeshConfig {
                     regions,
-                    gradient: serial(),
+                    gradient: GradientConfig::default(),
                     ..MeshConfig::default()
                 };
                 let ext = instance(nodes, commodities, seed);
@@ -1614,18 +1624,19 @@ mod tests {
 
         /// Staleness: whatever a tick's inbox holds — nothing, fresh
         /// peer Γ rows (support-changing), the same frame again, rows of
-        /// an old round, rows outside the sender's routers, a recovery
+        /// an old round, rows outside the sender's routers, rows that
+        /// are not rows (mass 2, an edge listed twice), a recovery
         /// snapshot — every non-stale live-arc row is the `φ ≠ 0`
         /// filter of its routing row afterwards, and the sweeps that
         /// follow (each rebuilds, debug-asserts, and is compared with
         /// the dense reference) see an exact table.
         #[test]
         fn live_arcs_track_every_routing_write(
-            ops in proptest::collection::vec(0u8..6, 6..40),
+            ops in proptest::collection::vec(0u8..8, 6..40),
             seed in 0u64..1_000,
         ) {
             let ext = instance(20, 3, 9);
-            let gradient = serial();
+            let gradient = GradientConfig::default();
             let cost = cost_of(&gradient);
             let mut a = RegionWorker::new(&ext, &cost, &gradient, 0, 2, 16);
             // the snapshot donor: region 1 a few lonely iterations in
@@ -1651,8 +1662,11 @@ mod tests {
                 let round = a.round;
                 let mut inbox = Inbox::new();
                 // seeded rows over region 1's routers: all mass on one
-                // out-edge, so supports really move
-                let rows = |buf: &mut FrameBuf, base: u64, shift: usize| {
+                // out-edge, so supports really move; `bad` 1 doubles
+                // that mass, `bad` 2 lists the first out-edge twice at
+                // 0.5 (in place of its neighbour, or as an extra entry
+                // when it has none)
+                let rows = |buf: &mut FrameBuf, base: u64, shift: usize, bad: u8| {
                     buf.put_u64(base);
                     let picks: Vec<_> = theirs
                         .iter()
@@ -1664,12 +1678,22 @@ mod tests {
                     for (j, v) in picks {
                         let out = ext.commodity_out_slice(j, v);
                         let hot = (unit_hash(seed, tick, v.index(), 1) * out.len() as f64) as usize;
+                        let hot = hot.min(out.len() - 1);
                         buf.put_u32(j.index() as u32);
                         buf.put_u32((v.index() + shift) as u32);
+                        if bad == 2 {
+                            let e = out.len().max(2);
+                            buf.put_u32(e as u32);
+                            for k in 0..e {
+                                buf.put_u32(out[if k < 2 { 0 } else { k }].index() as u32);
+                                buf.put_f64(if k < 2 { 0.5 } else { 0.0 });
+                            }
+                            continue;
+                        }
                         buf.put_u32(out.len() as u32);
                         for (k, &l) in out.iter().enumerate() {
                             buf.put_u32(l.index() as u32);
-                            buf.put_f64(if k == hot.min(out.len() - 1) { 1.0 } else { 0.0 });
+                            buf.put_f64(if k == hot { f64::from(1 + bad) } else { 0.0 });
                         }
                     }
                 };
@@ -1678,7 +1702,7 @@ mod tests {
                 match op {
                     // fresh peer rows
                     1 => {
-                        let frame = reliable_frame(FrameKind::GammaRows, seq, round, |b| rows(b, round, 0));
+                        let frame = reliable_frame(FrameKind::GammaRows, seq, round, |b| rows(b, round, 0, 0));
                         seq += 1;
                         prop_assert!(inbox.push(&frame));
                         last = Some(frame);
@@ -1691,14 +1715,24 @@ mod tests {
                     }
                     // a new frame whose rows are of an already-applied round
                     3 if round > 0 => {
-                        let frame = reliable_frame(FrameKind::GammaRows, seq, 0, |b| rows(b, 0, 0));
+                        let frame = reliable_frame(FrameKind::GammaRows, seq, 0, |b| rows(b, 0, 0, 0));
                         seq += 1;
                         prop_assert!(inbox.push(&frame));
                     }
                     // rows shifted out of the sender's routers
                     4 => {
                         let frame = reliable_frame(FrameKind::GammaRows, seq, round, |b| {
-                            rows(b, round, ext.graph().node_count());
+                            rows(b, round, ext.graph().node_count(), 0);
+                        });
+                        seq += 1;
+                        prop_assert!(inbox.push(&frame));
+                        must_not_write = tick % 3 != 1;
+                    }
+                    // well-addressed rows that are not rows: mass 2, or
+                    // an edge listed twice
+                    6 | 7 => {
+                        let frame = reliable_frame(FrameKind::GammaRows, seq, round, |b| {
+                            rows(b, round, 0, op - 5);
                         });
                         seq += 1;
                         prop_assert!(inbox.push(&frame));
@@ -1731,7 +1765,7 @@ mod tests {
             prop_assert!(log
                 .iter()
                 .any(|i| matches!(i, MeshIncident::MalformedFrameDiscarded { .. }))
-                || !ops.contains(&4));
+                || !ops.iter().any(|op| matches!(op, 4 | 6 | 7)));
         }
     }
 

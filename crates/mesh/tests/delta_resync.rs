@@ -35,10 +35,7 @@ fn problem(nodes: usize, commodities: usize, seed: u64) -> spn_model::Problem {
 fn mesh_config(regions: usize) -> MeshConfig {
     MeshConfig {
         regions,
-        gradient: GradientConfig {
-            threads: 1,
-            ..GradientConfig::default()
-        },
+        gradient: GradientConfig::default(),
         ..MeshConfig::default()
     }
 }
@@ -173,14 +170,7 @@ fn lossy_chaotic_delta_mesh_converges_with_resyncs() {
     const UTILITY_RTOL: f64 = 1e-2;
 
     let p = problem(16, 2, 4);
-    let mut alg = GradientAlgorithm::new(
-        &p,
-        GradientConfig {
-            threads: 1,
-            ..GradientConfig::default()
-        },
-    )
-    .unwrap();
+    let mut alg = GradientAlgorithm::new(&p, GradientConfig::default()).unwrap();
     let reference = alg.run_until_stable(SHIFT_TOLERANCE, MAX_ITERATIONS);
 
     let faults = MeshFaultConfig {

@@ -210,7 +210,7 @@ mod tests {
     use spn_core::GradientConfig;
     use spn_model::random::RandomInstance;
 
-    fn algorithm(threads: usize) -> GradientAlgorithm {
+    fn algorithm() -> GradientAlgorithm {
         let instance = RandomInstance::builder()
             .nodes(20)
             .commodities(4)
@@ -221,7 +221,6 @@ mod tests {
             &instance.problem,
             GradientConfig {
                 eta: 0.2,
-                threads,
                 ..GradientConfig::default()
             },
         )
@@ -236,8 +235,8 @@ mod tests {
             departure_probability: 0.35,
             period: 7,
         };
-        let mut a = ChurnProcess::new(algorithm(1), cfg);
-        let mut b = ChurnProcess::new(algorithm(1), cfg);
+        let mut a = ChurnProcess::new(algorithm(), cfg);
+        let mut b = ChurnProcess::new(algorithm(), cfg);
         let ra = a.run(400);
         let rb = b.run(400);
         assert_eq!(a.events(), b.events());
@@ -254,7 +253,7 @@ mod tests {
             departure_probability: 1.0,
             period: 3,
         };
-        let mut p = ChurnProcess::new(algorithm(1), cfg);
+        let mut p = ChurnProcess::new(algorithm(), cfg);
         let report = p.run(120);
         assert_eq!(report.live, 1, "all but one commodity should depart");
         assert_eq!(report.departures, 3);
@@ -269,10 +268,10 @@ mod tests {
             departure_probability: 0.0,
             ..ChurnConfig::default()
         };
-        let mut p = ChurnProcess::new(algorithm(1), cfg);
+        let mut p = ChurnProcess::new(algorithm(), cfg);
         let report = p.run(200);
         assert_eq!(report.arrivals + report.departures, 0);
-        let mut plain = algorithm(1);
+        let mut plain = algorithm();
         plain.run(200);
         assert_eq!(report.utility.to_bits(), plain.utility().to_bits());
         assert_eq!(p.algorithm().routing(), plain.routing());
@@ -286,7 +285,7 @@ mod tests {
             departure_probability: 0.4,
             period: 5,
         };
-        let mut p = ChurnProcess::new(algorithm(2), cfg);
+        let mut p = ChurnProcess::new(algorithm(), cfg);
         let report = p.run(500);
         assert!(report.utility.is_finite());
         assert!(report.live >= 1);
@@ -305,6 +304,6 @@ mod tests {
             departure_probability: 0.7,
             ..ChurnConfig::default()
         };
-        let _ = ChurnProcess::new(algorithm(1), cfg);
+        let _ = ChurnProcess::new(algorithm(), cfg);
     }
 }

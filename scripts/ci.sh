@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
-# The full local gate: formatting, lints as errors, every test, and two
-# smoke runs:
-#  * bench_core --smoke catches pooled-path throughput regressions (on a
-#    multi-core host, threads=2 more than 10% below serial fails) and
-#    gates the active-set engine: on the converged-regime 160-node case
-#    (demand x0.2, long warmup) sparsity=true must at least match the
-#    dense engine's iterations/sec — valid on any core count, since the
-#    sparse engine wins by skipping work, not by parallelism;
+# The full local gate: formatting, lints as errors, the rustdoc link
+# check, every test, and the smoke runs:
+#  * bench_core --smoke gates the active-set engine: on the
+#    converged-regime 160-node case (demand x0.2, long warmup)
+#    sparsity=true must at least match the dense engine's
+#    iterations/sec — the sparse engine wins by skipping work;
 #  * chaos_recovery --smoke is the seed-fixed chaos soak — a short run
 #    under message loss + staleness + two transient node failures that
 #    fails if any NaN escapes into iteration state, if an injected fault
@@ -63,10 +61,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
-# `unsafe` may not spread before the pool PR removes the rest: only the
-# pool-sharing core modules and the two counting-allocator bins allow it.
-diff <(grep -rl 'allow(unsafe_code)' crates/*/src | LC_ALL=C sort) <(printf '%s\n' crates/bench/src/bin/{mesh_smoke,scale_smoke}.rs crates/core/src/{blocked,flows,gamma,marginals,pool,step}.rs)
+# `unsafe` may not spread: spn-core forbids it, and only the two
+# counting-allocator bins allow it.
+diff <(grep -rl 'allow(unsafe_code)' crates/*/src | LC_ALL=C sort) <(printf '%s\n' crates/bench/src/bin/{mesh_smoke,scale_smoke}.rs)
 cargo clippy --workspace --all-targets -- -D warnings
+# A deleted type must not leave a dangling [`Name`] behind.
+RUSTDOCFLAGS='-D rustdoc::broken_intra_doc_links' cargo doc --workspace --no-deps --offline -q
 # Dev profile = debug-assertions on: this pass exercises the watchdog /
 # checkpoint / chaos invariant checks (including the debug-only internal
 # asserts) across the whole workspace.

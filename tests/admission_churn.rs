@@ -39,9 +39,8 @@ fn subset(problem: &Problem, keep: &[usize]) -> Problem {
     spec.into_problem().unwrap()
 }
 
-fn config(sparsity: bool, threads: usize) -> GradientConfig {
+fn config(sparsity: bool) -> GradientConfig {
     GradientConfig {
-        threads,
         sparsity,
         ..GradientConfig::default()
     }
@@ -80,12 +79,12 @@ fn zero_step_admit_matches_a_fresh_build() {
     let full = five_commodity_problem();
     let minus = subset(&full, &[0, 1, 2, 3]);
     let def = CommodityDef::from_problem(&full, CommodityId::from_index(4));
-    for (sparsity, threads) in [(false, 1), (false, 2), (true, 1), (true, 3)] {
-        let ctx = format!("sparsity={sparsity} threads={threads}");
-        let mut incremental = GradientAlgorithm::new(&minus, config(sparsity, threads)).unwrap();
+    for sparsity in [false, true] {
+        let ctx = format!("sparsity={sparsity}");
+        let mut incremental = GradientAlgorithm::new(&minus, config(sparsity)).unwrap();
         let id = incremental.admit_commodity(def.clone());
         assert_eq!(id, CommodityId::from_index(4), "newcomer id: {ctx}");
-        let mut fresh = GradientAlgorithm::new(&full, config(sparsity, threads)).unwrap();
+        let mut fresh = GradientAlgorithm::new(&full, config(sparsity)).unwrap();
         assert_identical(&incremental, &fresh, &format!("right after admit, {ctx}"));
         for it in 0..120 {
             incremental.step();
@@ -106,11 +105,11 @@ fn zero_step_admit_matches_a_fresh_build() {
 fn zero_step_evict_matches_a_fresh_subset_build() {
     let full = five_commodity_problem();
     let reduced = subset(&full, &[0, 1, 3, 4]);
-    for (sparsity, threads) in [(false, 1), (true, 2)] {
-        let ctx = format!("sparsity={sparsity} threads={threads}");
-        let mut incremental = GradientAlgorithm::new(&full, config(sparsity, threads)).unwrap();
+    for sparsity in [false, true] {
+        let ctx = format!("sparsity={sparsity}");
+        let mut incremental = GradientAlgorithm::new(&full, config(sparsity)).unwrap();
         incremental.evict_commodity(CommodityId::from_index(2));
-        let mut fresh = GradientAlgorithm::new(&reduced, config(sparsity, threads)).unwrap();
+        let mut fresh = GradientAlgorithm::new(&reduced, config(sparsity)).unwrap();
         assert_identical(&incremental, &fresh, &format!("right after evict, {ctx}"));
         for it in 0..120 {
             incremental.step();
@@ -134,11 +133,11 @@ fn zero_step_evict_matches_a_fresh_subset_build() {
 fn zero_step_evict_readmit_round_trip_is_identity() {
     let full = five_commodity_problem();
     let last = CommodityId::from_index(4);
-    let mut churned = GradientAlgorithm::new(&full, config(true, 2)).unwrap();
+    let mut churned = GradientAlgorithm::new(&full, config(true)).unwrap();
     let parked = churned.extended().commodity_def(last);
     churned.evict_commodity(last);
     assert_eq!(churned.admit_commodity(parked), last);
-    let mut plain = GradientAlgorithm::new(&full, config(true, 2)).unwrap();
+    let mut plain = GradientAlgorithm::new(&full, config(true)).unwrap();
     assert_identical(&churned, &plain, "after evict + re-admit round trip");
     for _ in 0..100 {
         churned.step();
@@ -175,11 +174,9 @@ fn evict_then_admit_bigger_with_no_step_between_resizes_the_tracker() {
     let smaller: Vec<usize> = (0..5).filter(|&i| i != biggest).collect();
     let def = CommodityDef::from_problem(&full, CommodityId::from_index(biggest));
 
-    let mut engines: Vec<_> = [(false, 1), (true, 1), (true, 2)]
+    let mut engines: Vec<_> = [false, true]
         .into_iter()
-        .map(|(sparsity, threads)| {
-            GradientAlgorithm::new(&subset(&full, &smaller), config(sparsity, threads)).unwrap()
-        })
+        .map(|sparsity| GradientAlgorithm::new(&subset(&full, &smaller), config(sparsity)).unwrap())
         .collect();
     for alg in &mut engines {
         alg.run(50);
@@ -234,7 +231,7 @@ fn warm_admit_preserves_survivors_bitwise() {
     let full = five_commodity_problem();
     let minus = subset(&full, &[0, 1, 2, 3]);
     let def = CommodityDef::from_problem(&full, CommodityId::from_index(4));
-    let mut alg = GradientAlgorithm::new(&minus, config(false, 2)).unwrap();
+    let mut alg = GradientAlgorithm::new(&minus, config(false)).unwrap();
     alg.run(150);
 
     // Fix the per-survivor node/edge index sets *before* the admit
@@ -392,7 +389,7 @@ fn incremental_extended_network_matches_a_fresh_build() {
 #[test]
 fn restore_across_a_reshape_is_rejected() {
     let full = five_commodity_problem();
-    let mut alg = GradientAlgorithm::new(&full, config(false, 1)).unwrap();
+    let mut alg = GradientAlgorithm::new(&full, config(false)).unwrap();
     alg.run(60);
     let stale = alg.checkpoint();
 
@@ -438,7 +435,7 @@ fn dense_and_sparse_stay_glued_under_churn() {
     };
     let process = |sparsity| {
         ChurnProcess::new(
-            GradientAlgorithm::new(&full, config(sparsity, 2)).unwrap(),
+            GradientAlgorithm::new(&full, config(sparsity)).unwrap(),
             churn,
         )
     };

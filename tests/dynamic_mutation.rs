@@ -44,61 +44,54 @@ fn sparse_matches_dense_through_demand_and_capacity_edits() {
         .build()
         .unwrap()
         .problem;
-    for threads in [1usize, 2] {
-        let cfg = |sparsity| GradientConfig {
-            threads,
-            sparsity,
-            ..GradientConfig::default()
-        };
-        let mut dense = GradientAlgorithm::new(&problem, cfg(false)).unwrap();
-        let mut sparse = GradientAlgorithm::new(&problem, cfg(true)).unwrap();
+    let cfg = |sparsity| GradientConfig {
+        sparsity,
+        ..GradientConfig::default()
+    };
+    let mut dense = GradientAlgorithm::new(&problem, cfg(false)).unwrap();
+    let mut sparse = GradientAlgorithm::new(&problem, cfg(true)).unwrap();
 
-        let j1 = CommodityId::from_index(1);
-        let j3 = CommodityId::from_index(3);
-        let base_rate = dense.extended().commodity(j1).max_rate;
-        // A physical node on some route: halving its budget forces the
-        // barrier to repel flow and reroute around it.
-        let squeezed = NodeId::from_index(4);
-        let base_cap = dense.extended().capacity(squeezed).value();
+    let j1 = CommodityId::from_index(1);
+    let j3 = CommodityId::from_index(3);
+    let base_rate = dense.extended().commodity(j1).max_rate;
+    // A physical node on some route: halving its budget forces the
+    // barrier to repel flow and reroute around it.
+    let squeezed = NodeId::from_index(4);
+    let base_cap = dense.extended().capacity(squeezed).value();
 
-        for it in 0..300 {
-            match it {
-                // Demand surge on one commodity.
-                100 => {
-                    dense.extended_mut().set_max_rate(j1, base_rate * 2.0);
-                    sparse.extended_mut().set_max_rate(j1, base_rate * 2.0);
-                }
-                // Capacity squeeze on a shared physical node.
-                150 => {
-                    let cap = Capacity::finite(base_cap * 0.5).unwrap();
-                    dense.extended_mut().set_capacity(squeezed, cap);
-                    sparse.extended_mut().set_capacity(squeezed, cap);
-                }
-                // Recovery plus a second demand edit elsewhere.
-                200 => {
-                    let cap = Capacity::finite(base_cap).unwrap();
-                    dense.extended_mut().set_capacity(squeezed, cap);
-                    sparse.extended_mut().set_capacity(squeezed, cap);
-                    dense.extended_mut().set_max_rate(j3, base_rate * 0.25);
-                    sparse.extended_mut().set_max_rate(j3, base_rate * 0.25);
-                }
-                _ => {}
+    for it in 0..300 {
+        match it {
+            // Demand surge on one commodity.
+            100 => {
+                dense.extended_mut().set_max_rate(j1, base_rate * 2.0);
+                sparse.extended_mut().set_max_rate(j1, base_rate * 2.0);
             }
-            dense.step();
-            sparse.step();
-            assert_eq!(
-                dense.routing(),
-                sparse.routing(),
-                "routing diverged at iteration {it} (threads={threads})"
-            );
+            // Capacity squeeze on a shared physical node.
+            150 => {
+                let cap = Capacity::finite(base_cap * 0.5).unwrap();
+                dense.extended_mut().set_capacity(squeezed, cap);
+                sparse.extended_mut().set_capacity(squeezed, cap);
+            }
+            // Recovery plus a second demand edit elsewhere.
+            200 => {
+                let cap = Capacity::finite(base_cap).unwrap();
+                dense.extended_mut().set_capacity(squeezed, cap);
+                sparse.extended_mut().set_capacity(squeezed, cap);
+                dense.extended_mut().set_max_rate(j3, base_rate * 0.25);
+                sparse.extended_mut().set_max_rate(j3, base_rate * 0.25);
+            }
+            _ => {}
         }
-        assert_identical(
-            &dense,
-            &sparse,
-            &format!("after scripted mutations, threads={threads}"),
+        dense.step();
+        sparse.step();
+        assert_eq!(
+            dense.routing(),
+            sparse.routing(),
+            "routing diverged at iteration {it}"
         );
-        assert!(dense.utility().is_finite());
     }
+    assert_identical(&dense, &sparse, "after scripted mutations");
+    assert!(dense.utility().is_finite());
 }
 
 /// The mutation hooks themselves reject poisoned inputs — a NaN rate or

@@ -19,8 +19,8 @@
 //!   the full-width `CostModel::total_cost` of its own state.
 //!
 //! Grid: the three `PenaltyKind`s (`LogBarrier` is the one whose idle
-//! value is `-0.0`) × wall on/off × dense / sparse serial / sparse
-//! pooled, from the all-reject start, annealing ε on the way, through
+//! value is `-0.0`) × wall on/off × dense / sparse, from the
+//! all-reject start, annealing ε on the way, through
 //! one evict + admit, one `set_capacity` on a union node and one on an
 //! idle node, one `set_max_rate` and one checkpoint/restore.
 
@@ -123,13 +123,12 @@ fn isolated_servers_change_no_bit_of_any_step() {
     ];
     for (kind, knee) in kinds {
         for wall_strength in [0.0, 4.0] {
-            for (sparsity, threads) in [(false, 1), (true, 1), (true, 2)] {
-                let ctx = format!("{kind:?} wall={wall_strength} sparsity={sparsity} t={threads}");
+            for sparsity in [false, true] {
+                let ctx = format!("{kind:?} wall={wall_strength} sparsity={sparsity}");
                 let cfg = GradientConfig {
                     penalty: Penalty::new(kind, knee).unwrap(),
                     wall_strength,
                     sparsity,
-                    threads,
                     epsilon_factor: 0.8,
                     epsilon_interval: 35,
                     ..GradientConfig::default()

@@ -50,19 +50,10 @@ fn problem(nodes: usize, commodities: usize, seed: u64) -> spn::model::Problem {
         .problem
 }
 
-/// The monolithic reference: serial dense engine (every mesh worker
-/// runs the same free-function sweeps serially).
-fn reference_config() -> GradientConfig {
-    GradientConfig {
-        threads: 1,
-        ..GradientConfig::default()
-    }
-}
-
 fn mesh_config(regions: usize) -> MeshConfig {
     MeshConfig {
         regions,
-        gradient: reference_config(),
+        gradient: GradientConfig::default(),
         ..MeshConfig::default()
     }
 }
@@ -81,7 +72,7 @@ fn lossless_mesh_is_bit_identical_to_the_monolithic_algorithm() {
         for regions in [1usize, 2, 4] {
             let p = problem(nodes, commodities, seed);
             let ext = ExtendedNetwork::build(&p);
-            let mut alg = GradientAlgorithm::new(&p, reference_config()).unwrap();
+            let mut alg = GradientAlgorithm::new(&p, GradientConfig::default()).unwrap();
             let mut mesh = MeshRuntime::lossless(ext, mesh_config(regions)).unwrap();
             for it in 0..80 {
                 alg.step();
@@ -191,7 +182,7 @@ fn chaotic_mesh_reaches_the_reference_convergence_verdict() {
     const UTILITY_RTOL: f64 = 1e-2;
 
     let p = problem(16, 2, 4);
-    let mut alg = GradientAlgorithm::new(&p, reference_config()).unwrap();
+    let mut alg = GradientAlgorithm::new(&p, GradientConfig::default()).unwrap();
     let reference = alg.run_until_stable(SHIFT_TOLERANCE, MAX_ITERATIONS);
 
     let faults = MeshFaultConfig {
@@ -617,7 +608,7 @@ fn frames_with_out_of_range_indices_are_discarded_without_a_write() {
         };
         let mut mesh =
             MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
-        let mut alg = GradientAlgorithm::new(&p, reference_config()).unwrap();
+        let mut alg = GradientAlgorithm::new(&p, GradientConfig::default()).unwrap();
         let mut clean = MeshRuntime::lossless(ext.clone(), mesh_config(REGIONS)).unwrap();
         for it in 0..40 {
             alg.step();
@@ -717,7 +708,7 @@ fn mesh_rejects_unsupported_configs() {
         regions: 2,
         gradient: GradientConfig {
             epsilon_factor: 0.5,
-            ..reference_config()
+            ..GradientConfig::default()
         },
         ..MeshConfig::default()
     };

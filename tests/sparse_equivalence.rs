@@ -1,9 +1,8 @@
 //! ARCHITECTURE invariant 14: the sparsity-aware active-set engine
 //! (`GradientConfig::sparsity`) must produce **bit-identical** results
 //! to the dense reference engine — same routing tables, same flow
-//! state, same marginals, down to the last ulp, for every thread count
-//! and through every mid-run mutation (thread reconfiguration,
-//! checkpoints restored, η backoff, capacity/demand edits).
+//! state, same marginals, down to the last ulp, through every mid-run
+//! mutation (checkpoints restored, η backoff, capacity/demand edits).
 //!
 //! The engine earns its speedup by *skipping* work (quiescent
 //! commodity chains, zero-fraction arcs, unchanged marginal sweeps),
@@ -12,7 +11,7 @@
 //! rather than a tolerance question. That is why these tests compare
 //! with `assert_eq!` on full state rather than norms.
 
-use spn::core::{GradientAlgorithm, GradientConfig};
+use spn::core::{GradientAlgorithm, GradientConfig, StepStats};
 use spn::model::random::RandomInstance;
 use spn::model::CommodityId;
 use spn::transform::ExtendedNetwork;
@@ -45,35 +44,34 @@ fn assert_identical(dense: &GradientAlgorithm, sparse: &GradientAlgorithm, what:
     }
 }
 
-/// The core property over a grid of random instances: ≥ 20 distinct
-/// (problem, seed, thread count) combinations, each stepped in lock
-/// step with full-state comparison at every iteration.
+/// The core property over a grid of 20 random instances, each stepped
+/// in lock step with full-state comparison at every iteration.
 #[test]
 fn sparse_is_bit_identical_to_dense_across_instances() {
     let grid = [
-        // (nodes, commodities, seed, threads, demand scale)
-        (20usize, 2usize, 1u64, 1usize, 1.0f64),
-        (20, 2, 2, 2, 3.0),
-        (20, 3, 3, 3, 0.2),
-        (30, 3, 4, 1, 1.0),
-        (30, 4, 5, 4, 0.5),
-        (30, 5, 6, 2, 2.0),
-        (40, 4, 7, 1, 0.2),
-        (40, 5, 8, 3, 1.0),
-        (40, 6, 9, 4, 3.0),
-        (50, 5, 10, 2, 1.0),
-        (50, 6, 11, 1, 0.5),
-        (50, 8, 12, 4, 1.0),
-        (60, 6, 13, 3, 0.2),
-        (60, 8, 14, 2, 1.0),
-        (80, 8, 15, 4, 1.0),
-        (80, 8, 16, 1, 2.0),
-        (30, 5, 17, 5, 1.0),
-        (40, 6, 18, 7, 0.2),
-        (20, 2, 19, 2, 1.0),
-        (50, 8, 20, 3, 3.0),
+        // (nodes, commodities, seed, demand scale)
+        (20usize, 2usize, 1u64, 1.0f64),
+        (20, 2, 2, 3.0),
+        (20, 3, 3, 0.2),
+        (30, 3, 4, 1.0),
+        (30, 4, 5, 0.5),
+        (30, 5, 6, 2.0),
+        (40, 4, 7, 0.2),
+        (40, 5, 8, 1.0),
+        (40, 6, 9, 3.0),
+        (50, 5, 10, 1.0),
+        (50, 6, 11, 0.5),
+        (50, 8, 12, 1.0),
+        (60, 6, 13, 0.2),
+        (60, 8, 14, 1.0),
+        (80, 8, 15, 1.0),
+        (80, 8, 16, 2.0),
+        (30, 5, 17, 1.0),
+        (40, 6, 18, 0.2),
+        (20, 2, 19, 1.0),
+        (50, 8, 20, 3.0),
     ];
-    for &(nodes, commodities, seed, threads, scale) in &grid {
+    for &(nodes, commodities, seed, scale) in &grid {
         let problem = RandomInstance::builder()
             .nodes(nodes)
             .commodities(commodities)
@@ -83,12 +81,10 @@ fn sparse_is_bit_identical_to_dense_across_instances() {
             .problem
             .scale_demand(scale);
         let dense_cfg = GradientConfig {
-            threads,
             sparsity: false,
             ..GradientConfig::default()
         };
         let sparse_cfg = GradientConfig {
-            threads,
             sparsity: true,
             ..GradientConfig::default()
         };
@@ -99,7 +95,7 @@ fn sparse_is_bit_identical_to_dense_across_instances() {
             let ss = sparse.step();
             let ctx = format!(
                 "at iteration {it} (nodes={nodes} commodities={commodities} \
-                 seed={seed} threads={threads} scale={scale})"
+                 seed={seed} scale={scale})"
             );
             assert_eq!(dense.routing(), sparse.routing(), "routing diverged {ctx}");
             // Step statistics feed `run_until_stable`; cached chunk
@@ -120,14 +116,14 @@ fn sparse_is_bit_identical_to_dense_across_instances() {
         assert_identical(
             &dense,
             &sparse,
-            &format!("nodes={nodes} commodities={commodities} seed={seed} threads={threads}"),
+            &format!("nodes={nodes} commodities={commodities} seed={seed}"),
         );
     }
 }
 
 /// ε-annealing mutates the cost model *inside* a step (marginals are
 /// swept at the new ε while flows were forecast before it); the sparse
-/// engine's split anneal dispatch must land on the same bits.
+/// engine must land the mutation between the same two phases.
 #[test]
 fn sparse_matches_dense_through_annealing() {
     let problem = RandomInstance::builder()
@@ -138,7 +134,6 @@ fn sparse_matches_dense_through_annealing() {
         .unwrap()
         .problem;
     let anneal = |sparsity| GradientConfig {
-        threads: 3,
         sparsity,
         epsilon_factor: 0.5,
         epsilon_interval: 25,
@@ -158,8 +153,7 @@ fn sparse_matches_dense_through_annealing() {
     assert_identical(&dense, &sparse, "annealed run");
 }
 
-/// Mid-run mutations: thread reconfiguration (which re-zeroes the
-/// persistent workspace partials), checkpoint/restore, η backoff, and
+/// Mid-run mutations: checkpoint/restore, η backoff, and
 /// capacity/demand jitter through `extended_mut`. Each one invalidates
 /// the active set; the sparse trajectory must stay glued to the dense
 /// one through all of them.
@@ -172,13 +166,12 @@ fn sparse_survives_midrun_mutations() {
         .build()
         .unwrap()
         .problem;
-    let cfg = |sparsity, threads| GradientConfig {
-        threads,
+    let cfg = |sparsity| GradientConfig {
         sparsity,
         ..GradientConfig::default()
     };
-    let mut dense = GradientAlgorithm::new(&problem, cfg(false, 2)).unwrap();
-    let mut sparse = GradientAlgorithm::new(&problem, cfg(true, 2)).unwrap();
+    let mut dense = GradientAlgorithm::new(&problem, cfg(false)).unwrap();
+    let mut sparse = GradientAlgorithm::new(&problem, cfg(true)).unwrap();
 
     let run = |d: &mut GradientAlgorithm, s: &mut GradientAlgorithm, n: usize| {
         for _ in 0..n {
@@ -191,17 +184,6 @@ fn sparse_survives_midrun_mutations() {
     run(&mut dense, &mut sparse, 60);
     let (ck_d, ck_s) = (dense.checkpoint(), sparse.checkpoint());
     assert_identical(&dense, &sparse, "before mutations");
-
-    // Thread reconfiguration (sparse only — the dense engine is
-    // invariant to it by construction, so reconfiguring just the sparse
-    // side is the sharper test of the workspace-rezero hazard).
-    sparse.set_threads(4);
-    run(&mut dense, &mut sparse, 30);
-    assert_identical(&dense, &sparse, "after set_threads(4)");
-    sparse.set_threads(1);
-    run(&mut dense, &mut sparse, 30);
-    assert_identical(&dense, &sparse, "after set_threads(1)");
-    sparse.set_threads(2);
 
     // η backoff and recovery, as the watchdog would apply it.
     dense.set_eta(0.01);
@@ -241,34 +223,74 @@ fn sparse_matches_dense_in_converged_regime() {
         .unwrap()
         .problem
         .scale_demand(0.2);
-    for threads in [1usize, 4] {
-        let dense_cfg = GradientConfig {
-            threads,
-            sparsity: false,
-            ..GradientConfig::default()
-        };
-        let sparse_cfg = GradientConfig {
-            threads,
-            sparsity: true,
-            ..GradientConfig::default()
-        };
-        let mut dense = GradientAlgorithm::new(&problem, dense_cfg).unwrap();
-        let mut sparse = GradientAlgorithm::new(&problem, sparse_cfg).unwrap();
-        // Settle deep into convergence, comparing periodically, then
-        // check every lane at the end.
-        for block in 0..40 {
-            for _ in 0..50 {
-                dense.step();
-                sparse.step();
-            }
-            assert_eq!(
-                dense.routing(),
-                sparse.routing(),
-                "routing diverged by iteration {} (threads={threads})",
-                (block + 1) * 50
-            );
+    let dense_cfg = GradientConfig {
+        sparsity: false,
+        ..GradientConfig::default()
+    };
+    let mut dense = GradientAlgorithm::new(&problem, dense_cfg).unwrap();
+    let mut sparse = GradientAlgorithm::new(&problem, GradientConfig::default()).unwrap();
+    // Settle deep into convergence, comparing periodically, then check
+    // every lane at the end.
+    for block in 0..40 {
+        for _ in 0..50 {
+            dense.step();
+            sparse.step();
         }
-        assert_identical(&dense, &sparse, &format!("converged, threads={threads}"));
+        assert_eq!(
+            dense.routing(),
+            sparse.routing(),
+            "routing diverged by iteration {}",
+            (block + 1) * 50
+        );
+    }
+    assert_identical(&dense, &sparse, "converged");
+}
+
+/// The thread knobs are inert shims (kept for the frozen `benchmark/`
+/// surface): whatever `GradientConfig::threads` says, and whatever
+/// `set_threads` is told mid-run, there is one schedule — three fresh
+/// builds step bit-identically, full state, every step.
+#[test]
+#[allow(deprecated)] // the shims under test
+fn thread_knobs_are_inert() {
+    let problem = RandomInstance::builder()
+        .nodes(40)
+        .commodities(5)
+        .seed(22)
+        .build()
+        .unwrap()
+        .problem;
+    let build = |threads| {
+        let cfg = GradientConfig {
+            threads,
+            ..GradientConfig::default()
+        };
+        GradientAlgorithm::new(&problem, cfg).unwrap()
+    };
+    let (mut one, mut seven, mut auto) = (build(1), build(7), build(0));
+    let bits = |s: StepStats| {
+        let g = s.gamma;
+        (
+            s.cost_before.to_bits(),
+            g.total_shift.to_bits(),
+            g.max_shift.to_bits(),
+            g.rows,
+        )
+    };
+    for it in 0..120 {
+        if it == 60 {
+            seven.set_threads(4);
+        }
+        assert_eq!(
+            (seven.resolved_threads(), auto.resolved_threads()),
+            (1, 1),
+            "at iteration {it}"
+        );
+        let stats = bits(one.step());
+        assert_eq!(stats, bits(seven.step()), "step stats at iteration {it}");
+        assert_eq!(stats, bits(auto.step()), "step stats at iteration {it}");
+        assert_identical(&one, &seven, &format!("threads: 7 at iteration {it}"));
+        assert_identical(&one, &auto, &format!("threads: 0 at iteration {it}"));
     }
 }
 
@@ -283,12 +305,7 @@ fn cloned_sparse_algorithm_continues_identically() {
         .build()
         .unwrap()
         .problem;
-    let cfg = GradientConfig {
-        threads: 2,
-        sparsity: true,
-        ..GradientConfig::default()
-    };
-    let mut a = GradientAlgorithm::new(&problem, cfg).unwrap();
+    let mut a = GradientAlgorithm::new(&problem, GradientConfig::default()).unwrap();
     a.run(200);
     let mut b = a.clone();
     for it in 0..100 {
@@ -313,11 +330,7 @@ fn from_extended_construction_matches() {
         .build()
         .unwrap()
         .problem;
-    let cfg = GradientConfig {
-        threads: 2,
-        sparsity: true,
-        ..GradientConfig::default()
-    };
+    let cfg = GradientConfig::default();
     let mut via_new = GradientAlgorithm::new(&problem, cfg).unwrap();
     let mut via_ext =
         GradientAlgorithm::from_extended(ExtendedNetwork::build(&problem), cfg).unwrap();

@@ -27,11 +27,7 @@ fn instance(seed: u64, nodes: usize, commodities: usize) -> Problem {
 /// problem through `shared`, comparing every result against a fresh
 /// workspace and against the algorithm's own internal state.
 fn check_problem(problem: &Problem, shared: &mut IterationWorkspace) -> TestCaseResult {
-    let cfg = GradientConfig {
-        threads: 1,
-        ..GradientConfig::default()
-    };
-    let mut alg = GradientAlgorithm::new(problem, cfg).unwrap();
+    let mut alg = GradientAlgorithm::new(problem, GradientConfig::default()).unwrap();
     alg.run(30); // a non-trivial operating point
     let ext = alg.extended();
     let cost = alg.cost_model();

@@ -1,12 +1,9 @@
 //! The steady-state `GradientAlgorithm::step()` performs **zero heap
-//! allocation** — on the serial path (`threads = 1`) *and* on the
-//! pooled path (`threads = 2`): every buffer the iteration touches is
-//! owned by the algorithm (flow state, marginals, tags) or its
-//! [`IterationWorkspace`] and only resized, never rebuilt, and a pooled
-//! step is one epoch bump on the persistent worker pool (no spawns, no
-//! allocation). Verified here with a counting global allocator; the
-//! counter is process-global, so worker-thread allocations would be
-//! caught too.
+//! allocation** — on the dense reference path and on the active-set
+//! engine: every buffer the iteration touches is owned by the
+//! algorithm (flow state, marginals, tags) or its
+//! [`IterationWorkspace`] and only resized, never rebuilt. Verified
+//! here with a counting global allocator.
 //!
 //! This file deliberately contains a single test: the counter is
 //! process-global, and concurrent tests would alias into the measured
@@ -88,7 +85,6 @@ fn steady_state_step_is_allocation_free() {
     // Dense reference path first (sparsity now defaults on, so the
     // dense engine must be requested explicitly to stay covered here).
     let cfg = GradientConfig {
-        threads: 1,
         sparsity: false,
         ..GradientConfig::default()
     };
@@ -100,7 +96,7 @@ fn steady_state_step_is_allocation_free() {
         alg.step();
     }
 
-    let stray = allocations_in("dense serial", || {
+    let stray = allocations_in("dense", || {
         for _ in 0..50 {
             alg.step();
         }
@@ -112,30 +108,6 @@ fn steady_state_step_is_allocation_free() {
 
     // the run still makes progress (the instrumented loop is the real one)
     assert!(alg.report().utility > 0.0);
-
-    // The pooled path: the persistent pool is built (and its workers
-    // spawned) at construction, outside the measured window; a warm
-    // fused dispatch must not allocate either — on the caller or on any
-    // worker (the counter is process-global).
-    let pooled_cfg = GradientConfig {
-        threads: 2,
-        sparsity: false,
-        ..GradientConfig::default()
-    };
-    let mut pooled = GradientAlgorithm::new(&problem, pooled_cfg).unwrap();
-    for _ in 0..10 {
-        pooled.step();
-    }
-    let stray = allocations_in("pooled", || {
-        for _ in 0..50 {
-            pooled.step();
-        }
-    });
-    assert_eq!(
-        stray, 0,
-        "steady-state pooled step() allocated {stray} times over 50 iterations"
-    );
-    assert!(pooled.report().utility > 0.0);
 
     // Checkpoint/rollback: the first capture sizes the checkpoint's
     // buffers; warm `checkpoint_into` refills and `restore` copies back
@@ -159,43 +131,35 @@ fn steady_state_step_is_allocation_free() {
     // The active-set engine (ARCHITECTURE invariant 15): once its
     // buffers are sized by the first sparse step, all active-set
     // maintenance — dirty-list compaction, live-arc row rebuilds after
-    // support changes, the bitwise totals comparison, marginal work
-    // lists — reuses preallocated storage. Measured on both the serial
-    // and the pooled sparse path, including a restore (which
+    // support changes, the bitwise totals comparison — reuses
+    // preallocated storage. The window includes a restore (which
     // invalidates the tracker and forces dense-rebuild iterations —
     // those must be allocation-free too).
-    for threads in [1usize, 2] {
-        let sparse_cfg = GradientConfig {
-            threads,
-            sparsity: true,
-            ..GradientConfig::default()
-        };
-        let mut sparse = GradientAlgorithm::new(&problem, sparse_cfg).unwrap();
-        for _ in 0..10 {
+    let mut sparse = GradientAlgorithm::new(&problem, GradientConfig::default()).unwrap();
+    for _ in 0..10 {
+        sparse.step();
+    }
+    let stray = allocations_in("sparse steps", || {
+        for _ in 0..50 {
             sparse.step();
         }
-        let stray = allocations_in("sparse steps", || {
-            for _ in 0..50 {
-                sparse.step();
-            }
-        });
-        assert_eq!(
-            stray, 0,
-            "steady-state sparse step() (threads={threads}) allocated {stray} times over 50 iterations"
-        );
-        let mut ck = spn::core::Checkpoint::new();
-        sparse.checkpoint_into(&mut ck);
-        let stray = allocations_in("sparse restore cycle", || {
-            for _ in 0..10 {
-                sparse.restore(&ck).expect("shapes match");
-                sparse.step(); // post-invalidation dense rebuild iteration
-                sparse.step(); // warm sparse iteration
-            }
-        });
-        assert_eq!(
-            stray, 0,
-            "sparse restore/invalidate cycle (threads={threads}) allocated {stray} times"
-        );
-        assert!(sparse.report().utility > 0.0);
-    }
+    });
+    assert_eq!(
+        stray, 0,
+        "steady-state sparse step() allocated {stray} times over 50 iterations"
+    );
+    let mut ck = spn::core::Checkpoint::new();
+    sparse.checkpoint_into(&mut ck);
+    let stray = allocations_in("sparse restore cycle", || {
+        for _ in 0..10 {
+            sparse.restore(&ck).expect("shapes match");
+            sparse.step(); // post-invalidation dense rebuild iteration
+            sparse.step(); // warm sparse iteration
+        }
+    });
+    assert_eq!(
+        stray, 0,
+        "sparse restore/invalidate cycle allocated {stray} times"
+    );
+    assert!(sparse.report().utility > 0.0);
 }
