@@ -22,7 +22,17 @@
 //!     single-core host, where a timing ratio gates on scheduler noise;
 //! (c) either engine performs a heap allocation in the measured window
 //!     (process-global counting allocator, the same harness as the
-//!     workspace's `zero_alloc` test), or utility goes non-finite.
+//!     workspace's `zero_alloc` test), or utility goes non-finite;
+//! (d) an idle server costs more than 128 bytes of algorithm state:
+//!     `(live heap bytes the padded algorithm holds − the plain one) /
+//!     40,000`, from the same allocator. What is left per idle node is
+//!     the genuinely `V`-wide tables — the graph's two adjacency
+//!     headers, node kind, capacity, the usage total — and none of it
+//!     scales with the commodity count. **Measured at the parent of the
+//!     change that introduced this gate** (every per-commodity node
+//!     table a dense `J·V` slab, 37 B per commodity per node): 664.0
+//!     B per idle node at `J = 16`; with member-position rows: 72.0
+//!     B.
 //!
 //! `scale_smoke --smoke` is the CI entry point (`scripts/ci.sh`); the
 //! flag is accepted for symmetry with the other gates but the run is
@@ -33,27 +43,41 @@ use spn_core::{GradientAlgorithm, GradientConfig, StepStats};
 use spn_model::hierarchy::HierarchicalInstance;
 use spn_model::spec::ProblemSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Heap bytes currently allocated (requested sizes).
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
+}
+
+/// Runs `build` and returns its result with the heap bytes it left
+/// allocated (whatever it allocated and freed on the way is not
+/// counted).
+fn retained<T>(build: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let built = build();
+    (built, LIVE_BYTES.load(Ordering::Relaxed) - before)
 }
 
 #[global_allocator]
@@ -81,6 +105,10 @@ const MEASURE_ITERS: usize = 100;
 /// Ceiling on padded ÷ unpadded median step time (see the header for
 /// the ratio this gate was sized against).
 const IDLE_RATIO_CEILING: f64 = 1.25;
+
+/// Ceiling on the algorithm state one idle server may cost, in bytes,
+/// independent of the commodity count (see the header).
+const IDLE_BYTES_CEILING: f64 = 128.0;
 
 /// Everything two bit-equal steps must agree on.
 fn step_bits(stats: &StepStats, utility: f64) -> [u64; 5] {
@@ -115,8 +143,11 @@ fn main() {
         spec.into_problem().expect("isolated servers are valid")
     };
     let cfg = GradientConfig::default(); // sparsity defaults on
-    let mut plain = GradientAlgorithm::new(&problem, cfg).expect("valid config");
-    let mut padded = GradientAlgorithm::new(&padded_problem, cfg).expect("valid config");
+    let (mut plain, plain_bytes) =
+        retained(|| GradientAlgorithm::new(&problem, cfg).expect("valid config"));
+    let (mut padded, padded_bytes) =
+        retained(|| GradientAlgorithm::new(&padded_problem, cfg).expect("valid config"));
+    let idle_bytes = (padded_bytes - plain_bytes) as f64 / PADDING as f64;
     let build_secs = build_start.elapsed().as_secs_f64();
     eprintln!(
         "scale_smoke: built {} nodes / {COMMODITIES} commodities, plain ({} extended nodes, \
@@ -172,10 +203,10 @@ fn main() {
     let ratio = padded_p50 / p50;
 
     println!(
-        "# scale_smoke\tnodes\tcommodities\tp50_us\tp95_us\tpadded_p50_us\tidle_ratio\tallocs\tutility"
+        "# scale_smoke\tnodes\tcommodities\tp50_us\tp95_us\tpadded_p50_us\tidle_ratio\tidle_node_bytes\tallocs\tutility"
     );
     println!(
-        "scale_smoke\t{}\t{COMMODITIES}\t{p50:.1}\t{p95:.1}\t{padded_p50:.1}\t{ratio:.2}\t{allocs}\t{:.3}",
+        "scale_smoke\t{}\t{COMMODITIES}\t{p50:.1}\t{p95:.1}\t{padded_p50:.1}\t{ratio:.2}\t{idle_bytes:.1}\t{allocs}\t{:.3}",
         inst.config.total_nodes(),
         plain.utility()
     );
@@ -203,6 +234,14 @@ fn main() {
             "FAIL: a step with {PADDING} idle servers costs {ratio:.2}x the unpadded step \
              (ceiling {IDLE_RATIO_CEILING}) — a per-step lane is walking every node instead \
              of the router union"
+        );
+        failed = true;
+    }
+    if idle_bytes > IDLE_BYTES_CEILING {
+        eprintln!(
+            "FAIL: an idle server costs {idle_bytes:.1} bytes of algorithm state (ceiling \
+             {IDLE_BYTES_CEILING}; the plain algorithm holds {plain_bytes} B, the padded one \
+             {padded_bytes} B) — a per-commodity table is sized by the node count again"
         );
         failed = true;
     }

@@ -23,8 +23,9 @@
 //! means once per commodity *structure*: the sizing key is
 //! [`ExtendedNetwork::structure_version`], because an evict followed by
 //! an admit can restore the commodity, node and edge counts while
-//! widening the strides. The saved usage totals the changed-totals test
-//! compares against are kept per edge and per *router-union position*
+//! moving every per-commodity extent. The saved usage totals the
+//! changed-totals test compares against are kept per edge and per
+//! *router-union position*
 //! ([`ExtendedNetwork::router_union`]) — idle nodes are never copied,
 //! zeroed or compared (see `reduce_usage_totals_tracked` in `step.rs`).
 //!
@@ -34,36 +35,20 @@
 
 use crate::blocked::{tag_sweep_active, BlockedTags};
 use crate::cost::CostModel;
-use crate::flows::{flow_sweep_active, FlowState};
+use crate::flows::FlowState;
 use crate::marginals::{marginal_sweep_active, Marginals};
 use crate::routing::RoutingTable;
-use crate::step::{accumulate_usage_totals_scoped, clear_tags_scoped, zero_flow_rows_scoped};
-use crate::workspace::IterationWorkspace;
+use crate::step::{accumulate_usage_totals_scoped, flow_pass_active};
+use crate::workspace::{sizing_key, IterationWorkspace, SizingKey};
 use spn_graph::EdgeId;
 use spn_model::CommodityId;
 use spn_transform::ExtendedNetwork;
-
-/// What every buffer in this module is sized by. The version is the
-/// key: an evict followed by an admit restores all three counts while
-/// changing the per-commodity extents the strides are maxima of. The
-/// counts only tell apart two networks that share a version (a sweep
-/// set handed a different network than it was built for).
-type SizingKey = (u64, usize, usize, usize);
-
-fn sizing_key(ext: &ExtendedNetwork) -> SizingKey {
-    (
-        ext.structure_version(),
-        ext.num_commodities(),
-        ext.graph().node_count(),
-        ext.graph().edge_count(),
-    )
-}
 
 /// Per-commodity live-arc sub-lists in CSR form over
 /// [`ExtendedNetwork::commodity_routers_topo`].
 ///
 /// Rows use uniform strides (`router_stride`, `arc_stride` — the maxima
-/// over commodities), like every other per-commodity table.
+/// over commodities of the router and arc counts).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ActiveArcs {
     pub(crate) router_stride: usize,
@@ -74,11 +59,35 @@ pub(crate) struct ActiveArcs {
     /// `arcs[ji * arc_stride ..]` — the live arcs, grouped by router in
     /// topo order, CSR sub-order within a router.
     pub(crate) arcs: Vec<EdgeId>,
+    /// Member position of the head of each `arcs` entry, so a sweep
+    /// reaches the head's traffic / marginal / tag entry with no lookup.
+    pub(crate) heads: Vec<u32>,
     /// Total live arcs per commodity (the filled prefix of its row).
     pub(crate) live: Vec<usize>,
     /// Row must be rebuilt before its next use (set by invalidation;
     /// support changes rebuild eagerly instead).
     pub(crate) stale: Vec<bool>,
+}
+
+/// One commodity's live-arc row, borrowed: per topo-router live
+/// out-degrees, the live arcs, their heads' member positions (both rows
+/// filled up to `live`), and the live total.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LiveRow<'a> {
+    pub(crate) lens: &'a [u32],
+    pub(crate) arcs: &'a [EdgeId],
+    pub(crate) heads: &'a [u32],
+    pub(crate) live: usize,
+}
+
+impl<'a> LiveRow<'a> {
+    /// The `n` live arcs starting at `at`, each with its head's member
+    /// position.
+    pub(crate) fn span(&self, at: usize, n: usize) -> impl Iterator<Item = (EdgeId, usize)> + 'a {
+        let arcs = self.arcs[at..at + n].iter();
+        arcs.zip(&self.heads[at..at + n])
+            .map(|(&l, &head)| (l, head as usize))
+    }
 }
 
 impl ActiveArcs {
@@ -88,7 +97,7 @@ impl ActiveArcs {
         let j_count = ext.num_commodities();
         self.router_stride = ext
             .commodity_ids()
-            .map(|j| ext.commodity_routers_topo(j).len())
+            .map(|j| ext.commodity_routers(j).len())
             .max()
             .unwrap_or(0);
         self.arc_stride = ext
@@ -101,18 +110,23 @@ impl ActiveArcs {
         self.arcs.clear();
         self.arcs
             .resize(j_count * self.arc_stride, EdgeId::from_index(0));
+        self.heads.clear();
+        self.heads.resize(j_count * self.arc_stride, 0);
         self.live.clear();
         self.live.resize(j_count, 0);
         self.stale.clear();
         self.stale.resize(j_count, true);
     }
 
-    /// The live-arc row of commodity `ji`: `(arc_len row, arcs row,
-    /// live total)`.
-    pub(crate) fn row(&self, ji: usize) -> (&[u32], &[EdgeId], usize) {
-        let lens = &self.arc_len[ji * self.router_stride..(ji + 1) * self.router_stride];
-        let arcs = &self.arcs[ji * self.arc_stride..(ji + 1) * self.arc_stride];
-        (lens, arcs, self.live[ji])
+    /// The live-arc row of commodity `ji`.
+    pub(crate) fn row(&self, ji: usize) -> LiveRow<'_> {
+        let arcs = ji * self.arc_stride..(ji + 1) * self.arc_stride;
+        LiveRow {
+            lens: &self.arc_len[ji * self.router_stride..(ji + 1) * self.router_stride],
+            arcs: &self.arcs[arcs.clone()],
+            heads: &self.heads[arcs],
+            live: self.live[ji],
+        }
     }
 
     /// Rebuilds commodity `j`'s live-arc row from its fraction row: the
@@ -121,12 +135,16 @@ impl ActiveArcs {
         let ji = j.index();
         let lens = &mut self.arc_len[ji * self.router_stride..(ji + 1) * self.router_stride];
         let arcs = &mut self.arcs[ji * self.arc_stride..(ji + 1) * self.arc_stride];
+        let heads = &mut self.heads[ji * self.arc_stride..(ji + 1) * self.arc_stride];
+        let m = ext.members(j);
         let mut idx = 0usize;
-        for (r, &v) in ext.commodity_routers_topo(j).iter().enumerate() {
+        for (r, &p) in m.routers_topo().iter().enumerate() {
             let start = idx;
-            for &l in ext.commodity_out_slice(j, v) {
+            let (out, out_heads) = m.out_arcs(p as usize);
+            for (&l, &head) in out.iter().zip(out_heads) {
                 if phi[l.index()] != 0.0 {
                     arcs[idx] = l;
+                    heads[idx] = head;
                     idx += 1;
                 }
             }
@@ -145,8 +163,8 @@ impl ActiveArcs {
 /// is the sparse engine's kernels without its skip algebra, so each
 /// method is bit-identical to its dense counterpart
 /// ([`compute_marginals_into`], [`compute_tags_into`],
-/// [`compute_flows_into`]) at `O(Σ_j members_j)` instead of
-/// `O(J·(V + L))` per call.
+/// [`compute_flows_into`]) over the live arcs instead of every member
+/// arc.
 ///
 /// **Staleness contract.** The live-arc table is derived from the
 /// routing table. Whoever writes a fraction of commodity `j` outside
@@ -155,11 +173,12 @@ impl ActiveArcs {
 /// every sweep rebuilds stale rows first and debug-asserts the table
 /// against the routing it was handed.
 ///
-/// **Zero-entry contract.** The sweeps write member entries only, so
-/// the output buffers must hold what the dense sweeps leave outside a
-/// commodity's subgraph — `0.0` / `false` — which is true of buffers
-/// produced by the dense functions, by this type, or by the
-/// constructors (`zeros`, `none`), and of copies of such buffers.
+/// **Zero-entry contract.** The sweeps write router entries and member
+/// edges only, so the output buffers must hold what the dense sweeps
+/// leave at a commodity's other members (its sink) and on foreign edges
+/// — `0.0` / `false` — which is true of buffers produced by the dense
+/// functions, by this type, or by the constructors (`zeros`, `none`),
+/// and of copies of such buffers.
 ///
 /// [`compute_marginals_into`]: crate::marginals::compute_marginals_into
 /// [`compute_tags_into`]: crate::blocked::compute_tags_into
@@ -199,21 +218,22 @@ impl LiveArcSweeps {
             if self.arcs.stale[j.index()] {
                 return true;
             }
-            let (lens, arcs, live) = self.arcs.row(j.index());
+            let row = self.arcs.row(j.index());
             let phi = routing.row(j);
+            let m = ext.members(j);
             let mut idx = 0usize;
-            for (r, &v) in ext.commodity_routers_topo(j).iter().enumerate() {
-                let expect = ext
-                    .commodity_out_slice(j, v)
-                    .iter()
-                    .filter(|l| phi[l.index()] != 0.0);
-                let n = lens[r] as usize;
-                if idx + n > live || !expect.eq(&arcs[idx..idx + n]) {
+            for (r, &p) in m.routers_topo().iter().enumerate() {
+                let (out, heads) = m.out_arcs(p as usize);
+                let expect = out.iter().zip(heads).filter(|(l, _)| phi[l.index()] != 0.0);
+                let n = row.lens[r] as usize;
+                if idx + n > row.live
+                    || !expect.eq(row.arcs[idx..idx + n].iter().zip(&row.heads[idx..idx + n]))
+                {
                     return false;
                 }
                 idx += n;
             }
-            idx == live
+            idx == row.live
         })
     }
 
@@ -253,23 +273,18 @@ impl LiveArcSweeps {
         out: &mut Marginals,
     ) {
         self.refresh(ext, routing);
-        let v_count = ext.graph().node_count();
-        if out.d.len() != ext.num_commodities() * v_count {
+        if out.d.len() != ext.member_total() {
             out.reset(ext);
         }
-        for (ji, d) in out.d.chunks_mut(v_count.max(1)).enumerate() {
-            let j = CommodityId::from_index(ji);
-            let (lens, arcs, live) = self.arcs.row(ji);
+        for j in ext.commodity_ids() {
             marginal_sweep_active(
                 ext,
                 cost,
                 routing.row(j),
                 state.usage_view(),
                 j,
-                d,
-                lens,
-                arcs,
-                live,
+                &mut out.d[ext.member_range(j)],
+                self.arcs.row(j.index()),
             );
         }
     }
@@ -291,28 +306,24 @@ impl LiveArcSweeps {
         out: &mut BlockedTags,
     ) {
         self.refresh(ext, routing);
-        let v_count = ext.graph().node_count();
-        if out.tagged.len() != ext.num_commodities() * v_count {
+        if out.tagged.len() != ext.member_total() {
             out.reset(ext);
         }
-        for (ji, row) in out.tagged.chunks_mut(v_count.max(1)).enumerate() {
-            let j = CommodityId::from_index(ji);
-            let (lens, arcs, live) = self.arcs.row(ji);
-            clear_tags_scoped(ext, j, row);
+        for j in ext.commodity_ids() {
+            let row = &mut out.tagged[ext.member_range(j)];
+            row.fill(false);
             tag_sweep_active(
                 ext,
                 cost,
                 routing.row(j),
-                state.t_row(j),
+                state.t_row(ext, j),
                 state.usage_view(),
-                marginals.row(j),
+                marginals.row(ext, j),
                 eta,
                 traffic_floor,
                 j,
                 row,
-                lens,
-                arcs,
-                live,
+                self.arcs.row(j.index()),
             );
         }
     }
@@ -329,23 +340,12 @@ impl LiveArcSweeps {
         ws: &mut IterationWorkspace,
     ) {
         self.refresh(ext, routing);
-        let v_count = ext.graph().node_count();
-        let l_count = ext.graph().edge_count();
-        let j_count = ext.num_commodities();
-        if state.t.len() != j_count * v_count || state.x.len() != j_count * l_count {
+        if !state.fits(ext) {
             state.reset(ext);
         }
         ws.ensure(ext);
-        let t_rows = state.t.chunks_mut(v_count.max(1));
-        let x_rows = state.x.chunks_mut(l_count.max(1));
-        let fe_rows = ws.f_edge_part.chunks_mut(l_count.max(1));
-        let fn_rows = ws.f_node_part.chunks_mut(v_count.max(1));
-        for (ji, ((t, x), (fe, fnode))) in t_rows.zip(x_rows).zip(fe_rows.zip(fn_rows)).enumerate()
-        {
-            let j = CommodityId::from_index(ji);
-            let (lens, arcs, _live) = self.arcs.row(ji);
-            zero_flow_rows_scoped(ext, j, t, x, fe, fnode);
-            flow_sweep_active(ext, routing.row(j), j, t, x, fe, fnode, lens, arcs);
+        for j in ext.commodity_ids() {
+            flow_pass_active(ext, routing.row(j), j, state, ws, self.arcs.row(j.index()));
         }
         // Skip-free: no saved copy to compare against, so zero both
         // totals full-width and accumulate.
@@ -357,9 +357,6 @@ impl LiveArcSweeps {
             &mut state.f_node,
             &ws.f_edge_part,
             &ws.f_node_part,
-            l_count,
-            v_count,
-            j_count,
         );
     }
 }
@@ -585,20 +582,24 @@ mod tests {
         let j = CommodityId::from_index(0);
         let routing = crate::routing::RoutingTable::initial(&ext);
         active.arcs.rebuild(&ext, j, routing.row(j));
-        let (lens, arcs, live) = active.arcs.row(j.index());
+        let row = active.arcs.row(j.index());
         let mut idx = 0usize;
-        for (r, &v) in ext.commodity_routers_topo(j).iter().enumerate() {
+        for (r, v) in ext.commodity_routers_topo(j).enumerate() {
             let expect: Vec<_> = ext
                 .commodity_out_slice(j, v)
                 .iter()
                 .copied()
                 .filter(|&l| routing.fraction(j, l) != 0.0)
                 .collect();
-            assert_eq!(lens[r] as usize, expect.len(), "router {v}");
-            assert_eq!(&arcs[idx..idx + expect.len()], &expect[..]);
+            assert_eq!(row.lens[r] as usize, expect.len(), "router {v}");
+            assert_eq!(&row.arcs[idx..idx + expect.len()], &expect[..]);
+            for (&l, &head) in expect.iter().zip(&row.heads[idx..]) {
+                let head = ext.commodity_member_nodes(j)[head as usize];
+                assert_eq!(ext.graph().target(l), head, "head of {l}");
+            }
             idx += expect.len();
         }
-        assert_eq!(live, idx);
+        assert_eq!(row.live, idx);
         assert!(!active.arcs.stale[0]);
     }
 }

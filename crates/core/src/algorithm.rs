@@ -233,7 +233,8 @@ impl Report {
         let mut out = Vec::new();
         for j in ext.commodity_ids() {
             for l in ext.commodity_out_edges(j, node) {
-                let alloc = state.traffic(j, node) * alg.routing().fraction(j, l) * ext.cost(j, l);
+                let alloc =
+                    state.traffic(ext, j, node) * alg.routing().fraction(j, l) * ext.cost(j, l);
                 if alloc > 0.0 {
                     out.push((j, l, alloc));
                 }
@@ -806,9 +807,9 @@ impl GradientAlgorithm {
     }
 
     /// Admits a new commodity online: extends the shared extended
-    /// network in place ([`ExtendedNetwork::add_commodity`]) and
-    /// restrides every state buffer, without rebuilding the physical or
-    /// bandwidth layers. Survivors keep their routing fractions, flows,
+    /// network in place ([`ExtendedNetwork::add_commodity`]) and grows
+    /// every state buffer by the newcomer's rows, without rebuilding the
+    /// physical or bandwidth layers. Survivors keep their routing fractions, flows,
     /// and marginals bit-for-bit (pinned by tests): the newcomer starts
     /// fully rejecting, and its only load — its own dummy node and
     /// difference edge — lies outside every survivor's subgraph, so
@@ -842,7 +843,7 @@ impl GradientAlgorithm {
     /// Evicts a live commodity online: removes its dummy source, input
     /// and difference edges, and per-commodity rows from the shared
     /// extended network ([`ExtendedNetwork::remove_commodity`]) and
-    /// restrides every state buffer. Survivors keep their routing
+    /// drops its rows from every state buffer. Survivors keep their routing
     /// fractions and marginals bit-for-bit (pinned by tests); flows are
     /// recomputed because the departed commodity's contribution leaves
     /// the shared usage totals. Later commodities shift down one id,
@@ -857,12 +858,11 @@ impl GradientAlgorithm {
         let j_count = self.ext.num_commodities();
         assert!(j.index() < j_count, "commodity {j} is not in the network");
         assert!(j_count > 1, "cannot evict the last commodity");
-        let jr = j.index();
-        let d = self.ext.dummy_source(j).index();
+        let row = self.ext.member_range(j);
         let er0 = self.ext.input_edge(j).index();
         self.ext.remove_commodity(j);
-        self.routing.evict(jr, er0);
-        self.marginals.evict(jr, d);
+        self.routing.evict(j.index(), er0);
+        self.marginals.evict(row);
         self.reshape_state();
     }
 
@@ -1170,8 +1170,8 @@ mod tests {
             .map(|v| {
                 let v = NodeId::from_index(v);
                 (
-                    alg.flows().traffic(j, v).to_bits(),
-                    alg.marginals().node(j, v).to_bits(),
+                    alg.flows().traffic(alg.extended(), j, v).to_bits(),
+                    alg.marginals().node(alg.extended(), j, v).to_bits(),
                 )
             })
             .collect()

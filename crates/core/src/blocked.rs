@@ -22,21 +22,23 @@
 //! allocation once warm); [`compute_tags`] is the allocating wrapper.
 //! Each commodity writes only its own row.
 
+use crate::active::LiveRow;
 use crate::cost::CostModel;
 use crate::flows::{FlowState, UsageView};
 use crate::marginals::Marginals;
 use crate::routing::RoutingTable;
-use spn_graph::{EdgeId, NodeId};
+use spn_graph::NodeId;
 use spn_model::CommodityId;
 use spn_transform::ExtendedNetwork;
 use std::convert::Infallible;
 
-/// Per-commodity tag vectors, stored flat (`tagged[j·V + v]`): node
-/// `v`'s broadcast for destination `j` carried the blocking tag.
+/// Per-commodity tag rows, ragged and keyed by member position
+/// (`tagged[ext.member_range(j)][p]`): member `p`'s broadcast for
+/// destination `j` carried the blocking tag. A node outside the
+/// commodity broadcasts nothing for it and is never tagged.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BlockedTags {
     pub(crate) tagged: Vec<bool>,
-    pub(crate) v_count: usize,
 }
 
 impl BlockedTags {
@@ -44,50 +46,54 @@ impl BlockedTags {
     /// disabled).
     #[must_use]
     pub fn none(ext: &ExtendedNetwork) -> Self {
-        let v_count = ext.graph().node_count();
         BlockedTags {
-            tagged: vec![false; ext.num_commodities() * v_count],
-            v_count,
+            tagged: vec![false; ext.member_total()],
         }
     }
 
-    /// Builds a tag set from raw per-commodity vectors (crate-internal:
-    /// used by tests and by the simulator, which computes tags from
-    /// received messages).
+    /// Builds a tag set from raw per-commodity vectors indexed by
+    /// extended node (crate-internal: used by tests and by the
+    /// simulator, which computes tags from received messages). Entries
+    /// at nodes outside a commodity are not kept.
     ///
     /// # Panics
     ///
-    /// Panics if the per-commodity rows have unequal lengths.
+    /// Panics unless there is one row per commodity, each with one
+    /// entry per extended node.
     #[doc(hidden)]
     #[must_use]
-    pub fn from_raw(rows: Vec<Vec<bool>>) -> Self {
-        let v_count = rows.first().map_or(0, Vec::len);
-        let mut tagged = Vec::with_capacity(rows.len() * v_count);
-        for row in &rows {
-            assert_eq!(row.len(), v_count, "tag row length mismatch");
-            tagged.extend_from_slice(row);
+    pub fn from_raw(ext: &ExtendedNetwork, rows: &[Vec<bool>]) -> Self {
+        assert_eq!(rows.len(), ext.num_commodities(), "one row per commodity");
+        let mut tagged = Vec::with_capacity(ext.member_total());
+        for (j, row) in ext.commodity_ids().zip(rows) {
+            assert_eq!(
+                row.len(),
+                ext.graph().node_count(),
+                "tag row length mismatch"
+            );
+            tagged.extend(ext.commodity_member_nodes(j).iter().map(|v| row[v.index()]));
         }
-        BlockedTags { tagged, v_count }
+        BlockedTags { tagged }
     }
 
     /// Resizes the buffer for `ext` and clears every tag — the
     /// allocation-free equivalent of [`BlockedTags::none`] once warm.
     pub fn reset(&mut self, ext: &ExtendedNetwork) {
-        self.v_count = ext.graph().node_count();
         self.tagged.clear();
-        self.tagged
-            .resize(ext.num_commodities() * self.v_count, false);
+        self.tagged.resize(ext.member_total(), false);
     }
 
-    /// Whether node `v`'s broadcast for destination `j` was tagged.
+    /// Whether node `v`'s broadcast for destination `j` was tagged
+    /// (`false` for a node outside the commodity).
     #[must_use]
-    pub fn is_tagged(&self, j: CommodityId, v: NodeId) -> bool {
-        self.tagged[j.index() * self.v_count + v.index()]
+    pub fn is_tagged(&self, ext: &ExtendedNetwork, j: CommodityId, v: NodeId) -> bool {
+        ext.member_pos(j, v)
+            .is_some_and(|p| self.tagged[ext.member_range(j).start + p])
     }
 
-    /// Commodity-`j` tag row, indexed by extended node.
-    pub(crate) fn row(&self, j: CommodityId) -> &[bool] {
-        &self.tagged[j.index() * self.v_count..(j.index() + 1) * self.v_count]
+    /// Commodity-`j` tag row, indexed by member position.
+    pub(crate) fn row(&self, ext: &ExtendedNetwork, j: CommodityId) -> &[bool] {
+        &self.tagged[ext.member_range(j)]
     }
 
     /// Whether the Γ update at node `i` may *not* move mass onto the
@@ -101,14 +107,15 @@ impl BlockedTags {
         l: spn_graph::EdgeId,
         ext: &ExtendedNetwork,
     ) -> bool {
-        routing.fraction(j, l) == 0.0 && self.is_tagged(j, ext.graph().target(l))
+        routing.fraction(j, l) == 0.0 && self.is_tagged(ext, j, ext.graph().target(l))
     }
 }
 
 /// One commodity's reverse tag sweep (caller-cleared row). `phi` is the
 /// commodity's fraction row, `t_row`/`d_row` its traffic and marginal
-/// rows, and `usage` the shared usage totals — the only cross-commodity
-/// data the sweep reads.
+/// rows and `tagged` its tag row (all three by member position), and
+/// `usage` the shared usage totals — the only cross-commodity data the
+/// sweep reads.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's inputs
 pub(crate) fn tag_sweep(
     ext: &ExtendedNetwork,
@@ -122,23 +129,25 @@ pub(crate) fn tag_sweep(
     j: CommodityId,
     tagged: &mut [bool],
 ) {
-    for &v in ext.topo_order(j).iter().rev() {
+    let m = ext.members(j);
+    for &p in m.topo().iter().rev() {
+        let p = p as usize;
         let mut tag = false;
-        let t_v = t_row[v.index()];
-        let dv = d_row[v.index()];
-        for &l in ext.commodity_out_slice(j, v) {
+        let t_v = t_row[p];
+        let dv = d_row[p];
+        let (out, heads) = m.out_arcs(p);
+        for (&l, &head) in out.iter().zip(heads) {
             let phi = phi[l.index()];
             if phi <= 0.0 {
                 continue;
             }
-            let head = ext.graph().target(l);
             // inherited tag travels every positive-fraction link
-            if tagged[head.index()] {
+            if tagged[head as usize] {
                 tag = true;
                 break;
             }
             // improper link: routes toward non-decreasing marginal
-            let dm = d_row[head.index()];
+            let dm = d_row[head as usize];
             if dv <= dm && t_v > traffic_floor {
                 // sticky (eq. (18)): this iteration cannot close it
                 let excess = cost.edge_marginal_view(ext, usage, j, l, dm) - dv;
@@ -148,7 +157,7 @@ pub(crate) fn tag_sweep(
                 }
             }
         }
-        tagged[v.index()] = tag;
+        tagged[p] = tag;
     }
 }
 
@@ -171,31 +180,27 @@ pub(crate) fn tag_sweep_active(
     traffic_floor: f64,
     j: CommodityId,
     tagged: &mut [bool],
-    arc_len: &[u32],
-    arcs: &[EdgeId],
-    live: usize,
+    row: LiveRow<'_>,
 ) {
-    let routers = ext.commodity_routers_topo(j);
-    let mut idx = live;
+    let routers = ext.members(j).routers_topo();
+    let mut idx = row.live;
     for r in (0..routers.len()).rev() {
-        let v = routers[r];
-        let n = arc_len[r] as usize;
+        let p = routers[r] as usize;
+        let n = row.lens[r] as usize;
         idx -= n;
-        let row = &arcs[idx..idx + n];
         let mut tag = false;
-        let t_v = t_row[v.index()];
-        let dv = d_row[v.index()];
-        for &l in row {
+        let t_v = t_row[p];
+        let dv = d_row[p];
+        for (l, head) in row.span(idx, n) {
             let phi = phi[l.index()];
             debug_assert!(phi > 0.0, "live arc {l} with non-positive fraction");
-            let head = ext.graph().target(l);
             // inherited tag travels every positive-fraction link
-            if tagged[head.index()] {
+            if tagged[head] {
                 tag = true;
                 break;
             }
             // improper link: routes toward non-decreasing marginal
-            let dm = d_row[head.index()];
+            let dm = d_row[head];
             if dv <= dm && t_v > traffic_floor {
                 // sticky (eq. (18)): this iteration cannot close it
                 let excess = cost.edge_marginal_view(ext, usage, j, l, dm) - dv;
@@ -205,7 +210,7 @@ pub(crate) fn tag_sweep_active(
                 }
             }
         }
-        tagged[v.index()] = tag;
+        tagged[p] = tag;
     }
     debug_assert_eq!(idx, 0, "live-arc prefix mismatch for {j}");
 }
@@ -230,20 +235,18 @@ pub fn compute_tags_into(
     _pool: Option<Infallible>,
 ) {
     out.reset(ext);
-    let v_count = out.v_count;
-    for (ji, row) in out.tagged.chunks_mut(v_count.max(1)).enumerate() {
-        let j = CommodityId::from_index(ji);
+    for j in ext.commodity_ids() {
         tag_sweep(
             ext,
             cost,
             routing.row(j),
-            state.t_row(j),
+            state.t_row(ext, j),
             state.usage_view(),
-            marginals.row(j),
+            marginals.row(ext, j),
             eta,
             traffic_floor,
             j,
-            row,
+            &mut out.tagged[ext.member_range(j)],
         );
     }
 }
@@ -316,7 +319,7 @@ mod tests {
         let tags = BlockedTags::none(&ext);
         let j = CommodityId::from_index(0);
         for v in ext.graph().nodes() {
-            assert!(!tags.is_tagged(j, v));
+            assert!(!tags.is_tagged(&ext, j, v));
         }
     }
 
@@ -331,7 +334,7 @@ mod tests {
         let tags = compute_tags(&ext, &cm(), &rt, &fs, &m, 0.04, 1e-12);
         let j = CommodityId::from_index(0);
         for v in ext.graph().nodes() {
-            assert!(!tags.is_tagged(j, v), "{v} tagged in an idle network");
+            assert!(!tags.is_tagged(&ext, j, v), "{v} tagged in an idle network");
         }
     }
 
@@ -368,20 +371,22 @@ mod tests {
         let any_improper = ext.graph().nodes().any(|v| {
             ext.commodity_out_edges(j, v).any(|l| {
                 rt.fraction(j, l) > 0.0
-                    && m.node(j, v) <= m.node(j, ext.graph().target(l))
+                    && m.node(&ext, j, v) <= m.node(&ext, j, ext.graph().target(l))
                     && v != ext.commodity(j).sink()
             })
         });
         if any_improper {
             assert!(
-                ext.graph().nodes().any(|v| tags_small.is_tagged(j, v)),
+                ext.graph()
+                    .nodes()
+                    .any(|v| tags_small.is_tagged(&ext, j, v)),
                 "improper link exists but nothing tagged at eta→0"
             );
         }
         // sanity: tag sets shrink (weakly) as eta grows
         for v in ext.graph().nodes() {
-            if tags.is_tagged(j, v) {
-                assert!(tags_small.is_tagged(j, v));
+            if tags.is_tagged(&ext, j, v) {
+                assert!(tags_small.is_tagged(&ext, j, v));
             }
         }
     }

@@ -30,7 +30,8 @@
 pub struct Checkpoint {
     /// Routing fractions, flat row-major (`[j·L + l]`).
     pub(crate) phi: Vec<f64>,
-    /// Node traffic rates, flat row-major (`[j·V + v]`).
+    /// Node traffic rates by member position (`Σ_j members_j` entries,
+    /// commodity `j`'s row at `ExtendedNetwork::member_range(j)`).
     pub(crate) t: Vec<f64>,
     /// Per-edge commodity flows, flat row-major (`[j·L + l]`).
     pub(crate) x: Vec<f64>,
@@ -38,7 +39,8 @@ pub struct Checkpoint {
     pub(crate) f_edge: Vec<f64>,
     /// Cross-commodity node usage totals.
     pub(crate) f_node: Vec<f64>,
-    /// Marginal costs, flat row-major (`[j·V + v]`).
+    /// Marginal costs by member position, same layout as the traffic
+    /// rates.
     pub(crate) d: Vec<f64>,
     /// Iteration counter at capture time.
     pub(crate) iterations: usize,
@@ -243,7 +245,8 @@ impl Checkpoint {
         &self.phi
     }
 
-    /// Node traffic rates, flat row-major (`[j·V + v]`).
+    /// Node traffic rates by member position (`Σ_j members_j` entries,
+    /// commodity `j`'s row at `ExtendedNetwork::member_range(j)`).
     #[must_use]
     pub fn t(&self) -> &[f64] {
         &self.t
@@ -267,7 +270,8 @@ impl Checkpoint {
         &self.f_node
     }
 
-    /// Marginal costs, flat row-major (`[j·V + v]`).
+    /// Marginal costs by member position, same layout as the traffic
+    /// rates.
     #[must_use]
     pub fn d(&self) -> &[f64] {
         &self.d

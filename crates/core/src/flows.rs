@@ -27,6 +27,7 @@
 //! partial rows, and the partials are reduced in ascending commodity
 //! order.
 
+use crate::active::LiveRow;
 use crate::routing::RoutingTable;
 use crate::workspace::IterationWorkspace;
 use spn_graph::{EdgeId, NodeId};
@@ -36,12 +37,17 @@ use std::convert::Infallible;
 
 /// Traffic and resource-usage rates induced by a routing decision.
 ///
-/// Buffers are flat and row-major (`[commodity][node-or-edge]`) so the
-/// per-commodity sweeps read and write contiguous memory.
+/// The per-commodity traffic rows are **ragged and keyed by member
+/// position**: commodity `j`'s row is `t[ext.member_range(j)]`, one
+/// entry per node of [`ExtendedNetwork::commodity_member_nodes`] —
+/// `Σ_j members_j` entries in all, none for a node the commodity never
+/// touches (its traffic there is `0.0` by definition, which is what
+/// [`FlowState::traffic`] answers). The per-commodity edge rows are
+/// flat and row-major (`[commodity][edge]`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct FlowState {
-    /// `t[j·V + v]` — commodity-`j` traffic rate at extended node `v`
-    /// (in node-`v` input units), eq. (3).
+    /// `t[member_range(j)][p]` — commodity-`j` traffic rate at its
+    /// member `p` (in that node's input units), eq. (3).
     pub(crate) t: Vec<f64>,
     /// `x[j·L + l]` — commodity-`j` input flow routed over extended edge
     /// `l`: `t_i(j)·φ_il(j)` (input units of the tail node).
@@ -51,7 +57,6 @@ pub struct FlowState {
     pub(crate) f_edge: Vec<f64>,
     /// `f_node[v]` — total resource usage rate at node `v`, eq. (5).
     pub(crate) f_node: Vec<f64>,
-    pub(crate) v_count: usize,
     pub(crate) l_count: usize,
 }
 
@@ -71,35 +76,40 @@ impl FlowState {
     /// An all-zero state sized for `ext`.
     #[must_use]
     pub fn zeros(ext: &ExtendedNetwork) -> Self {
-        let v_count = ext.graph().node_count();
         let l_count = ext.graph().edge_count();
-        let j_count = ext.num_commodities();
         FlowState {
-            t: vec![0.0; j_count * v_count],
-            x: vec![0.0; j_count * l_count],
+            t: vec![0.0; ext.member_total()],
+            x: vec![0.0; ext.num_commodities() * l_count],
             f_edge: vec![0.0; l_count],
-            f_node: vec![0.0; v_count],
-            v_count,
+            f_node: vec![0.0; ext.graph().node_count()],
             l_count,
         }
     }
 
-    /// Builds a state from per-commodity nested rows (used by the
-    /// message-level simulator, which assembles the same quantities from
-    /// received forecasts).
+    /// Builds a state from per-commodity nested rows indexed by extended
+    /// node / edge (used by the message-level simulator, which assembles
+    /// the same quantities from received forecasts). Traffic entries at
+    /// nodes outside a commodity are not kept.
     ///
     /// # Panics
     ///
-    /// Panics if row lengths are inconsistent.
+    /// Panics if row lengths are inconsistent with `ext`.
     #[must_use]
-    pub fn from_nested(t: &[Vec<f64>], x: &[Vec<f64>], f_edge: Vec<f64>, f_node: Vec<f64>) -> Self {
+    pub fn from_nested(
+        ext: &ExtendedNetwork,
+        t: &[Vec<f64>],
+        x: &[Vec<f64>],
+        f_edge: Vec<f64>,
+        f_node: Vec<f64>,
+    ) -> Self {
         let v_count = f_node.len();
         let l_count = f_edge.len();
         assert_eq!(t.len(), x.len(), "t and x must have one row per commodity");
-        let mut flat_t = Vec::with_capacity(t.len() * v_count);
-        for row in t {
+        assert_eq!(t.len(), ext.num_commodities(), "one row per commodity");
+        let mut flat_t = Vec::with_capacity(ext.member_total());
+        for (j, row) in ext.commodity_ids().zip(t) {
             assert_eq!(row.len(), v_count, "traffic row length mismatch");
-            flat_t.extend_from_slice(row);
+            flat_t.extend(ext.commodity_member_nodes(j).iter().map(|v| row[v.index()]));
         }
         let mut flat_x = Vec::with_capacity(x.len() * l_count);
         for row in x {
@@ -111,31 +121,36 @@ impl FlowState {
             x: flat_x,
             f_edge,
             f_node,
-            v_count,
             l_count,
         }
+    }
+
+    /// Whether the buffers have the lengths `ext` calls for.
+    pub(crate) fn fits(&self, ext: &ExtendedNetwork) -> bool {
+        self.t.len() == ext.member_total()
+            && self.x.len() == ext.num_commodities() * ext.graph().edge_count()
     }
 
     /// Resizes (and zeroes) the buffers for `ext`. No-op allocation-wise
     /// when the dimensions already match and only `fill` is needed.
     pub(crate) fn reset(&mut self, ext: &ExtendedNetwork) {
-        self.v_count = ext.graph().node_count();
         self.l_count = ext.graph().edge_count();
-        let j_count = ext.num_commodities();
         self.t.clear();
-        self.t.resize(j_count * self.v_count, 0.0);
+        self.t.resize(ext.member_total(), 0.0);
         self.x.clear();
-        self.x.resize(j_count * self.l_count, 0.0);
+        self.x.resize(ext.num_commodities() * self.l_count, 0.0);
         self.f_edge.clear();
         self.f_edge.resize(self.l_count, 0.0);
         self.f_node.clear();
-        self.f_node.resize(self.v_count, 0.0);
+        self.f_node.resize(ext.graph().node_count(), 0.0);
     }
 
-    /// Commodity-`j` traffic rate at `v`.
+    /// Commodity-`j` traffic rate at `v` (`0.0` at a node the commodity
+    /// has no edge at).
     #[must_use]
-    pub fn traffic(&self, j: CommodityId, v: NodeId) -> f64 {
-        self.t[j.index() * self.v_count + v.index()]
+    pub fn traffic(&self, ext: &ExtendedNetwork, j: CommodityId, v: NodeId) -> f64 {
+        ext.member_pos(j, v)
+            .map_or(0.0, |p| self.t[ext.member_range(j).start + p])
     }
 
     /// Commodity-`j` input flow over edge `l`.
@@ -170,16 +185,24 @@ impl FlowState {
         }
     }
 
-    /// Commodity-`j` traffic row, indexed by extended node.
-    pub(crate) fn t_row(&self, j: CommodityId) -> &[f64] {
-        &self.t[j.index() * self.v_count..(j.index() + 1) * self.v_count]
+    /// Commodity-`j` traffic row, indexed by member position.
+    pub(crate) fn t_row(&self, ext: &ExtendedNetwork, j: CommodityId) -> &[f64] {
+        &self.t[ext.member_range(j)]
     }
 
     /// Mutable access to one traffic entry — a corruption hook for tests
     /// that verify the balance residual flags inconsistent states.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not a member of commodity `j` (there is no entry
+    /// to hand out).
     #[doc(hidden)]
-    pub fn traffic_mut(&mut self, j: CommodityId, v: NodeId) -> &mut f64 {
-        &mut self.t[j.index() * self.v_count + v.index()]
+    pub fn traffic_mut(&mut self, ext: &ExtendedNetwork, j: CommodityId, v: NodeId) -> &mut f64 {
+        let p = ext
+            .member_pos(j, v)
+            .unwrap_or_else(|| panic!("{v} carries no {j} traffic entry"));
+        &mut self.t[ext.member_range(j).start + p]
     }
 
     /// Admitted rate `a_j`: the flow on the dummy input link.
@@ -210,8 +233,9 @@ impl FlowState {
 /// One commodity's forward sweep of eqs. (3)–(5): fills the traffic row
 /// `t`, the edge-flow row `x`, and the commodity's *partial* resource
 /// usage rows. `phi` is the commodity's fraction row (indexed once per
-/// edge — the routing table's nested lookup is too hot here). All rows
-/// are caller-zeroed and disjoint per commodity.
+/// edge — the routing table's nested lookup is too hot here); `t` and
+/// `f_node` are member-position rows, `x` and `f_edge` edge rows. All
+/// rows are caller-zeroed and disjoint per commodity.
 pub(crate) fn flow_sweep(
     ext: &ExtendedNetwork,
     phi: &[f64],
@@ -221,13 +245,16 @@ pub(crate) fn flow_sweep(
     f_edge: &mut [f64],
     f_node: &mut [f64],
 ) {
-    t[ext.dummy_source(j).index()] = ext.commodity(j).max_rate;
-    for &v in ext.topo_order(j) {
-        let tv = t[v.index()];
+    let m = ext.members(j);
+    t[m.dummy()] = ext.commodity(j).max_rate;
+    for &p in m.topo() {
+        let p = p as usize;
+        let tv = t[p];
         if tv == 0.0 {
             continue;
         }
-        for &l in ext.commodity_out_slice(j, v) {
+        let (out, heads) = m.out_arcs(p);
+        for (&l, &head) in out.iter().zip(heads) {
             let phi = phi[l.index()];
             if phi == 0.0 {
                 continue;
@@ -236,20 +263,21 @@ pub(crate) fn flow_sweep(
             x[l.index()] = flow;
             let usage = flow * ext.cost(j, l);
             f_edge[l.index()] += usage;
-            f_node[v.index()] += usage;
-            t[ext.graph().target(l).index()] += flow * ext.beta(j, l);
+            f_node[p] += usage;
+            t[head as usize] += flow * ext.beta(j, l);
         }
     }
 }
 
 /// [`flow_sweep`] over a commodity's live-arc sub-list (the active-set
-/// engine's flow pass). `arc_len`/`arcs` are the commodity's row of
-/// [`crate::active::ActiveArcs`]: per topo-router live out-degrees and
-/// the live arcs themselves, grouped by router in topological order
-/// with CSR sub-order. Since the dense sweep skips zero-traffic tails
-/// and zero-fraction arcs, walking exactly the nonzero-fraction arcs in
-/// the same order performs the identical sequence of float operations —
-/// bit-identical rows, a fraction of the memory traffic.
+/// engine's flow pass). `row` is the commodity's row of
+/// [`crate::active::ActiveArcs`]: per topo-router live out-degrees, the
+/// live arcs themselves (grouped by router in topological order with
+/// CSR sub-order) and the member position of each arc's head. Since the
+/// dense sweep skips zero-traffic tails and zero-fraction arcs, walking
+/// exactly the nonzero-fraction arcs in the same order performs the
+/// identical sequence of float operations — bit-identical rows, a
+/// fraction of the memory traffic.
 #[allow(clippy::too_many_arguments)] // a commodity's full sweep context
 pub(crate) fn flow_sweep_active(
     ext: &ExtendedNetwork,
@@ -259,28 +287,29 @@ pub(crate) fn flow_sweep_active(
     x: &mut [f64],
     f_edge: &mut [f64],
     f_node: &mut [f64],
-    arc_len: &[u32],
-    arcs: &[EdgeId],
+    row: LiveRow<'_>,
 ) {
-    t[ext.dummy_source(j).index()] = ext.commodity(j).max_rate;
+    let m = ext.members(j);
+    t[m.dummy()] = ext.commodity(j).max_rate;
     let mut idx = 0usize;
-    for (r, &v) in ext.commodity_routers_topo(j).iter().enumerate() {
-        let n = arc_len[r] as usize;
-        let live = &arcs[idx..idx + n];
+    for (r, &p) in m.routers_topo().iter().enumerate() {
+        let n = row.lens[r] as usize;
+        let live = row.span(idx, n);
         idx += n;
-        let tv = t[v.index()];
+        let p = p as usize;
+        let tv = t[p];
         if tv == 0.0 {
             continue;
         }
-        for &l in live {
+        for (l, head) in live {
             let phi = phi[l.index()];
             debug_assert!(phi != 0.0, "live arc {l} with zero fraction");
             let flow = tv * phi;
             x[l.index()] = flow;
             let usage = flow * ext.cost(j, l);
             f_edge[l.index()] += usage;
-            f_node[v.index()] += usage;
-            t[ext.graph().target(l).index()] += flow * ext.beta(j, l);
+            f_node[p] += usage;
+            t[head] += flow * ext.beta(j, l);
         }
     }
 }
@@ -288,24 +317,25 @@ pub(crate) fn flow_sweep_active(
 /// Adds the per-commodity usage partials into the (caller-zeroed)
 /// totals, in ascending commodity order (edge partial then node partial
 /// per commodity) — the one float-addition order every path shares, so
-/// totals are bit-identical however the partials were produced.
+/// totals are bit-identical however the partials were produced. The
+/// edge partials are `L`-wide rows; the node partials are
+/// member-position rows, scattered to their nodes.
 pub(crate) fn accumulate_usage_totals(
+    ext: &ExtendedNetwork,
     fe_tot: &mut [f64],
     fn_tot: &mut [f64],
     fe_part: &[f64],
     fn_part: &[f64],
-    l_count: usize,
-    v_count: usize,
-    j_count: usize,
 ) {
-    for ji in 0..j_count {
-        let fe = &fe_part[ji * l_count..(ji + 1) * l_count];
+    let l_count = fe_tot.len();
+    for j in ext.commodity_ids() {
+        let fe = &fe_part[j.index() * l_count..(j.index() + 1) * l_count];
         for (acc, &p) in fe_tot.iter_mut().zip(fe) {
             *acc += p;
         }
-        let fnode = &fn_part[ji * v_count..(ji + 1) * v_count];
-        for (acc, &p) in fn_tot.iter_mut().zip(fnode) {
-            *acc += p;
+        let fnode = &fn_part[ext.member_range(j)];
+        for (&v, &p) in ext.commodity_member_nodes(j).iter().zip(fnode) {
+            fn_tot[v.index()] += p;
         }
     }
 }
@@ -329,29 +359,30 @@ pub fn compute_flows_into(
 ) {
     state.reset(ext);
     ws.ensure(ext);
-    let v_count = state.v_count;
     let l_count = state.l_count;
-    let j_count = ext.num_commodities();
     ws.f_edge_part.fill(0.0);
     ws.f_node_part.fill(0.0);
 
-    let t_rows = state.t.chunks_mut(v_count.max(1));
-    let x_rows = state.x.chunks_mut(l_count.max(1));
-    let fe_rows = ws.f_edge_part.chunks_mut(l_count.max(1));
-    let fn_rows = ws.f_node_part.chunks_mut(v_count.max(1));
-    for (ji, ((t, x), (fe, fnode))) in t_rows.zip(x_rows).zip(fe_rows.zip(fn_rows)).enumerate() {
-        let j = CommodityId::from_index(ji);
-        flow_sweep(ext, routing.row(j), j, t, x, fe, fnode);
+    for j in ext.commodity_ids() {
+        let edges = j.index() * l_count..(j.index() + 1) * l_count;
+        let members = ext.member_range(j);
+        flow_sweep(
+            ext,
+            routing.row(j),
+            j,
+            &mut state.t[members.clone()],
+            &mut state.x[edges.clone()],
+            &mut ws.f_edge_part[edges],
+            &mut ws.f_node_part[members],
+        );
     }
 
     accumulate_usage_totals(
+        ext,
         &mut state.f_edge,
         &mut state.f_node,
         &ws.f_edge_part,
         &ws.f_node_part,
-        l_count,
-        v_count,
-        j_count,
     );
 }
 
@@ -370,33 +401,35 @@ pub fn compute_flows(ext: &ExtendedNetwork, routing: &RoutingTable) -> FlowState
 }
 
 /// Maximum absolute flow-balance residual of eq. (3) over all
-/// commodities and nodes — a verification helper used by tests and
-/// debug assertions (`compute_flows` satisfies it by construction; the
-/// solver's outputs are checked against the same residual). Pure
-/// iterator reductions: no per-call collections.
+/// commodities and their member nodes — a verification helper used by
+/// tests and debug assertions (`compute_flows` satisfies it by
+/// construction; the solver's outputs are checked against the same
+/// residual). A node outside a commodity has no traffic entry and no
+/// inflow, so its residual is identically zero and it is not visited.
+/// Pure iterator reductions: no per-call collections.
 #[must_use]
 pub fn balance_residual(ext: &ExtendedNetwork, routing: &RoutingTable, state: &FlowState) -> f64 {
     let mut worst: f64 = 0.0;
     for j in ext.commodity_ids() {
-        for v in ext.graph().nodes() {
-            if v == ext.commodity(j).sink() {
+        let m = ext.members(j);
+        let t = state.t_row(ext, j);
+        let sink = ext.commodity(j).sink();
+        for (p, &v) in m.nodes().iter().enumerate() {
+            if v == sink {
                 continue;
             }
-            let r = if v == ext.dummy_source(j) {
+            let r = if p == m.dummy() {
                 ext.commodity(j).max_rate
             } else {
                 0.0
             };
-            let inflow: f64 = ext
-                .commodity_in_slice(j, v)
+            let (into, tails) = m.in_arcs(p);
+            let inflow: f64 = into
                 .iter()
-                .map(|&l| {
-                    let tail = ext.graph().source(l);
-                    state.traffic(j, tail) * routing.fraction(j, l) * ext.beta(j, l)
-                })
+                .zip(tails)
+                .map(|(&l, &tail)| t[tail as usize] * routing.fraction(j, l) * ext.beta(j, l))
                 .sum();
-            let residual = (state.traffic(j, v) - r - inflow).abs();
-            worst = worst.max(residual);
+            worst = worst.max((t[p] - r - inflow).abs());
         }
     }
     worst
@@ -446,8 +479,8 @@ mod tests {
         let sink = ext.commodity(j).sink();
         // a = λ = 8; at x: 8·0.5 = 4; at sink: 4·2 = 8
         assert!((fs.admitted(&ext, j) - 8.0).abs() < 1e-12);
-        assert!((fs.traffic(j, s) - 8.0).abs() < 1e-12);
-        assert!((fs.traffic(j, sink) - 8.0).abs() < 1e-12);
+        assert!((fs.traffic(&ext, j, s) - 8.0).abs() < 1e-12);
+        assert!((fs.traffic(&ext, j, sink) - 8.0).abs() < 1e-12);
         assert!((fs.delivered(&ext, j) - 8.0).abs() < 1e-12);
         assert_eq!(fs.rejected(&ext, j), 0.0);
     }
@@ -517,8 +550,8 @@ mod tests {
         // x and y see the split
         let xv = spn_graph::NodeId::from_index(1);
         let yv = spn_graph::NodeId::from_index(2);
-        assert!((fs.traffic(j, xv) - 6.0).abs() < 1e-9);
-        assert!((fs.traffic(j, yv) - 4.0).abs() < 1e-9);
+        assert!((fs.traffic(&ext, j, xv) - 6.0).abs() < 1e-9);
+        assert!((fs.traffic(&ext, j, yv) - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -527,7 +560,11 @@ mod tests {
         let rt = fully_admitting(&ext);
         let mut fs = compute_flows(&ext, &rt);
         assert!(balance_residual(&ext, &rt, &fs) < 1e-12);
-        *fs.traffic_mut(CommodityId::from_index(0), spn_graph::NodeId::from_index(1)) += 1.0;
+        *fs.traffic_mut(
+            &ext,
+            CommodityId::from_index(0),
+            spn_graph::NodeId::from_index(1),
+        ) += 1.0;
         assert!(balance_residual(&ext, &rt, &fs) > 0.5);
     }
 

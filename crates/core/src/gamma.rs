@@ -39,7 +39,7 @@ use crate::routing::{apply_row, apply_row_tracked, RoutingTable};
 use crate::workspace::{GammaLane, IterationWorkspace, GAMMA_CHUNK};
 use spn_graph::{EdgeId, NodeId};
 use spn_model::CommodityId;
-use spn_transform::ExtendedNetwork;
+use spn_transform::{ExtendedNetwork, MemberView};
 use std::cell::Cell;
 use std::convert::Infallible;
 
@@ -55,13 +55,14 @@ pub struct GammaStats {
 }
 
 /// Everything a commodity-`j` Γ row computation reads: the commodity's
-/// own rows (fraction, traffic, marginal, tag), the shared usage
-/// totals, and the update parameters. `Copy`-cheap so tasks build one
-/// per commodity.
+/// own rows (fraction by edge; traffic, marginal and tag by member
+/// position), its member view, the shared usage totals, and the update
+/// parameters. `Copy`-cheap so callers build one per commodity.
 #[derive(Clone, Copy)]
 pub(crate) struct GammaCtx<'a> {
     pub(crate) ext: &'a ExtendedNetwork,
     pub(crate) cost: &'a CostModel,
+    pub(crate) members: MemberView<'a>,
     /// The commodity's fraction row, read by the row computation and
     /// written by the row application through the same context.
     pub(crate) phi: &'a [Cell<f64>],
@@ -76,11 +77,47 @@ pub(crate) struct GammaCtx<'a> {
     pub(crate) j: CommodityId,
 }
 
-/// Computes the new routing row for router `i` into `lane.row`
-/// (unapplied) and returns `(max_shift, total_shift)`. Reads only
-/// `ctx`; the single numeric source of truth for every Γ entry point.
-fn gamma_row_into(ctx: &GammaCtx<'_>, i: NodeId, lane: &mut GammaLane) -> (f64, f64) {
-    let edges = ctx.ext.commodity_out_slice(ctx.j, i);
+impl<'a> GammaCtx<'a> {
+    /// The context of commodity `j` over the given state, with the
+    /// commodity's fraction row as `phi`.
+    #[allow(clippy::too_many_arguments)] // mirrors the protocol's inputs
+    pub(crate) fn new(
+        ext: &'a ExtendedNetwork,
+        cost: &'a CostModel,
+        phi: &'a [Cell<f64>],
+        state: &'a FlowState,
+        marginals: &'a Marginals,
+        tags: &'a BlockedTags,
+        eta: f64,
+        traffic_floor: f64,
+        opening_floor: f64,
+        shift_cap: f64,
+        j: CommodityId,
+    ) -> Self {
+        GammaCtx {
+            ext,
+            cost,
+            members: ext.members(j),
+            phi,
+            t_row: state.t_row(ext, j),
+            usage: state.usage_view(),
+            d_row: marginals.row(ext, j),
+            tag_row: tags.row(ext, j),
+            eta,
+            traffic_floor,
+            opening_floor,
+            shift_cap,
+            j,
+        }
+    }
+}
+
+/// Computes the new routing row for the router at member position `i`
+/// into `lane.row` (unapplied) and returns `(max_shift, total_shift)`.
+/// Reads only `ctx`; the single numeric source of truth for every Γ
+/// entry point.
+fn gamma_row_into(ctx: &GammaCtx<'_>, i: usize, lane: &mut GammaLane) -> (f64, f64) {
+    let (edges, heads) = ctx.members.out_arcs(i);
     debug_assert!(!edges.is_empty(), "gamma_row called on a non-router");
     lane.row.clear();
     if edges.len() == 1 {
@@ -90,23 +127,22 @@ fn gamma_row_into(ctx: &GammaCtx<'_>, i: NodeId, lane: &mut GammaLane) -> (f64, 
 
     lane.m.clear();
     lane.blocked.clear();
-    if i == ctx.ext.dummy_source(ctx.j) {
+    if i == ctx.members.dummy() {
         // Dummy-source rows mix DummyInput and DummyDifference edges —
         // the latter's partial is the utility derivative, so no common
         // tail term can be hoisted.
-        for &l in edges {
-            let head = ctx.ext.graph().target(l);
+        for (&l, &head) in edges.iter().zip(heads) {
             lane.m.push(ctx.cost.edge_marginal_view(
                 ctx.ext,
                 ctx.usage,
                 ctx.j,
                 l,
-                ctx.d_row[head.index()],
+                ctx.d_row[head as usize],
             ));
             // eq. (14): blocked ⇔ φ = 0 and the head's broadcast was
             // tagged
             lane.blocked
-                .push(ctx.phi[l.index()].get() == 0.0 && ctx.tag_row[head.index()]);
+                .push(ctx.phi[l.index()].get() == 0.0 && ctx.tag_row[head as usize]);
         }
     } else {
         // Every out-edge of an ordinary router shares the tail node's
@@ -114,15 +150,16 @@ fn gamma_row_into(ctx: &GammaCtx<'_>, i: NodeId, lane: &mut GammaLane) -> (f64, 
         // mul + mul-add over contiguous lanes. The expression must stay
         // exactly `partial * cost + beta * d` (no mul_add) to remain
         // bit-identical to `edge_marginal_view`.
-        let tail_partial = ctx.cost.node_partial_view(ctx.ext, ctx.usage, i);
-        for &l in edges {
-            let head = ctx.ext.graph().target(l);
+        let tail_partial = ctx
+            .cost
+            .node_partial_view(ctx.ext, ctx.usage, ctx.members.node(i));
+        for (&l, &head) in edges.iter().zip(heads) {
             lane.m.push(
                 tail_partial * ctx.ext.cost(ctx.j, l)
-                    + ctx.ext.beta(ctx.j, l) * ctx.d_row[head.index()],
+                    + ctx.ext.beta(ctx.j, l) * ctx.d_row[head as usize],
             );
             lane.blocked
-                .push(ctx.phi[l.index()].get() == 0.0 && ctx.tag_row[head.index()]);
+                .push(ctx.phi[l.index()].get() == 0.0 && ctx.tag_row[head as usize]);
         }
     }
 
@@ -143,7 +180,7 @@ fn gamma_row_into(ctx: &GammaCtx<'_>, i: NodeId, lane: &mut GammaLane) -> (f64, 
     // opening by flooring the divisor at `opening_floor` (a small
     // fraction of λ_j, see GradientConfig::opening_fraction); with a
     // floor of zero the literal snap behaviour is restored.
-    let t_raw = ctx.t_row[i.index()];
+    let t_raw = ctx.t_row[i];
     let t_i = t_raw.max(ctx.opening_floor);
     if t_i <= ctx.traffic_floor {
         // No traffic and no floor: route everything to the best link.
@@ -182,21 +219,21 @@ fn gamma_row_into(ctx: &GammaCtx<'_>, i: NodeId, lane: &mut GammaLane) -> (f64, 
     (max_shift, collected)
 }
 
-/// Runs Γ over one chunk of routers — computing and applying each row,
-/// and accumulating the chunk's statistics into `stat` (cleared here).
-/// All rows of a chunk belong to one commodity; each router's
-/// computation reads and writes only its own out-edge entries of the
-/// fraction row.
+/// Runs Γ over one chunk of routers (member positions) — computing and
+/// applying each row, and accumulating the chunk's statistics into
+/// `stat` (cleared here). All rows of a chunk belong to one commodity;
+/// each router's computation reads and writes only its own out-edge
+/// entries of the fraction row.
 pub(crate) fn gamma_chunk(
     ctx: &GammaCtx<'_>,
-    routers: &[NodeId],
+    routers: &[u32],
     lane: &mut GammaLane,
     stat: &mut (f64, f64, usize),
 ) {
     *stat = (0.0, 0.0, 0);
     for &i in routers {
-        let (max_shift, total) = gamma_row_into(ctx, i, lane);
-        apply_row(ctx.phi, ctx.ext, ctx.j, i, &lane.row);
+        let (max_shift, total) = gamma_row_into(ctx, i as usize, lane);
+        apply_row(ctx.phi, ctx.members.out_arcs(i as usize).0, &lane.row);
         stat.0 = stat.0.max(max_shift);
         stat.1 += total;
         stat.2 += 1;
@@ -210,7 +247,7 @@ pub(crate) fn gamma_chunk(
 /// [`gamma_row_into`] and write the same final fractions.
 pub(crate) fn gamma_chunk_tracked(
     ctx: &GammaCtx<'_>,
-    routers: &[NodeId],
+    routers: &[u32],
     lane: &mut GammaLane,
     stat: &mut (f64, f64, usize),
     flag: &mut (bool, bool),
@@ -218,8 +255,9 @@ pub(crate) fn gamma_chunk_tracked(
     *stat = (0.0, 0.0, 0);
     *flag = (false, false);
     for &i in routers {
-        let (max_shift, total) = gamma_row_into(ctx, i, lane);
-        let (value, support) = apply_row_tracked(ctx.phi, ctx.ext, ctx.j, i, &lane.row);
+        let (max_shift, total) = gamma_row_into(ctx, i as usize, lane);
+        let out = ctx.members.out_arcs(i as usize).0;
+        let (value, support) = apply_row_tracked(ctx.phi, out, &lane.row);
         flag.0 |= value;
         flag.1 |= support;
         stat.0 = stat.0.max(max_shift);
@@ -231,6 +269,10 @@ pub(crate) fn gamma_chunk_tracked(
 /// Computes the new routing row for one `(commodity, router)` pair
 /// without applying it. Returns `(new_row, max_shift, total_shift)`.
 /// Allocating inspection path (clones the commodity's fraction row).
+///
+/// # Panics
+///
+/// Panics if `i` is not a router of commodity `j`.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's inputs
 #[must_use]
 pub fn gamma_row(
@@ -249,21 +291,23 @@ pub fn gamma_row(
 ) -> (Vec<(EdgeId, f64)>, f64, f64) {
     let mut lane = GammaLane::default();
     let mut row_copy = routing.row(j).to_vec();
-    let ctx = GammaCtx {
+    let ctx = GammaCtx::new(
         ext,
         cost,
-        phi: Cell::from_mut(&mut row_copy[..]).as_slice_of_cells(),
-        t_row: state.t_row(j),
-        usage: state.usage_view(),
-        d_row: marginals.row(j),
-        tag_row: tags.row(j),
+        Cell::from_mut(&mut row_copy[..]).as_slice_of_cells(),
+        state,
+        marginals,
+        tags,
         eta,
         traffic_floor,
         opening_floor,
         shift_cap,
         j,
-    };
-    let (max_shift, total) = gamma_row_into(&ctx, i, &mut lane);
+    );
+    let at = ext
+        .member_pos(j, i)
+        .unwrap_or_else(|| panic!("{i} is not a router of {j}"));
+    let (max_shift, total) = gamma_row_into(&ctx, at, &mut lane);
     (lane.row, max_shift, total)
 }
 
@@ -291,29 +335,26 @@ pub fn apply_gamma_ws(
     _pool: Option<Infallible>,
 ) -> GammaStats {
     ws.ensure(ext);
-    let j_count = ext.num_commodities();
-    for ji in 0..j_count {
-        let j = CommodityId::from_index(ji);
-        let ctx = GammaCtx {
+    for j in ext.commodity_ids() {
+        let ctx = GammaCtx::new(
             ext,
             cost,
-            phi: routing.row_cells(j),
-            t_row: state.t_row(j),
-            usage: state.usage_view(),
-            d_row: marginals.row(j),
-            tag_row: tags.row(j),
+            routing.row_cells(j),
+            state,
+            marginals,
+            tags,
             eta,
             traffic_floor,
-            opening_floor: opening_fraction * ext.commodity(j).max_rate,
+            opening_fraction * ext.commodity(j).max_rate,
             shift_cap,
             j,
-        };
-        for (c, chunk) in ext.commodity_routers(j).chunks(GAMMA_CHUNK).enumerate() {
-            let slot = ws.chunk_base[ji] + c;
+        );
+        for (c, chunk) in ctx.members.routers().chunks(GAMMA_CHUNK).enumerate() {
+            let slot = ws.chunk_base[j.index()] + c;
             gamma_chunk(&ctx, chunk, &mut ws.lane, &mut ws.stats[slot]);
         }
     }
-    reduce_gamma_stats(ws, j_count)
+    reduce_gamma_stats(ws, ext.num_commodities())
 }
 
 /// Reduces the per-chunk Γ statistics in ascending global chunk order —
@@ -440,32 +481,32 @@ where
     let mut stats = GammaStats::default();
     let lane = &mut scratch.lane;
     for j in ext.commodity_ids() {
-        let ctx = GammaCtx {
+        let ctx = GammaCtx::new(
             ext,
             cost,
-            phi: routing.row_cells(j),
-            t_row: state.t_row(j),
-            usage: state.usage_view(),
-            d_row: marginals.row(j),
-            tag_row: tags.row(j),
+            routing.row_cells(j),
+            state,
+            marginals,
+            tags,
             eta,
             traffic_floor,
-            opening_floor: opening_fraction * ext.commodity(j).max_rate,
+            opening_fraction * ext.commodity(j).max_rate,
             shift_cap,
             j,
-        };
+        );
         // Accumulate per GAMMA_CHUNK-sized router chunk and fold chunk
         // totals ascending — the same association as the workspace path
         // (`reduce_gamma_stats`), so full participation reproduces the
         // ws stats bit-for-bit.
-        for chunk in ext.commodity_routers(j).chunks(GAMMA_CHUNK) {
+        for chunk in ctx.members.routers().chunks(GAMMA_CHUNK) {
             let mut local = (0.0f64, 0.0f64, 0usize);
             for &i in chunk {
-                if !participates(j, i) {
+                let i = i as usize;
+                if !participates(j, ctx.members.node(i)) {
                     continue;
                 }
                 let (max_shift, total) = gamma_row_into(&ctx, i, lane);
-                apply_row(ctx.phi, ext, j, i, &lane.row);
+                apply_row(ctx.phi, ctx.members.out_arcs(i).0, &lane.row);
                 local.0 = local.0.max(max_shift);
                 local.1 += total;
                 local.2 += 1;
@@ -629,7 +670,7 @@ mod tests {
         let head = ext.graph().target(outs[1]);
         let mut raw = vec![vec![false; ext.graph().node_count()]; ext.num_commodities()];
         raw[j.index()][head.index()] = true;
-        let tags = BlockedTags::from_raw(raw);
+        let tags = BlockedTags::from_raw(&ext, &raw);
         apply_gamma(&ext, &cm(), &mut rt, &fs, &m, &tags, 10.0, 1e-12, 0.0, 1.0);
         assert_eq!(rt.fraction(j, outs[1]), 0.0, "blocked link reopened");
         rt.validate(&ext).unwrap();

@@ -804,8 +804,12 @@ mod tests {
         for _ in 0..50 {
             alg.guarded_step(&mut wd).unwrap();
         }
-        *alg.flows_mut()
-            .traffic_mut(CommodityId::from_index(0), spn_graph::NodeId::from_index(1)) = f64::NAN;
+        let ext = alg.extended().clone();
+        *alg.flows_mut().traffic_mut(
+            &ext,
+            CommodityId::from_index(0),
+            spn_graph::NodeId::from_index(1),
+        ) = f64::NAN;
         let err = alg
             .guarded_step(&mut wd)
             .expect_err("NaN state must be refused");
@@ -826,6 +830,7 @@ mod tests {
         let mut wd = Watchdog::default();
         let mut bad = alg.marginals().clone();
         bad.set_node(
+            alg.extended(),
             CommodityId::from_index(0),
             spn_graph::NodeId::from_index(0),
             f64::INFINITY,

@@ -16,6 +16,7 @@
 //! allocation once warm); [`compute_marginals`] is the allocating
 //! convenience wrapper. Each commodity writes only its own row.
 
+use crate::active::LiveRow;
 use crate::cost::CostModel;
 use crate::flows::{FlowState, UsageView};
 use crate::routing::RoutingTable;
@@ -23,89 +24,75 @@ use spn_graph::{EdgeId, NodeId};
 use spn_model::CommodityId;
 use spn_transform::ExtendedNetwork;
 use std::convert::Infallible;
+use std::ops::Range;
 
-/// Per-commodity, per-node marginal costs `∂A/∂r_i(j)`, stored as one
-/// flat row-major buffer (`d[j·V + v]`).
+/// Per-commodity marginal costs `∂A/∂r_i(j)`, ragged and keyed by
+/// member position (`d[ext.member_range(j)][p]`): one entry per node the
+/// commodity passes through — the paper's §5 information model, where a
+/// node holds `∂A/∂r_i(j)` only for the commodities it routes. A node
+/// outside the commodity has no entry; [`Marginals::node`] answers
+/// `0.0` there.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Marginals {
     pub(crate) d: Vec<f64>,
-    pub(crate) v_count: usize,
 }
 
 impl Marginals {
     /// An all-zero marginal set sized for `ext`.
     #[must_use]
     pub fn zeros(ext: &ExtendedNetwork) -> Self {
-        let v_count = ext.graph().node_count();
         Marginals {
-            d: vec![0.0; ext.num_commodities() * v_count],
-            v_count,
+            d: vec![0.0; ext.member_total()],
         }
     }
 
-    /// Builds marginals from raw per-commodity per-node values (used by
-    /// the message-level simulator, which computes the same quantities
-    /// from received broadcasts).
+    /// Builds marginals from raw per-commodity values indexed by
+    /// extended node (used by the message-level simulator, which
+    /// computes the same quantities from received broadcasts). Entries
+    /// at nodes outside a commodity are not kept.
     ///
     /// # Panics
     ///
-    /// Panics if the per-commodity rows have unequal lengths.
+    /// Panics unless there is one row per commodity, each with one
+    /// entry per extended node.
     #[must_use]
-    pub fn from_raw(rows: Vec<Vec<f64>>) -> Self {
-        let v_count = rows.first().map_or(0, Vec::len);
-        let mut d = Vec::with_capacity(rows.len() * v_count);
-        for row in &rows {
-            assert_eq!(row.len(), v_count, "marginal row length mismatch");
-            d.extend_from_slice(row);
+    pub fn from_raw(ext: &ExtendedNetwork, rows: &[Vec<f64>]) -> Self {
+        assert_eq!(rows.len(), ext.num_commodities(), "one row per commodity");
+        let mut d = Vec::with_capacity(ext.member_total());
+        for (j, row) in ext.commodity_ids().zip(rows) {
+            assert_eq!(
+                row.len(),
+                ext.graph().node_count(),
+                "marginal row length mismatch"
+            );
+            d.extend(ext.commodity_member_nodes(j).iter().map(|v| row[v.index()]));
         }
-        Marginals { d, v_count }
+        Marginals { d }
     }
 
     /// Resizes (and zeroes) the buffer for `ext`.
     pub(crate) fn reset(&mut self, ext: &ExtendedNetwork) {
-        self.v_count = ext.graph().node_count();
         self.d.clear();
-        self.d.resize(ext.num_commodities() * self.v_count, 0.0);
+        self.d.resize(ext.member_total(), 0.0);
     }
 
-    /// Restrides after commodity row `jr` and its dummy source (node
-    /// column `d`) left the network: drops that row and column while
-    /// preserving every survivor's values bit-for-bit. Survivors are
-    /// deliberately *not* recomputed — an eviction changes the shared
+    /// Drops the row of a commodity that left the network (`row` is its
+    /// [`ExtendedNetwork::member_range`] from *before* the removal),
+    /// preserving every survivor's values bit-for-bit — member positions
+    /// do not move when another commodity leaves. Survivors are
+    /// deliberately *not* recomputed: an eviction changes the shared
     /// usage totals, and the next iteration refreshes marginals from
     /// the new flows anyway; until then the pre-reshape values remain
-    /// visible unchanged. The dropped column holds zeros for survivors
-    /// (a foreign dummy is outside their subgraphs).
-    pub(crate) fn evict(&mut self, jr: usize, d: usize) {
-        let old_v = self.v_count;
-        let old_rows = self.d.len() / old_v;
-        debug_assert!(jr < old_rows && d < old_v);
-        let mut w = 0;
-        for ji in 0..old_rows {
-            if ji == jr {
-                continue;
-            }
-            for vi in 0..old_v {
-                if vi == d {
-                    debug_assert_eq!(
-                        self.d[ji * old_v + vi],
-                        0.0,
-                        "survivor marginal nonzero at a foreign dummy"
-                    );
-                    continue;
-                }
-                self.d[w] = self.d[ji * old_v + vi];
-                w += 1;
-            }
-        }
-        self.d.truncate(w);
-        self.v_count = old_v - 1;
+    /// visible unchanged.
+    pub(crate) fn evict(&mut self, row: Range<usize>) {
+        self.d.drain(row);
     }
 
-    /// `∂A/∂r_v(j)`.
+    /// `∂A/∂r_v(j)` (`0.0` at a node outside the commodity).
     #[must_use]
-    pub fn node(&self, j: CommodityId, v: NodeId) -> f64 {
-        self.d[j.index() * self.v_count + v.index()]
+    pub fn node(&self, ext: &ExtendedNetwork, j: CommodityId, v: NodeId) -> f64 {
+        ext.member_pos(j, v)
+            .map_or(0.0, |p| self.d[ext.member_range(j).start + p])
     }
 
     /// Overwrites one marginal entry. Simulators use this to assemble
@@ -113,13 +100,31 @@ impl Marginals {
     /// loss or staleness the value a node acts on is not the value its
     /// neighbor computed — and fault-injection tests use it to plant
     /// corruption the watchdog must flag.
-    pub fn set_node(&mut self, j: CommodityId, v: NodeId, value: f64) {
-        self.d[j.index() * self.v_count + v.index()] = value;
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not a member of commodity `j` (there is no entry
+    /// to write).
+    pub fn set_node(&mut self, ext: &ExtendedNetwork, j: CommodityId, v: NodeId, value: f64) {
+        let p = ext
+            .member_pos(j, v)
+            .unwrap_or_else(|| panic!("{v} carries no {j} marginal entry"));
+        self.d[ext.member_range(j).start + p] = value;
     }
 
-    /// Commodity-`j` marginal row, indexed by extended node.
-    pub(crate) fn row(&self, j: CommodityId) -> &[f64] {
-        &self.d[j.index() * self.v_count..(j.index() + 1) * self.v_count]
+    /// Commodity-`j` marginal row, indexed by member position (the
+    /// order of [`ExtendedNetwork::commodity_member_nodes`]) — what a
+    /// caller walking [`ExtendedNetwork::members`] reads instead of one
+    /// [`Marginals::node`] search per entry.
+    #[must_use]
+    pub fn row(&self, ext: &ExtendedNetwork, j: CommodityId) -> &[f64] {
+        &self.d[ext.member_range(j)]
+    }
+
+    /// Mutable [`Marginals::row`] — for a caller that has already
+    /// resolved member positions and writes a batch of entries.
+    pub fn row_mut(&mut self, ext: &ExtendedNetwork, j: CommodityId) -> &mut [f64] {
+        &mut self.d[ext.member_range(j)]
     }
 
     /// The bracketed per-link marginal of eqs. (9)/(10) for edge
@@ -135,12 +140,12 @@ impl Marginals {
         l: EdgeId,
     ) -> f64 {
         let head = ext.graph().target(l);
-        cost.edge_marginal(ext, state, j, l, self.node(j, head))
+        cost.edge_marginal(ext, state, j, l, self.node(ext, j, head))
     }
 }
 
-/// One commodity's reverse sweep of eq. (9), writing its row `d`
-/// (every non-sink reachable node is overwritten; the sink entry must
+/// One commodity's reverse sweep of eq. (9), writing its member-position
+/// row `d` (every non-sink member is overwritten; the sink entry must
 /// arrive 0 and stays 0 by convention). `phi` is the commodity's
 /// fraction row and `usage` the shared usage totals — the only
 /// cross-commodity data the sweep reads.
@@ -152,21 +157,23 @@ pub(crate) fn marginal_sweep(
     j: CommodityId,
     d: &mut [f64],
 ) {
+    let m = ext.members(j);
     let sink = ext.commodity(j).sink();
-    for &v in ext.topo_order(j).iter().rev() {
-        if v == sink {
+    for &p in m.topo().iter().rev() {
+        let p = p as usize;
+        if m.node(p) == sink {
             continue; // stays 0
         }
         let mut acc = 0.0;
-        for &l in ext.commodity_out_slice(j, v) {
+        let (out, heads) = m.out_arcs(p);
+        for (&l, &head) in out.iter().zip(heads) {
             let phi = phi[l.index()];
             if phi == 0.0 {
                 continue;
             }
-            let head = ext.graph().target(l);
-            acc += phi * cost.edge_marginal_view(ext, usage, j, l, d[head.index()]);
+            acc += phi * cost.edge_marginal_view(ext, usage, j, l, d[head as usize]);
         }
-        d[v.index()] = acc;
+        d[p] = acc;
     }
 }
 
@@ -180,7 +187,6 @@ pub(crate) fn marginal_sweep(
 /// bit-identical too. For routers other than the dummy source every
 /// out-edge shares the tail's resource partial, which is hoisted out of
 /// the arc loop as in Γ (`partial * cost + beta * d`, never fused).
-#[allow(clippy::too_many_arguments)] // a commodity's full sweep context
 pub(crate) fn marginal_sweep_active(
     ext: &ExtendedNetwork,
     cost: &CostModel,
@@ -188,33 +194,28 @@ pub(crate) fn marginal_sweep_active(
     usage: UsageView<'_>,
     j: CommodityId,
     d: &mut [f64],
-    arc_len: &[u32],
-    arcs: &[EdgeId],
-    live: usize,
+    row: LiveRow<'_>,
 ) {
-    let routers = ext.commodity_routers_topo(j);
-    let dummy = ext.dummy_source(j);
-    let mut idx = live;
+    let m = ext.members(j);
+    let routers = m.routers_topo();
+    let mut idx = row.live;
     for r in (0..routers.len()).rev() {
-        let v = routers[r];
-        let n = arc_len[r] as usize;
+        let p = routers[r] as usize;
+        let n = row.lens[r] as usize;
         idx -= n;
-        let row = &arcs[idx..idx + n];
+        let live = row.span(idx, n);
         let mut acc = 0.0;
-        if v == dummy {
-            for &l in row {
-                let head = ext.graph().target(l);
-                acc += phi[l.index()] * cost.edge_marginal_view(ext, usage, j, l, d[head.index()]);
+        if p == m.dummy() {
+            for (l, head) in live {
+                acc += phi[l.index()] * cost.edge_marginal_view(ext, usage, j, l, d[head]);
             }
         } else {
-            let tail_partial = cost.node_partial_view(ext, usage, v);
-            for &l in row {
-                let head = ext.graph().target(l);
-                acc += phi[l.index()]
-                    * (tail_partial * ext.cost(j, l) + ext.beta(j, l) * d[head.index()]);
+            let tail_partial = cost.node_partial_view(ext, usage, m.node(p));
+            for (l, head) in live {
+                acc += phi[l.index()] * (tail_partial * ext.cost(j, l) + ext.beta(j, l) * d[head]);
             }
         }
-        d[v.index()] = acc;
+        d[p] = acc;
     }
     debug_assert_eq!(idx, 0, "live-arc prefix mismatch for {j}");
 }
@@ -234,9 +235,8 @@ pub fn compute_marginals_into(
     _pool: Option<Infallible>,
 ) {
     out.reset(ext);
-    let v_count = out.v_count;
-    for (ji, d) in out.d.chunks_mut(v_count.max(1)).enumerate() {
-        let j = CommodityId::from_index(ji);
+    for j in ext.commodity_ids() {
+        let d = &mut out.d[ext.member_range(j)];
         marginal_sweep(ext, cost, routing.row(j), state.usage_view(), j, d);
     }
 }
@@ -256,10 +256,11 @@ pub fn compute_marginals(
     out
 }
 
-/// Numerically verifies eq. (9) at one node by finite differences:
-/// perturbs the external input `r_v(j)` by `±h` (propagating through the
-/// fixed routing) and compares the cost delta with the analytic
-/// marginal. Used by tests.
+/// Numerically verifies eq. (9) at one member node by finite
+/// differences: perturbs the external input `r_v(j)` by `±h`
+/// (propagating through the fixed routing) and compares the cost delta
+/// with the analytic marginal; `0.0` at a node outside the commodity
+/// (traffic injected there has no edge to move over). Used by tests.
 #[must_use]
 pub fn finite_difference_marginal(
     ext: &ExtendedNetwork,
@@ -269,41 +270,42 @@ pub fn finite_difference_marginal(
     v: NodeId,
     h: f64,
 ) -> f64 {
+    let Some(p) = ext.member_pos(j, v) else {
+        return 0.0;
+    };
+    let at = ext.member_range(j).start + p;
     let eval = |delta: f64| -> f64 {
         // recompute flows with an extra external input `delta` at v
-        let v_count = ext.graph().node_count();
-        let l_count = ext.graph().edge_count();
-        let j_count = ext.num_commodities();
-        let mut t = vec![vec![0.0; v_count]; j_count];
-        let mut f_edge = vec![0.0; l_count];
-        let mut f_node = vec![0.0; v_count];
-        let mut x = vec![vec![0.0; l_count]; j_count];
+        let mut state = FlowState::zeros(ext);
         for jj in ext.commodity_ids() {
-            let ji = jj.index();
-            t[ji][ext.dummy_source(jj).index()] = ext.commodity(jj).max_rate;
+            let m = ext.members(jj);
+            let base = ext.member_range(jj).start;
+            let edges = jj.index() * state.l_count;
+            state.t[base + m.dummy()] = ext.commodity(jj).max_rate;
             if jj == j {
-                t[ji][v.index()] += delta;
+                state.t[at] += delta;
             }
-            for &u in ext.topo_order(jj) {
-                let tu = t[ji][u.index()];
+            for &p in m.topo() {
+                let p = p as usize;
+                let tu = state.t[base + p];
                 if tu == 0.0 {
                     continue;
                 }
-                for l in ext.commodity_out_edges(jj, u) {
+                let (out, heads) = m.out_arcs(p);
+                for (&l, &head) in out.iter().zip(heads) {
                     let phi = routing.fraction(jj, l);
                     if phi == 0.0 {
                         continue;
                     }
                     let flow = tu * phi;
-                    x[ji][l.index()] = flow;
+                    state.x[edges + l.index()] = flow;
                     let usage = flow * ext.cost(jj, l);
-                    f_edge[l.index()] += usage;
-                    f_node[u.index()] += usage;
-                    t[ji][ext.graph().target(l).index()] += flow * ext.beta(jj, l);
+                    state.f_edge[l.index()] += usage;
+                    state.f_node[m.node(p).index()] += usage;
+                    state.t[base + head as usize] += flow * ext.beta(jj, l);
                 }
             }
         }
-        let state = FlowState::from_nested(&t, &x, f_edge, f_node);
         cost.total_cost(ext, &state)
     };
     (eval(h) - eval(-h)) / (2.0 * h)
@@ -360,7 +362,7 @@ mod tests {
         let fs = compute_flows(&ext, &rt);
         let m = compute_marginals(&ext, &cm(), &rt, &fs);
         let j = CommodityId::from_index(0);
-        assert_eq!(m.node(j, ext.commodity(j).sink()), 0.0);
+        assert_eq!(m.node(&ext, j, ext.commodity(j).sink()), 0.0);
     }
 
     #[test]
@@ -375,7 +377,7 @@ mod tests {
             if v == ext.commodity(j).sink() {
                 continue;
             }
-            let analytic = m.node(j, v);
+            let analytic = m.node(&ext, j, v);
             let fd = finite_difference_marginal(&ext, &cost, &rt, j, v, 1e-5);
             assert!(
                 (analytic - fd).abs() < 1e-5 * (1.0 + analytic.abs()),
@@ -396,7 +398,7 @@ mod tests {
         let input_m = m.edge(&ext, &cost, &fs, j, ext.input_edge(j));
         let diff_m = m.edge(&ext, &cost, &fs, j, ext.difference_edge(j));
         let blended = 0.6 * input_m + 0.4 * diff_m;
-        assert!((m.node(j, dummy) - blended).abs() < 1e-12);
+        assert!((m.node(&ext, j, dummy) - blended).abs() < 1e-12);
         // linear utility ⇒ rejecting costs exactly 1 at the margin
         assert!((diff_m - 1.0).abs() < 1e-12);
     }
@@ -425,7 +427,7 @@ mod tests {
         let m_low = compute_marginals(&ext, &cost, &low, &fs_low);
         let m_high = compute_marginals(&ext, &cost, &high, &fs_high);
         let s = ext.commodity(j).source();
-        assert!(m_high.node(j, s) > m_low.node(j, s));
+        assert!(m_high.node(&ext, j, s) > m_low.node(&ext, j, s));
     }
 
     #[test]

@@ -26,19 +26,18 @@
 //! (ARCHITECTURE invariant 17). `sparsity: false` selects the dense
 //! reference step the equivalence tests pin the engine against.
 
-use crate::active::ActiveSet;
+use crate::active::{ActiveSet, LiveRow};
 use crate::blocked::{compute_tags, tag_sweep_active, BlockedTags};
 use crate::cost::CostModel;
-use crate::flows::{compute_flows, flow_sweep_active, FlowState};
+use crate::flows::{compute_flows, FlowState};
 use crate::marginals::{compute_marginals, marginal_sweep_active, Marginals};
-use crate::routing::{apply_row_tracked, RoutingTable};
+use crate::routing::{apply_row, apply_row_tracked, RoutingTable};
 use crate::step::{
-    clear_tags_scoped, reduce_usage_totals_tracked, sparse_carry_forward, sparse_prepare,
-    zero_flow_rows_scoped,
+    flow_pass_active, reduce_usage_totals_tracked, sparse_carry_forward, sparse_prepare,
 };
 use crate::workspace::IterationWorkspace;
 use crate::{ConfigError, GradientConfig};
-use spn_graph::{EdgeId, NodeId};
+use spn_graph::EdgeId;
 use spn_model::{CommodityId, Problem};
 use spn_transform::{EdgeKind, ExtendedNetwork};
 
@@ -75,37 +74,40 @@ fn wall_second_derivative(cost: &CostModel, c: spn_model::Capacity, z: f64) -> f
     }
 }
 
-/// Per-commodity per-node curvature estimates `H_i(j)`, computed by the
-/// same upstream sweep as the marginal costs.
+/// Per-commodity curvature estimates `H_i(j)`, computed by the same
+/// upstream sweep as the marginal costs. Ragged and keyed by member
+/// position like every per-commodity node table: commodity `j`'s row is
+/// `h[ext.member_range(j)]`.
 #[must_use]
 pub fn compute_curvatures(
     ext: &ExtendedNetwork,
     cost: &CostModel,
     routing: &RoutingTable,
     state: &FlowState,
-) -> Vec<Vec<f64>> {
-    let v_count = ext.graph().node_count();
-    let mut h = vec![vec![0.0; v_count]; ext.num_commodities()];
+) -> Vec<f64> {
+    let mut h = vec![0.0; ext.member_total()];
     for j in ext.commodity_ids() {
-        let ji = j.index();
+        let m = ext.members(j);
+        let h = &mut h[ext.member_range(j)];
         let sink = ext.commodity(j).sink();
-        for &v in ext.topo_order(j).iter().rev() {
-            if v == sink {
+        for &p in m.topo().iter().rev() {
+            let p = p as usize;
+            if m.node(p) == sink {
                 continue;
             }
             let mut acc = 0.0;
-            for l in ext.commodity_out_edges(j, v) {
+            let (out, heads) = m.out_arcs(p);
+            for (&l, &head) in out.iter().zip(heads) {
                 let phi = routing.fraction(j, l);
                 if phi == 0.0 {
                     continue;
                 }
-                let head = ext.graph().target(l);
                 let c = ext.cost(j, l);
                 let b = ext.beta(j, l);
-                acc += phi
-                    * (c * c * edge_curvature(ext, cost, state, l) + b * b * h[ji][head.index()]);
+                acc +=
+                    phi * (c * c * edge_curvature(ext, cost, state, l) + b * b * h[head as usize]);
             }
-            h[ji][v.index()] = acc;
+            h[p] = acc;
         }
     }
     h
@@ -118,7 +120,6 @@ pub fn compute_curvatures(
 /// initialised to), so a reverse walk of the topo-ordered routers over
 /// exactly the nonzero-fraction arcs performs the identical sequence of
 /// float operations — bit-identical `H` rows.
-#[allow(clippy::too_many_arguments)] // a commodity's full sweep context
 fn curvature_sweep_active(
     ext: &ExtendedNetwork,
     cost: &CostModel,
@@ -126,35 +127,31 @@ fn curvature_sweep_active(
     phi: &[f64],
     j: CommodityId,
     h: &mut [f64],
-    arc_len: &[u32],
-    arcs: &[EdgeId],
-    live: usize,
+    row: LiveRow<'_>,
 ) {
-    let routers = ext.commodity_routers_topo(j);
-    let mut idx = live;
-    for (r, &v) in routers.iter().enumerate().rev() {
-        let n = arc_len[r] as usize;
+    let routers = ext.members(j).routers_topo();
+    let mut idx = row.live;
+    for (r, &p) in routers.iter().enumerate().rev() {
+        let n = row.lens[r] as usize;
         idx -= n;
         let mut acc = 0.0;
-        for &l in &arcs[idx..idx + n] {
+        for (l, head) in row.span(idx, n) {
             debug_assert!(phi[l.index()] != 0.0, "live arc {l} with zero fraction");
-            let head = ext.graph().target(l);
             let c = ext.cost(j, l);
             let b = ext.beta(j, l);
-            acc += phi[l.index()]
-                * (c * c * edge_curvature(ext, cost, state, l) + b * b * h[head.index()]);
+            acc += phi[l.index()] * (c * c * edge_curvature(ext, cost, state, l) + b * b * h[head]);
         }
-        h[v.index()] = acc;
+        h[p as usize] = acc;
     }
     debug_assert_eq!(idx, 0, "live-arc row shorter than its length prefix");
 }
 
-/// Fills `row` with router `i`'s Newton-scaled fraction update. Shared
-/// verbatim by the dense and the active-set step, so the two paths'
-/// float operations are the same code — the equivalence tests compare
-/// their outputs bit-for-bit. `h_row` is commodity `j`'s curvature row
-/// (`H_k(j)` indexed by extended node); `m_buf`/`blocked_buf` are
-/// caller-owned scratch reused across routers.
+/// Fills `row` with the Newton-scaled fraction update of the router at
+/// member position `i`. Shared verbatim by the dense and the active-set
+/// step, so the two paths' float operations are the same code — the
+/// equivalence tests compare their outputs bit-for-bit. `h_row` is
+/// commodity `j`'s curvature row (`H_k(j)` by member position);
+/// `m_buf`/`blocked_buf` are caller-owned scratch reused across routers.
 #[allow(clippy::too_many_arguments)] // one router's full decision context
 fn newton_row_into(
     ext: &ExtendedNetwork,
@@ -168,25 +165,32 @@ fn newton_row_into(
     curvature_floor: f64,
     opening_floor: f64,
     j: CommodityId,
-    i: NodeId,
+    i: usize,
     m_buf: &mut Vec<f64>,
     blocked_buf: &mut Vec<bool>,
     row: &mut Vec<(EdgeId, f64)>,
 ) {
     row.clear();
-    let edges = ext.commodity_out_slice(j, i);
+    let (edges, heads) = ext.members(j).out_arcs(i);
     if edges.len() == 1 {
         row.push((edges[0], 1.0));
         return;
     }
+    let (d_row, tag_row) = (marginals.row(ext, j), tags.row(ext, j));
     m_buf.clear();
     m_buf.extend(
         edges
             .iter()
-            .map(|&l| marginals.edge(ext, cost, state, j, l)),
+            .zip(heads)
+            .map(|(&l, &head)| cost.edge_marginal(ext, state, j, l, d_row[head as usize])),
     );
     blocked_buf.clear();
-    blocked_buf.extend(edges.iter().map(|&l| tags.is_blocked(routing, j, l, ext)));
+    blocked_buf.extend(
+        edges
+            .iter()
+            .zip(heads)
+            .map(|(&l, &head)| routing.fraction(j, l) == 0.0 && tag_row[head as usize]),
+    );
     let best = edges
         .iter()
         .enumerate()
@@ -194,7 +198,7 @@ fn newton_row_into(
         .min_by(|a, b| m_buf[a.0].total_cmp(&m_buf[b.0]))
         .map(|(idx, _)| idx)
         .expect("at least one unblocked out-edge");
-    let t_i = state.traffic(j, i).max(opening_floor);
+    let t_i = state.t_row(ext, j)[i].max(opening_floor);
     if t_i <= config.traffic_floor {
         row.extend(
             edges
@@ -217,10 +221,10 @@ fn newton_row_into(
         let phi = routing.fraction(j, l);
         let a = (m_buf[idx] - m_min).max(0.0);
         // curvature along this link (edge + downstream estimate)
-        let head = ext.graph().target(l);
         let c = ext.cost(j, l);
         let b = ext.beta(j, l);
-        let kappa = (c * c * edge_curvature(ext, cost, state, l) + b * b * h_row[head.index()])
+        let kappa = (c * c * edge_curvature(ext, cost, state, l)
+            + b * b * h_row[heads[idx] as usize])
             .max(curvature_floor);
         let delta = phi
             .min(config.eta * a / (t_i * kappa))
@@ -254,8 +258,9 @@ pub struct NewtonGradient {
     ws: IterationWorkspace,
     /// The dirty-set tracker and live-arc sub-lists.
     active: ActiveSet,
-    /// Flat `[j·V + v]` curvature estimates `H_v(j)`, maintained with
-    /// the same skip algebra as the marginals.
+    /// Curvature estimates `H_v(j)` by member position
+    /// (`h[member_range(j)]`), maintained with the same skip algebra as
+    /// the marginals.
     h: Vec<f64>,
     /// Reusable Newton-row scratch (sized once to the max out-degree).
     row_buf: Vec<(EdgeId, f64)>,
@@ -290,8 +295,7 @@ impl NewtonGradient {
         // the head of its first iteration.
         let marginals = compute_marginals(&ext, &cost, &routing, &state);
         let tags = BlockedTags::none(&ext);
-        let v_count = ext.graph().node_count();
-        let h = vec![0.0; ext.num_commodities() * v_count];
+        let h = vec![0.0; ext.member_total()];
         let max_deg = ext
             .commodity_ids()
             .map(|j| ext.max_out_degree(j))
@@ -348,8 +352,9 @@ impl NewtonGradient {
         };
         for j in self.ext.commodity_ids() {
             let opening_floor = self.config.opening_fraction * self.ext.commodity(j).max_rate;
-            let routers: Vec<NodeId> = self.routing.routers(&self.ext, j).collect();
-            for i in routers {
+            let m = self.ext.members(j);
+            for &i in m.routers() {
+                let i = i as usize;
                 newton_row_into(
                     &self.ext,
                     &self.cost,
@@ -357,7 +362,7 @@ impl NewtonGradient {
                     &self.state,
                     &marginals,
                     &tags,
-                    &curvatures[j.index()],
+                    &curvatures[self.ext.member_range(j)],
                     &self.config,
                     self.curvature_floor,
                     opening_floor,
@@ -367,7 +372,7 @@ impl NewtonGradient {
                     &mut self.blocked_buf,
                     &mut self.row_buf,
                 );
-                self.routing.set_row(&self.ext, j, i, &self.row_buf);
+                apply_row(self.routing.row_cells(j), m.out_arcs(i).0, &self.row_buf);
             }
         }
         self.state = compute_flows(&self.ext, &self.routing);
@@ -399,8 +404,6 @@ impl NewtonGradient {
             ..
         } = self;
         let ext: &ExtendedNetwork = ext;
-        let v_count = ext.graph().node_count();
-        let l_count = ext.graph().edge_count();
         let j_count = ext.num_commodities();
         if ws.ensure(ext) {
             active.invalidate();
@@ -413,48 +416,41 @@ impl NewtonGradient {
         for di in 0..active.dirty_list.len() {
             let ji = active.dirty_list[di] as usize;
             let j = CommodityId::from_index(ji);
-            let tag_row = &mut tags.tagged[ji * v_count..(ji + 1) * v_count];
-            clear_tags_scoped(ext, j, tag_row);
+            let members = ext.member_range(j);
+            let tag_row = &mut tags.tagged[members.clone()];
+            tag_row.fill(false);
             if config.use_blocked_sets {
-                let (lens, arcs, live) = active.arcs.row(ji);
                 tag_sweep_active(
                     ext,
                     cost,
                     routing.row(j),
-                    state.t_row(j),
+                    state.t_row(ext, j),
                     state.usage_view(),
-                    marginals.row(j),
+                    marginals.row(ext, j),
                     config.eta,
                     config.traffic_floor,
                     j,
                     tag_row,
-                    lens,
-                    arcs,
-                    live,
+                    active.arcs.row(ji),
                 );
             }
-            {
-                // H over the pre-update fractions and current totals —
-                // exactly the dense step's curvature inputs.
-                let h_row = &mut h[ji * v_count..(ji + 1) * v_count];
-                let (lens, arcs, live) = active.arcs.row(ji);
-                curvature_sweep_active(
-                    ext,
-                    cost,
-                    state,
-                    routing.row(j),
-                    j,
-                    h_row,
-                    lens,
-                    arcs,
-                    live,
-                );
-            }
+            // H over the pre-update fractions and current totals —
+            // exactly the dense step's curvature inputs.
+            curvature_sweep_active(
+                ext,
+                cost,
+                state,
+                routing.row(j),
+                j,
+                &mut h[members.clone()],
+                active.arcs.row(ji),
+            );
             let opening_floor = config.opening_fraction * ext.commodity(j).max_rate;
             let mut value = false;
             let mut support = false;
-            let routers = ext.commodity_routers(j);
-            for &i in routers {
+            let m = ext.members(j);
+            for &i in m.routers() {
+                let i = i as usize;
                 newton_row_into(
                     ext,
                     cost,
@@ -462,7 +458,7 @@ impl NewtonGradient {
                     state,
                     marginals,
                     tags,
-                    &h[ji * v_count..(ji + 1) * v_count],
+                    &h[members.clone()],
                     config,
                     *curvature_floor,
                     opening_floor,
@@ -472,7 +468,7 @@ impl NewtonGradient {
                     blocked_buf,
                     row_buf,
                 );
-                let (vc, sc) = apply_row_tracked(routing.row_cells(j), ext, j, i, row_buf);
+                let (vc, sc) = apply_row_tracked(routing.row_cells(j), m.out_arcs(i).0, row_buf);
                 value |= vc;
                 support |= sc;
             }
@@ -481,13 +477,7 @@ impl NewtonGradient {
                 active.arcs.rebuild(ext, j, routing.row(j));
             }
             if value || active.flow_dirty[ji] {
-                let t = &mut state.t[ji * v_count..(ji + 1) * v_count];
-                let x = &mut state.x[ji * l_count..(ji + 1) * l_count];
-                let fe = &mut ws.f_edge_part[ji * l_count..(ji + 1) * l_count];
-                let fnode = &mut ws.f_node_part[ji * v_count..(ji + 1) * v_count];
-                zero_flow_rows_scoped(ext, j, t, x, fe, fnode);
-                let (lens, arcs, _live) = active.arcs.row(ji);
-                flow_sweep_active(ext, routing.row(j), j, t, x, fe, fnode, lens, arcs);
+                flow_pass_active(ext, routing.row(j), j, state, ws, active.arcs.row(ji));
                 active.flow_ran[ji] = true;
             }
         }
@@ -517,18 +507,14 @@ impl NewtonGradient {
                 continue;
             }
             let j = CommodityId::from_index(ji);
-            let d = &mut marginals.d[ji * v_count..(ji + 1) * v_count];
-            let (lens, arcs, live) = active.arcs.row(ji);
             marginal_sweep_active(
                 ext,
                 cost,
                 routing.row(j),
                 state.usage_view(),
                 j,
-                d,
-                lens,
-                arcs,
-                live,
+                &mut marginals.d[ext.member_range(j)],
+                active.arcs.row(ji),
             );
         }
 
@@ -590,14 +576,12 @@ mod tests {
         let mut alg = crate::GradientAlgorithm::new(&p, GradientConfig::default()).unwrap();
         alg.run(100);
         let h = compute_curvatures(alg.extended(), alg.cost_model(), alg.routing(), alg.flows());
-        for j in alg.extended().commodity_ids() {
-            for v in alg.extended().graph().nodes() {
-                assert!(h[j.index()][v.index()] >= 0.0);
-            }
-            assert_eq!(
-                h[j.index()][alg.extended().commodity(j).sink().index()],
-                0.0
-            );
+        let ext = alg.extended();
+        assert_eq!(h.len(), ext.member_total());
+        assert!(h.iter().all(|&x| x >= 0.0));
+        for j in ext.commodity_ids() {
+            let sink = ext.member_pos(j, ext.commodity(j).sink()).unwrap();
+            assert_eq!(h[ext.member_range(j)][sink], 0.0);
         }
     }
 

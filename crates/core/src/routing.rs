@@ -8,11 +8,11 @@
 //! source, the fraction on the dummy input link is the admitted share of
 //! `λ_j` and the fraction on the difference link is the rejected share.
 
-use spn_graph::paths::hops_to;
 use spn_graph::{EdgeId, NodeId};
 use spn_model::CommodityId;
 use spn_transform::ExtendedNetwork;
 use std::cell::Cell;
+use std::collections::VecDeque;
 
 /// Tolerance for `Σ_k φ_ik(j) = 1` checks.
 pub const FRACTION_TOLERANCE: f64 = 1e-7;
@@ -130,7 +130,7 @@ impl RoutingTable {
         v: NodeId,
         row: &[(EdgeId, f64)],
     ) {
-        apply_row(self.row_cells(j), ext, j, v, row);
+        apply_row(self.row_cells(j), ext.commodity_out_slice(j, v), row);
     }
 
     /// Nodes that must carry a full unit of routing mass for commodity
@@ -224,47 +224,72 @@ impl RoutingTable {
 /// nodes pre-routed along shortest-hop paths) into a zeroed `row` —
 /// the per-commodity body of [`RoutingTable::initial`], shared with the
 /// online-admission restride so a newcomer starts bit-identically to a
-/// fresh build.
+/// fresh build. Works on the commodity's members only: a backward BFS
+/// from the sink over its in-arcs, then one pass over its routers.
 fn seed_initial_row(row: &mut [f64], ext: &ExtendedNetwork, j: CommodityId) {
-    let sink = ext.commodity(j).sink();
-    let hops = hops_to(ext.graph(), sink, |l| ext.in_commodity(j, l));
-    for v in ext.graph().nodes() {
-        if v == sink {
-            continue;
+    let m = ext.members(j);
+    let sink = ext
+        .member_pos(j, ext.commodity(j).sink())
+        .expect("the difference link ends at the sink");
+    // Minimum number of commodity edges from each member to the sink.
+    let mut hops = vec![usize::MAX; m.len()];
+    let mut queue = VecDeque::from([sink]);
+    hops[sink] = 0;
+    while let Some(p) = queue.pop_front() {
+        for &tail in m.in_arcs(p).1 {
+            let tail = tail as usize;
+            if hops[tail] == usize::MAX {
+                hops[tail] = hops[p] + 1;
+                queue.push_back(tail);
+            }
         }
-        if v == ext.dummy_source(j) {
-            row[ext.difference_edge(j).index()] = 1.0;
+    }
+    row[ext.difference_edge(j).index()] = 1.0;
+    for &p in m.routers() {
+        let p = p as usize;
+        if p == m.dummy() {
             continue;
         }
         // Route everything along the hop-shortest out-edge.
-        let best = ext
-            .commodity_out_edges(j, v)
-            .min_by_key(|&l| hops[ext.graph().target(l).index()].unwrap_or(usize::MAX));
-        if let Some(l) = best {
-            row[l.index()] = 1.0;
-        }
+        let (out, heads) = m.out_arcs(p);
+        let best = out
+            .iter()
+            .zip(heads)
+            .min_by_key(|&(_, &head)| hops[head as usize])
+            .expect("a router has an out-edge");
+        row[best.0.index()] = 1.0;
     }
 }
 
 /// Row-view form of [`RoutingTable::set_row`]: normalizes `row` to sum
-/// to one (clamping tiny negatives) and writes it over node `v`'s
-/// commodity-`j` out-edges in `phi`, zeroing the rest of that node's
-/// out-edges first. Shared with the Γ update, which reads the row and
-/// applies it through one shared cell view of the commodity's
-/// fractions. Every index touched here belongs to `v`'s out-edge set,
-/// which no other router's update overlaps (each edge has exactly one
-/// source). Allocation-free.
+/// to one (clamping tiny negatives) and writes it over the router's
+/// commodity out-edges `out` in `phi`, zeroing the rest of them first.
+/// Shared with the Γ update, which reads the row and applies it through
+/// one shared cell view of the commodity's fractions. Every index
+/// touched here belongs to the router's out-edge set, which no other
+/// router's update overlaps (each edge has exactly one source).
+/// Allocation-free.
 ///
 /// # Panics
 ///
 /// Panics if the total mass is not positive.
-pub(crate) fn apply_row(
-    phi: &[Cell<f64>],
-    ext: &ExtendedNetwork,
-    j: CommodityId,
-    v: NodeId,
-    row: &[(EdgeId, f64)],
-) {
+pub(crate) fn apply_row(phi: &[Cell<f64>], out: &[EdgeId], row: &[(EdgeId, f64)]) {
+    let total = row_mass(row);
+    for &l in out {
+        phi[l.index()].set(0.0);
+    }
+    for &(l, f) in row {
+        phi[l.index()].set(f.max(0.0) / total);
+    }
+}
+
+/// The mass a staged row normalizes by: its fractions summed with tiny
+/// negatives clamped to zero.
+///
+/// # Panics
+///
+/// Panics if it is not positive (a router must forward somewhere).
+fn row_mass(row: &[(EdgeId, f64)]) -> f64 {
     let mut total = 0.0;
     for &(_, f) in row {
         debug_assert!(
@@ -273,22 +298,14 @@ pub(crate) fn apply_row(
         );
         total += f.max(0.0);
     }
-    assert!(
-        total > 0.0,
-        "router {v} for {j} must keep positive total mass"
-    );
-    for &l in ext.commodity_out_slice(j, v) {
-        phi[l.index()].set(0.0);
-    }
-    for &(l, f) in row {
-        phi[l.index()].set(f.max(0.0) / total);
-    }
+    assert!(total > 0.0, "a router must keep positive total mass");
+    total
 }
 
 /// Change-tracking variant of [`apply_row`] for the active-set engine.
-/// Requires `row` to cover every out-edge of `v` (all Γ row producers
-/// do), so no zero-fill pass is needed: each entry is compared bitwise
-/// against the stored fraction and written only when it differs.
+/// Requires `row` to cover every out-edge of the router (all Γ row
+/// producers do), so no zero-fill pass is needed: each entry is compared
+/// bitwise against the stored fraction and written only when it differs.
 ///
 /// Returns `(value_changed, support_changed)` — whether any fraction's
 /// bits changed, and whether any fraction crossed zero (the live-arc
@@ -299,28 +316,15 @@ pub(crate) fn apply_row(
 /// Panics if the total mass is not positive.
 pub(crate) fn apply_row_tracked(
     phi: &[Cell<f64>],
-    ext: &ExtendedNetwork,
-    j: CommodityId,
-    v: NodeId,
+    out: &[EdgeId],
     row: &[(EdgeId, f64)],
 ) -> (bool, bool) {
-    let mut total = 0.0;
-    for &(_, f) in row {
-        debug_assert!(
-            f > -FRACTION_TOLERANCE,
-            "fraction {f} significantly negative"
-        );
-        total += f.max(0.0);
-    }
-    assert!(
-        total > 0.0,
-        "router {v} for {j} must keep positive total mass"
-    );
     debug_assert_eq!(
         row.len(),
-        ext.commodity_out_slice(j, v).len(),
-        "tracked rows must cover every out-edge of {v} for {j}"
+        out.len(),
+        "tracked rows must cover every out-edge of the router"
     );
+    let total = row_mass(row);
     let mut value_changed = false;
     let mut support_changed = false;
     for &(l, f) in row {

@@ -30,9 +30,10 @@
 //!
 //! ## Per-step cost
 //!
-//! The step has no `O(V)` lane. Per-commodity work walks member lists
-//! (`zero_flow_rows_scoped`, `clear_tags_scoped`, the live-arc sweeps),
-//! and the one cross-commodity lane — the totals reduction with its
+//! The step has no `O(V)` lane. Per-commodity work walks the
+//! commodity's own member-position rows and member edges
+//! (`flow_pass_active`, the live-arc sweeps), and the one
+//! cross-commodity lane — the totals reduction with its
 //! bitwise changed-totals test, [`reduce_usage_totals_tracked`], shared
 //! by the gradient, annealing and Newton steps — touches every edge and
 //! the nodes of [`ExtendedNetwork::router_union`] only:
@@ -41,7 +42,7 @@
 //! goes full-width over the nodes, once, so externally written totals
 //! heal.
 
-use crate::active::ActiveSet;
+use crate::active::{ActiveSet, LiveRow};
 use crate::blocked::{tag_sweep_active, BlockedTags};
 use crate::cost::CostModel;
 use crate::flows::{flow_sweep_active, FlowState};
@@ -55,10 +56,10 @@ use spn_transform::ExtendedNetwork;
 
 /// Adds every commodity's usage partials into the totals over its
 /// member edge and router lists only, in ascending commodity order —
-/// the dense [`accumulate_usage_totals`] at `O(Σ_j members_j)` instead
-/// of `O(J·(V + L))`. On zeroed accumulators it is bit-identical to the
-/// dense reduction: the skipped partial entries
-/// are exactly `+0.0` (zeroed at reset and never written by any sweep),
+/// the dense [`accumulate_usage_totals`] without its `L`-wide edge pass.
+/// On zeroed accumulators it is bit-identical to the dense reduction:
+/// the skipped partial entries (foreign edges, non-router members) are
+/// exactly `+0.0` (zeroed at reset and never written by any sweep),
 /// adding `+0.0` leaves an accumulator's bits unchanged unless it is
 /// `-0.0`, and no accumulator here can be `-0.0` (every partial is a
 /// product/sum of non-negative values). Within one commodity every
@@ -67,26 +68,23 @@ use spn_transform::ExtendedNetwork;
 /// the dense reduction — affects the float-addition order.
 ///
 /// [`accumulate_usage_totals`]: crate::flows::accumulate_usage_totals
-#[allow(clippy::too_many_arguments)] // a commodity's full sweep context
 pub(crate) fn accumulate_usage_totals_scoped(
     ext: &ExtendedNetwork,
     fe_tot: &mut [f64],
     fn_tot: &mut [f64],
     fe_part: &[f64],
     fn_part: &[f64],
-    l_count: usize,
-    v_count: usize,
-    j_count: usize,
 ) {
-    for ji in 0..j_count {
-        let j = CommodityId::from_index(ji);
-        let fe = &fe_part[ji * l_count..(ji + 1) * l_count];
+    let l_count = fe_tot.len();
+    for j in ext.commodity_ids() {
+        let fe = &fe_part[j.index() * l_count..(j.index() + 1) * l_count];
         for &l in ext.commodity_edges(j) {
             fe_tot[l.index()] += fe[l.index()];
         }
-        let fnode = &fn_part[ji * v_count..(ji + 1) * v_count];
-        for &v in ext.commodity_routers(j) {
-            fn_tot[v.index()] += fnode[v.index()];
+        let fnode = &fn_part[ext.member_range(j)];
+        let m = ext.members(j);
+        for &p in m.routers() {
+            fn_tot[m.node(p as usize).index()] += fnode[p as usize];
         }
     }
 }
@@ -124,7 +122,6 @@ pub(crate) fn reduce_usage_totals_tracked(
     full_width: bool,
 ) -> bool {
     let union = ext.router_union();
-    let (l_count, v_count) = (fe_tot.len(), fn_tot.len());
     // The zips below truncate silently: a short `prev_fn` would leave
     // union entries un-zeroed and corrupt the totals.
     assert_eq!(prev_fn.len(), union.len(), "prev_fn not sized to the union");
@@ -142,16 +139,7 @@ pub(crate) fn reduce_usage_totals_tracked(
     if idle_moved {
         fn_tot.fill(0.0);
     }
-    accumulate_usage_totals_scoped(
-        ext,
-        fe_tot,
-        fn_tot,
-        fe_part,
-        fn_part,
-        l_count,
-        v_count,
-        ext.num_commodities(),
-    );
+    accumulate_usage_totals_scoped(ext, fe_tot, fn_tot, fe_part, fn_part);
     idle_moved
         || bits_differ(prev_fe, fe_tot)
         || prev_fn
@@ -160,39 +148,36 @@ pub(crate) fn reduce_usage_totals_tracked(
             .any(|(prev, &v)| prev.to_bits() != fn_tot[v.index()].to_bits())
 }
 
-/// Zeroes one commodity's traffic/edge-flow rows and usage partials
-/// over its member sets only — `O(members)` instead of `O(V + L)` per
-/// dirty commodity. Sound because entries outside the member sets are
-/// never written by any sweep (dense or sparse): they are `+0.0` from
+/// One commodity's flow pass of the active-set engines: zeroes its
+/// traffic row, its usage-partial rows and its member edges' flow
+/// entries, then runs [`flow_sweep_active`] over its live arcs. The
+/// node rows are whole member-position rows; the edge rows are zeroed
+/// over the member edges only — entries on foreign edges are never
+/// written by any sweep (dense or sparse): they are `+0.0` from
 /// [`FlowState::reset`] / the workspace fills and stay that way, so
-/// re-zeroing them is a no-op the sparse paths can skip.
-pub(crate) fn zero_flow_rows_scoped(
+/// re-zeroing them is a no-op to skip.
+pub(crate) fn flow_pass_active(
     ext: &ExtendedNetwork,
+    phi: &[f64],
     j: CommodityId,
-    t: &mut [f64],
-    x: &mut [f64],
-    fe: &mut [f64],
-    fnode: &mut [f64],
+    state: &mut FlowState,
+    ws: &mut IterationWorkspace,
+    row: LiveRow<'_>,
 ) {
-    for &v in ext.commodity_member_nodes(j) {
-        t[v.index()] = 0.0;
-    }
+    let l_count = state.l_count;
+    let edges = j.index() * l_count..(j.index() + 1) * l_count;
+    let members = ext.member_range(j);
+    let t = &mut state.t[members.clone()];
+    let x = &mut state.x[edges.clone()];
+    let fe = &mut ws.f_edge_part[edges];
+    let fnode = &mut ws.f_node_part[members];
+    t.fill(0.0);
+    fnode.fill(0.0);
     for &l in ext.commodity_edges(j) {
         x[l.index()] = 0.0;
         fe[l.index()] = 0.0;
     }
-    for &v in ext.commodity_routers(j) {
-        fnode[v.index()] = 0.0;
-    }
-}
-
-/// Clears one commodity's blocked-tag row over its router set only —
-/// the only entries a tag sweep (dense or active) ever writes, so
-/// non-router entries are invariantly `false`.
-pub(crate) fn clear_tags_scoped(ext: &ExtendedNetwork, j: CommodityId, tag_row: &mut [bool]) {
-    for &v in ext.commodity_routers(j) {
-        tag_row[v.index()] = false;
-    }
+    flow_sweep_active(ext, phi, j, t, x, fe, fnode, row);
 }
 
 /// `true` when two equal-length float slices differ in any bit.
@@ -257,16 +242,14 @@ pub(crate) fn sparse_step_serial(
     active: &mut ActiveSet,
     anneal_to: Option<f64>,
 ) -> GammaStats {
-    let v_count = ext.graph().node_count();
-    let l_count = ext.graph().edge_count();
     let j_count = ext.num_commodities();
-    if state.t.len() != j_count * v_count || state.x.len() != j_count * l_count {
+    if !state.fits(ext) {
         state.reset(ext);
     }
-    if marginals.d.len() != j_count * v_count {
+    if marginals.d.len() != ext.member_total() {
         marginals.reset(ext);
     }
-    if tags.tagged.len() != j_count * v_count {
+    if tags.tagged.len() != ext.member_total() {
         tags.reset(ext);
     }
     // A re-size re-zeroes the persistent usage partials: every skip
@@ -281,45 +264,40 @@ pub(crate) fn sparse_step_serial(
     for di in 0..active.dirty_list.len() {
         let ji = active.dirty_list[di] as usize;
         let j = CommodityId::from_index(ji);
-        let tag_row = &mut tags.tagged[ji * v_count..(ji + 1) * v_count];
-        clear_tags_scoped(ext, j, tag_row);
+        let tag_row = &mut tags.tagged[ext.member_range(j)];
+        tag_row.fill(false);
         if config.use_blocked_sets {
-            let (lens, arcs, live) = active.arcs.row(ji);
             tag_sweep_active(
                 ext,
                 cost,
                 routing.row(j),
-                state.t_row(j),
+                state.t_row(ext, j),
                 state.usage_view(),
-                marginals.row(j),
+                marginals.row(ext, j),
                 config.eta,
                 config.traffic_floor,
                 j,
                 tag_row,
-                lens,
-                arcs,
-                live,
+                active.arcs.row(ji),
             );
         }
         let mut value = false;
         let mut support = false;
         {
-            let ctx = GammaCtx {
+            let ctx = GammaCtx::new(
                 ext,
                 cost,
-                phi: routing.row_cells(j),
-                t_row: state.t_row(j),
-                usage: state.usage_view(),
-                d_row: marginals.row(j),
-                tag_row: tags.row(j),
-                eta: config.eta,
-                traffic_floor: config.traffic_floor,
-                opening_floor: config.opening_fraction * ext.commodity(j).max_rate,
-                shift_cap: config.shift_cap,
+                routing.row_cells(j),
+                state,
+                marginals,
+                tags,
+                config.eta,
+                config.traffic_floor,
+                config.opening_fraction * ext.commodity(j).max_rate,
+                config.shift_cap,
                 j,
-            };
-            let routers = ext.commodity_routers(j);
-            for (c, chunk) in routers.chunks(GAMMA_CHUNK).enumerate() {
+            );
+            for (c, chunk) in ctx.members.routers().chunks(GAMMA_CHUNK).enumerate() {
                 let slot = ws.chunk_base[ji] + c;
                 let mut flag = (false, false);
                 gamma_chunk_tracked(&ctx, chunk, &mut ws.lane, &mut ws.stats[slot], &mut flag);
@@ -332,13 +310,7 @@ pub(crate) fn sparse_step_serial(
             active.arcs.rebuild(ext, j, routing.row(j));
         }
         if value || active.flow_dirty[ji] {
-            let t = &mut state.t[ji * v_count..(ji + 1) * v_count];
-            let x = &mut state.x[ji * l_count..(ji + 1) * l_count];
-            let fe = &mut ws.f_edge_part[ji * l_count..(ji + 1) * l_count];
-            let fnode = &mut ws.f_node_part[ji * v_count..(ji + 1) * v_count];
-            zero_flow_rows_scoped(ext, j, t, x, fe, fnode);
-            let (lens, arcs, _live) = active.arcs.row(ji);
-            flow_sweep_active(ext, routing.row(j), j, t, x, fe, fnode, lens, arcs);
+            flow_pass_active(ext, routing.row(j), j, state, ws, active.arcs.row(ji));
             active.flow_ran[ji] = true;
         }
     }
@@ -372,18 +344,14 @@ pub(crate) fn sparse_step_serial(
             continue;
         }
         let j = CommodityId::from_index(ji);
-        let d = &mut marginals.d[ji * v_count..(ji + 1) * v_count];
-        let (lens, arcs, live) = active.arcs.row(ji);
         marginal_sweep_active(
             ext,
             cost,
             routing.row(j),
             state.usage_view(),
             j,
-            d,
-            lens,
-            arcs,
-            live,
+            &mut marginals.d[ext.member_range(j)],
+            active.arcs.row(ji),
         );
     }
 
@@ -406,15 +374,7 @@ mod tests {
         ws: &IterationWorkspace,
     ) -> (Vec<f64>, Vec<f64>, bool) {
         let (mut fe, mut fnode) = (vec![0.0; old.0.len()], vec![0.0; old.1.len()]);
-        accumulate_usage_totals(
-            &mut fe,
-            &mut fnode,
-            &ws.f_edge_part,
-            &ws.f_node_part,
-            old.0.len(),
-            old.1.len(),
-            ext.num_commodities(),
-        );
+        accumulate_usage_totals(ext, &mut fe, &mut fnode, &ws.f_edge_part, &ws.f_node_part);
         let changed = bits_differ(old.0, &fe) || bits_differ(old.1, &fnode);
         (fe, fnode, changed)
     }

@@ -22,6 +22,24 @@
 use spn_graph::EdgeId;
 use spn_transform::ExtendedNetwork;
 
+/// What every structure-derived buffer in this crate is sized by. The
+/// version is the key: an evict followed by an admit restores the
+/// commodity, node and edge counts while changing the per-commodity
+/// extents. The counts (and `Σ_j members_j`, the length of a node row
+/// set) only tell apart two networks that share a version (a buffer
+/// handed a different network than it was sized for).
+pub(crate) type SizingKey = (u64, usize, usize, usize, usize);
+
+pub(crate) fn sizing_key(ext: &ExtendedNetwork) -> SizingKey {
+    (
+        ext.structure_version(),
+        ext.num_commodities(),
+        ext.graph().node_count(),
+        ext.graph().edge_count(),
+        ext.member_total(),
+    )
+}
+
 /// Number of routers whose Γ updates share one statistics slot.
 pub(crate) const GAMMA_CHUNK: usize = 64;
 
@@ -54,18 +72,24 @@ impl GammaLane {
 /// Preallocated scratch buffers reused across iterations.
 ///
 /// Sized by [`IterationWorkspace::ensure`] for a particular
-/// [`ExtendedNetwork`]; re-`ensure`-ing for a differently-sized network
-/// resizes and clears everything, so a workspace can be shared across
-/// problems without ever observing stale data. Re-`ensure`-ing for the
-/// *same* shape is a cheap near-no-op — every pass that uses a buffer
-/// resets it at the point of use (the flow pass zero-fills its partial
-/// rows, the Γ pass clears the lane and each stat slot before writing), so
-/// `ensure` never touches warm buffers.
+/// [`ExtendedNetwork`]; re-`ensure`-ing for a different network or
+/// after a commodity-set reshape resizes and clears everything, so a
+/// workspace can be shared across problems without ever observing stale
+/// data. The key is [`ExtendedNetwork::structure_version`] (plus the
+/// counts that tell two networks at the same version apart): an evict
+/// followed by an admit restores every count while moving the ragged
+/// row extents. Re-`ensure`-ing for the *same* structure is a cheap
+/// near-no-op — only the Γ chunk layout, which no key captures, is
+/// re-derived; every pass that uses a buffer resets it at the point of
+/// use (the flow pass zero-fills its partial rows, the Γ pass clears
+/// the lane and each stat slot before writing), so `ensure` never
+/// touches warm buffers.
 #[derive(Clone, Debug, Default)]
 pub struct IterationWorkspace {
     /// `[j·L + l]` — commodity-`j` partial of the edge usage `f_ik`.
     pub(crate) f_edge_part: Vec<f64>,
-    /// `[j·V + v]` — commodity-`j` partial of the node usage `f_i`.
+    /// `[member_range(j)][p]` — commodity-`j` partial of the node usage
+    /// `f_i` at its member `p` (ragged, `Σ_j members_j` entries).
     pub(crate) f_node_part: Vec<f64>,
     /// The Γ row scratch.
     pub(crate) lane: GammaLane,
@@ -75,9 +99,9 @@ pub struct IterationWorkspace {
     /// `chunk_base[ji]` is the global index of commodity `ji`'s first
     /// router chunk; `chunk_base[j_count]` is the total chunk count.
     pub(crate) chunk_base: Vec<usize>,
-    /// Shape `(j_count, v_count, l_count, max_degree)` the buffers are
-    /// currently sized for — the fast-path key of `ensure`.
-    sized_for: Option<(usize, usize, usize, usize)>,
+    /// What the buffers are currently sized for — the fast-path key of
+    /// `ensure`.
+    sized_for: Option<SizingKey>,
 }
 
 impl IterationWorkspace {
@@ -90,23 +114,17 @@ impl IterationWorkspace {
     }
 
     /// Sizes every buffer for `ext`; returns whether it had to re-size
-    /// (and so re-zeroed the persistent usage partials — first use or a
-    /// network resize; the active-set engine then invalidates every
-    /// skip that relied on them). Same shape is a cheap near-no-op
-    /// returning `false`. Allocation-free once the workspace has seen a
-    /// network at least this large.
+    /// (and so re-zeroed the persistent usage partials — first use, a
+    /// different network or a commodity-set reshape; the active-set
+    /// engine then invalidates every skip that relied on them). Same
+    /// structure is a cheap near-no-op returning `false`. Allocation-free
+    /// once the workspace has seen a network at least this large.
     pub fn ensure(&mut self, ext: &ExtendedNetwork) -> bool {
-        let v_count = ext.graph().node_count();
-        let l_count = ext.graph().edge_count();
+        // The chunk layout depends on per-commodity router counts, which
+        // the key below cannot capture (two freshly built networks can
+        // share the version and every count), so recompute it on every
+        // call (allocation-free once warm, O(j_count)).
         let j_count = ext.num_commodities();
-        let max_degree = ext
-            .commodity_ids()
-            .map(|j| ext.max_out_degree(j))
-            .max()
-            .unwrap_or(0);
-        // The chunk layout depends on per-commodity router counts,
-        // which the shape key below cannot capture, so recompute it on
-        // every call (allocation-free once warm, O(j_count)).
         self.chunk_base.clear();
         self.chunk_base.reserve(j_count + 1);
         self.chunk_base.push(0);
@@ -119,16 +137,22 @@ impl IterationWorkspace {
             self.stats.clear();
             self.stats.resize(total_chunks, (0.0, 0.0, 0));
         }
-        let shape = (j_count, v_count, l_count, max_degree);
-        if self.sized_for == Some(shape) {
+        let key = sizing_key(ext);
+        if self.sized_for == Some(key) {
             return false;
         }
+        let max_degree = ext
+            .commodity_ids()
+            .map(|j| ext.max_out_degree(j))
+            .max()
+            .unwrap_or(0);
         self.f_edge_part.clear();
-        self.f_edge_part.resize(j_count * l_count, 0.0);
+        self.f_edge_part
+            .resize(j_count * ext.graph().edge_count(), 0.0);
         self.f_node_part.clear();
-        self.f_node_part.resize(j_count * v_count, 0.0);
+        self.f_node_part.resize(ext.member_total(), 0.0);
         self.lane.reserve(max_degree);
-        self.sized_for = Some(shape);
+        self.sized_for = Some(key);
         true
     }
 }
@@ -137,6 +161,8 @@ impl IterationWorkspace {
 mod tests {
     use super::*;
     use spn_model::random::RandomInstance;
+    use spn_model::spec::{CommoditySpec, EdgeSpec, OverlayEdgeSpec, ProblemSpec};
+    use spn_model::UtilityFn;
 
     #[test]
     fn ensure_is_idempotent_and_resizes() {
@@ -214,5 +240,57 @@ mod tests {
             assert_eq!(chunks, ext.commodity_routers(j).len().div_ceil(GAMMA_CHUNK));
         }
         assert_eq!(ws.stats.len(), ws.chunk_base[j_count]);
+    }
+
+    /// A 71-node chain carrying one commodity end to end (three router
+    /// chunks) and one over its first link only (one chunk), in either
+    /// commodity order.
+    fn chain_pair(long_first: bool) -> ExtendedNetwork {
+        let overlay = |edges: std::ops::Range<u32>| {
+            edges
+                .map(|edge| OverlayEdgeSpec {
+                    edge,
+                    cost: 1.0,
+                    beta: 1.0,
+                })
+                .collect()
+        };
+        let commodity = |sink: u32| CommoditySpec {
+            source: 0,
+            sink,
+            max_rate: 1.0,
+            utility: UtilityFn::Linear { weight: 1.0 },
+            overlay: overlay(0..sink),
+        };
+        let mut commodities = vec![commodity(70), commodity(1)];
+        if !long_first {
+            commodities.reverse();
+        }
+        let spec = ProblemSpec {
+            node_capacities: vec![10.0; 71],
+            edges: (0..70)
+                .map(|i| EdgeSpec {
+                    src: i,
+                    dst: i + 1,
+                    bandwidth: 10.0,
+                })
+                .collect(),
+            commodities,
+        };
+        ExtendedNetwork::build(&spec.into_problem().unwrap())
+    }
+
+    #[test]
+    fn shared_between_two_networks_with_one_key_the_chunk_layout_follows() {
+        let (a, b) = (chain_pair(true), chain_pair(false));
+        // freshly built, same commodities in the other order: nothing
+        // the key holds tells them apart
+        assert_eq!(sizing_key(&a), sizing_key(&b));
+        let mut ws = IterationWorkspace::new(&a);
+        assert!(!ws.ensure(&b), "same key: the warm buffers stay");
+        let fresh = IterationWorkspace::new(&b);
+        assert_ne!(fresh.chunk_base, IterationWorkspace::new(&a).chunk_base);
+        assert_eq!(ws.chunk_base, fresh.chunk_base);
+        assert_eq!(ws.stats.len(), fresh.stats.len());
     }
 }

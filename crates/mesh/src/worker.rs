@@ -87,14 +87,17 @@ pub fn owner_of(v_index: usize, v_count: usize, regions: usize) -> usize {
 }
 
 /// Commodity `j`'s routers inside its precomputed sub-range of
-/// `commodity_routers(j)` (a free function so callers can hold link
-/// and outbox borrows across it).
+/// `commodity_routers(j)`, as `(node, member position)` pairs (a free
+/// function so callers can hold link and outbox borrows across it).
 fn routers_in<'e>(
     ext: &'e ExtendedNetwork,
     spans: &[Range<usize>],
     j: CommodityId,
-) -> &'e [NodeId] {
-    &ext.commodity_routers(j)[spans[j.index()].clone()]
+) -> impl ExactSizeIterator<Item = (NodeId, usize)> + 'e {
+    let span = spans[j.index()].clone();
+    let nodes = &ext.commodity_routers(j)[span.clone()];
+    let positions = &ext.members(j).routers()[span];
+    nodes.iter().zip(positions).map(|(&v, &p)| (v, p as usize))
 }
 
 /// Ticks after a send before the first retransmit check may fire: the
@@ -105,6 +108,10 @@ const RETRY_GRACE: u64 = 4;
 /// Fingerprint sentinel meaning "never shipped": `u64::MAX` is a NaN
 /// bit pattern, which no finite row value can equal.
 const NEVER_SENT: u64 = u64::MAX;
+
+/// [`RegionWorker::router_pos`] entry of a `(j, v)` that is no routing
+/// row.
+const NOT_A_ROUTER: u32 = u32::MAX;
 
 /// Per-link wire telemetry, counted at the sender's batch finish and
 /// the receiver's inbox drain. Deterministic: two same-seed runs count
@@ -262,6 +269,11 @@ pub struct RegionWorker {
     /// node order) this worker owns — what the Γ and marginal delta
     /// scans and the round-guard bump walk.
     owned_routers: Vec<Range<usize>>,
+    /// Member position of every routing row, `router_pos[j·V + v]`
+    /// ([`NOT_A_ROUTER`] elsewhere): wire frames address rows by node
+    /// id, so a received row resolves here, like its `row_round` guard,
+    /// by one index.
+    router_pos: Vec<u32>,
     /// Full-refresh cadence in rounds (re-anchors every delta chain).
     refresh_every: u64,
     /// Mirror of the full trajectory state.
@@ -348,6 +360,13 @@ impl RegionWorker {
                     ..routers.partition_point(|v| v.index() < owned.end)
             })
             .collect();
+        let mut router_pos = vec![NOT_A_ROUTER; j_count * v_count];
+        for j in ext.commodity_ids() {
+            let positions = ext.members(j).routers();
+            for (v, &p) in ext.commodity_routers(j).iter().zip(positions) {
+                router_pos[j.index() * v_count + v.index()] = p;
+            }
+        }
         RegionWorker {
             region,
             regions,
@@ -355,6 +374,7 @@ impl RegionWorker {
             edge_count,
             region_lo,
             owned_routers,
+            router_pos,
             refresh_every: refresh_every.max(1),
             routing,
             state,
@@ -631,8 +651,9 @@ impl RegionWorker {
             let mut n = 0u32;
             let mut suppressed = 0u64;
             for j in ext.commodity_ids() {
-                for &v in routers_in(ext, &self.owned_routers, j) {
-                    let d = self.marginals.node(j, v);
+                let d_row = self.marginals.row(ext, j);
+                for (v, p) in routers_in(ext, &self.owned_routers, j) {
+                    let d = d_row[p];
                     let bits = d.to_bits();
                     let idx = j.index() * v_count + v.index();
                     if full || link.marg_sent[idx] != bits {
@@ -711,11 +732,11 @@ impl RegionWorker {
         // commodities' live arcs are out of date
         for j in ext.commodity_ids() {
             let mine = routers_in(ext, &self.owned_routers, j);
-            for &v in mine {
-                self.row_round[j.index() * v_count + v.index()] = round + 1;
-            }
-            if !mine.is_empty() {
+            if mine.len() > 0 {
                 self.sweeps.mark_stale(j);
+            }
+            for (v, _) in mine {
+                self.row_round[j.index() * v_count + v.index()] = round + 1;
             }
         }
         #[cfg(test)]
@@ -736,8 +757,9 @@ impl RegionWorker {
             let mut suppressed = 0u64;
             let mut seq = 0u64;
             for j in ext.commodity_ids() {
-                for &v in routers_in(ext, &self.owned_routers, j) {
-                    let out = ext.commodity_out_slice(j, v);
+                let members = ext.members(j);
+                for (v, p) in routers_in(ext, &self.owned_routers, j) {
+                    let out = members.out_arcs(p).0;
                     let changed = refresh
                         || out.iter().any(|&l| {
                             link.gamma_sent[j.index() * edge_count + l.index()]
@@ -896,17 +918,17 @@ impl RegionWorker {
         false
     }
 
-    /// Is wire pair `(j, v)` a routing row of region `from` — `v` a
-    /// router of commodity `j` inside `from`'s node range? Anything
-    /// else would write outside the subgraph the live-arc sweeps
-    /// maintain (or outside the buffers altogether).
-    fn is_router_of(&self, ext: &ExtendedNetwork, from: usize, j: u32, v: u32) -> bool {
+    /// Member position of wire pair `(j, v)` if it is a routing row of
+    /// region `from` — `v` a router of commodity `j` inside `from`'s
+    /// node range. Anything else would write outside the subgraph the
+    /// live-arc sweeps maintain (or outside the buffers altogether).
+    fn router_of(&self, ext: &ExtendedNetwork, from: usize, j: u32, v: u32) -> Option<usize> {
         let (ji, vi) = (j as usize, v as usize);
         if ji >= ext.num_commodities() || !self.owned_nodes(from).contains(&vi) {
-            return false;
+            return None;
         }
-        let (j, v) = (CommodityId::from_index(ji), NodeId::from_index(vi));
-        v != ext.commodity(j).sink() && !ext.commodity_out_slice(j, v).is_empty()
+        let p = self.router_pos[ji * self.v_count + vi];
+        (p != NOT_A_ROUTER).then_some(p as usize)
     }
 
     fn process_inbox(
@@ -1070,13 +1092,11 @@ impl RegionWorker {
                 let walked = walk_gamma_rows(
                     payload,
                     |j, v, e| {
-                        let ok = self.is_router_of(ext, from, j, v) && {
-                            out.set(ext.commodity_out_slice(
-                                CommodityId::from_index(j as usize),
-                                NodeId::from_index(v as usize),
-                            ));
+                        let ok = self.router_of(ext, from, j, v).is_some_and(|p| {
+                            let j = CommodityId::from_index(j as usize);
+                            out.set(ext.members(j).out_arcs(p).0);
                             out.get().len() == e
-                        };
+                        });
                         rows_ok &= ok;
                         ok
                     },
@@ -1244,18 +1264,17 @@ impl RegionWorker {
                     // entries are ever nonzero, or shipped
                     let mut valid = true;
                     let walked = walk_marginals(sub.payload, |e| {
-                        valid &= self.is_router_of(ext, from, e.j, e.v);
+                        valid &= self.router_of(ext, from, e.j, e.v).is_some();
                     });
                     if !self.accepted(tick, sub.round, walked, valid, log) {
                         return;
                     }
                     let marginals = &mut self.marginals;
+                    let (router_pos, v_count) = (&self.router_pos, self.v_count);
                     let base = walk_marginals(sub.payload, |e| {
-                        marginals.set_node(
-                            CommodityId::from_index(e.j as usize),
-                            NodeId::from_index(e.v as usize),
-                            e.d,
-                        );
+                        let (ji, vi) = (e.j as usize, e.v as usize);
+                        let p = router_pos[ji * v_count + vi] as usize;
+                        marginals.row_mut(ext, CommodityId::from_index(ji))[p] = e.d;
                     })
                     .expect("payload walked cleanly in the validation pass");
                     let link = &mut self.links[from];
@@ -1413,9 +1432,10 @@ impl RegionWorker {
 
 /// The mirror oracle: in this crate's unit tests every phase of every
 /// worker re-derives its output with the dense full-mirror functions
-/// and compares the *whole* arrays bit for bit, entries outside every
-/// commodity's subgraph included — so any mesh unit test, lossless or
-/// chaotic, also pins the live-arc sweeps to the dense reference.
+/// and compares every node and edge entry bit for bit, the structural
+/// zeros outside a commodity's subgraph included — so any mesh unit
+/// test, lossless or chaotic, also pins the live-arc sweeps to the dense
+/// reference.
 #[cfg(test)]
 impl RegionWorker {
     fn assert_marginals_match_dense(&self, ext: &ExtendedNetwork, cost: &CostModel) {
@@ -1424,8 +1444,8 @@ impl RegionWorker {
         for j in ext.commodity_ids() {
             for v in ext.graph().nodes() {
                 assert_eq!(
-                    dense.node(j, v).to_bits(),
-                    self.marginals.node(j, v).to_bits(),
+                    dense.node(ext, j, v).to_bits(),
+                    self.marginals.node(ext, j, v).to_bits(),
                     "region {} round {}: marginal ({j}, {v}) left the dense reference",
                     self.region,
                     self.round
@@ -1460,8 +1480,8 @@ impl RegionWorker {
         for j in ext.commodity_ids() {
             for v in ext.graph().nodes() {
                 assert_eq!(
-                    dense.is_tagged(j, v),
-                    self.tags.is_tagged(j, v),
+                    dense.is_tagged(ext, j, v),
+                    self.tags.is_tagged(ext, j, v),
                     "region {} round {}: tag ({j}, {v}) left the dense reference",
                     self.region,
                     self.round
@@ -1504,8 +1524,8 @@ impl RegionWorker {
         for j in ext.commodity_ids() {
             for v in ext.graph().nodes() {
                 assert_eq!(
-                    dense.traffic(j, v).to_bits(),
-                    self.state.traffic(j, v).to_bits(),
+                    dense.traffic(ext, j, v).to_bits(),
+                    self.state.traffic(ext, j, v).to_bits(),
                     "{ctx}: traffic ({j}, {v}) left the dense reference"
                 );
             }

@@ -50,6 +50,29 @@ pub fn gains_from_betas(
     in_overlay: &[bool],
     beta: &[f64],
 ) -> Result<Vec<f64>, ModelError> {
+    let mut gain = vec![1.0; graph.node_count()];
+    for (v, g) in reached_gains(graph, commodity, source, in_overlay, beta)? {
+        gain[v.index()] = g;
+    }
+    Ok(gain)
+}
+
+/// [`gains_from_betas`] as the sparse list it really is: `(node, gain)`
+/// for the source and every node reachable from it over the overlay,
+/// ascending by node. Every other node's gain is `1.0` by convention
+/// and is not listed — on a placed task graph that is almost all of
+/// them, which is why [`crate::Problem`] caches this form.
+///
+/// # Errors
+///
+/// As [`gains_from_betas`].
+pub(crate) fn reached_gains(
+    graph: &DiGraph,
+    commodity: CommodityId,
+    source: NodeId,
+    in_overlay: &[bool],
+    beta: &[f64],
+) -> Result<Vec<(NodeId, f64)>, ModelError> {
     debug_assert_eq!(in_overlay.len(), graph.edge_count());
     debug_assert_eq!(beta.len(), graph.edge_count());
     let order = topological_order_filtered(graph, |e| in_overlay[e.index()]).map_err(|cycle| {
@@ -85,7 +108,10 @@ pub fn gains_from_betas(
             }
         }
     }
-    Ok(gain.into_iter().map(|g| g.unwrap_or(1.0)).collect())
+    Ok(graph
+        .nodes()
+        .filter_map(|v| gain[v.index()].map(|g| (v, g)))
+        .collect())
 }
 
 /// Derives per-edge shrinkage factors `β^j_ik = g_j(k)/g_j(i)` from

@@ -4,7 +4,7 @@
 use crate::capacity::Capacity;
 use crate::commodity::{Commodity, CommodityId};
 use crate::error::ModelError;
-use crate::gains::gains_from_betas;
+use crate::gains::reached_gains;
 use spn_graph::reach::on_path_edges;
 use spn_graph::{DiGraph, EdgeId, NodeId};
 
@@ -50,8 +50,10 @@ pub struct Problem {
     /// `overlay[j][e]` — parameters of edge `e` for commodity `j`, or
     /// `None` if the commodity does not use the edge.
     overlay: Vec<Vec<Option<EdgeParams>>>,
-    /// Cached per-commodity gains `g_j(n)`, from validation.
-    gains: Vec<Vec<f64>>,
+    /// Cached per-commodity gains `g_j(n)`, from validation: `(node,
+    /// gain)` for the nodes the commodity reaches from its source,
+    /// ascending by node. Every other node's gain is `1.0`.
+    gains: Vec<Vec<(NodeId, f64)>>,
 }
 
 impl Problem {
@@ -157,7 +159,7 @@ impl Problem {
             }
 
             // DAG + Property 1 in one pass.
-            let g = gains_from_betas(&graph, j, commodity.source(), &in_overlay, &beta)?;
+            let g = reached_gains(&graph, j, commodity.source(), &in_overlay, &beta)?;
 
             // Reachability and dead-edge checks.
             let useful = on_path_edges(&graph, commodity.source(), commodity.sink(), |e| {
@@ -275,7 +277,10 @@ impl Problem {
     /// at `s_j` (1.0 for nodes the commodity cannot reach).
     #[must_use]
     pub fn gain(&self, j: CommodityId, node: NodeId) -> f64 {
-        self.gains[j.index()][node.index()]
+        let reached = &self.gains[j.index()];
+        reached
+            .binary_search_by_key(&node, |&(v, _)| v)
+            .map_or(1.0, |at| reached[at].1)
     }
 
     /// Sum of the maximum input rates `Σ_j λ_j` — an upper bound on any
@@ -386,6 +391,30 @@ mod tests {
         assert_eq!(p.gain(j, NodeId::from_index(1)), 0.5);
         assert_eq!(p.overlay_edges(j).count(), 1);
         assert!(p.in_overlay(j, EdgeId::from_index(0)));
+    }
+
+    /// The gain cache lists the nodes a commodity reaches and nothing
+    /// else; `gain` answers `1.0` (the paper's convention) off that set.
+    #[test]
+    fn gains_are_cached_for_reached_nodes_only() {
+        let mut g = DiGraph::new();
+        let n: Vec<NodeId> = (0..5).map(|_| g.add_node()).collect();
+        let e = g.add_edge(n[1], n[3]);
+        g.add_edge(n[0], n[4]); // outside the overlay
+        let cap = |c| Capacity::finite(c).unwrap();
+        let p = Problem::from_parts(
+            g,
+            vec![cap(10.0); 5],
+            vec![cap(5.0); 2],
+            vec![Commodity::new(n[1], n[3], 4.0, UtilityFn::throughput())],
+            vec![vec![Some(EdgeParams::new(2.0, 0.25)), None]],
+        )
+        .unwrap();
+        let j = CommodityId::from_index(0);
+        assert!(p.in_overlay(j, e));
+        assert_eq!(p.gains[0], vec![(n[1], 1.0), (n[3], 0.25)]);
+        let gains: Vec<f64> = n.iter().map(|&v| p.gain(j, v)).collect();
+        assert_eq!(gains, vec![1.0, 1.0, 1.0, 0.25, 1.0]);
     }
 
     #[test]

@@ -708,14 +708,17 @@ impl ChaosGradient {
             self.received.clone_from(fresh);
             return;
         }
-        for j in self.ext.commodity_ids() {
-            for v in self.ext.graph().nodes() {
+        // Only a commodity's members broadcast a marginal for it (the
+        // fault draws are pure functions of `(clock, j, v)`).
+        let ext = &self.ext;
+        for j in ext.commodity_ids() {
+            for &v in ext.commodity_member_nodes(j) {
                 if self.plan.drops_broadcast(clock, j.index(), v.index()) {
                     continue; // keep last-heard value
                 }
                 let age = self.plan.stale_age(clock, j.index(), v.index());
                 let value = if age == 0 {
-                    fresh.node(j, v)
+                    fresh.node(ext, j, v)
                 } else {
                     // age 1 = previous iteration = history front; if the
                     // run is younger than the draw, deliver the oldest
@@ -724,11 +727,11 @@ impl ChaosGradient {
                         .history
                         .get((age - 1).min(self.history.len().saturating_sub(1)))
                     {
-                        Some(past) => past.node(j, v),
-                        None => fresh.node(j, v),
+                        Some(past) => past.node(ext, j, v),
+                        None => fresh.node(ext, j, v),
                     }
                 };
-                self.received.set_node(j, v, value);
+                self.received.set_node(ext, j, v, value);
             }
         }
     }
@@ -1030,11 +1033,10 @@ mod tests {
             run.step().unwrap();
         }
         let iters_before = run.iterations();
-        run.received_mut().set_node(
-            spn_model::CommodityId::from_index(0),
-            spn_graph::NodeId::from_index(1),
-            f64::NAN,
-        );
+        let ext = run.extended().clone();
+        let j = spn_model::CommodityId::from_index(0);
+        run.received_mut()
+            .set_node(&ext, j, ext.commodity(j).source(), f64::NAN);
         let outcome = run.step().expect("corruption must be recoverable");
         assert!(outcome.rolled_back);
         assert!(run.iterations() <= iters_before, "rollback went forward");
@@ -1062,10 +1064,10 @@ mod tests {
         for _ in 0..10 {
             run.step().unwrap();
         }
-        *run.flows_mut().traffic_mut(
-            spn_model::CommodityId::from_index(0),
-            spn_graph::NodeId::from_index(0),
-        ) = f64::INFINITY;
+        let ext = run.extended().clone();
+        let j = spn_model::CommodityId::from_index(0);
+        *run.flows_mut()
+            .traffic_mut(&ext, j, ext.commodity(j).source()) = f64::INFINITY;
         let err = run.step().expect_err("corruption with no checkpoint");
         assert!(matches!(err, CoreError::NonFinite { .. }));
     }

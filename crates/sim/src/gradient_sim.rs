@@ -89,7 +89,7 @@ impl GradientSim {
             config,
             routing,
             state,
-            marginals: into_marginals(values),
+            marginals: into_marginals(&ext, &values),
             iterations: 0,
             total_messages: 0,
             total_rounds: 0,
@@ -135,7 +135,7 @@ impl GradientSim {
                 (self.cost.epsilon * self.config.epsilon_factor).max(self.config.epsilon_min);
         }
         let (values, marginal) = marginal_wave(&self.ext, &self.cost, &self.routing, &self.state);
-        self.marginals = into_marginals(values);
+        self.marginals = into_marginals(&self.ext, &values);
         let stats = IterationStats { marginal, forecast };
         self.total_messages += stats.messages();
         self.total_rounds += stats.rounds();

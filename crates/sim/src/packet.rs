@@ -122,7 +122,7 @@ impl PacketSim {
                     if !matches!(ext.edge_kind(l), EdgeKind::Ingress(_) | EdgeKind::Egress(_)) {
                         continue;
                     }
-                    let rate = flows.traffic(j, v) * routing.fraction(j, l);
+                    let rate = flows.traffic(&ext, j, v) * routing.fraction(j, l);
                     if rate <= 0.0 {
                         continue;
                     }

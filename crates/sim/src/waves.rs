@@ -177,13 +177,14 @@ pub fn forecast_wave(ext: &ExtendedNetwork, routing: &RoutingTable) -> (FlowStat
         debug_assert!(pending.iter().all(|&p| p == 0), "forecast wave deadlocked");
         outcome.merge_parallel(wave);
     }
-    (FlowState::from_nested(&t, &x, f_edge, f_node), outcome)
+    (FlowState::from_nested(ext, &t, &x, f_edge, f_node), outcome)
 }
 
-/// Converts raw marginal values into the core crate's [`Marginals`].
+/// Converts raw per-node marginal values into the core crate's
+/// [`Marginals`] (which keeps the entries of each commodity's members).
 #[must_use]
-pub fn into_marginals(values: Vec<Vec<f64>>) -> Marginals {
-    Marginals::from_raw(values)
+pub fn into_marginals(ext: &ExtendedNetwork, values: &[Vec<f64>]) -> Marginals {
+    Marginals::from_raw(ext, values)
 }
 
 #[cfg(test)]
@@ -223,7 +224,9 @@ mod tests {
             }
             for j in ext.commodity_ids() {
                 for v in ext.graph().nodes() {
-                    assert!((state.traffic(j, v) - reference.traffic(j, v)).abs() < 1e-9);
+                    assert!(
+                        (state.traffic(&ext, j, v) - reference.traffic(&ext, j, v)).abs() < 1e-9
+                    );
                 }
             }
             assert!(outcome.rounds > 0);
@@ -241,7 +244,7 @@ mod tests {
             for j in ext.commodity_ids() {
                 for v in ext.graph().nodes() {
                     let got = values[j.index()][v.index()];
-                    let want = reference.node(j, v);
+                    let want = reference.node(&ext, j, v);
                     assert!(
                         (got - want).abs() < 1e-9 * (1.0 + want.abs()),
                         "marginal at {v} for {j}: {got} vs {want}"

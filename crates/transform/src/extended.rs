@@ -1,8 +1,9 @@
 //! The extended graph `G' = (V, L)` with unified per-node resources.
 
-use spn_graph::topo::topological_order_filtered;
 use spn_graph::{DiGraph, EdgeId, NodeId};
 use spn_model::{Capacity, Commodity, CommodityId, Problem, UtilityFn};
+use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Everything needed to admit one commodity into an existing
 /// [`ExtendedNetwork`]: the physical endpoints, offered load, utility,
@@ -73,143 +74,219 @@ pub enum EdgeKind {
     DummyDifference(CommodityId),
 }
 
-/// One commodity's adjacency in compressed sparse row form — the
-/// build-time artifact that gets packed into the shared
-/// [`AdjacencyArena`]. Building per commodity keeps the construction
-/// logic simple; the arena keeps the steady-state *reads* contiguous.
+/// One commodity's adjacency in compressed sparse row form, keyed by
+/// **member position** — the build-time artifact that gets packed into
+/// the shared [`AdjacencyArena`]. A commodity's *members* are the nodes
+/// with at least one of its edges, ascending; position `p` stands for
+/// `member_nodes[p]`, and nothing here is sized by the network's node
+/// count.
 #[derive(Clone, Debug)]
 struct CommodityAdjacency {
-    /// Commodity out-edges of every node, concatenated in ascending
-    /// node order; each node's segment keeps the graph's adjacency
-    /// order (so iteration order matches the filtered scan it replaces).
-    out_edges: Vec<EdgeId>,
-    /// `out_start[v]..out_start[v + 1]` indexes `out_edges` for node `v`.
+    /// Nodes with at least one commodity in- or out-edge, ascending —
+    /// exactly the nodes whose per-commodity state entries can be
+    /// nonzero.
+    member_nodes: Vec<NodeId>,
+    /// The member positions in the commodity's topological order.
+    topo: Vec<u32>,
+    /// `out_start[p]..out_start[p + 1]` indexes `out_edges` for member
+    /// `p` (`members + 1` entries).
     out_start: Vec<u32>,
-    /// Commodity in-edges, same layout as `out_edges`.
-    in_edges: Vec<EdgeId>,
+    /// Commodity out-edges of every member, concatenated in ascending
+    /// member order; each member's segment is in ascending edge id,
+    /// which is the graph's adjacency order.
+    out_edges: Vec<EdgeId>,
+    /// Member position of the head of each `out_edges` entry.
+    out_head: Vec<u32>,
     /// Segment offsets into `in_edges`.
     in_start: Vec<u32>,
-    /// Non-sink nodes with at least one commodity out-edge, ascending.
-    routers: Vec<NodeId>,
+    /// Commodity in-edges, same layout as `out_edges`.
+    in_edges: Vec<EdgeId>,
+    /// Member position of the tail of each `in_edges` entry.
+    in_tail: Vec<u32>,
+    /// Positions of the non-sink members with at least one out-edge,
+    /// ascending.
+    routers: Vec<u32>,
     /// The same router set in the commodity's topological order — the
     /// iteration core's sparse sweeps walk this list (forward for flows,
-    /// reverse for marginals/tags) instead of scanning the full
-    /// `topo_order`, which is mostly nodes with no commodity out-edges.
-    routers_topo: Vec<NodeId>,
-    /// Nodes with at least one commodity in- or out-edge, ascending —
-    /// exactly the nodes whose per-commodity flow-state entries can be
-    /// nonzero (the scope of the iteration core's zeroing passes).
-    member_nodes: Vec<NodeId>,
+    /// reverse for marginals/tags).
+    routers_topo: Vec<u32>,
     /// Total commodity out-degree over all routers (the arc capacity a
     /// live-arc sub-list needs).
     router_arc_total: usize,
-    /// Largest per-node out-degree (scratch-row sizing hint). Cached at
-    /// build time so per-step shape checks don't rescan the offset rows.
+    /// Largest per-node out-degree (scratch-row sizing hint).
     max_out_degree: usize,
 }
 
 impl CommodityAdjacency {
-    fn build(graph: &DiGraph, in_commodity: &[bool], sink: NodeId, topo: &[NodeId]) -> Self {
-        let v_count = graph.node_count();
-        let mut out_edges = Vec::new();
-        let mut out_start = Vec::with_capacity(v_count + 1);
-        let mut in_edges = Vec::new();
-        let mut in_start = Vec::with_capacity(v_count + 1);
-        let mut routers = Vec::new();
-        let mut member_nodes = Vec::new();
-        for v in graph.nodes() {
-            out_start.push(out_edges.len() as u32);
-            out_edges.extend(
-                graph
-                    .out_edges(v)
-                    .iter()
-                    .copied()
-                    .filter(|l| in_commodity[l.index()]),
-            );
-            if v != sink && out_edges.len() as u32 > *out_start.last().expect("pushed above") {
-                routers.push(v);
-            }
-            in_start.push(in_edges.len() as u32);
-            in_edges.extend(
-                graph
-                    .in_edges(v)
-                    .iter()
-                    .copied()
-                    .filter(|l| in_commodity[l.index()]),
-            );
-            if out_edges.len() as u32 > *out_start.last().expect("pushed above")
-                || in_edges.len() as u32 > *in_start.last().expect("pushed above")
-            {
-                member_nodes.push(v);
+    /// Builds the adjacency from the commodity's edges alone, given as
+    /// `(edge, tail, head)` in ascending edge id — `O(E log E)`, no pass
+    /// over the network's nodes, and no need for the edges to exist in a
+    /// graph yet (which is what lets [`ExtendedNetwork::add_commodity`]
+    /// validate before it mutates).
+    ///
+    /// The topological order is Kahn's algorithm exactly as
+    /// [`spn_graph::topo::topological_order_filtered`] runs it on the
+    /// whole graph — zero-in-degree nodes seeded in ascending id, FIFO,
+    /// successors released in adjacency order — restricted to the
+    /// members: the non-members are isolated there, never release
+    /// anyone, and so do not change the members' relative order.
+    ///
+    /// # Errors
+    ///
+    /// A node on a directed cycle, if the edges contain one.
+    fn build(edges: &[(EdgeId, NodeId, NodeId)], sink: NodeId) -> Result<Self, NodeId> {
+        debug_assert!(edges.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut member_nodes: Vec<NodeId> = edges.iter().flat_map(|&(_, s, t)| [s, t]).collect();
+        member_nodes.sort_unstable();
+        member_nodes.dedup();
+        let count = member_nodes.len();
+        let pos = |v: NodeId| {
+            member_nodes
+                .binary_search(&v)
+                .expect("an endpoint is a member") as u32
+        };
+        let arcs: Vec<(EdgeId, u32, u32)> =
+            edges.iter().map(|&(l, s, t)| (l, pos(s), pos(t))).collect();
+        let (out_start, out_edges, out_head) = csr(count, arcs.iter().copied());
+        let (in_start, in_edges, in_tail) = csr(count, arcs.iter().map(|&(l, s, t)| (l, t, s)));
+
+        let degree = |p: usize| (out_start[p + 1] - out_start[p]) as usize;
+        let is_router = |p: usize| member_nodes[p] != sink && degree(p) > 0;
+        let routers: Vec<u32> = (0..count)
+            .filter(|&p| is_router(p))
+            .map(|p| p as u32)
+            .collect();
+
+        let mut in_deg: Vec<u32> = in_start.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut queue: VecDeque<u32> = (0..count as u32)
+            .filter(|&p| in_deg[p as usize] == 0)
+            .collect();
+        let mut topo = Vec::with_capacity(count);
+        while let Some(p) = queue.pop_front() {
+            topo.push(p);
+            let p = p as usize;
+            for &h in &out_head[out_start[p] as usize..out_start[p + 1] as usize] {
+                in_deg[h as usize] -= 1;
+                if in_deg[h as usize] == 0 {
+                    queue.push_back(h);
+                }
             }
         }
-        out_start.push(out_edges.len() as u32);
-        in_start.push(in_edges.len() as u32);
-        let degree = |v: NodeId| (out_start[v.index() + 1] - out_start[v.index()]) as usize;
-        let routers_topo: Vec<NodeId> = topo
+        if topo.len() != count {
+            let stuck = in_deg
+                .iter()
+                .position(|&d| d > 0)
+                .expect("an unreleased member");
+            return Err(member_nodes[stuck]);
+        }
+        let routers_topo: Vec<u32> = topo
             .iter()
             .copied()
-            .filter(|&v| v != sink && degree(v) > 0)
+            .filter(|&p| is_router(p as usize))
             .collect();
         debug_assert_eq!(routers_topo.len(), routers.len());
-        let router_arc_total = routers_topo.iter().map(|&v| degree(v)).sum();
-        let max_out_degree = routers_topo.iter().map(|&v| degree(v)).max().unwrap_or(0);
-        CommodityAdjacency {
-            out_edges,
+        let router_arc_total = routers.iter().map(|&p| degree(p as usize)).sum();
+        let max_out_degree = (0..count).map(degree).max().unwrap_or(0);
+        Ok(CommodityAdjacency {
+            member_nodes,
+            topo,
             out_start,
-            in_edges,
+            out_edges,
+            out_head,
             in_start,
+            in_edges,
+            in_tail,
             routers,
             routers_topo,
-            member_nodes,
             router_arc_total,
             max_out_degree,
-        }
+        })
     }
 }
 
-/// All commodities' CSR adjacency packed into shared contiguous slabs
-/// (the 100k-node scale tier's memory layout): one allocation per kind
-/// of data instead of six small vectors per commodity, so the iteration
-/// core's dirty-chain walks stream through a handful of arenas instead
-/// of pointer-chasing `J` scattered heap blocks. Offset (`*_start`)
-/// rows use the uniform stride `V + 1` and are *relative* to the
-/// commodity's extent, so a commodity's view is two loads: its base and
-/// its offset row.
+/// Groups `(edge, key, other)` arcs by `key` (a member position below
+/// `count`) with a counting sort: returns the `count + 1` segment
+/// offsets, and the edges and `other` positions in segment order. Arcs
+/// arrive in ascending edge id and keep that order inside a segment —
+/// the graph's adjacency order.
+fn csr(
+    count: usize,
+    arcs: impl Iterator<Item = (EdgeId, u32, u32)> + Clone,
+) -> (Vec<u32>, Vec<EdgeId>, Vec<u32>) {
+    let mut start = vec![0u32; count + 1];
+    for (_, key, _) in arcs.clone() {
+        start[key as usize + 1] += 1;
+    }
+    for p in 0..count {
+        start[p + 1] += start[p];
+    }
+    let total = start[count] as usize;
+    let mut edges = vec![EdgeId::from_index(0); total];
+    let mut others = vec![0u32; total];
+    let mut fill = start.clone();
+    for (l, key, other) in arcs {
+        let k = fill[key as usize] as usize;
+        edges[k] = l;
+        others[k] = other;
+        fill[key as usize] += 1;
+    }
+    (start, edges, others)
+}
+
+/// All commodities' CSR adjacency packed into shared contiguous slabs:
+/// one allocation per kind of data instead of a dozen small vectors per
+/// commodity, so the iteration core's walks stream through a handful of
+/// arenas instead of pointer-chasing `J` scattered heap blocks.
+///
+/// Everything is **ragged and keyed by member position**: commodity `j`
+/// owns the extent `member_base[j]..member_base[j + 1]` of the
+/// member-keyed slabs (and of every per-commodity node table the
+/// iteration core keeps — see [`ExtendedNetwork::member_range`]), so
+/// storage is `Σ_j members_j`, not `J·V`. Offsets inside a commodity's
+/// extents are relative to the extent.
 ///
 /// With region-major node numbering (see `spn_model::hierarchy`), a
-/// commodity whose pipeline stays inside one region occupies a narrow
-/// contiguous band of each slab — the per-region partitioning that
-/// keeps near-converged dirty-chain walks cache-resident.
+/// commodity whose pipeline stays inside one region is a short run of
+/// nearby node ids.
 #[derive(Clone, Debug, Default)]
 struct AdjacencyArena {
-    /// `out_start[j·(V+1) + v]` — start of node `v`'s out segment,
-    /// relative to commodity `j`'s `out_base` extent.
+    /// All commodities' member-node lists (ascending node order).
+    member_nodes: Vec<NodeId>,
+    /// All commodities' members in commodity-topological order, as
+    /// member positions; shares `member_base` with `member_nodes`.
+    topo: Vec<u32>,
+    /// Extent of commodity `j` in the member-keyed slabs.
+    member_base: Vec<u32>,
+    /// Per-member offset rows: commodity `j`'s `members_j + 1` entries
+    /// start at `member_base[j] + j` and are relative to its `out_base`
+    /// extent.
     out_start: Vec<u32>,
     /// Offsets into `in_edges`, same layout as `out_start`.
     in_start: Vec<u32>,
-    /// All commodities' out-edge lists, concatenated.
+    /// All commodities' out-edge lists, concatenated, with the member
+    /// position of each edge's head alongside.
     out_edges: Vec<EdgeId>,
-    /// All commodities' in-edge lists, concatenated.
+    out_head: Vec<u32>,
+    /// All commodities' in-edge lists, concatenated, with the member
+    /// position of each edge's tail alongside.
     in_edges: Vec<EdgeId>,
-    /// Extent of commodity `j` in `out_edges`:
-    /// `out_base[j]..out_base[j + 1]`. Since every member edge has
-    /// exactly one tail, that extent lists each of the commodity's
-    /// edges exactly once.
+    in_tail: Vec<u32>,
+    /// Extent of commodity `j` in `out_edges`/`out_head`. Since every
+    /// member edge has exactly one tail, that extent lists each of the
+    /// commodity's edges exactly once.
     out_base: Vec<u32>,
-    /// Extent of commodity `j` in `in_edges`.
+    /// Extent of commodity `j` in `in_edges`/`in_tail`.
     in_base: Vec<u32>,
-    /// All commodities' router lists (ascending node order).
+    /// All commodities' router lists (ascending node order), as node ids
+    /// and as member positions.
     routers: Vec<NodeId>,
-    /// All commodities' router lists in commodity-topological order;
-    /// shares `router_base` with `routers` (same per-commodity length).
-    routers_topo: Vec<NodeId>,
-    /// All commodities' member-node lists (ascending node order).
-    member_nodes: Vec<NodeId>,
-    /// Extent of commodity `j` in `routers`/`routers_topo`.
+    router_pos: Vec<u32>,
+    /// All commodities' router lists in commodity-topological order, as
+    /// member positions; shares `router_base` with `routers` (same
+    /// per-commodity length).
+    routers_topo: Vec<u32>,
+    /// Extent of commodity `j` in the three router slabs.
     router_base: Vec<u32>,
-    /// Extent of commodity `j` in `member_nodes`.
-    member_base: Vec<u32>,
     /// Per-commodity total router out-degree.
     router_arc_total: Vec<u32>,
     /// Per-commodity largest node out-degree, cached so the per-step
@@ -221,36 +298,93 @@ struct AdjacencyArena {
     router_union: Vec<NodeId>,
 }
 
+/// Removes extent `jr` from a base-offset row: drops its end marker,
+/// shifts the later extents down and returns the range the extent
+/// occupied in the slabs the row indexes.
+fn drain_extent(base: &mut Vec<u32>, jr: usize) -> Range<usize> {
+    let (start, end) = (base[jr], base[jr + 1]);
+    base.remove(jr + 1);
+    for b in &mut base[jr + 1..] {
+        *b -= end - start;
+    }
+    start as usize..end as usize
+}
+
 impl AdjacencyArena {
-    /// Appends one commodity's adjacency to the arenas. The caller
-    /// guarantees `adj` was built against the current graph shape (its
-    /// offset rows have length `V + 1`).
+    /// Appends one commodity's adjacency to the arenas; the extents of
+    /// the commodities already packed do not move.
     fn push(&mut self, adj: CommodityAdjacency) {
-        if self.out_base.is_empty() {
+        if self.member_base.is_empty() {
+            self.member_base.push(0);
             self.out_base.push(0);
             self.in_base.push(0);
             self.router_base.push(0);
-            self.member_base.push(0);
         }
-        self.out_start.extend_from_slice(&adj.out_start);
-        self.in_start.extend_from_slice(&adj.in_start);
-        self.out_edges.extend_from_slice(&adj.out_edges);
-        self.out_base.push(self.out_edges.len() as u32);
-        self.in_edges.extend_from_slice(&adj.in_edges);
-        self.in_base.push(self.in_edges.len() as u32);
-        debug_assert_eq!(adj.routers.len(), adj.routers_topo.len());
-        self.routers.extend_from_slice(&adj.routers);
+        let node = |p: &u32| adj.member_nodes[*p as usize];
+        self.topo.extend_from_slice(&adj.topo);
+        self.routers.extend(adj.routers.iter().map(node));
+        self.router_pos.extend_from_slice(&adj.routers);
         self.routers_topo.extend_from_slice(&adj.routers_topo);
         self.router_base.push(self.routers.len() as u32);
         self.member_nodes.extend_from_slice(&adj.member_nodes);
         self.member_base.push(self.member_nodes.len() as u32);
+        self.out_start.extend_from_slice(&adj.out_start);
+        self.in_start.extend_from_slice(&adj.in_start);
+        self.out_edges.extend_from_slice(&adj.out_edges);
+        self.out_head.extend_from_slice(&adj.out_head);
+        self.out_base.push(self.out_edges.len() as u32);
+        self.in_edges.extend_from_slice(&adj.in_edges);
+        self.in_tail.extend_from_slice(&adj.in_tail);
+        self.in_base.push(self.in_edges.len() as u32);
         self.router_arc_total.push(adj.router_arc_total as u32);
         self.max_out_deg.push(adj.max_out_degree as u32);
     }
 
+    /// Drops commodity `jr`'s extent from every slab and renumbers the
+    /// survivors' ids past the departed dummy node `d` and its two dummy
+    /// links `e0`, `e0 + 1`. No survivor's member list contains `d`, and
+    /// the renumbering is monotone, so member positions do not move.
+    fn remove(&mut self, jr: usize, d: NodeId, e0: EdgeId) {
+        let members = drain_extent(&mut self.member_base, jr);
+        // the offset rows carry one extra entry per commodity before `jr`
+        let starts = members.start + jr..members.end + jr + 1;
+        self.member_nodes.drain(members.clone());
+        self.topo.drain(members);
+        self.out_start.drain(starts.clone());
+        self.in_start.drain(starts);
+        let outs = drain_extent(&mut self.out_base, jr);
+        self.out_edges.drain(outs.clone());
+        self.out_head.drain(outs);
+        let ins = drain_extent(&mut self.in_base, jr);
+        self.in_edges.drain(ins.clone());
+        self.in_tail.drain(ins);
+        let routers = drain_extent(&mut self.router_base, jr);
+        self.routers.drain(routers.clone());
+        self.router_pos.drain(routers.clone());
+        self.routers_topo.drain(routers);
+        self.router_arc_total.remove(jr);
+        self.max_out_deg.remove(jr);
+
+        for v in self.member_nodes.iter_mut().chain(&mut self.routers) {
+            debug_assert_ne!(*v, d, "departed dummy was a foreign member node");
+            if *v > d {
+                *v = NodeId::from_index(v.index() - 1);
+            }
+        }
+        for l in self.out_edges.iter_mut().chain(self.in_edges.iter_mut()) {
+            debug_assert!(
+                l.index() != e0.index() && l.index() != e0.index() + 1,
+                "dummy links leaked across commodities"
+            );
+            if l.index() > e0.index() + 1 {
+                *l = EdgeId::from_index(l.index() - 2);
+            }
+        }
+    }
+
     /// Re-derives `router_union` from the packed router lists with one
     /// marker pass over the `v_count` nodes — `O(V + Σ_j routers_j)`,
-    /// called once per build / add / remove (each already `O(J·V)`).
+    /// once per build / add / remove.
     fn rebuild_router_union(&mut self, v_count: usize) {
         let mut is_router = vec![false; v_count];
         for v in &self.routers {
@@ -264,6 +398,121 @@ impl AdjacencyArena {
                 .filter(|&(_, &r)| r)
                 .map(|(v, _)| NodeId::from_index(v)),
         );
+    }
+}
+
+/// One commodity's structure keyed by **member position** — what the
+/// iteration core's sweeps index by, obtained once per sweep from
+/// [`ExtendedNetwork::members`]. Position `p` stands for node
+/// [`Self::node`]`(p)`; the per-commodity node tables (traffic,
+/// marginals, tags, usage partials) are rows of [`Self::len`] entries in
+/// the same order.
+///
+/// A view is the commodity's extents in the arena and nothing else:
+/// making one costs a few loads, and each accessor slices what it
+/// hands out. Two views are equal when every table they expose is.
+#[derive(Clone, Copy, Debug)]
+pub struct MemberView<'a> {
+    arena: &'a AdjacencyArena,
+    /// Extent in the member-keyed slabs.
+    members: (usize, usize),
+    /// Start of the `members + 1` offset rows.
+    starts: usize,
+    /// Start of the out- and in-edge extents.
+    outs: usize,
+    ins: usize,
+    /// Extent in the router slabs.
+    routers: (usize, usize),
+}
+
+impl<'a> MemberView<'a> {
+    /// Number of members.
+    #[inline]
+    #[must_use]
+    #[allow(clippy::len_without_is_empty)] // a commodity always has its dummy source
+    pub fn len(&self) -> usize {
+        self.members.1 - self.members.0
+    }
+
+    /// The member nodes, ascending (position `p` ↔ `nodes()[p]`).
+    #[inline]
+    #[must_use]
+    pub fn nodes(&self) -> &'a [NodeId] {
+        &self.arena.member_nodes[self.members.0..self.members.1]
+    }
+
+    /// The node at member position `p`.
+    #[inline]
+    #[must_use]
+    pub fn node(&self, p: usize) -> NodeId {
+        self.nodes()[p]
+    }
+
+    /// Position of the commodity's dummy source: the last one, because a
+    /// dummy source's id is above every physical and bandwidth node's.
+    #[inline]
+    #[must_use]
+    pub fn dummy(&self) -> usize {
+        self.len() - 1
+    }
+
+    /// The member positions in the commodity's topological order.
+    #[inline]
+    #[must_use]
+    pub fn topo(&self) -> &'a [u32] {
+        &self.arena.topo[self.members.0..self.members.1]
+    }
+
+    /// Positions of the commodity's routers, ascending — parallel to
+    /// [`ExtendedNetwork::commodity_routers`].
+    #[inline]
+    #[must_use]
+    pub fn routers(&self) -> &'a [u32] {
+        &self.arena.router_pos[self.routers.0..self.routers.1]
+    }
+
+    /// Positions of the commodity's routers in topological order —
+    /// parallel to [`ExtendedNetwork::commodity_routers_topo`].
+    #[inline]
+    #[must_use]
+    pub fn routers_topo(&self) -> &'a [u32] {
+        &self.arena.routers_topo[self.routers.0..self.routers.1]
+    }
+
+    /// The out-edges of member `p` (graph adjacency order) with the
+    /// member position of each edge's head.
+    #[inline]
+    #[must_use]
+    pub fn out_arcs(&self, p: usize) -> (&'a [EdgeId], &'a [u32]) {
+        assert!(p < self.len(), "member position out of range");
+        let a = self.arena;
+        let row = &a.out_start[self.starts + p..self.starts + p + 2];
+        let r = self.outs + row[0] as usize..self.outs + row[1] as usize;
+        (&a.out_edges[r.clone()], &a.out_head[r])
+    }
+
+    /// The in-edges of member `p` (graph adjacency order) with the
+    /// member position of each edge's tail.
+    #[inline]
+    #[must_use]
+    pub fn in_arcs(&self, p: usize) -> (&'a [EdgeId], &'a [u32]) {
+        assert!(p < self.len(), "member position out of range");
+        let a = self.arena;
+        let row = &a.in_start[self.starts + p..self.starts + p + 2];
+        let r = self.ins + row[0] as usize..self.ins + row[1] as usize;
+        (&a.in_edges[r.clone()], &a.in_tail[r])
+    }
+}
+
+impl PartialEq for MemberView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes() == other.nodes()
+            && self.topo() == other.topo()
+            && self.routers() == other.routers()
+            && self.routers_topo() == other.routers_topo()
+            && (0..self.len()).all(|p| {
+                self.out_arcs(p) == other.out_arcs(p) && self.in_arcs(p) == other.in_arcs(p)
+            })
     }
 }
 
@@ -299,10 +548,8 @@ pub struct ExtendedNetwork {
     input_edge: Vec<EdgeId>,
     difference_edge: Vec<EdgeId>,
     commodities: Vec<Commodity>,
-    /// `topo[j·V ..]` — per-commodity topological order of the
-    /// *extended* subgraph, flat row-major (stride `V`).
-    topo: Vec<NodeId>,
-    /// Arena-packed per-commodity CSR adjacency.
+    /// Arena-packed per-commodity CSR adjacency and topological orders,
+    /// keyed by member position.
     adjacency: AdjacencyArena,
     physical_nodes: usize,
     physical_edges: usize,
@@ -312,7 +559,8 @@ pub struct ExtendedNetwork {
     capacity_version: u64,
     /// Bumped by every [`Self::add_commodity`] / [`Self::remove_commodity`]
     /// — the O(1) staleness key for anything sized or derived from the
-    /// commodity structure (strides, router lists, the router union).
+    /// commodity structure (member extents, router lists, the router
+    /// union).
     structure_version: u64,
 }
 
@@ -405,26 +653,28 @@ impl ExtendedNetwork {
             in_row[difference_edge[ji].index()] = true;
         }
 
-        // Per-commodity topological orders (dummy source first, then
-        // the commodity DAG threaded through bandwidth nodes).
-        let mut topo = Vec::with_capacity(j_count * v_count);
-        for ji in 0..j_count {
-            let in_row = &in_commodity[ji * l_count..(ji + 1) * l_count];
-            topo.extend(
-                topological_order_filtered(&graph, |l| in_row[l.index()])
+        // Per-commodity adjacency and topological order, from each
+        // commodity's own edges (ascending id: the split halves of its
+        // overlay, then its two dummy links).
+        let mut adjacency = AdjacencyArena::default();
+        let mut edges = Vec::new();
+        for j in problem.commodity_ids() {
+            edges.clear();
+            for e in pg.edges().filter(|&e| problem.in_overlay(j, e)) {
+                for l in [2 * e.index(), 2 * e.index() + 1] {
+                    let l = EdgeId::from_index(l);
+                    let (tail, head) = graph.endpoints(l);
+                    edges.push((l, tail, head));
+                }
+            }
+            for l in [input_edge[j.index()], difference_edge[j.index()]] {
+                let (tail, head) = graph.endpoints(l);
+                edges.push((l, tail, head));
+            }
+            adjacency.push(
+                CommodityAdjacency::build(&edges, problem.commodity(j).sink())
                     .expect("commodity extended subgraph is a DAG for validated problems"),
             );
-        }
-
-        let mut adjacency = AdjacencyArena::default();
-        for j in problem.commodity_ids() {
-            let ji = j.index();
-            adjacency.push(CommodityAdjacency::build(
-                &graph,
-                &in_commodity[ji * l_count..(ji + 1) * l_count],
-                problem.commodity(j).sink(),
-                &topo[ji * v_count..(ji + 1) * v_count],
-            ));
         }
         adjacency.rebuild_router_union(v_count);
 
@@ -440,7 +690,6 @@ impl ExtendedNetwork {
             input_edge,
             difference_edge,
             commodities: problem.commodities().to_vec(),
-            topo,
             adjacency,
             physical_nodes: n,
             physical_edges: m,
@@ -536,30 +785,65 @@ impl ExtendedNetwork {
         self.beta[j.index() * self.graph.edge_count() + l.index()]
     }
 
-    /// Stride of the arena offset rows: one slot per node plus the
-    /// terminating total.
-    fn start_stride(&self) -> usize {
-        self.graph.node_count() + 1
+    /// Commodity `j`'s structure keyed by member position — what the
+    /// sweeps index by. Constant time: the commodity's extents in the
+    /// arena.
+    #[inline]
+    #[must_use]
+    pub fn members(&self, j: CommodityId) -> MemberView<'_> {
+        let a = &self.adjacency;
+        let ji = j.index();
+        let members = (a.member_base[ji] as usize, a.member_base[ji + 1] as usize);
+        MemberView {
+            arena: a,
+            members,
+            starts: members.0 + ji,
+            outs: a.out_base[ji] as usize,
+            ins: a.in_base[ji] as usize,
+            routers: (a.router_base[ji] as usize, a.router_base[ji + 1] as usize),
+        }
+    }
+
+    /// Extent of commodity `j`'s row in every per-commodity node table
+    /// (one entry per member, in [`Self::commodity_member_nodes`] order);
+    /// the rows of all commodities tile `0..`[`Self::member_total`].
+    #[inline]
+    #[must_use]
+    pub fn member_range(&self, j: CommodityId) -> Range<usize> {
+        let base = &self.adjacency.member_base;
+        base[j.index()] as usize..base[j.index() + 1] as usize
+    }
+
+    /// `Σ_j members_j` — the length of a per-commodity node table.
+    #[must_use]
+    pub fn member_total(&self) -> usize {
+        self.adjacency.member_nodes.len()
+    }
+
+    /// Member position of node `v` in commodity `j`, or `None` if `v`
+    /// has no commodity-`j` edge. A binary search: the cold lookup behind
+    /// every node-id accessor; sweeps use [`Self::members`] instead.
+    #[must_use]
+    pub fn member_pos(&self, j: CommodityId, v: NodeId) -> Option<usize> {
+        self.commodity_member_nodes(j).binary_search(&v).ok()
     }
 
     /// Outgoing extended edges of `v` usable by commodity `j`, as a
-    /// contiguous precomputed slice (same order as the graph adjacency).
+    /// contiguous precomputed slice (same order as the graph adjacency);
+    /// empty when `v` is not a member of the commodity.
     #[must_use]
     pub fn commodity_out_slice(&self, j: CommodityId, v: NodeId) -> &[EdgeId] {
-        let a = &self.adjacency;
-        let row = &a.out_start[j.index() * self.start_stride()..];
-        let base = a.out_base[j.index()] as usize;
-        &a.out_edges[base + row[v.index()] as usize..base + row[v.index() + 1] as usize]
+        self.member_pos(j, v)
+            .map_or(&[], |p| self.members(j).out_arcs(p).0)
     }
 
     /// Incoming extended edges of `v` usable by commodity `j`, as a
-    /// contiguous precomputed slice.
+    /// contiguous precomputed slice; empty when `v` is not a member of
+    /// the commodity.
     #[must_use]
     pub fn commodity_in_slice(&self, j: CommodityId, v: NodeId) -> &[EdgeId] {
-        let a = &self.adjacency;
-        let row = &a.in_start[j.index() * self.start_stride()..];
-        let base = a.in_base[j.index()] as usize;
-        &a.in_edges[base + row[v.index()] as usize..base + row[v.index() + 1] as usize]
+        self.member_pos(j, v)
+            .map_or(&[], |p| self.members(j).in_arcs(p).0)
     }
 
     /// Every extended edge usable by commodity `j`, each exactly once
@@ -574,12 +858,11 @@ impl ExtendedNetwork {
     }
 
     /// Nodes with at least one commodity-`j` in- or out-edge, ascending
-    /// — exactly the nodes whose commodity-`j` flow-state entries can
-    /// ever be nonzero.
+    /// — the commodity's *members*: exactly the nodes that have a
+    /// commodity-`j` entry in the per-commodity node tables.
     #[must_use]
     pub fn commodity_member_nodes(&self, j: CommodityId) -> &[NodeId] {
-        let a = &self.adjacency;
-        &a.member_nodes[a.member_base[j.index()] as usize..a.member_base[j.index() + 1] as usize]
+        &self.adjacency.member_nodes[self.member_range(j)]
     }
 
     /// Non-sink nodes with at least one commodity-`j` out-edge (the
@@ -594,10 +877,14 @@ impl ExtendedNetwork {
     /// the same set as [`Self::commodity_routers`], ordered so a single
     /// forward (resp. reverse) walk visits tails before (resp. after)
     /// heads. Sparse sweeps iterate this instead of `topo_order`.
-    #[must_use]
-    pub fn commodity_routers_topo(&self, j: CommodityId) -> &[NodeId] {
-        let a = &self.adjacency;
-        &a.routers_topo[a.router_base[j.index()] as usize..a.router_base[j.index() + 1] as usize]
+    /// The sweeps themselves index by position, through
+    /// [`MemberView::routers_topo`].
+    pub fn commodity_routers_topo(
+        &self,
+        j: CommodityId,
+    ) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        let m = self.members(j);
+        m.routers_topo().iter().map(move |&p| m.node(p as usize))
     }
 
     /// Total commodity-`j` out-degree summed over all routers — the arc
@@ -644,12 +931,12 @@ impl ExtendedNetwork {
         self.commodity_in_slice(j, v).iter().copied()
     }
 
-    /// Topological order of the extended graph restricted to commodity
-    /// `j`'s edges (all nodes appear; foreign nodes are order-free).
-    #[must_use]
-    pub fn topo_order(&self, j: CommodityId) -> &[NodeId] {
-        let v_count = self.graph.node_count();
-        &self.topo[j.index() * v_count..(j.index() + 1) * v_count]
+    /// Commodity `j`'s members in a topological order of its extended
+    /// subgraph (nodes outside the commodity do not appear). The sweeps
+    /// themselves index by position, through [`MemberView::topo`].
+    pub fn topo_order(&self, j: CommodityId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        let m = self.members(j);
+        m.topo().iter().map(move |&p| m.node(p as usize))
     }
 
     /// Number of physical nodes `N` (extended ids `< N` are physical).
@@ -759,12 +1046,13 @@ impl ExtendedNetwork {
 
     /// Admits a new commodity online, without rebuilding the shared
     /// physical/bandwidth layers: appends the dummy source, the dummy
-    /// input/difference links, the per-commodity parameter rows, the
-    /// commodity's topological order and CSR adjacency, and splices the
-    /// new (isolated) dummy node into every existing commodity's
-    /// structures exactly where a from-scratch [`Self::build`] of the
-    /// enlarged commodity set would place it. All existing ids are
-    /// unchanged; the result is indistinguishable from a fresh build.
+    /// input/difference links, the per-commodity parameter rows and one
+    /// extent of the adjacency arena. All existing ids and every
+    /// survivor's extent are unchanged; the result is indistinguishable
+    /// from a from-scratch [`Self::build`] of the enlarged commodity set.
+    ///
+    /// Everything is validated before the first mutation: a rejected
+    /// definition leaves the network exactly as it was.
     ///
     /// # Panics
     ///
@@ -791,61 +1079,60 @@ impl ExtendedNetwork {
             "max rate must be finite and positive, got {}",
             def.max_rate
         );
-
-        let j = CommodityId::from_index(self.commodities.len());
-        let j_old = self.commodities.len();
-        let v_old = self.graph.node_count();
-        let s_old = v_old + 1;
-
-        // Splice the incoming dummy node into the existing commodities'
-        // structures first. In their filtered subgraphs it is an
-        // isolated zero-in-degree node, so Kahn's queue would seed it
-        // last among the initial zero-in-degree nodes (it gets the
-        // highest id) and pop it right after them — i.e. at the index
-        // equal to the count of existing zero-in-degree nodes. The CSR
-        // offset rows gain one empty trailing segment, restriding the
-        // slabs from `V + 1` to `V + 2`.
-        let new_node = NodeId::from_index(v_old);
-        {
-            let a = &mut self.adjacency;
-            let mut topo = Vec::with_capacity(j_old * (v_old + 1));
-            let mut out_start = Vec::with_capacity(j_old * (s_old + 1));
-            let mut in_start = Vec::with_capacity(j_old * (s_old + 1));
-            for i in 0..j_old {
-                let in_row = &a.in_start[i * s_old..(i + 1) * s_old];
-                let zero_in = in_row.windows(2).filter(|w| w[0] == w[1]).count();
-                let old_topo = &self.topo[i * v_old..(i + 1) * v_old];
-                topo.extend_from_slice(&old_topo[..zero_in]);
-                topo.push(new_node);
-                topo.extend_from_slice(&old_topo[zero_in..]);
-                let out_row = &a.out_start[i * s_old..(i + 1) * s_old];
-                out_start.extend_from_slice(out_row);
-                out_start.push(*out_row.last().expect("offsets are non-empty"));
-                in_start.extend_from_slice(in_row);
-                in_start.push(*in_row.last().expect("offsets are non-empty"));
-            }
-            self.topo = topo;
-            a.out_start = out_start;
-            a.in_start = in_start;
+        for &(e, c, b) in &def.edges {
+            assert!(e.index() < m, "edge {e} is not a physical edge");
+            assert!(
+                c.is_finite() && c > 0.0,
+                "edge cost must be finite and positive, got {c}"
+            );
+            assert!(
+                b.is_finite() && b > 0.0,
+                "edge beta must be finite and positive, got {b}"
+            );
         }
 
-        let dummy = self.graph.add_node();
-        debug_assert_eq!(dummy, new_node);
+        // The ids the newcomer's dummy node and links will get, and its
+        // adjacency over them — built (and checked for cycles) from the
+        // edge list alone, before anything exists in the graph.
+        let j = CommodityId::from_index(self.commodities.len());
+        let dummy = NodeId::from_index(self.graph.node_count());
+        let l_old = self.graph.edge_count();
+        let (input, diff) = (EdgeId::from_index(l_old), EdgeId::from_index(l_old + 1));
+        let mut overlay: Vec<usize> = def.edges.iter().map(|&(e, _, _)| e.index()).collect();
+        overlay.sort_unstable();
+        overlay.dedup();
+        let mut edges = Vec::with_capacity(2 * overlay.len() + 2);
+        for e in overlay {
+            for l in [2 * e, 2 * e + 1] {
+                let l = EdgeId::from_index(l);
+                let (tail, head) = self.graph.endpoints(l);
+                edges.push((l, tail, head));
+            }
+        }
+        edges.push((input, dummy, def.source));
+        edges.push((diff, dummy, def.sink));
+        let adj = CommodityAdjacency::build(&edges, def.sink).unwrap_or_else(|v| {
+            panic!("admitted commodity's extended subgraph must be a DAG: cycle through {v}")
+        });
+
+        let added = self.graph.add_node();
+        debug_assert_eq!(added, dummy);
         self.node_kind.push(NodeKind::DummySource(j));
         self.capacity.push(Capacity::INFINITE);
         self.dummy_source.push(dummy);
-
-        let input = self.graph.add_edge(dummy, def.source);
+        let added = self.graph.add_edge(dummy, def.source);
+        debug_assert_eq!(added, input);
         self.edge_kind.push(EdgeKind::DummyInput(j));
         self.input_edge.push(input);
-        let diff = self.graph.add_edge(dummy, def.sink);
+        let added = self.graph.add_edge(dummy, def.sink);
+        debug_assert_eq!(added, diff);
         self.edge_kind.push(EdgeKind::DummyDifference(j));
         self.difference_edge.push(diff);
 
         // Per-commodity parameter slabs restride from `L` to `L + 2`,
         // gaining default entries for the new dummy links.
-        let l_count = self.graph.edge_count();
-        let l_old = l_count - 2;
+        let l_count = l_old + 2;
+        let j_old = j.index();
         {
             let mut in_commodity = Vec::with_capacity((j_old + 1) * l_count);
             let mut cost = Vec::with_capacity((j_old + 1) * l_count);
@@ -862,36 +1149,22 @@ impl ExtendedNetwork {
             self.cost = cost;
             self.beta = beta;
         }
-
-        let mut in_c = vec![false; l_count];
-        let mut cost = vec![1.0; l_count];
-        let mut beta = vec![1.0; l_count];
+        let row = j_old * l_count;
+        self.in_commodity.resize(row + l_count, false);
+        self.cost.resize(row + l_count, 1.0);
+        self.beta.resize(row + l_count, 1.0);
         for &(e, c, b) in &def.edges {
-            assert!(e.index() < m, "edge {e} is not a physical edge");
-            assert!(
-                c.is_finite() && c > 0.0,
-                "edge cost must be finite and positive, got {c}"
-            );
-            assert!(
-                b.is_finite() && b > 0.0,
-                "edge beta must be finite and positive, got {b}"
-            );
-            let ingress = 2 * e.index();
-            in_c[ingress] = true;
-            cost[ingress] = c;
-            beta[ingress] = b;
-            in_c[ingress + 1] = true;
+            let ingress = row + 2 * e.index();
+            self.in_commodity[ingress] = true;
+            self.cost[ingress] = c;
+            self.beta[ingress] = b;
+            // egress: one unit of bandwidth per unit of flow, flow
+            // conserved.
+            self.in_commodity[ingress + 1] = true;
         }
-        in_c[input.index()] = true;
-        in_c[diff.index()] = true;
+        self.in_commodity[row + input.index()] = true;
+        self.in_commodity[row + diff.index()] = true;
 
-        let topo = topological_order_filtered(&self.graph, |l| in_c[l.index()])
-            .expect("admitted commodity's extended subgraph must be a DAG");
-        let adj = CommodityAdjacency::build(&self.graph, &in_c, def.sink, &topo);
-        self.in_commodity.extend_from_slice(&in_c);
-        self.cost.extend_from_slice(&cost);
-        self.beta.extend_from_slice(&beta);
-        self.topo.extend_from_slice(&topo);
         self.adjacency.push(adj);
         self.adjacency.rebuild_router_union(self.graph.node_count());
         self.structure_version += 1;
@@ -909,7 +1182,7 @@ impl ExtendedNetwork {
     /// node id and their dummy links down two edge ids, exactly
     /// matching what a from-scratch [`Self::build`] of the surviving
     /// commodity set would assign. Physical and bandwidth layers are
-    /// untouched.
+    /// untouched, and so is every survivor's member order.
     ///
     /// # Panics
     ///
@@ -923,14 +1196,12 @@ impl ExtendedNetwork {
         let n = self.physical_nodes;
         let m = self.physical_edges;
         let j_old = self.commodities.len();
-        let v_old = self.graph.node_count();
         let l_old = self.graph.edge_count();
         let d = self.dummy_source[jr];
         let er0 = self.input_edge[jr];
-        let er1 = self.difference_edge[jr];
         debug_assert_eq!(d.index(), n + m + jr);
         debug_assert_eq!(er0.index(), 2 * m + 2 * jr);
-        debug_assert_eq!(er1.index(), er0.index() + 1);
+        debug_assert_eq!(self.difference_edge[jr].index(), er0.index() + 1);
 
         // Drop the graph tail from the departing dummy onward, then
         // re-append the later commodities' dummies in order — node and
@@ -990,109 +1261,8 @@ impl ExtendedNetwork {
             self.beta = beta;
         }
 
-        // Topological orders: the departed dummy was an isolated
-        // zero-in-degree node in every surviving subgraph, so deleting
-        // it and renumbering monotonically reproduces a fresh Kahn run.
-        let di = d.index();
-        {
-            let mut topo = Vec::with_capacity((j_old - 1) * (v_old - 1));
-            for i in (0..j_old).filter(|&i| i != jr) {
-                for &v in &self.topo[i * v_old..(i + 1) * v_old] {
-                    if v == d {
-                        continue;
-                    }
-                    topo.push(if v.index() > di {
-                        NodeId::from_index(v.index() - 1)
-                    } else {
-                        v
-                    });
-                }
-            }
-            self.topo = topo;
-        }
-
-        // Arena adjacency: drop commodity `jr`'s row/extent from every
-        // slab, remove the departed dummy's (empty) offset slot, and
-        // renumber surviving node/edge ids.
-        let a = &mut self.adjacency;
-        let s_old = v_old + 1;
-        {
-            let mut out_start = Vec::with_capacity((j_old - 1) * (s_old - 1));
-            let mut in_start = Vec::with_capacity((j_old - 1) * (s_old - 1));
-            for i in (0..j_old).filter(|&i| i != jr) {
-                let row = &a.out_start[i * s_old..(i + 1) * s_old];
-                debug_assert_eq!(row[di], row[di + 1], "departed dummy had foreign out-edges");
-                out_start.extend_from_slice(&row[..di]);
-                out_start.extend_from_slice(&row[di + 1..]);
-                let row = &a.in_start[i * s_old..(i + 1) * s_old];
-                debug_assert_eq!(row[di], row[di + 1], "departed dummy had foreign in-edges");
-                in_start.extend_from_slice(&row[..di]);
-                in_start.extend_from_slice(&row[di + 1..]);
-            }
-            a.out_start = out_start;
-            a.in_start = in_start;
-        }
-        // Edge slabs: drop extent `jr`, shift later edge ids down by the
-        // two departed dummy links, and re-anchor the base offsets.
-        for (edges, base) in [
-            (&mut a.out_edges, &mut a.out_base),
-            (&mut a.in_edges, &mut a.in_base),
-        ] {
-            let start = base[jr] as usize;
-            let end = base[jr + 1] as usize;
-            edges.drain(start..end);
-            for l in edges.iter_mut() {
-                debug_assert!(
-                    *l != er0 && *l != er1,
-                    "dummy links leaked across commodities"
-                );
-                if l.index() > er1.index() {
-                    *l = EdgeId::from_index(l.index() - 2);
-                }
-            }
-            let len = (end - start) as u32;
-            base.remove(jr + 1);
-            for b in &mut base[jr + 1..] {
-                *b -= len;
-            }
-        }
-        // Router lists share one base; member nodes have their own.
-        {
-            let start = a.router_base[jr] as usize;
-            let end = a.router_base[jr + 1] as usize;
-            a.routers.drain(start..end);
-            a.routers_topo.drain(start..end);
-            for v in a.routers.iter_mut().chain(a.routers_topo.iter_mut()) {
-                debug_assert_ne!(*v, d, "departed dummy routed a foreign commodity");
-                if v.index() > di {
-                    *v = NodeId::from_index(v.index() - 1);
-                }
-            }
-            let len = (end - start) as u32;
-            a.router_base.remove(jr + 1);
-            for b in &mut a.router_base[jr + 1..] {
-                *b -= len;
-            }
-        }
-        {
-            let start = a.member_base[jr] as usize;
-            let end = a.member_base[jr + 1] as usize;
-            a.member_nodes.drain(start..end);
-            for v in a.member_nodes.iter_mut() {
-                debug_assert_ne!(*v, d, "departed dummy was a foreign member node");
-                if v.index() > di {
-                    *v = NodeId::from_index(v.index() - 1);
-                }
-            }
-            let len = (end - start) as u32;
-            a.member_base.remove(jr + 1);
-            for b in &mut a.member_base[jr + 1..] {
-                *b -= len;
-            }
-        }
-        a.router_arc_total.remove(jr);
-        a.max_out_deg.remove(jr);
-        a.rebuild_router_union(self.graph.node_count());
+        self.adjacency.remove(jr, d, er0);
+        self.adjacency.rebuild_router_union(self.graph.node_count());
         self.structure_version += 1;
     }
 }
@@ -1287,8 +1457,8 @@ mod tests {
             .unwrap();
         let ext = ExtendedNetwork::build(&inst.problem);
         for j in ext.commodity_ids() {
-            let topo = ext.commodity_routers_topo(j);
-            let mut sorted: Vec<NodeId> = topo.to_vec();
+            let topo: Vec<NodeId> = ext.commodity_routers_topo(j).collect();
+            let mut sorted = topo.clone();
             sorted.sort_by_key(|v| v.index());
             assert_eq!(
                 &sorted[..],
@@ -1296,7 +1466,7 @@ mod tests {
                 "routers_topo must be the router set for {j}"
             );
             // Order must agree with the commodity topological order.
-            let order = ext.topo_order(j);
+            let order: Vec<NodeId> = ext.topo_order(j).collect();
             let pos = |v: NodeId| order.iter().position(|&x| x == v).unwrap();
             for w in topo.windows(2) {
                 assert!(pos(w[0]) < pos(w[1]), "routers_topo out of order for {j}");
@@ -1314,8 +1484,10 @@ mod tests {
         let p = chain();
         let ext = ExtendedNetwork::build(&p);
         let j = CommodityId::from_index(0);
-        let order = ext.topo_order(j);
-        assert_eq!(order.len(), ext.graph().node_count());
+        let order: Vec<NodeId> = ext.topo_order(j).collect();
+        // members only: 3 servers + 2 bandwidth nodes + the dummy
+        assert_eq!(order.len(), ext.commodity_member_nodes(j).len());
+        assert_eq!(order.len(), 6);
         let pos = |v: NodeId| order.iter().position(|&x| x == v).unwrap();
         assert!(pos(ext.dummy_source(j)) < pos(ext.commodity(j).source()));
         assert!(pos(ext.commodity(j).source()) < pos(ext.commodity(j).sink()));
@@ -1355,19 +1527,22 @@ mod tests {
         assert_eq!(a.input_edge, b.input_edge, "input edges");
         assert_eq!(a.difference_edge, b.difference_edge, "difference edges");
         assert_eq!(a.commodities, b.commodities, "commodities");
-        assert_eq!(a.topo, b.topo, "topological orders");
         let (x, y) = (&a.adjacency, &b.adjacency);
-        assert_eq!(x.out_start, y.out_start, "out_start slab");
-        assert_eq!(x.in_start, y.in_start, "in_start slab");
+        assert_eq!(x.member_nodes, y.member_nodes, "member_nodes slab");
+        assert_eq!(x.topo, y.topo, "topological orders");
+        assert_eq!(x.member_base, y.member_base, "member_base");
+        assert_eq!(x.out_start, y.out_start, "out_start rows");
+        assert_eq!(x.in_start, y.in_start, "in_start rows");
         assert_eq!(x.out_edges, y.out_edges, "out_edges slab");
+        assert_eq!(x.out_head, y.out_head, "out_head slab");
         assert_eq!(x.in_edges, y.in_edges, "in_edges slab");
+        assert_eq!(x.in_tail, y.in_tail, "in_tail slab");
         assert_eq!(x.out_base, y.out_base, "out_base");
         assert_eq!(x.in_base, y.in_base, "in_base");
         assert_eq!(x.routers, y.routers, "routers slab");
+        assert_eq!(x.router_pos, y.router_pos, "router positions");
         assert_eq!(x.routers_topo, y.routers_topo, "routers_topo slab");
-        assert_eq!(x.member_nodes, y.member_nodes, "member_nodes slab");
         assert_eq!(x.router_base, y.router_base, "router_base");
-        assert_eq!(x.member_base, y.member_base, "member_base");
         assert_eq!(x.router_arc_total, y.router_arc_total, "router arc totals");
         assert_eq!(x.max_out_deg, y.max_out_deg, "max out-degrees");
         assert_eq!(x.router_union, y.router_union, "router union");

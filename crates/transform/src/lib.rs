@@ -31,4 +31,4 @@
 pub mod extended;
 pub mod view;
 
-pub use extended::{CommodityDef, EdgeKind, ExtendedNetwork, NodeKind};
+pub use extended::{CommodityDef, EdgeKind, ExtendedNetwork, MemberView, NodeKind};

@@ -24,9 +24,12 @@
 #    servers: the two trajectories must be bit-equal (idle nodes change
 #    nothing), the padded median step must stay within 1.25x the
 #    unpadded one (2.8x when the cost probe and the totals reduction
-#    walked all V nodes; SKIP on a 1-core host), and neither may
-#    allocate in steady state (counting allocator) — catching an O(V)
-#    lane creeping back into the step and per-step allocation storms;
+#    walked all V nodes; SKIP on a 1-core host), an idle server may
+#    cost at most 128 bytes of algorithm state whatever the commodity
+#    count (72 B; 664 B at J = 16 when the per-commodity node tables
+#    were J·V slabs), and neither may allocate in steady state
+#    (counting allocator) — catching an O(V) lane or a J·V table
+#    creeping back in and per-step allocation storms;
 #  * mesh_smoke --smoke is the region-sharded mesh gate — a 4-region
 #    mesh over the in-process transport must stay bit-identical to the
 #    monolithic algorithm with zero incidents under Lossless, produce

@@ -14,7 +14,9 @@
 //! * the dense and sparse engines agree bitwise through arbitrary
 //!   seeded churn (arrivals and departures interleaved with steps).
 
-use spn::core::{CommodityDef, CoreError, GradientAlgorithm, GradientConfig};
+use spn::core::blocked::compute_tags;
+use spn::core::flows::{compute_flows_into, FlowState};
+use spn::core::{CommodityDef, CoreError, GradientAlgorithm, GradientConfig, IterationWorkspace};
 use spn::model::random::RandomInstance;
 use spn::model::spec::ProblemSpec;
 use spn::model::{CommodityId, Problem};
@@ -153,6 +155,9 @@ fn zero_step_evict_readmit_round_trip_is_identity() {
 /// `ExtendedNetwork::structure_version`, not on the counts. (Keyed on
 /// the counts, the sparse engine kept the old live-arc strides and the
 /// next step indexed past its row: `the len is 45 but the index is 45`.)
+/// `IterationWorkspace::ensure` was the last key still made of counts;
+/// its ragged usage-partial rows would be laid out for the wrong
+/// commodity set.
 #[test]
 fn evict_then_admit_bigger_with_no_step_between_resizes_the_tracker() {
     let full = RandomInstance::builder()
@@ -187,9 +192,24 @@ fn evict_then_admit_bigger_with_no_step_between_resizes_the_tracker() {
             before.graph().edge_count(),
         );
         let widest = *routers(before).iter().max().unwrap();
+        // A caller-owned workspace, warm on the old structure: it must
+        // notice the reshape although every count lines up again.
+        let mut ws = IterationWorkspace::new(before);
+        assert!(!ws.ensure(before), "a warm workspace re-sized itself");
         alg.evict_commodity(CommodityId::from_index(0));
         alg.admit_commodity(def.clone());
         let after = alg.extended();
+        assert!(
+            ws.ensure(after),
+            "the workspace kept rows laid out for the departed commodity set"
+        );
+        let mut through_stale = FlowState::zeros(after);
+        compute_flows_into(after, alg.routing(), &mut through_stale, &mut ws, None);
+        assert_eq!(
+            &through_stale,
+            alg.flows(),
+            "flows through the re-sized workspace"
+        );
         assert_eq!(
             shape,
             (
@@ -235,9 +255,8 @@ fn warm_admit_preserves_survivors_bitwise() {
     alg.run(150);
 
     // Fix the per-survivor node/edge index sets *before* the admit
-    // (`topo_order` spans all nodes, so after the reshape it also lists
-    // the newcomer's dummy node — ids of pre-existing nodes and edges
-    // are stable, which is what makes this comparison meaningful).
+    // (ids of pre-existing nodes and edges are stable, which is what
+    // makes this comparison meaningful).
     let lanes: Vec<(CommodityId, Vec<_>, Vec<_>)> = {
         let ext = alg.extended();
         ext.commodity_ids()
@@ -247,7 +266,7 @@ fn warm_admit_preserves_survivors_bitwise() {
                     .iter()
                     .flat_map(|&v| ext.commodity_out_slice(j, v).iter().copied())
                     .collect();
-                (j, ext.topo_order(j).to_vec(), edges)
+                (j, ext.topo_order(j).collect::<Vec<_>>(), edges)
             })
             .collect()
     };
@@ -260,8 +279,8 @@ fn warm_admit_preserves_survivors_bitwise() {
                     bits.push(alg.routing().fraction(*j, l).to_bits());
                 }
                 for &v in nodes {
-                    bits.push(alg.flows().traffic(*j, v).to_bits());
-                    bits.push(alg.marginals().node(*j, v).to_bits());
+                    bits.push(alg.flows().traffic(alg.extended(), *j, v).to_bits());
+                    bits.push(alg.marginals().node(alg.extended(), *j, v).to_bits());
                 }
                 bits
             })
@@ -333,9 +352,8 @@ fn incremental_extended_network_matches_a_fresh_build() {
                 "{what}"
             );
             assert_eq!(a.commodity_routers(j), b.commodity_routers(j), "{what}");
-            assert_eq!(
-                a.commodity_routers_topo(j),
-                b.commodity_routers_topo(j),
+            assert!(
+                a.commodity_routers_topo(j).eq(b.commodity_routers_topo(j)),
                 "{what}"
             );
             assert_eq!(
@@ -344,7 +362,11 @@ fn incremental_extended_network_matches_a_fresh_build() {
                 "{what}"
             );
             assert_eq!(a.max_out_degree(j), b.max_out_degree(j), "{what}");
-            assert_eq!(a.topo_order(j), b.topo_order(j), "{what}");
+            assert!(a.topo_order(j).eq(b.topo_order(j)), "{what}");
+            // every member-position table: member list, member topo
+            // order, router positions, head/tail positions
+            assert_eq!(a.members(j), b.members(j), "position tables: {what}");
+            assert_eq!(a.member_range(j), b.member_range(j), "{what}");
             for l in a.graph().edges() {
                 assert_eq!(a.in_commodity(j, l), b.in_commodity(j, l), "{what}");
                 if a.in_commodity(j, l) {
@@ -381,6 +403,71 @@ fn incremental_extended_network_matches_a_fresh_build() {
         &ExtendedNetwork::build(&subset(&full, &[0, 2, 3, 4])),
         "after remove",
     );
+}
+
+/// ARCHITECTURE invariant 23 (c), "state ∝ touched": every
+/// per-commodity node table holds exactly `Σ_j members_j` entries —
+/// before, between and after reshapes — and the node-id accessors answer
+/// the structural `0.0` / `false` / empty for a node a commodity never
+/// touches.
+#[test]
+fn node_tables_hold_member_entries_only_through_reshapes() {
+    let check = |alg: &GradientAlgorithm, what: &str| {
+        let ext = alg.extended();
+        let total: usize = ext
+            .commodity_ids()
+            .map(|j| ext.commodity_member_nodes(j).len())
+            .sum();
+        assert_eq!(ext.member_total(), total, "member_total: {what}");
+        assert!(
+            total < ext.num_commodities() * ext.graph().node_count(),
+            "the instance leaves nobody idle: {what}"
+        );
+        // the checkpoint is a straight copy of the live rows
+        let ck = alg.checkpoint();
+        assert_eq!(ck.t().len(), total, "traffic rows: {what}");
+        assert_eq!(ck.d().len(), total, "marginal rows: {what}");
+        let cfg = alg.config();
+        let tags = compute_tags(
+            ext,
+            alg.cost_model(),
+            alg.routing(),
+            alg.flows(),
+            alg.marginals(),
+            cfg.eta,
+            cfg.traffic_floor,
+        );
+        for j in ext.commodity_ids() {
+            let members = ext.commodity_member_nodes(j);
+            for v in ext.graph().nodes() {
+                let at = members.binary_search(&v).ok();
+                assert_eq!(ext.member_pos(j, v), at, "member_pos({j}, {v}): {what}");
+                if at.is_some() {
+                    continue;
+                }
+                assert_eq!(alg.flows().traffic(ext, j, v).to_bits(), 0, "{what}");
+                assert_eq!(alg.marginals().node(ext, j, v).to_bits(), 0, "{what}");
+                assert!(!tags.is_tagged(ext, j, v), "{what}");
+                assert!(ext.commodity_out_slice(j, v).is_empty(), "{what}");
+                assert!(ext.commodity_in_slice(j, v).is_empty(), "{what}");
+            }
+        }
+    };
+    let full = five_commodity_problem();
+    for sparsity in [false, true] {
+        let mut alg = GradientAlgorithm::new(&full, config(sparsity)).unwrap();
+        check(&alg, "fresh");
+        alg.run(40);
+        check(&alg, "after 40 steps");
+        let parked = alg.extended().commodity_def(CommodityId::from_index(1));
+        alg.evict_commodity(CommodityId::from_index(1));
+        check(&alg, "right after an evict");
+        alg.run(15);
+        alg.admit_commodity(parked);
+        check(&alg, "right after an admit");
+        alg.run(15);
+        check(&alg, "settling again");
+    }
 }
 
 /// Checkpoints captured before a reshape are rejected after one — even

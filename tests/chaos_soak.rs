@@ -165,11 +165,11 @@ fn corruption_mid_soak_is_rolled_back_not_panicked() {
         run.step().unwrap();
     }
     let healthy = run.utility();
-    run.received_mut().set_node(
-        spn::model::CommodityId::from_index(0),
-        spn::graph::NodeId::from_index(2),
-        f64::NAN,
-    );
+    // poison a marginal the commodity actually holds (its source's)
+    let ext = run.extended().clone();
+    let j = spn::model::CommodityId::from_index(0);
+    run.received_mut()
+        .set_node(&ext, j, ext.commodity(j).source(), f64::NAN);
     let outcome = run.step().expect("corruption is recoverable");
     assert!(outcome.rolled_back);
     assert!(run

@@ -8,9 +8,10 @@
 //! divergence within a few steps of the edit.
 
 use spn::core::{GradientAlgorithm, GradientConfig};
-use spn::graph::NodeId;
+use spn::graph::{EdgeId, NodeId};
+use spn::model::builder::ProblemBuilder;
 use spn::model::random::RandomInstance;
-use spn::model::{Capacity, CommodityId};
+use spn::model::{Capacity, CommodityId, UtilityFn};
 
 /// Asserts complete bitwise state agreement between the two engines.
 fn assert_identical(dense: &GradientAlgorithm, sparse: &GradientAlgorithm, what: &str) {
@@ -127,4 +128,74 @@ fn mutation_hooks_reject_poisoned_inputs() {
         Capacity::finite(0.0).is_none() && Capacity::finite(f64::NAN).is_none(),
         "Capacity::finite must refuse non-positive and non-finite budgets"
     );
+}
+
+/// A rejected admission must leave the network — and the algorithm
+/// around it — exactly as it was. `ExtendedNetwork::add_commodity` used
+/// to check the overlay's edge ids and acyclicity only *after* pushing
+/// the dummy node and both dummy links, so a bad `CommodityDef` unwound
+/// out of a half-extended network (`graph` one node longer than
+/// `commodities`), and `GradientAlgorithm::admit_commodity` inherited
+/// it. Both a non-physical edge id and a cyclic overlay are tried; the
+/// survivor must keep stepping bit-equal to a clone that never saw the
+/// calls.
+#[test]
+fn a_rejected_admission_leaves_the_network_untouched() {
+    // s → x ⇄ y → t and x → t: the x ⇄ y pair lets an overlay close a
+    // cycle; the live commodities use only the forward edges.
+    let mut b = ProblemBuilder::new();
+    let [s, x, y, t] = [40.0, 30.0, 30.0, 40.0].map(|c| b.server(c));
+    let e_sx = b.link(s, x, 20.0);
+    let e_xy = b.link(x, y, 20.0);
+    let e_yx = b.link(y, x, 20.0);
+    let e_yt = b.link(y, t, 20.0);
+    let e_xt = b.link(x, t, 20.0);
+    let j0 = b.commodity(s, t, 6.0, UtilityFn::throughput());
+    b.uses(j0, e_sx, 1.0, 1.0)
+        .uses(j0, e_xy, 1.5, 1.0)
+        .uses(j0, e_yt, 1.0, 1.0)
+        .uses(j0, e_xt, 2.0, 1.0);
+    let j1 = b.commodity(x, t, 3.0, UtilityFn::throughput());
+    b.uses(j1, e_xt, 1.0, 1.0);
+    let problem = b.build().unwrap();
+
+    let mut alg = GradientAlgorithm::new(&problem, GradientConfig::default()).unwrap();
+    alg.run(40);
+    let mut twin = alg.clone();
+    let shape = |alg: &GradientAlgorithm| {
+        let ext = alg.extended();
+        (
+            ext.graph().node_count(),
+            ext.graph().edge_count(),
+            ext.num_commodities(),
+            ext.structure_version(),
+            alg.epoch(),
+        )
+    };
+    let before = shape(&alg);
+
+    let good = alg.extended().commodity_def(j0);
+    let mut ghost_edge = good.clone();
+    ghost_edge.edges.push((EdgeId::from_index(99), 1.0, 1.0));
+    let mut cyclic = good;
+    cyclic.edges.push((e_yx, 1.0, 1.0));
+    for (what, def) in [
+        ("non-physical edge id", ghost_edge),
+        ("cyclic overlay", cyclic),
+    ] {
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            alg.admit_commodity(def);
+        }));
+        assert!(refused.is_err(), "{what} was admitted");
+        assert_eq!(shape(&alg), before, "{what} left the network reshaped");
+        for it in 0..30 {
+            let (a, b) = (alg.step(), twin.step());
+            assert_eq!(
+                (a.cost_before.to_bits(), a.gamma.total_shift.to_bits()),
+                (b.cost_before.to_bits(), b.gamma.total_shift.to_bits()),
+                "step {it} after the refused {what}"
+            );
+        }
+        assert_identical(&twin, &alg, &format!("30 steps after the refused {what}"));
+    }
 }
