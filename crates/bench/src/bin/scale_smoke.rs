@@ -32,13 +32,28 @@
 //!     change that introduced this gate** (every per-commodity node
 //!     table a dense `J·V` slab, 37 B per commodity per node): 664.0
 //!     B per idle node at `J = 16`; with member-position rows: 72.0
-//!     B.
+//!     B;
+//! (e) the final state breaks ARCHITECTURE invariants 1–4 at 10,000
+//!     nodes (checked after the timed windows, so it costs them
+//!     nothing): `RoutingTable::validate` with every pass-through row
+//!     (one commodity out-edge) bitwise `1.0` — the sparse step never
+//!     recomputes those rows, so this is where a skipped reset would
+//!     show — `is_loop_free`, `balance_residual` ≤ 1e-9, and
+//!     `finite_difference_marginal` against the analytic marginal at a
+//!     seeded sample of 32 routers, half pass-throughs and half
+//!     deciders. The TSV line prints `deciders / routers` (Σ over
+//!     commodities), the share of rows Γ actually decides.
 //!
 //! `scale_smoke --smoke` is the CI entry point (`scripts/ci.sh`); the
 //! flag is accepted for symmetry with the other gates but the run is
 //! identical without it. Exits non-zero on any violation.
 #![allow(unsafe_code)] // a counting GlobalAlloc requires unsafe impls
 
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use spn_core::flows::balance_residual;
+use spn_core::marginals::finite_difference_marginal;
 use spn_core::{GradientAlgorithm, GradientConfig, StepStats};
 use spn_model::hierarchy::HierarchicalInstance;
 use spn_model::spec::ProblemSpec;
@@ -110,6 +125,16 @@ const IDLE_RATIO_CEILING: f64 = 1.25;
 /// independent of the commodity count (see the header).
 const IDLE_BYTES_CEILING: f64 = 128.0;
 
+/// Routers sampled for the finite-difference marginal check (half
+/// pass-throughs, half deciders), its step, and its relative tolerance
+/// (the core unit test's).
+const FD_SAMPLE: usize = 32;
+const FD_STEP: f64 = 1e-5;
+const FD_TOLERANCE: f64 = 1e-5;
+
+/// Largest flow-balance residual (eq. (3)) accepted — the benchmark's.
+const BALANCE_TOLERANCE: f64 = 1e-9;
+
 /// Everything two bit-equal steps must agree on.
 fn step_bits(stats: &StepStats, utility: f64) -> [u64; 5] {
     [
@@ -119,6 +144,56 @@ fn step_bits(stats: &StepStats, utility: f64) -> [u64; 5] {
         stats.gamma.rows as u64,
         utility.to_bits(),
     ]
+}
+
+/// Gate (e): invariants 1–4 on `alg`'s current state. Returns the
+/// violations found and `(deciders, routers)` summed over commodities.
+fn invariant_violations(alg: &GradientAlgorithm) -> (Vec<String>, (usize, usize)) {
+    let (ext, routing) = (alg.extended(), alg.routing());
+    let mut violations = Vec::new();
+    if let Err(e) = routing.validate(ext) {
+        violations.push(format!("invariant 1: {e}"));
+    }
+    // classified by out-degree, independently of the arena's decider list
+    let (mut pass_throughs, mut deciders) = (Vec::new(), Vec::new());
+    for j in ext.commodity_ids() {
+        let m = ext.members(j);
+        for &p in m.routers() {
+            let v = m.node(p as usize);
+            if let [l] = m.out_arcs(p as usize).0 {
+                let phi = routing.fraction(j, *l);
+                if phi.to_bits() != 1.0f64.to_bits() {
+                    violations.push(format!("invariant 1: {j}: pass-through {v} row is {phi:e}"));
+                }
+                pass_throughs.push((j, v));
+            } else {
+                deciders.push((j, v));
+            }
+        }
+    }
+    if !routing.is_loop_free(ext) {
+        violations.push("invariant 2: a positive-fraction cycle".into());
+    }
+    let residual = balance_residual(ext, routing, alg.flows());
+    if residual.is_nan() || residual > BALANCE_TOLERANCE {
+        violations.push(format!("invariant 3: flow balance residual {residual:e}"));
+    }
+    let counts = (deciders.len(), deciders.len() + pass_throughs.len());
+    let mut rng = StdRng::seed_from_u64(SEED);
+    pass_throughs.shuffle(&mut rng);
+    deciders.shuffle(&mut rng);
+    let half = FD_SAMPLE / 2;
+    for &(j, v) in pass_throughs[..half].iter().chain(&deciders[..half]) {
+        let analytic = alg.marginals().node(ext, j, v);
+        let fd = finite_difference_marginal(ext, alg.cost_model(), routing, j, v, FD_STEP);
+        let error = (analytic - fd).abs();
+        if error.is_nan() || error > FD_TOLERANCE * (1.0 + analytic.abs()) {
+            violations.push(format!(
+                "invariant 4: {j} at {v}: analytic marginal {analytic:e} vs finite difference {fd:e}"
+            ));
+        }
+    }
+    (violations, counts)
 }
 
 fn main() {
@@ -201,16 +276,21 @@ fn main() {
     );
     let padded_p50 = padded_us[MEASURE_ITERS / 2];
     let ratio = padded_p50 / p50;
+    let (violations, (deciders, routers)) = invariant_violations(&plain);
 
     println!(
-        "# scale_smoke\tnodes\tcommodities\tp50_us\tp95_us\tpadded_p50_us\tidle_ratio\tidle_node_bytes\tallocs\tutility"
+        "# scale_smoke\tnodes\tcommodities\tp50_us\tp95_us\tpadded_p50_us\tidle_ratio\tidle_node_bytes\tallocs\tdeciders/routers\tutility"
     );
     println!(
-        "scale_smoke\t{}\t{COMMODITIES}\t{p50:.1}\t{p95:.1}\t{padded_p50:.1}\t{ratio:.2}\t{idle_bytes:.1}\t{allocs}\t{:.3}",
+        "scale_smoke\t{}\t{COMMODITIES}\t{p50:.1}\t{p95:.1}\t{padded_p50:.1}\t{ratio:.2}\t{idle_bytes:.1}\t{allocs}\t{deciders}/{routers}\t{:.3}",
         inst.config.total_nodes(),
         plain.utility()
     );
 
+    for violation in &violations {
+        eprintln!("FAIL: {violation}");
+        failed = true;
+    }
     if let Some(it) = diverged_at {
         eprintln!(
             "FAIL: {PADDING} isolated servers changed the trajectory (first seen at iteration \

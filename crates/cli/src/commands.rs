@@ -420,7 +420,14 @@ mod tests {
     fn temp_manifest(nodes: usize, seed: u64) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("spn-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("inst-{nodes}-{seed}-{}.json", std::process::id()));
+        // one file per call: tests run in parallel, and a shared path
+        // could be read while another test rewrites it
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = dir.join(format!(
+            "inst-{nodes}-{seed}-{}-{call}.json",
+            std::process::id()
+        ));
         let inst = RandomInstance::builder()
             .nodes(nodes)
             .commodities(2)

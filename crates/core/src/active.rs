@@ -167,11 +167,13 @@ impl ActiveArcs {
 /// arc.
 ///
 /// **Staleness contract.** The live-arc table is derived from the
-/// routing table. Whoever writes a fraction of commodity `j` outside
-/// this type must call [`mark_stale`](Self::mark_stale) (or
-/// [`mark_all_stale`](Self::mark_all_stale)) before the next sweep;
-/// every sweep rebuilds stale rows first and debug-asserts the table
-/// against the routing it was handed.
+/// routing table's *support* — which fractions are nonzero — not from
+/// its values. Whoever changes which fractions of commodity `j` are zero
+/// must call [`mark_stale`](Self::mark_stale) (or
+/// [`mark_all_stale`](Self::mark_all_stale)) before the next sweep; a
+/// write that only moves values on the support the row already has
+/// needs no mark. Every sweep rebuilds stale rows first and
+/// debug-asserts the table against the routing it was handed.
 ///
 /// **Zero-entry contract.** The sweeps write router entries and member
 /// edges only, so the output buffers must hold what the dense sweeps
@@ -198,8 +200,8 @@ impl LiveArcSweeps {
         sweeps
     }
 
-    /// Commodity `j`'s routing row was written: rebuild its live arcs
-    /// before the next sweep.
+    /// Commodity `j`'s routing row changed which fractions are zero:
+    /// rebuild its live arcs before the next sweep.
     pub fn mark_stale(&mut self, j: CommodityId) {
         self.arcs.stale[j.index()] = true;
     }
@@ -256,7 +258,7 @@ impl LiveArcSweeps {
         }
         debug_assert!(
             self.is_consistent(ext, routing),
-            "live-arc table out of date: a routing write skipped mark_stale"
+            "live-arc table out of date: a write that moved a fraction across zero skipped mark_stale"
         );
     }
 

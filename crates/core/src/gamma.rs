@@ -30,6 +30,48 @@
 //! global chunk order: chunk boundaries depend only on the instance, so
 //! the float order of [`GammaStats::total_shift`] is the same for the
 //! dense step, the active-set step and the selective path.
+//!
+//! ## Deciders and pass-throughs
+//!
+//! Γ picks among a router's out-links, so a router with one commodity
+//! out-link — a *pass-through*: every bandwidth node of the §3
+//! transform, and a server with a single usable link; 78–81 % of all
+//! routers on the benchmark families — has nothing to pick: its row is
+//! `[(l, 1.0)]` (normalized, `1.0 / 1.0`) with zero shift. The arena lists the
+//! other routers, the *deciders*, per commodity
+//! ([`MemberView::deciders`], each with its index in the router list so
+//! it lands in its usual chunk), and the active-set step runs Γ over
+//! that list alone. On the step after an `ActiveSet::invalidate` — a
+//! restore, an installed routing, raw state access, a reshape, a
+//! re-sized workspace — it walks every router instead, exactly as the
+//! dense [`apply_gamma_ws`] does every step, so a pass-through row an
+//! outside write left at anything but `1.0` is reset to exactly `1.0`
+//! where the dense path resets it (after that step's tag sweep). From
+//! then on nothing writes a pass-through row, so it holds `1.0` and
+//! recomputing it would store the bits it has.
+//!
+//! The statistics do not move either. A chunk slot starts at
+//! `(0.0, 0.0, routers in chunk)`, and the terms a pass-through would
+//! fold in, `max(acc, +0.0)` and `acc + 0.0`, are the identity on the
+//! slot's accumulators — written out as `TotalCostCache` does for its
+//! fold:
+//!
+//! * the max starts at `+0.0` and `f64::max` returns its non-NaN
+//!   argument, so it is never NaN; it is never `-0.0` either, since a
+//!   shift is `-0.0` only where a stored fraction is, and no row Γ
+//!   writes holds one (an outside write might, but the step after it is
+//!   the full walk, where both folds are the same fold) — so it is
+//!   `≥ +0.0`, and `max(acc, +0.0) = acc`;
+//! * the sum starts at `+0.0`, and `x + y` rounds to `-0.0` only when
+//!   both operands are `-0.0`, so it never becomes `-0.0`; `x + 0.0` has
+//!   the bits of `x` for every other `x`, NaN included.
+//!
+//! So the fold over the deciders alone carries the bits of the fold
+//! over every router, in the same order. The dense [`apply_gamma_ws`]
+//! keeps visiting every router, which is what makes invariants 14 and
+//! 17 (dense ≡ sparse) prove the skip, and [`apply_gamma_selective`]
+//! consults its predicate for every router but skips a participating
+//! one only when it has one out-edge *and* its row is bitwise `1.0`.
 
 use crate::blocked::BlockedTags;
 use crate::cost::CostModel;
@@ -240,30 +282,46 @@ pub(crate) fn gamma_chunk(
     }
 }
 
-/// [`gamma_chunk`] with change tracking for the active-set engine: rows
-/// are applied through [`apply_row_tracked`], and `flag` (cleared here)
-/// accumulates `(any value changed, any support changed)` over the
-/// chunk. Numerically identical to `gamma_chunk` — both funnel through
-/// [`gamma_row_into`] and write the same final fractions.
-pub(crate) fn gamma_chunk_tracked(
+/// The active-set engine's Γ over one commodity: its deciders only, or
+/// — on the step after an invalidation (`every_router`) — every router,
+/// exactly as [`apply_gamma_ws`] does. Rows are applied through
+/// [`apply_row_tracked`]; returns `(any value changed, any support
+/// changed)`. `stats` is the commodity's run of chunk slots: each starts
+/// at `(0.0, 0.0, routers in chunk)` and folds the shifts of the rows
+/// computed in it, in router order — bit-identical to the dense fold
+/// over every router (see "Deciders and pass-throughs" in the module
+/// docs).
+pub(crate) fn gamma_commodity_tracked(
     ctx: &GammaCtx<'_>,
-    routers: &[u32],
+    every_router: bool,
     lane: &mut GammaLane,
-    stat: &mut (f64, f64, usize),
-    flag: &mut (bool, bool),
-) {
-    *stat = (0.0, 0.0, 0);
-    *flag = (false, false);
-    for &i in routers {
+    stats: &mut [(f64, f64, usize)],
+) -> (bool, bool) {
+    let routers = ctx.members.routers();
+    for (slot, chunk) in stats.iter_mut().zip(routers.chunks(GAMMA_CHUNK)) {
+        *slot = (0.0, 0.0, chunk.len());
+    }
+    let mut flag = (false, false);
+    let mut row = |i: u32, r: usize| {
         let (max_shift, total) = gamma_row_into(ctx, i as usize, lane);
         let out = ctx.members.out_arcs(i as usize).0;
         let (value, support) = apply_row_tracked(ctx.phi, out, &lane.row);
         flag.0 |= value;
         flag.1 |= support;
+        let stat = &mut stats[r / GAMMA_CHUNK];
         stat.0 = stat.0.max(max_shift);
         stat.1 += total;
-        stat.2 += 1;
+    };
+    if every_router {
+        for (r, &i) in routers.iter().enumerate() {
+            row(i, r);
+        }
+    } else {
+        for &(i, r) in ctx.members.deciders() {
+            row(i, r as usize);
+        }
     }
+    flag
 }
 
 /// Computes the new routing row for one `(commodity, router)` pair
@@ -450,16 +508,36 @@ where
 
 /// Reusable row-staging buffers for [`apply_gamma_selective_scratch`]:
 /// after the first call has sized them to the instance's maximum router
-/// out-degree, subsequent calls are allocation-free. Opaque — there is
+/// out-degree, subsequent calls are allocation-free. Also reports, per
+/// commodity, whether the last call moved a fraction across zero
+/// ([`GammaScratch::support_changed`]). Opaque otherwise — there is
 /// nothing to configure; `default()` is the only constructor.
 #[derive(Clone, Debug, Default)]
 pub struct GammaScratch {
     lane: GammaLane,
+    /// `support[j]`: the last call took a commodity-`j` fraction across
+    /// zero (either way).
+    support: Vec<bool>,
+}
+
+impl GammaScratch {
+    /// Whether the last [`apply_gamma_selective_scratch`] call through
+    /// this scratch moved any commodity-`j` fraction across zero — the
+    /// only writes after which a [`LiveArcSweeps`] row must be marked
+    /// stale. `false` for a commodity the call never saw.
+    ///
+    /// [`LiveArcSweeps`]: crate::LiveArcSweeps
+    #[must_use]
+    pub fn support_changed(&self, j: CommodityId) -> bool {
+        self.support.get(j.index()).copied().unwrap_or(false)
+    }
 }
 
 /// [`apply_gamma_selective`] with a caller-owned [`GammaScratch`]: the
 /// steady-state (warm-scratch) path performs no heap allocation, which
-/// the mesh runtime's zero-alloc gate (`mesh_smoke`) pins.
+/// the mesh runtime's zero-alloc gate (`mesh_smoke`) pins. Rows are
+/// applied with change tracking, and the commodities whose support
+/// moved are left in the scratch ([`GammaScratch::support_changed`]).
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's inputs
 pub fn apply_gamma_selective_scratch<F>(
     ext: &ExtendedNetwork,
@@ -479,7 +557,9 @@ where
     F: FnMut(CommodityId, NodeId) -> bool,
 {
     let mut stats = GammaStats::default();
-    let lane = &mut scratch.lane;
+    let GammaScratch { lane, support } = scratch;
+    support.clear();
+    support.resize(ext.num_commodities(), false);
     for j in ext.commodity_ids() {
         let ctx = GammaCtx::new(
             ext,
@@ -505,11 +585,20 @@ where
                 if !participates(j, ctx.members.node(i)) {
                     continue;
                 }
+                local.2 += 1;
+                let out = ctx.members.out_arcs(i).0;
+                if let [l] = out {
+                    if ctx.phi[l.index()].get().to_bits() == 1.0f64.to_bits() {
+                        // a pass-through already at its only row: Γ would
+                        // store these bits and fold identity terms
+                        continue;
+                    }
+                }
                 let (max_shift, total) = gamma_row_into(&ctx, i, lane);
-                apply_row(ctx.phi, ctx.members.out_arcs(i).0, &lane.row);
+                let (_, moved) = apply_row_tracked(ctx.phi, out, &lane.row);
+                support[j.index()] |= moved;
                 local.0 = local.0.max(max_shift);
                 local.1 += total;
-                local.2 += 1;
             }
             stats.max_shift = stats.max_shift.max(local.0);
             stats.total_shift += local.1;

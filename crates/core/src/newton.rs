@@ -449,7 +449,7 @@ impl NewtonGradient {
             let mut value = false;
             let mut support = false;
             let m = ext.members(j);
-            for &i in m.routers() {
+            let mut row = |i: u32| {
                 let i = i as usize;
                 newton_row_into(
                     ext,
@@ -471,6 +471,15 @@ impl NewtonGradient {
                 let (vc, sc) = apply_row_tracked(routing.row_cells(j), m.out_arcs(i).0, row_buf);
                 value |= vc;
                 support |= sc;
+            };
+            // the Newton rows of the deciders; of every router on the
+            // step after an invalidation (a pass-through's row is
+            // `[(l, 1.0)]` either way — see "Deciders and pass-throughs"
+            // in `gamma.rs`)
+            if active.force_totals {
+                m.routers().iter().for_each(|&i| row(i));
+            } else {
+                m.deciders().iter().for_each(|&(i, _)| row(i));
             }
             active.phi_changed[ji] = value;
             if support {
@@ -689,6 +698,87 @@ mod tests {
                     sparse.utility().to_bits(),
                     "utility diverged at iteration {it} (seed {seed}, scale {scale})"
                 );
+            }
+        }
+    }
+
+    /// Invariant 24 (a), Newton side: the sparse Newton step computes
+    /// rows for the deciders only, and on the step after an invalidation
+    /// for every router — so a pass-through row written from outside
+    /// (`1 − 5e-8`, `0.5`, `0.0`; installed the way
+    /// `GradientAlgorithm::install_routing` does it: flows and marginals
+    /// re-derived, tracker invalidated) is back at exactly `1.0` after
+    /// one step, and dense ≡ sparse holds for 120 steps — fractions,
+    /// flows, totals, utility. Fails on a version without the
+    /// post-invalidation full walk.
+    #[test]
+    fn perturbed_pass_through_rows_heal_on_the_invalidated_step() {
+        let p = RandomInstance::builder()
+            .nodes(24)
+            .commodities(3)
+            .seed(9)
+            .build()
+            .unwrap()
+            .problem;
+        let cfg = |sparsity| GradientConfig {
+            eta: 0.5,
+            sparsity,
+            ..GradientConfig::default()
+        };
+        let mut warm_dense = NewtonGradient::new(&p, cfg(false), 1e-6).unwrap();
+        let mut warm_sparse = NewtonGradient::new(&p, cfg(true), 1e-6).unwrap();
+        for _ in 0..60 {
+            warm_dense.step();
+            warm_sparse.step();
+        }
+        let ext = warm_dense.ext.clone();
+        // per commodity, the pass-through carrying the most traffic
+        let rows: Vec<(CommodityId, EdgeId)> = ext
+            .commodity_ids()
+            .map(|j| {
+                let m = ext.members(j);
+                let t = warm_dense.state.t_row(&ext, j);
+                let p = m
+                    .routers()
+                    .iter()
+                    .map(|&p| p as usize)
+                    .filter(|&p| m.out_arcs(p).0.len() == 1)
+                    .max_by(|&a, &b| t[a].total_cmp(&t[b]))
+                    .expect("every commodity has bandwidth nodes");
+                assert!(t[p] > 0.0, "{j}: no carrying pass-through");
+                (j, m.out_arcs(p).0[0])
+            })
+            .collect();
+        let install = |alg: &mut NewtonGradient, value: f64| {
+            for &(j, l) in &rows {
+                alg.routing.set_fraction(j, l, value);
+            }
+            alg.state = compute_flows(&alg.ext, &alg.routing);
+            alg.marginals = compute_marginals(&alg.ext, &alg.cost, &alg.routing, &alg.state);
+            alg.active.invalidate();
+        };
+        for value in [1.0 - 5e-8, 0.5, 0.0] {
+            let (mut dense, mut sparse) = (warm_dense.clone(), warm_sparse.clone());
+            install(&mut dense, value);
+            install(&mut sparse, value);
+            for it in 0..120 {
+                dense.step();
+                sparse.step();
+                let ctx = format!("perturbed to {value}, iteration {it}");
+                assert_eq!(dense.routing, sparse.routing, "fractions: {ctx}");
+                assert_eq!(dense.state, sparse.state, "flows: {ctx}");
+                assert_eq!(
+                    dense.utility().to_bits(),
+                    sparse.utility().to_bits(),
+                    "{ctx}"
+                );
+                for &(j, l) in &rows {
+                    assert_eq!(
+                        sparse.routing.fraction(j, l).to_bits(),
+                        1.0f64.to_bits(),
+                        "{ctx}"
+                    );
+                }
             }
         }
     }

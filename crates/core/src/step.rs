@@ -46,10 +46,10 @@ use crate::active::{ActiveSet, LiveRow};
 use crate::blocked::{tag_sweep_active, BlockedTags};
 use crate::cost::CostModel;
 use crate::flows::{flow_sweep_active, FlowState};
-use crate::gamma::{gamma_chunk_tracked, reduce_gamma_stats, GammaCtx, GammaStats};
+use crate::gamma::{gamma_commodity_tracked, reduce_gamma_stats, GammaCtx, GammaStats};
 use crate::marginals::{marginal_sweep_active, Marginals};
 use crate::routing::RoutingTable;
-use crate::workspace::{IterationWorkspace, GAMMA_CHUNK};
+use crate::workspace::IterationWorkspace;
 use crate::GradientConfig;
 use spn_model::CommodityId;
 use spn_transform::ExtendedNetwork;
@@ -281,30 +281,28 @@ pub(crate) fn sparse_step_serial(
                 active.arcs.row(ji),
             );
         }
-        let mut value = false;
-        let mut support = false;
-        {
-            let ctx = GammaCtx::new(
-                ext,
-                cost,
-                routing.row_cells(j),
-                state,
-                marginals,
-                tags,
-                config.eta,
-                config.traffic_floor,
-                config.opening_fraction * ext.commodity(j).max_rate,
-                config.shift_cap,
-                j,
-            );
-            for (c, chunk) in ctx.members.routers().chunks(GAMMA_CHUNK).enumerate() {
-                let slot = ws.chunk_base[ji] + c;
-                let mut flag = (false, false);
-                gamma_chunk_tracked(&ctx, chunk, &mut ws.lane, &mut ws.stats[slot], &mut flag);
-                value |= flag.0;
-                support |= flag.1;
-            }
-        }
+        let ctx = GammaCtx::new(
+            ext,
+            cost,
+            routing.row_cells(j),
+            state,
+            marginals,
+            tags,
+            config.eta,
+            config.traffic_floor,
+            config.opening_fraction * ext.commodity(j).max_rate,
+            config.shift_cap,
+            j,
+        );
+        // Γ over the deciders; every router on the step after an
+        // invalidation, which is where an outside write to a
+        // pass-through row heals (see `gamma.rs`)
+        let (value, support) = gamma_commodity_tracked(
+            &ctx,
+            active.force_totals,
+            &mut ws.lane,
+            &mut ws.stats[ws.chunk_base[ji]..ws.chunk_base[ji + 1]],
+        );
         active.phi_changed[ji] = value;
         if support {
             active.arcs.rebuild(ext, j, routing.row(j));

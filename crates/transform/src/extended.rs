@@ -110,6 +110,10 @@ struct CommodityAdjacency {
     /// iteration core's sparse sweeps walk this list (forward for flows,
     /// reverse for marginals/tags).
     routers_topo: Vec<u32>,
+    /// The routers with at least two out-edges, as `(member position,
+    /// index in routers)`, in `routers` order — the only rows where Γ
+    /// has a choice to make.
+    deciders: Vec<(u32, u32)>,
     /// Total commodity out-degree over all routers (the arc capacity a
     /// live-arc sub-list needs).
     router_arc_total: usize,
@@ -152,10 +156,13 @@ impl CommodityAdjacency {
 
         let degree = |p: usize| (out_start[p + 1] - out_start[p]) as usize;
         let is_router = |p: usize| member_nodes[p] != sink && degree(p) > 0;
-        let routers: Vec<u32> = (0..count)
-            .filter(|&p| is_router(p))
-            .map(|p| p as u32)
-            .collect();
+        let (mut routers, mut deciders) = (Vec::new(), Vec::new());
+        for p in (0..count).filter(|&p| is_router(p)) {
+            if degree(p) >= 2 {
+                deciders.push((p as u32, routers.len() as u32));
+            }
+            routers.push(p as u32);
+        }
 
         let mut in_deg: Vec<u32> = in_start.windows(2).map(|w| w[1] - w[0]).collect();
         let mut queue: VecDeque<u32> = (0..count as u32)
@@ -198,6 +205,7 @@ impl CommodityAdjacency {
             in_tail,
             routers,
             routers_topo,
+            deciders,
             router_arc_total,
             max_out_degree,
         })
@@ -287,6 +295,11 @@ struct AdjacencyArena {
     routers_topo: Vec<u32>,
     /// Extent of commodity `j` in the three router slabs.
     router_base: Vec<u32>,
+    /// All commodities' decider lists (routers with ≥ 2 out-edges, as
+    /// `(member position, index in the commodity's router list)`).
+    deciders: Vec<(u32, u32)>,
+    /// Extent of commodity `j` in `deciders`.
+    decider_base: Vec<u32>,
     /// Per-commodity total router out-degree.
     router_arc_total: Vec<u32>,
     /// Per-commodity largest node out-degree, cached so the per-step
@@ -319,6 +332,7 @@ impl AdjacencyArena {
             self.out_base.push(0);
             self.in_base.push(0);
             self.router_base.push(0);
+            self.decider_base.push(0);
         }
         let node = |p: &u32| adj.member_nodes[*p as usize];
         self.topo.extend_from_slice(&adj.topo);
@@ -326,6 +340,8 @@ impl AdjacencyArena {
         self.router_pos.extend_from_slice(&adj.routers);
         self.routers_topo.extend_from_slice(&adj.routers_topo);
         self.router_base.push(self.routers.len() as u32);
+        self.deciders.extend_from_slice(&adj.deciders);
+        self.decider_base.push(self.deciders.len() as u32);
         self.member_nodes.extend_from_slice(&adj.member_nodes);
         self.member_base.push(self.member_nodes.len() as u32);
         self.out_start.extend_from_slice(&adj.out_start);
@@ -362,6 +378,10 @@ impl AdjacencyArena {
         self.routers.drain(routers.clone());
         self.router_pos.drain(routers.clone());
         self.routers_topo.drain(routers);
+        // positions and router indices are commodity-relative: nothing
+        // to renumber
+        let deciders = drain_extent(&mut self.decider_base, jr);
+        self.deciders.drain(deciders);
         self.router_arc_total.remove(jr);
         self.max_out_deg.remove(jr);
 
@@ -423,6 +443,8 @@ pub struct MemberView<'a> {
     ins: usize,
     /// Extent in the router slabs.
     routers: (usize, usize),
+    /// Extent in the decider slab.
+    deciders: (usize, usize),
 }
 
 impl<'a> MemberView<'a> {
@@ -479,6 +501,20 @@ impl<'a> MemberView<'a> {
         &self.arena.routers_topo[self.routers.0..self.routers.1]
     }
 
+    /// The commodity's *deciders* — the routers with at least two
+    /// out-edges (every dummy source, and every server with a choice of
+    /// link) — as `(p, r)` pairs, `p` the member position and `r` its
+    /// index in [`Self::routers`], in that list's order. Every other
+    /// router is a
+    /// *pass-through* (one out-edge: every bandwidth node, and a server
+    /// with a single usable link), whose only valid routing row is
+    /// `[(l, 1.0)]`: Γ has nothing to decide there.
+    #[inline]
+    #[must_use]
+    pub fn deciders(&self) -> &'a [(u32, u32)] {
+        &self.arena.deciders[self.deciders.0..self.deciders.1]
+    }
+
     /// The out-edges of member `p` (graph adjacency order) with the
     /// member position of each edge's head.
     #[inline]
@@ -510,6 +546,7 @@ impl PartialEq for MemberView<'_> {
             && self.topo() == other.topo()
             && self.routers() == other.routers()
             && self.routers_topo() == other.routers_topo()
+            && self.deciders() == other.deciders()
             && (0..self.len()).all(|p| {
                 self.out_arcs(p) == other.out_arcs(p) && self.in_arcs(p) == other.in_arcs(p)
             })
@@ -801,6 +838,7 @@ impl ExtendedNetwork {
             outs: a.out_base[ji] as usize,
             ins: a.in_base[ji] as usize,
             routers: (a.router_base[ji] as usize, a.router_base[ji + 1] as usize),
+            deciders: (a.decider_base[ji] as usize, a.decider_base[ji + 1] as usize),
         }
     }
 
@@ -1543,6 +1581,8 @@ mod tests {
         assert_eq!(x.router_pos, y.router_pos, "router positions");
         assert_eq!(x.routers_topo, y.routers_topo, "routers_topo slab");
         assert_eq!(x.router_base, y.router_base, "router_base");
+        assert_eq!(x.deciders, y.deciders, "decider slab");
+        assert_eq!(x.decider_base, y.decider_base, "decider_base");
         assert_eq!(x.router_arc_total, y.router_arc_total, "router arc totals");
         assert_eq!(x.max_out_deg, y.max_out_deg, "max out-degrees");
         assert_eq!(x.router_union, y.router_union, "router union");

@@ -116,6 +116,8 @@ proptest! {
     /// lists, `member_pos`, router positions, head/tail positions, the
     /// member topological order — equals a fresh `build` of the
     /// surviving commodity set, and the row extents tile `Σ_j members_j`.
+    /// Invariant 24 (b) rides along: the decider list is the routers with
+    /// at least two out-edges, by the graph's own count.
     #[test]
     fn position_tables_survive_random_churn(
         seed in 0u64..40,
@@ -173,6 +175,19 @@ proptest! {
                 let by_pos = |ps: &[u32]| ps.iter().map(|&p| view.node(p as usize)).collect::<Vec<_>>();
                 prop_assert_eq!(by_pos(view.routers()), ext.commodity_routers(j));
                 prop_assert_eq!(view.node(view.dummy()), ext.dummy_source(j));
+                // invariant 24 (b): the deciders are exactly the routers
+                // with ≥ 2 commodity out-edges, in router order, each with
+                // its router index
+                let out_degree = |p: u32| {
+                    let outs = ext.graph().out_edges(view.node(p as usize));
+                    outs.iter().filter(|&&l| ext.in_commodity(j, l)).count()
+                };
+                let deciders: Vec<(u32, u32)> = (view.routers().iter().zip(0u32..))
+                    .filter(|&(&p, _)| out_degree(p) >= 2)
+                    .map(|(&p, r)| (p, r))
+                    .collect();
+                prop_assert_eq!(view.deciders(), &deciders[..]);
+                prop_assert!(view.deciders().iter().any(|&(p, _)| p as usize == view.dummy()));
             }
             prop_assert_eq!(tiled, ext.member_total());
         }

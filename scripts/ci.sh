@@ -29,7 +29,12 @@
 #    count (72 B; 664 B at J = 16 when the per-commodity node tables
 #    were J·V slabs), and neither may allocate in steady state
 #    (counting allocator) — catching an O(V) lane or a J·V table
-#    creeping back in and per-step allocation storms;
+#    creeping back in and per-step allocation storms; after the timed
+#    windows it checks ARCHITECTURE invariants 1–4 on the 10,000-node
+#    state (validate + every pass-through row bitwise 1.0 — the rows
+#    the sparse Γ skips — loop-freedom, flow balance, and finite-
+#    difference marginals at 32 seeded routers, half pass-throughs and
+#    half deciders) and prints deciders/routers in its TSV line;
 #  * mesh_smoke --smoke is the region-sharded mesh gate — a 4-region
 #    mesh over the in-process transport must stay bit-identical to the
 #    monolithic algorithm with zero incidents under Lossless, produce

@@ -33,9 +33,12 @@
 //! incident without a single write.
 
 use spn::core::{GradientAlgorithm, GradientConfig};
+use spn::graph::NodeId;
+use spn::mesh::worker::owner_of;
 use spn::mesh::{
-    FrameBuf, FrameKind, Inbox, Lossless, MeshConfig, MeshError, MeshFaultConfig, MeshIncident,
-    MeshRuntime, PartitionSpec, SocketKind, SocketOptions, SocketTransport, Transport,
+    BatchReader, FrameBuf, FrameKind, Inbox, Lossless, MeshConfig, MeshError, MeshFaultConfig,
+    MeshIncident, MeshRuntime, PartitionSpec, SocketKind, SocketOptions, SocketTransport,
+    Transport,
 };
 use spn::model::random::RandomInstance;
 use spn::transform::ExtendedNetwork;
@@ -514,11 +517,20 @@ fn expired_phase_deadline_is_logged_and_delivery_reads_what_is_in_hand() {
 }
 
 /// A lossless transport that slips one extra frame into a chosen
-/// `(tick, region)` delivery, ahead of the genuine frames.
+/// `(tick, region)` delivery, ahead of the genuine frames; `frame`
+/// builds it from the genuine frames of that delivery.
 struct Inject {
     inner: Lossless,
     at: (u64, usize),
-    frame: Vec<u8>,
+    frame: MakeFrame,
+}
+
+/// Builds an injected frame from the genuine frames of its delivery.
+type MakeFrame = Box<dyn Fn(&[Vec<u8>]) -> Vec<u8>>;
+
+/// An `Inject` frame that does not depend on the delivery.
+fn fixed(frame: Vec<u8>) -> MakeFrame {
+    Box::new(move |_| frame.clone())
 }
 
 impl Transport for Inject {
@@ -549,7 +561,7 @@ impl Transport for Inject {
             // re-deliver with the injected frame first
             let genuine: Vec<Vec<u8>> = inbox.iter().map(<[u8]>::to_vec).collect();
             inbox.clear();
-            assert!(inbox.push(&self.frame));
+            assert!(inbox.push(&(self.frame)(&genuine)));
             for frame in &genuine {
                 assert!(inbox.push(frame));
             }
@@ -604,7 +616,7 @@ fn frames_with_out_of_range_indices_are_discarded_without_a_write() {
             inner: Lossless::new(REGIONS),
             // phase 1 of iteration ROUND: marginals are about to feed Γ
             at: (3 * ROUND + 1, 0),
-            frame,
+            frame: fixed(frame),
         };
         let mut mesh =
             MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
@@ -664,7 +676,7 @@ fn misrouted_frame_is_discarded_before_it_is_counted_or_applied() {
     let transport = Inject {
         inner: Lossless::new(REGIONS),
         at: (3 * ROUND + 1, 0),
-        frame: one_marginal(1, 2, ROUND, 0, v),
+        frame: fixed(one_marginal(1, 2, ROUND, 0, v)),
     };
     let mut mesh =
         MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
@@ -689,6 +701,101 @@ fn misrouted_frame_is_discarded_before_it_is_counted_or_applied() {
             mesh.incidents(),
             [MeshIncident::MalformedFrameDiscarded {
                 tick: 16,
+                region: 0,
+                ..
+            }]
+        ),
+        "expected exactly one discard incident, got {:?}",
+        mesh.incidents()
+    );
+}
+
+/// A received Γ row for a pass-through router (one out-edge) must be
+/// exactly `[(l, 1.0)]` — the only row Γ gives it (`f / f`), and the
+/// owner's sparse step never recomputes it — while a decider's row may
+/// sum to one within `FRACTION_TOLERANCE`. A forged `[(l, 1 − 5e-8)]`
+/// slipped in mid-run ahead of region 1's genuine refresh-round Γ sub,
+/// under the genuine sub's seq, is one `MalformedFrameDiscarded`; it
+/// takes no seq, so the genuine sub still applies and every mirror stays
+/// bit-equal to the uninjected mesh (and to the monolithic algorithm).
+/// Before the fix the row passed the tolerance, was written into the
+/// mirror, and turned the genuine sub into a duplicate.
+#[test]
+fn a_pass_through_row_off_one_is_discarded_without_a_write() {
+    const REGIONS: usize = 2;
+    // a refresh round: region 1 ships every owned row
+    const ROUND: u64 = 16;
+    let p = problem(20, 3, 9);
+    let ext = ExtendedNetwork::build(&p);
+    let v_count = ext.graph().node_count();
+    let (j, v, l) = ext
+        .commodity_ids()
+        .find_map(|j| {
+            let theirs = |v: &&NodeId| owner_of(v.index(), v_count, REGIONS) == 1;
+            let pass_through = |v: &&NodeId| ext.commodity_out_slice(j, **v).len() == 1;
+            let routers = ext.commodity_routers(j).iter();
+            let v = *routers.filter(theirs).find(pass_through)?;
+            Some((j, v, ext.commodity_out_slice(j, v)[0]))
+        })
+        .expect("region 1 owns a bandwidth node");
+    let forged = move |genuine: &[Vec<u8>]| {
+        // the seq and round of region 1's genuine Γ sub in this delivery
+        let (seq, round) = genuine
+            .iter()
+            .find_map(|bytes| {
+                let mut reader = BatchReader::parse(bytes).ok()?;
+                std::iter::from_fn(|| reader.next_sub())
+                    .filter_map(Result::ok)
+                    .find(|sub| sub.kind == FrameKind::GammaRows)
+                    .map(|sub| (sub.seq, sub.round))
+            })
+            .expect("region 1 ships Γ rows on a refresh round");
+        let mut buf = FrameBuf::new();
+        buf.begin(1, 0, round);
+        buf.begin_sub(FrameKind::GammaRows, seq, round);
+        buf.put_u64(round); // base == round: a full frame
+        buf.put_u32(1);
+        buf.put_u32(j.index() as u32);
+        buf.put_u32(v.index() as u32);
+        buf.put_u32(1);
+        buf.put_u32(l.index() as u32);
+        buf.put_f64(1.0 - 5e-8);
+        buf.end_sub();
+        assert!(buf.finish());
+        buf.bytes().unwrap().to_vec()
+    };
+    let transport = Inject {
+        inner: Lossless::new(REGIONS),
+        // region 1's round-16 Γ batch reaches region 0 at the next tick
+        at: (3 * ROUND + 2, 0),
+        frame: Box::new(forged),
+    };
+    let mut mesh =
+        MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
+    let mut clean = MeshRuntime::lossless(ext, mesh_config(REGIONS)).unwrap();
+    let mut alg = GradientAlgorithm::new(&p, GradientConfig::default()).unwrap();
+    for it in 0..40 {
+        alg.step();
+        clean.step();
+        mesh.step();
+        for r in 0..REGIONS {
+            assert_eq!(
+                clean.worker(r).routing(),
+                mesh.worker(r).routing(),
+                "region {r} routing diverged from the uninjected mesh at iteration {it}"
+            );
+            assert_eq!(
+                alg.routing(),
+                mesh.worker(r).routing(),
+                "region {r} routing diverged from the monolithic run at iteration {it}"
+            );
+        }
+    }
+    assert!(
+        matches!(
+            mesh.incidents(),
+            [MeshIncident::MalformedFrameDiscarded {
+                tick: 50,
                 region: 0,
                 ..
             }]

@@ -11,7 +11,7 @@
 //! rather than a tolerance question. That is why these tests compare
 //! with `assert_eq!` on full state rather than norms.
 
-use spn::core::{GradientAlgorithm, GradientConfig, StepStats};
+use spn::core::{Checkpoint, GradientAlgorithm, GradientConfig, StepStats};
 use spn::model::random::RandomInstance;
 use spn::model::CommodityId;
 use spn::transform::ExtendedNetwork;
@@ -244,6 +244,128 @@ fn sparse_matches_dense_in_converged_regime() {
         );
     }
     assert_identical(&dense, &sparse, "converged");
+}
+
+/// ARCHITECTURE invariant 24 (a) — Γ decides only where there is a
+/// choice. The sparse step runs Γ over each commodity's deciders and
+/// leaves its pass-throughs (one out-edge) alone, which is exact only
+/// because a pass-through's row is `[(l, 1.0)]` and the step after any
+/// invalidation walks every router. So perturb one carrying
+/// pass-through row per commodity from outside — through
+/// `install_routing` (`1 − 5e-8`, which passes `validate`) and through
+/// `Checkpoint::from_raw` + `restore` (`0.5`, `0.0`) — and hold dense ≡
+/// sparse, full state and `StepStats` bits, for 120 steps, with every
+/// perturbed row back at exactly `1.0` after the first. On a version
+/// without the post-invalidation full-Γ step the sparse engine keeps the
+/// perturbed row and this fails at the first step.
+#[test]
+fn perturbed_pass_through_rows_heal_on_the_invalidated_step() {
+    let problem = RandomInstance::builder()
+        .nodes(40)
+        .commodities(5)
+        .seed(22)
+        .build()
+        .unwrap()
+        .problem;
+    let build = |sparsity| {
+        let cfg = GradientConfig {
+            sparsity,
+            ..GradientConfig::default()
+        };
+        let mut alg = GradientAlgorithm::new(&problem, cfg).unwrap();
+        alg.run(60);
+        alg
+    };
+    let warm = build(false);
+    let ext = warm.extended();
+    // per commodity, the pass-through carrying the most traffic, and its
+    // only out-edge
+    let rows: Vec<_> = ext
+        .commodity_ids()
+        .map(|j| {
+            let m = ext.members(j);
+            let v = m
+                .routers()
+                .iter()
+                .map(|&p| m.node(p as usize))
+                .filter(|&v| ext.commodity_out_slice(j, v).len() == 1)
+                .max_by(|&a, &b| {
+                    let t = |v| warm.flows().traffic(ext, j, v);
+                    t(a).total_cmp(&t(b))
+                })
+                .expect("every commodity has bandwidth nodes");
+            assert!(
+                warm.flows().traffic(ext, j, v) > 0.0,
+                "{j}: no carrying pass-through"
+            );
+            (j, ext.commodity_out_slice(j, v)[0])
+        })
+        .collect();
+    let perturbed = |value: f64| {
+        let mut routing = warm.routing().clone();
+        for &(j, l) in &rows {
+            routing.set_fraction(j, l, value);
+        }
+        routing
+    };
+    let stats_bits = |s: StepStats| {
+        let g = s.gamma;
+        (
+            s.cost_before.to_bits(),
+            g.total_shift.to_bits(),
+            g.max_shift.to_bits(),
+            g.rows,
+        )
+    };
+    let ck = warm.checkpoint();
+    let from_raw = |value: f64| {
+        // φ is flat row-major, `[j·L + l]`
+        let mut phi = ck.phi().to_vec();
+        for &(j, l) in &rows {
+            phi[j.index() * ext.graph().edge_count() + l.index()] = value;
+        }
+        Checkpoint::from_raw(
+            phi,
+            ck.t().to_vec(),
+            ck.x().to_vec(),
+            ck.f_edge().to_vec(),
+            ck.f_node().to_vec(),
+            ck.d().to_vec(),
+            ck.iterations(),
+            ck.epsilon(),
+            ck.eta(),
+            ck.epoch(),
+        )
+    };
+    for (how, value) in [("install", 1.0 - 5e-8), ("restore", 0.5), ("restore", 0.0)] {
+        let (mut dense, mut sparse) = (build(false), build(true));
+        if how == "install" {
+            perturbed(value)
+                .validate(ext)
+                .expect("within the tolerance");
+            dense.install_routing(perturbed(value));
+            sparse.install_routing(perturbed(value));
+        } else {
+            dense.restore(&from_raw(value)).unwrap();
+            sparse.restore(&from_raw(value)).unwrap();
+        }
+        for it in 0..120 {
+            let ctx = format!("{how} {value} at iteration {it}");
+            assert_eq!(
+                stats_bits(dense.step()),
+                stats_bits(sparse.step()),
+                "step stats: {ctx}"
+            );
+            assert_identical(&dense, &sparse, &ctx);
+            for &(j, l) in &rows {
+                assert_eq!(
+                    sparse.routing().fraction(j, l).to_bits(),
+                    1.0f64.to_bits(),
+                    "pass-through row of {j} not reset: {ctx}"
+                );
+            }
+        }
+    }
 }
 
 /// The thread knobs are inert shims (kept for the frozen `benchmark/`
