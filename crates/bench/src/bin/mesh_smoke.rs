@@ -36,11 +36,12 @@
 //! mesh must be report-identical to `Lossless`, a same-seed
 //! fault-injected socket mesh must be report- and incident-identical
 //! to `Chaotic`, the lossless UDS run must stay inside the
-//! demand-driven I/O budget of `2·R·(R−1)` syscalls per tick (counted
-//! by `SocketTransport::io_stats`), and a B9 micro-bench reports
-//! bytes/iteration, syscalls/tick and p50 tick latency for in-process
-//! vs UDS vs TCP (latency is SKIPped on degraded single-core hosts,
-//! where wall-clock numbers are noise).
+//! demand-driven I/O budget of `2·R·(R−1)` syscalls per tick, i.e.
+//! `TICKS_PER_ITERATION · 2·R·(R−1)` per iteration (counted by
+//! `SocketTransport::io_stats`), and a B9 micro-bench reports
+//! bytes/iteration, syscalls per iteration and per tick, and p50 tick
+//! latency for in-process vs UDS vs TCP (latency is SKIPped on degraded
+//! single-core hosts, where wall-clock numbers are noise).
 //!
 //! Usage: `mesh_smoke [--smoke] [--socket]` (`--smoke` is the CI-sized
 //! run; the default doubles the settle budget).
@@ -50,7 +51,7 @@ use spn_bench::small_instance;
 use spn_core::{GradientAlgorithm, GradientConfig};
 use spn_mesh::{
     MeshConfig, MeshFaultConfig, MeshRuntime, PartitionSpec, SocketKind, SocketOptions,
-    SocketTransport, Transport,
+    SocketTransport, Transport, TICKS_PER_ITERATION,
 };
 use spn_transform::ExtendedNetwork;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -162,14 +163,14 @@ fn p50_step_us(iters: usize, mut step: impl FnMut()) -> f64 {
 
 /// B9 probe: steps a warm mesh `iters` more iterations and reports
 /// `(bytes per iteration, p50 tick latency in µs)` — the tick latency
-/// is the median per-step wall time over thirds (3 ticks per step).
+/// is the median per-step wall time over `TICKS_PER_ITERATION`.
 fn bench_transport<T: Transport>(mesh: &mut MeshRuntime<T>, iters: usize) -> (f64, f64) {
     let before = mesh.wire_stats().bytes;
     let p50_step = p50_step_us(iters, || {
         mesh.step();
     });
     let bytes_per_iter = (mesh.wire_stats().bytes - before) as f64 / iters as f64;
-    (bytes_per_iter, p50_step / 3.0)
+    (bytes_per_iter, p50_step / TICKS_PER_ITERATION as f64)
 }
 
 /// Density gate: `(mesh p50 µs, monolithic sparse p50 µs)` per
@@ -209,13 +210,13 @@ fn syscalls(mesh: &MeshRuntime<SocketTransport>) -> u64 {
     io.reads + io.writes
 }
 
-/// [`bench_transport`] on a socket mesh, plus its syscalls per tick
-/// over the same window.
+/// [`bench_transport`] on a socket mesh, plus its syscalls per
+/// iteration over the same window.
 fn bench_socket(mesh: &mut MeshRuntime<SocketTransport>, iters: usize) -> (f64, f64, f64) {
     let before = syscalls(mesh);
     let (bytes, p50) = bench_transport(mesh, iters);
-    let per_tick = (syscalls(mesh) - before) as f64 / (3 * iters) as f64;
-    (bytes, p50, per_tick)
+    let per_iter = (syscalls(mesh) - before) as f64 / iters as f64;
+    (bytes, p50, per_iter)
 }
 
 /// `--socket` mode: the invariant-21 legs plus the B9 transport bench.
@@ -242,17 +243,19 @@ fn socket_smoke(smoke: bool) -> bool {
         MeshRuntime::lossless(ext.clone(), config.clone()).expect("valid mesh config");
     let socket_report = socket.run(iterations);
     let lossless_report = lossless.run(iterations);
-    let per_tick = syscalls(&socket) as f64 / (3 * iterations) as f64;
-    let budget = (2 * config.regions * (config.regions - 1)) as f64;
+    let per_iter = syscalls(&socket) as f64 / iterations as f64;
+    let per_tick = per_iter / TICKS_PER_ITERATION as f64;
+    let budget = (TICKS_PER_ITERATION as usize * 2 * config.regions * (config.regions - 1)) as f64;
     println!(
-        "mesh_smoke\tsocket-lossless\tuds\t{:.6}\t{}\t{per_tick:.2} syscalls/tick",
+        "mesh_smoke\tsocket-lossless\tuds\t{:.6}\t{}\t{per_iter:.2} syscalls/it\t\
+         {per_tick:.2} syscalls/tick",
         socket_report.utility,
         socket.incidents().len()
     );
-    if per_tick > budget {
+    if per_iter > budget {
         eprintln!(
-            "FAIL: healthy UDS loopback issued {per_tick:.2} syscalls/tick; the demand-driven \
-             schedule allows 2·R·(R−1) = {budget}"
+            "FAIL: healthy UDS loopback issued {per_iter:.2} syscalls/iteration; the \
+             demand-driven schedule allows TICKS_PER_ITERATION·2·R·(R−1) = {budget}"
         );
         failed = true;
     }
@@ -346,9 +349,10 @@ fn socket_smoke(smoke: bool) -> bool {
         } else {
             format!("{p50:.1} us/tick")
         };
+        let per_tick = syscalls / TICKS_PER_ITERATION as f64;
         println!(
-            "mesh_smoke\tsocket-bench\t{label}\t{bytes:.1} B/it\t{syscalls:.2} syscalls/tick\t\
-             p50 {latency}"
+            "mesh_smoke\tsocket-bench\t{label}\t{bytes:.1} B/it\t{syscalls:.2} syscalls/it\t\
+             {per_tick:.2} syscalls/tick\tp50 {latency}"
         );
     }
     // the wire ships the same bytes whatever carries them

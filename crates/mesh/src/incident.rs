@@ -16,7 +16,7 @@ use serde::Serialize;
 /// One entry of the mesh incident log.
 ///
 /// Regions are identified by index; `tick` is the transport wall clock
-/// (three ticks per iteration — marginal, Γ, and flow sub-rounds).
+/// ([`crate::TICKS_PER_ITERATION`] per iteration — decide, forward).
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MeshIncident {

@@ -28,15 +28,9 @@
 //! bit-for-bit.
 //!
 //! The wire path (format v2) is **delta-encoded, coalesced, and
-//! pooled**: each worker fingerprints the exact bits last shipped per
-//! link and sends only changed rows, inside one batched frame per
-//! (link, tick), with every buffer reused across ticks — the
-//! converged lossless steady state ships a heartbeat-sized batch per
-//! link per iteration and allocates nothing. A periodic full refresh
-//! plus a receiver-driven resync request ([`Payload::Resend`])
-//! re-anchor any delta chain a lossy link breaks (ARCHITECTURE
-//! invariant 20: suppression never changes received values, only
-//! whether the bytes travel).
+//! pooled** — one batch per (link, tick), see [`worker`] — and
+//! suppression never changes received values (ARCHITECTURE invariant
+//! 20).
 //!
 //! Module map:
 //!
@@ -68,4 +62,4 @@ pub use wire::{
     frame_len, BatchReader, Frame, FrameAssembler, FrameBuf, FrameKind, Payload, SubFrame, SubView,
     WireError, WIRE_VERSION,
 };
-pub use worker::{LinkWireStats, MeshWireStats, RegionWorker};
+pub use worker::{LinkWireStats, MeshWireStats, RegionWorker, TICKS_PER_ITERATION};

@@ -1,10 +1,10 @@
 //! The mesh runtime: configuration, the tick loop, and reporting.
 //!
 //! [`MeshRuntime`] owns the region workers and a [`Transport`], and
-//! drives the three sub-round ticks of each iteration in fixed region
-//! order — the whole run is a deterministic function of the problem,
-//! the config, and the transport's fault plan. Under [`Lossless`] the
-//! trajectory is bit-identical to `spn_core::GradientAlgorithm`; under
+//! drives the [`TICKS_PER_ITERATION`] ticks of each iteration in fixed
+//! region order — the whole run is a deterministic function of the
+//! problem, the config and the transport's fault plan. Under [`Lossless`]
+//! the trajectory is bit-identical to `spn_core::GradientAlgorithm`; under
 //! [`Chaotic`] the run additionally produces a deterministic
 //! [`MeshIncident`] log (see [`MeshRuntime::incidents`]).
 //!
@@ -27,7 +27,7 @@ use crate::fault::{MeshFaultConfig, MeshFaultPlan};
 use crate::incident::MeshIncident;
 use crate::socket::{SocketOptions, SocketTransport};
 use crate::transport::{Chaotic, Inbox, Lossless, Transport};
-use crate::worker::{owner_of, MeshWireStats, RegionWorker};
+use crate::worker::{owner_of, MeshWireStats, RegionWorker, TICKS_PER_ITERATION};
 use spn_core::gamma::GammaStats;
 use spn_core::{ConfigError, CostModel, GradientAlgorithm, GradientConfig, StableOutcome};
 use spn_transform::ExtendedNetwork;
@@ -47,9 +47,9 @@ pub struct MeshConfig {
     /// The underlying gradient tunables (validated exactly like
     /// `GradientAlgorithm`).
     pub gradient: GradientConfig,
-    /// Ticks of silence before a peer is degraded to suspect. Must
-    /// exceed one full iteration (3 ticks) or healthy peers flap; the
-    /// default (9 = three iterations) is comfortably clear.
+    /// Ticks of silence before a peer is degraded to suspect; ≥ 1. Each
+    /// peer heartbeats every forward tick, heard the next tick, and is
+    /// checked on forward ticks only: at most 1 tick silent when checked.
     pub suspect_after: u64,
     /// Cap on the exponential retransmit backoff, in ticks.
     pub retry_backoff_cap: u64,
@@ -113,6 +113,9 @@ pub enum MeshError {
     /// re-anchor a delta chain, so a receiver that missed one delta
     /// could stay stale forever.
     ZeroRefreshCadence,
+    /// `suspect_after` must be at least 1: a zero window suspects every
+    /// healthy peer after each tick that brought no frame from it.
+    ZeroSuspectWindow,
     /// `inbox_budget` must be at least 1024 bytes — smaller than one
     /// frame means every delivery is refused and the mesh runs deaf.
     InboxBudgetTooSmall {
@@ -142,6 +145,7 @@ impl std::fmt::Display for MeshError {
             MeshError::ZeroRefreshCadence => {
                 write!(f, "refresh_every must be at least 1 (1 = full broadcast every round)")
             }
+            MeshError::ZeroSuspectWindow => write!(f, "suspect_after must be at least 1 tick"),
             MeshError::InboxBudgetTooSmall { budget } => write!(
                 f,
                 "inbox_budget of {budget} bytes is below the 1024-byte floor (one frame would \
@@ -249,8 +253,8 @@ impl MeshRuntime<SocketTransport> {
 impl<T: Transport> MeshRuntime<T> {
     /// Builds the mesh: validates the config (rejecting region counts
     /// the node space or the wire cannot carry, ε-annealing, a zero
-    /// refresh cadence, and any gradient tunable `GradientAlgorithm`
-    /// itself would refuse) and initializes every worker with the same
+    /// refresh cadence or suspect window, and any gradient tunable
+    /// `GradientAlgorithm` itself would refuse) and initializes every worker with the same
     /// fully-rejecting mirror.
     ///
     /// # Errors
@@ -278,6 +282,9 @@ impl<T: Transport> MeshRuntime<T> {
         }
         if config.refresh_every == 0 {
             return Err(MeshError::ZeroRefreshCadence);
+        }
+        if config.suspect_after == 0 {
+            return Err(MeshError::ZeroSuspectWindow);
         }
         if config.inbox_budget < 1024 {
             return Err(MeshError::InboxBudgetTooSmall {
@@ -342,12 +349,12 @@ impl<T: Transport> MeshRuntime<T> {
         }
     }
 
-    /// Performs one protocol iteration — three transport ticks, every
-    /// worker driven in region order — and returns the iteration's Γ
-    /// statistics summed across regions (max of maxima, region-ordered
-    /// sums).
+    /// Performs one protocol iteration — [`TICKS_PER_ITERATION`]
+    /// transport ticks, every worker driven in region order — and
+    /// returns the iteration's Γ statistics summed across regions (max
+    /// of maxima, region-ordered sums).
     pub fn step(&mut self) -> GammaStats {
-        for _ in 0..3 {
+        for _ in 0..TICKS_PER_ITERATION {
             let tick = self.tick;
             self.transport.begin_tick(tick, &mut self.incidents);
             for r in 0..self.config.regions {
@@ -433,7 +440,7 @@ impl<T: Transport> MeshRuntime<T> {
             .map(|j| self.owner_worker(j).admitted(&self.ext, j))
             .collect();
         MeshReport {
-            iterations: (self.tick / 3) as usize,
+            iterations: (self.tick / TICKS_PER_ITERATION) as usize,
             utility: self.utility(),
             admitted,
             total_shift: last.total_shift,
@@ -521,7 +528,7 @@ impl<T: Transport> MeshRuntime<T> {
     /// Iterations performed so far.
     #[must_use]
     pub fn iterations(&self) -> usize {
-        (self.tick / 3) as usize
+        (self.tick / TICKS_PER_ITERATION) as usize
     }
 
     /// The mesh configuration.

@@ -3,7 +3,7 @@
 //! A [`Transport`] carries opaque byte frames (already encoded in the
 //! [`crate::wire`] format) from sender to destination inbox. Frames
 //! sent at tick `T` become deliverable at tick `T + 1` — a synchronous
-//! barrier per sub-round — and are handed out in deterministic order:
+//! barrier per tick — and are handed out in deterministic order:
 //! send order, which the runtime fixes by driving workers in region
 //! order. Two implementations:
 //!

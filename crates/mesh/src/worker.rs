@@ -10,6 +10,10 @@
 //! peer's, so the merged trajectory is bit-identical to the monolithic
 //! `GradientAlgorithm` (ARCHITECTURE invariant 19).
 //!
+//! An iteration is [`TICKS_PER_ITERATION`] ticks: *decide* (peers'
+//! marginals in, tags and owned Γ out) and *forward* (peers' Γ rows in,
+//! flows, then the next round's marginals on the completed mirror).
+//!
 //! The three sweeps walk each commodity's **live arcs** (`φ ≠ 0`)
 //! through [`LiveArcSweeps`] — the sparse engine's kernels with
 //! every commodity run every iteration — so a region's work scales with
@@ -106,6 +110,9 @@ fn routers_in<'e>(
     let positions = &ext.members(j).routers()[span];
     nodes.iter().zip(positions).map(|(&v, &p)| (v, p as usize))
 }
+
+/// Transport ticks per iteration: decide (even), forward (odd).
+pub const TICKS_PER_ITERATION: u64 = 2;
 
 /// Ticks after a send before the first retransmit check may fire: the
 /// ack round trip is two ticks, plus slack so a lossless mesh never
@@ -227,7 +234,7 @@ struct Link {
     fc_sent: Vec<(u64, u64)>,
     /// Round of the last forecast frame shipped.
     fc_round: u64,
-    /// Peer requested full frames (a received [`Payload::Resend`]).
+    /// Ship the next frame full (a [`Payload::Resend`], or none yet).
     force_marginals: bool,
     force_forecast: bool,
     /// Resend bits to ship to this peer this tick (gaps detected while
@@ -254,7 +261,7 @@ impl Link {
             gamma_round: 0,
             fc_sent: vec![(NEVER_SENT, NEVER_SENT); j_count],
             fc_round: 0,
-            force_marginals: false,
+            force_marginals: true,
             force_forecast: false,
             want_resend: 0,
             ack_pending: false,
@@ -330,7 +337,7 @@ pub struct RegionWorker {
 impl RegionWorker {
     /// Builds worker `region` of `regions` with the same initial mirror
     /// as `GradientAlgorithm::from_extended`: fully-rejecting routing,
-    /// its flows, and its marginals.
+    /// its flows, and its marginals (round 0's, so they never travel).
     #[must_use]
     pub fn new(
         ext: &ExtendedNetwork,
@@ -558,11 +565,10 @@ impl RegionWorker {
     }
 
     /// Drives one transport tick: opens this tick's per-link batches,
-    /// drains the inbox, runs the sub-round the tick's phase selects,
-    /// and (on the flow phase) performs the end-of-iteration
-    /// housekeeping — retransmits, suspicion checks, and the round
-    /// advance. The runtime then ships each non-empty batch via
-    /// [`RegionWorker::outgoing`].
+    /// drains the inbox, and runs the decide or forward phase the tick
+    /// selects (the forward tick also retransmits, checks suspects and
+    /// advances the round before its marginal sweep). The runtime then
+    /// ships each non-empty batch via [`RegionWorker::outgoing`].
     #[allow(clippy::too_many_arguments)]
     pub fn run_phase(
         &mut self,
@@ -583,14 +589,14 @@ impl RegionWorker {
         }
         self.process_inbox(ext, tick, inbox, log);
         self.flush_control();
-        match tick % 3 {
-            0 => self.phase_marginals(ext, cost),
-            1 => self.phase_gamma(ext, cost, gradient, tick),
+        match tick % TICKS_PER_ITERATION {
+            0 => self.phase_gamma(ext, cost, gradient, tick),
             _ => {
                 self.phase_flows(ext);
                 self.retransmit(tick, backoff_cap, log);
                 self.check_suspects(tick, suspect_after, log);
                 self.round += 1;
+                self.phase_marginals(ext, cost);
             }
         }
         for peer in 0..self.regions {
@@ -631,11 +637,11 @@ impl RegionWorker {
         }
     }
 
-    /// Phase 0: the live-arc marginal sweep over the mirror, then ship
-    /// each peer the owned *router* entries whose bits changed since
-    /// last shipped on that link (all of them on a refresh or
-    /// forced-full round). Non-router marginals are structurally `0.0`
-    /// on every mirror and never travel.
+    /// End of the forward tick, in the new round: the live-arc marginal
+    /// sweep over the mirror, then ship each peer the owned *router*
+    /// entries whose bits changed since last shipped on that link (all
+    /// of them on a refresh or forced-full round). Non-router marginals
+    /// are structurally `0.0` on every mirror and never travel.
     fn phase_marginals(&mut self, ext: &ExtendedNetwork, cost: &CostModel) {
         self.sweeps
             .marginals_into(ext, cost, &self.routing, &self.state, &mut self.marginals);
@@ -691,11 +697,11 @@ impl RegionWorker {
         }
     }
 
-    /// Phase 1: the live-arc blocking-tag sweep plus the Γ update
+    /// The decide tick: the live-arc tag sweep plus the Γ update
     /// restricted to owned routers (which stale-marks every commodity
-    /// whose support it moved); ship each peer the owned rows whose fraction bits
-    /// changed, on the reliable stream (all owned rows on a refresh
-    /// round — the backstop that bounds post-recovery divergence).
+    /// whose support it moved); ship each peer the owned rows whose
+    /// fraction bits changed, on the reliable stream (all owned rows on a
+    /// refresh round — the backstop that bounds post-recovery divergence).
     fn phase_gamma(
         &mut self,
         ext: &ExtendedNetwork,
@@ -815,12 +821,12 @@ impl RegionWorker {
         }
     }
 
-    /// Phase 2: the live-arc flow forecast for the merged routing
-    /// decision (rebuilding the live arcs of every commodity phase 1
-    /// and the inbox wrote); owners ship their commodities' changed
-    /// forecasts; everyone heartbeats (the heartbeat keeps every
-    /// phase-2 batch non-empty, so liveness never depends on data
-    /// changing).
+    /// Start of the forward tick: the live-arc flow forecast for the
+    /// merged routing decision (rebuilding the live arcs of every
+    /// commodity the decide tick and the inbox wrote); owners ship
+    /// their commodities' changed forecasts; everyone heartbeats (the
+    /// heartbeat keeps every forward batch non-empty, so liveness never
+    /// depends on data changing).
     fn phase_flows(&mut self, ext: &ExtendedNetwork) {
         self.sweeps
             .flows_into(ext, &self.routing, &mut self.state, &mut self.workspace);
@@ -1700,7 +1706,7 @@ mod tests {
             let mut b = RegionWorker::new(&ext, &cost, &gradient, 1, 2, 16);
             let mut log = Vec::new();
             let empty = Inbox::new();
-            for tick in 0..9 {
+            for tick in 0..4 * TICKS_PER_ITERATION {
                 b.run_phase(&ext, &cost, &gradient, 9, 32, tick, &empty, &mut log);
             }
             let theirs: Vec<(CommodityId, NodeId)> = ext
@@ -1769,6 +1775,9 @@ mod tests {
                 // brought up to date against the pre-tick routing
                 let mut shadow = a.sweeps.clone();
                 shadow.marginals_into(&ext, &cost, &before, &a.state, &mut a.marginals.clone());
+                // only the decide tick writes own Γ rows; on the forward
+                // tick every routing write comes from the inbox
+                let forward = !(tick as u64).is_multiple_of(TICKS_PER_ITERATION);
                 let mut must_not_write = false;
                 match op {
                     // fresh peer rows: one hot edge, spread, reweighted
@@ -1799,7 +1808,7 @@ mod tests {
                             rows(buf, round, ext.graph().node_count(), 0, &before);
                         });
                         prop_assert!(inbox.push(&frame));
-                        must_not_write = tick % 3 != 1;
+                        must_not_write = forward;
                     }
                     // well-addressed rows that are not rows: mass 2, or
                     // an edge listed twice
@@ -1808,7 +1817,7 @@ mod tests {
                             rows(buf, round, 0, op - 5, &before);
                         });
                         prop_assert!(inbox.push(&frame));
-                        must_not_write = tick % 3 != 1;
+                        must_not_write = forward;
                     }
                     // a recovery snapshot of the donor's mirror
                     5 => {
@@ -1833,7 +1842,7 @@ mod tests {
                 if must_not_write {
                     prop_assert!(before == a.routing, "refused rows reached the routing mirror");
                 }
-                if tick % 3 != 1 {
+                if forward {
                     // no own Γ write this tick: only the inbox wrote
                     let crossed = ext.commodity_ids().any(|j| {
                         ext.commodity_edges(j)

@@ -17,7 +17,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use spn::core::GradientConfig;
-use spn::mesh::{BatchReader, Inbox, Lossless, MeshConfig, MeshIncident, MeshRuntime, Transport};
+use spn::mesh::{
+    BatchReader, Inbox, Lossless, MeshConfig, MeshIncident, MeshRuntime, Transport,
+    TICKS_PER_ITERATION,
+};
 use spn::model::builder::ProblemBuilder;
 use spn::model::{CommodityId, UtilityFn};
 use spn::sim::GradientSim;
@@ -49,9 +52,12 @@ impl Transport for Traced {
     ) {
         if tick < *self.print_until_tick.borrow() {
             let mut reader = BatchReader::parse(bytes).expect("mesh frames decode");
+            let phase = match tick % TICKS_PER_ITERATION {
+                0 => "decide",
+                _ => "forward",
+            };
             println!(
-                "  tick {tick} phase {}:  region {from} -> {to}  batch round {:<3} {} bytes",
-                tick % 3,
+                "  tick {tick} {phase:<7}:  region {from} -> {to}  batch round {:<3} {} bytes",
                 reader.round(),
                 bytes.len()
             );
@@ -164,11 +170,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- the same instance on the region-sharded mesh runtime ---
     // Two workers split the extended node range; the protocol's waves
     // become one delta-encoded batch frame per link per tick. The tap
-    // prints the first two iterations frame by frame — phase 0 ships
-    // changed marginals, phase 1 the Γ rows each owner moved, phase 2
-    // changed forecasts and heartbeats.
+    // prints the first two iterations frame by frame — the decide tick
+    // ships the Γ rows each owner moved, the forward tick changed
+    // forecasts, a heartbeat and the next round's changed marginals.
     const REGIONS: usize = 2;
-    let print_until_tick = Rc::new(RefCell::new(6u64));
+    let print_until_tick = Rc::new(RefCell::new(2 * TICKS_PER_ITERATION));
     let transport = Traced {
         inner: Lossless::new(REGIONS),
         print_until_tick: Rc::clone(&print_until_tick),

@@ -51,10 +51,12 @@
 #    report-identical to Lossless with zero incidents, a same-seed
 #    fault-injected socket mesh must be report- and incident-identical
 #    to Chaotic (reads chopped into seeded 1..=31-byte chunks), the
-#    lossless UDS run must stay within 2·R·(R−1) syscalls per tick
-#    (SocketTransport::io_stats — the demand-driven I/O schedule), and
+#    lossless UDS run must stay within TICKS_PER_ITERATION·2·R·(R−1)
+#    syscalls per iteration (8 at R = 2, two ticks of 2·R·(R−1);
+#    SocketTransport::io_stats — the demand-driven I/O schedule), and
 #    the B9 bench must ship identical bytes/iteration on in-process,
-#    UDS, and TCP (syscalls/tick printed per leg); wall-clock p50 tick latency prints SKIP on a degraded
+#    UDS, and TCP (syscalls per iteration and per tick printed per
+#    leg); wall-clock p50 tick latency prints SKIP on a degraded
 #    single-core host instead of a misleading number. Bounded: the
 #    smoke run is a few hundred fixed iterations, no settle loops.
 #  * benchmark/run.sh --smoke builds and runs the repository benchmark

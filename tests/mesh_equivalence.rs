@@ -32,16 +32,21 @@
 //! sender's rows (or outside the buffers) is discarded as one logged
 //! incident without a single write.
 
+use spn::core::flows::balance_residual;
 use spn::core::{GradientAlgorithm, GradientConfig};
 use spn::graph::NodeId;
 use spn::mesh::worker::owner_of;
 use spn::mesh::{
     BatchReader, FrameBuf, FrameKind, Inbox, Lossless, MeshConfig, MeshError, MeshFaultConfig,
     MeshIncident, MeshRuntime, PartitionSpec, SocketKind, SocketOptions, SocketTransport,
-    Transport,
+    Transport, TICKS_PER_ITERATION,
 };
 use spn::model::random::RandomInstance;
+use spn::sim::draws::unit_hash;
 use spn::transform::ExtendedNetwork;
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 fn problem(nodes: usize, commodities: usize, seed: u64) -> spn::model::Problem {
     RandomInstance::builder()
@@ -236,7 +241,7 @@ fn partitioned_region_rejoins_bit_for_bit() {
         ..MeshFaultConfig::off()
     };
     let mut mesh = MeshRuntime::chaotic(ext, mesh_config(REGIONS), &faults).unwrap();
-    mesh.run(60); // 180 ticks: partition at 30, healed by ~80
+    mesh.run(60); // 120 ticks: partition at tick 30, healed by ~80
 
     let log = mesh.incidents();
     // the cut region suspected every peer (isolation) and each survivor
@@ -431,6 +436,32 @@ fn faulty_socket_mesh_matches_chaotic_incident_for_incident() {
         .any(|i| matches!(i, MeshIncident::RecoveryCompleted { .. })));
 }
 
+/// The socket transport's demand-driven schedule costs one `write(2)`
+/// and one `read(2)` per directed link per tick on a healthy loopback,
+/// so an iteration costs exactly `TICKS_PER_ITERATION · 2·R·(R−1)`
+/// syscalls — 48 at R = 4. Tick 0 issues none (nothing is due yet), so
+/// the count starts after one warm-up iteration.
+#[test]
+fn a_healthy_uds_iteration_costs_two_syscalls_per_link_per_tick() {
+    const REGIONS: usize = 4;
+    const ITERATIONS: u64 = 30;
+    let ext = ExtendedNetwork::build(&problem(20, 3, 9));
+    let options = SocketOptions::default();
+    let mut mesh = MeshRuntime::socket(ext, mesh_config(REGIONS), &options).unwrap();
+    let syscalls = |mesh: &MeshRuntime<SocketTransport>| {
+        let io = mesh.transport().io_stats();
+        io.reads + io.writes
+    };
+    mesh.step();
+    let before = syscalls(&mesh);
+    mesh.run(ITERATIONS as usize);
+    let links = (REGIONS * (REGIONS - 1)) as u64;
+    let per_iteration = TICKS_PER_ITERATION * 2 * links;
+    assert_eq!(per_iteration, 48, "two ticks of 2·R·(R−1) at R = 4");
+    assert_eq!(syscalls(&mesh) - before, ITERATIONS * per_iteration);
+    assert!(mesh.incidents().is_empty());
+}
+
 /// A socket transport that reports one `(tick, region)` as never ready
 /// — without touching the sockets, so no marker is read for it — and
 /// records how many frames `deliver_into` still handed over there.
@@ -483,7 +514,9 @@ impl Transport for Withhold {
 #[test]
 fn expired_phase_deadline_is_logged_and_delivery_reads_what_is_in_hand() {
     const REGIONS: usize = 3;
-    const AT: (u64, usize) = (7, 1);
+    const ROUND: u64 = 3;
+    // the forward tick of iteration ROUND
+    const AT: (u64, usize) = (TICKS_PER_ITERATION * ROUND + 1, 1);
     let p = problem(20, 3, 9);
     let ext = ExtendedNetwork::build(&p);
     let config = MeshConfig {
@@ -505,8 +538,8 @@ fn expired_phase_deadline_is_logged_and_delivery_reads_what_is_in_hand() {
             region: AT.1
         }]
     );
-    // the tick-6 marginal batches of both peers, collected by the
-    // not-ready fallback read alone
+    // the round-3 Γ batches of both peers (shipped on the decide tick),
+    // collected by the not-ready fallback read alone
     assert_eq!(mesh.transport().delivered, Some(REGIONS - 1));
     assert!(report.utility.is_finite());
     assert_eq!(
@@ -516,21 +549,28 @@ fn expired_phase_deadline_is_logged_and_delivery_reads_what_is_in_hand() {
     );
 }
 
-/// A lossless transport that slips one extra frame into a chosen
-/// `(tick, region)` delivery, ahead of the genuine frames; `frame`
-/// builds it from the genuine frames of that delivery.
+/// A lossless transport that slips an extra frame into chosen
+/// deliveries, ahead of the genuine frames: `frame(tick, region,
+/// genuine)` is the frame (if any) for delivery `(tick, region)`, built
+/// from that delivery's genuine frames.
 struct Inject {
     inner: Lossless,
-    at: (u64, usize),
     frame: MakeFrame,
 }
 
-/// Builds an injected frame from the genuine frames of its delivery.
-type MakeFrame = Box<dyn Fn(&[Vec<u8>]) -> Vec<u8>>;
+/// Builds the injected frame (if any) of a delivery from its tick,
+/// region and genuine frames.
+type MakeFrame = Box<dyn FnMut(u64, usize, &[Vec<u8>]) -> Option<Vec<u8>>>;
 
-/// An `Inject` frame that does not depend on the delivery.
-fn fixed(frame: Vec<u8>) -> MakeFrame {
-    Box::new(move |_| frame.clone())
+/// An `Inject` schedule with one frame, built from the genuine frames
+/// of delivery `at`.
+fn once(at: (u64, usize), make: impl Fn(&[Vec<u8>]) -> Vec<u8> + 'static) -> MakeFrame {
+    Box::new(move |tick, region, genuine| ((tick, region) == at).then(|| make(genuine)))
+}
+
+/// An `Inject` schedule with one fixed frame, into delivery `at`.
+fn fixed(at: (u64, usize), frame: Vec<u8>) -> MakeFrame {
+    once(at, move |_| frame.clone())
 }
 
 impl Transport for Inject {
@@ -557,11 +597,11 @@ impl Transport for Inject {
         log: &mut Vec<MeshIncident>,
     ) {
         self.inner.deliver_into(tick, to, inbox, log);
-        if (tick, to) == self.at {
+        let genuine: Vec<Vec<u8>> = inbox.iter().map(<[u8]>::to_vec).collect();
+        if let Some(extra) = (self.frame)(tick, to, &genuine) {
             // re-deliver with the injected frame first
-            let genuine: Vec<Vec<u8>> = inbox.iter().map(<[u8]>::to_vec).collect();
             inbox.clear();
-            assert!(inbox.push(&(self.frame)(&genuine)));
+            assert!(inbox.push(&extra));
             for frame in &genuine {
                 assert!(inbox.push(frame));
             }
@@ -596,6 +636,8 @@ fn one_marginal(from: u16, to: u16, round: u64, j: u32, v: u32) -> Vec<u8> {
 fn frames_with_out_of_range_indices_are_discarded_without_a_write() {
     const REGIONS: usize = 2;
     const ROUND: u64 = 5;
+    // the decide tick of iteration ROUND: marginals are about to feed Γ
+    const AT: (u64, usize) = (TICKS_PER_ITERATION * ROUND, 0);
     let p = problem(20, 3, 9);
     let ext = ExtendedNetwork::build(&p);
     let v_count = ext.graph().node_count() as u32;
@@ -614,9 +656,7 @@ fn frames_with_out_of_range_indices_are_discarded_without_a_write() {
     for (what, frame) in cases {
         let transport = Inject {
             inner: Lossless::new(REGIONS),
-            // phase 1 of iteration ROUND: marginals are about to feed Γ
-            at: (3 * ROUND + 1, 0),
-            frame: fixed(frame),
+            frame: fixed(AT, frame),
         };
         let mut mesh =
             MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
@@ -648,10 +688,10 @@ fn frames_with_out_of_range_indices_are_discarded_without_a_write() {
             matches!(
                 mesh.incidents(),
                 [MeshIncident::MalformedFrameDiscarded {
-                    tick: 16,
+                    tick,
                     region: 0,
                     ..
-                }]
+                }] if *tick == AT.0
             ),
             "{what}: expected exactly one discard incident, got {:?}",
             mesh.incidents()
@@ -669,14 +709,15 @@ fn frames_with_out_of_range_indices_are_discarded_without_a_write() {
 fn misrouted_frame_is_discarded_before_it_is_counted_or_applied() {
     const REGIONS: usize = 3;
     const ROUND: u64 = 5;
+    // the decide tick of iteration ROUND: marginals are about to feed Γ
+    const AT: (u64, usize) = (TICKS_PER_ITERATION * ROUND, 0);
     let p = problem(20, 3, 9);
     let ext = ExtendedNetwork::build(&p);
     // first node of region 1's contiguous range
     let v = (ext.graph().node_count() as u32).div_ceil(REGIONS as u32);
     let transport = Inject {
         inner: Lossless::new(REGIONS),
-        at: (3 * ROUND + 1, 0),
-        frame: fixed(one_marginal(1, 2, ROUND, 0, v)),
+        frame: fixed(AT, one_marginal(1, 2, ROUND, 0, v)),
     };
     let mut mesh =
         MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
@@ -700,10 +741,10 @@ fn misrouted_frame_is_discarded_before_it_is_counted_or_applied() {
         matches!(
             mesh.incidents(),
             [MeshIncident::MalformedFrameDiscarded {
-                tick: 16,
+                tick,
                 region: 0,
                 ..
-            }]
+            }] if *tick == AT.0
         ),
         "expected exactly one discard incident, got {:?}",
         mesh.incidents()
@@ -725,6 +766,9 @@ fn a_pass_through_row_off_one_is_discarded_without_a_write() {
     const REGIONS: usize = 2;
     // a refresh round: region 1 ships every owned row
     const ROUND: u64 = 16;
+    // region 1's round-ROUND Γ batch, shipped on the decide tick, reaches
+    // region 0 on the forward tick
+    const AT: (u64, usize) = (TICKS_PER_ITERATION * ROUND + 1, 0);
     let p = problem(20, 3, 9);
     let ext = ExtendedNetwork::build(&p);
     let v_count = ext.graph().node_count();
@@ -766,9 +810,7 @@ fn a_pass_through_row_off_one_is_discarded_without_a_write() {
     };
     let transport = Inject {
         inner: Lossless::new(REGIONS),
-        // region 1's round-16 Γ batch reaches region 0 at the next tick
-        at: (3 * ROUND + 2, 0),
-        frame: Box::new(forged),
+        frame: once(AT, forged),
     };
     let mut mesh =
         MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
@@ -795,18 +837,41 @@ fn a_pass_through_row_off_one_is_discarded_without_a_write() {
         matches!(
             mesh.incidents(),
             [MeshIncident::MalformedFrameDiscarded {
-                tick: 50,
+                tick,
                 region: 0,
                 ..
-            }]
+            }] if *tick == AT.0
         ),
         "expected exactly one discard incident, got {:?}",
         mesh.incidents()
     );
 }
 
+/// The smallest suspect windows hold on a healthy mesh: every peer
+/// heartbeats on every forward tick and suspects are checked on forward
+/// ticks only, so a healthy peer is at most one tick silent when checked
+/// (`suspect_after: 0` is refused at construction).
+#[test]
+fn the_smallest_suspect_windows_never_flap_a_healthy_mesh() {
+    let ext = ExtendedNetwork::build(&problem(40, 3, 1));
+    for suspect_after in [1, 2] {
+        let config = MeshConfig {
+            suspect_after,
+            ..mesh_config(4)
+        };
+        let mut mesh = MeshRuntime::lossless(ext.clone(), config).unwrap();
+        mesh.run(200);
+        assert!(
+            mesh.incidents().is_empty(),
+            "suspect_after {suspect_after} flapped a healthy mesh: {:?}",
+            mesh.incidents()
+        );
+    }
+}
+
 /// Config validation: annealing is refused (it would silently diverge
-/// from the monolithic trajectory), as are impossible region counts.
+/// from the monolithic trajectory), as are impossible region counts, a
+/// zero suspect window and an inbox budget below one frame.
 #[test]
 fn mesh_rejects_unsupported_configs() {
     let p = problem(16, 2, 4);
@@ -846,6 +911,19 @@ fn mesh_rejects_unsupported_configs() {
         ),
         Err(MeshError::TooManyRegions { .. })
     ));
+    // a zero suspect window suspects a healthy peer after every tick
+    // that brought no frame from it
+    assert!(matches!(
+        MeshRuntime::<Lossless>::with_transport(
+            ext.clone(),
+            MeshConfig {
+                suspect_after: 0,
+                ..MeshConfig::default()
+            },
+            Lossless::new(2)
+        ),
+        Err(MeshError::ZeroSuspectWindow)
+    ));
     // an inbox budget below one frame would drop all traffic silently
     assert!(matches!(
         MeshRuntime::<Lossless>::with_transport(
@@ -858,4 +936,203 @@ fn mesh_rejects_unsupported_configs() {
         ),
         Err(MeshError::InboxBudgetTooSmall { budget: 512 })
     ));
+}
+
+/// Offsets `(start, end)` of a well-formed batch's sub-frames: after the
+/// 29-byte outer header and the `u32` sub count, each is `kind u8, seq
+/// u64, round u64, len u32, payload [u8; len]`.
+fn sub_spans(batch: &[u8]) -> Vec<(usize, usize)> {
+    let len_at = |at: usize| u32::from_le_bytes(batch[at..at + 4].try_into().unwrap()) as usize;
+    let mut at = 33;
+    (0..len_at(29))
+        .map(|_| {
+            let span = (at, at + 21 + len_at(at + 17));
+            at = span.1;
+            span
+        })
+        .collect()
+}
+
+/// The little-endian integer of `width` bytes at `at`.
+fn read_le(bytes: &[u8], at: usize, width: usize) -> u64 {
+    let mut le = [0u8; 8];
+    le[..width].copy_from_slice(&bytes[at..at + width]);
+    u64::from_le_bytes(le)
+}
+
+/// Overwrites the `width`-byte little-endian integer at `at` with the
+/// low bytes of `value`.
+fn write_le(bytes: &mut [u8], at: usize, width: usize, value: u64) {
+    bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+}
+
+/// One seeded mutant of the genuine batch `frame`: a bit flip, a
+/// truncation at a header boundary, a length or count edit, a sub-frame
+/// spliced in from `pool` (every genuine batch of the corpus), or a
+/// `from` / `to` / round / seq edit. `draw(k)` is the mutant's `k`-th
+/// uniform draw.
+fn mutant(frame: &[u8], pool: &[&Vec<u8>], draw: impl Fn(usize) -> f64) -> Vec<u8> {
+    let pick = |k: usize, n: usize| ((draw(k) * n as f64) as usize).min(n - 1);
+    let edit = |k: usize, old: u64| match pick(k, 5) {
+        0 => old.wrapping_add(1),
+        1 => old.wrapping_sub(1),
+        2 => 0,
+        3 => u64::MAX,
+        _ => (draw(k + 1) * f64::from(u32::MAX)) as u64,
+    };
+    let spans = sub_spans(frame);
+    // where header field `offset` sits in one (drawn) sub-frame
+    let sub_field = |k: usize, offset: usize| spans[pick(k, spans.len())].0 + offset;
+    let mut out = frame.to_vec();
+    // the one header field an edit rewrites, `(offset, width)`
+    let field = match pick(0, 9) {
+        0 => {
+            let bit = pick(1, out.len() * 8);
+            out[bit / 8] ^= 1 << (bit % 8);
+            return out;
+        }
+        1 => {
+            // outer header fields and sub count, then every sub's
+            // kind / seq / round / len and its end
+            let mut cuts = vec![2, 4, 5, 7, 9, 17, 25, 29, 33];
+            for &(start, end) in &spans {
+                cuts.extend([start + 1, start + 9, start + 17, start + 21, end]);
+            }
+            cuts.retain(|&cut| cut < out.len());
+            out.truncate(cuts[pick(1, cuts.len())]);
+            return out;
+        }
+        2 => {
+            let lengths: Vec<usize> = std::iter::once(25)
+                .chain(spans.iter().map(|&(start, _)| start + 17))
+                .collect();
+            (lengths[pick(1, lengths.len())], 4)
+        }
+        3 => {
+            // the sub count, or the entry count of a row payload
+            // (marginals, Γ rows, forecasts: `base u64, count u32`)
+            let counts: Vec<usize> = std::iter::once(29)
+                .chain(
+                    spans
+                        .iter()
+                        .filter(|&&(start, _)| (1..=3).contains(&frame[start]))
+                        .map(|&(start, _)| start + 21 + 8),
+                )
+                .collect();
+            (counts[pick(1, counts.len())], 4)
+        }
+        4 => {
+            let donor = pool[pick(1, pool.len())];
+            let donor_spans = sub_spans(donor);
+            let (start, end) = donor_spans[pick(2, donor_spans.len())];
+            let at = spans
+                .get(pick(3, spans.len() + 1))
+                .map_or(out.len(), |&(s, _)| s);
+            out.splice(at..at, donor[start..end].iter().copied());
+            let (count, len) = (read_le(&out, 29, 4), read_le(&out, 25, 4));
+            write_le(&mut out, 29, 4, count + 1);
+            write_le(&mut out, 25, 4, len + (end - start) as u64);
+            return out;
+        }
+        5 => (5, 2),
+        6 => (7, 2),
+        7 if pick(1, 2) == 0 => (17, 8),
+        7 => (sub_field(2, 9), 8),
+        _ => (sub_field(2, 1), 8),
+    };
+    let old = read_le(&out, field.0, field.1);
+    write_le(&mut out, field.0, field.1, edit(10, old));
+    out
+}
+
+/// ROADMAP 7b, the receive path under a seeded frame-fuzz corpus. The
+/// genuine batches of a 3-region lossless run are the corpus; every
+/// episode derives one seeded mutant per delivery from the batches
+/// genuinely delivered there, and slips it into a fresh mesh's same
+/// delivery ahead of the genuine frames (`Inject`), from mid-run on.
+/// Whatever the mutant, no worker panics, every delivery either applies
+/// or is refused as one of the four discard/resync incidents, and after
+/// every iteration every mirror is a valid, loop-free routing whose
+/// flows balance (invariants 1–3).
+#[test]
+fn a_seeded_frame_fuzz_corpus_never_breaks_a_worker() {
+    const REGIONS: usize = 3;
+    const ITERATIONS: usize = 30;
+    // iterations before the first mutant
+    const WARM: u64 = 4;
+    const EPISODES: u64 = 14;
+    const SEED: u64 = 0x4655_5A5A;
+    let p = problem(20, 3, 9);
+    let ext = ExtendedNetwork::build(&p);
+    let corpus = Rc::new(RefCell::new(BTreeMap::new()));
+    let sink = Rc::clone(&corpus);
+    let record: MakeFrame = Box::new(move |tick, region, genuine| {
+        if !genuine.is_empty() {
+            sink.borrow_mut().insert((tick, region), genuine.to_vec());
+        }
+        None
+    });
+    let transport = Inject {
+        inner: Lossless::new(REGIONS),
+        frame: record,
+    };
+    let mut clean =
+        MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
+    clean.run(ITERATIONS);
+    let corpus: BTreeMap<(u64, usize), Vec<Vec<u8>>> = corpus.take();
+    let pool: Vec<&Vec<u8>> = corpus.values().flatten().collect();
+
+    let mut mutants = 0;
+    // malformed, duplicate, stale, resync
+    let mut seen = [false; 4];
+    let mut applied = false;
+    for episode in 0..EPISODES {
+        let mut schedule: BTreeMap<(u64, usize), Vec<u8>> = corpus
+            .range((WARM * TICKS_PER_ITERATION, 0)..)
+            .map(|(&(tick, region), genuine)| {
+                let draw = |k: usize| unit_hash(SEED ^ episode, tick as usize, region, k);
+                let source =
+                    &genuine[((draw(99) * genuine.len() as f64) as usize).min(genuine.len() - 1)];
+                ((tick, region), mutant(source, &pool, draw))
+            })
+            .collect();
+        mutants += schedule.len();
+        let transport = Inject {
+            inner: Lossless::new(REGIONS),
+            frame: Box::new(move |tick, region, _| schedule.remove(&(tick, region))),
+        };
+        let mut mesh =
+            MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
+        for it in 0..ITERATIONS {
+            mesh.step();
+            for r in 0..REGIONS {
+                let (routing, flows) = (mesh.worker(r).routing(), mesh.worker(r).flows());
+                let ctx = format!("episode {episode}, iteration {it}, region {r}");
+                assert_eq!(routing.validate(&ext), Ok(()), "{ctx}: invariant 1");
+                assert!(routing.is_loop_free(&ext), "{ctx}: invariant 2");
+                let residual = balance_residual(&ext, routing, flows);
+                assert!(residual <= 1e-9, "{ctx}: invariant 3, residual {residual}");
+            }
+        }
+        for incident in mesh.incidents() {
+            let kind = match incident {
+                MeshIncident::MalformedFrameDiscarded { .. } => 0,
+                MeshIncident::DuplicateFrameDiscarded { .. } => 1,
+                MeshIncident::StaleFrameDiscarded { .. } => 2,
+                MeshIncident::ResyncRequested { .. } => 3,
+                other => panic!("episode {episode}: a mutant caused {other:?}"),
+            };
+            seen[kind] = true;
+        }
+        applied |= (0..REGIONS).any(|r| mesh.worker(r).routing() != clean.worker(r).routing());
+    }
+    assert!(mutants >= 2000, "only {mutants} mutants");
+    assert_eq!(
+        seen, [true; 4],
+        "an outcome never occurred (malformed, duplicate, stale, resync)"
+    );
+    assert!(
+        applied,
+        "no mutant was ever applied: only the refusal paths were fuzzed"
+    );
 }
