@@ -2,12 +2,12 @@
 //! `GradientAlgorithm::step()` rates (iterations/second) on the paper
 //! instance and scaled instances, plus a *converged-regime* suite
 //! (demand scaled to 0.2, long warmup) comparing the dense engine to
-//! the sparsity-aware active-set engine (`GradientConfig::sparsity`),
+//! the sparse live-arc engine (`GradientConfig::sparsity`),
 //! and writes the results (with the pre-refactor baseline embedded for
 //! the speedup column) to `BENCH_core.json` in the current directory. A
 //! scale-tier curve (hierarchical 1k/10k/50k/100k-node instances from
 //! `spn_model::hierarchy`, converged regime) records the p50
-//! per-iteration time of the dense and active-set engines at each size;
+//! per-iteration time of the dense and sparse engines at each size;
 //! every JSON case carries its instance shape (nodes, commodities,
 //! physical/extended edge counts, seed) so rows are reproducible
 //! instances, not anonymous points.
@@ -17,8 +17,9 @@
 //! captures jitter, not just the best-window average.
 //!
 //! The step has one schedule, so nothing here depends on the host's
-//! core count: the dense-vs-sparse comparison measures work skipped,
-//! not parallelism.
+//! core count: the dense-vs-sparse comparison measures live-arc
+//! compaction (sweeps over the nonzero-fraction arcs, Γ over the routers
+//! with a choice), not parallelism.
 //!
 //! The mesh-wire suite measures bytes on the wire per mesh iteration —
 //! the delta-encoded coalesced wire (`refresh_every = 16`) against the
@@ -37,7 +38,7 @@
 //! 99% of the settled full-set utility.
 //!
 //! `bench_core --smoke` runs a fast subset (short measurement windows,
-//! no JSON write) and exits non-zero if the active-set engine falls
+//! no JSON write) and exits non-zero if the sparse engine falls
 //! below the dense engine on the converged 160-node case, or if
 //! incremental admission is not at least 1.2x faster than the rebuild
 //! path — the CI guards against regressing the sparse hot path and
@@ -66,9 +67,8 @@ const CASES: &[(usize, usize, f64)] = &[
 ];
 
 /// Demand scale of the converged-regime suite: at ×0.2 every commodity
-/// is fully admitted and the routing settles, which is the regime the
-/// active-set engine targets (quiescent chains, shrunken live-arc
-/// lists).
+/// is fully admitted and the routing settles, which is the regime where
+/// the live-arc lists have shrunk furthest.
 const CONVERGED_SCALE: f64 = 0.2;
 
 /// Iterations stepped before measuring a converged-regime case — enough
@@ -152,7 +152,7 @@ fn measure_case(nodes: usize, commodities: usize, timing: &Timing) -> Measuremen
 }
 
 /// Converged-regime measurement: low demand, long warmup, dense or
-/// active-set engine.
+/// sparse engine.
 fn measure_converged(
     nodes: usize,
     commodities: usize,
@@ -187,7 +187,7 @@ const SCALE_SEED: u64 = 42;
 
 /// Warmup before measuring a scale case. The dense engine's
 /// per-iteration cost is warmup-insensitive (it recomputes everything
-/// each step), so it gets a short settle; the active-set engine is
+/// each step), so it gets a short settle; the sparse engine is
 /// measured after the routing has actually converged — the regime the
 /// scale tier targets.
 const SCALE_WARMUP_DENSE: usize = 100;
@@ -232,7 +232,7 @@ impl InstanceShape {
 }
 
 /// One scale-curve measurement: converged-regime demand, dense vs
-/// active-set engine on the same generated instance.
+/// sparse engine on the same generated instance.
 fn measure_scale(
     case: (usize, usize, usize, usize),
     sparsity: bool,
@@ -426,8 +426,8 @@ fn measure_admission(prep_iters: usize, cap: usize, repeats: usize) -> Admission
 
 fn smoke() {
     let mut failed = false;
-    // Converged-regime gate: on the 160-node case the active-set engine
-    // must at least match the dense engine — it wins by skipping work.
+    // Converged-regime gate: on the 160-node case the sparse engine must
+    // at least match the dense engine — it wins by live-arc compaction.
     let (nodes, commodities) = (160, 16);
     let dense = measure_converged(nodes, commodities, false, &SMOKE).iters_per_sec;
     let sparse = measure_converged(nodes, commodities, true, &SMOKE).iters_per_sec;
@@ -436,7 +436,7 @@ fn smoke() {
     println!("smoke-converged\t{nodes}\t{commodities}\t{dense:.1}\t{sparse:.1}\t{ratio:.2}");
     if ratio < 1.0 {
         eprintln!(
-            "FAIL: active-set engine is {:.0}% of dense on the converged \
+            "FAIL: sparse (live-arc) engine is {:.0}% of dense on the converged \
              {nodes}-node case (floor is 100%)",
             ratio * 100.0
         );
@@ -515,7 +515,7 @@ fn main() {
     }
     json.push_str("  ],\n");
 
-    // Converged-regime suite: dense vs active-set engine after a long
+    // Converged-regime suite: dense vs sparse engine after a long
     // settling run at low demand.
     let _ = writeln!(json, "  \"converged_demand_scale\": {CONVERGED_SCALE},");
     let _ = writeln!(
@@ -577,7 +577,7 @@ fn main() {
     json.push_str("  ],\n");
 
     // Scale-tier curve: hierarchical 1k–100k-node instances, converged
-    // regime; p50 per-iteration time dense vs active-set engine. This is the memory-layout overhaul's report card — the
+    // regime; p50 per-iteration time dense vs sparse engine. This is the memory-layout overhaul's report card — the
     // sparse engine must win (or tie) at every size.
     let _ = writeln!(json, "  \"scale_seed\": {SCALE_SEED},");
     let _ = writeln!(

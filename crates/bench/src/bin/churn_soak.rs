@@ -2,7 +2,7 @@
 //! a live gradient run, dense and sparse engines in lockstep.
 //!
 //! Two [`spn_sim::ChurnProcess`]es share a seed — one runs the dense
-//! engine, the other the sparsity-aware active-set engine — so both
+//! engine, the other the sparse live-arc engine — so both
 //! replay the same arrival/departure sequence while the commodity set
 //! keeps reshaping online (no extended-network rebuilds). The soak
 //! fails if

@@ -108,8 +108,9 @@ const SEED: u64 = 42;
 /// Isolated servers appended to the padded twin.
 const PADDING: usize = 40_000;
 
-/// Low demand so the routing actually settles (the converged regime the
-/// active-set engine targets), and a warmup long enough to reach it.
+/// Low demand so the routing actually settles (the converged regime,
+/// where the live-arc lists are shortest), and a warmup long enough to
+/// reach it.
 const DEMAND_SCALE: f64 = 0.2;
 const WARMUP_ITERS: usize = 400;
 

@@ -19,7 +19,7 @@
 //! explicit messages with per-hop latency — lives in the `spn-sim`
 //! crate and produces bit-identical routing tables (tested there).
 
-use crate::active::ActiveSet;
+use crate::active::LiveArcSweeps;
 use crate::blocked::{compute_tags_into, BlockedTags};
 use crate::checkpoint::Checkpoint;
 use crate::cost::{CostModel, TotalCostCache};
@@ -90,18 +90,38 @@ pub struct GradientConfig {
     /// compiles; the next `[benchmark]` PR removes it.
     #[deprecated(note = "ignored: the step has one schedule; the next benchmark PR removes it")]
     pub threads: usize,
-    /// Selects the sparsity-aware active-set iteration engine. The
-    /// engine skips the tag/Γ/flow chain of commodities whose inputs are
-    /// bitwise-unchanged since their last run, restricts every sweep to
-    /// the per-commodity *live arcs* (nonzero routing fraction) in
-    /// topological router order, and re-runs marginal sweeps only when
-    /// a commodity's φ row or the shared usage totals moved. Results are
-    /// bit-identical to the dense engine (ARCHITECTURE invariant 14).
-    /// Defaults to `true` — the active-set engine *is* the engine;
-    /// `false` selects the dense reference path (the explicit escape
-    /// hatch, and the baseline the equivalence tests pin the engine
-    /// against).
+    /// Selects the sparse iteration engine. Every commodity runs every
+    /// phase on every step, but each sweep walks only the per-commodity
+    /// *live arcs* (nonzero routing fraction) in topological router
+    /// order, and Γ only the routers with a choice (see `gamma.rs`).
+    /// Results are bit-identical to the dense engine (ARCHITECTURE
+    /// invariant 14). Defaults to `true` — the sparse engine *is* the
+    /// engine; `false` selects the dense reference path (the explicit
+    /// escape hatch, and the baseline the equivalence tests pin the
+    /// engine against).
     pub sparsity: bool,
+}
+
+impl GradientConfig {
+    /// Checks the tunables every constructor relies on.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        if !(self.eta.is_finite() && self.eta > 0.0) {
+            return Err(ConfigError::BadEta(self.eta));
+        }
+        if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
+            return Err(ConfigError::BadEpsilon(self.epsilon));
+        }
+        if !(self.traffic_floor.is_finite() && self.traffic_floor >= 0.0) {
+            return Err(ConfigError::BadTrafficFloor(self.traffic_floor));
+        }
+        if !(self.opening_fraction.is_finite() && self.opening_fraction >= 0.0) {
+            return Err(ConfigError::BadOpeningFraction(self.opening_fraction));
+        }
+        if !(self.shift_cap.is_finite() && self.shift_cap > 0.0) {
+            return Err(ConfigError::BadShiftCap(self.shift_cap));
+        }
+        Ok(())
+    }
 }
 
 impl Default for GradientConfig {
@@ -109,8 +129,8 @@ impl Default for GradientConfig {
     /// crate recommends: the capacity-normalized barrier
     /// (`D(z) = Cz/(C−z)`, knee 0.98) at `ε = 0.002`, the soft capacity
     /// wall, a 0.1 shift cap and rate-limited path opening — running on
-    /// the sparsity-aware active-set engine (bit-identical to dense,
-    /// ARCHITECTURE invariant 14). The paper's
+    /// the sparse engine (bit-identical to dense, ARCHITECTURE invariant
+    /// 14). The paper's
     /// literal setup (`ε = 0.2`, `D(z) = 1/(C−z)`, no wall, no caps) is
     /// reproducible by overriding `epsilon`, `penalty`, `wall_strength`,
     /// `shift_cap` and `opening_fraction`; the E2 experiment measures
@@ -258,10 +278,15 @@ pub struct GradientAlgorithm {
     workspace: IterationWorkspace,
     /// Reusable blocking-tag buffer (eq. (18)).
     tags: BlockedTags,
-    /// Activity tracker + live-arc sub-lists for the sparsity-aware
-    /// engine ([`GradientConfig::sparsity`]); dormant (never sized)
-    /// while the dense engine runs.
-    active: ActiveSet,
+    /// Live-arc table of the sparse engine
+    /// ([`GradientConfig::sparsity`]); dormant (never sized) while the
+    /// dense engine runs.
+    sweeps: LiveArcSweeps,
+    /// State was written from outside the step since the last one
+    /// (construction, restore, an installed routing, raw state access, a
+    /// reshape): the next sparse step runs Γ over every router and
+    /// zeroes the node totals full width.
+    outside_write: bool,
     /// Commodity-set epoch: bumped by every
     /// [`admit_commodity`](GradientAlgorithm::admit_commodity) /
     /// [`evict_commodity`](GradientAlgorithm::evict_commodity) reshape
@@ -296,21 +321,7 @@ impl GradientAlgorithm {
         ext: ExtendedNetwork,
         config: GradientConfig,
     ) -> Result<Self, ConfigError> {
-        if !(config.eta.is_finite() && config.eta > 0.0) {
-            return Err(ConfigError::BadEta(config.eta));
-        }
-        if !(config.epsilon.is_finite() && config.epsilon > 0.0) {
-            return Err(ConfigError::BadEpsilon(config.epsilon));
-        }
-        if !(config.traffic_floor.is_finite() && config.traffic_floor >= 0.0) {
-            return Err(ConfigError::BadTrafficFloor(config.traffic_floor));
-        }
-        if !(config.opening_fraction.is_finite() && config.opening_fraction >= 0.0) {
-            return Err(ConfigError::BadOpeningFraction(config.opening_fraction));
-        }
-        if !(config.shift_cap.is_finite() && config.shift_cap > 0.0) {
-            return Err(ConfigError::BadShiftCap(config.shift_cap));
-        }
+        config.validate()?;
         let cost = CostModel {
             penalty: config.penalty,
             epsilon: config.epsilon,
@@ -334,7 +345,8 @@ impl GradientAlgorithm {
             iterations: 0,
             workspace,
             tags,
-            active: ActiveSet::default(),
+            sweeps: LiveArcSweeps::default(),
+            outside_write: true,
             epoch: 0,
             cost_cache: TotalCostCache::default(),
         })
@@ -368,7 +380,8 @@ impl GradientAlgorithm {
                 &mut self.marginals,
                 &mut self.tags,
                 &mut self.workspace,
-                &mut self.active,
+                &mut self.sweeps,
+                &mut self.outside_write,
                 anneal_to,
             )
         } else {
@@ -626,11 +639,10 @@ impl GradientAlgorithm {
         self.iterations = ck.iterations;
         self.cost.epsilon = ck.epsilon;
         self.config.eta = ck.eta;
-        // The restored state has nothing to do with what the active-set
-        // tracker and the cost cache observed last step (a raw
-        // checkpoint may even carry usage on idle nodes); force one
-        // dense iteration and one full-width cost rebuild.
-        self.active.invalidate();
+        // A raw checkpoint may carry usage on idle nodes and
+        // pass-through rows off `1.0`; the cost cache rebuilds full
+        // width once.
+        self.written_from_outside();
         self.cost_cache.invalidate();
         Ok(())
     }
@@ -648,8 +660,6 @@ impl GradientAlgorithm {
             "eta must be finite and positive, got {eta}"
         );
         self.config.eta = eta;
-        // η scales every Γ shift: quiescent commodities may move again.
-        self.active.invalidate();
     }
 
     /// Current solution snapshot in problem terms.
@@ -699,9 +709,6 @@ impl GradientAlgorithm {
     /// failure experiments (`set_max_rate`, `set_capacity`). Flows and
     /// marginals refresh on the next [`GradientAlgorithm::step`].
     pub fn extended_mut(&mut self) -> &mut ExtendedNetwork {
-        // Capacity/demand edits change every pass's inputs behind the
-        // tracker's back; force one dense iteration.
-        self.active.invalidate();
         &mut self.ext
     }
 
@@ -722,7 +729,7 @@ impl GradientAlgorithm {
     /// API.
     #[doc(hidden)]
     pub fn flows_mut(&mut self) -> &mut FlowState {
-        self.active.invalidate();
+        self.written_from_outside();
         self.cost_cache.invalidate();
         &mut self.state
     }
@@ -777,7 +784,7 @@ impl GradientAlgorithm {
             .validate(&self.ext)
             .expect("installed routing must be valid");
         self.routing = routing;
-        self.active.invalidate();
+        self.written_from_outside();
         compute_flows_into(
             &self.ext,
             &self.routing,
@@ -869,8 +876,8 @@ impl GradientAlgorithm {
     /// Shared tail of a commodity-set reshape: recomputes flows for the
     /// new commodity set, resizing the workspace (survivor rows
     /// reproduce bit-for-bit; the totals reduce in ascending commodity
-    /// order as always), clears blocking tags, forces one dense
-    /// iteration, and bumps the epoch.
+    /// order as always), clears blocking tags, flags the outside write,
+    /// and bumps the epoch.
     fn reshape_state(&mut self) {
         compute_flows_into(
             &self.ext,
@@ -880,8 +887,18 @@ impl GradientAlgorithm {
             None,
         );
         self.tags.reset(&self.ext);
-        self.active.invalidate();
+        self.written_from_outside();
         self.epoch += 1;
+    }
+
+    /// Flags state written from outside the step: the next sparse step
+    /// runs Γ over every router and zeroes the node totals full width —
+    /// the step where a pass-through row off `1.0` or usage on an idle
+    /// node heals, as on the dense path — and every live-arc row is
+    /// rebuilt from the routing.
+    fn written_from_outside(&mut self) {
+        self.outside_write = true;
+        self.sweeps.mark_all_stale();
     }
 }
 
@@ -931,6 +948,14 @@ mod tests {
             GradientAlgorithm::new(&p, bad_floor),
             Err(ConfigError::BadTrafficFloor(_))
         ));
+        // the Newton driver validates through the same checks (compared
+        // as text: the NaN floor is not equal to itself)
+        for bad in [bad_eta, bad_eps, bad_floor] {
+            assert_eq!(
+                format!("{:?}", crate::NewtonGradient::new(&p, bad, 1e-6).err()),
+                format!("{:?}", GradientAlgorithm::new(&p, bad).err())
+            );
+        }
         assert!(!format!("{}", ConfigError::BadEta(0.0)).is_empty());
     }
 

@@ -161,8 +161,8 @@ pub(crate) fn tag_sweep(
     }
 }
 
-/// [`tag_sweep`] over a commodity's live-arc sub-list (the active-set
-/// engine's tag pass). The caller pre-fills the row with `false`; only
+/// [`tag_sweep`] over a commodity's live-arc row (the sparse engine's
+/// tag pass). The caller pre-fills the row with `false`; only
 /// router entries are recomputed — the dense sweep writes `false` for
 /// every node without positive-fraction out-edges, so the result is
 /// identical. Live arcs have `phi > 0` by construction, which is

@@ -318,7 +318,7 @@ fn idle_usages_are_zero(union: &[NodeId], usages: &[f64]) -> bool {
 /// ## What keeps the precondition true
 ///
 /// Idle nodes stay at `+0.0` because no sweep writes them and every
-/// totals reduction leaves them zero (`reduce_usage_totals_tracked` in
+/// totals reduction leaves them zero (`reduce_usage_totals` in
 /// `step.rs`); their values stay zeros because they depend on nothing
 /// outside the key. The snapshot
 /// key — penalty family, wall shape,

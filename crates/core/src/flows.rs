@@ -269,11 +269,12 @@ pub(crate) fn flow_sweep(
     }
 }
 
-/// [`flow_sweep`] over a commodity's live-arc sub-list (the active-set
-/// engine's flow pass). `row` is the commodity's row of
-/// [`crate::active::ActiveArcs`]: per topo-router live out-degrees, the
-/// live arcs themselves (grouped by router in topological order with
-/// CSR sub-order) and the member position of each arc's head. Since the
+/// [`flow_sweep`] over a commodity's live-arc row (the sparse engine's
+/// flow pass). `row` is the commodity's row of
+/// [`LiveArcSweeps`](crate::LiveArcSweeps): per topo-router live
+/// out-degrees, the live arcs themselves (grouped by router in
+/// topological order with CSR sub-order) and the member position of
+/// each arc's head. Since the
 /// dense sweep skips zero-traffic tails and zero-fraction arcs, walking
 /// exactly the nonzero-fraction arcs in the same order performs the
 /// identical sequence of float operations — bit-identical rows, a

@@ -29,7 +29,7 @@
 //! (`GAMMA_CHUNK` routers) on every path and reduced in ascending
 //! global chunk order: chunk boundaries depend only on the instance, so
 //! the float order of [`GammaStats::total_shift`] is the same for the
-//! dense step, the active-set step and the selective path.
+//! dense step, the sparse step and the selective path.
 //!
 //! ## Deciders and pass-throughs
 //!
@@ -40,10 +40,10 @@
 //! `[(l, 1.0)]` (normalized, `1.0 / 1.0`) with zero shift. The arena lists the
 //! other routers, the *deciders*, per commodity
 //! ([`MemberView::deciders`], each with its index in the router list so
-//! it lands in its usual chunk), and the active-set step runs Γ over
-//! that list alone. On the step after an `ActiveSet::invalidate` — a
-//! restore, an installed routing, raw state access, a reshape, a
-//! re-sized workspace — it walks every router instead, exactly as the
+//! it lands in its usual chunk), and the sparse step runs Γ over that
+//! list alone. On the step after an outside write — a restore, an
+//! installed routing, raw state access, a reshape, and the first step
+//! after construction — it walks every router instead, exactly as the
 //! dense [`apply_gamma_ws`] does every step, so a pass-through row an
 //! outside write left at anything but `1.0` is reset to exactly `1.0`
 //! where the dense path resets it (after that step's tag sweep). From
@@ -77,7 +77,7 @@ use crate::blocked::BlockedTags;
 use crate::cost::CostModel;
 use crate::flows::{FlowState, UsageView};
 use crate::marginals::Marginals;
-use crate::routing::{apply_row, apply_row_tracked, RoutingTable};
+use crate::routing::{apply_row, apply_row_support, RoutingTable};
 use crate::workspace::{GammaLane, IterationWorkspace, GAMMA_CHUNK};
 use spn_graph::{EdgeId, NodeId};
 use spn_model::CommodityId;
@@ -282,32 +282,30 @@ pub(crate) fn gamma_chunk(
     }
 }
 
-/// The active-set engine's Γ over one commodity: its deciders only, or
-/// — on the step after an invalidation (`every_router`) — every router,
+/// The sparse engine's Γ over one commodity: its deciders only, or —
+/// on the step after an outside write (`every_router`) — every router,
 /// exactly as [`apply_gamma_ws`] does. Rows are applied through
-/// [`apply_row_tracked`]; returns `(any value changed, any support
-/// changed)`. `stats` is the commodity's run of chunk slots: each starts
-/// at `(0.0, 0.0, routers in chunk)` and folds the shifts of the rows
+/// [`apply_row_support`]; returns whether any fraction crossed zero.
+/// `stats` is the commodity's run of chunk slots: each starts at
+/// `(0.0, 0.0, routers in chunk)` and folds the shifts of the rows
 /// computed in it, in router order — bit-identical to the dense fold
 /// over every router (see "Deciders and pass-throughs" in the module
 /// docs).
-pub(crate) fn gamma_commodity_tracked(
+pub(crate) fn gamma_commodity(
     ctx: &GammaCtx<'_>,
     every_router: bool,
     lane: &mut GammaLane,
     stats: &mut [(f64, f64, usize)],
-) -> (bool, bool) {
+) -> bool {
     let routers = ctx.members.routers();
     for (slot, chunk) in stats.iter_mut().zip(routers.chunks(GAMMA_CHUNK)) {
         *slot = (0.0, 0.0, chunk.len());
     }
-    let mut flag = (false, false);
+    let mut support = false;
     let mut row = |i: u32, r: usize| {
         let (max_shift, total) = gamma_row_into(ctx, i as usize, lane);
         let out = ctx.members.out_arcs(i as usize).0;
-        let (value, support) = apply_row_tracked(ctx.phi, out, &lane.row);
-        flag.0 |= value;
-        flag.1 |= support;
+        support |= apply_row_support(ctx.phi, out, &lane.row);
         let stat = &mut stats[r / GAMMA_CHUNK];
         stat.0 = stat.0.max(max_shift);
         stat.1 += total;
@@ -321,7 +319,7 @@ pub(crate) fn gamma_commodity_tracked(
             row(i, r as usize);
         }
     }
-    flag
+    support
 }
 
 /// Computes the new routing row for one `(commodity, router)` pair
@@ -417,7 +415,7 @@ pub fn apply_gamma_ws(
 
 /// Reduces the per-chunk Γ statistics in ascending global chunk order —
 /// the fixed order that makes [`GammaStats`] bit-identical across the
-/// dense, active-set and selective paths.
+/// dense, sparse and selective paths.
 pub(crate) fn reduce_gamma_stats(ws: &IterationWorkspace, j_count: usize) -> GammaStats {
     let total_chunks = ws.chunk_base[j_count];
     let mut stats = GammaStats::default();
@@ -595,8 +593,7 @@ where
                     }
                 }
                 let (max_shift, total) = gamma_row_into(&ctx, i, lane);
-                let (_, moved) = apply_row_tracked(ctx.phi, out, &lane.row);
-                support[j.index()] |= moved;
+                support[j.index()] |= apply_row_support(ctx.phi, out, &lane.row);
                 local.0 = local.0.max(max_shift);
                 local.1 += total;
             }

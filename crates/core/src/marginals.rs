@@ -177,8 +177,8 @@ pub(crate) fn marginal_sweep(
     }
 }
 
-/// [`marginal_sweep`] over a commodity's live-arc sub-list (the
-/// active-set engine's marginal pass). Walks the topo router list in
+/// [`marginal_sweep`] over a commodity's live-arc row (the sparse
+/// engine's marginal pass). Walks the topo router list in
 /// reverse, accumulating each router's marginal from its live arcs only
 /// — the dense sweep skips zero-fraction arcs, so the addition chain is
 /// identical. Non-router `d` entries are *not* rewritten: they are

@@ -18,23 +18,22 @@
 //! same protocol as [`crate::GradientAlgorithm`] with this step rule;
 //! the `newton_ablation` experiment compares the two.
 //!
-//! With `GradientConfig::sparsity` (the default) the driver runs on the
-//! active-set engine of `crate::active`: curvatures propagate over the
-//! live-arc sub-lists, the tag → Newton-row → flow chain runs only for
-//! commodities whose inputs moved, and the flow/marginal state carries
-//! forward bit-identically instead of being re-densified every sweep
-//! (ARCHITECTURE invariant 17). `sparsity: false` selects the dense
-//! reference step the equivalence tests pin the engine against.
+//! With `GradientConfig::sparsity` (the default) the driver runs the
+//! sparse step's schedule (`crate::step`) with the Newton row rule in
+//! place of Γ: curvatures, tags, flows and marginals propagate over the
+//! live-arc rows of [`LiveArcSweeps`], Newton rows are computed for the
+//! deciders only, and the flow/marginal state carries from step to step
+//! instead of being re-densified (ARCHITECTURE invariant 17).
+//! `sparsity: false` selects the dense reference step the equivalence
+//! tests pin the engine against.
 
-use crate::active::{ActiveSet, LiveRow};
+use crate::active::{LiveArcSweeps, LiveRow};
 use crate::blocked::{compute_tags, tag_sweep_active, BlockedTags};
 use crate::cost::CostModel;
 use crate::flows::{compute_flows, FlowState};
-use crate::marginals::{compute_marginals, marginal_sweep_active, Marginals};
-use crate::routing::{apply_row, apply_row_tracked, RoutingTable};
-use crate::step::{
-    flow_pass_active, reduce_usage_totals_tracked, sparse_carry_forward, sparse_prepare,
-};
+use crate::marginals::{compute_marginals, Marginals};
+use crate::routing::{apply_row, apply_row_support, RoutingTable};
+use crate::step::{flow_pass_active, reduce_usage_totals};
 use crate::workspace::IterationWorkspace;
 use crate::{ConfigError, GradientConfig};
 use spn_graph::EdgeId;
@@ -113,8 +112,8 @@ pub fn compute_curvatures(
     h
 }
 
-/// [`compute_curvatures`] for one commodity over its live-arc sub-list
-/// (the active-set engine's curvature pass). The dense sweep skips
+/// [`compute_curvatures`] for one commodity over its live-arc row (the
+/// sparse step's curvature pass). The dense sweep skips
 /// `φ = 0` arcs and only ever accumulates at routers (non-router,
 /// non-sink nodes have no out-edges, so their `H` stays the zero it was
 /// initialised to), so a reverse walk of the topo-ordered routers over
@@ -147,7 +146,7 @@ fn curvature_sweep_active(
 }
 
 /// Fills `row` with the Newton-scaled fraction update of the router at
-/// member position `i`. Shared verbatim by the dense and the active-set
+/// member position `i`. Shared verbatim by the dense and the sparse
 /// step, so the two paths' float operations are the same code — the
 /// equivalence tests compare their outputs bit-for-bit. `h_row` is
 /// commodity `j`'s curvature row (`H_k(j)` by member position);
@@ -247,20 +246,24 @@ pub struct NewtonGradient {
     routing: RoutingTable,
     state: FlowState,
     iterations: usize,
-    /// Marginal costs carried across iterations (active-set path): row
-    /// `j` always holds what a fresh reverse sweep of the current state
-    /// would produce, refreshed in phase B only when its inputs moved.
+    /// Marginal costs carried across iterations (sparse path): row `j`
+    /// always holds what a fresh reverse sweep of the current state
+    /// would produce, refreshed at the end of every step.
     marginals: Marginals,
-    /// Blocked tags carried across iterations (recomputed per dirty
-    /// commodity at the head of its chain).
+    /// Blocked tags (recomputed per commodity at the head of its chain).
     tags: BlockedTags,
-    /// Persistent per-commodity usage partials + chunk geometry.
+    /// Per-commodity usage partials + chunk geometry.
     ws: IterationWorkspace,
-    /// The dirty-set tracker and live-arc sub-lists.
-    active: ActiveSet,
+    /// Live-arc rows of the sparse path.
+    sweeps: LiveArcSweeps,
+    /// State was written from outside the step (construction, or a test
+    /// installing state): the next sparse step computes the rows of
+    /// every router, not just the deciders, and zeroes the node totals
+    /// full width.
+    outside_write: bool,
     /// Curvature estimates `H_v(j)` by member position
-    /// (`h[member_range(j)]`), maintained with the same skip algebra as
-    /// the marginals.
+    /// (`h[member_range(j)]`), swept at the head of every chain over the
+    /// pre-update fractions, as the dense step computes them.
     h: Vec<f64>,
     /// Reusable Newton-row scratch (sized once to the max out-degree).
     row_buf: Vec<(EdgeId, f64)>,
@@ -280,8 +283,8 @@ impl NewtonGradient {
         config: GradientConfig,
         curvature_floor: f64,
     ) -> Result<Self, ConfigError> {
+        config.validate()?;
         let ext = ExtendedNetwork::build(problem);
-        crate::GradientAlgorithm::from_extended(ext.clone(), config)?;
         let cost = CostModel {
             penalty: config.penalty,
             epsilon: config.epsilon,
@@ -311,7 +314,8 @@ impl NewtonGradient {
             marginals,
             tags,
             ws: IterationWorkspace::default(),
-            active: ActiveSet::default(),
+            sweeps: LiveArcSweeps::default(),
+            outside_write: true,
             h,
             row_buf: Vec::with_capacity(max_deg),
             m_buf: Vec::with_capacity(max_deg),
@@ -320,7 +324,7 @@ impl NewtonGradient {
         })
     }
 
-    /// One Newton-scaled iteration: the active-set step when
+    /// One Newton-scaled iteration: the sparse step when
     /// `config.sparsity` (the default), the dense reference step
     /// otherwise. Bit-identical either way (ARCHITECTURE invariant 17).
     pub fn step(&mut self) {
@@ -378,13 +382,12 @@ impl NewtonGradient {
         self.state = compute_flows(&self.ext, &self.routing);
     }
 
-    /// The active-set step: the same skip algebra as
-    /// [`crate::step`]'s sparse gradient step with Γ replaced by the
-    /// Newton rule plus a live-arc curvature pass. A commodity's
-    /// tag → curvature → Newton-row → flow chain runs only while its
-    /// fractions or the shared totals are moving; everything it skips
-    /// is bitwise what a re-run would reproduce, so the trajectory is
-    /// bit-identical to [`Self::dense_step`]'s.
+    /// The sparse step: [`crate::step`]'s schedule with Γ replaced by
+    /// the Newton rule plus a live-arc curvature pass. Every commodity
+    /// runs tag → curvature → Newton rows → flow, the totals are
+    /// re-reduced, and every marginal sweep runs; each kernel performs
+    /// the dense step's float operations in the dense order, so the
+    /// trajectory is bit-identical to [`Self::dense_step`]'s.
     fn sparse_step(&mut self) {
         let NewtonGradient {
             ext,
@@ -396,7 +399,8 @@ impl NewtonGradient {
             marginals,
             tags,
             ws,
-            active,
+            sweeps,
+            outside_write,
             h,
             row_buf,
             m_buf,
@@ -404,18 +408,11 @@ impl NewtonGradient {
             ..
         } = self;
         let ext: &ExtendedNetwork = ext;
-        let j_count = ext.num_commodities();
-        if ws.ensure(ext) {
-            active.invalidate();
-        }
-        active.ensure(ext);
-        sparse_prepare(active, ext, routing);
+        ws.ensure(ext);
+        sweeps.refresh(ext, routing);
 
-        // Phase A: tag → curvature → Newton rows → flow for the dirty
-        // commodities only.
-        for di in 0..active.dirty_list.len() {
-            let ji = active.dirty_list[di] as usize;
-            let j = CommodityId::from_index(ji);
+        // Phase A: tag → curvature → Newton rows → flow.
+        for j in ext.commodity_ids() {
             let members = ext.member_range(j);
             let tag_row = &mut tags.tagged[members.clone()];
             tag_row.fill(false);
@@ -431,7 +428,7 @@ impl NewtonGradient {
                     config.traffic_floor,
                     j,
                     tag_row,
-                    active.arcs.row(ji),
+                    sweeps.row(j),
                 );
             }
             // H over the pre-update fractions and current totals —
@@ -443,10 +440,9 @@ impl NewtonGradient {
                 routing.row(j),
                 j,
                 &mut h[members.clone()],
-                active.arcs.row(ji),
+                sweeps.row(j),
             );
             let opening_floor = config.opening_fraction * ext.commodity(j).max_rate;
-            let mut value = false;
             let mut support = false;
             let m = ext.members(j);
             let mut row = |i: u32| {
@@ -468,66 +464,28 @@ impl NewtonGradient {
                     blocked_buf,
                     row_buf,
                 );
-                let (vc, sc) = apply_row_tracked(routing.row_cells(j), m.out_arcs(i).0, row_buf);
-                value |= vc;
-                support |= sc;
+                support |= apply_row_support(routing.row_cells(j), m.out_arcs(i).0, row_buf);
             };
             // the Newton rows of the deciders; of every router on the
-            // step after an invalidation (a pass-through's row is
+            // step after an outside write (a pass-through's row is
             // `[(l, 1.0)]` either way — see "Deciders and pass-throughs"
             // in `gamma.rs`)
-            if active.force_totals {
+            if *outside_write {
                 m.routers().iter().for_each(|&i| row(i));
             } else {
                 m.deciders().iter().for_each(|&(i, _)| row(i));
             }
-            active.phi_changed[ji] = value;
             if support {
-                active.arcs.rebuild(ext, j, routing.row(j));
+                sweeps.rebuild(ext, j, routing.row(j));
             }
-            if value || active.flow_dirty[ji] {
-                flow_pass_active(ext, routing.row(j), j, state, ws, active.arcs.row(ji));
-                active.flow_ran[ji] = true;
-            }
+            flow_pass_active(ext, routing.row(j), j, state, ws, sweeps.row(j));
         }
 
-        // Totals: reduce (and bitwise-compare) only if any flow pass ran.
-        let any_flows = active
-            .dirty_list
-            .iter()
-            .any(|&ji| active.flow_ran[ji as usize]);
-        let totals_changed = any_flows
-            && reduce_usage_totals_tracked(
-                ext,
-                &mut state.f_edge,
-                &mut state.f_node,
-                &ws.f_edge_part,
-                &ws.f_node_part,
-                &mut active.prev_f_edge,
-                &mut active.prev_f_union,
-                active.force_totals,
-            );
-        let effective = totals_changed || active.force_totals;
-
-        // Phase B: refresh marginal rows for the next iteration — the
-        // values the dense step would compute at its next head.
-        for ji in 0..j_count {
-            if !(effective || active.phi_changed[ji]) {
-                continue;
-            }
-            let j = CommodityId::from_index(ji);
-            marginal_sweep_active(
-                ext,
-                cost,
-                routing.row(j),
-                state.usage_view(),
-                j,
-                &mut marginals.d[ext.member_range(j)],
-                active.arcs.row(ji),
-            );
-        }
-
-        sparse_carry_forward(active, effective, false);
+        reduce_usage_totals(ext, state, ws, *outside_write);
+        *outside_write = false;
+        // Phase B: the marginal rows the dense step computes at its next
+        // head.
+        sweeps.marginals_into(ext, cost, routing, state, marginals);
     }
 
     /// Current overall utility.
@@ -566,7 +524,6 @@ impl NewtonGradient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::step::bits_differ;
     use spn_model::random::RandomInstance;
 
     fn instance() -> Problem {
@@ -643,7 +600,7 @@ mod tests {
         assert!(alg.utility().is_finite());
     }
 
-    /// Invariant 17: the active-set Newton step reproduces the dense
+    /// Invariant 17: the sparse Newton step reproduces the dense
     /// reference trajectory bit-for-bit — fractions, flows, totals, and
     /// utility — across overload, midrange, and near-converged regimes.
     #[test]
@@ -688,9 +645,10 @@ mod tests {
                          (seed {seed}, scale {scale}): dense {a} sparse {b}"
                     );
                 }
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert!(
-                    !bits_differ(&dense.state.f_edge, &sparse.state.f_edge)
-                        && !bits_differ(&dense.state.f_node, &sparse.state.f_node),
+                    bits(&dense.state.f_edge) == bits(&sparse.state.f_edge)
+                        && bits(&dense.state.f_node) == bits(&sparse.state.f_node),
                     "usage totals diverged at iteration {it} (seed {seed}, scale {scale})"
                 );
                 assert_eq!(
@@ -703,14 +661,14 @@ mod tests {
     }
 
     /// Invariant 24 (a), Newton side: the sparse Newton step computes
-    /// rows for the deciders only, and on the step after an invalidation
-    /// for every router — so a pass-through row written from outside
-    /// (`1 − 5e-8`, `0.5`, `0.0`; installed the way
+    /// rows for the deciders only, and on the step after an outside
+    /// write for every router — so a pass-through row written from
+    /// outside (`1 − 5e-8`, `0.5`, `0.0`; installed the way
     /// `GradientAlgorithm::install_routing` does it: flows and marginals
-    /// re-derived, tracker invalidated) is back at exactly `1.0` after
-    /// one step, and dense ≡ sparse holds for 120 steps — fractions,
-    /// flows, totals, utility. Fails on a version without the
-    /// post-invalidation full walk.
+    /// re-derived, the outside write flagged) is back at exactly `1.0`
+    /// after one step, and dense ≡ sparse holds for 120 steps —
+    /// fractions, flows, totals, utility. Fails on a version without the
+    /// post-write full walk.
     #[test]
     fn perturbed_pass_through_rows_heal_on_the_invalidated_step() {
         let p = RandomInstance::builder()
@@ -755,7 +713,8 @@ mod tests {
             }
             alg.state = compute_flows(&alg.ext, &alg.routing);
             alg.marginals = compute_marginals(&alg.ext, &alg.cost, &alg.routing, &alg.state);
-            alg.active.invalidate();
+            alg.outside_write = true;
+            alg.sweeps.mark_all_stale();
         };
         for value in [1.0 - 5e-8, 0.5, 0.0] {
             let (mut dense, mut sparse) = (warm_dense.clone(), warm_sparse.clone());
@@ -781,54 +740,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The point of routing Newton through the active-set engine: once
-    /// the trajectory reaches a fixpoint the dirty set drains to empty
-    /// (no re-densification), and steps keep reproducing the same
-    /// fractions.
-    #[test]
-    fn sparse_newton_drains_dirty_set_at_fixpoint() {
-        use spn_model::builder::ProblemBuilder;
-        use spn_model::UtilityFn;
-        // A single-path chain: every router has one out-edge, so the
-        // Newton rule reproduces φ bit-for-bit from the first step and
-        // the chain must go clean immediately after.
-        let mut b = ProblemBuilder::new();
-        let s = b.server(10.0);
-        let x = b.server(10.0);
-        let t = b.server(10.0);
-        let e1 = b.link(s, x, 5.0);
-        let e2 = b.link(x, t, 5.0);
-        let j = b.commodity(s, t, 2.0, UtilityFn::throughput());
-        b.uses(j, e1, 1.0, 1.0).uses(j, e2, 1.0, 1.0);
-        let p = b.build().unwrap();
-        let mut alg = NewtonGradient::new(&p, GradientConfig::default(), 1e-6).unwrap();
-        // The interior routers are single-path, but the dummy source
-        // keeps shifting admission mass until it reaches its corner —
-        // step until one iteration reproduces every fraction bit-for-bit.
-        let mut reached = false;
-        for _ in 0..2000 {
-            let before: Vec<u64> = alg.routing.flat().iter().map(|f| f.to_bits()).collect();
-            alg.step();
-            let after: Vec<u64> = alg.routing.flat().iter().map(|f| f.to_bits()).collect();
-            if before == after {
-                reached = true;
-                break;
-            }
-        }
-        assert!(reached, "chain instance never reached a Newton fixpoint");
-        // A bit-reproducing step with unchanged totals must drain the
-        // dirty set: the very next iteration runs no chains at all.
-        assert!(
-            alg.active.chain_dirty.iter().all(|&d| !d),
-            "dirty set not drained after a bit-identical step"
-        );
-        let before: Vec<u64> = alg.routing.flat().iter().map(|f| f.to_bits()).collect();
-        alg.step();
-        assert!(alg.active.dirty_list.is_empty());
-        let after: Vec<u64> = alg.routing.flat().iter().map(|f| f.to_bits()).collect();
-        assert_eq!(before, after);
-        assert!(alg.utility() > 0.0);
     }
 }

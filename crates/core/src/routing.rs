@@ -302,41 +302,28 @@ fn row_mass(row: &[(EdgeId, f64)]) -> f64 {
     total
 }
 
-/// Change-tracking variant of [`apply_row`] for the active-set engine.
-/// Requires `row` to cover every out-edge of the router (all Γ row
-/// producers do), so no zero-fill pass is needed: each entry is compared
-/// bitwise against the stored fraction and written only when it differs.
-///
-/// Returns `(value_changed, support_changed)` — whether any fraction's
-/// bits changed, and whether any fraction crossed zero (the live-arc
-/// sub-list must be rebuilt).
+/// [`apply_row`] for rows that cover every out-edge of the router (all
+/// Γ row producers' rows do), so no zero-fill pass is needed; returns
+/// whether any fraction crossed zero (the commodity's live-arc row must
+/// be rebuilt).
 ///
 /// # Panics
 ///
 /// Panics if the total mass is not positive.
-pub(crate) fn apply_row_tracked(
-    phi: &[Cell<f64>],
-    out: &[EdgeId],
-    row: &[(EdgeId, f64)],
-) -> (bool, bool) {
+pub(crate) fn apply_row_support(phi: &[Cell<f64>], out: &[EdgeId], row: &[(EdgeId, f64)]) -> bool {
     debug_assert_eq!(
         row.len(),
         out.len(),
-        "tracked rows must cover every out-edge of the router"
+        "rows must cover every out-edge of the router"
     );
     let total = row_mass(row);
-    let mut value_changed = false;
     let mut support_changed = false;
     for &(l, f) in row {
         let new = f.max(0.0) / total;
-        let old = phi[l.index()].get();
-        if old.to_bits() != new.to_bits() {
-            value_changed = true;
-            support_changed |= (old != 0.0) != (new != 0.0);
-            phi[l.index()].set(new);
-        }
+        support_changed |= (phi[l.index()].get() != 0.0) != (new != 0.0);
+        phi[l.index()].set(new);
     }
-    (value_changed, support_changed)
+    support_changed
 }
 
 #[cfg(test)]

@@ -113,13 +113,11 @@ impl IterationWorkspace {
         ws
     }
 
-    /// Sizes every buffer for `ext`; returns whether it had to re-size
-    /// (and so re-zeroed the persistent usage partials — first use, a
-    /// different network or a commodity-set reshape; the active-set
-    /// engine then invalidates every skip that relied on them). Same
-    /// structure is a cheap near-no-op returning `false`. Allocation-free
+    /// Sizes every buffer for `ext`, re-zeroing the usage partials on
+    /// first use, for a different network or after a commodity-set
+    /// reshape. Same structure is a cheap near-no-op. Allocation-free
     /// once the workspace has seen a network at least this large.
-    pub fn ensure(&mut self, ext: &ExtendedNetwork) -> bool {
+    pub fn ensure(&mut self, ext: &ExtendedNetwork) {
         // The chunk layout depends on per-commodity router counts, which
         // the key below cannot capture (two freshly built networks can
         // share the version and every count), so recompute it on every
@@ -139,7 +137,7 @@ impl IterationWorkspace {
         }
         let key = sizing_key(ext);
         if self.sized_for == Some(key) {
-            return false;
+            return;
         }
         let max_degree = ext
             .commodity_ids()
@@ -153,7 +151,6 @@ impl IterationWorkspace {
         self.f_node_part.resize(ext.member_total(), 0.0);
         self.lane.reserve(max_degree);
         self.sized_for = Some(key);
-        true
     }
 }
 
@@ -287,7 +284,12 @@ mod tests {
         // the key holds tells them apart
         assert_eq!(sizing_key(&a), sizing_key(&b));
         let mut ws = IterationWorkspace::new(&a);
-        assert!(!ws.ensure(&b), "same key: the warm buffers stay");
+        ws.f_edge_part.fill(7.0);
+        ws.ensure(&b);
+        assert!(
+            ws.f_edge_part.iter().all(|&x| x == 7.0),
+            "same key: the warm buffers stay"
+        );
         let fresh = IterationWorkspace::new(&b);
         assert_ne!(fresh.chunk_base, IterationWorkspace::new(&a).chunk_base);
         assert_eq!(ws.chunk_base, fresh.chunk_base);

@@ -11,11 +11,10 @@
 //!
 //! Node ids are **region-major**: all servers of region 0 come first,
 //! rack by rack, then region 1, and so on. Everything downstream keys
-//! off this — the per-commodity router lists and live-arc sub-lists the
-//! active-set engine walks are contiguous runs of nearby ids, so the
-//! dirty-chain walks of a tenant stay inside its home/sink regions'
-//! slice of every per-node buffer (see ARCHITECTURE, "Memory layout at
-//! scale").
+//! off this — the per-commodity router lists and live-arc rows the
+//! sparse engine walks are contiguous runs of nearby ids, so the
+//! chain walks of a tenant stay inside its home/sink regions' slice of
+//! every per-node buffer (see ARCHITECTURE, "Memory layout at scale").
 //!
 //! Generation is deterministic per seed and sized by the hierarchy
 //! (`regions × racks × servers`), so benches and tests can synthesize

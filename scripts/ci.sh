@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # The full local gate: formatting, lints as errors, the rustdoc link
 # check, every test, and the smoke runs:
-#  * bench_core --smoke gates the active-set engine: on the
+#  * bench_core --smoke gates the sparse engine: on the
 #    converged-regime 160-node case (demand x0.2, long warmup)
 #    sparsity=true must at least match the dense engine's
-#    iterations/sec — the sparse engine wins by skipping work;
+#    iterations/sec — the sparse engine wins by live-arc compaction
+#    (sweeps over the nonzero-fraction arcs, Γ over the deciders);
 #  * chaos_recovery --smoke is the seed-fixed chaos soak — a short run
 #    under message loss + staleness + two transient node failures that
 #    fails if any NaN escapes into iteration state, if an injected fault

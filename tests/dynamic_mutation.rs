@@ -1,11 +1,11 @@
 //! Dynamic-mutation hardening: mid-run demand and capacity edits
 //! through [`GradientAlgorithm::extended_mut`] must keep the sparse
-//! active-set engine bit-identical to the dense reference. Every edit
-//! invalidates cached activity (a rate change moves one commodity's
-//! offered load; a capacity change moves *every* commodity's shared
-//! barrier term), so this is the direct regression test that the
-//! invalidation hooks fire — a missed hook shows up as a one-ulp
-//! divergence within a few steps of the edit.
+//! engine bit-identical to the dense reference. A rate change moves one
+//! commodity's offered load; a capacity change moves *every*
+//! commodity's shared barrier term. The sparse step re-runs every
+//! commodity's chain against the edited network, so a sparse kernel
+//! that kept reading pre-edit state shows up as a one-ulp divergence
+//! within a few steps of the edit.
 
 use spn::core::{GradientAlgorithm, GradientConfig};
 use spn::graph::{EdgeId, NodeId};

@@ -1,15 +1,16 @@
-//! ARCHITECTURE invariant 14: the sparsity-aware active-set engine
+//! ARCHITECTURE invariant 14: the sparse engine
 //! (`GradientConfig::sparsity`) must produce **bit-identical** results
 //! to the dense reference engine — same routing tables, same flow
 //! state, same marginals, down to the last ulp, through every mid-run
 //! mutation (checkpoints restored, η backoff, capacity/demand edits).
 //!
-//! The engine earns its speedup by *skipping* work (quiescent
-//! commodity chains, zero-fraction arcs, unchanged marginal sweeps),
-//! and every skip is justified by an exact bitwise-unchanged-inputs
-//! argument — so any divergence at all, in any lane, is a soundness bug
-//! rather than a tolerance question. That is why these tests compare
-//! with `assert_eq!` on full state rather than norms.
+//! The engine earns its speedup by live-arc compaction: every commodity
+//! runs every phase on every step, but the sweeps walk only the arcs
+//! with a nonzero fraction and Γ only the routers with a choice. Each
+//! sparse kernel performs the dense kernel's float operations in the
+//! dense order — so any divergence at all, in any lane, is a soundness
+//! bug rather than a tolerance question. That is why these tests
+//! compare with `assert_eq!` on full state rather than norms.
 
 use spn::core::{Checkpoint, GradientAlgorithm, GradientConfig, StepStats};
 use spn::model::random::RandomInstance;
@@ -98,9 +99,9 @@ fn sparse_is_bit_identical_to_dense_across_instances() {
                  seed={seed} scale={scale})"
             );
             assert_eq!(dense.routing(), sparse.routing(), "routing diverged {ctx}");
-            // Step statistics feed `run_until_stable`; cached chunk
-            // stats of skipped commodities must reproduce the dense
-            // accumulation bit-for-bit too.
+            // Step statistics feed `run_until_stable`; the decider-only
+            // chunk folds must reproduce the dense accumulation over
+            // every router bit-for-bit too.
             assert_eq!(
                 sd.gamma.max_shift.to_bits(),
                 ss.gamma.max_shift.to_bits(),
@@ -154,9 +155,11 @@ fn sparse_matches_dense_through_annealing() {
 }
 
 /// Mid-run mutations: checkpoint/restore, η backoff, and
-/// capacity/demand jitter through `extended_mut`. Each one invalidates
-/// the active set; the sparse trajectory must stay glued to the dense
-/// one through all of them.
+/// capacity/demand jitter through `extended_mut`. A restore flags an
+/// outside write (one Γ over every router, one full-width totals
+/// reduction); the others change only the next step's inputs. The
+/// sparse trajectory must stay glued to the dense one through all of
+/// them.
 #[test]
 fn sparse_survives_midrun_mutations() {
     let problem = RandomInstance::builder()
@@ -203,16 +206,17 @@ fn sparse_survives_midrun_mutations() {
     assert_identical(&dense, &sparse, "after demand jitter");
 
     // Roll both back to their checkpoints: trajectories replay in lock
-    // step even though the sparse tracker's history is now meaningless.
+    // step even though the sparse live-arc rows describe the pre-restore
+    // routing until the next step rebuilds them.
     dense.restore(&ck_d).unwrap();
     sparse.restore(&ck_s).unwrap();
     run(&mut dense, &mut sparse, 50);
     assert_identical(&dense, &sparse, "after checkpoint restore");
 }
 
-/// The converged regime is where the active-set engine actually skips
-/// work (quiescent chains, unchanged totals) — a long run at low demand
-/// must stay bit-identical precisely where the skip logic is hottest.
+/// The converged regime is where the live-arc rows are shortest and Γ
+/// moves least (most rows reproduce their bits) — a long run at low
+/// demand must stay bit-identical there too.
 #[test]
 fn sparse_matches_dense_in_converged_regime() {
     let problem = RandomInstance::builder()
@@ -250,14 +254,20 @@ fn sparse_matches_dense_in_converged_regime() {
 /// choice. The sparse step runs Γ over each commodity's deciders and
 /// leaves its pass-throughs (one out-edge) alone, which is exact only
 /// because a pass-through's row is `[(l, 1.0)]` and the step after any
-/// invalidation walks every router. So perturb one carrying
+/// outside write walks every router. So perturb one carrying
 /// pass-through row per commodity from outside — through
 /// `install_routing` (`1 − 5e-8`, which passes `validate`) and through
 /// `Checkpoint::from_raw` + `restore` (`0.5`, `0.0`) — and hold dense ≡
 /// sparse, full state and `StepStats` bits, for 120 steps, with every
 /// perturbed row back at exactly `1.0` after the first. On a version
-/// without the post-invalidation full-Γ step the sparse engine keeps the
+/// without the post-write full-Γ step the sparse engine keeps the
 /// perturbed row and this fails at the first step.
+///
+/// The same step zeroes the node totals full width (invariant 22: the
+/// reduction otherwise zeroes the router union only). So also restore a
+/// checkpoint whose usage on a node outside every commodity's routers
+/// is poisoned (`7.5`, then `-0.0`): that entry must read `+0.0` on
+/// both engines from the first step on.
 #[test]
 fn perturbed_pass_through_rows_heal_on_the_invalidated_step() {
     let problem = RandomInstance::builder()
@@ -278,6 +288,12 @@ fn perturbed_pass_through_rows_heal_on_the_invalidated_step() {
     };
     let warm = build(false);
     let ext = warm.extended();
+    let union = ext.router_union();
+    let idle = ext
+        .graph()
+        .nodes()
+        .find(|v| union.binary_search(v).is_err())
+        .expect("the random family leaves idle nodes");
     // per commodity, the pass-through carrying the most traffic, and its
     // only out-edge
     let rows: Vec<_> = ext
@@ -318,18 +334,26 @@ fn perturbed_pass_through_rows_heal_on_the_invalidated_step() {
         )
     };
     let ck = warm.checkpoint();
-    let from_raw = |value: f64| {
+    // `warm`'s state with the pass-through rows at `row` or the idle
+    // node's usage at `idle_usage`
+    let from_raw = |row: Option<f64>, idle_usage: Option<f64>| {
         // φ is flat row-major, `[j·L + l]`
         let mut phi = ck.phi().to_vec();
-        for &(j, l) in &rows {
-            phi[j.index() * ext.graph().edge_count() + l.index()] = value;
+        if let Some(value) = row {
+            for &(j, l) in &rows {
+                phi[j.index() * ext.graph().edge_count() + l.index()] = value;
+            }
+        }
+        let mut f_node = ck.f_node().to_vec();
+        if let Some(z) = idle_usage {
+            f_node[idle.index()] = z;
         }
         Checkpoint::from_raw(
             phi,
             ck.t().to_vec(),
             ck.x().to_vec(),
             ck.f_edge().to_vec(),
-            ck.f_node().to_vec(),
+            f_node,
             ck.d().to_vec(),
             ck.iterations(),
             ck.epsilon(),
@@ -337,17 +361,30 @@ fn perturbed_pass_through_rows_heal_on_the_invalidated_step() {
             ck.epoch(),
         )
     };
-    for (how, value) in [("install", 1.0 - 5e-8), ("restore", 0.5), ("restore", 0.0)] {
+    for (how, value) in [
+        ("install", 1.0 - 5e-8),
+        ("restore", 0.5),
+        ("restore", 0.0),
+        ("idle usage", 7.5),
+        ("idle usage", -0.0),
+    ] {
         let (mut dense, mut sparse) = (build(false), build(true));
-        if how == "install" {
-            perturbed(value)
-                .validate(ext)
-                .expect("within the tolerance");
-            dense.install_routing(perturbed(value));
-            sparse.install_routing(perturbed(value));
-        } else {
-            dense.restore(&from_raw(value)).unwrap();
-            sparse.restore(&from_raw(value)).unwrap();
+        match how {
+            "install" => {
+                perturbed(value)
+                    .validate(ext)
+                    .expect("within the tolerance");
+                dense.install_routing(perturbed(value));
+                sparse.install_routing(perturbed(value));
+            }
+            "restore" => {
+                dense.restore(&from_raw(Some(value), None)).unwrap();
+                sparse.restore(&from_raw(Some(value), None)).unwrap();
+            }
+            _ => {
+                dense.restore(&from_raw(None, Some(value))).unwrap();
+                sparse.restore(&from_raw(None, Some(value))).unwrap();
+            }
         }
         for it in 0..120 {
             let ctx = format!("{how} {value} at iteration {it}");
@@ -362,6 +399,13 @@ fn perturbed_pass_through_rows_heal_on_the_invalidated_step() {
                     sparse.routing().fraction(j, l).to_bits(),
                     1.0f64.to_bits(),
                     "pass-through row of {j} not reset: {ctx}"
+                );
+            }
+            for alg in [&dense, &sparse] {
+                assert_eq!(
+                    alg.flows().node_usage(idle).to_bits(),
+                    0.0f64.to_bits(),
+                    "usage of idle node {idle} not reset: {ctx}"
                 );
             }
         }
@@ -416,7 +460,7 @@ fn thread_knobs_are_inert() {
     }
 }
 
-/// Clones must carry the activity tracker: a clone of a warm sparse
+/// Clones must carry the live-arc table: a clone of a warm sparse
 /// algorithm continues the trajectory bit-for-bit.
 #[test]
 fn cloned_sparse_algorithm_continues_identically() {

@@ -1,5 +1,5 @@
 //! The steady-state `GradientAlgorithm::step()` performs **zero heap
-//! allocation** — on the dense reference path and on the active-set
+//! allocation** — on the dense reference path and on the sparse
 //! engine: every buffer the iteration touches is owned by the
 //! algorithm (flow state, marginals, tags) or its
 //! [`IterationWorkspace`] and only resized, never rebuilt. Verified
@@ -128,13 +128,13 @@ fn steady_state_step_is_allocation_free() {
     );
     assert!(alg.report().utility > 0.0);
 
-    // The active-set engine (ARCHITECTURE invariant 15): once its
-    // buffers are sized by the first sparse step, all active-set
-    // maintenance — dirty-list compaction, live-arc row rebuilds after
-    // support changes, the bitwise totals comparison — reuses
-    // preallocated storage. The window includes a restore (which
-    // invalidates the tracker and forces dense-rebuild iterations —
-    // those must be allocation-free too).
+    // The sparse engine (ARCHITECTURE invariant 15): once its buffers
+    // are sized by the first sparse step, live-arc row rebuilds after
+    // support changes and the totals reduction reuse preallocated
+    // storage. The window includes a restore (which flags an outside
+    // write: every live-arc row rebuilt, Γ over every router, the node
+    // totals zeroed full width — that step must be allocation-free
+    // too).
     let mut sparse = GradientAlgorithm::new(&problem, GradientConfig::default()).unwrap();
     for _ in 0..10 {
         sparse.step();
@@ -153,7 +153,7 @@ fn steady_state_step_is_allocation_free() {
     let stray = allocations_in("sparse restore cycle", || {
         for _ in 0..10 {
             sparse.restore(&ck).expect("shapes match");
-            sparse.step(); // post-invalidation dense rebuild iteration
+            sparse.step(); // full walk after the outside write
             sparse.step(); // warm sparse iteration
         }
     });
