@@ -1,14 +1,13 @@
 //! Core iteration-throughput baseline: measures steady-state
 //! `GradientAlgorithm::step()` rates (iterations/second) on the paper
 //! instance and scaled instances, plus a *converged-regime* suite
-//! (demand scaled to 0.2, long warmup) comparing the dense engine to
-//! the sparse live-arc engine (`GradientConfig::sparsity`),
-//! and writes the results (with the pre-refactor baseline embedded for
-//! the speedup column) to `BENCH_core.json` in the current directory. A
-//! scale-tier curve (hierarchical 1k/10k/50k/100k-node instances from
-//! `spn_model::hierarchy`, converged regime) records the p50
-//! per-iteration time of the dense and sparse engines at each size;
-//! every JSON case carries its instance shape (nodes, commodities,
+//! (demand scaled to 0.2, long warmup, where the live-arc rows are
+//! shortest), and writes the results (with the pre-refactor baseline
+//! embedded for the speedup column) to `BENCH_core.json` in the current
+//! directory. A scale-tier curve (hierarchical 1k/10k/50k/100k-node
+//! instances from `spn_model::hierarchy`, converged regime) records the
+//! p50 per-iteration time at each size; every JSON case carries its
+//! instance shape (nodes, commodities,
 //! physical/extended edge counts, seed) so rows are reproducible
 //! instances, not anonymous points.
 //!
@@ -17,9 +16,9 @@
 //! captures jitter, not just the best-window average.
 //!
 //! The step has one schedule, so nothing here depends on the host's
-//! core count: the dense-vs-sparse comparison measures live-arc
-//! compaction (sweeps over the nonzero-fraction arcs, Γ over the routers
-//! with a choice), not parallelism.
+//! core count. What live-arc compaction saves over a dense replay of the
+//! same step is the benchmark's `core.step.sweeps_over_step` layer
+//! metric (`benchmark/`).
 //!
 //! The mesh-wire suite measures bytes on the wire per mesh iteration —
 //! the delta-encoded coalesced wire (`refresh_every = 16`) against the
@@ -37,12 +36,10 @@
 //! converge from the fully-rejecting start. Both paths are timed to
 //! 99% of the settled full-set utility.
 //!
-//! `bench_core --smoke` runs a fast subset (short measurement windows,
-//! no JSON write) and exits non-zero if the sparse engine falls
-//! below the dense engine on the converged 160-node case, or if
-//! incremental admission is not at least 1.2x faster than the rebuild
-//! path — the CI guards against regressing the sparse hot path and
-//! against the incremental reshape degrading into a hidden rebuild.
+//! `bench_core --smoke` runs the admission suite alone (no JSON write)
+//! and exits non-zero if incremental admission is not at least 1.2x
+//! faster than the rebuild path — the CI guard against the incremental
+//! reshape degrading into a hidden rebuild.
 //!
 //! Run via `scripts/bench.sh` (release build) from the repository root.
 
@@ -91,12 +88,6 @@ const FULL: Timing = Timing {
     repeats: 3,
 };
 
-const SMOKE: Timing = Timing {
-    warmup_iters: 20,
-    min_measure_secs: 0.05,
-    repeats: 2,
-};
-
 const BATCH: usize = 16;
 
 /// One measured configuration: best-window throughput plus the p50/p95
@@ -105,6 +96,19 @@ struct Measurement {
     iters_per_sec: f64,
     p50_iter_us: f64,
     p95_iter_us: f64,
+}
+
+impl Measurement {
+    /// The rate and spread keys of a JSON case object (its last keys).
+    fn write_json(&self, json: &mut String, indent: &str) {
+        let _ = writeln!(
+            json,
+            "{indent}\"iters_per_sec\": {:.1},",
+            self.iters_per_sec
+        );
+        let _ = writeln!(json, "{indent}\"p50_iter_us\": {:.2},", self.p50_iter_us);
+        let _ = writeln!(json, "{indent}\"p95_iter_us\": {:.2}", self.p95_iter_us);
+    }
 }
 
 /// Steps a warmed algorithm through `timing.repeats` measurement
@@ -151,20 +155,11 @@ fn measure_case(nodes: usize, commodities: usize, timing: &Timing) -> Measuremen
     measure_warm(&mut alg, timing)
 }
 
-/// Converged-regime measurement: low demand, long warmup, dense or
-/// sparse engine.
-fn measure_converged(
-    nodes: usize,
-    commodities: usize,
-    sparsity: bool,
-    timing: &Timing,
-) -> Measurement {
+/// Converged-regime measurement: low demand, long warmup.
+fn measure_converged(nodes: usize, commodities: usize, timing: &Timing) -> Measurement {
     let problem = small_instance(1, nodes, commodities).scale_demand(CONVERGED_SCALE);
-    let cfg = GradientConfig {
-        sparsity,
-        ..GradientConfig::default()
-    };
-    let mut alg = GradientAlgorithm::new(&problem, cfg).expect("valid config");
+    let mut alg =
+        GradientAlgorithm::new(&problem, GradientConfig::default()).expect("valid config");
     for _ in 0..CONVERGED_WARMUP {
         alg.step();
     }
@@ -185,13 +180,9 @@ const SCALE_CASES: &[(usize, usize, usize, usize)] = &[
 /// Seed for every scale-curve instance.
 const SCALE_SEED: u64 = 42;
 
-/// Warmup before measuring a scale case. The dense engine's
-/// per-iteration cost is warmup-insensitive (it recomputes everything
-/// each step), so it gets a short settle; the sparse engine is
-/// measured after the routing has actually converged — the regime the
-/// scale tier targets.
-const SCALE_WARMUP_DENSE: usize = 100;
-const SCALE_WARMUP_SPARSE: usize = 400;
+/// Warmup before measuring a scale case: the routing has converged by
+/// then — the regime the scale tier targets.
+const SCALE_WARMUP: usize = 400;
 
 /// Instance shape recorded next to every measurement — enough to
 /// regenerate the exact instance (generator + seed) and to normalize
@@ -231,11 +222,9 @@ impl InstanceShape {
     }
 }
 
-/// One scale-curve measurement: converged-regime demand, dense vs
-/// sparse engine on the same generated instance.
+/// One scale-curve measurement at converged-regime demand.
 fn measure_scale(
     case: (usize, usize, usize, usize),
-    sparsity: bool,
     timing: &Timing,
 ) -> (InstanceShape, Measurement) {
     let (regions, racks, servers, commodities) = case;
@@ -249,17 +238,9 @@ fn measure_scale(
         .expect("scale-curve instance generates");
     let shape = InstanceShape::of(&inst.problem, SCALE_SEED);
     let problem = inst.problem.scale_demand(CONVERGED_SCALE);
-    let cfg = GradientConfig {
-        sparsity,
-        ..GradientConfig::default()
-    };
-    let mut alg = GradientAlgorithm::new(&problem, cfg).expect("valid config");
-    let warmup = if sparsity {
-        SCALE_WARMUP_SPARSE
-    } else {
-        SCALE_WARMUP_DENSE
-    };
-    for _ in 0..warmup {
+    let mut alg =
+        GradientAlgorithm::new(&problem, GradientConfig::default()).expect("valid config");
+    for _ in 0..SCALE_WARMUP {
         alg.step();
     }
     (shape, measure_warm(&mut alg, timing))
@@ -426,22 +407,6 @@ fn measure_admission(prep_iters: usize, cap: usize, repeats: usize) -> Admission
 
 fn smoke() {
     let mut failed = false;
-    // Converged-regime gate: on the 160-node case the sparse engine must
-    // at least match the dense engine — it wins by live-arc compaction.
-    let (nodes, commodities) = (160, 16);
-    let dense = measure_converged(nodes, commodities, false, &SMOKE).iters_per_sec;
-    let sparse = measure_converged(nodes, commodities, true, &SMOKE).iters_per_sec;
-    let ratio = sparse / dense;
-    println!("# smoke-converged\tnodes\tcommodities\tdense\tsparse\tsparse/dense");
-    println!("smoke-converged\t{nodes}\t{commodities}\t{dense:.1}\t{sparse:.1}\t{ratio:.2}");
-    if ratio < 1.0 {
-        eprintln!(
-            "FAIL: sparse (live-arc) engine is {:.0}% of dense on the converged \
-             {nodes}-node case (floor is 100%)",
-            ratio * 100.0
-        );
-        failed = true;
-    }
     // Online-admission gate: admitting the 32nd commodity into a
     // converged 400-node run must beat rebuilding the extended network
     // and re-converging from scratch, measured as time to 99% of the
@@ -515,8 +480,8 @@ fn main() {
     }
     json.push_str("  ],\n");
 
-    // Converged-regime suite: dense vs sparse engine after a long
-    // settling run at low demand.
+    // Converged-regime suite: throughput after a long settling run at
+    // low demand.
     let _ = writeln!(json, "  \"converged_demand_scale\": {CONVERGED_SCALE},");
     let _ = writeln!(
         json,
@@ -524,131 +489,38 @@ fn main() {
     );
     json.push_str("  \"converged_cases\": [\n");
     println!("# converged (demand x{CONVERGED_SCALE}, warmup {CONVERGED_WARMUP})");
-    println!("# nodes\tcommodities\tengine\titers_per_sec\tp50_us\tp95_us\tsparse/dense");
+    println!("# nodes\tcommodities\titers_per_sec\tp50_us\tp95_us");
     for (ci, &(nodes, commodities, _)) in CASES.iter().enumerate() {
-        let dense = measure_converged(nodes, commodities, false, &FULL);
-        let sparse = measure_converged(nodes, commodities, true, &FULL);
-        let ratio = sparse.iters_per_sec / dense.iters_per_sec;
+        let m = measure_converged(nodes, commodities, &FULL);
         println!(
-            "{nodes}\t{commodities}\tdense\t{:.1}\t{:.2}\t{:.2}\t-",
-            dense.iters_per_sec, dense.p50_iter_us, dense.p95_iter_us
-        );
-        println!(
-            "{nodes}\t{commodities}\tsparse\t{:.1}\t{:.2}\t{:.2}\t{ratio:.2}",
-            sparse.iters_per_sec, sparse.p50_iter_us, sparse.p95_iter_us
+            "{nodes}\t{commodities}\t{:.1}\t{:.2}\t{:.2}",
+            m.iters_per_sec, m.p50_iter_us, m.p95_iter_us
         );
         let shape = InstanceShape::of(&small_instance(1, nodes, commodities), 1);
         let _ = writeln!(json, "    {{");
         shape.write_json(&mut json, "      ");
-        let _ = writeln!(
-            json,
-            "      \"dense_iters_per_sec\": {:.1},",
-            dense.iters_per_sec
-        );
-        let _ = writeln!(
-            json,
-            "      \"dense_p50_iter_us\": {:.2},",
-            dense.p50_iter_us
-        );
-        let _ = writeln!(
-            json,
-            "      \"dense_p95_iter_us\": {:.2},",
-            dense.p95_iter_us
-        );
-        let _ = writeln!(
-            json,
-            "      \"sparse_iters_per_sec\": {:.1},",
-            sparse.iters_per_sec
-        );
-        let _ = writeln!(
-            json,
-            "      \"sparse_p50_iter_us\": {:.2},",
-            sparse.p50_iter_us
-        );
-        let _ = writeln!(
-            json,
-            "      \"sparse_p95_iter_us\": {:.2},",
-            sparse.p95_iter_us
-        );
-        let _ = writeln!(json, "      \"sparse_speedup\": {ratio:.3}");
+        m.write_json(&mut json, "      ");
         let comma = if ci + 1 < CASES.len() { "," } else { "" };
         let _ = writeln!(json, "    }}{comma}");
     }
     json.push_str("  ],\n");
 
     // Scale-tier curve: hierarchical 1k–100k-node instances, converged
-    // regime; p50 per-iteration time dense vs sparse engine. This is the memory-layout overhaul's report card — the
-    // sparse engine must win (or tie) at every size.
+    // regime; p50 per-iteration time at each size.
     let _ = writeln!(json, "  \"scale_seed\": {SCALE_SEED},");
-    let _ = writeln!(
-        json,
-        "  \"scale_warmup_iterations\": {{ \"dense\": {SCALE_WARMUP_DENSE}, \
-         \"sparse\": {SCALE_WARMUP_SPARSE} }},"
-    );
+    let _ = writeln!(json, "  \"scale_warmup_iterations\": {SCALE_WARMUP},");
     json.push_str("  \"scale_curve\": [\n");
     println!("# scale curve (hierarchical, demand x{CONVERGED_SCALE}, seed {SCALE_SEED})");
-    println!("# nodes\tcommodities\tengine\titers_per_sec\tp50_us\tp95_us\tsparse/dense_p50");
+    println!("# nodes\tcommodities\titers_per_sec\tp50_us\tp95_us");
     for (ci, &case) in SCALE_CASES.iter().enumerate() {
-        let (shape, dense) = measure_scale(case, false, &FULL);
-        let (_, sparse) = measure_scale(case, true, &FULL);
-        // Per-iteration p50 ratio: < 1.0 means sparse iterations are
-        // faster. (Throughput ratios are reported too, but p50 is the
-        // curve the scale tier is judged on.)
-        let p50_ratio = sparse.p50_iter_us / dense.p50_iter_us;
+        let (shape, m) = measure_scale(case, &FULL);
         println!(
-            "{}\t{}\tdense\t{:.1}\t{:.2}\t{:.2}\t-",
-            shape.nodes,
-            shape.commodities,
-            dense.iters_per_sec,
-            dense.p50_iter_us,
-            dense.p95_iter_us
-        );
-        println!(
-            "{}\t{}\tsparse\t{:.1}\t{:.2}\t{:.2}\t{p50_ratio:.3}",
-            shape.nodes,
-            shape.commodities,
-            sparse.iters_per_sec,
-            sparse.p50_iter_us,
-            sparse.p95_iter_us
+            "{}\t{}\t{:.1}\t{:.2}\t{:.2}",
+            shape.nodes, shape.commodities, m.iters_per_sec, m.p50_iter_us, m.p95_iter_us
         );
         let _ = writeln!(json, "    {{");
         shape.write_json(&mut json, "      ");
-        let _ = writeln!(
-            json,
-            "      \"dense_iters_per_sec\": {:.1},",
-            dense.iters_per_sec
-        );
-        let _ = writeln!(
-            json,
-            "      \"dense_p50_iter_us\": {:.2},",
-            dense.p50_iter_us
-        );
-        let _ = writeln!(
-            json,
-            "      \"dense_p95_iter_us\": {:.2},",
-            dense.p95_iter_us
-        );
-        let _ = writeln!(
-            json,
-            "      \"sparse_iters_per_sec\": {:.1},",
-            sparse.iters_per_sec
-        );
-        let _ = writeln!(
-            json,
-            "      \"sparse_p50_iter_us\": {:.2},",
-            sparse.p50_iter_us
-        );
-        let _ = writeln!(
-            json,
-            "      \"sparse_p95_iter_us\": {:.2},",
-            sparse.p95_iter_us
-        );
-        let _ = writeln!(json, "      \"sparse_over_dense_p50\": {p50_ratio:.4},");
-        let _ = writeln!(
-            json,
-            "      \"sparse_speedup\": {:.3}",
-            sparse.iters_per_sec / dense.iters_per_sec
-        );
+        m.write_json(&mut json, "      ");
         let comma = if ci + 1 < SCALE_CASES.len() { "," } else { "" };
         let _ = writeln!(json, "    }}{comma}");
     }

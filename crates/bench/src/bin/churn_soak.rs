@@ -1,28 +1,30 @@
 //! Admission-churn soak: seeded commodity arrivals and departures over
-//! a live gradient run, dense and sparse engines in lockstep.
+//! a live gradient run.
 //!
-//! Two [`spn_sim::ChurnProcess`]es share a seed — one runs the dense
-//! engine, the other the sparse live-arc engine — so both
-//! replay the same arrival/departure sequence while the commodity set
-//! keeps reshaping online (no extended-network rebuilds). The soak
-//! fails if
+//! A [`spn_sim::ChurnProcess`] keeps reshaping the commodity set online
+//! (no extended-network rebuilds) while the run steps. Every check
+//! period the soak fails if
 //!
-//! * total utility ever goes non-finite (a reshape leaked a NaN or an
-//!   unseeded buffer into iteration state),
-//! * the engines' event logs diverge (a reshape perturbed the
-//!   trajectory the decisions are drawn against), or
-//! * the final routing tables or utilities differ in a single bit —
-//!   the dense/sparse equivalence invariant must survive arbitrary
-//!   interleavings of admits and evicts.
+//! * total utility goes non-finite (a reshape leaked a NaN or an
+//!   unseeded buffer into iteration state), or
+//! * the state breaks one of ARCHITECTURE invariants 1–3: a routing row
+//!   off the simplex ([`RoutingTable::validate`]), a routing loop
+//!   ([`RoutingTable::is_loop_free`]), or flows out of balance with the
+//!   routing by more than `1e-9` ([`balance_residual`]).
 //!
-//! `--smoke` runs the CI-sized soak (500 iterations); the default run
-//! is longer. Checks happen every churn period, not just at the end.
+//! That every step equals its dense kernel replay under churn is pinned
+//! by `tests/admission_churn.rs`. `--smoke` runs the CI-sized soak (500
+//! iterations); the default run is longer.
+//!
+//! [`RoutingTable::validate`]: spn_core::RoutingTable::validate
+//! [`RoutingTable::is_loop_free`]: spn_core::RoutingTable::is_loop_free
 
 use spn_bench::small_instance;
+use spn_core::flows::balance_residual;
 use spn_core::{GradientAlgorithm, GradientConfig};
 use spn_sim::{ChurnConfig, ChurnProcess};
 
-/// Churn plan shared by both engines.
+/// Churn plan.
 const CHURN: ChurnConfig = ChurnConfig {
     seed: 0xD1CE,
     arrival_probability: 0.3,
@@ -30,67 +32,56 @@ const CHURN: ChurnConfig = ChurnConfig {
     period: 10,
 };
 
-/// Iterations between cross-engine checks (a multiple of the churn
-/// period, so both processes sit at the same decision index when
-/// compared).
+/// Iterations between invariant checks.
 const CHECK_EVERY: usize = 100;
 
-fn process(sparsity: bool) -> ChurnProcess {
-    let problem = small_instance(1, 40, 6);
-    let cfg = GradientConfig {
-        sparsity,
-        ..GradientConfig::default()
-    };
-    let alg = GradientAlgorithm::new(&problem, cfg).expect("valid config");
-    ChurnProcess::new(alg, CHURN)
+/// Largest flow-balance residual (eq. (3)) the soak accepts.
+const BALANCE_TOLERANCE: f64 = 1e-9;
+
+/// The first of invariants 1–3 that `alg` breaks, if any.
+fn broken_invariant(alg: &GradientAlgorithm) -> Option<String> {
+    let (ext, routing) = (alg.extended(), alg.routing());
+    if let Err(e) = routing.validate(ext) {
+        return Some(format!("invariant 1 (φ-simplex): {e}"));
+    }
+    if !routing.is_loop_free(ext) {
+        return Some("invariant 2 (loop freedom): a routing loop".into());
+    }
+    let residual = balance_residual(ext, routing, alg.flows());
+    (residual > BALANCE_TOLERANCE)
+        .then(|| format!("invariant 3 (flow balance): residual {residual:e}"))
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let iterations = if smoke { 500 } else { 2000 };
-    let mut dense = process(false);
-    let mut sparse = process(true);
+    let alg = GradientAlgorithm::new(&small_instance(1, 40, 6), GradientConfig::default())
+        .expect("valid config");
+    let mut process = ChurnProcess::new(alg, CHURN);
     let mut failed = false;
     let (mut arrivals, mut departures) = (0, 0);
-    println!("# churn_soak\titerations\tlive\tparked\tutility_dense\tutility_sparse");
+    println!("# churn_soak\titerations\tlive\tparked\tutility");
     let mut done = 0;
     while done < iterations {
         let chunk = CHECK_EVERY.min(iterations - done);
-        let rd = dense.run(chunk);
-        let rs = sparse.run(chunk);
+        let r = process.run(chunk);
         done += chunk;
-        arrivals += rd.arrivals;
-        departures += rd.departures;
+        arrivals += r.arrivals;
+        departures += r.departures;
         println!(
-            "churn_soak\t{done}\t{}\t{}\t{:.6}\t{:.6}",
-            rd.live, rd.parked, rd.utility, rs.utility
+            "churn_soak\t{done}\t{}\t{}\t{:.6}",
+            r.live, r.parked, r.utility
         );
-        if !rd.utility.is_finite() || !rs.utility.is_finite() {
-            eprintln!(
-                "FAIL: non-finite utility at iteration {done}: dense {} sparse {}",
-                rd.utility, rs.utility
-            );
+        if !r.utility.is_finite() {
+            eprintln!("FAIL: non-finite utility {} at iteration {done}", r.utility);
             failed = true;
             break;
         }
-        if dense.events() != sparse.events() {
-            eprintln!("FAIL: engines drew different churn events by iteration {done}");
+        if let Some(broken) = broken_invariant(process.algorithm()) {
+            eprintln!("FAIL: {broken} at iteration {done}");
             failed = true;
             break;
         }
-        if rd.utility.to_bits() != rs.utility.to_bits() {
-            eprintln!(
-                "FAIL: dense/sparse utilities diverged at iteration {done}: \
-                 {} vs {}",
-                rd.utility, rs.utility
-            );
-            failed = true;
-            break;
-        }
-    }
-    if dense.algorithm().routing() != sparse.algorithm().routing() {
-        eprintln!("FAIL: dense/sparse routing tables differ after the soak");
-        failed = true;
     }
     if arrivals == 0 || departures == 0 {
         eprintln!(
@@ -102,6 +93,7 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
+    let epoch = process.algorithm().epoch();
     // With churn stopped, the run should settle like any static
     // instance — reported (not gated) so a drifting post-churn
     // equilibrium is visible in CI logs. On a single-core smoke host
@@ -116,7 +108,7 @@ fn main() {
              dominates the smoke budget"
         );
     } else {
-        let outcome = dense
+        let outcome = process
             .into_algorithm()
             .run_until_stable(1e-9, if smoke { 2_000 } else { 10_000 });
         println!(
@@ -126,7 +118,6 @@ fn main() {
     }
     eprintln!(
         "churn_soak: ok ({iterations} iterations, {arrivals} arrivals, \
-         {departures} departures, epoch {})",
-        sparse.algorithm().epoch()
+         {departures} departures, epoch {epoch}, invariants 1-3 held at every check)"
     );
 }

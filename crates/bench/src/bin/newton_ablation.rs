@@ -9,17 +9,7 @@
 //! Usage: `newton_ablation [seed] [iters]`
 
 use spn_bench::{fmt_opt, lp_optimum, paper_instance};
-use spn_core::flows::compute_flows;
 use spn_core::{GradientAlgorithm, GradientConfig, NewtonGradient};
-
-fn newton_max_util(alg: &NewtonGradient) -> f64 {
-    let ext = alg.extended();
-    let state = compute_flows(ext, alg.routing());
-    ext.graph()
-        .nodes()
-        .map(|v| ext.capacity(v).utilization(state.node_usage(v)))
-        .fold(0.0, f64::max)
-}
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -81,12 +71,13 @@ fn main() {
                 it95 = Some(i + 1);
             }
         }
+        let r = alg.report();
         println!(
             "newton_damping={damping}_floor={floor}\t{}\t{}\t{:.4}\t{:.4}",
             fmt_opt(it90),
             fmt_opt(it95),
-            alg.utility() / optimum,
-            newton_max_util(&alg)
+            r.utility / optimum,
+            r.max_utilization
         );
     }
 }

@@ -218,7 +218,7 @@ fn main() {
             .extend(std::iter::repeat_n(10.0, PADDING));
         spec.into_problem().expect("isolated servers are valid")
     };
-    let cfg = GradientConfig::default(); // sparsity defaults on
+    let cfg = GradientConfig::default();
     let (mut plain, plain_bytes) =
         retained(|| GradientAlgorithm::new(&problem, cfg).expect("valid config"));
     let (mut padded, padded_bytes) =

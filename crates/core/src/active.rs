@@ -1,12 +1,12 @@
-//! Live-arc compaction: the sparse iteration engine's sweeps
-//! (`GradientConfig::sparsity`) and the region mesh's.
+//! Live-arc compaction: the sweeps of the step and of the region mesh.
 //!
 //! Γ drives most routing fractions to exactly zero, and every dense
 //! sweep skips a zero-fraction arc. A commodity's *live arcs* are its
 //! arcs with `φ ≠ 0`, listed per topo router in CSR sub-order; a sweep
 //! over that list performs the dense sweep's float operations in the
 //! dense order over a fraction of the memory, so it is bit-identical to
-//! the dense sweep (ARCHITECTURE invariants 14 and 17).
+//! the dense sweep (ARCHITECTURE invariants 14 and 17: the step equals
+//! one dense kernel replay of its pre-step state).
 //!
 //! [`LiveArcSweeps`] owns the table. It is sized once per commodity
 //! *structure* — the sizing key is
@@ -15,7 +15,7 @@
 //! every per-commodity extent — and maintenance afterwards is
 //! allocation-free (ARCHITECTURE invariant 15). A row is rebuilt only
 //! when its routing row's *support* (which fractions are nonzero)
-//! changes: the sparse steps rebuild on Γ's support flag, other writers
+//! changes: the step rebuilds on its row rule's support flag, other writers
 //! mark the row stale. Every commodity runs every sweep on every call;
 //! nothing is skipped but the zero-fraction arcs.
 
@@ -58,8 +58,8 @@ impl<'a> LiveRow<'a> {
 /// commodity and is bit-identical to its dense counterpart
 /// ([`compute_marginals_into`], [`compute_tags_into`],
 /// [`compute_flows_into`]) over the live arcs instead of every member
-/// arc. The sparse gradient and Newton steps use the same table with
-/// their own per-commodity schedule.
+/// arc. The step (`crate::step`) uses the same table with its own
+/// per-commodity schedule, for either row rule.
 ///
 /// **Staleness contract.** The live-arc table is derived from the
 /// routing table's *support* — which fractions are nonzero — not from

@@ -20,15 +20,15 @@
 //! crate and produces bit-identical routing tables (tested there).
 
 use crate::active::LiveArcSweeps;
-use crate::blocked::{compute_tags_into, BlockedTags};
+use crate::blocked::BlockedTags;
 use crate::checkpoint::Checkpoint;
 use crate::cost::{CostModel, TotalCostCache};
 use crate::flows::{compute_flows_into, FlowState};
-use crate::gamma::{apply_gamma_ws, GammaStats};
+use crate::gamma::GammaStats;
 use crate::health::CoreError;
 use crate::marginals::{compute_marginals_into, Marginals};
 use crate::routing::RoutingTable;
-use crate::step::sparse_step_serial;
+use crate::step::{sparse_step_serial, RowRule};
 use crate::workspace::IterationWorkspace;
 use spn_graph::NodeId;
 use spn_model::{CommodityId, Penalty, Problem};
@@ -90,16 +90,6 @@ pub struct GradientConfig {
     /// compiles; the next `[benchmark]` PR removes it.
     #[deprecated(note = "ignored: the step has one schedule; the next benchmark PR removes it")]
     pub threads: usize,
-    /// Selects the sparse iteration engine. Every commodity runs every
-    /// phase on every step, but each sweep walks only the per-commodity
-    /// *live arcs* (nonzero routing fraction) in topological router
-    /// order, and Γ only the routers with a choice (see `gamma.rs`).
-    /// Results are bit-identical to the dense engine (ARCHITECTURE
-    /// invariant 14). Defaults to `true` — the sparse engine *is* the
-    /// engine; `false` selects the dense reference path (the explicit
-    /// escape hatch, and the baseline the equivalence tests pin the
-    /// engine against).
-    pub sparsity: bool,
 }
 
 impl GradientConfig {
@@ -128,9 +118,7 @@ impl Default for GradientConfig {
     /// The paper's `η = 0.04` with the stabilized penalty stack this
     /// crate recommends: the capacity-normalized barrier
     /// (`D(z) = Cz/(C−z)`, knee 0.98) at `ε = 0.002`, the soft capacity
-    /// wall, a 0.1 shift cap and rate-limited path opening — running on
-    /// the sparse engine (bit-identical to dense, ARCHITECTURE invariant
-    /// 14). The paper's
+    /// wall, a 0.1 shift cap and rate-limited path opening. The paper's
     /// literal setup (`ε = 0.2`, `D(z) = 1/(C−z)`, no wall, no caps) is
     /// reproducible by overriding `epsilon`, `penalty`, `wall_strength`,
     /// `shift_cap` and `opening_fraction`; the E2 experiment measures
@@ -152,7 +140,6 @@ impl Default for GradientConfig {
             epsilon_interval: 1500,
             epsilon_min: 2e-5,
             threads: 0,
-            sparsity: true,
         }
     }
 }
@@ -171,6 +158,8 @@ pub enum ConfigError {
     BadOpeningFraction(f64),
     /// The shift cap must be finite and positive.
     BadShiftCap(f64),
+    /// The Newton curvature floor must be finite and positive.
+    BadCurvatureFloor(f64),
 }
 
 impl fmt::Display for ConfigError {
@@ -191,6 +180,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::BadShiftCap(v) => {
                 write!(f, "shift cap must be finite and positive, got {v}")
+            }
+            ConfigError::BadCurvatureFloor(v) => {
+                write!(f, "curvature floor must be finite and positive, got {v}")
             }
         }
     }
@@ -270,6 +262,9 @@ pub struct GradientAlgorithm {
     ext: ExtendedNetwork,
     cost: CostModel,
     config: GradientConfig,
+    /// How a router's row moves: Γ, or the Newton rule of
+    /// [`NewtonGradient`](crate::NewtonGradient).
+    rule: RowRule,
     routing: RoutingTable,
     state: FlowState,
     marginals: Marginals,
@@ -278,13 +273,12 @@ pub struct GradientAlgorithm {
     workspace: IterationWorkspace,
     /// Reusable blocking-tag buffer (eq. (18)).
     tags: BlockedTags,
-    /// Live-arc table of the sparse engine
-    /// ([`GradientConfig::sparsity`]); dormant (never sized) while the
-    /// dense engine runs.
+    /// Live-arc rows every sweep of the step walks (sized by the first
+    /// step).
     sweeps: LiveArcSweeps,
     /// State was written from outside the step since the last one
     /// (construction, restore, an installed routing, raw state access, a
-    /// reshape): the next sparse step runs Γ over every router and
+    /// reshape): the next step updates the row of every router and
     /// zeroes the node totals full width.
     outside_write: bool,
     /// Commodity-set epoch: bumped by every
@@ -321,6 +315,15 @@ impl GradientAlgorithm {
         ext: ExtendedNetwork,
         config: GradientConfig,
     ) -> Result<Self, ConfigError> {
+        Self::with_rule(ext, config, RowRule::Gamma)
+    }
+
+    /// [`from_extended`](Self::from_extended) with the given row rule.
+    pub(crate) fn with_rule(
+        ext: ExtendedNetwork,
+        config: GradientConfig,
+        rule: RowRule,
+    ) -> Result<Self, ConfigError> {
         config.validate()?;
         let cost = CostModel {
             penalty: config.penalty,
@@ -339,6 +342,7 @@ impl GradientAlgorithm {
             ext,
             cost,
             config,
+            rule,
             routing,
             state,
             marginals,
@@ -370,74 +374,20 @@ impl GradientAlgorithm {
             && self.cost.epsilon > self.config.epsilon_min;
         let anneal_to = will_anneal
             .then(|| (self.cost.epsilon * self.config.epsilon_factor).max(self.config.epsilon_min));
-        let gamma = if self.config.sparsity {
-            sparse_step_serial(
-                &self.ext,
-                &mut self.cost,
-                &self.config,
-                &mut self.routing,
-                &mut self.state,
-                &mut self.marginals,
-                &mut self.tags,
-                &mut self.workspace,
-                &mut self.sweeps,
-                &mut self.outside_write,
-                anneal_to,
-            )
-        } else {
-            // The dense reference path: the dense ≡ sparse oracle.
-            if self.config.use_blocked_sets {
-                compute_tags_into(
-                    &self.ext,
-                    &self.cost,
-                    &self.routing,
-                    &self.state,
-                    &self.marginals,
-                    self.config.eta,
-                    self.config.traffic_floor,
-                    &mut self.tags,
-                    None,
-                );
-            } else {
-                self.tags.reset(&self.ext);
-            }
-            let gamma = apply_gamma_ws(
-                &self.ext,
-                &self.cost,
-                &mut self.routing,
-                &self.state,
-                &self.marginals,
-                &self.tags,
-                self.config.eta,
-                self.config.traffic_floor,
-                self.config.opening_fraction,
-                self.config.shift_cap,
-                &mut self.workspace,
-                None,
-            );
-            // Forecast flows for the new decision and refresh marginals
-            // so the next iteration (and external reports) see
-            // consistent state.
-            compute_flows_into(
-                &self.ext,
-                &self.routing,
-                &mut self.state,
-                &mut self.workspace,
-                None,
-            );
-            if let Some(eps) = anneal_to {
-                self.cost.epsilon = eps;
-            }
-            compute_marginals_into(
-                &self.ext,
-                &self.cost,
-                &self.routing,
-                &self.state,
-                &mut self.marginals,
-                None,
-            );
-            gamma
-        };
+        let gamma = sparse_step_serial(
+            &self.ext,
+            &mut self.cost,
+            &self.config,
+            &mut self.rule,
+            &mut self.routing,
+            &mut self.state,
+            &mut self.marginals,
+            &mut self.tags,
+            &mut self.workspace,
+            &mut self.sweeps,
+            &mut self.outside_write,
+            anneal_to,
+        );
         self.iterations += 1;
         StepStats { cost_before, gamma }
     }
@@ -891,10 +841,10 @@ impl GradientAlgorithm {
         self.epoch += 1;
     }
 
-    /// Flags state written from outside the step: the next sparse step
-    /// runs Γ over every router and zeroes the node totals full width —
+    /// Flags state written from outside the step: the next step updates
+    /// the row of every router and zeroes the node totals full width —
     /// the step where a pass-through row off `1.0` or usage on an idle
-    /// node heals, as on the dense path — and every live-arc row is
+    /// node heals, as in a dense replay — and every live-arc row is
     /// rebuilt from the routing.
     fn written_from_outside(&mut self) {
         self.outside_write = true;
@@ -956,6 +906,16 @@ mod tests {
                 format!("{:?}", GradientAlgorithm::new(&p, bad).err())
             );
         }
+        // and refuses a curvature floor that is not finite and positive
+        // (`f64::max` alone would turn NaN into the 1e-12 floor)
+        let cfg = GradientConfig::default();
+        for floor in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
+            assert!(matches!(
+                crate::NewtonGradient::new(&p, cfg, floor),
+                Err(ConfigError::BadCurvatureFloor(_))
+            ));
+        }
+        assert!(crate::NewtonGradient::new(&p, cfg, 1e-15).is_ok());
         assert!(!format!("{}", ConfigError::BadEta(0.0)).is_empty());
     }
 

@@ -16,9 +16,9 @@
 //! current best link.
 //!
 //! All entry points share one row computation (`gamma_row_into`,
-//! private) so their numerics are identical: [`apply_gamma_ws`] is the
-//! zero-allocation path of the dense reference step in
-//! [`GradientAlgorithm`](crate::GradientAlgorithm);
+//! crate-private) so their numerics are identical: [`apply_gamma_ws`] is
+//! the zero-allocation dense pass the step is checked against (one dense
+//! kernel replay per step, ARCHITECTURE invariant 14);
 //! [`apply_gamma_selective`] is the path the message-level simulator
 //! schedules partial updates through; [`gamma_row`] exposes a single row
 //! for inspection. A commodity only ever reads and writes its own
@@ -69,7 +69,7 @@
 //! So the fold over the deciders alone carries the bits of the fold
 //! over every router, in the same order. The dense [`apply_gamma_ws`]
 //! keeps visiting every router, which is what makes invariants 14 and
-//! 17 (dense ≡ sparse) prove the skip, and [`apply_gamma_selective`]
+//! 17 (the step equals its dense replay) prove the skip, and [`apply_gamma_selective`]
 //! consults its predicate for every router but skips a participating
 //! one only when it has one out-edge *and* its row is bitwise `1.0`.
 
@@ -77,6 +77,7 @@ use crate::blocked::BlockedTags;
 use crate::cost::CostModel;
 use crate::flows::{FlowState, UsageView};
 use crate::marginals::Marginals;
+use crate::newton::edge_curvature;
 use crate::routing::{apply_row, apply_row_support, RoutingTable};
 use crate::workspace::{GammaLane, IterationWorkspace, GAMMA_CHUNK};
 use spn_graph::{EdgeId, NodeId};
@@ -154,11 +155,22 @@ impl<'a> GammaCtx<'a> {
     }
 }
 
+/// The Newton row rule's input to [`gamma_row_into`]: the commodity's
+/// curvature row `H` (by member position) and the curvature floor.
+pub(crate) type Curvature<'a> = Option<(&'a [f64], f64)>;
+
 /// Computes the new routing row for the router at member position `i`
 /// into `lane.row` (unapplied) and returns `(max_shift, total_shift)`.
 /// Reads only `ctx`; the single numeric source of truth for every Γ
-/// entry point.
-fn gamma_row_into(ctx: &GammaCtx<'_>, i: usize, lane: &mut GammaLane) -> (f64, f64) {
+/// entry point. With a [`Curvature`], each shift is also divided by the
+/// link's curvature `κ` (`crate::newton`); Γ's divisor is `t_i`, and
+/// `t_i·1.0 = t_i` exactly, so the two rules are one row.
+pub(crate) fn gamma_row_into(
+    ctx: &GammaCtx<'_>,
+    curvature: Curvature<'_>,
+    i: usize,
+    lane: &mut GammaLane,
+) -> (f64, f64) {
     let (edges, heads) = ctx.members.out_arcs(i);
     debug_assert!(!edges.is_empty(), "gamma_row called on a non-router");
     lane.row.clear();
@@ -251,7 +263,13 @@ fn gamma_row_into(ctx: &GammaCtx<'_>, i: usize, lane: &mut GammaLane) -> (f64, f
         // at `shift_cap`: near a barrier the marginal excess `a` is
         // unbounded, and an uncapped Δ saturates at φ — a one-step full
         // reroute that floods the alternative path and oscillates.
-        let delta = f.min(ctx.eta * a / t_i).min(ctx.shift_cap);
+        let kappa = curvature.map_or(1.0, |(h_row, floor)| {
+            let (c, b) = (ctx.ext.cost(ctx.j, l), ctx.ext.beta(ctx.j, l));
+            (c * c * edge_curvature(ctx.ext, ctx.cost, ctx.usage, l)
+                + b * b * h_row[heads[idx] as usize])
+                .max(floor)
+        });
+        let delta = f.min(ctx.eta * a / (t_i * kappa)).min(ctx.shift_cap);
         collected += delta;
         max_shift = max_shift.max(delta);
         lane.row.push((l, f - delta)); // eq. (17), k ≠ k(i,j)
@@ -274,7 +292,7 @@ pub(crate) fn gamma_chunk(
 ) {
     *stat = (0.0, 0.0, 0);
     for &i in routers {
-        let (max_shift, total) = gamma_row_into(ctx, i as usize, lane);
+        let (max_shift, total) = gamma_row_into(ctx, None, i as usize, lane);
         apply_row(ctx.phi, ctx.members.out_arcs(i as usize).0, &lane.row);
         stat.0 = stat.0.max(max_shift);
         stat.1 += total;
@@ -282,7 +300,8 @@ pub(crate) fn gamma_chunk(
     }
 }
 
-/// The sparse engine's Γ over one commodity: its deciders only, or —
+/// One commodity's row updates in the step: [`gamma_row_into`] (with
+/// the Newton rule's `curvature`, if any) over its deciders only, or —
 /// on the step after an outside write (`every_router`) — every router,
 /// exactly as [`apply_gamma_ws`] does. Rows are applied through
 /// [`apply_row_support`]; returns whether any fraction crossed zero.
@@ -291,11 +310,12 @@ pub(crate) fn gamma_chunk(
 /// computed in it, in router order — bit-identical to the dense fold
 /// over every router (see "Deciders and pass-throughs" in the module
 /// docs).
-pub(crate) fn gamma_commodity(
+pub(crate) fn commodity_rows(
     ctx: &GammaCtx<'_>,
     every_router: bool,
     lane: &mut GammaLane,
     stats: &mut [(f64, f64, usize)],
+    curvature: Curvature<'_>,
 ) -> bool {
     let routers = ctx.members.routers();
     for (slot, chunk) in stats.iter_mut().zip(routers.chunks(GAMMA_CHUNK)) {
@@ -303,7 +323,7 @@ pub(crate) fn gamma_commodity(
     }
     let mut support = false;
     let mut row = |i: u32, r: usize| {
-        let (max_shift, total) = gamma_row_into(ctx, i as usize, lane);
+        let (max_shift, total) = gamma_row_into(ctx, curvature, i as usize, lane);
         let out = ctx.members.out_arcs(i as usize).0;
         support |= apply_row_support(ctx.phi, out, &lane.row);
         let stat = &mut stats[r / GAMMA_CHUNK];
@@ -363,7 +383,7 @@ pub fn gamma_row(
     let at = ext
         .member_pos(j, i)
         .unwrap_or_else(|| panic!("{i} is not a router of {j}"));
-    let (max_shift, total) = gamma_row_into(&ctx, at, &mut lane);
+    let (max_shift, total) = gamma_row_into(&ctx, None, at, &mut lane);
     (lane.row, max_shift, total)
 }
 
@@ -592,7 +612,7 @@ where
                         continue;
                     }
                 }
-                let (max_shift, total) = gamma_row_into(&ctx, i, lane);
+                let (max_shift, total) = gamma_row_into(&ctx, None, i, lane);
                 support[j.index()] |= apply_row_support(ctx.phi, out, &lane.row);
                 local.0 = local.0.max(max_shift);
                 local.1 += total;

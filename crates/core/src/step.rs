@@ -8,27 +8,29 @@
 //! against the previous iteration's usage. So the step is
 //!
 //! ```text
-//! phase A   (every commodity, ascending)  tags(j) → Γ(j) → flows(j)   [old totals]
+//! phase A   (every commodity, ascending)  tags(j) → rows(j) → flows(j)  [old totals]
 //! totals    per-commodity usage partials reduced into f_edge/f_node,
 //!           in ascending commodity order
-//! phase B   (every commodity, ascending)  marginals(j)                [new totals]
+//! phase B   (every commodity, ascending)  marginals(j)                 [new totals]
 //! ```
 //!
 //! with the ε-annealing mutation (when scheduled) landing between the
-//! totals and phase B. [`sparse_step_serial`] is that step for
-//! [`GradientAlgorithm`](crate::GradientAlgorithm); `NewtonGradient`
-//! runs the same shape with its own row rule and shares the helpers
-//! here. Nothing is skipped but zero-fraction arcs (the sweeps walk
-//! [`LiveArcSweeps`] rows) and pass-through rows (Γ walks the deciders;
-//! see "Deciders and pass-throughs" in `gamma.rs`).
+//! totals and phase B. [`sparse_step_serial`] is that step, the only
+//! one [`GradientAlgorithm`](crate::GradientAlgorithm) runs. Its
+//! [`RowRule`] says how a router's row moves: the paper's Γ, or Γ with
+//! each shift divided by a curvature estimate (`crate::newton`), which
+//! adds a curvature sweep ahead of the rows. Nothing is skipped but
+//! zero-fraction arcs (the sweeps walk [`LiveArcSweeps`] rows) and
+//! pass-through rows (the rows walk the deciders; see "Deciders and
+//! pass-throughs" in `gamma.rs`).
 //!
 //! ## Fixed reduction orders
 //!
 //! The usage totals are folded in ascending commodity order and the Γ
 //! statistics in ascending router chunk ([`GAMMA_CHUNK`]) — the orders
-//! the dense reference path uses too, so dense ≡ sparse is bit-for-bit
-//! (ARCHITECTURE invariant 14) and two identical runs are bit-identical
-//! (invariant 9).
+//! of the dense kernels too, so a step equals one dense kernel replay of
+//! its own pre-step state bit for bit (ARCHITECTURE invariants 14 and
+//! 17) and two identical runs are bit-identical (invariant 9).
 //!
 //! ## Per-step cost
 //!
@@ -36,8 +38,7 @@
 //! commodity's own member-position rows and member edges
 //! (`flow_pass_active`, the live-arc sweeps), and the one
 //! cross-commodity lane — the totals reduction,
-//! [`reduce_usage_totals`], shared by the gradient, annealing and
-//! Newton steps — touches every edge and the nodes of
+//! [`reduce_usage_totals`] — touches every edge and the nodes of
 //! [`ExtendedNetwork::router_union`] only:
 //! `O(Σ_j members_j + |router union| + L)` per step. Only the step after
 //! an outside write (restore, an installed routing, raw state access, a
@@ -50,8 +51,9 @@ use crate::active::{LiveArcSweeps, LiveRow};
 use crate::blocked::{tag_sweep_active, BlockedTags};
 use crate::cost::CostModel;
 use crate::flows::{flow_sweep_active, FlowState};
-use crate::gamma::{gamma_commodity, reduce_gamma_stats, GammaCtx, GammaStats};
+use crate::gamma::{commodity_rows, reduce_gamma_stats, GammaCtx, GammaStats};
 use crate::marginals::Marginals;
+use crate::newton::curvature_sweep_active;
 use crate::routing::RoutingTable;
 use crate::workspace::IterationWorkspace;
 use crate::GradientConfig;
@@ -137,7 +139,19 @@ pub(crate) fn reduce_usage_totals(
     );
 }
 
-/// One commodity's flow pass of the sparse steps: zeroes its
+/// How a router's routing row moves. Set by the constructor only.
+#[derive(Clone, Debug)]
+pub(crate) enum RowRule {
+    /// The paper's Γ (eqs. (14)–(17)).
+    Gamma,
+    /// Γ with each shift divided by the link's curvature, floored at
+    /// `floor` (`crate::newton`). `h` holds the curvature rows by member
+    /// position (`h[member_range(j)]`), swept at the head of every
+    /// commodity's rows.
+    Newton { floor: f64, h: Vec<f64> },
+}
+
+/// One commodity's flow pass of the sparse step: zeroes its
 /// traffic row, its usage-partial rows and its member edges' flow
 /// entries, then runs [`flow_sweep_active`] over its live arcs. The
 /// node rows are whole member-position rows; the edge rows are zeroed
@@ -169,20 +183,22 @@ pub(crate) fn flow_pass_active(
     flow_sweep_active(ext, phi, j, t, x, fe, fnode, row);
 }
 
-/// The sparse engine's step (`GradientConfig::sparsity`): every
-/// commodity runs tags → Γ over its deciders → flow pass over its live
-/// arcs, the usage totals are re-reduced, and every commodity's marginal
-/// sweep runs. Bit-identical to the dense reference step — each sparse
-/// kernel performs the dense kernel's float operations in the dense
-/// order, and a skipped pass-through row is one whose Γ would store the
-/// bits it holds. `outside_write` says the state was written from outside
-/// the step since the last one: Γ then walks every router and the node
-/// totals are zeroed full width, and the flag is cleared.
+/// The step: every commodity runs tags → its row rule over its deciders
+/// → flow pass over its live arcs, the usage totals are re-reduced, and
+/// every commodity's marginal sweep runs. Each kernel performs the dense
+/// kernel's float operations in the dense order, and a skipped
+/// pass-through row is one whose update would store the bits it holds,
+/// so the step equals one dense kernel replay of its pre-step state.
+/// `outside_write` says the state was written from outside the step
+/// since the last one: the rows then walk every router, the node totals
+/// are zeroed full width and the curvature rows are zeroed (a reshape
+/// moves member positions), and the flag is cleared.
 #[allow(clippy::too_many_arguments)] // mirrors the algorithm's state fields
 pub(crate) fn sparse_step_serial(
     ext: &ExtendedNetwork,
     cost: &mut CostModel,
     config: &GradientConfig,
+    rule: &mut RowRule,
     routing: &mut RoutingTable,
     state: &mut FlowState,
     marginals: &mut Marginals,
@@ -201,10 +217,14 @@ pub(crate) fn sparse_step_serial(
     if tags.tagged.len() != ext.member_total() {
         tags.reset(ext);
     }
+    if let (RowRule::Newton { h, .. }, true) = (&mut *rule, *outside_write) {
+        h.clear();
+        h.resize(ext.member_total(), 0.0);
+    }
     ws.ensure(ext);
     sweeps.refresh(ext, routing);
 
-    // Phase A: tag → Γ → flow chains.
+    // Phase A: tag → rows → flow chains.
     for j in ext.commodity_ids() {
         let tag_row = &mut tags.tagged[ext.member_range(j)];
         tag_row.fill(false);
@@ -236,12 +256,21 @@ pub(crate) fn sparse_step_serial(
             config.shift_cap,
             j,
         );
-        // Γ over the deciders; every router on the step after an
+        // the rows of the deciders; of every router on the step after an
         // outside write, which is where a written pass-through row heals
         // (see `gamma.rs`)
         let ji = j.index();
         let stats = &mut ws.stats[ws.chunk_base[ji]..ws.chunk_base[ji + 1]];
-        if gamma_commodity(&ctx, *outside_write, &mut ws.lane, stats) {
+        let lane = &mut ws.lane;
+        let support = match rule {
+            RowRule::Gamma => commodity_rows(&ctx, *outside_write, lane, stats, None),
+            RowRule::Newton { floor, h } => {
+                let h = &mut h[ext.member_range(j)];
+                curvature_sweep_active(&ctx, h, sweeps.row(j));
+                commodity_rows(&ctx, *outside_write, lane, stats, Some((h, *floor)))
+            }
+        };
+        if support {
             sweeps.rebuild(ext, j, routing.row(j));
         }
         flow_pass_active(ext, routing.row(j), j, state, ws, sweeps.row(j));

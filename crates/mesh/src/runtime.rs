@@ -35,10 +35,9 @@ use std::time::{Duration, Instant};
 
 /// Mesh tunables on top of the gradient config.
 ///
-/// The gradient's `sparsity` knob is ignored: every worker runs the
-/// live-arc sweeps (`spn_core::LiveArcSweeps`) over its mirror, every
-/// commodity every iteration (bit-identical to either engine by
-/// ARCHITECTURE invariants 13/15, so nothing is lost). ε-annealing is *rejected* — see
+/// Every worker runs the live-arc sweeps (`spn_core::LiveArcSweeps`)
+/// over its mirror, every commodity every iteration (bit-identical to
+/// the monolithic step by ARCHITECTURE invariants 13/15). ε-annealing is *rejected* — see
 /// [`MeshError::AnnealingUnsupported`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct MeshConfig {

@@ -49,8 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         problem.num_commodities(),
     );
 
-    // Engine defaults: sparsity on, so every sweep walks only the arcs
-    // that carry a nonzero routing fraction.
+    // Every sweep of the step walks only the arcs that carry a nonzero
+    // routing fraction.
     let mut alg = GradientAlgorithm::new(&problem, GradientConfig::default())?;
 
     // The windowed rule stops either on genuine convergence (total

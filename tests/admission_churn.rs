@@ -11,16 +11,24 @@
 //! * checkpoints are epoch-fenced: a capture taken before a reshape can
 //!   never be restored after one, even when a later reshape makes the
 //!   shapes line up again ([`CoreError::EpochMismatch`]);
-//! * the dense and sparse engines agree bitwise through arbitrary
-//!   seeded churn (arrivals and departures interleaved with steps).
+//! * every step equals its dense kernel replay (`support/dense.rs`)
+//!   through arbitrary seeded churn (arrivals and departures interleaved
+//!   with steps);
+//! * the Newton row rule reshapes through the same driver.
 
+#[path = "support/dense.rs"]
+mod dense;
+
+use dense::{checked_step, checked_steps};
 use spn::core::blocked::compute_tags;
 use spn::core::flows::{compute_flows_into, FlowState};
-use spn::core::{CommodityDef, CoreError, GradientAlgorithm, GradientConfig, IterationWorkspace};
+use spn::core::{
+    CommodityDef, CoreError, GradientAlgorithm, GradientConfig, IterationWorkspace, NewtonGradient,
+};
 use spn::model::random::RandomInstance;
 use spn::model::spec::ProblemSpec;
 use spn::model::{CommodityId, Problem};
-use spn::sim::{ChurnConfig, ChurnProcess};
+use spn::sim::{ChurnConfig, ChurnEvent, ChurnProcess};
 use spn::transform::ExtendedNetwork;
 
 /// A 30-node, 5-commodity instance shared by the equivalence tests.
@@ -41,24 +49,11 @@ fn subset(problem: &Problem, keep: &[usize]) -> Problem {
     spec.into_problem().unwrap()
 }
 
-fn config(sparsity: bool) -> GradientConfig {
-    GradientConfig {
-        sparsity,
-        ..GradientConfig::default()
-    }
-}
-
-/// Asserts complete bitwise state agreement between two algorithms.
+/// Asserts complete bitwise state agreement between two algorithms,
+/// admitted rates included.
 fn assert_identical(a: &GradientAlgorithm, b: &GradientAlgorithm, what: &str) {
-    assert_eq!(a.routing(), b.routing(), "routing diverged: {what}");
-    assert_eq!(a.flows(), b.flows(), "flow state diverged: {what}");
-    assert_eq!(a.marginals(), b.marginals(), "marginals diverged: {what}");
+    dense::assert_identical(a, b, what);
     let (ra, rb) = (a.report(), b.report());
-    assert_eq!(
-        ra.utility.to_bits(),
-        rb.utility.to_bits(),
-        "utility not bit-identical: {what}"
-    );
     assert_eq!(
         ra.admitted.len(),
         rb.admitted.len(),
@@ -81,24 +76,21 @@ fn zero_step_admit_matches_a_fresh_build() {
     let full = five_commodity_problem();
     let minus = subset(&full, &[0, 1, 2, 3]);
     let def = CommodityDef::from_problem(&full, CommodityId::from_index(4));
-    for sparsity in [false, true] {
-        let ctx = format!("sparsity={sparsity}");
-        let mut incremental = GradientAlgorithm::new(&minus, config(sparsity)).unwrap();
-        let id = incremental.admit_commodity(def.clone());
-        assert_eq!(id, CommodityId::from_index(4), "newcomer id: {ctx}");
-        let mut fresh = GradientAlgorithm::new(&full, config(sparsity)).unwrap();
-        assert_identical(&incremental, &fresh, &format!("right after admit, {ctx}"));
-        for it in 0..120 {
-            incremental.step();
-            fresh.step();
-            assert_eq!(
-                incremental.routing(),
-                fresh.routing(),
-                "routing diverged at iteration {it}: {ctx}"
-            );
-        }
-        assert_identical(&incremental, &fresh, &format!("after 120 steps, {ctx}"));
+    let mut incremental = GradientAlgorithm::new(&minus, GradientConfig::default()).unwrap();
+    let id = incremental.admit_commodity(def);
+    assert_eq!(id, CommodityId::from_index(4), "newcomer id");
+    let mut fresh = GradientAlgorithm::new(&full, GradientConfig::default()).unwrap();
+    assert_identical(&incremental, &fresh, "right after admit");
+    for it in 0..120 {
+        incremental.step();
+        fresh.step();
+        assert_eq!(
+            incremental.routing(),
+            fresh.routing(),
+            "routing diverged at iteration {it}"
+        );
     }
+    assert_identical(&incremental, &fresh, "after 120 steps");
 }
 
 /// Incrementally evicting a middle commodity compacts ids and state
@@ -107,23 +99,20 @@ fn zero_step_admit_matches_a_fresh_build() {
 fn zero_step_evict_matches_a_fresh_subset_build() {
     let full = five_commodity_problem();
     let reduced = subset(&full, &[0, 1, 3, 4]);
-    for sparsity in [false, true] {
-        let ctx = format!("sparsity={sparsity}");
-        let mut incremental = GradientAlgorithm::new(&full, config(sparsity)).unwrap();
-        incremental.evict_commodity(CommodityId::from_index(2));
-        let mut fresh = GradientAlgorithm::new(&reduced, config(sparsity)).unwrap();
-        assert_identical(&incremental, &fresh, &format!("right after evict, {ctx}"));
-        for it in 0..120 {
-            incremental.step();
-            fresh.step();
-            assert_eq!(
-                incremental.routing(),
-                fresh.routing(),
-                "routing diverged at iteration {it}: {ctx}"
-            );
-        }
-        assert_identical(&incremental, &fresh, &format!("after 120 steps, {ctx}"));
+    let mut incremental = GradientAlgorithm::new(&full, GradientConfig::default()).unwrap();
+    incremental.evict_commodity(CommodityId::from_index(2));
+    let mut fresh = GradientAlgorithm::new(&reduced, GradientConfig::default()).unwrap();
+    assert_identical(&incremental, &fresh, "right after evict");
+    for it in 0..120 {
+        incremental.step();
+        fresh.step();
+        assert_eq!(
+            incremental.routing(),
+            fresh.routing(),
+            "routing diverged at iteration {it}"
+        );
     }
+    assert_identical(&incremental, &fresh, "after 120 steps");
 }
 
 /// Evicting the last-id commodity and immediately re-admitting its
@@ -135,11 +124,11 @@ fn zero_step_evict_matches_a_fresh_subset_build() {
 fn zero_step_evict_readmit_round_trip_is_identity() {
     let full = five_commodity_problem();
     let last = CommodityId::from_index(4);
-    let mut churned = GradientAlgorithm::new(&full, config(true)).unwrap();
+    let mut churned = GradientAlgorithm::new(&full, GradientConfig::default()).unwrap();
     let parked = churned.extended().commodity_def(last);
     churned.evict_commodity(last);
     assert_eq!(churned.admit_commodity(parked), last);
-    let mut plain = GradientAlgorithm::new(&full, config(true)).unwrap();
+    let mut plain = GradientAlgorithm::new(&full, GradientConfig::default()).unwrap();
     assert_identical(&churned, &plain, "after evict + re-admit round trip");
     for _ in 0..100 {
         churned.step();
@@ -179,63 +168,43 @@ fn evict_then_admit_bigger_with_no_step_between_resizes_the_tracker() {
     let smaller: Vec<usize> = (0..5).filter(|&i| i != biggest).collect();
     let def = CommodityDef::from_problem(&full, CommodityId::from_index(biggest));
 
-    let mut engines: Vec<_> = [false, true]
-        .into_iter()
-        .map(|sparsity| GradientAlgorithm::new(&subset(&full, &smaller), config(sparsity)).unwrap())
-        .collect();
-    for alg in &mut engines {
-        alg.run(50);
-        let before = alg.extended();
-        let shape = (
-            before.num_commodities(),
-            before.graph().node_count(),
-            before.graph().edge_count(),
-        );
-        let widest = *routers(before).iter().max().unwrap();
-        // A caller-owned workspace, warm on the old structure: it must
-        // notice the reshape although every count lines up again.
-        let mut ws = IterationWorkspace::new(before);
-        alg.evict_commodity(CommodityId::from_index(0));
-        alg.admit_commodity(def.clone());
-        let after = alg.extended();
-        let mut through_stale = FlowState::zeros(after);
-        compute_flows_into(after, alg.routing(), &mut through_stale, &mut ws, None);
-        assert_eq!(
-            &through_stale,
-            alg.flows(),
-            "flows through the re-sized workspace"
-        );
-        assert_eq!(
-            shape,
-            (
-                after.num_commodities(),
-                after.graph().node_count(),
-                after.graph().edge_count()
-            ),
-            "the repro needs the counts to line up again"
-        );
-        assert!(
-            *routers(after).iter().max().unwrap() > widest,
-            "the repro needs the newcomer to widen the router stride"
-        );
-    }
-    for it in 0..80 {
-        for alg in &mut engines {
-            alg.step();
-        }
-        let (dense, sparse) = engines.split_first().unwrap();
-        for (k, alg) in sparse.iter().enumerate() {
-            assert_eq!(
-                dense.routing(),
-                alg.routing(),
-                "sparse engine {k} left the dense routing at iteration {it}"
-            );
-        }
-    }
-    let (dense, sparse) = engines.split_first().unwrap();
-    for alg in sparse {
-        assert_identical(dense, alg, "80 steps after evict + admit-bigger");
-    }
+    let mut alg =
+        GradientAlgorithm::new(&subset(&full, &smaller), GradientConfig::default()).unwrap();
+    alg.run(50);
+    let before = alg.extended();
+    let shape = (
+        before.num_commodities(),
+        before.graph().node_count(),
+        before.graph().edge_count(),
+    );
+    let widest = *routers(before).iter().max().unwrap();
+    // A caller-owned workspace, warm on the old structure: it must
+    // notice the reshape although every count lines up again.
+    let mut ws = IterationWorkspace::new(before);
+    alg.evict_commodity(CommodityId::from_index(0));
+    alg.admit_commodity(def);
+    let after = alg.extended();
+    let mut through_stale = FlowState::zeros(after);
+    compute_flows_into(after, alg.routing(), &mut through_stale, &mut ws, None);
+    assert_eq!(
+        &through_stale,
+        alg.flows(),
+        "flows through the re-sized workspace"
+    );
+    assert_eq!(
+        shape,
+        (
+            after.num_commodities(),
+            after.graph().node_count(),
+            after.graph().edge_count()
+        ),
+        "the repro needs the counts to line up again"
+    );
+    assert!(
+        *routers(after).iter().max().unwrap() > widest,
+        "the repro needs the newcomer to widen the router stride"
+    );
+    checked_steps(&mut alg, 80, "after evict + admit-bigger");
 }
 
 /// A warm admit must not move a single bit of any survivor: routing
@@ -246,7 +215,7 @@ fn warm_admit_preserves_survivors_bitwise() {
     let full = five_commodity_problem();
     let minus = subset(&full, &[0, 1, 2, 3]);
     let def = CommodityDef::from_problem(&full, CommodityId::from_index(4));
-    let mut alg = GradientAlgorithm::new(&minus, config(false)).unwrap();
+    let mut alg = GradientAlgorithm::new(&minus, GradientConfig::default()).unwrap();
     alg.run(150);
 
     // Fix the per-survivor node/edge index sets *before* the admit
@@ -449,20 +418,18 @@ fn node_tables_hold_member_entries_only_through_reshapes() {
         }
     };
     let full = five_commodity_problem();
-    for sparsity in [false, true] {
-        let mut alg = GradientAlgorithm::new(&full, config(sparsity)).unwrap();
-        check(&alg, "fresh");
-        alg.run(40);
-        check(&alg, "after 40 steps");
-        let parked = alg.extended().commodity_def(CommodityId::from_index(1));
-        alg.evict_commodity(CommodityId::from_index(1));
-        check(&alg, "right after an evict");
-        alg.run(15);
-        alg.admit_commodity(parked);
-        check(&alg, "right after an admit");
-        alg.run(15);
-        check(&alg, "settling again");
-    }
+    let mut alg = GradientAlgorithm::new(&full, GradientConfig::default()).unwrap();
+    check(&alg, "fresh");
+    alg.run(40);
+    check(&alg, "after 40 steps");
+    let parked = alg.extended().commodity_def(CommodityId::from_index(1));
+    alg.evict_commodity(CommodityId::from_index(1));
+    check(&alg, "right after an evict");
+    alg.run(15);
+    alg.admit_commodity(parked);
+    check(&alg, "right after an admit");
+    alg.run(15);
+    check(&alg, "settling again");
 }
 
 /// Checkpoints captured before a reshape are rejected after one — even
@@ -471,7 +438,7 @@ fn node_tables_hold_member_entries_only_through_reshapes() {
 #[test]
 fn restore_across_a_reshape_is_rejected() {
     let full = five_commodity_problem();
-    let mut alg = GradientAlgorithm::new(&full, config(false)).unwrap();
+    let mut alg = GradientAlgorithm::new(&full, GradientConfig::default()).unwrap();
     alg.run(60);
     let stale = alg.checkpoint();
 
@@ -504,8 +471,10 @@ fn restore_across_a_reshape_is_rejected() {
     alg.restore(&current).unwrap();
 }
 
-/// The dense and sparse engines replay the same seeded churn sequence
-/// and stay bit-identical through every interleaved admit and evict.
+/// A seeded churn process, replayed step by step: every step of the
+/// replay equals its dense kernel replay, the reshapes land where the
+/// process's event log says, and the replay ends bit-identical to the
+/// process itself.
 #[test]
 fn dense_and_sparse_stay_glued_under_churn() {
     let full = five_commodity_problem();
@@ -515,40 +484,79 @@ fn dense_and_sparse_stay_glued_under_churn() {
         departure_probability: 0.35,
         period: 15,
     };
-    let process = |sparsity| {
-        ChurnProcess::new(
-            GradientAlgorithm::new(&full, config(sparsity)).unwrap(),
-            churn,
-        )
+    let mut process = ChurnProcess::new(
+        GradientAlgorithm::new(&full, GradientConfig::default()).unwrap(),
+        churn,
+    );
+    let report = process.run(600);
+    let events = process.events();
+    let arrivals = events
+        .iter()
+        .filter(|e| matches!(e, ChurnEvent::Admitted { .. }))
+        .count();
+    assert!(
+        arrivals > 0 && arrivals < events.len(),
+        "soak exercised no churn: {events:?}"
+    );
+
+    let mut alg = GradientAlgorithm::new(&full, GradientConfig::default()).unwrap();
+    let mut parked = Vec::new();
+    let mut pending = events.iter().peekable();
+    for it in 1..=600 {
+        checked_step(&mut alg, &format!("churned step {it}"));
+        while let Some(&&event) = pending.peek() {
+            match event {
+                ChurnEvent::Departed { iteration, id } if iteration == it => {
+                    parked.push(alg.extended().commodity_def(id));
+                    alg.evict_commodity(id);
+                }
+                ChurnEvent::Admitted { iteration, id } if iteration == it => {
+                    assert_eq!(alg.admit_commodity(parked.remove(0)), id);
+                }
+                _ => break,
+            }
+            pending.next();
+        }
+    }
+    assert!(pending.next().is_none(), "events left over");
+    assert_identical(&alg, process.algorithm(), "after 600 churned iterations");
+    assert_eq!(alg.utility().to_bits(), report.utility.to_bits());
+    assert_eq!(alg.epoch(), process.algorithm().epoch());
+}
+
+/// The Newton row rule runs through the same driver, so it reshapes
+/// like Γ does: evict a commodity and re-admit it with no step between,
+/// and the run is bit-identical to a fresh Newton build of the
+/// reordered problem, step after step — and not to a Γ run of it.
+#[test]
+fn newton_zero_step_evict_readmit_matches_a_fresh_build() {
+    let full = five_commodity_problem();
+    let cfg = GradientConfig {
+        eta: 0.5,
+        ..GradientConfig::default()
     };
-    let mut dense = process(false);
-    let mut sparse = process(true);
-    let (mut arrivals, mut departures) = (0, 0);
-    for block in 0..10 {
-        let rd = dense.run(60);
-        let rs = sparse.run(60);
-        arrivals += rd.arrivals;
-        departures += rd.departures;
+    let mut churned = NewtonGradient::new(&full, cfg, 1e-6).unwrap();
+    let parked = churned.extended().commodity_def(CommodityId::from_index(1));
+    churned.evict_commodity(CommodityId::from_index(1));
+    assert_eq!(churned.admit_commodity(parked), CommodityId::from_index(4));
+    let reordered = subset(&full, &[0, 2, 3, 4, 1]);
+    let mut fresh = NewtonGradient::new(&reordered, cfg, 1e-6).unwrap();
+    let mut gamma = GradientAlgorithm::new(&reordered, cfg).unwrap();
+    assert_identical(&churned, &fresh, "right after the round trip");
+    for it in 0..150 {
+        churned.step();
+        fresh.step();
+        gamma.step();
         assert_eq!(
-            dense.events(),
-            sparse.events(),
-            "churn decisions diverged by block {block}"
-        );
-        assert_eq!(
-            rd.utility.to_bits(),
-            rs.utility.to_bits(),
-            "utility diverged by block {block}"
+            churned.routing(),
+            fresh.routing(),
+            "routing diverged at iteration {it}"
         );
     }
-    assert!(
-        arrivals > 0 && departures > 0,
-        "soak exercised no churn (arrivals {arrivals}, departures {departures})"
+    assert_identical(&churned, &fresh, "150 steps after the round trip");
+    assert_ne!(
+        churned.routing(),
+        gamma.routing(),
+        "the Newton rule was lost"
     );
-    assert_identical(
-        dense.algorithm(),
-        sparse.algorithm(),
-        "after 600 churned iterations",
-    );
-    assert_eq!(dense.algorithm().epoch(), sparse.algorithm().epoch());
-    assert!(dense.algorithm().epoch() > 0, "no reshapes happened");
 }

@@ -1,41 +1,24 @@
 //! Dynamic-mutation hardening: mid-run demand and capacity edits
-//! through [`GradientAlgorithm::extended_mut`] must keep the sparse
-//! engine bit-identical to the dense reference. A rate change moves one
-//! commodity's offered load; a capacity change moves *every*
-//! commodity's shared barrier term. The sparse step re-runs every
-//! commodity's chain against the edited network, so a sparse kernel
-//! that kept reading pre-edit state shows up as a one-ulp divergence
-//! within a few steps of the edit.
+//! through [`GradientAlgorithm::extended_mut`] must keep every step
+//! equal to its dense kernel replay (`support/dense.rs`). A rate change
+//! moves one commodity's offered load; a capacity change moves *every*
+//! commodity's shared barrier term. The step re-runs every commodity's
+//! chain against the edited network, so a sparse kernel that kept
+//! reading pre-edit state shows up as a one-ulp divergence on the first
+//! step after the edit.
 
+#[path = "support/dense.rs"]
+mod dense;
+
+use dense::{assert_identical, checked_step};
 use spn::core::{GradientAlgorithm, GradientConfig};
 use spn::graph::{EdgeId, NodeId};
 use spn::model::builder::ProblemBuilder;
 use spn::model::random::RandomInstance;
 use spn::model::{Capacity, CommodityId, UtilityFn};
 
-/// Asserts complete bitwise state agreement between the two engines.
-fn assert_identical(dense: &GradientAlgorithm, sparse: &GradientAlgorithm, what: &str) {
-    assert_eq!(
-        dense.routing(),
-        sparse.routing(),
-        "routing diverged: {what}"
-    );
-    assert_eq!(dense.flows(), sparse.flows(), "flow state diverged: {what}");
-    assert_eq!(
-        dense.marginals(),
-        sparse.marginals(),
-        "marginals diverged: {what}"
-    );
-    let (rd, rs) = (dense.report(), sparse.report());
-    assert_eq!(
-        rd.utility.to_bits(),
-        rs.utility.to_bits(),
-        "utility not bit-identical: {what}"
-    );
-}
-
-/// Lockstep run with per-iteration routing comparison and scripted
-/// mutations applied to both engines at the same iterations.
+/// Scripted demand and capacity edits, every step checked against its
+/// dense replay.
 #[test]
 fn sparse_matches_dense_through_demand_and_capacity_edits() {
     let problem = RandomInstance::builder()
@@ -45,54 +28,36 @@ fn sparse_matches_dense_through_demand_and_capacity_edits() {
         .build()
         .unwrap()
         .problem;
-    let cfg = |sparsity| GradientConfig {
-        sparsity,
-        ..GradientConfig::default()
-    };
-    let mut dense = GradientAlgorithm::new(&problem, cfg(false)).unwrap();
-    let mut sparse = GradientAlgorithm::new(&problem, cfg(true)).unwrap();
+    let mut alg = GradientAlgorithm::new(&problem, GradientConfig::default()).unwrap();
 
     let j1 = CommodityId::from_index(1);
     let j3 = CommodityId::from_index(3);
-    let base_rate = dense.extended().commodity(j1).max_rate;
+    let base_rate = alg.extended().commodity(j1).max_rate;
     // A physical node on some route: halving its budget forces the
     // barrier to repel flow and reroute around it.
     let squeezed = NodeId::from_index(4);
-    let base_cap = dense.extended().capacity(squeezed).value();
+    let base_cap = alg.extended().capacity(squeezed).value();
 
     for it in 0..300 {
         match it {
             // Demand surge on one commodity.
-            100 => {
-                dense.extended_mut().set_max_rate(j1, base_rate * 2.0);
-                sparse.extended_mut().set_max_rate(j1, base_rate * 2.0);
-            }
+            100 => alg.extended_mut().set_max_rate(j1, base_rate * 2.0),
             // Capacity squeeze on a shared physical node.
             150 => {
                 let cap = Capacity::finite(base_cap * 0.5).unwrap();
-                dense.extended_mut().set_capacity(squeezed, cap);
-                sparse.extended_mut().set_capacity(squeezed, cap);
+                alg.extended_mut().set_capacity(squeezed, cap);
             }
             // Recovery plus a second demand edit elsewhere.
             200 => {
-                let cap = Capacity::finite(base_cap).unwrap();
-                dense.extended_mut().set_capacity(squeezed, cap);
-                sparse.extended_mut().set_capacity(squeezed, cap);
-                dense.extended_mut().set_max_rate(j3, base_rate * 0.25);
-                sparse.extended_mut().set_max_rate(j3, base_rate * 0.25);
+                let ext = alg.extended_mut();
+                ext.set_capacity(squeezed, Capacity::finite(base_cap).unwrap());
+                ext.set_max_rate(j3, base_rate * 0.25);
             }
             _ => {}
         }
-        dense.step();
-        sparse.step();
-        assert_eq!(
-            dense.routing(),
-            sparse.routing(),
-            "routing diverged at iteration {it}"
-        );
+        checked_step(&mut alg, &format!("iteration {it}"));
     }
-    assert_identical(&dense, &sparse, "after scripted mutations");
-    assert!(dense.utility().is_finite());
+    assert!(alg.utility().is_finite());
 }
 
 /// The mutation hooks themselves reject poisoned inputs — a NaN rate or

@@ -6,16 +6,18 @@
 //! digest over the `StepStats` bits, `utility().to_bits()` and every
 //! member-edge routing fraction, folded in after **every** step — to
 //! digests generated at the commit *before* the re-key (PR 21, when the
-//! same tables were dense `J·V` slabs). The dense and the sparse
-//! engine are each held to the same digest (they are also pinned to
-//! each other by `tests/sparse_equivalence.rs`), and the test reads
-//! state through `routing.fraction(j, l)` / `commodity_edges(j)` only,
-//! which mean the same thing under either layout.
+//! same tables were dense `J·V` slabs, and the engine still had a dense
+//! twin that produced the same digests). The test reads state through
+//! `routing.fraction(j, l)` / `commodity_edges(j)` only, which mean the
+//! same thing under either layout. The eighth scenario pins the
+//! Newton-scaled rule to a digest generated while it still had a
+//! driver of its own, before it became a row rule of the one driver.
 //!
 //! After an *intended* numerical change the failing assertion prints
 //! the observed digest in hex; paste it over the entry in [`GOLDEN`].
 
-use spn::core::{GradientAlgorithm, GradientConfig};
+use spn::core::routing::RoutingTable;
+use spn::core::{GradientAlgorithm, GradientConfig, NewtonGradient};
 use spn::model::hierarchy::HierarchicalInstance;
 use spn::model::random::RandomInstance;
 use spn::model::spec::ProblemSpec;
@@ -45,8 +47,13 @@ impl Digest {
         self.word(stats.gamma.max_shift.to_bits());
         self.word(stats.gamma.total_shift.to_bits());
         self.word(stats.gamma.rows as u64);
-        self.word(alg.utility().to_bits());
-        let (ext, routing) = (alg.extended(), alg.routing());
+        self.state(alg.utility(), alg.extended(), alg.routing());
+    }
+
+    /// The utility bits and every member-edge fraction in
+    /// commodity-then-CSR order.
+    fn state(&mut self, utility: f64, ext: &ExtendedNetwork, routing: &RoutingTable) {
+        self.word(utility.to_bits());
         for j in ext.commodity_ids() {
             for &l in ext.commodity_edges(j) {
                 self.word(routing.fraction(j, l).to_bits());
@@ -58,13 +65,6 @@ impl Digest {
         for _ in 0..n {
             self.step(alg);
         }
-    }
-}
-
-fn config(sparsity: bool) -> GradientConfig {
-    GradientConfig {
-        sparsity,
-        ..GradientConfig::default()
     }
 }
 
@@ -85,8 +85,8 @@ fn subset(full: &Problem, keep: &[usize]) -> Problem {
 }
 
 /// A plain run from the all-reject start.
-fn plain(problem: &Problem, sparsity: bool, steps: usize) -> u64 {
-    let mut alg = GradientAlgorithm::new(problem, config(sparsity)).unwrap();
+fn plain(problem: &Problem, steps: usize) -> u64 {
+    let mut alg = GradientAlgorithm::new(problem, GradientConfig::default()).unwrap();
     let mut d = Digest::new();
     d.steps(&mut alg, steps);
     d.0
@@ -94,7 +94,7 @@ fn plain(problem: &Problem, sparsity: bool, steps: usize) -> u64 {
 
 /// The 1 000-node hierarchy (4 regions × 10 racks × 25 servers, 8
 /// tenants): 97 % of its extended nodes route nothing.
-fn hierarchy(sparsity: bool) -> u64 {
+fn hierarchy() -> u64 {
     let problem = HierarchicalInstance::builder()
         .regions(4)
         .racks_per_region(10)
@@ -105,13 +105,13 @@ fn hierarchy(sparsity: bool) -> u64 {
         .unwrap()
         .problem
         .scale_demand(0.2);
-    plain(&problem, sparsity, 400)
+    plain(&problem, 400)
 }
 
 /// Evict commodity 0 and admit the widest one with no step between
 /// (the counts line up again, the extents do not), then evict an
 /// interior commodity mid-run and re-admit it.
-fn churn(sparsity: bool) -> u64 {
+fn churn() -> u64 {
     let full = random(30, 5, 1);
     let widest = {
         let ext = ExtendedNetwork::build(&full);
@@ -121,7 +121,8 @@ fn churn(sparsity: bool) -> u64 {
     };
     let smaller: Vec<usize> = (0..5).filter(|&i| i != widest).collect();
     let def = CommodityDef::from_problem(&full, CommodityId::from_index(widest));
-    let mut alg = GradientAlgorithm::new(&subset(&full, &smaller), config(sparsity)).unwrap();
+    let mut alg =
+        GradientAlgorithm::new(&subset(&full, &smaller), GradientConfig::default()).unwrap();
     let mut d = Digest::new();
     d.steps(&mut alg, 60);
     alg.evict_commodity(CommodityId::from_index(0));
@@ -136,11 +137,11 @@ fn churn(sparsity: bool) -> u64 {
 }
 
 /// ε annealed ×0.7 every 40 iterations.
-fn anneal(sparsity: bool) -> u64 {
+fn anneal() -> u64 {
     let cfg = GradientConfig {
         epsilon_factor: 0.7,
         epsilon_interval: 40,
-        ..config(sparsity)
+        ..GradientConfig::default()
     };
     let mut alg = GradientAlgorithm::new(&random(24, 4, 11), cfg).unwrap();
     let mut d = Digest::new();
@@ -149,8 +150,8 @@ fn anneal(sparsity: bool) -> u64 {
 }
 
 /// Capture at 80, run on, roll back, replay further than before.
-fn checkpoint(sparsity: bool) -> u64 {
-    let mut alg = GradientAlgorithm::new(&random(20, 3, 9), config(sparsity)).unwrap();
+fn checkpoint() -> u64 {
+    let mut alg = GradientAlgorithm::new(&random(20, 3, 9), GradientConfig::default()).unwrap();
     let mut d = Digest::new();
     d.steps(&mut alg, 80);
     let ck = alg.checkpoint();
@@ -160,10 +161,28 @@ fn checkpoint(sparsity: bool) -> u64 {
     d.0
 }
 
-/// `(scenario, digest)` — generated at the parent of the
-/// member-position re-key (commit 0066471, PR 21), where the dense and
-/// the sparse engine already produced the same digest (invariant 14).
-const GOLDEN: [(&str, u64); 7] = [
+/// The Newton-scaled step rule at η = 0.5, curvature floor 1e-6. Its
+/// step statistics are not folded in: only the utility and fractions.
+fn newton() -> u64 {
+    let cfg = GradientConfig {
+        eta: 0.5,
+        ..GradientConfig::default()
+    };
+    let mut alg = NewtonGradient::new(&random(24, 3, 9), cfg, 1e-6).unwrap();
+    let mut d = Digest::new();
+    for _ in 0..300 {
+        alg.step();
+        d.state(alg.utility(), alg.extended(), alg.routing());
+    }
+    d.0
+}
+
+/// `(scenario, digest)` — the first seven generated at the parent of
+/// the member-position re-key (commit 0066471, PR 21), where the dense
+/// and the sparse engine already produced the same digest; the Newton
+/// one at the parent of the fold of `NewtonGradient` into
+/// `GradientAlgorithm` (commit a29369b).
+const GOLDEN: [(&str, u64); 8] = [
     ("random 20x3 seed 9", 0xa11a_01fc_c7c1_b1a3),
     ("random 40x8 seed 5", 0x8893_5edf_a967_5bb7),
     ("random 60x6 seed 3", 0x6f25_9039_c900_716f),
@@ -171,32 +190,27 @@ const GOLDEN: [(&str, u64); 7] = [
     ("evict + admit-bigger", 0xafbe_33b5_66f4_8088),
     ("epsilon anneal", 0x262c_7d4a_1508_a1b8),
     ("checkpoint / restore", 0x3b4b_84c8_5e99_7a3a),
+    ("newton 24x3 seed 9", 0xdc33_3cff_060c_6a89),
 ];
 
-fn run(scenario: usize, sparsity: bool) -> u64 {
+fn run(scenario: usize) -> u64 {
     match scenario {
-        0 => plain(&random(20, 3, 9), sparsity, 300),
-        1 => plain(&random(40, 8, 5), sparsity, 300),
-        2 => plain(&random(60, 6, 3), sparsity, 300),
-        3 => hierarchy(sparsity),
-        4 => churn(sparsity),
-        5 => anneal(sparsity),
-        6 => checkpoint(sparsity),
-        _ => unreachable!("seven scenarios"),
+        0 => plain(&random(20, 3, 9), 300),
+        1 => plain(&random(40, 8, 5), 300),
+        2 => plain(&random(60, 6, 3), 300),
+        3 => hierarchy(),
+        4 => churn(),
+        5 => anneal(),
+        6 => checkpoint(),
+        7 => newton(),
+        _ => unreachable!("eight scenarios"),
     }
 }
 
 #[test]
 fn trajectories_match_the_pre_rekey_digests() {
     for (i, &(name, golden)) in GOLDEN.iter().enumerate() {
-        let (dense, sparse) = (run(i, false), run(i, true));
-        assert_eq!(
-            dense, golden,
-            "dense trajectory moved: {name} is now {dense:#018x}"
-        );
-        assert_eq!(
-            sparse, golden,
-            "sparse trajectory moved: {name} is now {sparse:#018x}"
-        );
+        let got = run(i);
+        assert_eq!(got, golden, "trajectory moved: {name} is now {got:#018x}");
     }
 }

@@ -18,12 +18,18 @@
 //! * **naive** — in the same loop, each run's `cost_before` must equal
 //!   the full-width `CostModel::total_cost` of its own state.
 //!
+//! Every step of both twins is also held to its dense kernel replay
+//! (`support/dense.rs`), whose reductions run full width.
+//!
 //! Grid: the three `PenaltyKind`s (`LogBarrier` is the one whose idle
-//! value is `-0.0`) × wall on/off × dense / sparse, from the
-//! all-reject start, annealing ε on the way, through
+//! value is `-0.0`) × wall on/off, from the all-reject start, annealing ε on the way, through
 //! one evict + admit, one `set_capacity` on a union node and one on an
 //! idle node, one `set_max_rate` and one checkpoint/restore.
 
+#[path = "support/dense.rs"]
+mod dense;
+
+use dense::checked_step;
 use spn::core::{GradientAlgorithm, GradientConfig};
 use spn::graph::NodeId;
 use spn::model::random::RandomInstance;
@@ -62,8 +68,9 @@ fn an_idle_node(alg: &GradientAlgorithm) -> Option<NodeId> {
         .find(|v| union.binary_search(v).is_err())
 }
 
-/// One step on each twin, checked against each other and against the
-/// naive full-width cost of its own pre-step state.
+/// One step on each twin, checked against each other, against its dense
+/// replay and against the naive full-width cost of its own pre-step
+/// state.
 fn step_both(plain: &mut GradientAlgorithm, pad: &mut GradientAlgorithm, what: &str) {
     let naive = |alg: &GradientAlgorithm| {
         alg.cost_model()
@@ -71,7 +78,8 @@ fn step_both(plain: &mut GradientAlgorithm, pad: &mut GradientAlgorithm, what: &
             .to_bits()
     };
     let (naive_plain, naive_pad) = (naive(plain), naive(pad));
-    let (a, b) = (plain.step(), pad.step());
+    let a = checked_step(plain, &format!("plain, {what}"));
+    let b = checked_step(pad, &format!("padded, {what}"));
     assert_eq!(
         a.cost_before.to_bits(),
         naive_plain,
@@ -123,91 +131,87 @@ fn isolated_servers_change_no_bit_of_any_step() {
     ];
     for (kind, knee) in kinds {
         for wall_strength in [0.0, 4.0] {
-            for sparsity in [false, true] {
-                let ctx = format!("{kind:?} wall={wall_strength} sparsity={sparsity}");
-                let cfg = GradientConfig {
-                    penalty: Penalty::new(kind, knee).unwrap(),
-                    wall_strength,
-                    sparsity,
-                    epsilon_factor: 0.8,
-                    epsilon_interval: 35,
-                    ..GradientConfig::default()
-                };
-                let mut plain = GradientAlgorithm::new(&problem, cfg).unwrap();
-                let mut pad = GradientAlgorithm::new(&padded_problem, cfg).unwrap();
-                assert!(
-                    pad.extended().graph().node_count()
-                        > 10 * plain.extended().graph().node_count(),
-                    "padding must dwarf the instance"
-                );
-                let segment = |plain: &mut GradientAlgorithm,
-                               pad: &mut GradientAlgorithm,
-                               steps: usize,
-                               name: &str| {
-                    for it in 0..steps {
-                        step_both(plain, pad, &format!("{name} step {it}, {ctx}"));
-                    }
-                };
-
-                segment(&mut plain, &mut pad, 60, "cold start");
-
-                // Evict commodity 0 and re-admit it (as the last id).
-                for alg in [&mut plain, &mut pad] {
-                    let first = CommodityId::from_index(0);
-                    let parked = alg.extended().commodity_def(first);
-                    alg.evict_commodity(first);
-                    alg.admit_commodity(parked);
+            let ctx = format!("{kind:?} wall={wall_strength}");
+            let cfg = GradientConfig {
+                penalty: Penalty::new(kind, knee).unwrap(),
+                wall_strength,
+                epsilon_factor: 0.8,
+                epsilon_interval: 35,
+                ..GradientConfig::default()
+            };
+            let mut plain = GradientAlgorithm::new(&problem, cfg).unwrap();
+            let mut pad = GradientAlgorithm::new(&padded_problem, cfg).unwrap();
+            assert!(
+                pad.extended().graph().node_count() > 10 * plain.extended().graph().node_count(),
+                "padding must dwarf the instance"
+            );
+            let segment = |plain: &mut GradientAlgorithm,
+                           pad: &mut GradientAlgorithm,
+                           steps: usize,
+                           name: &str| {
+                for it in 0..steps {
+                    step_both(plain, pad, &format!("{name} step {it}, {ctx}"));
                 }
-                segment(&mut plain, &mut pad, 40, "after evict + admit");
+            };
 
-                // Capacity edit on a union node: commodity 0's source is
-                // a physical node, so it has the same id in both twins.
-                let source = plain
-                    .extended()
-                    .commodity(CommodityId::from_index(0))
-                    .source();
-                for alg in [&mut plain, &mut pad] {
-                    let cap = alg.extended().capacity(source).value();
-                    alg.extended_mut()
-                        .set_capacity(source, Capacity::finite(0.6 * cap).unwrap());
-                }
-                segment(&mut plain, &mut pad, 30, "after set_capacity on a router");
+            segment(&mut plain, &mut pad, 60, "cold start");
 
-                // Capacity edit on an idle node: a no-op for the
-                // problem, a full cache rebuild for the probe.
-                let idle = an_idle_node(&pad).expect("the padded twin has idle nodes");
-                pad.extended_mut()
-                    .set_capacity(idle, Capacity::finite(1.5).unwrap());
-                if let Some(idle) = an_idle_node(&plain) {
-                    plain
-                        .extended_mut()
-                        .set_capacity(idle, Capacity::finite(1.5).unwrap());
-                }
-                segment(
-                    &mut plain,
-                    &mut pad,
-                    30,
-                    "after set_capacity on an idle node",
-                );
-
-                for alg in [&mut plain, &mut pad] {
-                    let j = CommodityId::from_index(1);
-                    let rate = alg.extended().commodity(j).max_rate;
-                    alg.extended_mut().set_max_rate(j, 0.5 * rate);
-                }
-                segment(&mut plain, &mut pad, 30, "after set_max_rate");
-
-                let (ck_plain, ck_pad) = (plain.checkpoint(), pad.checkpoint());
-                segment(&mut plain, &mut pad, 20, "past the checkpoint");
-                plain.restore(&ck_plain).unwrap();
-                pad.restore(&ck_pad).unwrap();
-                segment(&mut plain, &mut pad, 30, "after restore");
-
-                assert!(
-                    plain.utility() > 0.0,
-                    "the trajectory never left the all-reject start: {ctx}"
-                );
+            // Evict commodity 0 and re-admit it (as the last id).
+            for alg in [&mut plain, &mut pad] {
+                let first = CommodityId::from_index(0);
+                let parked = alg.extended().commodity_def(first);
+                alg.evict_commodity(first);
+                alg.admit_commodity(parked);
             }
+            segment(&mut plain, &mut pad, 40, "after evict + admit");
+
+            // Capacity edit on a union node: commodity 0's source is
+            // a physical node, so it has the same id in both twins.
+            let source = plain
+                .extended()
+                .commodity(CommodityId::from_index(0))
+                .source();
+            for alg in [&mut plain, &mut pad] {
+                let cap = alg.extended().capacity(source).value();
+                alg.extended_mut()
+                    .set_capacity(source, Capacity::finite(0.6 * cap).unwrap());
+            }
+            segment(&mut plain, &mut pad, 30, "after set_capacity on a router");
+
+            // Capacity edit on an idle node: a no-op for the
+            // problem, a full cache rebuild for the probe.
+            let idle = an_idle_node(&pad).expect("the padded twin has idle nodes");
+            pad.extended_mut()
+                .set_capacity(idle, Capacity::finite(1.5).unwrap());
+            if let Some(idle) = an_idle_node(&plain) {
+                plain
+                    .extended_mut()
+                    .set_capacity(idle, Capacity::finite(1.5).unwrap());
+            }
+            segment(
+                &mut plain,
+                &mut pad,
+                30,
+                "after set_capacity on an idle node",
+            );
+
+            for alg in [&mut plain, &mut pad] {
+                let j = CommodityId::from_index(1);
+                let rate = alg.extended().commodity(j).max_rate;
+                alg.extended_mut().set_max_rate(j, 0.5 * rate);
+            }
+            segment(&mut plain, &mut pad, 30, "after set_max_rate");
+
+            let (ck_plain, ck_pad) = (plain.checkpoint(), pad.checkpoint());
+            segment(&mut plain, &mut pad, 20, "past the checkpoint");
+            plain.restore(&ck_plain).unwrap();
+            pad.restore(&ck_pad).unwrap();
+            segment(&mut plain, &mut pad, 30, "after restore");
+
+            assert!(
+                plain.utility() > 0.0,
+                "the trajectory never left the all-reject start: {ctx}"
+            );
         }
     }
 }

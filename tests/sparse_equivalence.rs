@@ -1,10 +1,11 @@
-//! ARCHITECTURE invariant 14: the sparse engine
-//! (`GradientConfig::sparsity`) must produce **bit-identical** results
-//! to the dense reference engine — same routing tables, same flow
-//! state, same marginals, down to the last ulp, through every mid-run
-//! mutation (checkpoints restored, η backoff, capacity/demand edits).
+//! ARCHITECTURE invariant 14: every step of the sparse engine equals
+//! one dense kernel replay of its own pre-step state — same routing
+//! table, same flow state, same marginals, same Γ statistics, down to
+//! the last ulp — through every mid-run mutation (checkpoints restored,
+//! η backoff, capacity/demand edits). The replay is the oracle in
+//! `support/dense.rs`.
 //!
-//! The engine earns its speedup by live-arc compaction: every commodity
+//! The engine earns its speed by live-arc compaction: every commodity
 //! runs every phase on every step, but the sweeps walk only the arcs
 //! with a nonzero fraction and Γ only the routers with a choice. Each
 //! sparse kernel performs the dense kernel's float operations in the
@@ -12,41 +13,17 @@
 //! bug rather than a tolerance question. That is why these tests
 //! compare with `assert_eq!` on full state rather than norms.
 
+#[path = "support/dense.rs"]
+mod dense;
+
+use dense::{assert_identical, checked_step, checked_steps};
 use spn::core::{Checkpoint, GradientAlgorithm, GradientConfig, StepStats};
 use spn::model::random::RandomInstance;
 use spn::model::CommodityId;
 use spn::transform::ExtendedNetwork;
 
-/// Asserts complete bitwise state agreement between two algorithms.
-fn assert_identical(dense: &GradientAlgorithm, sparse: &GradientAlgorithm, what: &str) {
-    assert_eq!(
-        dense.routing(),
-        sparse.routing(),
-        "routing diverged: {what}"
-    );
-    assert_eq!(dense.flows(), sparse.flows(), "flow state diverged: {what}");
-    assert_eq!(
-        dense.marginals(),
-        sparse.marginals(),
-        "marginals diverged: {what}"
-    );
-    let (rd, rs) = (dense.report(), sparse.report());
-    assert_eq!(
-        rd.utility.to_bits(),
-        rs.utility.to_bits(),
-        "utility not bit-identical: {what}"
-    );
-    for (j, (x, y)) in rd.admitted.iter().zip(&rs.admitted).enumerate() {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "admitted rate of commodity {j} differs: {what}"
-        );
-    }
-}
-
-/// The core property over a grid of 20 random instances, each stepped
-/// in lock step with full-state comparison at every iteration.
+/// The core property over a grid of 20 random instances, each checked
+/// against its dense replay at every one of 120 steps.
 #[test]
 fn sparse_is_bit_identical_to_dense_across_instances() {
     let grid = [
@@ -81,44 +58,9 @@ fn sparse_is_bit_identical_to_dense_across_instances() {
             .unwrap()
             .problem
             .scale_demand(scale);
-        let dense_cfg = GradientConfig {
-            sparsity: false,
-            ..GradientConfig::default()
-        };
-        let sparse_cfg = GradientConfig {
-            sparsity: true,
-            ..GradientConfig::default()
-        };
-        let mut dense = GradientAlgorithm::new(&problem, dense_cfg).unwrap();
-        let mut sparse = GradientAlgorithm::new(&problem, sparse_cfg).unwrap();
-        for it in 0..120 {
-            let sd = dense.step();
-            let ss = sparse.step();
-            let ctx = format!(
-                "at iteration {it} (nodes={nodes} commodities={commodities} \
-                 seed={seed} scale={scale})"
-            );
-            assert_eq!(dense.routing(), sparse.routing(), "routing diverged {ctx}");
-            // Step statistics feed `run_until_stable`; the decider-only
-            // chunk folds must reproduce the dense accumulation over
-            // every router bit-for-bit too.
-            assert_eq!(
-                sd.gamma.max_shift.to_bits(),
-                ss.gamma.max_shift.to_bits(),
-                "gamma max_shift diverged {ctx}"
-            );
-            assert_eq!(
-                sd.gamma.total_shift.to_bits(),
-                ss.gamma.total_shift.to_bits(),
-                "gamma total_shift diverged {ctx}"
-            );
-            assert_eq!(sd.gamma.rows, ss.gamma.rows, "gamma rows diverged {ctx}");
-        }
-        assert_identical(
-            &dense,
-            &sparse,
-            &format!("nodes={nodes} commodities={commodities} seed={seed}"),
-        );
+        let mut alg = GradientAlgorithm::new(&problem, GradientConfig::default()).unwrap();
+        let ctx = format!("nodes={nodes} commodities={commodities} seed={seed} scale={scale}");
+        checked_steps(&mut alg, 120, &ctx);
     }
 }
 
@@ -134,32 +76,21 @@ fn sparse_matches_dense_through_annealing() {
         .build()
         .unwrap()
         .problem;
-    let anneal = |sparsity| GradientConfig {
-        sparsity,
+    let cfg = GradientConfig {
         epsilon_factor: 0.5,
         epsilon_interval: 25,
         ..GradientConfig::default()
     };
-    let mut dense = GradientAlgorithm::new(&problem, anneal(false)).unwrap();
-    let mut sparse = GradientAlgorithm::new(&problem, anneal(true)).unwrap();
-    for it in 0..150 {
-        dense.step();
-        sparse.step();
-        assert_eq!(
-            dense.routing(),
-            sparse.routing(),
-            "routing diverged at iteration {it} across an anneal boundary"
-        );
-    }
-    assert_identical(&dense, &sparse, "annealed run");
+    let mut alg = GradientAlgorithm::new(&problem, cfg).unwrap();
+    checked_steps(&mut alg, 150, "annealed run");
+    assert!(alg.cost_model().epsilon < cfg.epsilon, "ε never annealed");
 }
 
 /// Mid-run mutations: checkpoint/restore, η backoff, and
 /// capacity/demand jitter through `extended_mut`. A restore flags an
 /// outside write (one Γ over every router, one full-width totals
-/// reduction); the others change only the next step's inputs. The
-/// sparse trajectory must stay glued to the dense one through all of
-/// them.
+/// reduction); the others change only the next step's inputs. Every
+/// step through all of them must equal its dense replay.
 #[test]
 fn sparse_survives_midrun_mutations() {
     let problem = RandomInstance::builder()
@@ -169,54 +100,33 @@ fn sparse_survives_midrun_mutations() {
         .build()
         .unwrap()
         .problem;
-    let cfg = |sparsity| GradientConfig {
-        sparsity,
-        ..GradientConfig::default()
-    };
-    let mut dense = GradientAlgorithm::new(&problem, cfg(false)).unwrap();
-    let mut sparse = GradientAlgorithm::new(&problem, cfg(true)).unwrap();
+    let mut alg = GradientAlgorithm::new(&problem, GradientConfig::default()).unwrap();
 
-    let run = |d: &mut GradientAlgorithm, s: &mut GradientAlgorithm, n: usize| {
-        for _ in 0..n {
-            d.step();
-            s.step();
-        }
-    };
-
-    // Settle, then capture a checkpoint of each trajectory.
-    run(&mut dense, &mut sparse, 60);
-    let (ck_d, ck_s) = (dense.checkpoint(), sparse.checkpoint());
-    assert_identical(&dense, &sparse, "before mutations");
+    // Settle, then capture a checkpoint.
+    checked_steps(&mut alg, 60, "before mutations");
+    let ck = alg.checkpoint();
 
     // η backoff and recovery, as the watchdog would apply it.
-    dense.set_eta(0.01);
-    sparse.set_eta(0.01);
-    run(&mut dense, &mut sparse, 25);
-    dense.set_eta(0.04);
-    sparse.set_eta(0.04);
-    run(&mut dense, &mut sparse, 25);
-    assert_identical(&dense, &sparse, "after eta backoff/recovery");
+    alg.set_eta(0.01);
+    checked_steps(&mut alg, 25, "eta backoff");
+    alg.set_eta(0.04);
+    checked_steps(&mut alg, 25, "eta recovery");
 
     // Demand jitter mid-run (dynamic-demand experiments).
     let j0 = CommodityId::from_index(0);
-    let rate = dense.extended().commodity(j0).max_rate;
-    dense.extended_mut().set_max_rate(j0, rate * 1.5);
-    sparse.extended_mut().set_max_rate(j0, rate * 1.5);
-    run(&mut dense, &mut sparse, 40);
-    assert_identical(&dense, &sparse, "after demand jitter");
+    let rate = alg.extended().commodity(j0).max_rate;
+    alg.extended_mut().set_max_rate(j0, rate * 1.5);
+    checked_steps(&mut alg, 40, "after demand jitter");
 
-    // Roll both back to their checkpoints: trajectories replay in lock
-    // step even though the sparse live-arc rows describe the pre-restore
-    // routing until the next step rebuilds them.
-    dense.restore(&ck_d).unwrap();
-    sparse.restore(&ck_s).unwrap();
-    run(&mut dense, &mut sparse, 50);
-    assert_identical(&dense, &sparse, "after checkpoint restore");
+    // Roll back to the checkpoint: the live-arc rows describe the
+    // pre-restore routing until the next step rebuilds them.
+    alg.restore(&ck).unwrap();
+    checked_steps(&mut alg, 50, "after checkpoint restore");
 }
 
 /// The converged regime is where the live-arc rows are shortest and Γ
 /// moves least (most rows reproduce their bits) — a long run at low
-/// demand must stay bit-identical there too.
+/// demand must equal its dense replay there too.
 #[test]
 fn sparse_matches_dense_in_converged_regime() {
     let problem = RandomInstance::builder()
@@ -227,27 +137,8 @@ fn sparse_matches_dense_in_converged_regime() {
         .unwrap()
         .problem
         .scale_demand(0.2);
-    let dense_cfg = GradientConfig {
-        sparsity: false,
-        ..GradientConfig::default()
-    };
-    let mut dense = GradientAlgorithm::new(&problem, dense_cfg).unwrap();
-    let mut sparse = GradientAlgorithm::new(&problem, GradientConfig::default()).unwrap();
-    // Settle deep into convergence, comparing periodically, then check
-    // every lane at the end.
-    for block in 0..40 {
-        for _ in 0..50 {
-            dense.step();
-            sparse.step();
-        }
-        assert_eq!(
-            dense.routing(),
-            sparse.routing(),
-            "routing diverged by iteration {}",
-            (block + 1) * 50
-        );
-    }
-    assert_identical(&dense, &sparse, "converged");
+    let mut alg = GradientAlgorithm::new(&problem, GradientConfig::default()).unwrap();
+    checked_steps(&mut alg, 2000, "converging");
 }
 
 /// ARCHITECTURE invariant 24 (a) — Γ decides only where there is a
@@ -257,17 +148,17 @@ fn sparse_matches_dense_in_converged_regime() {
 /// outside write walks every router. So perturb one carrying
 /// pass-through row per commodity from outside — through
 /// `install_routing` (`1 − 5e-8`, which passes `validate`) and through
-/// `Checkpoint::from_raw` + `restore` (`0.5`, `0.0`) — and hold dense ≡
-/// sparse, full state and `StepStats` bits, for 120 steps, with every
-/// perturbed row back at exactly `1.0` after the first. On a version
-/// without the post-write full-Γ step the sparse engine keeps the
-/// perturbed row and this fails at the first step.
+/// `Checkpoint::from_raw` + `restore` (`0.5`, `0.0`) — and hold every
+/// step of the next 120 to its dense replay, with every perturbed row
+/// back at exactly `1.0` after the first. On a version without the
+/// post-write full-Γ step the sparse engine keeps the perturbed row and
+/// this fails at the first step.
 ///
 /// The same step zeroes the node totals full width (invariant 22: the
 /// reduction otherwise zeroes the router union only). So also restore a
 /// checkpoint whose usage on a node outside every commodity's routers
-/// is poisoned (`7.5`, then `-0.0`): that entry must read `+0.0` on
-/// both engines from the first step on.
+/// is poisoned (`7.5`, then `-0.0`): that entry must read `+0.0` from
+/// the first step on, as the replay's full-width reduction leaves it.
 #[test]
 fn perturbed_pass_through_rows_heal_on_the_invalidated_step() {
     let problem = RandomInstance::builder()
@@ -277,16 +168,8 @@ fn perturbed_pass_through_rows_heal_on_the_invalidated_step() {
         .build()
         .unwrap()
         .problem;
-    let build = |sparsity| {
-        let cfg = GradientConfig {
-            sparsity,
-            ..GradientConfig::default()
-        };
-        let mut alg = GradientAlgorithm::new(&problem, cfg).unwrap();
-        alg.run(60);
-        alg
-    };
-    let warm = build(false);
+    let mut warm = GradientAlgorithm::new(&problem, GradientConfig::default()).unwrap();
+    warm.run(60);
     let ext = warm.extended();
     let union = ext.router_union();
     let idle = ext
@@ -324,15 +207,6 @@ fn perturbed_pass_through_rows_heal_on_the_invalidated_step() {
         }
         routing
     };
-    let stats_bits = |s: StepStats| {
-        let g = s.gamma;
-        (
-            s.cost_before.to_bits(),
-            g.total_shift.to_bits(),
-            g.max_shift.to_bits(),
-            g.rows,
-        )
-    };
     let ck = warm.checkpoint();
     // `warm`'s state with the pass-through rows at `row` or the idle
     // node's usage at `idle_usage`
@@ -368,46 +242,32 @@ fn perturbed_pass_through_rows_heal_on_the_invalidated_step() {
         ("idle usage", 7.5),
         ("idle usage", -0.0),
     ] {
-        let (mut dense, mut sparse) = (build(false), build(true));
+        let mut alg = warm.clone();
         match how {
             "install" => {
                 perturbed(value)
                     .validate(ext)
                     .expect("within the tolerance");
-                dense.install_routing(perturbed(value));
-                sparse.install_routing(perturbed(value));
+                alg.install_routing(perturbed(value));
             }
-            "restore" => {
-                dense.restore(&from_raw(Some(value), None)).unwrap();
-                sparse.restore(&from_raw(Some(value), None)).unwrap();
-            }
-            _ => {
-                dense.restore(&from_raw(None, Some(value))).unwrap();
-                sparse.restore(&from_raw(None, Some(value))).unwrap();
-            }
+            "restore" => alg.restore(&from_raw(Some(value), None)).unwrap(),
+            _ => alg.restore(&from_raw(None, Some(value))).unwrap(),
         }
         for it in 0..120 {
             let ctx = format!("{how} {value} at iteration {it}");
-            assert_eq!(
-                stats_bits(dense.step()),
-                stats_bits(sparse.step()),
-                "step stats: {ctx}"
-            );
-            assert_identical(&dense, &sparse, &ctx);
+            checked_step(&mut alg, &ctx);
             for &(j, l) in &rows {
                 assert_eq!(
-                    sparse.routing().fraction(j, l).to_bits(),
+                    alg.routing().fraction(j, l).to_bits(),
                     1.0f64.to_bits(),
                     "pass-through row of {j} not reset: {ctx}"
                 );
             }
-            for alg in [&dense, &sparse] {
-                assert_eq!(
-                    alg.flows().node_usage(idle).to_bits(),
-                    0.0f64.to_bits(),
-                    "usage of idle node {idle} not reset: {ctx}"
-                );
-            }
+            assert_eq!(
+                alg.flows().node_usage(idle).to_bits(),
+                0.0f64.to_bits(),
+                "usage of idle node {idle} not reset: {ctx}"
+            );
         }
     }
 }
@@ -477,16 +337,13 @@ fn cloned_sparse_algorithm_continues_identically() {
     for it in 0..100 {
         a.step();
         b.step();
-        assert_eq!(a.routing(), b.routing(), "clone diverged at iteration {it}");
+        assert_identical(&a, &b, &format!("clone, iteration {it}"));
     }
-    assert_eq!(a.flows(), b.flows());
-    assert_eq!(a.marginals(), b.marginals());
 }
 
-/// A sparse algorithm whose extended network is rebuilt from the same
-/// problem as a dense one must agree even when the sparse side is
-/// driven through `ExtendedNetwork::build` + `from_extended` (the
-/// simulator's construction path).
+/// An algorithm built through `ExtendedNetwork::build` +
+/// `from_extended` (the simulator's construction path) agrees with one
+/// built from the problem, bit for bit.
 #[test]
 fn from_extended_construction_matches() {
     let problem = RandomInstance::builder()
@@ -504,6 +361,5 @@ fn from_extended_construction_matches() {
         via_new.step();
         via_ext.step();
     }
-    assert_eq!(via_new.routing(), via_ext.routing());
-    assert_eq!(via_new.flows(), via_ext.flows());
+    assert_identical(&via_new, &via_ext, "from_extended");
 }

@@ -1,9 +1,9 @@
 //! The steady-state `GradientAlgorithm::step()` performs **zero heap
-//! allocation** — on the dense reference path and on the sparse
-//! engine: every buffer the iteration touches is owned by the
-//! algorithm (flow state, marginals, tags) or its
-//! [`IterationWorkspace`] and only resized, never rebuilt. Verified
-//! here with a counting global allocator.
+//! allocation**, with either row rule: every buffer the iteration
+//! touches is owned by the algorithm (flow state, marginals, tags,
+//! live-arc rows, curvature rows) or its [`IterationWorkspace`] and only
+//! resized, never rebuilt (ARCHITECTURE invariant 15). Verified here
+//! with a counting global allocator.
 //!
 //! This file deliberately contains a single test: the counter is
 //! process-global, and concurrent tests would alias into the measured
@@ -19,7 +19,7 @@
 //! allocation inside the measured window is a real regression.
 #![allow(unsafe_code)] // a counting GlobalAlloc requires unsafe impls
 
-use spn::core::{GradientAlgorithm, GradientConfig};
+use spn::core::{GradientAlgorithm, GradientConfig, NewtonGradient};
 use spn::model::random::RandomInstance;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,21 +82,16 @@ fn steady_state_step_is_allocation_free() {
         .unwrap()
         .problem
         .scale_demand(3.0);
-    // Dense reference path first (sparsity now defaults on, so the
-    // dense engine must be requested explicitly to stay covered here).
-    let cfg = GradientConfig {
-        sparsity: false,
-        ..GradientConfig::default()
-    };
-    let mut alg = GradientAlgorithm::new(&problem, cfg).unwrap();
+    let mut alg = GradientAlgorithm::new(&problem, GradientConfig::default()).unwrap();
 
-    // Warm-up: first steps may still grow workspace capacities (the
-    // measured windows below each quiesce before counting).
+    // Warm-up: the first steps size the live-arc rows and may still grow
+    // workspace capacities (the measured windows below each quiesce
+    // before counting).
     for _ in 0..10 {
         alg.step();
     }
 
-    let stray = allocations_in("dense", || {
+    let stray = allocations_in("steps", || {
         for _ in 0..50 {
             alg.step();
         }
@@ -111,14 +106,16 @@ fn steady_state_step_is_allocation_free() {
 
     // Checkpoint/rollback: the first capture sizes the checkpoint's
     // buffers; warm `checkpoint_into` refills and `restore` copies back
-    // into existing storage, so a checkpoint-step-rollback cycle is
-    // allocation-free too.
+    // into existing storage. A restore flags an outside write — every
+    // live-arc row rebuilt, Γ over every router, the node totals zeroed
+    // full width — and that step must be allocation-free too.
     let mut ck = spn::core::Checkpoint::new();
     alg.checkpoint_into(&mut ck); // cold capture allocates, outside the window
     let stray = allocations_in("checkpoint cycle", || {
         for _ in 0..20 {
             alg.checkpoint_into(&mut ck);
-            alg.step();
+            alg.step(); // full walk after the outside write
+            alg.step(); // warm iteration
             alg.restore(&ck).expect("shapes match");
         }
     });
@@ -128,38 +125,23 @@ fn steady_state_step_is_allocation_free() {
     );
     assert!(alg.report().utility > 0.0);
 
-    // The sparse engine (ARCHITECTURE invariant 15): once its buffers
-    // are sized by the first sparse step, live-arc row rebuilds after
-    // support changes and the totals reduction reuse preallocated
-    // storage. The window includes a restore (which flags an outside
-    // write: every live-arc row rebuilt, Γ over every router, the node
-    // totals zeroed full width — that step must be allocation-free
-    // too).
-    let mut sparse = GradientAlgorithm::new(&problem, GradientConfig::default()).unwrap();
+    // The Newton row rule adds the curvature rows, sized by its first
+    // step and reused after.
+    let cfg = GradientConfig {
+        eta: 0.5,
+        ..GradientConfig::default()
+    };
+    let mut newton = NewtonGradient::new(&problem, cfg, 1e-6).unwrap();
     for _ in 0..10 {
-        sparse.step();
+        newton.step();
     }
-    let stray = allocations_in("sparse steps", || {
+    let stray = allocations_in("newton steps", || {
         for _ in 0..50 {
-            sparse.step();
+            newton.step();
         }
     });
     assert_eq!(
         stray, 0,
-        "steady-state sparse step() allocated {stray} times over 50 iterations"
+        "steady-state Newton step() allocated {stray} times over 50 iterations"
     );
-    let mut ck = spn::core::Checkpoint::new();
-    sparse.checkpoint_into(&mut ck);
-    let stray = allocations_in("sparse restore cycle", || {
-        for _ in 0..10 {
-            sparse.restore(&ck).expect("shapes match");
-            sparse.step(); // full walk after the outside write
-            sparse.step(); // warm sparse iteration
-        }
-    });
-    assert_eq!(
-        stray, 0,
-        "sparse restore/invalidate cycle allocated {stray} times"
-    );
-    assert!(sparse.report().utility > 0.0);
 }
