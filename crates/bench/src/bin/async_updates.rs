@@ -10,11 +10,14 @@
 //! * in *applied updates* — the true work measure, where degradation is
 //!   mild (the algorithm is robust to stale decisions elsewhere).
 //!
+//! The runs are [`ChaosGradient`] with every fault off and only the
+//! participation schedule set.
+//!
 //! Usage: `async_updates [seed] [iters]`
 
 use spn_bench::{fmt_opt, lp_optimum, paper_instance};
 use spn_core::GradientConfig;
-use spn_sim::{AsyncGradient, Schedule};
+use spn_sim::{ChaosConfig, ChaosGradient, Schedule};
 
 fn run(
     problem: &spn_model::Problem,
@@ -22,12 +25,16 @@ fn run(
     iters: usize,
     optimum: f64,
 ) -> (Option<usize>, Option<usize>, f64, usize) {
-    let cfg = GradientConfig::default();
-    let mut alg = AsyncGradient::new(problem, cfg, schedule).expect("valid config");
+    let chaos = ChaosConfig {
+        participation: schedule,
+        ..ChaosConfig::off()
+    };
+    let mut alg =
+        ChaosGradient::new(problem, GradientConfig::default(), &chaos).expect("valid config");
     let mut it95_iters = None;
     let mut it95_updates = None;
     for i in 0..iters {
-        alg.step();
+        alg.step().expect("no scheduled faults");
         if it95_iters.is_none() && alg.utility() >= 0.95 * optimum {
             it95_iters = Some(i + 1);
             it95_updates = Some(alg.updates_applied());

@@ -7,8 +7,8 @@
 //! tracks the utility trajectory against a chaos-free reference run of
 //! the same instance. The claims under test:
 //!
-//! * no NaN/Inf ever enters the iteration state (the watchdog's
-//!   non-finite counter stays zero);
+//! * no NaN/Inf ever enters the iteration state (the incident log
+//!   holds no `Corruption` entry and the final state scans clean);
 //! * every scheduled fault is visible in the incident log (failed *and*
 //!   restored) — incidents are reported, never panicked;
 //! * after the last restoration the utility recovers to ≥95% of the
@@ -20,7 +20,7 @@
 //! (short seed-fixed run, exit 1 if any claim fails — wired into CI).
 
 use spn_bench::paper_instance;
-use spn_core::GradientConfig;
+use spn_core::{check_finite, GradientConfig};
 use spn_sim::{ChaosConfig, ChaosGradient, ChaosIncident, FaultTarget, ScheduledFault};
 use spn_transform::NodeKind;
 
@@ -164,11 +164,20 @@ fn main() {
 
     // --- the three claims ---
     let mut ok = true;
-    if run.watchdog().non_finite_total() != 0 {
-        eprintln!(
-            "FAIL: {} non-finite incidents entered observed state",
-            run.watchdog().non_finite_total()
-        );
+    let count =
+        |pred: fn(&ChaosIncident) -> bool| run.incidents().iter().filter(|i| pred(i)).count();
+    let non_finite = count(|i| matches!(i, ChaosIncident::Corruption { .. }));
+    if non_finite != 0 {
+        eprintln!("FAIL: {non_finite} non-finite incidents entered iteration state");
+        ok = false;
+    }
+    if let Err(error) = check_finite(
+        run.iterations(),
+        run.flows(),
+        run.marginals(),
+        run.routing(),
+    ) {
+        eprintln!("FAIL: final state is not finite: {error}");
         ok = false;
     }
     for fault in run.plan().faults().to_vec() {
@@ -206,11 +215,8 @@ fn main() {
         "# tail_mean={tail_mean:.4} vs_noise_only={final_frac:.4} vs_clean={:.4} incidents={} non_finite={} rollbacks={}",
         tail_mean / reference,
         run.incidents().len(),
-        run.watchdog().non_finite_total(),
-        run.incidents()
-            .iter()
-            .filter(|i| matches!(i, ChaosIncident::RolledBack { .. }))
-            .count()
+        non_finite,
+        count(|i| matches!(i, ChaosIncident::RolledBack { .. }))
     );
     if !ok {
         std::process::exit(1);

@@ -93,8 +93,15 @@ pub struct GradientConfig {
 }
 
 impl GradientConfig {
-    /// Checks the tunables every constructor relies on.
-    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+    /// Checks the tunables every constructor relies on. Drivers outside
+    /// this crate that run their own loop over the same tunables call it
+    /// instead of building a throw-away [`GradientAlgorithm`].
+    ///
+    /// # Errors
+    ///
+    /// The first [`ConfigError`] found, in the order η, ε, traffic
+    /// floor, opening fraction, shift cap.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if !(self.eta.is_finite() && self.eta > 0.0) {
             return Err(ConfigError::BadEta(self.eta));
         }
@@ -489,9 +496,8 @@ impl GradientAlgorithm {
         }
     }
 
-    /// Current total utility `Σ_j U_j(a_j)` — the scalar the watchdog
-    /// tracks every step. Allocation-free, unlike the full
-    /// [`report`](GradientAlgorithm::report).
+    /// Current total utility `Σ_j U_j(a_j)`. Allocation-free, unlike the
+    /// full [`report`](GradientAlgorithm::report).
     #[must_use]
     pub fn utility(&self) -> f64 {
         self.ext
@@ -507,7 +513,8 @@ impl GradientAlgorithm {
 
     /// Snapshots the full trajectory-determining state — routing `φ`,
     /// flows, marginals, iteration counter, and the runtime-drifting
-    /// tunables (annealed ε, watchdog-adjusted η) — into a fresh
+    /// tunables (annealed ε, a [`set_eta`](GradientAlgorithm::set_eta)
+    /// override) — into a fresh
     /// [`Checkpoint`]. Prefer
     /// [`checkpoint_into`](GradientAlgorithm::checkpoint_into) in loops:
     /// it reuses the buffers and is allocation-free after the first
@@ -597,8 +604,8 @@ impl GradientAlgorithm {
         Ok(())
     }
 
-    /// Overrides the step size `η` mid-run — the watchdog's backoff
-    /// hook (and its slow recovery after an incident clears).
+    /// Overrides the step size `η` mid-run (step-size schedules and
+    /// experiments that retune a running algorithm).
     ///
     /// # Panics
     ///

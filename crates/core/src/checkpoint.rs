@@ -5,8 +5,8 @@
 //! the routing table `φ` (which *is* the algorithm's decision variable,
 //! admission control included), the flow state and marginals derived
 //! from it, the iteration counter, and the two tunables that drift at
-//! runtime (the ε-annealing schedule moves `cost.epsilon`; the
-//! watchdog's backoff moves `η`). Workspace scratch and blocking tags
+//! runtime (the ε-annealing schedule moves `cost.epsilon`;
+//! [`set_eta`](crate::GradientAlgorithm::set_eta) moves `η`). Workspace scratch and blocking tags
 //! are deliberately excluded — every pass fully rewrites them before
 //! reading, so they carry no state across steps.
 //!
@@ -47,8 +47,7 @@ pub struct Checkpoint {
     /// `cost.epsilon` at capture time (the annealing schedule mutates
     /// the live value).
     pub(crate) epsilon: f64,
-    /// `config.eta` at capture time (watchdog backoff mutates the live
-    /// value).
+    /// `config.eta` at capture time (`set_eta` mutates the live value).
     pub(crate) eta: f64,
     /// Commodity-set epoch at capture time. Online admission/eviction
     /// bumps the algorithm's epoch, so a restore across a reshape is

@@ -1,35 +1,27 @@
-//! Numerical health monitoring: structured errors instead of panics.
+//! Numerical health: structured errors instead of panics.
 //!
 //! §3 of the paper motivates penalty headroom with recovery from "node
 //! or link failures" and "changing demands" — but a runtime that
-//! silently propagates a NaN, diverges without notice, or panics deep in
-//! library code cannot *use* that headroom. This module provides the
-//! reporting half of the chaos-hardening stack:
+//! silently propagates a NaN, or panics deep in library code, cannot
+//! *use* that headroom. This module provides the reporting half of the
+//! fault-handling stack:
 //!
 //! * [`CoreError`] — a structured error type for everything the
-//!   iteration core can detect going wrong (non-finite state, sustained
-//!   divergence/oscillation, invalid fault targets, checkpoint shape
-//!   mismatches). Library code reports through it instead of panicking.
-//! * [`Watchdog`] — a per-step monitor that scans flows, marginals, and
-//!   routing for NaN/Inf, tracks the utility trajectory for divergence
-//!   (a collapse relative to the best utility seen) and sustained
-//!   oscillation (alternating large utility deltas, the signature of an
-//!   η that outruns the barrier), and reacts with step-size backoff.
-//! * [`HealthReport`] — the structured incident report of one check:
-//!   what was detected, and what the watchdog did (or recommends) about
-//!   it.
+//!   iteration core can detect going wrong (non-finite state, invalid
+//!   fault targets, checkpoint shape mismatches). Library code reports
+//!   through it instead of panicking.
+//! * [`check_finite`] — the NaN/Inf scan over the iteration state. A
+//!   caller runs it before stepping (Γ-row normalization would panic on
+//!   NaN mass) and after, and answers a failure by rolling back.
 //!
-//! The watchdog owns reusable buffers, so steady-state checks are
-//! allocation-free after the first incident. The recovery half — the
-//! checkpoint/rollback machinery a caller uses to get *past* a fault the
-//! watchdog flagged — lives in [`crate::checkpoint`]; the adversarial
-//! test bed that exercises both under injected faults lives in
-//! `spn-sim`'s `chaos` module.
+//! The recovery half — the checkpoint/rollback machinery a caller uses
+//! to get *past* a fault the scan flagged — lives in
+//! [`crate::checkpoint`]; the adversarial test bed that exercises both
+//! under injected faults lives in `spn-sim`'s `chaos` module.
 
 use crate::flows::FlowState;
 use crate::marginals::Marginals;
 use crate::routing::RoutingTable;
-use crate::{GradientAlgorithm, StepStats};
 use std::fmt;
 
 /// Which state buffer a non-finite value was found in.
@@ -66,8 +58,7 @@ impl fmt::Display for StateDomain {
 
 /// Structured runtime errors of the iteration core and its recovery
 /// machinery. Library code reports these instead of panicking so a
-/// supervising loop can react (back off, roll back, fail over) rather
-/// than die.
+/// supervising loop can react (roll back, fail over) rather than die.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum CoreError {
@@ -77,23 +68,6 @@ pub enum CoreError {
         domain: StateDomain,
         /// Flat index of the first offending entry (buffer-specific).
         index: usize,
-        /// Iteration at which the check ran.
-        iteration: usize,
-    },
-    /// Utility collapsed relative to the best value seen.
-    Diverged {
-        /// Utility at detection time.
-        utility: f64,
-        /// Best utility observed before the collapse.
-        peak: f64,
-        /// Iteration at which the check ran.
-        iteration: usize,
-    },
-    /// Sustained oscillation: the utility delta kept alternating sign
-    /// at significant amplitude.
-    Oscillating {
-        /// Consecutive sign flips observed.
-        flips: usize,
         /// Iteration at which the check ran.
         iteration: usize,
     },
@@ -147,18 +121,6 @@ impl fmt::Display for CoreError {
                 f,
                 "non-finite value in {domain} at flat index {index} (iteration {iteration})"
             ),
-            CoreError::Diverged {
-                utility,
-                peak,
-                iteration,
-            } => write!(
-                f,
-                "utility diverged: {utility} vs peak {peak} (iteration {iteration})"
-            ),
-            CoreError::Oscillating { flips, iteration } => write!(
-                f,
-                "sustained oscillation: {flips} consecutive utility sign flips (iteration {iteration})"
-            ),
             CoreError::NotProcessingNode { node } => {
                 write!(f, "{node} is not a physical processing node")
             }
@@ -187,404 +149,50 @@ impl fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
-/// One detected anomaly.
-#[derive(Clone, Debug, PartialEq)]
-#[non_exhaustive]
-pub enum Incident {
-    /// A NaN or ±Inf in the named buffer (first offending flat index).
-    NonFinite {
-        /// The buffer family.
-        domain: StateDomain,
-        /// First offending flat index.
-        index: usize,
-    },
-    /// Utility collapsed below `(1 − divergence_drop) · peak`.
-    Diverged {
-        /// Utility at detection time.
-        utility: f64,
-        /// Peak utility before the collapse.
-        peak: f64,
-    },
-    /// The utility delta alternated sign at significant amplitude for
-    /// `flips` consecutive steps.
-    Oscillating {
-        /// Consecutive sign flips.
-        flips: usize,
-        /// Magnitude of the latest delta.
-        amplitude: f64,
-    },
-}
-
-/// What the watchdog did (or recommends) about the incidents of a check.
-#[derive(Clone, Copy, Debug, PartialEq)]
-#[non_exhaustive]
-pub enum Action {
-    /// Nothing beyond reporting.
-    None,
-    /// The caller should shrink the step size (the watchdog had no
-    /// mutable access to apply it itself).
-    BackoffRecommended,
-    /// The watchdog shrank η.
-    BackedOff {
-        /// η before the backoff.
-        from: f64,
-        /// η after the backoff.
-        to: f64,
-    },
-    /// State is corrupted (non-finite); continuing would panic or
-    /// propagate garbage. Roll back to a checkpoint.
-    RollbackRecommended,
-}
-
-/// The structured result of one watchdog check with at least one
-/// incident.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HealthReport {
-    /// Iteration the check observed.
-    pub iteration: usize,
-    /// Everything detected this check (non-finite scans record the
-    /// first offending index per buffer family).
-    pub incidents: Vec<Incident>,
-    /// The watchdog's reaction.
-    pub action: Action,
-}
-
-impl HealthReport {
-    /// The first *fatal* incident as a [`CoreError`], if any. Non-finite
-    /// state is fatal (stepping further would panic in Γ-normalization
-    /// or propagate garbage); divergence and oscillation are advisory —
-    /// the watchdog already reacts with backoff.
-    #[must_use]
-    pub fn to_error(&self) -> Option<CoreError> {
-        self.incidents.iter().find_map(|incident| match *incident {
-            Incident::NonFinite { domain, index } => Some(CoreError::NonFinite {
-                domain,
-                index,
-                iteration: self.iteration,
-            }),
-            _ => None,
-        })
-    }
-
-    /// `true` if any incident is a non-finite detection.
-    #[must_use]
-    pub fn has_non_finite(&self) -> bool {
-        self.incidents
-            .iter()
-            .any(|i| matches!(i, Incident::NonFinite { .. }))
-    }
-}
-
-/// Tunables of the [`Watchdog`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WatchdogConfig {
-    /// Relative drop from the peak utility reported as divergence
-    /// (`utility < (1 − divergence_drop) · peak`). After reporting, the
-    /// peak re-arms at the current utility so one collapse episode is
-    /// reported once, not every step.
-    pub divergence_drop: f64,
-    /// Peaks below this are too small for relative-drop comparisons
-    /// (everything looks like a collapse near zero).
-    pub divergence_floor: f64,
-    /// Consecutive utility-delta sign flips reported as sustained
-    /// oscillation.
-    pub oscillation_flips: usize,
-    /// Minimum |Δutility| for a flip to count (benign limit cycles at
-    /// the shift cap stay below this).
-    pub oscillation_amplitude: f64,
-    /// Multiplier applied to η when backing off.
-    pub backoff_factor: f64,
-    /// η never drops below this.
-    pub eta_min: f64,
-    /// Healthy-step multiplier that lets η creep back toward its
-    /// original value after a backoff (`1.0` disables recovery).
-    pub eta_recovery: f64,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            divergence_drop: 0.5,
-            divergence_floor: 1e-6,
-            oscillation_flips: 8,
-            oscillation_amplitude: 1e-3,
-            backoff_factor: 0.5,
-            eta_min: 1e-4,
-            eta_recovery: 1.01,
-        }
-    }
-}
-
-/// Per-step numerical health monitor.
+/// Scans the iteration state for NaN/Inf in a fixed order (traffic,
+/// edge flows, usage totals, marginals, routing), so the reported
+/// entry is deterministic. Stateless and allocation-free.
 ///
-/// Feed it one observation per iteration — either via
-/// [`Watchdog::check`] on a [`GradientAlgorithm`], or via
-/// [`Watchdog::observe`] with explicit state references (the `spn-sim`
-/// chaos runtime uses the latter). A check with no incidents returns
-/// `None` and costs one linear scan of the state buffers; incidents are
-/// collected into a reusable [`HealthReport`] (allocation-free once the
-/// incident buffer is warm).
-#[derive(Clone, Debug)]
-pub struct Watchdog {
-    cfg: WatchdogConfig,
-    /// Best utility seen (re-armed after each divergence report).
-    peak: f64,
-    /// Utility of the previous observation.
-    last_utility: f64,
-    /// Sign of the previous significant delta (0 = none).
-    last_sign: i8,
-    /// Consecutive alternating-sign significant deltas.
-    flips: usize,
-    /// Whether any observation has been recorded yet.
-    primed: bool,
-    /// η at the first check (the ceiling for recovery).
-    baseline_eta: Option<f64>,
-    /// Reused report; `incidents` is cleared, not reallocated.
-    report: HealthReport,
-    /// Cumulative incident count over the watchdog's lifetime.
-    incidents_total: usize,
-    /// Cumulative non-finite incident count.
-    non_finite_total: usize,
-}
-
-impl Watchdog {
-    /// A watchdog with the given tunables.
-    #[must_use]
-    pub fn new(cfg: WatchdogConfig) -> Self {
-        Watchdog {
-            cfg,
-            peak: f64::NEG_INFINITY,
-            last_utility: 0.0,
-            last_sign: 0,
-            flips: 0,
-            primed: false,
-            baseline_eta: None,
-            report: HealthReport {
-                iteration: 0,
-                incidents: Vec::new(),
-                action: Action::None,
-            },
-            incidents_total: 0,
-            non_finite_total: 0,
-        }
-    }
-
-    /// The configuration in effect.
-    #[must_use]
-    pub fn config(&self) -> &WatchdogConfig {
-        &self.cfg
-    }
-
-    /// The report of the most recent check that found incidents.
-    #[must_use]
-    pub fn last_report(&self) -> &HealthReport {
-        &self.report
-    }
-
-    /// Total incidents reported over this watchdog's lifetime.
-    #[must_use]
-    pub fn incidents_total(&self) -> usize {
-        self.incidents_total
-    }
-
-    /// Total non-finite incidents reported over this watchdog's
-    /// lifetime (zero means no NaN/Inf ever entered observed state).
-    #[must_use]
-    pub fn non_finite_total(&self) -> usize {
-        self.non_finite_total
-    }
-
-    /// Stateless scan for fatal (non-finite) corruption — no history
-    /// update, no backoff. Used as a pre-step guard: stepping on
-    /// corrupted state would panic inside Γ-row normalization.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`CoreError::NonFinite`] found.
-    pub fn preflight(
-        &self,
-        iteration: usize,
-        flows: &FlowState,
-        marginals: &Marginals,
-        routing: &RoutingTable,
-    ) -> Result<(), CoreError> {
-        if let Some((domain, index)) = first_non_finite(flows, marginals, routing) {
+/// # Errors
+///
+/// [`CoreError::NonFinite`] naming the first offending buffer and flat
+/// index (`f_node` entries are numbered after the `f_edge` ones), with
+/// `iteration` recorded as given.
+pub fn check_finite(
+    iteration: usize,
+    flows: &FlowState,
+    marginals: &Marginals,
+    routing: &RoutingTable,
+) -> Result<(), CoreError> {
+    let buffers: [(StateDomain, &[f64], usize); 6] = [
+        (StateDomain::Traffic, &flows.t, 0),
+        (StateDomain::EdgeFlows, &flows.x, 0),
+        (StateDomain::UsageTotals, &flows.f_edge, 0),
+        (StateDomain::UsageTotals, &flows.f_node, flows.f_edge.len()),
+        (StateDomain::Marginals, &marginals.d, 0),
+        (StateDomain::Routing, routing.flat(), 0),
+    ];
+    for (domain, buf, offset) in buffers {
+        if let Some(i) = buf.iter().position(|v| !v.is_finite()) {
             return Err(CoreError::NonFinite {
                 domain,
-                index,
+                index: offset + i,
                 iteration,
             });
         }
-        Ok(())
     }
-
-    /// Records one observation. Returns `Some(report)` when at least one
-    /// incident was detected; the report's `action` is a
-    /// *recommendation* (this entry point has nothing to mutate — use
-    /// [`Watchdog::check`] to let the watchdog apply η backoff itself).
-    pub fn observe(
-        &mut self,
-        iteration: usize,
-        utility: f64,
-        flows: &FlowState,
-        marginals: &Marginals,
-        routing: &RoutingTable,
-    ) -> Option<&HealthReport> {
-        self.report.iteration = iteration;
-        self.report.incidents.clear();
-        self.report.action = Action::None;
-
-        // 1. Non-finite scan: state corruption trumps everything.
-        if !utility.is_finite() {
-            self.report.incidents.push(Incident::NonFinite {
-                domain: StateDomain::Utility,
-                index: 0,
-            });
-        }
-        if let Some((domain, index)) = first_non_finite(flows, marginals, routing) {
-            self.report
-                .incidents
-                .push(Incident::NonFinite { domain, index });
-        }
-        if !self.report.incidents.is_empty() {
-            self.report.action = Action::RollbackRecommended;
-            self.non_finite_total += self.report.incidents.len();
-            self.incidents_total += self.report.incidents.len();
-            // Do not fold a corrupted utility into the trajectory state.
-            return Some(&self.report);
-        }
-
-        // 2. Divergence: collapse relative to the best utility seen.
-        if self.peak > self.cfg.divergence_floor
-            && utility < (1.0 - self.cfg.divergence_drop) * self.peak
-        {
-            self.report.incidents.push(Incident::Diverged {
-                utility,
-                peak: self.peak,
-            });
-            // Re-arm at the current level: one report per episode.
-            self.peak = utility;
-        } else {
-            self.peak = self.peak.max(utility);
-        }
-
-        // 3. Sustained oscillation: alternating significant deltas.
-        if self.primed {
-            let delta = utility - self.last_utility;
-            if delta.abs() >= self.cfg.oscillation_amplitude {
-                let sign: i8 = if delta > 0.0 { 1 } else { -1 };
-                if self.last_sign != 0 && sign != self.last_sign {
-                    self.flips += 1;
-                } else {
-                    self.flips = 0;
-                }
-                self.last_sign = sign;
-                if self.flips >= self.cfg.oscillation_flips {
-                    self.report.incidents.push(Incident::Oscillating {
-                        flips: self.flips,
-                        amplitude: delta.abs(),
-                    });
-                    self.flips = 0;
-                    self.last_sign = 0;
-                }
-            } else {
-                self.flips = 0;
-                self.last_sign = 0;
-            }
-        }
-        self.last_utility = utility;
-        self.primed = true;
-
-        if self.report.incidents.is_empty() {
-            None
-        } else {
-            self.incidents_total += self.report.incidents.len();
-            self.report.action = Action::BackoffRecommended;
-            Some(&self.report)
-        }
-    }
-
-    /// Observes `alg`'s current state and *applies* the reaction:
-    /// divergence or oscillation shrinks η by `backoff_factor` (floored
-    /// at `eta_min`); incident-free checks let η recover toward its
-    /// original value by `eta_recovery` per step. Returns `Some` when
-    /// incidents were detected.
-    pub fn check(&mut self, alg: &mut GradientAlgorithm) -> Option<&HealthReport> {
-        let eta = alg.config().eta;
-        let baseline = *self.baseline_eta.get_or_insert(eta);
-        let utility = alg.utility();
-        let found = self
-            .observe(
-                alg.iterations(),
-                utility,
-                alg.flows(),
-                alg.marginals(),
-                alg.routing(),
-            )
-            .is_some();
-        if found {
-            if self.report.action == Action::BackoffRecommended {
-                let to = (eta * self.cfg.backoff_factor).max(self.cfg.eta_min);
-                if to < eta {
-                    alg.set_eta(to);
-                    self.report.action = Action::BackedOff { from: eta, to };
-                }
-            }
-            Some(&self.report)
-        } else {
-            if self.cfg.eta_recovery > 1.0 && eta < baseline {
-                alg.set_eta((eta * self.cfg.eta_recovery).min(baseline));
-            }
-            None
-        }
-    }
-}
-
-impl Default for Watchdog {
-    fn default() -> Self {
-        Watchdog::new(WatchdogConfig::default())
-    }
-}
-
-impl GradientAlgorithm {
-    /// One watchdog-guarded iteration: refuses (with a structured
-    /// [`CoreError`]) to step on non-finite state, steps, then lets the
-    /// watchdog inspect the result — reporting instead of panicking, so
-    /// a supervising loop can [`restore`](GradientAlgorithm::restore) a
-    /// checkpoint and move on.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::NonFinite`] when corruption is detected before or
-    /// after the step. Divergence/oscillation incidents are *not*
-    /// errors; the watchdog reacts with η backoff and the report stays
-    /// queryable via [`Watchdog::last_report`].
-    pub fn guarded_step(&mut self, watchdog: &mut Watchdog) -> Result<StepStats, CoreError> {
-        watchdog.preflight(
-            self.iterations(),
-            self.flows(),
-            self.marginals(),
-            self.routing(),
-        )?;
-        let stats = self.step();
-        if let Some(report) = watchdog.check(self) {
-            if let Some(err) = report.to_error() {
-                return Err(err);
-            }
-        }
-        Ok(stats)
-    }
+    Ok(())
 }
 
 // --- serde (incident logs) -------------------------------------------
 //
-// Incident types serialize so fault-injection runtimes (`spn-sim`'s
-// chaos log, `spn-mesh`'s incident log) can be rendered to JSON and
-// diffed across CI runs. The impls are manual: the graph crate is
-// deliberately serde-free, so node/edge ids appear as their indices,
-// and every variant renders as a map with a `"kind"` discriminant
-// first — insertion order is preserved by the `Value` tree, so the
-// rendering is deterministic.
+// Errors serialize so fault-injection runtimes (`spn-sim`'s chaos log,
+// `spn-mesh`'s incident log) can be rendered to JSON and diffed across
+// CI runs. The impls are manual: the graph crate is deliberately
+// serde-free, so node/edge ids appear as their indices, and every
+// variant renders as a map with a `"kind"` discriminant first —
+// insertion order is preserved by the `Value` tree, so the rendering is
+// deterministic.
 
 fn tagged(kind: &str, fields: Vec<(String, serde::Value)>) -> serde::Value {
     let mut entries = vec![("kind".to_owned(), serde::Value::Str(kind.to_owned()))];
@@ -625,22 +233,6 @@ impl serde::Serialize for CoreError {
                     field("iteration", iteration),
                 ],
             ),
-            CoreError::Diverged {
-                utility,
-                peak,
-                iteration,
-            } => tagged(
-                "Diverged",
-                vec![
-                    field("utility", utility),
-                    field("peak", peak),
-                    field("iteration", iteration),
-                ],
-            ),
-            CoreError::Oscillating { flips, iteration } => tagged(
-                "Oscillating",
-                vec![field("flips", flips), field("iteration", iteration)],
-            ),
             CoreError::NotProcessingNode { node } => {
                 tagged("NotProcessingNode", vec![field("node", node.index())])
             }
@@ -671,80 +263,6 @@ impl serde::Serialize for CoreError {
     }
 }
 
-impl serde::Serialize for Incident {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            Incident::NonFinite { domain, index } => tagged(
-                "NonFinite",
-                vec![field("domain", domain), field("index", index)],
-            ),
-            Incident::Diverged { utility, peak } => tagged(
-                "Diverged",
-                vec![field("utility", utility), field("peak", peak)],
-            ),
-            Incident::Oscillating { flips, amplitude } => tagged(
-                "Oscillating",
-                vec![field("flips", flips), field("amplitude", amplitude)],
-            ),
-        }
-    }
-}
-
-impl serde::Serialize for Action {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            Action::None => tagged("None", Vec::new()),
-            Action::BackoffRecommended => tagged("BackoffRecommended", Vec::new()),
-            Action::BackedOff { from, to } => {
-                tagged("BackedOff", vec![field("from", from), field("to", to)])
-            }
-            Action::RollbackRecommended => tagged("RollbackRecommended", Vec::new()),
-        }
-    }
-}
-
-impl serde::Serialize for HealthReport {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            field("iteration", self.iteration),
-            field("incidents", &self.incidents),
-            field("action", self.action),
-        ])
-    }
-}
-
-/// First non-finite entry across the observable state buffers, scanned
-/// in a fixed order (traffic, edge flows, usage totals, marginals,
-/// routing) so reports are deterministic.
-fn first_non_finite(
-    flows: &FlowState,
-    marginals: &Marginals,
-    routing: &RoutingTable,
-) -> Option<(StateDomain, usize)> {
-    fn scan(buf: &[f64]) -> Option<usize> {
-        buf.iter().position(|v| !v.is_finite())
-    }
-    if let Some(i) = scan(&flows.t) {
-        return Some((StateDomain::Traffic, i));
-    }
-    if let Some(i) = scan(&flows.x) {
-        return Some((StateDomain::EdgeFlows, i));
-    }
-    if let Some(i) = scan(&flows.f_edge) {
-        return Some((StateDomain::UsageTotals, i));
-    }
-    if let Some(i) = scan(&flows.f_node) {
-        return Some((StateDomain::UsageTotals, flows.f_edge.len() + i));
-    }
-    if let Some(i) = scan(&marginals.d) {
-        return Some((StateDomain::Marginals, i));
-    }
-    if let Some(i) = scan(routing.flat()) {
-        return Some((StateDomain::Routing, i));
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -764,59 +282,43 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn check(alg: &GradientAlgorithm) -> Result<(), CoreError> {
+        check_finite(
+            alg.iterations(),
+            alg.flows(),
+            alg.marginals(),
+            alg.routing(),
+        )
+    }
+
     #[test]
-    fn healthy_run_reports_nothing() {
+    fn healthy_run_scans_clean() {
         let p = bottleneck();
         let mut alg = GradientAlgorithm::new(&p, GradientConfig::default()).unwrap();
-        let mut wd = Watchdog::default();
         for _ in 0..200 {
-            alg.guarded_step(&mut wd).unwrap();
+            alg.step();
+            check(&alg).unwrap();
         }
-        assert_eq!(wd.incidents_total(), 0);
-        assert_eq!(wd.non_finite_total(), 0);
         assert!(alg.report().utility > 0.0);
     }
 
     #[test]
-    fn watchdog_does_not_perturb_a_healthy_trajectory() {
-        let p = bottleneck();
-        let cfg = GradientConfig::default();
-        let mut plain = GradientAlgorithm::new(&p, cfg).unwrap();
-        let mut guarded = GradientAlgorithm::new(&p, cfg).unwrap();
-        let mut wd = Watchdog::default();
-        for _ in 0..150 {
-            plain.step();
-            guarded.guarded_step(&mut wd).unwrap();
-        }
-        assert_eq!(plain.flows(), guarded.flows());
-        assert_eq!(plain.routing(), guarded.routing());
-        assert_eq!(
-            plain.report().utility.to_bits(),
-            guarded.report().utility.to_bits()
-        );
-    }
-
-    #[test]
-    fn corruption_is_reported_not_panicked() {
+    fn nan_traffic_is_reported_not_panicked() {
         let p = bottleneck();
         let mut alg = GradientAlgorithm::new(&p, GradientConfig::default()).unwrap();
-        let mut wd = Watchdog::default();
-        for _ in 0..50 {
-            alg.guarded_step(&mut wd).unwrap();
-        }
+        alg.run(50);
         let ext = alg.extended().clone();
         *alg.flows_mut().traffic_mut(
             &ext,
             CommodityId::from_index(0),
             spn_graph::NodeId::from_index(1),
         ) = f64::NAN;
-        let err = alg
-            .guarded_step(&mut wd)
-            .expect_err("NaN state must be refused");
+        let err = check(&alg).expect_err("NaN state must be refused");
         assert!(matches!(
             err,
             CoreError::NonFinite {
                 domain: StateDomain::Traffic,
+                iteration: 50,
                 ..
             }
         ));
@@ -824,10 +326,9 @@ mod tests {
     }
 
     #[test]
-    fn observe_flags_nan_marginals_and_recommends_rollback() {
+    fn inf_marginal_is_flagged_with_its_iteration() {
         let p = bottleneck();
         let alg = GradientAlgorithm::new(&p, GradientConfig::default()).unwrap();
-        let mut wd = Watchdog::default();
         let mut bad = alg.marginals().clone();
         bad.set_node(
             alg.extended(),
@@ -835,120 +336,14 @@ mod tests {
             spn_graph::NodeId::from_index(0),
             f64::INFINITY,
         );
-        let report = wd
-            .observe(7, 1.0, alg.flows(), &bad, alg.routing())
-            .expect("Inf must be flagged");
-        assert_eq!(report.iteration, 7);
-        assert_eq!(report.action, Action::RollbackRecommended);
-        assert!(report.has_non_finite());
+        let err = check_finite(7, alg.flows(), &bad, alg.routing()).expect_err("Inf not flagged");
         assert!(matches!(
-            report.to_error(),
-            Some(CoreError::NonFinite {
+            err,
+            CoreError::NonFinite {
                 domain: StateDomain::Marginals,
+                iteration: 7,
                 ..
-            })
-        ));
-        assert_eq!(wd.non_finite_total(), 1);
-    }
-
-    #[test]
-    fn divergence_reports_once_per_episode() {
-        let p = bottleneck();
-        let alg = GradientAlgorithm::new(&p, GradientConfig::default()).unwrap();
-        let mut wd = Watchdog::new(WatchdogConfig {
-            divergence_drop: 0.5,
-            ..WatchdogConfig::default()
-        });
-        let (f, m, r) = (alg.flows(), alg.marginals(), alg.routing());
-        assert!(wd.observe(0, 10.0, f, m, r).is_none());
-        // collapse below half the peak → one report
-        let report = wd.observe(1, 2.0, f, m, r).expect("collapse not flagged");
-        assert!(matches!(
-            report.incidents[0],
-            Incident::Diverged { peak, .. } if (peak - 10.0).abs() < 1e-12
-        ));
-        // staying low re-arms at the new level: no repeat report
-        assert!(wd.observe(2, 2.0, f, m, r).is_none());
-        assert!(wd.observe(3, 2.1, f, m, r).is_none());
-    }
-
-    #[test]
-    fn sustained_oscillation_triggers_eta_backoff() {
-        let p = bottleneck();
-        let mut alg = GradientAlgorithm::new(&p, GradientConfig::default()).unwrap();
-        let eta0 = alg.config().eta;
-        let mut wd = Watchdog::new(WatchdogConfig {
-            oscillation_flips: 4,
-            oscillation_amplitude: 0.5,
-            eta_recovery: 1.0,
-            ..WatchdogConfig::default()
-        });
-        // Feed an alternating utility series through `observe` to drive
-        // the flip counter, then verify `check`'s backoff on a real
-        // algorithm by replaying the series through its state.
-        let (f, m, r) = (
-            alg.flows().clone(),
-            alg.marginals().clone(),
-            alg.routing().clone(),
-        );
-        let mut flagged = false;
-        for i in 0..12 {
-            let u = if i % 2 == 0 { 5.0 } else { 3.0 };
-            if let Some(report) = wd.observe(i, u, &f, &m, &r) {
-                assert!(matches!(report.incidents[0], Incident::Oscillating { .. }));
-                assert_eq!(report.action, Action::BackoffRecommended);
-                flagged = true;
-                break;
             }
-        }
-        assert!(flagged, "oscillation never flagged");
-        // check() applies the backoff on a live algorithm: simulate by
-        // direct call after priming the same oscillation internally.
-        let mut wd2 = Watchdog::new(WatchdogConfig {
-            oscillation_flips: 1,
-            oscillation_amplitude: 1e-12,
-            backoff_factor: 0.5,
-            eta_min: 1e-6,
-            eta_recovery: 1.0,
-            ..WatchdogConfig::default()
-        });
-        // run real steps: early admission growth is monotone, so force
-        // flips by observing a synthetic alternating utility directly.
-        let _ = wd2.check(&mut alg); // primes baseline
-        let (f2, m2, r2) = (
-            alg.flows().clone(),
-            alg.marginals().clone(),
-            alg.routing().clone(),
-        );
-        assert!(wd2.observe(1, 1.0, &f2, &m2, &r2).is_none());
-        assert!(wd2.observe(2, 2.0, &f2, &m2, &r2).is_none());
-        let got = wd2.observe(3, 1.0, &f2, &m2, &r2);
-        assert!(got.is_some(), "single flip at tiny amplitude not flagged");
-        // and the apply path shrinks eta when routed through check():
-        // emulate by calling set_eta the way check() would
-        alg.set_eta((eta0 * 0.5).max(1e-6));
-        assert!(alg.config().eta < eta0);
-    }
-
-    #[test]
-    fn eta_recovers_after_backoff_on_healthy_steps() {
-        let p = bottleneck();
-        let mut alg = GradientAlgorithm::new(&p, GradientConfig::default()).unwrap();
-        let eta0 = alg.config().eta;
-        let mut wd = Watchdog::new(WatchdogConfig {
-            eta_recovery: 1.5,
-            ..WatchdogConfig::default()
-        });
-        let _ = wd.check(&mut alg); // records the η baseline
-        alg.set_eta(eta0 * 0.25); // as if a backoff happened
-        for _ in 0..10 {
-            alg.step();
-            let _ = wd.check(&mut alg);
-        }
-        assert!(
-            (alg.config().eta - eta0).abs() < 1e-12,
-            "η did not recover: {} vs {eta0}",
-            alg.config().eta
-        );
+        ));
     }
 }

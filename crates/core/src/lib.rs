@@ -63,9 +63,7 @@ pub use algorithm::{
 pub use checkpoint::Checkpoint;
 pub use cost::{CostModel, TotalCostCache};
 pub use flows::FlowState;
-pub use health::{
-    Action, CoreError, HealthReport, Incident, StateDomain, Watchdog, WatchdogConfig,
-};
+pub use health::{check_finite, CoreError, StateDomain};
 pub use marginals::Marginals;
 pub use newton::NewtonGradient;
 pub use routing::RoutingTable;

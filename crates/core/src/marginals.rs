@@ -99,7 +99,8 @@ impl Marginals {
     /// the *received* view of the marginal broadcast — under message
     /// loss or staleness the value a node acts on is not the value its
     /// neighbor computed — and fault-injection tests use it to plant
-    /// corruption the watchdog must flag.
+    /// corruption [`check_finite`](crate::health::check_finite) must
+    /// flag.
     ///
     /// # Panics
     ///

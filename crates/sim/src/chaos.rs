@@ -19,22 +19,24 @@
 //! * **transient node/link failures** — scheduled capacity collapses
 //!   with scheduled restoration ([`ScheduledFault`]);
 //! * **capacity jitter** — per-iteration multiplicative noise on every
-//!   physical capacity.
+//!   physical capacity;
+//! * **partial participation** — only the `(commodity, router)` pairs
+//!   a [`Schedule`] picks apply Γ this iteration, as in an asynchronous
+//!   deployment where nodes stall or take turns (experiment E10).
 //!
 //! Stale or lost marginals cannot create routing loops here: each
 //! commodity's extended subgraph is a DAG by construction, so Γ only
 //! ever reshuffles mass among forward edges. What chaos *can* do is
-//! stall or misdirect the gradient — which is why the runtime embeds a
-//! [`Watchdog`] (reporting, η backoff) and an internal
-//! checkpoint/rollback loop that recovers from corrupted state instead
-//! of propagating it.
+//! stall or misdirect the gradient, or — through an injected fault —
+//! plant a NaN; the runtime scans the state with
+//! [`check_finite`] before and after every step and rolls back to an
+//! internal checkpoint instead of propagating corruption.
 //!
 //! **Chaos off ⇒ bit-identical**: with [`ChaosConfig::off`] every
 //! injection site is skipped (not merely drawn with probability zero),
-//! and the step is the exact update sequence of
-//! [`AsyncGradient`](crate::AsyncGradient) under the synchronous
-//! schedule — pinned by this module's tests, so the determinism suite
-//! keeps meaning what it says.
+//! and the step reproduces [`spn_core::GradientAlgorithm`]'s trajectory
+//! bit for bit, ε-annealing included — pinned by this module's tests,
+//! so the determinism suite keeps meaning what it says.
 //!
 //! All randomness comes from salted [`crate::draws::unit_hash`] draws
 //! keyed on the **wall clock** (total `step` calls), which never rolls
@@ -43,16 +45,16 @@
 //! primitives live in [`crate::draws`], shared with the `spn-mesh`
 //! transport so both fault injectors consume one implementation.
 
-use crate::draws::{bounded_age, coin, jitter_factor, salts};
-use crate::failure::{bandwidth_node, FAILED_CAPACITY};
+use crate::draws::{bounded_age, coin, jitter_factor, salts, unit_hash};
+use crate::failure::{bandwidth_node, fail_link, fail_node, restore_node};
 use spn_core::blocked::{compute_tags, BlockedTags};
 use spn_core::flows::compute_flows;
 use spn_core::gamma::apply_gamma_selective;
-use spn_core::health::{CoreError, HealthReport, Watchdog, WatchdogConfig};
+use spn_core::health::{check_finite, CoreError, StateDomain};
 use spn_core::marginals::compute_marginals;
 use spn_core::{ConfigError, CostModel, FlowState, GradientConfig, Marginals, RoutingTable};
 use spn_graph::{EdgeId, NodeId};
-use spn_model::{Capacity, Problem};
+use spn_model::{Capacity, CommodityId, Problem};
 use spn_transform::{ExtendedNetwork, NodeKind};
 
 /// What a [`ScheduledFault`] hits.
@@ -65,7 +67,8 @@ pub enum FaultTarget {
 }
 
 /// One scheduled transient failure: the target's capacity collapses to
-/// [`FAILED_CAPACITY`] at wall-clock step `at` and is restored to its
+/// [`FAILED_CAPACITY`](crate::failure::FAILED_CAPACITY) at wall-clock
+/// step `at` and is restored to its
 /// base value at `at + duration` (`duration == 0` means permanent).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScheduledFault {
@@ -75,6 +78,44 @@ pub struct ScheduledFault {
     pub duration: usize,
     /// What fails.
     pub target: FaultTarget,
+}
+
+/// Which `(commodity, router)` pairs apply their Γ update at a given
+/// wall-clock step.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Schedule {
+    /// Everyone updates every iteration (the paper's protocol).
+    Synchronous,
+    /// Each pair updates independently with this probability each
+    /// iteration (deterministic pseudo-randomness from the seed).
+    Random {
+        /// Participation probability in `(0, 1]`.
+        fraction: f64,
+        /// PRNG seed.
+        seed: u64,
+    },
+    /// Routers take turns: a pair updates on steps where
+    /// `(node_index + clock) % period == 0`.
+    RoundRobin {
+        /// Cycle length; `1` is synchronous.
+        period: usize,
+    },
+}
+
+impl Schedule {
+    /// Whether the pair participates at wall-clock step `clock`.
+    #[must_use]
+    pub fn participates(&self, clock: usize, j: CommodityId, v: NodeId) -> bool {
+        match *self {
+            Schedule::Synchronous => true,
+            Schedule::Random { fraction, seed } => {
+                unit_hash(seed, clock, j.index(), v.index()) < fraction
+            }
+            Schedule::RoundRobin { period } => {
+                period <= 1 || (v.index() + clock).is_multiple_of(period)
+            }
+        }
+    }
 }
 
 /// Tunables of the chaos runtime. Probabilities are per
@@ -103,15 +144,16 @@ pub struct ChaosConfig {
     /// steps (`0` disables periodic checkpoints; corruption then errors
     /// out unless [`ChaosGradient::snapshot_now`] was called).
     pub checkpoint_interval: usize,
-    /// Watchdog tunables.
-    pub watchdog: WatchdogConfig,
+    /// Which routers apply Γ each step ([`Schedule::Synchronous`]: all
+    /// of them).
+    pub participation: Schedule,
 }
 
 impl ChaosConfig {
     /// Everything off: no loss, no staleness, no duplicates, no faults,
-    /// no jitter, no periodic checkpoints. A [`ChaosGradient`] under
-    /// this config is bit-identical to the synchronous
-    /// [`AsyncGradient`](crate::AsyncGradient).
+    /// no jitter, no periodic checkpoints, synchronous participation. A
+    /// [`ChaosGradient`] under this config is bit-identical to
+    /// [`spn_core::GradientAlgorithm`].
     #[must_use]
     pub fn off() -> Self {
         ChaosConfig {
@@ -123,7 +165,7 @@ impl ChaosConfig {
             capacity_jitter: 0.0,
             faults: Vec::new(),
             checkpoint_interval: 0,
-            watchdog: WatchdogConfig::default(),
+            participation: Schedule::Synchronous,
         }
     }
 }
@@ -146,6 +188,7 @@ pub struct FaultPlan {
     max_staleness: usize,
     duplicate_prob: f64,
     capacity_jitter: f64,
+    participation: Schedule,
     /// Sorted by `at`.
     faults: Vec<ScheduledFault>,
 }
@@ -163,6 +206,7 @@ impl FaultPlan {
             max_staleness: cfg.max_staleness,
             duplicate_prob: cfg.duplicate_prob,
             capacity_jitter: cfg.capacity_jitter,
+            participation: cfg.participation,
             faults,
         }
     }
@@ -218,8 +262,8 @@ impl FaultPlan {
 }
 
 /// An entry of the chaos run's incident log: every environment event
-/// the plan injected and every anomaly the watchdog reported, with the
-/// wall-clock step it happened at. The log is what lets a soak test
+/// the plan injected and every non-finite state the scan caught, with
+/// the wall-clock step it happened at. The log is what lets a soak test
 /// assert "every injected incident was reported, none panicked".
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
@@ -252,15 +296,9 @@ pub enum ChaosIncident {
         /// The restored link.
         edge: EdgeId,
     },
-    /// The watchdog reported (divergence, oscillation, or non-finite
-    /// state).
-    Health {
-        /// Wall-clock step.
-        clock: usize,
-        /// The watchdog's report.
-        report: HealthReport,
-    },
-    /// Corrupted state was detected before stepping (preflight).
+    /// [`check_finite`] found non-finite state, before the step (the
+    /// step is skipped) or after it (the step is undone); a rollback
+    /// follows.
     Corruption {
         /// Wall-clock step.
         clock: usize,
@@ -307,11 +345,6 @@ impl serde::Serialize for ChaosIncident {
                 *clock,
                 vec![("edge".to_owned(), edge.index().to_value())],
             ),
-            ChaosIncident::Health { clock, report } => tagged(
-                "Health",
-                *clock,
-                vec![("report".to_owned(), report.to_value())],
-            ),
             ChaosIncident::Corruption { clock, error } => tagged(
                 "Corruption",
                 *clock,
@@ -338,8 +371,8 @@ pub struct ChaosStep {
     pub rolled_back: bool,
 }
 
-/// Internal rollback checkpoint (algorithm state only — the
-/// environment's capacities are *not* restored, matching
+/// Internal rollback checkpoint (algorithm state and the annealed ε —
+/// the environment's capacities are *not* restored, matching
 /// `GradientAlgorithm::restore`'s semantics).
 #[derive(Clone, Debug, Default)]
 struct Snapshot {
@@ -347,14 +380,14 @@ struct Snapshot {
     state: Option<FlowState>,
     received: Option<Marginals>,
     iterations: usize,
-    eta: f64,
+    epsilon: f64,
 }
 
 /// The gradient iteration under injected chaos: seeded message loss,
 /// bounded staleness, duplicated Γ updates, scheduled transient
-/// failures, capacity jitter — with an embedded [`Watchdog`] and
-/// checkpoint/rollback recovery. See the module docs for semantics and
-/// the chaos-off bit-identity guarantee.
+/// failures, capacity jitter, partial participation — with a
+/// non-finite scan and checkpoint/rollback recovery. See the module
+/// docs for semantics and the chaos-off bit-identity guarantee.
 #[derive(Clone, Debug)]
 pub struct ChaosGradient {
     ext: ExtendedNetwork,
@@ -375,9 +408,6 @@ pub struct ChaosGradient {
     iterations: usize,
     /// Wall-clock step counter — never rolls back; keys every plan draw.
     clock: usize,
-    watchdog: Watchdog,
-    /// η before any watchdog backoff — the recovery target.
-    baseline_eta: f64,
     /// Base capacity per extended node (jitter and restoration target).
     base_capacity: Vec<Capacity>,
     /// Currently-failed flag per extended node.
@@ -400,9 +430,8 @@ impl ChaosGradient {
         config: GradientConfig,
         chaos: &ChaosConfig,
     ) -> Result<Self, ConfigError> {
+        config.validate()?;
         let ext = ExtendedNetwork::build(problem);
-        // reuse core's config validation
-        spn_core::GradientAlgorithm::from_extended(ext.clone(), config)?;
         let cost = CostModel {
             penalty: config.penalty,
             epsilon: config.epsilon,
@@ -425,8 +454,6 @@ impl ChaosGradient {
             history: std::collections::VecDeque::new(),
             iterations: 0,
             clock: 0,
-            watchdog: Watchdog::new(chaos.watchdog),
-            baseline_eta: config.eta,
             base_capacity,
             failed,
             incidents: Vec::new(),
@@ -436,19 +463,17 @@ impl ChaosGradient {
         })
     }
 
-    /// One iteration under the plan. Injects this step's faults, guards
-    /// the state with the watchdog (rolling back to the internal
-    /// checkpoint on corruption), and applies the Γ update from the
-    /// *received* marginals.
+    /// One iteration under the plan. Injects this step's faults, scans
+    /// the state for NaN/Inf (rolling back to the internal checkpoint on
+    /// corruption), applies the Γ update from the *received* marginals
+    /// at the participating routers, and anneals ε on the schedule of
+    /// [`spn_core::GradientAlgorithm`].
     ///
     /// # Errors
     ///
     /// A [`CoreError`] when a scheduled fault targets something that
     /// cannot fail (not a processing node / not a physical link), or
     /// when corruption is detected with no checkpoint to roll back to.
-    /// The watchdog's divergence/oscillation findings are *not* errors —
-    /// they are logged to [`ChaosGradient::incidents`] and answered with
-    /// η backoff.
     pub fn step(&mut self) -> Result<ChaosStep, CoreError> {
         let clock = self.clock;
         self.apply_scheduled_faults(clock)?;
@@ -459,14 +484,9 @@ impl ChaosGradient {
         // Refuse to iterate on corrupted state: Γ-row normalization
         // would panic on NaN mass, and finite garbage would propagate.
         if let Err(error) =
-            self.watchdog
-                .preflight(self.iterations, &self.state, &self.received, &self.routing)
+            check_finite(self.iterations, &self.state, &self.received, &self.routing)
         {
-            self.incidents.push(ChaosIncident::Corruption {
-                clock,
-                error: error.clone(),
-            });
-            return self.rollback(clock, error).map(|()| {
+            return self.recover(clock, error).map(|()| {
                 self.clock += 1;
                 ChaosStep {
                     rows: 0,
@@ -497,6 +517,7 @@ impl ChaosGradient {
         } else {
             BlockedTags::none(&self.ext)
         };
+        let plan = &self.plan;
         let stats = apply_gamma_selective(
             &self.ext,
             &self.cost,
@@ -508,14 +529,14 @@ impl ChaosGradient {
             self.config.traffic_floor,
             self.config.opening_fraction,
             self.config.shift_cap,
-            |_, _| true,
+            |j, v| plan.participation.participates(clock, j, v),
         );
         let mut rows = stats.rows;
-        if self.plan.duplicate_prob > 0.0 {
+        if plan.duplicate_prob > 0.0 {
             // A re-delivered control message: the duplicated routers run
             // Γ again against the same received marginals and pre-update
-            // traffic, shifting from their already-shifted rows.
-            let plan = &self.plan;
+            // traffic, shifting from their already-shifted rows. Only a
+            // router that updated this step has a message to re-deliver.
             let dup = apply_gamma_selective(
                 &self.ext,
                 &self.cost,
@@ -527,7 +548,10 @@ impl ChaosGradient {
                 self.config.traffic_floor,
                 self.config.opening_fraction,
                 self.config.shift_cap,
-                |j, v| plan.duplicates_update(clock, j.index(), v.index()),
+                |j, v| {
+                    plan.participation.participates(clock, j, v)
+                        && plan.duplicates_update(clock, j.index(), v.index())
+                },
             );
             rows += dup.rows;
         }
@@ -535,40 +559,31 @@ impl ChaosGradient {
         self.iterations += 1;
         self.clock += 1;
         self.updates_applied += rows;
+        // ε-annealing between the flow sweep and the next marginals, on
+        // the logical iteration count (a rollback rewinds both).
+        if self.config.epsilon_factor < 1.0
+            && self.iterations.is_multiple_of(self.config.epsilon_interval)
+            && self.cost.epsilon > self.config.epsilon_min
+        {
+            self.cost.epsilon =
+                (self.cost.epsilon * self.config.epsilon_factor).max(self.config.epsilon_min);
+        }
 
-        // Post-step health check: report (never panic), react with η
-        // backoff, roll back if something non-finite slipped through.
-        let utility = self.utility();
-        let found = self
-            .watchdog
-            .observe(
-                self.iterations,
-                utility,
-                &self.state,
-                &self.received,
-                &self.routing,
-            )
-            .is_some();
-        if found {
-            let report = self.watchdog.last_report().clone();
-            let fatal = report.to_error();
-            self.incidents.push(ChaosIncident::Health { clock, report });
-            if let Some(error) = fatal {
-                return self.rollback(clock, error).map(|()| ChaosStep {
-                    rows: 0,
-                    rolled_back: true,
-                });
-            }
-            let cfg = self.watchdog.config();
-            let backed = (self.config.eta * cfg.backoff_factor).max(cfg.eta_min);
-            if backed < self.config.eta {
-                self.config.eta = backed;
-            }
-        } else if self.config.eta < self.baseline_eta {
-            // Healthy step after a backoff: creep η back toward the
-            // configured baseline (mirrors `Watchdog::check`).
-            let cfg = self.watchdog.config();
-            self.config.eta = (self.config.eta * cfg.eta_recovery).min(self.baseline_eta);
+        // Post-step scan: undo a step that let something non-finite in.
+        let scan = if self.utility().is_finite() {
+            check_finite(self.iterations, &self.state, &self.received, &self.routing)
+        } else {
+            Err(CoreError::NonFinite {
+                domain: StateDomain::Utility,
+                index: 0,
+                iteration: self.iterations,
+            })
+        };
+        if let Err(error) = scan {
+            return self.recover(clock, error).map(|()| ChaosStep {
+                rows: 0,
+                rolled_back: true,
+            });
         }
 
         if self.checkpoint_interval > 0 && self.clock.is_multiple_of(self.checkpoint_interval) {
@@ -581,25 +596,26 @@ impl ChaosGradient {
     }
 
     /// Takes an internal rollback checkpoint of the current algorithm
-    /// state (routing, flows, received marginals, iteration counter, η).
+    /// state (routing, flows, received marginals, iteration counter, ε).
     pub fn snapshot_now(&mut self) {
-        // Only checkpoint state the watchdog considers clean — a
-        // checkpoint of corrupted state would make rollback useless.
-        if self
-            .watchdog
-            .preflight(self.iterations, &self.state, &self.received, &self.routing)
-            .is_err()
-        {
+        // Only checkpoint clean state — a checkpoint of corrupted state
+        // would make rollback useless.
+        if check_finite(self.iterations, &self.state, &self.received, &self.routing).is_err() {
             return;
         }
         self.snapshot.routing = Some(self.routing.clone());
         self.snapshot.state = Some(self.state.clone());
         self.snapshot.received = Some(self.received.clone());
         self.snapshot.iterations = self.iterations;
-        self.snapshot.eta = self.config.eta;
+        self.snapshot.epsilon = self.cost.epsilon;
     }
 
-    fn rollback(&mut self, clock: usize, error: CoreError) -> Result<(), CoreError> {
+    /// Logs the corruption and rolls back to the internal checkpoint.
+    fn recover(&mut self, clock: usize, error: CoreError) -> Result<(), CoreError> {
+        self.incidents.push(ChaosIncident::Corruption {
+            clock,
+            error: error.clone(),
+        });
         let (Some(routing), Some(state), Some(received)) = (
             self.snapshot.routing.as_ref(),
             self.snapshot.state.as_ref(),
@@ -613,7 +629,7 @@ impl ChaosGradient {
         self.state.clone_from(state);
         self.received.clone_from(received);
         self.iterations = self.snapshot.iterations;
-        self.config.eta = self.snapshot.eta;
+        self.cost.epsilon = self.snapshot.epsilon;
         self.incidents.push(ChaosIncident::RolledBack {
             clock,
             to_iteration: self.snapshot.iterations,
@@ -626,51 +642,34 @@ impl ChaosGradient {
         for i in 0..self.plan.faults.len() {
             let fault = self.plan.faults[i];
             if fault.at == clock {
-                match fault.target {
+                let (failed, incident) = match fault.target {
                     FaultTarget::Node(node) => {
-                        if !matches!(self.ext.node_kind(node), NodeKind::Processing(_)) {
-                            return Err(CoreError::NotProcessingNode { node });
-                        }
-                        self.collapse(node);
-                        self.incidents
-                            .push(ChaosIncident::NodeFailed { clock, node });
+                        fail_node(&mut self.ext, node)?;
+                        (node, ChaosIncident::NodeFailed { clock, node })
                     }
-                    FaultTarget::Link(edge) => {
-                        let bw = bandwidth_node(&self.ext, edge)?;
-                        self.collapse(bw);
-                        self.incidents
-                            .push(ChaosIncident::LinkFailed { clock, edge });
-                    }
-                }
+                    FaultTarget::Link(edge) => (
+                        fail_link(&mut self.ext, edge)?,
+                        ChaosIncident::LinkFailed { clock, edge },
+                    ),
+                };
+                self.failed[failed.index()] = true;
+                self.incidents.push(incident);
             }
             if fault.duration > 0 && fault.at + fault.duration == clock {
-                match fault.target {
-                    FaultTarget::Node(node) => {
-                        self.revive(node);
-                        self.incidents
-                            .push(ChaosIncident::NodeRestored { clock, node });
-                    }
-                    FaultTarget::Link(edge) => {
-                        let bw = bandwidth_node(&self.ext, edge)?;
-                        self.revive(bw);
-                        self.incidents
-                            .push(ChaosIncident::LinkRestored { clock, edge });
-                    }
-                }
+                let (revived, incident) = match fault.target {
+                    FaultTarget::Node(node) => (node, ChaosIncident::NodeRestored { clock, node }),
+                    FaultTarget::Link(edge) => (
+                        bandwidth_node(&self.ext, edge)?,
+                        ChaosIncident::LinkRestored { clock, edge },
+                    ),
+                };
+                let base = self.base_capacity[revived.index()].value();
+                restore_node(&mut self.ext, revived, base)?;
+                self.failed[revived.index()] = false;
+                self.incidents.push(incident);
             }
         }
         Ok(())
-    }
-
-    fn collapse(&mut self, v: NodeId) {
-        self.failed[v.index()] = true;
-        self.ext
-            .set_capacity(v, Capacity::finite(FAILED_CAPACITY).expect("positive"));
-    }
-
-    fn revive(&mut self, v: NodeId) {
-        self.failed[v.index()] = false;
-        self.ext.set_capacity(v, self.base_capacity[v.index()]);
     }
 
     /// Per-iteration capacity jitter around the base capacities
@@ -750,27 +749,21 @@ impl ChaosGradient {
             .sum()
     }
 
-    /// The incident log: every fired/restored fault and every watchdog
-    /// report.
+    /// The incident log: every fired/restored fault and every caught
+    /// corruption with its rollback.
     ///
     /// **Stable ordering guarantee.** The log is append-only and its
     /// order is deterministic: incidents appear in non-decreasing
     /// wall-clock order, and within one step in the fixed injection
-    /// sequence (scheduled fault firings in schedule order, then
-    /// restorations in extended-node-index order, then the preflight
-    /// corruption/rollback pair, then the watchdog report). Two runs
+    /// sequence (scheduled fault firings and restorations in schedule
+    /// order, then at most one corruption/rollback pair — from the scan
+    /// before the step or the one after it). Two runs
     /// from the same seed and fault plan therefore produce *identical*
     /// logs — and because [`ChaosIncident`] is serde-serializable, the
     /// rendered logs can be diffed byte-for-byte across CI runs.
     #[must_use]
     pub fn incidents(&self) -> &[ChaosIncident] {
         &self.incidents
-    }
-
-    /// The embedded watchdog (cumulative counters, last report).
-    #[must_use]
-    pub fn watchdog(&self) -> &Watchdog {
-        &self.watchdog
     }
 
     /// The compiled fault plan.
@@ -821,12 +814,6 @@ impl ChaosGradient {
         self.updates_applied
     }
 
-    /// The η currently in effect (watchdog backoff mutates it).
-    #[must_use]
-    pub fn eta(&self) -> f64 {
-        self.config.eta
-    }
-
     /// Corruption hook for tests: overwrite one received-marginal entry.
     #[doc(hidden)]
     pub fn received_mut(&mut self) -> &mut Marginals {
@@ -843,7 +830,7 @@ impl ChaosGradient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::async_updates::{AsyncGradient, Schedule};
+    use spn_core::GradientAlgorithm;
     use spn_model::random::RandomInstance;
 
     fn instance() -> Problem {
@@ -856,27 +843,118 @@ mod tests {
             .problem
     }
 
+    fn routing_bits(ext: &ExtendedNetwork, routing: &RoutingTable) -> Vec<u64> {
+        ext.commodity_ids()
+            .flat_map(|j| {
+                ext.graph()
+                    .edges()
+                    .map(move |l| routing.fraction(j, l).to_bits())
+            })
+            .collect()
+    }
+
+    /// Steps a chaos-off run beside [`GradientAlgorithm`]: the utility
+    /// bits and every routing fraction's bits must agree after every
+    /// step, and nothing may be logged.
+    fn assert_chaos_off_matches_core(p: &Problem, cfg: GradientConfig, steps: usize) {
+        let mut chaos = ChaosGradient::new(p, cfg, &ChaosConfig::off()).unwrap();
+        let mut core = GradientAlgorithm::new(p, cfg).unwrap();
+        for i in 1..=steps {
+            chaos.step().unwrap();
+            core.step();
+            assert_eq!(
+                chaos.utility().to_bits(),
+                core.utility().to_bits(),
+                "step {i}: utility diverged"
+            );
+            assert_eq!(
+                routing_bits(chaos.extended(), chaos.routing()),
+                routing_bits(core.extended(), core.routing()),
+                "step {i}: routing diverged"
+            );
+        }
+        assert!(chaos.incidents().is_empty());
+    }
+
+    fn with_participation(p: &Problem, cfg: GradientConfig, schedule: Schedule) -> ChaosGradient {
+        let chaos = ChaosConfig {
+            participation: schedule,
+            ..ChaosConfig::off()
+        };
+        ChaosGradient::new(p, cfg, &chaos).unwrap()
+    }
+
+    /// E8b's chaos-free reference: the paper instance (seed 1) at twice
+    /// its demand with η = 0.2.
     #[test]
-    fn chaos_off_is_bit_identical_to_synchronous_async() {
-        let p = instance();
+    fn chaos_off_matches_core_on_the_e8b_instance() {
+        let p = RandomInstance::builder()
+            .seed(1)
+            .build()
+            .unwrap()
+            .problem
+            .scale_demand(2.0);
         let cfg = GradientConfig {
             eta: 0.2,
             ..GradientConfig::default()
         };
-        let mut chaos = ChaosGradient::new(&p, cfg, &ChaosConfig::off()).unwrap();
-        let mut sync = AsyncGradient::new(&p, cfg, Schedule::Synchronous).unwrap();
-        for i in 0..300 {
-            chaos.step().unwrap();
-            sync.step();
+        assert_chaos_off_matches_core(&p, cfg, 2_000);
+    }
+
+    #[test]
+    fn chaos_off_matches_core_through_annealing() {
+        let cfg = GradientConfig {
+            epsilon_factor: 0.5,
+            epsilon_interval: 25,
+            ..GradientConfig::default()
+        };
+        assert_chaos_off_matches_core(&instance(), cfg, 300);
+    }
+
+    #[test]
+    fn synchronous_schedule_matches_core() {
+        assert_chaos_off_matches_core(&instance(), GradientConfig::default(), 300);
+    }
+
+    #[test]
+    fn rollback_restores_the_annealed_epsilon() {
+        let p = instance();
+        let cfg = GradientConfig {
+            eta: 0.2,
+            epsilon_factor: 0.5,
+            epsilon_interval: 10,
+            ..GradientConfig::default()
+        };
+        let chaos_cfg = ChaosConfig {
+            checkpoint_interval: 25,
+            ..ChaosConfig::off()
+        };
+        let mut run = ChaosGradient::new(&p, cfg, &chaos_cfg).unwrap();
+        for _ in 0..25 {
+            run.step().unwrap();
+        }
+        // The checkpoint holds iteration 25 and ε annealed twice.
+        let mut reference = run.clone();
+        for _ in 0..15 {
+            run.step().unwrap();
+        }
+        let ext = run.extended().clone();
+        let j = spn_model::CommodityId::from_index(0);
+        run.received_mut()
+            .set_node(&ext, j, ext.commodity(j).source(), f64::NAN);
+        assert!(run.step().unwrap().rolled_back);
+        assert_eq!(run.iterations(), 25);
+        // From the restored state the run replays the reference, which
+        // needs ε and the anneal schedule's iteration count restored.
+        for i in 0..50 {
+            run.step().unwrap();
+            reference.step().unwrap();
             assert_eq!(
-                chaos.utility().to_bits(),
-                sync.utility().to_bits(),
-                "iteration {i}: chaos-off trajectory diverged"
+                run.utility().to_bits(),
+                reference.utility().to_bits(),
+                "step {i} after the rollback"
             );
         }
-        assert_eq!(chaos.routing(), sync.routing());
-        assert!(chaos.incidents().is_empty());
-        assert_eq!(chaos.watchdog().incidents_total(), 0);
     }
 
     #[test]
@@ -905,7 +983,90 @@ mod tests {
         assert!(un > 0.85 * uc, "noisy {un} too far below clean {uc}");
         noisy.routing().validate(noisy.extended()).unwrap();
         assert!(noisy.routing().is_loop_free(noisy.extended()));
-        assert_eq!(noisy.watchdog().non_finite_total(), 0);
+        // no fault scheduled and no corruption caught
+        assert!(noisy.incidents().is_empty());
+    }
+
+    #[test]
+    fn partial_participation_still_converges() {
+        let p = instance();
+        let cfg = GradientConfig {
+            eta: 0.2,
+            ..GradientConfig::default()
+        };
+        let mut sync = with_participation(&p, cfg, Schedule::Synchronous);
+        let mut partial = with_participation(
+            &p,
+            cfg,
+            Schedule::Random {
+                fraction: 0.3,
+                seed: 9,
+            },
+        );
+        for _ in 0..3000 {
+            sync.step().unwrap();
+        }
+        // at equal *applied-update* counts the partial run should be
+        // close to the synchronous one (graceful degradation)
+        while partial.updates_applied() < sync.updates_applied() {
+            partial.step().unwrap();
+        }
+        let (us, up) = (sync.utility(), partial.utility());
+        assert!(up > 0.9 * us, "partial {up} too far below synchronous {us}");
+        partial.routing().validate(partial.extended()).unwrap();
+    }
+
+    #[test]
+    fn participation_rate_matches_fraction() {
+        let p = instance();
+        let cfg = GradientConfig::default();
+        let mut alg = with_participation(
+            &p,
+            cfg,
+            Schedule::Random {
+                fraction: 0.25,
+                seed: 1,
+            },
+        );
+        let mut sync = with_participation(&p, cfg, Schedule::Synchronous);
+        for _ in 0..400 {
+            alg.step().unwrap();
+            sync.step().unwrap();
+        }
+        let rate = alg.updates_applied() as f64 / sync.updates_applied() as f64;
+        assert!((rate - 0.25).abs() < 0.05, "observed participation {rate}");
+    }
+
+    #[test]
+    fn round_robin_covers_everyone() {
+        let p = instance();
+        let cfg = GradientConfig {
+            eta: 0.2,
+            ..GradientConfig::default()
+        };
+        let sched = Schedule::RoundRobin { period: 4 };
+        let mut alg = with_participation(&p, cfg, sched);
+        for _ in 0..2000 {
+            alg.step().unwrap();
+        }
+        assert!(alg.utility() > 0.0);
+        alg.routing().validate(alg.extended()).unwrap();
+        // over 4 consecutive steps every router participates once
+        let v = NodeId::from_index(7);
+        let j = CommodityId::from_index(0);
+        let count = (0..4).filter(|&i| sched.participates(i, j, v)).count();
+        assert_eq!(count, 1);
+    }
+
+    #[test]
+    fn schedules_are_deterministic() {
+        let s = Schedule::Random {
+            fraction: 0.5,
+            seed: 3,
+        };
+        let a = s.participates(10, CommodityId::from_index(1), NodeId::from_index(2));
+        let b = s.participates(10, CommodityId::from_index(1), NodeId::from_index(2));
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -971,27 +1132,52 @@ mod tests {
             })
             .unwrap();
         let base = probe.extended().capacity(victim).value();
+        let edge = EdgeId::from_index(0);
+        let bw = bandwidth_node(probe.extended(), edge).unwrap();
+        let bw_base = probe.extended().capacity(bw).value();
         let chaos_cfg = ChaosConfig {
-            faults: vec![ScheduledFault {
-                at: 50,
-                duration: 60,
-                target: FaultTarget::Node(victim),
-            }],
+            faults: vec![
+                ScheduledFault {
+                    at: 50,
+                    duration: 60,
+                    target: FaultTarget::Node(victim),
+                },
+                ScheduledFault {
+                    at: 70,
+                    duration: 20,
+                    target: FaultTarget::Link(edge),
+                },
+            ],
             ..ChaosConfig::off()
         };
         let mut run = ChaosGradient::new(&p, cfg, &chaos_cfg).unwrap();
-        for _ in 0..200 {
+        for _ in 0..80 {
             run.step().unwrap();
         }
-        assert!(run.incidents().contains(&ChaosIncident::NodeFailed {
-            clock: 50,
-            node: victim
-        }));
-        assert!(run.incidents().contains(&ChaosIncident::NodeRestored {
-            clock: 110,
-            node: victim
-        }));
+        assert_eq!(
+            run.extended().capacity(bw).value(),
+            crate::failure::FAILED_CAPACITY
+        );
+        for _ in 80..200 {
+            run.step().unwrap();
+        }
+        assert_eq!(
+            run.incidents(),
+            [
+                ChaosIncident::NodeFailed {
+                    clock: 50,
+                    node: victim
+                },
+                ChaosIncident::LinkFailed { clock: 70, edge },
+                ChaosIncident::LinkRestored { clock: 90, edge },
+                ChaosIncident::NodeRestored {
+                    clock: 110,
+                    node: victim
+                },
+            ]
+        );
         assert_eq!(run.extended().capacity(victim).value(), base);
+        assert_eq!(run.extended().capacity(bw).value(), bw_base);
     }
 
     #[test]

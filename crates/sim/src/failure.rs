@@ -25,15 +25,15 @@ use spn_transform::{ExtendedNetwork, NodeKind};
 /// barrier needs a finite budget to be defined).
 pub const FAILED_CAPACITY: f64 = 1e-3;
 
-/// Collapses a physical node's computing capacity on the extended
-/// network directly (the [`crate::chaos`] runtime owns its network and
-/// cannot go through a [`GradientSim`]).
+/// Collapses a physical node's computing capacity. Drivers hand in the
+/// network they run on ([`GradientSim::extended_mut`], the
+/// [`crate::chaos`] runtime's own).
 ///
 /// # Errors
 ///
 /// [`CoreError::NotProcessingNode`] if `node` is not a physical
-/// processing node.
-pub fn fail_node_ext(ext: &mut ExtendedNetwork, node: NodeId) -> Result<(), CoreError> {
+/// processing node; the network is untouched.
+pub fn fail_node(ext: &mut ExtendedNetwork, node: NodeId) -> Result<(), CoreError> {
     if !matches!(ext.node_kind(node), NodeKind::Processing(_)) {
         return Err(CoreError::NotProcessingNode { node });
     }
@@ -41,28 +41,27 @@ pub fn fail_node_ext(ext: &mut ExtendedNetwork, node: NodeId) -> Result<(), Core
     Ok(())
 }
 
-/// Collapses a physical link's bandwidth (its bandwidth node's budget)
-/// on the extended network directly; returns the bandwidth node that
-/// was collapsed.
+/// Collapses a physical link's bandwidth (its bandwidth node's budget);
+/// returns the bandwidth node that was collapsed.
 ///
 /// # Errors
 ///
 /// [`CoreError::NoBandwidthNode`] if `edge` is not a physical edge of
 /// the network.
-pub fn fail_link_ext(ext: &mut ExtendedNetwork, edge: EdgeId) -> Result<NodeId, CoreError> {
+pub fn fail_link(ext: &mut ExtendedNetwork, edge: EdgeId) -> Result<NodeId, CoreError> {
     let bw = bandwidth_node(ext, edge)?;
     ext.set_capacity(bw, Capacity::finite(FAILED_CAPACITY).expect("positive"));
     Ok(bw)
 }
 
-/// Restores a previously failed node to the given capacity on the
-/// extended network directly.
+/// Restores a previously failed node (processing or bandwidth) to the
+/// given capacity.
 ///
 /// # Errors
 ///
 /// [`CoreError::InvalidCapacity`] if `capacity` is not strictly
 /// positive and finite.
-pub fn restore_node_ext(
+pub fn restore_node(
     ext: &mut ExtendedNetwork,
     node: NodeId,
     capacity: f64,
@@ -84,36 +83,6 @@ pub fn bandwidth_node(ext: &ExtendedNetwork, edge: EdgeId) -> Result<NodeId, Cor
         .nodes()
         .find(|&v| matches!(ext.node_kind(v), NodeKind::Bandwidth(e) if e == edge))
         .ok_or(CoreError::NoBandwidthNode { edge })
-}
-
-/// Collapses a physical node's computing capacity.
-///
-/// # Errors
-///
-/// [`CoreError::NotProcessingNode`] if `node` does not identify a
-/// physical processing node of the simulated network.
-pub fn fail_node(sim: &mut GradientSim, node: NodeId) -> Result<(), CoreError> {
-    fail_node_ext(sim.extended_mut(), node)
-}
-
-/// Collapses a physical link's bandwidth (its bandwidth node's budget).
-///
-/// # Errors
-///
-/// [`CoreError::NoBandwidthNode`] if `edge` is not a physical edge of
-/// the simulated network.
-pub fn fail_link(sim: &mut GradientSim, edge: EdgeId) -> Result<NodeId, CoreError> {
-    fail_link_ext(sim.extended_mut(), edge)
-}
-
-/// Restores a previously failed node to the given capacity.
-///
-/// # Errors
-///
-/// [`CoreError::InvalidCapacity`] if `capacity` is not strictly
-/// positive and finite.
-pub fn restore_node(sim: &mut GradientSim, node: NodeId, capacity: f64) -> Result<(), CoreError> {
-    restore_node_ext(sim.extended_mut(), node, capacity)
 }
 
 /// Runs the simulation until utility recovers to `fraction` of
@@ -178,8 +147,8 @@ mod tests {
         }
         let before = sim.utility();
         assert!(before > 10.0, "pre-failure utility {before}");
-        fail_node(&mut sim, spn_graph::NodeId::from_index(1)).unwrap(); // x
-                                                                        // give the barrier time to repel the flow off the dead node
+        // fail x, then give the barrier time to repel the flow off it
+        fail_node(sim.extended_mut(), spn_graph::NodeId::from_index(1)).unwrap();
         for _ in 0..3000 {
             sim.step();
         }
@@ -211,7 +180,7 @@ mod tests {
             sim.step();
         }
         let before = sim.utility();
-        let bw = fail_link(&mut sim, spn_graph::EdgeId::from_index(0)).unwrap(); // s→x
+        let bw = fail_link(sim.extended_mut(), spn_graph::EdgeId::from_index(0)).unwrap(); // s→x
         assert_eq!(bw, spn_graph::NodeId::from_index(4)); // first bandwidth node
         for _ in 0..3000 {
             sim.step();
@@ -233,8 +202,8 @@ mod tests {
             ..GradientConfig::default()
         };
         let mut sim = GradientSim::new(&p, cfg).unwrap();
-        fail_node(&mut sim, spn_graph::NodeId::from_index(1)).unwrap();
-        restore_node(&mut sim, spn_graph::NodeId::from_index(1), 50.0).unwrap();
+        fail_node(sim.extended_mut(), spn_graph::NodeId::from_index(1)).unwrap();
+        restore_node(sim.extended_mut(), spn_graph::NodeId::from_index(1), 50.0).unwrap();
         assert_eq!(
             sim.extended()
                 .capacity(spn_graph::NodeId::from_index(1))
@@ -250,7 +219,7 @@ mod tests {
         let dummy = sim
             .extended()
             .dummy_source(spn_model::CommodityId::from_index(0));
-        let err = fail_node(&mut sim, dummy).expect_err("dummy accepted a failure");
+        let err = fail_node(sim.extended_mut(), dummy).expect_err("dummy accepted a failure");
         assert_eq!(err, CoreError::NotProcessingNode { node: dummy });
         // the network is untouched: the dummy's budget stays infinite
         assert!(sim.extended().capacity(dummy).is_infinite());
@@ -263,7 +232,7 @@ mod tests {
         // extended edges beyond the physical 4 (split/dummy edges) have
         // no bandwidth node; so does any out-of-range id
         let bogus = spn_graph::EdgeId::from_index(999);
-        let err = fail_link(&mut sim, bogus).expect_err("bogus edge accepted a failure");
+        let err = fail_link(sim.extended_mut(), bogus).expect_err("bogus edge accepted a failure");
         assert_eq!(err, CoreError::NoBandwidthNode { edge: bogus });
     }
 
@@ -273,7 +242,8 @@ mod tests {
         let mut sim = GradientSim::new(&p, GradientConfig::default()).unwrap();
         let x = spn_graph::NodeId::from_index(1);
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let err = restore_node(&mut sim, x, bad).expect_err("invalid capacity accepted");
+            let err =
+                restore_node(sim.extended_mut(), x, bad).expect_err("invalid capacity accepted");
             assert!(matches!(err, CoreError::InvalidCapacity { .. }), "{bad}");
         }
     }
@@ -285,7 +255,7 @@ mod tests {
         let mut sim = GradientSim::new(&p, GradientConfig::default()).unwrap();
         for e in 0..physical_edges {
             let edge = spn_graph::EdgeId::from_index(e);
-            let bw = fail_link(&mut sim, edge).unwrap();
+            let bw = fail_link(sim.extended_mut(), edge).unwrap();
             assert_eq!(sim.extended().capacity(bw).value(), FAILED_CAPACITY);
         }
     }
@@ -323,8 +293,8 @@ mod tests {
         let reference = sim.utility();
         // both relays dead: the demand cannot be carried, recovery to
         // 95% of the healthy utility never happens
-        fail_node(&mut sim, spn_graph::NodeId::from_index(1)).unwrap();
-        fail_node(&mut sim, spn_graph::NodeId::from_index(2)).unwrap();
+        fail_node(sim.extended_mut(), spn_graph::NodeId::from_index(1)).unwrap();
+        fail_node(sim.extended_mut(), spn_graph::NodeId::from_index(2)).unwrap();
         // let the barrier repel the flow so utility actually collapses
         // (capacity edits take effect on the next iteration)
         for _ in 0..100 {

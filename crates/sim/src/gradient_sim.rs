@@ -72,9 +72,7 @@ impl GradientSim {
         ext: ExtendedNetwork,
         config: GradientConfig,
     ) -> Result<Self, ConfigError> {
-        // Reuse core's validation by constructing a throwaway driver.
-        let probe = spn_core::GradientAlgorithm::from_extended(ext.clone(), config)?;
-        drop(probe);
+        config.validate()?;
         let cost = CostModel {
             penalty: config.penalty,
             epsilon: config.epsilon,
@@ -209,6 +207,47 @@ mod tests {
     use super::*;
     use spn_core::GradientAlgorithm;
     use spn_model::random::RandomInstance;
+
+    /// Both sim constructors refuse exactly what
+    /// [`GradientAlgorithm::new`] refuses, with the same [`ConfigError`]
+    /// (compared as text: a NaN payload is not equal to itself).
+    #[test]
+    fn config_validation() {
+        let p = RandomInstance::builder()
+            .nodes(12)
+            .commodities(2)
+            .seed(3)
+            .build()
+            .unwrap()
+            .problem;
+        let d = GradientConfig::default();
+        let bad = [
+            GradientConfig { eta: 0.0, ..d },
+            GradientConfig { epsilon: -1.0, ..d },
+            GradientConfig {
+                traffic_floor: f64::NAN,
+                ..d
+            },
+            GradientConfig {
+                opening_fraction: f64::INFINITY,
+                ..d
+            },
+            GradientConfig {
+                shift_cap: 0.0,
+                ..d
+            },
+        ];
+        for cfg in bad {
+            let core = format!("{:?}", GradientAlgorithm::new(&p, cfg).err());
+            assert!(core.starts_with("Some("), "{cfg:?} accepted");
+            let sim = GradientSim::from_extended(ExtendedNetwork::build(&p), cfg);
+            assert_eq!(format!("{:?}", sim.err()), core);
+            let chaos = crate::ChaosGradient::new(&p, cfg, &crate::ChaosConfig::off());
+            assert_eq!(format!("{:?}", chaos.err()), core);
+        }
+        assert!(GradientSim::new(&p, d).is_ok());
+        assert!(crate::ChaosGradient::new(&p, d, &crate::ChaosConfig::off()).is_ok());
+    }
 
     #[test]
     fn sim_tracks_in_process_driver() {

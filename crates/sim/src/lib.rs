@@ -14,15 +14,14 @@
 //!   fixed-message-count accounting;
 //! * [`failure`] — capacity-collapse failure injection and recovery
 //!   measurement (experiment E8);
-//! * [`chaos`] — the adversarial composition of all of the above:
-//!   seeded message loss, bounded staleness, duplicated updates,
-//!   scheduled transient failures, and capacity jitter, guarded by
-//!   `spn_core`'s watchdog and checkpoint/rollback recovery;
+//! * [`chaos`] — the one fault-injecting gradient driver: seeded
+//!   message loss, bounded staleness, duplicated updates, scheduled
+//!   transient failures, capacity jitter and partial-participation
+//!   schedules (experiments E8b and E10), guarded by `spn_core`'s
+//!   non-finite scan and checkpoint/rollback recovery;
 //! * [`draws`] — the seeded fault-draw primitives (`unit_hash` and the
 //!   salted coin families) shared by [`chaos`] and the `spn-mesh`
 //!   transport, so every fault injector replays from one generator;
-//! * [`async_updates`] — partial-participation schedules modelling
-//!   asynchronous deployments (experiment E10);
 //! * [`churn`] — seeded online commodity arrival/departure driving
 //!   `spn_core`'s incremental admit/evict reshapes mid-run;
 //! * [`packet`] — discrete-time queued execution of a converged fluid
@@ -33,7 +32,6 @@
 //! a gradient iteration costs `O(L)` rounds (`L` = longest pipeline
 //! path) while a back-pressure iteration costs `O(1)` (experiment E4).
 
-pub mod async_updates;
 pub mod bp_sim;
 pub mod chaos;
 pub mod churn;
@@ -43,10 +41,10 @@ pub mod gradient_sim;
 pub mod packet;
 pub mod waves;
 
-pub use async_updates::{AsyncGradient, Schedule};
 pub use bp_sim::BackPressureSim;
 pub use chaos::{
-    ChaosConfig, ChaosGradient, ChaosIncident, ChaosStep, FaultPlan, FaultTarget, ScheduledFault,
+    ChaosConfig, ChaosGradient, ChaosIncident, ChaosStep, FaultPlan, FaultTarget, Schedule,
+    ScheduledFault,
 };
 pub use churn::{ChurnConfig, ChurnEvent, ChurnProcess, ChurnReport};
 pub use gradient_sim::{GradientSim, IterationStats};

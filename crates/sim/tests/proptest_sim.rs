@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use spn_core::{GradientAlgorithm, GradientConfig};
 use spn_model::random::RandomInstance;
 use spn_model::Problem;
-use spn_sim::{AsyncGradient, GradientSim, PacketConfig, PacketSim, Schedule};
+use spn_sim::{ChaosConfig, ChaosGradient, GradientSim, PacketConfig, PacketSim, Schedule};
 
 fn instance(seed: u64) -> Problem {
     RandomInstance::builder()
@@ -59,10 +59,13 @@ proptest! {
     ) {
         let p = instance(seed);
         let cfg = GradientConfig::default();
-        let mut alg =
-            AsyncGradient::new(&p, cfg, Schedule::Random { fraction, seed }).unwrap();
+        let chaos = ChaosConfig {
+            participation: Schedule::Random { fraction, seed },
+            ..ChaosConfig::off()
+        };
+        let mut alg = ChaosGradient::new(&p, cfg, &chaos).unwrap();
         for _ in 0..iters {
-            alg.step();
+            alg.step().unwrap();
         }
         alg.routing().validate(alg.extended()).unwrap();
         prop_assert!(alg.routing().is_loop_free(alg.extended()));

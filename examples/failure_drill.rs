@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("network has intermediate servers");
     let victim_load = sim.flows().node_usage(victim);
     println!("\nfailing server {victim} (load {victim_load:.2}) ...");
-    fail_node(&mut sim, victim)?;
+    fail_node(sim.extended_mut(), victim)?;
 
     let mut trough = before;
     for burst in [50usize, 200, 750, 3000] {

@@ -9,9 +9,10 @@
 #    and nothing enforces it;
 #  * chaos_recovery --smoke is the seed-fixed chaos soak — a short run
 #    under message loss + staleness + two transient node failures that
-#    fails if any NaN escapes into iteration state, if an injected fault
-#    is not reported through the incident log, or if utility does not
-#    recover to >=95% of the noise-only equilibrium;
+#    fails if any NaN escapes into iteration state (a Corruption entry
+#    in the incident log, or a final state check_finite rejects), if an
+#    injected fault is not reported through the incident log, or if
+#    utility does not recover to >=95% of the noise-only equilibrium;
 #  * churn_soak --smoke is the seed-fixed admission-churn soak — 500
 #    iterations with commodity arrivals/departures reshaping the live
 #    run every 10 iterations; every 100 iterations it fails if utility
@@ -77,9 +78,9 @@ diff <(grep -rl 'allow(unsafe_code)' crates/*/src | LC_ALL=C sort) <(printf '%s\
 cargo clippy --workspace --all-targets -- -D warnings
 # A deleted type must not leave a dangling [`Name`] behind.
 RUSTDOCFLAGS='-D rustdoc::broken_intra_doc_links' cargo doc --workspace --no-deps --offline -q
-# Dev profile = debug-assertions on: this pass exercises the watchdog /
-# checkpoint / chaos invariant checks (including the debug-only internal
-# asserts) across the whole workspace.
+# Dev profile = debug-assertions on: this pass exercises the finiteness
+# scan / checkpoint / chaos invariant checks (including the debug-only
+# internal asserts) across the whole workspace.
 cargo test --workspace -q
 cargo run --release -q -p spn-bench --bin bench_core -- --smoke
 cargo run --release -q -p spn-bench --bin chaos_recovery -- --smoke

@@ -5,8 +5,8 @@
 //! node failures over the gradient iteration. The soak asserts the
 //! three robustness claims end to end:
 //!
-//! 1. **No NaN/Inf ever enters the iteration state** — the watchdog's
-//!    non-finite counter stays zero and the final state scans clean.
+//! 1. **No NaN/Inf ever enters the iteration state** — the incident log
+//!    holds no `Corruption` entry and the final state scans clean.
 //! 2. **Every injected incident is reported, none panics** — each
 //!    scheduled fault shows up in the incident log as failed *and*
 //!    restored, at the scheduled clocks.
@@ -14,7 +14,7 @@
 //!    tail-mean utility is ≥95% of what the same iteration achieves
 //!    under the same message noise without the failures.
 
-use spn::core::{CoreError, GradientConfig};
+use spn::core::{check_finite, CoreError, GradientConfig};
 use spn::model::random::RandomInstance;
 use spn::sim::{ChaosConfig, ChaosGradient, ChaosIncident, FaultTarget, ScheduledFault};
 use spn::transform::NodeKind;
@@ -50,6 +50,15 @@ fn victims(run: &ChaosGradient) -> (spn::graph::NodeId, spn::graph::NodeId) {
     let a = picks.next().expect("an intermediate node");
     let b = picks.next().expect("a second intermediate node");
     (a, b)
+}
+
+/// How many `Corruption` incidents (non-finite state caught by the
+/// scan) the run has logged.
+fn corruptions(run: &ChaosGradient) -> usize {
+    run.incidents()
+        .iter()
+        .filter(|i| matches!(i, ChaosIncident::Corruption { .. }))
+        .count()
 }
 
 fn noise() -> ChaosConfig {
@@ -105,17 +114,16 @@ fn seeded_chaos_soak_recovers_and_reports_every_incident() {
         }
     }
 
-    // claim 1: nothing non-finite was ever observed, and the final
-    // state itself scans clean
-    assert_eq!(run.watchdog().non_finite_total(), 0);
-    run.watchdog()
-        .preflight(
-            run.iterations(),
-            run.flows(),
-            run.marginals(),
-            run.routing(),
-        )
-        .expect("final state is finite");
+    // claim 1: nothing non-finite was ever caught, and the final state
+    // itself scans clean
+    assert_eq!(corruptions(&run), 0);
+    check_finite(
+        run.iterations(),
+        run.flows(),
+        run.marginals(),
+        run.routing(),
+    )
+    .expect("final state is finite");
 
     // claim 2: every scheduled fault is in the log, failed and restored
     for f in &faults {
@@ -170,21 +178,34 @@ fn corruption_mid_soak_is_rolled_back_not_panicked() {
     let j = spn::model::CommodityId::from_index(0);
     run.received_mut()
         .set_node(&ext, j, ext.commodity(j).source(), f64::NAN);
+    let clock = run.clock();
     let outcome = run.step().expect("corruption is recoverable");
     assert!(outcome.rolled_back);
-    assert!(run
+    // the NaN was caught by the scan before the step, once, and undone
+    let Some(ChaosIncident::Corruption { clock: caught, .. }) = run
         .incidents()
         .iter()
-        .any(|i| matches!(i, ChaosIncident::Corruption { .. })));
+        .find(|i| matches!(i, ChaosIncident::Corruption { .. }))
+    else {
+        panic!("corruption not logged");
+    };
+    assert_eq!(*caught, clock);
     assert!(run
         .incidents()
         .iter()
         .any(|i| matches!(i, ChaosIncident::RolledBack { .. })));
-    // the NaN was caught before the (later-observed) state was polluted
-    assert_eq!(run.watchdog().non_finite_total(), 0);
     for _ in 0..200 {
         run.step().unwrap();
     }
+    // nothing non-finite entered the state after the rollback
+    assert_eq!(corruptions(&run), 1);
+    check_finite(
+        run.iterations(),
+        run.flows(),
+        run.marginals(),
+        run.routing(),
+    )
+    .expect("final state is finite");
     assert!(run.utility().is_finite());
     assert!(run.utility() > 0.5 * healthy);
 }

@@ -2,7 +2,7 @@
 //! one dense kernel replay of its own pre-step state — same routing
 //! table, same flow state, same marginals, same Γ statistics, down to
 //! the last ulp — through every mid-run mutation (checkpoints restored,
-//! η backoff, capacity/demand edits). The replay is the oracle in
+//! η overrides, capacity/demand edits). The replay is the oracle in
 //! `support/dense.rs`.
 //!
 //! The engine earns its speed by live-arc compaction: every commodity
@@ -86,7 +86,7 @@ fn sparse_matches_dense_through_annealing() {
     assert!(alg.cost_model().epsilon < cfg.epsilon, "ε never annealed");
 }
 
-/// Mid-run mutations: checkpoint/restore, η backoff, and
+/// Mid-run mutations: checkpoint/restore, η overrides, and
 /// capacity/demand jitter through `extended_mut`. A restore flags an
 /// outside write (one Γ over every router, one full-width totals
 /// reduction); the others change only the next step's inputs. Every
@@ -106,11 +106,11 @@ fn sparse_survives_midrun_mutations() {
     checked_steps(&mut alg, 60, "before mutations");
     let ck = alg.checkpoint();
 
-    // η backoff and recovery, as the watchdog would apply it.
+    // An η override and its reversal through `set_eta`.
     alg.set_eta(0.01);
-    checked_steps(&mut alg, 25, "eta backoff");
+    checked_steps(&mut alg, 25, "eta override");
     alg.set_eta(0.04);
-    checked_steps(&mut alg, 25, "eta recovery");
+    checked_steps(&mut alg, 25, "eta restored");
 
     // Demand jitter mid-run (dynamic-demand experiments).
     let j0 = CommodityId::from_index(0);
