@@ -44,7 +44,9 @@ fn main() {
     let annealed = GradientConfig {
         epsilon: 0.005,
         epsilon_factor: 0.25,
-        epsilon_interval: iters / 4,
+        // four anneals over the run; at least one iteration apart, which
+        // `GradientConfig::validate` requires of an annealing schedule
+        epsilon_interval: (iters / 4).max(1),
         epsilon_min: 5e-4,
         ..GradientConfig::default()
     };

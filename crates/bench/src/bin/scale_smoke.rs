@@ -9,8 +9,10 @@
 //! still — the `density_probe` pattern of `mesh_smoke`). The run fails
 //! when
 //!
-//! (a) the trajectories differ in any bit (`StepStats` and utility every
-//!     step, the routing tables after warm-up and at the end): idle
+//! (a) the trajectories differ in any bit (the Γ statistics and utility
+//!     every step; the routing tables and the naive
+//!     `CostModel::total_cost` after warm-up and at the end, outside the
+//!     timed window, where an `O(V)` fold per step would skew (b)): idle
 //!     nodes contribute `±0.0` to every fold and must change nothing;
 //! (b) the padded median step exceeds 1.25 × the unpadded one: some
 //!     per-step lane is walking all `V` nodes again instead of the
@@ -137,14 +139,24 @@ const FD_TOLERANCE: f64 = 1e-5;
 const BALANCE_TOLERANCE: f64 = 1e-9;
 
 /// Everything two bit-equal steps must agree on.
-fn step_bits(stats: &StepStats, utility: f64) -> [u64; 5] {
+fn step_bits(stats: &StepStats, utility: f64) -> [u64; 4] {
     [
-        stats.cost_before.to_bits(),
         stats.gamma.max_shift.to_bits(),
         stats.gamma.total_shift.to_bits(),
         stats.gamma.rows as u64,
         utility.to_bits(),
     ]
+}
+
+/// Whether the twins agree on the routing and on the bits of the naive
+/// total cost `A` (a full-width fold over each twin's nodes).
+fn same_state(plain: &GradientAlgorithm, padded: &GradientAlgorithm) -> bool {
+    let naive = |alg: &GradientAlgorithm| {
+        alg.cost_model()
+            .total_cost(alg.extended(), alg.flows())
+            .to_bits()
+    };
+    plain.routing() == padded.routing() && naive(plain) == naive(padded)
 }
 
 /// Gate (e): invariants 1–4 on `alg`'s current state. Returns the
@@ -246,7 +258,7 @@ fn main() {
     }
     let warm_secs = warm_start.elapsed().as_secs_f64();
     eprintln!("scale_smoke: {WARMUP_ITERS} warmup iteration pairs in {warm_secs:.2}s");
-    if plain.routing() != padded.routing() {
+    if !same_state(&plain, &padded) {
         diverged_at.get_or_insert(WARMUP_ITERS);
     }
 
@@ -266,7 +278,7 @@ fn main() {
         }
     }
     let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
-    if plain.routing() != padded.routing() {
+    if !same_state(&plain, &padded) {
         diverged_at.get_or_insert(WARMUP_ITERS + MEASURE_ITERS);
     }
     plain_us.sort_by(f64::total_cmp);
@@ -295,7 +307,7 @@ fn main() {
     if let Some(it) = diverged_at {
         eprintln!(
             "FAIL: {PADDING} isolated servers changed the trajectory (first seen at iteration \
-             {it}); idle nodes must not move a bit of StepStats, utility or routing"
+             {it}); idle nodes must not move a bit of StepStats, utility, routing or cost"
         );
         failed = true;
     }

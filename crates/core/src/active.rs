@@ -24,8 +24,8 @@ use crate::cost::CostModel;
 use crate::flows::FlowState;
 use crate::marginals::{marginal_sweep_active, Marginals};
 use crate::routing::RoutingTable;
-use crate::step::{flow_pass_active, reduce_usage_totals};
-use crate::workspace::{sizing_key, IterationWorkspace, SizingKey};
+use crate::step::{flow_pass_active, zero_usage_totals};
+use crate::workspace::{sizing_key, SizingKey};
 use spn_graph::EdgeId;
 use spn_model::CommodityId;
 use spn_transform::ExtendedNetwork;
@@ -312,18 +312,16 @@ impl LiveArcSweeps {
         ext: &ExtendedNetwork,
         routing: &RoutingTable,
         state: &mut FlowState,
-        ws: &mut IterationWorkspace,
     ) {
         self.refresh(ext, routing);
         if !state.fits(ext) {
             state.reset(ext);
         }
-        ws.ensure(ext);
-        for j in ext.commodity_ids() {
-            flow_pass_active(ext, routing.row(j), j, state, ws, self.row(j));
-        }
         // no stored totals to trust: zero the nodes full width
-        reduce_usage_totals(ext, state, ws, true);
+        zero_usage_totals(ext, state, true);
+        for j in ext.commodity_ids() {
+            flow_pass_active(ext, routing.row(j), j, state, self.row(j));
+        }
     }
 }
 
@@ -367,8 +365,7 @@ mod tests {
         let (eta, floor) = (0.1, 1e-9);
 
         let mut routing = RoutingTable::initial(&ext);
-        let (mut dense_ws, mut live_ws) =
-            (IterationWorkspace::new(&ext), IterationWorkspace::new(&ext));
+        let mut dense_ws = crate::IterationWorkspace::new(&ext);
         let (mut dense_flows, mut live_flows) = (FlowState::zeros(&ext), FlowState::zeros(&ext));
         let (mut dense_d, mut live_d) = (Marginals::zeros(&ext), Marginals::zeros(&ext));
         let (mut dense_tags, mut live_tags) = (BlockedTags::none(&ext), BlockedTags::none(&ext));
@@ -376,7 +373,7 @@ mod tests {
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for it in 0..60 {
             compute_flows_into(&ext, &routing, &mut dense_flows, &mut dense_ws, None);
-            sweeps.flows_into(&ext, &routing, &mut live_flows, &mut live_ws);
+            sweeps.flows_into(&ext, &routing, &mut live_flows);
             assert_eq!(bits(&dense_flows.t), bits(&live_flows.t), "t at {it}");
             assert_eq!(bits(&dense_flows.x), bits(&live_flows.x), "x at {it}");
             assert_eq!(bits(&dense_flows.f_edge), bits(&live_flows.f_edge));
@@ -439,8 +436,7 @@ mod tests {
         let mut routing = RoutingTable::initial(&ext);
         let mut sweeps = LiveArcSweeps::new(&ext);
         let mut flows = FlowState::zeros(&ext);
-        let mut ws = IterationWorkspace::new(&ext);
-        sweeps.flows_into(&ext, &routing, &mut flows, &mut ws);
+        sweeps.flows_into(&ext, &routing, &mut flows);
         assert!(sweeps.is_consistent(&ext, &routing));
         // admit everything: the support moves off the difference link
         routing.set_fraction(j, ext.input_edge(j), 1.0);
@@ -448,7 +444,7 @@ mod tests {
         assert!(!sweeps.is_consistent(&ext, &routing));
         sweeps.mark_stale(j);
         assert!(sweeps.is_consistent(&ext, &routing));
-        sweeps.flows_into(&ext, &routing, &mut flows, &mut ws);
+        sweeps.flows_into(&ext, &routing, &mut flows);
         assert!(sweeps.is_consistent(&ext, &routing));
         assert_eq!(flows.rejected(&ext, j), 0.0);
     }

@@ -22,7 +22,7 @@
 use crate::active::LiveArcSweeps;
 use crate::blocked::BlockedTags;
 use crate::checkpoint::Checkpoint;
-use crate::cost::{CostModel, TotalCostCache};
+use crate::cost::CostModel;
 use crate::flows::{compute_flows_into, FlowState};
 use crate::gamma::GammaStats;
 use crate::health::CoreError;
@@ -100,7 +100,8 @@ impl GradientConfig {
     /// # Errors
     ///
     /// The first [`ConfigError`] found, in the order η, ε, traffic
-    /// floor, opening fraction, shift cap.
+    /// floor, opening fraction, shift cap, wall threshold, wall
+    /// strength, ε-annealing factor, interval and floor.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !(self.eta.is_finite() && self.eta > 0.0) {
             return Err(ConfigError::BadEta(self.eta));
@@ -116,6 +117,22 @@ impl GradientConfig {
         }
         if !(self.shift_cap.is_finite() && self.shift_cap > 0.0) {
             return Err(ConfigError::BadShiftCap(self.shift_cap));
+        }
+        // θ = 1 divides by `1 − θ = 0` in the wall; θ < 0 walls idle nodes
+        if !(0.0..1.0).contains(&self.wall_threshold) {
+            return Err(ConfigError::BadWallThreshold(self.wall_threshold));
+        }
+        if !(self.wall_strength.is_finite() && self.wall_strength >= 0.0) {
+            return Err(ConfigError::BadWallStrength(self.wall_strength));
+        }
+        if !(self.epsilon_factor.is_finite() && self.epsilon_factor > 0.0) {
+            return Err(ConfigError::BadEpsilonFactor(self.epsilon_factor));
+        }
+        if self.epsilon_factor < 1.0 && self.epsilon_interval == 0 {
+            return Err(ConfigError::ZeroEpsilonInterval);
+        }
+        if !(self.epsilon_min.is_finite() && self.epsilon_min > 0.0) {
+            return Err(ConfigError::BadEpsilonMin(self.epsilon_min));
         }
         Ok(())
     }
@@ -165,6 +182,17 @@ pub enum ConfigError {
     BadOpeningFraction(f64),
     /// The shift cap must be finite and positive.
     BadShiftCap(f64),
+    /// The wall threshold must lie in `[0, 1)`.
+    BadWallThreshold(f64),
+    /// The wall strength must be finite and non-negative.
+    BadWallStrength(f64),
+    /// The ε-annealing factor must be finite and positive.
+    BadEpsilonFactor(f64),
+    /// An ε-annealing factor below `1` needs an interval of at least one
+    /// iteration (`0` would never anneal).
+    ZeroEpsilonInterval,
+    /// The ε-annealing floor must be finite and positive.
+    BadEpsilonMin(f64),
     /// The Newton curvature floor must be finite and positive.
     BadCurvatureFloor(f64),
 }
@@ -188,6 +216,21 @@ impl fmt::Display for ConfigError {
             ConfigError::BadShiftCap(v) => {
                 write!(f, "shift cap must be finite and positive, got {v}")
             }
+            ConfigError::BadWallThreshold(v) => {
+                write!(f, "wall threshold must lie in [0, 1), got {v}")
+            }
+            ConfigError::BadWallStrength(v) => {
+                write!(f, "wall strength must be finite and non-negative, got {v}")
+            }
+            ConfigError::BadEpsilonFactor(v) => {
+                write!(f, "epsilon factor must be finite and positive, got {v}")
+            }
+            ConfigError::ZeroEpsilonInterval => {
+                write!(f, "epsilon annealing needs an interval of at least 1")
+            }
+            ConfigError::BadEpsilonMin(v) => {
+                write!(f, "epsilon floor must be finite and positive, got {v}")
+            }
             ConfigError::BadCurvatureFloor(v) => {
                 write!(f, "curvature floor must be finite and positive, got {v}")
             }
@@ -210,11 +253,11 @@ pub struct StableOutcome {
     pub converged: bool,
 }
 
-/// Statistics of one iteration.
+/// Statistics of one iteration. The step does protocol work only and
+/// never prices the network: the objective `A` is read on demand, from
+/// [`Report::cost`] or [`CostModel::total_cost`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StepStats {
-    /// Cost `A = Y + ε·D` *before* the routing update.
-    pub cost_before: f64,
     /// Routing-mass movement of the Γ application.
     pub gamma: GammaStats,
 }
@@ -276,7 +319,7 @@ pub struct GradientAlgorithm {
     state: FlowState,
     marginals: Marginals,
     iterations: usize,
-    /// Reusable scratch: per-commodity usage partials and the Γ lane.
+    /// Reusable Γ scratch: the row lane and the per-chunk statistics.
     workspace: IterationWorkspace,
     /// Reusable blocking-tag buffer (eq. (18)).
     tags: BlockedTags,
@@ -294,9 +337,6 @@ pub struct GradientAlgorithm {
     /// so checkpoints taken against a different commodity set are
     /// rejected structurally on restore.
     epoch: u64,
-    /// Incremental per-router penalty/wall values for the `cost_before`
-    /// probe (bit-identical to the naive scan; see [`TotalCostCache`]).
-    cost_cache: TotalCostCache,
 }
 
 impl GradientAlgorithm {
@@ -359,20 +399,17 @@ impl GradientAlgorithm {
             sweeps: LiveArcSweeps::default(),
             outside_write: true,
             epoch: 0,
-            cost_cache: TotalCostCache::default(),
         })
     }
 
     /// Performs one full protocol iteration; returns its statistics.
     ///
     /// Heap-allocation-free in steady state: the step reads and writes
-    /// the preallocated buffers owned by `self` — each commodity carried
-    /// through tags → Γ → flows, the usage totals reduced in fixed
-    /// commodity order, then the marginals swept (pinned by tests).
+    /// the preallocated buffers owned by `self` — every commodity's tags
+    /// and Γ rows, then every commodity's flows added into the zeroed
+    /// usage totals in fixed commodity order, then the marginals swept
+    /// (pinned by tests).
     pub fn step(&mut self) -> StepStats {
-        let cost_before = self
-            .cost
-            .total_cost_cached(&self.ext, &self.state, &mut self.cost_cache);
         // ε-annealing schedule (no-op when epsilon_factor == 1.0),
         // decided up front: the epsilon mutation lands between the flow
         // and marginal phases.
@@ -396,7 +433,7 @@ impl GradientAlgorithm {
             anneal_to,
         );
         self.iterations += 1;
-        StepStats { cost_before, gamma }
+        StepStats { gamma }
     }
 
     /// Runs `iterations` steps, returning the final report.
@@ -597,10 +634,8 @@ impl GradientAlgorithm {
         self.cost.epsilon = ck.epsilon;
         self.config.eta = ck.eta;
         // A raw checkpoint may carry usage on idle nodes and
-        // pass-through rows off `1.0`; the cost cache rebuilds full
-        // width once.
+        // pass-through rows off `1.0`.
         self.written_from_outside();
-        self.cost_cache.invalidate();
         Ok(())
     }
 
@@ -687,7 +722,6 @@ impl GradientAlgorithm {
     #[doc(hidden)]
     pub fn flows_mut(&mut self) -> &mut FlowState {
         self.written_from_outside();
-        self.cost_cache.invalidate();
         &mut self.state
     }
 
@@ -831,10 +865,10 @@ impl GradientAlgorithm {
     }
 
     /// Shared tail of a commodity-set reshape: recomputes flows for the
-    /// new commodity set, resizing the workspace (survivor rows
-    /// reproduce bit-for-bit; the totals reduce in ascending commodity
-    /// order as always), clears blocking tags, flags the outside write,
-    /// and bumps the epoch.
+    /// new commodity set (survivor rows reproduce bit-for-bit; the
+    /// totals accumulate in ascending commodity order as always), clears
+    /// blocking tags, flags the outside write, and bumps the epoch. The
+    /// next step re-sizes the workspace.
     fn reshape_state(&mut self) {
         compute_flows_into(
             &self.ext,
@@ -924,6 +958,59 @@ mod tests {
         }
         assert!(crate::NewtonGradient::new(&p, cfg, 1e-15).is_ok());
         assert!(!format!("{}", ConfigError::BadEta(0.0)).is_empty());
+        // tunables that poison the marginals or silently disable (or
+        // overshoot) ε-annealing
+        let with = |edit: fn(&mut GradientConfig)| {
+            let mut c = GradientConfig::default();
+            edit(&mut c);
+            c
+        };
+        let poison = [
+            (with(|c| c.wall_threshold = 1.0), "BadWallThreshold(1.0)"),
+            (with(|c| c.wall_threshold = -0.5), "BadWallThreshold(-0.5)"),
+            (with(|c| c.wall_strength = f64::NAN), "BadWallStrength(NaN)"),
+            (with(|c| c.wall_strength = -1.0), "BadWallStrength(-1.0)"),
+            (
+                with(|c| c.wall_strength = f64::INFINITY),
+                "BadWallStrength(inf)",
+            ),
+            (with(|c| c.epsilon_factor = 0.0), "BadEpsilonFactor(0.0)"),
+            (
+                with(|c| c.epsilon_factor = f64::NAN),
+                "BadEpsilonFactor(NaN)",
+            ),
+            (
+                with(|c| c.epsilon_factor = f64::INFINITY),
+                "BadEpsilonFactor(inf)",
+            ),
+            (
+                with(|c| (c.epsilon_factor, c.epsilon_interval) = (0.5, 0)),
+                "ZeroEpsilonInterval",
+            ),
+            (with(|c| c.epsilon_min = f64::NAN), "BadEpsilonMin(NaN)"),
+            (with(|c| c.epsilon_min = -1.0), "BadEpsilonMin(-1.0)"),
+            (with(|c| c.epsilon_min = 0.0), "BadEpsilonMin(0.0)"),
+            (
+                with(|c| c.epsilon_min = f64::INFINITY),
+                "BadEpsilonMin(inf)",
+            ),
+        ];
+        for (bad, want) in poison {
+            let want = format!("Some({want})");
+            assert_eq!(format!("{:?}", GradientAlgorithm::new(&p, bad).err()), want);
+            let newton = crate::NewtonGradient::new(&p, bad, 1e-6).err();
+            assert_eq!(format!("{newton:?}"), want);
+            assert!(!format!("{}", bad.validate().unwrap_err()).is_empty());
+        }
+        // the paper's literal objective (no wall), a zero interval with
+        // annealing off, and annealing itself stay valid
+        for fine in [
+            with(|c| c.wall_strength = 0.0),
+            with(|c| c.epsilon_interval = 0),
+            with(|c| c.epsilon_factor = 0.5),
+        ] {
+            assert!(GradientAlgorithm::new(&p, fine).is_ok());
+        }
     }
 
     #[test]
@@ -1073,10 +1160,10 @@ mod tests {
     fn step_stats_reflect_progress() {
         let p = bottleneck_problem();
         let mut alg = GradientAlgorithm::new(&p, GradientConfig::default()).unwrap();
+        // initial cost = full utility loss = λ = 20
+        assert!((alg.report().cost - 20.0).abs() < 1e-9);
         let s1 = alg.step();
         assert!(s1.gamma.rows > 0);
-        // initial cost = full utility loss = λ = 20
-        assert!((s1.cost_before - 20.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The relaxed objective `A = Y + ε·D` and its partial derivatives
 //! w.r.t. edge resource usage (eq. (8) and eq. (11)).
 //!
-//! [`CostModel::total_cost`] is the definition: a fold over all `V`
-//! nodes. [`CostModel::total_cost_cached`] is what the step's
-//! `cost_before` probe runs: the same fold over the router union only,
-//! bit-identical by the argument on [`TotalCostCache`].
+//! [`CostModel::total_cost`] is the one definition of `A`: a fold over
+//! all `V` nodes, read on demand (`Report::cost`, or
+//! `cost_model().total_cost(ext, flows)`). The step never evaluates it —
+//! as in §5, no node prices the whole network; the step only needs the
+//! partials, which every sweep evaluates locally.
 
 use crate::flows::{FlowState, UsageView};
 use spn_graph::{EdgeId, NodeId};
@@ -126,62 +127,6 @@ impl CostModel {
             + self.wall_cost(ext, state)
     }
 
-    /// [`CostModel::total_cost`] through a [`TotalCostCache`]: walks the
-    /// router union only ([`ExtendedNetwork::router_union`]), recomputes
-    /// the penalty and wall values where a union node's usage bits
-    /// changed since the previous call, and folds the cached value
-    /// arrays in ascending node order.
-    ///
-    /// **Bit-identical** to the naive scan — the proof, and the
-    /// precondition it needs, are on [`TotalCostCache`]. Where the
-    /// precondition does not hold (checked on every rebuild) this *is*
-    /// the naive scan. The association of the three terms matches
-    /// [`CostModel::total_cost`] exactly, including the wall's early
-    /// zero when `wall_strength == 0`.
-    pub fn total_cost_cached(
-        &self,
-        ext: &ExtendedNetwork,
-        state: &FlowState,
-        cache: &mut TotalCostCache,
-    ) -> f64 {
-        let usages = state.node_usages();
-        let union = ext.router_union();
-        let key = (
-            self.penalty,
-            self.wall_threshold,
-            self.wall_strength,
-            ext.capacity_version(),
-            ext.structure_version(),
-        );
-        if cache.key != Some(key) || cache.usage_bits.len() != union.len() {
-            if !cache.rebuild(self, ext, usages, key) {
-                return self.total_cost(ext, state);
-            }
-        } else {
-            debug_assert!(
-                idle_usages_are_zero(union, usages),
-                "a node outside the router union carries usage: some write to \
-                 FlowState skipped TotalCostCache::invalidate"
-            );
-            for (k, &v) in union.iter().enumerate() {
-                let z = usages[v.index()];
-                if z.to_bits() != cache.usage_bits[k] {
-                    let c = ext.capacity(v);
-                    cache.usage_bits[k] = z.to_bits();
-                    cache.penalty_vals[k] = self.penalty.value(c, z);
-                    cache.wall_vals[k] = self.wall_value(c, z);
-                }
-            }
-        }
-        let penalty_sum: f64 = cache.penalty_vals.iter().sum();
-        let wall_sum: f64 = if self.wall_strength == 0.0 {
-            0.0
-        } else {
-            cache.wall_vals.iter().sum()
-        };
-        self.utility_loss(ext, state) + self.epsilon * penalty_sum + wall_sum
-    }
-
     /// `∂A_i/∂f_ik` for extended edge `l = (i, k)` (eq. (11)):
     /// `U'_j(λ_j − f_l)` on commodity `j`'s dummy difference link,
     /// `ε·D'_i(f_i)` everywhere else (zero at dummy sources, whose
@@ -263,135 +208,6 @@ impl CostModel {
     }
 }
 
-/// Whether every node outside the ascending `union` holds exactly
-/// `+0.0` in `usages`.
-fn idle_usages_are_zero(union: &[NodeId], usages: &[f64]) -> bool {
-    let mut members = union.iter().peekable();
-    usages.iter().enumerate().all(|(v, z)| {
-        if members.peek().is_some_and(|m| m.index() == v) {
-            members.next();
-            true
-        } else {
-            z.to_bits() == 0
-        }
-    })
-}
-
-/// Incremental evaluator state for [`CostModel::total_cost_cached`]:
-/// per *router-union position*, the raw bits of the node's usage total
-/// and the penalty / wall values computed from them.
-///
-/// `total_cost` is the per-step convergence probe (`cost_before` in
-/// [`crate::StepStats`]), and the naive form evaluates the penalty and
-/// the wall at all `V` nodes. Only routers ever carry usage, and on
-/// placement-style instances they are a few percent of the nodes, so
-/// the cache walks [`ExtendedNetwork::router_union`] and nothing else:
-/// `O(|union|)` per call instead of `O(V)`.
-///
-/// ## Why skipping the idle nodes changes no bit
-///
-/// The naive total folds `D_v(f_v)` (and `W_v(f_v)`) over all nodes in
-/// ascending order with `f64::sum`; the cache folds the same values, in
-/// the same order, over the union only. [`Penalty::value`] and
-/// [`CostModel::wall_value`] are pure functions of `(capacity, usage)`,
-/// so the union terms are identical; what is dropped are the idle
-/// nodes' terms. The rebuild below *checks* (it does not assume) that
-/// every idle node holds usage `+0.0` and that both of its values are
-/// zeros: `+0.0` for the reciprocal barriers (`1/C − 1/C`, `C·0/C`),
-/// for the wall below its threshold and for infinite capacities,
-/// `-0.0` for `LogBarrier` (`−ln(1) = −(+0.0)`).
-///
-/// Adding `-0.0` never changes an IEEE accumulator. Adding `+0.0`
-/// changes it only when it is `-0.0` (to `+0.0`), and an accumulator is
-/// `-0.0` only while every term so far was `-0.0` — `f64::sum` starts
-/// from the `-0.0` identity (from `+0.0` on older toolchains, where the
-/// accumulator is never `-0.0` and there is nothing to prove), and
-/// `x + y = -0.0` needs both operands `-0.0`. Step both folds through
-/// the full node sequence: they hold equal bits, or the naive one holds
-/// `+0.0` where the union one still holds `-0.0`; the first union term
-/// that is not `-0.0` makes them equal again for good (`±0.0 + x = x`
-/// for `x ≠ -0.0`). Such a term always exists: the highest node id of a
-/// non-empty union is a dummy source, whose infinite capacity
-/// short-circuits both functions to a literal `+0.0` (also checked by
-/// the rebuild). Hence equal bits at the end of the fold.
-///
-/// ## What keeps the precondition true
-///
-/// Idle nodes stay at `+0.0` because no sweep writes them and every
-/// totals reduction leaves them zero (`reduce_usage_totals` in
-/// `step.rs`); their values stay zeros because they depend on nothing
-/// outside the key. The snapshot
-/// key — penalty family, wall shape,
-/// [`ExtendedNetwork::capacity_version`],
-/// [`ExtendedNetwork::structure_version`] — catches parameter and
-/// topology drift; a caller that lets anything else write the flow
-/// state (checkpoint restore, raw state access) calls
-/// [`TotalCostCache::invalidate`]. Either way the next call rebuilds
-/// with one full-width pass, and a rebuild that finds the precondition
-/// broken (poisoned idle usage, a wall threshold outside `[0, 1)`, no
-/// commodities) caches nothing and returns the naive total, so the
-/// result is exact for every input.
-#[derive(Clone, Debug, Default)]
-pub struct TotalCostCache {
-    /// `f64::to_bits` of each union node's usage at the last evaluation.
-    usage_bits: Vec<u64>,
-    /// `penalty.value(capacity(v), usage(v))` per union position.
-    penalty_vals: Vec<f64>,
-    /// `wall_value(capacity(v), usage(v))` per union position.
-    wall_vals: Vec<f64>,
-    /// `(penalty, wall_threshold, wall_strength, capacity_version,
-    /// structure_version)` snapshot the cached values were computed
-    /// under; `None` forces a rebuild.
-    key: Option<(Penalty, f64, f64, u64, u64)>,
-}
-
-impl TotalCostCache {
-    /// Forces the next evaluation to rebuild (one full-width pass that
-    /// re-checks the idle nodes). Call after anything other than the
-    /// iteration's own sweeps wrote the usage totals.
-    pub fn invalidate(&mut self) {
-        self.key = None;
-    }
-
-    /// Refills the per-union arrays from `usages` while checking the
-    /// precondition of the union-only fold at every other node. Returns
-    /// `false` — leaving the cache invalid — when it does not hold.
-    fn rebuild(
-        &mut self,
-        cost: &CostModel,
-        ext: &ExtendedNetwork,
-        usages: &[f64],
-        key: (Penalty, f64, f64, u64, u64),
-    ) -> bool {
-        self.key = None;
-        self.usage_bits.clear();
-        self.penalty_vals.clear();
-        self.wall_vals.clear();
-        let union = ext.router_union();
-        if !union.last().is_some_and(|&v| ext.capacity(v).is_infinite()) {
-            return false;
-        }
-        let mut members = union.iter().peekable();
-        for (v, &z) in usages.iter().enumerate() {
-            let c = ext.capacity(NodeId::from_index(v));
-            let (p, w) = (cost.penalty.value(c, z), cost.wall_value(c, z));
-            if members.peek().is_some_and(|m| m.index() == v) {
-                members.next();
-                self.usage_bits.push(z.to_bits());
-                self.penalty_vals.push(p);
-                self.wall_vals.push(w);
-            } else if z.to_bits() != 0 || p != 0.0 || w != 0.0 {
-                return false;
-            }
-        }
-        if members.next().is_some() {
-            return false;
-        }
-        self.key = Some(key);
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,97 +226,6 @@ mod tests {
         let ext = ExtendedNetwork::build(&b.build().unwrap());
         let cm = CostModel::new(Penalty::default(), 0.2);
         (ext, cm)
-    }
-
-    /// `setup()` with half the offered load admitted — the sink `t` is
-    /// the one node outside the router union.
-    fn half_admitted(ext: &ExtendedNetwork) -> FlowState {
-        let mut rt = RoutingTable::initial(ext);
-        let j = CommodityId::from_index(0);
-        rt.set_row(
-            ext,
-            j,
-            ext.dummy_source(j),
-            &[(ext.input_edge(j), 0.5), (ext.difference_edge(j), 0.5)],
-        );
-        compute_flows(ext, &rt)
-    }
-
-    #[test]
-    fn cached_total_walks_the_union_and_matches_the_naive_scan() {
-        let (ext, cm) = setup();
-        let sink = ext.commodity(CommodityId::from_index(0)).sink();
-        assert!(!ext.router_union().contains(&sink));
-        let mut cache = TotalCostCache::default();
-        for state in [
-            compute_flows(&ext, &RoutingTable::initial(&ext)),
-            half_admitted(&ext),
-            half_admitted(&ext),
-        ] {
-            let cached = cm.total_cost_cached(&ext, &state, &mut cache);
-            assert_eq!(cached.to_bits(), cm.total_cost(&ext, &state).to_bits());
-            assert!(cache.key.is_some(), "the union fold must engage");
-            assert_eq!(cache.usage_bits.len(), ext.router_union().len());
-        }
-    }
-
-    /// Usage on a node outside the union breaks the fold's precondition:
-    /// the rebuild must notice, answer with the naive total (which counts
-    /// the poison) and cache nothing until the state is clean again.
-    #[test]
-    fn poisoned_idle_usage_is_counted_and_never_cached() {
-        let (ext, cm) = setup();
-        let sink = ext.commodity(CommodityId::from_index(0)).sink();
-        let clean = half_admitted(&ext);
-        let mut poisoned = clean.clone();
-        poisoned.f_node[sink.index()] = 7.5;
-        let mut cache = TotalCostCache::default();
-        cm.total_cost_cached(&ext, &clean, &mut cache);
-        // Whoever wrote the state from outside invalidates the cache.
-        cache.invalidate();
-        let cached = cm.total_cost_cached(&ext, &poisoned, &mut cache);
-        assert_eq!(cached.to_bits(), cm.total_cost(&ext, &poisoned).to_bits());
-        assert!(cached > cm.total_cost(&ext, &clean));
-        assert!(
-            cache.key.is_none(),
-            "a broken precondition must not be cached"
-        );
-        let healed = cm.total_cost_cached(&ext, &clean, &mut cache);
-        assert_eq!(healed.to_bits(), cm.total_cost(&ext, &clean).to_bits());
-        assert!(cache.key.is_some());
-    }
-
-    /// A wall threshold below zero charges idle nodes a nonzero wall
-    /// value, so there is nothing to skip: still exact, never cached.
-    #[test]
-    fn nonzero_idle_values_fall_back_to_the_naive_scan() {
-        let (ext, mut cm) = setup();
-        cm.wall_threshold = -0.5;
-        let state = half_admitted(&ext);
-        let mut cache = TotalCostCache::default();
-        for _ in 0..2 {
-            let cached = cm.total_cost_cached(&ext, &state, &mut cache);
-            assert_eq!(cached.to_bits(), cm.total_cost(&ext, &state).to_bits());
-            assert!(cache.key.is_none());
-        }
-    }
-
-    /// The sign-of-zero corner the proof turns on: every finite-capacity
-    /// `LogBarrier` term of an all-reject state is `-0.0`, the dummy
-    /// source's is `+0.0`, and both folds end on `+0.0`.
-    #[test]
-    fn log_barrier_idle_terms_are_negative_zero_and_fold_away() {
-        let (ext, mut cm) = setup();
-        cm.penalty = Penalty::new(spn_model::PenaltyKind::LogBarrier, 0.95).unwrap();
-        let state = compute_flows(&ext, &RoutingTable::initial(&ext));
-        let sink = ext.commodity(CommodityId::from_index(0)).sink();
-        let idle = cm.penalty.value(ext.capacity(sink), state.node_usage(sink));
-        assert_eq!(idle.to_bits(), (-0.0f64).to_bits());
-        assert_eq!(cm.penalty_cost(&ext, &state).to_bits(), 0.0f64.to_bits());
-        let mut cache = TotalCostCache::default();
-        let cached = cm.total_cost_cached(&ext, &state, &mut cache);
-        assert_eq!(cached.to_bits(), cm.total_cost(&ext, &state).to_bits());
-        assert!(cache.key.is_some());
     }
 
     #[test]

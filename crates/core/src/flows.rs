@@ -21,11 +21,12 @@
 //!
 //! Two entry points evaluate the equations: [`compute_flows`] allocates
 //! a fresh [`FlowState`], while [`compute_flows_into`] reuses the
-//! caller's state and an [`IterationWorkspace`] so the steady-state
-//! iteration performs no heap allocation. Both produce bit-identical
-//! results: each commodity accumulates its own `f_edge`/`f_node`
-//! partial rows, and the partials are reduced in ascending commodity
-//! order.
+//! caller's state so the steady-state iteration performs no heap
+//! allocation. Every path — these two, the step's flow pass and the
+//! mesh's [`LiveArcSweeps::flows_into`](crate::LiveArcSweeps::flows_into)
+//! — adds each commodity's usage straight into the zeroed totals
+//! `f_edge`/`f_node`, commodities in ascending order, so the totals are
+//! bit-identical however they were produced (see `flow_sweep`).
 
 use crate::active::LiveRow;
 use crate::routing::RoutingTable;
@@ -62,8 +63,9 @@ pub struct FlowState {
 
 /// Borrowed view of the cross-commodity usage totals `f_edge`/`f_node` —
 /// the only [`FlowState`] data the per-commodity sweeps share. The step
-/// rewrites the totals only between its flow and marginal phases, so a
-/// sweep can hold this view while its commodity's own rows are written.
+/// rewrites the totals only after every commodity's tags and Γ rows
+/// have read them (the flow passes), so a tag or Γ sweep can hold this
+/// view while its commodity's own rows are written.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct UsageView<'a> {
     /// Total resource usage per extended edge, eq. (4).
@@ -231,11 +233,19 @@ impl FlowState {
 }
 
 /// One commodity's forward sweep of eqs. (3)–(5): fills the traffic row
-/// `t`, the edge-flow row `x`, and the commodity's *partial* resource
-/// usage rows. `phi` is the commodity's fraction row (indexed once per
-/// edge — the routing table's nested lookup is too hot here); `t` and
-/// `f_node` are member-position rows, `x` and `f_edge` edge rows. All
-/// rows are caller-zeroed and disjoint per commodity.
+/// `t` and the edge-flow row `x`, and adds the commodity's resource
+/// usage into the totals. `phi` is the commodity's fraction row (indexed
+/// once per edge — the routing table's nested lookup is too hot here);
+/// `t` is a member-position row, `x` an edge row, both caller-zeroed;
+/// `f_edge` / `f_node` are the `L`- and `V`-wide totals.
+///
+/// Each arc adds its usage straight into `f_edge[l]`; each node sums its
+/// arcs' usages in a local accumulator, in CSR order, and adds the sum
+/// into `f_node[v]`. Within one commodity every edge has one tail and
+/// every node one member position, so a total receives at most one
+/// addend per commodity — that commodity's complete usage there — and,
+/// called for every commodity in ascending order on zeroed totals, the
+/// float order of every total is fixed by the commodity order alone.
 pub(crate) fn flow_sweep(
     ext: &ExtendedNetwork,
     phi: &[f64],
@@ -254,6 +264,7 @@ pub(crate) fn flow_sweep(
             continue;
         }
         let (out, heads) = m.out_arcs(p);
+        let mut node_usage = 0.0;
         for (&l, &head) in out.iter().zip(heads) {
             let phi = phi[l.index()];
             if phi == 0.0 {
@@ -263,9 +274,10 @@ pub(crate) fn flow_sweep(
             x[l.index()] = flow;
             let usage = flow * ext.cost(j, l);
             f_edge[l.index()] += usage;
-            f_node[p] += usage;
+            node_usage += usage;
             t[head as usize] += flow * ext.beta(j, l);
         }
+        f_node[m.node(p).index()] += node_usage;
     }
 }
 
@@ -277,8 +289,10 @@ pub(crate) fn flow_sweep(
 /// each arc's head. Since the
 /// dense sweep skips zero-traffic tails and zero-fraction arcs, walking
 /// exactly the nonzero-fraction arcs in the same order performs the
-/// identical sequence of float operations — bit-identical rows, a
-/// fraction of the memory traffic.
+/// identical sequence of float operations — bit-identical rows and
+/// totals, a fraction of the memory traffic. (The sink, which is not a
+/// router, skips the `+0.0` the dense sweep adds to its node total: a
+/// no-op, since no total is ever `-0.0`.)
 #[allow(clippy::too_many_arguments)] // a commodity's full sweep context
 pub(crate) fn flow_sweep_active(
     ext: &ExtendedNetwork,
@@ -302,6 +316,7 @@ pub(crate) fn flow_sweep_active(
         if tv == 0.0 {
             continue;
         }
+        let mut node_usage = 0.0;
         for (l, head) in live {
             let phi = phi[l.index()];
             debug_assert!(phi != 0.0, "live arc {l} with zero fraction");
@@ -309,82 +324,41 @@ pub(crate) fn flow_sweep_active(
             x[l.index()] = flow;
             let usage = flow * ext.cost(j, l);
             f_edge[l.index()] += usage;
-            f_node[p] += usage;
+            node_usage += usage;
             t[head] += flow * ext.beta(j, l);
         }
-    }
-}
-
-/// Adds the per-commodity usage partials into the (caller-zeroed)
-/// totals, in ascending commodity order (edge partial then node partial
-/// per commodity) — the one float-addition order every path shares, so
-/// totals are bit-identical however the partials were produced. The
-/// edge partials are `L`-wide rows; the node partials are
-/// member-position rows, scattered to their nodes.
-pub(crate) fn accumulate_usage_totals(
-    ext: &ExtendedNetwork,
-    fe_tot: &mut [f64],
-    fn_tot: &mut [f64],
-    fe_part: &[f64],
-    fn_part: &[f64],
-) {
-    let l_count = fe_tot.len();
-    for j in ext.commodity_ids() {
-        let fe = &fe_part[j.index() * l_count..(j.index() + 1) * l_count];
-        for (acc, &p) in fe_tot.iter_mut().zip(fe) {
-            *acc += p;
-        }
-        let fnode = &fn_part[ext.member_range(j)];
-        for (&v, &p) in ext.commodity_member_nodes(j).iter().zip(fnode) {
-            fn_tot[v.index()] += p;
-        }
+        f_node[m.node(p).index()] += node_usage;
     }
 }
 
 /// Evaluates eqs. (3)–(5) into caller-owned buffers — the dense
-/// reference sweep, allocation-free in steady state. Every commodity
-/// writes its own rows, and the per-commodity `f_edge`/`f_node` partials
-/// are reduced in ascending commodity order (each partial entry is a
-/// complete per-commodity sum, so the reduction order is the only order
-/// there is).
+/// reference sweep, allocation-free in steady state. The state is
+/// zeroed, then every commodity writes its own rows and adds its usage
+/// into the totals, in ascending commodity order (`flow_sweep`).
 ///
-/// `_pool` is an inert shim: `None` is its only value. It exists so the
-/// frozen `benchmark/` surface compiles; the next `[benchmark]` PR
-/// removes it.
+/// `_ws` and `_pool` are inert shims (`None` is `_pool`'s only value):
+/// they exist so the frozen `benchmark/` surface compiles; the next
+/// `[benchmark]` PR removes them.
 pub fn compute_flows_into(
     ext: &ExtendedNetwork,
     routing: &RoutingTable,
     state: &mut FlowState,
-    ws: &mut IterationWorkspace,
+    _ws: &mut IterationWorkspace,
     _pool: Option<Infallible>,
 ) {
     state.reset(ext);
-    ws.ensure(ext);
     let l_count = state.l_count;
-    ws.f_edge_part.fill(0.0);
-    ws.f_node_part.fill(0.0);
-
     for j in ext.commodity_ids() {
-        let edges = j.index() * l_count..(j.index() + 1) * l_count;
-        let members = ext.member_range(j);
         flow_sweep(
             ext,
             routing.row(j),
             j,
-            &mut state.t[members.clone()],
-            &mut state.x[edges.clone()],
-            &mut ws.f_edge_part[edges],
-            &mut ws.f_node_part[members],
+            &mut state.t[ext.member_range(j)],
+            &mut state.x[j.index() * l_count..(j.index() + 1) * l_count],
+            &mut state.f_edge,
+            &mut state.f_node,
         );
     }
-
-    accumulate_usage_totals(
-        ext,
-        &mut state.f_edge,
-        &mut state.f_node,
-        &ws.f_edge_part,
-        &ws.f_node_part,
-    );
 }
 
 /// Evaluates eqs. (3)–(5) for the given routing decision.
@@ -396,8 +370,13 @@ pub fn compute_flows_into(
 #[must_use]
 pub fn compute_flows(ext: &ExtendedNetwork, routing: &RoutingTable) -> FlowState {
     let mut state = FlowState::zeros(ext);
-    let mut ws = IterationWorkspace::new(ext);
-    compute_flows_into(ext, routing, &mut state, &mut ws, None);
+    compute_flows_into(
+        ext,
+        routing,
+        &mut state,
+        &mut IterationWorkspace::default(),
+        None,
+    );
     state
 }
 

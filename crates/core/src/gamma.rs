@@ -53,8 +53,7 @@
 //! The statistics do not move either. A chunk slot starts at
 //! `(0.0, 0.0, routers in chunk)`, and the terms a pass-through would
 //! fold in, `max(acc, +0.0)` and `acc + 0.0`, are the identity on the
-//! slot's accumulators — written out as `TotalCostCache` does for its
-//! fold:
+//! slot's accumulators:
 //!
 //! * the max starts at `+0.0` and `f64::max` returns its non-NaN
 //!   argument, so it is never NaN; it is never `-0.0` either, since a

@@ -61,7 +61,7 @@ pub use algorithm::{
     ConfigError, GradientAlgorithm, GradientConfig, Report, StableOutcome, StepStats,
 };
 pub use checkpoint::Checkpoint;
-pub use cost::{CostModel, TotalCostCache};
+pub use cost::CostModel;
 pub use flows::FlowState;
 pub use health::{check_finite, CoreError, StateDomain};
 pub use marginals::Marginals;

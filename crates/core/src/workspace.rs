@@ -1,16 +1,14 @@
 //! Reusable scratch buffers for the zero-allocation iteration core.
 //!
 //! [`GradientAlgorithm`](crate::GradientAlgorithm) owns one
-//! [`IterationWorkspace`] and passes it through
-//! [`compute_flows_into`](crate::flows::compute_flows_into) and
-//! [`apply_gamma_ws`](crate::gamma::apply_gamma_ws) every step, so the
-//! steady-state iteration performs no heap allocation: all
-//! per-commodity partial rows and the Γ scratch lane live here and are
-//! resized (a no-op once warm) rather than rebuilt.
-//!
-//! The buffers are carved into disjoint per-commodity rows: each
-//! commodity's sweep owns its rows outright, and all cross-commodity
-//! reductions happen afterwards in fixed commodity order.
+//! [`IterationWorkspace`] and passes it through the Γ pass every step
+//! (the dense reference is
+//! [`apply_gamma_ws`](crate::gamma::apply_gamma_ws)), so the
+//! steady-state iteration performs no heap allocation: the Γ scratch
+//! lane and the per-chunk Γ statistics live here and are resized (a
+//! no-op once warm) rather than rebuilt. The flow sweeps need no scratch:
+//! they add each commodity's usage straight into the totals
+//! (`crate::flows`).
 //!
 //! Γ statistics are accumulated per fixed-size *router chunk*
 //! (`GAMMA_CHUNK` routers per slot) rather than per commodity: chunk
@@ -80,17 +78,10 @@ impl GammaLane {
 /// followed by an admit restores every count while moving the ragged
 /// row extents. Re-`ensure`-ing for the *same* structure is a cheap
 /// near-no-op — only the Γ chunk layout, which no key captures, is
-/// re-derived; every pass that uses a buffer resets it at the point of
-/// use (the flow pass zero-fills its partial rows, the Γ pass clears
-/// the lane and each stat slot before writing), so `ensure` never
-/// touches warm buffers.
+/// re-derived; the Γ pass clears the lane and each stat slot before
+/// writing, so `ensure` never touches warm buffers.
 #[derive(Clone, Debug, Default)]
 pub struct IterationWorkspace {
-    /// `[j·L + l]` — commodity-`j` partial of the edge usage `f_ik`.
-    pub(crate) f_edge_part: Vec<f64>,
-    /// `[member_range(j)][p]` — commodity-`j` partial of the node usage
-    /// `f_i` at its member `p` (ragged, `Σ_j members_j` entries).
-    pub(crate) f_node_part: Vec<f64>,
     /// The Γ row scratch.
     pub(crate) lane: GammaLane,
     /// Per-router-chunk Γ statistics `(max_shift, total_shift, rows)`,
@@ -113,10 +104,11 @@ impl IterationWorkspace {
         ws
     }
 
-    /// Sizes every buffer for `ext`, re-zeroing the usage partials on
-    /// first use, for a different network or after a commodity-set
-    /// reshape. Same structure is a cheap near-no-op. Allocation-free
-    /// once the workspace has seen a network at least this large.
+    /// Sizes every buffer for `ext`: the Γ statistics slots to its chunk
+    /// count, and the lane to its largest out-degree on first use, for a
+    /// different network or after a commodity-set reshape. Same
+    /// structure is a cheap near-no-op. Allocation-free once the
+    /// workspace has seen a network at least this large.
     pub fn ensure(&mut self, ext: &ExtendedNetwork) {
         // The chunk layout depends on per-commodity router counts, which
         // the key below cannot capture (two freshly built networks can
@@ -144,11 +136,6 @@ impl IterationWorkspace {
             .map(|j| ext.max_out_degree(j))
             .max()
             .unwrap_or(0);
-        self.f_edge_part.clear();
-        self.f_edge_part
-            .resize(j_count * ext.graph().edge_count(), 0.0);
-        self.f_node_part.clear();
-        self.f_node_part.resize(ext.member_total(), 0.0);
         self.lane.reserve(max_degree);
         self.sized_for = Some(key);
     }
@@ -182,18 +169,28 @@ mod tests {
                 .problem,
         );
         let mut ws = IterationWorkspace::new(&small);
-        ws.f_edge_part.fill(7.0); // poison
+        // poison
+        ws.lane.m.push(7.0);
+        ws.stats.fill((7.0, 7.0, 7));
         ws.ensure(&large);
-        assert_eq!(
-            ws.f_edge_part.len(),
-            large.num_commodities() * large.graph().edge_count()
+        assert!(ws.lane.m.is_empty(), "stale lane survived ensure");
+        let degree = large
+            .commodity_ids()
+            .map(|j| large.max_out_degree(j))
+            .max()
+            .unwrap();
+        assert!(ws.lane.m.capacity() >= degree && ws.lane.row.capacity() >= degree);
+        assert_ne!(
+            IterationWorkspace::new(&small).stats.len(),
+            ws.stats.len(),
+            "the two networks must differ in chunk count"
         );
         assert!(
-            ws.f_edge_part.iter().all(|&x| x == 0.0),
-            "stale data survived ensure"
+            ws.stats.iter().all(|&s| s == (0.0, 0.0, 0)),
+            "stale statistics survived ensure"
         );
         ws.ensure(&small);
-        assert!(ws.f_node_part.iter().all(|&x| x == 0.0));
+        assert_eq!(ws.stats, IterationWorkspace::new(&small).stats);
     }
 
     #[test]
@@ -208,12 +205,14 @@ mod tests {
                 .problem,
         );
         let mut ws = IterationWorkspace::new(&ext);
-        ws.f_edge_part.fill(7.0);
+        ws.lane.m.push(7.0);
+        ws.stats.fill((7.0, 7.0, 7));
         ws.ensure(&ext);
         // same shape: buffers untouched (each pass resets what it uses)
+        assert_eq!(ws.lane.m, [7.0], "fast path rewrote a warm lane");
         assert!(
-            ws.f_edge_part.iter().all(|&x| x == 7.0),
-            "fast path rewrote a warm buffer"
+            ws.stats.iter().all(|&s| s == (7.0, 7.0, 7)),
+            "fast path rewrote warm statistics"
         );
     }
 
@@ -284,12 +283,9 @@ mod tests {
         // the key holds tells them apart
         assert_eq!(sizing_key(&a), sizing_key(&b));
         let mut ws = IterationWorkspace::new(&a);
-        ws.f_edge_part.fill(7.0);
+        ws.lane.m.push(7.0);
         ws.ensure(&b);
-        assert!(
-            ws.f_edge_part.iter().all(|&x| x == 7.0),
-            "same key: the warm buffers stay"
-        );
+        assert_eq!(ws.lane.m, [7.0], "same key: the warm lane stays");
         let fresh = IterationWorkspace::new(&b);
         assert_ne!(fresh.chunk_base, IterationWorkspace::new(&a).chunk_base);
         assert_eq!(ws.chunk_base, fresh.chunk_base);

@@ -59,10 +59,10 @@ proptest! {
         let mut alg = GradientAlgorithm::new(&problem, cfg).unwrap();
         let mut last = f64::INFINITY;
         for _ in 0..60 {
-            let stats = alg.step();
-            prop_assert!(stats.cost_before <= last + 1e-7,
-                "cost rose: {last} -> {}", stats.cost_before);
-            last = stats.cost_before;
+            let cost = alg.cost_model().total_cost(alg.extended(), alg.flows());
+            prop_assert!(cost <= last + 1e-7, "cost rose: {last} -> {cost}");
+            last = cost;
+            alg.step();
         }
     }
 

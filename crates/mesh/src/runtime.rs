@@ -29,7 +29,7 @@ use crate::socket::{SocketOptions, SocketTransport};
 use crate::transport::{Chaotic, Inbox, Lossless, Transport};
 use crate::worker::{owner_of, MeshWireStats, RegionWorker, TICKS_PER_ITERATION};
 use spn_core::gamma::GammaStats;
-use spn_core::{ConfigError, CostModel, GradientAlgorithm, GradientConfig, StableOutcome};
+use spn_core::{ConfigError, CostModel, GradientConfig, StableOutcome};
 use spn_transform::ExtendedNetwork;
 use std::time::{Duration, Instant};
 
@@ -251,10 +251,10 @@ impl MeshRuntime<SocketTransport> {
 
 impl<T: Transport> MeshRuntime<T> {
     /// Builds the mesh: validates the config (rejecting region counts
-    /// the node space or the wire cannot carry, ε-annealing, a zero
-    /// refresh cadence or suspect window, and any gradient tunable
-    /// `GradientAlgorithm` itself would refuse) and initializes every worker with the same
-    /// fully-rejecting mirror.
+    /// the node space or the wire cannot carry, any gradient tunable
+    /// [`GradientConfig::validate`] refuses, ε-annealing, and a zero
+    /// refresh cadence or suspect window) and initializes every worker
+    /// with the same fully-rejecting mirror.
     ///
     /// # Errors
     ///
@@ -274,6 +274,7 @@ impl<T: Transport> MeshRuntime<T> {
                 nodes,
             });
         }
+        config.gradient.validate()?;
         if config.gradient.epsilon_factor != 1.0 {
             return Err(MeshError::AnnealingUnsupported {
                 epsilon_factor: config.gradient.epsilon_factor,
@@ -290,11 +291,6 @@ impl<T: Transport> MeshRuntime<T> {
                 budget: config.inbox_budget,
             });
         }
-        // reuse the algorithm's own tunable validation
-        drop(GradientAlgorithm::from_extended(
-            ext.clone(),
-            config.gradient,
-        )?);
         let cost = CostModel {
             penalty: config.gradient.penalty,
             epsilon: config.gradient.epsilon,

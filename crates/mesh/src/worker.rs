@@ -74,13 +74,12 @@ use crate::wire::{
     RESEND_FORECAST, RESEND_MARGINALS,
 };
 use spn_core::blocked::BlockedTags;
-use spn_core::flows::compute_flows_into;
+use spn_core::flows::compute_flows;
 use spn_core::gamma::{apply_gamma_selective_scratch, GammaScratch, GammaStats};
 use spn_core::marginals::compute_marginals_into;
 use spn_core::routing::FRACTION_TOLERANCE;
 use spn_core::{
-    Checkpoint, CostModel, FlowState, GradientConfig, IterationWorkspace, LiveArcSweeps, Marginals,
-    RoutingTable,
+    Checkpoint, CostModel, FlowState, GradientConfig, LiveArcSweeps, Marginals, RoutingTable,
 };
 use spn_graph::{EdgeId, NodeId};
 use spn_model::CommodityId;
@@ -294,7 +293,6 @@ pub struct RegionWorker {
     routing: RoutingTable,
     state: FlowState,
     marginals: Marginals,
-    workspace: IterationWorkspace,
     tags: BlockedTags,
     /// The live-arc sweeps over the mirror; stale-marked by every
     /// routing write that moves a fraction across zero.
@@ -351,9 +349,7 @@ impl RegionWorker {
         let edge_count = ext.graph().edge_count();
         let j_count = ext.num_commodities();
         let routing = RoutingTable::initial(ext);
-        let mut workspace = IterationWorkspace::new(ext);
-        let mut state = FlowState::zeros(ext);
-        compute_flows_into(ext, &routing, &mut state, &mut workspace, None);
+        let state = compute_flows(ext, &routing);
         let mut marginals = Marginals::zeros(ext);
         compute_marginals_into(ext, cost, &routing, &state, &mut marginals, None);
         let tags = BlockedTags::none(ext);
@@ -393,7 +389,6 @@ impl RegionWorker {
             routing,
             state,
             marginals,
-            workspace,
             tags,
             sweeps: LiveArcSweeps::new(ext),
             round: 0,
@@ -828,8 +823,7 @@ impl RegionWorker {
     /// heartbeat keeps every forward batch non-empty, so liveness never
     /// depends on data changing).
     fn phase_flows(&mut self, ext: &ExtendedNetwork) {
-        self.sweeps
-            .flows_into(ext, &self.routing, &mut self.state, &mut self.workspace);
+        self.sweeps.flows_into(ext, &self.routing, &mut self.state);
         #[cfg(test)]
         self.assert_flows_match_dense(ext);
         self.fc_scratch.clear();
@@ -1550,9 +1544,7 @@ impl RegionWorker {
     }
 
     fn assert_flows_match_dense(&self, ext: &ExtendedNetwork) {
-        let mut dense = FlowState::zeros(ext);
-        let mut ws = IterationWorkspace::new(ext);
-        compute_flows_into(ext, &self.routing, &mut dense, &mut ws, None);
+        let dense = compute_flows(ext, &self.routing);
         let ctx = format!("region {} round {}", self.region, self.round);
         for j in ext.commodity_ids() {
             for v in ext.graph().nodes() {

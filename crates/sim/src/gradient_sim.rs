@@ -236,6 +236,36 @@ mod tests {
                 shift_cap: 0.0,
                 ..d
             },
+            GradientConfig {
+                wall_threshold: 1.0,
+                ..d
+            },
+            GradientConfig {
+                wall_strength: f64::NAN,
+                ..d
+            },
+            GradientConfig {
+                epsilon_factor: -1.0,
+                ..d
+            },
+            GradientConfig {
+                epsilon_factor: 0.5,
+                epsilon_interval: 0,
+                ..d
+            },
+            GradientConfig {
+                epsilon_factor: 0.5,
+                epsilon_min: f64::NAN,
+                ..d
+            },
+            GradientConfig {
+                wall_strength: f64::INFINITY,
+                ..d
+            },
+            GradientConfig {
+                epsilon_min: 0.0,
+                ..d
+            },
         ];
         for cfg in bad {
             let core = format!("{:?}", GradientAlgorithm::new(&p, cfg).err());

@@ -425,7 +425,7 @@ impl AdjacencyArena {
 /// iteration core's sweeps index by, obtained once per sweep from
 /// [`ExtendedNetwork::members`]. Position `p` stands for node
 /// [`Self::node`]`(p)`; the per-commodity node tables (traffic,
-/// marginals, tags, usage partials) are rows of [`Self::len`] entries in
+/// marginals, tags) are rows of [`Self::len`] entries in
 /// the same order.
 ///
 /// A view is the commodity's extents in the arena and nothing else:
@@ -590,10 +590,6 @@ pub struct ExtendedNetwork {
     adjacency: AdjacencyArena,
     physical_nodes: usize,
     physical_edges: usize,
-    /// Bumped by every [`Self::set_capacity`]; lets downstream caches
-    /// keyed on per-node capacities detect mutation in O(1) instead of
-    /// re-reading the capacity table.
-    capacity_version: u64,
     /// Bumped by every [`Self::add_commodity`] / [`Self::remove_commodity`]
     /// — the O(1) staleness key for anything sized or derived from the
     /// commodity structure (member extents, router lists, the router
@@ -730,7 +726,6 @@ impl ExtendedNetwork {
             adjacency,
             physical_nodes: n,
             physical_edges: m,
-            capacity_version: 0,
             structure_version: 0,
         }
     }
@@ -887,8 +882,8 @@ impl ExtendedNetwork {
     /// Every extended edge usable by commodity `j`, each exactly once
     /// (a member edge has exactly one tail, so the commodity's packed
     /// out-edge extent is its edge set). The iteration core's scoped
-    /// zeroing and totals reduction walk this instead of scanning all
-    /// `L` edges per commodity.
+    /// edge-row zeroing walks this instead of scanning all `L` edges per
+    /// commodity.
     #[must_use]
     pub fn commodity_edges(&self, j: CommodityId) -> &[EdgeId] {
         let a = &self.adjacency;
@@ -936,8 +931,8 @@ impl ExtendedNetwork {
     /// [`Self::commodity_routers`] — exactly the nodes whose usage total
     /// `f_i` can be nonzero (a flow sweep only ever charges the tail of a
     /// member edge, and every such tail is a router of that commodity).
-    /// The iteration core's per-step node lanes (cost probe, totals
-    /// reduction) walk this instead of all `V` nodes. Non-empty whenever
+    /// The iteration core's one per-step node lane (zeroing the usage
+    /// totals) walks this instead of all `V` nodes. Non-empty whenever
     /// there is a commodity: every dummy source is a router.
     #[must_use]
     pub fn router_union(&self) -> &[NodeId] {
@@ -1036,14 +1031,6 @@ impl ExtendedNetwork {
             "dummy sources are unconstrained by construction"
         );
         self.capacity[v.index()] = capacity;
-        self.capacity_version += 1;
-    }
-
-    /// Monotone counter bumped by every [`Self::set_capacity`] — an
-    /// O(1) staleness key for caches derived from the capacity table.
-    #[must_use]
-    pub fn capacity_version(&self) -> u64 {
-        self.capacity_version
     }
 
     /// Monotone counter bumped by every [`Self::add_commodity`] and

@@ -21,7 +21,7 @@ mod dense;
 
 use dense::{checked_step, checked_steps};
 use spn::core::blocked::compute_tags;
-use spn::core::flows::{compute_flows_into, FlowState};
+use spn::core::gamma::apply_gamma_ws;
 use spn::core::{
     CommodityDef, CoreError, GradientAlgorithm, GradientConfig, IterationWorkspace, NewtonGradient,
 };
@@ -145,8 +145,8 @@ fn zero_step_evict_readmit_round_trip_is_identity() {
 /// the counts, the sparse engine kept the old live-arc strides and the
 /// next step indexed past its row: `the len is 45 but the index is 45`.)
 /// `IterationWorkspace::ensure` was the last key still made of counts;
-/// its ragged usage-partial rows would be laid out for the wrong
-/// commodity set.
+/// its Γ lane and per-router-chunk statistics slots would be laid out
+/// for the wrong commodity set.
 #[test]
 fn evict_then_admit_bigger_with_no_step_between_resizes_the_tracker() {
     let full = RandomInstance::builder()
@@ -184,12 +184,38 @@ fn evict_then_admit_bigger_with_no_step_between_resizes_the_tracker() {
     alg.evict_commodity(CommodityId::from_index(0));
     alg.admit_commodity(def);
     let after = alg.extended();
-    let mut through_stale = FlowState::zeros(after);
-    compute_flows_into(after, alg.routing(), &mut through_stale, &mut ws, None);
-    assert_eq!(
-        &through_stale,
+    let (cost, cfg) = (alg.cost_model(), alg.config());
+    let tags = compute_tags(
+        after,
+        cost,
+        alg.routing(),
         alg.flows(),
-        "flows through the re-sized workspace"
+        alg.marginals(),
+        cfg.eta,
+        cfg.traffic_floor,
+    );
+    let gamma = |ws: &mut IterationWorkspace| {
+        let mut routing = alg.routing().clone();
+        let stats = apply_gamma_ws(
+            after,
+            cost,
+            &mut routing,
+            alg.flows(),
+            alg.marginals(),
+            &tags,
+            cfg.eta,
+            cfg.traffic_floor,
+            cfg.opening_fraction,
+            cfg.shift_cap,
+            ws,
+            None,
+        );
+        (stats, routing)
+    };
+    assert_eq!(
+        gamma(&mut ws),
+        gamma(&mut IterationWorkspace::new(after)),
+        "Γ through the re-sized workspace"
     );
     assert_eq!(
         shape,

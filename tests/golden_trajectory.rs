@@ -3,8 +3,10 @@
 //! Every per-commodity node table is stored ragged, keyed by the
 //! commodity's member position. That re-key must not move a single
 //! float operation, so this file pins whole trajectories — an FNV-1a
-//! digest over the `StepStats` bits, `utility().to_bits()` and every
-//! member-edge routing fraction, folded in after **every** step — to
+//! digest over the naive `total_cost` of the pre-step state (the word
+//! the step's deleted `cost_before` probe used to fill), the Γ
+//! statistics, `utility().to_bits()` and every member-edge routing
+//! fraction, folded in after **every** step — to
 //! digests generated at the commit *before* the re-key (PR 21, when the
 //! same tables were dense `J·V` slabs, and the engine still had a dense
 //! twin that produced the same digests). The test reads state through
@@ -39,11 +41,13 @@ impl Digest {
         }
     }
 
-    /// One step of `alg`, folded in: its statistics, the utility after
-    /// it, and every member-edge fraction in commodity-then-CSR order.
+    /// One step of `alg`, folded in: the naive cost of the state before
+    /// it, its statistics, the utility after it, and every member-edge
+    /// fraction in commodity-then-CSR order.
     fn step(&mut self, alg: &mut GradientAlgorithm) {
+        let cost_before = alg.cost_model().total_cost(alg.extended(), alg.flows());
         let stats = alg.step();
-        self.word(stats.cost_before.to_bits());
+        self.word(cost_before.to_bits());
         self.word(stats.gamma.max_shift.to_bits());
         self.word(stats.gamma.total_shift.to_bits());
         self.word(stats.gamma.rows as u64);

@@ -2,24 +2,23 @@
 //! change no bit.
 //!
 //! The core step touches nodes only through
-//! `ExtendedNetwork::router_union` (the cost probe's cache and the
-//! tracked totals reduction), on the argument that a node outside the
-//! union holds `+0.0` usage, hence `±0.0` penalty and wall values, and
-//! that dropping `±0.0` terms from an in-order `f64::sum` fold changes
-//! no bit (`TotalCostCache` carries the proof). This oracle pins that
-//! argument from both sides:
+//! `ExtendedNetwork::router_union`, in its one node-wide lane: zeroing
+//! the usage totals before the flow passes add into them. A node
+//! outside the union holds `+0.0` usage that no flow pass writes, so
+//! zeroing the union alone leaves every total where a full-width reset
+//! would. This oracle pins the step and the model from both sides:
 //!
 //! * **padding** — a problem `P` and `P` plus `k ≫ V` isolated servers
-//!   must produce bit-identical `StepStats` (`cost_before`, Γ stats),
-//!   utility and routing on every step. Padding renumbers the bandwidth
-//!   and dummy nodes upward but keeps the union's ascending order, so
-//!   the two runs fold the same union terms in the same order; the
-//!   padded run's naive total has `k` more idle terms in the middle;
-//! * **naive** — in the same loop, each run's `cost_before` must equal
-//!   the full-width `CostModel::total_cost` of its own state.
+//!   must produce bit-identical Γ statistics, utility and routing on
+//!   every step. Padding renumbers the bandwidth and dummy nodes upward
+//!   but keeps the union's ascending order;
+//! * **the model** — before every step the naive `CostModel::total_cost`
+//!   of the two twins must agree bit for bit: the padded fold has `k`
+//!   more idle terms in the middle, each `±0.0`, and idle servers change
+//!   no bit of `A`.
 //!
 //! Every step of both twins is also held to its dense kernel replay
-//! (`support/dense.rs`), whose reductions run full width.
+//! (`support/dense.rs`), which resets the totals full width.
 //!
 //! Grid: the three `PenaltyKind`s (`LogBarrier` is the one whose idle
 //! value is `-0.0`) × wall on/off, from the all-reject start, annealing ε on the way, through
@@ -68,33 +67,22 @@ fn an_idle_node(alg: &GradientAlgorithm) -> Option<NodeId> {
         .find(|v| union.binary_search(v).is_err())
 }
 
-/// One step on each twin, checked against each other, against its dense
-/// replay and against the naive full-width cost of its own pre-step
-/// state.
+/// One step on each twin, checked against each other and against its
+/// dense replay, after the naive full-width costs of the two pre-step
+/// states are checked against each other.
 fn step_both(plain: &mut GradientAlgorithm, pad: &mut GradientAlgorithm, what: &str) {
     let naive = |alg: &GradientAlgorithm| {
         alg.cost_model()
             .total_cost(alg.extended(), alg.flows())
             .to_bits()
     };
-    let (naive_plain, naive_pad) = (naive(plain), naive(pad));
+    assert_eq!(
+        naive(plain),
+        naive(pad),
+        "idle servers moved the naive total cost: {what}"
+    );
     let a = checked_step(plain, &format!("plain, {what}"));
     let b = checked_step(pad, &format!("padded, {what}"));
-    assert_eq!(
-        a.cost_before.to_bits(),
-        naive_plain,
-        "plain cost_before is not the naive total: {what}"
-    );
-    assert_eq!(
-        b.cost_before.to_bits(),
-        naive_pad,
-        "padded cost_before is not the naive total: {what}"
-    );
-    assert_eq!(
-        a.cost_before.to_bits(),
-        b.cost_before.to_bits(),
-        "idle servers moved cost_before: {what}"
-    );
     assert_eq!(
         (
             a.gamma.max_shift.to_bits(),
@@ -179,7 +167,7 @@ fn isolated_servers_change_no_bit_of_any_step() {
             segment(&mut plain, &mut pad, 30, "after set_capacity on a router");
 
             // Capacity edit on an idle node: a no-op for the
-            // problem, a full cache rebuild for the probe.
+            // problem and for the naive fold.
             let idle = an_idle_node(&pad).expect("the padded twin has idle nodes");
             pad.extended_mut()
                 .set_capacity(idle, Capacity::finite(1.5).unwrap());

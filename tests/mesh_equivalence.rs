@@ -33,7 +33,7 @@
 //! incident without a single write.
 
 use spn::core::flows::balance_residual;
-use spn::core::{GradientAlgorithm, GradientConfig};
+use spn::core::{ConfigError, GradientAlgorithm, GradientConfig};
 use spn::graph::NodeId;
 use spn::mesh::worker::owner_of;
 use spn::mesh::{
@@ -924,6 +924,46 @@ fn mesh_rejects_unsupported_configs() {
         ),
         Err(MeshError::ZeroSuspectWindow)
     ));
+    // a gradient tunable the core refuses comes back wrapped, ahead of
+    // the annealing check: a broken schedule is refused as broken
+    let with = |edit: fn(&mut GradientConfig)| {
+        let mut c = GradientConfig::default();
+        edit(&mut c);
+        c
+    };
+    for (gradient, want) in [
+        (
+            with(|c| c.wall_threshold = 1.0),
+            ConfigError::BadWallThreshold(1.0),
+        ),
+        (
+            with(|c| c.wall_strength = -1.0),
+            ConfigError::BadWallStrength(-1.0),
+        ),
+        (
+            with(|c| c.epsilon_factor = 0.0),
+            ConfigError::BadEpsilonFactor(0.0),
+        ),
+        (
+            with(|c| (c.epsilon_factor, c.epsilon_interval) = (0.5, 0)),
+            ConfigError::ZeroEpsilonInterval,
+        ),
+        (
+            with(|c| c.epsilon_min = -1.0),
+            ConfigError::BadEpsilonMin(-1.0),
+        ),
+    ] {
+        let config = MeshConfig {
+            regions: 2,
+            gradient,
+            ..MeshConfig::default()
+        };
+        let got = MeshRuntime::<Lossless>::with_transport(ext.clone(), config, Lossless::new(2));
+        assert!(
+            matches!(&got, Err(MeshError::Config(e)) if *e == want),
+            "{want:?} accepted or refused otherwise"
+        );
+    }
     // an inbox budget below one frame would drop all traffic silently
     assert!(matches!(
         MeshRuntime::<Lossless>::with_transport(

@@ -17,7 +17,7 @@
 mod dense;
 
 use dense::{assert_identical, checked_step, checked_steps};
-use spn::core::{Checkpoint, GradientAlgorithm, GradientConfig, StepStats};
+use spn::core::{Checkpoint, GradientAlgorithm, GradientConfig};
 use spn::model::random::RandomInstance;
 use spn::model::CommodityId;
 use spn::transform::ExtendedNetwork;
@@ -155,10 +155,14 @@ fn sparse_matches_dense_in_converged_regime() {
 /// this fails at the first step.
 ///
 /// The same step zeroes the node totals full width (invariant 22: the
-/// reduction otherwise zeroes the router union only). So also restore a
-/// checkpoint whose usage on a node outside every commodity's routers
-/// is poisoned (`7.5`, then `-0.0`): that entry must read `+0.0` from
-/// the first step on, as the replay's full-width reduction leaves it.
+/// step otherwise zeroes the router union only, then the flow passes
+/// add into it). So also restore a checkpoint whose usage on a node
+/// outside every commodity's routers is poisoned (`7.5`, then `-0.0`):
+/// that entry must read `+0.0` after the first step and after every
+/// later one, as the replay's full reset leaves it. The later steps are
+/// the ones a double-buffered totals pair gets wrong: swapped out after
+/// the first step, the poisoned array comes back on the second unless
+/// it is zeroed full width too.
 #[test]
 fn perturbed_pass_through_rows_heal_on_the_invalidated_step() {
     let problem = RandomInstance::builder()
@@ -251,7 +255,14 @@ fn perturbed_pass_through_rows_heal_on_the_invalidated_step() {
                 alg.install_routing(perturbed(value));
             }
             "restore" => alg.restore(&from_raw(Some(value), None)).unwrap(),
-            _ => alg.restore(&from_raw(None, Some(value))).unwrap(),
+            _ => {
+                alg.restore(&from_raw(None, Some(value))).unwrap();
+                assert_eq!(
+                    alg.flows().node_usage(idle).to_bits(),
+                    value.to_bits(),
+                    "the restore did not plant the poison"
+                );
+            }
         }
         for it in 0..120 {
             let ctx = format!("{how} {value} at iteration {it}");
@@ -294,10 +305,11 @@ fn thread_knobs_are_inert() {
         GradientAlgorithm::new(&problem, cfg).unwrap()
     };
     let (mut one, mut seven, mut auto) = (build(1), build(7), build(0));
-    let bits = |s: StepStats| {
-        let g = s.gamma;
+    let bits = |alg: &mut GradientAlgorithm| {
+        let cost_before = alg.cost_model().total_cost(alg.extended(), alg.flows());
+        let g = alg.step().gamma;
         (
-            s.cost_before.to_bits(),
+            cost_before.to_bits(),
             g.total_shift.to_bits(),
             g.max_shift.to_bits(),
             g.rows,
@@ -312,9 +324,9 @@ fn thread_knobs_are_inert() {
             (1, 1),
             "at iteration {it}"
         );
-        let stats = bits(one.step());
-        assert_eq!(stats, bits(seven.step()), "step stats at iteration {it}");
-        assert_eq!(stats, bits(auto.step()), "step stats at iteration {it}");
+        let stats = bits(&mut one);
+        assert_eq!(stats, bits(&mut seven), "step stats at iteration {it}");
+        assert_eq!(stats, bits(&mut auto), "step stats at iteration {it}");
         assert_identical(&one, &seven, &format!("threads: 7 at iteration {it}"));
         assert_identical(&one, &auto, &format!("threads: 0 at iteration {it}"));
     }
