@@ -38,8 +38,8 @@ use spn::graph::NodeId;
 use spn::mesh::worker::owner_of;
 use spn::mesh::{
     BatchReader, FrameBuf, FrameKind, Inbox, Lossless, MeshConfig, MeshError, MeshFaultConfig,
-    MeshIncident, MeshRuntime, PartitionSpec, SocketKind, SocketOptions, SocketTransport,
-    Transport, TICKS_PER_ITERATION,
+    MeshIncident, MeshReport, MeshRuntime, PartitionSpec, SocketKind, SocketOptions,
+    SocketTransport, Transport, TICKS_PER_ITERATION,
 };
 use spn::model::random::RandomInstance;
 use spn::sim::draws::unit_hash;
@@ -434,6 +434,110 @@ fn faulty_socket_mesh_matches_chaotic_incident_for_incident() {
     assert!(log_a
         .iter()
         .any(|i| matches!(i, MeshIncident::RecoveryCompleted { .. })));
+}
+
+/// FNV-1a of `bytes`, continuing from `h`.
+fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// A run's digest: every field of its report as bits, then its incident
+/// log rendered to JSON.
+fn run_digest(report: &MeshReport, log: &[MeshIncident]) -> u64 {
+    let w = report.wire;
+    let mut words = vec![report.iterations as u64, report.utility.to_bits()];
+    words.extend(report.admitted.iter().map(|a| a.to_bits()));
+    words.push(report.total_shift.to_bits());
+    words.extend([
+        w.frames,
+        w.bytes,
+        w.subs,
+        w.rows_sent,
+        w.rows_suppressed,
+        w.resyncs,
+    ]);
+    let h = words
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, w| fnv(h, &w.to_le_bytes()));
+    fnv(h, serde_json::to_string(&log.to_vec()).unwrap().as_bytes())
+}
+
+/// The two pinned faulty scenarios on problem `(20, 3, 9)`: `(name,
+/// faults, regions, iterations, digest)`.
+fn pinned_scenarios() -> [(&'static str, MeshFaultConfig, usize, usize, u64); 2] {
+    [
+        // the 4-region noisy run of `same_seed_chaotic_runs_are_identical`
+        ("noisy", noisy_faults(), 4, 100, 0x4b2a_966a_3aeb_e650),
+        // the 3-region partition and recovery
+        (
+            "partition",
+            partition_faults(),
+            3,
+            60,
+            0x059f_3766_d22f_355d,
+        ),
+    ]
+}
+
+/// Loss, duplication and delay around a partition of region 1 long
+/// enough to force the recovery handshake.
+fn partition_faults() -> MeshFaultConfig {
+    MeshFaultConfig {
+        seed: 0x534F_434B,
+        loss: 0.04,
+        duplicate: 0.03,
+        delay_prob: 0.08,
+        max_delay: 2,
+        partitions: vec![PartitionSpec {
+            region: 1,
+            at: 30,
+            duration: 45,
+            heal_stagger: 4,
+        }],
+    }
+}
+
+/// The faulty runs against digests generated while a faulty socket mesh
+/// was still asserted equal to the in-process fault injector: every
+/// stream kind, with reads whole and chopped into seeded 1..=31-byte
+/// chunks, reproduces them. A failing assertion prints the observed
+/// digest.
+#[test]
+fn faulty_runs_match_their_pinned_digests() {
+    let ext = ExtendedNetwork::build(&problem(20, 3, 9));
+    for (name, faults, regions, iterations, want) in pinned_scenarios() {
+        let mut runs = Vec::new();
+        let mut chaotic = MeshRuntime::chaotic(ext.clone(), mesh_config(regions), &faults).unwrap();
+        let report = chaotic.run(iterations);
+        runs.push((
+            "chaotic".to_string(),
+            run_digest(&report, chaotic.incidents()),
+        ));
+        for kind in [SocketKind::Unix, SocketKind::Tcp] {
+            for split_seed in [None, Some(21)] {
+                let options = SocketOptions {
+                    kind,
+                    faults: Some(faults.clone()),
+                    split_seed,
+                };
+                let mut mesh =
+                    MeshRuntime::socket(ext.clone(), mesh_config(regions), &options).unwrap();
+                let report = mesh.run(iterations);
+                let label = format!("{kind:?} split {split_seed:?}");
+                runs.push((label, run_digest(&report, mesh.incidents())));
+            }
+        }
+        for (label, got) in runs {
+            assert_eq!(
+                got, want,
+                "{name} over {label}: observed digest {got:#018x}"
+            );
+        }
+    }
 }
 
 /// The socket transport's demand-driven schedule costs one `write(2)`
