@@ -1,9 +1,10 @@
 //! **Mesh runtime smoke** — the region-sharded mesh on a seeded
-//! instance, both transports, wired into CI.
+//! instance, over in-process pipes and real sockets, wired into CI.
 //!
-//! Six claims, each checked with a hard exit code:
+//! Six claims, each checked with a hard exit code, over in-process
+//! pipes:
 //!
-//! * under `Lossless` a 4-region mesh is **bit-identical** to the
+//! * fault-free, a 4-region mesh is **bit-identical** to the
 //!   monolithic `GradientAlgorithm` (utility bits compared at every
 //!   checkpoint) and logs **zero incidents** — serialization and the
 //!   phase protocol add nothing and lose nothing;
@@ -12,7 +13,7 @@
 //!   second run with the same seed produces the identical report and
 //!   the identical incident log;
 //! * the faulted mesh still reaches the same convergence verdict as
-//!   the lossless one — degradation is graceful, not a stall;
+//!   the fault-free one — degradation is graceful, not a stall;
 //! * the **delta wire goes quiet**: once the seed-1 instance reaches
 //!   its bitwise routing fixed point, converged-regime bytes per
 //!   iteration must be ≤ 0.5× the full-broadcast baseline
@@ -24,7 +25,7 @@
 //!   allocations under a counting global allocator (the
 //!   `tests/zero_alloc.rs` pattern);
 //! * the mirror is **swept by membership, not densely**: on the
-//!   160-node / 16-commodity case one in-process 4-region iteration
+//!   160-node / 16-commodity case one 4-region iteration
 //!   costs at most 2 × regions × one monolithic sparse step timed in
 //!   the same process over the same iterations (≈ 1.3× with the
 //!   live-arc sweeps, ≈ 6× with dense full-mirror sweeps). A ratio on
@@ -32,15 +33,16 @@
 //!   like every wall-clock gate.
 //!
 //! With `--socket` the binary instead smokes the **real-socket
-//! transport** (ARCHITECTURE invariant 21): a loopback Unix-domain
-//! mesh must be report-identical to `Lossless`, a same-seed
-//! fault-injected socket mesh must be report- and incident-identical
-//! to `Chaotic`, the lossless UDS run must stay inside the
+//! streams** (ARCHITECTURE invariant 21): a loopback Unix-domain mesh
+//! must be report-identical to the in-process one, a same-seed
+//! fault-injected UDS mesh must be report- and incident-identical to
+//! the fault-injected in-process one, the fault-free UDS run must stay
+//! inside the
 //! demand-driven I/O budget of `2·R·(R−1)` syscalls per tick, i.e.
 //! `TICKS_PER_ITERATION · 2·R·(R−1)` per iteration (counted by
 //! `SocketTransport::io_stats`), and a B9 micro-bench reports
 //! bytes/iteration, syscalls per iteration and per tick, and p50 tick
-//! latency for in-process vs UDS vs TCP (latency is SKIPped on degraded
+//! latency for in-process pipes vs UDS vs TCP (latency is SKIPped on degraded
 //! single-core hosts, where wall-clock numbers are noise).
 //!
 //! Usage: `mesh_smoke [--smoke] [--socket]` (`--smoke` is the CI-sized
@@ -233,7 +235,8 @@ fn socket_smoke(smoke: bool) -> bool {
     let mut failed = false;
     println!("# mesh_smoke --socket\tleg\tdetail\tvalue\tincidents");
 
-    // Leg 1: loopback UDS ≡ Lossless, report-for-report, zero incidents.
+    // Leg 1: loopback UDS ≡ in-process, report-for-report, zero
+    // incidents.
     let uds = SocketOptions {
         kind: SocketKind::Unix,
         ..SocketOptions::default()
@@ -261,7 +264,7 @@ fn socket_smoke(smoke: bool) -> bool {
     }
     if socket_report != lossless_report {
         eprintln!(
-            "FAIL: UDS socket mesh diverged from Lossless: {socket_report:?} \
+            "FAIL: UDS socket mesh diverged from the in-process mesh: {socket_report:?} \
              vs {lossless_report:?}"
         );
         failed = true;
@@ -274,24 +277,23 @@ fn socket_smoke(smoke: bool) -> bool {
         failed = true;
     }
 
-    // Leg 2: seeded FaultyStream ≡ Chaotic, incident-for-incident, and
-    // deterministic across same-seed runs (reads chopped into seeded
-    // 1..=31-byte chunks to keep the reframer honest).
-    let faulty_run = || {
+    // Leg 2: seeded FaultyStream over UDS ≡ over in-process pipes,
+    // incident-for-incident, and deterministic across same-seed runs
+    // (reads chopped into seeded 1..=31-byte chunks to keep the
+    // reframer honest).
+    let faulty_run = |kind, split_seed| {
         let options = SocketOptions {
-            kind: SocketKind::Unix,
+            kind,
             faults: Some(faults()),
-            split_seed: Some(13),
+            split_seed,
         };
         let mut m = MeshRuntime::socket(ext.clone(), mesh_config(), &options).expect("socket mesh");
         let report = m.run(iterations);
         (report, m.incidents().to_vec())
     };
-    let (report_a, log_a) = faulty_run();
-    let (report_b, log_b) = faulty_run();
-    let mut chaotic =
-        MeshRuntime::chaotic(ext.clone(), mesh_config(), &faults()).expect("valid mesh config");
-    let chaotic_report = chaotic.run(iterations);
+    let (report_a, log_a) = faulty_run(SocketKind::Unix, Some(13));
+    let (report_b, log_b) = faulty_run(SocketKind::Unix, Some(13));
+    let (memory_report, memory_log) = faulty_run(SocketKind::Memory, None);
     println!(
         "mesh_smoke\tsocket-faulty\tuds\t{:.6}\t{}",
         report_a.utility,
@@ -306,12 +308,12 @@ fn socket_smoke(smoke: bool) -> bool {
         );
         failed = true;
     }
-    if report_a != chaotic_report || log_a != chaotic.incidents() {
+    if report_a != memory_report || log_a != memory_log {
         eprintln!(
-            "FAIL: faulty socket run diverged from Chaotic under the same seed \
-             (reports equal: {}, logs equal: {})",
-            report_a == chaotic_report,
-            log_a == chaotic.incidents()
+            "FAIL: faulty UDS run diverged from faulty in-process pipes under the same \
+             seed (reports equal: {}, logs equal: {})",
+            report_a == memory_report,
+            log_a == memory_log
         );
         failed = true;
     }
@@ -366,9 +368,9 @@ fn socket_smoke(smoke: bool) -> bool {
 
     if !failed {
         println!(
-            "# mesh_smoke --socket: OK (uds ≡ lossless over {iterations} iterations, \
-             faulty uds ≡ chaotic with {} incidents, wire at {ip_bytes:.1} B/it on \
-             all transports)",
+            "# mesh_smoke --socket: OK (uds ≡ in-process over {iterations} iterations, \
+             faulty uds ≡ faulty in-process with {} incidents, wire at {ip_bytes:.1} B/it \
+             on all streams)",
             log_a.len()
         );
     }
@@ -387,7 +389,7 @@ fn main() {
     let problem = small_instance(3, 16, 2);
     let mut failed = false;
 
-    // Leg 1: lossless bit-identity + zero incidents. The monolithic
+    // Leg 1: fault-free bit-identity + zero incidents. The monolithic
     // algorithm and the mesh step in lockstep; utility bits must agree
     // at every checkpoint.
     let mut alg =
@@ -431,9 +433,13 @@ fn main() {
 
     // Leg 2: seeded chaos is deterministic and still converges.
     let chaotic_run = || {
-        let mut m =
-            MeshRuntime::chaotic(ExtendedNetwork::build(&problem), mesh_config(), &faults())
-                .expect("valid mesh config");
+        let options = SocketOptions {
+            kind: SocketKind::Memory,
+            faults: Some(faults()),
+            split_seed: None,
+        };
+        let mut m = MeshRuntime::socket(ExtendedNetwork::build(&problem), mesh_config(), &options)
+            .expect("valid mesh config");
         let (report, outcome) = m.run_until_stable(SHIFT_TOLERANCE, max_iterations);
         (report, outcome, m.incidents().to_vec())
     };

@@ -1,4 +1,5 @@
-//! The mesh transport's seeded fault plan.
+//! The mesh transport's seeded fault plan, applied per directed link by
+//! [`crate::FaultyStream`] before a frame's bytes reach the stream.
 //!
 //! Same discipline as `spn_sim::chaos::FaultPlan`, same primitives
 //! ([`spn_sim::draws`]): every decision is a pure function of
@@ -34,7 +35,7 @@ pub struct PartitionSpec {
     pub heal_stagger: u64,
 }
 
-/// Tunables of the chaotic transport. Probabilities are per
+/// Tunables of the stream links' fault injection. Probabilities are per
 /// `(tick, link)`; everything is drawn deterministically from `seed`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MeshFaultConfig {
@@ -54,8 +55,8 @@ pub struct MeshFaultConfig {
 }
 
 impl MeshFaultConfig {
-    /// Everything off. A `Chaotic` transport under this plan delivers
-    /// exactly like `Lossless`.
+    /// Everything off: links under this plan deliver exactly like links
+    /// with no plan.
     #[must_use]
     pub fn off() -> Self {
         MeshFaultConfig {

@@ -2,23 +2,22 @@
 //!
 //! Splits a hierarchical instance's nodes across region workers that
 //! run local sweeps and exchange **serialized** marginal / Γ /
-//! flow-forecast messages over a pluggable transport. Three transports
-//! back the oracles:
+//! flow-forecast messages over one transport, [`SocketTransport`]: an
+//! ordered duplex byte stream per region pair — an in-process pipe,
+//! a Unix-domain socket pair or loopback TCP, per [`SocketKind`] —
+//! carrying wire-v2 frames inside `(deliver_tick, sent_tick)` stream
+//! records, with per-peer tick markers instead of a barrier. Two
+//! oracles hold on every stream kind (ARCHITECTURE invariants 19 and
+//! 21):
 //!
-//! * [`Lossless`] — synchronous barriers; the mesh trajectory is
-//!   **bit-identical** to `spn_core::GradientAlgorithm`.
-//! * [`Chaotic`] — seeded per-link loss, duplication, bounded delay,
-//!   and region partitions with staggered heal; the run emits a
-//!   deterministic, serializable [`MeshIncident`] log and still reaches
-//!   the same convergence verdict within tier-2 tolerance.
-//! * [`SocketTransport`] — real kernel byte streams (TCP or
-//!   Unix-domain, per [`SocketKind`]) carrying the same wire-v2 frames
-//!   inside `(deliver_tick, order)` stream records, with per-peer tick
-//!   markers replacing the barrier. A loopback socket run replays the
-//!   in-process delivery order exactly, so both oracles above transfer
-//!   across the kernel (ARCHITECTURE invariant 21); its
-//!   [`FaultyStream`] links apply the same seeded [`MeshFaultConfig`]
-//!   draws netem-style, before bytes hit the socket.
+//! * fault-free ([`MeshRuntime::lossless`]), the mesh trajectory is
+//!   **bit-identical** to `spn_core::GradientAlgorithm`;
+//! * under a seeded [`MeshFaultConfig`] — per-link loss, duplication,
+//!   bounded delay, and region partitions with staggered heal, applied
+//!   by each link's [`FaultyStream`] before bytes reach the stream —
+//!   the run emits a deterministic, serializable [`MeshIncident`] log,
+//!   identical on every stream kind, and still reaches the same
+//!   convergence verdict within tier-2 tolerance.
 //!
 //! Robustness machinery: per-message sequence numbers with
 //! retry-under-capped-exponential-backoff for reliable frames,
@@ -35,9 +34,10 @@
 //! Module map:
 //!
 //! * [`wire`] — versioned binary frame format with validating decode
-//!   and incremental stream reframing ([`FrameAssembler`]).
-//! * [`transport`] — the [`Transport`] trait, [`Lossless`], [`Chaotic`].
-//! * [`socket`] — [`SocketTransport`] over TCP / Unix-domain streams.
+//!   and the length prefix streams reframe by ([`frame_len`]).
+//! * [`transport`] — the [`Transport`] trait and the [`Inbox`] arena.
+//! * [`socket`] — [`SocketTransport`] over in-process, Unix-domain and
+//!   TCP streams, and its one reframer, [`socket::parse_records`].
 //! * [`fault`] — seeded fault plan ([`MeshFaultConfig`]).
 //! * [`incident`] — the [`MeshIncident`] log entries.
 //! * [`worker`] — one region's mirrors, reliability state, and phases.
@@ -57,9 +57,16 @@ pub use fault::{MeshFaultConfig, MeshFaultPlan, PartitionSpec};
 pub use incident::MeshIncident;
 pub use runtime::{MeshConfig, MeshError, MeshReport, MeshRuntime};
 pub use socket::{FaultyStream, SocketIoStats, SocketKind, SocketOptions, SocketTransport};
-pub use transport::{Chaotic, Inbox, Lossless, Transport};
+pub use transport::{Inbox, Transport};
 pub use wire::{
-    frame_len, BatchReader, Frame, FrameAssembler, FrameBuf, FrameKind, Payload, SubFrame, SubView,
-    WireError, WIRE_VERSION,
+    frame_len, BatchReader, Frame, FrameBuf, FrameKind, Payload, SubFrame, SubView, WireError,
+    WIRE_VERSION,
 };
 pub use worker::{LinkWireStats, MeshWireStats, RegionWorker, TICKS_PER_ITERATION};
+
+/// Inert shim: the fault-free in-process transport is now
+/// [`SocketTransport`] over [`SocketKind::Memory`]
+/// ([`MeshRuntime::lossless`]). Kept only so the frozen `benchmark/`
+/// surface compiles; the next `[benchmark]` PR removes it.
+#[deprecated(note = "use SocketTransport; the next benchmark PR removes it")]
+pub type Lossless = SocketTransport;

@@ -15,11 +15,10 @@
 //!
 //! The handshake is transport-agnostic: it rides the reliable frame
 //! stream (sequence numbers plus retry-under-backoff), so the same
-//! request → snapshot → apply → digest dance runs unchanged over
-//! [`crate::transport::Chaotic`]'s simulated faults and over
-//! [`crate::socket::SocketTransport`]'s real kernel streams — the
-//! faulty-socket equivalence oracle exercises a partition-and-rejoin
-//! over actual sockets and pins the identical incident sequence.
+//! request → snapshot → apply → digest dance runs unchanged over every
+//! stream kind of [`crate::socket::SocketTransport`] — the pinned
+//! faulty-run digests cover a partition-and-rejoin over in-process
+//! pipes and real sockets alike.
 
 use crate::wire::RecoveryStatePayload;
 use spn_core::Checkpoint;

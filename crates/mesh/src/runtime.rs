@@ -3,9 +3,10 @@
 //! [`MeshRuntime`] owns the region workers and a [`Transport`], and
 //! drives the [`TICKS_PER_ITERATION`] ticks of each iteration in fixed
 //! region order — the whole run is a deterministic function of the
-//! problem, the config and the transport's fault plan. Under [`Lossless`]
-//! the trajectory is bit-identical to `spn_core::GradientAlgorithm`; under
-//! [`Chaotic`] the run additionally produces a deterministic
+//! problem, the config and the transport's fault plan. Fault-free
+//! ([`MeshRuntime::lossless`], or any [`SocketKind`] without faults)
+//! the trajectory is bit-identical to `spn_core::GradientAlgorithm`;
+//! with a fault plan the run additionally produces a deterministic
 //! [`MeshIncident`] log (see [`MeshRuntime::incidents`]).
 //!
 //! The tick loop is allocation-free once warm: deliveries land in one
@@ -13,20 +14,18 @@
 //! into a reusable buffer, and the transport borrows those bytes.
 //!
 //! **Phase advancement is deadline-driven, not barrier-driven.** Before
-//! delivering a region's tick, the runtime polls
-//! [`Transport::ready`]; in-process transports answer `true`
-//! immediately (the old strict barrier, at zero cost), while the socket
-//! transport answers once every live peer's tick markers are in hand.
+//! delivering a region's tick, the runtime polls [`Transport::ready`],
+//! which answers once every peer's tick markers are in hand — on the
+//! first poll over in-process pipes, where writes land synchronously.
 //! If readiness does not arrive within [`MeshConfig::phase_deadline`],
 //! the runtime logs [`MeshIncident::PhaseDeadlineExpired`] and advances
 //! anyway — the worker iterates on last-known peer state (exactly the
 //! suspect-degradation path), so one stalled peer bounds tick latency
 //! instead of freezing the mesh.
 
-use crate::fault::{MeshFaultConfig, MeshFaultPlan};
 use crate::incident::MeshIncident;
-use crate::socket::{SocketOptions, SocketTransport};
-use crate::transport::{Chaotic, Inbox, Lossless, Transport};
+use crate::socket::{SocketKind, SocketOptions, SocketTransport};
+use crate::transport::{Inbox, Transport};
 use crate::worker::{owner_of, MeshWireStats, RegionWorker, TICKS_PER_ITERATION};
 use spn_core::gamma::GammaStats;
 use spn_core::{ConfigError, CostModel, GradientConfig, StableOutcome};
@@ -61,8 +60,8 @@ pub struct MeshConfig {
     /// Wall-clock budget for a region's phase to become ready (all
     /// live peers' frames in hand per [`Transport::ready`]). On expiry
     /// the runtime logs [`MeshIncident::PhaseDeadlineExpired`] and
-    /// advances on last-known peer state. In-process transports are
-    /// always ready, so the deadline only ever fires over sockets.
+    /// advances on last-known peer state. In-process pipes are ready on
+    /// the first poll, so the deadline only ever fires over sockets.
     pub phase_deadline: Duration,
     /// Byte budget of the per-tick delivery [`Inbox`]: deliveries past
     /// the cap are refused without allocating and logged as
@@ -164,7 +163,7 @@ impl From<ConfigError> for MeshError {
     }
 }
 
-/// A mesh run's outcome, comparable across runs: two same-seed chaotic
+/// A mesh run's outcome, comparable across runs: two same-seed faulty
 /// runs must produce equal reports (pinned by `tests/mesh_equivalence`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct MeshReport {
@@ -196,57 +195,73 @@ pub struct MeshRuntime<T: Transport> {
     inbox: Inbox,
 }
 
-impl MeshRuntime<Lossless> {
-    /// A mesh over a synchronous lossless transport (the bit-identity
-    /// configuration).
+impl MeshRuntime<SocketTransport> {
+    /// A fault-free mesh over in-process pipes: the bit-identity
+    /// configuration (ARCHITECTURE invariant 19).
     ///
     /// # Errors
     ///
     /// See [`MeshRuntime::with_transport`].
     pub fn lossless(ext: ExtendedNetwork, config: MeshConfig) -> Result<Self, MeshError> {
-        let transport = Lossless::new(config.regions);
-        MeshRuntime::with_transport(ext, config, transport)
+        let options = SocketOptions {
+            kind: SocketKind::Memory,
+            ..SocketOptions::default()
+        };
+        MeshRuntime::socket(ext, config, &options)
     }
-}
 
-impl MeshRuntime<Chaotic> {
-    /// A mesh over a fault-injecting transport compiled from `faults`.
+    /// A mesh over one duplex stream per region pair — an in-process
+    /// pipe, a Unix-domain socket pair or loopback TCP per
+    /// [`SocketOptions::kind`] — optionally fault-injected by a seeded
+    /// plan (applied netem-style in each link's `FaultyStream`).
     ///
     /// # Errors
     ///
-    /// See [`MeshRuntime::with_transport`].
-    pub fn chaotic(
-        ext: ExtendedNetwork,
-        config: MeshConfig,
-        faults: &MeshFaultConfig,
-    ) -> Result<Self, MeshError> {
-        let transport = Chaotic::new(
-            MeshFaultPlan::compile(faults, config.regions),
-            config.regions,
-        );
-        MeshRuntime::with_transport(ext, config, transport)
-    }
-}
-
-impl MeshRuntime<SocketTransport> {
-    /// A mesh over real kernel streams — one loopback duplex socket per
-    /// region pair, TCP or Unix-domain per [`SocketOptions::kind`],
-    /// optionally fault-injected by the same seeded plan `chaotic` uses
-    /// (applied netem-style in each link's `FaultyStream`).
-    ///
-    /// # Errors
-    ///
-    /// [`MeshError::Socket`] if building the socket mesh fails at the
-    /// kernel; otherwise see [`MeshRuntime::with_transport`].
+    /// A config error as in [`MeshRuntime::with_transport`], checked
+    /// before any stream is opened, or [`MeshError::Socket`] if opening
+    /// the streams fails.
     pub fn socket(
         ext: ExtendedNetwork,
         config: MeshConfig,
         options: &SocketOptions,
     ) -> Result<Self, MeshError> {
+        validate(&ext, &config)?;
         let transport = SocketTransport::connect(config.regions, options)
             .map_err(|e| MeshError::Socket(e.to_string()))?;
         MeshRuntime::with_transport(ext, config, transport)
     }
+}
+
+/// The rules [`MeshRuntime::with_transport`] documents.
+fn validate(ext: &ExtendedNetwork, config: &MeshConfig) -> Result<(), MeshError> {
+    if config.regions == 0 {
+        return Err(MeshError::NoRegions);
+    }
+    let nodes = ext.graph().node_count();
+    if config.regions > nodes || config.regions > usize::from(u16::MAX) {
+        return Err(MeshError::TooManyRegions {
+            regions: config.regions,
+            nodes,
+        });
+    }
+    config.gradient.validate()?;
+    if config.gradient.epsilon_factor != 1.0 {
+        return Err(MeshError::AnnealingUnsupported {
+            epsilon_factor: config.gradient.epsilon_factor,
+        });
+    }
+    if config.refresh_every == 0 {
+        return Err(MeshError::ZeroRefreshCadence);
+    }
+    if config.suspect_after == 0 {
+        return Err(MeshError::ZeroSuspectWindow);
+    }
+    if config.inbox_budget < 1024 {
+        return Err(MeshError::InboxBudgetTooSmall {
+            budget: config.inbox_budget,
+        });
+    }
+    Ok(())
 }
 
 impl<T: Transport> MeshRuntime<T> {
@@ -264,33 +279,7 @@ impl<T: Transport> MeshRuntime<T> {
         config: MeshConfig,
         transport: T,
     ) -> Result<Self, MeshError> {
-        if config.regions == 0 {
-            return Err(MeshError::NoRegions);
-        }
-        let nodes = ext.graph().node_count();
-        if config.regions > nodes || config.regions > usize::from(u16::MAX) {
-            return Err(MeshError::TooManyRegions {
-                regions: config.regions,
-                nodes,
-            });
-        }
-        config.gradient.validate()?;
-        if config.gradient.epsilon_factor != 1.0 {
-            return Err(MeshError::AnnealingUnsupported {
-                epsilon_factor: config.gradient.epsilon_factor,
-            });
-        }
-        if config.refresh_every == 0 {
-            return Err(MeshError::ZeroRefreshCadence);
-        }
-        if config.suspect_after == 0 {
-            return Err(MeshError::ZeroSuspectWindow);
-        }
-        if config.inbox_budget < 1024 {
-            return Err(MeshError::InboxBudgetTooSmall {
-                budget: config.inbox_budget,
-            });
-        }
+        validate(&ext, &config)?;
         let cost = CostModel {
             penalty: config.gradient.penalty,
             epsilon: config.gradient.epsilon,
@@ -324,8 +313,8 @@ impl<T: Transport> MeshRuntime<T> {
 
     /// Blocks until `region`'s tick is ready to deliver or the phase
     /// deadline expires (logging the incident and advancing anyway).
-    /// In-process transports answer ready on the first poll, so the
-    /// fast path reads no clock and allocates nothing.
+    /// A ready first poll (always, over in-process pipes) reads no
+    /// clock and allocates nothing.
     fn await_phase(&mut self, tick: u64, region: usize) {
         if self.transport.ready(tick, region) {
             return;
@@ -445,7 +434,7 @@ impl<T: Transport> MeshRuntime<T> {
 
     /// Overall utility `Σ_j U_j(a_j)`, each commodity read from its
     /// owner region's mirror, summed in commodity order — bit-identical
-    /// to `GradientAlgorithm::utility` under a lossless transport.
+    /// to `GradientAlgorithm::utility` on a fault-free mesh.
     #[must_use]
     pub fn utility(&self) -> f64 {
         self.ext

@@ -1,34 +1,37 @@
-//! Real-socket transport: wire-v2 frames over TCP or Unix-domain
-//! streams, with marker-based readiness instead of a tick barrier.
+//! The mesh's one transport: wire-v2 frames over ordered byte streams,
+//! with marker-based readiness instead of a tick barrier.
 //!
-//! [`SocketTransport`] is the third [`Transport`]: every frame a worker
-//! sends crosses a real kernel byte stream — one duplex connection per
-//! unordered region pair ([`SocketKind::Unix`] via `socketpair(2)`,
-//! [`SocketKind::Tcp`] via a loopback listener with `TCP_NODELAY`) —
-//! so the protocol pays partial reads, arbitrary chunk boundaries, and
-//! wall-clock skew. The stream carries two record types:
+//! [`SocketTransport`] carries every frame a worker sends over one
+//! duplex byte stream per unordered region pair: an in-process pipe
+//! ([`SocketKind::Memory`] — two `VecDeque<u8>` queues, no file
+//! descriptor), a Unix-domain socket pair ([`SocketKind::Unix`], via
+//! `socketpair(2)`) or a loopback TCP connection ([`SocketKind::Tcp`],
+//! with `TCP_NODELAY`). Every kind pays partial reads and arbitrary
+//! chunk boundaries. The stream carries two record types:
 //!
 //! ```text
-//! frame record: tag 0u8, deliver_tick u64, order u64, wire-v2 frame
+//! frame record: tag 0u8, deliver_tick u64, sent_tick u64, wire-v2 frame
 //! tick marker:  tag 1u8, tick u64
 //! ```
 //!
 //! The wire frame is **self-delimiting** (its header carries the
-//! payload length), so the receive side reframes with
-//! [`crate::wire::frame_len`] — the same incremental length-prefix
-//! logic [`crate::wire::FrameAssembler`] pins down at every split
-//! offset — and never needs a redundant length field.
+//! payload length), so [`parse_records`] — the receive side's one
+//! reframer — splits the stream with [`crate::wire::frame_len`] and
+//! needs no length field of its own.
 //!
-//! **Why the envelope.** The in-process transports deliver in a
-//! deterministic order (the driver's region order, refined by
-//! `Chaotic`'s `(deliver_tick, order)` sort). The sender stamps each
-//! record with exactly that key, and every receiver merges its peers'
-//! streams by it — so a loopback socket run replays the *identical*
-//! frame sequence the in-process transport would deliver, and the
-//! `Lossless` bit-identity oracle (ARCHITECTURE invariant 21) survives
-//! the kernel. A distributed deployment would stamp
-//! `(deliver_tick, sender, per-sender seq)` instead; the merge logic is
-//! unchanged.
+//! **Why the envelope.** Delivery order must be a function of what was
+//! sent, never of when bytes happened to arrive. Every receiver merges
+//! its peers' streams by `(deliver_tick, sent_tick, sender)` and keeps
+//! FIFO order among equal keys, which only frames of one link share. So
+//! at one deliver tick a frame delayed from an earlier tick comes
+//! first, then frames in ascending sender order, each link's in send
+//! order, and a duplicate sits next to its byte-identical original.
+//! [`crate::MeshRuntime::step`] issues a tick's sends in ascending
+//! sender order, so this is exactly the order one process-wide send
+//! counter would give — but no counter, and no clock beyond each
+//! sender's own tick, is shared. Every stream kind and every read split
+//! therefore replays the identical frame sequence, and the bit-identity
+//! oracles (ARCHITECTURE invariants 19 and 21) hold over all of them.
 //!
 //! **Readiness without a barrier — the marker gates the I/O.** A batch
 //! is only sent when a worker has something to say, so "nothing arrived
@@ -49,45 +52,47 @@
 //! kernel refuses stay in the backlog and mark the link *stalled*. Every
 //! `ready`/`deliver_into` first re-flushes exactly the stalled links, so
 //! the single-threaded loopback driver cannot deadlock on a full socket
-//! buffer: each poll drains the receive side, the next refills it.
+//! buffer: each poll drains the receive side, the next refills it. An
+//! in-process pipe takes every write whole and never stalls.
 //!
-//! [`FaultyStream`] is the netem-style shim: each directed link applies
-//! the same seeded [`MeshFaultPlan`] draws `Chaotic` uses — loss,
-//! duplication, bounded delay, partitions with staggered heal — *before
-//! bytes reach the kernel*, and logs the same [`MeshIncident`]s keyed
-//! on the same `(tick, from, to)`, so existing `MeshFaultConfig`
-//! scripts, chaos soaks, and incident-log oracles transfer to the
-//! socket layer unchanged: a same-seed faulty socket run is
-//! record-for-record and incident-for-incident equal to `Chaotic`.
-//! Markers are never faulted — the clock always advances, exactly as
-//! `Chaotic::begin_tick` always runs. A seeded read-chunking knob
-//! ([`SocketOptions::split_seed`]) additionally caps every read at a
-//! drawn 1..=31 bytes, forcing the reframer through mid-header and
-//! mid-payload states on real traffic.
+//! [`FaultyStream`] is the one fault injector, netem-style: each
+//! directed link applies the seeded [`MeshFaultPlan`] draws — loss,
+//! duplication, bounded delay, partitions with staggered heal —
+//! *before bytes reach the stream*, and logs each fault as a
+//! [`MeshIncident`] keyed on `(tick, from, to)`; the transport logs the
+//! partition schedule. Markers are never faulted — the clock always
+//! advances. A seeded read-chunking knob ([`SocketOptions::split_seed`])
+//! additionally caps every read at a drawn 1..=31 bytes, forcing the
+//! reframer through mid-header and mid-payload states on real traffic.
 
 use crate::fault::{MeshFaultConfig, MeshFaultPlan};
 use crate::incident::MeshIncident;
 use crate::transport::{push_or_log, Inbox, Transport};
 use crate::wire::{frame_len, Frame};
 use spn_sim::draws::{salts, unit_hash};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
+use std::sync::{Arc, Mutex};
 
 /// Frame-record tag byte.
 const REC_FRAME: u8 = 0;
 /// Tick-marker tag byte.
 const REC_MARKER: u8 = 1;
-/// Frame-record envelope: tag + deliver_tick + order.
+/// Frame-record envelope: tag + deliver_tick + sent_tick.
 const FRAME_ENVELOPE: usize = 1 + 8 + 8;
 /// Marker record length: tag + tick.
 const MARKER_LEN: usize = 1 + 8;
 /// Read size per `read(2)` when seeded chunking is off.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// Which kernel stream family carries the mesh.
+/// Which byte stream carries the mesh.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SocketKind {
+    /// In-process pipes: two `VecDeque<u8>` queues per region pair, no
+    /// file descriptor and no kernel.
+    Memory,
     /// Unix-domain stream sockets (`socketpair(2)` — no filesystem
     /// paths to manage).
     Unix,
@@ -101,8 +106,7 @@ pub struct SocketOptions {
     /// Stream family.
     pub kind: SocketKind,
     /// Sender-side netem-style fault plan applied by every link's
-    /// [`FaultyStream`] (`None` = faithful delivery, the `Lossless`
-    /// analogue).
+    /// [`FaultyStream`] (`None` = faithful delivery).
     pub faults: Option<MeshFaultConfig>,
     /// When set, every `read(2)` is capped at a seeded 1..=31 bytes
     /// (drawn through [`spn_sim::draws`] under `SALT_SPLIT`), forcing
@@ -123,8 +127,9 @@ impl Default for SocketOptions {
     }
 }
 
-/// Kernel I/O counters, summed over every link of one
-/// [`SocketTransport`] (see [`SocketTransport::io_stats`]).
+/// I/O counters, summed over every link of one [`SocketTransport`] (see
+/// [`SocketTransport::io_stats`]). On [`SocketKind::Memory`] they count
+/// pipe calls, not syscalls.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SocketIoStats {
     /// `read(2)` calls issued.
@@ -137,16 +142,35 @@ pub struct SocketIoStats {
     pub bytes_written: u64,
 }
 
-/// One nonblocking duplex kernel stream.
+/// A queue one pipe end writes and the other reads.
+type PipeQueue = Arc<Mutex<VecDeque<u8>>>;
+
+/// One nonblocking duplex byte stream.
 #[derive(Debug)]
 enum Stream {
+    /// An in-process pipe end: reads `rx`, writes `tx`.
+    Memory {
+        rx: PipeQueue,
+        tx: PipeQueue,
+    },
     Unix(UnixStream),
     Tcp(TcpStream),
 }
 
 impl Stream {
+    /// Both ends of a fresh in-process pipe.
+    fn pipe() -> (Stream, Stream) {
+        let (a, b) = (PipeQueue::default(), PipeQueue::default());
+        let near = Stream::Memory {
+            rx: Arc::clone(&a),
+            tx: Arc::clone(&b),
+        };
+        (near, Stream::Memory { rx: b, tx: a })
+    }
+
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
+            Stream::Memory { rx, .. } => rx.lock().expect("pipe lock").read(buf),
             Stream::Unix(s) => s.read(buf),
             Stream::Tcp(s) => s.read(buf),
         }
@@ -154,19 +178,87 @@ impl Stream {
 
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self {
+            Stream::Memory { tx, .. } => tx.lock().expect("pipe lock").write(buf),
             Stream::Unix(s) => s.write(buf),
             Stream::Tcp(s) => s.write(buf),
         }
     }
 }
 
+/// One record of a link's byte stream.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Record<'a> {
+    /// Tick marker: every send of ticks ≤ this precedes it.
+    Marker(u64),
+    /// A wire-v2 frame in its envelope.
+    Frame {
+        /// First tick the frame may be delivered at.
+        deliver_tick: u64,
+        /// Tick the sender issued it at.
+        sent_tick: u64,
+        /// The frame bytes.
+        frame: &'a [u8],
+    },
+}
+
+/// The little-endian `u64` at the front of `bytes`.
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+}
+
+/// Parses the complete records at the front of `buf`, handing each to
+/// `on` in stream order, and returns the bytes they span. A trailing
+/// partial record is left unconsumed for the next read to complete, so
+/// any split of a stream into chunks parses to the same records.
+///
+/// # Panics
+///
+/// On an unknown record tag, or a frame header [`frame_len`] refuses:
+/// the peer is this mesh's own worker over a connected ordered stream,
+/// so garbage here is a protocol bug.
+pub fn parse_records<'a>(buf: &'a [u8], mut on: impl FnMut(Record<'a>)) -> usize {
+    let mut at = 0;
+    while let Some(&tag) = buf.get(at) {
+        let rest = &buf[at..];
+        at += match tag {
+            REC_MARKER => {
+                if rest.len() < MARKER_LEN {
+                    break;
+                }
+                on(Record::Marker(le_u64(&rest[1..])));
+                MARKER_LEN
+            }
+            REC_FRAME => {
+                if rest.len() < FRAME_ENVELOPE {
+                    break;
+                }
+                let end = match frame_len(&rest[FRAME_ENVELOPE..]) {
+                    Ok(Some(len)) => FRAME_ENVELOPE + len,
+                    Ok(None) => break,
+                    Err(e) => panic!("desynced mesh stream: {e}"),
+                };
+                if rest.len() < end {
+                    break;
+                }
+                on(Record::Frame {
+                    deliver_tick: le_u64(&rest[1..]),
+                    sent_tick: le_u64(&rest[9..]),
+                    frame: &rest[FRAME_ENVELOPE..end],
+                });
+                end
+            }
+            other => panic!("desynced mesh stream: unknown record tag {other}"),
+        };
+    }
+    at
+}
+
 /// A netem-style shim around one **directed** link's stream: applies
-/// the shared seeded [`MeshFaultPlan`] to every frame record before its
-/// bytes reach the kernel (loss, duplication, bounded delay, partition
-/// windows — the same draws, salts, and incident schema as `Chaotic`),
-/// coalesces each tick's records in a userland send backlog (one write
-/// per tick, never blocking), and caps reads at seeded chunk sizes when
-/// split exercising is on.
+/// the seeded [`MeshFaultPlan`] to every frame record before its bytes
+/// reach the stream (loss, duplication, bounded delay, partition
+/// windows), coalesces each tick's records in a userland send backlog
+/// (one write per tick, never blocking), and caps reads at seeded chunk
+/// sizes when split exercising is on.
 ///
 /// Tick markers pass through unfaulted: the clock always advances.
 #[derive(Debug)]
@@ -197,17 +289,14 @@ impl FaultyStream {
     }
 
     /// Applies the plan's draws for `(tick, from, to)` and queues the
-    /// surviving record(s) behind the next marker. `order` is the
-    /// transport's shared monotone insertion counter; a duplicate
-    /// consumes its slot *before* the original, exactly like
-    /// `Chaotic::send`, so same-seed delivery order is identical.
+    /// surviving record(s) behind the next marker; a duplicate goes
+    /// right next to its original.
     fn send_frame(
         &mut self,
         tick: u64,
         from: usize,
         to: usize,
         frame: &[u8],
-        order: &mut u64,
         log: &mut Vec<MeshIncident>,
     ) {
         let mut deliver_tick = tick + 1;
@@ -241,19 +330,17 @@ impl FaultyStream {
                     to,
                     kind,
                 });
-                self.push_record(deliver_tick, *order, frame);
-                *order += 1;
+                self.push_record(deliver_tick, tick, frame);
             }
         }
-        self.push_record(deliver_tick, *order, frame);
-        *order += 1;
+        self.push_record(deliver_tick, tick, frame);
     }
 
     /// Appends one frame record to the send backlog.
-    fn push_record(&mut self, deliver_tick: u64, order: u64, frame: &[u8]) {
+    fn push_record(&mut self, deliver_tick: u64, sent_tick: u64, frame: &[u8]) {
         self.tx.push(REC_FRAME);
         self.tx.extend_from_slice(&deliver_tick.to_le_bytes());
-        self.tx.extend_from_slice(&order.to_le_bytes());
+        self.tx.extend_from_slice(&sent_tick.to_le_bytes());
         self.tx.extend_from_slice(frame);
     }
 
@@ -319,6 +406,10 @@ impl FaultyStream {
     }
 }
 
+/// Frames awaiting delivery to one region, keyed `(deliver_tick,
+/// sent_tick, sender)`: sorted by key, FIFO among equal keys.
+type Pending = Vec<((u64, u64, usize), Vec<u8>)>;
+
 /// One region's end of one pair's duplex stream: the owning region
 /// writes its frames to the peer here and reads the peer's records
 /// back out of it.
@@ -347,74 +438,45 @@ impl Endpoint {
         }
     }
 
-    /// Drains the kernel receive buffer and parses complete records:
-    /// markers update the watermark, frame records land in `pending`
-    /// sorted by `(deliver_tick, order)` — the same order `Chaotic`
-    /// enqueues in.
-    fn pump(&mut self, pending: &mut Vec<(u64, u64, Vec<u8>)>, spare: &mut Vec<Vec<u8>>) {
+    /// Drains the inbound stream and parses its complete records:
+    /// markers raise the watermark, frames merge into `pending`.
+    fn pump(&mut self, pending: &mut Pending, spare: &mut Vec<Vec<u8>>) {
         let link = &mut self.link;
         while link.read_chunk(&mut self.rx, &mut self.rx_end, self.owner, self.peer) {}
-        let mut at = 0;
-        loop {
-            let buf = &self.rx[at..self.rx_end];
-            if buf.is_empty() {
-                break;
+        let (peer, marker) = (self.peer, &mut self.marker);
+        let at = parse_records(&self.rx[..self.rx_end], |record| match record {
+            Record::Marker(tick) => *marker = (*marker).max(Some(tick)),
+            Record::Frame {
+                deliver_tick,
+                sent_tick,
+                frame,
+            } => {
+                let mut owned = spare.pop().unwrap_or_default();
+                owned.clear();
+                owned.extend_from_slice(frame);
+                let key = (deliver_tick, sent_tick, peer);
+                let slot = pending.partition_point(|&(k, _)| k <= key);
+                pending.insert(slot, (key, owned));
             }
-            match buf[0] {
-                REC_MARKER => {
-                    if buf.len() < MARKER_LEN {
-                        break;
-                    }
-                    let tick = u64::from_le_bytes(buf[1..MARKER_LEN].try_into().expect("8 bytes"));
-                    self.marker = Some(self.marker.map_or(tick, |m| m.max(tick)));
-                    at += MARKER_LEN;
-                }
-                REC_FRAME => {
-                    if buf.len() < FRAME_ENVELOPE {
-                        break;
-                    }
-                    let total = match frame_len(&buf[FRAME_ENVELOPE..]) {
-                        Ok(Some(len)) => len,
-                        Ok(None) => break,
-                        // the peer is our own worker over a connected
-                        // stream; garbage here is a protocol bug
-                        Err(e) => panic!("desynced mesh socket stream: {e}"),
-                    };
-                    if buf.len() < FRAME_ENVELOPE + total {
-                        break;
-                    }
-                    let deliver = u64::from_le_bytes(buf[1..9].try_into().expect("8 bytes"));
-                    let order = u64::from_le_bytes(buf[9..17].try_into().expect("8 bytes"));
-                    let mut owned = spare.pop().unwrap_or_default();
-                    owned.clear();
-                    owned.extend_from_slice(&buf[FRAME_ENVELOPE..FRAME_ENVELOPE + total]);
-                    let slot = pending.partition_point(|&(dt, o, _)| (dt, o) <= (deliver, order));
-                    pending.insert(slot, (deliver, order, owned));
-                    at += FRAME_ENVELOPE + total;
-                }
-                other => panic!("desynced mesh socket stream: unknown record tag {other}"),
-            }
-        }
+        });
         // a trailing partial record moves to the front
         self.rx.copy_within(at..self.rx_end, 0);
         self.rx_end -= at;
     }
 }
 
-/// The real-socket [`Transport`]: one duplex stream per unordered
-/// region pair, frame records merged back into the in-process delivery
-/// order by their `(deliver_tick, order)` envelope, readiness tracked
+/// The mesh's [`Transport`]: one duplex byte stream per unordered
+/// region pair, frame records merged into delivery order by their
+/// `(deliver_tick, sent_tick)` envelope and sender, readiness tracked
 /// through per-peer tick markers. See the module docs for the protocol
-/// and the equivalence argument.
+/// and the merge-order argument.
 #[derive(Debug)]
 pub struct SocketTransport {
     regions: usize,
     /// `endpoints[owner * regions + peer]`; `None` on the diagonal.
     endpoints: Vec<Option<Endpoint>>,
-    /// Per destination: `(deliver_tick, order, frame)`, sorted.
-    pending: Vec<Vec<(u64, u64, Vec<u8>)>>,
-    /// Shared monotone insertion counter (the deterministic tiebreak).
-    order: u64,
+    /// Per destination, the frames not yet delivered.
+    pending: Vec<Pending>,
     /// Recycled frame buffers.
     spare: Vec<Vec<u8>>,
     /// The compiled fault plan, kept for `begin_tick`'s partition
@@ -432,7 +494,7 @@ impl SocketTransport {
     ///
     /// Any socket-layer failure (`socketpair`, `bind`, `connect`,
     /// `accept`, or option setting) is returned as the raw
-    /// [`io::Error`].
+    /// [`io::Error`]. In-process pipes never fail.
     pub fn connect(regions: usize, options: &SocketOptions) -> io::Result<Self> {
         let plan = options
             .faults
@@ -442,6 +504,7 @@ impl SocketTransport {
         for a in 0..regions {
             for b in (a + 1)..regions {
                 let (end_a, end_b) = match options.kind {
+                    SocketKind::Memory => Stream::pipe(),
                     SocketKind::Unix => {
                         let (x, y) = UnixStream::pair()?;
                         x.set_nonblocking(true)?;
@@ -476,13 +539,12 @@ impl SocketTransport {
             regions,
             endpoints,
             pending: (0..regions).map(|_| Vec::new()).collect(),
-            order: 0,
             spare: Vec::new(),
             plan,
         })
     }
 
-    /// Kernel I/O counters summed over every link.
+    /// I/O counters summed over every link.
     #[must_use]
     pub fn io_stats(&self) -> SocketIoStats {
         let mut total = SocketIoStats::default();
@@ -520,7 +582,7 @@ impl SocketTransport {
 
 impl Transport for SocketTransport {
     fn begin_tick(&mut self, tick: u64, log: &mut Vec<MeshIncident>) {
-        // the same partition schedule incidents Chaotic logs
+        // the partition schedule: cuts and (staggered) heals
         if let Some(plan) = &self.plan {
             for p in plan.partitions() {
                 if p.at == tick {
@@ -571,8 +633,7 @@ impl Transport for SocketTransport {
         let ep = self.endpoints[from * self.regions + to]
             .as_mut()
             .expect("send to self");
-        ep.link
-            .send_frame(tick, from, to, bytes, &mut self.order, log);
+        ep.link.send_frame(tick, from, to, bytes, log);
     }
 
     fn deliver_into(
@@ -586,8 +647,8 @@ impl Transport for SocketTransport {
         // reads only past an expired deadline: markers in hand ⇒ no I/O
         self.pump_inbound(tick, to);
         let queue = &mut self.pending[to];
-        let due = queue.partition_point(|&(dt, _, _)| dt <= tick);
-        for (_, _, bytes) in queue.drain(..due) {
+        let due = queue.partition_point(|&((deliver_tick, _, _), _)| deliver_tick <= tick);
+        for (_, bytes) in queue.drain(..due) {
             push_or_log(inbox, tick, to, &bytes, log);
             self.spare.push(bytes);
         }
@@ -598,8 +659,9 @@ impl Transport for SocketTransport {
 mod tests {
     use super::*;
     use crate::fault::PartitionSpec;
-    use crate::transport::{Chaotic, Lossless};
     use crate::wire::Payload;
+
+    const KINDS: [SocketKind; 3] = [SocketKind::Memory, SocketKind::Unix, SocketKind::Tcp];
 
     fn hb(from: u16, to: u16, round: u64) -> Vec<u8> {
         Frame {
@@ -612,6 +674,29 @@ mod tests {
         .encode()
     }
 
+    fn connect(regions: usize, kind: SocketKind, split_seed: Option<u64>) -> SocketTransport {
+        let options = SocketOptions {
+            kind,
+            faults: None,
+            split_seed,
+        };
+        SocketTransport::connect(regions, &options).expect("streams")
+    }
+
+    /// Spins until `to`'s tick is ready: TCP loopback delivery is not
+    /// synchronous with write, and a stalled link drains one socket
+    /// buffer per poll.
+    fn await_ready(t: &mut SocketTransport, tick: u64, to: usize) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while !t.ready(tick, to) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "tick {tick} region {to} never became ready"
+            );
+            std::thread::sleep(std::time::Duration::from_micros(50));
+        }
+    }
+
     /// A delivered heartbeat: `(tick, to, from, round)`.
     type Delivery = (u64, usize, u16, u64);
 
@@ -620,7 +705,7 @@ mod tests {
     /// frames `frames(tick, from, to)` returns — and returns
     /// `(incidents, deliveries)` in delivery order.
     fn drive_with(
-        t: &mut impl Transport,
+        t: &mut SocketTransport,
         regions: usize,
         ticks: u64,
         frames: impl Fn(u64, usize, usize) -> Vec<Vec<u8>>,
@@ -631,17 +716,7 @@ mod tests {
         for tick in 0..ticks {
             t.begin_tick(tick, &mut log);
             for to in 0..regions {
-                // TCP loopback delivery is not synchronous with write,
-                // and a stalled link drains one socket buffer per poll;
-                // spin briefly instead of asserting instant readiness
-                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-                while !t.ready(tick, to) {
-                    assert!(
-                        std::time::Instant::now() < deadline,
-                        "tick {tick} region {to} never became ready"
-                    );
-                    std::thread::sleep(std::time::Duration::from_micros(50));
-                }
+                await_ready(t, tick, to);
                 t.deliver_into(tick, to, &mut inbox, &mut log);
                 for bytes in inbox.iter() {
                     let f = Frame::decode(bytes).expect("well-formed");
@@ -659,7 +734,7 @@ mod tests {
 
     /// [`drive_with`] one heartbeat per link per tick.
     fn drive(
-        t: &mut impl Transport,
+        t: &mut SocketTransport,
         regions: usize,
         ticks: u64,
     ) -> (Vec<MeshIncident>, Vec<Delivery>) {
@@ -668,25 +743,65 @@ mod tests {
         })
     }
 
+    /// The merge order, written out by hand. Region 2 receives, and its
+    /// peers' records are queued in *descending* sender order, so only
+    /// the merge can put them right:
+    ///
+    /// * tick 0: region 1 sends `10`, delayed one tick; region 0 sends
+    ///   `20`;
+    /// * tick 1: region 1 sends `11`; region 0 sends `21` then `22`, and
+    ///   `23` twice (a duplicate).
+    ///
+    /// At tick 2 the delayed frame comes first, then the sent-at-1
+    /// frames in ascending sender order, each link's in send order, the
+    /// duplicate next to its original — on every stream kind, with
+    /// reads whole and split.
     #[test]
-    fn loopback_sockets_match_lossless_delivery() {
-        for kind in [SocketKind::Unix, SocketKind::Tcp] {
-            let options = SocketOptions {
-                kind,
-                ..SocketOptions::default()
-            };
-            let mut socket = SocketTransport::connect(3, &options).expect("sockets");
-            let mut lossless = Lossless::new(3);
-            let (log_s, seen_s) = drive(&mut socket, 3, 12);
-            let (log_l, seen_l) = drive(&mut lossless, 3, 12);
-            assert_eq!(seen_s, seen_l, "{kind:?} delivery diverged");
-            assert!(log_s.is_empty());
-            assert!(log_l.is_empty());
+    fn merge_order_is_delayed_first_then_sender_then_fifo() {
+        let record = |t: &mut SocketTransport, from: usize, deliver: u64, sent: u64, round| {
+            let ep = t.endpoints[from * 3 + 2].as_mut().expect("link");
+            ep.link
+                .push_record(deliver, sent, &hb(from as u16, 2, round));
+        };
+        for kind in KINDS {
+            for split_seed in [None, Some(3)] {
+                let mut t = connect(3, kind, split_seed);
+                let mut log = Vec::new();
+                let mut inbox = Inbox::new();
+                let mut take = |t: &mut SocketTransport, tick: u64| {
+                    t.begin_tick(tick, &mut log);
+                    await_ready(t, tick, 2);
+                    t.deliver_into(tick, 2, &mut inbox, &mut log);
+                    let decoded = inbox.iter().map(|b| Frame::decode(b).expect("frame"));
+                    decoded.map(|f| (f.from, f.round)).collect::<Vec<_>>()
+                };
+                assert!(take(&mut t, 0).is_empty());
+                record(&mut t, 1, 2, 0, 10);
+                record(&mut t, 0, 1, 0, 20);
+                assert_eq!(take(&mut t, 1), [(0, 20)], "{kind:?} split {split_seed:?}");
+                record(&mut t, 1, 2, 1, 11);
+                for round in [21, 22, 23, 23] {
+                    record(&mut t, 0, 2, 1, round);
+                }
+                assert_eq!(
+                    take(&mut t, 2),
+                    [(1, 10), (0, 21), (0, 22), (0, 23), (0, 23), (1, 11)],
+                    "{kind:?} split {split_seed:?}"
+                );
+                assert!(take(&mut t, 3).is_empty());
+                assert!(log.is_empty());
+            }
         }
     }
 
+    /// Under a seeded fault plan every stream kind, with reads whole and
+    /// split, delivers the identical sequence and logs the identical
+    /// incidents, and every delivery is in merge order: ascending sent
+    /// tick (a heartbeat's round), then ascending sender, a duplicate
+    /// next to its original. Fault-free, every frame arrives once, at
+    /// the next tick.
     #[test]
-    fn faulty_stream_matches_chaotic_exactly() {
+    fn every_stream_kind_delivers_in_merge_order() {
         let faults = MeshFaultConfig {
             seed: 77,
             loss: 0.25,
@@ -700,54 +815,103 @@ mod tests {
                 heal_stagger: 2,
             }],
         };
-        let options = SocketOptions {
-            kind: SocketKind::Unix,
-            faults: Some(faults.clone()),
-            split_seed: Some(9),
-        };
-        let mut socket = SocketTransport::connect(3, &options).expect("sockets");
-        let mut chaotic = Chaotic::new(MeshFaultPlan::compile(&faults, 3), 3);
-        let (log_s, seen_s) = drive(&mut socket, 3, 24);
-        let (log_c, seen_c) = drive(&mut chaotic, 3, 24);
-        assert_eq!(
-            seen_s, seen_c,
-            "faulty socket delivery diverged from Chaotic"
-        );
-        assert_eq!(
-            log_s, log_c,
-            "faulty socket incidents diverged from Chaotic"
-        );
-        assert!(log_s
-            .iter()
-            .any(|i| matches!(i, MeshIncident::FrameLost { .. })));
-    }
-
-    #[test]
-    fn seeded_read_chunking_changes_nothing_observable() {
-        let options = |seed| SocketOptions {
-            kind: SocketKind::Unix,
-            faults: None,
-            split_seed: seed,
-        };
-        let mut plain = SocketTransport::connect(2, &options(None)).expect("sockets");
-        let mut split = SocketTransport::connect(2, &options(Some(4))).expect("sockets");
-        let a = drive(&mut plain, 2, 10);
-        let b = drive(&mut split, 2, 10);
-        assert_eq!(a, b);
+        for faults in [None, Some(faults)] {
+            let mut runs = Vec::new();
+            for kind in KINDS {
+                for split_seed in [None, Some(9)] {
+                    let options = SocketOptions {
+                        kind,
+                        faults: faults.clone(),
+                        split_seed,
+                    };
+                    let mut t = SocketTransport::connect(3, &options).expect("streams");
+                    runs.push(drive(&mut t, 3, 24));
+                }
+            }
+            let (log, seen) = &runs[0];
+            assert!(runs.iter().all(|run| run == &runs[0]), "kinds diverged");
+            for pair in seen.windows(2) {
+                let [(tick, to, from, round), (tick2, to2, from2, round2)] = pair else {
+                    unreachable!()
+                };
+                if (tick, to) == (tick2, to2) {
+                    assert!((round, from) <= (round2, from2), "out of order: {pair:?}");
+                }
+            }
+            if faults.is_none() {
+                assert!(log.is_empty());
+                let next_tick = seen.iter().all(|&(tick, _, _, round)| tick == round + 1);
+                assert!(next_tick && seen.len() == 23 * 6);
+            } else {
+                assert!(log
+                    .iter()
+                    .any(|i| matches!(i, MeshIncident::FrameLost { .. })));
+                assert!(log
+                    .iter()
+                    .any(|i| matches!(i, MeshIncident::FrameDuplicated { .. })));
+                assert!(log
+                    .iter()
+                    .any(|i| matches!(i, MeshIncident::FrameDelayed { .. })));
+            }
+        }
     }
 
     #[test]
     fn single_region_mesh_is_trivially_ready() {
-        let mut t = SocketTransport::connect(1, &SocketOptions::default()).expect("sockets");
+        for kind in KINDS {
+            let mut t = connect(1, kind, None);
+            let mut log = Vec::new();
+            let mut inbox = Inbox::new();
+            for tick in 0..5 {
+                t.begin_tick(tick, &mut log);
+                assert!(t.ready(tick, 0));
+                t.deliver_into(tick, 0, &mut inbox, &mut log);
+                assert!(inbox.is_empty());
+            }
+            assert!(log.is_empty());
+        }
+    }
+
+    #[test]
+    fn inbox_reuse_does_not_leak_frames() {
+        let mut t = connect(2, SocketKind::Memory, None);
         let mut log = Vec::new();
         let mut inbox = Inbox::new();
-        for tick in 0..5 {
-            t.begin_tick(tick, &mut log);
-            assert!(t.ready(tick, 0));
-            t.deliver_into(tick, 0, &mut inbox, &mut log);
-            assert!(inbox.is_empty());
-        }
-        assert!(log.is_empty());
+        t.begin_tick(0, &mut log);
+        t.send(0, 0, 1, &hb(0, 1, 7), &mut log);
+        t.begin_tick(1, &mut log);
+        t.deliver_into(1, 1, &mut inbox, &mut log);
+        assert_eq!(inbox.len(), 1);
+        // next delivery with nothing pending clears the previous content
+        t.begin_tick(2, &mut log);
+        t.deliver_into(2, 1, &mut inbox, &mut log);
+        assert!(inbox.is_empty());
+        assert_eq!(inbox.iter().count(), 0);
+    }
+
+    /// A delivery past the inbox budget is refused and logged, and the
+    /// transport keeps going.
+    #[test]
+    fn inbox_overflow_is_logged_per_refused_frame() {
+        let frame = hb(0, 1, 1);
+        let mut t = connect(2, SocketKind::Memory, None);
+        let mut log = Vec::new();
+        t.begin_tick(0, &mut log);
+        t.send(0, 0, 1, &frame, &mut log);
+        t.send(0, 0, 1, &frame, &mut log);
+        t.begin_tick(1, &mut log);
+        let mut small = Inbox::with_budget(frame.len());
+        t.deliver_into(1, 1, &mut small, &mut log);
+        assert_eq!(small.len(), 1);
+        assert_eq!(
+            log,
+            vec![MeshIncident::InboxOverflow {
+                tick: 1,
+                region: 1,
+                from: 0,
+                dropped: frame.len() as u64,
+            }]
+        );
     }
 
     /// The demand-driven schedule: on a healthy loopback every directed
@@ -785,10 +949,11 @@ mod tests {
     /// on a single directed link — far past the UDS send buffer — so the
     /// marker's flush hits `WouldBlock`. The stalled link must drain
     /// through the following `ready` polls (no deadlock: the driver's
-    /// readiness spin would time out) and deliver in exactly `Lossless`
-    /// order, with and without seeded read chunking.
+    /// readiness spin would time out) and deliver exactly what the
+    /// never-stalling in-process pipe delivers, with and without seeded
+    /// read chunking.
     #[test]
-    fn stalled_link_drains_without_deadlock_in_lossless_order() {
+    fn stalled_link_drains_without_deadlock_in_merge_order() {
         const FLOOD: u64 = 96;
         let big = Payload::Marginals {
             base: 0,
@@ -819,14 +984,12 @@ mod tests {
                 })
                 .collect()
         };
-        let expected = drive_with(&mut Lossless::new(3), 3, 4, schedule);
+        let mut memory = connect(3, SocketKind::Memory, None);
+        let expected = drive_with(&mut memory, 3, 4, schedule);
         assert_eq!(expected.1.len(), FLOOD as usize - 1 + 3 * 6);
+        assert_eq!(memory.io_stats().would_block, 0);
         for split_seed in [None, Some(5)] {
-            let options = SocketOptions {
-                split_seed,
-                ..SocketOptions::default()
-            };
-            let mut socket = SocketTransport::connect(3, &options).expect("sockets");
+            let mut socket = connect(3, SocketKind::Unix, split_seed);
             let got = drive_with(&mut socket, 3, 4, schedule);
             assert_eq!(got, expected, "split_seed {split_seed:?}");
             let stats = socket.io_stats();

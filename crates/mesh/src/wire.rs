@@ -44,7 +44,7 @@
 //!
 //! Floats travel as their IEEE-754 bit patterns (`f64::to_bits`,
 //! little-endian) — encode→decode is *bit-identical*, which is what
-//! lets the `Lossless` transport carry the bit-identity oracle. Decoding
+//! lets a fault-free mesh carry the bit-identity oracle. Decoding
 //! validates everything it reads: magic, version skew (a structured
 //! [`WireError::UnsupportedVersion`], never a panic — v1 bytes are
 //! refused, not misparsed), unknown kinds, truncation, trailing bytes,
@@ -60,12 +60,12 @@
 //! share the same field order, so `Frame::encode` and `FrameBuf`
 //! produce byte-identical frames (pinned by unit tests).
 //!
-//! **Byte streams** (the socket transport) deliver arbitrary chunk
+//! **Byte streams** (the mesh transport) deliver arbitrary chunk
 //! boundaries, so frames must be *reassembled* before any of the above
 //! decoders see them: [`frame_len`] classifies a partial header
 //! (valid-so-far vs. provably garbage vs. complete, with the total
-//! frame length) and [`FrameAssembler`] turns any split schedule —
-//! pinned down to one byte at a time — back into whole frames.
+//! frame length), and `crate::socket::parse_records` — the one reframer
+//! — turns any split schedule back into whole frames.
 
 use std::fmt;
 
@@ -685,80 +685,6 @@ pub fn frame_len(prefix: &[u8]) -> Result<Option<usize>, WireError> {
         prefix[HEADER_LEN - 1],
     ]) as usize;
     Ok(Some(HEADER_LEN + len))
-}
-
-/// Incremental reframer for wire frames arriving over a byte stream.
-///
-/// Sockets deliver arbitrary chunk boundaries: a read may end in the
-/// middle of a header, a length field, or a payload. Feed whatever
-/// bytes arrive with [`FrameAssembler::extend`] and pull complete
-/// frames out with [`FrameAssembler::next_frame`] — each returned slice
-/// is exactly one wire frame (header plus payload), suitable for
-/// [`Frame::decode`] or `BatchReader::parse`. Reassembly is pure
-/// length-prefix reframing via [`frame_len`]: header fields are
-/// validated as soon as their bytes exist, so garbage is refused at the
-/// earliest provable byte and a split header is simply *waited out*,
-/// never misclassified (the pre-socket decoders assumed one complete
-/// frame per buffer and reported a split header as a truncated frame).
-///
-/// The internal buffer is reused: consumed bytes are reclaimed whenever
-/// the buffer fully drains (the steady state — ticks drain every
-/// completed frame), so a warm assembler stops allocating once it has
-/// seen its largest frame.
-#[derive(Debug, Default)]
-pub struct FrameAssembler {
-    buf: Vec<u8>,
-    /// Consumed prefix of `buf` (frames already handed out).
-    at: usize,
-}
-
-impl FrameAssembler {
-    /// An empty assembler.
-    #[must_use]
-    pub fn new() -> Self {
-        FrameAssembler::default()
-    }
-
-    /// Appends a chunk of stream bytes (any length, including zero).
-    pub fn extend(&mut self, chunk: &[u8]) {
-        if self.at == self.buf.len() {
-            // fully drained: reclaim the space before growing
-            self.buf.clear();
-            self.at = 0;
-        }
-        self.buf.extend_from_slice(chunk);
-    }
-
-    /// Returns the next complete frame, `Ok(None)` if more bytes are
-    /// needed, or the first structural error the stream contains.
-    ///
-    /// # Errors
-    ///
-    /// The [`WireError`] from [`frame_len`] — the stream is desynced or
-    /// speaks a different protocol; no further frame can be trusted.
-    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
-        let pending = &self.buf[self.at..];
-        match frame_len(pending)? {
-            Some(total) if pending.len() >= total => {
-                let start = self.at;
-                self.at += total;
-                Ok(Some(&self.buf[start..start + total]))
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// Bytes buffered but not yet handed out as frames.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.at
-    }
-
-    /// Drops all buffered bytes (capacity kept).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.at = 0;
-    }
 }
 
 /// Decodes one payload of `kind` from `r`, consuming up to
@@ -1711,49 +1637,6 @@ mod tests {
             frame_len(&bad_kind[..5]),
             Err(WireError::UnknownKind { got: 0x7F })
         ));
-    }
-
-    #[test]
-    fn assembler_reframes_arbitrary_chunks() {
-        let frames = sample_frames();
-        let mut stream = Vec::new();
-        for f in &frames {
-            stream.extend_from_slice(&f.encode());
-        }
-        // feed the concatenated stream one byte at a time — the
-        // harshest split schedule — and expect every frame back intact
-        let mut asm = FrameAssembler::new();
-        let mut got = Vec::new();
-        for &b in &stream {
-            asm.extend(&[b]);
-            while let Some(frame) = asm.next_frame().expect("valid stream") {
-                got.push(Frame::decode(frame).expect("whole frame"));
-            }
-        }
-        assert_eq!(got, frames);
-        assert_eq!(asm.pending(), 0);
-    }
-
-    #[test]
-    fn assembler_refuses_desynced_streams() {
-        // a valid frame followed by garbage at the next frame boundary:
-        // the frame is handed out intact, then the desync is refused as
-        // soon as two bytes of wrong magic exist — never handed out as
-        // a frame, never panicked on
-        let frame = sample_frames()[0].clone();
-        let mut asm = FrameAssembler::new();
-        asm.extend(&frame.encode());
-        asm.extend(b"garbage");
-        {
-            let first = asm.next_frame().expect("valid frame").expect("complete");
-            assert_eq!(Frame::decode(first), Ok(frame));
-        }
-        assert!(matches!(
-            asm.next_frame(),
-            Err(WireError::BadMagic { got: [b'g', b'a'] })
-        ));
-        asm.clear();
-        assert_eq!(asm.pending(), 0);
     }
 
     #[test]

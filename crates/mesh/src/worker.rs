@@ -110,6 +110,35 @@ fn routers_in<'e>(
     nodes.iter().zip(positions).map(|(&v, &p)| (v, p as usize))
 }
 
+/// The mass rule of a received routing row of `edges` out-edges: one
+/// within `FRACTION_TOLERANCE`, and exactly `1.0` for a pass-through —
+/// the only row Γ ever gives it (`f / f`), since the owner's sparse
+/// step never recomputes it.
+fn row_mass_ok(edges: usize, sum: f64) -> bool {
+    if edges == 1 {
+        sum == 1.0
+    } else {
+        (sum - 1.0).abs() <= FRACTION_TOLERANCE
+    }
+}
+
+/// Whether every router row of a recovery snapshot's flat `[j·L + l]`
+/// routing fractions is non-negative and meets [`row_mass_ok`]. A
+/// snapshot of the wrong shape passes: `Checkpoint::apply_state`
+/// refuses it.
+fn snapshot_rows_ok(ext: &ExtendedNetwork, phi: &[f64]) -> bool {
+    let edges = ext.graph().edge_count();
+    phi.len() != ext.num_commodities() * edges
+        || ext.commodity_ids().all(|j| {
+            let row = &phi[j.index() * edges..][..edges];
+            ext.commodity_routers(j).iter().all(|&v| {
+                let out = ext.commodity_out_slice(j, v);
+                let sum: f64 = out.iter().map(|l| row[l.index()]).sum();
+                out.iter().all(|l| row[l.index()] >= 0.0) && row_mass_ok(out.len(), sum)
+            })
+        })
+}
+
 /// Transport ticks per iteration: decide (even), forward (odd).
 pub const TICKS_PER_ITERATION: u64 = 2;
 
@@ -1096,12 +1125,9 @@ impl RegionWorker {
                 // `from`'s routers and must be the *whole* row as the
                 // sender ships it — every out-edge once, in
                 // `commodity_out_slice` order, non-negative fractions
-                // summing to one (edges of a refused row are not
-                // looked at); a pass-through's row exactly `[(l, 1.0)]`,
-                // the only row Γ ever gives it (`f / f`), since the
-                // owner's sparse step never recomputes it. Anything else
-                // would break the φ-simplex in the mirror until the next
-                // refresh.
+                // meeting `row_mass_ok` (edges of a refused row are not
+                // looked at). Anything else would break the φ-simplex
+                // in the mirror until the next refresh.
                 let (mut rows_ok, mut edges_ok) = (true, true);
                 // the accepted row being walked: its out-edges, the
                 // position in it and the mass so far
@@ -1124,11 +1150,7 @@ impl RegionWorker {
                         sum += phi;
                         k += 1;
                         if k == out.len() {
-                            edges_ok &= if k == 1 {
-                                sum == 1.0
-                            } else {
-                                (sum - 1.0).abs() <= FRACTION_TOLERANCE
-                            };
+                            edges_ok &= row_mass_ok(k, sum);
                             (k, sum) = (0, 0.0);
                         }
                     },
@@ -1198,6 +1220,12 @@ impl RegionWorker {
                 let Some(payload) = self.parsed(tick, parse_recovery_state(payload), log) else {
                     return false;
                 };
+                // Γ preserves a row's mass: a row off the simplex would
+                // stay off it in the restored mirror for good
+                if !snapshot_rows_ok(ext, &payload.phi) {
+                    log.push(self.malformed(tick, "recovery snapshot row off the φ-simplex"));
+                    return false;
+                }
                 if self.recovering != Some(payload.token) {
                     log.push(MeshIncident::StaleFrameDiscarded {
                         tick,
@@ -1461,7 +1489,7 @@ impl RegionWorker {
 /// worker re-derives its output with the dense full-mirror functions
 /// and compares every node and edge entry bit for bit, the structural
 /// zeros outside a commodity's subgraph included — so any mesh unit
-/// test, lossless or chaotic, also pins the live-arc sweeps to the dense
+/// test, fault-free or faulty, also pins the live-arc sweeps to the dense
 /// reference.
 #[cfg(test)]
 impl RegionWorker {
@@ -1584,6 +1612,7 @@ mod tests {
     use super::*;
     use crate::fault::{MeshFaultConfig, PartitionSpec};
     use crate::runtime::{MeshConfig, MeshRuntime};
+    use crate::socket::{SocketKind, SocketOptions};
     use proptest::prelude::*;
     use spn_model::random::RandomInstance;
     use spn_sim::draws::unit_hash;
@@ -1609,7 +1638,7 @@ mod tests {
 
     /// The mirror oracle over a grid: every phase of every worker is
     /// checked against the dense reference (the `#[cfg(test)]` asserts
-    /// inside the phases), lossless and under three chaotic seeds with
+    /// inside the phases), fault-free and under three fault seeds with
     /// a partition deep enough to drive the recovery restore.
     #[test]
     fn live_arc_phases_match_the_dense_mirror_sweeps() {
@@ -1639,10 +1668,15 @@ mod tests {
                             heal_stagger: 4,
                         }],
                     };
-                    let mut chaotic = MeshRuntime::chaotic(ext.clone(), config.clone(), &faults)
+                    let options = SocketOptions {
+                        kind: SocketKind::Memory,
+                        faults: Some(faults),
+                        split_seed: None,
+                    };
+                    let mut faulty = MeshRuntime::socket(ext.clone(), config.clone(), &options)
                         .expect("valid config");
-                    chaotic.run(60);
-                    assert!(regions == 1 || !chaotic.incidents().is_empty());
+                    faulty.run(60);
+                    assert!(regions == 1 || !faulty.incidents().is_empty());
                 }
             }
         }

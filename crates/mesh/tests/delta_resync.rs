@@ -17,8 +17,8 @@
 
 use spn_core::{GradientAlgorithm, GradientConfig};
 use spn_mesh::{
-    Inbox, Lossless, MeshConfig, MeshFaultConfig, MeshIncident, MeshRuntime, Transport,
-    TICKS_PER_ITERATION,
+    Inbox, MeshConfig, MeshFaultConfig, MeshIncident, MeshRuntime, SocketKind, SocketOptions,
+    SocketTransport, Transport, TICKS_PER_ITERATION,
 };
 use spn_model::random::RandomInstance;
 use spn_transform::ExtendedNetwork;
@@ -33,6 +33,15 @@ fn problem(nodes: usize, commodities: usize, seed: u64) -> spn_model::Problem {
         .problem
 }
 
+/// In-process pipes under `faults`.
+fn memory(faults: Option<MeshFaultConfig>) -> SocketOptions {
+    SocketOptions {
+        kind: SocketKind::Memory,
+        faults,
+        split_seed: None,
+    }
+}
+
 fn mesh_config(regions: usize) -> MeshConfig {
     MeshConfig {
         regions,
@@ -41,11 +50,12 @@ fn mesh_config(regions: usize) -> MeshConfig {
     }
 }
 
-/// Lossless delivery except that every frame from `from` to `to` sent
-/// during `[cut, heal)` silently vanishes — the harshest delta-chain
-/// break: the receiver misses whole rounds, not single rows.
+/// In-process pipes that deliver everything except the frames from
+/// `from` to `to` sent during `[cut, heal)`, which silently vanish —
+/// the harshest delta-chain break: the receiver misses whole rounds,
+/// not single rows.
 struct LossWindow {
-    inner: Lossless,
+    inner: SocketTransport,
     from: usize,
     to: usize,
     cut: u64,
@@ -55,6 +65,10 @@ struct LossWindow {
 impl Transport for LossWindow {
     fn begin_tick(&mut self, tick: u64, log: &mut Vec<MeshIncident>) {
         self.inner.begin_tick(tick, log);
+    }
+
+    fn ready(&mut self, tick: u64, to: usize) -> bool {
+        self.inner.ready(tick, to)
     }
 
     fn send(
@@ -95,7 +109,7 @@ fn dropped_deltas_resync_to_bitwise_equality() {
     let p = problem(20, 3, 9);
     let ext = ExtendedNetwork::build(&p);
     let transport = LossWindow {
-        inner: Lossless::new(REGIONS),
+        inner: SocketTransport::connect(REGIONS, &memory(None)).unwrap(),
         from: 0,
         to: 1,
         cut: 30,
@@ -185,7 +199,7 @@ fn lossy_chaotic_delta_mesh_converges_with_resyncs() {
         partitions: Vec::new(),
     };
     let ext = ExtendedNetwork::build(&p);
-    let mut mesh = MeshRuntime::chaotic(ext, mesh_config(3), &faults).unwrap();
+    let mut mesh = MeshRuntime::socket(ext, mesh_config(3), &memory(Some(faults))).unwrap();
     let (mesh_report, mesh_outcome) = mesh.run_until_stable(SHIFT_TOLERANCE, MAX_ITERATIONS);
 
     assert_eq!(

@@ -4,12 +4,14 @@
 //! and every malformed input — NaN payloads, version skew (v1 frames
 //! included), truncation anywhere (mid-sub-payload included), trailing
 //! garbage, nested batches — is refused with a structured
-//! [`WireError`], never a panic.
+//! [`WireError`], never a panic. A stream of tick markers and enveloped
+//! frames, cut anywhere, reframes to the same records.
 
 use proptest::prelude::*;
+use spn_mesh::socket::{parse_records, Record};
 use spn_mesh::wire::{
-    frame_len, ForecastEntry, Frame, FrameAssembler, GammaRow, MarginalEntry, Payload,
-    RecoveryStatePayload, SubFrame, WireError, WIRE_VERSION,
+    frame_len, ForecastEntry, Frame, GammaRow, MarginalEntry, Payload, RecoveryStatePayload,
+    SubFrame, WireError, WIRE_VERSION,
 };
 use spn_sim::draws::unit_hash;
 
@@ -110,6 +112,61 @@ fn build_frame(kind: u8, seed: u64, len: usize) -> Frame {
     }
 }
 
+/// An owned stream record: a tick marker, or `(deliver_tick,
+/// sent_tick, frame)`.
+#[derive(Clone, Debug, PartialEq)]
+enum Owned {
+    Marker(u64),
+    Frame(u64, u64, Vec<u8>),
+}
+
+impl Owned {
+    fn of(record: Record<'_>) -> Self {
+        match record {
+            Record::Marker(tick) => Owned::Marker(tick),
+            Record::Frame {
+                deliver_tick,
+                sent_tick,
+                frame,
+            } => Owned::Frame(deliver_tick, sent_tick, frame.to_vec()),
+        }
+    }
+
+    /// The record's bytes: tag 1 and the tick, or tag 0, both ticks and
+    /// the frame, all integers little-endian.
+    fn encode(&self) -> Vec<u8> {
+        match self {
+            Owned::Marker(tick) => [&[1u8][..], &tick.to_le_bytes()].concat(),
+            Owned::Frame(deliver, sent, frame) => [
+                &[0u8][..],
+                &deliver.to_le_bytes(),
+                &sent.to_le_bytes(),
+                frame,
+            ]
+            .concat(),
+        }
+    }
+}
+
+/// Feeds `stream` to [`parse_records`] in chunks ending at `cuts` (then
+/// the rest), carrying each unconsumed tail into the next chunk as the
+/// transport does. Returns the records parsed after each chunk.
+fn reframe(stream: &[u8], cuts: &[usize]) -> Vec<Vec<Owned>> {
+    let mut buf = Vec::new();
+    let mut at = 0;
+    let mut out = Vec::new();
+    for &cut in cuts.iter().chain(&[stream.len()]) {
+        buf.extend_from_slice(&stream[at..cut]);
+        at = cut;
+        let mut got = Vec::new();
+        let used = parse_records(&buf, |record| got.push(Owned::of(record)));
+        buf.drain(..used);
+        out.push(got);
+    }
+    assert!(buf.is_empty(), "{} bytes never parsed", buf.len());
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -173,34 +230,36 @@ proptest! {
         prop_assert_eq!(Frame::decode(&extended), Err(WireError::TrailingBytes { extra: 1 }));
     }
 
-    /// Stream reassembly at **every** split offset: a frame cut into
-    /// two chunks at each possible byte boundary — header splits,
-    /// length-field splits, payload splits — reassembles to the
-    /// identical frame through [`FrameAssembler`], with zero decode
-    /// panics and no byte offset misclassified as a wire error (the
-    /// pre-socket decoders reported a header split across reads as a
-    /// truncated frame).
+    /// Stream reassembly at **every** split offset: a marker, an
+    /// enveloped frame and a marker, cut in two at each possible byte
+    /// boundary — envelope splits, header splits, length-field splits,
+    /// payload splits — parse to exactly the records that end before
+    /// the cut, then the rest, with the frame byte-identical, and never
+    /// a panic (the pre-socket decoders reported a header split across
+    /// reads as a truncated frame).
     #[test]
     fn reassembly_survives_every_split_offset(kind in 0u8..9, seed in 0u64..10_000, len in 0usize..6) {
         let frame = build_frame(kind, seed, len);
-        let bytes = frame.encode();
-        for cut in 0..=bytes.len() {
-            let mut asm = FrameAssembler::new();
-            asm.extend(&bytes[..cut]);
-            // a strict prefix must never yield a frame or an error
-            if cut < bytes.len() {
-                prop_assert_eq!(
-                    asm.next_frame().map(|f| f.map(<[u8]>::to_vec)),
-                    Ok(None),
-                    "prefix of {} misclassified at split {}", bytes.len(), cut
-                );
+        let records = [
+            Owned::Marker(seed),
+            Owned::Frame(seed + 2, seed + 1, frame.encode()),
+            Owned::Marker(seed + 1),
+        ];
+        let encoded: Vec<Vec<u8>> = records.iter().map(Owned::encode).collect();
+        let stream = encoded.concat();
+        for cut in 0..=stream.len() {
+            // records wholly inside the prefix, then the rest
+            let mut whole = 0;
+            let mut end = 0;
+            for bytes in &encoded {
+                end += bytes.len();
+                whole += usize::from(end <= cut);
             }
-            asm.extend(&bytes[cut..]);
-            let out = asm.next_frame().map(|f| f.map(<[u8]>::to_vec));
-            prop_assert_eq!(out, Ok(Some(bytes.clone())), "split {} lost the frame", cut);
-            prop_assert_eq!(Frame::decode(&bytes), Ok(frame.clone()));
-            prop_assert_eq!(asm.pending(), 0);
+            let got = reframe(&stream, &[cut]);
+            prop_assert_eq!(&got[0][..], &records[..whole], "prefix of split {}", cut);
+            prop_assert_eq!(&got[1][..], &records[whole..], "rest of split {}", cut);
         }
+        prop_assert_eq!(Frame::decode(&frame.encode()), Ok(frame));
     }
 
     /// [`frame_len`] never errors on a strict prefix of a valid frame
@@ -220,34 +279,34 @@ proptest! {
         }
     }
 
-    /// A concatenated stream of frames, re-chunked at seeded arbitrary
-    /// boundaries, reassembles to exactly the original frame sequence.
+    /// A stream of enveloped frames between tick markers, re-chunked at
+    /// seeded arbitrary boundaries, reframes to exactly the original
+    /// record sequence, every frame decoding to the one sent.
     #[test]
     fn reassembly_survives_seeded_chunking(seed in 0u64..10_000, count in 1usize..5) {
         let frames: Vec<Frame> = (0..count)
             .map(|i| build_frame(((seed as usize + i) % 9) as u8, seed ^ (i as u64), 1 + i % 4))
             .collect();
-        let mut stream = Vec::new();
-        for f in &frames {
-            stream.extend_from_slice(&f.encode());
-        }
-        let mut asm = FrameAssembler::new();
-        let mut got = Vec::new();
+        let records: Vec<Owned> = (0..count as u64)
+            .flat_map(|i| {
+                let frame = frames[i as usize].encode();
+                [Owned::Frame(i + 1 + seed % 3, i, frame), Owned::Marker(i)]
+            })
+            .collect();
+        let stream: Vec<u8> = records.iter().flat_map(Owned::encode).collect();
+        // seeded chunk sizes in 1..=31 bytes
+        let mut cuts = Vec::new();
         let mut at = 0usize;
-        let mut step = 0usize;
         while at < stream.len() {
-            // seeded chunk sizes in 1..=31 bytes
-            let chunk = 1 + (unit_hash(seed, step, at, 0) * 31.0) as usize;
-            let end = (at + chunk).min(stream.len());
-            asm.extend(&stream[at..end]);
-            while let Some(frame) = asm.next_frame().expect("valid stream") {
-                got.push(Frame::decode(frame).expect("whole frame"));
-            }
-            at = end;
-            step += 1;
+            at = (at + 1 + (unit_hash(seed, cuts.len(), at, 0) * 31.0) as usize).min(stream.len());
+            cuts.push(at);
         }
-        prop_assert_eq!(got, frames);
-        prop_assert_eq!(asm.pending(), 0);
+        let got: Vec<Owned> = reframe(&stream, &cuts).concat();
+        prop_assert_eq!(&got, &records);
+        for (record, frame) in got.iter().step_by(2).zip(&frames) {
+            let Owned::Frame(_, _, bytes) = record else { unreachable!() };
+            prop_assert_eq!(&Frame::decode(bytes), &Ok(frame.clone()));
+        }
     }
 
     /// Splicing `Batch` into any sub-frame's kind byte is refused as

@@ -18,8 +18,8 @@ use std::rc::Rc;
 
 use spn::core::GradientConfig;
 use spn::mesh::{
-    BatchReader, Inbox, Lossless, MeshConfig, MeshIncident, MeshRuntime, Transport,
-    TICKS_PER_ITERATION,
+    BatchReader, Inbox, MeshConfig, MeshIncident, MeshRuntime, SocketKind, SocketOptions,
+    SocketTransport, Transport, TICKS_PER_ITERATION,
 };
 use spn::model::builder::ProblemBuilder;
 use spn::model::{CommodityId, UtilityFn};
@@ -27,19 +27,23 @@ use spn::sim::GradientSim;
 use spn::transform::view::{edge_label, node_label};
 use spn::transform::ExtendedNetwork;
 
-/// Lossless delivery with a wire tap: the first ticks' batch frames are
+/// In-process pipes with a wire tap: the first ticks' batch frames are
 /// decoded as they cross the transport and printed sub-frame by
 /// sub-frame, so the trace shows exactly what a deployment would put on
 /// the network. Totals come from the runtime's own telemetry, not the
 /// tap.
 struct Traced {
-    inner: Lossless,
+    inner: SocketTransport,
     print_until_tick: Rc<RefCell<u64>>,
 }
 
 impl Transport for Traced {
     fn begin_tick(&mut self, tick: u64, log: &mut Vec<MeshIncident>) {
         self.inner.begin_tick(tick, log);
+    }
+
+    fn ready(&mut self, tick: u64, to: usize) -> bool {
+        self.inner.ready(tick, to)
     }
 
     fn send(
@@ -176,7 +180,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     const REGIONS: usize = 2;
     let print_until_tick = Rc::new(RefCell::new(2 * TICKS_PER_ITERATION));
     let transport = Traced {
-        inner: Lossless::new(REGIONS),
+        inner: SocketTransport::connect(
+            REGIONS,
+            &SocketOptions {
+                kind: SocketKind::Memory,
+                ..SocketOptions::default()
+            },
+        )
+        .expect("in-process pipes"),
         print_until_tick: Rc::clone(&print_until_tick),
     };
     let mut mesh = MeshRuntime::with_transport(

@@ -1,7 +1,7 @@
 //! ARCHITECTURE invariant 19 — the mesh runtime's three oracles.
 //!
-//! (a) **Lossless ⇒ bit-identical.** A mesh of 1, 2, or 4 region
-//!     workers over the synchronous lossless transport reproduces the
+//! (a) **Fault-free ⇒ bit-identical.** A mesh of 1, 2, or 4 region
+//!     workers over fault-free in-process pipes reproduces the
 //!     monolithic `GradientAlgorithm` trajectory — routing tables, flow
 //!     state, utility bits, admitted-rate bits — exactly, at every
 //!     iteration, with an empty incident log. Messages really cross the
@@ -20,32 +20,32 @@
 //!     the survivor logs at capture equals the digest the rejoiner logs
 //!     after restore, and all mirrors re-converge to bitwise equality.
 //!
-//! Plus ARCHITECTURE invariant 21 — the same oracles transfer across
-//! **real kernel sockets**: a loopback Unix-domain socket mesh is
-//! bit-identical to the lossless mesh (hence to the monolithic
-//! algorithm), and a fault-injected socket mesh is report- and
-//! incident-identical to `Chaotic` under the same seed — partition,
-//! recovery handshake, and all — even with reads chopped into seeded
-//! 1..=31-byte chunks. The degraded path the socket runtime advertises
-//! — a phase deadline expiring — is driven here too, as is the frame
-//! boundary: a structurally valid frame whose indices point outside the
-//! sender's rows (or outside the buffers) is discarded as one logged
-//! incident without a single write.
+//! Plus ARCHITECTURE invariant 21 — stream-kind invariance: in-process
+//! pipes, Unix-domain sockets and loopback TCP give identical reports
+//! and incident logs, fault-free and under a seeded fault plan —
+//! partition, recovery handshake, and all — even with reads chopped
+//! into seeded 1..=31-byte chunks; two faulty runs are pinned by
+//! digest. The degraded path the socket runtime advertises — a phase
+//! deadline expiring — is driven here too, as is the frame boundary: a
+//! structurally valid frame whose indices point outside the sender's
+//! rows (or outside the buffers), or a recovery snapshot whose routing
+//! rows break the simplex, is discarded as one logged incident without
+//! a single write.
 
 use spn::core::flows::balance_residual;
 use spn::core::{ConfigError, GradientAlgorithm, GradientConfig};
 use spn::graph::NodeId;
 use spn::mesh::worker::owner_of;
 use spn::mesh::{
-    BatchReader, FrameBuf, FrameKind, Inbox, Lossless, MeshConfig, MeshError, MeshFaultConfig,
-    MeshIncident, MeshReport, MeshRuntime, PartitionSpec, SocketKind, SocketOptions,
+    BatchReader, Frame, FrameBuf, FrameKind, Inbox, MeshConfig, MeshError, MeshFaultConfig,
+    MeshIncident, MeshReport, MeshRuntime, PartitionSpec, Payload, SocketKind, SocketOptions,
     SocketTransport, Transport, TICKS_PER_ITERATION,
 };
 use spn::model::random::RandomInstance;
 use spn::sim::draws::unit_hash;
 use spn::transform::ExtendedNetwork;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 fn problem(nodes: usize, commodities: usize, seed: u64) -> spn::model::Problem {
@@ -56,6 +56,24 @@ fn problem(nodes: usize, commodities: usize, seed: u64) -> spn::model::Problem {
         .build()
         .unwrap()
         .problem
+}
+
+/// In-process pipes under `faults`.
+fn memory(faults: Option<MeshFaultConfig>) -> SocketOptions {
+    SocketOptions {
+        kind: SocketKind::Memory,
+        faults,
+        split_seed: None,
+    }
+}
+
+/// A `regions`-way mesh over in-process pipes under `faults`.
+fn faulty(
+    ext: ExtendedNetwork,
+    regions: usize,
+    faults: &MeshFaultConfig,
+) -> MeshRuntime<SocketTransport> {
+    MeshRuntime::socket(ext, mesh_config(regions), &memory(Some(faults.clone()))).unwrap()
 }
 
 fn mesh_config(regions: usize) -> MeshConfig {
@@ -155,7 +173,7 @@ fn same_seed_chaotic_runs_are_identical() {
     let run = || {
         let p = problem(20, 3, 9);
         let ext = ExtendedNetwork::build(&p);
-        let mut mesh = MeshRuntime::chaotic(ext, mesh_config(4), &noisy_faults()).unwrap();
+        let mut mesh = faulty(ext, 4, &noisy_faults());
         let report = mesh.run(100);
         (report, mesh.incidents().to_vec())
     };
@@ -202,7 +220,7 @@ fn chaotic_mesh_reaches_the_reference_convergence_verdict() {
         partitions: Vec::new(),
     };
     let ext = ExtendedNetwork::build(&p);
-    let mut mesh = MeshRuntime::chaotic(ext, mesh_config(2), &faults).unwrap();
+    let mut mesh = faulty(ext, 2, &faults);
     let (mesh_report, mesh_outcome) = mesh.run_until_stable(SHIFT_TOLERANCE, MAX_ITERATIONS);
 
     assert_eq!(
@@ -240,7 +258,7 @@ fn partitioned_region_rejoins_bit_for_bit() {
         }],
         ..MeshFaultConfig::off()
     };
-    let mut mesh = MeshRuntime::chaotic(ext, mesh_config(REGIONS), &faults).unwrap();
+    let mut mesh = faulty(ext, REGIONS, &faults);
     mesh.run(60); // 120 ticks: partition at tick 30, healed by ~80
 
     let log = mesh.incidents();
@@ -331,109 +349,50 @@ fn partitioned_region_rejoins_bit_for_bit() {
     );
 }
 
-/// Invariant 21, lossless half: a mesh whose frames cross real
-/// Unix-domain sockets — kernel buffers, partial reads, marker-based
-/// readiness instead of the barrier — reproduces the in-process
-/// lossless trajectory bit-for-bit at 1, 2, and 4 regions, with an
+/// Invariant 21, fault-free half: a mesh whose frames cross real
+/// Unix-domain or TCP sockets — kernel buffers, partial reads (whole or
+/// seeded 1..=31-byte), marker-based readiness — reproduces the
+/// in-process trajectory bit-for-bit at 1, 2, and 4 regions, with an
 /// empty incident log (no deadline ever fires on a healthy loopback).
 #[test]
 fn loopback_socket_mesh_is_bit_identical_to_lossless() {
     let p = problem(20, 3, 9);
     let ext = ExtendedNetwork::build(&p);
     for regions in [1usize, 2, 4] {
-        let options = SocketOptions {
-            kind: SocketKind::Unix,
-            ..SocketOptions::default()
-        };
-        let mut socket = MeshRuntime::socket(ext.clone(), mesh_config(regions), &options).unwrap();
-        let mut lossless = MeshRuntime::lossless(ext.clone(), mesh_config(regions)).unwrap();
-        for it in 0..80 {
-            socket.step();
-            lossless.step();
-            for r in 0..regions {
-                assert_eq!(
-                    lossless.worker(r).routing(),
-                    socket.worker(r).routing(),
-                    "region {r} routing diverged from lossless at iteration {it} \
-                     (regions={regions})"
-                );
+        for (kind, split_seed) in [
+            (SocketKind::Unix, None),
+            (SocketKind::Unix, Some(5)),
+            (SocketKind::Tcp, None),
+            (SocketKind::Tcp, Some(5)),
+        ] {
+            let options = SocketOptions {
+                kind,
+                faults: None,
+                split_seed,
+            };
+            let ctx = format!("regions={regions} {kind:?} split {split_seed:?}");
+            let mut socket =
+                MeshRuntime::socket(ext.clone(), mesh_config(regions), &options).unwrap();
+            let mut lossless = MeshRuntime::lossless(ext.clone(), mesh_config(regions)).unwrap();
+            for it in 0..40 {
+                socket.step();
+                lossless.step();
+                for r in 0..regions {
+                    assert_eq!(
+                        lossless.worker(r).routing(),
+                        socket.worker(r).routing(),
+                        "region {r} routing diverged at iteration {it} ({ctx})"
+                    );
+                }
             }
+            assert_eq!(lossless.run(0), socket.run(0), "report diverged ({ctx})");
+            assert!(
+                socket.incidents().is_empty(),
+                "healthy loopback socket run logged incidents ({ctx}): {:?}",
+                socket.incidents()
+            );
         }
-        assert_eq!(
-            lossless.utility().to_bits(),
-            socket.utility().to_bits(),
-            "socket utility not bit-identical (regions={regions})"
-        );
-        assert_eq!(
-            lossless.run(0),
-            socket.run(0),
-            "socket report diverged from lossless (regions={regions})"
-        );
-        assert!(
-            socket.incidents().is_empty(),
-            "healthy loopback socket run logged incidents (regions={regions}): {:?}",
-            socket.incidents()
-        );
     }
-}
-
-/// Invariant 21, faulty half: the netem-style `FaultyStream` shim makes
-/// a socket mesh *exactly* `Chaotic` — same seed ⇒ identical report and
-/// identical incident log (partition, suspects, the epoch-fenced
-/// recovery handshake over real sockets, heals), and two same-seed
-/// socket runs are identical to each other. Reads are chopped into
-/// seeded 1..=31-byte chunks, so the stream reframer is exercised at
-/// mid-header and mid-payload boundaries throughout.
-#[test]
-fn faulty_socket_mesh_matches_chaotic_incident_for_incident() {
-    let p = problem(20, 3, 9);
-    let ext = ExtendedNetwork::build(&p);
-    let faults = MeshFaultConfig {
-        seed: 0x534F_434B,
-        loss: 0.04,
-        duplicate: 0.03,
-        delay_prob: 0.08,
-        max_delay: 2,
-        partitions: vec![PartitionSpec {
-            region: 1,
-            at: 30,
-            duration: 45,
-            heal_stagger: 4,
-        }],
-    };
-    let socket_run = || {
-        let options = SocketOptions {
-            kind: SocketKind::Unix,
-            faults: Some(faults.clone()),
-            split_seed: Some(21),
-        };
-        let mut mesh = MeshRuntime::socket(ext.clone(), mesh_config(3), &options).unwrap();
-        let report = mesh.run(60);
-        (report, mesh.incidents().to_vec())
-    };
-    let (report_a, log_a) = socket_run();
-    let (report_b, log_b) = socket_run();
-    assert_eq!(report_a, report_b, "same-seed socket reports diverged");
-    assert_eq!(log_a, log_b, "same-seed socket incident logs diverged");
-
-    let mut chaotic = MeshRuntime::chaotic(ext.clone(), mesh_config(3), &faults).unwrap();
-    let chaotic_report = chaotic.run(60);
-    assert_eq!(
-        chaotic_report, report_a,
-        "socket report diverged from Chaotic under the same seed"
-    );
-    assert_eq!(
-        chaotic.incidents(),
-        &log_a[..],
-        "socket incident log diverged from Chaotic under the same seed"
-    );
-    // the run exercised the full gauntlet over real sockets
-    assert!(log_a
-        .iter()
-        .any(|i| matches!(i, MeshIncident::PartitionStarted { .. })));
-    assert!(log_a
-        .iter()
-        .any(|i| matches!(i, MeshIncident::RecoveryCompleted { .. })));
 }
 
 /// FNV-1a of `bytes`, continuing from `h`.
@@ -501,23 +460,18 @@ fn partition_faults() -> MeshFaultConfig {
     }
 }
 
-/// The faulty runs against digests generated while a faulty socket mesh
-/// was still asserted equal to the in-process fault injector: every
-/// stream kind, with reads whole and chopped into seeded 1..=31-byte
-/// chunks, reproduces them. A failing assertion prints the observed
-/// digest.
+/// Invariant 21, faulty half: two faulty runs against digests generated
+/// while a faulty socket mesh was still asserted equal to the retired
+/// in-process fault injector. Every stream kind, with reads whole and
+/// chopped into seeded 1..=31-byte chunks, reproduces them — same
+/// report, same incident log (partition, suspects, the epoch-fenced
+/// recovery handshake, heals). There is no regeneration switch: a
+/// failing assertion prints the observed digest.
 #[test]
 fn faulty_runs_match_their_pinned_digests() {
     let ext = ExtendedNetwork::build(&problem(20, 3, 9));
     for (name, faults, regions, iterations, want) in pinned_scenarios() {
-        let mut runs = Vec::new();
-        let mut chaotic = MeshRuntime::chaotic(ext.clone(), mesh_config(regions), &faults).unwrap();
-        let report = chaotic.run(iterations);
-        runs.push((
-            "chaotic".to_string(),
-            run_digest(&report, chaotic.incidents()),
-        ));
-        for kind in [SocketKind::Unix, SocketKind::Tcp] {
+        for kind in [SocketKind::Memory, SocketKind::Unix, SocketKind::Tcp] {
             for split_seed in [None, Some(21)] {
                 let options = SocketOptions {
                     kind,
@@ -527,15 +481,20 @@ fn faulty_runs_match_their_pinned_digests() {
                 let mut mesh =
                     MeshRuntime::socket(ext.clone(), mesh_config(regions), &options).unwrap();
                 let report = mesh.run(iterations);
-                let label = format!("{kind:?} split {split_seed:?}");
-                runs.push((label, run_digest(&report, mesh.incidents())));
+                let log = mesh.incidents();
+                let got = run_digest(&report, log);
+                assert_eq!(
+                    got, want,
+                    "{name} over {kind:?} split {split_seed:?}: observed digest {got:#018x}"
+                );
+                // the runs exercise the full gauntlet
+                assert!(log
+                    .iter()
+                    .any(|i| matches!(i, MeshIncident::PartitionStarted { .. })));
+                assert!(log
+                    .iter()
+                    .any(|i| matches!(i, MeshIncident::RecoveryCompleted { .. })));
             }
-        }
-        for (label, got) in runs {
-            assert_eq!(
-                got, want,
-                "{name} over {label}: observed digest {got:#018x}"
-            );
         }
     }
 }
@@ -614,7 +573,7 @@ impl Transport for Withhold {
 /// `PhaseDeadlineExpired` for that `(tick, region)` and advances.
 /// `deliver_into` then reads the lagging links itself, so every frame
 /// the peers had already written is still handed over — here that is
-/// all of them, and the run stays bit-identical to `Lossless`.
+/// all of them, and the run stays bit-identical to the fault-free mesh.
 #[test]
 fn expired_phase_deadline_is_logged_and_delivery_reads_what_is_in_hand() {
     const REGIONS: usize = 3;
@@ -653,33 +612,47 @@ fn expired_phase_deadline_is_logged_and_delivery_reads_what_is_in_hand() {
     );
 }
 
-/// A lossless transport that slips an extra frame into chosen
-/// deliveries, ahead of the genuine frames: `frame(tick, region,
-/// genuine)` is the frame (if any) for delivery `(tick, region)`, built
-/// from that delivery's genuine frames.
+/// In-process pipes whose deliveries pass through an edit first:
+/// `edit(tick, region, frames)` may rewrite, drop or add frames of
+/// delivery `(tick, region)` before the worker sees them.
 struct Inject {
-    inner: Lossless,
-    frame: MakeFrame,
+    inner: SocketTransport,
+    edit: Edit,
 }
 
-/// Builds the injected frame (if any) of a delivery from its tick,
-/// region and genuine frames.
-type MakeFrame = Box<dyn FnMut(u64, usize, &[Vec<u8>]) -> Option<Vec<u8>>>;
+/// Edits the frames of one delivery, given its tick and region.
+type Edit = Box<dyn FnMut(u64, usize, &mut Vec<Vec<u8>>)>;
 
-/// An `Inject` schedule with one frame, built from the genuine frames
-/// of delivery `at`.
-fn once(at: (u64, usize), make: impl Fn(&[Vec<u8>]) -> Vec<u8> + 'static) -> MakeFrame {
-    Box::new(move |tick, region, genuine| ((tick, region) == at).then(|| make(genuine)))
+impl Inject {
+    /// A `regions`-way mesh of pipes under `faults`, editing with `edit`.
+    fn new(regions: usize, faults: Option<MeshFaultConfig>, edit: Edit) -> Self {
+        let inner = SocketTransport::connect(regions, &memory(faults)).unwrap();
+        Inject { inner, edit }
+    }
 }
 
-/// An `Inject` schedule with one fixed frame, into delivery `at`.
-fn fixed(at: (u64, usize), frame: Vec<u8>) -> MakeFrame {
+/// An `Inject` edit slipping one frame, built from the genuine frames of
+/// delivery `at`, in ahead of them.
+fn once(at: (u64, usize), make: impl Fn(&[Vec<u8>]) -> Vec<u8> + 'static) -> Edit {
+    Box::new(move |tick, region, frames| {
+        if (tick, region) == at {
+            frames.insert(0, make(frames));
+        }
+    })
+}
+
+/// An `Inject` edit slipping one fixed frame into delivery `at`.
+fn fixed(at: (u64, usize), frame: Vec<u8>) -> Edit {
     once(at, move |_| frame.clone())
 }
 
 impl Transport for Inject {
     fn begin_tick(&mut self, tick: u64, log: &mut Vec<MeshIncident>) {
         self.inner.begin_tick(tick, log);
+    }
+
+    fn ready(&mut self, tick: u64, to: usize) -> bool {
+        self.inner.ready(tick, to)
     }
 
     fn send(
@@ -701,15 +674,31 @@ impl Transport for Inject {
         log: &mut Vec<MeshIncident>,
     ) {
         self.inner.deliver_into(tick, to, inbox, log);
-        let genuine: Vec<Vec<u8>> = inbox.iter().map(<[u8]>::to_vec).collect();
-        if let Some(extra) = (self.frame)(tick, to, &genuine) {
-            // re-deliver with the injected frame first
-            inbox.clear();
-            assert!(inbox.push(&extra));
-            for frame in &genuine {
-                assert!(inbox.push(frame));
-            }
+        let mut frames: Vec<Vec<u8>> = inbox.iter().map(<[u8]>::to_vec).collect();
+        (self.edit)(tick, to, &mut frames);
+        inbox.clear();
+        for frame in &frames {
+            assert!(inbox.push(frame));
         }
+    }
+}
+
+/// Invariants 1–3 on every mirror of `mesh`: a valid, loop-free routing
+/// whose flows balance.
+fn assert_invariants<T: Transport>(ext: &ExtendedNetwork, mesh: &MeshRuntime<T>, ctx: &str) {
+    for r in 0..mesh.config().regions {
+        let (routing, flows) = (mesh.worker(r).routing(), mesh.worker(r).flows());
+        assert_eq!(
+            routing.validate(ext),
+            Ok(()),
+            "{ctx}, region {r}: invariant 1"
+        );
+        assert!(routing.is_loop_free(ext), "{ctx}, region {r}: invariant 2");
+        let residual = balance_residual(ext, routing, flows);
+        assert!(
+            residual <= 1e-9,
+            "{ctx}, region {r}: invariant 3, residual {residual}"
+        );
     }
 }
 
@@ -758,10 +747,7 @@ fn frames_with_out_of_range_indices_are_discarded_without_a_write() {
         ),
     ];
     for (what, frame) in cases {
-        let transport = Inject {
-            inner: Lossless::new(REGIONS),
-            frame: fixed(AT, frame),
-        };
+        let transport = Inject::new(REGIONS, None, fixed(AT, frame));
         let mut mesh =
             MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
         let mut alg = GradientAlgorithm::new(&p, GradientConfig::default()).unwrap();
@@ -819,10 +805,7 @@ fn misrouted_frame_is_discarded_before_it_is_counted_or_applied() {
     let ext = ExtendedNetwork::build(&p);
     // first node of region 1's contiguous range
     let v = (ext.graph().node_count() as u32).div_ceil(REGIONS as u32);
-    let transport = Inject {
-        inner: Lossless::new(REGIONS),
-        frame: fixed(AT, one_marginal(1, 2, ROUND, 0, v)),
-    };
+    let transport = Inject::new(REGIONS, None, fixed(AT, one_marginal(1, 2, ROUND, 0, v)));
     let mut mesh =
         MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
     let mut clean = MeshRuntime::lossless(ext, mesh_config(REGIONS)).unwrap();
@@ -912,10 +895,7 @@ fn a_pass_through_row_off_one_is_discarded_without_a_write() {
         assert!(buf.finish());
         buf.bytes().unwrap().to_vec()
     };
-    let transport = Inject {
-        inner: Lossless::new(REGIONS),
-        frame: once(AT, forged),
-    };
+    let transport = Inject::new(REGIONS, None, once(AT, forged));
     let mut mesh =
         MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
     let mut clean = MeshRuntime::lossless(ext, mesh_config(REGIONS)).unwrap();
@@ -948,6 +928,114 @@ fn a_pass_through_row_off_one_is_discarded_without_a_write() {
         ),
         "expected exactly one discard incident, got {:?}",
         mesh.incidents()
+    );
+}
+
+/// A recovery snapshot is held to the Γ-row rule before it is installed.
+/// Every copy of the genuine snapshot of a partition recovery is
+/// rewritten in flight — one router row at mass 2 — until the copy the
+/// rejoiner takes up in sequence order has been delivered. Γ preserves
+/// a row's mass, so a mirror that installed it would break invariant 1
+/// for good. Instead it is one `MalformedFrameDiscarded`, refused
+/// without taking its seq, so the survivor's next, untouched retransmit
+/// still completes the recovery — and every mirror keeps invariants 1–3
+/// after every iteration.
+#[test]
+fn a_recovery_snapshot_with_a_row_of_mass_two_is_discarded() {
+    const REGIONS: usize = 3;
+    let p = problem(20, 3, 9);
+    let ext = ExtendedNetwork::build(&p);
+    let faults = MeshFaultConfig {
+        seed: 77,
+        partitions: vec![PartitionSpec {
+            region: 1,
+            at: 30,
+            duration: 45,
+            heal_stagger: 4,
+        }],
+        ..MeshFaultConfig::off()
+    };
+    // commodity 0's first router row, as flat `[j·L + l]` indices
+    let j = ext.commodity_ids().next().unwrap();
+    let v = ext.commodity_routers(j)[0];
+    let edges = ext.graph().edge_count();
+    let row: Vec<usize> = ext
+        .commodity_out_slice(j, v)
+        .iter()
+        .map(|l| j.index() * edges + l.index())
+        .collect();
+    // a model of region 1's in-order intake of each sender's reliable
+    // stream: the next seq it takes up, and the seqs it holds ahead of
+    // that. Every snapshot copy is rewritten until one is taken up.
+    let mut intake: BTreeMap<u16, (u64, BTreeSet<u64>)> = BTreeMap::new();
+    let mut snapshot_seq = None;
+    let mut done = false;
+    let edit: Edit = Box::new(move |_, region, frames| {
+        if region != 1 || done {
+            return;
+        }
+        for bytes in frames.iter_mut() {
+            let mut frame = Frame::decode(bytes).unwrap();
+            let Payload::Batch(subs) = &mut frame.payload else {
+                continue;
+            };
+            let (next, ahead) = intake.entry(frame.from).or_insert((1, BTreeSet::new()));
+            let mut rewritten = false;
+            for sub in subs
+                .iter_mut()
+                .filter(|sub| sub.payload.kind().is_reliable())
+            {
+                if let Payload::RecoveryState(state) = &mut sub.payload {
+                    if !done {
+                        for &k in &row {
+                            state.phi[k] *= 2.0;
+                        }
+                        (snapshot_seq, rewritten) = (Some(sub.seq), true);
+                    }
+                }
+                if sub.seq > *next {
+                    ahead.insert(sub.seq);
+                }
+                // taken up in order, with whatever it unblocks; the
+                // rewritten snapshot is the last copy taken up here
+                if sub.seq == *next && !done {
+                    loop {
+                        done = snapshot_seq == Some(*next);
+                        if done {
+                            break;
+                        }
+                        *next += 1;
+                        if !ahead.remove(next) {
+                            break;
+                        }
+                    }
+                }
+            }
+            if rewritten {
+                *bytes = frame.encode();
+            }
+        }
+    });
+    let transport = Inject::new(REGIONS, Some(faults), edit);
+    let mut mesh =
+        MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
+    for it in 0..60 {
+        mesh.step();
+        assert_invariants(&ext, &mesh, &format!("iteration {it}"));
+    }
+    let log = mesh.incidents();
+    let discards: Vec<usize> = (0..log.len())
+        .filter(|&k| matches!(log[k], MeshIncident::MalformedFrameDiscarded { .. }))
+        .collect();
+    assert!(
+        matches!(discards[..], [k] if matches!(log[k], MeshIncident::MalformedFrameDiscarded { region: 1, .. })),
+        "expected exactly one discard, by region 1: {log:?}"
+    );
+    assert!(
+        log[discards[0]..]
+            .iter()
+            .any(|i| matches!(i, MeshIncident::RecoveryCompleted { region: 1, .. })),
+        "recovery never completed after the discard: {log:?}"
     );
 }
 
@@ -989,43 +1077,32 @@ fn mesh_rejects_unsupported_configs() {
         ..MeshConfig::default()
     };
     assert!(matches!(
-        MeshRuntime::<Lossless>::with_transport(ext.clone(), annealing, Lossless::new(2)),
+        MeshRuntime::lossless(ext.clone(), annealing),
         Err(MeshError::AnnealingUnsupported { .. })
     ));
+    let with_config = |config: MeshConfig| MeshRuntime::lossless(ext.clone(), config);
     assert!(matches!(
-        MeshRuntime::<Lossless>::with_transport(
-            ext.clone(),
-            MeshConfig {
-                regions: 0,
-                ..MeshConfig::default()
-            },
-            Lossless::new(0)
-        ),
+        with_config(MeshConfig {
+            regions: 0,
+            ..MeshConfig::default()
+        }),
         Err(MeshError::NoRegions)
     ));
     let nodes = ext.graph().node_count();
     assert!(matches!(
-        MeshRuntime::<Lossless>::with_transport(
-            ext.clone(),
-            MeshConfig {
-                regions: nodes + 1,
-                ..MeshConfig::default()
-            },
-            Lossless::new(nodes + 1)
-        ),
+        with_config(MeshConfig {
+            regions: nodes + 1,
+            ..MeshConfig::default()
+        }),
         Err(MeshError::TooManyRegions { .. })
     ));
     // a zero suspect window suspects a healthy peer after every tick
     // that brought no frame from it
     assert!(matches!(
-        MeshRuntime::<Lossless>::with_transport(
-            ext.clone(),
-            MeshConfig {
-                suspect_after: 0,
-                ..MeshConfig::default()
-            },
-            Lossless::new(2)
-        ),
+        with_config(MeshConfig {
+            suspect_after: 0,
+            ..MeshConfig::default()
+        }),
         Err(MeshError::ZeroSuspectWindow)
     ));
     // a gradient tunable the core refuses comes back wrapped, ahead of
@@ -1062,7 +1139,7 @@ fn mesh_rejects_unsupported_configs() {
             gradient,
             ..MeshConfig::default()
         };
-        let got = MeshRuntime::<Lossless>::with_transport(ext.clone(), config, Lossless::new(2));
+        let got = with_config(config);
         assert!(
             matches!(&got, Err(MeshError::Config(e)) if *e == want),
             "{want:?} accepted or refused otherwise"
@@ -1070,14 +1147,10 @@ fn mesh_rejects_unsupported_configs() {
     }
     // an inbox budget below one frame would drop all traffic silently
     assert!(matches!(
-        MeshRuntime::<Lossless>::with_transport(
-            ext,
-            MeshConfig {
-                inbox_budget: 512,
-                ..MeshConfig::default()
-            },
-            Lossless::new(2)
-        ),
+        with_config(MeshConfig {
+            inbox_budget: 512,
+            ..MeshConfig::default()
+        }),
         Err(MeshError::InboxBudgetTooSmall { budget: 512 })
     ));
 }
@@ -1210,16 +1283,12 @@ fn a_seeded_frame_fuzz_corpus_never_breaks_a_worker() {
     let ext = ExtendedNetwork::build(&p);
     let corpus = Rc::new(RefCell::new(BTreeMap::new()));
     let sink = Rc::clone(&corpus);
-    let record: MakeFrame = Box::new(move |tick, region, genuine| {
+    let record: Edit = Box::new(move |tick, region, genuine| {
         if !genuine.is_empty() {
-            sink.borrow_mut().insert((tick, region), genuine.to_vec());
+            sink.borrow_mut().insert((tick, region), genuine.clone());
         }
-        None
     });
-    let transport = Inject {
-        inner: Lossless::new(REGIONS),
-        frame: record,
-    };
+    let transport = Inject::new(REGIONS, None, record);
     let mut clean =
         MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
     clean.run(ITERATIONS);
@@ -1241,22 +1310,17 @@ fn a_seeded_frame_fuzz_corpus_never_breaks_a_worker() {
             })
             .collect();
         mutants += schedule.len();
-        let transport = Inject {
-            inner: Lossless::new(REGIONS),
-            frame: Box::new(move |tick, region, _| schedule.remove(&(tick, region))),
-        };
+        let edit: Edit = Box::new(move |tick, region, frames| {
+            if let Some(mutant) = schedule.remove(&(tick, region)) {
+                frames.insert(0, mutant);
+            }
+        });
+        let transport = Inject::new(REGIONS, None, edit);
         let mut mesh =
             MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
         for it in 0..ITERATIONS {
             mesh.step();
-            for r in 0..REGIONS {
-                let (routing, flows) = (mesh.worker(r).routing(), mesh.worker(r).flows());
-                let ctx = format!("episode {episode}, iteration {it}, region {r}");
-                assert_eq!(routing.validate(&ext), Ok(()), "{ctx}: invariant 1");
-                assert!(routing.is_loop_free(&ext), "{ctx}: invariant 2");
-                let residual = balance_residual(&ext, routing, flows);
-                assert!(residual <= 1e-9, "{ctx}: invariant 3, residual {residual}");
-            }
+            assert_invariants(&ext, &mesh, &format!("episode {episode}, iteration {it}"));
         }
         for incident in mesh.incidents() {
             let kind = match incident {
