@@ -170,7 +170,14 @@ impl Stream {
 
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
-            Stream::Memory { rx, .. } => rx.lock().expect("pipe lock").read(buf),
+            Stream::Memory { rx, .. } => {
+                let mut queue = rx.lock().expect("no pipe user panics holding it");
+                // `VecDeque::read` stops at the ring's wrap point, but a
+                // short read must mean "drained": take both halves
+                let n = buf.len().min(queue.len());
+                queue.read_exact(&mut buf[..n])?;
+                Ok(n)
+            }
             Stream::Unix(s) => s.read(buf),
             Stream::Tcp(s) => s.read(buf),
         }
@@ -178,7 +185,10 @@ impl Stream {
 
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self {
-            Stream::Memory { tx, .. } => tx.lock().expect("pipe lock").write(buf),
+            Stream::Memory { tx, .. } => tx
+                .lock()
+                .expect("no pipe user panics holding it")
+                .write(buf),
             Stream::Unix(s) => s.write(buf),
             Stream::Tcp(s) => s.write(buf),
         }
@@ -867,6 +877,47 @@ mod tests {
                 assert!(t.ready(tick, 0));
                 t.deliver_into(tick, 0, &mut inbox, &mut log);
                 assert!(inbox.is_empty());
+            }
+            assert!(log.is_empty());
+        }
+    }
+
+    /// A pipe read is short only when the pipe is drained, as a socket
+    /// read is, even once the queue's ring has wrapped: `read_chunk`
+    /// takes a short read for "drained".
+    #[test]
+    fn a_pipe_read_is_short_only_when_drained() {
+        let (mut near, mut far) = Stream::pipe();
+        let mut buf = [0u8; 64];
+        near.write(&[1; 16]).expect("pipe write");
+        assert_eq!(far.read(&mut buf[..10]).expect("pipe read"), 10);
+        // the ring's head sits mid-buffer: this write wraps it
+        let more = 40;
+        near.write(&vec![2; more]).expect("pipe write");
+        assert_eq!(far.read(&mut buf).expect("pipe read"), 6 + more);
+        assert_eq!(far.read(&mut buf).expect("pipe read"), 0);
+    }
+
+    /// An in-process pipe is ready on the first poll of every tick: its
+    /// writes land whole before any read. So the runtime never sleeps on
+    /// a pipe.
+    #[test]
+    fn memory_pipes_are_ready_on_the_first_poll() {
+        for split_seed in [None, Some(7)] {
+            let mut t = connect(3, SocketKind::Memory, split_seed);
+            let mut log = Vec::new();
+            let mut inbox = Inbox::new();
+            for tick in 0..64 {
+                t.begin_tick(tick, &mut log);
+                for to in 0..3 {
+                    assert!(t.ready(tick, to), "tick {tick} region {to} not ready");
+                    t.deliver_into(tick, to, &mut inbox, &mut log);
+                    for peer in (0..3).filter(|&p| p != to) {
+                        for round in 0..tick % 5 {
+                            t.send(tick, to, peer, &hb(to as u16, peer as u16, round), &mut log);
+                        }
+                    }
+                }
             }
             assert!(log.is_empty());
         }

@@ -37,10 +37,10 @@
 #    difference marginals at 32 seeded routers, half pass-throughs and
 #    half deciders) and prints deciders/routers in its TSV line;
 #  * mesh_smoke --smoke is the region-sharded mesh gate — a 4-region
-#    mesh over the in-process transport must stay bit-identical to the
-#    monolithic algorithm with zero incidents under Lossless, produce
-#    identical incident logs and reports across same-seed Chaotic runs,
-#    reach the lossless convergence verdict under the fault plan, ship
+#    mesh over in-process pipes must stay bit-identical to the
+#    monolithic algorithm with zero incidents when fault-free, produce
+#    identical incident logs and reports across same-seed faulty runs,
+#    reach the fault-free convergence verdict under the fault plan, ship
 #    ≤0.5× the full-broadcast bytes/iteration once past the bitwise
 #    fixed point (delta wire gate), perform zero allocations per
 #    converged steady-state step (counting-allocator gate), and on the
@@ -49,14 +49,15 @@
 #    sweep live arcs, not the dense mirror; SKIP on a 1-core host);
 #  * mesh_smoke --socket --smoke is the real-socket gate (ARCHITECTURE
 #    invariant 21) — a 2-region loopback Unix-domain mesh must be
-#    report-identical to Lossless with zero incidents, a same-seed
-#    fault-injected socket mesh must be report- and incident-identical
-#    to Chaotic (reads chopped into seeded 1..=31-byte chunks), the
-#    lossless UDS run must stay within TICKS_PER_ITERATION·2·R·(R−1)
+#    report-identical to the in-process mesh with zero incidents, a
+#    same-seed fault-injected UDS mesh must be report- and
+#    incident-identical to the fault-injected in-process mesh (UDS
+#    reads chopped into seeded 1..=31-byte chunks), the
+#    fault-free UDS run must stay within TICKS_PER_ITERATION·2·R·(R−1)
 #    syscalls per iteration (8 at R = 2, two ticks of 2·R·(R−1);
 #    SocketTransport::io_stats — the demand-driven I/O schedule), and
-#    the B9 bench must ship identical bytes/iteration on in-process,
-#    UDS, and TCP (syscalls per iteration and per tick printed per
+#    the B9 bench must ship identical bytes/iteration on in-process
+#    pipes, UDS, and TCP (syscalls per iteration and per tick printed per
 #    leg); wall-clock p50 tick latency prints SKIP on a degraded
 #    single-core host instead of a misleading number. Bounded: the
 #    smoke run is a few hundred fixed iterations, no settle loops.
