@@ -143,9 +143,8 @@ pub trait Transport {
     /// Pumps the transport and reports whether everything deliverable
     /// to `to` at `tick` is known to have arrived: the stream transport
     /// answers once every peer's tick marker `tick - 1` is in hand. The
-    /// runtime's deadline driver polls this and advances the phase
-    /// anyway once the phase deadline expires (logging
-    /// [`MeshIncident::PhaseDeadlineExpired`]).
+    /// runtime polls this and advances the phase anyway once the phase
+    /// deadline expires (logging [`MeshIncident::PhaseDeadlineExpired`]).
     fn ready(&mut self, tick: u64, to: usize) -> bool;
 
     /// Queues an encoded frame from `from` to `to`. The transport
