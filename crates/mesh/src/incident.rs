@@ -204,8 +204,8 @@ pub enum MeshIncident {
     /// A region's phase deadline expired before every peer's traffic
     /// for the tick was known complete; the region advanced with what
     /// had arrived, degrading to last-known peer state instead of
-    /// stalling (socket transport only — in-process transports are
-    /// always ready behind their synchronous barrier).
+    /// stalling (kernel sockets only — in-process pipes are ready on
+    /// the first poll).
     PhaseDeadlineExpired {
         /// Wall-clock tick.
         tick: u64,
