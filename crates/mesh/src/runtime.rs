@@ -228,7 +228,7 @@ impl MeshRuntime<SocketTransport> {
         validate(&ext, &config)?;
         let transport = SocketTransport::connect(config.regions, options)
             .map_err(|e| MeshError::Socket(e.to_string()))?;
-        MeshRuntime::with_transport(ext, config, transport)
+        Ok(MeshRuntime::build(ext, config, transport))
     }
 }
 
@@ -280,6 +280,11 @@ impl<T: Transport> MeshRuntime<T> {
         transport: T,
     ) -> Result<Self, MeshError> {
         validate(&ext, &config)?;
+        Ok(MeshRuntime::build(ext, config, transport))
+    }
+
+    /// [`MeshRuntime::with_transport`] for a config already validated.
+    fn build(ext: ExtendedNetwork, config: MeshConfig, transport: T) -> Self {
         let cost = CostModel {
             penalty: config.gradient.penalty,
             epsilon: config.gradient.epsilon,
@@ -299,7 +304,7 @@ impl<T: Transport> MeshRuntime<T> {
             })
             .collect();
         let inbox = Inbox::with_budget(config.inbox_budget);
-        Ok(MeshRuntime {
+        MeshRuntime {
             ext,
             cost,
             config,
@@ -308,7 +313,7 @@ impl<T: Transport> MeshRuntime<T> {
             tick: 0,
             incidents: Vec::new(),
             inbox,
-        })
+        }
     }
 
     /// Blocks until `region`'s tick is ready to deliver or the phase

@@ -112,8 +112,13 @@ impl Inbox {
     }
 }
 
-/// Pushes the trusted, well-formed frame `bytes` into `inbox`, logging
-/// a [`MeshIncident::InboxOverflow`] if the budget refuses it.
+/// Sender region of a trusted, well-formed frame (header bytes 5..7).
+fn frame_from(bytes: &[u8]) -> usize {
+    usize::from(u16::from_le_bytes([bytes[5], bytes[6]]))
+}
+
+/// Pushes `bytes` into `inbox`, logging a
+/// [`MeshIncident::InboxOverflow`] if the budget refuses the frame.
 pub(crate) fn push_or_log(
     inbox: &mut Inbox,
     tick: u64,
@@ -121,15 +126,15 @@ pub(crate) fn push_or_log(
     bytes: &[u8],
     log: &mut Vec<MeshIncident>,
 ) {
-    if !inbox.push(bytes) {
-        log.push(MeshIncident::InboxOverflow {
-            tick,
-            region: to,
-            // the sender region: header bytes 5..7
-            from: usize::from(u16::from_le_bytes([bytes[5], bytes[6]])),
-            dropped: bytes.len() as u64,
-        });
+    if inbox.push(bytes) {
+        return;
     }
+    log.push(MeshIncident::InboxOverflow {
+        tick,
+        region: to,
+        from: frame_from(bytes),
+        dropped: bytes.len() as u64,
+    });
 }
 
 /// A frame conduit between region workers. All methods take the

@@ -374,7 +374,7 @@ fn loopback_socket_mesh_is_bit_identical_to_lossless() {
             let mut socket =
                 MeshRuntime::socket(ext.clone(), mesh_config(regions), &options).unwrap();
             let mut lossless = MeshRuntime::lossless(ext.clone(), mesh_config(regions)).unwrap();
-            for it in 0..40 {
+            for it in 0..80 {
                 socket.step();
                 lossless.step();
                 for r in 0..regions {
@@ -385,6 +385,11 @@ fn loopback_socket_mesh_is_bit_identical_to_lossless() {
                     );
                 }
             }
+            assert_eq!(
+                lossless.utility().to_bits(),
+                socket.utility().to_bits(),
+                "socket utility not bit-identical ({ctx})"
+            );
             assert_eq!(lossless.run(0), socket.run(0), "report diverged ({ctx})");
             assert!(
                 socket.incidents().is_empty(),
