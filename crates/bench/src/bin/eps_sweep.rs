@@ -7,9 +7,8 @@
 //!
 //! Rows: ε, final fraction of the LP optimum, the *headroom* the penalty
 //! preserves (1 − max utilization), worst dip. Larger ε trades utility
-//! for headroom — exactly the tradeoff the paper describes. A final row
-//! reports the ε-annealing schedule (interior-point continuation) that
-//! closes most of the gap.
+//! for headroom — exactly the tradeoff the paper describes. ε is a
+//! constant of each run, as in the paper.
 //!
 //! Usage: `eps_sweep [seed] [iters]`
 
@@ -39,23 +38,4 @@ fn main() {
             s.max_dip
         );
     }
-    // Annealed schedule (interior-point continuation): settle at a
-    // smooth ε, then decay toward the accurate one.
-    let annealed = GradientConfig {
-        epsilon: 0.005,
-        epsilon_factor: 0.25,
-        // four anneals over the run; at least one iteration apart, which
-        // `GradientConfig::validate` requires of an annealing schedule
-        epsilon_interval: (iters / 4).max(1),
-        epsilon_min: 5e-4,
-        ..GradientConfig::default()
-    };
-    let s = run_gradient(&problem, annealed, iters, optimum);
-    println!(
-        "annealed(5e-3->5e-4)\t{}\t{:.4}\t{:.4}\t{:.4}",
-        fmt_opt(s.it95),
-        s.final_utility / optimum,
-        1.0 - s.max_utilization,
-        s.max_dip
-    );
 }

@@ -44,7 +44,8 @@ pub struct GradientConfig {
     /// practice, it is possible to choose a much larger η … e.g. in
     /// hundreds of iterations".
     pub eta: f64,
-    /// The penalty weight `ε` (`0.2` in §6).
+    /// The penalty weight `ε` (`0.2` in §6), fixed for the whole run as
+    /// in the paper (DESIGN.md §4 item 4 says why).
     pub epsilon: f64,
     /// The per-node capacity penalty family `D_i`.
     pub penalty: Penalty,
@@ -74,17 +75,6 @@ pub struct GradientConfig {
     /// Wall scale `K`; `0.0` disables the wall (the paper's literal
     /// objective `A = Y + ε·D`).
     pub wall_strength: f64,
-    /// Multiplicative ε-annealing factor applied every
-    /// [`GradientConfig::epsilon_interval`] iterations (interior-point
-    /// continuation: the relaxed optimum approaches the true optimum as
-    /// ε → 0, so shrinking ε after the routing has settled closes the
-    /// relaxation gap). `1.0` disables annealing (the paper keeps ε
-    /// fixed).
-    pub epsilon_factor: f64,
-    /// Iterations between ε-annealing steps.
-    pub epsilon_interval: usize,
-    /// Annealing floor: ε never drops below this.
-    pub epsilon_min: f64,
     /// Inert shim: accepted and ignored — the step has one schedule and
     /// no worker pool. Kept only so the frozen `benchmark/` surface
     /// compiles; the next `[benchmark]` PR removes it.
@@ -100,8 +90,8 @@ impl GradientConfig {
     /// # Errors
     ///
     /// The first [`ConfigError`] found, in the order η, ε, traffic
-    /// floor, opening fraction, shift cap, wall threshold, wall
-    /// strength, ε-annealing factor, interval and floor.
+    /// floor, opening fraction, shift cap, wall threshold and wall
+    /// strength.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !(self.eta.is_finite() && self.eta > 0.0) {
             return Err(ConfigError::BadEta(self.eta));
@@ -124,15 +114,6 @@ impl GradientConfig {
         }
         if !(self.wall_strength.is_finite() && self.wall_strength >= 0.0) {
             return Err(ConfigError::BadWallStrength(self.wall_strength));
-        }
-        if !(self.epsilon_factor.is_finite() && self.epsilon_factor > 0.0) {
-            return Err(ConfigError::BadEpsilonFactor(self.epsilon_factor));
-        }
-        if self.epsilon_factor < 1.0 && self.epsilon_interval == 0 {
-            return Err(ConfigError::ZeroEpsilonInterval);
-        }
-        if !(self.epsilon_min.is_finite() && self.epsilon_min > 0.0) {
-            return Err(ConfigError::BadEpsilonMin(self.epsilon_min));
         }
         Ok(())
     }
@@ -160,9 +141,6 @@ impl Default for GradientConfig {
             shift_cap: 0.02,
             wall_threshold: 0.95,
             wall_strength: 4.0,
-            epsilon_factor: 1.0,
-            epsilon_interval: 1500,
-            epsilon_min: 2e-5,
             threads: 0,
         }
     }
@@ -186,13 +164,6 @@ pub enum ConfigError {
     BadWallThreshold(f64),
     /// The wall strength must be finite and non-negative.
     BadWallStrength(f64),
-    /// The ε-annealing factor must be finite and positive.
-    BadEpsilonFactor(f64),
-    /// An ε-annealing factor below `1` needs an interval of at least one
-    /// iteration (`0` would never anneal).
-    ZeroEpsilonInterval,
-    /// The ε-annealing floor must be finite and positive.
-    BadEpsilonMin(f64),
     /// The Newton curvature floor must be finite and positive.
     BadCurvatureFloor(f64),
 }
@@ -221,15 +192,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::BadWallStrength(v) => {
                 write!(f, "wall strength must be finite and non-negative, got {v}")
-            }
-            ConfigError::BadEpsilonFactor(v) => {
-                write!(f, "epsilon factor must be finite and positive, got {v}")
-            }
-            ConfigError::ZeroEpsilonInterval => {
-                write!(f, "epsilon annealing needs an interval of at least 1")
-            }
-            ConfigError::BadEpsilonMin(v) => {
-                write!(f, "epsilon floor must be finite and positive, got {v}")
             }
             ConfigError::BadCurvatureFloor(v) => {
                 write!(f, "curvature floor must be finite and positive, got {v}")
@@ -410,17 +372,9 @@ impl GradientAlgorithm {
     /// usage totals in fixed commodity order, then the marginals swept
     /// (pinned by tests).
     pub fn step(&mut self) -> StepStats {
-        // ε-annealing schedule (no-op when epsilon_factor == 1.0),
-        // decided up front: the epsilon mutation lands between the flow
-        // and marginal phases.
-        let will_anneal = self.config.epsilon_factor < 1.0
-            && (self.iterations + 1).is_multiple_of(self.config.epsilon_interval)
-            && self.cost.epsilon > self.config.epsilon_min;
-        let anneal_to = will_anneal
-            .then(|| (self.cost.epsilon * self.config.epsilon_factor).max(self.config.epsilon_min));
         let gamma = sparse_step_serial(
             &self.ext,
-            &mut self.cost,
+            &self.cost,
             &self.config,
             &mut self.rule,
             &mut self.routing,
@@ -430,7 +384,6 @@ impl GradientAlgorithm {
             &mut self.workspace,
             &mut self.sweeps,
             &mut self.outside_write,
-            anneal_to,
         );
         self.iterations += 1;
         StepStats { gamma }
@@ -549,9 +502,8 @@ impl GradientAlgorithm {
     }
 
     /// Snapshots the full trajectory-determining state — routing `φ`,
-    /// flows, marginals, iteration counter, and the runtime-drifting
-    /// tunables (annealed ε, a [`set_eta`](GradientAlgorithm::set_eta)
-    /// override) — into a fresh
+    /// flows, marginals, iteration counter, ε, and a
+    /// [`set_eta`](GradientAlgorithm::set_eta) override — into a fresh
     /// [`Checkpoint`]. Prefer
     /// [`checkpoint_into`](GradientAlgorithm::checkpoint_into) in loops:
     /// it reuses the buffers and is allocation-free after the first
@@ -897,7 +849,7 @@ impl GradientAlgorithm {
 mod tests {
     use super::*;
     use spn_model::builder::ProblemBuilder;
-    use spn_model::{CommodityId, UtilityFn};
+    use spn_model::{CommodityId, PenaltyKind, UtilityFn};
 
     /// s → x → t; capacity allows ~5 units through (x: cap 10, c=2).
     fn bottleneck_problem() -> Problem {
@@ -958,8 +910,7 @@ mod tests {
         }
         assert!(crate::NewtonGradient::new(&p, cfg, 1e-15).is_ok());
         assert!(!format!("{}", ConfigError::BadEta(0.0)).is_empty());
-        // tunables that poison the marginals or silently disable (or
-        // overshoot) ε-annealing
+        // tunables that poison the marginals
         let with = |edit: fn(&mut GradientConfig)| {
             let mut c = GradientConfig::default();
             edit(&mut c);
@@ -974,26 +925,6 @@ mod tests {
                 with(|c| c.wall_strength = f64::INFINITY),
                 "BadWallStrength(inf)",
             ),
-            (with(|c| c.epsilon_factor = 0.0), "BadEpsilonFactor(0.0)"),
-            (
-                with(|c| c.epsilon_factor = f64::NAN),
-                "BadEpsilonFactor(NaN)",
-            ),
-            (
-                with(|c| c.epsilon_factor = f64::INFINITY),
-                "BadEpsilonFactor(inf)",
-            ),
-            (
-                with(|c| (c.epsilon_factor, c.epsilon_interval) = (0.5, 0)),
-                "ZeroEpsilonInterval",
-            ),
-            (with(|c| c.epsilon_min = f64::NAN), "BadEpsilonMin(NaN)"),
-            (with(|c| c.epsilon_min = -1.0), "BadEpsilonMin(-1.0)"),
-            (with(|c| c.epsilon_min = 0.0), "BadEpsilonMin(0.0)"),
-            (
-                with(|c| c.epsilon_min = f64::INFINITY),
-                "BadEpsilonMin(inf)",
-            ),
         ];
         for (bad, want) in poison {
             let want = format!("Some({want})");
@@ -1002,14 +933,30 @@ mod tests {
             assert_eq!(format!("{newton:?}"), want);
             assert!(!format!("{}", bad.validate().unwrap_err()).is_empty());
         }
-        // the paper's literal objective (no wall), a zero interval with
-        // annealing off, and annealing itself stay valid
-        for fine in [
+        // every corner the checks accept builds on both drivers: the
+        // paper's literal objective (no wall), tags off, the uncapped
+        // shift, Gallager's opening rule and each penalty family
+        let mut fine = vec![
             with(|c| c.wall_strength = 0.0),
-            with(|c| c.epsilon_interval = 0),
-            with(|c| c.epsilon_factor = 0.5),
+            with(|c| c.use_blocked_sets = false),
+            with(|c| c.shift_cap = 1.0),
+            with(|c| c.opening_fraction = 0.0),
+        ];
+        for kind in [
+            PenaltyKind::Reciprocal,
+            PenaltyKind::ScaledReciprocal,
+            PenaltyKind::LogBarrier,
         ] {
-            assert!(GradientAlgorithm::new(&p, fine).is_ok());
+            let penalty = Penalty::new(kind, 0.98).unwrap();
+            fine.push(GradientConfig {
+                penalty,
+                ..GradientConfig::default()
+            });
+        }
+        for ok in fine {
+            assert_eq!(ok.validate(), Ok(()));
+            assert!(GradientAlgorithm::new(&p, ok).is_ok(), "{ok:?}");
+            assert!(crate::NewtonGradient::new(&p, ok, 1e-6).is_ok(), "{ok:?}");
         }
     }
 

@@ -4,11 +4,12 @@
 //! A [`Checkpoint`] captures everything that determines the trajectory:
 //! the routing table `φ` (which *is* the algorithm's decision variable,
 //! admission control included), the flow state and marginals derived
-//! from it, the iteration counter, and the two tunables that drift at
-//! runtime (the ε-annealing schedule moves `cost.epsilon`;
-//! [`set_eta`](crate::GradientAlgorithm::set_eta) moves `η`). Workspace scratch and blocking tags
-//! are deliberately excluded — every pass fully rewrites them before
-//! reading, so they carry no state across steps.
+//! from it, the iteration counter, ε, and `η` (which
+//! [`set_eta`](crate::GradientAlgorithm::set_eta) moves). ε is constant
+//! over a run; it stays so a restore is a plain copy and the mesh's
+//! recovery snapshot keeps its wire format. Workspace scratch and
+//! blocking tags are deliberately excluded — every pass fully rewrites
+//! them before reading, so they carry no state across steps.
 //!
 //! [`GradientAlgorithm::restore`] copies the buffers straight back:
 //! no recomputation, no rounding — stepping from a restored checkpoint
@@ -44,8 +45,8 @@ pub struct Checkpoint {
     pub(crate) d: Vec<f64>,
     /// Iteration counter at capture time.
     pub(crate) iterations: usize,
-    /// `cost.epsilon` at capture time (the annealing schedule mutates
-    /// the live value).
+    /// `cost.epsilon` at capture time (constant over a run; kept so a
+    /// restore is a plain copy).
     pub(crate) epsilon: f64,
     /// `config.eta` at capture time (`set_eta` mutates the live value).
     pub(crate) eta: f64,

@@ -17,11 +17,10 @@ use spn_transform::{EdgeKind, ExtendedNetwork};
 ///
 /// The wall exists because the paper's formulation enforces capacities
 /// only through `ε·D`: as `ε → 0` (the regime where the relaxed optimum
-/// approaches the true one, and the end point of annealing schedules)
-/// nothing stops the fluid iterates from overshooting `C_i`. The wall
-/// is a convex, smooth penalty on utilization beyond
-/// [`CostModel::wall_threshold`] whose weight does *not* shrink with
-/// `ε`, so capacities hold along the whole schedule. Set
+/// approaches the true one) nothing stops the fluid iterates from
+/// overshooting `C_i`. The wall is a convex, smooth penalty on
+/// utilization beyond [`CostModel::wall_threshold`] whose weight does
+/// *not* shrink with `ε`, so capacities hold at every ε. Set
 /// `wall_strength = 0.0` for the paper's literal objective.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {

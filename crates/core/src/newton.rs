@@ -205,11 +205,10 @@ mod tests {
 
     /// One dense Newton step replayed on copies of `alg`'s pre-step
     /// state: tags, curvatures, the row of every router, flows from
-    /// scratch, the ε-annealing mutation when scheduled, then marginals
-    /// from scratch.
+    /// scratch, then marginals from scratch.
     fn dense_replay(alg: &GradientAlgorithm, floor: f64) -> (RoutingTable, FlowState, Marginals) {
         let (ext, cfg) = (alg.extended(), alg.config());
-        let mut cost = *alg.cost_model();
+        let cost = *alg.cost_model();
         let (mut routing, state) = (alg.routing().clone(), alg.flows());
         let tags = if cfg.use_blocked_sets {
             let m = alg.marginals();
@@ -240,12 +239,6 @@ mod tests {
             }
         }
         let flows = compute_flows(ext, &routing);
-        if cfg.epsilon_factor < 1.0
-            && (alg.iterations() + 1).is_multiple_of(cfg.epsilon_interval)
-            && cost.epsilon > cfg.epsilon_min
-        {
-            cost.epsilon = (cost.epsilon * cfg.epsilon_factor).max(cfg.epsilon_min);
-        }
         let marginals = compute_marginals(ext, &cost, &routing, &flows);
         (routing, flows, marginals)
     }
@@ -349,14 +342,14 @@ mod tests {
     /// marginals, bit for bit — across overload, midrange and
     /// near-converged regimes, through an evict + re-admit (which moves
     /// every member position, so curvature rows left from before it
-    /// would be read at the wrong nodes), and through ε-annealing.
+    /// would be read at the wrong nodes).
     #[test]
     fn newton_step_equals_its_dense_replay() {
-        for (nodes, commodities, seed, scale, epsilon_factor) in [
-            (16usize, 2usize, 4u64, 1.0, 1.0),
-            (24, 3, 9, 3.0, 1.0),
-            (20, 4, 11, 0.2, 1.0),
-            (20, 3, 21, 1.0, 0.5),
+        for (nodes, commodities, seed, scale) in [
+            (16usize, 2usize, 4u64, 1.0),
+            (24, 3, 9, 3.0),
+            (20, 4, 11, 0.2),
+            (20, 3, 21, 1.0),
         ] {
             let p = RandomInstance::builder()
                 .nodes(nodes)
@@ -366,12 +359,7 @@ mod tests {
                 .unwrap()
                 .problem
                 .scale_demand(scale);
-            let cfg = GradientConfig {
-                epsilon_factor,
-                epsilon_interval: 25,
-                ..damped(0.5)
-            };
-            let mut alg = NewtonGradient::new(&p, cfg, 1e-6).unwrap();
+            let mut alg = NewtonGradient::new(&p, damped(0.5), 1e-6).unwrap();
             for it in 0..300 {
                 if it == 200 {
                     let first = CommodityId::from_index(0);
@@ -381,8 +369,6 @@ mod tests {
                 }
                 checked_step(&mut alg, 1e-6, &format!("iteration {it}, seed {seed}"));
             }
-            let annealed = alg.cost_model().epsilon < cfg.epsilon;
-            assert_eq!(annealed, epsilon_factor < 1.0, "seed {seed}");
         }
     }
 

@@ -15,9 +15,11 @@
 //! phase B   (every commodity, ascending)  marginals(j)        [new totals]
 //! ```
 //!
-//! with the ε-annealing mutation (when scheduled) landing between the
-//! flows and phase B. [`sparse_step_serial`] is that step, the only
-//! one [`GradientAlgorithm`](crate::GradientAlgorithm) runs. Its
+//! Every phase prices usage with the same cost model: ε is a constant
+//! of the run, set once from
+//! [`GradientConfig::epsilon`](crate::GradientConfig::epsilon).
+//! [`sparse_step_serial`] is that step, the only one
+//! [`GradientAlgorithm`](crate::GradientAlgorithm) runs. Its
 //! [`RowRule`] says how a router's row moves: the paper's Γ, or Γ with
 //! each shift divided by a curvature estimate (`crate::newton`), which
 //! adds a curvature sweep ahead of the rows. Nothing is skipped but
@@ -142,7 +144,7 @@ pub(crate) fn flow_pass_active(
 #[allow(clippy::too_many_arguments)] // mirrors the algorithm's state fields
 pub(crate) fn sparse_step_serial(
     ext: &ExtendedNetwork,
-    cost: &mut CostModel,
+    cost: &CostModel,
     config: &GradientConfig,
     rule: &mut RowRule,
     routing: &mut RoutingTable,
@@ -152,7 +154,6 @@ pub(crate) fn sparse_step_serial(
     ws: &mut IterationWorkspace,
     sweeps: &mut LiveArcSweeps,
     outside_write: &mut bool,
-    anneal_to: Option<f64>,
 ) -> GammaStats {
     if !state.fits(ext) {
         state.reset(ext);
@@ -227,9 +228,6 @@ pub(crate) fn sparse_step_serial(
         flow_pass_active(ext, routing.row(j), j, state, sweeps.row(j));
     }
     *outside_write = false;
-    if let Some(eps) = anneal_to {
-        cost.epsilon = eps;
-    }
     // Phase B: every marginal sweep, against the new totals.
     sweeps.marginals_into(ext, cost, routing, state, marginals);
     reduce_gamma_stats(ws, ext.num_commodities())

@@ -5,9 +5,11 @@
 //! region order — the whole run is a deterministic function of the
 //! problem, the config and the transport's fault plan. Fault-free
 //! ([`MeshRuntime::lossless`], or any [`SocketKind`] without faults)
-//! the trajectory is bit-identical to `spn_core::GradientAlgorithm`;
-//! with a fault plan the run additionally produces a deterministic
-//! [`MeshIncident`] log (see [`MeshRuntime::incidents`]).
+//! the trajectory is bit-identical to `spn_core::GradientAlgorithm`
+//! under every `GradientConfig` the core accepts (ε is a constant of the
+//! run, set once from the config); with a fault plan the run
+//! additionally produces a deterministic [`MeshIncident`] log (see
+//! [`MeshRuntime::incidents`]).
 //!
 //! The tick loop is allocation-free once warm: deliveries land in one
 //! reusable [`Inbox`] arena, each worker writes its per-link batch
@@ -36,8 +38,9 @@ use std::time::{Duration, Instant};
 ///
 /// Every worker runs the live-arc sweeps (`spn_core::LiveArcSweeps`)
 /// over its mirror, every commodity every iteration (bit-identical to
-/// the monolithic step by ARCHITECTURE invariants 13/15). ε-annealing is *rejected* — see
-/// [`MeshError::AnnealingUnsupported`].
+/// the monolithic step by ARCHITECTURE invariants 13/15). The mesh runs
+/// every [`GradientConfig`] the core accepts; it refuses only
+/// mesh-shaped settings (see [`MeshError`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct MeshConfig {
     /// Number of region workers the node space is split across.
@@ -99,14 +102,6 @@ pub enum MeshError {
         /// Extended node count (the upper bound).
         nodes: usize,
     },
-    /// ε-annealing mutates a tunable mid-run; replicating that drift
-    /// bit-identically across regions is out of scope, so a config with
-    /// `epsilon_factor != 1.0` is refused rather than silently diverging
-    /// from the monolithic algorithm.
-    AnnealingUnsupported {
-        /// The offending factor.
-        epsilon_factor: f64,
-    },
     /// `refresh_every` must be at least 1: a zero cadence would never
     /// re-anchor a delta chain, so a receiver that missed one delta
     /// could stay stale forever.
@@ -136,12 +131,11 @@ impl std::fmt::Display for MeshError {
                 "{regions} regions cannot split {nodes} extended nodes (max one region per node, \
                  and region ids must fit u16)"
             ),
-            MeshError::AnnealingUnsupported { epsilon_factor } => write!(
-                f,
-                "mesh does not support ε-annealing (epsilon_factor = {epsilon_factor}); set it to 1.0"
-            ),
             MeshError::ZeroRefreshCadence => {
-                write!(f, "refresh_every must be at least 1 (1 = full broadcast every round)")
+                write!(
+                    f,
+                    "refresh_every must be at least 1 (1 = full broadcast every round)"
+                )
             }
             MeshError::ZeroSuspectWindow => write!(f, "suspect_after must be at least 1 tick"),
             MeshError::InboxBudgetTooSmall { budget } => write!(
@@ -245,11 +239,6 @@ fn validate(ext: &ExtendedNetwork, config: &MeshConfig) -> Result<(), MeshError>
         });
     }
     config.gradient.validate()?;
-    if config.gradient.epsilon_factor != 1.0 {
-        return Err(MeshError::AnnealingUnsupported {
-            epsilon_factor: config.gradient.epsilon_factor,
-        });
-    }
     if config.refresh_every == 0 {
         return Err(MeshError::ZeroRefreshCadence);
     }
@@ -267,9 +256,9 @@ fn validate(ext: &ExtendedNetwork, config: &MeshConfig) -> Result<(), MeshError>
 impl<T: Transport> MeshRuntime<T> {
     /// Builds the mesh: validates the config (rejecting region counts
     /// the node space or the wire cannot carry, any gradient tunable
-    /// [`GradientConfig::validate`] refuses, ε-annealing, and a zero
-    /// refresh cadence or suspect window) and initializes every worker
-    /// with the same fully-rejecting mirror.
+    /// [`GradientConfig::validate`] refuses, a zero refresh cadence or
+    /// suspect window, and an inbox budget below one frame) and
+    /// initializes every worker with the same fully-rejecting mirror.
     ///
     /// # Errors
     ///

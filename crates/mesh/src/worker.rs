@@ -331,8 +331,8 @@ pub struct RegionWorker {
     /// Commodity-set epoch (the checkpoint fence; constant here — the
     /// mesh does not reshape commodities mid-run).
     epoch: u64,
-    /// `ε` and `η` as constructed (the mesh never anneals, so these are
-    /// the values every snapshot carries).
+    /// `ε` and `η` as constructed (both constant over a mesh run, so
+    /// these are the values every snapshot carries).
     epsilon: f64,
     eta: f64,
     /// Γ statistics of the worker's own rows, last iteration.

@@ -35,8 +35,9 @@
 //! **Chaos off ⇒ bit-identical**: with [`ChaosConfig::off`] every
 //! injection site is skipped (not merely drawn with probability zero),
 //! and the step reproduces [`spn_core::GradientAlgorithm`]'s trajectory
-//! bit for bit, ε-annealing included — pinned by this module's tests,
-//! so the determinism suite keeps meaning what it says.
+//! bit for bit — pinned by this module's tests, so the determinism
+//! suite keeps meaning what it says. ε is a constant of the run, set
+//! once from the config, so a rollback has no tunable to restore.
 //!
 //! All randomness comes from salted [`crate::draws::unit_hash`] draws
 //! keyed on the **wall clock** (total `step` calls), which never rolls
@@ -371,16 +372,15 @@ pub struct ChaosStep {
     pub rolled_back: bool,
 }
 
-/// Internal rollback checkpoint (algorithm state and the annealed ε —
-/// the environment's capacities are *not* restored, matching
-/// `GradientAlgorithm::restore`'s semantics).
+/// Internal rollback checkpoint (algorithm state — the environment's
+/// capacities are *not* restored, matching `GradientAlgorithm::restore`'s
+/// semantics).
 #[derive(Clone, Debug, Default)]
 struct Snapshot {
     routing: Option<RoutingTable>,
     state: Option<FlowState>,
     received: Option<Marginals>,
     iterations: usize,
-    epsilon: f64,
 }
 
 /// The gradient iteration under injected chaos: seeded message loss,
@@ -466,8 +466,7 @@ impl ChaosGradient {
     /// One iteration under the plan. Injects this step's faults, scans
     /// the state for NaN/Inf (rolling back to the internal checkpoint on
     /// corruption), applies the Γ update from the *received* marginals
-    /// at the participating routers, and anneals ε on the schedule of
-    /// [`spn_core::GradientAlgorithm`].
+    /// at the participating routers.
     ///
     /// # Errors
     ///
@@ -559,15 +558,6 @@ impl ChaosGradient {
         self.iterations += 1;
         self.clock += 1;
         self.updates_applied += rows;
-        // ε-annealing between the flow sweep and the next marginals, on
-        // the logical iteration count (a rollback rewinds both).
-        if self.config.epsilon_factor < 1.0
-            && self.iterations.is_multiple_of(self.config.epsilon_interval)
-            && self.cost.epsilon > self.config.epsilon_min
-        {
-            self.cost.epsilon =
-                (self.cost.epsilon * self.config.epsilon_factor).max(self.config.epsilon_min);
-        }
 
         // Post-step scan: undo a step that let something non-finite in.
         let scan = if self.utility().is_finite() {
@@ -596,7 +586,7 @@ impl ChaosGradient {
     }
 
     /// Takes an internal rollback checkpoint of the current algorithm
-    /// state (routing, flows, received marginals, iteration counter, ε).
+    /// state (routing, flows, received marginals, iteration counter).
     pub fn snapshot_now(&mut self) {
         // Only checkpoint clean state — a checkpoint of corrupted state
         // would make rollback useless.
@@ -607,7 +597,6 @@ impl ChaosGradient {
         self.snapshot.state = Some(self.state.clone());
         self.snapshot.received = Some(self.received.clone());
         self.snapshot.iterations = self.iterations;
-        self.snapshot.epsilon = self.cost.epsilon;
     }
 
     /// Logs the corruption and rolls back to the internal checkpoint.
@@ -629,7 +618,6 @@ impl ChaosGradient {
         self.state.clone_from(state);
         self.received.clone_from(received);
         self.iterations = self.snapshot.iterations;
-        self.cost.epsilon = self.snapshot.epsilon;
         self.incidents.push(ChaosIncident::RolledBack {
             clock,
             to_iteration: self.snapshot.iterations,
@@ -902,27 +890,15 @@ mod tests {
     }
 
     #[test]
-    fn chaos_off_matches_core_through_annealing() {
-        let cfg = GradientConfig {
-            epsilon_factor: 0.5,
-            epsilon_interval: 25,
-            ..GradientConfig::default()
-        };
-        assert_chaos_off_matches_core(&instance(), cfg, 300);
-    }
-
-    #[test]
     fn synchronous_schedule_matches_core() {
         assert_chaos_off_matches_core(&instance(), GradientConfig::default(), 300);
     }
 
     #[test]
-    fn rollback_restores_the_annealed_epsilon() {
+    fn rollback_replays_bitwise() {
         let p = instance();
         let cfg = GradientConfig {
             eta: 0.2,
-            epsilon_factor: 0.5,
-            epsilon_interval: 10,
             ..GradientConfig::default()
         };
         let chaos_cfg = ChaosConfig {
@@ -933,7 +909,7 @@ mod tests {
         for _ in 0..25 {
             run.step().unwrap();
         }
-        // The checkpoint holds iteration 25 and ε annealed twice.
+        // The checkpoint holds iteration 25.
         let mut reference = run.clone();
         for _ in 0..15 {
             run.step().unwrap();
@@ -944,8 +920,8 @@ mod tests {
             .set_node(&ext, j, ext.commodity(j).source(), f64::NAN);
         assert!(run.step().unwrap().rolled_back);
         assert_eq!(run.iterations(), 25);
-        // From the restored state the run replays the reference, which
-        // needs ε and the anneal schedule's iteration count restored.
+        // From the restored state the run replays the reference bit for
+        // bit.
         for i in 0..50 {
             run.step().unwrap();
             reference.step().unwrap();

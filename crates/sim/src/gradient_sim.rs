@@ -125,13 +125,6 @@ impl GradientSim {
         let (state, forecast) = forecast_wave(&self.ext, &self.routing);
         self.state = state;
         self.iterations += 1;
-        if self.config.epsilon_factor < 1.0
-            && self.iterations.is_multiple_of(self.config.epsilon_interval)
-            && self.cost.epsilon > self.config.epsilon_min
-        {
-            self.cost.epsilon =
-                (self.cost.epsilon * self.config.epsilon_factor).max(self.config.epsilon_min);
-        }
         let (values, marginal) = marginal_wave(&self.ext, &self.cost, &self.routing, &self.state);
         self.marginals = into_marginals(&self.ext, &values);
         let stats = IterationStats { marginal, forecast };
@@ -207,10 +200,12 @@ mod tests {
     use super::*;
     use spn_core::GradientAlgorithm;
     use spn_model::random::RandomInstance;
+    use spn_model::{Penalty, PenaltyKind};
 
     /// Both sim constructors refuse exactly what
     /// [`GradientAlgorithm::new`] refuses, with the same [`ConfigError`]
-    /// (compared as text: a NaN payload is not equal to itself).
+    /// (compared as text: a NaN payload is not equal to itself), and
+    /// accept what it accepts.
     #[test]
     fn config_validation() {
         let p = RandomInstance::builder()
@@ -245,25 +240,7 @@ mod tests {
                 ..d
             },
             GradientConfig {
-                epsilon_factor: -1.0,
-                ..d
-            },
-            GradientConfig {
-                epsilon_factor: 0.5,
-                epsilon_interval: 0,
-                ..d
-            },
-            GradientConfig {
-                epsilon_factor: 0.5,
-                epsilon_min: f64::NAN,
-                ..d
-            },
-            GradientConfig {
                 wall_strength: f64::INFINITY,
-                ..d
-            },
-            GradientConfig {
-                epsilon_min: 0.0,
                 ..d
             },
         ];
@@ -275,8 +252,42 @@ mod tests {
             let chaos = crate::ChaosGradient::new(&p, cfg, &crate::ChaosConfig::off());
             assert_eq!(format!("{:?}", chaos.err()), core);
         }
-        assert!(GradientSim::new(&p, d).is_ok());
-        assert!(crate::ChaosGradient::new(&p, d, &crate::ChaosConfig::off()).is_ok());
+        // every corner the core accepts builds on both sim drivers: the
+        // default, no wall, tags off, the uncapped shift, Gallager's
+        // opening rule and each penalty family
+        let mut fine = vec![
+            d,
+            GradientConfig {
+                wall_strength: 0.0,
+                ..d
+            },
+            GradientConfig {
+                use_blocked_sets: false,
+                ..d
+            },
+            GradientConfig {
+                shift_cap: 1.0,
+                ..d
+            },
+            GradientConfig {
+                opening_fraction: 0.0,
+                ..d
+            },
+        ];
+        for kind in [
+            PenaltyKind::Reciprocal,
+            PenaltyKind::ScaledReciprocal,
+            PenaltyKind::LogBarrier,
+        ] {
+            let penalty = Penalty::new(kind, 0.98).unwrap();
+            fine.push(GradientConfig { penalty, ..d });
+        }
+        for ok in fine {
+            assert!(GradientAlgorithm::new(&p, ok).is_ok(), "{ok:?}");
+            assert!(GradientSim::new(&p, ok).is_ok(), "{ok:?}");
+            let chaos = crate::ChaosGradient::new(&p, ok, &crate::ChaosConfig::off());
+            assert!(chaos.is_ok(), "{ok:?}");
+        }
     }
 
     #[test]

@@ -89,3 +89,39 @@ fn algorithms_run_on_worker_threads() {
         assert!(h.join().expect("worker completed") >= 0.0);
     }
 }
+
+/// Knob ratchet: `GradientConfig` is destructured and rebuilt with no
+/// `..`, so a new field does not compile until this test names it —
+/// every added knob shows up in review (10 today, one of them the inert
+/// `threads` shim).
+#[test]
+#[allow(deprecated)] // `threads`, kept only for the frozen benchmark
+fn gradient_config_knobs_are_listed() {
+    use spn::core::GradientConfig;
+    let GradientConfig {
+        eta,
+        epsilon,
+        penalty,
+        use_blocked_sets,
+        traffic_floor,
+        opening_fraction,
+        shift_cap,
+        wall_threshold,
+        wall_strength,
+        threads,
+    } = GradientConfig::default();
+    let rebuilt = GradientConfig {
+        eta,
+        epsilon,
+        penalty,
+        use_blocked_sets,
+        traffic_floor,
+        opening_fraction,
+        shift_cap,
+        wall_threshold,
+        wall_strength,
+        threads,
+    };
+    assert_eq!(rebuilt, GradientConfig::default());
+    assert_eq!(rebuilt.validate(), Ok(()));
+}

@@ -21,9 +21,10 @@
 //! (`support/dense.rs`), which resets the totals full width.
 //!
 //! Grid: the three `PenaltyKind`s (`LogBarrier` is the one whose idle
-//! value is `-0.0`) × wall on/off, from the all-reject start, annealing ε on the way, through
-//! one evict + admit, one `set_capacity` on a union node and one on an
-//! idle node, one `set_max_rate` and one checkpoint/restore.
+//! value is `-0.0`) × wall on/off at a fixed ε, from the all-reject
+//! start, through one evict + admit, one `set_capacity` on a union
+//! node and one on an idle node, one `set_max_rate` and one
+//! checkpoint/restore.
 
 #[path = "support/dense.rs"]
 mod dense;
@@ -123,8 +124,6 @@ fn isolated_servers_change_no_bit_of_any_step() {
             let cfg = GradientConfig {
                 penalty: Penalty::new(kind, knee).unwrap(),
                 wall_strength,
-                epsilon_factor: 0.8,
-                epsilon_interval: 35,
                 ..GradientConfig::default()
             };
             let mut plain = GradientAlgorithm::new(&problem, cfg).unwrap();

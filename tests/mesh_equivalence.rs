@@ -33,7 +33,7 @@
 //! a single write.
 
 use spn::core::flows::balance_residual;
-use spn::core::{ConfigError, GradientAlgorithm, GradientConfig};
+use spn::core::{ConfigError, GradientAlgorithm, GradientConfig, NewtonGradient};
 use spn::graph::NodeId;
 use spn::mesh::worker::owner_of;
 use spn::mesh::{
@@ -42,7 +42,9 @@ use spn::mesh::{
     SocketTransport, Transport, TICKS_PER_ITERATION,
 };
 use spn::model::random::RandomInstance;
+use spn::model::{Penalty, PenaltyKind};
 use spn::sim::draws::unit_hash;
+use spn::sim::{ChaosConfig, ChaosGradient, GradientSim};
 use spn::transform::ExtendedNetwork;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -1066,25 +1068,15 @@ fn the_smallest_suspect_windows_never_flap_a_healthy_mesh() {
     }
 }
 
-/// Config validation: annealing is refused (it would silently diverge
-/// from the monolithic trajectory), as are impossible region counts, a
-/// zero suspect window and an inbox budget below one frame.
+/// Config validation: the mesh refuses only mesh-shaped settings —
+/// impossible region counts, a zero refresh cadence, a zero suspect
+/// window and an inbox budget below one frame — plus what
+/// `GradientConfig::validate` refuses. Every corner the core accepts
+/// builds on all five drivers, and the mesh runs it bit for bit.
 #[test]
 fn mesh_rejects_unsupported_configs() {
     let p = problem(16, 2, 4);
     let ext = ExtendedNetwork::build(&p);
-    let annealing = MeshConfig {
-        regions: 2,
-        gradient: GradientConfig {
-            epsilon_factor: 0.5,
-            ..GradientConfig::default()
-        },
-        ..MeshConfig::default()
-    };
-    assert!(matches!(
-        MeshRuntime::lossless(ext.clone(), annealing),
-        Err(MeshError::AnnealingUnsupported { .. })
-    ));
     let with_config = |config: MeshConfig| MeshRuntime::lossless(ext.clone(), config);
     assert!(matches!(
         with_config(MeshConfig {
@@ -1101,6 +1093,14 @@ fn mesh_rejects_unsupported_configs() {
         }),
         Err(MeshError::TooManyRegions { .. })
     ));
+    // a zero cadence never re-anchors a delta chain
+    assert!(matches!(
+        with_config(MeshConfig {
+            refresh_every: 0,
+            ..MeshConfig::default()
+        }),
+        Err(MeshError::ZeroRefreshCadence)
+    ));
     // a zero suspect window suspects a healthy peer after every tick
     // that brought no frame from it
     assert!(matches!(
@@ -1110,8 +1110,7 @@ fn mesh_rejects_unsupported_configs() {
         }),
         Err(MeshError::ZeroSuspectWindow)
     ));
-    // a gradient tunable the core refuses comes back wrapped, ahead of
-    // the annealing check: a broken schedule is refused as broken
+    // a gradient tunable the core refuses comes back wrapped
     let with = |edit: fn(&mut GradientConfig)| {
         let mut c = GradientConfig::default();
         edit(&mut c);
@@ -1125,18 +1124,6 @@ fn mesh_rejects_unsupported_configs() {
         (
             with(|c| c.wall_strength = -1.0),
             ConfigError::BadWallStrength(-1.0),
-        ),
-        (
-            with(|c| c.epsilon_factor = 0.0),
-            ConfigError::BadEpsilonFactor(0.0),
-        ),
-        (
-            with(|c| (c.epsilon_factor, c.epsilon_interval) = (0.5, 0)),
-            ConfigError::ZeroEpsilonInterval,
-        ),
-        (
-            with(|c| c.epsilon_min = -1.0),
-            ConfigError::BadEpsilonMin(-1.0),
         ),
     ] {
         let config = MeshConfig {
@@ -1158,6 +1145,51 @@ fn mesh_rejects_unsupported_configs() {
         }),
         Err(MeshError::InboxBudgetTooSmall { budget: 512 })
     ));
+    // one config space: no wall, tags off, the uncapped shift,
+    // Gallager's opening rule and each penalty family
+    let mut fine = vec![
+        with(|c| c.wall_strength = 0.0),
+        with(|c| c.use_blocked_sets = false),
+        with(|c| c.shift_cap = 1.0),
+        with(|c| c.opening_fraction = 0.0),
+    ];
+    for kind in [
+        PenaltyKind::Reciprocal,
+        PenaltyKind::ScaledReciprocal,
+        PenaltyKind::LogBarrier,
+    ] {
+        let penalty = Penalty::new(kind, 0.98).unwrap();
+        fine.push(GradientConfig {
+            penalty,
+            ..GradientConfig::default()
+        });
+    }
+    for gradient in fine {
+        assert_eq!(gradient.validate(), Ok(()));
+        let mut alg = GradientAlgorithm::new(&p, gradient).unwrap();
+        assert!(
+            NewtonGradient::new(&p, gradient, 1e-6).is_ok(),
+            "{gradient:?}"
+        );
+        assert!(GradientSim::new(&p, gradient).is_ok(), "{gradient:?}");
+        let chaos = ChaosGradient::new(&p, gradient, &ChaosConfig::off());
+        assert!(chaos.is_ok(), "{gradient:?}");
+        let config = MeshConfig {
+            regions: 2,
+            gradient,
+            ..MeshConfig::default()
+        };
+        let mut mesh = with_config(config).unwrap();
+        for it in 0..30 {
+            alg.step();
+            mesh.step();
+            assert_eq!(
+                alg.utility().to_bits(),
+                mesh.utility().to_bits(),
+                "iteration {it} diverged under {gradient:?}"
+            );
+        }
+    }
 }
 
 /// Offsets `(start, end)` of a well-formed batch's sub-frames: after the

@@ -64,28 +64,6 @@ fn sparse_is_bit_identical_to_dense_across_instances() {
     }
 }
 
-/// ε-annealing mutates the cost model *inside* a step (marginals are
-/// swept at the new ε while flows were forecast before it); the sparse
-/// engine must land the mutation between the same two phases.
-#[test]
-fn sparse_matches_dense_through_annealing() {
-    let problem = RandomInstance::builder()
-        .nodes(30)
-        .commodities(4)
-        .seed(21)
-        .build()
-        .unwrap()
-        .problem;
-    let cfg = GradientConfig {
-        epsilon_factor: 0.5,
-        epsilon_interval: 25,
-        ..GradientConfig::default()
-    };
-    let mut alg = GradientAlgorithm::new(&problem, cfg).unwrap();
-    checked_steps(&mut alg, 150, "annealed run");
-    assert!(alg.cost_model().epsilon < cfg.epsilon, "ε never annealed");
-}
-
 /// Mid-run mutations: checkpoint/restore, η overrides, and
 /// capacity/demand jitter through `extended_mut`. A restore flags an
 /// outside write (one Γ over every router, one full-width totals

@@ -6,9 +6,9 @@
 //! and runs the four dense public kernels over every member arc and
 //! router — `compute_tags_into`, `apply_gamma_ws`, `compute_flows_into`,
 //! `compute_marginals_into`, the same calls the benchmark's replay leg
-//! times — with the ε-annealing mutation landing between the flows and
-//! the marginals, as the step schedules it. [`checked_step`] steps the
-//! algorithm and asserts that it holds exactly the replayed state. Held
+//! times — at the algorithm's ε, a constant of the run. [`checked_step`]
+//! steps the algorithm and asserts that it holds exactly the replayed
+//! state. Held
 //! at every step from a shared start, this is at least as strong as
 //! stepping a dense twin in lockstep, and the mutations a test applies
 //! (restore, installed routing, η, capacity and demand edits) act on the
@@ -38,7 +38,7 @@ pub struct DenseStep {
 /// One dense step replayed on copies of `alg`'s pre-step state.
 pub fn replay(alg: &GradientAlgorithm) -> DenseStep {
     let (ext, cfg) = (alg.extended(), alg.config());
-    let mut cost = *alg.cost_model();
+    let cost = *alg.cost_model();
     let mut routing = alg.routing().clone();
     let mut flows = alg.flows().clone();
     let mut marginals = alg.marginals().clone();
@@ -72,13 +72,6 @@ pub fn replay(alg: &GradientAlgorithm) -> DenseStep {
         None,
     );
     compute_flows_into(ext, &routing, &mut flows, &mut ws, None);
-    // the annealing schedule of `GradientConfig::epsilon_factor`
-    if cfg.epsilon_factor < 1.0
-        && (alg.iterations() + 1).is_multiple_of(cfg.epsilon_interval)
-        && cost.epsilon > cfg.epsilon_min
-    {
-        cost.epsilon = (cost.epsilon * cfg.epsilon_factor).max(cfg.epsilon_min);
-    }
     compute_marginals_into(ext, &cost, &routing, &flows, &mut marginals, None);
     DenseStep {
         routing,
