@@ -246,19 +246,19 @@ fn measure_scale(
     (shape, measure_warm(&mut alg, timing))
 }
 
-/// Mesh-wire suite: `(nodes, commodities)` of the instance every
-/// region-count case runs on. The seed-1 16-node instance reaches a
-/// *bitwise* routing fixed point near iteration 5500, which is the
-/// converged regime the delta wire targets: past it, non-refresh
-/// rounds carry heartbeat-only batches.
-const MESH_WIRE_CASE: (usize, usize) = (16, 2);
+/// Mesh-wire suite: `(nodes, commodities, seed)` of the instance every
+/// region-count case runs on. The seed-25 16-node instance reaches a
+/// *bitwise* routing fixed point at iteration 7372 (seed 1 ends in a
+/// limit cycle), which is the converged regime the delta wire targets:
+/// past it, non-refresh rounds carry heartbeat-only batches.
+const MESH_WIRE_CASE: (usize, usize, u64) = (16, 2, 25);
 
 /// Region counts swept by the mesh-wire suite.
 const MESH_WIRE_REGIONS: &[usize] = &[2, 4];
 
 /// Iterations before the converged-regime window (past the bitwise
 /// fixed point; deterministic, a property of the instance).
-const MESH_WIRE_SETTLE: usize = 6000;
+const MESH_WIRE_SETTLE: usize = 7500;
 
 /// Converged-regime measurement window — four full refresh cycles at
 /// the default `refresh_every = 16`.
@@ -283,8 +283,8 @@ struct WireMeasurement {
 /// owned row every round — the pre-delta full-broadcast wire, measured
 /// as the baseline rather than assumed.
 fn measure_mesh_wire(regions: usize, refresh_every: u64) -> WireMeasurement {
-    let (nodes, commodities) = MESH_WIRE_CASE;
-    let problem = small_instance(1, nodes, commodities);
+    let (nodes, commodities, seed) = MESH_WIRE_CASE;
+    let problem = small_instance(seed, nodes, commodities);
     let config = MeshConfig {
         regions,
         refresh_every,
@@ -530,7 +530,7 @@ fn main() {
     // (refresh_every = 16) vs the full-broadcast baseline
     // (refresh_every = 1), warm vs converged regime. Byte counts are
     // deterministic.
-    let (mw_nodes, mw_commodities) = MESH_WIRE_CASE;
+    let (mw_nodes, mw_commodities, mw_seed) = MESH_WIRE_CASE;
     let _ = writeln!(
         json,
         "  \"mesh_wire_settle_iterations\": {MESH_WIRE_SETTLE},"
@@ -538,7 +538,7 @@ fn main() {
     let _ = writeln!(json, "  \"mesh_wire_window\": {MESH_WIRE_WINDOW},");
     json.push_str("  \"mesh_wire\": [\n");
     println!(
-        "# mesh wire ({mw_nodes} nodes / {mw_commodities} commodities, seed 1, lossless, \
+        "# mesh wire ({mw_nodes} nodes / {mw_commodities} commodities, seed {mw_seed}, lossless, \
          settle {MESH_WIRE_SETTLE}, window {MESH_WIRE_WINDOW})"
     );
     println!(
@@ -564,7 +564,7 @@ fn main() {
             delta.converged_rows_sent,
             delta.converged_rows_suppressed
         );
-        let shape = InstanceShape::of(&small_instance(1, mw_nodes, mw_commodities), 1);
+        let shape = InstanceShape::of(&small_instance(mw_seed, mw_nodes, mw_commodities), mw_seed);
         let _ = writeln!(json, "    {{");
         shape.write_json(&mut json, "      ");
         let _ = writeln!(json, "      \"regions\": {regions},");

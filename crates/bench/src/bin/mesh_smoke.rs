@@ -14,7 +14,7 @@
 //!   the identical incident log;
 //! * the faulted mesh still reaches the same convergence verdict as
 //!   the fault-free one — degradation is graceful, not a stall;
-//! * the **delta wire goes quiet**: once the seed-1 instance reaches
+//! * the **delta wire goes quiet**: once the seed-25 instance reaches
 //!   its bitwise routing fixed point, converged-regime bytes per
 //!   iteration must be ≤ 0.5× the full-broadcast baseline
 //!   (`refresh_every = 1`, which re-sends every owned row every round
@@ -474,11 +474,13 @@ fn main() {
     }
 
     // Leg 3: the delta wire goes quiet in the converged regime. The
-    // seed-1 instance reaches a bitwise routing fixed point near
-    // iteration 5500; past it, non-refresh rounds carry heartbeat-only
-    // batches. The baseline is the same mesh at `refresh_every = 1` —
+    // seed-25 instance reaches a bitwise routing fixed point at
+    // iteration 7372; past it, non-refresh rounds carry heartbeat-only
+    // batches. (Such fixed points are rare: of `small_instance(seed,
+    // 16, 2)` for seeds 1–40 only 6 and 25 reach one within 12 000
+    // iterations; seed 1 ends in a limit cycle.) The baseline is the same mesh at `refresh_every = 1` —
     // every owned row re-sent every round, i.e. the pre-delta wire.
-    let quiet_problem = small_instance(1, 16, 2);
+    let quiet_problem = small_instance(25, 16, 2);
     let mut full = MeshRuntime::lossless(
         ExtendedNetwork::build(&quiet_problem),
         MeshConfig {
@@ -495,13 +497,13 @@ fn main() {
 
     let mut quiet = MeshRuntime::lossless(ExtendedNetwork::build(&quiet_problem), mesh_config())
         .expect("valid mesh config");
-    quiet.run(6000);
+    quiet.run(7_500);
     let settled = quiet.wire_stats();
     quiet.run(64); // four full refresh cycles
     let converged = quiet.wire_stats();
     let quiet_rate = (converged.bytes - settled.bytes) as f64 / 64.0;
     println!(
-        "mesh_smoke\twire\t6064\t{quiet_rate:.1}\t{} (full-broadcast {full_rate:.1} B/it)",
+        "mesh_smoke\twire\t7564\t{quiet_rate:.1}\t{} (full-broadcast {full_rate:.1} B/it)",
         quiet.incidents().len()
     );
     if quiet_rate > 0.5 * full_rate {

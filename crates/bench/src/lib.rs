@@ -214,6 +214,22 @@ mod tests {
         assert_eq!(s.it95, None);
     }
 
+    /// Seed 92 of the overloaded paper family reaches 90 % of the LP at
+    /// a feasible iterate (iteration 399). Under blocked sets it never
+    /// did in 6 000 iterations: the tags froze it short of 90 %
+    /// (DESIGN.md §4a item 5, EXPERIMENTS E15).
+    #[test]
+    fn default_run_reaches_90_percent_without_blocked_sets() {
+        let p = paper_instance(92).scale_demand(3.0);
+        let opt = lp_optimum(&p);
+        let s = run_gradient(&p, GradientConfig::default(), 600, opt);
+        assert!(
+            s.it90.is_some(),
+            "never reached 90 %: {}",
+            s.final_utility / opt
+        );
+    }
+
     #[test]
     fn log_ticks_are_increasing_and_bounded() {
         let t = log_ticks(10_000, 30);

@@ -19,7 +19,6 @@
 //! mark the row stale. Every commodity runs every sweep on every call;
 //! nothing is skipped but the zero-fraction arcs.
 
-use crate::blocked::{tag_sweep_active, BlockedTags};
 use crate::cost::CostModel;
 use crate::flows::FlowState;
 use crate::marginals::{marginal_sweep_active, Marginals};
@@ -51,15 +50,14 @@ impl<'a> LiveRow<'a> {
     }
 }
 
-/// The live-arc table and the three per-iteration sweeps of eqs.
-/// (3)–(5), (9) and (18) — marginal wave, blocking tags, flow forecast —
-/// over it, for callers that drive the phases themselves (the region
-/// mesh runs them on different transport ticks). Each method runs every
-/// commodity and is bit-identical to its dense counterpart
-/// ([`compute_marginals_into`], [`compute_tags_into`],
-/// [`compute_flows_into`]) over the live arcs instead of every member
-/// arc. The step (`crate::step`) uses the same table with its own
-/// per-commodity schedule, for either row rule.
+/// The live-arc table and the two per-iteration sweeps of eqs.
+/// (3)–(5) and (9) — flow forecast, marginal wave — over it, for
+/// callers that drive the phases themselves (the region mesh runs them
+/// on different transport ticks). Each method runs every commodity and
+/// is bit-identical to its dense counterpart
+/// ([`compute_marginals_into`], [`compute_flows_into`]) over the live
+/// arcs instead of every member arc. The step (`crate::step`) uses the
+/// same table with its own per-commodity schedule, for either row rule.
 ///
 /// **Staleness contract.** The live-arc table is derived from the
 /// routing table's *support* — which fractions are nonzero — not from
@@ -73,15 +71,14 @@ impl<'a> LiveRow<'a> {
 /// **Zero-entry contract.** The sweeps write router entries and member
 /// edges only, so the output buffers must hold what the dense sweeps
 /// leave at a commodity's other members (its sink) and on foreign edges
-/// — `0.0` / `false` — which is true of buffers produced by the dense
-/// functions, by this type, or by the constructors (`zeros`, `none`),
-/// and of copies of such buffers.
+/// — `0.0` — which is true of buffers produced by the dense functions,
+/// by this type, or by the constructors (`zeros`), and of copies of such
+/// buffers.
 ///
 /// Rows use uniform strides (`router_stride`, `arc_stride` — the maxima
 /// over commodities of the router and arc counts).
 ///
 /// [`compute_marginals_into`]: crate::marginals::compute_marginals_into
-/// [`compute_tags_into`]: crate::blocked::compute_tags_into
 /// [`compute_flows_into`]: crate::flows::compute_flows_into
 #[derive(Clone, Debug, Default)]
 pub struct LiveArcSweeps {
@@ -94,7 +91,7 @@ pub struct LiveArcSweeps {
     /// topo order, CSR sub-order within a router.
     arcs: Vec<EdgeId>,
     /// Member position of the head of each `arcs` entry, so a sweep
-    /// reaches the head's traffic / marginal / tag entry with no lookup.
+    /// reaches the head's traffic / marginal entry with no lookup.
     heads: Vec<u32>,
     /// Total live arcs per commodity (the filled prefix of its row).
     live: Vec<usize>,
@@ -264,45 +261,6 @@ impl LiveArcSweeps {
         }
     }
 
-    /// The blocking tags (eq. (18)) for every commodity; bit-identical
-    /// to [`compute_tags_into`].
-    ///
-    /// [`compute_tags_into`]: crate::blocked::compute_tags_into
-    #[allow(clippy::too_many_arguments)] // mirrors the protocol's inputs
-    pub fn tags_into(
-        &mut self,
-        ext: &ExtendedNetwork,
-        cost: &CostModel,
-        routing: &RoutingTable,
-        state: &FlowState,
-        marginals: &Marginals,
-        eta: f64,
-        traffic_floor: f64,
-        out: &mut BlockedTags,
-    ) {
-        self.refresh(ext, routing);
-        if out.tagged.len() != ext.member_total() {
-            out.reset(ext);
-        }
-        for j in ext.commodity_ids() {
-            let row = &mut out.tagged[ext.member_range(j)];
-            row.fill(false);
-            tag_sweep_active(
-                ext,
-                cost,
-                routing.row(j),
-                state.t_row(ext, j),
-                state.usage_view(),
-                marginals.row(ext, j),
-                eta,
-                traffic_floor,
-                j,
-                row,
-                self.row(j),
-            );
-        }
-    }
-
     /// The flow forecast (eqs. (3)–(5)) for every commodity;
     /// bit-identical to [`compute_flows_into`].
     ///
@@ -348,7 +306,6 @@ mod tests {
     /// it): every buffer bit-equal, whole arrays, every iteration.
     #[test]
     fn live_arc_sweeps_match_the_dense_functions() {
-        use crate::blocked::compute_tags_into;
         use crate::flows::compute_flows_into;
         use crate::gamma::apply_gamma;
         use crate::marginals::compute_marginals_into;
@@ -368,7 +325,6 @@ mod tests {
         let mut dense_ws = crate::IterationWorkspace::new(&ext);
         let (mut dense_flows, mut live_flows) = (FlowState::zeros(&ext), FlowState::zeros(&ext));
         let (mut dense_d, mut live_d) = (Marginals::zeros(&ext), Marginals::zeros(&ext));
-        let (mut dense_tags, mut live_tags) = (BlockedTags::none(&ext), BlockedTags::none(&ext));
         let mut sweeps = LiveArcSweeps::new(&ext);
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for it in 0..60 {
@@ -383,36 +339,12 @@ mod tests {
             sweeps.marginals_into(&ext, &cost, &routing, &live_flows, &mut live_d);
             assert_eq!(bits(&dense_d.d), bits(&live_d.d), "marginals at {it}");
 
-            compute_tags_into(
-                &ext,
-                &cost,
-                &routing,
-                &dense_flows,
-                &dense_d,
-                eta,
-                floor,
-                &mut dense_tags,
-                None,
-            );
-            sweeps.tags_into(
-                &ext,
-                &cost,
-                &routing,
-                &live_flows,
-                &live_d,
-                eta,
-                floor,
-                &mut live_tags,
-            );
-            assert_eq!(dense_tags, live_tags, "tags at {it}");
-
             apply_gamma(
                 &ext,
                 &cost,
                 &mut routing,
                 &dense_flows,
                 &dense_d,
-                &dense_tags,
                 eta,
                 floor,
                 0.05,

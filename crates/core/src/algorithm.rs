@@ -7,9 +7,10 @@
 //! 1. **Flow forecast** (eqs. (3)–(5)): node traffic `t` and resource
 //!    usage `f` under the current routing decision;
 //! 2. **Marginal-cost wave** (eq. (9)): `∂A/∂r_i(j)` swept upstream from
-//!    each sink, with the blocking tags of eq. (18) piggybacked;
-//! 3. **Routing update Γ** (eqs. (14)–(17)): every node shifts mass
-//!    from expensive links to its best link.
+//!    each sink;
+//! 3. **Routing update Γ** (eqs. (15)–(17)): every node shifts mass
+//!    from expensive links to its best link. Commodity subgraphs are
+//!    DAGs, so no blocked set (eqs. (14), (18)) restricts it.
 //!
 //! Resource allocation needs no extra step in the fluid model: a node's
 //! optimal local allocation under forecasted flows *is* `c^j_il·t_i(j)·φ_il(j)`
@@ -20,7 +21,6 @@
 //! crate and produces bit-identical routing tables (tested there).
 
 use crate::active::LiveArcSweeps;
-use crate::blocked::BlockedTags;
 use crate::checkpoint::Checkpoint;
 use crate::cost::CostModel;
 use crate::flows::{compute_flows_into, FlowState};
@@ -49,10 +49,6 @@ pub struct GradientConfig {
     pub epsilon: f64,
     /// The per-node capacity penalty family `D_i`.
     pub penalty: Penalty,
-    /// Whether to compute blocked sets (eq. (18)). The paper's commodity
-    /// subgraphs are DAGs, where loops cannot form; disabling this is an
-    /// ablation, not a correctness risk (see DESIGN.md).
-    pub use_blocked_sets: bool,
     /// Traffic below this is treated as zero in eq. (16)'s division.
     pub traffic_floor: f64,
     /// Rate limit on opening idle paths: eq. (16)'s divisor `t_i(j)` is
@@ -135,7 +131,6 @@ impl Default for GradientConfig {
             epsilon: 5e-4,
             penalty: Penalty::new(spn_model::PenaltyKind::ScaledReciprocal, 0.98)
                 .expect("valid knee"),
-            use_blocked_sets: true,
             traffic_floor: 1e-12,
             opening_fraction: 0.05,
             shift_cap: 0.02,
@@ -283,8 +278,6 @@ pub struct GradientAlgorithm {
     iterations: usize,
     /// Reusable Γ scratch: the row lane and the per-chunk statistics.
     workspace: IterationWorkspace,
-    /// Reusable blocking-tag buffer (eq. (18)).
-    tags: BlockedTags,
     /// Live-arc rows every sweep of the step walks (sized by the first
     /// step).
     sweeps: LiveArcSweeps,
@@ -346,7 +339,6 @@ impl GradientAlgorithm {
         compute_flows_into(&ext, &routing, &mut state, &mut workspace, None);
         let mut marginals = Marginals::zeros(&ext);
         compute_marginals_into(&ext, &cost, &routing, &state, &mut marginals, None);
-        let tags = BlockedTags::none(&ext);
         Ok(GradientAlgorithm {
             ext,
             cost,
@@ -357,7 +349,6 @@ impl GradientAlgorithm {
             marginals,
             iterations: 0,
             workspace,
-            tags,
             sweeps: LiveArcSweeps::default(),
             outside_write: true,
             epoch: 0,
@@ -367,8 +358,8 @@ impl GradientAlgorithm {
     /// Performs one full protocol iteration; returns its statistics.
     ///
     /// Heap-allocation-free in steady state: the step reads and writes
-    /// the preallocated buffers owned by `self` — every commodity's tags
-    /// and Γ rows, then every commodity's flows added into the zeroed
+    /// the preallocated buffers owned by `self` — every commodity's Γ
+    /// rows, then every commodity's flows added into the zeroed
     /// usage totals in fixed commodity order, then the marginals swept
     /// (pinned by tests).
     pub fn step(&mut self) -> StepStats {
@@ -380,7 +371,6 @@ impl GradientAlgorithm {
             &mut self.routing,
             &mut self.state,
             &mut self.marginals,
-            &mut self.tags,
             &mut self.workspace,
             &mut self.sweeps,
             &mut self.outside_write,
@@ -818,8 +808,8 @@ impl GradientAlgorithm {
 
     /// Shared tail of a commodity-set reshape: recomputes flows for the
     /// new commodity set (survivor rows reproduce bit-for-bit; the
-    /// totals accumulate in ascending commodity order as always), clears
-    /// blocking tags, flags the outside write, and bumps the epoch. The
+    /// totals accumulate in ascending commodity order as always), flags
+    /// the outside write, and bumps the epoch. The
     /// next step re-sizes the workspace.
     fn reshape_state(&mut self) {
         compute_flows_into(
@@ -829,7 +819,6 @@ impl GradientAlgorithm {
             &mut self.workspace,
             None,
         );
-        self.tags.reset(&self.ext);
         self.written_from_outside();
         self.epoch += 1;
     }
@@ -934,11 +923,10 @@ mod tests {
             assert!(!format!("{}", bad.validate().unwrap_err()).is_empty());
         }
         // every corner the checks accept builds on both drivers: the
-        // paper's literal objective (no wall), tags off, the uncapped
-        // shift, Gallager's opening rule and each penalty family
+        // paper's literal objective (no wall), the uncapped shift,
+        // Gallager's opening rule and each penalty family
         let mut fine = vec![
             with(|c| c.wall_strength = 0.0),
-            with(|c| c.use_blocked_sets = false),
             with(|c| c.shift_cap = 1.0),
             with(|c| c.opening_fraction = 0.0),
         ];
@@ -1128,30 +1116,6 @@ mod tests {
         assert!((total - alg.flows().node_usage(x)).abs() < 1e-9);
         assert!(!allocs.is_empty());
         assert_eq!(allocs[0].0, CommodityId::from_index(0));
-    }
-
-    #[test]
-    fn blocked_sets_do_not_change_dag_fixed_point() {
-        let p = bottleneck_problem();
-        let with = GradientConfig {
-            eta: 0.3,
-            ..GradientConfig::default()
-        };
-        let without = GradientConfig {
-            eta: 0.3,
-            use_blocked_sets: false,
-            ..GradientConfig::default()
-        };
-        let mut a = GradientAlgorithm::new(&p, with).unwrap();
-        let mut b = GradientAlgorithm::new(&p, without).unwrap();
-        let ra = a.run(2000);
-        let rb = b.run(2000);
-        assert!(
-            (ra.utility - rb.utility).abs() < 1e-3,
-            "blocked sets changed the DAG fixed point: {} vs {}",
-            ra.utility,
-            rb.utility
-        );
     }
 
     #[test]

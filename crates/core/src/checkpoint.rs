@@ -7,9 +7,9 @@
 //! from it, the iteration counter, ε, and `η` (which
 //! [`set_eta`](crate::GradientAlgorithm::set_eta) moves). ε is constant
 //! over a run; it stays so a restore is a plain copy and the mesh's
-//! recovery snapshot keeps its wire format. Workspace scratch and
-//! blocking tags are deliberately excluded — every pass fully rewrites
-//! them before reading, so they carry no state across steps.
+//! recovery snapshot keeps its wire format. Workspace scratch is
+//! deliberately excluded — every pass fully rewrites it before reading,
+//! so it carries no state across steps.
 //!
 //! [`GradientAlgorithm::restore`] copies the buffers straight back:
 //! no recomputation, no rounding — stepping from a restored checkpoint

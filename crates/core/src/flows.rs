@@ -63,9 +63,9 @@ pub struct FlowState {
 
 /// Borrowed view of the cross-commodity usage totals `f_edge`/`f_node` —
 /// the only [`FlowState`] data the per-commodity sweeps share. The step
-/// rewrites the totals only after every commodity's tags and Γ rows
-/// have read them (the flow passes), so a tag or Γ sweep can hold this
-/// view while its commodity's own rows are written.
+/// rewrites the totals only after every commodity's Γ rows have read
+/// them (the flow passes), so a Γ pass can hold this view while its
+/// commodity's own rows are written.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct UsageView<'a> {
     /// Total resource usage per extended edge, eq. (4).

@@ -1,4 +1,4 @@
-//! The routing update Γ (§5, eqs. (14)–(17)).
+//! The routing update Γ (§5, eqs. (15)–(17)).
 //!
 //! Each iteration, every node `i` and destination `j` shifts routing
 //! mass away from links whose marginal cost
@@ -8,22 +8,22 @@
 //! Δ_ik(j) = min( φ_ik(j), η·a_ik(j) / t_i(j) )        (16)
 //! ```
 //!
-//! and adds the collected mass to the best link (eq. (17)). Blocked
-//! links (eq. (14)) keep `φ = 0`. The reduction is inversely
-//! proportional to `t_i(j)` because the induced link-traffic change is
-//! `Δ_ik(j)·t_i(j)`; when `t_i(j) = 0` the fraction can move freely, so
-//! (following Gallager's convention) the node routes everything to the
-//! current best link.
+//! and adds the collected mass to the best link (eq. (17)). There are
+//! no blocked sets (eq. (14)): every commodity subgraph is a DAG, so
+//! any out-link may receive mass (DESIGN.md §4a, item 5). The reduction
+//! is inversely proportional to `t_i(j)` because the induced
+//! link-traffic change is `Δ_ik(j)·t_i(j)`; when `t_i(j) = 0` the
+//! fraction can move freely, so (following Gallager's convention) the
+//! node routes everything to the current best link.
 //!
 //! All entry points share one row computation (`gamma_row_into`,
 //! crate-private) so their numerics are identical: [`apply_gamma_ws`] is
 //! the zero-allocation dense pass the step is checked against (one dense
 //! kernel replay per step, ARCHITECTURE invariant 14);
 //! [`apply_gamma_selective`] is the path the message-level simulator
-//! schedules partial updates through; [`gamma_row`] exposes a single row
-//! for inspection. A commodity only ever reads and writes its own
-//! fraction row, and distinct routers touch disjoint sets of that row's
-//! entries (each edge has exactly one source).
+//! schedules partial updates through. A commodity only ever reads and
+//! writes its own fraction row, and distinct routers touch disjoint sets
+//! of that row's entries (each edge has exactly one source).
 //!
 //! Γ statistics are accumulated per fixed-size router chunk
 //! (`GAMMA_CHUNK` routers) on every path and reduced in ascending
@@ -46,9 +46,9 @@
 //! after construction — it walks every router instead, exactly as the
 //! dense [`apply_gamma_ws`] does every step, so a pass-through row an
 //! outside write left at anything but `1.0` is reset to exactly `1.0`
-//! where the dense path resets it (after that step's tag sweep). From
-//! then on nothing writes a pass-through row, so it holds `1.0` and
-//! recomputing it would store the bits it has.
+//! where the dense path resets it. From then on nothing writes a
+//! pass-through row, so it holds `1.0` and recomputing it would store
+//! the bits it has.
 //!
 //! The statistics do not move either. A chunk slot starts at
 //! `(0.0, 0.0, routers in chunk)`, and the terms a pass-through would
@@ -72,6 +72,7 @@
 //! consults its predicate for every router but skips a participating
 //! one only when it has one out-edge *and* its row is bitwise `1.0`.
 
+#[allow(deprecated)] // the ignored `_tags` parameter of `apply_gamma_ws`
 use crate::blocked::BlockedTags;
 use crate::cost::CostModel;
 use crate::flows::{FlowState, UsageView};
@@ -79,7 +80,7 @@ use crate::marginals::Marginals;
 use crate::newton::edge_curvature;
 use crate::routing::{apply_row, apply_row_support, RoutingTable};
 use crate::workspace::{GammaLane, IterationWorkspace, GAMMA_CHUNK};
-use spn_graph::{EdgeId, NodeId};
+use spn_graph::NodeId;
 use spn_model::CommodityId;
 use spn_transform::{ExtendedNetwork, MemberView};
 use std::cell::Cell;
@@ -97,7 +98,7 @@ pub struct GammaStats {
 }
 
 /// Everything a commodity-`j` Γ row computation reads: the commodity's
-/// own rows (fraction by edge; traffic, marginal and tag by member
+/// own rows (fraction by edge; traffic and marginal by member
 /// position), its member view, the shared usage totals, and the update
 /// parameters. `Copy`-cheap so callers build one per commodity.
 #[derive(Clone, Copy)]
@@ -111,7 +112,6 @@ pub(crate) struct GammaCtx<'a> {
     pub(crate) t_row: &'a [f64],
     pub(crate) usage: UsageView<'a>,
     pub(crate) d_row: &'a [f64],
-    pub(crate) tag_row: &'a [bool],
     pub(crate) eta: f64,
     pub(crate) traffic_floor: f64,
     pub(crate) opening_floor: f64,
@@ -129,7 +129,6 @@ impl<'a> GammaCtx<'a> {
         phi: &'a [Cell<f64>],
         state: &'a FlowState,
         marginals: &'a Marginals,
-        tags: &'a BlockedTags,
         eta: f64,
         traffic_floor: f64,
         opening_floor: f64,
@@ -144,7 +143,6 @@ impl<'a> GammaCtx<'a> {
             t_row: state.t_row(ext, j),
             usage: state.usage_view(),
             d_row: marginals.row(ext, j),
-            tag_row: tags.row(ext, j),
             eta,
             traffic_floor,
             opening_floor,
@@ -179,7 +177,6 @@ pub(crate) fn gamma_row_into(
     }
 
     lane.m.clear();
-    lane.blocked.clear();
     if i == ctx.members.dummy() {
         // Dummy-source rows mix DummyInput and DummyDifference edges —
         // the latter's partial is the utility derivative, so no common
@@ -192,10 +189,6 @@ pub(crate) fn gamma_row_into(
                 l,
                 ctx.d_row[head as usize],
             ));
-            // eq. (14): blocked ⇔ φ = 0 and the head's broadcast was
-            // tagged
-            lane.blocked
-                .push(ctx.phi[l.index()].get() == 0.0 && ctx.tag_row[head as usize]);
         }
     } else {
         // Every out-edge of an ordinary router shares the tail node's
@@ -211,18 +204,13 @@ pub(crate) fn gamma_row_into(
                 tail_partial * ctx.ext.cost(ctx.j, l)
                     + ctx.ext.beta(ctx.j, l) * ctx.d_row[head as usize],
             );
-            lane.blocked
-                .push(ctx.phi[l.index()].get() == 0.0 && ctx.tag_row[head as usize]);
         }
     }
 
-    // Best (minimum-marginal) unblocked link; k(i, j) in the paper.
-    // At least one link is unblocked: blocked links have φ = 0 and the
-    // row sums to one.
+    // Best (minimum-marginal) link; k(i, j) in the paper.
     let best = (0..edges.len())
-        .filter(|&idx| !lane.blocked[idx])
         .min_by(|&a, &b| lane.m[a].total_cmp(&lane.m[b]))
-        .expect("at least one unblocked out-edge");
+        .expect("a router has an out-edge");
 
     // Gallager's convention routes everything to the best link when
     // t_i(j) = 0 (the fraction is then free to move without changing
@@ -250,10 +238,6 @@ pub(crate) fn gamma_row_into(
     let mut max_shift: f64 = 0.0;
     for (idx, &l) in edges.iter().enumerate() {
         if idx == best {
-            continue;
-        }
-        if lane.blocked[idx] {
-            lane.row.push((l, 0.0)); // eq. (14)
             continue;
         }
         let f = ctx.phi[l.index()].get();
@@ -341,67 +325,23 @@ pub(crate) fn commodity_rows(
     support
 }
 
-/// Computes the new routing row for one `(commodity, router)` pair
-/// without applying it. Returns `(new_row, max_shift, total_shift)`.
-/// Allocating inspection path (clones the commodity's fraction row).
-///
-/// # Panics
-///
-/// Panics if `i` is not a router of commodity `j`.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's inputs
-#[must_use]
-pub fn gamma_row(
-    ext: &ExtendedNetwork,
-    cost: &CostModel,
-    routing: &RoutingTable,
-    state: &FlowState,
-    marginals: &Marginals,
-    tags: &BlockedTags,
-    eta: f64,
-    traffic_floor: f64,
-    opening_floor: f64,
-    shift_cap: f64,
-    j: CommodityId,
-    i: NodeId,
-) -> (Vec<(EdgeId, f64)>, f64, f64) {
-    let mut lane = GammaLane::default();
-    let mut row_copy = routing.row(j).to_vec();
-    let ctx = GammaCtx::new(
-        ext,
-        cost,
-        Cell::from_mut(&mut row_copy[..]).as_slice_of_cells(),
-        state,
-        marginals,
-        tags,
-        eta,
-        traffic_floor,
-        opening_floor,
-        shift_cap,
-        j,
-    );
-    let at = ext
-        .member_pos(j, i)
-        .unwrap_or_else(|| panic!("{i} is not a router of {j}"));
-    let (max_shift, total) = gamma_row_into(&ctx, None, at, &mut lane);
-    (lane.row, max_shift, total)
-}
-
 /// Applies Γ to every `(commodity, router)` pair through the reusable
 /// workspace: allocation-free in steady state. All rows are computed
 /// against the *pre-update* marginals and flows, matching the
 /// synchronous protocol of §5.
 ///
-/// `_pool` is an inert shim: `None` is its only value. It exists so the
-/// frozen `benchmark/` surface compiles; the next `[benchmark]` PR
-/// removes it.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's inputs
+/// `_tags` and `_pool` are inert shims, accepted and ignored: `_tags`
+/// is always the empty [`BlockedTags`], `None` is `_pool`'s only value.
+/// They exist so the frozen `benchmark/` surface compiles; the next
+/// `[benchmark]` PR removes them.
+#[allow(clippy::too_many_arguments, deprecated)] // the shims' signature
 pub fn apply_gamma_ws(
     ext: &ExtendedNetwork,
     cost: &CostModel,
     routing: &mut RoutingTable,
     state: &FlowState,
     marginals: &Marginals,
-    tags: &BlockedTags,
+    _tags: &BlockedTags,
     eta: f64,
     traffic_floor: f64,
     opening_fraction: f64,
@@ -417,7 +357,6 @@ pub fn apply_gamma_ws(
             routing.row_cells(j),
             state,
             marginals,
-            tags,
             eta,
             traffic_floor,
             opening_fraction * ext.commodity(j).max_rate,
@@ -456,7 +395,6 @@ pub fn apply_gamma(
     routing: &mut RoutingTable,
     state: &FlowState,
     marginals: &Marginals,
-    tags: &BlockedTags,
     eta: f64,
     traffic_floor: f64,
     opening_fraction: f64,
@@ -468,7 +406,6 @@ pub fn apply_gamma(
         routing,
         state,
         marginals,
-        tags,
         eta,
         traffic_floor,
         opening_fraction,
@@ -496,7 +433,6 @@ pub fn apply_gamma_selective<F>(
     routing: &mut RoutingTable,
     state: &FlowState,
     marginals: &Marginals,
-    tags: &BlockedTags,
     eta: f64,
     traffic_floor: f64,
     opening_fraction: f64,
@@ -513,7 +449,6 @@ where
         routing,
         state,
         marginals,
-        tags,
         eta,
         traffic_floor,
         opening_fraction,
@@ -562,7 +497,6 @@ pub fn apply_gamma_selective_scratch<F>(
     routing: &mut RoutingTable,
     state: &FlowState,
     marginals: &Marginals,
-    tags: &BlockedTags,
     eta: f64,
     traffic_floor: f64,
     opening_fraction: f64,
@@ -584,7 +518,6 @@ where
             routing.row_cells(j),
             state,
             marginals,
-            tags,
             eta,
             traffic_floor,
             opening_fraction * ext.commodity(j).max_rate,
@@ -679,9 +612,8 @@ mod tests {
         let outs: Vec<_> = ext.commodity_out_edges(j, s).collect();
         let fs = compute_flows(&ext, &rt);
         let m = compute_marginals(&ext, &cm(), &rt, &fs);
-        let tags = BlockedTags::none(&ext);
         let before_y = rt.fraction(j, outs[1]);
-        apply_gamma(&ext, &cm(), &mut rt, &fs, &m, &tags, 0.5, 1e-12, 0.0, 1.0);
+        apply_gamma(&ext, &cm(), &mut rt, &fs, &m, 0.5, 1e-12, 0.0, 1.0);
         rt.validate(&ext).unwrap();
         // the y-path (outs[1], through the big server) should gain mass
         assert!(
@@ -699,8 +631,7 @@ mod tests {
             let fs = compute_flows(&ext, &rt);
             let before = cost.total_cost(&ext, &fs);
             let m = compute_marginals(&ext, &cost, &rt, &fs);
-            let tags = BlockedTags::none(&ext);
-            apply_gamma(&ext, &cost, &mut rt, &fs, &m, &tags, 0.005, 1e-12, 0.0, 1.0);
+            apply_gamma(&ext, &cost, &mut rt, &fs, &m, 0.005, 1e-12, 0.0, 1.0);
             let fs2 = compute_flows(&ext, &rt);
             let after = cost.total_cost(&ext, &fs2);
             assert!(
@@ -717,8 +648,7 @@ mod tests {
         let mut rt = RoutingTable::initial(&ext); // zero interior traffic
         let fs = compute_flows(&ext, &rt);
         let m = compute_marginals(&ext, &cm(), &rt, &fs);
-        let tags = BlockedTags::none(&ext);
-        apply_gamma(&ext, &cm(), &mut rt, &fs, &m, &tags, 0.04, 1e-12, 0.0, 1.0);
+        apply_gamma(&ext, &cm(), &mut rt, &fs, &m, 0.04, 1e-12, 0.0, 1.0);
         rt.validate(&ext).unwrap();
         let s = ext.commodity(j).source();
         let fractions: Vec<f64> = ext
@@ -734,51 +664,31 @@ mod tests {
     fn single_out_edge_is_identity() {
         let ext = lopsided();
         let j = CommodityId::from_index(0);
-        let rt = mid_admission(&ext);
+        let mut rt = mid_admission(&ext);
         let fs = compute_flows(&ext, &rt);
         let m = compute_marginals(&ext, &cm(), &rt, &fs);
-        let tags = BlockedTags::none(&ext);
-        // bandwidth nodes have exactly one commodity out-edge
-        let bw = spn_graph::NodeId::from_index(4); // first bandwidth node
-        let (row, max_s, tot) = gamma_row(
+        let cost = cm();
+        let ctx = GammaCtx::new(
             &ext,
-            &cm(),
-            &rt,
+            &cost,
+            rt.row_cells(j),
             &fs,
             &m,
-            &tags,
             0.04,
             1e-12,
             0.0,
             1.0,
             j,
-            bw,
         );
-        assert_eq!(row.len(), 1);
-        assert_eq!(row[0].1, 1.0);
+        // bandwidth nodes have exactly one commodity out-edge
+        let bw = spn_graph::NodeId::from_index(4); // first bandwidth node
+        let at = ext.member_pos(j, bw).unwrap();
+        let mut lane = GammaLane::default();
+        let (max_s, tot) = gamma_row_into(&ctx, None, at, &mut lane);
+        assert_eq!(lane.row.len(), 1);
+        assert_eq!(lane.row[0].1, 1.0);
         assert_eq!(max_s, 0.0);
         assert_eq!(tot, 0.0);
-    }
-
-    #[test]
-    fn blocked_links_stay_closed() {
-        let ext = lopsided();
-        let j = CommodityId::from_index(0);
-        let mut rt = mid_admission(&ext);
-        let s = ext.commodity(j).source();
-        let outs: Vec<_> = ext.commodity_out_edges(j, s).collect();
-        // close outs[1], then block its head
-        rt.set_row(&ext, j, s, &[(outs[0], 1.0), (outs[1], 0.0)]);
-        let fs = compute_flows(&ext, &rt);
-        let m = compute_marginals(&ext, &cm(), &rt, &fs);
-        // hand-tag the head of outs[1]
-        let head = ext.graph().target(outs[1]);
-        let mut raw = vec![vec![false; ext.graph().node_count()]; ext.num_commodities()];
-        raw[j.index()][head.index()] = true;
-        let tags = BlockedTags::from_raw(&ext, &raw);
-        apply_gamma(&ext, &cm(), &mut rt, &fs, &m, &tags, 10.0, 1e-12, 0.0, 1.0);
-        assert_eq!(rt.fraction(j, outs[1]), 0.0, "blocked link reopened");
-        rt.validate(&ext).unwrap();
     }
 
     #[test]
@@ -787,8 +697,7 @@ mod tests {
         let mut rt = mid_admission(&ext);
         let fs = compute_flows(&ext, &rt);
         let m = compute_marginals(&ext, &cm(), &rt, &fs);
-        let tags = BlockedTags::none(&ext);
-        let stats = apply_gamma(&ext, &cm(), &mut rt, &fs, &m, &tags, 0.5, 1e-12, 0.0, 1.0);
+        let stats = apply_gamma(&ext, &cm(), &mut rt, &fs, &m, 0.5, 1e-12, 0.0, 1.0);
         assert!(stats.rows > 0);
         assert!(stats.total_shift > 0.0);
         assert!(stats.max_shift > 0.0);
@@ -801,29 +710,18 @@ mod tests {
         let fs_rt = mid_admission(&ext);
         let fs = compute_flows(&ext, &fs_rt);
         let m = compute_marginals(&ext, &cm(), &fs_rt, &fs);
-        let tags = BlockedTags::none(&ext);
         let mut reference = fs_rt.clone();
-        let ref_stats = apply_gamma(
-            &ext,
-            &cm(),
-            &mut reference,
-            &fs,
-            &m,
-            &tags,
-            0.5,
-            1e-12,
-            0.05,
-            0.02,
-        );
+        let ref_stats = apply_gamma(&ext, &cm(), &mut reference, &fs, &m, 0.5, 1e-12, 0.05, 0.02);
         let mut ws = IterationWorkspace::new(&ext);
         let mut rt = fs_rt.clone();
+        #[allow(deprecated)] // the ignored `_tags` shim
         let stats = apply_gamma_ws(
             &ext,
             &cm(),
             &mut rt,
             &fs,
             &m,
-            &tags,
+            &BlockedTags::none(&ext),
             0.5,
             1e-12,
             0.05,
@@ -851,9 +749,8 @@ mod tests {
         let before = mid_admission(&ext);
         let fs = compute_flows(&ext, &before);
         let m = compute_marginals(&ext, &cm(), &before, &fs);
-        let tags = BlockedTags::none(&ext);
         let mut full = before.clone();
-        apply_gamma(&ext, &cm(), &mut full, &fs, &m, &tags, 0.5, 1e-12, 0.0, 1.0);
+        apply_gamma(&ext, &cm(), &mut full, &fs, &m, 0.5, 1e-12, 0.0, 1.0);
 
         // Accept exactly one router: the commodity's dummy source (its
         // admission row always shifts from a mid-admission start).
@@ -866,7 +763,6 @@ mod tests {
             &mut rt,
             &fs,
             &m,
-            &tags,
             0.5,
             1e-12,
             0.0,
@@ -910,7 +806,6 @@ mod tests {
             &mut rt,
             &fs,
             &m,
-            &tags,
             0.5,
             1e-12,
             0.0,

@@ -11,9 +11,10 @@
 //!
 //! 1. forecasts flows under the current decision ([`flows`], eqs. (3)–(5)),
 //! 2. sweeps marginal costs upstream from the sinks ([`marginals`],
-//!    eq. (9)) with loop-freedom tags piggybacked ([`blocked`],
-//!    eq. (18)), and
-//! 3. applies the routing update Γ ([`gamma`], eqs. (14)–(17)).
+//!    eq. (9)), and
+//! 3. applies the routing update Γ ([`gamma`], eqs. (15)–(17)). Every
+//!    commodity subgraph is a DAG, so no blocked set (eqs. (14), (18))
+//!    restricts it; [`blocked`] keeps only inert shims.
 //!
 //! [`GradientAlgorithm`] drives the loop and reports solutions in
 //! problem terms (admitted rates, utility, physical loads);

@@ -18,8 +18,8 @@
 //! driver, [`GradientAlgorithm`]: its step (`crate::step`) runs the
 //! curvature sweep over a commodity's live arcs ([`LiveArcSweeps`]) and
 //! then Γ's rows with each shift divided by `κ` (the curvature argument
-//! of the one row function), over the deciders only; tags, flows,
-//! totals and marginals are the same code for both rules.
+//! of the one row function), over the deciders only; flows, totals and
+//! marginals are the same code for both rules.
 //! [`NewtonGradient`] is that driver built with this rule; the
 //! `newton_ablation` experiment compares the two rules. The step equals
 //! one dense kernel replay of its pre-step state, checked every step by
@@ -159,7 +159,6 @@ impl DerefMut for NewtonGradient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocked::{compute_tags, BlockedTags};
     use crate::flows::{compute_flows, FlowState};
     use crate::gamma::gamma_row_into;
     use crate::marginals::{compute_marginals, Marginals};
@@ -204,18 +203,12 @@ mod tests {
     }
 
     /// One dense Newton step replayed on copies of `alg`'s pre-step
-    /// state: tags, curvatures, the row of every router, flows from
+    /// state: curvatures, the row of every router, flows from
     /// scratch, then marginals from scratch.
     fn dense_replay(alg: &GradientAlgorithm, floor: f64) -> (RoutingTable, FlowState, Marginals) {
         let (ext, cfg) = (alg.extended(), alg.config());
         let cost = *alg.cost_model();
         let (mut routing, state) = (alg.routing().clone(), alg.flows());
-        let tags = if cfg.use_blocked_sets {
-            let m = alg.marginals();
-            compute_tags(ext, &cost, &routing, state, m, cfg.eta, cfg.traffic_floor)
-        } else {
-            BlockedTags::none(ext)
-        };
         let h = compute_curvatures(ext, &cost, &routing, state);
         let mut lane = GammaLane::default();
         for j in ext.commodity_ids() {
@@ -225,7 +218,6 @@ mod tests {
                 routing.row_cells(j),
                 state,
                 alg.marginals(),
-                &tags,
                 cfg.eta,
                 cfg.traffic_floor,
                 cfg.opening_fraction * ext.commodity(j).max_rate,

@@ -203,8 +203,9 @@ impl RoutingTable {
     }
 
     /// `true` if the positive-fraction subgraph of every commodity is
-    /// acyclic (loop-freedom, the property the paper's blocked sets
-    /// protect).
+    /// acyclic (loop-freedom: the property the paper's blocked sets
+    /// protect, which holds here without them because every commodity
+    /// subgraph is a DAG).
     #[must_use]
     pub fn is_loop_free(&self, ext: &ExtendedNetwork) -> bool {
         ext.commodity_ids().all(|j| {

@@ -1,16 +1,16 @@
 //! The sparse step.
 //!
-//! One iteration of the protocol (tags → Γ → flows → marginals) has one
-//! schedule. Per commodity `j`, the tag sweep and the Γ update read only
-//! `j`'s own rows (fraction, traffic, marginal, tag) plus the shared
-//! usage totals `f_edge`/`f_node` — and they read the *previous*
-//! iteration's totals, by the step's semantics. The flow sweep writes
-//! the new totals, each commodity adding its usage straight into them.
+//! One iteration of the protocol (Γ → flows → marginals) has one
+//! schedule. Per commodity `j`, the Γ update reads only `j`'s own rows
+//! (fraction, traffic, marginal) plus the shared usage totals
+//! `f_edge`/`f_node` — and it reads the *previous* iteration's totals,
+//! by the step's semantics. The flow sweep writes the new totals, each
+//! commodity adding its usage straight into them.
 //! So the step runs phase A in two halves, the mesh's decide / forward
 //! order:
 //!
 //! ```text
-//! decide    (every commodity, ascending)  tags(j) → rows(j)   [old totals]
+//! decide    (every commodity, ascending)  rows(j)             [old totals]
 //! forward   zero the totals; (every commodity, ascending)  flows(j) → totals
 //! phase B   (every commodity, ascending)  marginals(j)        [new totals]
 //! ```
@@ -52,7 +52,6 @@
 //! [`GAMMA_CHUNK`]: crate::workspace::GAMMA_CHUNK
 
 use crate::active::{LiveArcSweeps, LiveRow};
-use crate::blocked::{tag_sweep_active, BlockedTags};
 use crate::cost::CostModel;
 use crate::flows::{flow_sweep_active, FlowState};
 use crate::gamma::{commodity_rows, reduce_gamma_stats, GammaCtx, GammaStats};
@@ -96,7 +95,7 @@ pub(crate) fn zero_usage_totals(ext: &ExtendedNetwork, state: &mut FlowState, fu
 /// How a router's routing row moves. Set by the constructor only.
 #[derive(Clone, Debug)]
 pub(crate) enum RowRule {
-    /// The paper's Γ (eqs. (14)–(17)).
+    /// The paper's Γ (eqs. (15)–(17)).
     Gamma,
     /// Γ with each shift divided by the link's curvature, floored at
     /// `floor` (`crate::newton`). `h` holds the curvature rows by member
@@ -130,7 +129,7 @@ pub(crate) fn flow_pass_active(
     flow_sweep_active(ext, phi, j, t, x, &mut state.f_edge, &mut state.f_node, row);
 }
 
-/// The step: every commodity runs tags → its row rule over its deciders
+/// The step: every commodity runs its row rule over its deciders
 /// (→ live-arc rebuild), the usage totals are zeroed, every commodity's
 /// flow pass runs over its live arcs, and every commodity's marginal
 /// sweep runs. Each kernel performs the dense kernel's float operations
@@ -150,7 +149,6 @@ pub(crate) fn sparse_step_serial(
     routing: &mut RoutingTable,
     state: &mut FlowState,
     marginals: &mut Marginals,
-    tags: &mut BlockedTags,
     ws: &mut IterationWorkspace,
     sweeps: &mut LiveArcSweeps,
     outside_write: &mut bool,
@@ -161,9 +159,6 @@ pub(crate) fn sparse_step_serial(
     if marginals.d.len() != ext.member_total() {
         marginals.reset(ext);
     }
-    if tags.tagged.len() != ext.member_total() {
-        tags.reset(ext);
-    }
     if let (RowRule::Newton { h, .. }, true) = (&mut *rule, *outside_write) {
         h.clear();
         h.resize(ext.member_total(), 0.0);
@@ -171,32 +166,14 @@ pub(crate) fn sparse_step_serial(
     ws.ensure(ext);
     sweeps.refresh(ext, routing);
 
-    // Phase A, decide: tags → rows, against the previous totals.
+    // Phase A, decide: the rows, against the previous totals.
     for j in ext.commodity_ids() {
-        let tag_row = &mut tags.tagged[ext.member_range(j)];
-        tag_row.fill(false);
-        if config.use_blocked_sets {
-            tag_sweep_active(
-                ext,
-                cost,
-                routing.row(j),
-                state.t_row(ext, j),
-                state.usage_view(),
-                marginals.row(ext, j),
-                config.eta,
-                config.traffic_floor,
-                j,
-                tag_row,
-                sweeps.row(j),
-            );
-        }
         let ctx = GammaCtx::new(
             ext,
             cost,
             routing.row_cells(j),
             state,
             marginals,
-            tags,
             config.eta,
             config.traffic_floor,
             config.opening_fraction * ext.commodity(j).max_rate,

@@ -41,8 +41,8 @@ pub(crate) fn sizing_key(ext: &ExtendedNetwork) -> SizingKey {
 /// Number of routers whose Γ updates share one statistics slot.
 pub(crate) const GAMMA_CHUNK: usize = 64;
 
-/// Scratch for one Γ row computation (eqs. (14)–(17)): the
-/// per-out-edge marginals, blocked flags, and the staged new row.
+/// Scratch for one Γ row computation (eqs. (15)–(17)): the
+/// per-out-edge marginals and the staged new row.
 /// Capacities are reserved for the instance-maximum out-degree by
 /// [`IterationWorkspace::ensure`], so pushes never allocate in steady
 /// state.
@@ -50,8 +50,6 @@ pub(crate) const GAMMA_CHUNK: usize = 64;
 pub(crate) struct GammaLane {
     /// Per-link marginal `m_ik(j)` for each out-edge, in CSR order.
     pub(crate) m: Vec<f64>,
-    /// Whether each out-edge is blocked (eq. (14)), in CSR order.
-    pub(crate) blocked: Vec<bool>,
     /// The staged replacement row, `(edge, unnormalized fraction)`.
     pub(crate) row: Vec<(EdgeId, f64)>,
 }
@@ -60,8 +58,6 @@ impl GammaLane {
     fn reserve(&mut self, degree: usize) {
         self.m.clear();
         self.m.reserve(degree);
-        self.blocked.clear();
-        self.blocked.reserve(degree);
         self.row.clear();
         self.row.reserve(degree);
     }

@@ -3,7 +3,7 @@
 //! A routing variable set is loop-free exactly when the subgraph of
 //! positive-fraction edges has no strongly connected component with more
 //! than one node. The protocol drivers use [`has_nontrivial_scc_filtered`]
-//! as a debug certificate of the blocked-set mechanism.
+//! as a certificate of loop freedom.
 
 use crate::graph::{DiGraph, EdgeId, NodeId};
 

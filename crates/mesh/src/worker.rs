@@ -11,10 +11,10 @@
 //! `GradientAlgorithm` (ARCHITECTURE invariant 19).
 //!
 //! An iteration is [`TICKS_PER_ITERATION`] ticks: *decide* (peers'
-//! marginals in, tags and owned Γ out) and *forward* (peers' Γ rows in,
+//! marginals in, owned Γ out) and *forward* (peers' Γ rows in,
 //! flows, then the next round's marginals on the completed mirror).
 //!
-//! The three sweeps walk each commodity's **live arcs** (`φ ≠ 0`)
+//! The two sweeps walk each commodity's **live arcs** (`φ ≠ 0`)
 //! through [`LiveArcSweeps`] — the sparse engine's kernels with
 //! every commodity run every iteration — so a region's work scales with
 //! commodity membership, not with `J·(V + L)`. The live-arc table is
@@ -73,7 +73,6 @@ use crate::wire::{
     walk_gamma_rows, walk_marginals, BatchReader, FrameBuf, FrameKind, Payload, SubView, WireError,
     RESEND_FORECAST, RESEND_MARGINALS,
 };
-use spn_core::blocked::BlockedTags;
 use spn_core::flows::compute_flows;
 use spn_core::gamma::{apply_gamma_selective_scratch, GammaScratch, GammaStats};
 use spn_core::marginals::compute_marginals_into;
@@ -322,7 +321,6 @@ pub struct RegionWorker {
     routing: RoutingTable,
     state: FlowState,
     marginals: Marginals,
-    tags: BlockedTags,
     /// The live-arc sweeps over the mirror; stale-marked by every
     /// routing write that moves a fraction across zero.
     sweeps: LiveArcSweeps,
@@ -381,7 +379,6 @@ impl RegionWorker {
         let state = compute_flows(ext, &routing);
         let mut marginals = Marginals::zeros(ext);
         compute_marginals_into(ext, cost, &routing, &state, &mut marginals, None);
-        let tags = BlockedTags::none(ext);
         let mut region_lo: Vec<usize> = (0..regions)
             .map(|r| {
                 (0..v_count)
@@ -418,7 +415,6 @@ impl RegionWorker {
             routing,
             state,
             marginals,
-            tags,
             sweeps: LiveArcSweeps::new(ext),
             round: 0,
             epoch: 0,
@@ -721,9 +717,8 @@ impl RegionWorker {
         }
     }
 
-    /// The decide tick: the live-arc tag sweep plus the Γ update
-    /// restricted to owned routers (which stale-marks every commodity
-    /// whose support it moved); ship each peer the owned rows whose
+    /// The decide tick: the Γ update restricted to owned routers (which
+    /// stale-marks every commodity whose support it moved); ship each peer the owned rows whose
     /// fraction bits changed, on the reliable stream (all owned rows on a
     /// refresh round — the backstop that bounds post-recovery divergence).
     fn phase_gamma(
@@ -733,22 +728,6 @@ impl RegionWorker {
         gradient: &GradientConfig,
         tick: u64,
     ) {
-        #[cfg(test)]
-        let routing_before = self.routing.clone();
-        if gradient.use_blocked_sets {
-            self.sweeps.tags_into(
-                ext,
-                cost,
-                &self.routing,
-                &self.state,
-                &self.marginals,
-                gradient.eta,
-                gradient.traffic_floor,
-                &mut self.tags,
-            );
-        } else {
-            self.tags.reset(ext);
-        }
         let owned = self.owned_nodes(self.region);
         self.last_gamma = apply_gamma_selective_scratch(
             ext,
@@ -756,7 +735,6 @@ impl RegionWorker {
             &mut self.routing,
             &self.state,
             &self.marginals,
-            &self.tags,
             gradient.eta,
             gradient.traffic_floor,
             gradient.opening_fraction,
@@ -775,8 +753,6 @@ impl RegionWorker {
                 self.row_round[j.index() * v_count + v.index()] = round + 1;
             }
         }
-        #[cfg(test)]
-        self.assert_gamma_matches_dense(ext, cost, gradient, routing_before);
         if self.regions == 1 {
             return;
         }
@@ -1485,9 +1461,9 @@ impl RegionWorker {
     }
 }
 
-/// The mirror oracle: in this crate's unit tests every phase of every
-/// worker re-derives its output with the dense full-mirror functions
-/// and compares every node and edge entry bit for bit, the structural
+/// The mirror oracle: in this crate's unit tests every sweep phase of
+/// every worker re-derives its output with the dense full-mirror
+/// functions and compares every node and edge entry bit for bit, the structural
 /// zeros outside a commodity's subgraph included — so any mesh unit
 /// test, fault-free or faulty, also pins the live-arc sweeps to the dense
 /// reference.
@@ -1502,68 +1478,6 @@ impl RegionWorker {
                     dense.node(ext, j, v).to_bits(),
                     self.marginals.node(ext, j, v).to_bits(),
                     "region {} round {}: marginal ({j}, {v}) left the dense reference",
-                    self.region,
-                    self.round
-                );
-            }
-        }
-    }
-
-    /// Dense tags over the pre-Γ mirror must equal the live-arc tags,
-    /// and the selective Γ they feed must reproduce the routing mirror.
-    fn assert_gamma_matches_dense(
-        &self,
-        ext: &ExtendedNetwork,
-        cost: &CostModel,
-        gradient: &GradientConfig,
-        mut routing: RoutingTable,
-    ) {
-        let mut dense = BlockedTags::none(ext);
-        if gradient.use_blocked_sets {
-            spn_core::blocked::compute_tags_into(
-                ext,
-                cost,
-                &routing,
-                &self.state,
-                &self.marginals,
-                gradient.eta,
-                gradient.traffic_floor,
-                &mut dense,
-                None,
-            );
-        }
-        for j in ext.commodity_ids() {
-            for v in ext.graph().nodes() {
-                assert_eq!(
-                    dense.is_tagged(ext, j, v),
-                    self.tags.is_tagged(ext, j, v),
-                    "region {} round {}: tag ({j}, {v}) left the dense reference",
-                    self.region,
-                    self.round
-                );
-            }
-        }
-        let owned = self.owned_nodes(self.region);
-        apply_gamma_selective_scratch(
-            ext,
-            cost,
-            &mut routing,
-            &self.state,
-            &self.marginals,
-            &dense,
-            gradient.eta,
-            gradient.traffic_floor,
-            gradient.opening_fraction,
-            gradient.shift_cap,
-            |_, v| owned.contains(&v.index()),
-            &mut GammaScratch::default(),
-        );
-        for j in ext.commodity_ids() {
-            for l in ext.graph().edges() {
-                assert_eq!(
-                    routing.fraction(j, l).to_bits(),
-                    self.routing.fraction(j, l).to_bits(),
-                    "region {} round {}: fraction ({j}, {l}) left the dense reference",
                     self.region,
                     self.round
                 );
@@ -1636,7 +1550,7 @@ mod tests {
         }
     }
 
-    /// The mirror oracle over a grid: every phase of every worker is
+    /// The mirror oracle over a grid: every sweep phase of every worker is
     /// checked against the dense reference (the `#[cfg(test)]` asserts
     /// inside the phases), fault-free and under three fault seeds with
     /// a partition deep enough to drive the recovery restore.

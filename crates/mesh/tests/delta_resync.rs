@@ -223,16 +223,17 @@ fn lossy_chaotic_delta_mesh_converges_with_resyncs() {
     assert!(mesh_report.wire.rows_suppressed > 0);
 }
 
-/// A converged lossless mesh goes quiet on the wire. The seed-1
-/// instance reaches a bitwise routing fixed point near iteration 5500
-/// (the gradient's shifts round to exact no-ops); past it, non-refresh
+/// A converged lossless mesh goes quiet on the wire. The seed-25
+/// instance reaches a bitwise routing fixed point at iteration 7372
+/// (the gradient's shifts round to exact no-ops; seed 1 ends in a limit
+/// cycle and never does); past it, non-refresh
 /// rounds ship heartbeat-only batches and the bytes per iteration drop
 /// an order of magnitude below the full-broadcast wire — the
 /// `refresh_every = 1` cadence, which re-sends every owned row every
 /// round exactly as the pre-delta wire did.
 #[test]
 fn converged_lossless_mesh_sends_almost_nothing() {
-    let p = problem(16, 2, 1);
+    let p = problem(16, 2, 25);
 
     // full-broadcast baseline rate: constant per iteration, so a short
     // run measures it
@@ -253,7 +254,7 @@ fn converged_lossless_mesh_sends_almost_nothing() {
     let config = mesh_config(2);
     let refresh = config.refresh_every as usize;
     let mut mesh = MeshRuntime::lossless(ExtendedNetwork::build(&p), config).unwrap();
-    mesh.run(6000);
+    mesh.run(7_500);
     let settled = mesh.wire_stats();
 
     // measure four full refresh cycles in the converged regime

@@ -14,7 +14,7 @@
 //! * **bounded staleness** — a broadcast arrives late: the received
 //!   value is the one computed up to `max_staleness` iterations ago;
 //! * **duplicated updates** — a router applies its Γ update (eqs.
-//!   (14)–(17)) twice in one iteration, as a re-delivered control
+//!   (15)–(17)) twice in one iteration, as a re-delivered control
 //!   message would cause;
 //! * **transient node/link failures** — scheduled capacity collapses
 //!   with scheduled restoration ([`ScheduledFault`]);
@@ -26,7 +26,8 @@
 //!
 //! Stale or lost marginals cannot create routing loops here: each
 //! commodity's extended subgraph is a DAG by construction, so Γ only
-//! ever reshuffles mass among forward edges. What chaos *can* do is
+//! ever reshuffles mass among forward edges, and no blocked set (eqs.
+//! (14), (18)) is needed to keep it loop-free. What chaos *can* do is
 //! stall or misdirect the gradient, or — through an injected fault —
 //! plant a NaN; the runtime scans the state with
 //! [`check_finite`] before and after every step and rolls back to an
@@ -48,7 +49,6 @@
 
 use crate::draws::{bounded_age, coin, jitter_factor, salts, unit_hash};
 use crate::failure::{bandwidth_node, fail_link, fail_node, restore_node};
-use spn_core::blocked::{compute_tags, BlockedTags};
 use spn_core::flows::compute_flows;
 use spn_core::gamma::apply_gamma_selective;
 use spn_core::health::{check_finite, CoreError, StateDomain};
@@ -503,19 +503,6 @@ impl ChaosGradient {
             self.history.truncate(self.plan.max_staleness);
         }
 
-        let tags = if self.config.use_blocked_sets {
-            compute_tags(
-                &self.ext,
-                &self.cost,
-                &self.routing,
-                &self.state,
-                &self.received,
-                self.config.eta,
-                self.config.traffic_floor,
-            )
-        } else {
-            BlockedTags::none(&self.ext)
-        };
         let plan = &self.plan;
         let stats = apply_gamma_selective(
             &self.ext,
@@ -523,7 +510,6 @@ impl ChaosGradient {
             &mut self.routing,
             &self.state,
             &self.received,
-            &tags,
             self.config.eta,
             self.config.traffic_floor,
             self.config.opening_fraction,
@@ -542,7 +528,6 @@ impl ChaosGradient {
                 &mut self.routing,
                 &self.state,
                 &self.received,
-                &tags,
                 self.config.eta,
                 self.config.traffic_floor,
                 self.config.opening_fraction,

@@ -1,7 +1,6 @@
 //! The full gradient iteration driven by message waves.
 
 use crate::waves::{forecast_wave, into_marginals, marginal_wave, WaveOutcome};
-use spn_core::blocked::{compute_tags, BlockedTags};
 use spn_core::gamma::apply_gamma;
 use spn_core::{ConfigError, CostModel, FlowState, GradientConfig, Marginals, RoutingTable};
 use spn_model::Problem;
@@ -10,8 +9,7 @@ use spn_transform::ExtendedNetwork;
 /// Accounting of one simulated gradient iteration.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IterationStats {
-    /// Rounds and messages of the marginal-cost wave (blocking tags ride
-    /// on the same broadcasts, so they cost nothing extra).
+    /// Rounds and messages of the marginal-cost wave.
     pub marginal: WaveOutcome,
     /// Rounds and messages of the flow-forecast wave.
     pub forecast: WaveOutcome,
@@ -97,26 +95,12 @@ impl GradientSim {
 
     /// Runs one iteration as messages; returns its communication cost.
     pub fn step(&mut self) -> IterationStats {
-        let tags = if self.config.use_blocked_sets {
-            compute_tags(
-                &self.ext,
-                &self.cost,
-                &self.routing,
-                &self.state,
-                &self.marginals,
-                self.config.eta,
-                self.config.traffic_floor,
-            )
-        } else {
-            BlockedTags::none(&self.ext)
-        };
         apply_gamma(
             &self.ext,
             &self.cost,
             &mut self.routing,
             &self.state,
             &self.marginals,
-            &tags,
             self.config.eta,
             self.config.traffic_floor,
             self.config.opening_fraction,
@@ -253,16 +237,12 @@ mod tests {
             assert_eq!(format!("{:?}", chaos.err()), core);
         }
         // every corner the core accepts builds on both sim drivers: the
-        // default, no wall, tags off, the uncapped shift, Gallager's
+        // default, no wall, the uncapped shift, Gallager's
         // opening rule and each penalty family
         let mut fine = vec![
             d,
             GradientConfig {
                 wall_strength: 0.0,
-                ..d
-            },
-            GradientConfig {
-                use_blocked_sets: false,
                 ..d
             },
             GradientConfig {

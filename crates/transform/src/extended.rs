@@ -108,7 +108,7 @@ struct CommodityAdjacency {
     routers: Vec<u32>,
     /// The same router set in the commodity's topological order — the
     /// iteration core's sparse sweeps walk this list (forward for flows,
-    /// reverse for marginals/tags).
+    /// reverse for marginals).
     routers_topo: Vec<u32>,
     /// The routers with at least two out-edges, as `(member position,
     /// index in routers)`, in `routers` order — the only rows where Γ
@@ -425,7 +425,7 @@ impl AdjacencyArena {
 /// iteration core's sweeps index by, obtained once per sweep from
 /// [`ExtendedNetwork::members`]. Position `p` stands for node
 /// [`Self::node`]`(p)`; the per-commodity node tables (traffic,
-/// marginals, tags) are rows of [`Self::len`] entries in
+/// marginals) are rows of [`Self::len`] entries in
 /// the same order.
 ///
 /// A view is the commodity's extents in the arena and nothing else:

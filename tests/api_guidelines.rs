@@ -92,7 +92,7 @@ fn algorithms_run_on_worker_threads() {
 
 /// Knob ratchet: `GradientConfig` is destructured and rebuilt with no
 /// `..`, so a new field does not compile until this test names it —
-/// every added knob shows up in review (10 today, one of them the inert
+/// every added knob shows up in review (9 today, one of them the inert
 /// `threads` shim).
 #[test]
 #[allow(deprecated)] // `threads`, kept only for the frozen benchmark
@@ -102,7 +102,6 @@ fn gradient_config_knobs_are_listed() {
         eta,
         epsilon,
         penalty,
-        use_blocked_sets,
         traffic_floor,
         opening_fraction,
         shift_cap,
@@ -114,7 +113,6 @@ fn gradient_config_knobs_are_listed() {
         eta,
         epsilon,
         penalty,
-        use_blocked_sets,
         traffic_floor,
         opening_fraction,
         shift_cap,

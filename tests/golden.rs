@@ -47,7 +47,7 @@ fn golden_fig4_instance() {
     eprintln!("admitted = {:?}", report.admitted);
     close(
         report.utility,
-        32.915_336_452_979_247,
+        32.916_189_332_579_862,
         "gradient utility @2000",
     );
 }

@@ -1145,11 +1145,10 @@ fn mesh_rejects_unsupported_configs() {
         }),
         Err(MeshError::InboxBudgetTooSmall { budget: 512 })
     ));
-    // one config space: no wall, tags off, the uncapped shift,
-    // Gallager's opening rule and each penalty family
+    // one config space: no wall, the uncapped shift, Gallager's
+    // opening rule and each penalty family
     let mut fine = vec![
         with(|c| c.wall_strength = 0.0),
-        with(|c| c.use_blocked_sets = false),
         with(|c| c.shift_cap = 1.0),
         with(|c| c.opening_fraction = 0.0),
     ];

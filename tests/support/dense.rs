@@ -3,8 +3,8 @@
 //! pre-step state, bit for bit.
 //!
 //! [`replay`] copies the routing, flows and marginals of the algorithm
-//! and runs the four dense public kernels over every member arc and
-//! router — `compute_tags_into`, `apply_gamma_ws`, `compute_flows_into`,
+//! and runs the three dense public kernels over every member arc and
+//! router — `apply_gamma_ws`, `compute_flows_into`,
 //! `compute_marginals_into`, the same calls the benchmark's replay leg
 //! times — at the algorithm's ε, a constant of the run. [`checked_step`]
 //! steps the algorithm and asserts that it holds exactly the replayed
@@ -19,7 +19,6 @@
 
 #![allow(dead_code)] // each test file uses part of the module
 
-use spn::core::blocked::{compute_tags_into, BlockedTags};
 use spn::core::flows::{compute_flows_into, FlowState};
 use spn::core::gamma::{apply_gamma_ws, GammaStats};
 use spn::core::marginals::{compute_marginals_into, Marginals};
@@ -42,21 +41,9 @@ pub fn replay(alg: &GradientAlgorithm) -> DenseStep {
     let mut routing = alg.routing().clone();
     let mut flows = alg.flows().clone();
     let mut marginals = alg.marginals().clone();
-    let mut tags = BlockedTags::none(ext);
     let mut ws = IterationWorkspace::new(ext);
-    if cfg.use_blocked_sets {
-        compute_tags_into(
-            ext,
-            &cost,
-            &routing,
-            &flows,
-            &marginals,
-            cfg.eta,
-            cfg.traffic_floor,
-            &mut tags,
-            None,
-        );
-    }
+    #[allow(deprecated)] // `apply_gamma_ws` ignores its `_tags` shim
+    let tags = spn::core::blocked::BlockedTags::none(ext);
     let gamma = apply_gamma_ws(
         ext,
         &cost,

@@ -5,7 +5,6 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseResult;
-use spn::core::blocked::compute_tags;
 use spn::core::flows::{compute_flows_into, FlowState};
 use spn::core::gamma::apply_gamma_ws;
 use spn::core::marginals::{compute_marginals_into, Marginals};
@@ -23,7 +22,7 @@ fn instance(seed: u64, nodes: usize, commodities: usize) -> Problem {
         .problem
 }
 
-/// Runs the full pass stack (flows → marginals → tags → Γ) for one
+/// Runs the full pass stack (flows → marginals → Γ) for one
 /// problem through `shared`, comparing every result against a fresh
 /// workspace and against the algorithm's own internal state.
 fn check_problem(problem: &Problem, shared: &mut IterationWorkspace) -> TestCaseResult {
@@ -45,15 +44,8 @@ fn check_problem(problem: &Problem, shared: &mut IterationWorkspace) -> TestCase
     compute_marginals_into(ext, cost, alg.routing(), &state, &mut marginals, None);
     prop_assert_eq!(&marginals, alg.marginals(), "marginals differ");
 
-    let tags = compute_tags(
-        ext,
-        cost,
-        alg.routing(),
-        &state,
-        &marginals,
-        config.eta,
-        config.traffic_floor,
-    );
+    #[allow(deprecated)] // `apply_gamma_ws` ignores its `_tags` shim
+    let tags = spn::core::blocked::BlockedTags::none(ext);
     let mut rt_shared = alg.routing().clone();
     apply_gamma_ws(
         ext,

@@ -1,7 +1,7 @@
 //! The steady-state `GradientAlgorithm::step()` performs **zero heap
 //! allocation**, with either row rule: every buffer the iteration
-//! touches is owned by the algorithm (flow state, marginals, tags,
-//! live-arc rows, curvature rows) or its [`IterationWorkspace`] and only
+//! touches is owned by the algorithm (flow state, marginals, live-arc
+//! rows, curvature rows) or its [`IterationWorkspace`] and only
 //! resized, never rebuilt (ARCHITECTURE invariant 15). Verified here
 //! with a counting global allocator.
 //!
