@@ -1,7 +1,7 @@
 //! **Mesh runtime smoke** — the region-sharded mesh on a seeded
 //! instance, over in-process pipes and real sockets, wired into CI.
 //!
-//! Six claims, each checked with a hard exit code, over in-process
+//! Seven claims, each checked with a hard exit code, over in-process
 //! pipes:
 //!
 //! * fault-free, a 4-region mesh is **bit-identical** to the
@@ -20,6 +20,12 @@
 //!   (`refresh_every = 1`, which re-sends every owned row every round
 //!   exactly as the pre-delta wire did) — in practice the margin is
 //!   an order of magnitude (ARCHITECTURE invariant 20);
+//! * rows travel **only to the regions that read them**: on the
+//!   160-node / 16-commodity lossless case, marginal rows shipped per
+//!   iteration must stay ≤ 0.5× an all-peers broadcast (every owned
+//!   router's marginal to every peer, every round; ≈ 0.3× with the
+//!   readers lists), and the Γ rows shipped per iteration are printed
+//!   next to them (ARCHITECTURE invariants 20 and 24);
 //! * the converged send/receive path is **allocation-free**: stepping
 //!   the warm mesh through full refresh cycles performs zero heap
 //!   allocations under a counting global allocator (the
@@ -543,7 +549,45 @@ fn main() {
         failed = true;
     }
 
-    // Leg 5: density. Each of the R workers sweeps a full mirror, so an
+    // Leg 5: rows go to their readers. A marginal travels only to the
+    // regions that own a router with an arc into its node, and a Γ row
+    // only for a decider; an all-peers broadcast would ship every owned
+    // router's marginal to every peer every round.
+    let wide = ExtendedNetwork::build(&small_instance(1, 160, 16));
+    let peers = mesh_config().regions as u64 - 1;
+    let all_peers: u64 = wide
+        .commodity_ids()
+        .map(|j| wide.commodity_routers(j).len() as u64 * peers)
+        .sum();
+    let mut rows = MeshRuntime::lossless(wide, mesh_config()).expect("valid mesh config");
+    const ROW_ITERATIONS: u64 = 200;
+    rows.run(ROW_ITERATIONS as usize);
+    let wire = rows.wire_stats();
+    let per_iteration = |n: u64| n as f64 / ROW_ITERATIONS as f64;
+    let marginal_ratio = per_iteration(wire.marginal_rows) / all_peers as f64;
+    println!(
+        "mesh_smoke\trows\t160/16\t{:.1} marginal + {:.1} Γ rows/it\t\
+         {marginal_ratio:.2}x all-peers ({all_peers} marginal rows/it)",
+        per_iteration(wire.marginal_rows),
+        per_iteration(wire.gamma_rows),
+    );
+    if marginal_ratio > 0.5 {
+        eprintln!(
+            "FAIL: the 160/16 lossless mesh ships {marginal_ratio:.2}x the all-peers \
+             marginal rows (ceiling 0.5) — marginals are being broadcast again \
+             instead of going to the regions that read them"
+        );
+        failed = true;
+    }
+    if !rows.incidents().is_empty() {
+        eprintln!(
+            "FAIL: the 160/16 lossless run logged {} incidents; expected zero",
+            rows.incidents().len()
+        );
+        failed = true;
+    }
+
+    // Leg 6: density. Each of the R workers sweeps a full mirror, so an
     // iteration is worth about R monolithic steps when the sweeps walk
     // live arcs; dense full-mirror sweeps cost several times that.
     if degraded_host() {

@@ -21,7 +21,9 @@
 //! the zero-allocation dense pass the step is checked against (one dense
 //! kernel replay per step, ARCHITECTURE invariant 14);
 //! [`apply_gamma_selective`] is the path the message-level simulator
-//! schedules partial updates through. A commodity only ever reads and
+//! schedules partial updates through; [`apply_gamma_deciders`] is the
+//! mesh worker's Γ over the deciders of the routers its region owns.
+//! A commodity only ever reads and
 //! writes its own fraction row, and distinct routers touch disjoint sets
 //! of that row's entries (each edge has exactly one source).
 //!
@@ -71,6 +73,9 @@
 //! 17 (the step equals its dense replay) prove the skip, and [`apply_gamma_selective`]
 //! consults its predicate for every router but skips a participating
 //! one only when it has one out-edge *and* its row is bitwise `1.0`.
+//! [`apply_gamma_deciders`] walks the deciders of its router ranges
+//! only, like the sparse step: its caller never lets a pass-through row
+//! hold anything but `1.0` (ARCHITECTURE invariant 24).
 
 #[allow(deprecated)] // the ignored `_tags` parameter of `apply_gamma_ws`
 use crate::blocked::BlockedTags;
@@ -85,6 +90,7 @@ use spn_model::CommodityId;
 use spn_transform::{ExtendedNetwork, MemberView};
 use std::cell::Cell;
 use std::convert::Infallible;
+use std::ops::Range;
 
 /// Outcome statistics of one Γ application.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -421,11 +427,10 @@ pub fn apply_gamma(
 /// This models *asynchronous* operation, where an iteration's update
 /// round reaches only part of the network (nodes busy, messages
 /// delayed). The `spn-sim` crate builds its partial-participation
-/// schedules on top of this.
-///
-/// Allocates a fresh row-staging scratch per call; steady-state callers
-/// (the mesh runtime's per-tick Γ phase) should hold a [`GammaScratch`]
-/// and use [`apply_gamma_selective_scratch`] instead.
+/// schedules on top of this. The predicate is consulted for every
+/// router; a participating one is skipped only when it has one
+/// out-edge *and* its row is bitwise `1.0` (its statistics still count
+/// it). Allocates a row-staging lane per call.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's inputs
 pub fn apply_gamma_selective<F>(
     ext: &ExtendedNetwork,
@@ -437,80 +442,13 @@ pub fn apply_gamma_selective<F>(
     traffic_floor: f64,
     opening_fraction: f64,
     shift_cap: f64,
-    participates: F,
-) -> GammaStats
-where
-    F: FnMut(CommodityId, NodeId) -> bool,
-{
-    let mut scratch = GammaScratch::default();
-    apply_gamma_selective_scratch(
-        ext,
-        cost,
-        routing,
-        state,
-        marginals,
-        eta,
-        traffic_floor,
-        opening_fraction,
-        shift_cap,
-        participates,
-        &mut scratch,
-    )
-}
-
-/// Reusable row-staging buffers for [`apply_gamma_selective_scratch`]:
-/// after the first call has sized them to the instance's maximum router
-/// out-degree, subsequent calls are allocation-free. Also reports, per
-/// commodity, whether the last call moved a fraction across zero
-/// ([`GammaScratch::support_changed`]). Opaque otherwise — there is
-/// nothing to configure; `default()` is the only constructor.
-#[derive(Clone, Debug, Default)]
-pub struct GammaScratch {
-    lane: GammaLane,
-    /// `support[j]`: the last call took a commodity-`j` fraction across
-    /// zero (either way).
-    support: Vec<bool>,
-}
-
-impl GammaScratch {
-    /// Whether the last [`apply_gamma_selective_scratch`] call through
-    /// this scratch moved any commodity-`j` fraction across zero — the
-    /// only writes after which a [`LiveArcSweeps`] row must be marked
-    /// stale. `false` for a commodity the call never saw.
-    ///
-    /// [`LiveArcSweeps`]: crate::LiveArcSweeps
-    #[must_use]
-    pub fn support_changed(&self, j: CommodityId) -> bool {
-        self.support.get(j.index()).copied().unwrap_or(false)
-    }
-}
-
-/// [`apply_gamma_selective`] with a caller-owned [`GammaScratch`]: the
-/// steady-state (warm-scratch) path performs no heap allocation, which
-/// the mesh runtime's zero-alloc gate (`mesh_smoke`) pins. Rows are
-/// applied with change tracking, and the commodities whose support
-/// moved are left in the scratch ([`GammaScratch::support_changed`]).
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's inputs
-pub fn apply_gamma_selective_scratch<F>(
-    ext: &ExtendedNetwork,
-    cost: &CostModel,
-    routing: &mut RoutingTable,
-    state: &FlowState,
-    marginals: &Marginals,
-    eta: f64,
-    traffic_floor: f64,
-    opening_fraction: f64,
-    shift_cap: f64,
     mut participates: F,
-    scratch: &mut GammaScratch,
 ) -> GammaStats
 where
     F: FnMut(CommodityId, NodeId) -> bool,
 {
     let mut stats = GammaStats::default();
-    let GammaScratch { lane, support } = scratch;
-    support.clear();
-    support.resize(ext.num_commodities(), false);
+    let mut lane = GammaLane::default();
     for j in ext.commodity_ids() {
         let ctx = GammaCtx::new(
             ext,
@@ -544,8 +482,8 @@ where
                         continue;
                     }
                 }
-                let (max_shift, total) = gamma_row_into(&ctx, None, i, lane);
-                support[j.index()] |= apply_row_support(ctx.phi, out, &lane.row);
+                let (max_shift, total) = gamma_row_into(&ctx, None, i, &mut lane);
+                apply_row(ctx.phi, out, &lane.row);
                 local.0 = local.0.max(max_shift);
                 local.1 += total;
             }
@@ -553,6 +491,118 @@ where
             stats.total_shift += local.1;
             stats.rows += local.2;
         }
+    }
+    stats
+}
+
+/// Reusable row-staging buffers for [`apply_gamma_deciders`]: after the
+/// first call has sized them to the instance's maximum router
+/// out-degree, subsequent calls are allocation-free. Also reports, per
+/// commodity, whether the last call moved a fraction across zero
+/// ([`GammaScratch::support_changed`]). Opaque otherwise — there is
+/// nothing to configure; `default()` is the only constructor.
+#[derive(Clone, Debug, Default)]
+pub struct GammaScratch {
+    lane: GammaLane,
+    /// `support[j]`: the last call took a commodity-`j` fraction across
+    /// zero (either way).
+    support: Vec<bool>,
+}
+
+impl GammaScratch {
+    /// Whether the last [`apply_gamma_deciders`] call through this
+    /// scratch moved any commodity-`j` fraction across zero — the only
+    /// writes after which a [`LiveArcSweeps`] row must be marked stale.
+    /// `false` for a commodity the call never saw.
+    ///
+    /// [`LiveArcSweeps`]: crate::LiveArcSweeps
+    #[must_use]
+    pub fn support_changed(&self, j: CommodityId) -> bool {
+        self.support.get(j.index()).copied().unwrap_or(false)
+    }
+}
+
+/// Γ over the deciders inside one contiguous run of routers per
+/// commodity: `owned[j]` is a range of indices into
+/// [`MemberView::routers`] (equivalently
+/// [`ExtendedNetwork::commodity_routers`]), and only the
+/// [`MemberView::deciders`] whose router index lies in it are computed.
+/// This is the mesh worker's Γ over the routers its region owns.
+///
+/// Pass-through rows in the range are not visited: the caller keeps
+/// them at exactly `[(l, 1.0)]`, the row Γ would store. The statistics
+/// are then bit-equal to [`apply_gamma_selective`] with the predicate
+/// "router index in `owned[j]`": `rows` counts every router of the
+/// range, and the shifts fold per router chunk in ascending chunk
+/// order, without the identity terms of the pass-throughs (see
+/// "Deciders and pass-throughs" in the module docs). Rows are applied
+/// with change tracking, and the commodities whose support moved are
+/// left in the scratch ([`GammaScratch::support_changed`]). Once the
+/// scratch is warm the call performs no heap allocation, which the mesh
+/// runtime's zero-alloc gate (`mesh_smoke`) pins.
+///
+/// # Panics
+///
+/// Panics if `owned` has fewer entries than there are commodities, or
+/// a range reaches past its commodity's router list.
+#[allow(clippy::too_many_arguments)] // mirrors the protocol's inputs
+pub fn apply_gamma_deciders(
+    ext: &ExtendedNetwork,
+    cost: &CostModel,
+    routing: &mut RoutingTable,
+    state: &FlowState,
+    marginals: &Marginals,
+    eta: f64,
+    traffic_floor: f64,
+    opening_fraction: f64,
+    shift_cap: f64,
+    owned: &[Range<usize>],
+    scratch: &mut GammaScratch,
+) -> GammaStats {
+    let mut stats = GammaStats::default();
+    let GammaScratch { lane, support } = scratch;
+    support.clear();
+    support.resize(ext.num_commodities(), false);
+    for j in ext.commodity_ids() {
+        let range = owned[j.index()].clone();
+        assert!(
+            range.end <= ext.commodity_routers(j).len(),
+            "owned router range past the router list"
+        );
+        stats.rows += range.len();
+        let ctx = GammaCtx::new(
+            ext,
+            cost,
+            routing.row_cells(j),
+            state,
+            marginals,
+            eta,
+            traffic_floor,
+            opening_fraction * ext.commodity(j).max_rate,
+            shift_cap,
+            j,
+        );
+        let deciders = ctx.members.deciders();
+        let lo = deciders.partition_point(|&(_, r)| (r as usize) < range.start);
+        let hi = deciders.partition_point(|&(_, r)| (r as usize) < range.end);
+        // one chunk's shifts at a time, folded when the walk leaves it
+        let mut chunk = usize::MAX;
+        let mut local = (0.0f64, 0.0f64);
+        for &(i, r) in &deciders[lo..hi] {
+            let c = r as usize / GAMMA_CHUNK;
+            if c != chunk {
+                stats.max_shift = stats.max_shift.max(local.0);
+                stats.total_shift += local.1;
+                (chunk, local) = (c, (0.0, 0.0));
+            }
+            let (max_shift, total) = gamma_row_into(&ctx, None, i as usize, lane);
+            let out = ctx.members.out_arcs(i as usize).0;
+            support[j.index()] |= apply_row_support(ctx.phi, out, &lane.row);
+            local.0 = local.0.max(max_shift);
+            local.1 += total;
+        }
+        stats.max_shift = stats.max_shift.max(local.0);
+        stats.total_shift += local.1;
     }
     stats
 }
@@ -735,6 +785,127 @@ mod tests {
         assert_eq!(stats.max_shift.to_bits(), ref_stats.max_shift.to_bits());
         assert_eq!(stats.total_shift.to_bits(), ref_stats.total_shift.to_bits());
         assert_eq!(stats.rows, ref_stats.rows);
+    }
+
+    /// [`apply_gamma_deciders`] over one region's router ranges is
+    /// bit-equal to [`apply_gamma_selective`] with that region's
+    /// ownership predicate — routing, every [`GammaStats`] field and the
+    /// per-commodity support flags — at every region of a 2-, 3- and
+    /// 4-way contiguous node split, on every step of a 60-step
+    /// trajectory (advanced by the full Γ).
+    #[test]
+    fn decider_ranges_match_the_selective_ownership_predicate() {
+        use crate::GradientConfig;
+        use spn_model::random::RandomInstance;
+        let config = GradientConfig::default();
+        let cost = CostModel {
+            penalty: config.penalty,
+            epsilon: config.epsilon,
+            wall_threshold: config.wall_threshold,
+            wall_strength: config.wall_strength,
+        };
+        for (nodes, commodities, seed) in [(30, 4, 11), (60, 6, 3)] {
+            let problem = RandomInstance::builder()
+                .nodes(nodes)
+                .commodities(commodities)
+                .seed(seed)
+                .build()
+                .unwrap()
+                .problem;
+            let ext = ExtendedNetwork::build(&problem);
+            let v_count = ext.graph().node_count();
+            let mut rt = RoutingTable::initial(&ext);
+            let mut scratch = GammaScratch::default();
+            let mut moved = 0usize;
+            for step in 0..60 {
+                let fs = compute_flows(&ext, &rt);
+                let m = compute_marginals(&ext, &cost, &rt, &fs);
+                for regions in 2..=4 {
+                    for r in 0..regions {
+                        let owner = |v: &NodeId| (v.index() * regions / v_count).min(regions - 1);
+                        let owns = |v: NodeId| owner(&v) == r;
+                        let owned: Vec<_> = ext
+                            .commodity_ids()
+                            .map(|j| {
+                                let routers = ext.commodity_routers(j);
+                                routers.partition_point(|v| owner(v) < r)
+                                    ..routers.partition_point(|v| owner(v) <= r)
+                            })
+                            .collect();
+                        let mut want = rt.clone();
+                        let want_stats = apply_gamma_selective(
+                            &ext,
+                            &cost,
+                            &mut want,
+                            &fs,
+                            &m,
+                            config.eta,
+                            config.traffic_floor,
+                            config.opening_fraction,
+                            config.shift_cap,
+                            |_, v| owns(v),
+                        );
+                        let mut got = rt.clone();
+                        let got_stats = apply_gamma_deciders(
+                            &ext,
+                            &cost,
+                            &mut got,
+                            &fs,
+                            &m,
+                            config.eta,
+                            config.traffic_floor,
+                            config.opening_fraction,
+                            config.shift_cap,
+                            &owned,
+                            &mut scratch,
+                        );
+                        let ctx = format!(
+                            "({nodes}, {commodities}, {seed}) step {step}, region {r} of {regions}"
+                        );
+                        assert_eq!(got_stats.rows, want_stats.rows, "{ctx}: rows");
+                        assert_eq!(
+                            got_stats.max_shift.to_bits(),
+                            want_stats.max_shift.to_bits(),
+                            "{ctx}: max shift"
+                        );
+                        assert_eq!(
+                            got_stats.total_shift.to_bits(),
+                            want_stats.total_shift.to_bits(),
+                            "{ctx}: total shift"
+                        );
+                        for j in ext.commodity_ids() {
+                            let mut crossed = false;
+                            for &l in ext.commodity_edges(j) {
+                                let (g, w) = (got.fraction(j, l), want.fraction(j, l));
+                                assert_eq!(g.to_bits(), w.to_bits(), "{ctx}: φ({j}, {l})");
+                                crossed |= (rt.fraction(j, l) != 0.0) != (g != 0.0);
+                            }
+                            assert_eq!(
+                                scratch.support_changed(j),
+                                crossed,
+                                "{ctx}: support of {j}"
+                            );
+                            moved += usize::from(crossed);
+                        }
+                    }
+                }
+                apply_gamma(
+                    &ext,
+                    &cost,
+                    &mut rt,
+                    &fs,
+                    &m,
+                    config.eta,
+                    config.traffic_floor,
+                    config.opening_fraction,
+                    config.shift_cap,
+                );
+            }
+            assert!(
+                moved > 0,
+                "no support ever moved: the flags were not exercised"
+            );
+        }
     }
 
     /// Filtered-update semantics of [`apply_gamma_selective`]: rejected

@@ -3,12 +3,26 @@
 //! honest under a faulty transport.
 //!
 //! Every worker mirrors the complete `(routing, flows, marginals)`
-//! state but *owns* only its node range: Γ updates for owned routers
-//! are computed locally and broadcast as serialized rows; peer rows
+//! state but *owns* only its node range: Γ updates for owned deciders
+//! are computed locally and shipped as serialized rows; peer rows
 //! arrive over the wire and are merged in. Under a lossless transport
 //! each worker's redundant mirror sweeps are bit-identical to every
 //! peer's, so the merged trajectory is bit-identical to the monolithic
 //! `GradientAlgorithm` (ARCHITECTURE invariant 19).
+//!
+//! **Rows travel only to the regions that read them** (§5: a marginal
+//! goes upstream, to the nodes that route into it). Region `q` reads
+//! marginal `(j, v)` iff it owns a router of `j` with an arc into `v`;
+//! each worker ships an owned router's marginal to exactly those peers,
+//! from a per-peer list built at construction, and accepts a received
+//! one only if the sender owns the router and this worker reads it. An
+//! entry a region does not read is rewritten by its own next sweep
+//! before anything reads it, so not sending it changes no bit of a
+//! lossless run (invariant 20). Γ rows travel only for deciders: a
+//! pass-through router's row is `[(l, 1.0)]` on every mirror from
+//! construction on, so Γ runs over the owned deciders alone
+//! ([`apply_gamma_deciders`]) and a received pass-through row is
+//! malformed whatever it holds (invariant 24).
 //!
 //! An iteration is [`TICKS_PER_ITERATION`] ticks: *decide* (peers'
 //! marginals in, owned Γ out) and *forward* (peers' Γ rows in,
@@ -24,7 +38,7 @@
 //! Γ rows report that through [`GammaScratch::support_changed`], an
 //! applied peer Γ row through a zero-crossing check per fraction, and a
 //! recovery restore marks everything. A write that only moves values
-//! (most Γ rows, every pass-through row) leaves the table as it is.
+//! (most Γ rows) leaves the table as it is.
 //! Entries outside a commodity's
 //! subgraph are structurally zero and no sweep rewrites them, which is
 //! why every index a frame carries is validated against the subgraph
@@ -50,7 +64,10 @@
 //!   delivery with an ahead-buffer, and retransmit under capped
 //!   exponential backoff. A malformed sub is discarded *unsequenced*:
 //!   it does not consume its seq, so a forged or corrupted copy cannot
-//!   turn the genuine sub (or its retransmit) into a "duplicate".
+//!   turn the genuine sub (or its retransmit) into a "duplicate". The
+//!   ahead-buffer holds at most the inbox budget in payload bytes per
+//!   link; a sub past it is refused unsequenced as one
+//!   [`MeshIncident::InboxOverflow`].
 //! * **Watermarked broadcasts** (marginals, forecasts): a per-kind
 //!   round watermark accepts only strictly newer rounds; duplicates
 //!   and stale frames are logged and discarded, never applied twice.
@@ -74,13 +91,13 @@ use crate::wire::{
     RESEND_FORECAST, RESEND_MARGINALS,
 };
 use spn_core::flows::compute_flows;
-use spn_core::gamma::{apply_gamma_selective_scratch, GammaScratch, GammaStats};
+use spn_core::gamma::{apply_gamma_deciders, GammaScratch, GammaStats};
 use spn_core::marginals::compute_marginals_into;
 use spn_core::routing::FRACTION_TOLERANCE;
 use spn_core::{
     Checkpoint, CostModel, FlowState, GradientConfig, LiveArcSweeps, Marginals, RoutingTable,
 };
-use spn_graph::{EdgeId, NodeId};
+use spn_graph::EdgeId;
 use spn_model::CommodityId;
 use spn_transform::ExtendedNetwork;
 use std::cell::Cell;
@@ -95,24 +112,11 @@ pub fn owner_of(v_index: usize, v_count: usize, regions: usize) -> usize {
     (v_index * regions / v_count).min(regions - 1)
 }
 
-/// Commodity `j`'s routers inside its precomputed sub-range of
-/// `commodity_routers(j)`, as `(node, member position)` pairs (a free
-/// function so callers can hold link and outbox borrows across it).
-fn routers_in<'e>(
-    ext: &'e ExtendedNetwork,
-    spans: &[Range<usize>],
-    j: CommodityId,
-) -> impl ExactSizeIterator<Item = (NodeId, usize)> + 'e {
-    let span = spans[j.index()].clone();
-    let nodes = &ext.commodity_routers(j)[span.clone()];
-    let positions = &ext.members(j).routers()[span];
-    nodes.iter().zip(positions).map(|(&v, &p)| (v, p as usize))
-}
-
-/// The mass rule of a received routing row of `edges` out-edges: one
-/// within `FRACTION_TOLERANCE`, and exactly `1.0` for a pass-through —
-/// the only row Γ ever gives it (`f / f`), since the owner's sparse
-/// step never recomputes it.
+/// The mass rule of a routing row of `edges` out-edges in a recovery
+/// snapshot: one within `FRACTION_TOLERANCE`, and exactly `1.0` for a
+/// pass-through — the only row Γ ever gives it (`f / f`), and the row
+/// every mirror holds from construction on (no pass-through row
+/// travels on the Γ stream, so nothing else ever writes one).
 fn row_mass_ok(edges: usize, sum: f64) -> bool {
     if edges == 1 {
         sum == 1.0
@@ -167,6 +171,10 @@ pub struct LinkWireStats {
     pub subs_sent: u64,
     /// Marginal entries + Γ rows + forecast entries shipped.
     pub rows_sent: u64,
+    /// The marginal entries among `rows_sent`.
+    pub marginal_rows_sent: u64,
+    /// The Γ rows among `rows_sent`.
+    pub gamma_rows_sent: u64,
     /// Rows whose bits matched the link fingerprint and were *not*
     /// shipped (the delta win).
     pub rows_suppressed: u64,
@@ -192,6 +200,10 @@ pub struct MeshWireStats {
     pub subs: u64,
     /// Rows shipped.
     pub rows_sent: u64,
+    /// Marginal entries shipped (part of `rows_sent`).
+    pub marginal_rows: u64,
+    /// Γ rows shipped (part of `rows_sent`).
+    pub gamma_rows: u64,
     /// Rows suppressed by delta fingerprints.
     pub rows_suppressed: u64,
     /// Broadcast round gaps detected (resend requests issued).
@@ -205,6 +217,8 @@ impl MeshWireStats {
         self.bytes += other.bytes;
         self.subs += other.subs;
         self.rows_sent += other.rows_sent;
+        self.marginal_rows += other.marginal_rows;
+        self.gamma_rows += other.gamma_rows;
         self.rows_suppressed += other.rows_suppressed;
         self.resyncs += other.resyncs;
     }
@@ -223,7 +237,8 @@ struct Flight {
 }
 
 /// An out-of-order reliable sub-frame buffered until its gap fills
-/// (chaos-only; the copy is the one allocating receive path).
+/// (chaos-only; the copy is the one allocating receive path). The
+/// payloads a link holds are capped at the inbox byte budget.
 struct AheadSub {
     kind: FrameKind,
     round: u64,
@@ -244,11 +259,17 @@ struct Link {
     recv_next: u64,
     /// Out-of-order reliable sub-frames buffered until the gap fills.
     ahead: BTreeMap<u64, AheadSub>,
+    /// Payload bytes held in `ahead` (at most the inbox budget).
+    ahead_bytes: usize,
     /// Round watermark per broadcast kind: next acceptable round.
     wm_marginals: u64,
     wm_forecast: u64,
-    /// Bit fingerprint of the last marginal shipped per (j, v) slot
-    /// (only owned slots are used).
+    /// The owned router marginals this peer reads, as `(j, v, member
+    /// position)`, commodity-major in router order: the rows
+    /// [`RegionWorker::phase_marginals`] ships on this link.
+    marg_rows: Vec<(u32, u32, u32)>,
+    /// Bit fingerprint of the last marginal shipped per `marg_rows`
+    /// entry.
     marg_sent: Vec<u64>,
     /// Round of the last marginals frame shipped (the next delta's
     /// `base`).
@@ -273,16 +294,18 @@ struct Link {
 }
 
 impl Link {
-    fn new(j_count: usize, v_count: usize, edge_count: usize) -> Self {
+    fn new(j_count: usize, edge_count: usize, marg_rows: Vec<(u32, u32, u32)>) -> Self {
         Link {
             next_seq: 1,
             in_flight: VecDeque::new(),
             spare: Vec::new(),
             recv_next: 1,
             ahead: BTreeMap::new(),
+            ahead_bytes: 0,
             wm_marginals: 0,
             wm_forecast: 0,
-            marg_sent: vec![NEVER_SENT; j_count * v_count],
+            marg_sent: vec![NEVER_SENT; marg_rows.len()],
+            marg_rows,
             marg_round: 0,
             gamma_sent: vec![NEVER_SENT; j_count * edge_count],
             gamma_round: 0,
@@ -307,9 +330,15 @@ pub struct RegionWorker {
     /// (ownership is contiguous by construction of [`owner_of`]).
     region_lo: Vec<usize>,
     /// Per commodity, the sub-range of `commodity_routers(j)` (ascending
-    /// node order) this worker owns — what the Γ and marginal delta
-    /// scans and the round-guard bump walk.
+    /// node order) this worker owns — the routers its Γ runs over.
     owned_routers: Vec<Range<usize>>,
+    /// Per commodity, the sub-range of `members(j).deciders()` inside
+    /// `owned_routers[j]` — the rows the Γ stream ships.
+    owned_deciders: Vec<Range<usize>>,
+    /// `reads[member_range(j).start + p]`: this worker owns a router
+    /// with an arc into member `p` of commodity `j`, so its Γ reads that
+    /// marginal — the only marginal entries a peer may ship it.
+    reads: Vec<bool>,
     /// Member position of every routing row, `router_pos[j·V + v]`
     /// ([`NOT_A_ROUTER`] elsewhere): wire frames address rows by node
     /// id, so a received row resolves here, like its `row_round` guard,
@@ -388,12 +417,20 @@ impl RegionWorker {
             .collect();
         region_lo.push(v_count);
         let owned = region_lo[region]..region_lo[region + 1];
-        let owned_routers = ext
+        let owned_routers: Vec<Range<usize>> = ext
             .commodity_ids()
             .map(|j| {
                 let routers = ext.commodity_routers(j);
                 routers.partition_point(|v| v.index() < owned.start)
                     ..routers.partition_point(|v| v.index() < owned.end)
+            })
+            .collect();
+        let owned_deciders = ext
+            .commodity_ids()
+            .map(|j| {
+                let (deciders, span) = (ext.members(j).deciders(), &owned_routers[j.index()]);
+                deciders.partition_point(|&(_, r)| (r as usize) < span.start)
+                    ..deciders.partition_point(|&(_, r)| (r as usize) < span.end)
             })
             .collect();
         let mut router_pos = vec![NOT_A_ROUTER; j_count * v_count];
@@ -403,6 +440,47 @@ impl RegionWorker {
                 router_pos[j.index() * v_count + v.index()] = p;
             }
         }
+        // The readers relation: region `q` reads marginal `(j, v)` iff it
+        // owns a router of `j` with an arc into `v`. Each owned router's
+        // entry goes on the list of every other region that reads it
+        // (once per row); `reads` is this region's own side of it.
+        let mut marg_rows: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); regions];
+        let mut reads = vec![false; ext.member_total()];
+        let mut tail_owners = Vec::new();
+        for j in ext.commodity_ids() {
+            let members = ext.members(j);
+            let router_owner = |t: u32| {
+                let u = members.node(t as usize).index();
+                (router_pos[j.index() * v_count + u] != NOT_A_ROUTER)
+                    .then(|| owner_of(u, v_count, regions))
+            };
+            for (p, read) in reads[ext.member_range(j)].iter_mut().enumerate() {
+                *read = members
+                    .in_arcs(p)
+                    .1
+                    .iter()
+                    .any(|&t| router_owner(t) == Some(region));
+            }
+            let span = owned_routers[j.index()].clone();
+            let routers = ext.commodity_routers(j)[span.clone()].iter();
+            for (&v, &p) in routers.zip(&members.routers()[span]) {
+                tail_owners.clear();
+                tail_owners.extend(
+                    members
+                        .in_arcs(p as usize)
+                        .1
+                        .iter()
+                        .filter_map(|&t| router_owner(t)),
+                );
+                tail_owners.sort_unstable();
+                tail_owners.dedup();
+                for &q in &tail_owners {
+                    if q != region {
+                        marg_rows[q].push((j.index() as u32, v.index() as u32, p));
+                    }
+                }
+            }
+        }
         RegionWorker {
             region,
             regions,
@@ -410,6 +488,8 @@ impl RegionWorker {
             edge_count,
             region_lo,
             owned_routers,
+            owned_deciders,
+            reads,
             router_pos,
             refresh_every: refresh_every.max(1),
             routing,
@@ -421,8 +501,9 @@ impl RegionWorker {
             epsilon: cost.epsilon,
             eta: gradient.eta,
             last_gamma: GammaStats::default(),
-            links: (0..regions)
-                .map(|_| Link::new(j_count, v_count, edge_count))
+            links: marg_rows
+                .into_iter()
+                .map(|rows| Link::new(j_count, edge_count, rows))
                 .collect(),
             outbox: (0..regions).map(|_| FrameBuf::new()).collect(),
             row_round: vec![0; j_count * v_count],
@@ -512,6 +593,13 @@ impl RegionWorker {
                 .all(|p| self.suspect[p])
     }
 
+    /// Payload bytes of out-of-order reliable sub-frames held from
+    /// `peer`, waiting for their gap to fill (at most the inbox budget).
+    #[must_use]
+    pub fn held_ahead_bytes(&self, peer: usize) -> usize {
+        self.links[peer].ahead_bytes
+    }
+
     /// Wire telemetry for the link to `peer` (zeros for `peer ==
     /// region()`).
     #[must_use]
@@ -529,6 +617,8 @@ impl RegionWorker {
                 bytes: link.stats.bytes_sent,
                 subs: link.stats.subs_sent,
                 rows_sent: link.stats.rows_sent,
+                marginal_rows: link.stats.marginal_rows_sent,
+                gamma_rows: link.stats.gamma_rows_sent,
                 rows_suppressed: link.stats.rows_suppressed,
                 resyncs: link.stats.resyncs_requested,
             });
@@ -658,10 +748,12 @@ impl RegionWorker {
     }
 
     /// End of the forward tick, in the new round: the live-arc marginal
-    /// sweep over the mirror, then ship each peer the owned *router*
-    /// entries whose bits changed since last shipped on that link (all
-    /// of them on a refresh or forced-full round). Non-router marginals
-    /// are structurally `0.0` on every mirror and never travel.
+    /// sweep over the mirror, then ship each peer the entries on its
+    /// readers list whose bits changed since last shipped on that link
+    /// (the whole list on a refresh or forced-full round). No other entry
+    /// travels: a non-router marginal is structurally `0.0` on every
+    /// mirror, and one the peer does not read is rewritten by the peer's
+    /// own sweep before anything reads it.
     fn phase_marginals(&mut self, ext: &ExtendedNetwork, cost: &CostModel) {
         self.sweeps
             .marginals_into(ext, cost, &self.routing, &self.state, &mut self.marginals);
@@ -671,7 +763,7 @@ impl RegionWorker {
             return;
         }
         let refresh = self.round.is_multiple_of(self.refresh_every);
-        let (v_count, round) = (self.v_count, self.round);
+        let round = self.round;
         for peer in 0..self.regions {
             if peer == self.region {
                 continue;
@@ -683,27 +775,23 @@ impl RegionWorker {
             let mut count_at = 0usize;
             let mut n = 0u32;
             let mut suppressed = 0u64;
-            for j in ext.commodity_ids() {
-                let d_row = self.marginals.row(ext, j);
-                for (v, p) in routers_in(ext, &self.owned_routers, j) {
-                    let d = d_row[p];
-                    let bits = d.to_bits();
-                    let idx = j.index() * v_count + v.index();
-                    if full || link.marg_sent[idx] != bits {
-                        link.marg_sent[idx] = bits;
-                        if !opened {
-                            batch.begin_sub(FrameKind::Marginals, 0, round);
-                            batch.put_u64(if full { round } else { link.marg_round });
-                            count_at = batch.mark_u32();
-                            opened = true;
-                        }
-                        batch.put_u32(j.index() as u32);
-                        batch.put_u32(v.index() as u32);
-                        batch.put_f64(d);
-                        n += 1;
-                    } else {
-                        suppressed += 1;
+            for (&(j, v, p), sent) in link.marg_rows.iter().zip(&mut link.marg_sent) {
+                let d = self.marginals.row(ext, CommodityId::from_index(j as usize))[p as usize];
+                let bits = d.to_bits();
+                if full || *sent != bits {
+                    *sent = bits;
+                    if !opened {
+                        batch.begin_sub(FrameKind::Marginals, 0, round);
+                        batch.put_u64(if full { round } else { link.marg_round });
+                        count_at = batch.mark_u32();
+                        opened = true;
                     }
+                    batch.put_u32(j);
+                    batch.put_u32(v);
+                    batch.put_f64(d);
+                    n += 1;
+                } else {
+                    suppressed += 1;
                 }
             }
             if opened {
@@ -712,15 +800,18 @@ impl RegionWorker {
                 link.marg_round = round;
                 link.force_marginals = false;
                 link.stats.rows_sent += u64::from(n);
+                link.stats.marginal_rows_sent += u64::from(n);
             }
             link.stats.rows_suppressed += suppressed;
         }
     }
 
-    /// The decide tick: the Γ update restricted to owned routers (which
-    /// stale-marks every commodity whose support it moved); ship each peer the owned rows whose
-    /// fraction bits changed, on the reliable stream (all owned rows on a
-    /// refresh round — the backstop that bounds post-recovery divergence).
+    /// The decide tick: Γ over the owned deciders (which stale-marks
+    /// every commodity whose support it moved); ship each peer the owned
+    /// decider rows whose fraction bits changed, on the reliable stream
+    /// (every owned decider row on a refresh round — the backstop that
+    /// bounds post-recovery divergence). Pass-through rows are `[(l,
+    /// 1.0)]` on every mirror and never travel.
     fn phase_gamma(
         &mut self,
         ext: &ExtendedNetwork,
@@ -728,8 +819,7 @@ impl RegionWorker {
         gradient: &GradientConfig,
         tick: u64,
     ) {
-        let owned = self.owned_nodes(self.region);
-        self.last_gamma = apply_gamma_selective_scratch(
+        self.last_gamma = apply_gamma_deciders(
             ext,
             cost,
             &mut self.routing,
@@ -739,18 +829,15 @@ impl RegionWorker {
             gradient.traffic_floor,
             gradient.opening_fraction,
             gradient.shift_cap,
-            |_, v| owned.contains(&v.index()),
+            &self.owned_routers,
             &mut self.gamma_scratch,
         );
-        let (v_count, edge_count, round) = (self.v_count, self.edge_count, self.round);
-        // own rows advance their round guard locally; a commodity's live
-        // arcs are out of date only where Γ moved a fraction across zero
+        let (edge_count, round) = (self.edge_count, self.round);
+        // a commodity's live arcs are out of date only where Γ moved a
+        // fraction across zero
         for j in ext.commodity_ids() {
             if self.gamma_scratch.support_changed(j) {
                 self.sweeps.mark_stale(j);
-            }
-            for (v, _) in routers_in(ext, &self.owned_routers, j) {
-                self.row_round[j.index() * v_count + v.index()] = round + 1;
             }
         }
         if self.regions == 1 {
@@ -770,8 +857,9 @@ impl RegionWorker {
             let mut seq = 0u64;
             for j in ext.commodity_ids() {
                 let members = ext.members(j);
-                for (v, p) in routers_in(ext, &self.owned_routers, j) {
-                    let out = members.out_arcs(p).0;
+                let deciders = &members.deciders()[self.owned_deciders[j.index()].clone()];
+                for &(p, _) in deciders {
+                    let out = members.out_arcs(p as usize).0;
                     let changed = refresh
                         || out.iter().any(|&l| {
                             link.gamma_sent[j.index() * edge_count + l.index()]
@@ -790,7 +878,7 @@ impl RegionWorker {
                         opened = true;
                     }
                     batch.put_u32(j.index() as u32);
-                    batch.put_u32(v.index() as u32);
+                    batch.put_u32(members.node(p as usize).index() as u32);
                     batch.put_u32(out.len() as u32);
                     for &l in out {
                         let phi = self.routing.fraction(j, l);
@@ -806,6 +894,7 @@ impl RegionWorker {
                 batch.end_sub();
                 link.gamma_round = round;
                 link.stats.rows_sent += u64::from(n);
+                link.stats.gamma_rows_sent += u64::from(n);
                 // pooled flight copy for the retransmit stream
                 let mut bytes = link.spare.pop().unwrap_or_default();
                 bytes.clear();
@@ -990,7 +1079,7 @@ impl RegionWorker {
                     // every guard stores `round + 1`
                     log.push(self.malformed(tick, "sub-frame round out of range"));
                 } else if sub.kind.is_reliable() {
-                    self.receive_reliable(ext, tick, from, &sub, log);
+                    self.receive_reliable(ext, tick, from, &sub, inbox.budget(), log);
                 } else {
                     self.receive_unreliable(ext, tick, from, &sub, log);
                 }
@@ -1025,12 +1114,21 @@ impl RegionWorker {
         }
     }
 
+    /// Takes up one reliable sub-frame: applies it in order (then
+    /// whatever it unblocks), drops a duplicate, or holds it ahead until
+    /// its gap fills — while the link's held payloads stay within
+    /// `budget` bytes (the inbox budget). A sub past that is refused
+    /// unsequenced, as one [`MeshIncident::InboxOverflow`]: a corrupted
+    /// or hostile far-future `seq` cannot grow memory without bound, and
+    /// the genuine sub still arrives by retransmit.
+    #[allow(clippy::too_many_arguments)]
     fn receive_reliable(
         &mut self,
         ext: &ExtendedNetwork,
         tick: u64,
         from: usize,
         sub: &SubView<'_>,
+        budget: usize,
         log: &mut Vec<MeshIncident>,
     ) {
         let link = &mut self.links[from];
@@ -1055,30 +1153,35 @@ impl RegionWorker {
                 let Some(next) = link.ahead.remove(&next_seq) else {
                     break;
                 };
+                link.ahead_bytes -= next.payload.len();
                 if !self.apply_reliable(ext, tick, from, next.kind, next.round, &next.payload, log)
                 {
                     break;
                 }
                 self.links[from].recv_next += 1;
             }
-        } else if link
-            .ahead
-            .insert(
-                sub.seq,
-                AheadSub {
-                    kind: sub.kind,
-                    round: sub.round,
-                    payload: sub.payload.to_vec(),
-                },
-            )
-            .is_some()
-        {
+        } else if link.ahead.contains_key(&sub.seq) {
             log.push(MeshIncident::DuplicateFrameDiscarded {
                 tick,
                 region: self.region,
                 from,
                 kind: sub.kind,
             });
+        } else if link.ahead_bytes + sub.payload.len() > budget {
+            log.push(MeshIncident::InboxOverflow {
+                tick,
+                region: self.region,
+                from,
+                dropped: sub.payload.len() as u64,
+            });
+        } else {
+            link.ahead_bytes += sub.payload.len();
+            let held = AheadSub {
+                kind: sub.kind,
+                round: sub.round,
+                payload: sub.payload.to_vec(),
+            };
+            link.ahead.insert(sub.seq, held);
         }
     }
 
@@ -1098,8 +1201,9 @@ impl RegionWorker {
         match kind {
             FrameKind::GammaRows => {
                 // validation pass, no writes: every row must be one of
-                // `from`'s routers and must be the *whole* row as the
-                // sender ships it — every out-edge once, in
+                // `from`'s deciders — a pass-through row never travels,
+                // whatever it holds — and must be the *whole* row as the
+                // sender ships it: every out-edge once, in
                 // `commodity_out_slice` order, non-negative fractions
                 // meeting `row_mass_ok` (edges of a refused row are not
                 // looked at). Anything else would break the φ-simplex
@@ -1115,7 +1219,7 @@ impl RegionWorker {
                         let ok = self.router_of(ext, from, j, v).is_some_and(|p| {
                             let j = CommodityId::from_index(j as usize);
                             out.set(ext.members(j).out_arcs(p).0);
-                            out.get().len() == e
+                            out.get().len() == e && e >= 2
                         });
                         rows_ok &= ok;
                         ok
@@ -1292,10 +1396,14 @@ impl RegionWorker {
                 let wm = self.links[from].wm_marginals;
                 if sub.round >= wm {
                     // validation pass, no writes: only `from`'s router
-                    // entries are ever nonzero, or shipped
+                    // entries are ever nonzero, and only those this
+                    // worker reads are shipped to it
                     let mut valid = true;
                     let walked = walk_marginals(sub.payload, |e| {
-                        valid &= self.router_of(ext, from, e.j, e.v).is_some();
+                        valid &= self.router_of(ext, from, e.j, e.v).is_some_and(|p| {
+                            let j = CommodityId::from_index(e.j as usize);
+                            self.reads[ext.member_range(j).start + p]
+                        });
                     });
                     if !self.accepted(tick, sub.round, walked, valid, log) {
                         return;
@@ -1528,6 +1636,7 @@ mod tests {
     use crate::runtime::{MeshConfig, MeshRuntime};
     use crate::socket::{SocketKind, SocketOptions};
     use proptest::prelude::*;
+    use spn_graph::NodeId;
     use spn_model::random::RandomInstance;
     use spn_sim::draws::unit_hash;
 
@@ -1620,7 +1729,7 @@ mod tests {
         /// spread over every out-edge), value-only peer rows (new
         /// weights on the support the mirror already has), the same
         /// frame again, rows of an old round, rows outside the sender's
-        /// routers, rows that are not rows (mass 2, an edge listed
+        /// deciders, rows that are not rows (mass 2, an edge listed
         /// twice), a recovery snapshot — every non-stale live-arc row is
         /// the `φ ≠ 0` filter of its routing row afterwards, and the
         /// sweeps that follow (each rebuilds, debug-asserts, and is
@@ -1652,9 +1761,12 @@ mod tests {
             let theirs: Vec<(CommodityId, NodeId)> = ext
                 .commodity_ids()
                 .flat_map(|j| {
+                    // region 1's deciders: a pass-through row never travels
+                    let ext = &ext;
                     ext.commodity_routers(j)
                         .iter()
                         .filter(|v| b.owns_node(v.index()))
+                        .filter(move |&&v| ext.commodity_out_slice(j, v).len() >= 2)
                         .map(move |&v| (j, v))
                 })
                 .collect();
@@ -1665,7 +1777,7 @@ mod tests {
             for (tick, &op) in ops.iter().enumerate() {
                 let round = a.round;
                 let mut inbox = Inbox::new();
-                // seeded rows over region 1's routers, by `shape`: 0 all
+                // seeded rows over region 1's deciders, by `shape`: 0 all
                 // mass on one out-edge, so supports really move; 1 that
                 // mass doubled; 2 the first out-edge listed twice at 0.5
                 // (in place of its neighbour, or as an extra entry when
@@ -1804,6 +1916,128 @@ mod tests {
                 .any(|i| matches!(i, MeshIncident::MalformedFrameDiscarded { .. }))
                 || !ops.iter().any(|op| matches!(op, 4 | 6 | 7)));
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The readers relation, by brute force: on every worker, the
+        /// list of marginals shipped to peer `q` is exactly the owned
+        /// routers `v` of each commodity `j` (commodity-major, router
+        /// order) such that `q` owns a router `u` of `j` with an arc
+        /// `u → v`; the receive-side `reads` table is that relation
+        /// seen from the worker itself; and the head of every owned
+        /// decider's out-arc that is a router owned elsewhere is on its
+        /// owner's list for this worker — every marginal a Γ row reads
+        /// arrives.
+        #[test]
+        fn marginal_lists_are_the_readers_relation(
+            nodes in 12usize..48,
+            commodities in 1usize..6,
+            seed in 0u64..1_000,
+            regions in 2usize..=4,
+        ) {
+            let ext = instance(nodes, commodities, seed);
+            let v_count = ext.graph().node_count();
+            let gradient = GradientConfig::default();
+            let cost = cost_of(&gradient);
+            let owner = |v: NodeId| owner_of(v.index(), v_count, regions);
+            let workers: Vec<RegionWorker> = (0..regions)
+                .map(|r| RegionWorker::new(&ext, &cost, &gradient, r, regions, 16))
+                .collect();
+            let arc = |j: CommodityId, u: NodeId, v: NodeId| {
+                ext.commodity_out_slice(j, u).iter().any(|&l| ext.graph().target(l) == v)
+            };
+            let reads = |q: usize, j: CommodityId, v: NodeId| {
+                ext.commodity_routers(j).iter().any(|&u| owner(u) == q && arc(j, u, v))
+            };
+            for (s, worker) in workers.iter().enumerate() {
+                for q in (0..regions).filter(|&q| q != s) {
+                    let mut want = Vec::new();
+                    for j in ext.commodity_ids() {
+                        for &v in ext.commodity_routers(j).iter().filter(|&&v| owner(v) == s) {
+                            if reads(q, j, v) {
+                                let p = ext.member_pos(j, v).expect("a router is a member");
+                                want.push((j.index() as u32, v.index() as u32, p as u32));
+                            }
+                        }
+                    }
+                    prop_assert_eq!(&worker.links[q].marg_rows, &want, "list {} -> {}", s, q);
+                    prop_assert_eq!(worker.links[q].marg_sent.len(), want.len());
+                }
+                for j in ext.commodity_ids() {
+                    let members = ext.members(j);
+                    let base = ext.member_range(j).start;
+                    for (p, &v) in members.nodes().iter().enumerate() {
+                        prop_assert_eq!(worker.reads[base + p], reads(s, j, v), "reads ({}, {})", j, v);
+                    }
+                    for &(p, _) in members.deciders() {
+                        if owner(members.node(p as usize)) != s {
+                            continue;
+                        }
+                        for &h in members.out_arcs(p as usize).1 {
+                            let v = members.node(h as usize);
+                            let o = owner(v);
+                            if o == s || !ext.commodity_routers(j).contains(&v) {
+                                continue;
+                            }
+                            let entry = (j.index() as u32, v.index() as u32, h);
+                            prop_assert!(
+                                workers[o].links[s].marg_rows.contains(&entry),
+                                "decider head {:?} missing from list {} -> {}", entry, o, s
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// On a lossless mesh the wire carries only what the readers
+    /// relation and the decider lists allow: past the full round 0 and
+    /// the refresh rounds, a round ships at most one marginal per list
+    /// entry and one Γ row per owned decider per peer, and never a
+    /// pass-through row.
+    #[test]
+    fn lossless_rows_per_round_stay_within_the_lists() {
+        let ext = instance(30, 4, 11);
+        let config = MeshConfig {
+            regions: 4,
+            gradient: GradientConfig::default(),
+            ..MeshConfig::default()
+        };
+        let mut mesh = MeshRuntime::lossless(ext.clone(), config.clone()).expect("valid config");
+        let rounds = 40u64;
+        mesh.run(rounds as usize);
+        let (mut listed, mut deciders) = (0u64, 0u64);
+        for r in 0..config.regions {
+            let w = mesh.worker(r);
+            listed += w
+                .links
+                .iter()
+                .map(|l| l.marg_rows.len() as u64)
+                .sum::<u64>();
+            deciders += w.owned_deciders.iter().map(|d| d.len() as u64).sum::<u64>()
+                * (config.regions as u64 - 1);
+        }
+        let wire = mesh.wire_stats();
+        assert!(wire.marginal_rows > 0 && wire.gamma_rows > 0);
+        assert!(
+            wire.marginal_rows <= rounds * listed,
+            "{wire:?} vs {listed} listed"
+        );
+        assert!(
+            wire.gamma_rows <= rounds * deciders,
+            "{wire:?} vs {deciders} decider rows"
+        );
+        let routers: u64 = ext
+            .commodity_ids()
+            .map(|j| ext.commodity_routers(j).len() as u64)
+            .sum();
+        assert!(
+            listed < routers * (config.regions as u64 - 1),
+            "the readers lists are no smaller than a broadcast"
+        );
     }
 
     #[test]

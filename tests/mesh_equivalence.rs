@@ -437,14 +437,14 @@ fn run_digest(report: &MeshReport, log: &[MeshIncident]) -> u64 {
 fn pinned_scenarios() -> [(&'static str, MeshFaultConfig, usize, usize, u64); 2] {
     [
         // the 4-region noisy run of `same_seed_chaotic_runs_are_identical`
-        ("noisy", noisy_faults(), 4, 100, 0x4b2a_966a_3aeb_e650),
+        ("noisy", noisy_faults(), 4, 100, 0x0244_54bc_9e55_1625),
         // the 3-region partition and recovery
         (
             "partition",
             partition_faults(),
             3,
             60,
-            0x059f_3766_d22f_355d,
+            0x7a4d_66b5_911e_04a0,
         ),
     ]
 }
@@ -467,13 +467,20 @@ fn partition_faults() -> MeshFaultConfig {
     }
 }
 
-/// Invariant 21, faulty half: two faulty runs against digests generated
-/// while a faulty socket mesh was still asserted equal to the retired
-/// in-process fault injector. Every stream kind, with reads whole and
-/// chopped into seeded 1..=31-byte chunks, reproduces them — same
-/// report, same incident log (partition, suspects, the epoch-fenced
-/// recovery handshake, heals). There is no regeneration switch: a
-/// failing assertion prints the observed digest.
+/// Invariant 21, faulty half: two faulty runs against pinned digests.
+/// Every stream kind, with reads whole and chopped into seeded
+/// 1..=31-byte chunks, reproduces them — same report, same incident log
+/// (partition, suspects, the epoch-fenced recovery handshake, heals).
+/// The digests were first generated while a faulty socket mesh was
+/// still asserted equal to the retired in-process fault injector, and
+/// re-pinned once when rows began to travel only to the regions that
+/// read them: fewer frames shift the seeded per-frame fault draws. The
+/// noisy run's iterations, utility, admitted rates and total shift kept
+/// their bits then (only its wire counters and incident log moved), and
+/// the partition run's utility moved by 1.1e-6 relative (a recovery
+/// snapshot now carries the survivor's own value of each marginal it
+/// does not read). There is no regeneration switch: a failing assertion
+/// prints the observed digest.
 #[test]
 fn faulty_runs_match_their_pinned_digests() {
     let ext = ExtendedNetwork::build(&problem(20, 3, 9));
@@ -845,20 +852,37 @@ fn misrouted_frame_is_discarded_before_it_is_counted_or_applied() {
     );
 }
 
-/// A received Γ row for a pass-through router (one out-edge) must be
-/// exactly `[(l, 1.0)]` — the only row Γ gives it (`f / f`), and the
-/// owner's sparse step never recomputes it — while a decider's row may
-/// sum to one within `FRACTION_TOLERANCE`. A forged `[(l, 1 − 5e-8)]`
-/// slipped in mid-run ahead of region 1's genuine refresh-round Γ sub,
-/// under the genuine sub's seq, is one `MalformedFrameDiscarded`; it
-/// takes no seq, so the genuine sub still applies and every mirror stays
-/// bit-equal to the uninjected mesh (and to the monolithic algorithm).
-/// Before the fix the row passed the tolerance, was written into the
-/// mirror, and turned the genuine sub into a duplicate.
+/// Every mirror of `mesh` equals the same region's mirror in `clean`:
+/// routing, flows and marginals.
+fn assert_mirrors_equal<T: Transport, U: Transport>(
+    clean: &MeshRuntime<T>,
+    mesh: &MeshRuntime<U>,
+    ctx: &str,
+) {
+    for r in 0..mesh.config().regions {
+        let (a, b) = (clean.worker(r), mesh.worker(r));
+        assert_eq!(a.routing(), b.routing(), "{ctx}: region {r} routing");
+        assert_eq!(a.flows(), b.flows(), "{ctx}: region {r} flows");
+        assert_eq!(a.marginals(), b.marginals(), "{ctx}: region {r} marginals");
+    }
+}
+
+/// No pass-through row travels: a router with one out-edge holds `[(l,
+/// 1.0)]` on every mirror from construction on, so its owner never
+/// ships it and a received Γ row for one is malformed whatever it
+/// holds — `[(l, 1 − 5e-8)]`, which the old mass tolerance let through,
+/// and `[(l, 1.0)]` exactly. Either one, slipped in mid-run ahead of
+/// region 1's genuine refresh-round Γ sub under the genuine sub's seq,
+/// is one `MalformedFrameDiscarded`; it takes no seq, so the genuine sub
+/// still applies and every mirror stays bit-equal to the uninjected mesh
+/// (and its routing to the monolithic algorithm). Before the
+/// mass-tolerance fix the first row was written into the mirror and
+/// turned the genuine sub into a duplicate; before pass-through rows
+/// stopped travelling the second was applied as a genuine row.
 #[test]
 fn a_pass_through_row_off_one_is_discarded_without_a_write() {
     const REGIONS: usize = 2;
-    // a refresh round: region 1 ships every owned row
+    // a refresh round: region 1 ships every owned decider row
     const ROUND: u64 = 16;
     // region 1's round-ROUND Γ batch, shipped on the decide tick, reaches
     // region 0 on the forward tick
@@ -876,53 +900,111 @@ fn a_pass_through_row_off_one_is_discarded_without_a_write() {
             Some((j, v, ext.commodity_out_slice(j, v)[0]))
         })
         .expect("region 1 owns a bandwidth node");
-    let forged = move |genuine: &[Vec<u8>]| {
-        // the seq and round of region 1's genuine Γ sub in this delivery
-        let (seq, round) = genuine
-            .iter()
-            .find_map(|bytes| {
-                let mut reader = BatchReader::parse(bytes).ok()?;
-                std::iter::from_fn(|| reader.next_sub())
-                    .filter_map(Result::ok)
-                    .find(|sub| sub.kind == FrameKind::GammaRows)
-                    .map(|sub| (sub.seq, sub.round))
-            })
-            .expect("region 1 ships Γ rows on a refresh round");
-        let mut buf = FrameBuf::new();
-        buf.begin(1, 0, round);
-        buf.begin_sub(FrameKind::GammaRows, seq, round);
-        buf.put_u64(round); // base == round: a full frame
-        buf.put_u32(1);
-        buf.put_u32(j.index() as u32);
-        buf.put_u32(v.index() as u32);
-        buf.put_u32(1);
-        buf.put_u32(l.index() as u32);
-        buf.put_f64(1.0 - 5e-8);
-        buf.end_sub();
-        assert!(buf.finish());
-        buf.bytes().unwrap().to_vec()
-    };
-    let transport = Inject::new(REGIONS, None, once(AT, forged));
+    for phi in [1.0 - 5e-8, 1.0] {
+        let forged = move |genuine: &[Vec<u8>]| {
+            // the seq and round of region 1's genuine Γ sub in this delivery
+            let (seq, round) = genuine
+                .iter()
+                .find_map(|bytes| {
+                    let mut reader = BatchReader::parse(bytes).ok()?;
+                    std::iter::from_fn(|| reader.next_sub())
+                        .filter_map(Result::ok)
+                        .find(|sub| sub.kind == FrameKind::GammaRows)
+                        .map(|sub| (sub.seq, sub.round))
+                })
+                .expect("region 1 ships Γ rows on a refresh round");
+            let mut buf = FrameBuf::new();
+            buf.begin(1, 0, round);
+            buf.begin_sub(FrameKind::GammaRows, seq, round);
+            buf.put_u64(round); // base == round: a full frame
+            buf.put_u32(1);
+            buf.put_u32(j.index() as u32);
+            buf.put_u32(v.index() as u32);
+            buf.put_u32(1);
+            buf.put_u32(l.index() as u32);
+            buf.put_f64(phi);
+            buf.end_sub();
+            assert!(buf.finish());
+            buf.bytes().unwrap().to_vec()
+        };
+        let transport = Inject::new(REGIONS, None, once(AT, forged));
+        let mut mesh =
+            MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
+        let mut clean = MeshRuntime::lossless(ext.clone(), mesh_config(REGIONS)).unwrap();
+        let mut alg = GradientAlgorithm::new(&p, GradientConfig::default()).unwrap();
+        for it in 0..40 {
+            alg.step();
+            clean.step();
+            mesh.step();
+            assert_mirrors_equal(&clean, &mesh, &format!("φ = {phi}, iteration {it}"));
+            for r in 0..REGIONS {
+                assert_eq!(
+                    alg.routing(),
+                    mesh.worker(r).routing(),
+                    "φ = {phi}: region {r} routing diverged from the monolithic run at \
+                     iteration {it}"
+                );
+            }
+        }
+        assert!(
+            matches!(
+                mesh.incidents(),
+                [MeshIncident::MalformedFrameDiscarded {
+                    tick,
+                    region: 0,
+                    ..
+                }] if *tick == AT.0
+            ),
+            "φ = {phi}: expected exactly one discard incident, got {:?}",
+            mesh.incidents()
+        );
+    }
+}
+
+/// Marginals travel only to the regions that read them: region 0 of a
+/// 2-region mesh reads `(j, v)` only if it owns a router with an arc
+/// into `v`. A full-frame marginal for one of region 1's routers that
+/// region 0 does not read — a real row of the sender, at a fresh round —
+/// slipped in ahead of region 1's genuine marginals on a decide tick is
+/// one `MalformedFrameDiscarded`; nothing is written, the genuine frame
+/// of the same round still applies, and every mirror stays bit-equal to
+/// the uninjected mesh.
+#[test]
+fn a_marginal_the_receiver_does_not_read_is_discarded_without_a_write() {
+    const REGIONS: usize = 2;
+    const ROUND: u64 = 5;
+    // the decide tick of iteration ROUND: marginals are about to feed Γ
+    const AT: (u64, usize) = (TICKS_PER_ITERATION * ROUND, 0);
+    let p = problem(20, 3, 9);
+    let ext = ExtendedNetwork::build(&p);
+    let v_count = ext.graph().node_count();
+    let owner = |v: NodeId| owner_of(v.index(), v_count, REGIONS);
+    let (j, v) = ext
+        .commodity_ids()
+        .find_map(|j| {
+            let routers = ext.commodity_routers(j);
+            let read_by_0 = |v: NodeId| {
+                routers.iter().any(|&u| {
+                    owner(u) == 0
+                        && ext
+                            .commodity_out_slice(j, u)
+                            .iter()
+                            .any(|&l| ext.graph().target(l) == v)
+                })
+            };
+            let v = *routers.iter().find(|&&v| owner(v) == 1 && !read_by_0(v))?;
+            Some((j, v))
+        })
+        .expect("region 1 owns a router region 0 does not read");
+    let frame = one_marginal(1, 0, ROUND, j.index() as u32, v.index() as u32);
+    let transport = Inject::new(REGIONS, None, fixed(AT, frame));
     let mut mesh =
         MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
     let mut clean = MeshRuntime::lossless(ext, mesh_config(REGIONS)).unwrap();
-    let mut alg = GradientAlgorithm::new(&p, GradientConfig::default()).unwrap();
     for it in 0..40 {
-        alg.step();
         clean.step();
         mesh.step();
-        for r in 0..REGIONS {
-            assert_eq!(
-                clean.worker(r).routing(),
-                mesh.worker(r).routing(),
-                "region {r} routing diverged from the uninjected mesh at iteration {it}"
-            );
-            assert_eq!(
-                alg.routing(),
-                mesh.worker(r).routing(),
-                "region {r} routing diverged from the monolithic run at iteration {it}"
-            );
-        }
+        assert_mirrors_equal(&clean, &mesh, &format!("iteration {it}"));
     }
     assert!(
         matches!(
@@ -936,6 +1018,75 @@ fn a_pass_through_row_off_one_is_discarded_without_a_write() {
         "expected exactly one discard incident, got {:?}",
         mesh.incidents()
     );
+}
+
+/// The reliable ahead-buffer is bounded by the inbox budget. A peer (or
+/// a corrupted stream) sending reliable subs with far-future seqs — each
+/// held until a gap that never fills — used to grow a link's buffer
+/// without limit. Here every delivery to region 0 carries one extra
+/// batch of such subs from region 1 (distinct seqs up to `u64::MAX`,
+/// 3 KiB a tick, 240 KiB over the run against a 16 KiB budget): the
+/// bytes region 0 holds from region 1 never exceed the budget, each
+/// refused sub is one `InboxOverflow`, and the mesh keeps stepping with
+/// every mirror bit-equal to the uninjected mesh.
+#[test]
+fn far_future_seqs_cannot_grow_the_ahead_buffer_past_the_budget() {
+    const REGIONS: usize = 2;
+    const BUDGET: usize = 16 << 10;
+    const SUBS: u64 = 6;
+    const PAD: usize = 64; // u64 words per sub payload: 512 bytes
+    let ext = ExtendedNetwork::build(&problem(20, 3, 9));
+    let config = MeshConfig {
+        inbox_budget: BUDGET,
+        ..mesh_config(REGIONS)
+    };
+    let flood: Edit = Box::new(|tick, region, frames| {
+        if region != 0 {
+            return;
+        }
+        let mut buf = FrameBuf::new();
+        buf.begin(1, 0, 0);
+        for k in 0..SUBS {
+            buf.begin_sub(FrameKind::GammaRows, u64::MAX - tick * SUBS - k, 0);
+            for _ in 0..PAD {
+                buf.put_u64(0);
+            }
+            buf.end_sub();
+        }
+        assert!(buf.finish());
+        frames.push(buf.bytes().unwrap().to_vec());
+    });
+    let transport = Inject::new(REGIONS, None, flood);
+    let mut mesh = MeshRuntime::with_transport(ext.clone(), config.clone(), transport).unwrap();
+    let mut clean = MeshRuntime::lossless(ext, config).unwrap();
+    let mut held_max = 0;
+    for it in 0..40 {
+        clean.step();
+        mesh.step();
+        let held = mesh.worker(0).held_ahead_bytes(1);
+        assert!(held <= BUDGET, "iteration {it}: {held} bytes held ahead");
+        held_max = held_max.max(held);
+        assert_mirrors_equal(&clean, &mesh, &format!("iteration {it}"));
+    }
+    let log = mesh.incidents();
+    let refused = log
+        .iter()
+        .filter(|i| {
+            matches!(
+                i,
+                MeshIncident::InboxOverflow {
+                    region: 0,
+                    from: 1,
+                    dropped,
+                    ..
+                } if *dropped == (PAD * 8) as u64
+            )
+        })
+        .count();
+    let offered = (40 * TICKS_PER_ITERATION * SUBS) as usize;
+    assert_eq!(refused, log.len(), "only refusals are logged: {log:?}");
+    assert_eq!(refused + held_max / (PAD * 8), offered);
+    assert!(held_max + PAD * 8 > BUDGET, "the buffer never filled up");
 }
 
 /// A recovery snapshot is held to the Γ-row rule before it is installed.
