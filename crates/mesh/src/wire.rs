@@ -961,6 +961,13 @@ impl FrameBuf {
         put_f64(&mut self.buf, v);
     }
 
+    /// Appends pre-encoded bytes to the open sub-frame's payload (rows
+    /// encoded once and shipped to several peers).
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
+        debug_assert!(self.sub_open);
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Reserves a `u32` slot (e.g. a row count not yet known) and
     /// returns its position for a later [`FrameBuf::patch_u32`].
     pub fn mark_u32(&mut self) -> usize {

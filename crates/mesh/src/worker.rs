@@ -45,8 +45,9 @@
 //! and the sender's ownership before anything is written.
 //!
 //! The send path is **delta-encoded, coalesced, and pooled**
-//! (ARCHITECTURE invariant 20): per link, the worker fingerprints the
-//! exact bit pattern of every row it last shipped and sends only rows
+//! (ARCHITECTURE invariant 20): the worker fingerprints the exact bit
+//! pattern of every row it last shipped (per link for marginals and
+//! forecasts, once for the Γ rows every peer gets) and sends only rows
 //! whose bits changed, inside exactly one [`FrameBuf`] batch per
 //! (link, tick), with every buffer (batches, flights, scratch) owned
 //! by the worker and reused across ticks — the converged steady state
@@ -246,8 +247,9 @@ struct AheadSub {
 }
 
 /// Per-peer link state: the reliable stream in both directions, the
-/// broadcast watermarks, and the delta fingerprints of everything last
-/// shipped to that peer.
+/// broadcast watermarks, and the delta fingerprints of the marginals and
+/// forecasts last shipped to that peer (Γ's are the worker's: every
+/// peer gets the same Γ rows).
 struct Link {
     /// Next sequence number to assign (reliable sends; starts at 1).
     next_seq: u64,
@@ -274,10 +276,6 @@ struct Link {
     /// Round of the last marginals frame shipped (the next delta's
     /// `base`).
     marg_round: u64,
-    /// Bit fingerprint of the last Γ fraction shipped per (j, edge).
-    gamma_sent: Vec<u64>,
-    /// Round of the last Γ frame shipped.
-    gamma_round: u64,
     /// Bit fingerprints of the last forecast shipped per commodity.
     fc_sent: Vec<(u64, u64)>,
     /// Round of the last forecast frame shipped.
@@ -294,7 +292,7 @@ struct Link {
 }
 
 impl Link {
-    fn new(j_count: usize, edge_count: usize, marg_rows: Vec<(u32, u32, u32)>) -> Self {
+    fn new(j_count: usize, marg_rows: Vec<(u32, u32, u32)>) -> Self {
         Link {
             next_seq: 1,
             in_flight: VecDeque::new(),
@@ -307,8 +305,6 @@ impl Link {
             marg_sent: vec![NEVER_SENT; marg_rows.len()],
             marg_rows,
             marg_round: 0,
-            gamma_sent: vec![NEVER_SENT; j_count * edge_count],
-            gamma_round: 0,
             fc_sent: vec![(NEVER_SENT, NEVER_SENT); j_count],
             fc_round: 0,
             force_marginals: true,
@@ -366,6 +362,15 @@ pub struct RegionWorker {
     last_gamma: GammaStats,
     /// Per-peer link state (`links[region]` is unused).
     links: Vec<Link>,
+    /// Bit fingerprint of the last Γ fraction shipped per (j, edge).
+    /// One slab serves every link: Γ has no per-link resend, every link
+    /// is visited every round, and a recovery resets all links alike.
+    gamma_sent: Vec<u64>,
+    /// Round of the last Γ frame shipped (the next delta's `base`).
+    gamma_round: u64,
+    /// The decide tick's changed owned decider rows, encoded once and
+    /// copied into every peer's Γ sub-frame; reused across ticks.
+    gamma_rows: Vec<u8>,
     /// One batch writer per peer, reused across ticks
     /// (`outbox[region]` is unused).
     outbox: Vec<FrameBuf>,
@@ -503,8 +508,11 @@ impl RegionWorker {
             last_gamma: GammaStats::default(),
             links: marg_rows
                 .into_iter()
-                .map(|rows| Link::new(j_count, edge_count, rows))
+                .map(|rows| Link::new(j_count, rows))
                 .collect(),
+            gamma_sent: vec![NEVER_SENT; j_count * edge_count],
+            gamma_round: 0,
+            gamma_rows: Vec::new(),
             outbox: (0..regions).map(|_| FrameBuf::new()).collect(),
             row_round: vec![0; j_count * v_count],
             last_heard: vec![0; regions],
@@ -807,11 +815,13 @@ impl RegionWorker {
     }
 
     /// The decide tick: Γ over the owned deciders (which stale-marks
-    /// every commodity whose support it moved); ship each peer the owned
+    /// every commodity whose support it moved); ship every peer the owned
     /// decider rows whose fraction bits changed, on the reliable stream
     /// (every owned decider row on a refresh round — the backstop that
-    /// bounds post-recovery divergence). Pass-through rows are `[(l,
-    /// 1.0)]` on every mirror and never travel.
+    /// bounds post-recovery divergence). The rows are found and encoded
+    /// once; each peer's sub gets its own seq and flight copy.
+    /// Pass-through rows are `[(l, 1.0)]` on every mirror and never
+    /// travel.
     fn phase_gamma(
         &mut self,
         ext: &ExtendedNetwork,
@@ -844,69 +854,68 @@ impl RegionWorker {
             return;
         }
         let refresh = round % self.refresh_every == 0;
+        self.gamma_rows.clear();
+        let (mut n, mut suppressed) = (0u32, 0u64);
+        for j in ext.commodity_ids() {
+            let members = ext.members(j);
+            let sent = &mut self.gamma_sent[j.index() * edge_count..][..edge_count];
+            let deciders = &members.deciders()[self.owned_deciders[j.index()].clone()];
+            for &(p, _) in deciders {
+                let out = members.out_arcs(p as usize).0;
+                let changed = refresh
+                    || out
+                        .iter()
+                        .any(|&l| sent[l.index()] != self.routing.fraction(j, l).to_bits());
+                if !changed {
+                    suppressed += 1;
+                    continue;
+                }
+                let rows = &mut self.gamma_rows;
+                for word in [j.index(), members.node(p as usize).index(), out.len()] {
+                    rows.extend_from_slice(&(word as u32).to_le_bytes());
+                }
+                for &l in out {
+                    let phi = self.routing.fraction(j, l);
+                    sent[l.index()] = phi.to_bits();
+                    rows.extend_from_slice(&(l.index() as u32).to_le_bytes());
+                    rows.extend_from_slice(&phi.to_bits().to_le_bytes());
+                }
+                n += 1;
+            }
+        }
+        let base = if refresh { round } else { self.gamma_round };
+        if n > 0 {
+            self.gamma_round = round;
+        }
         for peer in 0..self.regions {
             if peer == self.region {
                 continue;
             }
             let link = &mut self.links[peer];
-            let batch = &mut self.outbox[peer];
-            let mut opened = false;
-            let mut count_at = 0usize;
-            let mut n = 0u32;
-            let mut suppressed = 0u64;
-            let mut seq = 0u64;
-            for j in ext.commodity_ids() {
-                let members = ext.members(j);
-                let deciders = &members.deciders()[self.owned_deciders[j.index()].clone()];
-                for &(p, _) in deciders {
-                    let out = members.out_arcs(p as usize).0;
-                    let changed = refresh
-                        || out.iter().any(|&l| {
-                            link.gamma_sent[j.index() * edge_count + l.index()]
-                                != self.routing.fraction(j, l).to_bits()
-                        });
-                    if !changed {
-                        suppressed += 1;
-                        continue;
-                    }
-                    if !opened {
-                        seq = link.next_seq;
-                        link.next_seq += 1;
-                        batch.begin_sub(FrameKind::GammaRows, seq, round);
-                        batch.put_u64(if refresh { round } else { link.gamma_round });
-                        count_at = batch.mark_u32();
-                        opened = true;
-                    }
-                    batch.put_u32(j.index() as u32);
-                    batch.put_u32(members.node(p as usize).index() as u32);
-                    batch.put_u32(out.len() as u32);
-                    for &l in out {
-                        let phi = self.routing.fraction(j, l);
-                        link.gamma_sent[j.index() * edge_count + l.index()] = phi.to_bits();
-                        batch.put_u32(l.index() as u32);
-                        batch.put_f64(phi);
-                    }
-                    n += 1;
-                }
-            }
-            if opened {
-                batch.patch_u32(count_at, n);
-                batch.end_sub();
-                link.gamma_round = round;
-                link.stats.rows_sent += u64::from(n);
-                link.stats.gamma_rows_sent += u64::from(n);
-                // pooled flight copy for the retransmit stream
-                let mut bytes = link.spare.pop().unwrap_or_default();
-                bytes.clear();
-                bytes.extend_from_slice(batch.last_sub());
-                link.in_flight.push_back(Flight {
-                    seq,
-                    bytes,
-                    attempts: 0,
-                    due: tick + RETRY_GRACE,
-                });
-            }
             link.stats.rows_suppressed += suppressed;
+            if n == 0 {
+                continue;
+            }
+            let batch = &mut self.outbox[peer];
+            let seq = link.next_seq;
+            link.next_seq += 1;
+            batch.begin_sub(FrameKind::GammaRows, seq, round);
+            batch.put_u64(base);
+            batch.put_u32(n);
+            batch.put_bytes(&self.gamma_rows);
+            batch.end_sub();
+            link.stats.rows_sent += u64::from(n);
+            link.stats.gamma_rows_sent += u64::from(n);
+            // pooled flight copy for the retransmit stream
+            let mut bytes = link.spare.pop().unwrap_or_default();
+            bytes.clear();
+            bytes.extend_from_slice(batch.last_sub());
+            link.in_flight.push_back(Flight {
+                seq,
+                bytes,
+                attempts: 0,
+                due: tick + RETRY_GRACE,
+            });
         }
     }
 
@@ -1335,8 +1344,8 @@ impl RegionWorker {
                         for link in &mut self.links {
                             link.force_marginals = true;
                             link.force_forecast = true;
-                            link.gamma_sent.fill(NEVER_SENT);
                         }
+                        self.gamma_sent.fill(NEVER_SENT);
                         self.capture_scratch();
                         let digest = state_digest(self.scratch.phi());
                         log.push(MeshIncident::RecoveryCompleted {

@@ -6,8 +6,8 @@
 //!
 //! This is the scale-tier workflow in miniature: the same generator,
 //! engine defaults, and stopping rule the 10k-node CI gate
-//! (`scale_smoke`) and the `bench_core` size curve use, at a size that
-//! finishes in seconds.
+//! (`scale_smoke`) and the benchmark's 50k-node `scale_steady` workload
+//! use, at a size that finishes in seconds.
 //!
 //! Run with: `cargo run --release --example hierarchical_scale`
 

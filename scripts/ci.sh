@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
 # The full local gate: formatting, lints as errors, the rustdoc link
-# check, every test, and the smoke runs:
-#  * bench_core --smoke gates the admission path: incremental admit at
-#    400 nodes must reach 99% of settled utility at least 1.2x faster
-#    than a from-scratch rebuild. No check here guards the speedup of
-#    live-arc compaction over a dense replay of the step: the
-#    benchmark's core.step.sweeps_over_step layer metric records it,
-#    and nothing enforces it;
+# check, every test, and the smoke runs (wall-clock timing is
+# benchmark/'s job; no check here guards the speedup of live-arc
+# compaction over a dense replay of the step: the benchmark's
+# core.step.sweeps_over_step layer metric records it, and nothing
+# enforces it):
 #  * chaos_recovery --smoke is the seed-fixed chaos soak — a short run
 #    under message loss + staleness + two transient node failures that
 #    fails if any NaN escapes into iteration state (a Corruption entry
@@ -19,7 +17,9 @@
 #    goes non-finite or the state breaks ARCHITECTURE invariants 1–3
 #    (RoutingTable::validate, is_loop_free, flow-balance residual
 #    <= 1e-9). That each step equals its dense kernel replay under
-#    churn is tests/admission_churn.rs's job;
+#    churn is tests/admission_churn.rs's job. It ends with the
+#    admission gate: incremental admit at 400 nodes must reach 99% of
+#    settled utility at least 1.2x faster than a from-scratch rebuild;
 #  * scale_smoke --smoke is the scale-tier gate — the step on a seeded 10,000-node hierarchical instance, stepped
 #    alternately with the same instance padded by 40,000 isolated
 #    servers: the two trajectories must be bit-equal (idle nodes change
@@ -83,7 +83,6 @@ RUSTDOCFLAGS='-D rustdoc::broken_intra_doc_links' cargo doc --workspace --no-dep
 # scan / checkpoint / chaos invariant checks (including the debug-only
 # internal asserts) across the whole workspace.
 cargo test --workspace -q
-cargo run --release -q -p spn-bench --bin bench_core -- --smoke
 cargo run --release -q -p spn-bench --bin chaos_recovery -- --smoke
 cargo run --release -q -p spn-bench --bin churn_soak -- --smoke
 cargo run --release -q -p spn-bench --bin scale_smoke -- --smoke
