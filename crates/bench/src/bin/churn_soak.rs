@@ -22,7 +22,10 @@
 //! must reach 99% of the settled full-set utility at least 1.2x faster
 //! than rebuilding the extended network and converging from scratch —
 //! the guard against the incremental reshape degrading into a hidden
-//! rebuild. It prints one `smoke-admission` TSV line.
+//! rebuild. It prints one `smoke-admission` TSV line, with the
+//! admission phase's newcomer-only iterations
+//! ([`GradientAlgorithm::settle_newcomer`]) and their cost in full
+//! steps (each costs `members_j / Σ_j members_j` of one).
 //!
 //! [`RoutingTable::validate`]: spn_core::RoutingTable::validate
 //! [`RoutingTable::is_loop_free`]: spn_core::RoutingTable::is_loop_free
@@ -98,9 +101,12 @@ fn admission_gate() -> Option<String> {
     let def = CommodityDef::from_problem(&full, CommodityId::from_index(commodities - 1));
 
     let start = Instant::now();
-    alg.admit_commodity(def);
+    let j = alg.admit_commodity(def);
     let incremental_reached = reaches_target(&mut alg, target, ADMISSION_CAP);
     let incremental_s = start.elapsed().as_secs_f64();
+    let phase = alg.newcomer_iterations();
+    let ext = alg.extended();
+    let phase_steps = phase as f64 * ext.member_range(j).len() as f64 / ext.member_total() as f64;
 
     let start = Instant::now();
     let mut alg = GradientAlgorithm::new(&full, cfg).expect("valid config");
@@ -109,10 +115,12 @@ fn admission_gate() -> Option<String> {
 
     let ratio = rebuild_s / incremental_s;
     println!(
-        "# smoke-admission\tnodes\tcommodities\tincremental_s\trebuild_s\trebuild/incremental"
+        "# smoke-admission\tnodes\tcommodities\tphase_iterations\tphase_full_steps\t\
+         incremental_s\trebuild_s\trebuild/incremental"
     );
     println!(
-        "smoke-admission\t{nodes}\t{commodities}\t{incremental_s:.3}\t{rebuild_s:.3}\t{ratio:.2}"
+        "smoke-admission\t{nodes}\t{commodities}\t{phase}\t{phase_steps:.1}\t\
+         {incremental_s:.3}\t{rebuild_s:.3}\t{ratio:.2}"
     );
     if !incremental_reached || !rebuild_reached {
         Some(format!(

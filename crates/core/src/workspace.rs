@@ -5,8 +5,8 @@
 //! (the dense reference is
 //! [`apply_gamma_ws`](crate::gamma::apply_gamma_ws)), so the
 //! steady-state iteration performs no heap allocation: the Γ scratch
-//! lane and the per-chunk Γ statistics live here and are resized (a
-//! no-op once warm) rather than rebuilt. The flow sweeps need no scratch:
+//! lane, the per-chunk Γ statistics and the admission phase's scratch
+//! live here and are resized (a no-op once warm) rather than rebuilt. The flow sweeps need no scratch:
 //! they add each commodity's usage straight into the totals
 //! (`crate::flows`).
 //!
@@ -63,6 +63,17 @@ impl GammaLane {
     }
 }
 
+/// What the admission phase keeps of the state it starts from: the
+/// incumbents' usage totals at the newcomer's member nodes (by member
+/// position) and member edges (in `commodity_edges` order), and the
+/// newcomer's fractions on those edges before the current row pass.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct NewcomerScratch {
+    pub(crate) f_node: Vec<f64>,
+    pub(crate) f_edge: Vec<f64>,
+    pub(crate) phi: Vec<f64>,
+}
+
 /// Preallocated scratch buffers reused across iterations.
 ///
 /// Sized by [`IterationWorkspace::ensure`] for a particular
@@ -86,6 +97,10 @@ pub struct IterationWorkspace {
     /// `chunk_base[ji]` is the global index of commodity `ji`'s first
     /// router chunk; `chunk_base[j_count]` is the total chunk count.
     pub(crate) chunk_base: Vec<usize>,
+    /// The admission phase's scratch
+    /// ([`settle_newcomer`](crate::GradientAlgorithm::settle_newcomer)),
+    /// sized once per phase.
+    pub(crate) newcomer: NewcomerScratch,
     /// What the buffers are currently sized for — the fast-path key of
     /// `ensure`.
     sized_for: Option<SizingKey>,

@@ -11,8 +11,10 @@
 //! `GradientAlgorithm` (ARCHITECTURE invariant 19).
 //!
 //! **Rows travel only to the regions that read them** (§5: a marginal
-//! goes upstream, to the nodes that route into it). Region `q` reads
-//! marginal `(j, v)` iff it owns a router of `j` with an arc into `v`;
+//! goes upstream, to the nodes that route into it). Only Γ reads a
+//! received marginal, and Γ runs over deciders alone, so region `q`
+//! reads marginal `(j, v)` iff it owns a *decider* of `j` (a router
+//! with at least two out-arcs) with an arc into `v`;
 //! each worker ships an owned router's marginal to exactly those peers,
 //! from a per-peer list built at construction, and accepts a received
 //! one only if the sender owns the router and this worker reads it. An
@@ -331,7 +333,7 @@ pub struct RegionWorker {
     /// Per commodity, the sub-range of `members(j).deciders()` inside
     /// `owned_routers[j]` — the rows the Γ stream ships.
     owned_deciders: Vec<Range<usize>>,
-    /// `reads[member_range(j).start + p]`: this worker owns a router
+    /// `reads[member_range(j).start + p]`: this worker owns a decider
     /// with an arc into member `p` of commodity `j`, so its Γ reads that
     /// marginal — the only marginal entries a peer may ship it.
     reads: Vec<bool>,
@@ -446,25 +448,26 @@ impl RegionWorker {
             }
         }
         // The readers relation: region `q` reads marginal `(j, v)` iff it
-        // owns a router of `j` with an arc into `v`. Each owned router's
-        // entry goes on the list of every other region that reads it
-        // (once per row); `reads` is this region's own side of it.
+        // owns a decider of `j` with an arc into `v` (only Γ reads a
+        // received marginal, and Γ runs over deciders alone). Each owned
+        // router's entry goes on the list of every other region that
+        // reads it (once per row); `reads` is this region's own side of
+        // it.
         let mut marg_rows: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); regions];
         let mut reads = vec![false; ext.member_total()];
         let mut tail_owners = Vec::new();
         for j in ext.commodity_ids() {
             let members = ext.members(j);
-            let router_owner = |t: u32| {
-                let u = members.node(t as usize).index();
-                (router_pos[j.index() * v_count + u] != NOT_A_ROUTER)
-                    .then(|| owner_of(u, v_count, regions))
+            let decider_owner = |t: u32| {
+                (members.out_arcs(t as usize).0.len() >= 2)
+                    .then(|| owner_of(members.node(t as usize).index(), v_count, regions))
             };
             for (p, read) in reads[ext.member_range(j)].iter_mut().enumerate() {
                 *read = members
                     .in_arcs(p)
                     .1
                     .iter()
-                    .any(|&t| router_owner(t) == Some(region));
+                    .any(|&t| decider_owner(t) == Some(region));
             }
             let span = owned_routers[j.index()].clone();
             let routers = ext.commodity_routers(j)[span.clone()].iter();
@@ -475,7 +478,7 @@ impl RegionWorker {
                         .in_arcs(p as usize)
                         .1
                         .iter()
-                        .filter_map(|&t| router_owner(t)),
+                        .filter_map(|&t| decider_owner(t)),
                 );
                 tail_owners.sort_unstable();
                 tail_owners.dedup();
@@ -1933,8 +1936,9 @@ mod tests {
         /// The readers relation, by brute force: on every worker, the
         /// list of marginals shipped to peer `q` is exactly the owned
         /// routers `v` of each commodity `j` (commodity-major, router
-        /// order) such that `q` owns a router `u` of `j` with an arc
-        /// `u → v`; the receive-side `reads` table is that relation
+        /// order) such that `q` owns a decider `u` of `j` (a router with
+        /// at least two out-arcs) with an arc `u → v`; the receive-side
+        /// `reads` table is that relation
         /// seen from the worker itself; and the head of every owned
         /// decider's out-arc that is a router owned elsewhere is on its
         /// owner's list for this worker — every marginal a Γ row reads
@@ -1957,8 +1961,11 @@ mod tests {
             let arc = |j: CommodityId, u: NodeId, v: NodeId| {
                 ext.commodity_out_slice(j, u).iter().any(|&l| ext.graph().target(l) == v)
             };
+            let decider = |j: CommodityId, u: NodeId| ext.commodity_out_slice(j, u).len() >= 2;
             let reads = |q: usize, j: CommodityId, v: NodeId| {
-                ext.commodity_routers(j).iter().any(|&u| owner(u) == q && arc(j, u, v))
+                ext.commodity_routers(j)
+                    .iter()
+                    .any(|&u| owner(u) == q && decider(j, u) && arc(j, u, v))
             };
             for (s, worker) in workers.iter().enumerate() {
                 for q in (0..regions).filter(|&q| q != s) {

@@ -108,15 +108,23 @@ fn dropped_deltas_resync_to_bitwise_equality() {
     const ROUNDS: usize = 48;
     let p = problem(20, 3, 9);
     let ext = ExtendedNetwork::build(&p);
+    // the cut link must carry a marginal list: on this instance no
+    // decider of region 1 has an arc into a router of region 0, so the
+    // link 0 -> 1 carries none
+    let (from, to) = (1, 0);
     let transport = LossWindow {
         inner: SocketTransport::connect(REGIONS, &memory(None)).unwrap(),
-        from: 0,
-        to: 1,
+        from,
+        to,
         cut: 30,
         heal: 60,
     };
     let mut mesh = MeshRuntime::with_transport(ext, mesh_config(REGIONS), transport).unwrap();
     mesh.run(ROUNDS);
+    assert!(
+        mesh.worker(from).link_wire_stats(to).marginal_rows_sent > 0,
+        "the cut link carries no marginals: the scenario went vacuous"
+    );
 
     // the gap was detected and a resync requested of the cut link's
     // sender — not of the untouched peer
@@ -125,8 +133,8 @@ fn dropped_deltas_resync_to_bitwise_equality() {
         log.iter().any(|i| matches!(
             i,
             MeshIncident::ResyncRequested {
-                region: 1,
-                peer: 0,
+                region: 0,
+                peer: 1,
                 ..
             }
         )),

@@ -86,7 +86,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The tenant returns. Online admission restores the commodity and
-    // the gradient grows its allocation back from zero.
+    // settles it against the other tenants' load before the first step
+    // (the admission phase); the gradient takes it from there.
     let returned = alg.admit_commodity(parked);
     let outcome = alg.run_until_stable_windowed(1e-3, WINDOW, CAP);
     let report = alg.report();

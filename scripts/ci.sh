@@ -19,7 +19,11 @@
 #    <= 1e-9). That each step equals its dense kernel replay under
 #    churn is tests/admission_churn.rs's job. It ends with the
 #    admission gate: incremental admit at 400 nodes must reach 99% of
-#    settled utility at least 1.2x faster than a from-scratch rebuild;
+#    settled utility at least 1.2x faster than a from-scratch rebuild.
+#    The admit includes the admission phase (settle_newcomer: up to
+#    1,000 newcomer-only iterations against the incumbents' frozen
+#    load, each O(members_j)); the smoke-admission line prints its
+#    iteration count and their cost in full steps;
 #  * scale_smoke --smoke is the scale-tier gate — the step on a seeded 10,000-node hierarchical instance, stepped
 #    alternately with the same instance padded by 40,000 isolated
 #    servers: the two trajectories must be bit-equal (idle nodes change
@@ -63,9 +67,11 @@
 #    smoke run is a few hundred fixed iterations, no settle loops.
 #  * benchmark/run.sh --smoke builds and runs the repository benchmark
 #    (its own cargo workspace, so neither clippy nor `cargo test` above
-#    compiles it): a PR that breaks the public surface it drives — the
-#    dense compute_{tags,flows,marginals}_into replay leg, the mesh
-#    runtime, the transports — fails here instead of at the driver.
+#    compiles it): a change that breaks the public surface it drives —
+#    the dense replay leg (apply_gamma_ws, compute_flows_into,
+#    compute_marginals_into, and the inert compute_tags_into shim left
+#    from the blocked sets' deletion), the mesh runtime, the transports
+#    — fails here, before any benchmark run.
 # On a single-core host the soak bins trim themselves to fit the smoke
 # budget (chaos_recovery halves its iteration budget, churn_soak skips
 # the ungated post-churn settle leg) and print visible SKIP lines.

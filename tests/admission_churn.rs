@@ -3,11 +3,17 @@
 //! physical and bandwidth layers are never rebuilt — and the reshape is
 //! exact:
 //!
-//! * a zero-step incremental admit (resp. evict) is **bit-identical**
-//!   to a fresh build of the enlarged (resp. reduced) problem, and the
-//!   two trajectories stay glued through subsequent iteration;
-//! * a warm reshape preserves every survivor's routing fractions,
-//!   traffic, and marginals down to the last ulp;
+//! * a zero-step incremental evict is **bit-identical** to a fresh
+//!   build of the reduced problem; a zero-step incremental admit, which
+//!   ends with the admission phase, is bit-identical to a fresh build of
+//!   the enlarged problem followed by the same phase
+//!   ([`GradientAlgorithm::settle_newcomer`] on its last commodity); and
+//!   the two trajectories stay glued through subsequent iteration;
+//! * a warm reshape preserves every survivor's routing fractions and
+//!   traffic down to the last ulp; an evict keeps their marginals too,
+//!   and an admit leaves flows and marginals at a dense recompute of
+//!   the admitted routing (the survivors now price the newcomer's
+//!   load);
 //! * checkpoints are epoch-fenced: a capture taken before a reshape can
 //!   never be restored after one, even when a later reshape makes the
 //!   shapes line up again ([`CoreError::EpochMismatch`]);
@@ -19,7 +25,7 @@
 #[path = "support/dense.rs"]
 mod dense;
 
-use dense::{checked_step, checked_steps};
+use dense::{assert_dense_recompute, checked_step, checked_steps};
 use spn::core::gamma::apply_gamma_ws;
 use spn::core::{
     CommodityDef, CoreError, GradientAlgorithm, GradientConfig, IterationWorkspace, NewtonGradient,
@@ -69,7 +75,8 @@ fn assert_identical(a: &GradientAlgorithm, b: &GradientAlgorithm, what: &str) {
 
 /// Incrementally admitting the one missing commodity into a running
 /// algorithm lands on the exact state a fresh build of the full problem
-/// starts from, and the two stay bit-identical through iteration.
+/// reaches after the admission phase on its last commodity, and the two
+/// stay bit-identical through iteration.
 #[test]
 fn zero_step_admit_matches_a_fresh_build() {
     let full = five_commodity_problem();
@@ -79,7 +86,13 @@ fn zero_step_admit_matches_a_fresh_build() {
     let id = incremental.admit_commodity(def);
     assert_eq!(id, CommodityId::from_index(4), "newcomer id");
     let mut fresh = GradientAlgorithm::new(&full, GradientConfig::default()).unwrap();
+    let phase = fresh.settle_newcomer(id);
+    assert!(phase > 0, "the phase refused the fresh build's newcomer");
+    assert_eq!(incremental.newcomer_iterations(), phase);
     assert_identical(&incremental, &fresh, "right after admit");
+    assert_dense_recompute(&incremental, "right after admit");
+    // the phase runs once: the settled newcomer admits, so it is refused
+    assert_eq!(fresh.settle_newcomer(id), 0);
     for it in 0..120 {
         incremental.step();
         fresh.step();
@@ -116,9 +129,10 @@ fn zero_step_evict_matches_a_fresh_subset_build() {
 
 /// Evicting the last-id commodity and immediately re-admitting its
 /// parked definition restores the original layout exactly: the round
-/// trip is bit-identical to never having churned at all (every other
-/// commodity is untouched and the returnee restarts fully rejecting,
-/// which is also its cold-start state).
+/// trip is bit-identical to a fresh build that runs the admission phase
+/// on its last commodity (every other commodity is untouched and the
+/// returnee restarts fully rejecting, which is also its cold-start
+/// state).
 #[test]
 fn zero_step_evict_readmit_round_trip_is_identity() {
     let full = five_commodity_problem();
@@ -128,6 +142,7 @@ fn zero_step_evict_readmit_round_trip_is_identity() {
     churned.evict_commodity(last);
     assert_eq!(churned.admit_commodity(parked), last);
     let mut plain = GradientAlgorithm::new(&full, GradientConfig::default()).unwrap();
+    assert_eq!(plain.settle_newcomer(last), churned.newcomer_iterations());
     assert_identical(&churned, &plain, "after evict + re-admit round trip");
     for _ in 0..100 {
         churned.step();
@@ -225,9 +240,10 @@ fn evict_then_admit_bigger_with_no_step_between_resizes_the_tracker() {
     checked_steps(&mut alg, 80, "after evict + admit-bigger");
 }
 
-/// A warm admit must not move a single bit of any survivor: routing
-/// fractions, traffic, and marginals are compared over the old ids
-/// before and after the newcomer joins.
+/// A warm admit must not move a single bit of any survivor's routing
+/// fractions or traffic, compared over the old ids before and after the
+/// newcomer joins. Their marginals do move — the admission phase loads
+/// shared nodes — to exactly a dense recompute of the admitted state.
 #[test]
 fn warm_admit_preserves_survivors_bitwise() {
     let full = five_commodity_problem();
@@ -262,7 +278,6 @@ fn warm_admit_preserves_survivors_bitwise() {
                 }
                 for &v in nodes {
                     bits.push(alg.flows().traffic(alg.extended(), *j, v).to_bits());
-                    bits.push(alg.marginals().node(alg.extended(), *j, v).to_bits());
                 }
                 bits
             })
@@ -278,11 +293,10 @@ fn warm_admit_preserves_survivors_bitwise() {
             "survivor commodity {j} state moved across the admit"
         );
     }
-    // The newcomer starts fully rejecting: nothing admitted yet.
-    assert_eq!(
-        alg.flows().admitted(alg.extended(), id).to_bits(),
-        0.0f64.to_bits()
-    );
+    assert_dense_recompute(&alg, "after the warm admit");
+    // The phase ran and the newcomer found room.
+    assert!(alg.newcomer_iterations() > 0);
+    assert!(alg.flows().admitted(alg.extended(), id) > 0.0);
     assert!(alg.utility().is_finite());
 }
 
@@ -534,7 +548,8 @@ fn dense_and_sparse_stay_glued_under_churn() {
 /// The Newton row rule runs through the same driver, so it reshapes
 /// like Γ does: evict a commodity and re-admit it with no step between,
 /// and the run is bit-identical to a fresh Newton build of the
-/// reordered problem, step after step — and not to a Γ run of it.
+/// reordered problem after the admission phase on its last commodity,
+/// step after step — and not to a Γ run of it.
 #[test]
 fn newton_zero_step_evict_readmit_matches_a_fresh_build() {
     let full = five_commodity_problem();
@@ -547,8 +562,11 @@ fn newton_zero_step_evict_readmit_matches_a_fresh_build() {
     churned.evict_commodity(CommodityId::from_index(1));
     assert_eq!(churned.admit_commodity(parked), CommodityId::from_index(4));
     let reordered = subset(&full, &[0, 2, 3, 4, 1]);
+    let last = CommodityId::from_index(4);
     let mut fresh = NewtonGradient::new(&reordered, cfg, 1e-6).unwrap();
+    assert_eq!(fresh.settle_newcomer(last), churned.newcomer_iterations());
     let mut gamma = GradientAlgorithm::new(&reordered, cfg).unwrap();
+    gamma.settle_newcomer(last);
     assert_identical(&churned, &fresh, "right after the round trip");
     for it in 0..150 {
         churned.step();

@@ -126,6 +126,27 @@ pub fn assert_identical(a: &GradientAlgorithm, b: &GradientAlgorithm, what: &str
     assert_eq!(utility(a), utility(b), "utility not bit-identical: {what}");
 }
 
+/// Asserts that `alg`'s flows and marginals are a dense recompute of
+/// its routing — `compute_flows_into`, then `compute_marginals_into` —
+/// bit for bit.
+pub fn assert_dense_recompute(alg: &GradientAlgorithm, what: &str) {
+    let ext = alg.extended();
+    let mut flows = alg.flows().clone();
+    let mut marginals = alg.marginals().clone();
+    let mut ws = IterationWorkspace::new(ext);
+    compute_flows_into(ext, alg.routing(), &mut flows, &mut ws, None);
+    let cost = alg.cost_model();
+    compute_marginals_into(ext, cost, alg.routing(), &flows, &mut marginals, None);
+    let want = state_bits(ext, alg.routing(), &flows, &marginals);
+    let got = state_bits(ext, alg.routing(), alg.flows(), alg.marginals());
+    for (k, name) in ["flows", "marginals"].into_iter().enumerate() {
+        assert!(
+            got[k + 1] == want[k + 1],
+            "{name} are no dense recompute: {what}"
+        );
+    }
+}
+
 /// [`checked_step`] `n` times.
 pub fn checked_steps(alg: &mut GradientAlgorithm, n: usize, what: &str) {
     for it in 0..n {

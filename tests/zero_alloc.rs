@@ -1,5 +1,6 @@
 //! The steady-state `GradientAlgorithm::step()` performs **zero heap
-//! allocation**, with either row rule: every buffer the iteration
+//! allocation**, with either row rule, and so does a warm admission
+//! phase (`settle_newcomer`): every buffer the iteration
 //! touches is owned by the algorithm (flow state, marginals, live-arc
 //! rows, curvature rows) or its [`IterationWorkspace`] and only
 //! resized, never rebuilt (ARCHITECTURE invariant 15). Verified here
@@ -124,6 +125,31 @@ fn steady_state_step_is_allocation_free() {
         "warm checkpoint/restore allocated {stray} times over 20 cycles"
     );
     assert!(alg.report().utility > 0.0);
+
+    // The admission phase: its incumbent totals and row snapshot live
+    // in the workspace, sized by the first phase and reused after. The
+    // last commodity goes back to its fully rejecting row (outside the
+    // window), and each cycle restores that state and settles it again.
+    let last = spn::model::CommodityId::from_index(alg.extended().num_commodities() - 1);
+    let mut routing = alg.routing().clone();
+    let initial = spn::core::RoutingTable::initial(alg.extended());
+    for &l in alg.extended().commodity_edges(last) {
+        routing.set_fraction(last, l, initial.fraction(last, l));
+    }
+    alg.install_routing(routing);
+    alg.checkpoint_into(&mut ck);
+    assert!(alg.settle_newcomer(last) > 0, "the phase refused");
+    let stray = allocations_in("admission phase", || {
+        for _ in 0..3 {
+            alg.restore(&ck).expect("shapes match");
+            alg.settle_newcomer(last);
+            alg.step();
+        }
+    });
+    assert_eq!(
+        stray, 0,
+        "a warm admission phase allocated {stray} times over 3 phases"
+    );
 
     // The Newton row rule adds the curvature rows, sized by its first
     // step and reused after.
