@@ -50,7 +50,7 @@ impl Potential {
     /// with shrinkage `beta` and cost `cost` from a queue at `q_from`
     /// to a queue at `q_to`. Positive means the move reduces potential.
     #[must_use]
-    pub fn transfer_weight(&self, q_from: f64, q_to: f64, beta: f64, cost: f64) -> f64 {
+    pub(crate) fn transfer_weight(&self, q_from: f64, q_to: f64, beta: f64, cost: f64) -> f64 {
         (self.pressure(q_from) - beta * self.pressure(q_to)) / cost
     }
 }

@@ -50,6 +50,7 @@
 //! flag is accepted for symmetry with the other gates but the run is
 //! identical without it. Exits non-zero on any violation.
 #![allow(unsafe_code)] // a counting GlobalAlloc requires unsafe impls
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -69,21 +70,30 @@ static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 struct CountingAllocator;
 
+// SAFETY: every method forwards to `System` with the caller's
+// unchanged `layout`, `ptr` and `new_size`, so `System` upholds the
+// `GlobalAlloc` contract; the counters are atomics and never allocate.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: the caller's `layout`, unchanged, meets `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` (every allocation here forwards
+        // to it) with this same `layout`, per the caller's contract.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: the caller's `ptr` (allocated by `System` through this
+        // allocator), `layout` and `new_size`, unchanged, meet `realloc`'s
+        // contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

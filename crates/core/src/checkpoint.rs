@@ -80,12 +80,6 @@ impl Checkpoint {
         self.iterations
     }
 
-    /// Clears the captured flag without releasing buffers (the next
-    /// capture reuses them).
-    pub fn invalidate(&mut self) {
-        self.captured = false;
-    }
-
     /// Copies `src` over `dst` without changing `dst`'s capacity once
     /// warm: `clear` keeps the allocation, `extend_from_slice` refills.
     pub(crate) fn refill(dst: &mut Vec<f64>, src: &[f64]) {
@@ -470,18 +464,5 @@ mod tests {
             alg.restore(&ck),
             Err(CoreError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn invalidate_keeps_buffers_but_blocks_restore() {
-        let mut alg = algorithm();
-        alg.run(10);
-        let mut ck = alg.checkpoint();
-        ck.invalidate();
-        assert!(!ck.is_captured());
-        assert_eq!(alg.restore(&ck), Err(CoreError::EmptyCheckpoint));
-        // refilling re-arms it
-        alg.checkpoint_into(&mut ck);
-        assert!(alg.restore(&ck).is_ok());
     }
 }

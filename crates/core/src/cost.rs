@@ -52,7 +52,7 @@ impl CostModel {
 
     /// Wall penalty value at load `z` on capacity `c`.
     #[must_use]
-    pub fn wall_value(&self, c: spn_model::Capacity, z: f64) -> f64 {
+    pub(crate) fn wall_value(&self, c: spn_model::Capacity, z: f64) -> f64 {
         if self.wall_strength == 0.0 || c.is_infinite() {
             return 0.0;
         }
@@ -84,7 +84,7 @@ impl CostModel {
     }
     /// Total utility-loss cost `Y = Σ_j Y_j(λ_j − a_j)` (eq. (1)).
     #[must_use]
-    pub fn utility_loss(&self, ext: &ExtendedNetwork, state: &FlowState) -> f64 {
+    pub(crate) fn utility_loss(&self, ext: &ExtendedNetwork, state: &FlowState) -> f64 {
         ext.commodity_ids()
             .map(|j| {
                 let c = ext.commodity(j);
@@ -96,7 +96,7 @@ impl CostModel {
 
     /// Total penalty cost `D = Σ_i D_i(f_i)` (unweighted).
     #[must_use]
-    pub fn penalty_cost(&self, ext: &ExtendedNetwork, state: &FlowState) -> f64 {
+    pub(crate) fn penalty_cost(&self, ext: &ExtendedNetwork, state: &FlowState) -> f64 {
         ext.graph()
             .nodes()
             .map(|v| self.penalty.value(ext.capacity(v), state.node_usage(v)))
@@ -106,7 +106,7 @@ impl CostModel {
     /// Total wall cost `W = Σ_i W_i(f_i)` (zero when the wall is
     /// disabled or all loads are below the threshold).
     #[must_use]
-    pub fn wall_cost(&self, ext: &ExtendedNetwork, state: &FlowState) -> f64 {
+    pub(crate) fn wall_cost(&self, ext: &ExtendedNetwork, state: &FlowState) -> f64 {
         if self.wall_strength == 0.0 {
             return 0.0;
         }
@@ -129,15 +129,9 @@ impl CostModel {
     /// `∂A_i/∂f_ik` for extended edge `l = (i, k)` (eq. (11)):
     /// `U'_j(λ_j − f_l)` on commodity `j`'s dummy difference link,
     /// `ε·D'_i(f_i)` everywhere else (zero at dummy sources, whose
-    /// capacity is infinite).
-    #[must_use]
-    pub fn edge_partial(&self, ext: &ExtendedNetwork, state: &FlowState, l: EdgeId) -> f64 {
-        self.edge_partial_view(ext, state.usage_view(), l)
-    }
-
-    /// [`CostModel::edge_partial`] over a raw [`UsageView`] of the
-    /// usage totals — the form the sweeps use, since a sweep only ever
-    /// reads its own commodity's rows plus these shared totals.
+    /// capacity is infinite). It reads a raw [`UsageView`] of the usage
+    /// totals, since a sweep only ever reads its own commodity's rows
+    /// plus these shared totals.
     pub(crate) fn edge_partial_view(
         &self,
         ext: &ExtendedNetwork,
@@ -267,10 +261,10 @@ mod tests {
         let j = CommodityId::from_index(0);
         let diff = ext.difference_edge(j);
         // linear utility ⇒ U' = 1 everywhere
-        assert!((cm.edge_partial(&ext, &fs, diff) - 1.0).abs() < 1e-12);
+        assert!((cm.edge_partial_view(&ext, fs.usage_view(), diff) - 1.0).abs() < 1e-12);
         // admission link partial at zero load: ε·D'_dummy = 0 (infinite cap)
         let input = ext.input_edge(j);
-        assert_eq!(cm.edge_partial(&ext, &fs, input), 0.0);
+        assert_eq!(cm.edge_partial_view(&ext, fs.usage_view(), input), 0.0);
     }
 
     #[test]
@@ -288,7 +282,7 @@ mod tests {
         let s = ext.commodity(j).source();
         let ingress = ext.commodity_out_edges(j, s).next().unwrap();
         let expected = 0.2 * cm.penalty.derivative(ext.capacity(s), fs.node_usage(s));
-        assert!((cm.edge_partial(&ext, &fs, ingress) - expected).abs() < 1e-12);
+        assert!((cm.edge_partial_view(&ext, fs.usage_view(), ingress) - expected).abs() < 1e-12);
         assert!(expected > 0.0);
     }
 
@@ -300,7 +294,7 @@ mod tests {
         let j = CommodityId::from_index(0);
         let s = ext.commodity(j).source();
         let ingress = ext.commodity_out_edges(j, s).next().unwrap();
-        let partial = cm.edge_partial(&ext, &fs, ingress);
+        let partial = cm.edge_partial_view(&ext, fs.usage_view(), ingress);
         // c = 2, β = 1, downstream marginal 0.3
         let m = cm.edge_marginal(&ext, &fs, j, ingress, 0.3);
         assert!((m - (partial * 2.0 + 0.3)).abs() < 1e-12);
@@ -389,7 +383,8 @@ mod tests {
         let fs_low = compute_flows(&ext, &rt_low);
         let fs_high = compute_flows(&ext, &RoutingTable::initial(&ext));
         assert!(
-            cm.edge_partial(&ext, &fs_high, diff) > cm.edge_partial(&ext, &fs_low, diff),
+            cm.edge_partial_view(&ext, fs_high.usage_view(), diff)
+                > cm.edge_partial_view(&ext, fs_low.usage_view(), diff),
             "marginal utility loss should rise with rejection"
         );
     }

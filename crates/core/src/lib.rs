@@ -17,9 +17,7 @@
 //!    restricts it; [`blocked`] keeps only inert shims.
 //!
 //! [`GradientAlgorithm`] drives the loop and reports solutions in
-//! problem terms (admitted rates, utility, physical loads);
-//! [`metrics::ConvergenceTracker`] answers the evaluation's questions
-//! (iterations to 95% of optimal, monotonicity).
+//! problem terms (admitted rates, utility, physical loads).
 //!
 //! # Example
 //!
@@ -51,7 +49,6 @@ pub mod flows;
 pub mod gamma;
 pub mod health;
 pub mod marginals;
-pub mod metrics;
 pub mod newton;
 pub mod routing;
 mod step;

@@ -110,7 +110,7 @@ impl RoutingTable {
     }
 
     /// Sets the fraction on an edge (no normalization; callers must keep
-    /// router rows summing to one — see [`RoutingTable::set_row`]).
+    /// router rows summing to one).
     pub fn set_fraction(&mut self, j: CommodityId, l: EdgeId, value: f64) {
         self.phi[j.index() * self.l_count + l.index()] = value;
     }
@@ -123,7 +123,8 @@ impl RoutingTable {
     ///
     /// Panics if the total mass is not positive (a router must forward
     /// somewhere).
-    pub fn set_row(
+    #[cfg(test)]
+    pub(crate) fn set_row(
         &mut self,
         ext: &ExtendedNetwork,
         j: CommodityId,
@@ -262,9 +263,9 @@ fn seed_initial_row(row: &mut [f64], ext: &ExtendedNetwork, j: CommodityId) {
     }
 }
 
-/// Row-view form of [`RoutingTable::set_row`]: normalizes `row` to sum
-/// to one (clamping tiny negatives) and writes it over the router's
-/// commodity out-edges `out` in `phi`, zeroing the rest of them first.
+/// Normalizes `row` to sum to one (clamping tiny negatives) and writes
+/// it over the router's commodity out-edges `out` in `phi`, zeroing the
+/// rest of them first.
 /// Shared with the Γ update, which reads the row and applies it through
 /// one shared cell view of the commodity's fractions. Every index
 /// touched here belongs to the router's out-edge set, which no other

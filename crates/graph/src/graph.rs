@@ -286,50 +286,10 @@ impl DiGraph {
         self.out_adj[node.index()].len()
     }
 
-    /// In-degree of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not a node of this graph.
-    #[must_use]
-    pub fn in_degree(&self, node: NodeId) -> usize {
-        self.in_adj[node.index()].len()
-    }
-
     /// Successor nodes of `node` (one entry per outgoing edge, so a node
     /// reached by parallel edges appears multiple times).
     pub fn successors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.out_adj[node.index()].iter().map(|&e| self.target(e))
-    }
-
-    /// Predecessor nodes of `node` (one entry per incoming edge).
-    pub fn predecessors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.in_adj[node.index()].iter().map(|&e| self.source(e))
-    }
-
-    /// Finds an edge from `src` to `dst`, if one exists.
-    ///
-    /// With parallel edges, the first inserted edge is returned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is not a node of this graph.
-    #[must_use]
-    pub fn find_edge(&self, src: NodeId, dst: NodeId) -> Option<EdgeId> {
-        self.out_adj[src.index()]
-            .iter()
-            .copied()
-            .find(|&e| self.target(e) == dst)
-    }
-
-    /// Returns `true` if there is at least one edge from `src` to `dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is not a node of this graph.
-    #[must_use]
-    pub fn has_edge(&self, src: NodeId, dst: NodeId) -> bool {
-        self.find_edge(src, dst).is_some()
     }
 }
 
@@ -372,27 +332,17 @@ mod tests {
     fn adjacency_is_consistent() {
         let (g, n) = diamond();
         assert_eq!(g.out_degree(n[0]), 2);
-        assert_eq!(g.in_degree(n[0]), 0);
-        assert_eq!(g.in_degree(n[3]), 2);
+        assert_eq!(g.in_edges(n[0]).len(), 0);
+        assert_eq!(g.in_edges(n[3]).len(), 2);
         let succ: Vec<NodeId> = g.successors(n[0]).collect();
         assert_eq!(succ, vec![n[1], n[2]]);
-        let pred: Vec<NodeId> = g.predecessors(n[3]).collect();
+        let pred: Vec<NodeId> = g.in_edges(n[3]).iter().map(|&e| g.source(e)).collect();
         assert_eq!(pred, vec![n[1], n[2]]);
         for e in g.edges() {
             let (s, t) = g.endpoints(e);
             assert!(g.out_edges(s).contains(&e));
             assert!(g.in_edges(t).contains(&e));
         }
-    }
-
-    #[test]
-    fn find_edge_and_has_edge() {
-        let (g, n) = diamond();
-        assert!(g.has_edge(n[0], n[1]));
-        assert!(!g.has_edge(n[1], n[0]));
-        let e = g.find_edge(n[2], n[3]).unwrap();
-        assert_eq!(g.endpoints(e), (n[2], n[3]));
-        assert_eq!(g.find_edge(n[3], n[0]), None);
     }
 
     #[test]
@@ -404,7 +354,7 @@ mod tests {
         let e2 = g.add_edge(a, b);
         assert_ne!(e1, e2);
         assert_eq!(g.out_degree(a), 2);
-        assert_eq!(g.find_edge(a, b), Some(e1));
+        assert_eq!(g.out_edges(a), &[e1, e2]);
     }
 
     #[test]
@@ -438,13 +388,13 @@ mod tests {
         let d = g.add_node();
         g.add_edge(d, n[0]);
         g.add_edge(d, n[3]);
-        assert_eq!(g.in_degree(n[0]), 1);
-        assert_eq!(g.in_degree(n[3]), 3);
+        assert_eq!(g.in_edges(n[0]).len(), 1);
+        assert_eq!(g.in_edges(n[3]).len(), 3);
         g.truncate(4, 4);
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.edge_count(), 4);
-        assert_eq!(g.in_degree(n[0]), 0);
-        assert_eq!(g.in_degree(n[3]), 2);
+        assert_eq!(g.in_edges(n[0]).len(), 0);
+        assert_eq!(g.in_edges(n[3]).len(), 2);
         for e in g.edges() {
             let (s, t) = g.endpoints(e);
             assert!(g.out_edges(s).contains(&e));
@@ -462,7 +412,8 @@ mod tests {
         assert_eq!(d2, d1);
         let e = g.add_edge(d2, n[1]);
         assert_eq!(e.index(), 4);
-        assert_eq!(g.predecessors(n[1]).collect::<Vec<_>>(), vec![n[0], d2]);
+        let pred: Vec<NodeId> = g.in_edges(n[1]).iter().map(|&e| g.source(e)).collect();
+        assert_eq!(pred, vec![n[0], d2]);
     }
 
     #[test]

@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn enumeration_respects_filter() {
         let (g, n) = diamond_chain();
-        let skip = g.find_edge(n[0], n[1]).unwrap();
+        let skip = g.out_edges(n[0])[0]; // 0 -> 1
         let paths = enumerate_paths(&g, n[0], n[4], 10, |e| e != skip);
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0], vec![n[0], n[2], n[3], n[4]]);

@@ -90,35 +90,6 @@ where
         .collect()
 }
 
-/// Returns `true` if the graph is weakly connected (connected when edge
-/// directions are ignored). The empty graph counts as connected.
-#[must_use]
-pub fn is_weakly_connected(graph: &DiGraph) -> bool {
-    let n = graph.node_count();
-    if n == 0 {
-        return true;
-    }
-    let mut seen = vec![false; n];
-    let mut queue = VecDeque::new();
-    seen[0] = true;
-    queue.push_back(NodeId::from_index(0));
-    let mut count = 1;
-    while let Some(v) = queue.pop_front() {
-        let neighbors = graph
-            .successors(v)
-            .chain(graph.predecessors(v))
-            .collect::<Vec<_>>();
-        for t in neighbors {
-            if !seen[t.index()] {
-                seen[t.index()] = true;
-                count += 1;
-                queue.push_back(t);
-            }
-        }
-    }
-    count == n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,18 +147,8 @@ mod tests {
     #[test]
     fn filters_restrict_reachability() {
         let (g, n) = fixture();
-        let blocked = g.find_edge(n[0], n[1]).unwrap();
+        let blocked = g.out_edges(n[0])[0]; // 0 -> 1
         let r = reachable_from(&g, n[0], |e| e != blocked);
         assert_eq!(r, vec![true, false, true, false, true]);
-    }
-
-    #[test]
-    fn weak_connectivity() {
-        let (g, _) = fixture();
-        assert!(is_weakly_connected(&g));
-        let mut g2 = DiGraph::new();
-        g2.add_nodes(2);
-        assert!(!is_weakly_connected(&g2));
-        assert!(is_weakly_connected(&DiGraph::new()));
     }
 }

@@ -15,7 +15,7 @@ use crate::graph::{DiGraph, EdgeId, NodeId};
 /// order of the condensation (i.e. a component appears before every
 /// component it can reach... specifically Tarjan emits components in
 /// reverse topological order).
-pub fn strongly_connected_components_filtered<F>(
+pub(crate) fn strongly_connected_components_filtered<F>(
     graph: &DiGraph,
     mut edge_filter: F,
 ) -> Vec<Vec<NodeId>>
@@ -89,11 +89,6 @@ where
     components
 }
 
-/// Strongly connected components of the whole graph.
-pub fn strongly_connected_components(graph: &DiGraph) -> Vec<Vec<NodeId>> {
-    strongly_connected_components_filtered(graph, |_| true)
-}
-
 /// Returns `true` if the subgraph selected by `edge_filter` contains a
 /// strongly connected component of two or more nodes — i.e. a directed
 /// cycle (self-loops cannot exist in [`DiGraph`]).
@@ -118,7 +113,7 @@ mod tests {
         g.add_edge(n[0], n[1]);
         g.add_edge(n[1], n[2]);
         g.add_edge(n[2], n[3]);
-        let sccs = strongly_connected_components(&g);
+        let sccs = strongly_connected_components_filtered(&g, |_| true);
         assert_eq!(sccs.len(), 4);
         assert!(sccs.iter().all(|c| c.len() == 1));
         assert!(!has_nontrivial_scc_filtered(&g, |_| true));
@@ -133,7 +128,7 @@ mod tests {
         g.add_edge(n[2], n[1]); // cycle {1,2}
         g.add_edge(n[2], n[3]);
         g.add_edge(n[3], n[4]);
-        let sccs = strongly_connected_components(&g);
+        let sccs = strongly_connected_components_filtered(&g, |_| true);
         let sizes: Vec<usize> = sccs.iter().map(Vec::len).collect();
         assert_eq!(sccs.iter().map(|c| c.len()).sum::<usize>(), 5);
         assert!(sizes.contains(&2));
@@ -184,7 +179,7 @@ mod tests {
         let n = g.add_nodes(3);
         g.add_edge(n[0], n[1]);
         g.add_edge(n[1], n[2]);
-        let sccs = strongly_connected_components(&g);
+        let sccs = strongly_connected_components_filtered(&g, |_| true);
         // n2's component must come before n0's
         let pos = |x: NodeId| sccs.iter().position(|c| c.contains(&x)).unwrap();
         assert!(pos(n[2]) < pos(n[0]));

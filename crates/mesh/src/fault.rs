@@ -79,7 +79,7 @@ impl Default for MeshFaultConfig {
 /// The compiled plan: pure query functions plus the pre-computed
 /// per-link heal schedule.
 #[derive(Clone, Debug)]
-pub struct MeshFaultPlan {
+pub(crate) struct MeshFaultPlan {
     seed: u64,
     loss: f64,
     duplicate: f64,
@@ -151,7 +151,7 @@ impl MeshFaultPlan {
 
     /// Is the `from → to` link severed by a partition at `tick`?
     #[must_use]
-    pub fn link_blocked(&self, tick: u64, from: usize, to: usize) -> bool {
+    pub(crate) fn link_blocked(&self, tick: u64, from: usize, to: usize) -> bool {
         self.partitions.iter().any(|p| {
             let peer = if p.region == from {
                 to
@@ -166,7 +166,7 @@ impl MeshFaultPlan {
 
     /// Is this frame dropped in flight?
     #[must_use]
-    pub fn drops_frame(&self, tick: u64, from: usize, to: usize) -> bool {
+    pub(crate) fn drops_frame(&self, tick: u64, from: usize, to: usize) -> bool {
         coin(
             self.seed,
             salts::SALT_LOSS,
@@ -179,7 +179,7 @@ impl MeshFaultPlan {
 
     /// Is this frame delivered twice?
     #[must_use]
-    pub fn duplicates_frame(&self, tick: u64, from: usize, to: usize) -> bool {
+    pub(crate) fn duplicates_frame(&self, tick: u64, from: usize, to: usize) -> bool {
         coin(
             self.seed,
             salts::SALT_DUP,
@@ -192,7 +192,7 @@ impl MeshFaultPlan {
 
     /// Extra delivery delay in ticks (`0` = on time).
     #[must_use]
-    pub fn delay_ticks(&self, tick: u64, from: usize, to: usize) -> u64 {
+    pub(crate) fn delay_ticks(&self, tick: u64, from: usize, to: usize) -> u64 {
         bounded_age(
             self.seed,
             salts::SALT_DELAY,

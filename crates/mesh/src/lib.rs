@@ -53,7 +53,7 @@ pub mod transport;
 pub mod wire;
 pub mod worker;
 
-pub use fault::{MeshFaultConfig, MeshFaultPlan, PartitionSpec};
+pub use fault::{MeshFaultConfig, PartitionSpec};
 pub use incident::MeshIncident;
 pub use runtime::{MeshConfig, MeshError, MeshReport, MeshRuntime};
 pub use socket::{FaultyStream, SocketIoStats, SocketKind, SocketOptions, SocketTransport};

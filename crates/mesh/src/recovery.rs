@@ -27,7 +27,7 @@ use spn_core::Checkpoint;
 /// buffer. Any single-bit difference — value, position, or length —
 /// changes the digest.
 #[must_use]
-pub fn state_digest(values: &[f64]) -> u64 {
+pub(crate) fn state_digest(values: &[f64]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
@@ -47,7 +47,7 @@ pub fn state_digest(values: &[f64]) -> u64 {
 /// Panics if the checkpoint has never captured state (the survivor
 /// always captures immediately before calling this).
 #[must_use]
-pub fn snapshot_to_payload(ck: &Checkpoint, token: u64) -> RecoveryStatePayload {
+pub(crate) fn snapshot_to_payload(ck: &Checkpoint, token: u64) -> RecoveryStatePayload {
     assert!(ck.is_captured(), "snapshot of an empty checkpoint");
     RecoveryStatePayload {
         token,
@@ -67,7 +67,7 @@ pub fn snapshot_to_payload(ck: &Checkpoint, token: u64) -> RecoveryStatePayload 
 /// Lowers a wire payload back into a checkpoint ready for
 /// `Checkpoint::apply_state`.
 #[must_use]
-pub fn payload_to_snapshot(p: &RecoveryStatePayload) -> Checkpoint {
+pub(crate) fn payload_to_snapshot(p: &RecoveryStatePayload) -> Checkpoint {
     Checkpoint::from_raw(
         p.phi.clone(),
         p.t.clone(),

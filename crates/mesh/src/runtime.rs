@@ -491,12 +491,6 @@ impl<T: Transport> MeshRuntime<T> {
         &self.workers[region]
     }
 
-    /// Mutable worker access (digest hooks need `&mut`).
-    #[must_use]
-    pub fn worker_mut(&mut self, region: usize) -> &mut RegionWorker {
-        &mut self.workers[region]
-    }
-
     /// The extended network the mesh runs over.
     #[must_use]
     pub fn extended(&self) -> &ExtendedNetwork {

@@ -56,8 +56,8 @@
 //! in-process pipe takes every write whole and never stalls.
 //!
 //! [`FaultyStream`] is the one fault injector, netem-style: each
-//! directed link applies the seeded [`MeshFaultPlan`] draws — loss,
-//! duplication, bounded delay, partitions with staggered heal —
+//! directed link applies the seeded draws of the [`MeshFaultConfig`] —
+//! loss, duplication, bounded delay, partitions with staggered heal —
 //! *before bytes reach the stream*, and logs each fault as a
 //! [`MeshIncident`] keyed on `(tick, from, to)`; the transport logs the
 //! partition schedule. Markers are never faulted — the clock always
@@ -264,11 +264,11 @@ pub fn parse_records<'a>(buf: &'a [u8], mut on: impl FnMut(Record<'a>)) -> usize
 }
 
 /// A netem-style shim around one **directed** link's stream: applies
-/// the seeded [`MeshFaultPlan`] to every frame record before its bytes
-/// reach the stream (loss, duplication, bounded delay, partition
-/// windows), coalesces each tick's records in a userland send backlog
-/// (one write per tick, never blocking), and caps reads at seeded chunk
-/// sizes when split exercising is on.
+/// the seeded [`MeshFaultConfig`] draws to every frame record before
+/// its bytes reach the stream (loss, duplication, bounded delay,
+/// partition windows), coalesces each tick's records in a userland
+/// send backlog (one write per tick, never blocking), and caps reads at
+/// seeded chunk sizes when split exercising is on.
 ///
 /// Tick markers pass through unfaulted: the clock always advances.
 #[derive(Debug)]

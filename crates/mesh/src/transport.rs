@@ -55,18 +55,11 @@ impl Inbox {
 
     /// An empty inbox refusing frames past `budget` held bytes.
     #[must_use]
-    pub fn with_budget(budget: usize) -> Self {
+    pub(crate) fn with_budget(budget: usize) -> Self {
         Inbox {
             budget,
             ..Inbox::default()
         }
-    }
-
-    /// Sets the per-delivery byte budget (the cap on `bytes` held at
-    /// once; the arena is cleared per delivery, so this bounds per-tick
-    /// growth).
-    pub fn set_budget(&mut self, budget: usize) {
-        self.budget = budget;
     }
 
     /// The per-delivery byte budget.

@@ -40,7 +40,7 @@
 //!   its predecessor, so frames of one kind form a chain and a receiver
 //!   whose watermark does not match `base + 1` knows a link-local gap
 //!   occurred and can request a full resend ([`Payload::Resend`], a
-//!   bitmask of [`RESEND_MARGINALS`] / [`RESEND_FORECAST`]).
+//!   bitmask: bit 0 marginals, bit 1 flow forecast).
 //!
 //! Floats travel as their IEEE-754 bit patterns (`f64::to_bits`,
 //! little-endian) — encode→decode is *bit-identical*, which is what
@@ -74,13 +74,13 @@ use std::fmt;
 pub const WIRE_VERSION: u16 = 2;
 
 /// Frame magic: the first two bytes of every valid frame.
-pub const MAGIC: [u8; 2] = *b"SM";
+pub(crate) const MAGIC: [u8; 2] = *b"SM";
 
 /// [`Payload::Resend`] bit: resend a full marginals frame.
-pub const RESEND_MARGINALS: u8 = 0b01;
+pub(crate) const RESEND_MARGINALS: u8 = 0b01;
 
 /// [`Payload::Resend`] bit: resend a full flow-forecast frame.
-pub const RESEND_FORECAST: u8 = 0b10;
+pub(crate) const RESEND_FORECAST: u8 = 0b10;
 
 /// Frame kinds. The discriminant is the on-wire `kind` byte.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -274,8 +274,8 @@ pub enum Payload {
     /// Request for full (non-delta) broadcast frames after a detected
     /// round gap.
     Resend {
-        /// Bitmask of kinds to refresh ([`RESEND_MARGINALS`] |
-        /// [`RESEND_FORECAST`]).
+        /// Bitmask of kinds to refresh (bit 0: marginals, bit 1: flow
+        /// forecast).
         kinds: u8,
     },
     /// Recovery request with its fencing token.
@@ -337,7 +337,7 @@ pub enum WireError {
         /// Bytes remaining.
         got: usize,
     },
-    /// The first two bytes were not [`MAGIC`].
+    /// The first two bytes were not the frame magic `b"SM"`.
     BadMagic {
         /// The bytes found.
         got: [u8; 2],
@@ -590,7 +590,7 @@ impl Frame {
     /// # Errors
     ///
     /// [`WireError::Truncated`] or [`WireError::UnknownKind`].
-    pub fn peek_kind(bytes: &[u8]) -> Result<FrameKind, WireError> {
+    pub(crate) fn peek_kind(bytes: &[u8]) -> Result<FrameKind, WireError> {
         let byte = *bytes.get(4).ok_or(WireError::Truncated {
             needed: 5,
             got: bytes.len(),
@@ -938,7 +938,7 @@ impl FrameBuf {
     }
 
     /// Appends a raw byte to the open sub-frame's payload.
-    pub fn put_u8(&mut self, v: u8) {
+    pub(crate) fn put_u8(&mut self, v: u8) {
         debug_assert!(self.sub_open);
         self.buf.push(v);
     }
@@ -963,14 +963,14 @@ impl FrameBuf {
 
     /// Appends pre-encoded bytes to the open sub-frame's payload (rows
     /// encoded once and shipped to several peers).
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn put_bytes(&mut self, bytes: &[u8]) {
         debug_assert!(self.sub_open);
         self.buf.extend_from_slice(bytes);
     }
 
     /// Reserves a `u32` slot (e.g. a row count not yet known) and
     /// returns its position for a later [`FrameBuf::patch_u32`].
-    pub fn mark_u32(&mut self) -> usize {
+    pub(crate) fn mark_u32(&mut self) -> usize {
         debug_assert!(self.sub_open);
         let at = self.buf.len();
         put_u32(&mut self.buf, 0);
@@ -978,13 +978,13 @@ impl FrameBuf {
     }
 
     /// Fills a slot reserved by [`FrameBuf::mark_u32`].
-    pub fn patch_u32(&mut self, at: usize, v: u32) {
+    pub(crate) fn patch_u32(&mut self, at: usize, v: u32) {
         patch_u32_at(&mut self.buf, at, v);
     }
 
     /// Appends `payload`'s wire bytes to the open sub-frame (control
     /// payloads — acks, resend requests, recovery frames).
-    pub fn put_payload(&mut self, payload: &Payload) {
+    pub(crate) fn put_payload(&mut self, payload: &Payload) {
         debug_assert!(self.sub_open);
         encode_payload(payload, &mut self.buf);
     }
@@ -1002,14 +1002,14 @@ impl FrameBuf {
     /// payload) — what the reliable stream copies into a flight buffer
     /// for retransmission.
     #[must_use]
-    pub fn last_sub(&self) -> &[u8] {
+    pub(crate) fn last_sub(&self) -> &[u8] {
         debug_assert!(!self.sub_open && self.subs > 0);
         &self.buf[self.sub_start..]
     }
 
     /// Appends a pre-encoded sub-frame (a retransmitted flight's
     /// bytes).
-    pub fn push_raw_sub(&mut self, sub: &[u8]) {
+    pub(crate) fn push_raw_sub(&mut self, sub: &[u8]) {
         assert!(self.open && !self.sub_open, "push_raw_sub out of sequence");
         self.sub_start = self.buf.len();
         self.buf.extend_from_slice(sub);
@@ -1039,7 +1039,7 @@ impl FrameBuf {
 
     /// Sub-frames in the batch so far.
     #[must_use]
-    pub fn sub_count(&self) -> u32 {
+    pub(crate) fn sub_count(&self) -> u32 {
         self.subs
     }
 
@@ -1053,9 +1053,9 @@ impl FrameBuf {
 // --- zero-copy batch reading ------------------------------------------
 
 /// A view of one sub-frame inside a received batch: parsed header,
-/// borrowed payload bytes. Consumers walk the payload in place with
-/// [`walk_marginals`] / [`walk_gamma_rows`] / [`walk_forecast`] or the
-/// `parse_*` helpers — no allocation on the receive path.
+/// borrowed payload bytes. The crate's consumers walk the payload in
+/// place (the `walk_*` and `parse_*` helpers) — no allocation on the
+/// receive path.
 #[derive(Clone, Copy, Debug)]
 pub struct SubView<'a> {
     /// The sub-frame's kind (never [`FrameKind::Batch`]).
@@ -1201,7 +1201,10 @@ impl<'a> BatchReader<'a> {
 /// # Errors
 ///
 /// Any [`WireError`] the payload bytes trigger.
-pub fn walk_marginals(payload: &[u8], mut f: impl FnMut(MarginalEntry)) -> Result<u64, WireError> {
+pub(crate) fn walk_marginals(
+    payload: &[u8],
+    mut f: impl FnMut(MarginalEntry),
+) -> Result<u64, WireError> {
     let mut r = Reader {
         buf: payload,
         at: 0,
@@ -1230,7 +1233,7 @@ pub fn walk_marginals(payload: &[u8], mut f: impl FnMut(MarginalEntry)) -> Resul
 /// # Errors
 ///
 /// Any [`WireError`] the payload bytes trigger.
-pub fn walk_gamma_rows(
+pub(crate) fn walk_gamma_rows(
     payload: &[u8],
     mut row: impl FnMut(u32, u32, usize) -> bool,
     mut edge: impl FnMut(u32, u32, u32, f64),
@@ -1268,7 +1271,10 @@ pub fn walk_gamma_rows(
 /// # Errors
 ///
 /// Any [`WireError`] the payload bytes trigger.
-pub fn walk_forecast(payload: &[u8], mut f: impl FnMut(ForecastEntry)) -> Result<u64, WireError> {
+pub(crate) fn walk_forecast(
+    payload: &[u8],
+    mut f: impl FnMut(ForecastEntry),
+) -> Result<u64, WireError> {
     let mut r = Reader {
         buf: payload,
         at: 0,
@@ -1305,7 +1311,7 @@ fn parse_exact_u64(payload: &[u8], what: &'static str) -> Result<u64, WireError>
 /// # Errors
 ///
 /// [`WireError::Truncated`] or [`WireError::BadLength`].
-pub fn parse_ack(payload: &[u8]) -> Result<u64, WireError> {
+pub(crate) fn parse_ack(payload: &[u8]) -> Result<u64, WireError> {
     parse_exact_u64(payload, "ack")
 }
 
@@ -1314,7 +1320,7 @@ pub fn parse_ack(payload: &[u8]) -> Result<u64, WireError> {
 /// # Errors
 ///
 /// [`WireError::Truncated`] or [`WireError::BadLength`].
-pub fn parse_resend(payload: &[u8]) -> Result<u8, WireError> {
+pub(crate) fn parse_resend(payload: &[u8]) -> Result<u8, WireError> {
     let mut r = Reader {
         buf: payload,
         at: 0,
@@ -1331,7 +1337,7 @@ pub fn parse_resend(payload: &[u8]) -> Result<u8, WireError> {
 /// # Errors
 ///
 /// [`WireError::Truncated`] or [`WireError::BadLength`].
-pub fn parse_recovery_request(payload: &[u8]) -> Result<u64, WireError> {
+pub(crate) fn parse_recovery_request(payload: &[u8]) -> Result<u64, WireError> {
     parse_exact_u64(payload, "recovery-request")
 }
 
@@ -1341,7 +1347,7 @@ pub fn parse_recovery_request(payload: &[u8]) -> Result<u64, WireError> {
 /// # Errors
 ///
 /// Any [`WireError`] the payload bytes trigger.
-pub fn parse_recovery_state(payload: &[u8]) -> Result<RecoveryStatePayload, WireError> {
+pub(crate) fn parse_recovery_state(payload: &[u8]) -> Result<RecoveryStatePayload, WireError> {
     let mut r = Reader {
         buf: payload,
         at: 0,

@@ -215,7 +215,7 @@ pub struct MeshWireStats {
 
 impl MeshWireStats {
     /// Accumulates `other` into `self`.
-    pub fn absorb(&mut self, other: MeshWireStats) {
+    pub(crate) fn absorb(&mut self, other: MeshWireStats) {
         self.frames += other.frames;
         self.bytes += other.bytes;
         self.subs += other.subs;
@@ -383,9 +383,6 @@ pub struct RegionWorker {
     suspect: Vec<bool>,
     /// Outstanding recovery token, if this worker is rejoining.
     recovering: Option<u64>,
-    /// Latest per-commodity forecasts heard (own entries included).
-    admitted_view: Vec<f64>,
-    utility_view: Vec<f64>,
     /// Owned forecast entries of the current flow phase, reused.
     fc_scratch: Vec<(u32, f64, f64)>,
     /// Γ row-staging buffers, reused across ticks (the per-tick Γ phase
@@ -521,8 +518,6 @@ impl RegionWorker {
             last_heard: vec![0; regions],
             suspect: vec![false; regions],
             recovering: None,
-            admitted_view: vec![0.0; j_count],
-            utility_view: vec![0.0; j_count],
             fc_scratch: Vec::new(),
             gamma_scratch: GammaScratch::default(),
             scratch: Checkpoint::new(),
@@ -537,7 +532,7 @@ impl RegionWorker {
 
     /// Does this worker own extended node `v_index`?
     #[must_use]
-    pub fn owns_node(&self, v_index: usize) -> bool {
+    pub(crate) fn owns_node(&self, v_index: usize) -> bool {
         self.owned_nodes(self.region).contains(&v_index)
     }
 
@@ -548,7 +543,7 @@ impl RegionWorker {
 
     /// Does this worker own commodity `j` (i.e. its dummy source)?
     #[must_use]
-    pub fn owns_commodity(&self, ext: &ExtendedNetwork, j: CommodityId) -> bool {
+    pub(crate) fn owns_commodity(&self, ext: &ExtendedNetwork, j: CommodityId) -> bool {
         self.owns_node(ext.dummy_source(j).index())
     }
 
@@ -572,7 +567,7 @@ impl RegionWorker {
 
     /// Γ statistics of this worker's own rows, last iteration.
     #[must_use]
-    pub fn gamma_stats(&self) -> GammaStats {
+    pub(crate) fn gamma_stats(&self) -> GammaStats {
         self.last_gamma
     }
 
@@ -582,22 +577,9 @@ impl RegionWorker {
         self.state.admitted(ext, j)
     }
 
-    /// Latest per-commodity `(admitted, utility)` forecasts heard over
-    /// the wire (the worker's own entries included).
-    #[must_use]
-    pub fn forecast_view(&self) -> (&[f64], &[f64]) {
-        (&self.admitted_view, &self.utility_view)
-    }
-
-    /// Is `peer` currently degraded to suspect?
-    #[must_use]
-    pub fn is_suspect(&self, peer: usize) -> bool {
-        self.suspect[peer]
-    }
-
     /// Are *all* peers suspect (the recovery-trigger condition)?
     #[must_use]
-    pub fn is_isolated(&self) -> bool {
+    pub(crate) fn is_isolated(&self) -> bool {
         self.regions > 1
             && (0..self.regions)
                 .filter(|&p| p != self.region)
@@ -638,17 +620,10 @@ impl RegionWorker {
     }
 
     /// The batch this tick produced for `peer`, if non-empty. Valid
-    /// after [`RegionWorker::run_phase`] until the next call.
+    /// after the worker's phase of the tick until its next phase.
     #[must_use]
     pub fn outgoing(&self, peer: usize) -> Option<&[u8]> {
         self.outbox[peer].bytes()
-    }
-
-    /// Digest of the mirror's routing fractions (test/oracle hook).
-    #[must_use]
-    pub fn routing_digest(&mut self) -> u64 {
-        self.capture_scratch();
-        state_digest(self.scratch.phi())
     }
 
     fn capture_scratch(&mut self) {
@@ -691,7 +666,7 @@ impl RegionWorker {
     /// advances the round before its marginal sweep). The runtime then
     /// ships each non-empty batch via [`RegionWorker::outgoing`].
     #[allow(clippy::too_many_arguments)]
-    pub fn run_phase(
+    pub(crate) fn run_phase(
         &mut self,
         ext: &ExtendedNetwork,
         cost: &CostModel,
@@ -937,8 +912,6 @@ impl RegionWorker {
             if self.owns_commodity(ext, j) {
                 let admitted = self.state.admitted(ext, j);
                 let utility = ext.commodity(j).utility.value(admitted);
-                self.admitted_view[j.index()] = admitted;
-                self.utility_view[j.index()] = utility;
                 self.fc_scratch.push((j.index() as u32, admitted, utility));
             }
         }
@@ -1456,8 +1429,9 @@ impl RegionWorker {
             FrameKind::FlowForecast => {
                 let wm = self.links[from].wm_forecast;
                 if sub.round >= wm {
-                    // validation pass, no writes: a forecast comes from
-                    // the commodity's owner (its dummy source's region)
+                    // one validation pass: a forecast comes from the
+                    // commodity's owner (its dummy source's region); only
+                    // its round chain is kept, no worker reads its values
                     let theirs = self.owned_nodes(from);
                     let mut valid = true;
                     let walked = walk_forecast(sub.payload, |e| {
@@ -1466,16 +1440,11 @@ impl RegionWorker {
                             && theirs
                                 .contains(&ext.dummy_source(CommodityId::from_index(ji)).index());
                     });
+                    let base = walked.as_ref().ok().copied();
                     if !self.accepted(tick, sub.round, walked, valid, log) {
                         return;
                     }
-                    let admitted_view = &mut self.admitted_view;
-                    let utility_view = &mut self.utility_view;
-                    let base = walk_forecast(sub.payload, |e| {
-                        admitted_view[e.j as usize] = e.admitted;
-                        utility_view[e.j as usize] = e.utility;
-                    })
-                    .expect("payload walked cleanly in the validation pass");
+                    let base = base.expect("payload walked cleanly in the validation pass");
                     let link = &mut self.links[from];
                     link.wm_forecast = sub.round + 1;
                     if base != sub.round && base + 1 != wm {

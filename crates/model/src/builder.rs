@@ -3,14 +3,9 @@
 use crate::capacity::Capacity;
 use crate::commodity::{Commodity, CommodityId};
 use crate::error::ModelError;
-use crate::gains::betas_from_gains;
 use crate::problem::{EdgeParams, Problem};
 use crate::utility::UtilityFn;
 use spn_graph::{DiGraph, EdgeId, NodeId};
-
-/// One deferred gains-based overlay declaration:
-/// `(commodity, per-node gains, (edge, cost) pairs)`.
-type GainEntry = (CommodityId, Vec<f64>, Vec<(EdgeId, f64)>);
 
 /// Builder for [`Problem`] instances.
 ///
@@ -44,7 +39,6 @@ pub struct ProblemBuilder {
     edge_bandwidth: Vec<Capacity>,
     commodities: Vec<Commodity>,
     entries: Vec<(CommodityId, EdgeId, EdgeParams)>,
-    gain_entries: Vec<GainEntry>,
 }
 
 /// Shared rejection text for construction-time budgets, so the
@@ -66,9 +60,7 @@ impl ProblemBuilder {
     ///
     /// Panics if `capacity` is not finite and positive; budgets are
     /// construction-time constants, so failing fast beats threading a
-    /// `Result` through every call site. Programmatic construction (a
-    /// parser, a fuzzer) that would rather report than abort should use
-    /// [`ProblemBuilder::try_server`].
+    /// `Result` through every call site.
     pub fn server(&mut self, capacity: f64) -> NodeId {
         self.try_server(capacity)
             .unwrap_or_else(|_| panic!("{}", budget_message("server capacity", capacity)))
@@ -82,7 +74,7 @@ impl ProblemBuilder {
     ///
     /// [`ModelError::BadNodeCapacity`] naming the id the server would
     /// have received.
-    pub fn try_server(&mut self, capacity: f64) -> Result<NodeId, ModelError> {
+    pub(crate) fn try_server(&mut self, capacity: f64) -> Result<NodeId, ModelError> {
         let Some(c) = Capacity::finite(capacity) else {
             return Err(ModelError::BadNodeCapacity {
                 node: NodeId::from_index(self.graph.node_count()),
@@ -98,9 +90,7 @@ impl ProblemBuilder {
     /// # Panics
     ///
     /// Panics if `bandwidth` is not finite and positive, or if the
-    /// endpoints are invalid (see [`DiGraph::add_edge`]). For an
-    /// error-returning bandwidth check, use
-    /// [`ProblemBuilder::try_link`].
+    /// endpoints are invalid (see [`DiGraph::add_edge`]).
     pub fn link(&mut self, src: NodeId, dst: NodeId, bandwidth: f64) -> EdgeId {
         self.try_link(src, dst, bandwidth)
             .unwrap_or_else(|_| panic!("{}", budget_message("link bandwidth", bandwidth)))
@@ -120,7 +110,7 @@ impl ProblemBuilder {
     /// Invalid endpoints still panic (see [`DiGraph::add_edge`]) — node
     /// ids come from this builder, so a bad one is a caller bug, not
     /// input data.
-    pub fn try_link(
+    pub(crate) fn try_link(
         &mut self,
         src: NodeId,
         dst: NodeId,
@@ -159,23 +149,6 @@ impl ProblemBuilder {
         self
     }
 
-    /// Declares commodity `j`'s overlay from per-node gains (the paper's
-    /// evaluation style): each `(edge, cost)` pair gets
-    /// `β = g[target]/g[source]`, which satisfies Property 1 by
-    /// construction.
-    ///
-    /// `gains` must have one entry per node added *so far*; call this
-    /// after the topology is complete.
-    pub fn uses_with_gains(
-        &mut self,
-        j: CommodityId,
-        gains: Vec<f64>,
-        edges: Vec<(EdgeId, f64)>,
-    ) -> &mut Self {
-        self.gain_entries.push((j, gains, edges));
-        self
-    }
-
     /// Nodes added so far.
     #[must_use]
     pub fn node_count(&self) -> usize {
@@ -198,23 +171,6 @@ impl ProblemBuilder {
             vec![vec![None; self.graph.edge_count()]; self.commodities.len()];
         for (j, e, p) in self.entries {
             overlay[j.index()][e.index()] = Some(p);
-        }
-        for (j, gains, edges) in self.gain_entries {
-            let mut in_overlay = vec![false; self.graph.edge_count()];
-            for &(e, _) in &edges {
-                in_overlay[e.index()] = true;
-            }
-            if gains.len() != self.graph.node_count() {
-                return Err(ModelError::ShapeMismatch {
-                    what: "per-node gains",
-                    expected: self.graph.node_count(),
-                    actual: gains.len(),
-                });
-            }
-            let betas = betas_from_gains(&self.graph, &in_overlay, &gains);
-            for (e, cost) in edges {
-                overlay[j.index()][e.index()] = Some(EdgeParams::new(cost, betas[e.index()]));
-            }
         }
         Problem::from_parts(
             self.graph,
@@ -240,43 +196,6 @@ mod tests {
         b.uses(j, e, 1.5, 0.8);
         let p = b.build().unwrap();
         assert_eq!(p.params(j, e).unwrap(), EdgeParams::new(1.5, 0.8));
-    }
-
-    #[test]
-    fn gains_based_overlay_satisfies_property1() {
-        let mut b = ProblemBuilder::new();
-        let n: Vec<NodeId> = (0..4).map(|_| b.server(10.0)).collect();
-        let e0 = b.link(n[0], n[1], 9.0);
-        let e1 = b.link(n[1], n[3], 9.0);
-        let e2 = b.link(n[0], n[2], 9.0);
-        let e3 = b.link(n[2], n[3], 9.0);
-        let j = b.commodity(n[0], n[3], 2.0, UtilityFn::throughput());
-        b.uses_with_gains(
-            j,
-            vec![1.0, 3.0, 5.0, 7.5],
-            vec![(e0, 1.0), (e1, 1.0), (e2, 1.0), (e3, 1.0)],
-        );
-        let p = b.build().unwrap();
-        assert!((p.params(j, e0).unwrap().beta - 3.0).abs() < 1e-12);
-        assert!((p.params(j, e3).unwrap().beta - 1.5).abs() < 1e-12);
-        assert!((p.gain(j, n[3]) - 7.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gains_shape_checked() {
-        let mut b = ProblemBuilder::new();
-        let s = b.server(1.0);
-        let t = b.server(1.0);
-        let e = b.link(s, t, 1.0);
-        let j = b.commodity(s, t, 1.0, UtilityFn::throughput());
-        b.uses_with_gains(j, vec![1.0], vec![(e, 1.0)]);
-        assert!(matches!(
-            b.build().unwrap_err(),
-            ModelError::ShapeMismatch {
-                what: "per-node gains",
-                ..
-            }
-        ));
     }
 
     #[test]

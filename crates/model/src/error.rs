@@ -91,8 +91,7 @@ pub enum ModelError {
         actual_gain: f64,
     },
     /// A commodity overlay contains an edge with parameters but whose
-    /// endpoints cannot both lie on a source→sink path; call
-    /// `Problem::prune_overlays` or fix the overlay.
+    /// endpoints cannot both lie on a source→sink path.
     DisconnectedOverlayEdge {
         /// The offending commodity.
         commodity: CommodityId,

@@ -48,7 +48,7 @@ impl Default for Figure1Config {
 
 /// Node indices of the Figure 1 instance, in construction order:
 /// servers 1–8 are indices 0–7, sink 1 is 8, sink 2 is 9.
-pub const FIGURE1_SERVERS: usize = 8;
+pub(crate) const FIGURE1_SERVERS: usize = 8;
 
 /// Builds the Figure 1 instance.
 ///

@@ -27,7 +27,7 @@ use spn_graph::{DiGraph, NodeId};
 /// Instances built from gains are consistent to machine precision;
 /// hand-authored `β` tables are accepted if all paths agree within this
 /// relative factor.
-pub const GAIN_TOLERANCE: f64 = 1e-9;
+pub(crate) const GAIN_TOLERANCE: f64 = 1e-9;
 
 /// Reconstructs per-node gains for one commodity from its per-edge
 /// shrinkage factors.

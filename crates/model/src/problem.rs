@@ -66,9 +66,7 @@ impl Problem {
     ///
     /// Every structural defect is reported as a specific
     /// [`ModelError`]; see that type for the full catalogue. Notably,
-    /// overlay edges not on any source→sink path are rejected — call
-    /// [`Problem::prune_overlays`] on the raw overlay first if the
-    /// source of your instance may include dead-end edges.
+    /// overlay edges not on any source→sink path are rejected.
     pub fn from_parts(
         graph: DiGraph,
         node_capacity: Vec<Capacity>,
@@ -188,29 +186,6 @@ impl Problem {
             overlay,
             gains,
         })
-    }
-
-    /// Removes overlay edges that lie on no source→sink path, in place
-    /// on a raw overlay (before [`Problem::from_parts`]). Returns the
-    /// number of entries cleared.
-    pub fn prune_overlays(
-        graph: &DiGraph,
-        commodities: &[Commodity],
-        overlay: &mut [Vec<Option<EdgeParams>>],
-    ) -> usize {
-        let mut removed = 0;
-        for (ji, commodity) in commodities.iter().enumerate() {
-            let useful = on_path_edges(graph, commodity.source(), commodity.sink(), |e| {
-                overlay[ji][e.index()].is_some()
-            });
-            for e in graph.edges() {
-                if overlay[ji][e.index()].is_some() && !useful[e.index()] {
-                    overlay[ji][e.index()] = None;
-                    removed += 1;
-                }
-            }
-        }
-        removed
     }
 
     /// The physical network.
@@ -537,32 +512,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ModelError::DisconnectedOverlayEdge { .. }));
-    }
-
-    #[test]
-    fn prune_clears_dead_edges() {
-        let mut g = DiGraph::new();
-        let s = g.add_node();
-        let t = g.add_node();
-        let u = g.add_node();
-        g.add_edge(s, t);
-        g.add_edge(s, u);
-        let commodities = vec![Commodity::new(s, t, 1.0, UtilityFn::throughput())];
-        let mut overlay = vec![vec![
-            Some(EdgeParams::new(1.0, 1.0)),
-            Some(EdgeParams::new(1.0, 1.0)),
-        ]];
-        let removed = Problem::prune_overlays(&g, &commodities, &mut overlay);
-        assert_eq!(removed, 1);
-        assert!(overlay[0][1].is_none());
-        assert!(Problem::from_parts(
-            g,
-            vec![Capacity::finite(1.0).unwrap(); 3],
-            vec![Capacity::finite(1.0).unwrap(); 2],
-            commodities,
-            overlay,
-        )
-        .is_ok());
     }
 
     #[test]

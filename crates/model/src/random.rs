@@ -170,13 +170,6 @@ impl RandomInstanceBuilder {
         self
     }
 
-    /// Sets the stage-to-stage extra edge probability.
-    #[must_use]
-    pub fn edge_prob(mut self, edge_prob: f64) -> Self {
-        self.config.edge_prob = edge_prob;
-        self
-    }
-
     /// Generates the instance.
     ///
     /// # Errors

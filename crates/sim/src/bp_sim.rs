@@ -56,11 +56,6 @@ impl BackPressureSim {
     pub fn inner(&self) -> &BackPressure {
         &self.bp
     }
-
-    /// The wrapped algorithm, mutably.
-    pub fn inner_mut(&mut self) -> &mut BackPressure {
-        &mut self.bp
-    }
 }
 
 fn count_messages(ext: &ExtendedNetwork) -> usize {

@@ -142,8 +142,7 @@ pub struct ChaosConfig {
     /// Scheduled transient failures.
     pub faults: Vec<ScheduledFault>,
     /// Take an internal rollback checkpoint every this many wall-clock
-    /// steps (`0` disables periodic checkpoints; corruption then errors
-    /// out unless [`ChaosGradient::snapshot_now`] was called).
+    /// steps (`0` disables them; corruption then errors out).
     pub checkpoint_interval: usize,
     /// Which routers apply Γ each step ([`Schedule::Synchronous`]: all
     /// of them).
@@ -214,14 +213,14 @@ impl FaultPlan {
 
     /// Is node `v`'s commodity-`j` marginal broadcast dropped at `clock`?
     #[must_use]
-    pub fn drops_broadcast(&self, clock: usize, j: usize, v: usize) -> bool {
+    pub(crate) fn drops_broadcast(&self, clock: usize, j: usize, v: usize) -> bool {
         coin(self.seed, salts::SALT_LOSS, self.message_loss, clock, j, v)
     }
 
     /// Age of the delivered broadcast at `clock` (`0` = fresh,
     /// `1..=max_staleness` = stale by that many iterations).
     #[must_use]
-    pub fn stale_age(&self, clock: usize, j: usize, v: usize) -> usize {
+    pub(crate) fn stale_age(&self, clock: usize, j: usize, v: usize) -> usize {
         bounded_age(
             self.seed,
             salts::SALT_STALE,
@@ -236,7 +235,7 @@ impl FaultPlan {
 
     /// Does router `(j, v)` apply its Γ update twice at `clock`?
     #[must_use]
-    pub fn duplicates_update(&self, clock: usize, j: usize, v: usize) -> bool {
+    pub(crate) fn duplicates_update(&self, clock: usize, j: usize, v: usize) -> bool {
         coin(self.seed, salts::SALT_DUP, self.duplicate_prob, clock, j, v)
     }
 
@@ -244,7 +243,7 @@ impl FaultPlan {
     /// `[1 − jitter, 1 + jitter]` (floored at 10% of base so jitter can
     /// never fake a full failure).
     #[must_use]
-    pub fn capacity_factor(&self, clock: usize, v: usize) -> f64 {
+    pub(crate) fn capacity_factor(&self, clock: usize, v: usize) -> f64 {
         jitter_factor(
             self.seed,
             salts::SALT_JITTER,
@@ -572,7 +571,7 @@ impl ChaosGradient {
 
     /// Takes an internal rollback checkpoint of the current algorithm
     /// state (routing, flows, received marginals, iteration counter).
-    pub fn snapshot_now(&mut self) {
+    pub(crate) fn snapshot_now(&mut self) {
         // Only checkpoint clean state — a checkpoint of corrupted state
         // would make rollback useless.
         if check_finite(self.iterations, &self.state, &self.received, &self.routing).is_err() {

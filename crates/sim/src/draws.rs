@@ -14,7 +14,7 @@
 //! splitmix-style generator; the `SALT_*` constants separate the
 //! independent coin families (XOR-ed into the seed so the same
 //! `(clock, a, b)` key gives uncorrelated draws per family); and the
-//! three decision helpers ([`coin`], [`bounded_age`], [`jitter_factor`])
+//! three decision helpers ([`coin`], [`bounded_age`], `jitter_factor`)
 //! encode the draw shapes the runtimes share. `chaos::FaultPlan`
 //! delegates here bit-for-bit — extracting this module changed no
 //! draw — and `spn-mesh`'s transport plan keys the same helpers with
@@ -28,13 +28,13 @@ pub mod salts {
     /// Marginal-broadcast (or frame) loss coins.
     pub const SALT_LOSS: u64 = 0x6C6F_7373_6C6F_7373; // "loss"
     /// Staleness gate coins (is this delivery stale at all?).
-    pub const SALT_STALE: u64 = 0x7374_616C_6573_7373;
+    pub(crate) const SALT_STALE: u64 = 0x7374_616C_6573_7373;
     /// Staleness age draws (how stale, uniform over `1..=max`).
     pub const SALT_AGE: u64 = 0x6167_6500_6167_6500;
     /// Duplicate-delivery coins.
     pub const SALT_DUP: u64 = 0x6475_7065_6475_7065;
     /// Capacity-jitter amplitude draws.
-    pub const SALT_JITTER: u64 = 0x6A69_7474_6A69_7474;
+    pub(crate) const SALT_JITTER: u64 = 0x6A69_7474_6A69_7474;
     /// Frame-delay gate and age draws (mesh transport).
     pub const SALT_DELAY: u64 = 0x6465_6C61_6465_6C61;
     /// Stream read-chunk caps (mesh socket transport): how many bytes
@@ -97,7 +97,7 @@ pub fn bounded_age(
 /// floored at `floor` so jitter can never fake a full failure.
 /// `amplitude == 0` returns exactly `1.0`.
 #[must_use]
-pub fn jitter_factor(
+pub(crate) fn jitter_factor(
     seed: u64,
     salt: u64,
     amplitude: f64,

@@ -1,4 +1,4 @@
-//! Failure injection and recovery measurement.
+//! Failure injection.
 //!
 //! §3 of the paper motivates penalty headroom with: "such remaining
 //! capacity could be used to better accommodate changing demands, or for
@@ -15,7 +15,6 @@
 //! runtime ([`crate::chaos`]) fires these from scheduled plans and must
 //! be able to surface bad schedules as values.
 
-use crate::gradient_sim::GradientSim;
 use spn_core::health::CoreError;
 use spn_graph::{EdgeId, NodeId};
 use spn_model::Capacity;
@@ -26,7 +25,7 @@ use spn_transform::{ExtendedNetwork, NodeKind};
 pub const FAILED_CAPACITY: f64 = 1e-3;
 
 /// Collapses a physical node's computing capacity. Drivers hand in the
-/// network they run on ([`GradientSim::extended_mut`], the
+/// network they run on ([`crate::GradientSim::extended_mut`], the
 /// [`crate::chaos`] runtime's own).
 ///
 /// # Errors
@@ -48,7 +47,7 @@ pub fn fail_node(ext: &mut ExtendedNetwork, node: NodeId) -> Result<(), CoreErro
 ///
 /// [`CoreError::NoBandwidthNode`] if `edge` is not a physical edge of
 /// the network.
-pub fn fail_link(ext: &mut ExtendedNetwork, edge: EdgeId) -> Result<NodeId, CoreError> {
+pub(crate) fn fail_link(ext: &mut ExtendedNetwork, edge: EdgeId) -> Result<NodeId, CoreError> {
     let bw = bandwidth_node(ext, edge)?;
     ext.set_capacity(bw, Capacity::finite(FAILED_CAPACITY).expect("positive"));
     Ok(bw)
@@ -61,7 +60,7 @@ pub fn fail_link(ext: &mut ExtendedNetwork, edge: EdgeId) -> Result<NodeId, Core
 ///
 /// [`CoreError::InvalidCapacity`] if `capacity` is not strictly
 /// positive and finite.
-pub fn restore_node(
+pub(crate) fn restore_node(
     ext: &mut ExtendedNetwork,
     node: NodeId,
     capacity: f64,
@@ -78,39 +77,17 @@ pub fn restore_node(
 ///
 /// [`CoreError::NoBandwidthNode`] if `edge` has no bandwidth node (it
 /// is not a physical edge).
-pub fn bandwidth_node(ext: &ExtendedNetwork, edge: EdgeId) -> Result<NodeId, CoreError> {
+pub(crate) fn bandwidth_node(ext: &ExtendedNetwork, edge: EdgeId) -> Result<NodeId, CoreError> {
     ext.graph()
         .nodes()
         .find(|&v| matches!(ext.node_kind(v), NodeKind::Bandwidth(e) if e == edge))
         .ok_or(CoreError::NoBandwidthNode { edge })
 }
 
-/// Runs the simulation until utility recovers to `fraction` of
-/// `reference_utility` or `max_iterations` elapse; returns the number of
-/// iterations used (`Some(0)` when the target is already met), or
-/// `None` if recovery was not reached.
-pub fn measure_recovery(
-    sim: &mut GradientSim,
-    reference_utility: f64,
-    fraction: f64,
-    max_iterations: usize,
-) -> Option<usize> {
-    let target = reference_utility * fraction;
-    if sim.utility() >= target {
-        return Some(0);
-    }
-    for i in 0..max_iterations {
-        sim.step();
-        if sim.utility() >= target {
-            return Some(i + 1);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gradient_sim::GradientSim;
     use spn_core::GradientConfig;
     use spn_model::builder::ProblemBuilder;
     use spn_model::{Problem, UtilityFn};
@@ -258,50 +235,5 @@ mod tests {
             let bw = fail_link(sim.extended_mut(), edge).unwrap();
             assert_eq!(sim.extended().capacity(bw).value(), FAILED_CAPACITY);
         }
-    }
-
-    #[test]
-    fn recovery_already_met_is_zero_iterations() {
-        let p = diamond();
-        let cfg = GradientConfig {
-            eta: 0.3,
-            ..GradientConfig::default()
-        };
-        let mut sim = GradientSim::new(&p, cfg).unwrap();
-        for _ in 0..500 {
-            sim.step();
-        }
-        let reference = sim.utility();
-        let iters_before = sim.iterations();
-        // nothing failed: the target is already met, and the sim must
-        // not be stepped at all
-        assert_eq!(measure_recovery(&mut sim, reference, 0.95, 100), Some(0));
-        assert_eq!(sim.iterations(), iters_before);
-    }
-
-    #[test]
-    fn unreachable_recovery_is_none() {
-        let p = diamond();
-        let cfg = GradientConfig {
-            eta: 0.3,
-            ..GradientConfig::default()
-        };
-        let mut sim = GradientSim::new(&p, cfg).unwrap();
-        for _ in 0..500 {
-            sim.step();
-        }
-        let reference = sim.utility();
-        // both relays dead: the demand cannot be carried, recovery to
-        // 95% of the healthy utility never happens
-        fail_node(sim.extended_mut(), spn_graph::NodeId::from_index(1)).unwrap();
-        fail_node(sim.extended_mut(), spn_graph::NodeId::from_index(2)).unwrap();
-        // let the barrier repel the flow so utility actually collapses
-        // (capacity edits take effect on the next iteration)
-        for _ in 0..100 {
-            sim.step();
-        }
-        assert!(sim.utility() < 0.95 * reference);
-        assert_eq!(measure_recovery(&mut sim, reference, 0.95, 300), None);
-        assert_eq!(sim.iterations(), 500 + 100 + 300); // budget fully spent
     }
 }

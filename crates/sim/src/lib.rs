@@ -32,12 +32,12 @@
 //! a gradient iteration costs `O(L)` rounds (`L` = longest pipeline
 //! path) while a back-pressure iteration costs `O(1)` (experiment E4).
 
-pub mod bp_sim;
+pub(crate) mod bp_sim;
 pub mod chaos;
 pub mod churn;
 pub mod draws;
 pub mod failure;
-pub mod gradient_sim;
+pub(crate) mod gradient_sim;
 pub mod packet;
 pub mod waves;
 

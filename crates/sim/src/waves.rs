@@ -40,7 +40,7 @@ impl WaveOutcome {
 /// [`spn_core::marginals::compute_marginals`] up to floating-point
 /// summation order — asserted by tests) and the wave cost.
 #[must_use]
-pub fn marginal_wave(
+pub(crate) fn marginal_wave(
     ext: &ExtendedNetwork,
     cost: &CostModel,
     routing: &RoutingTable,
@@ -123,7 +123,10 @@ pub fn marginal_wave(
 /// Returns the forecasted [`FlowState`] (numerically equal to
 /// [`spn_core::flows::compute_flows`]) and the wave cost.
 #[must_use]
-pub fn forecast_wave(ext: &ExtendedNetwork, routing: &RoutingTable) -> (FlowState, WaveOutcome) {
+pub(crate) fn forecast_wave(
+    ext: &ExtendedNetwork,
+    routing: &RoutingTable,
+) -> (FlowState, WaveOutcome) {
     let v_count = ext.graph().node_count();
     let l_count = ext.graph().edge_count();
     let j_count = ext.num_commodities();
@@ -183,7 +186,7 @@ pub fn forecast_wave(ext: &ExtendedNetwork, routing: &RoutingTable) -> (FlowStat
 /// Converts raw per-node marginal values into the core crate's
 /// [`Marginals`] (which keeps the entries of each commodity's members).
 #[must_use]
-pub fn into_marginals(ext: &ExtendedNetwork, values: &[Vec<f64>]) -> Marginals {
+pub(crate) fn into_marginals(ext: &ExtendedNetwork, values: &[Vec<f64>]) -> Marginals {
     Marginals::from_raw(ext, values)
 }
 

@@ -61,8 +61,6 @@ pub struct ArcFlowEncoding {
     x_col: Vec<Vec<Option<usize>>>,
     /// `a_col[j]` — LP column of the admission variable `a_j`.
     a_col: Vec<usize>,
-    /// Total columns used by the flow encoding (extensions append after).
-    num_vars: usize,
     /// What each constraint row represents, in row order.
     rows: Vec<RowKind>,
 }
@@ -70,20 +68,14 @@ pub struct ArcFlowEncoding {
 impl ArcFlowEncoding {
     /// Column of `x^j_e`, or `None` when the commodity does not use `e`.
     #[must_use]
-    pub fn flow_col(&self, j: CommodityId, e: spn_graph::EdgeId) -> Option<usize> {
+    pub(crate) fn flow_col(&self, j: CommodityId, e: spn_graph::EdgeId) -> Option<usize> {
         self.x_col[j.index()][e.index()]
     }
 
     /// Column of `a_j`.
     #[must_use]
-    pub fn admission_col(&self, j: CommodityId) -> usize {
+    pub(crate) fn admission_col(&self, j: CommodityId) -> usize {
         self.a_col[j.index()]
-    }
-
-    /// Number of columns the base encoding occupies.
-    #[must_use]
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
     }
 
     /// What each constraint row represents, in row order.
@@ -117,7 +109,7 @@ impl ArcFlowEncoding {
 
     /// Extracts an [`OptimalSolution`] from an LP point.
     #[must_use]
-    pub fn extract(&self, problem: &Problem, objective: f64, x: &[f64]) -> OptimalSolution {
+    pub(crate) fn extract(&self, problem: &Problem, objective: f64, x: &[f64]) -> OptimalSolution {
         let g = problem.graph();
         let admitted: Vec<f64> = self.a_col.iter().map(|&col| x[col].max(0.0)).collect();
         let mut edge_flow = vec![vec![0.0; g.edge_count()]; problem.num_commodities()];
@@ -165,13 +157,11 @@ pub fn encode(problem: &Problem) -> (LinearProgram, ArcFlowEncoding) {
         }
     }
     let a_col: Vec<usize> = (0..j_count).map(|ji| next + ji).collect();
-    let num_vars = next + j_count;
-    let mut lp = LinearProgram::new(num_vars);
+    let mut lp = LinearProgram::new(next + j_count);
     let mut rows: Vec<RowKind> = Vec::new();
     let enc_probe = ArcFlowEncoding {
         x_col,
         a_col,
-        num_vars,
         rows: Vec::new(),
     };
     let enc = &enc_probe;
@@ -240,21 +230,8 @@ pub fn encode(problem: &Problem) -> (LinearProgram, ArcFlowEncoding) {
         }
     }
 
-    let ArcFlowEncoding {
-        x_col,
-        a_col,
-        num_vars,
-        ..
-    } = enc_probe;
-    (
-        lp,
-        ArcFlowEncoding {
-            x_col,
-            a_col,
-            num_vars,
-            rows,
-        },
-    )
+    let ArcFlowEncoding { x_col, a_col, .. } = enc_probe;
+    (lp, ArcFlowEncoding { x_col, a_col, rows })
 }
 
 /// Why a centralized solve failed.

@@ -59,7 +59,7 @@ impl LinearProgram {
 
     /// Number of variables.
     #[must_use]
-    pub fn num_vars(&self) -> usize {
+    pub(crate) fn num_vars(&self) -> usize {
         self.objective.len()
     }
 
@@ -78,7 +78,8 @@ impl LinearProgram {
     }
 
     /// Adds `coeffs · x ≥ rhs`.
-    pub fn greater_equal(&mut self, coeffs: Vec<(usize, f64)>, rhs: f64) {
+    #[cfg(test)]
+    pub(crate) fn greater_equal(&mut self, coeffs: Vec<(usize, f64)>, rhs: f64) {
         self.push(coeffs, Relation::Ge, rhs);
     }
 
@@ -166,36 +167,6 @@ pub struct LpSolution {
     /// Non-negative for binding `≤` rows, non-positive for `≥` rows,
     /// free for equalities.
     pub duals: Vec<f64>,
-}
-
-impl LpSolution {
-    /// The dual objective `Σ_i duals[i]·rhs_i`. Strong duality makes
-    /// this equal [`LpSolution::objective`] at an optimum — a
-    /// certificate callers can verify independently.
-    #[must_use]
-    pub fn dual_objective(&self, lp: &LinearProgram) -> f64 {
-        self.duals
-            .iter()
-            .zip(&lp.constraints)
-            .map(|(y, c)| y * c.rhs)
-            .sum()
-    }
-
-    /// Largest complementary-slackness violation:
-    /// `|dual_i · slack_i|` over all constraints. Near zero at a true
-    /// optimum (a binding constraint may have any dual; a slack
-    /// constraint must have dual ≈ 0).
-    #[must_use]
-    pub fn max_complementarity_violation(&self, lp: &LinearProgram) -> f64 {
-        self.duals
-            .iter()
-            .zip(&lp.constraints)
-            .map(|(y, c)| {
-                let lhs: f64 = c.coeffs.iter().map(|&(v, a)| a * self.x[v]).sum();
-                (y * (c.rhs - lhs)).abs()
-            })
-            .fold(0.0, f64::max)
-    }
 }
 
 const TOL: f64 = 1e-9;
@@ -454,6 +425,31 @@ mod tests {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
     }
 
+    /// The dual objective `Σ_i duals[i]·rhs_i`. Strong duality makes
+    /// this equal the primal objective at an optimum.
+    fn dual_objective(s: &LpSolution, lp: &LinearProgram) -> f64 {
+        s.duals
+            .iter()
+            .zip(&lp.constraints)
+            .map(|(y, c)| y * c.rhs)
+            .sum()
+    }
+
+    /// Largest complementary-slackness violation:
+    /// `|dual_i · slack_i|` over all constraints. Near zero at a true
+    /// optimum (a binding constraint may have any dual; a slack
+    /// constraint must have dual ≈ 0).
+    fn max_complementarity_violation(s: &LpSolution, lp: &LinearProgram) -> f64 {
+        s.duals
+            .iter()
+            .zip(&lp.constraints)
+            .map(|(y, c)| {
+                let lhs: f64 = c.coeffs.iter().map(|&(v, a)| a * s.x[v]).sum();
+                (y * (c.rhs - lhs)).abs()
+            })
+            .fold(0.0, f64::max)
+    }
+
     #[test]
     fn textbook_maximization() {
         // max 3x + 5y s.t. x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18  → 36 at (2, 6)
@@ -579,8 +575,8 @@ mod tests {
         assert_close(s.duals[0], 0.0);
         assert_close(s.duals[1], 1.5);
         assert_close(s.duals[2], 1.0);
-        assert_close(s.dual_objective(&lp), s.objective);
-        assert!(s.max_complementarity_violation(&lp) < 1e-9);
+        assert_close(dual_objective(&s, &lp), s.objective);
+        assert!(max_complementarity_violation(&s, &lp) < 1e-9);
         // dual feasibility for max/≤: y ≥ 0
         assert!(s.duals.iter().all(|&y| y >= -1e-9));
     }
@@ -596,8 +592,8 @@ mod tests {
         lp.less_equal(vec![(1, 1.0)], 5.0);
         let s = solve(&lp).unwrap();
         assert_close(s.objective, 3.0);
-        assert_close(s.dual_objective(&lp), s.objective);
-        assert!(s.max_complementarity_violation(&lp) < 1e-9);
+        assert_close(dual_objective(&s, &lp), s.objective);
+        assert!(max_complementarity_violation(&s, &lp) < 1e-9);
         // the non-binding x ≥ 1 must have zero price
         assert_close(s.duals[1], 0.0);
         // raising the equality rhs by 1 raises the optimum by 1

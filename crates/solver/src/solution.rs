@@ -1,6 +1,6 @@
 //! Centralized solutions in problem terms, with feasibility checking.
 
-use spn_graph::{EdgeId, NodeId};
+use spn_graph::EdgeId;
 use spn_model::{CommodityId, Problem};
 
 /// A centralized optimum of the stream processing problem, expressed on
@@ -112,12 +112,6 @@ impl OptimalSolution {
     pub fn flow(&self, j: CommodityId, e: EdgeId) -> f64 {
         self.edge_flow[j.index()][e.index()]
     }
-
-    /// Node utilization (usage / capacity) at `v`.
-    #[must_use]
-    pub fn node_utilization(&self, problem: &Problem, v: NodeId) -> f64 {
-        self.node_usage[v.index()] / problem.node_capacity(v).value()
-    }
 }
 
 #[cfg(test)]
@@ -158,7 +152,6 @@ mod tests {
             s.flow(CommodityId::from_index(0), spn_graph::EdgeId::from_index(0)),
             4.0
         );
-        assert!((s.node_utilization(&p, NodeId::from_index(0)) - 0.8).abs() < 1e-12);
     }
 
     #[test]

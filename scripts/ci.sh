@@ -83,8 +83,9 @@ cargo fmt --all -- --check
 # counting-allocator bins allow it.
 diff <(grep -rl 'allow(unsafe_code)' crates/*/src | LC_ALL=C sort) <(printf '%s\n' crates/bench/src/bin/{mesh_smoke,scale_smoke}.rs)
 cargo clippy --workspace --all-targets -- -D warnings
-# A deleted type must not leave a dangling [`Name`] behind.
-RUSTDOCFLAGS='-D rustdoc::broken_intra_doc_links' cargo doc --workspace --no-deps --offline -q
+# A deleted type must not leave a dangling [`Name`] behind, and a
+# public doc must not link to an item its readers cannot see.
+RUSTDOCFLAGS='-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links' cargo doc --workspace --no-deps --offline -q
 # Dev profile = debug-assertions on: this pass exercises the finiteness
 # scan / checkpoint / chaos invariant checks (including the debug-only
 # internal asserts) across the whole workspace.

@@ -8,7 +8,7 @@
 //! can depend on a single crate:
 //!
 //! * [`graph`] — directed-graph substrate (topological order,
-//!   reachability, SCCs, paths).
+//!   reachability, an SCC cycle certificate, paths).
 //! * [`model`] — the stream processing model: commodities, shrinkage
 //!   factors, utilities, penalties, capacities, and the seeded random
 //!   instance generator matching the paper's evaluation setup.
@@ -17,8 +17,7 @@
 //!   admission control into routing).
 //! * [`solver`] — centralized optimum: a from-scratch dense simplex LP
 //!   solver with an arc-flow encoding of the shrinkage multicommodity
-//!   flow problem, piecewise-linear concave utilities, and a projected
-//!   gradient cross-check.
+//!   flow problem and piecewise-linear concave utilities.
 //! * [`core`] — **the paper's contribution**: the distributed
 //!   gradient-based algorithm for joint admission control, routing and
 //!   resource allocation (§4–5).

@@ -123,3 +123,63 @@ fn gradient_config_knobs_are_listed() {
     assert_eq!(rebuilt, GradientConfig::default());
     assert_eq!(rebuilt.validate(), Ok(()));
 }
+
+/// Export ratchet: the number of `pub fn`s in each library crate's
+/// `src/` (not `pub(crate)` / `pub(super)`), pinned. A `pub fn` that no
+/// other crate calls hides from `dead_code`, so a new export must be
+/// declared here: raise the crate's pin in the same change. When an
+/// export is narrowed or deleted, lower the pin.
+///
+/// Exemption: `Report::node_allocations` (spn-core) stays `pub` though
+/// no other crate calls it — it is the one place §4's local resource
+/// allocation is exposed (the `algorithm` module doc, PAPER_MAP).
+const PUB_FNS: [(&str, usize); 8] = [
+    ("baseline", 12),
+    ("core", 98),
+    ("graph", 37),
+    ("mesh", 59),
+    ("model", 82),
+    ("sim", 56),
+    ("solver", 17),
+    ("transform", 53),
+];
+
+fn count_pub_fns(dir: &std::path::Path) -> usize {
+    let mut count = 0;
+    for entry in std::fs::read_dir(dir).expect("readable src dir") {
+        let path = entry.expect("readable dir entry").path();
+        if path.is_dir() {
+            count += count_pub_fns(&path);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = std::fs::read_to_string(&path).expect("readable source");
+            count += text
+                .lines()
+                .map(str::trim_start)
+                .filter(|l| {
+                    ["pub fn ", "pub const fn ", "pub unsafe fn "]
+                        .iter()
+                        .any(|p| l.starts_with(p))
+                })
+                .count();
+        }
+    }
+    count
+}
+
+#[test]
+fn library_exports_are_declared() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    for (krate, pinned) in PUB_FNS {
+        let found = count_pub_fns(&root.join(krate).join("src"));
+        assert!(
+            found <= pinned,
+            "spn-{krate} has {found} `pub fn`s, {pinned} declared: if another crate \
+             calls the new one, raise its pin in PUB_FNS (tests/api_guidelines.rs); \
+             otherwise make it `pub(crate)`"
+        );
+        assert_eq!(
+            found, pinned,
+            "spn-{krate} has {found} `pub fn`s, {pinned} declared: lower its pin in PUB_FNS"
+        );
+    }
+}

@@ -19,6 +19,7 @@
 //! the single real measurement. No retry, no second chance: an
 //! allocation inside the measured window is a real regression.
 #![allow(unsafe_code)] // a counting GlobalAlloc requires unsafe impls
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use spn::core::{GradientAlgorithm, GradientConfig, NewtonGradient};
 use spn::model::random::RandomInstance;
@@ -29,18 +30,27 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAllocator;
 
+// SAFETY: every method forwards to `System` with the caller's
+// unchanged `layout`, `ptr` and `new_size`, so `System` upholds the
+// `GlobalAlloc` contract; the counters are atomics and never allocate.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout`, unchanged, meets `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` (every allocation here forwards
+        // to it) with this same `layout`, per the caller's contract.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `ptr` (allocated by `System` through this
+        // allocator), `layout` and `new_size`, unchanged, meet `realloc`'s
+        // contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
