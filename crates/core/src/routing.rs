@@ -210,7 +210,7 @@ impl RoutingTable {
     #[must_use]
     pub fn is_loop_free(&self, ext: &ExtendedNetwork) -> bool {
         ext.commodity_ids().all(|j| {
-            !spn_graph::scc::has_nontrivial_scc_filtered(ext.graph(), |l| self.fraction(j, l) > 0.0)
+            spn_graph::topo::is_acyclic_filtered(ext.graph(), |l| self.fraction(j, l) > 0.0)
         })
     }
 

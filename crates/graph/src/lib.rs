@@ -7,11 +7,10 @@
 //!
 //! * topological ordering and cycle detection ([`topo`]), including
 //!   *filtered* variants that operate on the subgraph selected by an edge
-//!   predicate — this is how per-commodity routing DAGs are ordered;
+//!   predicate — this is how per-commodity routing DAGs are ordered and
+//!   how loop-freedom of a routing variable set is certified;
 //! * forward/backward reachability and source-sink path pruning
 //!   ([`reach`]);
-//! * strongly connected components ([`scc`]) used to certify
-//!   loop-freedom of routing variable sets;
 //! * path statistics ([`paths`]): hop distances, DAG depth (the paper's
 //!   `O(L)` message-cost parameter), and bounded path enumeration;
 //! * Graphviz export ([`dot`]) for debugging instances.
@@ -42,7 +41,6 @@ pub mod dot;
 pub mod graph;
 pub mod paths;
 pub mod reach;
-pub mod scc;
 pub mod topo;
 
 pub use graph::{DiGraph, EdgeId, NodeId};

@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 use spn_graph::paths::{count_paths, enumerate_paths, hops_to, longest_path_len};
 use spn_graph::reach::{can_reach, on_path_edges, on_path_nodes, reachable_from};
-use spn_graph::scc::has_nontrivial_scc_filtered;
 use spn_graph::topo::{is_acyclic, is_valid_topological_order, topological_order};
 use spn_graph::{DiGraph, NodeId};
 
@@ -21,6 +20,36 @@ fn arb_graph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = DiGrap
             g
         })
     })
+}
+
+/// Independent cycle oracle: a recursive depth-first search that reports
+/// a cycle when an edge leads back to a node still on its stack (grey).
+fn has_cycle_dfs(g: &DiGraph) -> bool {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Colour {
+        White,
+        Grey,
+        Black,
+    }
+    fn visit(g: &DiGraph, v: NodeId, colour: &mut [Colour]) -> bool {
+        colour[v.index()] = Colour::Grey;
+        for &e in g.out_edges(v) {
+            let w = g.target(e);
+            let cycle = match colour[w.index()] {
+                Colour::Grey => true,
+                Colour::White => visit(g, w, colour),
+                Colour::Black => false,
+            };
+            if cycle {
+                return true;
+            }
+        }
+        colour[v.index()] = Colour::Black;
+        false
+    }
+    let mut colour = vec![Colour::White; g.node_count()];
+    g.nodes()
+        .any(|v| colour[v.index()] == Colour::White && visit(g, v, &mut colour))
 }
 
 /// Strategy: a random DAG (edges only from lower to higher index).
@@ -48,10 +77,8 @@ proptest! {
     }
 
     #[test]
-    fn kahn_and_tarjan_agree_on_cyclicity(g in arb_graph(15, 45)) {
-        let acyclic_kahn = is_acyclic(&g);
-        let acyclic_tarjan = !has_nontrivial_scc_filtered(&g, |_| true);
-        prop_assert_eq!(acyclic_kahn, acyclic_tarjan);
+    fn kahn_and_dfs_agree_on_cyclicity(g in arb_graph(15, 45)) {
+        prop_assert_eq!(is_acyclic(&g), !has_cycle_dfs(&g));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Region-sharded mesh runtime for the gradient algorithm.
 //!
 //! Splits a hierarchical instance's nodes across region workers that
-//! run local sweeps and exchange **serialized** marginal / Γ /
-//! flow-forecast messages over one transport, [`SocketTransport`]: an
-//! ordered duplex byte stream per region pair — an in-process pipe,
-//! a Unix-domain socket pair or loopback TCP, per [`SocketKind`] —
-//! carrying wire-v2 frames inside `(deliver_tick, sent_tick)` stream
+//! run local sweeps and exchange **serialized** marginal and Γ messages
+//! over one transport, [`SocketTransport`]: an ordered duplex byte
+//! stream per region pair — an in-process pipe, a Unix-domain socket
+//! pair or loopback TCP, per [`SocketKind`] — carrying wire-v3 frames
+//! inside `(deliver_tick, sent_tick)` stream
 //! records, with per-peer tick markers instead of a barrier. Two
 //! oracles hold on every stream kind (ARCHITECTURE invariants 19 and
 //! 21):
@@ -26,7 +26,7 @@
 //! checkpoint/recovery so a rejoining region restores survivor state
 //! bit-for-bit.
 //!
-//! The wire path (format v2) is **delta-encoded, coalesced, and
+//! The wire path (format v3) is **delta-encoded, coalesced, and
 //! pooled** — one batch per (link, tick), see [`worker`] — and
 //! suppression never changes received values (ARCHITECTURE invariant
 //! 20).

@@ -491,12 +491,6 @@ impl<T: Transport> MeshRuntime<T> {
         &self.workers[region]
     }
 
-    /// The extended network the mesh runs over.
-    #[must_use]
-    pub fn extended(&self) -> &ExtendedNetwork {
-        &self.ext
-    }
-
     /// Iterations performed so far.
     #[must_use]
     pub fn iterations(&self) -> usize {

@@ -1,4 +1,4 @@
-//! The mesh's one transport: wire-v2 frames over ordered byte streams,
+//! The mesh's one transport: wire-v3 frames over ordered byte streams,
 //! with marker-based readiness instead of a tick barrier.
 //!
 //! [`SocketTransport`] carries every frame a worker sends over one
@@ -10,7 +10,7 @@
 //! chunk boundaries. The stream carries two record types:
 //!
 //! ```text
-//! frame record: tag 0u8, deliver_tick u64, sent_tick u64, wire-v2 frame
+//! frame record: tag 0u8, deliver_tick u64, sent_tick u64, wire-v3 frame
 //! tick marker:  tag 1u8, tick u64
 //! ```
 //!
@@ -200,7 +200,7 @@ impl Stream {
 pub enum Record<'a> {
     /// Tick marker: every send of ticks ≤ this precedes it.
     Marker(u64),
-    /// A wire-v2 frame in its envelope.
+    /// A wire-v3 frame in its envelope.
     Frame {
         /// First tick the frame may be delivered at.
         deliver_tick: u64,
@@ -722,7 +722,7 @@ mod tests {
     ) -> (Vec<MeshIncident>, Vec<Delivery>) {
         let mut log = Vec::new();
         let mut seen = Vec::new();
-        let mut inbox = Inbox::new();
+        let mut inbox = Inbox::default();
         for tick in 0..ticks {
             t.begin_tick(tick, &mut log);
             for to in 0..regions {
@@ -777,7 +777,7 @@ mod tests {
             for split_seed in [None, Some(3)] {
                 let mut t = connect(3, kind, split_seed);
                 let mut log = Vec::new();
-                let mut inbox = Inbox::new();
+                let mut inbox = Inbox::default();
                 let mut take = |t: &mut SocketTransport, tick: u64| {
                     t.begin_tick(tick, &mut log);
                     await_ready(t, tick, 2);
@@ -871,7 +871,7 @@ mod tests {
         for kind in KINDS {
             let mut t = connect(1, kind, None);
             let mut log = Vec::new();
-            let mut inbox = Inbox::new();
+            let mut inbox = Inbox::default();
             for tick in 0..5 {
                 t.begin_tick(tick, &mut log);
                 assert!(t.ready(tick, 0));
@@ -906,7 +906,7 @@ mod tests {
         for split_seed in [None, Some(7)] {
             let mut t = connect(3, SocketKind::Memory, split_seed);
             let mut log = Vec::new();
-            let mut inbox = Inbox::new();
+            let mut inbox = Inbox::default();
             for tick in 0..64 {
                 t.begin_tick(tick, &mut log);
                 for to in 0..3 {
@@ -927,7 +927,7 @@ mod tests {
     fn inbox_reuse_does_not_leak_frames() {
         let mut t = connect(2, SocketKind::Memory, None);
         let mut log = Vec::new();
-        let mut inbox = Inbox::new();
+        let mut inbox = Inbox::default();
         t.begin_tick(0, &mut log);
         t.send(0, 0, 1, &hb(0, 1, 7), &mut log);
         t.begin_tick(1, &mut log);

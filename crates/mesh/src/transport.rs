@@ -47,12 +47,6 @@ impl Default for Inbox {
 }
 
 impl Inbox {
-    /// An empty inbox with an unlimited budget.
-    #[must_use]
-    pub fn new() -> Self {
-        Inbox::default()
-    }
-
     /// An empty inbox refusing frames past `budget` held bytes.
     #[must_use]
     pub(crate) fn with_budget(budget: usize) -> Self {

@@ -1,7 +1,7 @@
 //! The versioned wire format of the mesh.
 //!
-//! Region workers never share references — every marginal, Γ row, flow
-//! forecast, and recovery snapshot crosses the transport as a
+//! Region workers never share references — every marginal, Γ row and
+//! recovery snapshot crosses the transport as a
 //! length-delimited byte frame in the format defined here, so the mesh
 //! exercises real serialization boundaries even though the transport is
 //! in-process. The format is explicit and versioned:
@@ -19,12 +19,15 @@
 //! payload [u8; len]                       (kind-specific, see Payload)
 //! ```
 //!
-//! Version 2 adds two layers on top of the v1 row payloads:
+//! Version 3 carries two layers on top of the row payloads (version 2
+//! also had a flow-summary kind, byte 3, which no receiver read; that
+//! byte is now [`WireError::UnknownKind`]):
 //!
-//! * **Coalescing** — workers send exactly one [`FrameKind::Batch`]
-//!   frame per (link, tick). Its payload is a count followed by
-//!   length-prefixed *sub-frames*, each carrying its own kind, reliable
-//!   seq, round, and payload:
+//! * **Coalescing** — workers send at most one [`FrameKind::Batch`]
+//!   frame per (link, tick), and exactly one on the forward tick: the
+//!   heartbeat, which may hold no sub-frame at all. A batch's payload
+//!   is a count followed by length-prefixed *sub-frames*, each carrying
+//!   its own kind, reliable seq, round, and payload:
 //!
 //!   ```text
 //!   count u32
@@ -33,24 +36,24 @@
 //!
 //!   A batch inside a batch is refused ([`WireError::NestedBatch`]).
 //!
-//! * **Deltas** — the three row payloads (`Marginals`, `GammaRows`,
-//!   `FlowForecast`) open with a `base` round: the round of the
-//!   previous frame of that kind the sender shipped on this link. A
-//!   *full* frame is self-referential (`base == round`); a delta names
-//!   its predecessor, so frames of one kind form a chain and a receiver
-//!   whose watermark does not match `base + 1` knows a link-local gap
-//!   occurred and can request a full resend ([`Payload::Resend`], a
-//!   bitmask: bit 0 marginals, bit 1 flow forecast).
+//! * **Deltas** — the two row payloads (`Marginals`, `GammaRows`)
+//!   open with a `base` round: the round of the previous frame of that
+//!   kind the sender shipped on this link. A *full* frame is
+//!   self-referential (`base == round`); a delta names its predecessor,
+//!   so frames of one kind form a chain. Marginals are the one
+//!   watermarked broadcast: a receiver whose watermark does not match
+//!   `base + 1` knows a link-local gap occurred and requests a full
+//!   marginals frame ([`Payload::Resend`], an empty payload).
 //!
 //! Floats travel as their IEEE-754 bit patterns (`f64::to_bits`,
 //! little-endian) — encode→decode is *bit-identical*, which is what
 //! lets a fault-free mesh carry the bit-identity oracle. Decoding
 //! validates everything it reads: magic, version skew (a structured
-//! [`WireError::UnsupportedVersion`], never a panic — v1 bytes are
-//! refused, not misparsed), unknown kinds, truncation, trailing bytes,
-//! and **non-finite floats** — a NaN or ±Inf anywhere in a payload is
-//! refused at the boundary ([`WireError::NonFinite`]) so corruption
-//! cannot enter a worker's mirrors through the mesh.
+//! [`WireError::UnsupportedVersion`], never a panic — v1 and v2 bytes
+//! are refused, not misparsed), unknown kinds, truncation, trailing
+//! bytes, and **non-finite floats** — a NaN or ±Inf anywhere in a
+//! payload is refused at the boundary ([`WireError::NonFinite`]) so
+//! corruption cannot enter a worker's mirrors through the mesh.
 //!
 //! The allocation story: [`Frame`]/[`Frame::decode`] are the
 //! owned-value API (tests, tooling, traces). The hot path uses
@@ -71,22 +74,18 @@ use std::fmt;
 
 /// The wire protocol version this build speaks. Decoders refuse frames
 /// from any other version with [`WireError::UnsupportedVersion`].
-pub const WIRE_VERSION: u16 = 2;
+pub const WIRE_VERSION: u16 = 3;
 
 /// Frame magic: the first two bytes of every valid frame.
 pub(crate) const MAGIC: [u8; 2] = *b"SM";
-
-/// [`Payload::Resend`] bit: resend a full marginals frame.
-pub(crate) const RESEND_MARGINALS: u8 = 0b01;
-
-/// [`Payload::Resend`] bit: resend a full flow-forecast frame.
-pub(crate) const RESEND_FORECAST: u8 = 0b10;
 
 /// Frame kinds. The discriminant is the on-wire `kind` byte.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum FrameKind {
-    /// Liveness beacon (empty payload, unreliable).
+    /// Liveness beacon (empty payload, unreliable). Workers send none
+    /// since v3: a batch proves its sender alive, so their heartbeat is
+    /// the forward tick's batch, shipped even when it is empty.
     Heartbeat = 0,
     /// Marginal-cost broadcast for the sender's owned nodes
     /// (unreliable: listeners keep the last value heard).
@@ -94,9 +93,6 @@ pub enum FrameKind {
     /// Changed Γ routing rows for the sender's owned routers (reliable:
     /// retransmitted until acknowledged).
     GammaRows = 2,
-    /// Per-commodity admission/utility forecast from the commodity's
-    /// owner region (unreliable).
-    FlowForecast = 3,
     /// Cumulative acknowledgement of the reliable stream (unreliable —
     /// a lost ack just means one more retransmit).
     Ack = 4,
@@ -104,9 +100,9 @@ pub enum FrameKind {
     RecoveryRequest = 5,
     /// A survivor's epoch-fenced state snapshot (reliable).
     RecoveryState = 6,
-    /// A receiver detected a broadcast round gap and asks the sender
-    /// for full (non-delta) frames of the flagged kinds (unreliable —
-    /// the periodic refresh cadence backstops a lost request).
+    /// A receiver detected a marginals round gap and asks the sender
+    /// for a full (non-delta) marginals frame (unreliable — the
+    /// periodic refresh cadence backstops a lost request).
     Resend = 7,
     /// The per-(link, tick) container: every other kind travels as a
     /// length-prefixed sub-frame inside one of these.
@@ -129,7 +125,6 @@ impl FrameKind {
             0 => FrameKind::Heartbeat,
             1 => FrameKind::Marginals,
             2 => FrameKind::GammaRows,
-            3 => FrameKind::FlowForecast,
             4 => FrameKind::Ack,
             5 => FrameKind::RecoveryRequest,
             6 => FrameKind::RecoveryState,
@@ -146,7 +141,6 @@ impl FrameKind {
             FrameKind::Heartbeat => "heartbeat",
             FrameKind::Marginals => "marginals",
             FrameKind::GammaRows => "gamma-rows",
-            FrameKind::FlowForecast => "flow-forecast",
             FrameKind::Ack => "ack",
             FrameKind::RecoveryRequest => "recovery-request",
             FrameKind::RecoveryState => "recovery-state",
@@ -182,17 +176,6 @@ pub struct GammaRow {
     pub v: u32,
     /// `(edge index, fraction)` pairs covering the router's out-edges.
     pub edges: Vec<(u32, f64)>,
-}
-
-/// One per-commodity forecast from the commodity's owner region.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ForecastEntry {
-    /// Commodity index.
-    pub j: u32,
-    /// Admitted rate `a_j` under the owner's current mirror.
-    pub admitted: f64,
-    /// Utility `U_j(a_j)`.
-    pub utility: f64,
 }
 
 /// A recovery snapshot: the survivor's full mirror state, epoch-fenced.
@@ -258,26 +241,14 @@ pub enum Payload {
         /// full).
         rows: Vec<GammaRow>,
     },
-    /// Owner forecasts (possibly a delta — see `base`).
-    FlowForecast {
-        /// Round of the sender's previous forecast frame on this link;
-        /// `base == round` marks a full frame.
-        base: u64,
-        /// The entries that changed since `base`.
-        entries: Vec<ForecastEntry>,
-    },
     /// Cumulative ack: every reliable seq `<= cum` has been received.
     Ack {
         /// Highest contiguously-received reliable sequence number.
         cum: u64,
     },
-    /// Request for full (non-delta) broadcast frames after a detected
-    /// round gap.
-    Resend {
-        /// Bitmask of kinds to refresh (bit 0: marginals, bit 1: flow
-        /// forecast).
-        kinds: u8,
-    },
+    /// Request for a full (non-delta) marginals frame after a detected
+    /// round gap (empty payload).
+    Resend,
     /// Recovery request with its fencing token.
     RecoveryRequest {
         /// Token echoed by the matching [`Payload::RecoveryState`].
@@ -297,9 +268,8 @@ impl Payload {
             Payload::Heartbeat => FrameKind::Heartbeat,
             Payload::Marginals { .. } => FrameKind::Marginals,
             Payload::GammaRows { .. } => FrameKind::GammaRows,
-            Payload::FlowForecast { .. } => FrameKind::FlowForecast,
             Payload::Ack { .. } => FrameKind::Ack,
-            Payload::Resend { .. } => FrameKind::Resend,
+            Payload::Resend => FrameKind::Resend,
             Payload::RecoveryRequest { .. } => FrameKind::RecoveryRequest,
             Payload::RecoveryState(_) => FrameKind::RecoveryState,
             Payload::Batch(_) => FrameKind::Batch,
@@ -449,7 +419,7 @@ fn patch_u32_at(out: &mut [u8], at: usize, v: u32) {
 /// them with [`WireError::NestedBatch`].
 fn encode_payload(payload: &Payload, out: &mut Vec<u8>) {
     match payload {
-        Payload::Heartbeat => {}
+        Payload::Heartbeat | Payload::Resend => {}
         Payload::Marginals { base, entries } => {
             put_u64(out, *base);
             put_u32(out, entries.len() as u32);
@@ -472,17 +442,7 @@ fn encode_payload(payload: &Payload, out: &mut Vec<u8>) {
                 }
             }
         }
-        Payload::FlowForecast { base, entries } => {
-            put_u64(out, *base);
-            put_u32(out, entries.len() as u32);
-            for e in entries {
-                put_u32(out, e.j);
-                put_f64(out, e.admitted);
-                put_f64(out, e.utility);
-            }
-        }
         Payload::Ack { cum } => put_u64(out, *cum),
-        Payload::Resend { kinds } => out.push(*kinds),
         Payload::RecoveryRequest { token } => put_u64(out, *token),
         Payload::RecoveryState(s) => {
             put_u64(out, s.token);
@@ -731,21 +691,8 @@ fn decode_payload(
             }
             Payload::GammaRows { base, rows }
         }
-        FrameKind::FlowForecast => {
-            let base = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut entries = Vec::with_capacity(n.min(r.remaining() / 20));
-            for i in 0..n {
-                entries.push(ForecastEntry {
-                    j: r.u32()?,
-                    admitted: r.finite_f64("forecast", 2 * i)?,
-                    utility: r.finite_f64("forecast", 2 * i + 1)?,
-                });
-            }
-            Payload::FlowForecast { base, entries }
-        }
         FrameKind::Ack => Payload::Ack { cum: r.u64()? },
-        FrameKind::Resend => Payload::Resend { kinds: r.u8()? },
+        FrameKind::Resend => Payload::Resend,
         FrameKind::RecoveryRequest => Payload::RecoveryRequest { token: r.u64()? },
         FrameKind::RecoveryState => {
             let token = r.u64()?;
@@ -892,6 +839,9 @@ pub struct FrameBuf {
     subs: u32,
     open: bool,
     sub_open: bool,
+    /// The batch is the sender's heartbeat: ship it even when empty.
+    heartbeat: bool,
+    /// Closed and to be sent.
     finished: bool,
 }
 
@@ -921,7 +871,16 @@ impl FrameBuf {
         put_u32(&mut self.buf, 0);
         self.subs = 0;
         self.open = true;
+        self.heartbeat = false;
         self.finished = false;
+    }
+
+    /// Marks the open batch as the sender's heartbeat: it is shipped
+    /// even if it carries no sub-frame, because the frame itself proves
+    /// the sender alive.
+    pub(crate) fn mark_heartbeat(&mut self) {
+        assert!(self.open, "mark_heartbeat outside a batch");
+        self.heartbeat = true;
     }
 
     /// Opens a sub-frame of `kind` (never [`FrameKind::Batch`]).
@@ -935,12 +894,6 @@ impl FrameBuf {
         self.sub_len_at = self.buf.len();
         put_u32(&mut self.buf, 0);
         self.sub_open = true;
-    }
-
-    /// Appends a raw byte to the open sub-frame's payload.
-    pub(crate) fn put_u8(&mut self, v: u8) {
-        debug_assert!(self.sub_open);
-        self.buf.push(v);
     }
 
     /// Appends a little-endian `u32` to the open sub-frame's payload.
@@ -1017,24 +970,24 @@ impl FrameBuf {
     }
 
     /// Closes the batch, patching the outer length and sub count.
-    /// Returns `true` if the batch carries at least one sub-frame
-    /// (empty batches are never sent).
+    /// Returns `true` if the batch is to be sent: it carries at least
+    /// one sub-frame or is a heartbeat (other empty batches are never
+    /// sent).
     pub fn finish(&mut self) -> bool {
         assert!(self.open && !self.sub_open, "finish out of sequence");
         let len = (self.buf.len() - self.len_at - 4) as u32;
         patch_u32_at(&mut self.buf, self.len_at, len);
-        let subs = self.subs;
-        patch_u32_at(&mut self.buf, self.count_at, subs);
+        patch_u32_at(&mut self.buf, self.count_at, self.subs);
         self.open = false;
-        self.finished = true;
-        subs > 0
+        self.finished = self.subs > 0 || self.heartbeat;
+        self.finished
     }
 
-    /// The finished frame's bytes, or `None` if the batch is empty or
-    /// not yet finished.
+    /// The finished frame's bytes, or `None` if the batch is not to be
+    /// sent or not yet finished.
     #[must_use]
     pub fn bytes(&self) -> Option<&[u8]> {
-        (self.finished && self.subs > 0).then_some(&self.buf[..])
+        self.finished.then_some(&self.buf[..])
     }
 
     /// Sub-frames in the batch so far.
@@ -1265,35 +1218,6 @@ pub(crate) fn walk_gamma_rows(
     Ok(base)
 }
 
-/// Walks a [`FrameKind::FlowForecast`] payload in place, calling `f`
-/// per entry, and returns the frame's `base` round.
-///
-/// # Errors
-///
-/// Any [`WireError`] the payload bytes trigger.
-pub(crate) fn walk_forecast(
-    payload: &[u8],
-    mut f: impl FnMut(ForecastEntry),
-) -> Result<u64, WireError> {
-    let mut r = Reader {
-        buf: payload,
-        at: 0,
-    };
-    let base = r.u64()?;
-    let n = r.u32()? as usize;
-    for i in 0..n {
-        f(ForecastEntry {
-            j: r.u32()?,
-            admitted: r.finite_f64("forecast", 2 * i)?,
-            utility: r.finite_f64("forecast", 2 * i + 1)?,
-        });
-    }
-    if r.remaining() != 0 {
-        return Err(WireError::BadLength { what: "forecast" });
-    }
-    Ok(base)
-}
-
 fn parse_exact_u64(payload: &[u8], what: &'static str) -> Result<u64, WireError> {
     let mut r = Reader {
         buf: payload,
@@ -1315,21 +1239,17 @@ pub(crate) fn parse_ack(payload: &[u8]) -> Result<u64, WireError> {
     parse_exact_u64(payload, "ack")
 }
 
-/// Parses a [`FrameKind::Resend`] payload: the kind bitmask.
+/// Checks a [`FrameKind::Resend`] payload, which is empty.
 ///
 /// # Errors
 ///
-/// [`WireError::Truncated`] or [`WireError::BadLength`].
-pub(crate) fn parse_resend(payload: &[u8]) -> Result<u8, WireError> {
-    let mut r = Reader {
-        buf: payload,
-        at: 0,
-    };
-    let kinds = r.u8()?;
-    if r.remaining() != 0 {
-        return Err(WireError::BadLength { what: "resend" });
+/// [`WireError::BadLength`] on any payload byte.
+pub(crate) fn parse_resend(payload: &[u8]) -> Result<(), WireError> {
+    if payload.is_empty() {
+        Ok(())
+    } else {
+        Err(WireError::BadLength { what: "resend" })
     }
-    Ok(kinds)
 }
 
 /// Parses a [`FrameKind::RecoveryRequest`] payload: the fencing token.
@@ -1415,20 +1335,6 @@ mod tests {
                 },
             },
             Frame {
-                from: 3,
-                to: 2,
-                seq: 0,
-                round: 8,
-                payload: Payload::FlowForecast {
-                    base: 5,
-                    entries: vec![ForecastEntry {
-                        j: 1,
-                        admitted: 4.5,
-                        utility: 9.0,
-                    }],
-                },
-            },
-            Frame {
                 from: 0,
                 to: 2,
                 seq: 0,
@@ -1440,9 +1346,7 @@ mod tests {
                 to: 1,
                 seq: 0,
                 round: 9,
-                payload: Payload::Resend {
-                    kinds: RESEND_MARGINALS | RESEND_FORECAST,
-                },
+                payload: Payload::Resend,
             },
             Frame {
                 from: 1,
@@ -1550,11 +1454,26 @@ mod tests {
             })
         );
         bytes = orig;
-        bytes[4] = 0x7F; // kind
+        // 0x7F was never a kind; 3 was v2's flow-summary kind
+        for kind in [0x7F, 3] {
+            bytes[4] = kind;
+            assert_eq!(
+                Frame::decode(&bytes),
+                Err(WireError::UnknownKind { got: kind })
+            );
+        }
+        // the same byte in a batch's first sub-frame header
+        let mut batch = sample_frames()[7].encode();
+        batch[HEADER_LEN + 4] = 3;
         assert_eq!(
-            Frame::decode(&bytes),
-            Err(WireError::UnknownKind { got: 0x7F })
+            Frame::decode(&batch),
+            Err(WireError::UnknownKind { got: 3 })
         );
+        let mut reader = BatchReader::parse(&batch).unwrap();
+        assert!(matches!(
+            reader.next_sub(),
+            Some(Err(WireError::UnknownKind { got: 3 }))
+        ));
     }
 
     #[test]
@@ -1607,7 +1526,7 @@ mod tests {
 
     #[test]
     fn rejects_truncation_and_trailing_bytes() {
-        for frame in [sample_frames()[2].clone(), sample_frames()[8].clone()] {
+        for frame in [sample_frames()[2].clone(), sample_frames()[7].clone()] {
             let bytes = frame.encode();
             for cut in 1..bytes.len() {
                 assert!(
@@ -1620,6 +1539,22 @@ mod tests {
             extended.push(0);
             assert!(Frame::decode(&extended).is_err());
         }
+        // a resend's payload is empty: one byte there is refused, both
+        // in the owned decode and in the in-place parse
+        let resend = &sample_frames()[4];
+        assert_eq!(resend.payload, Payload::Resend);
+        let mut bytes = resend.encode();
+        bytes.push(1);
+        patch_u32_at(&mut bytes, HEADER_LEN - 4, 1);
+        assert_eq!(
+            Frame::decode(&bytes),
+            Err(WireError::BadLength { what: "resend" })
+        );
+        assert_eq!(parse_resend(&[]), Ok(()));
+        assert_eq!(
+            parse_resend(&[1]),
+            Err(WireError::BadLength { what: "resend" })
+        );
     }
 
     #[test]
@@ -1683,7 +1618,7 @@ mod tests {
     fn frame_buf_matches_frame_encode() {
         // the streaming writer and the owned-value encoder must produce
         // byte-identical frames
-        let frame = &sample_frames()[8];
+        let frame = &sample_frames()[7];
         let Payload::Batch(subs) = &frame.payload else {
             unreachable!()
         };
@@ -1703,6 +1638,17 @@ mod tests {
         empty.begin(0, 1, 9);
         assert!(!empty.finish());
         assert!(empty.bytes().is_none());
+        // unless it is a heartbeat: then it is an empty batch frame
+        empty.begin(0, 1, 9);
+        empty.mark_heartbeat();
+        assert!(empty.finish());
+        assert_eq!(
+            Frame::decode(empty.bytes().unwrap()).unwrap().payload,
+            Payload::Batch(Vec::new())
+        );
+        // and the mark does not outlive its batch
+        empty.begin(0, 1, 10);
+        assert!(!empty.finish());
     }
 
     #[test]
@@ -1739,7 +1685,7 @@ mod tests {
 
     #[test]
     fn batch_reader_walks_subs_in_place() {
-        let frame = &sample_frames()[8];
+        let frame = &sample_frames()[7];
         let bytes = frame.encode();
         let mut reader = BatchReader::parse(&bytes).unwrap();
         assert_eq!(reader.from(), 1);

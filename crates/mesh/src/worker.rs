@@ -48,16 +48,17 @@
 //!
 //! The send path is **delta-encoded, coalesced, and pooled**
 //! (ARCHITECTURE invariant 20): the worker fingerprints the exact bit
-//! pattern of every row it last shipped (per link for marginals and
-//! forecasts, once for the Γ rows every peer gets) and sends only rows
+//! pattern of every row it last shipped (per link for marginals, once
+//! for the Γ rows every peer gets) and sends only rows
 //! whose bits changed, inside exactly one [`FrameBuf`] batch per
 //! (link, tick), with every buffer (batches, flights, scratch) owned
 //! by the worker and reused across ticks — the converged steady state
-//! sends a heartbeat-only batch per iteration and allocates nothing.
+//! sends one empty heartbeat batch per link per iteration and allocates
+//! nothing.
 //! A periodic full refresh (`refresh_every` rounds) re-anchors every
-//! delta chain, and a receiver that detects a broadcast round gap asks
-//! the sender for full frames ([`Payload::Resend`]). Suppression never
-//! changes what a receiver ends up holding — only whether the bytes
+//! delta chain, and a receiver that detects a marginals round gap asks
+//! the sender for a full marginals frame ([`Payload::Resend`]).
+//! Suppression never changes what a receiver ends up holding — only whether the bytes
 //! travel: a suppressed row is bitwise what the receiver already has.
 //!
 //! Reliability, per peer link:
@@ -71,11 +72,11 @@
 //!   ahead-buffer holds at most the inbox budget in payload bytes per
 //!   link; a sub past it is refused unsequenced as one
 //!   [`MeshIncident::InboxOverflow`].
-//! * **Watermarked broadcasts** (marginals, forecasts): a per-kind
-//!   round watermark accepts only strictly newer rounds; duplicates
-//!   and stale frames are logged and discarded, never applied twice.
-//!   Each broadcast names its predecessor's round (`base`), so a
-//!   receiver spots link-local loss and requests a resync.
+//! * **Watermarked marginals**: a round watermark accepts only
+//!   strictly newer rounds; duplicates and stale frames are logged and
+//!   discarded, never applied twice. Each marginals frame names its
+//!   predecessor's round (`base`), so a receiver spots link-local loss
+//!   and requests a resync.
 //! * **Per-row round guards**: a Γ row is applied only if its round is
 //!   newer than the row's last applied round, so late retransmits
 //!   flushed after a recovery cannot regress restored state.
@@ -89,9 +90,8 @@ use crate::incident::MeshIncident;
 use crate::recovery::{payload_to_snapshot, snapshot_to_payload, state_digest};
 use crate::transport::Inbox;
 use crate::wire::{
-    parse_ack, parse_recovery_request, parse_recovery_state, parse_resend, walk_forecast,
-    walk_gamma_rows, walk_marginals, BatchReader, FrameBuf, FrameKind, Payload, SubView, WireError,
-    RESEND_FORECAST, RESEND_MARGINALS,
+    parse_ack, parse_recovery_request, parse_recovery_state, parse_resend, walk_gamma_rows,
+    walk_marginals, BatchReader, FrameBuf, FrameKind, Payload, SubView, WireError,
 };
 use spn_core::flows::compute_flows;
 use spn_core::gamma::{apply_gamma_deciders, GammaScratch, GammaStats};
@@ -172,7 +172,7 @@ pub struct LinkWireStats {
     pub bytes_sent: u64,
     /// Sub-frames shipped inside those batches.
     pub subs_sent: u64,
-    /// Marginal entries + Γ rows + forecast entries shipped.
+    /// Marginal entries + Γ rows shipped.
     pub rows_sent: u64,
     /// The marginal entries among `rows_sent`.
     pub marginal_rows_sent: u64,
@@ -185,7 +185,7 @@ pub struct LinkWireStats {
     pub frames_received: u64,
     /// Frame bytes received from this peer.
     pub bytes_received: u64,
-    /// Broadcast round gaps detected on this link (resend requests
+    /// Marginals round gaps detected on this link (resend requests
     /// issued to the peer).
     pub resyncs_requested: u64,
 }
@@ -209,7 +209,7 @@ pub struct MeshWireStats {
     pub gamma_rows: u64,
     /// Rows suppressed by delta fingerprints.
     pub rows_suppressed: u64,
-    /// Broadcast round gaps detected (resend requests issued).
+    /// Marginals round gaps detected (resend requests issued).
     pub resyncs: u64,
 }
 
@@ -249,9 +249,9 @@ struct AheadSub {
 }
 
 /// Per-peer link state: the reliable stream in both directions, the
-/// broadcast watermarks, and the delta fingerprints of the marginals and
-/// forecasts last shipped to that peer (Γ's are the worker's: every
-/// peer gets the same Γ rows).
+/// marginals watermark, and the delta fingerprints of the marginals last
+/// shipped to that peer (Γ's are the worker's: every peer gets the same
+/// Γ rows).
 struct Link {
     /// Next sequence number to assign (reliable sends; starts at 1).
     next_seq: u64,
@@ -265,9 +265,8 @@ struct Link {
     ahead: BTreeMap<u64, AheadSub>,
     /// Payload bytes held in `ahead` (at most the inbox budget).
     ahead_bytes: usize,
-    /// Round watermark per broadcast kind: next acceptable round.
+    /// Marginals round watermark: next acceptable round.
     wm_marginals: u64,
-    wm_forecast: u64,
     /// The owned router marginals this peer reads, as `(j, v, member
     /// position)`, commodity-major in router order: the rows
     /// [`RegionWorker::phase_marginals`] ships on this link.
@@ -278,23 +277,19 @@ struct Link {
     /// Round of the last marginals frame shipped (the next delta's
     /// `base`).
     marg_round: u64,
-    /// Bit fingerprints of the last forecast shipped per commodity.
-    fc_sent: Vec<(u64, u64)>,
-    /// Round of the last forecast frame shipped.
-    fc_round: u64,
-    /// Ship the next frame full (a [`Payload::Resend`], or none yet).
+    /// Ship the next marginals frame full (a [`Payload::Resend`], or
+    /// none yet).
     force_marginals: bool,
-    force_forecast: bool,
-    /// Resend bits to ship to this peer this tick (gaps detected while
-    /// draining the inbox).
-    want_resend: u8,
+    /// Ship this peer a [`Payload::Resend`] this tick (a gap detected
+    /// while draining the inbox).
+    want_resend: bool,
     /// A reliable sub arrived this tick; emit one cumulative ack.
     ack_pending: bool,
     stats: LinkWireStats,
 }
 
 impl Link {
-    fn new(j_count: usize, marg_rows: Vec<(u32, u32, u32)>) -> Self {
+    fn new(marg_rows: Vec<(u32, u32, u32)>) -> Self {
         Link {
             next_seq: 1,
             in_flight: VecDeque::new(),
@@ -303,15 +298,11 @@ impl Link {
             ahead: BTreeMap::new(),
             ahead_bytes: 0,
             wm_marginals: 0,
-            wm_forecast: 0,
             marg_sent: vec![NEVER_SENT; marg_rows.len()],
             marg_rows,
             marg_round: 0,
-            fc_sent: vec![(NEVER_SENT, NEVER_SENT); j_count],
-            fc_round: 0,
             force_marginals: true,
-            force_forecast: false,
-            want_resend: 0,
+            want_resend: false,
             ack_pending: false,
             stats: LinkWireStats::default(),
         }
@@ -383,8 +374,6 @@ pub struct RegionWorker {
     suspect: Vec<bool>,
     /// Outstanding recovery token, if this worker is rejoining.
     recovering: Option<u64>,
-    /// Owned forecast entries of the current flow phase, reused.
-    fc_scratch: Vec<(u32, f64, f64)>,
     /// Γ row-staging buffers, reused across ticks (the per-tick Γ phase
     /// must not allocate once warm).
     gamma_scratch: GammaScratch,
@@ -506,10 +495,7 @@ impl RegionWorker {
             epsilon: cost.epsilon,
             eta: gradient.eta,
             last_gamma: GammaStats::default(),
-            links: marg_rows
-                .into_iter()
-                .map(|rows| Link::new(j_count, rows))
-                .collect(),
+            links: marg_rows.into_iter().map(Link::new).collect(),
             gamma_sent: vec![NEVER_SENT; j_count * edge_count],
             gamma_round: 0,
             gamma_rows: Vec::new(),
@@ -518,33 +504,14 @@ impl RegionWorker {
             last_heard: vec![0; regions],
             suspect: vec![false; regions],
             recovering: None,
-            fc_scratch: Vec::new(),
             gamma_scratch: GammaScratch::default(),
             scratch: Checkpoint::new(),
         }
     }
 
-    /// This worker's region index.
-    #[must_use]
-    pub fn region(&self) -> usize {
-        self.region
-    }
-
-    /// Does this worker own extended node `v_index`?
-    #[must_use]
-    pub(crate) fn owns_node(&self, v_index: usize) -> bool {
-        self.owned_nodes(self.region).contains(&v_index)
-    }
-
     /// The node range region `r` owns.
     fn owned_nodes(&self, r: usize) -> Range<usize> {
         self.region_lo[r]..self.region_lo[r + 1]
-    }
-
-    /// Does this worker own commodity `j` (i.e. its dummy source)?
-    #[must_use]
-    pub(crate) fn owns_commodity(&self, ext: &ExtendedNetwork, j: CommodityId) -> bool {
-        self.owns_node(ext.dummy_source(j).index())
     }
 
     /// The mirror's routing table.
@@ -724,11 +691,10 @@ impl RegionWorker {
                 batch.put_u64(link.recv_next - 1);
                 batch.end_sub();
             }
-            if link.want_resend != 0 {
+            if link.want_resend {
                 batch.begin_sub(FrameKind::Resend, 0, round);
-                batch.put_u8(link.want_resend);
                 batch.end_sub();
-                link.want_resend = 0;
+                link.want_resend = false;
             }
         }
     }
@@ -897,68 +863,21 @@ impl RegionWorker {
         }
     }
 
-    /// Start of the forward tick: the live-arc flow forecast for the
-    /// merged routing decision (rebuilding the live arcs of every
-    /// commodity the decide tick and the inbox wrote); owners ship
-    /// their commodities' changed forecasts; everyone heartbeats (the
-    /// heartbeat keeps every forward batch non-empty, so liveness never
-    /// depends on data changing).
+    /// Start of the forward tick: the live-arc flow sweep (§5's flow
+    /// forecast, eqs. (3)–(5)) for the merged routing decision,
+    /// rebuilding the live arcs of every commodity the decide tick and
+    /// the inbox wrote; then every peer's batch is marked a heartbeat,
+    /// so it ships even empty and liveness never depends on data
+    /// changing (a receiver notes liveness per batch, so an empty one
+    /// is the whole heartbeat).
     fn phase_flows(&mut self, ext: &ExtendedNetwork) {
         self.sweeps.flows_into(ext, &self.routing, &mut self.state);
         #[cfg(test)]
         self.assert_flows_match_dense(ext);
-        self.fc_scratch.clear();
-        for j in ext.commodity_ids() {
-            if self.owns_commodity(ext, j) {
-                let admitted = self.state.admitted(ext, j);
-                let utility = ext.commodity(j).utility.value(admitted);
-                self.fc_scratch.push((j.index() as u32, admitted, utility));
-            }
-        }
-        if self.regions == 1 {
-            return;
-        }
-        let refresh = self.round.is_multiple_of(self.refresh_every);
-        let round = self.round;
         for peer in 0..self.regions {
-            if peer == self.region {
-                continue;
+            if peer != self.region {
+                self.outbox[peer].mark_heartbeat();
             }
-            let link = &mut self.links[peer];
-            let batch = &mut self.outbox[peer];
-            let full = refresh || link.force_forecast;
-            let mut opened = false;
-            let mut count_at = 0usize;
-            let mut n = 0u32;
-            let mut suppressed = 0u64;
-            for &(j, admitted, utility) in &self.fc_scratch {
-                let bits = (admitted.to_bits(), utility.to_bits());
-                if full || link.fc_sent[j as usize] != bits {
-                    link.fc_sent[j as usize] = bits;
-                    if !opened {
-                        batch.begin_sub(FrameKind::FlowForecast, 0, round);
-                        batch.put_u64(if full { round } else { link.fc_round });
-                        count_at = batch.mark_u32();
-                        opened = true;
-                    }
-                    batch.put_u32(j);
-                    batch.put_f64(admitted);
-                    batch.put_f64(utility);
-                    n += 1;
-                } else {
-                    suppressed += 1;
-                }
-            }
-            if opened {
-                batch.patch_u32(count_at, n);
-                batch.end_sub();
-                link.fc_round = round;
-                link.force_forecast = false;
-                link.stats.rows_sent += u64::from(n);
-            }
-            link.stats.rows_suppressed += suppressed;
-            batch.begin_sub(FrameKind::Heartbeat, 0, round);
-            batch.end_sub();
         }
     }
 
@@ -1319,7 +1238,6 @@ impl RegionWorker {
                         // ship full frames next time on every link
                         for link in &mut self.links {
                             link.force_marginals = true;
-                            link.force_forecast = true;
                         }
                         self.gamma_sent.fill(NEVER_SENT);
                         self.capture_scratch();
@@ -1366,15 +1284,8 @@ impl RegionWorker {
                 }
             }
             FrameKind::Resend => {
-                let Some(kinds) = self.parsed(tick, parse_resend(sub.payload), log) else {
-                    return;
-                };
-                let link = &mut self.links[from];
-                if kinds & RESEND_MARGINALS != 0 {
-                    link.force_marginals = true;
-                }
-                if kinds & RESEND_FORECAST != 0 {
-                    link.force_forecast = true;
+                if self.parsed(tick, parse_resend(sub.payload), log).is_some() {
+                    self.links[from].force_marginals = true;
                 }
             }
             FrameKind::Marginals => {
@@ -1406,7 +1317,7 @@ impl RegionWorker {
                     if base != sub.round && base + 1 != wm {
                         // a delta whose predecessor never arrived —
                         // link-local loss; ask the sender for a full frame
-                        link.want_resend |= RESEND_MARGINALS;
+                        link.want_resend = true;
                         link.stats.resyncs_requested += 1;
                         log.push(MeshIncident::ResyncRequested {
                             tick,
@@ -1421,48 +1332,6 @@ impl RegionWorker {
                         self.region,
                         from,
                         FrameKind::Marginals,
-                        sub.round,
-                        wm,
-                    ));
-                }
-            }
-            FrameKind::FlowForecast => {
-                let wm = self.links[from].wm_forecast;
-                if sub.round >= wm {
-                    // one validation pass: a forecast comes from the
-                    // commodity's owner (its dummy source's region); only
-                    // its round chain is kept, no worker reads its values
-                    let theirs = self.owned_nodes(from);
-                    let mut valid = true;
-                    let walked = walk_forecast(sub.payload, |e| {
-                        let ji = e.j as usize;
-                        valid &= ji < ext.num_commodities()
-                            && theirs
-                                .contains(&ext.dummy_source(CommodityId::from_index(ji)).index());
-                    });
-                    let base = walked.as_ref().ok().copied();
-                    if !self.accepted(tick, sub.round, walked, valid, log) {
-                        return;
-                    }
-                    let base = base.expect("payload walked cleanly in the validation pass");
-                    let link = &mut self.links[from];
-                    link.wm_forecast = sub.round + 1;
-                    if base != sub.round && base + 1 != wm {
-                        link.want_resend |= RESEND_FORECAST;
-                        link.stats.resyncs_requested += 1;
-                        log.push(MeshIncident::ResyncRequested {
-                            tick,
-                            region: self.region,
-                            peer: from,
-                            kind: FrameKind::FlowForecast,
-                        });
-                    }
-                } else {
-                    log.push(Self::discard_incident(
-                        tick,
-                        self.region,
-                        from,
-                        FrameKind::FlowForecast,
                         sub.round,
                         wm,
                     ));
@@ -1735,7 +1604,7 @@ mod tests {
             // the snapshot donor: region 1 a few lonely iterations in
             let mut b = RegionWorker::new(&ext, &cost, &gradient, 1, 2, 16);
             let mut log = Vec::new();
-            let empty = Inbox::new();
+            let empty = Inbox::default();
             for tick in 0..4 * TICKS_PER_ITERATION {
                 b.run_phase(&ext, &cost, &gradient, 9, 32, tick, &empty, &mut log);
             }
@@ -1746,7 +1615,7 @@ mod tests {
                     let ext = &ext;
                     ext.commodity_routers(j)
                         .iter()
-                        .filter(|v| b.owns_node(v.index()))
+                        .filter(|v| b.owned_nodes(1).contains(&v.index()))
                         .filter(move |&&v| ext.commodity_out_slice(j, v).len() >= 2)
                         .map(move |&v| (j, v))
                 })
@@ -1757,7 +1626,7 @@ mod tests {
             let mut last: Option<Vec<u8>> = None;
             for (tick, &op) in ops.iter().enumerate() {
                 let round = a.round;
-                let mut inbox = Inbox::new();
+                let mut inbox = Inbox::default();
                 // seeded rows over region 1's deciders, by `shape`: 0 all
                 // mass on one out-edge, so supports really move; 1 that
                 // mass doubled; 2 the first out-edge listed twice at 0.5
@@ -1981,8 +1850,8 @@ mod tests {
     /// On a lossless mesh the wire carries only what the readers
     /// relation and the decider lists allow: past the full round 0 and
     /// the refresh rounds, a round ships at most one marginal per list
-    /// entry and one Γ row per owned decider per peer, and never a
-    /// pass-through row.
+    /// entry and one Γ row per owned decider per peer, never a
+    /// pass-through row, and no row of any other kind.
     #[test]
     fn lossless_rows_per_round_stay_within_the_lists() {
         let ext = instance(30, 4, 11);
@@ -2007,6 +1876,11 @@ mod tests {
         }
         let wire = mesh.wire_stats();
         assert!(wire.marginal_rows > 0 && wire.gamma_rows > 0);
+        assert_eq!(
+            wire.rows_sent,
+            wire.marginal_rows + wire.gamma_rows,
+            "a row kind other than marginals and Γ travels"
+        );
         assert!(
             wire.marginal_rows <= rounds * listed,
             "{wire:?} vs {listed} listed"

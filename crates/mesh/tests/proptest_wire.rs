@@ -1,8 +1,8 @@
-//! Property tests for the mesh wire format (v2): encode → decode is
+//! Property tests for the mesh wire format (v3): encode → decode is
 //! the identity on every valid frame — including delta payloads with
 //! their base rounds and batch frames with length-prefixed sub-frames —
-//! and every malformed input — NaN payloads, version skew (v1 frames
-//! included), truncation anywhere (mid-sub-payload included), trailing
+//! and every malformed input — NaN payloads, version skew (v1 and v2
+//! frames included), truncation anywhere (mid-sub-payload included), trailing
 //! garbage, nested batches — is refused with a structured
 //! [`WireError`], never a panic. A stream of tick markers and enveloped
 //! frames, cut anywhere, reframes to the same records.
@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 use spn_mesh::socket::{parse_records, Record};
 use spn_mesh::wire::{
-    frame_len, ForecastEntry, Frame, GammaRow, MarginalEntry, Payload, RecoveryStatePayload,
-    SubFrame, WireError, WIRE_VERSION,
+    frame_len, Frame, GammaRow, MarginalEntry, Payload, RecoveryStatePayload, SubFrame, WireError,
+    WIRE_VERSION,
 };
 use spn_sim::draws::unit_hash;
 
@@ -48,23 +48,11 @@ fn build_payload(kind: u8, seed: u64, len: usize) -> Payload {
                 })
                 .collect(),
         },
-        3 => Payload::FlowForecast {
-            base: seed % 777,
-            entries: (0..len)
-                .map(|i| ForecastEntry {
-                    j: i as u32,
-                    admitted: unit_hash(seed, 3, i, 0),
-                    utility: num(seed, 4, i, 0),
-                })
-                .collect(),
-        },
-        4 => Payload::Ack { cum: seed },
-        5 => Payload::RecoveryRequest {
+        3 => Payload::Ack { cum: seed },
+        4 => Payload::RecoveryRequest {
             token: seed ^ 0xABCD,
         },
-        6 => Payload::Resend {
-            kinds: (seed % 4) as u8,
-        },
+        5 => Payload::Resend,
         _ => Payload::RecoveryState(Box::new(RecoveryStatePayload {
             token: seed,
             epoch: seed % 5,
@@ -81,19 +69,19 @@ fn build_payload(kind: u8, seed: u64, len: usize) -> Payload {
     }
 }
 
-/// Builds one frame: kinds 0..=7 map to the single payloads, 8 to a
+/// Builds one frame: kinds 0..=6 map to the single payloads, 7 to a
 /// batch coalescing a seed-derived mix of sub-frames (possibly empty —
 /// the coalescing layer never ships one, but the format round-trips
 /// it).
 fn build_frame(kind: u8, seed: u64, len: usize) -> Frame {
-    let payload = if kind == 8 {
+    let payload = if kind == 7 {
         Payload::Batch(
             (0..len)
                 .map(|i| SubFrame {
                     seq: seed.wrapping_add(i as u64),
                     round: seed % 500 + i as u64,
                     payload: build_payload(
-                        ((seed as usize + i) % 8) as u8,
+                        ((seed as usize + i) % 7) as u8,
                         seed ^ (i as u64) << 3,
                         1 + (seed as usize + i) % 4,
                     ),
@@ -174,7 +162,7 @@ proptest! {
     /// size, including empty payload vectors, exact f64 bits, delta
     /// base rounds, and batches of mixed sub-frames.
     #[test]
-    fn encode_decode_round_trips(kind in 0u8..9, seed in 0u64..10_000, len in 0usize..12) {
+    fn encode_decode_round_trips(kind in 0u8..8, seed in 0u64..10_000, len in 0usize..12) {
         let frame = build_frame(kind, seed, len);
         let bytes = frame.encode();
         let back = Frame::decode(&bytes);
@@ -183,29 +171,26 @@ proptest! {
 
     /// Every float lane rejects NaN at decode with a structured error.
     #[test]
-    fn non_finite_floats_are_refused(kind_pick in 0u8..3, seed in 0u64..1000, len in 1usize..8) {
-        // only the float-bearing kinds: marginals, rows, forecasts
-        let kind = [1u8, 2, 3][kind_pick as usize];
+    fn non_finite_floats_are_refused(kind_pick in 0u8..2, seed in 0u64..1000, len in 1usize..8) {
+        // only the float-bearing row kinds: marginals, Γ rows
+        let kind = [1u8, 2][kind_pick as usize];
         let mut frame = build_frame(kind, seed, len);
         match &mut frame.payload {
             Payload::Marginals { entries, .. } => entries[len / 2].d = f64::NAN,
             Payload::GammaRows { rows, .. } => rows[len / 2].edges[0].1 = f64::INFINITY,
-            Payload::FlowForecast { entries, .. } => {
-                entries[len / 2].utility = f64::NEG_INFINITY;
-            }
             _ => unreachable!(),
         }
         let bytes = frame.encode();
         prop_assert!(matches!(Frame::decode(&bytes), Err(WireError::NonFinite { .. })));
     }
 
-    /// A frame from any other wire version — v1 (the pre-delta format)
-    /// or a future one — is refused with `UnsupportedVersion` carrying
+    /// A frame from any other wire version — v1 (the pre-delta format),
+    /// v2 (which had a fourth row kind) or a future one — is refused with `UnsupportedVersion` carrying
     /// both versions: a structured error, not a panic and not a garbled
     /// decode. Version skew is checked before anything else, so even a
-    /// v1 byte stream that happens to parse as v2 structure is refused.
+    /// v2 byte stream that happens to parse as v3 structure is refused.
     #[test]
-    fn version_skew_is_refused_structurally(kind in 0u8..9, seed in 0u64..1000, skew in 0u16..6) {
+    fn version_skew_is_refused_structurally(kind in 0u8..8, seed in 0u64..1000, skew in 0u16..6) {
         prop_assume!(skew != WIRE_VERSION);
         let mut bytes = build_frame(kind, seed, 3).encode();
         bytes[2..4].copy_from_slice(&skew.to_le_bytes());
@@ -220,7 +205,7 @@ proptest! {
     /// without panicking, and appending garbage is refused as trailing
     /// bytes.
     #[test]
-    fn truncation_and_trailing_bytes_are_refused(kind in 0u8..9, seed in 0u64..1000, len in 0usize..6) {
+    fn truncation_and_trailing_bytes_are_refused(kind in 0u8..8, seed in 0u64..1000, len in 0usize..6) {
         let bytes = build_frame(kind, seed, len).encode();
         for cut in 0..bytes.len() {
             prop_assert!(Frame::decode(&bytes[..cut]).is_err(), "prefix {cut} decoded");
@@ -238,7 +223,7 @@ proptest! {
     /// a panic (the pre-socket decoders reported a header split across
     /// reads as a truncated frame).
     #[test]
-    fn reassembly_survives_every_split_offset(kind in 0u8..9, seed in 0u64..10_000, len in 0usize..6) {
+    fn reassembly_survives_every_split_offset(kind in 0u8..8, seed in 0u64..10_000, len in 0usize..6) {
         let frame = build_frame(kind, seed, len);
         let records = [
             Owned::Marker(seed),
@@ -266,7 +251,7 @@ proptest! {
     /// (every cut is "valid so far"), and reports the exact total
     /// length from the complete header onward.
     #[test]
-    fn frame_len_is_monotone_on_valid_prefixes(kind in 0u8..9, seed in 0u64..10_000, len in 0usize..6) {
+    fn frame_len_is_monotone_on_valid_prefixes(kind in 0u8..8, seed in 0u64..10_000, len in 0usize..6) {
         let bytes = build_frame(kind, seed, len).encode();
         let header = 29usize;
         for cut in 0..bytes.len() {
@@ -285,7 +270,7 @@ proptest! {
     #[test]
     fn reassembly_survives_seeded_chunking(seed in 0u64..10_000, count in 1usize..5) {
         let frames: Vec<Frame> = (0..count)
-            .map(|i| build_frame(((seed as usize + i) % 9) as u8, seed ^ (i as u64), 1 + i % 4))
+            .map(|i| build_frame(((seed as usize + i) % 8) as u8, seed ^ (i as u64), 1 + i % 4))
             .collect();
         let records: Vec<Owned> = (0..count as u64)
             .flat_map(|i| {
@@ -313,7 +298,7 @@ proptest! {
     /// `NestedBatch` — nesting is structurally impossible to decode.
     #[test]
     fn nested_batches_are_refused(seed in 0u64..1000, len in 1usize..5, pick in 0usize..4) {
-        let frame = build_frame(8, seed, len);
+        let frame = build_frame(7, seed, len);
         let Payload::Batch(subs) = &frame.payload else { unreachable!() };
         // locate the picked sub-frame's kind byte by re-walking sizes;
         // a standalone encoding of the same payload reveals its length

@@ -175,8 +175,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Two workers split the extended node range; the protocol's waves
     // become one delta-encoded batch frame per link per tick. The tap
     // prints the first two iterations frame by frame — the decide tick
-    // ships the Γ rows each owner moved, the forward tick changed
-    // forecasts, a heartbeat and the next round's changed marginals.
+    // ships the Γ rows each owner moved, the forward tick a heartbeat
+    // and the next round's changed marginals (every worker sweeps the
+    // flow forecast over its own mirror, so no forecast travels).
     const REGIONS: usize = 2;
     let print_until_tick = Rc::new(RefCell::new(2 * TICKS_PER_ITERATION));
     let transport = Traced {

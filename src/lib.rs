@@ -7,8 +7,8 @@
 //! This facade crate re-exports the whole workspace so downstream users
 //! can depend on a single crate:
 //!
-//! * [`graph`] — directed-graph substrate (topological order,
-//!   reachability, an SCC cycle certificate, paths).
+//! * [`graph`] — directed-graph substrate (topological order and cycle
+//!   detection, reachability, paths).
 //! * [`model`] — the stream processing model: commodities, shrinkage
 //!   factors, utilities, penalties, capacities, and the seeded random
 //!   instance generator matching the paper's evaluation setup.

@@ -437,14 +437,14 @@ fn run_digest(report: &MeshReport, log: &[MeshIncident]) -> u64 {
 fn pinned_scenarios() -> [(&'static str, MeshFaultConfig, usize, usize, u64); 2] {
     [
         // the 4-region noisy run of `same_seed_chaotic_runs_are_identical`
-        ("noisy", noisy_faults(), 4, 100, 0x13e3_2543_23d8_45f4),
+        ("noisy", noisy_faults(), 4, 100, 0x1576_3343_7452_4cea),
         // the 3-region partition and recovery
         (
             "partition",
             partition_faults(),
             3,
             60,
-            0x0f4c_6940_14a6_8386,
+            0xca4a_39ea_eb99_34dc,
         ),
     ]
 }
@@ -485,8 +485,16 @@ fn partition_faults() -> MeshFaultConfig {
 /// partition `0x7a4d_66b5_911e_04a0` → `0x0f4c_6940_14a6_8386`. All six
 /// kind × split runs agreed, and both runs kept their iterations,
 /// utility, admitted rates and total shift bit for bit; only the wire
-/// counters and the incident logs moved. There is no regeneration
-/// switch: a failing assertion prints the observed digest.
+/// counters and the incident logs moved. They were re-pinned a third
+/// time, by the same rule, when wire v3 dropped the per-commodity flow
+/// summaries no worker read and the heartbeat became the forward-tick
+/// batch itself: noisy `0x13e3_2543_23d8_45f4` →
+/// `0x1576_3343_7452_4cea`, partition `0x0f4c_6940_14a6_8386` →
+/// `0xca4a_39ea_eb99_34dc` (fewer bytes, subs, rows and resyncs, and
+/// fewer duplicate and resync incidents; the partition run ships one
+/// batch fewer, a resend-only batch the fault plan dropped). There is
+/// no regeneration switch: a failing assertion prints the observed
+/// digest.
 #[test]
 fn faulty_runs_match_their_pinned_digests() {
     let ext = ExtendedNetwork::build(&problem(20, 3, 9));
@@ -741,7 +749,9 @@ fn one_marginal(from: u16, to: u16, round: u64, j: u32, v: u32) -> Vec<u8> {
 /// Frame-boundary robustness: frames that decode cleanly but index
 /// outside the sender's rows used to panic the worker (`j = 9999`,
 /// `v = 100000`, `from = 7` on a 2-region mesh) or silently land in
-/// another commodity's row (`v = v_count + 3`). Each is now exactly one
+/// another commodity's row (`v = v_count + 3`); a sub-frame whose kind
+/// byte names no kind (3, retired with wire v2) must not either. Each is
+/// exactly one
 /// `MalformedFrameDiscarded`, no state change — the run stays
 /// bit-identical to the monolithic algorithm (and, for the marginal
 /// mirror, to an undisturbed mesh) before and after.
@@ -765,6 +775,13 @@ fn frames_with_out_of_range_indices_are_discarded_without_a_write() {
             "sender region out of range",
             one_marginal(7, 0, ROUND, 0, 0),
         ),
+        ("sub-frame of the retired kind byte 3", {
+            // the first sub's kind byte follows the 29-byte frame header
+            // and the 4-byte sub count; 3 was wire v2's flow summary
+            let mut frame = one_marginal(1, 0, ROUND, 0, 0);
+            frame[29 + 4] = 3;
+            frame
+        }),
     ];
     for (what, frame) in cases {
         let transport = Inject::new(REGIONS, None, fixed(AT, frame));
@@ -1378,9 +1395,9 @@ fn write_le(bytes: &mut [u8], at: usize, width: usize, value: u64) {
 
 /// One seeded mutant of the genuine batch `frame`: a bit flip, a
 /// truncation at a header boundary, a length or count edit, a sub-frame
-/// spliced in from `pool` (every genuine batch of the corpus), or a
-/// `from` / `to` / round / seq edit. `draw(k)` is the mutant's `k`-th
-/// uniform draw.
+/// spliced in from `pool` (every genuine batch of the corpus that holds
+/// one), or a `from` / `to` / round / seq edit. `draw(k)` is the
+/// mutant's `k`-th uniform draw.
 fn mutant(frame: &[u8], pool: &[&Vec<u8>], draw: impl Fn(usize) -> f64) -> Vec<u8> {
     let pick = |k: usize, n: usize| ((draw(k) * n as f64) as usize).min(n - 1);
     let edit = |k: usize, old: u64| match pick(k, 5) {
@@ -1391,8 +1408,13 @@ fn mutant(frame: &[u8], pool: &[&Vec<u8>], draw: impl Fn(usize) -> f64) -> Vec<u
         _ => (draw(k + 1) * f64::from(u32::MAX)) as u64,
     };
     let spans = sub_spans(frame);
-    // where header field `offset` sits in one (drawn) sub-frame
-    let sub_field = |k: usize, offset: usize| spans[pick(k, spans.len())].0 + offset;
+    // where header field `offset` sits in one (drawn) sub-frame; in a
+    // heartbeat batch with no sub-frame, the same field of the frame's
+    // own header (its seq and round sit 8 bytes further in)
+    let sub_field = |k: usize, offset: usize| match spans.len() {
+        0 => offset + 8,
+        n => spans[pick(k, n)].0 + offset,
+    };
     let mut out = frame.to_vec();
     // the one header field an edit rewrites, `(offset, width)`
     let field = match pick(0, 9) {
@@ -1420,12 +1442,12 @@ fn mutant(frame: &[u8], pool: &[&Vec<u8>], draw: impl Fn(usize) -> f64) -> Vec<u
         }
         3 => {
             // the sub count, or the entry count of a row payload
-            // (marginals, Γ rows, forecasts: `base u64, count u32`)
+            // (marginals, Γ rows: `base u64, count u32`)
             let counts: Vec<usize> = std::iter::once(29)
                 .chain(
                     spans
                         .iter()
-                        .filter(|&&(start, _)| (1..=3).contains(&frame[start]))
+                        .filter(|&&(start, _)| (1..=2).contains(&frame[start]))
                         .map(|&(start, _)| start + 21 + 8),
                 )
                 .collect();
@@ -1486,7 +1508,12 @@ fn a_seeded_frame_fuzz_corpus_never_breaks_a_worker() {
         MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
     clean.run(ITERATIONS);
     let corpus: BTreeMap<(u64, usize), Vec<Vec<u8>>> = corpus.take();
-    let pool: Vec<&Vec<u8>> = corpus.values().flatten().collect();
+    // the splice donors: every genuine batch that holds a sub-frame
+    let pool: Vec<&Vec<u8>> = corpus
+        .values()
+        .flatten()
+        .filter(|batch| !sub_spans(batch).is_empty())
+        .collect();
 
     let mut mutants = 0;
     // malformed, duplicate, stale, resync
