@@ -13,7 +13,7 @@
 //!   the tier-2 tolerance, exercising resyncs along the way.
 //! * A converged lossless mesh goes quiet: once nothing changes, the
 //!   wire carries almost nothing (heartbeat batches plus the periodic
-//!   full refresh).
+//!   full refresh) against an all-peers Γ broadcast of the instance.
 
 use spn_core::{GradientAlgorithm, GradientConfig};
 use spn_mesh::{
@@ -231,35 +231,43 @@ fn lossy_chaotic_delta_mesh_converges_with_resyncs() {
     assert!(mesh_report.wire.rows_suppressed > 0);
 }
 
+/// Bytes per iteration of an all-peers Γ broadcast on `ext` split
+/// over `regions`: every region ships the row of every router it owns
+/// to every peer every iteration — the naive protocol, the all-peers
+/// count `mesh_smoke` gates its row counts against — one batch per
+/// link holding one Γ sub-frame. Every router has exactly one owner, so
+/// this is a property of the instance and the region count alone,
+/// whatever the ownership split and whatever the delta wire suppresses.
+fn all_peers_gamma_bytes(ext: &ExtendedNetwork, regions: usize) -> f64 {
+    // batch: frame header 29 + sub count 4; Γ sub: sub header 21 +
+    // base round 8 + row count 4
+    const FRAMING: usize = 29 + 4 + 21 + 8 + 4;
+    // per row: j, v, edge count (u32 each), then (edge u32, φ f64) per
+    // out-edge
+    let rows: usize = ext
+        .commodity_ids()
+        .map(|j| {
+            let routers = ext.commodity_routers(j);
+            routers
+                .iter()
+                .map(|&v| 12 + 12 * ext.commodity_out_slice(j, v).len())
+                .sum::<usize>()
+        })
+        .sum();
+    (regions * (regions - 1) * FRAMING + (regions - 1) * rows) as f64
+}
+
 /// A converged lossless mesh goes quiet on the wire. The seed-25
 /// instance reaches a bitwise routing fixed point at iteration 7372
 /// (the gradient's shifts round to exact no-ops; seed 1 ends in a limit
-/// cycle and never does); past it, non-refresh
-/// rounds ship heartbeat-only batches and the bytes per iteration drop
-/// an order of magnitude below the full-broadcast wire — the
-/// `refresh_every = 1` cadence, which re-sends every owned row every
-/// round exactly as the pre-delta wire did.
+/// cycle and never does); past it, non-refresh rounds ship
+/// heartbeat-only batches and the bytes per iteration drop an order of
+/// magnitude below an all-peers Γ broadcast ([`all_peers_gamma_bytes`]).
 #[test]
 fn converged_lossless_mesh_sends_almost_nothing() {
     let p = problem(16, 2, 25);
-
-    // full-broadcast baseline rate: constant per iteration, so a short
-    // run measures it
-    let mut full = MeshRuntime::lossless(
-        ExtendedNetwork::build(&p),
-        MeshConfig {
-            refresh_every: 1,
-            ..mesh_config(2)
-        },
-    )
-    .unwrap();
-    full.run(16);
-    let a = full.wire_stats();
-    full.run(16);
-    let b = full.wire_stats();
-    let full_bytes_per_iter = (b.bytes - a.bytes) as f64 / 16.0;
-
     let config = mesh_config(2);
+    let full_bytes_per_iter = all_peers_gamma_bytes(&ExtendedNetwork::build(&p), config.regions);
     let refresh = config.refresh_every as usize;
     let mut mesh = MeshRuntime::lossless(ExtendedNetwork::build(&p), config).unwrap();
     mesh.run(7_500);
@@ -272,7 +280,7 @@ fn converged_lossless_mesh_sends_almost_nothing() {
     let quiet_bytes_per_iter = (quiet.bytes - settled.bytes) as f64 / (4 * refresh) as f64;
     assert!(
         quiet_bytes_per_iter < 0.2 * full_bytes_per_iter,
-        "converged wire not quiet: {quiet_bytes_per_iter:.1} vs full-broadcast \
+        "converged wire not quiet: {quiet_bytes_per_iter:.1} vs all-peers Γ broadcast \
          {full_bytes_per_iter:.1} bytes/iter"
     );
     // non-refresh rounds suppress every row: the only rows on the wire
