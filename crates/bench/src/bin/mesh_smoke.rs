@@ -20,12 +20,13 @@
 //!   (`refresh_every = 1`, which re-sends every owned row every round
 //!   exactly as the pre-delta wire did) — in practice the margin is
 //!   an order of magnitude (ARCHITECTURE invariant 20);
-//! * rows travel **only to the regions that read them**: on the
-//!   160-node / 16-commodity lossless case, marginal rows shipped per
+//! * **only Γ rows travel, and only for deciders**: on the 160-node /
+//!   16-commodity lossless case no row of another kind is shipped
+//!   (marginal rows per iteration must read 0 — every marginal a region
+//!   reads is one it sweeps itself), and the Γ rows shipped per
 //!   iteration must stay ≤ 0.5× an all-peers broadcast (every owned
-//!   router's marginal to every peer, every round; ≈ 0.3× with the
-//!   readers lists), and the Γ rows shipped per iteration are printed
-//!   next to them (ARCHITECTURE invariants 20 and 24);
+//!   router's row to every peer, every round)
+//!   (ARCHITECTURE invariants 20 and 24);
 //! * the converged send/receive path is **allocation-free**: stepping
 //!   the warm mesh through full refresh cycles performs zero heap
 //!   allocations under a counting global allocator (the
@@ -45,8 +46,8 @@
 //! the fault-injected in-process one, the fault-free UDS run must stay
 //! inside the
 //! demand-driven I/O budget of `2·R·(R−1)` syscalls per tick, i.e.
-//! `TICKS_PER_ITERATION · 2·R·(R−1)` per iteration (counted by
-//! `SocketTransport::io_stats`), and a B9 micro-bench reports
+//! `TICKS_PER_ITERATION · 2·R·(R−1)` per iteration — 4 at R = 2, one
+//! tick (counted by `SocketTransport::io_stats`), and a B9 micro-bench reports
 //! bytes/iteration, syscalls per iteration and per tick, and p50 tick
 //! latency for in-process pipes vs UDS vs TCP (latency is SKIPped on degraded
 //! single-core hosts, where wall-clock numbers are noise).
@@ -559,10 +560,10 @@ fn main() {
         failed = true;
     }
 
-    // Leg 5: rows go to their readers. A marginal travels only to the
-    // regions that own a router with an arc into its node, and a Γ row
-    // only for a decider; an all-peers broadcast would ship every owned
-    // router's marginal to every peer every round.
+    // Leg 5: only Γ rows travel, only for deciders. Every marginal a
+    // region's Γ reads is one its own sweep writes, so no marginal row
+    // ships; an all-peers broadcast would ship every owned router's Γ
+    // row to every peer every round.
     let wide = ExtendedNetwork::build(&small_instance(1, 160, 16));
     let peers = mesh_config().regions as u64 - 1;
     let all_peers: u64 = wide
@@ -574,18 +575,27 @@ fn main() {
     rows.run(ROW_ITERATIONS as usize);
     let wire = rows.wire_stats();
     let per_iteration = |n: u64| n as f64 / ROW_ITERATIONS as f64;
-    let marginal_ratio = per_iteration(wire.marginal_rows) / all_peers as f64;
+    // every shipped row that is no Γ row: the marginal rows of wire v3
+    let marginal_rows = wire.rows_sent - wire.gamma_rows;
+    let gamma_ratio = per_iteration(wire.gamma_rows) / all_peers as f64;
     println!(
         "mesh_smoke\trows\t160/16\t{:.1} marginal + {:.1} Γ rows/it\t\
-         {marginal_ratio:.2}x all-peers ({all_peers} marginal rows/it)",
-        per_iteration(wire.marginal_rows),
+         {gamma_ratio:.2}x all-peers ({all_peers} router rows/it)",
+        per_iteration(marginal_rows),
         per_iteration(wire.gamma_rows),
     );
-    if marginal_ratio > 0.5 {
+    if marginal_rows > 0 {
         eprintln!(
-            "FAIL: the 160/16 lossless mesh ships {marginal_ratio:.2}x the all-peers \
-             marginal rows (ceiling 0.5) — marginals are being broadcast again \
-             instead of going to the regions that read them"
+            "FAIL: the 160/16 lossless mesh shipped {marginal_rows} rows other than Γ \
+             rows — a marginal crosses the wire again"
+        );
+        failed = true;
+    }
+    if gamma_ratio > 0.5 {
+        eprintln!(
+            "FAIL: the 160/16 lossless mesh ships {gamma_ratio:.2}x the all-peers \
+             router rows (ceiling 0.5) — pass-through rows travel again, or the \
+             delta wire stopped suppressing"
         );
         failed = true;
     }

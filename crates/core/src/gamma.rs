@@ -21,8 +21,9 @@
 //! the zero-allocation dense pass the step is checked against (one dense
 //! kernel replay per step, ARCHITECTURE invariant 14);
 //! [`apply_gamma_selective`] is the path the message-level simulator
-//! schedules partial updates through; [`apply_gamma_deciders`] is the
-//! mesh worker's Γ over the deciders of the routers its region owns.
+//! schedules partial updates through; [`stage_gamma_deciders`] is the
+//! mesh worker's Γ over the deciders its region owns, computed but left
+//! for the caller to apply.
 //! A commodity only ever reads and
 //! writes its own fraction row, and distinct routers touch disjoint sets
 //! of that row's entries (each edge has exactly one source).
@@ -73,9 +74,9 @@
 //! 17 (the step equals its dense replay) prove the skip, and [`apply_gamma_selective`]
 //! consults its predicate for every router but skips a participating
 //! one only when it has one out-edge *and* its row is bitwise `1.0`.
-//! [`apply_gamma_deciders`] walks the deciders of its router ranges
-//! only, like the sparse step: its caller never lets a pass-through row
-//! hold anything but `1.0` (ARCHITECTURE invariant 24).
+//! [`stage_gamma_deciders`] walks the deciders it is given only, like
+//! the sparse step: its caller never lets a pass-through row hold
+//! anything but `1.0` (ARCHITECTURE invariant 24).
 
 #[allow(deprecated)] // the ignored `_tags` parameter of `apply_gamma_ws`
 use crate::blocked::BlockedTags;
@@ -83,14 +84,13 @@ use crate::cost::CostModel;
 use crate::flows::{FlowState, UsageView};
 use crate::marginals::Marginals;
 use crate::newton::edge_curvature;
-use crate::routing::{apply_row, apply_row_support, RoutingTable};
+use crate::routing::{apply_row, apply_row_support, normalize_row, RoutingTable};
 use crate::workspace::{GammaLane, IterationWorkspace, GAMMA_CHUNK};
-use spn_graph::NodeId;
+use spn_graph::{EdgeId, NodeId};
 use spn_model::CommodityId;
 use spn_transform::{ExtendedNetwork, MemberView};
 use std::cell::Cell;
 use std::convert::Infallible;
-use std::ops::Range;
 
 /// Outcome statistics of one Γ application.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -495,58 +495,44 @@ where
     stats
 }
 
-/// Reusable row-staging buffers for [`apply_gamma_deciders`]: after the
-/// first call has sized them to the instance's maximum router
-/// out-degree, subsequent calls are allocation-free. Also reports, per
-/// commodity, whether the last call moved a fraction across zero
-/// ([`GammaScratch::support_changed`]). Opaque otherwise — there is
-/// nothing to configure; `default()` is the only constructor.
+/// Reusable row-staging buffer for [`stage_gamma_deciders`]: after the
+/// first call has sized it to the instance's maximum router out-degree,
+/// subsequent calls are allocation-free. Opaque — there is nothing to
+/// configure; `default()` is the only constructor.
 #[derive(Clone, Debug, Default)]
 pub struct GammaScratch {
     lane: GammaLane,
-    /// `support[j]`: the last call took a commodity-`j` fraction across
-    /// zero (either way).
-    support: Vec<bool>,
 }
 
-impl GammaScratch {
-    /// Whether the last [`apply_gamma_deciders`] call through this
-    /// scratch moved any commodity-`j` fraction across zero — the only
-    /// writes after which a [`LiveArcSweeps`] row must be marked stale.
-    /// `false` for a commodity the call never saw.
-    ///
-    /// [`LiveArcSweeps`]: crate::LiveArcSweeps
-    #[must_use]
-    pub fn support_changed(&self, j: CommodityId) -> bool {
-        self.support.get(j.index()).copied().unwrap_or(false)
-    }
-}
-
-/// Γ over the deciders inside one contiguous run of routers per
-/// commodity: `owned[j]` is a range of indices into
-/// [`MemberView::routers`] (equivalently
-/// [`ExtendedNetwork::commodity_routers`]), and only the
-/// [`MemberView::deciders`] whose router index lies in it are computed.
-/// This is the mesh worker's Γ over the routers its region owns.
+/// Γ over a list of deciders, *staged*: each row is computed against
+/// the current state exactly as every Γ path computes it, normalized
+/// exactly as applying it would store it, and handed to
+/// `stage(j, member position, row)` with its `(edge, fraction)` pairs
+/// in out-edge order — but nothing is written to `routing`, which is
+/// borrowed mutably only for the cell view the row computation reads
+/// through. This is the mesh worker's Γ over the deciders its region
+/// owns: it ships the rows and applies them together with its peers'
+/// on the next tick, so between ticks its mirror holds the routing its
+/// flows and marginals were swept from.
 ///
-/// Pass-through rows in the range are not visited: the caller keeps
-/// them at exactly `[(l, 1.0)]`, the row Γ would store. The statistics
-/// are then bit-equal to [`apply_gamma_selective`] with the predicate
-/// "router index in `owned[j]`": `rows` counts every router of the
-/// range, and the shifts fold per router chunk in ascending chunk
-/// order, without the identity terms of the pass-throughs (see
-/// "Deciders and pass-throughs" in the module docs). Rows are applied
-/// with change tracking, and the commodities whose support moved are
-/// left in the scratch ([`GammaScratch::support_changed`]). Once the
-/// scratch is warm the call performs no heap allocation, which the mesh
-/// runtime's zero-alloc gate (`mesh_smoke`) pins.
+/// `deciders` lists `(commodity, member position, router index)`
+/// triples — entries of [`MemberView::deciders`] tagged with their
+/// commodity — in ascending commodity and router order. Pass-throughs
+/// are never listed: their row is `[(l, 1.0)]` on every mirror
+/// (ARCHITECTURE invariant 24). The shifts fold per router chunk in
+/// ascending chunk order, so `max_shift` and `total_shift` are
+/// bit-equal to [`apply_gamma_selective`] with the predicate "a listed
+/// decider or a pass-through" (see "Deciders and pass-throughs" in the
+/// module docs); `rows` counts the staged rows. Once the scratch is
+/// warm the call performs no heap allocation, which the mesh runtime's
+/// zero-alloc gate (`mesh_smoke`) pins.
 ///
 /// # Panics
 ///
-/// Panics if `owned` has fewer entries than there are commodities, or
-/// a range reaches past its commodity's router list.
+/// Panics if a triple names a commodity or member position the
+/// network does not have.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's inputs
-pub fn apply_gamma_deciders(
+pub fn stage_gamma_deciders(
     ext: &ExtendedNetwork,
     cost: &CostModel,
     routing: &mut RoutingTable,
@@ -556,20 +542,17 @@ pub fn apply_gamma_deciders(
     traffic_floor: f64,
     opening_fraction: f64,
     shift_cap: f64,
-    owned: &[Range<usize>],
+    deciders: &[(u32, u32, u32)],
     scratch: &mut GammaScratch,
+    mut stage: impl FnMut(CommodityId, usize, &[(EdgeId, f64)]),
 ) -> GammaStats {
-    let mut stats = GammaStats::default();
-    let GammaScratch { lane, support } = scratch;
-    support.clear();
-    support.resize(ext.num_commodities(), false);
-    for j in ext.commodity_ids() {
-        let range = owned[j.index()].clone();
-        assert!(
-            range.end <= ext.commodity_routers(j).len(),
-            "owned router range past the router list"
-        );
-        stats.rows += range.len();
+    let mut stats = GammaStats {
+        rows: deciders.len(),
+        ..GammaStats::default()
+    };
+    let lane = &mut scratch.lane;
+    for run in deciders.chunk_by(|a, b| a.0 == b.0) {
+        let j = CommodityId::from_index(run[0].0 as usize);
         let ctx = GammaCtx::new(
             ext,
             cost,
@@ -582,13 +565,10 @@ pub fn apply_gamma_deciders(
             shift_cap,
             j,
         );
-        let deciders = ctx.members.deciders();
-        let lo = deciders.partition_point(|&(_, r)| (r as usize) < range.start);
-        let hi = deciders.partition_point(|&(_, r)| (r as usize) < range.end);
         // one chunk's shifts at a time, folded when the walk leaves it
         let mut chunk = usize::MAX;
         let mut local = (0.0f64, 0.0f64);
-        for &(i, r) in &deciders[lo..hi] {
+        for &(_, i, r) in run {
             let c = r as usize / GAMMA_CHUNK;
             if c != chunk {
                 stats.max_shift = stats.max_shift.max(local.0);
@@ -596,8 +576,8 @@ pub fn apply_gamma_deciders(
                 (chunk, local) = (c, (0.0, 0.0));
             }
             let (max_shift, total) = gamma_row_into(&ctx, None, i as usize, lane);
-            let out = ctx.members.out_arcs(i as usize).0;
-            support[j.index()] |= apply_row_support(ctx.phi, out, &lane.row);
+            normalize_row(&mut lane.row);
+            stage(j, i as usize, &lane.row);
             local.0 = local.0.max(max_shift);
             local.1 += total;
         }
@@ -787,14 +767,17 @@ mod tests {
         assert_eq!(stats.rows, ref_stats.rows);
     }
 
-    /// [`apply_gamma_deciders`] over one region's router ranges is
-    /// bit-equal to [`apply_gamma_selective`] with that region's
-    /// ownership predicate — routing, every [`GammaStats`] field and the
-    /// per-commodity support flags — at every region of a 2-, 3- and
-    /// 4-way contiguous node split, on every step of a 60-step
-    /// trajectory (advanced by the full Γ).
+    /// [`stage_gamma_deciders`] over one region's deciders, its staged
+    /// rows then written into a copy of the routing, is bit-equal to
+    /// [`apply_gamma_selective`] with that region's ownership predicate
+    /// — routing and every [`GammaStats`] field, `rows` once the owned
+    /// pass-throughs are added — at every region of a 2-, 3- and 4-way
+    /// split that deals the nodes out round-robin (so every region's
+    /// deciders interleave with its peers'), on every step of a 60-step
+    /// trajectory (advanced by the full Γ). The staged rows come in
+    /// out-edge order, each listing every out-edge once.
     #[test]
-    fn decider_ranges_match_the_selective_ownership_predicate() {
+    fn staged_deciders_match_the_selective_ownership_predicate() {
         use crate::GradientConfig;
         use spn_model::random::RandomInstance;
         let config = GradientConfig::default();
@@ -813,25 +796,29 @@ mod tests {
                 .unwrap()
                 .problem;
             let ext = ExtendedNetwork::build(&problem);
-            let v_count = ext.graph().node_count();
             let mut rt = RoutingTable::initial(&ext);
             let mut scratch = GammaScratch::default();
-            let mut moved = 0usize;
             for step in 0..60 {
                 let fs = compute_flows(&ext, &rt);
                 let m = compute_marginals(&ext, &cost, &rt, &fs);
                 for regions in 2..=4 {
                     for r in 0..regions {
-                        let owner = |v: &NodeId| (v.index() * regions / v_count).min(regions - 1);
-                        let owns = |v: NodeId| owner(&v) == r;
-                        let owned: Vec<_> = ext
-                            .commodity_ids()
-                            .map(|j| {
-                                let routers = ext.commodity_routers(j);
-                                routers.partition_point(|v| owner(v) < r)
-                                    ..routers.partition_point(|v| owner(v) <= r)
-                            })
-                            .collect();
+                        let owns = |v: NodeId| v.index() % regions == r;
+                        let mut owned = Vec::new();
+                        let mut pass_throughs = 0;
+                        for j in ext.commodity_ids() {
+                            let members = ext.members(j);
+                            for &(p, k) in members.deciders() {
+                                if owns(members.node(p as usize)) {
+                                    owned.push((j.index() as u32, p, k));
+                                }
+                            }
+                            pass_throughs += ext
+                                .commodity_routers(j)
+                                .iter()
+                                .filter(|&&v| owns(v) && ext.commodity_out_slice(j, v).len() == 1)
+                                .count();
+                        }
                         let mut want = rt.clone();
                         let want_stats = apply_gamma_selective(
                             &ext,
@@ -845,11 +832,12 @@ mod tests {
                             config.shift_cap,
                             |_, v| owns(v),
                         );
+                        let mut read = rt.clone();
                         let mut got = rt.clone();
-                        let got_stats = apply_gamma_deciders(
+                        let got_stats = stage_gamma_deciders(
                             &ext,
                             &cost,
-                            &mut got,
+                            &mut read,
                             &fs,
                             &m,
                             config.eta,
@@ -858,11 +846,25 @@ mod tests {
                             config.shift_cap,
                             &owned,
                             &mut scratch,
+                            |j, p, row| {
+                                let out = ext.members(j).out_arcs(p).0;
+                                let edges: Vec<EdgeId> = row.iter().map(|&(l, _)| l).collect();
+                                assert_eq!(edges, out, "a staged row leaves out-edge order");
+                                for &(l, phi) in row {
+                                    got.set_fraction(j, l, phi);
+                                }
+                            },
                         );
                         let ctx = format!(
                             "({nodes}, {commodities}, {seed}) step {step}, region {r} of {regions}"
                         );
-                        assert_eq!(got_stats.rows, want_stats.rows, "{ctx}: rows");
+                        assert_eq!(read, rt, "{ctx}: staging wrote the routing");
+                        assert_eq!(got_stats.rows, owned.len(), "{ctx}: rows");
+                        assert_eq!(
+                            got_stats.rows + pass_throughs,
+                            want_stats.rows,
+                            "{ctx}: rows"
+                        );
                         assert_eq!(
                             got_stats.max_shift.to_bits(),
                             want_stats.max_shift.to_bits(),
@@ -874,18 +876,10 @@ mod tests {
                             "{ctx}: total shift"
                         );
                         for j in ext.commodity_ids() {
-                            let mut crossed = false;
                             for &l in ext.commodity_edges(j) {
                                 let (g, w) = (got.fraction(j, l), want.fraction(j, l));
                                 assert_eq!(g.to_bits(), w.to_bits(), "{ctx}: φ({j}, {l})");
-                                crossed |= (rt.fraction(j, l) != 0.0) != (g != 0.0);
                             }
-                            assert_eq!(
-                                scratch.support_changed(j),
-                                crossed,
-                                "{ctx}: support of {j}"
-                            );
-                            moved += usize::from(crossed);
                         }
                     }
                 }
@@ -901,10 +895,6 @@ mod tests {
                     config.shift_cap,
                 );
             }
-            assert!(
-                moved > 0,
-                "no support ever moved: the flags were not exercised"
-            );
         }
     }
 

@@ -285,6 +285,22 @@ pub(crate) fn apply_row(phi: &[Cell<f64>], out: &[EdgeId], row: &[(EdgeId, f64)]
     }
 }
 
+/// Rewrites a staged row as the fractions [`apply_row_support`] would
+/// store for it — each clamped and divided by the row's mass, summed in
+/// staging order — and sorts it into out-edge order (ascending edge
+/// id, the adjacency order). Allocation-free.
+///
+/// # Panics
+///
+/// Panics if the total mass is not positive.
+pub(crate) fn normalize_row(row: &mut [(EdgeId, f64)]) {
+    let total = row_mass(row);
+    for (_, f) in row.iter_mut() {
+        *f = f.max(0.0) / total;
+    }
+    row.sort_unstable_by_key(|&(l, _)| l);
+}
+
 /// The mass a staged row normalizes by: its fractions summed with tiny
 /// negatives clamped to zero.
 ///

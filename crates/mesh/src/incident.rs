@@ -16,7 +16,7 @@ use serde::Serialize;
 /// One entry of the mesh incident log.
 ///
 /// Regions are identified by index; `tick` is the transport wall clock
-/// ([`crate::TICKS_PER_ITERATION`] per iteration — decide, forward).
+/// ([`crate::TICKS_PER_ITERATION`] per iteration).
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MeshIncident {
@@ -135,19 +135,6 @@ pub enum MeshIncident {
         region: usize,
         /// The recovered peer.
         peer: usize,
-    },
-    /// A receiver detected a gap in a delta broadcast chain (a delta
-    /// frame named a predecessor round the receiver never applied) and
-    /// asked the sender for full frames (ARCHITECTURE invariant 20).
-    ResyncRequested {
-        /// Wall-clock tick.
-        tick: u64,
-        /// The region that detected the gap.
-        region: usize,
-        /// The sender asked for a full frame.
-        peer: usize,
-        /// The broadcast kind whose chain broke.
-        kind: FrameKind,
     },
     /// A formerly isolated region asked a survivor for state.
     RecoveryRequested {
@@ -373,23 +360,6 @@ impl Serialize for MeshIncident {
                     ("peer", peer as u64),
                 ],
             ),
-            MeshIncident::ResyncRequested {
-                tick,
-                region,
-                peer,
-                kind,
-            } => {
-                let mut v = tag(
-                    "ResyncRequested",
-                    &[
-                        ("tick", tick),
-                        ("region", region as u64),
-                        ("peer", peer as u64),
-                    ],
-                );
-                frame_kind(&mut v, kind);
-                v
-            }
             MeshIncident::RecoveryRequested {
                 tick,
                 region,

@@ -1,14 +1,16 @@
 //! Region-sharded mesh runtime for the gradient algorithm.
 //!
-//! Splits a hierarchical instance's nodes across region workers that
-//! run local sweeps and exchange **serialized** marginal and Γ messages
-//! over one transport, [`SocketTransport`]: an ordered duplex byte
-//! stream per region pair — an in-process pipe, a Unix-domain socket
-//! pair or loopback TCP, per [`SocketKind`] — carrying wire-v3 frames
-//! inside `(deliver_tick, sent_tick)` stream
-//! records, with per-peer tick markers instead of a barrier. Two
-//! oracles hold on every stream kind (ARCHITECTURE invariants 19 and
-//! 21):
+//! Splits an instance's nodes across region workers — the servers in
+//! contiguous ranges, each bandwidth node and dummy source with the
+//! server that runs it — that run local sweeps and exchange
+//! **serialized** Γ rows, one tick per iteration, over one transport,
+//! [`SocketTransport`]: an ordered duplex byte stream per region pair —
+//! an in-process pipe, a Unix-domain socket pair or loopback TCP, per
+//! [`SocketKind`] — carrying wire-v4 frames inside `(deliver_tick,
+//! sent_tick)` stream records, with per-peer tick markers instead of a
+//! barrier. No marginal travels: every marginal a region's Γ reads
+//! belongs to a node the region owns and sweeps itself. Two oracles
+//! hold on every stream kind (ARCHITECTURE invariants 19 and 21):
 //!
 //! * fault-free ([`MeshRuntime::lossless`]), the mesh trajectory is
 //!   **bit-identical** to `spn_core::GradientAlgorithm`;
@@ -26,7 +28,7 @@
 //! checkpoint/recovery so a rejoining region restores survivor state
 //! bit-for-bit.
 //!
-//! The wire path (format v3) is **delta-encoded, coalesced, and
+//! The wire path (format v4) is **delta-encoded, coalesced, and
 //! pooled** — one batch per (link, tick), see [`worker`] — and
 //! suppression never changes received values (ARCHITECTURE invariant
 //! 20).
@@ -40,7 +42,8 @@
 //!   TCP streams, and its one reframer, [`socket::parse_records`].
 //! * [`fault`] — seeded fault plan ([`MeshFaultConfig`]).
 //! * [`incident`] — the [`MeshIncident`] log entries.
-//! * [`worker`] — one region's mirrors, reliability state, and phases.
+//! * [`worker`] — the ownership table, and one region's mirrors,
+//!   reliability state, and tick.
 //! * [`recovery`] — state digests and snapshot encode/apply.
 //! * [`runtime`] — [`MeshRuntime`]: configuration, tick loop, report.
 

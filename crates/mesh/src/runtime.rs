@@ -1,9 +1,12 @@
 //! The mesh runtime: configuration, the tick loop, and reporting.
 //!
 //! [`MeshRuntime`] owns the region workers and a [`Transport`], and
-//! drives the [`TICKS_PER_ITERATION`] ticks of each iteration in fixed
+//! drives each iteration's one tick ([`TICKS_PER_ITERATION`]) in fixed
 //! region order — the whole run is a deterministic function of the
-//! problem, the config and the transport's fault plan. Fault-free
+//! problem, the config and the transport's fault plan. Construction
+//! builds the node ownership table once and hands it to every worker;
+//! it opens streams but exchanges nothing (each worker computes the
+//! first Γ pass itself). Fault-free
 //! ([`MeshRuntime::lossless`], or any [`SocketKind`] without faults)
 //! the trajectory is bit-identical to `spn_core::GradientAlgorithm`
 //! under every `GradientConfig` the core accepts (ε is a constant of the
@@ -28,7 +31,7 @@
 use crate::incident::MeshIncident;
 use crate::socket::{SocketKind, SocketOptions, SocketTransport};
 use crate::transport::{Inbox, Transport};
-use crate::worker::{owner_of, MeshWireStats, RegionWorker, TICKS_PER_ITERATION};
+use crate::worker::{owner_table, MeshWireStats, RegionWorker, TICKS_PER_ITERATION};
 use spn_core::gamma::GammaStats;
 use spn_core::{ConfigError, CostModel, GradientConfig, StableOutcome};
 use spn_transform::ExtendedNetwork;
@@ -49,8 +52,9 @@ pub struct MeshConfig {
     /// `GradientAlgorithm`).
     pub gradient: GradientConfig,
     /// Ticks of silence before a peer is degraded to suspect; ≥ 1. Each
-    /// peer heartbeats every forward tick, heard the next tick, and is
-    /// checked on forward ticks only: at most 1 tick silent when checked.
+    /// peer's batch ships every tick and is heard the next, and peers
+    /// are checked every tick after the inbox drain: a healthy peer is
+    /// never silent when checked.
     pub suspect_after: u64,
     /// Cap on the exponential retransmit backoff, in ticks.
     pub retry_backoff_cap: u64,
@@ -94,13 +98,14 @@ impl Default for MeshConfig {
 pub enum MeshError {
     /// `regions` must be at least 1.
     NoRegions,
-    /// More regions than extended nodes (some worker would own nothing)
-    /// or than the wire's 16-bit region id can address.
+    /// More regions than physical servers (regions split the servers,
+    /// so some worker would own none) or than the wire's 16-bit region
+    /// id can address.
     TooManyRegions {
         /// Requested region count.
         regions: usize,
-        /// Extended node count (the upper bound).
-        nodes: usize,
+        /// Physical server count (the upper bound).
+        servers: usize,
     },
     /// `refresh_every` must be at least 1: a zero cadence would never
     /// re-anchor a delta chain, so a receiver that missed one delta
@@ -126,10 +131,10 @@ impl std::fmt::Display for MeshError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MeshError::NoRegions => write!(f, "mesh needs at least one region"),
-            MeshError::TooManyRegions { regions, nodes } => write!(
+            MeshError::TooManyRegions { regions, servers } => write!(
                 f,
-                "{regions} regions cannot split {nodes} extended nodes (max one region per node, \
-                 and region ids must fit u16)"
+                "{regions} regions cannot split {servers} servers (at least one server per \
+                 region, and region ids must fit u16)"
             ),
             MeshError::ZeroRefreshCadence => {
                 write!(
@@ -170,9 +175,9 @@ pub struct MeshReport {
     pub admitted: Vec<f64>,
     /// Summed per-region total routing shift of the final iteration.
     pub total_shift: f64,
-    /// Wire telemetry summed over all workers' links (send side plus
-    /// resync requests). Deterministic, so it participates in the
-    /// same-seed report-equality oracle.
+    /// Wire telemetry summed over all workers' links (send side).
+    /// Deterministic, so it participates in the same-seed
+    /// report-equality oracle.
     pub wire: MeshWireStats,
 }
 
@@ -231,11 +236,11 @@ fn validate(ext: &ExtendedNetwork, config: &MeshConfig) -> Result<(), MeshError>
     if config.regions == 0 {
         return Err(MeshError::NoRegions);
     }
-    let nodes = ext.graph().node_count();
-    if config.regions > nodes || config.regions > usize::from(u16::MAX) {
+    let servers = ext.physical_nodes();
+    if config.regions > servers || config.regions > usize::from(u16::MAX) {
         return Err(MeshError::TooManyRegions {
             regions: config.regions,
-            nodes,
+            servers,
         });
     }
     config.gradient.validate()?;
@@ -255,10 +260,11 @@ fn validate(ext: &ExtendedNetwork, config: &MeshConfig) -> Result<(), MeshError>
 
 impl<T: Transport> MeshRuntime<T> {
     /// Builds the mesh: validates the config (rejecting region counts
-    /// the node space or the wire cannot carry, any gradient tunable
+    /// the servers or the wire cannot carry, any gradient tunable
     /// [`GradientConfig::validate`] refuses, a zero refresh cadence or
     /// suspect window, and an inbox budget below one frame) and
-    /// initializes every worker with the same fully-rejecting mirror.
+    /// initializes every worker with the same fully-rejecting mirror and
+    /// the first Γ pass staged.
     ///
     /// # Errors
     ///
@@ -280,12 +286,14 @@ impl<T: Transport> MeshRuntime<T> {
             wall_threshold: config.gradient.wall_threshold,
             wall_strength: config.gradient.wall_strength,
         };
+        let owner = owner_table(&ext, config.regions);
         let workers = (0..config.regions)
             .map(|r| {
                 RegionWorker::new(
                     &ext,
                     &cost,
                     &config.gradient,
+                    &owner,
                     r,
                     config.regions,
                     config.refresh_every,
@@ -327,40 +335,39 @@ impl<T: Transport> MeshRuntime<T> {
         }
     }
 
-    /// Performs one protocol iteration — [`TICKS_PER_ITERATION`]
-    /// transport ticks, every worker driven in region order — and
-    /// returns the iteration's Γ statistics summed across regions (max
-    /// of maxima, region-ordered sums).
+    /// Performs one protocol iteration — one transport tick, every
+    /// worker driven in region order — and returns the Γ statistics of
+    /// the rows it applied, summed across regions (max of maxima,
+    /// region-ordered sums). After `k` calls every lossless mirror is
+    /// `GradientAlgorithm` after `k` steps, bit for bit.
     pub fn step(&mut self) -> GammaStats {
-        for _ in 0..TICKS_PER_ITERATION {
-            let tick = self.tick;
-            self.transport.begin_tick(tick, &mut self.incidents);
-            for r in 0..self.config.regions {
-                self.await_phase(tick, r);
-                self.transport
-                    .deliver_into(tick, r, &mut self.inbox, &mut self.incidents);
-                self.workers[r].run_phase(
-                    &self.ext,
-                    &self.cost,
-                    &self.config.gradient,
-                    self.config.suspect_after,
-                    self.config.retry_backoff_cap,
-                    tick,
-                    &self.inbox,
-                    &mut self.incidents,
-                );
-                let worker = &self.workers[r];
-                for to in 0..self.config.regions {
-                    if to == r {
-                        continue;
-                    }
-                    if let Some(bytes) = worker.outgoing(to) {
-                        self.transport.send(tick, r, to, bytes, &mut self.incidents);
-                    }
+        let tick = self.tick;
+        self.transport.begin_tick(tick, &mut self.incidents);
+        for r in 0..self.config.regions {
+            self.await_phase(tick, r);
+            self.transport
+                .deliver_into(tick, r, &mut self.inbox, &mut self.incidents);
+            self.workers[r].run_phase(
+                &self.ext,
+                &self.cost,
+                &self.config.gradient,
+                self.config.suspect_after,
+                self.config.retry_backoff_cap,
+                tick,
+                &self.inbox,
+                &mut self.incidents,
+            );
+            let worker = &self.workers[r];
+            for to in 0..self.config.regions {
+                if to == r {
+                    continue;
+                }
+                if let Some(bytes) = worker.outgoing(to) {
+                    self.transport.send(tick, r, to, bytes, &mut self.incidents);
                 }
             }
-            self.tick += 1;
         }
+        self.tick += TICKS_PER_ITERATION;
         let mut total = GammaStats::default();
         for w in &self.workers {
             let g = w.gamma_stats();
@@ -443,8 +450,8 @@ impl<T: Transport> MeshRuntime<T> {
             .sum()
     }
 
-    /// Wire telemetry summed over all workers' links so far (send side
-    /// plus resync requests).
+    /// Wire telemetry summed over all workers' links so far (send
+    /// side).
     #[must_use]
     pub fn wire_stats(&self) -> MeshWireStats {
         let mut total = MeshWireStats::default();
@@ -454,13 +461,11 @@ impl<T: Transport> MeshRuntime<T> {
         total
     }
 
+    /// The worker owning commodity `j`'s dummy source — the router
+    /// whose row decides `j`'s admission.
     fn owner_worker(&self, j: spn_model::CommodityId) -> &RegionWorker {
-        let owner = owner_of(
-            self.ext.dummy_source(j).index(),
-            self.ext.graph().node_count(),
-            self.config.regions,
-        );
-        &self.workers[owner]
+        let w = &self.workers[0];
+        &self.workers[w.owner(self.ext.dummy_source(j))]
     }
 
     /// The incident log so far.

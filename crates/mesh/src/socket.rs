@@ -1,4 +1,4 @@
-//! The mesh's one transport: wire-v3 frames over ordered byte streams,
+//! The mesh's one transport: wire-v4 frames over ordered byte streams,
 //! with marker-based readiness instead of a tick barrier.
 //!
 //! [`SocketTransport`] carries every frame a worker sends over one
@@ -10,7 +10,7 @@
 //! chunk boundaries. The stream carries two record types:
 //!
 //! ```text
-//! frame record: tag 0u8, deliver_tick u64, sent_tick u64, wire-v3 frame
+//! frame record: tag 0u8, deliver_tick u64, sent_tick u64, wire-v4 frame
 //! tick marker:  tag 1u8, tick u64
 //! ```
 //!
@@ -200,7 +200,7 @@ impl Stream {
 pub enum Record<'a> {
     /// Tick marker: every send of ticks ≤ this precedes it.
     Marker(u64),
-    /// A wire-v3 frame in its envelope.
+    /// A wire-v4 frame in its envelope.
     Frame {
         /// First tick the frame may be delivered at.
         deliver_tick: u64,
@@ -673,13 +673,15 @@ mod tests {
 
     const KINDS: [SocketKind; 3] = [SocketKind::Memory, SocketKind::Unix, SocketKind::Tcp];
 
+    /// A `from → to` test frame stamped `round`: an ack, the one
+    /// unreliable kind.
     fn hb(from: u16, to: u16, round: u64) -> Vec<u8> {
         Frame {
             from,
             to,
             seq: 0,
             round,
-            payload: Payload::Heartbeat,
+            payload: Payload::Ack { cum: round },
         }
         .encode()
     }
@@ -707,7 +709,7 @@ mod tests {
         }
     }
 
-    /// A delivered heartbeat: `(tick, to, from, round)`.
+    /// A delivered test frame: `(tick, to, from, round)`.
     type Delivery = (u64, usize, u16, u64);
 
     /// Drives `ticks` of an all-pairs schedule — every region in order
@@ -742,7 +744,7 @@ mod tests {
         (log, seen)
     }
 
-    /// [`drive_with`] one heartbeat per link per tick.
+    /// [`drive_with`] one test frame per link per tick.
     fn drive(
         t: &mut SocketTransport,
         regions: usize,
@@ -807,7 +809,7 @@ mod tests {
     /// Under a seeded fault plan every stream kind, with reads whole and
     /// split, delivers the identical sequence and logs the identical
     /// incidents, and every delivery is in merge order: ascending sent
-    /// tick (a heartbeat's round), then ascending sender, a duplicate
+    /// tick (a test frame's round), then ascending sender, a duplicate
     /// next to its original. Fault-free, every frame arrives once, at
     /// the next tick.
     #[test]
@@ -1006,18 +1008,18 @@ mod tests {
     #[test]
     fn stalled_link_drains_without_deadlock_in_merge_order() {
         const FLOOD: u64 = 96;
-        let big = Payload::Marginals {
+        let big = Payload::GammaRows {
             base: 0,
-            entries: (0..2048)
-                .map(|v| crate::wire::MarginalEntry {
+            rows: (0..1400)
+                .map(|v| crate::wire::GammaRow {
                     j: 0,
                     v,
-                    d: f64::from(v),
+                    edges: vec![(v, 1.0)],
                 })
                 .collect(),
         };
-        // tick 0 floods link 0→1 with FLOOD distinct ~32 KiB frames;
-        // every other (tick, link) carries one heartbeat
+        // tick 0 floods link 0→1 with FLOOD distinct ~33 KiB frames;
+        // every other (tick, link) carries one test frame
         let schedule = |tick: u64, from: usize, to: usize| -> Vec<Vec<u8>> {
             if (tick, from, to) != (0, 0, 1) {
                 return vec![hb(from as u16, to as u16, tick)];

@@ -1,6 +1,6 @@
 //! The versioned wire format of the mesh.
 //!
-//! Region workers never share references — every marginal, Γ row and
+//! Region workers never share references — every Γ row, ack and
 //! recovery snapshot crosses the transport as a
 //! length-delimited byte frame in the format defined here, so the mesh
 //! exercises real serialization boundaries even though the transport is
@@ -19,15 +19,18 @@
 //! payload [u8; len]                       (kind-specific, see Payload)
 //! ```
 //!
-//! Version 3 carries two layers on top of the row payloads (version 2
-//! also had a flow-summary kind, byte 3, which no receiver read; that
-//! byte is now [`WireError::UnknownKind`]):
+//! Version 4 carries two layers on top of the Γ row payload. It has
+//! no marginal kind: under the mesh's ownership table every marginal a
+//! region reads is one it sweeps itself. Retired kind bytes — 0 (the
+//! heartbeat sub-frame, superseded by the batch itself in v3), 1 (v3's
+//! marginals), 3 (v2's flow summary) and 7 (v3's marginals resend
+//! request) — are [`WireError::UnknownKind`]:
 //!
-//! * **Coalescing** — workers send at most one [`FrameKind::Batch`]
-//!   frame per (link, tick), and exactly one on the forward tick: the
-//!   heartbeat, which may hold no sub-frame at all. A batch's payload
-//!   is a count followed by length-prefixed *sub-frames*, each carrying
-//!   its own kind, reliable seq, round, and payload:
+//! * **Coalescing** — workers send exactly one [`FrameKind::Batch`]
+//!   frame per (link, tick): the heartbeat, which may hold no sub-frame
+//!   at all. A batch's payload is a count followed by length-prefixed
+//!   *sub-frames*, each carrying its own kind, reliable seq, round, and
+//!   payload:
 //!
 //!   ```text
 //!   count u32
@@ -36,20 +39,17 @@
 //!
 //!   A batch inside a batch is refused ([`WireError::NestedBatch`]).
 //!
-//! * **Deltas** — the two row payloads (`Marginals`, `GammaRows`)
-//!   open with a `base` round: the round of the previous frame of that
-//!   kind the sender shipped on this link. A *full* frame is
-//!   self-referential (`base == round`); a delta names its predecessor,
-//!   so frames of one kind form a chain. Marginals are the one
-//!   watermarked broadcast: a receiver whose watermark does not match
-//!   `base + 1` knows a link-local gap occurred and requests a full
-//!   marginals frame ([`Payload::Resend`], an empty payload).
+//! * **Deltas** — the row payload (`GammaRows`) opens with a `base`
+//!   round: the round of the previous Γ frame the sender shipped. A
+//!   *full* frame is self-referential (`base == round`); a delta names
+//!   its predecessor, so Γ frames form a chain, and the reliable stream
+//!   delivers every link of it in order.
 //!
 //! Floats travel as their IEEE-754 bit patterns (`f64::to_bits`,
 //! little-endian) — encode→decode is *bit-identical*, which is what
 //! lets a fault-free mesh carry the bit-identity oracle. Decoding
 //! validates everything it reads: magic, version skew (a structured
-//! [`WireError::UnsupportedVersion`], never a panic — v1 and v2 bytes
+//! [`WireError::UnsupportedVersion`], never a panic — v1 to v3 bytes
 //! are refused, not misparsed), unknown kinds, truncation, trailing
 //! bytes, and **non-finite floats** — a NaN or ±Inf anywhere in a
 //! payload is refused at the boundary ([`WireError::NonFinite`]) so
@@ -74,7 +74,7 @@ use std::fmt;
 
 /// The wire protocol version this build speaks. Decoders refuse frames
 /// from any other version with [`WireError::UnsupportedVersion`].
-pub const WIRE_VERSION: u16 = 3;
+pub const WIRE_VERSION: u16 = 4;
 
 /// Frame magic: the first two bytes of every valid frame.
 pub(crate) const MAGIC: [u8; 2] = *b"SM";
@@ -83,13 +83,6 @@ pub(crate) const MAGIC: [u8; 2] = *b"SM";
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum FrameKind {
-    /// Liveness beacon (empty payload, unreliable). Workers send none
-    /// since v3: a batch proves its sender alive, so their heartbeat is
-    /// the forward tick's batch, shipped even when it is empty.
-    Heartbeat = 0,
-    /// Marginal-cost broadcast for the sender's owned nodes
-    /// (unreliable: listeners keep the last value heard).
-    Marginals = 1,
     /// Changed Γ routing rows for the sender's owned routers (reliable:
     /// retransmitted until acknowledged).
     GammaRows = 2,
@@ -100,12 +93,9 @@ pub enum FrameKind {
     RecoveryRequest = 5,
     /// A survivor's epoch-fenced state snapshot (reliable).
     RecoveryState = 6,
-    /// A receiver detected a marginals round gap and asks the sender
-    /// for a full (non-delta) marginals frame (unreliable — the
-    /// periodic refresh cadence backstops a lost request).
-    Resend = 7,
     /// The per-(link, tick) container: every other kind travels as a
-    /// length-prefixed sub-frame inside one of these.
+    /// length-prefixed sub-frame inside one of these. Sent every tick,
+    /// even empty, it is also the sender's heartbeat.
     Batch = 8,
 }
 
@@ -122,13 +112,10 @@ impl FrameKind {
 
     fn from_byte(byte: u8) -> Option<Self> {
         Some(match byte {
-            0 => FrameKind::Heartbeat,
-            1 => FrameKind::Marginals,
             2 => FrameKind::GammaRows,
             4 => FrameKind::Ack,
             5 => FrameKind::RecoveryRequest,
             6 => FrameKind::RecoveryState,
-            7 => FrameKind::Resend,
             8 => FrameKind::Batch,
             _ => return None,
         })
@@ -138,13 +125,10 @@ impl FrameKind {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            FrameKind::Heartbeat => "heartbeat",
-            FrameKind::Marginals => "marginals",
             FrameKind::GammaRows => "gamma-rows",
             FrameKind::Ack => "ack",
             FrameKind::RecoveryRequest => "recovery-request",
             FrameKind::RecoveryState => "recovery-state",
-            FrameKind::Resend => "resend",
             FrameKind::Batch => "batch",
         }
     }
@@ -154,17 +138,6 @@ impl fmt::Display for FrameKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// One marginal-cost entry: node `v`'s commodity-`j` marginal.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MarginalEntry {
-    /// Commodity index.
-    pub j: u32,
-    /// Extended-node index.
-    pub v: u32,
-    /// The marginal cost `∂A/∂r_v(j)`.
-    pub d: f64,
 }
 
 /// One Γ routing row: router `(j, v)`'s outgoing fractions.
@@ -221,20 +194,9 @@ pub struct SubFrame {
 /// A frame's kind-specific payload.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Payload {
-    /// Empty liveness beacon.
-    Heartbeat,
-    /// Marginal broadcast entries (possibly a delta — see `base`).
-    Marginals {
-        /// Round of the sender's previous marginals frame on this link;
-        /// `base == round` marks a full (non-delta) frame.
-        base: u64,
-        /// The entries that changed since `base` (all owned entries
-        /// when full).
-        entries: Vec<MarginalEntry>,
-    },
     /// Changed Γ rows (possibly a delta — see `base`).
     GammaRows {
-        /// Round of the sender's previous Γ frame on this link;
+        /// Round of the sender's previous Γ frame;
         /// `base == round` marks a full frame.
         base: u64,
         /// The rows that changed since `base` (all owned rows when
@@ -246,9 +208,6 @@ pub enum Payload {
         /// Highest contiguously-received reliable sequence number.
         cum: u64,
     },
-    /// Request for a full (non-delta) marginals frame after a detected
-    /// round gap (empty payload).
-    Resend,
     /// Recovery request with its fencing token.
     RecoveryRequest {
         /// Token echoed by the matching [`Payload::RecoveryState`].
@@ -265,11 +224,8 @@ impl Payload {
     #[must_use]
     pub fn kind(&self) -> FrameKind {
         match self {
-            Payload::Heartbeat => FrameKind::Heartbeat,
-            Payload::Marginals { .. } => FrameKind::Marginals,
             Payload::GammaRows { .. } => FrameKind::GammaRows,
             Payload::Ack { .. } => FrameKind::Ack,
-            Payload::Resend => FrameKind::Resend,
             Payload::RecoveryRequest { .. } => FrameKind::RecoveryRequest,
             Payload::RecoveryState(_) => FrameKind::RecoveryState,
             Payload::Batch(_) => FrameKind::Batch,
@@ -419,16 +375,6 @@ fn patch_u32_at(out: &mut [u8], at: usize, v: u32) {
 /// them with [`WireError::NestedBatch`].
 fn encode_payload(payload: &Payload, out: &mut Vec<u8>) {
     match payload {
-        Payload::Heartbeat | Payload::Resend => {}
-        Payload::Marginals { base, entries } => {
-            put_u64(out, *base);
-            put_u32(out, entries.len() as u32);
-            for e in entries {
-                put_u32(out, e.j);
-                put_u32(out, e.v);
-                put_f64(out, e.d);
-            }
-        }
         Payload::GammaRows { base, rows } => {
             put_u64(out, *base);
             put_u32(out, rows.len() as u32);
@@ -657,20 +603,6 @@ fn decode_payload(
     allow_batch: bool,
 ) -> Result<Payload, WireError> {
     Ok(match kind {
-        FrameKind::Heartbeat => Payload::Heartbeat,
-        FrameKind::Marginals => {
-            let base = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut entries = Vec::with_capacity(n.min(r.remaining() / 16));
-            for i in 0..n {
-                entries.push(MarginalEntry {
-                    j: r.u32()?,
-                    v: r.u32()?,
-                    d: r.finite_f64("marginals", i)?,
-                });
-            }
-            Payload::Marginals { base, entries }
-        }
         FrameKind::GammaRows => {
             let base = r.u64()?;
             let n = r.u32()? as usize;
@@ -692,7 +624,6 @@ fn decode_payload(
             Payload::GammaRows { base, rows }
         }
         FrameKind::Ack => Payload::Ack { cum: r.u64()? },
-        FrameKind::Resend => Payload::Resend,
         FrameKind::RecoveryRequest => Payload::RecoveryRequest { token: r.u64()? },
         FrameKind::RecoveryState => {
             let token = r.u64()?;
@@ -821,10 +752,8 @@ impl Reader<'_> {
 /// field puts / `end_sub`, and `finish` patches the outer length and
 /// sub count. Once warm the whole cycle performs zero allocations.
 ///
-/// Length fields are patched rather than precomputed, so callers can
-/// stream row data without knowing counts up front: `mark_u32`
-/// reserves a count slot and `patch_u32` fills it after the rows are
-/// written.
+/// Length fields are patched rather than precomputed, so a sub-frame's
+/// payload can be streamed in without knowing its length up front.
 #[derive(Debug, Default)]
 pub struct FrameBuf {
     buf: Vec<u8>,
@@ -921,22 +850,8 @@ impl FrameBuf {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Reserves a `u32` slot (e.g. a row count not yet known) and
-    /// returns its position for a later [`FrameBuf::patch_u32`].
-    pub(crate) fn mark_u32(&mut self) -> usize {
-        debug_assert!(self.sub_open);
-        let at = self.buf.len();
-        put_u32(&mut self.buf, 0);
-        at
-    }
-
-    /// Fills a slot reserved by [`FrameBuf::mark_u32`].
-    pub(crate) fn patch_u32(&mut self, at: usize, v: u32) {
-        patch_u32_at(&mut self.buf, at, v);
-    }
-
     /// Appends `payload`'s wire bytes to the open sub-frame (control
-    /// payloads — acks, resend requests, recovery frames).
+    /// payloads — acks, recovery frames).
     pub(crate) fn put_payload(&mut self, payload: &Payload) {
         debug_assert!(self.sub_open);
         encode_payload(payload, &mut self.buf);
@@ -1147,36 +1062,6 @@ impl<'a> BatchReader<'a> {
     }
 }
 
-/// Walks a [`FrameKind::Marginals`] payload in place, calling `f` per
-/// entry, and returns the frame's `base` round. Validates lengths and
-/// float finiteness exactly like [`Frame::decode`].
-///
-/// # Errors
-///
-/// Any [`WireError`] the payload bytes trigger.
-pub(crate) fn walk_marginals(
-    payload: &[u8],
-    mut f: impl FnMut(MarginalEntry),
-) -> Result<u64, WireError> {
-    let mut r = Reader {
-        buf: payload,
-        at: 0,
-    };
-    let base = r.u64()?;
-    let n = r.u32()? as usize;
-    for i in 0..n {
-        f(MarginalEntry {
-            j: r.u32()?,
-            v: r.u32()?,
-            d: r.finite_f64("marginals", i)?,
-        });
-    }
-    if r.remaining() != 0 {
-        return Err(WireError::BadLength { what: "marginals" });
-    }
-    Ok(base)
-}
-
 /// Walks a [`FrameKind::GammaRows`] payload in place and returns the
 /// frame's `base` round. Per row, `row(j, v, e)` — `e` the row's edge
 /// count — decides whether the row applies; `edge(j, v, l, phi)` fires
@@ -1239,19 +1124,6 @@ pub(crate) fn parse_ack(payload: &[u8]) -> Result<u64, WireError> {
     parse_exact_u64(payload, "ack")
 }
 
-/// Checks a [`FrameKind::Resend`] payload, which is empty.
-///
-/// # Errors
-///
-/// [`WireError::BadLength`] on any payload byte.
-pub(crate) fn parse_resend(payload: &[u8]) -> Result<(), WireError> {
-    if payload.is_empty() {
-        Ok(())
-    } else {
-        Err(WireError::BadLength { what: "resend" })
-    }
-}
-
 /// Parses a [`FrameKind::RecoveryRequest`] payload: the fencing token.
 ///
 /// # Errors
@@ -1294,31 +1166,10 @@ mod tests {
         vec![
             Frame {
                 from: 0,
-                to: 1,
+                to: 2,
                 seq: 0,
-                round: 3,
-                payload: Payload::Heartbeat,
-            },
-            Frame {
-                from: 2,
-                to: 0,
-                seq: 0,
-                round: 7,
-                payload: Payload::Marginals {
-                    base: 6,
-                    entries: vec![
-                        MarginalEntry {
-                            j: 0,
-                            v: 4,
-                            d: 1.25,
-                        },
-                        MarginalEntry {
-                            j: 1,
-                            v: 9,
-                            d: -3.5e-9,
-                        },
-                    ],
-                },
+                round: 8,
+                payload: Payload::Ack { cum: 41 },
             },
             Frame {
                 from: 1,
@@ -1333,20 +1184,6 @@ mod tests {
                         edges: vec![(5, 0.25), (9, 0.75)],
                     }],
                 },
-            },
-            Frame {
-                from: 0,
-                to: 2,
-                seq: 0,
-                round: 8,
-                payload: Payload::Ack { cum: 41 },
-            },
-            Frame {
-                from: 2,
-                to: 1,
-                seq: 0,
-                round: 9,
-                payload: Payload::Resend,
             },
             Frame {
                 from: 1,
@@ -1381,14 +1218,6 @@ mod tests {
                 round: 12,
                 payload: Payload::Batch(vec![
                     SubFrame {
-                        seq: 0,
-                        round: 12,
-                        payload: Payload::Marginals {
-                            base: 12,
-                            entries: vec![MarginalEntry { j: 0, v: 1, d: 0.5 }],
-                        },
-                    },
-                    SubFrame {
                         seq: 9,
                         round: 12,
                         payload: Payload::GammaRows {
@@ -1396,7 +1225,7 @@ mod tests {
                             rows: vec![GammaRow {
                                 j: 0,
                                 v: 3,
-                                edges: vec![(2, 1.0)],
+                                edges: vec![(2, 0.5), (4, 0.5)],
                             }],
                         },
                     },
@@ -1406,14 +1235,17 @@ mod tests {
                         payload: Payload::Ack { cum: 8 },
                     },
                     SubFrame {
-                        seq: 0,
+                        seq: 10,
                         round: 12,
-                        payload: Payload::Heartbeat,
+                        payload: Payload::RecoveryRequest { token: 5 },
                     },
                 ]),
             },
         ]
     }
+
+    /// The sample batch.
+    const BATCH: usize = 4;
 
     #[test]
     fn round_trips_every_kind() {
@@ -1454,67 +1286,60 @@ mod tests {
             })
         );
         bytes = orig;
-        // 0x7F was never a kind; 3 was v2's flow-summary kind
-        for kind in [0x7F, 3] {
+        // 0x7F was never a kind; 0 (heartbeat), 1 (marginals), 3 (flow
+        // summary) and 7 (marginals resend) are retired ones
+        for kind in [0x7F, 0, 1, 3, 7] {
             bytes[4] = kind;
             assert_eq!(
                 Frame::decode(&bytes),
                 Err(WireError::UnknownKind { got: kind })
             );
+            // the same byte in a batch's first sub-frame header
+            let mut batch = sample_frames()[BATCH].encode();
+            batch[HEADER_LEN + 4] = kind;
+            assert_eq!(
+                Frame::decode(&batch),
+                Err(WireError::UnknownKind { got: kind })
+            );
+            let mut reader = BatchReader::parse(&batch).unwrap();
+            assert_eq!(
+                reader.next_sub().map(|sub| sub.map(|sub| sub.kind)),
+                Some(Err(WireError::UnknownKind { got: kind }))
+            );
         }
-        // the same byte in a batch's first sub-frame header
-        let mut batch = sample_frames()[7].encode();
-        batch[HEADER_LEN + 4] = 3;
-        assert_eq!(
-            Frame::decode(&batch),
-            Err(WireError::UnknownKind { got: 3 })
-        );
-        let mut reader = BatchReader::parse(&batch).unwrap();
-        assert!(matches!(
-            reader.next_sub(),
-            Some(Err(WireError::UnknownKind { got: 3 }))
-        ));
     }
 
     #[test]
-    fn rejects_v1_frames() {
-        // a v1-stamped frame (version bytes 01 00) is refused up front,
-        // whatever its payload claims to be
-        let mut bytes = sample_frames()[1].encode();
-        bytes[2..4].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(
-            Frame::decode(&bytes),
-            Err(WireError::UnsupportedVersion {
-                got: 1,
-                supported: WIRE_VERSION
-            })
-        );
-        assert!(matches!(
-            BatchReader::parse(&bytes),
-            Err(WireError::UnsupportedVersion { got: 1, .. })
-        ));
+    fn rejects_older_versions() {
+        // v1–v3-stamped frames are refused up front, whatever their
+        // payload claims to be
+        for version in 1..WIRE_VERSION {
+            let mut bytes = sample_frames()[1].encode();
+            bytes[2..4].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                Frame::decode(&bytes),
+                Err(WireError::UnsupportedVersion {
+                    got: version,
+                    supported: WIRE_VERSION
+                })
+            );
+            assert!(matches!(
+                BatchReader::parse(&bytes),
+                Err(WireError::UnsupportedVersion { got, .. }) if got == version
+            ));
+        }
     }
 
     #[test]
     fn rejects_non_finite_floats() {
-        let frame = Frame {
-            from: 0,
-            to: 1,
-            seq: 0,
-            round: 0,
-            payload: Payload::Marginals {
-                base: 0,
-                entries: vec![MarginalEntry { j: 0, v: 0, d: 1.0 }],
-            },
-        };
-        let mut bytes = frame.encode();
+        let mut bytes = sample_frames()[1].encode();
         let float_at = bytes.len() - 8;
         bytes[float_at..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
         assert_eq!(
             Frame::decode(&bytes),
             Err(WireError::NonFinite {
-                what: "marginals",
-                index: 0
+                what: "gamma-rows",
+                index: 1
             })
         );
         bytes[float_at..].copy_from_slice(&f64::INFINITY.to_bits().to_le_bytes());
@@ -1526,7 +1351,7 @@ mod tests {
 
     #[test]
     fn rejects_truncation_and_trailing_bytes() {
-        for frame in [sample_frames()[2].clone(), sample_frames()[7].clone()] {
+        for frame in [sample_frames()[1].clone(), sample_frames()[BATCH].clone()] {
             let bytes = frame.encode();
             for cut in 1..bytes.len() {
                 assert!(
@@ -1539,27 +1364,26 @@ mod tests {
             extended.push(0);
             assert!(Frame::decode(&extended).is_err());
         }
-        // a resend's payload is empty: one byte there is refused, both
-        // in the owned decode and in the in-place parse
-        let resend = &sample_frames()[4];
-        assert_eq!(resend.payload, Payload::Resend);
-        let mut bytes = resend.encode();
+        // an ack's payload is exactly one u64: a ninth byte is refused,
+        // both in the owned decode and in the in-place parse
+        let ack = &sample_frames()[0];
+        let mut bytes = ack.encode();
         bytes.push(1);
-        patch_u32_at(&mut bytes, HEADER_LEN - 4, 1);
+        patch_u32_at(&mut bytes, HEADER_LEN - 4, 9);
         assert_eq!(
             Frame::decode(&bytes),
-            Err(WireError::BadLength { what: "resend" })
+            Err(WireError::BadLength { what: "ack" })
         );
-        assert_eq!(parse_resend(&[]), Ok(()));
+        assert_eq!(parse_ack(&[1, 0, 0, 0, 0, 0, 0, 0]), Ok(1));
         assert_eq!(
-            parse_resend(&[1]),
-            Err(WireError::BadLength { what: "resend" })
+            parse_ack(&[1; 9]),
+            Err(WireError::BadLength { what: "ack" })
         );
     }
 
     #[test]
     fn frame_len_classifies_prefixes() {
-        let bytes = sample_frames()[2].encode();
+        let bytes = sample_frames()[1].encode();
         // every strict header prefix: valid-so-far, never an error
         for cut in 0..HEADER_LEN {
             assert_eq!(frame_len(&bytes[..cut]), Ok(None), "prefix {cut}");
@@ -1599,7 +1423,7 @@ mod tests {
             payload: Payload::Batch(vec![SubFrame {
                 seq: 0,
                 round: 4,
-                payload: Payload::Heartbeat,
+                payload: Payload::Ack { cum: 3 },
             }]),
         };
         let mut bytes = outer.encode();
@@ -1618,7 +1442,7 @@ mod tests {
     fn frame_buf_matches_frame_encode() {
         // the streaming writer and the owned-value encoder must produce
         // byte-identical frames
-        let frame = &sample_frames()[7];
+        let frame = &sample_frames()[BATCH];
         let Payload::Batch(subs) = &frame.payload else {
             unreachable!()
         };
@@ -1653,17 +1477,19 @@ mod tests {
 
     #[test]
     fn frame_buf_streaming_fields_round_trip() {
-        // build a delta marginals sub field-by-field (the worker's hot
-        // path) and a raw retransmit copy; decode must see both
+        // build a delta Γ sub field-by-field and a raw retransmit copy;
+        // decode must see both
         let mut buf = FrameBuf::new();
         buf.begin(2, 0, 31);
-        buf.begin_sub(FrameKind::Marginals, 0, 31);
+        buf.begin_sub(FrameKind::GammaRows, 5, 31);
         buf.put_u64(30); // base
-        let count_at = buf.mark_u32();
-        buf.put_u32(1); // j
-        buf.put_u32(7); // v
-        buf.put_f64(2.5);
-        buf.patch_u32(count_at, 1);
+        buf.put_u32(1); // rows
+        for word in [1, 7, 2, 4] {
+            buf.put_u32(word); // j, v, edges, first edge
+        }
+        buf.put_f64(0.25);
+        buf.put_u32(6);
+        buf.put_f64(0.75);
         buf.end_sub();
         let flight: Vec<u8> = buf.last_sub().to_vec();
         buf.push_raw_sub(&flight);
@@ -1676,16 +1502,20 @@ mod tests {
         assert_eq!(subs[0], subs[1]);
         assert_eq!(
             subs[0].payload,
-            Payload::Marginals {
+            Payload::GammaRows {
                 base: 30,
-                entries: vec![MarginalEntry { j: 1, v: 7, d: 2.5 }]
+                rows: vec![GammaRow {
+                    j: 1,
+                    v: 7,
+                    edges: vec![(4, 0.25), (6, 0.75)]
+                }]
             }
         );
     }
 
     #[test]
     fn batch_reader_walks_subs_in_place() {
-        let frame = &sample_frames()[7];
+        let frame = &sample_frames()[BATCH];
         let bytes = frame.encode();
         let mut reader = BatchReader::parse(&bytes).unwrap();
         assert_eq!(reader.from(), 1);
@@ -1693,34 +1523,27 @@ mod tests {
         assert_eq!(reader.round(), 12);
 
         let sub = reader.next_sub().unwrap().unwrap();
-        assert_eq!(sub.kind, FrameKind::Marginals);
-        let mut entries = Vec::new();
-        let base = walk_marginals(sub.payload, |e| entries.push(e)).unwrap();
-        assert_eq!(base, 12);
-        assert_eq!(entries, vec![MarginalEntry { j: 0, v: 1, d: 0.5 }]);
-
-        let sub = reader.next_sub().unwrap().unwrap();
         assert_eq!((sub.kind, sub.seq), (FrameKind::GammaRows, 9));
         let mut edges = Vec::new();
         let base = walk_gamma_rows(
             sub.payload,
             |j, v, e| {
-                assert_eq!((j, v, e), (0, 3, 1));
+                assert_eq!((j, v, e), (0, 3, 2));
                 true
             },
             |_, _, l, phi| edges.push((l, phi)),
         )
         .unwrap();
         assert_eq!(base, 11);
-        assert_eq!(edges, vec![(2, 1.0)]);
+        assert_eq!(edges, vec![(2, 0.5), (4, 0.5)]);
 
         let sub = reader.next_sub().unwrap().unwrap();
         assert_eq!(sub.kind, FrameKind::Ack);
         assert_eq!(parse_ack(sub.payload).unwrap(), 8);
 
         let sub = reader.next_sub().unwrap().unwrap();
-        assert_eq!(sub.kind, FrameKind::Heartbeat);
-        assert!(sub.payload.is_empty());
+        assert_eq!((sub.kind, sub.seq), (FrameKind::RecoveryRequest, 10));
+        assert_eq!(parse_recovery_request(sub.payload).unwrap(), 5);
 
         assert!(reader.next_sub().is_none());
     }

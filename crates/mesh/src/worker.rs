@@ -3,32 +3,39 @@
 //! honest under a faulty transport.
 //!
 //! Every worker mirrors the complete `(routing, flows, marginals)`
-//! state but *owns* only its node range: Γ updates for owned deciders
-//! are computed locally and shipped as serialized rows; peer rows
-//! arrive over the wire and are merged in. Under a lossless transport
-//! each worker's redundant mirror sweeps are bit-identical to every
-//! peer's, so the merged trajectory is bit-identical to the monolithic
-//! `GradientAlgorithm` (ARCHITECTURE invariant 19).
+//! state but *owns* only part of the node space, by a table built once
+//! at construction (`owner_table`): the servers split into contiguous
+//! server-id ranges, each bandwidth node `n_ik` goes with its tail
+//! server `i` and each dummy source `s̄_j` with its source `s_j` — a
+//! router lives with the machine that runs it. Γ rows for owned
+//! deciders are computed locally and shipped as serialized rows; peer
+//! rows arrive over the wire and are merged in. Under a lossless
+//! transport each worker's redundant mirror sweeps are bit-identical to
+//! every peer's, so the merged trajectory is bit-identical to the
+//! monolithic `GradientAlgorithm` (ARCHITECTURE invariant 19).
 //!
-//! **Rows travel only to the regions that read them** (§5: a marginal
-//! goes upstream, to the nodes that route into it). Only Γ reads a
-//! received marginal, and Γ runs over deciders alone, so region `q`
-//! reads marginal `(j, v)` iff it owns a *decider* of `j` (a router
-//! with at least two out-arcs) with an arc into `v`;
-//! each worker ships an owned router's marginal to exactly those peers,
-//! from a per-peer list built at construction, and accepts a received
-//! one only if the sender owns the router and this worker reads it. An
-//! entry a region does not read is rewritten by its own next sweep
-//! before anything reads it, so not sending it changes no bit of a
-//! lossless run (invariant 20). Γ rows travel only for deciders: a
-//! pass-through router's row is `[(l, 1.0)]` on every mirror from
-//! construction on, so Γ runs over the owned deciders alone
-//! ([`apply_gamma_deciders`]) and a received pass-through row is
+//! **Only Γ rows travel.** Γ reads a decider's own row, its traffic,
+//! the usage totals and the marginals at the heads of its out-arcs.
+//! Under the ownership table every such head is owned by the decider's
+//! own region — a server's out-arcs end at its own bandwidth nodes, a
+//! dummy's at its source and at the sink, whose marginal is
+//! structurally `0.0` — so every region sweeps each marginal it reads
+//! itself and no marginal crosses the wire. Γ rows travel only for
+//! deciders: a pass-through router's row is `[(l, 1.0)]` on every
+//! mirror from construction on, so Γ runs over the owned deciders alone
+//! ([`stage_gamma_deciders`]) and a received pass-through row is
 //! malformed whatever it holds (invariant 24).
 //!
-//! An iteration is [`TICKS_PER_ITERATION`] ticks: *decide* (peers'
-//! marginals in, owned Γ out) and *forward* (peers' Γ rows in,
-//! flows, then the next round's marginals on the completed mirror).
+//! An iteration is one tick ([`TICKS_PER_ITERATION`]): apply the Γ rows
+//! received and the worker's own staged rows, sweep flows, retransmit
+//! and check suspects, sweep marginals, run Γ over the owned deciders
+//! and ship the rows. Own rows are *staged*, not written, and applied
+//! together with the peers' rows of the same round on the next tick, so
+//! between ticks every mirror holds the routing its flows and marginals
+//! were swept from — after `k` iterations, exactly `GradientAlgorithm`
+//! after `k` steps. All mirrors start equal, so every worker computes
+//! the first Γ pass over every decider at construction: nothing has to
+//! travel before the first tick.
 //!
 //! The two sweeps walk each commodity's **live arcs** (`φ ≠ 0`)
 //! through [`LiveArcSweeps`] — the sparse engine's kernels with
@@ -36,11 +43,10 @@
 //! commodity membership, not with `J·(V + L)`. The live-arc table is
 //! derived from the routing mirror's *support* (which fractions are
 //! nonzero), so a write marks its commodity stale — and the next sweep
-//! rebuilds it — exactly when it changes which fractions are zero: own
-//! Γ rows report that through [`GammaScratch::support_changed`], an
-//! applied peer Γ row through a zero-crossing check per fraction, and a
-//! recovery restore marks everything. A write that only moves values
-//! (most Γ rows) leaves the table as it is.
+//! rebuilds it — exactly when it changes which fractions are zero: an
+//! applied Γ row, own or a peer's, through a zero-crossing check per
+//! fraction, and a recovery restore marks everything. A write that only
+//! moves values (most Γ rows) leaves the table as it is.
 //! Entries outside a commodity's
 //! subgraph are structurally zero and no sweep rewrites them, which is
 //! why every index a frame carries is validated against the subgraph
@@ -48,18 +54,15 @@
 //!
 //! The send path is **delta-encoded, coalesced, and pooled**
 //! (ARCHITECTURE invariant 20): the worker fingerprints the exact bit
-//! pattern of every row it last shipped (per link for marginals, once
-//! for the Γ rows every peer gets) and sends only rows
-//! whose bits changed, inside exactly one [`FrameBuf`] batch per
-//! (link, tick), with every buffer (batches, flights, scratch) owned
-//! by the worker and reused across ticks — the converged steady state
-//! sends one empty heartbeat batch per link per iteration and allocates
-//! nothing.
-//! A periodic full refresh (`refresh_every` rounds) re-anchors every
-//! delta chain, and a receiver that detects a marginals round gap asks
-//! the sender for a full marginals frame ([`Payload::Resend`]).
-//! Suppression never changes what a receiver ends up holding — only whether the bytes
-//! travel: a suppressed row is bitwise what the receiver already has.
+//! pattern of every Γ row it last shipped and sends only rows whose
+//! bits changed, inside exactly one [`FrameBuf`] batch per (link,
+//! tick), with every buffer (batches, flights, scratch) owned by the
+//! worker and reused across ticks — the converged steady state sends
+//! one empty heartbeat batch per link per iteration and allocates
+//! nothing. A periodic full refresh (`refresh_every` rounds) re-anchors
+//! every delta chain. Suppression never changes what a receiver ends up
+//! holding — only whether the bytes travel: a suppressed row is bitwise
+//! what the receiver already has.
 //!
 //! Reliability, per peer link:
 //!
@@ -72,47 +75,58 @@
 //!   ahead-buffer holds at most the inbox budget in payload bytes per
 //!   link; a sub past it is refused unsequenced as one
 //!   [`MeshIncident::InboxOverflow`].
-//! * **Watermarked marginals**: a round watermark accepts only
-//!   strictly newer rounds; duplicates and stale frames are logged and
-//!   discarded, never applied twice. Each marginals frame names its
-//!   predecessor's round (`base`), so a receiver spots link-local loss
-//!   and requests a resync.
 //! * **Per-row round guards**: a Γ row is applied only if its round is
 //!   newer than the row's last applied round, so late retransmits
 //!   flushed after a recovery cannot regress restored state.
-//! * **Heartbeats & suspicion**: a peer silent for longer than the
-//!   suspect window is degraded to suspect — its rows simply stop
-//!   updating (last-known Γ) and iteration continues. When *all*
-//!   peers are suspect the worker is isolated; the first peer heard
-//!   from again triggers the epoch-fenced recovery handshake.
+//! * **Heartbeats & suspicion**: every tick's batch ships, even empty,
+//!   so liveness never depends on data changing; a peer silent for
+//!   longer than the suspect window is degraded to suspect — its rows
+//!   simply stop updating (last-known Γ) and iteration continues. When
+//!   *all* peers are suspect the worker is isolated; the first peer
+//!   heard from again triggers the epoch-fenced recovery handshake.
 
 use crate::incident::MeshIncident;
 use crate::recovery::{payload_to_snapshot, snapshot_to_payload, state_digest};
 use crate::transport::Inbox;
 use crate::wire::{
-    parse_ack, parse_recovery_request, parse_recovery_state, parse_resend, walk_gamma_rows,
-    walk_marginals, BatchReader, FrameBuf, FrameKind, Payload, SubView, WireError,
+    parse_ack, parse_recovery_request, parse_recovery_state, walk_gamma_rows, BatchReader,
+    FrameBuf, FrameKind, Payload, SubView, WireError,
 };
 use spn_core::flows::compute_flows;
-use spn_core::gamma::{apply_gamma_deciders, GammaScratch, GammaStats};
+use spn_core::gamma::{stage_gamma_deciders, GammaScratch, GammaStats};
 use spn_core::marginals::compute_marginals_into;
 use spn_core::routing::FRACTION_TOLERANCE;
 use spn_core::{
     Checkpoint, CostModel, FlowState, GradientConfig, LiveArcSweeps, Marginals, RoutingTable,
 };
-use spn_graph::EdgeId;
+use spn_graph::{EdgeId, NodeId};
 use spn_model::CommodityId;
-use spn_transform::ExtendedNetwork;
+use spn_transform::{ExtendedNetwork, NodeKind};
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
-use std::ops::Range;
 
-/// Which region owns extended node `v` of `v_count`, splitting the node
-/// index space into `regions` contiguous ranges.
+/// The region owning each extended node, `owner[v]`, for a mesh of
+/// `regions` workers: the `N` servers split into `regions` contiguous
+/// server-id ranges, each bandwidth node `n_ik` with its tail server
+/// `i`, each dummy source `s̄_j` with its source `s_j`. Every region
+/// owns at least one server when `1 <= regions <= N`.
 #[must_use]
-pub fn owner_of(v_index: usize, v_count: usize, regions: usize) -> usize {
-    debug_assert!(regions >= 1 && v_index < v_count);
-    (v_index * regions / v_count).min(regions - 1)
+pub(crate) fn owner_table(ext: &ExtendedNetwork, regions: usize) -> Vec<u16> {
+    let servers = ext.physical_nodes();
+    debug_assert!(regions >= 1 && regions <= servers && regions <= usize::from(u16::MAX));
+    let server_owner = |s: NodeId| (s.index() * regions / servers).min(regions - 1) as u16;
+    ext.graph()
+        .nodes()
+        .map(|v| match ext.node_kind(v) {
+            NodeKind::Processing(s) => server_owner(s),
+            NodeKind::Bandwidth(_) => {
+                // `n_ik`'s one in-edge is the ingress half from `i`
+                let ingress = ext.graph().in_edges(v)[0];
+                server_owner(ext.graph().source(ingress))
+            }
+            NodeKind::DummySource(j) => server_owner(ext.commodity(j).source()),
+        })
+        .collect()
 }
 
 /// The mass rule of a routing row of `edges` out-edges in a recovery
@@ -145,8 +159,9 @@ fn snapshot_rows_ok(ext: &ExtendedNetwork, phi: &[f64]) -> bool {
         })
 }
 
-/// Transport ticks per iteration: decide (even), forward (odd).
-pub const TICKS_PER_ITERATION: u64 = 2;
+/// Transport ticks per iteration: one — rows applied, swept, staged
+/// and shipped in a single tick.
+pub const TICKS_PER_ITERATION: u64 = 1;
 
 /// Ticks after a send before the first retransmit check may fire: the
 /// ack round trip is two ticks, plus slack so a lossless mesh never
@@ -161,6 +176,9 @@ const NEVER_SENT: u64 = u64::MAX;
 /// row.
 const NOT_A_ROUTER: u32 = u32::MAX;
 
+/// Byte length of a Γ payload's header: `base u64, count u32`.
+const GAMMA_HEADER: usize = 12;
+
 /// Per-link wire telemetry, counted at the sender's batch finish and
 /// the receiver's inbox drain. Deterministic: two same-seed runs count
 /// identical values.
@@ -172,11 +190,9 @@ pub struct LinkWireStats {
     pub bytes_sent: u64,
     /// Sub-frames shipped inside those batches.
     pub subs_sent: u64,
-    /// Marginal entries + Γ rows shipped.
+    /// Rows shipped, of every kind.
     pub rows_sent: u64,
-    /// The marginal entries among `rows_sent`.
-    pub marginal_rows_sent: u64,
-    /// The Γ rows among `rows_sent`.
+    /// The Γ rows among `rows_sent` (the only row kind since wire v4).
     pub gamma_rows_sent: u64,
     /// Rows whose bits matched the link fingerprint and were *not*
     /// shipped (the delta win).
@@ -185,14 +201,11 @@ pub struct LinkWireStats {
     pub frames_received: u64,
     /// Frame bytes received from this peer.
     pub bytes_received: u64,
-    /// Marginals round gaps detected on this link (resend requests
-    /// issued to the peer).
-    pub resyncs_requested: u64,
 }
 
 /// Wire telemetry aggregated over links (see
 /// [`RegionWorker::wire_stats`]) or over a whole mesh
-/// (`MeshReport::wire`). Send-side counters plus the resync count.
+/// (`MeshReport::wire`): the send-side counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MeshWireStats {
     /// Batch frames shipped.
@@ -201,15 +214,17 @@ pub struct MeshWireStats {
     pub bytes: u64,
     /// Sub-frames shipped.
     pub subs: u64,
-    /// Rows shipped.
+    /// Rows shipped, of every kind.
     pub rows_sent: u64,
-    /// Marginal entries shipped (part of `rows_sent`).
-    pub marginal_rows: u64,
-    /// Γ rows shipped (part of `rows_sent`).
+    /// Γ rows shipped (part of `rows_sent`; all of it since wire v4,
+    /// which carries no marginals).
     pub gamma_rows: u64,
     /// Rows suppressed by delta fingerprints.
     pub rows_suppressed: u64,
-    /// Marginals round gaps detected (resend requests issued).
+    /// Always 0: the broadcast chain whose gaps it counted (marginals)
+    /// left the wire in v4, and the reliable Γ stream retransmits
+    /// instead. Kept only because the frozen `benchmark/` reads it; the
+    /// next `[benchmark]` PR removes it.
     pub resyncs: u64,
 }
 
@@ -220,7 +235,6 @@ impl MeshWireStats {
         self.bytes += other.bytes;
         self.subs += other.subs;
         self.rows_sent += other.rows_sent;
-        self.marginal_rows += other.marginal_rows;
         self.gamma_rows += other.gamma_rows;
         self.rows_suppressed += other.rows_suppressed;
         self.resyncs += other.resyncs;
@@ -248,10 +262,9 @@ struct AheadSub {
     payload: Vec<u8>,
 }
 
-/// Per-peer link state: the reliable stream in both directions, the
-/// marginals watermark, and the delta fingerprints of the marginals last
-/// shipped to that peer (Γ's are the worker's: every peer gets the same
-/// Γ rows).
+/// Per-peer link state: the reliable stream in both directions (every
+/// peer gets the same Γ rows, so their delta fingerprints are the
+/// worker's, not the link's).
 struct Link {
     /// Next sequence number to assign (reliable sends; starts at 1).
     next_seq: u64,
@@ -265,31 +278,13 @@ struct Link {
     ahead: BTreeMap<u64, AheadSub>,
     /// Payload bytes held in `ahead` (at most the inbox budget).
     ahead_bytes: usize,
-    /// Marginals round watermark: next acceptable round.
-    wm_marginals: u64,
-    /// The owned router marginals this peer reads, as `(j, v, member
-    /// position)`, commodity-major in router order: the rows
-    /// [`RegionWorker::phase_marginals`] ships on this link.
-    marg_rows: Vec<(u32, u32, u32)>,
-    /// Bit fingerprint of the last marginal shipped per `marg_rows`
-    /// entry.
-    marg_sent: Vec<u64>,
-    /// Round of the last marginals frame shipped (the next delta's
-    /// `base`).
-    marg_round: u64,
-    /// Ship the next marginals frame full (a [`Payload::Resend`], or
-    /// none yet).
-    force_marginals: bool,
-    /// Ship this peer a [`Payload::Resend`] this tick (a gap detected
-    /// while draining the inbox).
-    want_resend: bool,
     /// A reliable sub arrived this tick; emit one cumulative ack.
     ack_pending: bool,
     stats: LinkWireStats,
 }
 
 impl Link {
-    fn new(marg_rows: Vec<(u32, u32, u32)>) -> Self {
+    fn new() -> Self {
         Link {
             next_seq: 1,
             in_flight: VecDeque::new(),
@@ -297,37 +292,62 @@ impl Link {
             recv_next: 1,
             ahead: BTreeMap::new(),
             ahead_bytes: 0,
-            wm_marginals: 0,
-            marg_sent: vec![NEVER_SENT; marg_rows.len()],
-            marg_rows,
-            marg_round: 0,
-            force_marginals: true,
-            want_resend: false,
             ack_pending: false,
             stats: LinkWireStats::default(),
         }
     }
 }
 
-/// One region worker: full mirror, owned node range, link states.
+/// Appends one Γ row — `j, v, edge count`, then `(edge, φ bits)` per
+/// out-edge, the wire's row layout — to a Γ payload.
+fn put_gamma_row(rows: &mut Vec<u8>, j: CommodityId, v: NodeId, row: &[(EdgeId, f64)]) {
+    for word in [j.index(), v.index(), row.len()] {
+        rows.extend_from_slice(&(word as u32).to_le_bytes());
+    }
+    for &(l, phi) in row {
+        rows.extend_from_slice(&(l.index() as u32).to_le_bytes());
+        rows.extend_from_slice(&phi.to_bits().to_le_bytes());
+    }
+}
+
+/// Writes the rows of a well-formed Γ payload that `keep(j, v, edges)`
+/// accepts into `routing`, stale-marking a commodity's live arcs where
+/// a fraction crosses zero (the live arcs are the nonzero fractions:
+/// only a zero crossing puts them out of date).
+fn write_gamma_rows(
+    routing: &mut RoutingTable,
+    sweeps: &mut LiveArcSweeps,
+    payload: &[u8],
+    keep: impl FnMut(u32, u32, usize) -> bool,
+) {
+    walk_gamma_rows(payload, keep, |j, _v, l, phi| {
+        let (j, l) = (
+            CommodityId::from_index(j as usize),
+            EdgeId::from_index(l as usize),
+        );
+        if (routing.fraction(j, l) != 0.0) != (phi != 0.0) {
+            sweeps.mark_stale(j);
+        }
+        routing.set_fraction(j, l, phi);
+    })
+    .expect("a Γ payload is walked cleanly before it is written");
+}
+
+/// One region worker: full mirror, owned nodes, link states.
 pub struct RegionWorker {
     region: usize,
     regions: usize,
     v_count: usize,
     edge_count: usize,
-    /// Region `r` owns nodes `region_lo[r]..region_lo[r + 1]`
-    /// (ownership is contiguous by construction of [`owner_of`]).
-    region_lo: Vec<usize>,
-    /// Per commodity, the sub-range of `commodity_routers(j)` (ascending
-    /// node order) this worker owns — the routers its Γ runs over.
-    owned_routers: Vec<Range<usize>>,
-    /// Per commodity, the sub-range of `members(j).deciders()` inside
-    /// `owned_routers[j]` — the rows the Γ stream ships.
-    owned_deciders: Vec<Range<usize>>,
-    /// `reads[member_range(j).start + p]`: this worker owns a decider
-    /// with an arc into member `p` of commodity `j`, so its Γ reads that
-    /// marginal — the only marginal entries a peer may ship it.
-    reads: Vec<bool>,
+    /// The region owning each node ([`owner_table`]).
+    owner: Vec<u16>,
+    /// The owned deciders as `(commodity, member position, router
+    /// index)`, commodity-major in router order — the rows Γ computes
+    /// and the Γ stream ships.
+    owned: Vec<(u32, u32, u32)>,
+    /// Owned routers, deciders and pass-throughs alike: the `rows` of
+    /// this region's Γ statistics.
+    owned_routers: usize,
     /// Member position of every routing row, `router_pos[j·V + v]`
     /// ([`NOT_A_ROUTER`] elsewhere): wire frames address rows by node
     /// id, so a received row resolves here, like its `row_round` guard,
@@ -342,7 +362,7 @@ pub struct RegionWorker {
     /// The live-arc sweeps over the mirror; stale-marked by every
     /// routing write that moves a fraction across zero.
     sweeps: LiveArcSweeps,
-    /// Iteration counter (advances after the flow phase).
+    /// Iterations completed (advances after the flow sweep).
     round: u64,
     /// Commodity-set epoch (the checkpoint fence; constant here — the
     /// mesh does not reshape commodities mid-run).
@@ -351,8 +371,10 @@ pub struct RegionWorker {
     /// these are the values every snapshot carries).
     epsilon: f64,
     eta: f64,
-    /// Γ statistics of the worker's own rows, last iteration.
-    last_gamma: GammaStats,
+    /// Γ statistics of the staged own rows, and of the rows the last
+    /// tick applied.
+    staged_gamma: GammaStats,
+    applied_gamma: GammaStats,
     /// Per-peer link state (`links[region]` is unused).
     links: Vec<Link>,
     /// Bit fingerprint of the last Γ fraction shipped per (j, edge).
@@ -361,8 +383,10 @@ pub struct RegionWorker {
     gamma_sent: Vec<u64>,
     /// Round of the last Γ frame shipped (the next delta's `base`).
     gamma_round: u64,
-    /// The decide tick's changed owned decider rows, encoded once and
-    /// copied into every peer's Γ sub-frame; reused across ticks.
+    /// The staged own rows as a Γ payload (`base, count, rows`): shipped
+    /// to every peer by the tick that staged them and applied by the
+    /// next one; empty once applied. The rows of the construction-time
+    /// first pass cover every decider and never travel.
     gamma_rows: Vec<u8>,
     /// One batch writer per peer, reused across ticks
     /// (`outbox[region]` is unused).
@@ -383,13 +407,16 @@ pub struct RegionWorker {
 
 impl RegionWorker {
     /// Builds worker `region` of `regions` with the same initial mirror
-    /// as `GradientAlgorithm::from_extended`: fully-rejecting routing,
-    /// its flows, and its marginals (round 0's, so they never travel).
+    /// as `GradientAlgorithm::from_extended` — fully-rejecting routing,
+    /// its flows and its marginals — and the first Γ pass over every
+    /// decider staged (the pass every mirror computes alike, so none of
+    /// it travels). `owner` is the mesh's [`owner_table`].
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         ext: &ExtendedNetwork,
         cost: &CostModel,
         gradient: &GradientConfig,
+        owner: &[u16],
         region: usize,
         regions: usize,
         refresh_every: u64,
@@ -401,89 +428,29 @@ impl RegionWorker {
         let state = compute_flows(ext, &routing);
         let mut marginals = Marginals::zeros(ext);
         compute_marginals_into(ext, cost, &routing, &state, &mut marginals, None);
-        let mut region_lo: Vec<usize> = (0..regions)
-            .map(|r| {
-                (0..v_count)
-                    .find(|&v| owner_of(v, v_count, regions) == r)
-                    .expect("every region owns at least one node")
-            })
-            .collect();
-        region_lo.push(v_count);
-        let owned = region_lo[region]..region_lo[region + 1];
-        let owned_routers: Vec<Range<usize>> = ext
-            .commodity_ids()
-            .map(|j| {
-                let routers = ext.commodity_routers(j);
-                routers.partition_point(|v| v.index() < owned.start)
-                    ..routers.partition_point(|v| v.index() < owned.end)
-            })
-            .collect();
-        let owned_deciders = ext
-            .commodity_ids()
-            .map(|j| {
-                let (deciders, span) = (ext.members(j).deciders(), &owned_routers[j.index()]);
-                deciders.partition_point(|&(_, r)| (r as usize) < span.start)
-                    ..deciders.partition_point(|&(_, r)| (r as usize) < span.end)
-            })
-            .collect();
         let mut router_pos = vec![NOT_A_ROUTER; j_count * v_count];
-        for j in ext.commodity_ids() {
-            let positions = ext.members(j).routers();
-            for (v, &p) in ext.commodity_routers(j).iter().zip(positions) {
-                router_pos[j.index() * v_count + v.index()] = p;
-            }
-        }
-        // The readers relation: region `q` reads marginal `(j, v)` iff it
-        // owns a decider of `j` with an arc into `v` (only Γ reads a
-        // received marginal, and Γ runs over deciders alone). Each owned
-        // router's entry goes on the list of every other region that
-        // reads it (once per row); `reads` is this region's own side of
-        // it.
-        let mut marg_rows: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); regions];
-        let mut reads = vec![false; ext.member_total()];
-        let mut tail_owners = Vec::new();
+        let (mut owned, mut others) = (Vec::new(), Vec::new());
+        let mut owned_routers = 0;
         for j in ext.commodity_ids() {
             let members = ext.members(j);
-            let decider_owner = |t: u32| {
-                (members.out_arcs(t as usize).0.len() >= 2)
-                    .then(|| owner_of(members.node(t as usize).index(), v_count, regions))
-            };
-            for (p, read) in reads[ext.member_range(j)].iter_mut().enumerate() {
-                *read = members
-                    .in_arcs(p)
-                    .1
-                    .iter()
-                    .any(|&t| decider_owner(t) == Some(region));
+            for (v, &p) in ext.commodity_routers(j).iter().zip(members.routers()) {
+                router_pos[j.index() * v_count + v.index()] = p;
+                owned_routers += usize::from(usize::from(owner[v.index()]) == region);
             }
-            let span = owned_routers[j.index()].clone();
-            let routers = ext.commodity_routers(j)[span.clone()].iter();
-            for (&v, &p) in routers.zip(&members.routers()[span]) {
-                tail_owners.clear();
-                tail_owners.extend(
-                    members
-                        .in_arcs(p as usize)
-                        .1
-                        .iter()
-                        .filter_map(|&t| decider_owner(t)),
-                );
-                tail_owners.sort_unstable();
-                tail_owners.dedup();
-                for &q in &tail_owners {
-                    if q != region {
-                        marg_rows[q].push((j.index() as u32, v.index() as u32, p));
-                    }
-                }
+            for &(p, r) in members.deciders() {
+                let mine = usize::from(owner[members.node(p as usize).index()]) == region;
+                let list = if mine { &mut owned } else { &mut others };
+                list.push((j.index() as u32, p, r));
             }
         }
-        RegionWorker {
+        let mut worker = RegionWorker {
             region,
             regions,
             v_count,
             edge_count,
-            region_lo,
+            owner: owner.to_vec(),
+            owned,
             owned_routers,
-            owned_deciders,
-            reads,
             router_pos,
             refresh_every: refresh_every.max(1),
             routing,
@@ -494,8 +461,9 @@ impl RegionWorker {
             epoch: 0,
             epsilon: cost.epsilon,
             eta: gradient.eta,
-            last_gamma: GammaStats::default(),
-            links: marg_rows.into_iter().map(Link::new).collect(),
+            staged_gamma: GammaStats::default(),
+            applied_gamma: GammaStats::default(),
+            links: (0..regions).map(|_| Link::new()).collect(),
             gamma_sent: vec![NEVER_SENT; j_count * edge_count],
             gamma_round: 0,
             gamma_rows: Vec::new(),
@@ -506,12 +474,25 @@ impl RegionWorker {
             recovering: None,
             gamma_scratch: GammaScratch::default(),
             scratch: Checkpoint::new(),
-        }
+        };
+        // the first pass: the owned rows fingerprinted as if shipped
+        // (every peer computes them too), then every other decider's,
+        // statistics dropped — they are the owner's to report (their
+        // fingerprints are never read: only owned rows ship)
+        let mut rows = 0u32;
+        worker.gamma_rows.resize(GAMMA_HEADER, 0);
+        worker.staged_gamma = worker.stage_gamma(ext, cost, gradient, true, &mut rows);
+        let owned = std::mem::replace(&mut worker.owned, others);
+        worker.stage_gamma(ext, cost, gradient, true, &mut rows);
+        worker.owned = owned;
+        worker.gamma_rows[8..GAMMA_HEADER].copy_from_slice(&rows.to_le_bytes());
+        worker
     }
 
-    /// The node range region `r` owns.
-    fn owned_nodes(&self, r: usize) -> Range<usize> {
-        self.region_lo[r]..self.region_lo[r + 1]
+    /// The region that owns node `v`.
+    #[must_use]
+    pub fn owner(&self, v: NodeId) -> usize {
+        usize::from(self.owner[v.index()])
     }
 
     /// The mirror's routing table.
@@ -532,10 +513,11 @@ impl RegionWorker {
         &self.marginals
     }
 
-    /// Γ statistics of this worker's own rows, last iteration.
+    /// Γ statistics of the own rows the last tick applied (the owned
+    /// routers' share of that iteration's Γ).
     #[must_use]
     pub(crate) fn gamma_stats(&self) -> GammaStats {
-        self.last_gamma
+        self.applied_gamma
     }
 
     /// Admitted rate of commodity `j` under this worker's mirror.
@@ -577,10 +559,9 @@ impl RegionWorker {
                 bytes: link.stats.bytes_sent,
                 subs: link.stats.subs_sent,
                 rows_sent: link.stats.rows_sent,
-                marginal_rows: link.stats.marginal_rows_sent,
                 gamma_rows: link.stats.gamma_rows_sent,
                 rows_suppressed: link.stats.rows_suppressed,
-                resyncs: link.stats.resyncs_requested,
+                resyncs: 0,
             });
         }
         total
@@ -627,11 +608,13 @@ impl RegionWorker {
         });
     }
 
-    /// Drives one transport tick: opens this tick's per-link batches,
-    /// drains the inbox, and runs the decide or forward phase the tick
-    /// selects (the forward tick also retransmits, checks suspects and
-    /// advances the round before its marginal sweep). The runtime then
-    /// ships each non-empty batch via [`RegionWorker::outgoing`].
+    /// Drives one transport tick — one iteration: opens this tick's
+    /// per-link batches (every one a heartbeat, shipped even empty),
+    /// drains the inbox (peers' Γ rows, acks, recovery frames), applies
+    /// the staged own rows, sweeps flows, retransmits and checks
+    /// suspects, advances the round, sweeps marginals, and stages and
+    /// ships the owned deciders' next Γ rows. The runtime then ships
+    /// each batch via [`RegionWorker::outgoing`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_phase(
         &mut self,
@@ -648,20 +631,23 @@ impl RegionWorker {
         for peer in 0..self.regions {
             if peer != self.region {
                 self.outbox[peer].begin(region, peer as u16, round);
+                self.outbox[peer].mark_heartbeat();
             }
         }
         self.process_inbox(ext, tick, inbox, log);
-        self.flush_control();
-        match tick % TICKS_PER_ITERATION {
-            0 => self.phase_gamma(ext, cost, gradient, tick),
-            _ => {
-                self.phase_flows(ext);
-                self.retransmit(tick, backoff_cap, log);
-                self.check_suspects(tick, suspect_after, log);
-                self.round += 1;
-                self.phase_marginals(ext, cost);
-            }
-        }
+        self.flush_acks();
+        self.apply_staged();
+        self.sweeps.flows_into(ext, &self.routing, &mut self.state);
+        #[cfg(test)]
+        self.assert_flows_match_dense(ext);
+        self.retransmit(tick, backoff_cap, log);
+        self.check_suspects(tick, suspect_after, log);
+        self.round += 1;
+        self.sweeps
+            .marginals_into(ext, cost, &self.routing, &self.state, &mut self.marginals);
+        #[cfg(test)]
+        self.assert_marginals_match_dense(ext, cost);
+        self.phase_gamma(ext, cost, gradient, tick);
         for peer in 0..self.regions {
             if peer == self.region {
                 continue;
@@ -675,105 +661,57 @@ impl RegionWorker {
         }
     }
 
-    /// One cumulative ack and/or resend request per link, from flags
-    /// the inbox drain raised.
-    fn flush_control(&mut self) {
+    /// One cumulative ack per link whose inbox drain took up a reliable
+    /// sub.
+    fn flush_acks(&mut self) {
         let round = self.round;
         for peer in 0..self.regions {
             if peer == self.region {
                 continue;
             }
             let link = &mut self.links[peer];
-            let batch = &mut self.outbox[peer];
             if link.ack_pending {
                 link.ack_pending = false;
+                let batch = &mut self.outbox[peer];
                 batch.begin_sub(FrameKind::Ack, 0, round);
                 batch.put_u64(link.recv_next - 1);
                 batch.end_sub();
             }
-            if link.want_resend {
-                batch.begin_sub(FrameKind::Resend, 0, round);
-                batch.end_sub();
-                link.want_resend = false;
-            }
         }
     }
 
-    /// End of the forward tick, in the new round: the live-arc marginal
-    /// sweep over the mirror, then ship each peer the entries on its
-    /// readers list whose bits changed since last shipped on that link
-    /// (the whole list on a refresh or forced-full round). No other entry
-    /// travels: a non-router marginal is structurally `0.0` on every
-    /// mirror, and one the peer does not read is rewritten by the peer's
-    /// own sweep before anything reads it.
-    fn phase_marginals(&mut self, ext: &ExtendedNetwork, cost: &CostModel) {
-        self.sweeps
-            .marginals_into(ext, cost, &self.routing, &self.state, &mut self.marginals);
-        #[cfg(test)]
-        self.assert_marginals_match_dense(ext, cost);
-        if self.regions == 1 {
-            return;
-        }
-        let refresh = self.round.is_multiple_of(self.refresh_every);
-        let round = self.round;
-        for peer in 0..self.regions {
-            if peer == self.region {
-                continue;
-            }
-            let link = &mut self.links[peer];
-            let batch = &mut self.outbox[peer];
-            let full = refresh || link.force_marginals;
-            let mut opened = false;
-            let mut count_at = 0usize;
-            let mut n = 0u32;
-            let mut suppressed = 0u64;
-            for (&(j, v, p), sent) in link.marg_rows.iter().zip(&mut link.marg_sent) {
-                let d = self.marginals.row(ext, CommodityId::from_index(j as usize))[p as usize];
-                let bits = d.to_bits();
-                if full || *sent != bits {
-                    *sent = bits;
-                    if !opened {
-                        batch.begin_sub(FrameKind::Marginals, 0, round);
-                        batch.put_u64(if full { round } else { link.marg_round });
-                        count_at = batch.mark_u32();
-                        opened = true;
-                    }
-                    batch.put_u32(j);
-                    batch.put_u32(v);
-                    batch.put_f64(d);
-                    n += 1;
-                } else {
-                    suppressed += 1;
-                }
-            }
-            if opened {
-                batch.patch_u32(count_at, n);
-                batch.end_sub();
-                link.marg_round = round;
-                link.force_marginals = false;
-                link.stats.rows_sent += u64::from(n);
-                link.stats.marginal_rows_sent += u64::from(n);
-            }
-            link.stats.rows_suppressed += suppressed;
+    /// Writes the staged own rows into the mirror — the rows of the
+    /// same round as the peers' rows the inbox drain just applied — and
+    /// makes their statistics the tick's.
+    fn apply_staged(&mut self) {
+        self.applied_gamma = self.staged_gamma;
+        if !self.gamma_rows.is_empty() {
+            write_gamma_rows(
+                &mut self.routing,
+                &mut self.sweeps,
+                &self.gamma_rows,
+                |_, _, _| true,
+            );
+            self.gamma_rows.clear();
         }
     }
 
-    /// The decide tick: Γ over the owned deciders (which stale-marks
-    /// every commodity whose support it moved); ship every peer the owned
-    /// decider rows whose fraction bits changed, on the reliable stream
-    /// (every owned decider row on a refresh round — the backstop that
-    /// bounds post-recovery divergence). The rows are found and encoded
-    /// once; each peer's sub gets its own seq and flight copy.
-    /// Pass-through rows are `[(l, 1.0)]` on every mirror and never
-    /// travel.
-    fn phase_gamma(
+    /// Γ over the listed deciders (`self.owned`) against the mirror,
+    /// nothing written: each row whose bits differ from its last
+    /// shipped fingerprint — every row when `full` — is fingerprinted
+    /// and appended to the staged payload, counted in `rows`. Returns
+    /// the pass's statistics, `rows` counting every owned router.
+    fn stage_gamma(
         &mut self,
         ext: &ExtendedNetwork,
         cost: &CostModel,
         gradient: &GradientConfig,
-        tick: u64,
-    ) {
-        self.last_gamma = apply_gamma_deciders(
+        full: bool,
+        rows: &mut u32,
+    ) -> GammaStats {
+        let edge_count = self.edge_count;
+        let (sent, staged) = (&mut self.gamma_sent, &mut self.gamma_rows);
+        let mut stats = stage_gamma_deciders(
             ext,
             cost,
             &mut self.routing,
@@ -783,51 +721,47 @@ impl RegionWorker {
             gradient.traffic_floor,
             gradient.opening_fraction,
             gradient.shift_cap,
-            &self.owned_routers,
+            &self.owned,
             &mut self.gamma_scratch,
+            |j, p, row| {
+                let sent = &mut sent[j.index() * edge_count..][..edge_count];
+                if full || row.iter().any(|&(l, phi)| sent[l.index()] != phi.to_bits()) {
+                    for &(l, phi) in row {
+                        sent[l.index()] = phi.to_bits();
+                    }
+                    put_gamma_row(staged, j, ext.members(j).node(p), row);
+                    *rows += 1;
+                }
+            },
         );
-        let (edge_count, round) = (self.edge_count, self.round);
-        // a commodity's live arcs are out of date only where Γ moved a
-        // fraction across zero
-        for j in ext.commodity_ids() {
-            if self.gamma_scratch.support_changed(j) {
-                self.sweeps.mark_stale(j);
-            }
-        }
-        if self.regions == 1 {
-            return;
-        }
-        let refresh = round % self.refresh_every == 0;
-        self.gamma_rows.clear();
-        let (mut n, mut suppressed) = (0u32, 0u64);
-        for j in ext.commodity_ids() {
-            let members = ext.members(j);
-            let sent = &mut self.gamma_sent[j.index() * edge_count..][..edge_count];
-            let deciders = &members.deciders()[self.owned_deciders[j.index()].clone()];
-            for &(p, _) in deciders {
-                let out = members.out_arcs(p as usize).0;
-                let changed = refresh
-                    || out
-                        .iter()
-                        .any(|&l| sent[l.index()] != self.routing.fraction(j, l).to_bits());
-                if !changed {
-                    suppressed += 1;
-                    continue;
-                }
-                let rows = &mut self.gamma_rows;
-                for word in [j.index(), members.node(p as usize).index(), out.len()] {
-                    rows.extend_from_slice(&(word as u32).to_le_bytes());
-                }
-                for &l in out {
-                    let phi = self.routing.fraction(j, l);
-                    sent[l.index()] = phi.to_bits();
-                    rows.extend_from_slice(&(l.index() as u32).to_le_bytes());
-                    rows.extend_from_slice(&phi.to_bits().to_le_bytes());
-                }
-                n += 1;
-            }
-        }
+        stats.rows = self.owned_routers;
+        stats
+    }
+
+    /// End of the tick: Γ over the owned deciders, staged; the owned
+    /// rows whose fraction bits changed since last shipped (every owned
+    /// row on a refresh round — the backstop that bounds post-recovery
+    /// divergence) go to every peer on the reliable stream. The rows
+    /// are found and encoded once; each peer's sub gets its own seq and
+    /// flight copy. Pass-through rows are `[(l, 1.0)]` on every mirror
+    /// and never travel.
+    fn phase_gamma(
+        &mut self,
+        ext: &ExtendedNetwork,
+        cost: &CostModel,
+        gradient: &GradientConfig,
+        tick: u64,
+    ) {
+        let round = self.round;
+        let refresh = round.is_multiple_of(self.refresh_every);
         let base = if refresh { round } else { self.gamma_round };
+        self.gamma_rows.clear();
+        self.gamma_rows.extend_from_slice(&base.to_le_bytes());
+        self.gamma_rows.extend_from_slice(&0u32.to_le_bytes());
+        let mut n = 0u32;
+        self.staged_gamma = self.stage_gamma(ext, cost, gradient, refresh, &mut n);
+        self.gamma_rows[8..GAMMA_HEADER].copy_from_slice(&n.to_le_bytes());
+        let suppressed = (self.owned.len() as u64).saturating_sub(u64::from(n));
         if n > 0 {
             self.gamma_round = round;
         }
@@ -844,8 +778,6 @@ impl RegionWorker {
             let seq = link.next_seq;
             link.next_seq += 1;
             batch.begin_sub(FrameKind::GammaRows, seq, round);
-            batch.put_u64(base);
-            batch.put_u32(n);
             batch.put_bytes(&self.gamma_rows);
             batch.end_sub();
             link.stats.rows_sent += u64::from(n);
@@ -860,24 +792,6 @@ impl RegionWorker {
                 attempts: 0,
                 due: tick + RETRY_GRACE,
             });
-        }
-    }
-
-    /// Start of the forward tick: the live-arc flow sweep (§5's flow
-    /// forecast, eqs. (3)–(5)) for the merged routing decision,
-    /// rebuilding the live arcs of every commodity the decide tick and
-    /// the inbox wrote; then every peer's batch is marked a heartbeat,
-    /// so it ships even empty and liveness never depends on data
-    /// changing (a receiver notes liveness per batch, so an empty one
-    /// is the whole heartbeat).
-    fn phase_flows(&mut self, ext: &ExtendedNetwork) {
-        self.sweeps.flows_into(ext, &self.routing, &mut self.state);
-        #[cfg(test)]
-        self.assert_flows_match_dense(ext);
-        for peer in 0..self.regions {
-            if peer != self.region {
-                self.outbox[peer].mark_heartbeat();
-            }
         }
     }
 
@@ -902,10 +816,24 @@ impl RegionWorker {
         parsed.map_err(|e| log.push(self.malformed(tick, e))).ok()
     }
 
-    /// Verdict of a validation walk over a row payload of `round`: it
-    /// must have decoded, every index must have checked out (`valid`),
-    /// and its `base` must name a predecessor round. Logs the discard
-    /// and answers `false` otherwise.
+    /// Member position of wire pair `(j, v)` if it is a routing row of
+    /// region `from` — `v` a router of commodity `j` that `from` owns.
+    /// Anything else would write outside the subgraph the live-arc
+    /// sweeps maintain (or outside the buffers altogether).
+    fn router_of(&self, ext: &ExtendedNetwork, from: usize, j: u32, v: u32) -> Option<usize> {
+        let (ji, vi) = (j as usize, v as usize);
+        if ji >= ext.num_commodities() || self.owner.get(vi).map(|&o| usize::from(o)) != Some(from)
+        {
+            return None;
+        }
+        let p = self.router_pos[ji * self.v_count + vi];
+        (p != NOT_A_ROUTER).then_some(p as usize)
+    }
+
+    /// Verdict of a validation walk over a Γ payload of `round`: it must
+    /// have decoded, every index must have checked out (`valid`), and
+    /// its `base` must name a predecessor round. Logs the discard and
+    /// answers `false` otherwise.
     fn accepted(
         &self,
         tick: u64,
@@ -922,19 +850,6 @@ impl RegionWorker {
         false
     }
 
-    /// Member position of wire pair `(j, v)` if it is a routing row of
-    /// region `from` — `v` a router of commodity `j` inside `from`'s
-    /// node range. Anything else would write outside the subgraph the
-    /// live-arc sweeps maintain (or outside the buffers altogether).
-    fn router_of(&self, ext: &ExtendedNetwork, from: usize, j: u32, v: u32) -> Option<usize> {
-        let (ji, vi) = (j as usize, v as usize);
-        if ji >= ext.num_commodities() || !self.owned_nodes(from).contains(&vi) {
-            return None;
-        }
-        let p = self.router_pos[ji * self.v_count + vi];
-        (p != NOT_A_ROUTER).then_some(p as usize)
-    }
-
     fn process_inbox(
         &mut self,
         ext: &ExtendedNetwork,
@@ -947,7 +862,7 @@ impl RegionWorker {
             // real socket a desync or corruption must not take the node
             // down: discard the frame, log the incident, keep iterating
             // (the reliable layer retransmits, deltas re-anchor via the
-            // periodic refresh / resync request)
+            // periodic refresh)
             let mut reader = match BatchReader::parse(bytes) {
                 Ok(reader) => reader,
                 Err(e) => {
@@ -984,8 +899,13 @@ impl RegionWorker {
                     log.push(self.malformed(tick, "sub-frame round out of range"));
                 } else if sub.kind.is_reliable() {
                     self.receive_reliable(ext, tick, from, &sub, inbox.budget(), log);
-                } else {
-                    self.receive_unreliable(ext, tick, from, &sub, log);
+                } else if let Some(cum) = self.parsed(tick, parse_ack(sub.payload), log) {
+                    // an ack, the one unreliable kind
+                    let link = &mut self.links[from];
+                    while matches!(link.in_flight.front(), Some(f) if f.seq <= cum) {
+                        let flight = link.in_flight.pop_front().expect("front checked");
+                        link.spare.push(flight.bytes);
+                    }
                 }
             }
         }
@@ -1144,36 +1064,18 @@ impl RegionWorker {
                 }
                 let v_count = self.v_count;
                 let row_round = &mut self.row_round;
-                let routing = &mut self.routing;
-                let sweeps = &mut self.sweeps;
                 let mut stale = 0u64;
-                walk_gamma_rows(
-                    payload,
-                    |j, v, _| {
-                        let idx = j as usize * v_count + v as usize;
-                        // per-row guard: only strictly newer rounds apply
-                        if round + 1 > row_round[idx] {
-                            row_round[idx] = round + 1;
-                            true
-                        } else {
-                            stale += 1;
-                            false
-                        }
-                    },
-                    |j, _v, l, phi| {
-                        let (j, l) = (
-                            CommodityId::from_index(j as usize),
-                            EdgeId::from_index(l as usize),
-                        );
-                        // the live arcs are the nonzero fractions: only
-                        // a zero crossing puts them out of date
-                        if (routing.fraction(j, l) != 0.0) != (phi != 0.0) {
-                            sweeps.mark_stale(j);
-                        }
-                        routing.set_fraction(j, l, phi);
-                    },
-                )
-                .expect("payload walked cleanly in the validation pass");
+                write_gamma_rows(&mut self.routing, &mut self.sweeps, payload, |j, v, _| {
+                    let idx = j as usize * v_count + v as usize;
+                    // per-row guard: only strictly newer rounds apply
+                    if round + 1 > row_round[idx] {
+                        row_round[idx] = round + 1;
+                        true
+                    } else {
+                        stale += 1;
+                        false
+                    }
+                });
                 for _ in 0..stale {
                     log.push(MeshIncident::StaleFrameDiscarded {
                         tick,
@@ -1233,12 +1135,13 @@ impl RegionWorker {
                         self.row_round.fill(round + 1);
                         self.recovering = None;
                         self.sweeps.mark_all_stale();
-                        // the restored mirror invalidates every delta
-                        // chain this worker maintains as a *sender*:
-                        // ship full frames next time on every link
-                        for link in &mut self.links {
-                            link.force_marginals = true;
-                        }
+                        // the staged own rows were computed from the
+                        // mirror just replaced, and the restored one
+                        // invalidates every delta chain this worker
+                        // maintains as a *sender*: drop them, and ship
+                        // every owned row next time
+                        self.gamma_rows.clear();
+                        self.staged_gamma = GammaStats::default();
                         self.gamma_sent.fill(NEVER_SENT);
                         self.capture_scratch();
                         let digest = state_digest(self.scratch.phi());
@@ -1261,112 +1164,6 @@ impl RegionWorker {
             _ => unreachable!("unreliable payload on the reliable path"),
         }
         true
-    }
-
-    fn receive_unreliable(
-        &mut self,
-        ext: &ExtendedNetwork,
-        tick: u64,
-        from: usize,
-        sub: &SubView<'_>,
-        log: &mut Vec<MeshIncident>,
-    ) {
-        match sub.kind {
-            FrameKind::Heartbeat => {}
-            FrameKind::Ack => {
-                let Some(cum) = self.parsed(tick, parse_ack(sub.payload), log) else {
-                    return;
-                };
-                let link = &mut self.links[from];
-                while matches!(link.in_flight.front(), Some(f) if f.seq <= cum) {
-                    let flight = link.in_flight.pop_front().expect("front checked");
-                    link.spare.push(flight.bytes);
-                }
-            }
-            FrameKind::Resend => {
-                if self.parsed(tick, parse_resend(sub.payload), log).is_some() {
-                    self.links[from].force_marginals = true;
-                }
-            }
-            FrameKind::Marginals => {
-                let wm = self.links[from].wm_marginals;
-                if sub.round >= wm {
-                    // validation pass, no writes: only `from`'s router
-                    // entries are ever nonzero, and only those this
-                    // worker reads are shipped to it
-                    let mut valid = true;
-                    let walked = walk_marginals(sub.payload, |e| {
-                        valid &= self.router_of(ext, from, e.j, e.v).is_some_and(|p| {
-                            let j = CommodityId::from_index(e.j as usize);
-                            self.reads[ext.member_range(j).start + p]
-                        });
-                    });
-                    if !self.accepted(tick, sub.round, walked, valid, log) {
-                        return;
-                    }
-                    let marginals = &mut self.marginals;
-                    let (router_pos, v_count) = (&self.router_pos, self.v_count);
-                    let base = walk_marginals(sub.payload, |e| {
-                        let (ji, vi) = (e.j as usize, e.v as usize);
-                        let p = router_pos[ji * v_count + vi] as usize;
-                        marginals.row_mut(ext, CommodityId::from_index(ji))[p] = e.d;
-                    })
-                    .expect("payload walked cleanly in the validation pass");
-                    let link = &mut self.links[from];
-                    link.wm_marginals = sub.round + 1;
-                    if base != sub.round && base + 1 != wm {
-                        // a delta whose predecessor never arrived —
-                        // link-local loss; ask the sender for a full frame
-                        link.want_resend = true;
-                        link.stats.resyncs_requested += 1;
-                        log.push(MeshIncident::ResyncRequested {
-                            tick,
-                            region: self.region,
-                            peer: from,
-                            kind: FrameKind::Marginals,
-                        });
-                    }
-                } else {
-                    log.push(Self::discard_incident(
-                        tick,
-                        self.region,
-                        from,
-                        FrameKind::Marginals,
-                        sub.round,
-                        wm,
-                    ));
-                }
-            }
-            _ => unreachable!("reliable sub on the unreliable path"),
-        }
-    }
-
-    /// A below-watermark broadcast is a *duplicate* if it is exactly the
-    /// last accepted round and *stale* if older still.
-    fn discard_incident(
-        tick: u64,
-        region: usize,
-        from: usize,
-        kind: FrameKind,
-        round: u64,
-        wm: u64,
-    ) -> MeshIncident {
-        if round + 1 == wm {
-            MeshIncident::DuplicateFrameDiscarded {
-                tick,
-                region,
-                from,
-                kind,
-            }
-        } else {
-            MeshIncident::StaleFrameDiscarded {
-                tick,
-                region,
-                from,
-                kind,
-                round,
-            }
-        }
     }
 
     /// Retransmits overdue unacked reliable sub-frames under capped
@@ -1585,13 +1382,14 @@ mod tests {
         /// sweeps that follow (each rebuilds, debug-asserts, and is
         /// compared with the dense reference) see an exact table.
         ///
-        /// The relaxed contract is checked from both sides on every tick
-        /// without an own Γ write: a `shadow` copy of the table, brought
-        /// up to date before the tick and never marked, is still
-        /// consistent afterwards exactly when no write moved a fraction
-        /// across zero — value-only writes need no `mark_stale`, a zero
-        /// crossing needs one. (Dropping the zero-crossing mark in
-        /// `apply_reliable` fails this test.)
+        /// The relaxed contract is checked from both sides on every tick:
+        /// a `shadow` copy of the table, brought up to date before the
+        /// tick and never marked, is still consistent afterwards exactly
+        /// when no write — a peer's row or an own staged one — moved a
+        /// fraction across zero: value-only writes need no `mark_stale`,
+        /// a zero crossing needs one. (Dropping the zero-crossing mark in
+        /// `write_gamma_rows` fails this test.) A refused frame writes
+        /// none of the sender's rows.
         #[test]
         fn live_arcs_track_every_routing_write(
             ops in proptest::collection::vec(0u8..10, 6..40),
@@ -1600,9 +1398,10 @@ mod tests {
             let ext = instance(20, 3, 9);
             let gradient = GradientConfig::default();
             let cost = cost_of(&gradient);
-            let mut a = RegionWorker::new(&ext, &cost, &gradient, 0, 2, 16);
+            let owner = owner_table(&ext, 2);
+            let mut a = RegionWorker::new(&ext, &cost, &gradient, &owner, 0, 2, 16);
             // the snapshot donor: region 1 a few lonely iterations in
-            let mut b = RegionWorker::new(&ext, &cost, &gradient, 1, 2, 16);
+            let mut b = RegionWorker::new(&ext, &cost, &gradient, &owner, 1, 2, 16);
             let mut log = Vec::new();
             let empty = Inbox::default();
             for tick in 0..4 * TICKS_PER_ITERATION {
@@ -1615,7 +1414,7 @@ mod tests {
                     let ext = &ext;
                     ext.commodity_routers(j)
                         .iter()
-                        .filter(|v| b.owned_nodes(1).contains(&v.index()))
+                        .filter(|&&v| b.owner(v) == 1)
                         .filter(move |&&v| ext.commodity_out_slice(j, v).len() >= 2)
                         .map(move |&v| (j, v))
                 })
@@ -1677,9 +1476,6 @@ mod tests {
                 // brought up to date against the pre-tick routing
                 let mut shadow = a.sweeps.clone();
                 shadow.marginals_into(&ext, &cost, &before, &a.state, &mut a.marginals.clone());
-                // only the decide tick writes own Γ rows; on the forward
-                // tick every routing write comes from the inbox
-                let forward = !(tick as u64).is_multiple_of(TICKS_PER_ITERATION);
                 let mut must_not_write = false;
                 match op {
                     // fresh peer rows: one hot edge, spread, reweighted
@@ -1710,7 +1506,8 @@ mod tests {
                             rows(buf, round, ext.graph().node_count(), 0, &before);
                         });
                         prop_assert!(inbox.push(&frame));
-                        must_not_write = forward;
+                        // (tick 0 applies the first pass, every decider's row)
+                        must_not_write = tick > 0;
                     }
                     // well-addressed rows that are not rows: mass 2, or
                     // an edge listed twice
@@ -1719,7 +1516,7 @@ mod tests {
                             rows(buf, round, 0, op - 5, &before);
                         });
                         prop_assert!(inbox.push(&frame));
-                        must_not_write = forward;
+                        must_not_write = tick > 0;
                     }
                     // a recovery snapshot of the donor's mirror
                     5 => {
@@ -1742,24 +1539,29 @@ mod tests {
                     "op {op} at tick {tick} left a live-arc row out of date"
                 );
                 if must_not_write {
-                    prop_assert!(before == a.routing, "refused rows reached the routing mirror");
-                }
-                if forward {
-                    // no own Γ write this tick: only the inbox wrote
-                    let crossed = ext.commodity_ids().any(|j| {
-                        ext.commodity_edges(j)
-                            .iter()
-                            .any(|&l| (before.fraction(j, l) != 0.0) != (a.routing.fraction(j, l) != 0.0))
+                    // the sender's rows are untouched (the tick's own
+                    // staged rows are region 0's)
+                    let theirs_unchanged = ext.commodity_ids().all(|j| {
+                        ext.commodity_edges(j).iter().all(|&l| {
+                            a.owner(ext.graph().source(l)) != 1
+                                || before.fraction(j, l).to_bits() == a.routing.fraction(j, l).to_bits()
+                        })
                     });
-                    prop_assert_eq!(
-                        shadow.is_consistent(&ext, &a.routing),
-                        !crossed,
-                        "op {} at tick {}: an unmarked table must survive exactly the writes \
-                         that move no fraction across zero",
-                        op,
-                        tick
-                    );
+                    prop_assert!(theirs_unchanged, "refused rows reached the routing mirror");
                 }
+                let crossed = ext.commodity_ids().any(|j| {
+                    ext.commodity_edges(j)
+                        .iter()
+                        .any(|&l| (before.fraction(j, l) != 0.0) != (a.routing.fraction(j, l) != 0.0))
+                });
+                prop_assert_eq!(
+                    shadow.is_consistent(&ext, &a.routing),
+                    !crossed,
+                    "op {} at tick {}: an unmarked table must survive exactly the writes \
+                     that move no fraction across zero",
+                    op,
+                    tick
+                );
             }
             prop_assert!(log
                 .iter()
@@ -1768,78 +1570,79 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// The readers relation, by brute force: on every worker, the
-        /// list of marginals shipped to peer `q` is exactly the owned
-        /// routers `v` of each commodity `j` (commodity-major, router
-        /// order) such that `q` owns a decider `u` of `j` (a router with
-        /// at least two out-arcs) with an arc `u → v`; the receive-side
-        /// `reads` table is that relation
-        /// seen from the worker itself; and the head of every owned
-        /// decider's out-arc that is a router owned elsewhere is on its
-        /// owner's list for this worker — every marginal a Γ row reads
-        /// arrives.
-        #[test]
-        fn marginal_lists_are_the_readers_relation(
-            nodes in 12usize..48,
-            commodities in 1usize..6,
-            seed in 0u64..1_000,
-            regions in 2usize..=4,
-        ) {
+    /// The ownership table, by brute force on paper-family instances
+    /// and a wide one: it partitions the nodes (one owner below
+    /// `regions` each), every region owns at least one server, the
+    /// servers split into contiguous id ranges, and every bandwidth
+    /// node `n_ik` and dummy source `s̄_j` goes with its tail server `i`
+    /// and source `s_j`.
+    #[test]
+    fn the_owner_table_partitions_the_nodes_by_tail_server() {
+        for &(nodes, commodities, seed) in &[(40usize, 3usize, 1u64), (40, 3, 7), (160, 16, 1)] {
             let ext = instance(nodes, commodities, seed);
-            let v_count = ext.graph().node_count();
-            let gradient = GradientConfig::default();
-            let cost = cost_of(&gradient);
-            let owner = |v: NodeId| owner_of(v.index(), v_count, regions);
-            let workers: Vec<RegionWorker> = (0..regions)
-                .map(|r| RegionWorker::new(&ext, &cost, &gradient, r, regions, 16))
-                .collect();
-            let arc = |j: CommodityId, u: NodeId, v: NodeId| {
-                ext.commodity_out_slice(j, u).iter().any(|&l| ext.graph().target(l) == v)
-            };
-            let decider = |j: CommodityId, u: NodeId| ext.commodity_out_slice(j, u).len() >= 2;
-            let reads = |q: usize, j: CommodityId, v: NodeId| {
-                ext.commodity_routers(j)
-                    .iter()
-                    .any(|&u| owner(u) == q && decider(j, u) && arc(j, u, v))
-            };
-            for (s, worker) in workers.iter().enumerate() {
-                for q in (0..regions).filter(|&q| q != s) {
-                    let mut want = Vec::new();
-                    for j in ext.commodity_ids() {
-                        for &v in ext.commodity_routers(j).iter().filter(|&&v| owner(v) == s) {
-                            if reads(q, j, v) {
-                                let p = ext.member_pos(j, v).expect("a router is a member");
-                                want.push((j.index() as u32, v.index() as u32, p as u32));
-                            }
+            let servers = ext.physical_nodes();
+            for regions in [1usize, 2, 3, 4, 7, servers] {
+                let owner = owner_table(&ext, regions);
+                assert_eq!(owner.len(), ext.graph().node_count());
+                assert!(owner.iter().all(|&o| usize::from(o) < regions));
+                let server_owners = &owner[..servers];
+                assert!(
+                    server_owners
+                        .windows(2)
+                        .all(|w| w[1] == w[0] || w[1] == w[0] + 1),
+                    "servers not in contiguous ranges at {regions} regions"
+                );
+                assert_eq!(usize::from(server_owners[0]), 0);
+                assert_eq!(usize::from(server_owners[servers - 1]), regions - 1);
+                for v in ext.graph().nodes() {
+                    let tail = match ext.node_kind(v) {
+                        NodeKind::Processing(s) => s,
+                        NodeKind::Bandwidth(e) => {
+                            ext.graph().source(EdgeId::from_index(2 * e.index()))
                         }
-                    }
-                    prop_assert_eq!(&worker.links[q].marg_rows, &want, "list {} -> {}", s, q);
-                    prop_assert_eq!(worker.links[q].marg_sent.len(), want.len());
+                        NodeKind::DummySource(j) => ext.commodity(j).source(),
+                    };
+                    assert!(tail.index() < servers);
+                    assert_eq!(owner[v.index()], owner[tail.index()], "node {v}");
                 }
+            }
+        }
+    }
+
+    /// The fact that lets the marginal frame go: on paper-family seeds
+    /// 1–32 split 2, 3 and 4 ways, no decider has an out-arc head owned
+    /// by another region unless the head is no router of its commodity
+    /// — the sink, whose marginal every mirror holds at exactly `0.0`.
+    /// So every marginal a region's Γ reads is one its own sweep wrote.
+    #[test]
+    fn no_decider_reads_a_marginal_owned_elsewhere() {
+        let gradient = GradientConfig::default();
+        let cost = cost_of(&gradient);
+        for seed in 1..=32u64 {
+            let ext = instance(40, 3, seed);
+            let state = RoutingTable::initial(&ext);
+            let flows = compute_flows(&ext, &state);
+            let mut marginals = Marginals::zeros(&ext);
+            compute_marginals_into(&ext, &cost, &state, &flows, &mut marginals, None);
+            for regions in 2..=4 {
+                let owner = owner_table(&ext, regions);
                 for j in ext.commodity_ids() {
                     let members = ext.members(j);
-                    let base = ext.member_range(j).start;
-                    for (p, &v) in members.nodes().iter().enumerate() {
-                        prop_assert_eq!(worker.reads[base + p], reads(s, j, v), "reads ({}, {})", j, v);
-                    }
                     for &(p, _) in members.deciders() {
-                        if owner(members.node(p as usize)) != s {
-                            continue;
-                        }
+                        let u = members.node(p as usize);
                         for &h in members.out_arcs(p as usize).1 {
                             let v = members.node(h as usize);
-                            let o = owner(v);
-                            if o == s || !ext.commodity_routers(j).contains(&v) {
+                            if owner[v.index()] == owner[u.index()] {
                                 continue;
                             }
-                            let entry = (j.index() as u32, v.index() as u32, h);
-                            prop_assert!(
-                                workers[o].links[s].marg_rows.contains(&entry),
-                                "decider head {:?} missing from list {} -> {}", entry, o, s
+                            assert_eq!(
+                                v,
+                                ext.commodity(j).sink(),
+                                "seed {seed}, {regions} regions: decider {u} of {j} reads the \
+                                 marginal of {v}, owned elsewhere"
                             );
+                            assert!(!ext.commodity_routers(j).contains(&v));
+                            assert_eq!(marginals.node(&ext, j, v).to_bits(), 0.0f64.to_bits());
                         }
                     }
                 }
@@ -1847,11 +1650,10 @@ mod tests {
         }
     }
 
-    /// On a lossless mesh the wire carries only what the readers
-    /// relation and the decider lists allow: past the full round 0 and
-    /// the refresh rounds, a round ships at most one marginal per list
-    /// entry and one Γ row per owned decider per peer, never a
-    /// pass-through row, and no row of any other kind.
+    /// On a lossless mesh the wire carries only Γ rows, within the
+    /// decider lists: past the construction-time first pass, an
+    /// iteration ships at most one Γ row per owned decider per peer,
+    /// never a pass-through row, and no row of any other kind.
     #[test]
     fn lossless_rows_per_round_stay_within_the_lists() {
         let ext = instance(30, 4, 11);
@@ -1863,64 +1665,27 @@ mod tests {
         let mut mesh = MeshRuntime::lossless(ext.clone(), config.clone()).expect("valid config");
         let rounds = 40u64;
         mesh.run(rounds as usize);
-        let (mut listed, mut deciders) = (0u64, 0u64);
-        for r in 0..config.regions {
-            let w = mesh.worker(r);
-            listed += w
-                .links
-                .iter()
-                .map(|l| l.marg_rows.len() as u64)
-                .sum::<u64>();
-            deciders += w.owned_deciders.iter().map(|d| d.len() as u64).sum::<u64>()
-                * (config.regions as u64 - 1);
-        }
+        let deciders: u64 = (0..config.regions)
+            .map(|r| mesh.worker(r).owned.len() as u64 * (config.regions as u64 - 1))
+            .sum();
         let wire = mesh.wire_stats();
-        assert!(wire.marginal_rows > 0 && wire.gamma_rows > 0);
+        assert!(wire.gamma_rows > 0);
         assert_eq!(
-            wire.rows_sent,
-            wire.marginal_rows + wire.gamma_rows,
-            "a row kind other than marginals and Γ travels"
-        );
-        assert!(
-            wire.marginal_rows <= rounds * listed,
-            "{wire:?} vs {listed} listed"
+            wire.rows_sent, wire.gamma_rows,
+            "a row kind other than Γ travels"
         );
         assert!(
             wire.gamma_rows <= rounds * deciders,
             "{wire:?} vs {deciders} decider rows"
         );
-        let routers: u64 = ext
+        let all: u64 = ext
             .commodity_ids()
-            .map(|j| ext.commodity_routers(j).len() as u64)
+            .map(|j| ext.members(j).deciders().len() as u64)
             .sum();
-        assert!(
-            listed < routers * (config.regions as u64 - 1),
-            "the readers lists are no smaller than a broadcast"
+        assert_eq!(
+            deciders,
+            all * (config.regions as u64 - 1),
+            "a decider owned twice or never"
         );
-    }
-
-    #[test]
-    fn owner_ranges_are_contiguous_and_cover() {
-        for regions in 1..=5 {
-            for v_count in [1usize, 2, 7, 16, 33] {
-                if regions > v_count {
-                    continue;
-                }
-                let owners: Vec<usize> = (0..v_count)
-                    .map(|v| owner_of(v, v_count, regions))
-                    .collect();
-                assert_eq!(owners[0], 0);
-                assert_eq!(owners[v_count - 1], regions - 1);
-                for w in owners.windows(2) {
-                    assert!(
-                        w[1] == w[0] || w[1] == w[0] + 1,
-                        "non-contiguous: {owners:?}"
-                    );
-                }
-                for r in 0..regions {
-                    assert!(owners.contains(&r), "region {r} owns nothing: {owners:?}");
-                }
-            }
-        }
     }
 }

@@ -1,16 +1,16 @@
 //! ARCHITECTURE invariant 20 — delta suppression never changes what a
 //! receiver ends up holding, only whether the bytes travel.
 //!
-//! Three probes of the delta/resync machinery:
+//! Three probes of the delta machinery:
 //!
 //! * A deterministic loss *window* (every frame on one link dropped for
-//!   ten iterations, no other noise) breaks delta chains mid-run; the
-//!   receiver detects the round gap, requests a resync, and every
+//!   fifteen iterations, no other noise) breaks the Γ delta chain
+//!   mid-run; the reliable stream retransmits every lost sub, and every
 //!   mirror returns to bitwise equality.
 //! * A seeded lossy soak (loss + duplication + delay, no partition)
 //!   keeps breaking chains at random; the mesh still reaches the
 //!   monolithic algorithm's convergence verdict with utility inside
-//!   the tier-2 tolerance, exercising resyncs along the way.
+//!   the tier-2 tolerance, retransmitting along the way.
 //! * A converged lossless mesh goes quiet: once nothing changes, the
 //!   wire carries almost nothing (heartbeat batches plus the periodic
 //!   full refresh) against an all-peers Γ broadcast of the instance.
@@ -96,57 +96,52 @@ impl Transport for LossWindow {
     }
 }
 
-/// Ten iterations of total loss on one link, then silence heals: the
-/// receiver's first post-heal delta names a predecessor round it never
-/// applied, so it requests a resync; full frames plus the reliable
-/// stream's retransmits restore bitwise mirror equality.
+/// Fifteen iterations of total loss on one link, then the link heals:
+/// every Γ sub shipped in the window — the round-16 refresh among them
+/// — is retransmitted under backoff until acknowledged, the receiver
+/// takes them up in sequence order, and every mirror returns to bitwise
+/// equality. No resync is ever requested: the delta chain rides the
+/// reliable stream.
 #[test]
-fn dropped_deltas_resync_to_bitwise_equality() {
+fn dropped_deltas_retransmit_to_bitwise_equality() {
     const REGIONS: usize = 3;
-    // 96 ticks; the loss window, ticks [30, 60), is rounds 15–29 (the
-    // round-16 refresh is lost too); the round-32 refresh re-anchors
+    // the loss window, ticks [15, 30), is rounds 15–29 (the round-16
+    // refresh is lost too); the round-32 refresh re-anchors
     const ROUNDS: usize = 48;
     let p = problem(20, 3, 9);
     let ext = ExtendedNetwork::build(&p);
-    // the cut link must carry a marginal list: on this instance no
-    // decider of region 1 has an arc into a router of region 0, so the
-    // link 0 -> 1 carries none
     let (from, to) = (1, 0);
     let transport = LossWindow {
         inner: SocketTransport::connect(REGIONS, &memory(None)).unwrap(),
         from,
         to,
-        cut: 30,
-        heal: 60,
+        cut: 15 * TICKS_PER_ITERATION,
+        heal: 30 * TICKS_PER_ITERATION,
     };
     let mut mesh = MeshRuntime::with_transport(ext, mesh_config(REGIONS), transport).unwrap();
     mesh.run(ROUNDS);
     assert!(
-        mesh.worker(from).link_wire_stats(to).marginal_rows_sent > 0,
-        "the cut link carries no marginals: the scenario went vacuous"
+        mesh.worker(from).link_wire_stats(to).gamma_rows_sent > 0,
+        "the cut link carries no Γ rows: the scenario went vacuous"
     );
 
-    // the gap was detected and a resync requested of the cut link's
-    // sender — not of the untouched peer
+    // the lost subs were retransmitted; only the cut pair retransmits
+    // (region 0's subs too: their acks rode the cut link)
     let log = mesh.incidents();
     assert!(
-        log.iter().any(|i| matches!(
-            i,
-            MeshIncident::ResyncRequested {
-                region: 0,
-                peer: 1,
-                ..
-            }
-        )),
-        "receiver never requested a resync: {log:?}"
+        log.iter()
+            .any(|i| matches!(i, MeshIncident::Retransmitted { from: 1, to: 0, .. })),
+        "the sender never retransmitted: {log:?}"
     );
     assert!(
-        !log.iter()
-            .any(|i| matches!(i, MeshIncident::ResyncRequested { peer: 2, .. })),
-        "resync requested of a link that lost nothing: {log:?}"
+        log.iter().all(|i| match i {
+            MeshIncident::Retransmitted { from, to, .. } => *from != 2 && *to != 2,
+            _ => true,
+        }),
+        "a link that lost nothing retransmitted: {log:?}"
     );
     let wire = mesh.wire_stats();
-    assert!(wire.resyncs > 0, "telemetry missed the resyncs");
+    assert_eq!(wire.resyncs, 0);
     assert!(
         wire.rows_suppressed > 0,
         "delta suppression never engaged: {wire:?}"
@@ -186,10 +181,10 @@ fn dropped_deltas_resync_to_bitwise_equality() {
 }
 
 /// Seeded lossy soak with no partition: delta frames keep vanishing and
-/// reappearing, resyncs fire, and the mesh still lands on the
+/// reappearing, retransmits fire, and the mesh still lands on the
 /// monolithic algorithm's convergence verdict within tier-2 tolerance.
 #[test]
-fn lossy_chaotic_delta_mesh_converges_with_resyncs() {
+fn lossy_chaotic_delta_mesh_converges_with_retransmits() {
     const SHIFT_TOLERANCE: f64 = 1e-4;
     const MAX_ITERATIONS: usize = 600;
     const UTILITY_RTOL: f64 = 1e-2;
@@ -221,11 +216,11 @@ fn lossy_chaotic_delta_mesh_converges_with_resyncs() {
         "utility outside tier-2 tolerance: mesh {} vs reference {ref_utility}",
         mesh_report.utility
     );
-    // the soak actually exercised the resync path
+    // the soak actually exercised the retransmit path
     assert!(
         mesh.incidents()
             .iter()
-            .any(|i| matches!(i, MeshIncident::ResyncRequested { .. })),
+            .any(|i| matches!(i, MeshIncident::Retransmitted { .. })),
         "lossy soak never broke a delta chain"
     );
     assert!(mesh_report.wire.rows_suppressed > 0);
@@ -292,7 +287,7 @@ fn converged_lossless_mesh_sends_almost_nothing() {
         "rows still travelling between refreshes: {window_sent} sent, \
          {window_suppressed} suppressed"
     );
-    // and the lossless run never needed a resync
+    // and the lossless run never needed a retransmit
     assert_eq!(quiet.resyncs, 0);
     assert!(mesh.incidents().is_empty());
 }

@@ -1,7 +1,7 @@
-//! Property tests for the mesh wire format (v3): encode → decode is
+//! Property tests for the mesh wire format (v4): encode → decode is
 //! the identity on every valid frame — including delta payloads with
 //! their base rounds and batch frames with length-prefixed sub-frames —
-//! and every malformed input — NaN payloads, version skew (v1 and v2
+//! and every malformed input — NaN payloads, version skew (v1 to v3
 //! frames included), truncation anywhere (mid-sub-payload included), trailing
 //! garbage, nested batches — is refused with a structured
 //! [`WireError`], never a panic. A stream of tick markers and enveloped
@@ -10,8 +10,7 @@
 use proptest::prelude::*;
 use spn_mesh::socket::{parse_records, Record};
 use spn_mesh::wire::{
-    frame_len, Frame, GammaRow, MarginalEntry, Payload, RecoveryStatePayload, SubFrame, WireError,
-    WIRE_VERSION,
+    frame_len, Frame, GammaRow, Payload, RecoveryStatePayload, SubFrame, WireError, WIRE_VERSION,
 };
 use spn_sim::draws::unit_hash;
 
@@ -25,18 +24,7 @@ fn num(seed: u64, clock: usize, a: usize, b: usize) -> f64 {
 /// seed-derived content of seed-derived size.
 fn build_payload(kind: u8, seed: u64, len: usize) -> Payload {
     match kind {
-        0 => Payload::Heartbeat,
-        1 => Payload::Marginals {
-            base: seed % 10_000,
-            entries: (0..len)
-                .map(|i| MarginalEntry {
-                    j: (seed % 7) as u32,
-                    v: i as u32,
-                    d: num(seed, 1, i, 0),
-                })
-                .collect(),
-        },
-        2 => Payload::GammaRows {
+        0 => Payload::GammaRows {
             base: seed % 9_999,
             rows: (0..len)
                 .map(|i| GammaRow {
@@ -48,11 +36,10 @@ fn build_payload(kind: u8, seed: u64, len: usize) -> Payload {
                 })
                 .collect(),
         },
-        3 => Payload::Ack { cum: seed },
-        4 => Payload::RecoveryRequest {
+        1 => Payload::Ack { cum: seed },
+        2 => Payload::RecoveryRequest {
             token: seed ^ 0xABCD,
         },
-        5 => Payload::Resend,
         _ => Payload::RecoveryState(Box::new(RecoveryStatePayload {
             token: seed,
             epoch: seed % 5,
@@ -69,19 +56,19 @@ fn build_payload(kind: u8, seed: u64, len: usize) -> Payload {
     }
 }
 
-/// Builds one frame: kinds 0..=6 map to the single payloads, 7 to a
+/// Builds one frame: kinds 0..=3 map to the single payloads, 4 to a
 /// batch coalescing a seed-derived mix of sub-frames (possibly empty —
 /// the coalescing layer never ships one, but the format round-trips
 /// it).
 fn build_frame(kind: u8, seed: u64, len: usize) -> Frame {
-    let payload = if kind == 7 {
+    let payload = if kind == 4 {
         Payload::Batch(
             (0..len)
                 .map(|i| SubFrame {
                     seq: seed.wrapping_add(i as u64),
                     round: seed % 500 + i as u64,
                     payload: build_payload(
-                        ((seed as usize + i) % 7) as u8,
+                        ((seed as usize + i) % 4) as u8,
                         seed ^ (i as u64) << 3,
                         1 + (seed as usize + i) % 4,
                     ),
@@ -162,35 +149,33 @@ proptest! {
     /// size, including empty payload vectors, exact f64 bits, delta
     /// base rounds, and batches of mixed sub-frames.
     #[test]
-    fn encode_decode_round_trips(kind in 0u8..8, seed in 0u64..10_000, len in 0usize..12) {
+    fn encode_decode_round_trips(kind in 0u8..5, seed in 0u64..10_000, len in 0usize..12) {
         let frame = build_frame(kind, seed, len);
         let bytes = frame.encode();
         let back = Frame::decode(&bytes);
         prop_assert_eq!(back, Ok(frame));
     }
 
-    /// Every float lane rejects NaN at decode with a structured error.
+    /// Every float lane of the row kind rejects NaN and ±Inf at decode
+    /// with a structured error.
     #[test]
-    fn non_finite_floats_are_refused(kind_pick in 0u8..2, seed in 0u64..1000, len in 1usize..8) {
-        // only the float-bearing row kinds: marginals, Γ rows
-        let kind = [1u8, 2][kind_pick as usize];
-        let mut frame = build_frame(kind, seed, len);
-        match &mut frame.payload {
-            Payload::Marginals { entries, .. } => entries[len / 2].d = f64::NAN,
-            Payload::GammaRows { rows, .. } => rows[len / 2].edges[0].1 = f64::INFINITY,
-            _ => unreachable!(),
-        }
+    fn non_finite_floats_are_refused(pick in 0u8..2, seed in 0u64..1000, len in 1usize..8) {
+        let mut frame = build_frame(0, seed, len);
+        let Payload::GammaRows { rows, .. } = &mut frame.payload else { unreachable!() };
+        rows[len / 2].edges[0].1 = [f64::NAN, f64::INFINITY][usize::from(pick)];
         let bytes = frame.encode();
         prop_assert!(matches!(Frame::decode(&bytes), Err(WireError::NonFinite { .. })));
     }
 
     /// A frame from any other wire version — v1 (the pre-delta format),
-    /// v2 (which had a fourth row kind) or a future one — is refused with `UnsupportedVersion` carrying
-    /// both versions: a structured error, not a panic and not a garbled
-    /// decode. Version skew is checked before anything else, so even a
-    /// v2 byte stream that happens to parse as v3 structure is refused.
+    /// v2 (which had a flow-summary kind), v3 (which had marginal
+    /// kinds) or a future one — is refused with `UnsupportedVersion`
+    /// carrying both versions: a structured error, not a panic and not a
+    /// garbled decode. Version skew is checked before anything else, so
+    /// even a v3 byte stream that happens to parse as v4 structure is
+    /// refused.
     #[test]
-    fn version_skew_is_refused_structurally(kind in 0u8..8, seed in 0u64..1000, skew in 0u16..6) {
+    fn version_skew_is_refused_structurally(kind in 0u8..5, seed in 0u64..1000, skew in 0u16..6) {
         prop_assume!(skew != WIRE_VERSION);
         let mut bytes = build_frame(kind, seed, 3).encode();
         bytes[2..4].copy_from_slice(&skew.to_le_bytes());
@@ -205,7 +190,7 @@ proptest! {
     /// without panicking, and appending garbage is refused as trailing
     /// bytes.
     #[test]
-    fn truncation_and_trailing_bytes_are_refused(kind in 0u8..8, seed in 0u64..1000, len in 0usize..6) {
+    fn truncation_and_trailing_bytes_are_refused(kind in 0u8..5, seed in 0u64..1000, len in 0usize..6) {
         let bytes = build_frame(kind, seed, len).encode();
         for cut in 0..bytes.len() {
             prop_assert!(Frame::decode(&bytes[..cut]).is_err(), "prefix {cut} decoded");
@@ -223,7 +208,7 @@ proptest! {
     /// a panic (the pre-socket decoders reported a header split across
     /// reads as a truncated frame).
     #[test]
-    fn reassembly_survives_every_split_offset(kind in 0u8..8, seed in 0u64..10_000, len in 0usize..6) {
+    fn reassembly_survives_every_split_offset(kind in 0u8..5, seed in 0u64..10_000, len in 0usize..6) {
         let frame = build_frame(kind, seed, len);
         let records = [
             Owned::Marker(seed),
@@ -251,7 +236,7 @@ proptest! {
     /// (every cut is "valid so far"), and reports the exact total
     /// length from the complete header onward.
     #[test]
-    fn frame_len_is_monotone_on_valid_prefixes(kind in 0u8..8, seed in 0u64..10_000, len in 0usize..6) {
+    fn frame_len_is_monotone_on_valid_prefixes(kind in 0u8..5, seed in 0u64..10_000, len in 0usize..6) {
         let bytes = build_frame(kind, seed, len).encode();
         let header = 29usize;
         for cut in 0..bytes.len() {
@@ -270,7 +255,7 @@ proptest! {
     #[test]
     fn reassembly_survives_seeded_chunking(seed in 0u64..10_000, count in 1usize..5) {
         let frames: Vec<Frame> = (0..count)
-            .map(|i| build_frame(((seed as usize + i) % 8) as u8, seed ^ (i as u64), 1 + i % 4))
+            .map(|i| build_frame(((seed as usize + i) % 5) as u8, seed ^ (i as u64), 1 + i % 4))
             .collect();
         let records: Vec<Owned> = (0..count as u64)
             .flat_map(|i| {
@@ -298,7 +283,7 @@ proptest! {
     /// `NestedBatch` — nesting is structurally impossible to decode.
     #[test]
     fn nested_batches_are_refused(seed in 0u64..1000, len in 1usize..5, pick in 0usize..4) {
-        let frame = build_frame(7, seed, len);
+        let frame = build_frame(4, seed, len);
         let Payload::Batch(subs) = &frame.payload else { unreachable!() };
         // locate the picked sub-frame's kind byte by re-walking sizes;
         // a standalone encoding of the same payload reveals its length

@@ -23,6 +23,12 @@ pub enum ModelError {
         /// The offending edge.
         edge: EdgeId,
     },
+    /// An edge's source and target coincide (a manifest is input data;
+    /// the graph refuses self-loops).
+    SelfLoop {
+        /// The offending edge.
+        edge: EdgeId,
+    },
     /// Attribute arrays do not match the graph's node/edge counts.
     ShapeMismatch {
         /// Human-readable description of the mismatched array.
@@ -111,6 +117,9 @@ impl fmt::Display for ModelError {
             ModelError::BadBandwidth { edge } => {
                 write!(f, "edge {edge} has an invalid bandwidth")
             }
+            ModelError::SelfLoop { edge } => {
+                write!(f, "edge {edge} is a self-loop (source and target coincide)")
+            }
             ModelError::ShapeMismatch {
                 what,
                 expected,
@@ -185,6 +194,9 @@ mod tests {
                 node: NodeId::from_index(1),
             },
             ModelError::BadBandwidth {
+                edge: EdgeId::from_index(2),
+            },
+            ModelError::SelfLoop {
                 edge: EdgeId::from_index(2),
             },
             ModelError::ShapeMismatch {

@@ -100,18 +100,24 @@ impl ProblemSpec {
     /// # Errors
     ///
     /// See [`Problem::from_parts`]; additionally, out-of-range node or
-    /// edge indices are reported as [`ModelError::ShapeMismatch`].
+    /// edge indices are reported as [`ModelError::ShapeMismatch`], and
+    /// an edge whose endpoints coincide as [`ModelError::SelfLoop`].
     pub fn into_problem(self) -> Result<Problem, ModelError> {
         let n = self.node_capacities.len();
         let m = self.edges.len();
         let mut graph = DiGraph::with_capacity(n, m);
         graph.add_nodes(n);
-        for e in &self.edges {
+        for (i, e) in self.edges.iter().enumerate() {
             if e.src as usize >= n || e.dst as usize >= n {
                 return Err(ModelError::ShapeMismatch {
                     what: "edge endpoint index",
                     expected: n,
                     actual: (e.src.max(e.dst)) as usize,
+                });
+            }
+            if e.src == e.dst {
+                return Err(ModelError::SelfLoop {
+                    edge: EdgeId::from_index(i),
                 });
             }
             graph.add_edge(

@@ -56,12 +56,8 @@ impl Transport for Traced {
     ) {
         if tick < *self.print_until_tick.borrow() {
             let mut reader = BatchReader::parse(bytes).expect("mesh frames decode");
-            let phase = match tick % TICKS_PER_ITERATION {
-                0 => "decide",
-                _ => "forward",
-            };
             println!(
-                "  tick {tick} {phase:<7}:  region {from} -> {to}  batch round {:<3} {} bytes",
+                "  tick {tick}:  region {from} -> {to}  batch round {:<3} {} bytes",
                 reader.round(),
                 bytes.len()
             );
@@ -172,12 +168,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("dummy source's routing fraction on its 'admit' link times λ.");
 
     // --- the same instance on the region-sharded mesh runtime ---
-    // Two workers split the extended node range; the protocol's waves
-    // become one delta-encoded batch frame per link per tick. The tap
-    // prints the first two iterations frame by frame — the decide tick
-    // ships the Γ rows each owner moved, the forward tick a heartbeat
-    // and the next round's changed marginals (every worker sweeps the
-    // flow forecast over its own mirror, so no forecast travels).
+    // Two workers split the servers, each router going with the server
+    // that runs it; the protocol's waves become one delta-encoded batch
+    // frame per link per iteration, a single tick. The tap prints the
+    // first two iterations frame by frame: each batch is a heartbeat
+    // carrying the Γ rows its owner moved (and the acks of the rows it
+    // took up). No marginal and no forecast travels — every worker
+    // sweeps both waves over its own mirror, and every marginal a
+    // decider reads belongs to a node its own region owns.
     const REGIONS: usize = 2;
     let print_until_tick = Rc::new(RefCell::new(2 * TICKS_PER_ITERATION));
     let transport = Traced {

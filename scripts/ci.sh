@@ -46,8 +46,10 @@
 #    identical incident logs and reports across same-seed faulty runs,
 #    reach the fault-free convergence verdict under the fault plan, ship
 #    ≤0.5× the full-broadcast bytes/iteration once past the bitwise
-#    fixed point (delta wire gate), perform zero allocations per
-#    converged steady-state step (counting-allocator gate), and on the
+#    fixed point (delta wire gate), ship no row but Γ rows (0 marginal
+#    rows/iteration: every marginal a region reads is its own), perform
+#    zero allocations per converged steady-state step
+#    (counting-allocator gate), and on the
 #    160-node/16-commodity case cost at most 2 × regions × one
 #    monolithic sparse step per iteration (density gate: the workers
 #    sweep live arcs, not the dense mirror; SKIP on a 1-core host);
@@ -58,7 +60,7 @@
 #    incident-identical to the fault-injected in-process mesh (UDS
 #    reads chopped into seeded 1..=31-byte chunks), the
 #    fault-free UDS run must stay within TICKS_PER_ITERATION·2·R·(R−1)
-#    syscalls per iteration (8 at R = 2, two ticks of 2·R·(R−1);
+#    syscalls per iteration (4 at R = 2, one tick of 2·R·(R−1);
 #    SocketTransport::io_stats — the demand-driven I/O schedule), and
 #    the B9 bench must ship identical bytes/iteration on in-process
 #    pipes, UDS, and TCP (syscalls per iteration and per tick printed per

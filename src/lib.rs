@@ -27,9 +27,10 @@
 //!   distributed protocols as explicit messages, counts them, and injects
 //!   failures.
 //! * [`mesh`] — the region-sharded mesh runtime: workers own disjoint
-//!   node ranges, exchange serialized frames over a fault-injectable
-//!   transport, and recover through retries, heartbeats, and
-//!   epoch-fenced checkpoints.
+//!   server ranges, each router with the server that runs it, exchange
+//!   serialized Γ rows — one tick per iteration — over a
+//!   fault-injectable transport, and recover through retries,
+//!   heartbeats, and epoch-fenced checkpoints.
 //!
 //! # Quickstart
 //!

@@ -35,7 +35,6 @@
 use spn::core::flows::balance_residual;
 use spn::core::{ConfigError, GradientAlgorithm, GradientConfig, NewtonGradient};
 use spn::graph::NodeId;
-use spn::mesh::worker::owner_of;
 use spn::mesh::{
     BatchReader, Frame, FrameBuf, FrameKind, Inbox, MeshConfig, MeshError, MeshFaultConfig,
     MeshIncident, MeshReport, MeshRuntime, PartitionSpec, Payload, SocketKind, SocketOptions,
@@ -152,6 +151,51 @@ fn lossless_mesh_is_bit_identical_to_the_monolithic_algorithm() {
     }
 }
 
+/// The staged own rows leave no mirror ahead of its sweeps: after `k`
+/// `step()` calls on in-process pipes, Unix-domain sockets and loopback
+/// TCP at 1–4 regions, `iterations() == k` and every worker's routing,
+/// flows and marginals equal `GradientAlgorithm` after `k` steps, bit
+/// for bit — at every `k`.
+#[test]
+fn every_mirror_is_the_core_after_k_steps_on_every_stream() {
+    let p = problem(20, 3, 9);
+    let ext = ExtendedNetwork::build(&p);
+    for kind in [SocketKind::Memory, SocketKind::Unix, SocketKind::Tcp] {
+        for regions in 1..=4 {
+            let options = SocketOptions {
+                kind,
+                faults: None,
+                split_seed: None,
+            };
+            let mut mesh =
+                MeshRuntime::socket(ext.clone(), mesh_config(regions), &options).unwrap();
+            let mut alg = GradientAlgorithm::new(&p, GradientConfig::default()).unwrap();
+            assert_eq!(mesh.iterations(), 0);
+            for k in 1..=24 {
+                alg.step();
+                mesh.step();
+                let ctx = format!("{kind:?}, {regions} regions, after {k} steps");
+                assert_eq!(mesh.iterations(), k, "{ctx}");
+                for r in 0..regions {
+                    let w = mesh.worker(r);
+                    assert_eq!(alg.routing(), w.routing(), "{ctx}: region {r} routing");
+                    assert_eq!(alg.flows(), w.flows(), "{ctx}: region {r} flows");
+                    assert_eq!(
+                        alg.marginals(),
+                        w.marginals(),
+                        "{ctx}: region {r} marginals"
+                    );
+                }
+            }
+            assert!(mesh.incidents().is_empty(), "{kind:?}, {regions} regions");
+        }
+    }
+}
+
+/// Iterations of the noisy run: 200 ticks, so its partition (at tick
+/// 60, for 40 ticks, staggered heal) heals and the cut region rejoins.
+const NOISY_ITERATIONS: usize = 200;
+
 fn noisy_faults() -> MeshFaultConfig {
     MeshFaultConfig {
         seed: 0x4D45_5348,
@@ -176,7 +220,7 @@ fn same_seed_chaotic_runs_are_identical() {
         let p = problem(20, 3, 9);
         let ext = ExtendedNetwork::build(&p);
         let mut mesh = faulty(ext, 4, &noisy_faults());
-        let report = mesh.run(100);
+        let report = mesh.run(NOISY_ITERATIONS);
         (report, mesh.incidents().to_vec())
     };
     let (report_a, log_a) = run();
@@ -261,7 +305,7 @@ fn partitioned_region_rejoins_bit_for_bit() {
         ..MeshFaultConfig::off()
     };
     let mut mesh = faulty(ext, REGIONS, &faults);
-    mesh.run(60); // 120 ticks: partition at tick 30, healed by ~80
+    mesh.run(120); // 120 ticks: partition at tick 30, healed by ~80
 
     let log = mesh.incidents();
     // the cut region suspected every peer (isolation) and each survivor
@@ -437,14 +481,20 @@ fn run_digest(report: &MeshReport, log: &[MeshIncident]) -> u64 {
 fn pinned_scenarios() -> [(&'static str, MeshFaultConfig, usize, usize, u64); 2] {
     [
         // the 4-region noisy run of `same_seed_chaotic_runs_are_identical`
-        ("noisy", noisy_faults(), 4, 100, 0x1576_3343_7452_4cea),
+        (
+            "noisy",
+            noisy_faults(),
+            4,
+            NOISY_ITERATIONS,
+            0xe6ed_5155_1d1b_5c7d,
+        ),
         // the 3-region partition and recovery
         (
             "partition",
             partition_faults(),
             3,
-            60,
-            0xca4a_39ea_eb99_34dc,
+            120,
+            0x7ca7_d87c_8b17_77b5,
         ),
     ]
 }
@@ -492,7 +542,15 @@ fn partition_faults() -> MeshFaultConfig {
 /// `0x1576_3343_7452_4cea`, partition `0x0f4c_6940_14a6_8386` →
 /// `0xca4a_39ea_eb99_34dc` (fewer bytes, subs, rows and resyncs, and
 /// fewer duplicate and resync incidents; the partition run ships one
-/// batch fewer, a resend-only batch the fault plan dropped). There is
+/// batch fewer, a resend-only batch the fault plan dropped). They were
+/// re-pinned a fourth time when an iteration became one tick (wire v4:
+/// no marginal frames, routers owned with their tail server): the fault
+/// plan is keyed on ticks, so both runs keep their tick span — noisy
+/// 100 → 200 iterations, partition 60 → 120 — and every frame, draw and
+/// incident moves: noisy `0x1576_3343_7452_4cea` →
+/// `0xe6ed_5155_1d1b_5c7d`, partition `0xca4a_39ea_eb99_34dc` →
+/// `0x7ca7_d87c_8b17_77b5`, all six kind × split runs agreeing and both
+/// still running the partition, suspect and recovery gauntlet. There is
 /// no regeneration switch: a failing assertion prints the observed
 /// digest.
 #[test]
@@ -530,8 +588,10 @@ fn faulty_runs_match_their_pinned_digests() {
 /// The socket transport's demand-driven schedule costs one `write(2)`
 /// and one `read(2)` per directed link per tick on a healthy loopback,
 /// so an iteration costs exactly `TICKS_PER_ITERATION · 2·R·(R−1)`
-/// syscalls — 48 at R = 4. Tick 0 issues none (nothing is due yet), so
-/// the count starts after one warm-up iteration.
+/// syscalls — 24 at R = 4, one tick (48 while an iteration was two
+/// ticks, one of them only to carry marginals). Tick 0 issues none
+/// (nothing is due yet), so the count starts after one warm-up
+/// iteration.
 #[test]
 fn a_healthy_uds_iteration_costs_two_syscalls_per_link_per_tick() {
     const REGIONS: usize = 4;
@@ -548,7 +608,7 @@ fn a_healthy_uds_iteration_costs_two_syscalls_per_link_per_tick() {
     mesh.run(ITERATIONS as usize);
     let links = (REGIONS * (REGIONS - 1)) as u64;
     let per_iteration = TICKS_PER_ITERATION * 2 * links;
-    assert_eq!(per_iteration, 48, "two ticks of 2·R·(R−1) at R = 4");
+    assert_eq!(per_iteration, 24, "one tick of 2·R·(R−1) at R = 4");
     assert_eq!(syscalls(&mesh) - before, ITERATIONS * per_iteration);
     assert!(mesh.incidents().is_empty());
 }
@@ -605,9 +665,9 @@ impl Transport for Withhold {
 #[test]
 fn expired_phase_deadline_is_logged_and_delivery_reads_what_is_in_hand() {
     const REGIONS: usize = 3;
-    const ROUND: u64 = 3;
-    // the forward tick of iteration ROUND
-    const AT: (u64, usize) = (TICKS_PER_ITERATION * ROUND + 1, 1);
+    const ROUND: u64 = 4;
+    // region 1's tick of iteration ROUND + 1
+    const AT: (u64, usize) = (TICKS_PER_ITERATION * ROUND, 1);
     let p = problem(20, 3, 9);
     let ext = ExtendedNetwork::build(&p);
     let config = MeshConfig {
@@ -629,8 +689,8 @@ fn expired_phase_deadline_is_logged_and_delivery_reads_what_is_in_hand() {
             region: AT.1
         }]
     );
-    // the round-3 Γ batches of both peers (shipped on the decide tick),
-    // collected by the not-ready fallback read alone
+    // both peers' batches of the tick before, collected by the
+    // not-ready fallback read alone
     assert_eq!(mesh.transport().delivered, Some(REGIONS - 1));
     assert!(report.utility.is_finite());
     assert_eq!(
@@ -730,61 +790,133 @@ fn assert_invariants<T: Transport>(ext: &ExtendedNetwork, mesh: &MeshRuntime<T>,
     }
 }
 
-/// A `from → to` batch holding a one-entry `Marginals` sub-frame for
-/// `(j, v)` at `round`.
-fn one_marginal(from: u16, to: u16, round: u64, j: u32, v: u32) -> Vec<u8> {
+/// One Γ row as the wire lays it out: `(commodity, router, [(edge,
+/// φ)])`.
+type Row = (u32, u32, Vec<(u32, f64)>);
+
+/// A `from → to` batch holding one full-frame Γ sub-frame of `rows`
+/// under `seq` at `round`.
+fn gamma_frame(from: u16, to: u16, seq: u64, round: u64, rows: &[Row]) -> Vec<u8> {
     let mut buf = FrameBuf::new();
     buf.begin(from, to, round);
-    buf.begin_sub(FrameKind::Marginals, 0, round);
+    buf.begin_sub(FrameKind::GammaRows, seq, round);
     buf.put_u64(round); // base == round: a full frame
-    buf.put_u32(1);
-    buf.put_u32(j);
-    buf.put_u32(v);
-    buf.put_f64(123.456);
+    buf.put_u32(rows.len() as u32);
+    for (j, v, edges) in rows {
+        buf.put_u32(*j);
+        buf.put_u32(*v);
+        buf.put_u32(edges.len() as u32);
+        for &(l, phi) in edges {
+            buf.put_u32(l);
+            buf.put_f64(phi);
+        }
+    }
     buf.end_sub();
     assert!(buf.finish());
     buf.bytes().unwrap().to_vec()
+}
+
+/// The seq and round of region `from`'s genuine Γ sub among a
+/// delivery's frames.
+fn genuine_gamma_sub(genuine: &[Vec<u8>], from: u16) -> (u64, u64) {
+    genuine
+        .iter()
+        .find_map(|bytes| {
+            let mut reader = BatchReader::parse(bytes).ok()?;
+            if reader.from() != from {
+                return None;
+            }
+            std::iter::from_fn(|| reader.next_sub())
+                .filter_map(Result::ok)
+                .find(|sub| sub.kind == FrameKind::GammaRows)
+                .map(|sub| (sub.seq, sub.round))
+        })
+        .expect("the sender ships Γ rows on a refresh round")
+}
+
+/// An `Inject` edit slipping a forged `1 → 0` Γ sub of `rows` in ahead
+/// of region 1's genuine Γ sub at delivery `at`, under the genuine
+/// sub's seq and round: refused, it must not take the seq.
+fn forged_rows(at: (u64, usize), rows: Vec<Row>) -> Edit {
+    once(at, move |genuine| {
+        let (seq, round) = genuine_gamma_sub(genuine, 1);
+        gamma_frame(1, 0, seq, round, &rows)
+    })
+}
+
+/// Region 1's first decider row of a `regions`-way split of `ext`,
+/// spread evenly: a row its owner could genuinely ship.
+fn a_row_of_region_1(ext: &ExtendedNetwork, regions: usize) -> Row {
+    let probe = MeshRuntime::lossless(ext.clone(), mesh_config(regions)).unwrap();
+    ext.commodity_ids()
+        .find_map(|j| {
+            let v = *ext.commodity_routers(j).iter().find(|&&v| {
+                probe.worker(0).owner(v) == 1 && ext.commodity_out_slice(j, v).len() >= 2
+            })?;
+            let out = ext.commodity_out_slice(j, v);
+            let share = 1.0 / out.len() as f64;
+            let edges = out.iter().map(|l| (l.index() as u32, share)).collect();
+            Some((j.index() as u32, v.index() as u32, edges))
+        })
+        .expect("region 1 owns a decider")
 }
 
 /// Frame-boundary robustness: frames that decode cleanly but index
 /// outside the sender's rows used to panic the worker (`j = 9999`,
 /// `v = 100000`, `from = 7` on a 2-region mesh) or silently land in
 /// another commodity's row (`v = v_count + 3`); a sub-frame whose kind
-/// byte names no kind (3, retired with wire v2) must not either. Each is
-/// exactly one
-/// `MalformedFrameDiscarded`, no state change — the run stays
-/// bit-identical to the monolithic algorithm (and, for the marginal
-/// mirror, to an undisturbed mesh) before and after.
+/// byte names no kind — 0, 1, 3 and 7, retired with wires v2 to v4 —
+/// must not either. Each is exactly one `MalformedFrameDiscarded`, no
+/// state change — refused unsequenced, so region 1's genuine Γ sub of
+/// the same delivery still applies, and the run stays bit-identical to
+/// the monolithic algorithm (and, for the marginal mirror, to an
+/// undisturbed mesh) before and after.
 #[test]
 fn frames_with_out_of_range_indices_are_discarded_without_a_write() {
     const REGIONS: usize = 2;
-    const ROUND: u64 = 5;
-    // the decide tick of iteration ROUND: marginals are about to feed Γ
-    const AT: (u64, usize) = (TICKS_PER_ITERATION * ROUND, 0);
+    // a refresh round: region 1 ships every owned decider row
+    const ROUND: u64 = 16;
+    // region 1's round-ROUND Γ batch reaches region 0 a tick later
+    const AT: (u64, usize) = (TICKS_PER_ITERATION * ROUND + 1, 0);
     let p = problem(20, 3, 9);
     let ext = ExtendedNetwork::build(&p);
     let v_count = ext.graph().node_count() as u32;
-    let cases = [
-        ("commodity out of range", one_marginal(1, 0, ROUND, 9999, 0)),
-        ("node out of range", one_marginal(1, 0, ROUND, 0, 100_000)),
+    let (j, v, edges) = a_row_of_region_1(&ext, REGIONS);
+    let row = |j: u32, v: u32| vec![(j, v, edges.clone())];
+    let retired = |kind: u8| -> Edit {
+        // the first sub's kind byte follows the 29-byte frame header
+        // and the 4-byte sub count
+        let mut frame = gamma_frame(1, 0, 0, ROUND, &row(j, v));
+        frame[29 + 4] = kind;
+        fixed(AT, frame)
+    };
+    let cases: Vec<(&str, Edit)> = vec![
+        ("commodity out of range", forged_rows(AT, row(9999, v))),
+        ("node out of range", forged_rows(AT, row(j, 100_000))),
         (
             "node past the row end (lands in commodity 1)",
-            one_marginal(1, 0, ROUND, 0, v_count + 3),
+            forged_rows(AT, row(j, v_count + 3)),
         ),
         (
             "sender region out of range",
-            one_marginal(7, 0, ROUND, 0, 0),
+            fixed(AT, gamma_frame(7, 0, 1, ROUND, &row(j, v))),
         ),
-        ("sub-frame of the retired kind byte 3", {
-            // the first sub's kind byte follows the 29-byte frame header
-            // and the 4-byte sub count; 3 was wire v2's flow summary
-            let mut frame = one_marginal(1, 0, ROUND, 0, 0);
-            frame[29 + 4] = 3;
-            frame
-        }),
+        (
+            "sub-frame of the retired kind byte 0 (heartbeat)",
+            retired(0),
+        ),
+        (
+            "sub-frame of the retired kind byte 1 (marginals)",
+            retired(1),
+        ),
+        (
+            "sub-frame of the retired kind byte 3 (flow summary)",
+            retired(3),
+        ),
+        ("sub-frame of the retired kind byte 7 (resend)", retired(7)),
     ];
-    for (what, frame) in cases {
-        let transport = Inject::new(REGIONS, None, fixed(AT, frame));
+    for (what, edit) in cases {
+        let transport = Inject::new(REGIONS, None, edit);
         let mut mesh =
             MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
         let mut alg = GradientAlgorithm::new(&p, GradientConfig::default()).unwrap();
@@ -827,8 +959,8 @@ fn frames_with_out_of_range_indices_are_discarded_without_a_write() {
     }
 }
 
-/// Misrouted frames: a well-formed `1 → 2` batch (a real entry of region
-/// 1's own rows) that the transport hands to region 0 is one
+/// Misrouted frames: a well-formed `1 → 2` batch (a real row of region
+/// 1's own deciders) that the transport hands to region 0 is one
 /// `MalformedFrameDiscarded` and nothing else — not counted on the
 /// `0 ← 1` link, not proof that region 1 is alive, not applied: report,
 /// routing and per-link `frames_received` equal the uninjected run's.
@@ -836,13 +968,11 @@ fn frames_with_out_of_range_indices_are_discarded_without_a_write() {
 fn misrouted_frame_is_discarded_before_it_is_counted_or_applied() {
     const REGIONS: usize = 3;
     const ROUND: u64 = 5;
-    // the decide tick of iteration ROUND: marginals are about to feed Γ
     const AT: (u64, usize) = (TICKS_PER_ITERATION * ROUND, 0);
     let p = problem(20, 3, 9);
     let ext = ExtendedNetwork::build(&p);
-    // first node of region 1's contiguous range
-    let v = (ext.graph().node_count() as u32).div_ceil(REGIONS as u32);
-    let transport = Inject::new(REGIONS, None, fixed(AT, one_marginal(1, 2, ROUND, 0, v)));
+    let frame = gamma_frame(1, 2, 1, ROUND, &[a_row_of_region_1(&ext, REGIONS)]);
+    let transport = Inject::new(REGIONS, None, fixed(AT, frame));
     let mut mesh =
         MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
     let mut clean = MeshRuntime::lossless(ext, mesh_config(REGIONS)).unwrap();
@@ -907,16 +1037,15 @@ fn a_pass_through_row_off_one_is_discarded_without_a_write() {
     const REGIONS: usize = 2;
     // a refresh round: region 1 ships every owned decider row
     const ROUND: u64 = 16;
-    // region 1's round-ROUND Γ batch, shipped on the decide tick, reaches
-    // region 0 on the forward tick
+    // region 1's round-ROUND Γ batch reaches region 0 a tick later
     const AT: (u64, usize) = (TICKS_PER_ITERATION * ROUND + 1, 0);
     let p = problem(20, 3, 9);
     let ext = ExtendedNetwork::build(&p);
-    let v_count = ext.graph().node_count();
+    let probe = MeshRuntime::lossless(ext.clone(), mesh_config(REGIONS)).unwrap();
     let (j, v, l) = ext
         .commodity_ids()
         .find_map(|j| {
-            let theirs = |v: &&NodeId| owner_of(v.index(), v_count, REGIONS) == 1;
+            let theirs = |v: &&NodeId| probe.worker(0).owner(**v) == 1;
             let pass_through = |v: &&NodeId| ext.commodity_out_slice(j, **v).len() == 1;
             let routers = ext.commodity_routers(j).iter();
             let v = *routers.filter(theirs).find(pass_through)?;
@@ -924,33 +1053,12 @@ fn a_pass_through_row_off_one_is_discarded_without_a_write() {
         })
         .expect("region 1 owns a bandwidth node");
     for phi in [1.0 - 5e-8, 1.0] {
-        let forged = move |genuine: &[Vec<u8>]| {
-            // the seq and round of region 1's genuine Γ sub in this delivery
-            let (seq, round) = genuine
-                .iter()
-                .find_map(|bytes| {
-                    let mut reader = BatchReader::parse(bytes).ok()?;
-                    std::iter::from_fn(|| reader.next_sub())
-                        .filter_map(Result::ok)
-                        .find(|sub| sub.kind == FrameKind::GammaRows)
-                        .map(|sub| (sub.seq, sub.round))
-                })
-                .expect("region 1 ships Γ rows on a refresh round");
-            let mut buf = FrameBuf::new();
-            buf.begin(1, 0, round);
-            buf.begin_sub(FrameKind::GammaRows, seq, round);
-            buf.put_u64(round); // base == round: a full frame
-            buf.put_u32(1);
-            buf.put_u32(j.index() as u32);
-            buf.put_u32(v.index() as u32);
-            buf.put_u32(1);
-            buf.put_u32(l.index() as u32);
-            buf.put_f64(phi);
-            buf.end_sub();
-            assert!(buf.finish());
-            buf.bytes().unwrap().to_vec()
-        };
-        let transport = Inject::new(REGIONS, None, once(AT, forged));
+        let row = (
+            j.index() as u32,
+            v.index() as u32,
+            vec![(l.index() as u32, phi)],
+        );
+        let transport = Inject::new(REGIONS, None, forged_rows(AT, vec![row]));
         let mut mesh =
             MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
         let mut clean = MeshRuntime::lossless(ext.clone(), mesh_config(REGIONS)).unwrap();
@@ -984,42 +1092,44 @@ fn a_pass_through_row_off_one_is_discarded_without_a_write() {
     }
 }
 
-/// Marginals travel only to the regions that read them: region 0 of a
-/// 2-region mesh reads `(j, v)` only if it owns a router with an arc
-/// into `v`. A full-frame marginal for one of region 1's routers that
-/// region 0 does not read — a real row of the sender, at a fresh round —
-/// slipped in ahead of region 1's genuine marginals on a decide tick is
-/// one `MalformedFrameDiscarded`; nothing is written, the genuine frame
-/// of the same round still applies, and every mirror stays bit-equal to
-/// the uninjected mesh.
+/// No marginal travels since wire v4: every marginal a region's Γ reads
+/// is one its own sweep writes. A batch as a v3 peer would have sent it
+/// — a full-frame marginals sub (kind byte 1: `base`, one `(j, v, d)`
+/// entry for one of region 1's routers) and a resend request (kind byte
+/// 7) — slipped in ahead of region 1's genuine batch is one
+/// `MalformedFrameDiscarded`, refused whole at its first sub; nothing
+/// is written, the genuine batch of the same delivery still applies,
+/// and every mirror stays bit-equal to the uninjected mesh.
 #[test]
-fn a_marginal_the_receiver_does_not_read_is_discarded_without_a_write() {
+fn a_retired_marginal_sub_is_discarded_without_a_write() {
     const REGIONS: usize = 2;
     const ROUND: u64 = 5;
-    // the decide tick of iteration ROUND: marginals are about to feed Γ
     const AT: (u64, usize) = (TICKS_PER_ITERATION * ROUND, 0);
     let p = problem(20, 3, 9);
     let ext = ExtendedNetwork::build(&p);
-    let v_count = ext.graph().node_count();
-    let owner = |v: NodeId| owner_of(v.index(), v_count, REGIONS);
-    let (j, v) = ext
-        .commodity_ids()
-        .find_map(|j| {
-            let routers = ext.commodity_routers(j);
-            let read_by_0 = |v: NodeId| {
-                routers.iter().any(|&u| {
-                    owner(u) == 0
-                        && ext
-                            .commodity_out_slice(j, u)
-                            .iter()
-                            .any(|&l| ext.graph().target(l) == v)
-                })
-            };
-            let v = *routers.iter().find(|&&v| owner(v) == 1 && !read_by_0(v))?;
-            Some((j, v))
-        })
-        .expect("region 1 owns a router region 0 does not read");
-    let frame = one_marginal(1, 0, ROUND, j.index() as u32, v.index() as u32);
+    let (j, v, _) = a_row_of_region_1(&ext, REGIONS);
+    // the v3 layout, kind bytes patched in: a batch of two subs
+    let mut frame = gamma_frame(1, 0, 0, ROUND, &[]);
+    let at = 29 + 4;
+    let mut marginals = vec![1u8];
+    marginals.extend_from_slice(&0u64.to_le_bytes()); // seq
+    marginals.extend_from_slice(&ROUND.to_le_bytes()); // round
+    marginals.extend_from_slice(&28u32.to_le_bytes()); // payload length
+    marginals.extend_from_slice(&ROUND.to_le_bytes()); // base
+    marginals.extend_from_slice(&1u32.to_le_bytes()); // one entry
+    marginals.extend_from_slice(&j.to_le_bytes());
+    marginals.extend_from_slice(&v.to_le_bytes());
+    marginals.extend_from_slice(&123.456f64.to_bits().to_le_bytes());
+    let mut resend = vec![7u8];
+    resend.extend_from_slice(&0u64.to_le_bytes());
+    resend.extend_from_slice(&ROUND.to_le_bytes());
+    resend.extend_from_slice(&0u32.to_le_bytes());
+    frame.truncate(at);
+    frame.extend_from_slice(&marginals);
+    frame.extend_from_slice(&resend);
+    let len = (frame.len() - 29) as u32;
+    frame[25..29].copy_from_slice(&len.to_le_bytes());
+    frame[29..33].copy_from_slice(&2u32.to_le_bytes());
     let transport = Inject::new(REGIONS, None, fixed(AT, frame));
     let mut mesh =
         MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
@@ -1035,8 +1145,8 @@ fn a_marginal_the_receiver_does_not_read_is_discarded_without_a_write() {
             [MeshIncident::MalformedFrameDiscarded {
                 tick,
                 region: 0,
-                ..
-            }] if *tick == AT.0
+                error,
+            }] if *tick == AT.0 && error.contains("unknown frame kind 1")
         ),
         "expected exactly one discard incident, got {:?}",
         mesh.incidents()
@@ -1048,7 +1158,7 @@ fn a_marginal_the_receiver_does_not_read_is_discarded_without_a_write() {
 /// held until a gap that never fills — used to grow a link's buffer
 /// without limit. Here every delivery to region 0 carries one extra
 /// batch of such subs from region 1 (distinct seqs up to `u64::MAX`,
-/// 3 KiB a tick, 240 KiB over the run against a 16 KiB budget): the
+/// 3 KiB a tick, 120 KiB over the run against a 16 KiB budget): the
 /// bytes region 0 holds from region 1 never exceed the budget, each
 /// refused sub is one `InboxOverflow`, and the mesh keeps stepping with
 /// every mirror bit-equal to the uninjected mesh.
@@ -1200,7 +1310,8 @@ fn a_recovery_snapshot_with_a_row_of_mass_two_is_discarded() {
     let transport = Inject::new(REGIONS, Some(faults), edit);
     let mut mesh =
         MeshRuntime::with_transport(ext.clone(), mesh_config(REGIONS), transport).unwrap();
-    for it in 0..60 {
+    // 120 ticks: partition at tick 30, healed by ~80
+    for it in 0..120 {
         mesh.step();
         assert_invariants(&ext, &mesh, &format!("iteration {it}"));
     }
@@ -1220,10 +1331,10 @@ fn a_recovery_snapshot_with_a_row_of_mass_two_is_discarded() {
     );
 }
 
-/// The smallest suspect windows hold on a healthy mesh: every peer
-/// heartbeats on every forward tick and suspects are checked on forward
-/// ticks only, so a healthy peer is at most one tick silent when checked
-/// (`suspect_after: 0` is refused at construction).
+/// The smallest suspect windows hold on a healthy mesh: every peer's
+/// batch ships every tick and is heard the next, and suspects are
+/// checked after the inbox drain, so a healthy peer is never silent
+/// when checked (`suspect_after: 0` is refused at construction).
 #[test]
 fn the_smallest_suspect_windows_never_flap_a_healthy_mesh() {
     let ext = ExtendedNetwork::build(&problem(40, 3, 1));
@@ -1243,7 +1354,7 @@ fn the_smallest_suspect_windows_never_flap_a_healthy_mesh() {
 }
 
 /// Config validation: the mesh refuses only mesh-shaped settings —
-/// impossible region counts, a zero refresh cadence, a zero suspect
+/// more regions than servers, a zero refresh cadence, a zero suspect
 /// window and an inbox budget below one frame — plus what
 /// `GradientConfig::validate` refuses. Every corner the core accepts
 /// builds on all five drivers, and the mesh runs it bit for bit.
@@ -1259,14 +1370,20 @@ fn mesh_rejects_unsupported_configs() {
         }),
         Err(MeshError::NoRegions)
     ));
-    let nodes = ext.graph().node_count();
+    // regions split the servers: one per server at most
+    let servers = ext.physical_nodes();
     assert!(matches!(
         with_config(MeshConfig {
-            regions: nodes + 1,
+            regions: servers + 1,
             ..MeshConfig::default()
         }),
-        Err(MeshError::TooManyRegions { .. })
+        Err(MeshError::TooManyRegions { regions, servers: s }) if regions == servers + 1 && s == servers
     ));
+    assert!(with_config(MeshConfig {
+        regions: servers,
+        ..MeshConfig::default()
+    })
+    .is_ok());
     // a zero cadence never re-anchors a delta chain
     assert!(matches!(
         with_config(MeshConfig {
@@ -1441,13 +1558,13 @@ fn mutant(frame: &[u8], pool: &[&Vec<u8>], draw: impl Fn(usize) -> f64) -> Vec<u
             (lengths[pick(1, lengths.len())], 4)
         }
         3 => {
-            // the sub count, or the entry count of a row payload
-            // (marginals, Γ rows: `base u64, count u32`)
+            // the sub count, or the row count of a Γ payload (`base
+            // u64, count u32`)
             let counts: Vec<usize> = std::iter::once(29)
                 .chain(
                     spans
                         .iter()
-                        .filter(|&&(start, _)| (1..=2).contains(&frame[start]))
+                        .filter(|&&(start, _)| frame[start] == 2)
                         .map(|&(start, _)| start + 21 + 8),
                 )
                 .collect();
@@ -1483,15 +1600,15 @@ fn mutant(frame: &[u8], pool: &[&Vec<u8>], draw: impl Fn(usize) -> f64) -> Vec<u
 /// genuinely delivered there, and slips it into a fresh mesh's same
 /// delivery ahead of the genuine frames (`Inject`), from mid-run on.
 /// Whatever the mutant, no worker panics, every delivery either applies
-/// or is refused as one of the four discard/resync incidents, and after
+/// or is refused as one of the three discard incidents, and after
 /// every iteration every mirror is a valid, loop-free routing whose
 /// flows balance (invariants 1–3).
 #[test]
 fn a_seeded_frame_fuzz_corpus_never_breaks_a_worker() {
     const REGIONS: usize = 3;
-    const ITERATIONS: usize = 30;
+    const ITERATIONS: usize = 60;
     // iterations before the first mutant
-    const WARM: u64 = 4;
+    const WARM: u64 = 8;
     const EPISODES: u64 = 14;
     const SEED: u64 = 0x4655_5A5A;
     let p = problem(20, 3, 9);
@@ -1516,8 +1633,8 @@ fn a_seeded_frame_fuzz_corpus_never_breaks_a_worker() {
         .collect();
 
     let mut mutants = 0;
-    // malformed, duplicate, stale, resync
-    let mut seen = [false; 4];
+    // malformed, duplicate, stale
+    let mut seen = [false; 3];
     let mut applied = false;
     for episode in 0..EPISODES {
         let mut schedule: BTreeMap<(u64, usize), Vec<u8>> = corpus
@@ -1547,7 +1664,6 @@ fn a_seeded_frame_fuzz_corpus_never_breaks_a_worker() {
                 MeshIncident::MalformedFrameDiscarded { .. } => 0,
                 MeshIncident::DuplicateFrameDiscarded { .. } => 1,
                 MeshIncident::StaleFrameDiscarded { .. } => 2,
-                MeshIncident::ResyncRequested { .. } => 3,
                 other => panic!("episode {episode}: a mutant caused {other:?}"),
             };
             seen[kind] = true;
@@ -1556,8 +1672,8 @@ fn a_seeded_frame_fuzz_corpus_never_breaks_a_worker() {
     }
     assert!(mutants >= 2000, "only {mutants} mutants");
     assert_eq!(
-        seen, [true; 4],
-        "an outcome never occurred (malformed, duplicate, stale, resync)"
+        seen, [true; 3],
+        "an outcome never occurred (malformed, duplicate, stale)"
     );
     assert!(
         applied,
