@@ -768,8 +768,6 @@ pub struct FrameBuf {
     subs: u32,
     open: bool,
     sub_open: bool,
-    /// The batch is the sender's heartbeat: ship it even when empty.
-    heartbeat: bool,
     /// Closed and to be sent.
     finished: bool,
 }
@@ -800,16 +798,7 @@ impl FrameBuf {
         put_u32(&mut self.buf, 0);
         self.subs = 0;
         self.open = true;
-        self.heartbeat = false;
         self.finished = false;
-    }
-
-    /// Marks the open batch as the sender's heartbeat: it is shipped
-    /// even if it carries no sub-frame, because the frame itself proves
-    /// the sender alive.
-    pub(crate) fn mark_heartbeat(&mut self) {
-        assert!(self.open, "mark_heartbeat outside a batch");
-        self.heartbeat = true;
     }
 
     /// Opens a sub-frame of `kind` (never [`FrameKind::Batch`]).
@@ -884,22 +873,20 @@ impl FrameBuf {
         self.subs += 1;
     }
 
-    /// Closes the batch, patching the outer length and sub count.
-    /// Returns `true` if the batch is to be sent: it carries at least
-    /// one sub-frame or is a heartbeat (other empty batches are never
-    /// sent).
-    pub fn finish(&mut self) -> bool {
+    /// Closes the batch, patching the outer length and sub count. A
+    /// batch is sent even when it holds no sub-frame: the frame itself
+    /// proves its sender alive, so an empty batch is the heartbeat.
+    pub fn finish(&mut self) {
         assert!(self.open && !self.sub_open, "finish out of sequence");
         let len = (self.buf.len() - self.len_at - 4) as u32;
         patch_u32_at(&mut self.buf, self.len_at, len);
         patch_u32_at(&mut self.buf, self.count_at, self.subs);
         self.open = false;
-        self.finished = self.subs > 0 || self.heartbeat;
-        self.finished
+        self.finished = true;
     }
 
-    /// The finished frame's bytes, or `None` if the batch is not to be
-    /// sent or not yet finished.
+    /// The finished frame's bytes, or `None` if the batch is not yet
+    /// finished.
     #[must_use]
     pub fn bytes(&self) -> Option<&[u8]> {
         self.finished.then_some(&self.buf[..])
@@ -1453,26 +1440,22 @@ mod tests {
             buf.put_payload(&sub.payload);
             buf.end_sub();
         }
-        assert!(buf.finish());
+        buf.finish();
         assert_eq!(buf.bytes().unwrap(), frame.encode().as_slice());
         assert_eq!(buf.sub_count(), subs.len() as u32);
 
-        // an empty batch finishes to None and is never sent
+        // a batch is unsent until finished; an empty one — the
+        // heartbeat — finishes to an empty batch frame
         let mut empty = FrameBuf::new();
         empty.begin(0, 1, 9);
-        assert!(!empty.finish());
         assert!(empty.bytes().is_none());
-        // unless it is a heartbeat: then it is an empty batch frame
-        empty.begin(0, 1, 9);
-        empty.mark_heartbeat();
-        assert!(empty.finish());
+        empty.finish();
         assert_eq!(
             Frame::decode(empty.bytes().unwrap()).unwrap().payload,
             Payload::Batch(Vec::new())
         );
-        // and the mark does not outlive its batch
         empty.begin(0, 1, 10);
-        assert!(!empty.finish());
+        assert!(empty.bytes().is_none());
     }
 
     #[test]
@@ -1493,7 +1476,7 @@ mod tests {
         buf.end_sub();
         let flight: Vec<u8> = buf.last_sub().to_vec();
         buf.push_raw_sub(&flight);
-        assert!(buf.finish());
+        buf.finish();
         let frame = Frame::decode(buf.bytes().unwrap()).unwrap();
         let Payload::Batch(subs) = frame.payload else {
             panic!("not a batch")

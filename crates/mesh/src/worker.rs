@@ -479,13 +479,13 @@ impl RegionWorker {
         // (every peer computes them too), then every other decider's,
         // statistics dropped — they are the owner's to report (their
         // fingerprints are never read: only owned rows ship)
-        let mut rows = 0u32;
         worker.gamma_rows.resize(GAMMA_HEADER, 0);
-        worker.staged_gamma = worker.stage_gamma(ext, cost, gradient, true, &mut rows);
+        let (stats, mine) = worker.stage_gamma(ext, cost, gradient, true);
         let owned = std::mem::replace(&mut worker.owned, others);
-        worker.stage_gamma(ext, cost, gradient, true, &mut rows);
+        let (_, theirs) = worker.stage_gamma(ext, cost, gradient, true);
         worker.owned = owned;
-        worker.gamma_rows[8..GAMMA_HEADER].copy_from_slice(&rows.to_le_bytes());
+        worker.staged_gamma = stats;
+        worker.gamma_rows[8..GAMMA_HEADER].copy_from_slice(&(mine + theirs).to_le_bytes());
         worker
     }
 
@@ -567,8 +567,8 @@ impl RegionWorker {
         total
     }
 
-    /// The batch this tick produced for `peer`, if non-empty. Valid
-    /// after the worker's phase of the tick until its next phase.
+    /// The batch this tick produced for `peer` (`None` for `peer ==
+    /// region`). Valid after the worker's tick until its next one.
     #[must_use]
     pub fn outgoing(&self, peer: usize) -> Option<&[u8]> {
         self.outbox[peer].bytes()
@@ -631,7 +631,6 @@ impl RegionWorker {
         for peer in 0..self.regions {
             if peer != self.region {
                 self.outbox[peer].begin(region, peer as u16, round);
-                self.outbox[peer].mark_heartbeat();
             }
         }
         self.process_inbox(ext, tick, inbox, log);
@@ -652,12 +651,12 @@ impl RegionWorker {
             if peer == self.region {
                 continue;
             }
-            if self.outbox[peer].finish() {
-                let s = &mut self.links[peer].stats;
-                s.frames_sent += 1;
-                s.bytes_sent += self.outbox[peer].frame_len() as u64;
-                s.subs_sent += u64::from(self.outbox[peer].sub_count());
-            }
+            let batch = &mut self.outbox[peer];
+            batch.finish();
+            let s = &mut self.links[peer].stats;
+            s.frames_sent += 1;
+            s.bytes_sent += batch.frame_len() as u64;
+            s.subs_sent += u64::from(batch.sub_count());
         }
     }
 
@@ -699,18 +698,19 @@ impl RegionWorker {
     /// Γ over the listed deciders (`self.owned`) against the mirror,
     /// nothing written: each row whose bits differ from its last
     /// shipped fingerprint — every row when `full` — is fingerprinted
-    /// and appended to the staged payload, counted in `rows`. Returns
-    /// the pass's statistics, `rows` counting every owned router.
+    /// and appended to the staged payload. Returns the pass's
+    /// statistics, `rows` counting every owned router, and the number
+    /// of rows appended.
     fn stage_gamma(
         &mut self,
         ext: &ExtendedNetwork,
         cost: &CostModel,
         gradient: &GradientConfig,
         full: bool,
-        rows: &mut u32,
-    ) -> GammaStats {
+    ) -> (GammaStats, u32) {
         let edge_count = self.edge_count;
         let (sent, staged) = (&mut self.gamma_sent, &mut self.gamma_rows);
+        let mut rows = 0u32;
         let mut stats = stage_gamma_deciders(
             ext,
             cost,
@@ -730,12 +730,12 @@ impl RegionWorker {
                         sent[l.index()] = phi.to_bits();
                     }
                     put_gamma_row(staged, j, ext.members(j).node(p), row);
-                    *rows += 1;
+                    rows += 1;
                 }
             },
         );
         stats.rows = self.owned_routers;
-        stats
+        (stats, rows)
     }
 
     /// End of the tick: Γ over the owned deciders, staged; the owned
@@ -758,8 +758,8 @@ impl RegionWorker {
         self.gamma_rows.clear();
         self.gamma_rows.extend_from_slice(&base.to_le_bytes());
         self.gamma_rows.extend_from_slice(&0u32.to_le_bytes());
-        let mut n = 0u32;
-        self.staged_gamma = self.stage_gamma(ext, cost, gradient, refresh, &mut n);
+        let (stats, n) = self.stage_gamma(ext, cost, gradient, refresh);
+        self.staged_gamma = stats;
         self.gamma_rows[8..GAMMA_HEADER].copy_from_slice(&n.to_le_bytes());
         let suppressed = (self.owned.len() as u64).saturating_sub(u64::from(n));
         if n > 0 {
@@ -1364,7 +1364,7 @@ mod tests {
         buf.begin_sub(kind, seq, round);
         body(&mut buf);
         buf.end_sub();
-        assert!(buf.finish());
+        buf.finish();
         buf.bytes().expect("finished").to_vec()
     }
 
